@@ -11,7 +11,6 @@ import (
 	"repro/internal/dblp"
 	"repro/internal/flix"
 	"repro/internal/obs"
-	"repro/internal/query"
 )
 
 // hotpathCase is one measured workload of the hot-path experiment.
@@ -59,12 +58,6 @@ func hotpathExperiment(docs int, seed int64, out string, minSpeedup float64) {
 	drop := func(flix.Result) bool { return true }
 	opts := flix.Options{MaxResults: 100}
 
-	q, err := query.Parse("//inproceedings//article")
-	if err != nil {
-		log.Fatal(err)
-	}
-	ev := &query.Evaluator{Index: ix}
-
 	measure := func(name string, op func()) hotpathCase {
 		// Warm: populates the scratch pool, HOPI's tag postings and any
 		// lazily built state, so the benchmark sees the steady state.
@@ -99,9 +92,6 @@ func hotpathExperiment(docs int, seed int64, out string, minSpeedup float64) {
 		}),
 		measure("type-descendants", func() {
 			ix.TypeDescendants("inproceedings", "article", opts, drop)
-		}),
-		measure("topk", func() {
-			ev.EvaluateTopK(q, 10)
 		}),
 		measure("reference-descendants", func() {
 			ix.ReferenceDescendants(e.Start, "article", opts, drop)

@@ -7,7 +7,11 @@ package main
 // collection, plus the /v1/batch amortization curve over real HTTP.
 // Acceptance: the optimized path must beat the reference by the configured
 // latency and allocation factors, after first proving it returns the exact
-// reference ranking prefix.
+// reference ranking prefix; and the memory one ranked query pins per paused
+// probe must stay under a fixed budget on a configuration with few meta
+// documents and on one with thousands — a ranked query holds thousands of
+// probes open at once, so per-probe state that scales with the collection
+// multiplies into hundreds of megabytes.
 
 import (
 	"bytes"
@@ -18,6 +22,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -48,6 +54,71 @@ type topkResult struct {
 	SpeedupTopK    float64          `json:"speedupTopK"`
 	AllocRatioTopK float64          `json:"allocRatioTopK"`
 	Batch          []topkBatchPoint `json:"batch"`
+	// Probes is the many-open-probes memory measurement, one row per index
+	// configuration.
+	Probes []topkProbeCost `json:"probes"`
+}
+
+// maxProbeBytes is the most a cold ranked query may allocate per concurrently
+// open probe.  Probe state that follows the probe's own work costs 2–3 KB
+// here, stream buffers included; a table with one 24-byte entry per meta
+// document costs 14 KB on the 500-document CI corpus and 150 KB at paper
+// scale.
+const maxProbeBytes = 4096
+
+// topkProbeCost is what the paused probes of one ranked query cost on one
+// index configuration.  The cold figures come from the first query after the
+// scratch pools were dropped, with the collector off: every byte a probe's
+// state needs is allocated there, and the peak live heap is the same number.
+type topkProbeCost struct {
+	Config        string `json:"config"`
+	Metas         int    `json:"metas"`
+	Scans         int    `json:"scans"`
+	PeakOpen      int    `json:"peakOpen"`
+	ColdBytes     int64  `json:"coldBytes"`
+	ColdAllocs    int64  `json:"coldAllocs"`
+	BytesPerProbe int64  `json:"bytesPerProbe"`
+	WarmNsPerOp   int64  `json:"warmNsPerOp"`
+	WarmBytes     int64  `json:"warmBytesPerOp"`
+	WarmAllocs    int64  `json:"warmAllocsPerOp"`
+}
+
+// probeCost measures q on ix: cold pools first, then the warm steady state.
+func probeCost(ix *flix.Index, q *query.Query, k int) topkProbeCost {
+	ev := &query.Evaluator{Index: ix}
+	// Two collections empty every sync.Pool (live, then victim cache).
+	runtime.GC()
+	runtime.GC()
+	old := debug.SetGCPercent(-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ev.EvaluateTopK(q, k)
+	runtime.ReadMemStats(&after)
+	debug.SetGCPercent(old)
+	c := topkProbeCost{
+		Config:     ix.Describe(),
+		Metas:      len(ix.MetaOutLinkCounts()),
+		Scans:      ev.Stats.Scans,
+		PeakOpen:   ev.Stats.PeakOpen,
+		ColdBytes:  int64(after.TotalAlloc - before.TotalAlloc),
+		ColdAllocs: int64(after.Mallocs - before.Mallocs),
+	}
+	if c.PeakOpen > 0 {
+		c.BytesPerProbe = c.ColdBytes / int64(c.PeakOpen)
+	}
+	for i := 0; i < 3; i++ {
+		ev.EvaluateTopK(q, k)
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ev.EvaluateTopK(q, k)
+		}
+	})
+	c.WarmNsPerOp, c.WarmBytes, c.WarmAllocs = r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp()
+	fmt.Printf("%-34s %5d metas %5d open probes  cold %9d B (%6d B/probe, %6d allocs)  warm %10d ns/op %9d B/op %6d allocs/op\n",
+		c.Config, c.Metas, c.PeakOpen, c.ColdBytes, c.BytesPerProbe, c.ColdAllocs, c.WarmNsPerOp, c.WarmBytes, c.WarmAllocs)
+	return c
 }
 
 // topkExperiment measures EvaluateTopK against the frozen reference and the
@@ -133,6 +204,14 @@ func topkExperiment(docs int, seed int64, out string, minSpeedup, minAllocRatio 
 	fmt.Printf("speedup vs reference: %.2fx latency, %.2fx allocations\n",
 		r.SpeedupTopK, r.AllocRatioTopK)
 
+	// The same query with every stream open at once, on few large meta
+	// documents and on one meta document per publication.
+	naive, err := flix.Build(e.Coll, flix.Config{Kind: flix.Naive})
+	if err != nil {
+		log.Fatal(err)
+	}
+	r.Probes = []topkProbeCost{probeCost(ix, q, k), probeCost(naive, q, k)}
+
 	r.Batch = batchThroughput(ix, e.Coll.NumNodes(), seed)
 
 	b, err := json.MarshalIndent(r, "", "  ")
@@ -150,6 +229,12 @@ func topkExperiment(docs int, seed int64, out string, minSpeedup, minAllocRatio 
 	if minAllocRatio > 0 && r.AllocRatioTopK < minAllocRatio {
 		log.Fatalf("acceptance: topk allocation ratio %.2fx below the %.2fx bar",
 			r.AllocRatioTopK, minAllocRatio)
+	}
+	for _, c := range r.Probes {
+		if c.BytesPerProbe > maxProbeBytes {
+			log.Fatalf("acceptance: %s: a cold ranked query allocates %d B per open probe, budget %d",
+				c.Config, c.BytesPerProbe, maxProbeBytes)
+		}
 	}
 	fmt.Println()
 }

@@ -52,14 +52,11 @@ func (ix *Index) ConnectedOpts(a, b xmlgraph.NodeID, opts Options) (int32, bool)
 		le := ix.set.LocalOf[it.node]
 		md := ix.set.Metas[mi]
 		idx := ix.pis[mi]
-		prev := s.entered[mi]
-		if coveredBy(idx, prev, le) {
+		ents := s.entered.at(mi)
+		if coveredBy(idx, *ents, le) {
 			continue
 		}
-		if len(prev) == 0 {
-			s.touched = append(s.touched, mi)
-		}
-		s.entered[mi] = append(prev, le)
+		*ents = append(*ents, le)
 
 		if mi == tmi {
 			if d, ok := idx.Distance(le, tlocal); ok {
@@ -258,7 +255,8 @@ func (ix *Index) Ancestors(start xmlgraph.NodeID, tag string, opts Options, fn E
 		le := ix.set.LocalOf[it.node]
 		md := ix.set.Metas[mi]
 		idx := ix.pis[mi]
-		prev := s.entered[mi]
+		ents := s.entered.at(mi)
+		prev := *ents
 		// Reverse coverage: p covers e when e reaches p.
 		skip := false
 		for _, p := range prev {
@@ -270,10 +268,7 @@ func (ix *Index) Ancestors(start xmlgraph.NodeID, tag string, opts Options, fn E
 		if skip {
 			continue
 		}
-		if len(prev) == 0 {
-			s.touched = append(s.touched, mi)
-		}
-		s.entered[mi] = append(prev, le)
+		*ents = append(prev, le)
 
 		stop := false
 		visit := func(n, ld int32) bool {

@@ -1,6 +1,7 @@
 package flix
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/lgraph"
@@ -107,20 +108,62 @@ func (ix *Index) TypeDescendants(tagA, tagB string, opts Options, fn Emit) {
 	ix.evaluate(s, tagB, opts, fn)
 }
 
-// evalRun is the per-query state of one evaluation, embedded in the pooled
-// evalScratch so that checking out a warm scratch re-arms a complete
-// evaluator with zero allocation.  The per-pop fields exist so that visit —
-// the old per-pop closure, now a method bound once per scratch lifetime —
-// can read the popped entry's context without a fresh closure per frontier
-// entry.
+// evaluate is the streaming driver of the evaluator core: the caller loads
+// the starts into s.f, the core runs the frontier dry, and results reach fn
+// as they are found (or, under ExactOrder, as soon as no shorter path can
+// still appear).
+func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
+	defer ix.finish(s)
+	r := ix.arm(s, tag, opts)
+	r.fn = fn
+	r.buffer = opts.ExactOrder
+	r.run(math.MaxInt32)
+	if opts.ExactOrder && !r.stopped {
+		s.rbuf.flushThrough(math.MaxInt32, s.emitFn)
+	}
+}
+
+// evalRun is the Path Expression Evaluator of Figure 4: one resumable
+// priority-queue loop (run) that every forward-axis driver shares.  It is
+// embedded in the pooled evalScratch, so checking out a warm scratch re-arms
+// a complete evaluator with zero allocation, and its callbacks — visit,
+// linkVisit, emit — are methods bound once per scratch lifetime that read
+// the popped entry's context from the per-pop fields.
+//
+// The drivers differ in three settings only:
+//
+//   - the band run is given: Descendants, TypeDescendants and
+//     PartialDescendants run the frontier dry, Probe.Next pauses it at a
+//     distance band and resumes later on the same scratch;
+//   - the result sink: streamed to fn, buffered in the (dist, node) heap
+//     rbuf (ExactOrder and Probe), or min-merged per node (merge);
+//   - the duplicate-elimination rule.  The default is the paper's §5.1
+//     entry-point coverage: a popped element is dropped, and a probed result
+//     skipped, when an earlier entry point of the same meta document reaches
+//     it.  That is sound only when one evaluation sees every entry of a meta
+//     document.  Options.DupSeenSet selects the identity rule instead — the
+//     first pop of a node carries its minimum distance and is the only one
+//     expanded — which the ablation benchmark compares against and which
+//     PartialDescendants needs: split across shards and RPC rounds, coverage
+//     would suppress shorter rediscoveries.
 type evalRun struct {
 	ix   *Index
 	s    *evalScratch
+	tag  string
 	opts Options
 	fn   Emit
 	tr   *obs.Trace
 
-	// Per-pop context read by visit.
+	// buffer sends results to s.rbuf instead of fn.  merge selects the
+	// PartialDescendants sink and frontier discipline: results keep their
+	// minimum distance per node, and frontier entries are queued only when
+	// they improve on the node's best known distance.  owned (merge only,
+	// nil = everything) diverts entries in foreign meta documents to s.hops.
+	buffer bool
+	merge  bool
+	owned  func(meta int32) bool
+
+	// Per-pop context read by visit and linkVisit.
 	dist int32
 	mi   int32
 	prev []int32
@@ -129,114 +172,57 @@ type evalRun struct {
 
 	probeResults int
 	emitted      int
-	stopped      bool
-	exact        bool
+	stopped      bool // the client stopped the stream, or the query was canceled
+	truncated    bool // canceled before the frontier drained
 
 	// Per-query stats deltas, flushed to the shared atomic counters once
 	// at query end instead of contending on every pop.
 	pops, entries, dupDropped, linkHops int64
 }
 
-// visit handles one node streamed from a meta document's index probe.  It
-// is the hot inner callback: the old evaluator rebuilt it as a closure on
-// every frontier pop, this version is a method whose bound func value lives
-// in the scratch pool.
-func (r *evalRun) visit(n, ld int32) bool {
-	gd := r.dist + ld
-	if r.opts.MaxDist > 0 && gd > r.opts.MaxDist {
-		return false // ld ascending: rest is farther
-	}
-	if gd == 0 && !r.opts.IncludeSelf {
-		return true
-	}
-	g := r.md.ToGlobal(n)
-	if r.opts.DupSeenSet {
-		if _, dup := r.s.seenResults[g]; dup {
-			return true
-		}
-		r.s.seenResults[g] = struct{}{}
-	} else if coveredBy(r.idx, r.prev, n) {
-		return true // reported below an earlier entry
-	}
-	res := Result{Node: g, Dist: gd}
-	if r.tr != nil {
-		// Recorded at production time: an ExactOrder buffer may emit the
-		// result to the client later.
-		r.probeResults++
-		r.tr.Result(r.mi, int64(g), gd)
-	}
-	if r.exact {
-		r.s.rbuf.push(res)
-		return true
-	}
-	if !r.emit(res) {
-		r.stopped = true
-		return false
-	}
-	return true
-}
+// expanded marks a node in evalScratch.best whose entry was popped and
+// admitted under the identity rule; it is smaller than every distance, so
+// later pops and relaxations of the node lose against it.
+const expanded = -1
 
-// linkVisit handles one reachable runtime-link source streamed from the
-// batched pathindex.LinkDistances sweep: it pushes the link targets at
-// priority dist(e) + dist(e, l) + 1.  Like visit it is a method bound once
-// per scratch lifetime so the link-follow loop allocates nothing.
-func (r *evalRun) linkVisit(i int, d int32) bool {
-	nd := r.dist + d + 1
-	if r.opts.MaxDist > 0 && nd > r.opts.MaxDist {
-		return true
-	}
-	for _, cl := range r.md.LinksFrom(r.md.LinkSources[i]) {
-		r.s.f.push(pqItem{dist: nd, node: cl.To})
-		r.linkHops++
-		if r.tr != nil {
-			r.tr.LinkHop(r.mi, int64(cl.To), nd)
-		}
-	}
-	return true
-}
-
-// emit forwards one result to the client callback and enforces MaxResults.
-func (r *evalRun) emit(res Result) bool {
-	if !r.fn(res) {
-		return false
-	}
-	r.emitted++
-	return r.opts.MaxResults <= 0 || r.emitted < r.opts.MaxResults
-}
-
-// evaluate is the Path Expression Evaluator of Figure 4 with the
-// entry-point duplicate elimination of §5.1, rebuilt to be allocation-free
-// in steady state: the frontier, the entered table, and the result buffer
-// come from the scratch pool (returned on every exit path, including
-// cancellation), and the per-pop visit callback is a pre-bound method.
-//
-// The priority queue IE holds intermediate elements ordered by the minimal
-// distance any of their descendants can have.  Popping an element e, the
-// evaluator (1) drops e when a previously visited entry point of e's meta
-// document already reaches e — everything below e has been reported; (2)
-// streams e's matching descendants from the meta document's index, skipping
-// those below an earlier entry point; (3) pushes the targets of e's
-// reachable runtime links at priority dist(e) + dist(e, l) + 1.
-//
-// The caller loads the starts into s.f; evaluate owns s from here on and
-// returns it to the pool when the query ends.
-func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
-	defer ix.putScratch(s)
+// arm binds a checked-out scratch to one evaluation.
+func (ix *Index) arm(s *evalScratch, tag string, opts Options) *evalRun {
 	r := &s.run
-	r.ix = ix
-	r.opts = opts
-	r.fn = fn
+	r.ix, r.tag, r.opts = ix, tag, opts
 	r.tr = opts.Tracer // nil in the common case; every use is nil-checked
-	r.exact = opts.ExactOrder
-	if opts.DupSeenSet && s.seenResults == nil {
-		s.seenResults = make(map[xmlgraph.NodeID]struct{})
-		s.seenEntries = make(map[xmlgraph.NodeID]struct{})
+	if opts.DupSeenSet && s.best == nil {
+		s.best = make(map[xmlgraph.NodeID]int32)
+		s.resAt = make(map[xmlgraph.NodeID]int32)
 	}
+	return r
+}
 
-	wildcard := tag == ""
-	for s.f.Len() > 0 && !r.stopped {
-		if canceled(opts.Cancel) {
-			r.stopped = true
+// finish folds the evaluation's counters into the index statistics and
+// returns the scratch to the pool.
+func (ix *Index) finish(s *evalScratch) {
+	ix.stats.flushQuery(&s.run)
+	ix.putScratch(s)
+}
+
+// run pops the frontier while its minimum distance is within band.  The
+// priority queue IE holds intermediate elements ordered by the minimal
+// distance any of their descendants can have.  Popping an element e, run
+// (1) drops e when the duplicate-elimination rule says everything below it
+// was already reported; (2) streams e's matching descendants from the meta
+// document's index into the sink; (3) pushes the targets of e's reachable
+// runtime links at priority dist(e) + dist(e, l) + 1.
+//
+// Seeding and linkVisit keep every frontier entry within MaxDist, so the
+// loop needs no distance check of its own.  run may be called again with a
+// larger band; the frontier, the entered table and the sink persist in the
+// scratch.
+func (r *evalRun) run(band int32) {
+	s, ix := r.s, r.ix
+	wildcard := r.tag == ""
+	for s.f.Len() > 0 && s.f.a[0].dist <= band && !r.stopped {
+		if canceled(r.opts.Cancel) {
+			r.stopped, r.truncated = true, true
+			s.f.reset()
 			break
 		}
 		it := s.f.pop()
@@ -244,13 +230,10 @@ func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
 		if r.tr != nil {
 			r.tr.Pop(int64(it.node), it.dist)
 		}
-		if opts.MaxDist > 0 && it.dist > opts.MaxDist {
-			break // every remaining frontier entry is at least as far
-		}
-		if r.exact {
+		if r.opts.ExactOrder {
 			// Anything buffered below the new frontier minimum can
 			// never be beaten; flush it in exact order.
-			if !s.rbuf.flushBelow(it.dist, s.emitFn) {
+			if !s.rbuf.flushThrough(it.dist-1, s.emitFn) {
 				r.stopped = true
 				break
 			}
@@ -261,19 +244,23 @@ func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
 		idx := ix.pis[mi]
 
 		var prev []int32
-		if opts.DupSeenSet {
-			// Ablation: entries are skipped only on exact identity,
-			// results are deduplicated through seenResults in visit.
-			if _, dup := s.seenEntries[it.node]; dup {
+		if r.opts.DupSeenSet {
+			// Identity rule: results are deduplicated in visit.
+			if d, seen := s.best[it.node]; seen && d < it.dist {
 				r.dupDropped++
 				if r.tr != nil {
 					r.tr.DupDrop(mi, int64(it.node), it.dist)
 				}
+				continue // expanded before, or a shorter path is queued
+			}
+			if r.owned != nil && !r.owned(mi) {
+				s.hops = append(s.hops, it)
 				continue
 			}
-			s.seenEntries[it.node] = struct{}{}
+			s.best[it.node] = expanded
 		} else {
-			prev = s.entered[mi]
+			ents := s.entered.at(mi)
+			prev = *ents
 			if coveredBy(idx, prev, le) {
 				r.dupDropped++
 				if r.tr != nil {
@@ -281,10 +268,7 @@ func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
 				}
 				continue // descendants of e were already reported
 			}
-			if len(prev) == 0 {
-				s.touched = append(s.touched, mi)
-			}
-			s.entered[mi] = append(prev, le)
+			*ents = append(prev, le)
 		}
 		r.entries++
 		if r.tr != nil {
@@ -295,7 +279,7 @@ func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
 		localTag := lgraph.NoTag
 		probe := true
 		if !wildcard {
-			localTag = md.Graph.TagOf(tag)
+			localTag = md.Graph.TagOf(r.tag)
 			// Tag absent from this meta document: skip the probe but
 			// still follow links below.
 			probe = localTag != lgraph.NoTag
@@ -337,10 +321,98 @@ func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
 			}
 		}
 	}
-	if r.exact && !r.stopped {
-		s.rbuf.flushAll(s.emitFn)
+}
+
+// visit handles one node streamed from a meta document's index probe.  The
+// per-meta-document probes are not resumable, so a pop near a band edge
+// overshoots; buffered sinks hold the overshoot until its distance is due.
+func (r *evalRun) visit(n, ld int32) bool {
+	gd := r.dist + ld
+	if r.opts.MaxDist > 0 && gd > r.opts.MaxDist {
+		return false // ld ascending: rest is farther
 	}
-	ix.stats.flushQuery(r)
+	if gd == 0 && !r.opts.IncludeSelf {
+		return true
+	}
+	s := r.s
+	g := r.md.ToGlobal(n)
+	switch {
+	case r.merge:
+		// Local distances are exact, so the minimum per node over all
+		// expanded entries is the exact shortest distance.
+		if i, seen := s.resAt[g]; !seen {
+			s.resAt[g] = int32(s.rbuf.Len())
+			s.rbuf.a = append(s.rbuf.a, pqItem{dist: gd, node: g})
+		} else if gd < s.rbuf.a[i].dist {
+			s.rbuf.a[i].dist = gd
+		} else {
+			return true
+		}
+		if r.tr != nil {
+			r.probeResults++
+			r.tr.Result(r.mi, int64(g), gd)
+		}
+		return true
+	case r.opts.DupSeenSet:
+		if _, dup := s.resAt[g]; dup {
+			return true
+		}
+		s.resAt[g] = 0
+	case coveredBy(r.idx, r.prev, n):
+		return true // reported below an earlier entry
+	}
+	if r.tr != nil {
+		// Recorded at production time: a buffered result reaches the
+		// client later.
+		r.probeResults++
+		r.tr.Result(r.mi, int64(g), gd)
+	}
+	if r.buffer {
+		s.rbuf.push(pqItem{dist: gd, node: g})
+		return true
+	}
+	if !r.emit(Result{Node: g, Dist: gd}) {
+		r.stopped = true
+		return false
+	}
+	return true
+}
+
+// linkVisit handles one reachable runtime-link source streamed from the
+// link-distance sweep: it queues the link targets at priority
+// dist(e) + dist(e, l) + 1.
+func (r *evalRun) linkVisit(i int, d int32) bool {
+	nd := r.dist + d + 1
+	if r.opts.MaxDist > 0 && nd > r.opts.MaxDist {
+		return true
+	}
+	s := r.s
+	for _, cl := range r.md.LinksFrom(r.md.LinkSources[i]) {
+		r.linkHops++
+		if r.tr != nil {
+			r.tr.LinkHop(r.mi, int64(cl.To), nd)
+		}
+		if r.merge {
+			if !s.relax(cl.To, nd) {
+				continue
+			}
+			if r.owned != nil && !r.owned(r.ix.set.MetaOf[cl.To]) {
+				s.hops = append(s.hops, pqItem{dist: nd, node: cl.To})
+				continue
+			}
+		}
+		s.f.push(pqItem{dist: nd, node: cl.To})
+	}
+	return true
+}
+
+// emit forwards one result to the client callback and enforces MaxResults.
+func (r *evalRun) emit(res Result) bool {
+	if !r.fn(res) {
+		return false
+	}
+	r.emitted++
+	return r.opts.MaxResults <= 0 || r.emitted < r.opts.MaxResults
 }
 
 // coveredBy reports whether any entry point in prev reaches local node n.
@@ -351,76 +423,4 @@ func coveredBy(idx pathindex.Index, prev []int32, n int32) bool {
 		}
 	}
 	return false
-}
-
-// resultHeap orders results exactly by (dist, node) for Options.ExactOrder.
-// Like the frontier it is a concretely-typed hand-rolled heap (binary: the
-// buffer is usually small) whose backing array lives in the scratch pool.
-type resultHeap []Result
-
-func resLess(x, y Result) bool {
-	if x.Dist != y.Dist {
-		return x.Dist < y.Dist
-	}
-	return x.Node < y.Node
-}
-
-func (h *resultHeap) push(r Result) {
-	a := append(*h, r)
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !resLess(a[i], a[p]) {
-			break
-		}
-		a[i], a[p] = a[p], a[i]
-		i = p
-	}
-	*h = a
-}
-
-func (h *resultHeap) popMin() Result {
-	a := *h
-	min := a[0]
-	last := len(a) - 1
-	a[0] = a[last]
-	a = a[:last]
-	*h = a
-	i := 0
-	for {
-		l, rr := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(a) && resLess(a[l], a[smallest]) {
-			smallest = l
-		}
-		if rr < len(a) && resLess(a[rr], a[smallest]) {
-			smallest = rr
-		}
-		if smallest == i {
-			break
-		}
-		a[i], a[smallest] = a[smallest], a[i]
-		i = smallest
-	}
-	return min
-}
-
-// flushBelow emits every buffered result with distance < bound (no later
-// path can be shorter than bound).  It reports false when the emit callback
-// cancels.
-func (h *resultHeap) flushBelow(bound int32, emit func(Result) bool) bool {
-	for len(*h) > 0 && (*h)[0].Dist < bound {
-		if !emit(h.popMin()) {
-			return false
-		}
-	}
-	return true
-}
-
-func (h *resultHeap) flushAll(emit func(Result) bool) {
-	for len(*h) > 0 {
-		if !emit(h.popMin()) {
-			return
-		}
-	}
 }

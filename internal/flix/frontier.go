@@ -9,6 +9,9 @@ package flix
 // result, and measurably faster on the link-heavy frontiers where pops
 // dominate serving latency.
 //
+// The evaluator's (dist, node) result buffer (Options.ExactOrder and Probe) is
+// a second frontier4: same items, same order.
+//
 // The backing array lives in the evalScratch pool, so a warm heap performs
 // no allocation at all: push appends into retained capacity, pop reslices.
 // The pop order is exactly the order container/heap produced over the same
@@ -113,4 +116,18 @@ func (f *frontier4) siftDown(i int) {
 		i = best
 	}
 	a[i] = it
+}
+
+// flushThrough pops every buffered result with distance <= bound into emit, in
+// (dist, node) order.  It reports false when the emit callback cancels; the
+// rest stays buffered.  (Declared last so that it does not move siftDown,
+// whose loop runs 5 % slower at the other 32-byte offset — see ROADMAP.)
+func (f *frontier4) flushThrough(bound int32, emit func(Result) bool) bool {
+	for f.Len() > 0 && f.a[0].dist <= bound {
+		it := f.pop()
+		if !emit(Result{Node: it.node, Dist: it.dist}) {
+			return false
+		}
+	}
+	return true
 }

@@ -116,10 +116,48 @@ func TestEmitStopMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDescendantsAllocBudget enforces the tentpole acceptance bar at test
-// granularity: an untraced descendants query on a warm scratch pool must not
-// allocate.  The budget is 2 rather than 0 only to tolerate testing
-// instrumentation noise; the benchmark gate in CI holds the hard zero.
+// checkAllocBudgets holds every driver of the evaluator core to its
+// allocation budget on a warm scratch pool: an untraced descendants query
+// must not allocate (the budget is 2 rather than 0 only to tolerate testing
+// instrumentation noise; the benchmark gate in CI holds the hard zero), a
+// probe pulled dry band by band must not allocate at all, and a partial
+// evaluation may allocate only the two slices it returns.
+func checkAllocBudgets(t *testing.T, ix *Index, backend string) {
+	t.Helper()
+	drop := func(Result) bool { return true }
+	descendants := func() { ix.Descendants(0, "a", Options{MaxResults: 50}, drop) }
+	var p Probe
+	probe := func() {
+		ix.StartProbe(&p, 0, "a", Options{})
+		for band, more := int32(0), true; more; {
+			band = NextBand(band, 0)
+			more = p.Next(band, drop)
+		}
+		p.Close()
+	}
+	entries := []FrontierEntry{{Node: 0}}
+	owned := func(mi int32) bool { return mi%2 == 0 }
+	partial := func() { mustPartial(ix, entries, "a", PartialOptions{Owned: owned}) }
+	for _, c := range []struct {
+		name   string
+		run    func()
+		budget float64
+	}{
+		{"untraced descendants", descendants, 2},
+		{"probe band cycle", probe, 0},
+		{"partial descendants", partial, 2},
+	} {
+		for i := 0; i < 4; i++ { // warm the pool, tag caches and lazy structures
+			c.run()
+		}
+		if avg := testing.AllocsPerRun(50, c.run); avg > c.budget {
+			t.Errorf("%s %s allocated %.1f allocs/op on a warm pool, budget %.0f", backend, c.name, avg, c.budget)
+		}
+	}
+}
+
+// TestDescendantsAllocBudget enforces the hot-path acceptance bar at test
+// granularity on the heap build.
 func TestDescendantsAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop cached items at random")
@@ -129,16 +167,7 @@ func TestDescendantsAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drop := func(Result) bool { return true }
-	for i := 0; i < 4; i++ { // warm the pool and every lazy index structure
-		ix.Descendants(0, "a", Options{MaxResults: 50}, drop)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		ix.Descendants(0, "a", Options{MaxResults: 50}, drop)
-	})
-	if avg > 2 {
-		t.Fatalf("untraced descendants allocated %.1f allocs/op on a warm pool, budget 2", avg)
-	}
+	checkAllocBudgets(t, ix, "heap")
 }
 
 // TestDescendantsAllocBudgetMmap holds the mmap-backed generation to the
@@ -163,16 +192,7 @@ func TestDescendantsAllocBudgetMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	drop := func(Result) bool { return true }
-	for i := 0; i < 4; i++ { // warm the pool, tag caches and lazy structures
-		ix.Descendants(0, "a", Options{MaxResults: 50}, drop)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		ix.Descendants(0, "a", Options{MaxResults: 50}, drop)
-	})
-	if avg > 2 {
-		t.Fatalf("mmap-backed descendants allocated %.1f allocs/op on a warm pool, budget 2", avg)
-	}
+	checkAllocBudgets(t, ix, "mmap-backed")
 }
 
 // TestScratchPoolSwapRace hammers the pooled scratch state from concurrent

@@ -1,31 +1,33 @@
 package flix
 
 import (
+	"cmp"
+	"fmt"
 	"hash/fnv"
-	"sort"
+	"math"
+	"slices"
 
-	"repro/internal/lgraph"
 	"repro/internal/obs"
 	"repro/internal/xmlgraph"
 )
 
 // This file is the shard-side half of the scatter-gather serving tier
-// (internal/shard): a *partial* Path Expression Evaluator that expands a
+// (internal/shard): a *partial* driver of the evaluator core that expands a
 // batch of frontier entries only within an owned subset of the meta
 // documents and hands everything that crosses into foreign meta documents
 // back to the caller.  The router replays Figure 4's priority-queue loop one
 // level up, re-dispatching the returned hops to the shards that own them.
 //
-// Unlike the single-node evaluator, the partial evaluator deduplicates
-// frontier entries by *identity with minimum distance* (a lazy-deletion
-// Dijkstra) instead of the §5.1 entry-point coverage scheme.  Coverage
-// pruning is only sound when one evaluation sees every entry of a meta
-// document; split across RPC rounds it would suppress shorter rediscoveries.
-// The identity scheme costs more frontier work but makes the distributed
-// composition exact: local distances within a meta document are exact
-// shortest paths, every boundary crossing is surfaced as a hop, and the
-// router keeps the minimum distance per node — so the merged stream carries
-// true shortest distances, not the single-node upper bounds.
+// Unlike the single-node drivers, the partial one runs the core under the
+// identity rule with minimum distances (a lazy-deletion Dijkstra) instead of
+// the §5.1 entry-point coverage scheme.  Coverage pruning is only sound when
+// one evaluation sees every entry of a meta document; split across RPC
+// rounds it would suppress shorter rediscoveries.  The identity scheme costs
+// more frontier work but makes the distributed composition exact: local
+// distances within a meta document are exact shortest paths, every boundary
+// crossing is surfaced as a hop, and the router keeps the minimum distance
+// per node — so the merged stream carries true shortest distances, not the
+// single-node upper bounds.
 
 // FrontierEntry is one (node, distance) pair of the distributed frontier —
 // the wire unit of the shard protocol: query starts, returned results, and
@@ -69,201 +71,74 @@ type PartialResult struct {
 	Truncated bool
 }
 
-// entryHeap is a binary min-heap of frontier entries ordered by
-// (dist, node); the partial evaluator is off the single-node hot path and
-// keeps its own heap instead of borrowing the pooled 4-ary frontier.
-type entryHeap []FrontierEntry
-
-func entryLess(x, y FrontierEntry) bool {
-	if x.Dist != y.Dist {
-		return x.Dist < y.Dist
-	}
-	return x.Node < y.Node
-}
-
-func (h *entryHeap) push(e FrontierEntry) {
-	a := append(*h, e)
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !entryLess(a[i], a[p]) {
-			break
-		}
-		a[i], a[p] = a[p], a[i]
-		i = p
-	}
-	*h = a
-}
-
-func (h *entryHeap) pop() FrontierEntry {
-	a := *h
-	min := a[0]
-	last := len(a) - 1
-	a[0] = a[last]
-	a = a[:last]
-	*h = a
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(a) && entryLess(a[l], a[smallest]) {
-			smallest = l
-		}
-		if r < len(a) && entryLess(a[r], a[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		a[i], a[smallest] = a[smallest], a[i]
-		i = smallest
-	}
-	return min
-}
-
 // PartialDescendants expands the given frontier entries within the owned
 // meta documents, evaluating start//tag locally (empty tag = wildcard) and
 // collecting boundary crossings as hops.  Entries already landing in foreign
 // meta documents are returned as hops unexpanded, so a caller with a stale
 // ownership view degrades gracefully instead of computing wrong answers.
-func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts PartialOptions) PartialResult {
-	var out PartialResult
-	owned := opts.Owned
-	wildcard := tag == ""
-	tr := opts.Tracer
-
-	// bestEntry is the lazy-deletion Dijkstra table over expanded entries;
-	// results and hops keep the minimum distance per node.
-	bestEntry := make(map[xmlgraph.NodeID]int32, len(entries)*2)
-	results := make(map[xmlgraph.NodeID]int32)
-	hops := make(map[xmlgraph.NodeID]int32)
-
-	var f entryHeap
+// An entry naming a node outside the collection is an error.
+func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts PartialOptions) (PartialResult, error) {
+	s := ix.getScratch()
+	r := ix.arm(s, tag, Options{
+		MaxDist:     opts.MaxDist,
+		IncludeSelf: true, // the router applies the include-self policy
+		DupSeenSet:  true,
+		Cancel:      opts.Cancel,
+		Tracer:      opts.Tracer,
+	})
+	r.merge, r.owned = true, opts.Owned
 	for _, e := range entries {
-		if e.Dist < 0 {
+		if e.Node < 0 || int(e.Node) >= len(ix.set.MetaOf) {
+			ix.putScratch(s)
+			return PartialResult{}, fmt.Errorf("flix: frontier entry node %d outside [0, %d)", e.Node, len(ix.set.MetaOf))
+		}
+		if e.Dist < 0 || (opts.MaxDist > 0 && e.Dist > opts.MaxDist) {
 			continue
 		}
-		if opts.MaxDist > 0 && e.Dist > opts.MaxDist {
-			continue
-		}
-		if d, ok := bestEntry[e.Node]; ok && d <= e.Dist {
-			continue
-		}
-		bestEntry[e.Node] = e.Dist
-		f.push(e)
-	}
-
-	for len(f) > 0 {
-		if canceled(opts.Cancel) {
-			out.Truncated = true
-			break
-		}
-		it := f.pop()
-		out.Pops++
-		if tr != nil {
-			tr.Pop(int64(it.Node), it.Dist)
-		}
-		if d, ok := bestEntry[it.Node]; !ok || d < it.Dist {
-			continue // stale heap entry: a shorter path was queued later
-		}
-		mi := ix.set.MetaOf[it.Node]
-		if owned != nil && !owned(mi) {
-			if d, ok := hops[it.Node]; !ok || it.Dist < d {
-				hops[it.Node] = it.Dist
-			}
-			continue
-		}
-		le := ix.set.LocalOf[it.Node]
-		md := ix.set.Metas[mi]
-		idx := ix.pis[mi]
-		out.Entries++
-		if tr != nil {
-			tr.Entry(mi, idx.Name(), int64(it.Node), it.Dist)
-		}
-
-		// Stream matching descendants; local distances are exact, so
-		// min-merging per node yields exact global shortest distances.
-		localTag := lgraph.NoTag
-		probe := true
-		if !wildcard {
-			localTag = md.Graph.TagOf(tag)
-			probe = localTag != lgraph.NoTag
-		}
-		if probe {
-			visit := func(n, ld int32) bool {
-				gd := it.Dist + ld
-				if opts.MaxDist > 0 && gd > opts.MaxDist {
-					return false // ld ascending: the rest is farther
-				}
-				g := md.ToGlobal(n)
-				if d, ok := results[g]; !ok || gd < d {
-					results[g] = gd
-					if tr != nil {
-						tr.Result(mi, int64(g), gd)
-					}
-				}
-				return true
-			}
-			if wildcard {
-				idx.EachReachable(le, visit)
-			} else {
-				idx.EachReachableByTag(le, localTag, visit)
-			}
-		}
-
-		// Follow reachable runtime links.  Owned targets relax the local
-		// frontier; foreign targets become hops (also min-merged — the
-		// router's Dijkstra continues from them).
-		for _, ls := range md.LinkSources {
-			d, ok := idx.Distance(le, ls)
-			if !ok {
-				continue
-			}
-			nd := it.Dist + d + 1
-			if opts.MaxDist > 0 && nd > opts.MaxDist {
-				continue
-			}
-			for _, cl := range md.LinksFrom(ls) {
-				out.LinkHops++
-				if tr != nil {
-					tr.LinkHop(mi, int64(cl.To), nd)
-				}
-				tm := ix.set.MetaOf[cl.To]
-				if owned == nil || owned(tm) {
-					if d, ok := bestEntry[cl.To]; !ok || nd < d {
-						bestEntry[cl.To] = nd
-						f.push(FrontierEntry{Node: cl.To, Dist: nd})
-					}
-				} else if d, ok := hops[cl.To]; !ok || nd < d {
-					hops[cl.To] = nd
-				}
-			}
+		if s.relax(e.Node, e.Dist) {
+			s.f.push(pqItem{dist: e.Dist, node: e.Node})
 		}
 	}
+	// Past the validation every exit, a panicking index probe included,
+	// flushes the counters and returns the scratch clean.
+	defer ix.finish(s)
+	r.run(math.MaxInt32)
 
-	out.Results = sortedEntries(results)
-	out.Hops = sortedEntries(hops)
-
-	// Fold this evaluation into the shared query statistics so shard-mode
-	// /statsz and /metrics report partial evaluations like any other load.
-	ix.stats.Queries.Add(1)
-	ix.stats.Pops.Add(out.Pops)
-	ix.stats.Entries.Add(out.Entries)
-	ix.stats.LinkHops.Add(out.LinkHops)
-	ix.stats.Results.Add(int64(len(out.Results)))
-	return out
+	// A hop is final when no later relaxation of its node beat it.
+	hops := s.hops[:0]
+	for _, h := range s.hops {
+		if s.best[h.node] == h.dist {
+			hops = append(hops, h)
+		}
+	}
+	out := PartialResult{
+		Results:   wireEntries(s.rbuf.a),
+		Hops:      wireEntries(hops),
+		Pops:      r.pops,
+		Entries:   r.entries,
+		LinkHops:  r.linkHops,
+		Truncated: r.truncated,
+	}
+	r.emitted = len(out.Results)
+	return out, nil
 }
 
-// sortedEntries flattens a node→dist map into a (dist, node)-sorted slice.
-func sortedEntries(m map[xmlgraph.NodeID]int32) []FrontierEntry {
-	if len(m) == 0 {
+// wireEntries sorts buf by (dist, node) in place and copies it out in the
+// wire type.
+func wireEntries(buf []pqItem) []FrontierEntry {
+	if len(buf) == 0 {
 		return nil
 	}
-	out := make([]FrontierEntry, 0, len(m))
-	for n, d := range m {
-		out = append(out, FrontierEntry{Node: n, Dist: d})
+	slices.SortFunc(buf, func(x, y pqItem) int {
+		if c := cmp.Compare(x.dist, y.dist); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.node, y.node)
+	})
+	out := make([]FrontierEntry, len(buf))
+	for i, it := range buf {
+		out[i] = FrontierEntry{Node: it.node, Dist: it.dist}
 	}
-	sort.Slice(out, func(i, j int) bool { return entryLess(out[i], out[j]) })
 	return out
 }
 

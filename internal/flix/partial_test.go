@@ -9,6 +9,15 @@ import (
 	"repro/internal/xmlgraph"
 )
 
+// mustPartial is PartialDescendants for well-formed entries.
+func mustPartial(ix *Index, entries []FrontierEntry, tag string, opts PartialOptions) PartialResult {
+	pr, err := ix.PartialDescendants(entries, tag, opts)
+	if err != nil {
+		panic(err)
+	}
+	return pr
+}
+
 // gatherLocal replays the router's scatter-gather loop in-process against a
 // single index: the meta documents are split across nShards synthetic owners
 // and hops are re-dispatched Dijkstra-style until the frontier drains.  It
@@ -29,7 +38,7 @@ func gatherLocal(ix *Index, start xmlgraph.NodeID, tag string, maxDist int32, nS
 			}
 			any = true
 			sh := sh
-			pr := ix.PartialDescendants(batch, tag, PartialOptions{
+			pr := mustPartial(ix, batch, tag, PartialOptions{
 				MaxDist: maxDist,
 				Owned:   func(mi int32) bool { return owner(mi) == sh },
 			})
@@ -51,7 +60,11 @@ func gatherLocal(ix *Index, start xmlgraph.NodeID, tag string, maxDist int32, nS
 		}
 		batches = next
 	}
-	return sortedEntries(results)
+	merged := make([]pqItem, 0, len(results))
+	for n, d := range results {
+		merged = append(merged, pqItem{dist: d, node: n})
+	}
+	return wireEntries(merged)
 }
 
 // dropSelf removes the start element from a (dist, node)-sorted stream, the
@@ -146,7 +159,7 @@ func TestPartialHopsAreForeign(t *testing.T) {
 	}
 	owned := func(mi int32) bool { return mi%2 == 0 }
 	for start := xmlgraph.NodeID(0); int(start) < coll.NumNodes(); start += 7 {
-		pr := ix.PartialDescendants([]FrontierEntry{{Node: start, Dist: 0}}, "", PartialOptions{Owned: owned})
+		pr := mustPartial(ix, []FrontierEntry{{Node: start, Dist: 0}}, "", PartialOptions{Owned: owned})
 		for _, r := range pr.Results {
 			if !owned(ix.MetaOf(r.Node)) {
 				t.Fatalf("start %d: result %d lies in foreign meta %d", start, r.Node, ix.MetaOf(r.Node))
@@ -176,9 +189,32 @@ func TestPartialDescendantsCancel(t *testing.T) {
 	}
 	done := make(chan struct{})
 	close(done)
-	pr := ix.PartialDescendants([]FrontierEntry{{Node: 0, Dist: 0}}, "", PartialOptions{Cancel: done})
+	pr := mustPartial(ix, []FrontierEntry{{Node: 0, Dist: 0}}, "", PartialOptions{Cancel: done})
 	if !pr.Truncated {
 		t.Fatal("cancelled evaluation not marked truncated")
+	}
+}
+
+// TestPartialDescendantsRejectsBadNodes checks that frontier entries naming
+// nodes outside the collection — they arrive off the wire — are an error,
+// not an index-out-of-range panic.
+func TestPartialDescendantsRejectsBadNodes(t *testing.T) {
+	coll := testutil.Generate(testutil.Linked, 4, 10, 40, 40)
+	ix, err := Build(coll, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustPartial(ix, []FrontierEntry{{Node: 0}}, "", PartialOptions{})
+	for _, bad := range []xmlgraph.NodeID{-1, xmlgraph.NodeID(coll.NumNodes()), 1 << 30} {
+		entries := []FrontierEntry{{Node: 0}, {Node: bad}}
+		if pr, err := ix.PartialDescendants(entries, "", PartialOptions{}); err == nil {
+			t.Errorf("node %d accepted: %d results, %d hops", bad, len(pr.Results), len(pr.Hops))
+		}
+	}
+	// A rejected call returns its half-seeded scratch to the pool clean.
+	got := mustPartial(ix, []FrontierEntry{{Node: 0}}, "", PartialOptions{})
+	if len(want.Results) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("evaluation after rejected ones:\n got %v\nwant %v", got, want)
 	}
 }
 

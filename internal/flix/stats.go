@@ -21,9 +21,11 @@ type QueryStats struct {
 	// Entries counts processed entry elements (priority-queue pops that
 	// were not dropped by duplicate elimination).
 	Entries atomic.Int64
-	// DupDropped counts pops discarded by the §5.1 duplicate elimination:
-	// an earlier entry point of the same meta document already covered
-	// them.  A high DupDropped/Pops ratio means many runtime paths
+	// DupDropped counts pops discarded by duplicate elimination: under the
+	// §5.1 coverage rule an earlier entry point of the same meta document
+	// already covered them, under the identity rule (DupSeenSet, partial
+	// evaluations) the node was expanded before or a shorter path to it is
+	// queued.  A high DupDropped/Pops ratio means many runtime paths
 	// converge on the same regions — wasted frontier work that Entries
 	// alone under-reports on link-heavy loads.
 	DupDropped atomic.Int64
@@ -34,13 +36,14 @@ type QueryStats struct {
 }
 
 // flushQuery folds one finished evaluation's privately accumulated deltas
-// into the shared counters.  The evaluator batches per-pop increments in its
-// evalRun and flushes once per query — with ~2k pops per serving query the
-// old per-pop atomic adds were a measurable cache-line ping-pong between
-// concurrent queries.  Counters therefore lag in-flight queries by at most
-// one query's worth of work, which Snapshot already documents as acceptable
-// skew; completed-query counts are exact, which is what the swap-torture
-// and concurrency tests assert.
+// into the shared counters; it is the only writer of the counters, called by
+// Index.finish for every driver of the evaluator core.  The core batches
+// per-pop increments in its evalRun and flushes once per query — with ~2k
+// pops per serving query, per-pop atomic adds are a measurable cache-line
+// ping-pong between concurrent queries.  Counters therefore lag in-flight
+// queries by at most one query's worth of work, which Snapshot already
+// documents as acceptable skew; completed-query counts are exact, which is
+// what the swap-torture and concurrency tests assert.
 func (s *QueryStats) flushQuery(r *evalRun) {
 	if r.pops != 0 {
 		s.Pops.Add(r.pops)

@@ -3,12 +3,7 @@ package flix
 import (
 	"math"
 	"sync"
-	"time"
 
-	"repro/internal/lgraph"
-	"repro/internal/meta"
-	"repro/internal/obs"
-	"repro/internal/pathindex"
 	"repro/internal/xmlgraph"
 )
 
@@ -103,110 +98,35 @@ func (s *Stream) Close() {
 	}()
 }
 
-// probeEntry records one admitted entry point: local element le of meta
-// document mi.  The probe keeps them in a flat slice instead of the dense
-// pooled entered table of evalScratch — a paused probe may live across many
-// resumptions, and one probe only ever enters a handful of meta documents,
-// so a linear scan beats pinning a collection-sized table per stream.
-type probeEntry struct {
-	mi, le int32
-}
-
-// Probe is a resumable, pull-based variant of Descendants for the ranked
-// top-k evaluator: the same Figure 4 priority-queue loop with §5.1
-// entry-point duplicate elimination, but paused between distance bands.
-// Next(band) runs the frontier only while its minimum distance is within
-// band, buffers what the per-meta-document index probes overshoot, and
-// emits exactly the results with Dist <= band in exact (dist, node) order.
-// The union over growing bands equals the full Descendants result set
-// element for element, and after Next(b) every unseen result has
+// Probe is the resumable, pull-based driver of the evaluator core for the
+// ranked top-k evaluator: a Descendants evaluation paused between distance
+// bands.  Next(band) runs the frontier only while its minimum distance is
+// within band, buffers what the per-meta-document index probes overshoot,
+// and emits exactly the results with Dist <= band in exact (dist, node)
+// order.  The union over growing bands equals the full Descendants result
+// set element for element, and after Next(b) every unseen result has
 // Dist >= b+1 — the score bound the threshold algorithm needs.
 //
-// A Probe holds no goroutine and no reference to pooled scratch; it is
-// designed to be embedded by value in a pooled caller structure and reused
-// via StartProbe after Close.  It is not safe for concurrent use.
+// A Probe holds no goroutine; between StartProbe and Close it holds one
+// pooled evaluation scratch, which Close returns.  A ranked query keeps
+// thousands of probes open at once, which is why nothing in a scratch is sized
+// to the collection (see enteredTable).  The zero Probe is ready for
+// StartProbe, so it can be embedded by value in a pooled caller structure and
+// reused.  It is not safe for concurrent use.
 type Probe struct {
-	ix   *Index
-	tag  string
-	opts Options
-
-	wildcard bool
-	f        entryHeap // frontier of (dist, node), min first
-	ents     []probeEntry
-	rbuf     resultHeap // results overshooting the current band
-
-	// visitFn is the bound visit method, rebound only when the Probe's
-	// address changes (the embedding slice reallocated between queries).
-	visitFn func(n, ld int32) bool
-	self    *Probe
-
-	// Per-pop context read by visit.
-	dist      int32
-	mi        int32
-	entsLo    int // ents[:entsLo] are the earlier entries of meta mi's scan
-	md        *meta.MetaDocument
-	idx       pathindex.Index
-	tr        *obs.Trace
-	prResults int
-
-	started   bool
-	truncated bool
-
-	// Per-probe stats deltas, flushed to the shared counters on Close.
-	pops, entries, dupDropped, linkHops, emitted int64
+	s *evalScratch
 }
 
 // StartProbe arms p to evaluate start//tag (empty tag = wildcard) under
-// opts.  Any previous state is discarded; buffers retained from an earlier
-// Close are reused.  Options.MaxResults and ExactOrder are ignored: a probe
-// always emits in exact order and the caller controls how much it pulls.
+// opts; a probe still open is closed first.  Options.MaxResults, ExactOrder
+// and DupSeenSet are ignored: a probe always emits in exact order under the
+// entry-point coverage rule, and the caller controls how much it pulls.
 func (ix *Index) StartProbe(p *Probe, start xmlgraph.NodeID, tag string, opts Options) {
-	p.reset()
-	p.ix = ix
-	p.tag = tag
-	p.wildcard = tag == ""
-	p.opts = opts
-	p.tr = opts.Tracer
-	if p.self != p {
-		p.self = p
-		p.visitFn = p.visit
-	}
-	p.f.push(FrontierEntry{Node: start, Dist: 0})
-	p.started = true
-}
-
-// visit handles one node streamed from a meta document's index probe,
-// mirroring evalRun.visit but buffering into the band heap.
-func (p *Probe) visit(n, ld int32) bool {
-	gd := p.dist + ld
-	if p.opts.MaxDist > 0 && gd > p.opts.MaxDist {
-		return false // ld ascending: rest is farther
-	}
-	if gd == 0 && !p.opts.IncludeSelf {
-		return true
-	}
-	if p.coveredByEarlier(n) {
-		return true // reported below an earlier entry point
-	}
-	g := p.md.ToGlobal(n)
-	if p.tr != nil {
-		p.prResults++
-		p.tr.Result(p.mi, int64(g), gd)
-	}
-	p.rbuf.push(Result{Node: g, Dist: gd})
-	return true
-}
-
-// coveredByEarlier reports whether an entry point admitted before the one
-// currently being probed already reaches local node n of the same meta
-// document.
-func (p *Probe) coveredByEarlier(n int32) bool {
-	for _, en := range p.ents[:p.entsLo] {
-		if en.mi == p.mi && p.idx.Reachable(en.le, n) {
-			return true
-		}
-	}
-	return false
+	p.Close()
+	opts.MaxResults, opts.ExactOrder, opts.DupSeenSet = 0, false, false
+	p.s = ix.getScratch()
+	ix.arm(p.s, tag, opts).buffer = true
+	p.s.f.push(pqItem{dist: 0, node: start})
 }
 
 // Next resumes the evaluation until every result with Dist <= band has been
@@ -218,139 +138,33 @@ func (p *Probe) coveredByEarlier(n int32) bool {
 // stops the emission but not the evaluation (the rest of the band stays
 // buffered for the next call).
 func (p *Probe) Next(band int32, fn Emit) bool {
-	for len(p.f) > 0 && p.f[0].Dist <= band {
-		if canceled(p.opts.Cancel) {
-			p.truncated = true
-			p.f = p.f[:0]
-			break
-		}
-		it := p.f.pop()
-		p.pops++
-		if p.tr != nil {
-			p.tr.Pop(int64(it.Node), it.Dist)
-		}
-		if p.opts.MaxDist > 0 && it.Dist > p.opts.MaxDist {
-			// Every remaining frontier entry is at least as far.
-			p.f = p.f[:0]
-			break
-		}
-		ix := p.ix
-		mi := ix.set.MetaOf[it.Node]
-		le := ix.set.LocalOf[it.Node]
-		md := ix.set.Metas[mi]
-		idx := ix.pis[mi]
-		p.mi, p.idx, p.entsLo = mi, idx, len(p.ents)
-		if p.coveredByEarlier(le) {
-			p.dupDropped++
-			if p.tr != nil {
-				p.tr.DupDrop(mi, int64(it.Node), it.Dist)
-			}
-			continue // descendants of it were already reported
-		}
-		p.ents = append(p.ents, probeEntry{mi: mi, le: le})
-		p.entries++
-		if p.tr != nil {
-			p.tr.Entry(mi, idx.Name(), int64(it.Node), it.Dist)
-		}
-
-		// Stream matching descendants into the band buffer.  The per-meta
-		// index probes are not resumable, so a pop near the band edge may
-		// overshoot; the overshoot waits in rbuf for a later band.
-		localTag := lgraph.NoTag
-		probe := true
-		if !p.wildcard {
-			localTag = md.Graph.TagOf(p.tag)
-			probe = localTag != lgraph.NoTag
-		}
-		if probe {
-			p.dist, p.md = it.Dist, md
-			var probeStart time.Time
-			if p.tr != nil {
-				p.prResults = 0
-				probeStart = time.Now()
-			}
-			if p.wildcard {
-				idx.EachReachable(le, p.visitFn)
-			} else {
-				idx.EachReachableByTag(le, localTag, p.visitFn)
-			}
-			if p.tr != nil {
-				p.tr.Probe(mi, idx.Name(), p.prResults, time.Since(probeStart))
-			}
-		}
-
-		// Follow reachable runtime links.
-		for _, ls := range md.LinkSources {
-			d, ok := idx.Distance(le, ls)
-			if !ok {
-				continue
-			}
-			nd := it.Dist + d + 1
-			if p.opts.MaxDist > 0 && nd > p.opts.MaxDist {
-				continue
-			}
-			for _, cl := range md.LinksFrom(ls) {
-				p.f.push(FrontierEntry{Node: cl.To, Dist: nd})
-				p.linkHops++
-				if p.tr != nil {
-					p.tr.LinkHop(mi, int64(cl.To), nd)
-				}
-			}
-		}
+	s := p.s
+	if s == nil {
+		return false
 	}
-	if p.opts.MaxDist > 0 && band >= p.opts.MaxDist {
-		// Entries beyond band were not popped, but everything past MaxDist
-		// is pruned anyway — the probe is exhausted.
-		p.f = p.f[:0]
-	}
+	s.run.run(band)
 	// The frontier minimum now exceeds band (or the frontier drained), so
 	// no future discovery can land at Dist <= band: the buffered prefix is
 	// complete and final.
-	for len(p.rbuf) > 0 && p.rbuf[0].Dist <= band {
-		r := p.rbuf.popMin()
-		p.emitted++
-		if !fn(r) {
-			break
-		}
-	}
-	return len(p.f) > 0 || len(p.rbuf) > 0
+	s.run.fn = fn
+	s.rbuf.flushThrough(band, s.emitFn)
+	s.run.fn = nil
+	return s.f.Len() > 0 || s.rbuf.Len() > 0
 }
 
 // Truncated reports whether the evaluation was cancelled before the
 // frontier drained — the emitted results are then a sound but incomplete
 // subset.
-func (p *Probe) Truncated() bool { return p.truncated }
+func (p *Probe) Truncated() bool { return p.s != nil && p.s.run.truncated }
 
 // Close ends the probe, folding its counters into the index's query
 // statistics (a paused probe abandoned by an early top-k stop still counts
-// its work).  The buffers stay allocated for reuse via StartProbe.
+// its work) and returning its scratch to the pool.  Close is idempotent.
 func (p *Probe) Close() {
-	if p.started && p.ix != nil {
-		st := &p.ix.stats
-		st.Queries.Add(1)
-		st.Pops.Add(p.pops)
-		st.Entries.Add(p.entries)
-		st.DupDropped.Add(p.dupDropped)
-		st.LinkHops.Add(p.linkHops)
-		st.Results.Add(p.emitted)
+	if p.s != nil {
+		p.s.run.ix.finish(p.s)
+		p.s = nil
 	}
-	p.reset()
-}
-
-// reset clears the probe state while keeping buffer capacity.
-func (p *Probe) reset() {
-	p.ix = nil
-	p.tag = ""
-	p.opts = Options{}
-	p.tr = nil
-	p.md = nil
-	p.idx = nil
-	p.f = p.f[:0]
-	p.ents = p.ents[:0]
-	p.rbuf = p.rbuf[:0]
-	p.started = false
-	p.truncated = false
-	p.pops, p.entries, p.dupDropped, p.linkHops, p.emitted = 0, 0, 0, 0, 0
 }
 
 // NextBand returns the next distance band in the exponential resume

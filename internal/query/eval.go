@@ -90,6 +90,10 @@ type EvalStats struct {
 	InverseScans int
 	// Anchored is the initial frontier size after the first step.
 	Anchored int
+	// PeakOpen is the largest number of banded streams EvaluateTopK held
+	// open at once.  Each pins one paused flix.Probe (a private evaluation
+	// scratch), so this is the multiplier on per-probe memory.
+	PeakOpen int
 	// Truncated reports that cancellation stopped the evaluation before it
 	// examined everything it needed: the returned matches are then a sound
 	// but possibly incomplete subset of the full answer, indistinguishable

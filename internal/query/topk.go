@@ -64,6 +64,7 @@ type topkScratch struct {
 	streams []resultStream
 	heap    []int32 // stream indices, max-heap by curScore
 	topk    topkHeap
+	open    int // banded streams whose probe is paused mid-evaluation
 
 	// decayTab[d] = decay^(d-1) for the decay it was built for.  Entries
 	// are computed with math.Pow, not iterated multiplication: candidate
@@ -129,6 +130,7 @@ func (ts *topkScratch) release() {
 	}
 	ts.streams = ts.streams[:0]
 	ts.heap = ts.heap[:0]
+	ts.open = 0
 	ts.topk.reset()
 	topkPool.Put(ts)
 }
@@ -223,6 +225,8 @@ func (e *Evaluator) fetchStream(ts *topkScratch, s *resultStream, bb bandedBacke
 		e.Stats.Scans++
 		bb.StartProbe(&s.probe, s.from.Node, s.tag,
 			flix.Options{MaxDist: s.maxDist, Cancel: e.Cancel, Tracer: e.Tracer})
+		ts.open++
+		e.Stats.PeakOpen = max(e.Stats.PeakOpen, ts.open)
 	}
 	s.buf, s.pos = s.buf[:0], 0
 	s.band = flix.NextBand(s.band, s.maxDist)
@@ -232,6 +236,7 @@ func (e *Evaluator) fetchStream(ts *topkScratch, s *resultStream, bb bandedBacke
 			e.Stats.Truncated = true
 		}
 		s.probe.Close()
+		ts.open--
 	}
 	ts.cursor(s)
 }

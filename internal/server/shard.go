@@ -105,7 +105,7 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
 		tr.SetGeneration(g.num)
 	}
 	t0 := time.Now()
-	pr := g.ix.PartialDescendants(req.Entries, req.Tag, flix.PartialOptions{
+	pr, err := g.ix.PartialDescendants(req.Entries, req.Tag, flix.PartialOptions{
 		MaxDist: req.MaxDist,
 		Owned: func(mi int32) bool {
 			return mi >= 0 && int(mi) < len(owned) && owned[mi]
@@ -113,6 +113,10 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
 		Cancel: ctx.Done(),
 		Tracer: tr,
 	})
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "bad eval request: "+err.Error())
+		return
+	}
 	if h := s.latency["shard_eval"]; h != nil {
 		h.Observe(time.Since(t0))
 	}

@@ -35,18 +35,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	flix "repro"
+	"repro/internal/front/daemon"
 	"repro/internal/shard"
 )
 
@@ -87,16 +82,9 @@ func main() {
 		}
 	}
 
-	loader := flix.NewLoader()
-	if err := loader.LoadDir(*dir); err != nil {
-		log.Fatal(err)
-	}
-	coll, err := loader.Finish()
+	coll, onto, err := daemon.Corpus(*dir, *ontoFile)
 	if err != nil {
 		log.Fatal(err)
-	}
-	for _, e := range loader.Errs() {
-		log.Printf("warning: %v", e)
 	}
 
 	cfg := shard.RouterConfig{
@@ -121,58 +109,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *ontoFile != "" {
-		text, err := os.ReadFile(*ontoFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		onto, err := flix.ParseOntology(string(text))
-		if err != nil {
-			log.Fatal(err)
-		}
-		rt.SetOntology(onto)
-	}
+	rt.SetOntology(onto)
 
 	probeCtx, stopProbe := context.WithCancel(context.Background())
 	defer stopProbe()
 	rt.Start(probeCtx)
 
-	// The pprof endpoints live on their own listener so profiling access
-	// can be firewalled separately from the query API — same split as
-	// flixd's -debug-addr.
-	if *dbgAddr != "" {
-		dbg := http.NewServeMux()
-		dbg.HandleFunc("/debug/pprof/", pprof.Index)
-		dbg.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dbg.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			log.Printf("pprof on %s/debug/pprof/", *dbgAddr)
-			if err := http.ListenAndServe(*dbgAddr, dbg); err != nil {
-				log.Printf("debug server: %v", err)
-			}
-		}()
-	}
-
-	srv := &http.Server{Addr: *addr, Handler: rt.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("routing %d documents / %d elements across %d shards on %s",
 		coll.NumDocs(), coll.NumNodes(), len(urls), *addr)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
+	if err := daemon.Run(*addr, *dbgAddr, rt.Handler(), *drain); err != nil {
 		log.Fatal(err)
-	case got := <-sig:
-		log.Printf("%v: draining in-flight queries (max %s)", got, *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			log.Fatal(err)
-		}
-		log.Print("bye")
 	}
 }

@@ -49,17 +49,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	flix "repro"
+	"repro/internal/front/daemon"
 	"repro/internal/rebuild"
 	"repro/internal/server"
 )
@@ -114,16 +110,9 @@ func main() {
 		log.Fatalf("-snapshot-compress requires -snapshot-format v2")
 	}
 
-	loader := flix.NewLoader()
-	if err := loader.LoadDir(*dir); err != nil {
-		log.Fatal(err)
-	}
-	coll, err := loader.Finish()
+	coll, onto, err := daemon.Corpus(*dir, *ontoFile)
 	if err != nil {
 		log.Fatal(err)
-	}
-	for _, e := range loader.Errs() {
-		log.Printf("warning: %v", e)
 	}
 
 	cfg := flix.Config{PartitionSize: *partSize, Strategy: *strategy}
@@ -173,17 +162,7 @@ func main() {
 	// The server starts pending: the port binds and /healthz answers (503)
 	// immediately while the initial index builds in the background.
 	s := server.NewPending(coll, scfg)
-	if *ontoFile != "" {
-		text, err := os.ReadFile(*ontoFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		onto, err := flix.ParseOntology(string(text))
-		if err != nil {
-			log.Fatal(err)
-		}
-		s.SetOntology(onto)
-	}
+	s.SetOntology(onto)
 
 	// Initial build + live-reindexing loop, off the serving path.  A build
 	// failure is fatal: a server that can never become ready should crash
@@ -212,46 +191,14 @@ func main() {
 		mgr.Run(rebuildCtx) // returns immediately when -reindex-interval is 0
 	}()
 
-	// The pprof endpoints live on their own listener so profiling access
-	// can be firewalled separately from the query API.
-	if *dbgAddr != "" {
-		dbg := http.NewServeMux()
-		dbg.HandleFunc("/debug/pprof/", pprof.Index)
-		dbg.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dbg.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			log.Printf("pprof on %s/debug/pprof/", *dbgAddr)
-			if err := http.ListenAndServe(*dbgAddr, dbg); err != nil {
-				log.Printf("debug server: %v", err)
-			}
-		}()
-	}
-
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	if *shardID >= 0 {
 		log.Printf("serving %d documents / %d elements on %s as shard %d/%d",
 			coll.NumDocs(), coll.NumNodes(), *addr, *shardID, *shardN)
 	} else {
 		log.Printf("serving %d documents / %d elements on %s", coll.NumDocs(), coll.NumNodes(), *addr)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
+	if err := daemon.Run(*addr, *dbgAddr, s.Handler(), *drain); err != nil {
 		log.Fatal(err)
-	case got := <-sig:
-		log.Printf("%v: draining in-flight queries (max %s)", got, *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			log.Fatal(err)
-		}
-		log.Print("bye")
 	}
 }
 

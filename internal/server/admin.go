@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 
+	"repro/internal/front"
 	"repro/internal/rebuild"
 )
 
@@ -29,34 +30,33 @@ type Reindexer interface {
 // Concurrent triggers are refused with 409, not queued.
 func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
+		s.front.FailMethod(w, "POST required")
 		return
 	}
 	rx := s.getReindexer()
 	if rx == nil {
-		s.fail(w, http.StatusNotImplemented, "no reindexer configured (start flixd with -reindex-interval or wire rebuild.Manager)")
+		s.front.Fail(w, http.StatusNotImplemented, "no reindexer configured (start flixd with -reindex-interval or wire rebuild.Manager)")
 		return
 	}
 	q := r.URL.Query()
-	if boolParam(q.Get("dry")) {
-		s.ok(w, map[string]any{
+	if front.BoolParam(q.Get("dry")) {
+		front.OK(w, map[string]any{
 			"dryRun": true,
 			"plan":   planJSON(rx.Plan()),
 		})
 		return
 	}
-	plan, err := rx.Reindex(boolParam(q.Get("force")))
+	plan, err := rx.Reindex(front.BoolParam(q.Get("force")))
 	switch {
 	case errors.Is(err, rebuild.ErrBusy):
-		s.fail(w, http.StatusConflict, err.Error())
+		s.front.Fail(w, http.StatusConflict, err.Error())
 		return
 	case err != nil:
-		s.fail(w, http.StatusInternalServerError, err.Error())
+		s.front.Fail(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	swapped := plan.Rebuild || boolParam(q.Get("force"))
-	s.ok(w, map[string]any{
+	swapped := plan.Rebuild || front.BoolParam(q.Get("force"))
+	front.OK(w, map[string]any{
 		"dryRun":     false,
 		"swapped":    swapped,
 		"generation": s.Generation(),

@@ -6,9 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/shard"
 )
@@ -116,108 +114,6 @@ func TestBatchKDefaults(t *testing.T) {
 	for i, want := range []int{1, 2, 3} {
 		if got.Results[i].Count != want {
 			t.Errorf("item %d count = %d, want %d", i, got.Results[i].Count, want)
-		}
-	}
-}
-
-// TestBatchDeadlinePrefix pins the partial-batch contract: when the
-// deadline expires mid-batch the response is still HTTP 200 with the
-// completed prefix intact, the remainder marked skipped, and the partial
-// flag set.
-func TestBatchDeadlinePrefix(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	calls := 0
-	s.batchItemHook = func(int) {
-		calls++
-		if calls == 3 {
-			time.Sleep(300 * time.Millisecond) // past the 100ms deadline below
-		}
-	}
-	// Four identical ranked queries: one ordering group, so execution
-	// order is request order and the completed prefix is items 0..2.
-	qs := make([]shard.BatchQuery, 4)
-	for i := range qs {
-		qs[i] = shard.BatchQuery{Q: "//movie//actor"}
-	}
-	got := postBatch(t, ts.URL, "timeout=100ms", shard.BatchRequest{Queries: qs}, 200)
-	wantStatus := []string{"ok", "ok", "ok", "skipped"}
-	for i, want := range wantStatus {
-		if got.Results[i].Status != want {
-			t.Fatalf("item %d status = %q, want %q", i, got.Results[i].Status, want)
-		}
-	}
-	if got.Completed != 3 || !got.Partial || !got.TimedOut {
-		t.Errorf("completed=%d partial=%v timedOut=%v, want 3/true/true", got.Completed, got.Partial, got.TimedOut)
-	}
-	// Items 0 and 1 ran before the deadline: full, untruncated answers.
-	for i := 0; i < 2; i++ {
-		if got.Results[i].Count == 0 || got.Results[i].Truncated {
-			t.Errorf("pre-deadline item %d: count=%d truncated=%v", i, got.Results[i].Count, got.Results[i].Truncated)
-		}
-	}
-}
-
-// TestBatchShedding: a saturated server sheds a whole batch with 429, the
-// same admission contract as the single-query endpoints.
-func TestBatchShedding(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 1})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.queryHook = func() {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
-	}
-	done := make(chan map[string]any)
-	go func() {
-		done <- getJSON(t, ts.URL+"/v1/descendants?start=movies.xml&tag=actor", 200)
-	}()
-	<-entered
-
-	body, _ := json.Marshal(shard.BatchRequest{Queries: []shard.BatchQuery{{Q: "//movie"}}})
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("saturated server answered batch with %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
-	}
-	resp.Body.Close()
-	close(release)
-	<-done
-}
-
-// TestBatchRequestValidation covers the batch-level 4xx paths: wrong
-// method, empty body, oversized batch.
-func TestBatchRequestValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 2})
-
-	resp, err := http.Get(ts.URL + "/v1/batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/batch = %d, want 405", resp.StatusCode)
-	}
-
-	for name, body := range map[string]string{
-		"empty":    `{"queries": []}`,
-		"garbage":  `{"queries": 12}`,
-		"too-many": `{"queries": [{"q":"//a"},{"q":"//b"},{"q":"//c"}]}`,
-	} {
-		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s batch = %d, want 400", name, resp.StatusCode)
 		}
 	}
 }

@@ -30,33 +30,6 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// TestRequestID checks every response carries a unique X-Flix-Request-Id
-// and the access log carries the same ID.
-func TestRequestID(t *testing.T) {
-	var buf syncBuffer
-	_, ts := newTestServer(t, Config{Logger: log.New(&buf, "", 0)})
-	seen := map[string]bool{}
-	for i := 0; i < 3; i++ {
-		resp, err := http.Get(ts.URL + "/v1/descendants?start=movies.xml&tag=actor")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		id := resp.Header.Get("X-Flix-Request-Id")
-		if id == "" {
-			t.Fatal("response without X-Flix-Request-Id")
-		}
-		if seen[id] {
-			t.Fatalf("request ID %q repeated", id)
-		}
-		seen[id] = true
-		if !strings.Contains(buf.String(), "id="+id+" ") {
-			t.Errorf("access log missing id=%s:\n%s", id, buf.String())
-		}
-	}
-}
-
 // TestTraceParam checks ?trace=1 returns the EXPLAIN summary alongside the
 // results on both traced endpoints.
 func TestTraceParam(t *testing.T) {

@@ -1,26 +1,14 @@
-// Package server turns a built flix.Index into a long-lived, shared,
-// overload-safe HTTP endpoint — the serving layer the paper's framework
-// implies but leaves to the host system.
-//
-// One process loads (or builds) an index once and answers concurrent
-// queries over a small JSON API:
-//
-//	GET /v1/descendants  start//tag connection queries
-//	GET /v1/connected    point-to-point connection tests
-//	GET /v1/query        ranked path expressions (ParseQuery/Evaluator)
-//	POST /v1/batch       many queries in one request, one admission slot
-//	GET /healthz         liveness
-//	GET /statsz          engine + self-tuning + server statistics
-//	GET /metrics         Prometheus text format
-//
-// Every query endpoint runs behind a bounded admission semaphore (excess
-// load is shed immediately with 429 instead of queueing), a per-request
-// deadline (the context's Done channel is threaded into the evaluator's
-// priority-queue loop, so a timed-out query stops promptly and returns what
-// it found, flagged as truncated), and request-scoped result limits.  A
-// QueryCache fronts the descendants path; /statsz reports its hit rate next
-// to the §7 self-tuning advice so operators can see when the meta-document
-// layout has gone stale for the live query load.
+// Package server turns a built flix.Index into a long-lived, shared HTTP
+// endpoint — the serving layer the paper's framework implies but leaves to
+// the host system.  One process loads (or builds) an index once and answers
+// concurrent queries over the public API of internal/front (/v1/descendants,
+// /v1/connected, /v1/query, /v1/batch: admission, deadlines, limits and the
+// wire shapes are the front's).  What is here is what only a node has: the
+// index generations and their hot swap under live traffic, the QueryCache
+// fronting the descendants path, slow-query tracing, /healthz, /statsz
+// (with the §7 self-tuning advice, so operators can see when the
+// meta-document layout has gone stale for the live query load), /metrics,
+// the reindex admin endpoint and, in shard mode, the shard RPCs.
 package server
 
 import (
@@ -30,12 +18,11 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/flix"
+	"repro/internal/front"
 	"repro/internal/obs"
 	"repro/internal/ontology"
 	"repro/internal/query"
@@ -89,25 +76,9 @@ type Config struct {
 	Shard *ShardConfig
 }
 
+// withDefaults fills in what the server itself reads; the request limits
+// take their defaults in front.New.
 func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 2 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
-	}
-	if c.DefaultLimit <= 0 {
-		c.DefaultLimit = 100
-	}
-	if c.MaxLimit <= 0 {
-		c.MaxLimit = 10000
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
 	}
@@ -151,44 +122,20 @@ type Server struct {
 	swaps     atomic.Int64
 	reindexer atomic.Pointer[reindexerBox]
 
-	sem     chan struct{}
+	// front is the server's HTTP handler: the public query API of
+	// internal/front plus the endpoints NewPending mounts on it.
+	front   *front.Front
 	started time.Time
 
 	// ring is the cluster's consistent-hash ring; nil outside shard mode.
 	ring *shard.Ring
 
-	// latency holds one lock-free histogram per query endpoint, across
-	// generations (per-strategy histograms live in the generation).  The
-	// map is built in New and read-only afterwards, so concurrent handler
-	// access needs no lock.
-	latency map[string]*obs.Histogram
-
-	// Serving counters (engine-level counters live in the generation's
-	// Index.Stats()).
-	reqDescendants atomic.Int64
-	reqConnected   atomic.Int64
-	reqQuery       atomic.Int64
-	reqBatch       atomic.Int64
-	reqShardEval   atomic.Int64
-	tracedEvals    atomic.Int64
-	shed           atomic.Int64
-	notReady       atomic.Int64
-	timeouts       atomic.Int64
-	clientErrors   atomic.Int64
-	slowQueries    atomic.Int64
-
-	// reqSeq numbers requests for the X-Flix-Request-Id header; slowSeq
-	// counts admitted requests for slow-query trace sampling.
-	reqSeq  atomic.Uint64
+	// Serving counters the front does not keep (engine-level counters live
+	// in the generation's Index.Stats()).
+	tracedEvals atomic.Int64
+	slowQueries atomic.Int64
+	// slowSeq counts admitted requests for slow-query trace sampling.
 	slowSeq atomic.Uint64
-
-	// queryHook, when set, runs after admission and before evaluation.
-	// It is a test seam for saturating the semaphore deterministically.
-	queryHook func()
-	// batchItemHook, when set, runs before each executed /v1/batch item
-	// with its request position.  It is a test seam for expiring the batch
-	// deadline at a chosen point in the execution order.
-	batchItemHook func(int)
 }
 
 // New wraps a built index as generation 1.  cfg zero-value fields take the
@@ -205,24 +152,32 @@ func New(ix *flix.Index, cfg Config) *Server {
 // while the initial build runs in the background.
 func NewPending(coll *xmlgraph.Collection, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		coll:    coll,
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-		started: time.Now(),
-		latency: map[string]*obs.Histogram{
-			"descendants": new(obs.Histogram),
-			"connected":   new(obs.Histogram),
-			"query":       new(obs.Histogram),
-			"batch":       new(obs.Histogram),
-			"shard_eval":  new(obs.Histogram),
-		},
-	}
+	s := &Server{coll: coll, cfg: cfg, started: time.Now()}
+	s.front = front.New(coll, front.Config{
+		Who:            "server",
+		MetricPrefix:   "flix",
+		MaxInFlight:    cfg.MaxInFlight,
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		DefaultLimit:   cfg.DefaultLimit,
+		MaxLimit:       cfg.MaxLimit,
+		MaxBatch:       cfg.MaxBatch,
+		Logger:         cfg.Logger,
+	}, (*nodeTier)(s))
+	s.front.Handle("/healthz", s.handleHealthz)
+	s.front.Handle("/statsz", s.handleStatsz)
+	s.front.Handle("/metrics", s.handleMetrics)
+	s.front.Handle("/v1/admin/reindex", s.handleReindex)
 	if cfg.Shard != nil {
 		if cfg.Shard.Count < 1 || cfg.Shard.ID < 0 || cfg.Shard.ID >= cfg.Shard.Count {
 			panic(fmt.Sprintf("server: shard %d of %d is not a valid ring position", cfg.Shard.ID, cfg.Shard.Count))
 		}
 		s.ring = shard.NewRing(cfg.Shard.Count, cfg.Shard.VNodes)
+		// /v1/shard/eval goes through the same semaphore as the public
+		// endpoints, so a saturated shard sheds router batches with 429 —
+		// the router's retry/backpressure signal.
+		s.front.Admit("/v1/shard/eval", "shard_eval", "shard", s.shardGate, false, s.handleShardEval)
+		s.front.Handle("/v1/shard/links", s.handleShardLinks)
 	}
 	return s
 }
@@ -326,117 +281,124 @@ func (s *Server) getReindexer() Reindexer {
 func (s *Server) SetOntology(o *ontology.Ontology) { s.onto = o }
 
 // InFlight returns the number of queries currently evaluating.
-func (s *Server) InFlight() int { return len(s.sem) }
+func (s *Server) InFlight() int { return s.front.InFlight() }
 
-// Handler returns the server's HTTP handler: the API mux wrapped in the
-// request-ID and access-logging middlewares (the ID middleware is
-// outermost so every log line and response carries an ID).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/statsz", s.handleStatsz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/v1/descendants", s.admit("descendants", &s.reqDescendants, s.handleDescendants))
-	mux.HandleFunc("/v1/connected", s.admit("connected", &s.reqConnected, s.handleConnected))
-	mux.HandleFunc("/v1/query", s.admit("query", &s.reqQuery, s.handleQuery))
-	mux.HandleFunc("/v1/batch", s.admit("batch", &s.reqBatch, s.handleBatch))
-	mux.HandleFunc("/v1/admin/reindex", s.handleReindex)
-	if s.cfg.Shard != nil {
-		mux.HandleFunc("/v1/shard/eval", s.handleShardEval)
-		mux.HandleFunc("/v1/shard/links", s.handleShardLinks)
+// Handler returns the server's HTTP handler.
+func (s *Server) Handler() http.Handler { return s.front }
+
+// nodeTier is the Server as the front sees it.
+type nodeTier Server
+
+// Gate is the readiness gate: before the first generation is installed
+// there is nothing to query.
+func (t *nodeTier) Gate() (int, string) {
+	if t.gen.Load() == nil {
+		return http.StatusServiceUnavailable, "index not ready: initial build in flight"
 	}
-	return s.withRequestID(s.logged(mux))
+	return 0, ""
 }
 
-// reqInfo is the per-request observability state, carried in the request
-// context from the ID middleware through admission into the handler.
-type reqInfo struct {
-	id          string
-	endpoint    string
-	strategy    string      // set by the handler once the start node is known
-	gen         *generation // serving generation captured at admission
-	trace       *obs.Trace  // non-nil when traced (?trace=1 or slow-query sample)
-	traceWanted bool        // client asked for the trace in the response
-}
-
-type ctxKey int
-
-const reqInfoKey ctxKey = 0
-
-// reqInfoFrom returns the request's reqInfo.  The fallback covers handlers
-// invoked without the middleware (direct tests); it keeps nil-checks out of
-// every call site.
-func reqInfoFrom(ctx context.Context) *reqInfo {
-	if ri, ok := ctx.Value(reqInfoKey).(*reqInfo); ok {
-		return ri
+// Open captures the serving generation for one admitted request, so the
+// request finishes entirely on the generation it started on, and starts
+// its trace when the client asked for one or the slow-query sampler picked
+// the request.
+func (t *nodeTier) Open(ctx context.Context, req front.Request) front.Backend {
+	s := (*Server)(t)
+	b := &session{s: s, g: s.gen.Load(), ctx: ctx, req: req}
+	if req.Trace || s.sampleSlow() {
+		b.trace = obs.NewTrace(s.cfg.TraceEventLimit)
+		b.trace.SetGeneration(b.g.num)
 	}
-	return &reqInfo{}
+	return b
 }
 
-// withRequestID carries each request's ID in the context and exposes it as
-// the X-Flix-Request-Id response header, so the access log and the
-// slow-query log can correlate their lines.  A syntactically valid incoming
-// X-Flix-Request-Id is reused instead of replaced: the router stamps its ID
-// onto every shard RPC a query fans out into, and reuse is what makes one
-// query traceable across the whole cluster's logs.
-func (s *Server) withRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := shard.SanitizeRequestID(r.Header.Get(shard.RequestIDHeader))
-		if id == "" {
-			id = fmt.Sprintf("%08x", s.reqSeq.Add(1))
-		}
-		ri := &reqInfo{id: id}
-		w.Header().Set(shard.RequestIDHeader, ri.id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), reqInfoKey, ri)))
-	})
+// session is one admitted request on one generation.
+type session struct {
+	s        *Server
+	g        *generation
+	ctx      context.Context
+	req      front.Request
+	trace    *obs.Trace // non-nil when traced (?trace=1 or slow-query sample)
+	strategy string     // indexing strategy of the start node's meta document
+	cut      bool       // the deadline passed during the last Descendants scan
 }
 
-// admit wraps a query handler with the admission semaphore, the per-request
-// deadline, and the latency observation.  When the in-flight limit is hit
-// the request is shed immediately with 429 — shedding beats queueing under
-// overload because a queued query's deadline keeps ticking while it waits.
-func (s *Server) admit(endpoint string, counter *atomic.Int64, h func(http.ResponseWriter, *http.Request, context.Context)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		counter.Add(1)
-		// Readiness gate: before the first generation is installed there is
-		// nothing to query; answer 503 without consuming the semaphore.
-		g := s.gen.Load()
-		if g == nil {
-			s.notReady.Add(1)
-			w.Header().Set("Retry-After", "1")
-			s.fail(w, http.StatusServiceUnavailable, "index not ready: initial build in flight")
-			return
+// attribute files a single-query request under the indexing strategy that
+// serves its start node; a batch spans many start nodes and is attributed
+// to none.
+func (b *session) attribute(start xmlgraph.NodeID) {
+	if b.req.Endpoint != "batch" {
+		b.strategy = b.g.ix.StrategyAt(start)
+	}
+}
+
+func (b *session) Descendants(start xmlgraph.NodeID, tag string, opts flix.Options, fn flix.Emit) {
+	b.attribute(start)
+	opts.Tracer = b.trace
+	if b.g.cache != nil {
+		b.g.cache.Descendants(start, tag, opts, fn)
+	} else {
+		b.g.ix.Descendants(start, tag, opts, fn)
+	}
+	// A deadline that expired mid-scan cut the priority-queue loop short;
+	// the results are then a sound prefix.
+	b.cut = front.Expired(b.ctx)
+}
+
+func (b *session) Connected(from, to xmlgraph.NodeID, opts flix.Options) (int32, bool) {
+	b.attribute(from)
+	opts.Tracer = b.trace
+	return b.g.ix.ConnectedOpts(from, to, opts)
+}
+
+// Evaluator runs ranked queries on the index itself, not through the query
+// cache: its //-step scans are resumable probes the cache cannot replay.
+func (b *session) Evaluator() *query.Evaluator {
+	return &query.Evaluator{Index: b.g.ix, Ontology: b.s.onto, Cancel: b.ctx.Done(), Tracer: b.trace}
+}
+
+func (b *session) Locate(start xmlgraph.NodeID, tag string) (int32, bool) {
+	return b.g.ix.MetaOf(start), b.g.cache != nil && b.g.cache.Contains(start, tag)
+}
+
+func (b *session) TakePartial() bool {
+	cut := b.cut
+	b.cut = false
+	return cut
+}
+
+func (b *session) Finish(w http.ResponseWriter, resp map[string]any, results int, ev *query.Evaluator) {
+	resp["generation"] = b.g.num
+	if ev != nil {
+		resp["truncated"] = ev.Stats.Truncated
+	}
+	// /v1/connected evaluates under the trace but has never returned it.
+	if b.req.Trace && b.req.Endpoint != "connected" {
+		resp["trace"] = b.trace.Summary(true)
+	}
+}
+
+func (b *session) FinishBatch(w http.ResponseWriter, resp *front.BatchResponse) {
+	resp.Generation = b.g.num
+}
+
+// Done records the finished request into the generation's per-strategy
+// latency histogram and, past the threshold, the slow-query log.
+func (b *session) Done(elapsed time.Duration) {
+	s := b.s
+	if h := b.g.stratLatency[b.strategy]; h != nil {
+		h.Observe(elapsed)
+	}
+	if s.cfg.SlowQueryThreshold > 0 && elapsed >= s.cfg.SlowQueryThreshold {
+		s.slowQueries.Add(1)
+		if b.trace != nil && s.cfg.Logger != nil {
+			sum, err := json.Marshal(b.trace.Summary(false))
+			if err != nil {
+				sum = []byte("{}")
+			}
+			s.cfg.Logger.Printf("slow-query id=%s endpoint=%s strategy=%s elapsed=%s trace=%s",
+				b.req.ID, b.req.Endpoint, b.strategy, elapsed.Round(time.Microsecond), sum)
 		}
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.shed.Add(1)
-			w.Header().Set("Retry-After", "1")
-			s.fail(w, http.StatusTooManyRequests, "server at capacity, retry later")
-			return
-		}
-		if s.queryHook != nil {
-			s.queryHook()
-		}
-		timeout, err := s.timeoutFor(r)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		ri := reqInfoFrom(r.Context())
-		ri.endpoint = endpoint
-		ri.gen = g
-		ri.traceWanted = boolParam(r.URL.Query().Get("trace"))
-		if ri.traceWanted || s.sampleSlow() {
-			ri.trace = obs.NewTrace(s.cfg.TraceEventLimit)
-			ri.trace.SetGeneration(g.num)
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		t0 := time.Now()
-		h(w, r, ctx)
-		s.observe(ri, time.Since(t0))
 	}
 }
 
@@ -448,281 +410,6 @@ func (s *Server) sampleSlow() bool {
 		return false
 	}
 	return s.slowSeq.Add(1)%uint64(s.cfg.SlowQuerySample) == 0
-}
-
-// observe records one finished request into the per-endpoint and
-// per-strategy latency histograms and, past the threshold, the slow-query
-// log.
-func (s *Server) observe(ri *reqInfo, elapsed time.Duration) {
-	if h := s.latency[ri.endpoint]; h != nil {
-		h.Observe(elapsed)
-	}
-	if ri.strategy != "" && ri.gen != nil {
-		if h := ri.gen.stratLatency[ri.strategy]; h != nil {
-			h.Observe(elapsed)
-		}
-	}
-	if s.cfg.SlowQueryThreshold > 0 && elapsed >= s.cfg.SlowQueryThreshold {
-		s.slowQueries.Add(1)
-		if ri.trace != nil && s.cfg.Logger != nil {
-			sum := ri.trace.Summary(false)
-			b, err := json.Marshal(sum)
-			if err != nil {
-				b = []byte("{}")
-			}
-			s.cfg.Logger.Printf("slow-query id=%s endpoint=%s strategy=%s elapsed=%s trace=%s",
-				ri.id, ri.endpoint, ri.strategy, elapsed.Round(time.Microsecond), b)
-		}
-	}
-}
-
-// genFor returns the generation a request was admitted under, falling back
-// to the live pointer for handlers invoked without the admit wrapper
-// (direct tests).
-func (s *Server) genFor(ctx context.Context) *generation {
-	if ri := reqInfoFrom(ctx); ri.gen != nil {
-		return ri.gen
-	}
-	return s.gen.Load()
-}
-
-// expired reports whether the request deadline passed during handling.  It
-// also compares against the wall clock: a deadline can pass after the last
-// evaluator check but before the timer goroutine closes Done, and the
-// response flag should not depend on that race.
-func expired(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		return true
-	}
-	dl, ok := ctx.Deadline()
-	return ok && !time.Now().Before(dl)
-}
-
-// timeoutFor derives the request deadline from ?timeout= (a Go duration
-// such as 500ms), clamped to cfg.MaxTimeout.
-func (s *Server) timeoutFor(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("timeout")
-	if raw == "" {
-		return s.cfg.DefaultTimeout, nil
-	}
-	d, err := time.ParseDuration(raw)
-	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("bad timeout %q (want a positive duration like 500ms)", raw)
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d, nil
-}
-
-// limitFor derives the result limit from ?k=, clamped to cfg.MaxLimit.
-func (s *Server) limitFor(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("k")
-	if raw == "" {
-		return s.cfg.DefaultLimit, nil
-	}
-	k, err := strconv.Atoi(raw)
-	if err != nil || k <= 0 {
-		return 0, fmt.Errorf("bad k %q (want a positive integer)", raw)
-	}
-	if k > s.cfg.MaxLimit {
-		k = s.cfg.MaxLimit
-	}
-	return k, nil
-}
-
-// resolveNode turns a ?start= / ?from= value into a node: a document name
-// resolves to that document's root, anything else must be a numeric NodeID.
-func (s *Server) resolveNode(raw string) (xmlgraph.NodeID, error) {
-	if raw == "" {
-		return xmlgraph.InvalidNode, fmt.Errorf("missing node parameter")
-	}
-	if d, ok := s.coll.DocByName(raw); ok {
-		return s.coll.Doc(d).Root, nil
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil || n < 0 || n >= s.coll.NumNodes() {
-		return xmlgraph.InvalidNode, fmt.Errorf("unknown node %q (want a document name or a node id < %d)", raw, s.coll.NumNodes())
-	}
-	return xmlgraph.NodeID(n), nil
-}
-
-// nodeJSON is the wire form of one result element.
-type nodeJSON struct {
-	Node xmlgraph.NodeID `json:"node"`
-	Tag  string          `json:"tag"`
-	Doc  string          `json:"doc"`
-	Text string          `json:"text,omitempty"`
-	Dist int32           `json:"dist"`
-}
-
-func (s *Server) nodeJSON(n xmlgraph.NodeID, dist int32) nodeJSON {
-	return nodeJSON{
-		Node: n,
-		Tag:  s.coll.Tag(n),
-		Doc:  s.coll.Doc(s.coll.DocOf(n)).Name,
-		Text: snippet(s.coll.Node(n).Text),
-		Dist: dist,
-	}
-}
-
-// snippet compresses element text for the wire.
-func snippet(t string) string {
-	t = strings.Join(strings.Fields(t), " ")
-	if len(t) > 80 {
-		t = t[:77] + "..."
-	}
-	return t
-}
-
-// handleDescendants answers GET /v1/descendants?start=<doc|node>&tag=<tag>
-// [&k=][&maxdist=][&self=1][&order=exact][&timeout=].  An empty tag is the
-// wildcard start//*.
-func (s *Server) handleDescendants(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-	q := r.URL.Query()
-	start, err := s.resolveNode(q.Get("start"))
-	if err != nil {
-		s.fail(w, http.StatusNotFound, "start: "+err.Error())
-		return
-	}
-	k, err := s.limitFor(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	maxDist, err := intParam(q.Get("maxdist"), 0)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "bad maxdist: "+err.Error())
-		return
-	}
-	ri := reqInfoFrom(ctx)
-	g := s.genFor(ctx)
-	ri.strategy = g.ix.StrategyAt(start)
-	opts := flix.Options{
-		MaxResults:  k,
-		MaxDist:     int32(maxDist),
-		IncludeSelf: boolParam(q.Get("self")),
-		ExactOrder:  q.Get("order") == "exact",
-		Cancel:      ctx.Done(),
-		Tracer:      ri.trace,
-	}
-	results := make([]nodeJSON, 0, 16)
-	emit := func(res flix.Result) bool {
-		results = append(results, s.nodeJSON(res.Node, res.Dist))
-		return true
-	}
-	if g.cache != nil {
-		g.cache.Descendants(start, q.Get("tag"), opts, emit)
-	} else {
-		g.ix.Descendants(start, q.Get("tag"), opts, emit)
-	}
-	timedOut := expired(ctx)
-	if timedOut {
-		s.timeouts.Add(1)
-	}
-	resp := map[string]any{
-		"results":    results,
-		"count":      len(results),
-		"timedOut":   timedOut,
-		"generation": g.num,
-	}
-	if ri.traceWanted && ri.trace != nil {
-		resp["trace"] = ri.trace.Summary(true)
-	}
-	s.ok(w, resp)
-}
-
-// handleConnected answers GET /v1/connected?from=<doc|node>&to=<doc|node>
-// [&maxdist=][&timeout=].
-func (s *Server) handleConnected(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-	q := r.URL.Query()
-	from, err := s.resolveNode(q.Get("from"))
-	if err != nil {
-		s.fail(w, http.StatusNotFound, "from: "+err.Error())
-		return
-	}
-	to, err := s.resolveNode(q.Get("to"))
-	if err != nil {
-		s.fail(w, http.StatusNotFound, "to: "+err.Error())
-		return
-	}
-	maxDist, err := intParam(q.Get("maxdist"), 0)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "bad maxdist: "+err.Error())
-		return
-	}
-	ri := reqInfoFrom(ctx)
-	g := s.genFor(ctx)
-	ri.strategy = g.ix.StrategyAt(from)
-	dist, ok := g.ix.ConnectedOpts(from, to, flix.Options{MaxDist: int32(maxDist), Cancel: ctx.Done(), Tracer: ri.trace})
-	timedOut := expired(ctx)
-	if timedOut {
-		s.timeouts.Add(1)
-	}
-	resp := map[string]any{"connected": ok, "timedOut": timedOut, "generation": g.num}
-	if ok {
-		resp["dist"] = dist
-	}
-	s.ok(w, resp)
-}
-
-// handleQuery answers GET /v1/query?q=<expr>[&k=][&timeout=]: ranked path
-// expressions with structural and (when an ontology is installed) semantic
-// vagueness.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-	expr := r.URL.Query().Get("q")
-	if expr == "" {
-		s.fail(w, http.StatusBadRequest, "missing q parameter")
-		return
-	}
-	k, err := s.limitFor(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	pq, err := query.Parse(expr)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ri := reqInfoFrom(ctx)
-	g := s.genFor(ctx)
-	eval := &query.Evaluator{
-		Index:      g.ix,
-		Ontology:   s.onto,
-		MaxResults: k,
-		Cancel:     ctx.Done(),
-		Tracer:     ri.trace,
-	}
-	matches := eval.EvaluateTopK(pq, k)
-	timedOut := expired(ctx)
-	if timedOut {
-		s.timeouts.Add(1)
-	}
-	type matchJSON struct {
-		nodeJSON
-		Score   float64 `json:"score"`
-		PathLen int32   `json:"pathLen"`
-	}
-	out := make([]matchJSON, 0, len(matches))
-	for _, m := range matches {
-		out = append(out, matchJSON{
-			nodeJSON: s.nodeJSON(m.Node, m.PathLen),
-			Score:    m.Score,
-			PathLen:  m.PathLen,
-		})
-	}
-	resp := map[string]any{
-		"results":    out,
-		"count":      len(out),
-		"timedOut":   timedOut,
-		"truncated":  eval.Stats.Truncated,
-		"generation": g.num,
-	}
-	if ri.traceWanted && ri.trace != nil {
-		resp["trace"] = ri.trace.Summary(true)
-	}
-	s.ok(w, resp)
 }
 
 // handleHealthz reports readiness, not just liveness: before the first
@@ -739,7 +426,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"status":      "starting",
 			"ready":       false,
 			"inFlight":    s.InFlight(),
-			"maxInFlight": s.cfg.MaxInFlight,
+			"maxInFlight": s.front.MaxInFlight(),
 			"uptime":      time.Since(s.started).Round(time.Millisecond).String(),
 		})
 		return
@@ -750,7 +437,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"generation":  g.num,
 		"swaps":       s.swaps.Load(),
 		"inFlight":    s.InFlight(),
-		"maxInFlight": s.cfg.MaxInFlight,
+		"maxInFlight": s.front.MaxInFlight(),
 		"uptime":      time.Since(s.started).Round(time.Millisecond).String(),
 	}
 	// In shard mode the router's prober reads the ring position and the
@@ -762,7 +449,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"fingerprint": g.shard.fingerprint,
 		}
 	}
-	s.ok(w, body)
+	front.OK(w, body)
 }
 
 // handleStatsz reports the engine's query-load statistics, the §7
@@ -771,10 +458,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	g := s.gen.Load()
 	if g == nil {
-		s.ok(w, map[string]any{
+		front.OK(w, map[string]any{
 			"ready": false,
 			"server": map[string]any{
-				"notReady": s.notReady.Load(),
+				"notReady": s.front.NotReady.Load(),
 				"uptime":   time.Since(s.started).Round(time.Millisecond).String(),
 			},
 		})
@@ -816,16 +503,16 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		},
 		"server": map[string]any{
 			"inFlight":    s.InFlight(),
-			"maxInFlight": s.cfg.MaxInFlight,
-			"shed":        s.shed.Load(),
-			"notReady":    s.notReady.Load(),
-			"timeouts":    s.timeouts.Load(),
+			"maxInFlight": s.front.MaxInFlight(),
+			"shed":        s.front.Shed.Load(),
+			"notReady":    s.front.NotReady.Load(),
+			"timeouts":    s.front.Timeouts.Load(),
 			"slowQueries": s.slowQueries.Load(),
 			"requests": map[string]int64{
-				"descendants": s.reqDescendants.Load(),
-				"connected":   s.reqConnected.Load(),
-				"query":       s.reqQuery.Load(),
-				"batch":       s.reqBatch.Load(),
+				"descendants": s.front.Requests("descendants"),
+				"connected":   s.front.Requests("connected"),
+				"query":       s.front.Requests("query"),
+				"batch":       s.front.Requests("batch"),
 			},
 		},
 	}
@@ -850,7 +537,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"hitRate": g.cache.HitRate(),
 		}
 	}
-	s.ok(w, resp)
+	front.OK(w, resp)
 }
 
 // storageJSON renders how the serving index is backed — "heap" for a
@@ -906,7 +593,7 @@ func (s *Server) latencyJSON(g *generation) map[string]any {
 		return out
 	}
 	return map[string]any{
-		"endpoints":  summ(s.latency),
+		"endpoints":  summ(s.front.Latency()),
 		"strategies": summ(g.stratLatency),
 	}
 }
@@ -942,62 +629,4 @@ func buildJSON(ix *flix.Index) map[string]any {
 		out["sizeBytes"] = sz
 	}
 	return out
-}
-
-// ok writes a 200 JSON response.
-func (s *Server) ok(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-// fail writes an error JSON response.
-func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
-	if code >= 400 && code < 500 && code != http.StatusTooManyRequests {
-		s.clientErrors.Add(1)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]any{"error": msg}) //nolint:errcheck
-}
-
-// statusWriter captures the response code for the access log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.status = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-// logged is the access-logging middleware.
-func (s *Server) logged(next http.Handler) http.Handler {
-	if s.cfg.Logger == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		t0 := time.Now()
-		next.ServeHTTP(sw, r)
-		s.cfg.Logger.Printf("id=%s %s %s %d %s", reqInfoFrom(r.Context()).id,
-			r.Method, r.URL.RequestURI(), sw.status, time.Since(t0).Round(time.Microsecond))
-	})
-}
-
-func intParam(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("%q is not a non-negative integer", raw)
-	}
-	return n, nil
-}
-
-func boolParam(raw string) bool {
-	return raw == "1" || raw == "true"
 }

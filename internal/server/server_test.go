@@ -141,68 +141,12 @@ func TestRankedQueryEndpoint(t *testing.T) {
 	}
 }
 
-func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	getJSON(t, ts.URL+"/v1/descendants?start=nosuch.xml&tag=actor", 404)
-	getJSON(t, ts.URL+"/v1/descendants?start=movies.xml&k=-1", 400)
-	getJSON(t, ts.URL+"/v1/descendants?start=movies.xml&timeout=bogus", 400)
-	getJSON(t, ts.URL+"/v1/query?q=", 400)
-	getJSON(t, ts.URL+"/v1/connected?from=movies.xml", 404)
-}
-
-func TestSheddingAtAdmissionLimit(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 1})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.queryHook = func() {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
-	}
-	done := make(chan map[string]any)
-	go func() {
-		done <- getJSON(t, ts.URL+"/v1/descendants?start=movies.xml&tag=actor", 200)
-	}()
-	<-entered // the first request holds the only admission slot
-
-	resp, err := http.Get(ts.URL + "/v1/descendants?start=movies.xml&tag=actor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("saturated server returned %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Error("429 without Retry-After")
-	}
-	resp.Body.Close()
-
-	close(release)
-	if got := <-done; got["count"].(float64) != 2 {
-		t.Errorf("blocked request result count = %v, want 2", got["count"])
-	}
-	stats := getJSON(t, ts.URL+"/statsz", 200)
-	shed := stats["server"].(map[string]any)["shed"].(float64)
-	if shed != 1 {
-		t.Errorf("shed = %v, want 1", shed)
-	}
-}
-
 // TestGracefulDrain exercises the SIGTERM path's contract: Shutdown must
 // wait for the in-flight query and that query must complete successfully.
+// The in-flight query is a batch whose body stalls: it holds its admission
+// slot until the test sends the rest.
 func TestGracefulDrain(t *testing.T) {
 	s := New(testIndex(t), Config{})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.queryHook = func() {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -210,9 +154,10 @@ func TestGracefulDrain(t *testing.T) {
 	srv := &http.Server{Handler: s.Handler()}
 	go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Shutdown
 
+	pr, pw := io.Pipe()
 	status := make(chan int)
 	go func() {
-		resp, err := http.Get("http://" + ln.Addr().String() + "/v1/descendants?start=movies.xml&tag=actor")
+		resp, err := http.Post("http://"+ln.Addr().String()+"/v1/batch", "application/json", pr)
 		if err != nil {
 			status <- -1
 			return
@@ -221,7 +166,14 @@ func TestGracefulDrain(t *testing.T) {
 		resp.Body.Close()
 		status <- resp.StatusCode
 	}()
-	<-entered
+	if _, err := pw.Write([]byte(`{"queries":[{"start":"movies.xml","tag":"actor"}`)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.InFlight() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled batch never took an admission slot")
+		}
+	}
 
 	shutdownDone := make(chan error)
 	go func() {
@@ -235,7 +187,8 @@ func TestGracefulDrain(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 		// Still draining — as it should be.
 	}
-	close(release)
+	pw.Write([]byte(`]}`)) //nolint:errcheck
+	pw.Close()
 	if code := <-status; code != http.StatusOK {
 		t.Errorf("drained request finished with status %d, want 200", code)
 	}

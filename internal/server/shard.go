@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/flix"
+	"repro/internal/front"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
@@ -58,42 +58,33 @@ func (s *Server) initShard(g *generation) {
 	}
 }
 
+// shardGate is the readiness gate of the shard RPCs.
+func (s *Server) shardGate() (int, string) {
+	if g := s.gen.Load(); g == nil || g.shard == nil {
+		return http.StatusServiceUnavailable, "shard not ready: no index generation"
+	}
+	return 0, ""
+}
+
+// maxEvalBody bounds the /v1/shard/eval request body (64 MiB); a larger
+// frontier is refused whole, not truncated into a JSON syntax error.
+const maxEvalBody = 64 << 20
+
 // handleShardEval answers POST /v1/shard/eval: one frontier batch expanded
-// within this shard's owned meta documents (flix.PartialDescendants).  It
-// shares the admission semaphore with the public endpoints, so a saturated
-// shard sheds router batches with 429 — the router's retry/backpressure
-// signal.
-func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
-	s.reqShardEval.Add(1)
+// within this shard's owned meta documents (flix.PartialDescendants).  The
+// front admits it under the server-wide maximum deadline — the router owns
+// the query deadline; the shard only guards itself against a stuck peer.
+func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx context.Context) {
 	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	g := s.gen.Load()
-	if g == nil || g.shard == nil {
-		s.notReady.Add(1)
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusServiceUnavailable, "shard not ready: no index generation")
-		return
-	}
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.shed.Add(1)
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusTooManyRequests, "shard at capacity, retry later")
+		s.front.FailMethod(w, "POST only")
 		return
 	}
 	var req shard.EvalRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad eval request: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEvalBody)).Decode(&req); err != nil {
+		s.front.Fail(w, http.StatusBadRequest, "bad eval request: "+err.Error())
 		return
 	}
-	// The router owns the query deadline; the shard only guards itself
-	// against a stuck peer with the server-wide maximum.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
-	defer cancel()
+	g := s.gen.Load()
 	owned := g.shard.owned
 	// A distributed trace is requested in-body (authoritative) or via the
 	// X-Flix-Trace header; the untraced default keeps the nil-tracer
@@ -104,7 +95,6 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
 		tr = obs.NewTrace(s.cfg.TraceEventLimit)
 		tr.SetGeneration(g.num)
 	}
-	t0 := time.Now()
 	pr, err := g.ix.PartialDescendants(req.Entries, req.Tag, flix.PartialOptions{
 		MaxDist: req.MaxDist,
 		Owned: func(mi int32) bool {
@@ -114,18 +104,15 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
 		Tracer: tr,
 	})
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "bad eval request: "+err.Error())
+		s.front.Fail(w, http.StatusBadRequest, "bad eval request: "+err.Error())
 		return
-	}
-	if h := s.latency["shard_eval"]; h != nil {
-		h.Observe(time.Since(t0))
 	}
 	resp := &shard.EvalResponse{
 		Results:     pr.Results,
 		Hops:        pr.Hops,
 		Generation:  g.num,
 		Fingerprint: g.shard.fingerprint,
-		Truncated:   pr.Truncated || expired(ctx),
+		Truncated:   pr.Truncated || front.Expired(ctx),
 		Pops:        pr.Pops,
 		Entries:     pr.Entries,
 		LinkHops:    pr.LinkHops,
@@ -133,7 +120,7 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		resp.Trace = obs.NewFragment(s.cfg.Shard.ID, tr.Summary(false))
 	}
-	s.ok(w, resp)
+	front.OK(w, resp)
 }
 
 // handleShardLinks answers GET /v1/shard/links: the topology export the
@@ -141,13 +128,11 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
 // counts and the decomposition fingerprint.  ?summary=1 omits the bulky
 // per-node arrays.
 func (s *Server) handleShardLinks(w http.ResponseWriter, r *http.Request) {
-	g := s.gen.Load()
-	if g == nil || g.shard == nil {
-		s.notReady.Add(1)
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusServiceUnavailable, "shard not ready: no index generation")
+	if code, msg := s.shardGate(); code != 0 {
+		s.front.Refuse(w, code, msg)
 		return
 	}
+	g := s.gen.Load()
 	resp := &shard.LinksResponse{
 		Generation:  g.num,
 		Fingerprint: g.shard.fingerprint,
@@ -158,11 +143,11 @@ func (s *Server) handleShardLinks(w http.ResponseWriter, r *http.Request) {
 		NumNodes:    s.coll.NumNodes(),
 		OwnedMetas:  g.shard.ownedCount,
 	}
-	if !boolParam(r.URL.Query().Get("summary")) {
+	if !front.BoolParam(r.URL.Query().Get("summary")) {
 		resp.MetaOf = g.ix.MetaAssignment()
 		resp.LinkCounts = g.ix.MetaOutLinkCounts()
 	}
-	s.ok(w, resp)
+	front.OK(w, resp)
 }
 
 // shardStatsz is the /statsz "shard" section.
@@ -177,10 +162,10 @@ func (s *Server) shardStatsz(g *generation) map[string]any {
 		"ownedMetas":  g.shard.ownedCount,
 		"totalMetas":  g.ix.NumMetaDocuments(),
 		"fingerprint": g.shard.fingerprint,
-		"evals":       s.reqShardEval.Load(),
+		"evals":       s.front.Requests("shard_eval"),
 		"tracedEvals": s.tracedEvals.Load(),
 	}
-	if sn := s.latency["shard_eval"].Snapshot(); sn.Count > 0 {
+	if sn := s.front.Latency()["shard_eval"].Snapshot(); sn.Count > 0 {
 		out["evalLatency"] = map[string]any{
 			"count": sn.Count,
 			"p50":   sn.Quantile(0.50).Round(time.Microsecond).String(),

@@ -3,11 +3,17 @@ package shard
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/flix"
+	"repro/internal/front"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/xmlgraph"
 )
 
@@ -336,23 +342,29 @@ func sortedShardIDs(failed map[int]bool) []int {
 	return out
 }
 
-// routerBackend adapts the scatter-gather evaluator to query.Backend, so
-// the unchanged ranked evaluator (internal/query) runs its //-step scans
-// across the cluster.  It is used by one request goroutine at a time.
+// routerBackend is one admitted request's front.Backend: every scan is a
+// scatter-gather.  It is also the query.Backend the ranked evaluator runs
+// its //-step scans against, unchanged, across the cluster.  What the
+// gathers lost accumulates here for the response: partial, the failed
+// shards, the rounds.  It is used by one request goroutine at a time.
 type routerBackend struct {
-	rt        *Router
-	ctx       context.Context
-	reqID     string
-	tb        *traceBuilder // non-nil for ?trace=1 ranked queries
-	partial   bool
-	failedSet map[int]bool
-	failed    []int
+	rt  *Router
+	ctx context.Context
+	req front.Request
+	tb  *traceBuilder // non-nil for ?trace=1
+
+	partial bool
+	failed  []int // sorted shard IDs; nil while none failed
+	rounds  int
+	// lost is partial since the last TakePartial: a batch flags items, the
+	// other endpoints the response.
+	lost bool
 }
 
 func (b *routerBackend) Collection() *xmlgraph.Collection { return b.rt.coll }
 
 func (b *routerBackend) Descendants(start xmlgraph.NodeID, tag string, opts flix.Options, fn flix.Emit) {
-	g := b.rt.gatherDescendants(b.ctx, b.reqID, start, tag, opts.MaxDist, opts.MaxResults, opts.IncludeSelf, b.tb)
+	g := b.rt.gatherDescendants(b.ctx, b.req.ID, start, tag, opts.MaxDist, opts.MaxResults, opts.IncludeSelf, b.tb)
 	b.merge(g)
 	emitted := 0
 	for _, e := range g.results {
@@ -371,18 +383,94 @@ func (b *routerBackend) Descendants(start xmlgraph.NodeID, tag string, opts flix
 func (b *routerBackend) Ancestors(start xmlgraph.NodeID, tag string, opts flix.Options, fn flix.Emit) {
 }
 
+// Connected gathers from//tag(to) with an early stop once the target's
+// distance is final.
+func (b *routerBackend) Connected(from, to xmlgraph.NodeID, opts flix.Options) (int32, bool) {
+	if from == to {
+		return 0, true
+	}
+	g := b.rt.gather(b.ctx, b.req.ID, []flix.FrontierEntry{{Node: from, Dist: 0}},
+		b.rt.coll.Tag(to), opts.MaxDist, 0, to, b.tb)
+	b.merge(g)
+	for _, e := range g.results {
+		if e.Node == to {
+			return e.Dist, true
+		}
+	}
+	return 0, false
+}
+
+func (b *routerBackend) Evaluator() *query.Evaluator {
+	return &query.Evaluator{Index: b, Ontology: b.rt.onto, Cancel: b.ctx.Done()}
+}
+
+// Locate has no cache to consult; the meta document groups consecutive
+// gathers onto the same owning shard.
+func (b *routerBackend) Locate(start xmlgraph.NodeID, tag string) (int32, bool) {
+	if topo := b.rt.topo.Load(); topo != nil && int(start) < len(topo.metaOf) {
+		return topo.metaOf[start], false
+	}
+	return 0, false
+}
+
+func (b *routerBackend) TakePartial() bool {
+	lost := b.lost
+	b.lost = false
+	return lost
+}
+
 func (b *routerBackend) merge(g gatherOut) {
+	b.rounds += g.rounds
 	if g.partial {
-		b.partial = true
+		b.partial, b.lost = true, true
 	}
 	for _, sh := range g.failed {
-		if b.failedSet == nil {
-			b.failedSet = make(map[int]bool)
-		}
-		if !b.failedSet[sh] {
-			b.failedSet[sh] = true
+		if !slices.Contains(b.failed, sh) {
 			b.failed = append(b.failed, sh)
 			sort.Ints(b.failed)
 		}
 	}
+}
+
+// Finish adds the partial-results contract — "partial" and "failedShards"
+// in the body, X-Flix-Shards-Failed on the response — the rounds of a
+// descendants gather, and the cluster trace.
+func (b *routerBackend) Finish(w http.ResponseWriter, resp map[string]any, results int, ev *query.Evaluator) {
+	b.setFailedHeader(w)
+	resp["partial"] = b.partial
+	resp["failedShards"] = b.failed
+	if b.req.Endpoint == "descendants" {
+		resp["rounds"] = b.rounds
+	}
+	if b.tb == nil {
+		return
+	}
+	if ev != nil {
+		// The ranked evaluator's own work shape rides on the root span;
+		// each //-step scan is one gather child beneath it.
+		b.tb.root.SetAttr("steps", int64(ev.Stats.Steps))
+		b.tb.root.SetAttr("scans", int64(ev.Stats.Scans))
+		b.tb.root.SetAttr("anchored", int64(ev.Stats.Anchored))
+	}
+	resp["trace"] = b.tb.finish(int64(results), b.partial, b.failed)
+}
+
+func (b *routerBackend) FinishBatch(w http.ResponseWriter, resp *front.BatchResponse) {
+	b.setFailedHeader(w)
+	resp.FailedShards = b.failed
+}
+
+func (b *routerBackend) Done(time.Duration) {}
+
+// setFailedHeader attaches X-Flix-Shards-Failed when shards dropped out of
+// a gather.
+func (b *routerBackend) setFailedHeader(w http.ResponseWriter) {
+	if len(b.failed) == 0 {
+		return
+	}
+	ids := make([]string, len(b.failed))
+	for i, sh := range b.failed {
+		ids[i] = strconv.Itoa(sh)
+	}
+	w.Header().Set(FailedShardsHeader, strings.Join(ids, ","))
 }

@@ -2,8 +2,8 @@ package shard
 
 import (
 	"repro/internal/flix"
+	"repro/internal/front"
 	"repro/internal/obs"
-	"repro/internal/xmlgraph"
 )
 
 // This file defines the wire protocol between the router and the shards.
@@ -11,9 +11,8 @@ import (
 // the JSON shapes have exactly one definition.
 
 // RequestIDHeader carries the router's request ID to every shard RPC a
-// query fans out into, so one query's hops correlate across the access logs
-// and traces of the whole cluster.
-const RequestIDHeader = "X-Flix-Request-Id"
+// query fans out into.
+const RequestIDHeader = front.RequestIDHeader
 
 // FailedShardsHeader lists the shards (comma-separated IDs) whose frontier
 // batches were dropped after retries; it accompanies a partial response.
@@ -88,87 +87,21 @@ type LinksResponse struct {
 	LinkCounts []int32 `json:"linkCounts,omitempty"`
 }
 
-// Batch item statuses.  Every item in a BatchResponse carries exactly one:
-// evaluated items are "ok", items the server looked at but could not run
-// (parse error, unknown start node) are "error", and items abandoned when
-// the per-batch deadline expired are "skipped".
+// The POST /v1/batch wire types belong to the public contract and live in
+// internal/front; these aliases keep the names callers of this package use.
 const (
-	BatchOK      = "ok"
-	BatchError   = "error"
-	BatchSkipped = "skipped"
+	BatchOK      = front.BatchOK
+	BatchError   = front.BatchError
+	BatchSkipped = front.BatchSkipped
 )
 
-// BatchQuery is one query inside a POST /v1/batch request: a ranked path
-// expression when Q is set, otherwise a descendants connection query
-// described by Start and Tag.
-type BatchQuery struct {
-	// Q is a ranked path expression (the /v1/query ?q= syntax).
-	Q string `json:"q,omitempty"`
-	// Start is the descendants query's start element: a document name or a
-	// numeric node ID, exactly like /v1/descendants ?start=.
-	Start string `json:"start,omitempty"`
-	// Tag is the descendants target element name; empty is the wildcard.
-	Tag string `json:"tag,omitempty"`
-	// K bounds this item's results (0 = the request default, then the
-	// server default).
-	K int `json:"k,omitempty"`
-	// MaxDist and IncludeSelf mirror the /v1/descendants parameters.
-	MaxDist     int32 `json:"maxDist,omitempty"`
-	IncludeSelf bool  `json:"self,omitempty"`
-}
-
-// BatchRequest is the body of POST /v1/batch: many queries answered in one
-// round trip under one admission slot and one deadline.
-type BatchRequest struct {
-	Queries []BatchQuery `json:"queries"`
-	// K is the default per-item result bound (0 = server default).
-	K int `json:"k,omitempty"`
-}
-
-// BatchResult is one result element of a batch item: the /v1/descendants
-// node shape plus the ranked-query score fields.
-type BatchResult struct {
-	Node xmlgraph.NodeID `json:"node"`
-	Tag  string          `json:"tag"`
-	Doc  string          `json:"doc"`
-	Text string          `json:"text,omitempty"`
-	// Dist is the connection distance (descendants items) or the matched
-	// path length (ranked items).
-	Dist int32 `json:"dist"`
-	// Score and PathLen are set on ranked items only.
-	Score   float64 `json:"score,omitempty"`
-	PathLen int32   `json:"pathLen,omitempty"`
-}
-
-// BatchItem is one item's answer, in request order.
-type BatchItem struct {
-	Status  string        `json:"status"`
-	Error   string        `json:"error,omitempty"`
-	Results []BatchResult `json:"results,omitempty"`
-	Count   int           `json:"count"`
-	// Truncated reports that this item's evaluation was cut short by the
-	// batch deadline: a sound but possibly incomplete answer.
-	Truncated bool `json:"truncated,omitempty"`
-	// CacheHit reports that a descendants item was answered from the query
-	// cache (single-node server only; the router has no cache).
-	CacheHit bool `json:"cacheHit,omitempty"`
-}
-
-// BatchResponse is the body of a POST /v1/batch answer.  Items appear in
-// request order regardless of the cache-aware order they executed in.
-type BatchResponse struct {
-	Results []BatchItem `json:"results"`
-	// Completed counts items actually examined ("ok" or "error"); the
-	// remaining len(Results)-Completed items were skipped at the deadline.
-	Completed int `json:"completed"`
-	// Partial reports that the deadline expired before every item ran.
-	Partial    bool   `json:"partial,omitempty"`
-	TimedOut   bool   `json:"timedOut"`
-	Generation uint64 `json:"generation"`
-	// FailedShards lists shards that dropped frontier batches during the
-	// router's scatter-gather evaluation (router only).
-	FailedShards []int `json:"failedShards,omitempty"`
-}
+type (
+	BatchQuery    = front.BatchQuery
+	BatchRequest  = front.BatchRequest
+	BatchResult   = front.BatchResult
+	BatchItem     = front.BatchItem
+	BatchResponse = front.BatchResponse
+)
 
 // HealthResponse is the subset of a shard's /healthz the router's prober
 // consumes: readiness plus the backpressure signal (inFlight/maxInFlight).

@@ -99,24 +99,3 @@ func TestRingDisjointExhaustive(t *testing.T) {
 		}
 	}
 }
-
-// TestSanitizeRequestID checks the header validation: valid IDs pass
-// through, hostile or oversized ones are rejected.
-func TestSanitizeRequestID(t *testing.T) {
-	valid := []string{"abc", "a1-B2_c3.d4", "00000001"}
-	for _, id := range valid {
-		if got := SanitizeRequestID(id); got != id {
-			t.Errorf("SanitizeRequestID(%q) = %q, want unchanged", id, got)
-		}
-	}
-	long := make([]byte, 65)
-	for i := range long {
-		long[i] = 'a'
-	}
-	invalid := []string{"", "has space", "new\nline", "semi;colon", "ütf8", string(long), "x\x00y"}
-	for _, id := range invalid {
-		if got := SanitizeRequestID(id); got != "" {
-			t.Errorf("SanitizeRequestID(%q) = %q, want rejection", id, got)
-		}
-	}
-}

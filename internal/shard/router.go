@@ -2,20 +2,16 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/flix"
+	"repro/internal/front"
 	"repro/internal/obs"
 	"repro/internal/ontology"
-	"repro/internal/query"
 	"repro/internal/xmlgraph"
 )
 
@@ -60,6 +56,8 @@ type RouterConfig struct {
 	Logger *log.Logger
 }
 
+// withDefaults fills in what the router itself reads; the request limits
+// take their defaults in front.New.
 func (c RouterConfig) withDefaults() RouterConfig {
 	if c.VNodes <= 0 {
 		c.VNodes = DefaultVNodes
@@ -69,24 +67,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.HopBudget <= 0 {
 		c.HopBudget = 100000
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 2 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
-	}
-	if c.DefaultLimit <= 0 {
-		c.DefaultLimit = 100
-	}
-	if c.MaxLimit <= 0 {
-		c.MaxLimit = 10000
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
 	}
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 10 * time.Second
@@ -152,21 +132,12 @@ type Router struct {
 	topo   atomic.Pointer[topology]
 	shards []*shardState
 
-	sem     chan struct{}
+	// front is the router's HTTP handler: the public query API of
+	// internal/front over this router's gathers, plus its status endpoints.
+	front   *front.Front
 	started time.Time
 
-	latency      map[string]*obs.Histogram
 	shardLatency []*obs.Histogram
-
-	reqSeq         atomic.Uint64
-	reqDescendants atomic.Int64
-	reqConnected   atomic.Int64
-	reqQuery       atomic.Int64
-	reqBatch       atomic.Int64
-	shed           atomic.Int64
-	notReady       atomic.Int64
-	timeouts       atomic.Int64
-	clientErrors   atomic.Int64
 
 	fanouts          atomic.Int64
 	gathers          atomic.Int64
@@ -198,15 +169,22 @@ func NewRouter(coll *xmlgraph.Collection, cfg RouterConfig) (*Router, error) {
 			Backoff: cfg.RetryBackoff,
 		}),
 		ring:    NewRing(len(cfg.Shards), cfg.VNodes),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
 		started: time.Now(),
-		latency: map[string]*obs.Histogram{
-			"descendants": new(obs.Histogram),
-			"connected":   new(obs.Histogram),
-			"query":       new(obs.Histogram),
-			"batch":       new(obs.Histogram),
-		},
 	}
+	rt.front = front.New(coll, front.Config{
+		Who:            "router",
+		MetricPrefix:   "flix_router",
+		MaxInFlight:    cfg.MaxInFlight,
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		DefaultLimit:   cfg.DefaultLimit,
+		MaxLimit:       cfg.MaxLimit,
+		MaxBatch:       cfg.MaxBatch,
+		Logger:         cfg.Logger,
+	}, (*routerTier)(rt))
+	rt.front.Handle("/healthz", rt.handleHealthz)
+	rt.front.Handle("/statsz", rt.handleStatsz)
+	rt.front.Handle("/metrics", rt.handleMetrics)
 	rt.shards = make([]*shardState, len(cfg.Shards))
 	rt.shardLatency = make([]*obs.Histogram, len(cfg.Shards))
 	for i, url := range cfg.Shards {
@@ -425,429 +403,35 @@ func (rt *Router) saturatedCluster() bool {
 }
 
 // Handler returns the router's HTTP handler.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", rt.handleHealthz)
-	mux.HandleFunc("/statsz", rt.handleStatsz)
-	mux.HandleFunc("/metrics", rt.handleMetrics)
-	mux.HandleFunc("/v1/descendants", rt.admit("descendants", &rt.reqDescendants, rt.handleDescendants))
-	mux.HandleFunc("/v1/connected", rt.admit("connected", &rt.reqConnected, rt.handleConnected))
-	mux.HandleFunc("/v1/query", rt.admit("query", &rt.reqQuery, rt.handleQuery))
-	mux.HandleFunc("/v1/batch", rt.admit("batch", &rt.reqBatch, rt.handleBatch))
-	return rt.withRequestID(rt.logged(mux))
+func (rt *Router) Handler() http.Handler { return rt.front }
+
+// routerTier is the Router as the front sees it.
+type routerTier Router
+
+// Gate is the single-node admission gate with one extra stage: the router
+// serves once the topology is loaded and a quorum of shards is up, and
+// sheds at its own door while every ready shard is saturated.
+func (t *routerTier) Gate() (int, string) {
+	rt := (*Router)(t)
+	if !rt.Ready() {
+		return http.StatusServiceUnavailable, fmt.Sprintf("router not ready: %d/%d shards up (quorum %d)",
+			rt.readyShards(), len(rt.shards), rt.cfg.Quorum)
+	}
+	if rt.saturatedCluster() {
+		return http.StatusTooManyRequests, "all shards at capacity, retry later"
+	}
+	return 0, ""
 }
 
-type ctxKey int
-
-const reqIDKey ctxKey = 0
-
-// requestIDFrom returns the request's ID ("" for handlers invoked without
-// the middleware).
-func requestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(reqIDKey).(string)
-	return id
-}
-
-// withRequestID reuses a syntactically valid incoming X-Flix-Request-Id —
-// so a caller's ID correlates router and shard logs — or assigns a fresh
-// one, and propagates it into the context for the gather loop's shard RPCs.
-func (rt *Router) withRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := SanitizeRequestID(r.Header.Get(RequestIDHeader))
-		if id == "" {
-			id = fmt.Sprintf("%08x", rt.reqSeq.Add(1))
-		}
-		w.Header().Set(RequestIDHeader, id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), reqIDKey, id)))
-	})
-}
-
-// SanitizeRequestID validates a client-supplied request ID: 1..64 chars of
-// [A-Za-z0-9._-].  Anything else returns "" (caller assigns a fresh ID) so
-// hostile header values never reach a log line or an upstream header.
-func SanitizeRequestID(raw string) string {
-	if len(raw) == 0 || len(raw) > 64 {
-		return ""
+// Open starts one admitted request's scatter-gather backend, under a
+// cluster trace when the client asked for one with ?trace=1; the untraced
+// default keeps the gather loop on its untraced path.
+func (t *routerTier) Open(ctx context.Context, req front.Request) front.Backend {
+	rt := (*Router)(t)
+	b := &routerBackend{rt: rt, ctx: ctx, req: req}
+	if req.Trace {
+		rt.tracedQueries.Add(1)
+		b.tb = newTraceBuilder(req.ID, req.Endpoint, len(rt.shards))
 	}
-	for i := 0; i < len(raw); i++ {
-		c := raw[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '.', c == '_', c == '-':
-		default:
-			return ""
-		}
-	}
-	return raw
-}
-
-// admit wraps a handler with the readiness gate, cluster backpressure, the
-// admission semaphore and the per-request deadline — the single-node
-// server's admission pipeline with one extra stage (shard saturation).
-func (rt *Router) admit(endpoint string, counter *atomic.Int64, h func(http.ResponseWriter, *http.Request, context.Context)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		counter.Add(1)
-		if !rt.Ready() {
-			rt.notReady.Add(1)
-			w.Header().Set("Retry-After", "1")
-			rt.fail(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("router not ready: %d/%d shards up (quorum %d)",
-					rt.readyShards(), len(rt.shards), rt.cfg.Quorum))
-			return
-		}
-		if rt.saturatedCluster() {
-			rt.shed.Add(1)
-			w.Header().Set("Retry-After", "1")
-			rt.fail(w, http.StatusTooManyRequests, "all shards at capacity, retry later")
-			return
-		}
-		select {
-		case rt.sem <- struct{}{}:
-			defer func() { <-rt.sem }()
-		default:
-			rt.shed.Add(1)
-			w.Header().Set("Retry-After", "1")
-			rt.fail(w, http.StatusTooManyRequests, "router at capacity, retry later")
-			return
-		}
-		timeout, err := rt.timeoutFor(r)
-		if err != nil {
-			rt.fail(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		t0 := time.Now()
-		h(w, r, ctx)
-		if hg := rt.latency[endpoint]; hg != nil {
-			hg.Observe(time.Since(t0))
-		}
-	}
-}
-
-// handleDescendants answers GET /v1/descendants with the single-node wire
-// shape plus the partial-results contract: "partial" and "failedShards" in
-// the body, X-Flix-Shards-Failed on the response.
-func (rt *Router) handleDescendants(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-	q := r.URL.Query()
-	start, err := rt.resolveNode(q.Get("start"))
-	if err != nil {
-		rt.fail(w, http.StatusNotFound, "start: "+err.Error())
-		return
-	}
-	k, err := rt.limitFor(r)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	maxDist, err := intParam(q.Get("maxdist"), 0)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, "bad maxdist: "+err.Error())
-		return
-	}
-	includeSelf := boolParam(q.Get("self"))
-	tb := rt.traceFor(r, ctx, "descendants")
-	g := rt.gatherDescendants(ctx, requestIDFrom(ctx), start, q.Get("tag"), int32(maxDist), k, includeSelf, tb)
-	timedOut := expired(ctx)
-	if timedOut {
-		rt.timeouts.Add(1)
-	}
-	results := make([]nodeJSON, 0, min(len(g.results), k))
-	for _, e := range g.results {
-		if len(results) >= k {
-			break
-		}
-		results = append(results, rt.nodeJSON(e.Node, e.Dist))
-	}
-	rt.setPartialHeader(w, g)
-	resp := map[string]any{
-		"results":      results,
-		"count":        len(results),
-		"timedOut":     timedOut,
-		"partial":      g.partial,
-		"failedShards": g.failed,
-		"rounds":       g.rounds,
-	}
-	if tb != nil {
-		resp["trace"] = tb.finish(int64(len(results)), g.partial, g.failed)
-	}
-	rt.ok(w, resp)
-}
-
-// traceFor starts a cluster trace when the request asked for one with
-// ?trace=1.  nil (the common case) keeps the gather loop on its untraced
-// path.
-func (rt *Router) traceFor(r *http.Request, ctx context.Context, endpoint string) *traceBuilder {
-	if !boolParam(r.URL.Query().Get("trace")) {
-		return nil
-	}
-	rt.tracedQueries.Add(1)
-	return newTraceBuilder(requestIDFrom(ctx), endpoint, len(rt.shards))
-}
-
-// handleConnected answers GET /v1/connected by gathering start//tag(to)
-// with an early stop once the target's distance is final.
-func (rt *Router) handleConnected(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-	q := r.URL.Query()
-	from, err := rt.resolveNode(q.Get("from"))
-	if err != nil {
-		rt.fail(w, http.StatusNotFound, "from: "+err.Error())
-		return
-	}
-	to, err := rt.resolveNode(q.Get("to"))
-	if err != nil {
-		rt.fail(w, http.StatusNotFound, "to: "+err.Error())
-		return
-	}
-	maxDist, err := intParam(q.Get("maxdist"), 0)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, "bad maxdist: "+err.Error())
-		return
-	}
-	tb := rt.traceFor(r, ctx, "connected")
-	var (
-		dist int32
-		ok   bool
-		g    gatherOut
-	)
-	if from == to {
-		dist, ok = 0, true
-	} else {
-		g = rt.gather(ctx, requestIDFrom(ctx), []flix.FrontierEntry{{Node: from, Dist: 0}},
-			rt.coll.Tag(to), int32(maxDist), 0, to, tb)
-		for _, e := range g.results {
-			if e.Node == to {
-				dist, ok = e.Dist, true
-				break
-			}
-		}
-	}
-	timedOut := expired(ctx)
-	if timedOut {
-		rt.timeouts.Add(1)
-	}
-	rt.setPartialHeader(w, g)
-	resp := map[string]any{"connected": ok, "timedOut": timedOut, "partial": g.partial, "failedShards": g.failed}
-	if ok {
-		resp["dist"] = dist
-	}
-	if tb != nil {
-		var n int64
-		if ok {
-			n = 1
-		}
-		resp["trace"] = tb.finish(n, g.partial, g.failed)
-	}
-	rt.ok(w, resp)
-}
-
-// handleQuery answers GET /v1/query: the regular ranked evaluator running
-// against the scatter-gather backend, so every //-step scan fans out.
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-	expr := r.URL.Query().Get("q")
-	if expr == "" {
-		rt.fail(w, http.StatusBadRequest, "missing q parameter")
-		return
-	}
-	k, err := rt.limitFor(r)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	pq, err := query.Parse(expr)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	tb := rt.traceFor(r, ctx, "query")
-	be := &routerBackend{rt: rt, ctx: ctx, reqID: requestIDFrom(ctx), tb: tb}
-	eval := &query.Evaluator{
-		Index:      be,
-		Ontology:   rt.onto,
-		MaxResults: k,
-		Cancel:     ctx.Done(),
-	}
-	matches := eval.EvaluateTopK(pq, k)
-	timedOut := expired(ctx)
-	if timedOut {
-		rt.timeouts.Add(1)
-	}
-	type matchJSON struct {
-		nodeJSON
-		Score   float64 `json:"score"`
-		PathLen int32   `json:"pathLen"`
-	}
-	out := make([]matchJSON, 0, len(matches))
-	for _, m := range matches {
-		out = append(out, matchJSON{
-			nodeJSON: rt.nodeJSON(m.Node, m.PathLen),
-			Score:    m.Score,
-			PathLen:  m.PathLen,
-		})
-	}
-	rt.setPartialHeader(w, gatherOut{partial: be.partial, failed: be.failed})
-	resp := map[string]any{
-		"results":      out,
-		"count":        len(out),
-		"timedOut":     timedOut,
-		"partial":      be.partial,
-		"failedShards": be.failed,
-	}
-	if tb != nil {
-		// The ranked evaluator's own work shape rides on the root span;
-		// each //-step scan is one gather child beneath it.
-		tb.root.SetAttr("steps", int64(eval.Stats.Steps))
-		tb.root.SetAttr("scans", int64(eval.Stats.Scans))
-		tb.root.SetAttr("anchored", int64(eval.Stats.Anchored))
-		resp["trace"] = tb.finish(int64(len(out)), be.partial, be.failed)
-	}
-	rt.ok(w, resp)
-}
-
-// setPartialHeader attaches X-Flix-Shards-Failed when shards dropped out of
-// a gather.
-func (rt *Router) setPartialHeader(w http.ResponseWriter, g gatherOut) {
-	if len(g.failed) == 0 {
-		return
-	}
-	ids := make([]string, len(g.failed))
-	for i, sh := range g.failed {
-		ids[i] = strconv.Itoa(sh)
-	}
-	w.Header().Set(FailedShardsHeader, strings.Join(ids, ","))
-}
-
-// --- request plumbing shared with the single-node server's wire shape ---
-// (internal/server imports this package, so these small helpers are
-// duplicated rather than imported back.)
-
-func (rt *Router) timeoutFor(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("timeout")
-	if raw == "" {
-		return rt.cfg.DefaultTimeout, nil
-	}
-	d, err := time.ParseDuration(raw)
-	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("bad timeout %q (want a positive duration like 500ms)", raw)
-	}
-	if d > rt.cfg.MaxTimeout {
-		d = rt.cfg.MaxTimeout
-	}
-	return d, nil
-}
-
-func (rt *Router) limitFor(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("k")
-	if raw == "" {
-		return rt.cfg.DefaultLimit, nil
-	}
-	k, err := strconv.Atoi(raw)
-	if err != nil || k <= 0 {
-		return 0, fmt.Errorf("bad k %q (want a positive integer)", raw)
-	}
-	if k > rt.cfg.MaxLimit {
-		k = rt.cfg.MaxLimit
-	}
-	return k, nil
-}
-
-func (rt *Router) resolveNode(raw string) (xmlgraph.NodeID, error) {
-	if raw == "" {
-		return xmlgraph.InvalidNode, fmt.Errorf("missing node parameter")
-	}
-	if d, ok := rt.coll.DocByName(raw); ok {
-		return rt.coll.Doc(d).Root, nil
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil || n < 0 || n >= rt.coll.NumNodes() {
-		return xmlgraph.InvalidNode, fmt.Errorf("unknown node %q (want a document name or a node id < %d)", raw, rt.coll.NumNodes())
-	}
-	return xmlgraph.NodeID(n), nil
-}
-
-type nodeJSON struct {
-	Node xmlgraph.NodeID `json:"node"`
-	Tag  string          `json:"tag"`
-	Doc  string          `json:"doc"`
-	Text string          `json:"text,omitempty"`
-	Dist int32           `json:"dist"`
-}
-
-func (rt *Router) nodeJSON(n xmlgraph.NodeID, dist int32) nodeJSON {
-	return nodeJSON{
-		Node: n,
-		Tag:  rt.coll.Tag(n),
-		Doc:  rt.coll.Doc(rt.coll.DocOf(n)).Name,
-		Text: snippet(rt.coll.Node(n).Text),
-		Dist: dist,
-	}
-}
-
-func snippet(t string) string {
-	t = strings.Join(strings.Fields(t), " ")
-	if len(t) > 80 {
-		t = t[:77] + "..."
-	}
-	return t
-}
-
-func expired(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		return true
-	}
-	dl, ok := ctx.Deadline()
-	return ok && !time.Now().Before(dl)
-}
-
-func (rt *Router) ok(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-func (rt *Router) fail(w http.ResponseWriter, code int, msg string) {
-	if code >= 400 && code < 500 && code != http.StatusTooManyRequests {
-		rt.clientErrors.Add(1)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]any{"error": msg}) //nolint:errcheck
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.status = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (rt *Router) logged(next http.Handler) http.Handler {
-	if rt.cfg.Logger == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		t0 := time.Now()
-		next.ServeHTTP(sw, r)
-		rt.cfg.Logger.Printf("id=%s %s %s %d %s", requestIDFrom(r.Context()),
-			r.Method, r.URL.RequestURI(), sw.status, time.Since(t0).Round(time.Microsecond))
-	})
-}
-
-func intParam(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("%q is not a non-negative integer", raw)
-	}
-	return n, nil
-}
-
-func boolParam(raw string) bool {
-	return raw == "1" || raw == "true"
+	return b
 }

@@ -3,8 +3,10 @@ package shard
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
+	"repro/internal/front"
 	"repro/internal/obs"
 )
 
@@ -40,8 +42,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"readyShards": readyShards,
 		"shards":      len(rt.shards),
 		"quorum":      rt.cfg.Quorum,
-		"inFlight":    len(rt.sem),
-		"maxInFlight": cap(rt.sem),
+		"inFlight":    rt.front.InFlight(),
+		"maxInFlight": rt.front.MaxInFlight(),
 		"uptime":      time.Since(rt.started).Round(time.Millisecond).String(),
 		"shardStates": shards,
 	}
@@ -50,7 +52,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	rt.ok(w, body)
+	front.OK(w, body)
 }
 
 // handleStatsz renders the router's operational counters plus a per-shard
@@ -67,7 +69,7 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	latency := map[string]any{}
-	for ep, h := range rt.latency {
+	for ep, h := range rt.front.Latency() {
 		sn := h.Snapshot()
 		latency[ep] = map[string]any{
 			"count": sn.Count,
@@ -99,21 +101,21 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			shards[i]["lastError"] = e
 		}
 	}
-	rt.ok(w, map[string]any{
+	front.OK(w, map[string]any{
 		"ready":    rt.Ready(),
 		"uptime":   time.Since(rt.started).Round(time.Millisecond).String(),
 		"topology": topoSection,
 		"requests": map[string]any{
-			"descendants":  rt.reqDescendants.Load(),
-			"connected":    rt.reqConnected.Load(),
-			"query":        rt.reqQuery.Load(),
-			"batch":        rt.reqBatch.Load(),
-			"shed":         rt.shed.Load(),
-			"notReady":     rt.notReady.Load(),
-			"timeouts":     rt.timeouts.Load(),
-			"clientErrors": rt.clientErrors.Load(),
-			"inFlight":     len(rt.sem),
-			"maxInFlight":  cap(rt.sem),
+			"descendants":  rt.front.Requests("descendants"),
+			"connected":    rt.front.Requests("connected"),
+			"query":        rt.front.Requests("query"),
+			"batch":        rt.front.Requests("batch"),
+			"shed":         rt.front.Shed.Load(),
+			"notReady":     rt.front.NotReady.Load(),
+			"timeouts":     rt.front.Timeouts.Load(),
+			"clientErrors": rt.front.ClientErrors.Load(),
+			"inFlight":     rt.front.InFlight(),
+			"maxInFlight":  rt.front.MaxInFlight(),
 		},
 		"scatter": map[string]any{
 			"fanouts":          rt.fanouts.Load(),
@@ -147,103 +149,43 @@ func ratio(num, den int64) float64 {
 	return float64(num) / float64(den)
 }
 
-// handleMetrics renders the router counters in the Prometheus text format,
-// same hand-rolled exposition as the single-node server (internal/obs).
+// handleMetrics renders the router counters in the Prometheus text format:
+// the families every tier shares come from the front, the shard, scatter
+// and per-shard RPC families from here.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
+	metric := func(name, kind, help string, v any) { front.Metric(p, "flix_router_"+name, kind, help, v) }
+	rt.front.WriteMetrics(p)
 
-	p("# HELP flix_router_ready Whether the router serves (topology loaded, quorum up).\n")
-	p("# TYPE flix_router_ready gauge\n")
-	if rt.Ready() {
-		p("flix_router_ready 1\n")
-	} else {
-		p("flix_router_ready 0\n")
-	}
-	p("# HELP flix_router_shards_ready Shards currently probing ready.\n")
-	p("# TYPE flix_router_shards_ready gauge\n")
-	p("flix_router_shards_ready %d\n", rt.readyShards())
-	p("# HELP flix_router_shards Configured shards.\n")
-	p("# TYPE flix_router_shards gauge\n")
-	p("flix_router_shards %d\n", len(rt.shards))
+	metric("shards_ready", "gauge", "Shards currently probing ready.", rt.readyShards())
+	metric("shards", "gauge", "Configured shards.", len(rt.shards))
+	metric("fanouts_total", "counter", "Shard RPC batches dispatched.", rt.fanouts.Load())
+	metric("gathers_total", "counter", "Scatter-gather evaluations executed.", rt.gathers.Load())
+	metric("rounds_total", "counter", "Scatter-gather rounds executed.", rt.rounds.Load())
+	metric("rounds_per_gather", "gauge", "Mean re-dispatch rounds per gather since start.", ratio(rt.rounds.Load(), rt.gathers.Load()))
+	metric("hops_total", "counter", "Cross-shard hop entries returned by shards.", rt.hops.Load())
+	metric("hops_deduped_total", "counter", "Hop entries dropped by the best-distance map.", rt.hopsDeduped.Load())
+	metric("hops_redispatched_total", "counter", "Hop entries re-dispatched to their owning shard.", rt.hopsRedispatched.Load())
+	metric("early_stops_total", "counter", "Gathers ended by the top-k or connectivity watermark.", rt.earlyStops.Load())
+	metric("budget_stops_total", "counter", "Gathers that exhausted the hop budget.", rt.budgetStops.Load())
+	metric("partial_results_total", "counter", "Queries answered with a partial result.", rt.partials.Load())
+	metric("shard_failures_total", "counter", "Shard batches dropped after retries.", rt.shardFailures.Load())
+	metric("traced_queries_total", "counter", "Queries evaluated with ?trace=1 distributed tracing.", rt.tracedQueries.Load())
 
-	p("# HELP flix_router_requests_total Query requests received, by endpoint.\n")
-	p("# TYPE flix_router_requests_total counter\n")
-	p("flix_router_requests_total{endpoint=\"descendants\"} %d\n", rt.reqDescendants.Load())
-	p("flix_router_requests_total{endpoint=\"connected\"} %d\n", rt.reqConnected.Load())
-	p("flix_router_requests_total{endpoint=\"query\"} %d\n", rt.reqQuery.Load())
-	p("# HELP flix_router_requests_shed_total Requests rejected 429 (router or cluster at capacity).\n")
-	p("# TYPE flix_router_requests_shed_total counter\n")
-	p("flix_router_requests_shed_total %d\n", rt.shed.Load())
-	p("# HELP flix_router_requests_not_ready_total Requests answered 503 below quorum.\n")
-	p("# TYPE flix_router_requests_not_ready_total counter\n")
-	p("flix_router_requests_not_ready_total %d\n", rt.notReady.Load())
-	p("# HELP flix_router_request_timeouts_total Requests whose deadline expired mid-gather.\n")
-	p("# TYPE flix_router_request_timeouts_total counter\n")
-	p("flix_router_request_timeouts_total %d\n", rt.timeouts.Load())
-	p("# HELP flix_router_client_errors_total Requests rejected with a 4xx other than 429.\n")
-	p("# TYPE flix_router_client_errors_total counter\n")
-	p("flix_router_client_errors_total %d\n", rt.clientErrors.Load())
-
-	p("# HELP flix_router_fanouts_total Shard RPC batches dispatched.\n")
-	p("# TYPE flix_router_fanouts_total counter\n")
-	p("flix_router_fanouts_total %d\n", rt.fanouts.Load())
-	p("# HELP flix_router_gathers_total Scatter-gather evaluations executed.\n")
-	p("# TYPE flix_router_gathers_total counter\n")
-	p("flix_router_gathers_total %d\n", rt.gathers.Load())
-	p("# HELP flix_router_rounds_total Scatter-gather rounds executed.\n")
-	p("# TYPE flix_router_rounds_total counter\n")
-	p("flix_router_rounds_total %d\n", rt.rounds.Load())
-	p("# HELP flix_router_rounds_per_gather Mean re-dispatch rounds per gather since start.\n")
-	p("# TYPE flix_router_rounds_per_gather gauge\n")
-	p("flix_router_rounds_per_gather %s\n", obs.FormatFloat(ratio(rt.rounds.Load(), rt.gathers.Load())))
-	p("# HELP flix_router_hops_total Cross-shard hop entries returned by shards.\n")
-	p("# TYPE flix_router_hops_total counter\n")
-	p("flix_router_hops_total %d\n", rt.hops.Load())
-	p("# HELP flix_router_hops_deduped_total Hop entries dropped by the best-distance map.\n")
-	p("# TYPE flix_router_hops_deduped_total counter\n")
-	p("flix_router_hops_deduped_total %d\n", rt.hopsDeduped.Load())
-	p("# HELP flix_router_hops_redispatched_total Hop entries re-dispatched to their owning shard.\n")
-	p("# TYPE flix_router_hops_redispatched_total counter\n")
-	p("flix_router_hops_redispatched_total %d\n", rt.hopsRedispatched.Load())
-	p("# HELP flix_router_early_stops_total Gathers ended by the top-k or connectivity watermark.\n")
-	p("# TYPE flix_router_early_stops_total counter\n")
-	p("flix_router_early_stops_total %d\n", rt.earlyStops.Load())
-	p("# HELP flix_router_budget_stops_total Gathers that exhausted the hop budget.\n")
-	p("# TYPE flix_router_budget_stops_total counter\n")
-	p("flix_router_budget_stops_total %d\n", rt.budgetStops.Load())
-	p("# HELP flix_router_partial_results_total Queries answered with a partial result.\n")
-	p("# TYPE flix_router_partial_results_total counter\n")
-	p("flix_router_partial_results_total %d\n", rt.partials.Load())
-	p("# HELP flix_router_shard_failures_total Shard batches dropped after retries.\n")
-	p("# TYPE flix_router_shard_failures_total counter\n")
-	p("flix_router_shard_failures_total %d\n", rt.shardFailures.Load())
-	p("# HELP flix_router_traced_queries_total Queries evaluated with ?trace=1 distributed tracing.\n")
-	p("# TYPE flix_router_traced_queries_total counter\n")
-	p("flix_router_traced_queries_total %d\n", rt.tracedQueries.Load())
-
-	p("# HELP flix_router_request_duration_seconds Query latency by endpoint.\n")
-	p("# TYPE flix_router_request_duration_seconds histogram\n")
-	for _, ep := range []string{"connected", "descendants", "query"} {
-		writeHistogram(p, "flix_router_request_duration_seconds", "endpoint", ep, rt.latency[ep].Snapshot())
-	}
-	p("# HELP flix_router_shard_rpc_duration_seconds Shard RPC latency by shard.\n")
-	p("# TYPE flix_router_shard_rpc_duration_seconds histogram\n")
+	front.MetricHead(p, "flix_router_shard_rpc_duration_seconds", "histogram", "Shard RPC latency by shard.")
 	for i := range rt.shards {
-		writeHistogram(p, "flix_router_shard_rpc_duration_seconds", "shard", fmt.Sprintf("%d", i), rt.shardLatency[i].Snapshot())
+		obs.WriteHistogramText(p, "flix_router_shard_rpc_duration_seconds", "shard", strconv.Itoa(i), rt.shardLatency[i].Snapshot())
 	}
-	p("# HELP flix_router_shard_rpcs_total Eval RPCs dispatched, by shard.\n")
-	p("# TYPE flix_router_shard_rpcs_total counter\n")
+	front.MetricHead(p, "flix_router_shard_rpcs_total", "counter", "Eval RPCs dispatched, by shard.")
 	for i, st := range rt.shards {
 		p("flix_router_shard_rpcs_total{shard=\"%d\"} %d\n", i, st.rpcs.Load())
 	}
-	p("# HELP flix_router_shard_rpc_errors_total Eval RPCs that failed after retries, by shard.\n")
-	p("# TYPE flix_router_shard_rpc_errors_total counter\n")
+	front.MetricHead(p, "flix_router_shard_rpc_errors_total", "counter", "Eval RPCs that failed after retries, by shard.")
 	for i, st := range rt.shards {
 		p("flix_router_shard_rpc_errors_total{shard=\"%d\"} %d\n", i, st.rpcErrors.Load())
 	}
-	p("# HELP flix_router_shard_ready Per-shard readiness.\n")
-	p("# TYPE flix_router_shard_ready gauge\n")
+	front.MetricHead(p, "flix_router_shard_ready", "gauge", "Per-shard readiness.")
 	for i, st := range rt.shards {
 		v := 0
 		if st.ready.Load() {
@@ -251,13 +193,4 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		p("flix_router_shard_ready{shard=\"%d\"} %d\n", i, v)
 	}
-	p("# HELP flix_router_inflight_requests Queries currently evaluating.\n")
-	p("# TYPE flix_router_inflight_requests gauge\n")
-	p("flix_router_inflight_requests %d\n", len(rt.sem))
-
-	obs.WriteGoRuntimeText(p)
 }
-
-// writeHistogram aliases the exposition helper shared with the single-node
-// server's /metrics.
-var writeHistogram = obs.WriteHistogramText

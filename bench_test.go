@@ -11,6 +11,7 @@
 package flix_test
 
 import (
+	"bytes"
 	"os"
 	"strconv"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	flix "repro"
 	"repro/internal/bench"
 	"repro/internal/dblp"
+	iflix "repro/internal/flix"
 	"repro/internal/hopi"
 	"repro/internal/lgraph"
 	"repro/internal/query"
@@ -321,6 +323,68 @@ func BenchmarkAblationHopiDC(b *testing.B) {
 				bytes, _ = ix.SizeBytes()
 			}
 			b.ReportMetric(float64(bytes), "index-bytes")
+		})
+	}
+}
+
+// BenchmarkDecompose measures the Meta Document Builder alone (partitioning
+// plus flattening into meta documents, §4.1–4.3) per configuration.  The
+// build phase pays it once and every snapshot open pays it again, which is
+// why it has a benchmark of its own; partition-ms and meta-ms split it the
+// way BuildStats does.
+func BenchmarkDecompose(b *testing.B) {
+	e := experiment(b)
+	for _, c := range []struct {
+		name string
+		cfg  flix.Config
+	}{
+		{"hybrid-5000", flix.Config{Kind: flix.Hybrid, PartitionSize: 5000, MinTreeDocs: 2}},
+		{"hybrid-2000", flix.Config{Kind: flix.Hybrid, PartitionSize: 2000, MinTreeDocs: 2}},
+		{"unconnected-hopi", flix.Config{Kind: flix.UnconnectedHOPI, PartitionSize: 5000}},
+		{"naive", flix.Config{Kind: flix.Naive}},
+		{"element-level", flix.Config{Kind: flix.ElementLevel, PartitionSize: 5000}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var bs flix.BuildStats
+			for i := 0; i < b.N; i++ {
+				var err error
+				if _, bs, err = iflix.Decompose(e.Coll, c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(bs.Partition.Microseconds())/1e3, "partition-ms")
+			b.ReportMetric(float64(bs.MetaBuild.Microseconds())/1e3, "meta-ms")
+		})
+	}
+}
+
+// BenchmarkOpenSnapshot measures a v2 snapshot open from memory, raw and
+// compressed: the decomposition above plus opening every section in place.
+func BenchmarkOpenSnapshot(b *testing.B) {
+	e := experiment(b)
+	bu := built(b, bench.Entry{Label: "Hybrid",
+		Config: flix.Config{Kind: flix.Hybrid, PartitionSize: 5000}})
+	for _, c := range []struct {
+		name string
+		opts iflix.SnapshotV2Options
+	}{
+		{"raw", iflix.SnapshotV2Options{}},
+		{"compressed", iflix.SnapshotV2Options{Compress: true}},
+	} {
+		var buf bytes.Buffer
+		if _, err := bu.Index.WriteSnapshotV2With(&buf, c.opts); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ix, err := flix.OpenSnapshotBytes(e.Coll, buf.Bytes())
+				if err != nil {
+					b.Fatal(err)
+				}
+				ix.Close()
+			}
 		})
 	}
 }

@@ -50,7 +50,7 @@ func main() {
 	topkSpeedup := flag.Float64("topk-speedup", 10, "minimum top-k latency speedup over the frozen reference the topk experiment accepts (0 disables)")
 	topkAllocRatio := flag.Float64("topk-alloc-ratio", 10, "minimum top-k allocation reduction over the frozen reference the topk experiment accepts (0 disables)")
 	mmapOut := flag.String("mmap-out", "BENCH_mmap.json", "output file for the mmap experiment's machine-readable results")
-	mmapOverhead := flag.Float64("mmap-overhead", 0.5, "maximum fraction of the shared decomposition time the v2 open may add on top (0 disables; the v1 parse typically adds far more)")
+	mmapOverhead := flag.Float64("mmap-overhead", 25, "maximum time in microseconds per meta document the v2 open may spend outside the decomposition (0 disables; opening sections in place takes 10-16, the v1 parse 35-40)")
 	compressOut := flag.String("compress-out", "BENCH_compress.json", "output file for the compress experiment's machine-readable results")
 	compressRatio := flag.Float64("compress-ratio", 4, "minimum size reduction over the raw v2 container the compress experiment accepts (0 disables)")
 	compressLatency := flag.Float64("compress-latency", 1.3, "maximum mapped-probe latency ratio (compressed over raw) the compress experiment accepts (0 disables)")

@@ -10,13 +10,19 @@ import (
 )
 
 // BuildStats breaks the build phase (§4) into its timed components:
-// partitioning the collection into meta documents, selecting a strategy for
-// each, and constructing the per-meta-document indexes.  flixd surfaces it
+// partitioning the collection, flattening the parts into meta documents,
+// selecting a strategy for each, and constructing the per-meta-document
+// indexes.  flixd surfaces it
 // via /statsz so operators can see where a rebuild spends its time.
 type BuildStats struct {
 	// Partition is the time the Meta Document Builder's partitioning
 	// took.
 	Partition time.Duration
+	// MetaBuild is the time it took to flatten the partitioning into meta
+	// documents: local numbering, local graphs and runtime link tables.
+	// Partition and MetaBuild together are the decomposition, which an index
+	// restored from disk pays too, so it reports both.
+	MetaBuild time.Duration
 	// Select is the summed time the Indexing Strategy Selector spent
 	// across all meta documents.
 	Select time.Duration
@@ -55,9 +61,9 @@ type StrategyBuild struct {
 // String renders the build statistics for logs.
 func (b BuildStats) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "partition %s, select %s, index build %s",
-		b.Partition.Round(time.Microsecond), b.Select.Round(time.Microsecond),
-		b.IndexBuild.Round(time.Microsecond))
+	fmt.Fprintf(&sb, "partition %s, meta build %s, select %s, index build %s",
+		b.Partition.Round(time.Microsecond), b.MetaBuild.Round(time.Microsecond),
+		b.Select.Round(time.Microsecond), b.IndexBuild.Round(time.Microsecond))
 	if b.Parallelism > 0 {
 		fmt.Fprintf(&sb, " (parallelism %d, %d workers)", b.Parallelism, len(b.Workers))
 	}
@@ -75,8 +81,8 @@ func (b BuildStats) String() string {
 }
 
 // BuildStats returns the build-phase timings recorded when the index was
-// constructed.  An index restored with Load reports only zeros apart from
-// what the restore path recorded.
+// constructed.  An index restored from disk reports only the decomposition
+// it recomputed (Partition, MetaBuild).
 func (ix *Index) BuildStats() BuildStats { return ix.bstats }
 
 // StrategyAt returns the name of the indexing strategy serving the meta

@@ -65,7 +65,7 @@ func (ix *Index) ConnectedOpts(a, b xmlgraph.NodeID, opts Options) (int32, bool)
 				}
 			}
 		}
-		for _, ls := range md.LinkSources {
+		for i, ls := range md.LinkSources {
 			d, ok := idx.Distance(le, ls)
 			if !ok {
 				continue
@@ -77,7 +77,7 @@ func (ix *Index) ConnectedOpts(a, b xmlgraph.NodeID, opts Options) (int32, bool)
 			if best >= 0 && nd >= best {
 				continue
 			}
-			for _, cl := range md.LinksFrom(ls) {
+			for _, cl := range md.LinksFrom(i) {
 				s.f.push(pqItem{dist: nd, node: cl.To})
 			}
 		}
@@ -195,12 +195,12 @@ func (h *halfSearch) step(other *halfSearch) (int32, bool) {
 	}
 
 	if h.forward {
-		for _, ls := range md.LinkSources {
+		for i, ls := range md.LinkSources {
 			d, ok := idx.Distance(le, ls)
 			if !ok {
 				continue
 			}
-			for _, cl := range md.LinksFrom(ls) {
+			for _, cl := range md.LinksFrom(i) {
 				h.f.push(pqItem{dist: it.dist + d + 1, node: cl.To})
 			}
 		}

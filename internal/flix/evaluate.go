@@ -387,7 +387,7 @@ func (r *evalRun) linkVisit(i int, d int32) bool {
 		return true
 	}
 	s := r.s
-	for _, cl := range r.md.LinksFrom(r.md.LinkSources[i]) {
+	for _, cl := range r.md.LinksFrom(i) {
 		r.linkHops++
 		if r.tr != nil {
 			r.tr.LinkHop(r.mi, int64(cl.To), nd)

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/meta"
-	"repro/internal/partition"
 	"repro/internal/pathindex"
 	"repro/internal/storage"
 	"repro/internal/xmlgraph"
@@ -159,9 +158,23 @@ type Index struct {
 	secRaw []int64
 
 	// scratch pools evalScratch values for the query hot path.  It is
-	// per-Index so the dense entered table is sized once and live
-	// generation swaps stay safe: each generation drains its own pool.
-	scratch sync.Pool
+	// per-Index so that live generation swaps stay safe: each generation
+	// drains its own pool.  It is allocated apart from the Index because
+	// the runtime keeps every pool in use reachable until the collection
+	// cycle after next: a pool embedded here would keep a retired
+	// generation — meta documents, indexes, link tables — alive that long,
+	// and under hot swap the retired generations of two cycles add up.
+	scratch *sync.Pool
+}
+
+// newIndex returns an Index over a decomposition, its per-meta-document
+// indexes still to be filled in.
+func newIndex(c *xmlgraph.Collection, cfg Config, set *meta.Set, bs BuildStats) *Index {
+	return &Index{
+		coll: c, set: set, cfg: cfg, bstats: bs,
+		pis:     make([]pathindex.Index, len(set.Metas)),
+		scratch: new(sync.Pool),
+	}
 }
 
 // Build runs the build phase on a frozen collection with default options
@@ -176,49 +189,22 @@ func BuildWithOptions(c *xmlgraph.Collection, cfg Config, opts BuildOptions) (*I
 		return nil, fmt.Errorf("flix: collection must be frozen before Build")
 	}
 	cfg = cfg.withDefaults()
-	preferred := cfg.Strategy
-	var set *meta.Set
-	var partTime time.Duration
-	switch cfg.Kind {
-	case Naive:
-		r := partition.Singleton(c)
-		partTime = r.Elapsed
-		set = meta.Build(c, r)
-	case MaximalPPO:
-		r := partition.TreePartitions(c)
-		partTime = r.Elapsed
-		set = meta.Build(c, r)
-		if preferred == "" {
-			preferred = "ppo"
-		}
-	case UnconnectedHOPI:
-		r := partition.SizeBounded(c, cfg.PartitionSize)
-		partTime = r.Elapsed
-		set = meta.Build(c, r)
-		if preferred == "" {
-			preferred = "hopi"
-		}
-	case Hybrid:
-		r := partition.Hybrid(c, cfg.PartitionSize, cfg.MinTreeDocs)
-		partTime = r.Elapsed
-		set = meta.Build(c, r)
-	case Monolithic:
-		r := partition.Whole(c)
-		partTime = r.Elapsed
-		set = meta.Build(c, r)
-		if preferred == "" {
-			preferred = "hopi"
-		}
-	case ElementLevel:
-		t0 := time.Now()
-		assign, parts := partition.ElementLevel(c, cfg.PartitionSize)
-		partTime = time.Since(t0)
-		set = meta.BuildElements(c, assign, parts)
-	default:
-		return nil, fmt.Errorf("flix: unknown configuration kind %v", cfg.Kind)
+	set, bs, err := Decompose(c, cfg)
+	if err != nil {
+		return nil, err
 	}
-	ix := &Index{coll: c, set: set, cfg: cfg, pis: make([]pathindex.Index, len(set.Metas))}
-	ix.bstats.Partition = partTime
+	ix := newIndex(c, cfg, set, bs)
+	// Configurations built around one strategy prefer it unless told
+	// otherwise.
+	preferred := cfg.Strategy
+	if preferred == "" {
+		switch cfg.Kind {
+		case MaximalPPO:
+			preferred = "ppo"
+		case UnconnectedHOPI, Monolithic:
+			preferred = "hopi"
+		}
+	}
 	if err := ix.buildIndexes(preferred, opts.Parallelism); err != nil {
 		return nil, err
 	}

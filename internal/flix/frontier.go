@@ -52,19 +52,6 @@ func (f *frontier4) push(it pqItem) {
 	f.siftUp(len(f.a) - 1)
 }
 
-// pop removes and returns the (dist, node)-minimum entry.
-func (f *frontier4) pop() pqItem {
-	a := f.a
-	min := a[0]
-	last := len(a) - 1
-	a[0] = a[last]
-	f.a = a[:last]
-	if last > 0 {
-		f.siftDown(0)
-	}
-	return min
-}
-
 // heapify establishes the heap property over a bulk-appended backing array
 // in O(n) — the multi-start TypeDescendants load.
 func (f *frontier4) heapify() {
@@ -118,10 +105,24 @@ func (f *frontier4) siftDown(i int) {
 	a[i] = it
 }
 
+// pop removes and returns the (dist, node)-minimum entry.  (Declared after
+// siftDown, like flushThrough and for the same reason.)
+func (f *frontier4) pop() pqItem {
+	a := f.a
+	min := a[0]
+	last := len(a) - 1
+	a[0] = a[last]
+	f.a = a[:last]
+	if last > 0 {
+		f.siftDown(0)
+	}
+	return min
+}
+
 // flushThrough pops every buffered result with distance <= bound into emit, in
 // (dist, node) order.  It reports false when the emit callback cancels; the
-// rest stays buffered.  (Declared last so that it does not move siftDown,
-// whose loop runs 5 % slower at the other 32-byte offset — see ROADMAP.)
+// rest stays buffered.  (Declared after siftDown so that it does not move it:
+// siftDown's loop runs 5 % slower at the other 32-byte offset — see ROADMAP.)
 func (f *frontier4) flushThrough(bound int32, emit func(Result) bool) bool {
 	for f.Len() > 0 && f.a[0].dist <= bound {
 		it := f.pop()

@@ -202,7 +202,7 @@ func (ix *Index) referenceEvaluate(starts []pqItem, tag string, opts Options, fn
 		}
 
 	links:
-		for _, ls := range md.LinkSources {
+		for i, ls := range md.LinkSources {
 			d, ok := idx.Distance(le, ls)
 			if !ok {
 				continue
@@ -211,7 +211,7 @@ func (ix *Index) referenceEvaluate(starts []pqItem, tag string, opts Options, fn
 			if opts.MaxDist > 0 && nd > opts.MaxDist {
 				continue
 			}
-			for _, cl := range md.LinksFrom(ls) {
+			for _, cl := range md.LinksFrom(i) {
 				heap.Push(&f, pqItem{dist: nd, node: cl.To})
 				if tr != nil {
 					tr.LinkHop(mi, int64(cl.To), nd)

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/meta"
 	"repro/internal/partition"
-	"repro/internal/pathindex"
 	"repro/internal/storage"
 	"repro/internal/xmlgraph"
 )
@@ -81,29 +81,47 @@ func (ix *Index) SizeBytes() (int64, error) {
 	return ix.WriteTo(io.Discard)
 }
 
-// decompose recomputes the meta-document decomposition a stored
-// configuration describes.  Both snapshot loaders (the v1 stream and the
-// v2 mmap container) rely on it being deterministic: the collection plus
-// the stored Config fully determine the meta documents, so only the
-// per-meta-document indexes need to be persisted.
-func decompose(c *xmlgraph.Collection, cfg Config) (*meta.Set, error) {
+// Decompose computes the meta-document decomposition a configuration
+// describes — the Meta Document Builder of §4.1 — and stamps the two phases
+// it times, Partition and MetaBuild, into the returned statistics.  It is the
+// only place a ConfigKind turns into meta documents: the build phase and both
+// snapshot loaders (the v1 stream and the v2 mmap container) call it, and the
+// loaders rely on it being deterministic — the collection plus the stored
+// Config fully determine the meta documents, so only the per-meta-document
+// indexes are persisted.
+func Decompose(c *xmlgraph.Collection, cfg Config) (*meta.Set, BuildStats, error) {
+	var (
+		bs     BuildStats
+		r      *partition.Result // document-level kinds
+		assign []int32           // ElementLevel
+		parts  int
+	)
+	t0 := time.Now()
 	switch cfg.Kind {
 	case Naive:
-		return meta.Build(c, partition.Singleton(c)), nil
+		r = partition.Singleton(c)
 	case MaximalPPO:
-		return meta.Build(c, partition.TreePartitions(c)), nil
+		r = partition.TreePartitions(c)
 	case UnconnectedHOPI:
-		return meta.Build(c, partition.SizeBounded(c, cfg.PartitionSize)), nil
+		r = partition.SizeBounded(c, cfg.PartitionSize)
 	case Hybrid:
-		return meta.Build(c, partition.Hybrid(c, cfg.PartitionSize, cfg.MinTreeDocs)), nil
+		r = partition.Hybrid(c, cfg.PartitionSize, cfg.MinTreeDocs)
 	case Monolithic:
-		return meta.Build(c, partition.Whole(c)), nil
+		r = partition.Whole(c)
 	case ElementLevel:
-		assign, parts := partition.ElementLevel(c, cfg.PartitionSize)
-		return meta.BuildElements(c, assign, parts), nil
+		assign, parts = partition.ElementLevel(c, cfg.PartitionSize)
 	default:
-		return nil, fmt.Errorf("flix: stored configuration kind %d unknown", cfg.Kind)
+		return nil, bs, fmt.Errorf("flix: unknown configuration kind %v", cfg.Kind)
 	}
+	bs.Partition = time.Since(t0)
+	var set *meta.Set
+	if r != nil {
+		set = meta.Build(c, r)
+	} else {
+		set = meta.BuildElements(c, assign, parts)
+	}
+	bs.MetaBuild = time.Since(t0) - bs.Partition
+	return set, bs, nil
 }
 
 // Load restores an index written by WriteTo.  The collection must be the
@@ -141,7 +159,7 @@ func Load(c *xmlgraph.Collection, r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("flix: unreasonable meta-document count %d in snapshot", nMetas)
 	}
 
-	set, err := decompose(c, cfg)
+	set, bs, err := Decompose(c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +167,8 @@ func Load(c *xmlgraph.Collection, r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("flix: stream has %d meta documents, collection yields %d — wrong collection?",
 			nMetas, len(set.Metas))
 	}
-	ix := &Index{coll: c, set: set, cfg: cfg, pis: make([]pathindex.Index, nMetas), format: "v1"}
+	ix := newIndex(c, cfg, set, bs)
+	ix.format = "v1"
 	for i, md := range set.Metas {
 		kind, err := sr.ReadHeader()
 		if err != nil {

@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"repro/internal/meta"
-	"repro/internal/pathindex"
 	"repro/internal/storage"
 	"repro/internal/xmlgraph"
 )
@@ -287,7 +286,7 @@ func openSnapshot(c *xmlgraph.Collection, snap *storage.Snapshot) (*Index, error
 		}
 	}
 
-	set, err := decompose(c, cfg)
+	set, bs, err := Decompose(c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +294,8 @@ func openSnapshot(c *xmlgraph.Collection, snap *storage.Snapshot) (*Index, error
 		return nil, fmt.Errorf("flix: snapshot has %d meta documents, collection yields %d — wrong collection?",
 			nMetas, len(set.Metas))
 	}
-	ix := &Index{coll: c, set: set, cfg: cfg, pis: make([]pathindex.Index, nMetas), snap: snap, format: "v2", secRaw: secRaw}
+	ix := newIndex(c, cfg, set, bs)
+	ix.snap, ix.format, ix.secRaw = snap, "v2", secRaw
 	for i, md := range set.Metas {
 		fp := fps[i]
 		if fp.nodes != md.Graph.NumNodes() || fp.links != len(md.OutLinks) || fp.hash != linkHash(md) {

@@ -10,10 +10,7 @@
 // them reusable for any directed labeled graph.
 package lgraph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Tag is a dictionary-compressed element name.  It is an alias (not a
 // defined type) so the index packages' probe methods, which take tags,
@@ -31,6 +28,8 @@ type LGraph struct {
 	n int
 
 	// CSR adjacency: successors of u are adjTargets[adjOff[u]:adjOff[u+1]].
+	// adjTargets may be shared with other graphs (FromAdjacency), so
+	// adjOff[0] is not necessarily 0.
 	adjOff     []int32
 	adjTargets []int32
 
@@ -85,45 +84,81 @@ func (b *Builder) NumNodes() int { return len(b.tags) }
 // Finish builds the immutable graph.  Parallel edges are kept (they are
 // harmless for reachability and distance).
 func (b *Builder) Finish() *LGraph {
-	g := &LGraph{
-		n:        len(b.tags),
-		tags:     b.tags,
-		tagNames: b.tagNames,
-		tagIDs:   b.tagIDs,
-	}
-	g.adjOff, g.adjTargets = buildCSR(g.n, b.from, b.to)
-	g.radjOff, g.radjTargets = buildCSR(g.n, b.to, b.from)
-	return g
-}
-
-func buildCSR(n int, from, to []int32) (off, targets []int32) {
-	off = make([]int32, n+1)
-	for _, u := range from {
-		off[u+1]++
+	n := len(b.tags)
+	succOff := make([]int32, n+1)
+	for _, u := range b.from {
+		succOff[u+1]++
 	}
 	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
+		succOff[i+1] += succOff[i]
 	}
-	targets = make([]int32, len(from))
+	succ := make([]int32, len(b.from))
 	cursor := make([]int32, n)
-	copy(cursor, off[:n])
-	for i, u := range from {
-		targets[cursor[u]] = to[i]
+	copy(cursor, succOff)
+	for i, u := range b.from {
+		succ[cursor[u]] = b.to[i]
 		cursor[u]++
 	}
-	// Sort each adjacency run for deterministic iteration order.
-	for u := 0; u < n; u++ {
-		run := targets[off[u]:off[u+1]]
-		sort.Slice(run, func(i, j int) bool { return run[i] < run[j] })
+	return FromAdjacency(b.tags, b.tagNames, b.tagIDs,
+		succOff, succ, make([]int32, n+1), make([]int32, len(succ)), cursor)
+}
+
+// FromAdjacency assembles a graph over storage the caller provides, so that
+// a bulk producer (meta.Build) can carve many graphs out of a few exact-size
+// arrays.  tags holds one tag per node and tagNames/tagIDs the dictionary
+// behind them.  succOff/succ is the forward adjacency in CSR form with runs
+// in any order; the offsets are positions in succ and need not start at 0, so
+// consecutive graphs can share one offsets array and one succ.  predOff
+// (len(succOff)) and pred (len(succ)) receive the reverse adjacency over the
+// same range of positions, and scratch needs one element per node.  The graph
+// keeps every argument but scratch, and both adjacencies come out with
+// ascending runs.
+func FromAdjacency(tags []Tag, tagNames []string, tagIDs map[string]Tag,
+	succOff, succ, predOff, pred, scratch []int32) *LGraph {
+	n := len(tags)
+	clear(predOff)
+	for _, v := range succ[succOff[0]:succOff[n]] {
+		predOff[v+1]++
 	}
-	return off, targets
+	predOff[0] = succOff[0]
+	for i := 0; i < n; i++ {
+		predOff[i+1] += predOff[i]
+	}
+	// Transposing visits sources in ascending order, so it emits ascending
+	// runs whatever order its input runs have: there and back sorts both
+	// directions in linear time without a comparison.
+	transpose(succOff, succ, predOff, pred, scratch[:n])
+	transpose(predOff, pred, succOff, succ, scratch[:n])
+	return &LGraph{
+		n:      n,
+		adjOff: succOff, adjTargets: succ,
+		radjOff: predOff, radjTargets: pred,
+		tags: tags, tagNames: tagNames, tagIDs: tagIDs,
+	}
+}
+
+// transpose writes the transpose of the CSR adjacency (off, adj) into tadj,
+// whose run boundaries toff already holds.
+func transpose(off, adj, toff, tadj, cursor []int32) {
+	copy(cursor, toff)
+	for u := range cursor {
+		for _, v := range adj[off[u]:off[u+1]] {
+			tadj[cursor[v]] = int32(u)
+			cursor[v]++
+		}
+	}
 }
 
 // NumNodes returns the number of nodes.
 func (g *LGraph) NumNodes() int { return g.n }
 
 // NumEdges returns the number of edges.
-func (g *LGraph) NumEdges() int { return len(g.adjTargets) }
+func (g *LGraph) NumEdges() int {
+	if g.n == 0 {
+		return 0
+	}
+	return int(g.adjOff[g.n] - g.adjOff[0])
+}
 
 // Tag returns the tag of node u.
 func (g *LGraph) Tag(u int32) Tag { return g.tags[u] }

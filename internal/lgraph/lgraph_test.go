@@ -3,6 +3,8 @@ package lgraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -150,5 +152,59 @@ func TestPropertyForwardReverseBFSAgree(t *testing.T) {
 	}, cfg)
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceBuildCSR is the adjacency construction Finish used before it
+// became comparison-free (commit 6c3dce6): bucket the edges, then sort every
+// run.  Frozen as the differential reference for the transposition scheme.
+func referenceBuildCSR(n int, from, to []int32) (off, targets []int32) {
+	off = make([]int32, n+1)
+	for _, u := range from {
+		off[u+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	targets = make([]int32, len(from))
+	cursor := make([]int32, n)
+	copy(cursor, off[:n])
+	for i, u := range from {
+		targets[cursor[u]] = to[i]
+		cursor[u]++
+	}
+	for u := 0; u < n; u++ {
+		run := targets[off[u]:off[u+1]]
+		sort.Slice(run, func(i, j int) bool { return run[i] < run[j] })
+	}
+	return off, targets
+}
+
+// TestAdjacencyMatchesReference checks on random multigraphs — parallel
+// edges and self-loops included — that both adjacencies come out exactly as
+// the sorting construction built them: same offsets, same ascending runs.
+func TestAdjacencyMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		b := NewBuilder()
+		for i := 0; i < n; i++ {
+			b.AddNode("t")
+		}
+		var from, to []int32
+		for e := rng.Intn(5 * n); e > 0; e-- {
+			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+			from, to = append(from, u), append(to, v)
+			b.AddEdge(u, v)
+		}
+		g := b.Finish()
+		off, adj := referenceBuildCSR(n, from, to)
+		roff, radj := referenceBuildCSR(n, to, from)
+		if !slices.Equal(g.adjOff, off) || !slices.Equal(g.adjTargets, adj) {
+			t.Fatalf("seed %d: successors (%v, %v), reference (%v, %v)", seed, g.adjOff, g.adjTargets, off, adj)
+		}
+		if !slices.Equal(g.radjOff, roff) || !slices.Equal(g.radjTargets, radj) {
+			t.Fatalf("seed %d: predecessors (%v, %v), reference (%v, %v)", seed, g.radjOff, g.radjTargets, roff, radj)
+		}
 	}
 }

@@ -11,7 +11,6 @@ package meta
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/lgraph"
 	"repro/internal/partition"
@@ -50,8 +49,9 @@ type MetaDocument struct {
 	// LinkSources lists the distinct local nodes with at least one
 	// outgoing runtime link, ascending — the set L_i of §4.2.
 	LinkSources []int32
-	// linkStart[i] indexes into OutLinks for LinkSources[i] lookups.
-	linkOf map[int32][]CrossLink
+	// linkStart[i] is where the links of LinkSources[i] begin in OutLinks;
+	// one more entry than LinkSources closes the last run.
+	linkStart []int32
 
 	// toGlobal maps local node IDs to collection node IDs.
 	toGlobal []xmlgraph.NodeID
@@ -62,9 +62,9 @@ func (m *MetaDocument) ToGlobal(local int32) xmlgraph.NodeID {
 	return m.toGlobal[local]
 }
 
-// LinksFrom returns the runtime links leaving the given local node.
-func (m *MetaDocument) LinksFrom(local int32) []CrossLink {
-	return m.linkOf[local]
+// LinksFrom returns the runtime links leaving the local node LinkSources[i].
+func (m *MetaDocument) LinksFrom(i int) []CrossLink {
+	return m.OutLinks[m.linkStart[i]:m.linkStart[i+1]]
 }
 
 // Set is a complete meta-document decomposition of a collection.
@@ -77,29 +77,33 @@ type Set struct {
 	LocalOf []int32
 }
 
-// Build flattens a document-level partitioning into meta documents.
+// Build flattens a document-level partitioning of a frozen collection into
+// meta documents.
 func Build(c *xmlgraph.Collection, r *partition.Result) *Set {
-	s := &Set{
-		Coll:    c,
-		MetaOf:  make([]int32, c.NumNodes()),
-		LocalOf: make([]int32, c.NumNodes()),
-	}
-	s.Metas = make([]*MetaDocument, len(r.Parts))
+	sizes := make([]int32, len(r.Parts))
 	for pi, docs := range r.Parts {
-		md := &MetaDocument{ID: pi, Docs: docs}
+		for _, d := range docs {
+			sizes[pi] += int32(c.Doc(d).Size())
+		}
+	}
+	s := newSet(c, sizes)
+	for pi, docs := range r.Parts {
+		md := s.Metas[pi]
+		md.Docs = docs
+		local := int32(0)
 		for _, d := range docs {
 			first, last := c.Doc(d).Nodes()
 			for n := first; n < last; n++ {
 				s.MetaOf[n] = int32(pi)
-				s.LocalOf[n] = int32(len(md.toGlobal))
-				md.toGlobal = append(md.toGlobal, n)
+				s.LocalOf[n] = local
+				md.toGlobal[local] = n
+				local++
 			}
 		}
-		s.Metas[pi] = md
 	}
 	// Tree edges always stay inside one meta document (documents are
 	// atomic at this level); links follow IncludedLinks.
-	s.wireEdges(func(i int) bool { return r.IncludedLinks[i] })
+	s.wire(r.IncludedLinks)
 	return s
 }
 
@@ -109,90 +113,214 @@ func Build(c *xmlgraph.Collection, r *partition.Result) *Set {
 // elements into a single meta document").  assign[n] gives the partition of
 // node n (0 <= assign[n] < parts).  Any edge crossing the assignment —
 // including a parent-child tree edge — becomes a runtime link; the Path
-// Expression Evaluator handles those uniformly.
+// Expression Evaluator handles those uniformly.  The collection must be
+// frozen.
 func BuildElements(c *xmlgraph.Collection, assign []int32, parts int) *Set {
-	s := &Set{
-		Coll:    c,
-		MetaOf:  make([]int32, c.NumNodes()),
-		LocalOf: make([]int32, c.NumNodes()),
+	sizes := make([]int32, parts)
+	for _, pi := range assign {
+		sizes[pi]++
 	}
-	s.Metas = make([]*MetaDocument, parts)
-	for pi := range s.Metas {
-		s.Metas[pi] = &MetaDocument{ID: pi}
+	s := newSet(c, sizes)
+	copy(s.MetaOf, assign)
+	clear(sizes)
+	for n, pi := range assign {
+		s.LocalOf[n] = sizes[pi]
+		s.Metas[pi].toGlobal[sizes[pi]] = xmlgraph.NodeID(n)
+		sizes[pi]++
 	}
-	for n := xmlgraph.NodeID(0); int(n) < c.NumNodes(); n++ {
-		md := s.Metas[assign[n]]
-		s.MetaOf[n] = assign[n]
-		s.LocalOf[n] = int32(len(md.toGlobal))
-		md.toGlobal = append(md.toGlobal, n)
+	included := make([]bool, c.NumLinks())
+	for i, l := range c.Links() {
+		included[i] = assign[l.From] == assign[l.To]
 	}
-	s.wireEdges(func(i int) bool {
-		l := c.Links()[i]
-		return assign[l.From] == assign[l.To]
-	})
+	s.wire(included)
 	return s
 }
 
-// wireEdges builds each meta document's local graph and the runtime link
-// tables.  Tree edges whose endpoints fall into different meta documents
-// (possible only for element-level sets) become runtime links; data links
-// follow linkIncluded.
-func (s *Set) wireEdges(linkIncluded func(i int) bool) {
+// newSet allocates a Set whose meta document pi has sizes[pi] nodes.  The
+// meta documents and their local-to-global tables are carved out of one array
+// each, so the allocation count follows the number of meta documents, not
+// the number of elements.
+func newSet(c *xmlgraph.Collection, sizes []int32) *Set {
+	s := &Set{
+		Coll:    c,
+		Metas:   make([]*MetaDocument, len(sizes)),
+		MetaOf:  make([]int32, c.NumNodes()),
+		LocalOf: make([]int32, c.NumNodes()),
+	}
+	metas := make([]MetaDocument, len(sizes))
+	toGlobal := make([]xmlgraph.NodeID, c.NumNodes())
+	for pi, n := range sizes {
+		metas[pi] = MetaDocument{ID: pi, toGlobal: toGlobal[:n:n]}
+		toGlobal = toGlobal[n:]
+		s.Metas[pi] = &metas[pi]
+	}
+	return s
+}
+
+// edges calls fn for every edge of the data graph — the tree edges, then the
+// links in collection order.  inside reports whether the edge is represented
+// in a meta document's local graph (always within one meta document) or is a
+// runtime link: a tree edge is inside unless it crosses meta documents
+// (possible only for element-level sets), a link when included says so.
+func (s *Set) edges(included []bool, fn func(from, to xmlgraph.NodeID, inside bool)) {
 	c := s.Coll
-	builders := make([]*lgraph.Builder, len(s.Metas))
-	for pi, md := range s.Metas {
-		b := lgraph.NewBuilder()
-		for _, n := range md.toGlobal {
-			b.AddNode(c.Tag(n))
-		}
-		builders[pi] = b
-	}
-	cross := func(from, to xmlgraph.NodeID) {
-		src := s.Metas[s.MetaOf[from]]
-		src.OutLinks = append(src.OutLinks, CrossLink{FromLocal: s.LocalOf[from], To: to})
-		dst := s.Metas[s.MetaOf[to]]
-		dst.InLinks = append(dst.InLinks, InLink{From: from, ToLocal: s.LocalOf[to]})
-	}
-	for pi, md := range s.Metas {
-		for _, n := range md.toGlobal {
-			c.EachChild(n, func(ch xmlgraph.NodeID) {
-				if s.MetaOf[ch] == int32(pi) {
-					builders[pi].AddEdge(s.LocalOf[n], s.LocalOf[ch])
-				} else {
-					cross(n, ch)
-				}
-			})
+	for n := xmlgraph.NodeID(0); int(n) < c.NumNodes(); n++ {
+		if p := c.Parent(n); p != xmlgraph.InvalidNode {
+			fn(p, n, s.MetaOf[p] == s.MetaOf[n])
 		}
 	}
 	for i, l := range c.Links() {
-		if linkIncluded(i) {
-			pi := s.MetaOf[l.From]
-			builders[pi].AddEdge(s.LocalOf[l.From], s.LocalOf[l.To])
-			continue
-		}
-		cross(l.From, l.To)
+		fn(l.From, l.To, included[i])
 	}
-	for pi, md := range s.Metas {
-		md.Graph = builders[pi].Finish()
-		sort.Slice(md.OutLinks, func(a, b int) bool {
-			if md.OutLinks[a].FromLocal != md.OutLinks[b].FromLocal {
-				return md.OutLinks[a].FromLocal < md.OutLinks[b].FromLocal
-			}
-			return md.OutLinks[a].To < md.OutLinks[b].To
-		})
-		sort.Slice(md.InLinks, func(a, b int) bool {
-			if md.InLinks[a].ToLocal != md.InLinks[b].ToLocal {
-				return md.InLinks[a].ToLocal < md.InLinks[b].ToLocal
-			}
-			return md.InLinks[a].From < md.InLinks[b].From
-		})
-		md.linkOf = make(map[int32][]CrossLink)
-		for _, cl := range md.OutLinks {
-			if len(md.linkOf[cl.FromLocal]) == 0 {
-				md.LinkSources = append(md.LinkSources, cl.FromLocal)
-			}
-			md.linkOf[cl.FromLocal] = append(md.linkOf[cl.FromLocal], cl)
+}
+
+// wire builds each meta document's local graph and the runtime link tables
+// from the numbering Build/BuildElements laid down, in time linear in
+// elements + links: one pass over the edges counts, a second fills arrays of
+// exactly the counted size, and sortedness comes from visiting order
+// (lgraph.FromAdjacency for the local graphs, the two bucket passes below for
+// the link tables) instead of from sorting.  Every array is shared by all
+// meta documents.
+//
+// Throughout, pos(n) = base[MetaOf[n]] + LocalOf[n] is n's position when the
+// meta documents' local numberings are laid end to end.  Within one meta
+// document local order is global order, which is what lets passes in global
+// node order emit runs sorted by local ID.
+func (s *Set) wire(included []bool) {
+	c := s.Coll
+	nNodes, nMetas := c.NumNodes(), len(s.Metas)
+	base := make([]int32, nMetas+1)
+	for mi, md := range s.Metas {
+		base[mi+1] = base[mi] + int32(len(md.toGlobal))
+	}
+	pos := func(n xmlgraph.NodeID) int32 { return base[s.MetaOf[n]] + s.LocalOf[n] }
+
+	// Pass 1: count, per position, the successors inside the meta document
+	// and the runtime links by source (outOff) and by target (inOff).
+	succOff := make([]int32, nNodes+1)
+	outOff := make([]int32, nNodes+1)
+	inOff := make([]int32, nNodes+1)
+	s.edges(included, func(from, to xmlgraph.NodeID, inside bool) {
+		if inside {
+			succOff[pos(from)+1]++
+		} else {
+			outOff[pos(from)+1]++
+			inOff[pos(to)+1]++
 		}
+	})
+	for i := 0; i < nNodes; i++ {
+		succOff[i+1] += succOff[i]
+		outOff[i+1] += outOff[i]
+		inOff[i+1] += inOff[i]
+	}
+
+	// Pass 2: fill the successor runs (in edge order; FromAdjacency sorts
+	// them) and the runtime link targets by source position.
+	succ := make([]int32, succOff[nNodes])
+	linkTo := make([]xmlgraph.NodeID, outOff[nNodes])
+	cursor := make([]int32, nNodes)
+	linkCursor := make([]int32, nNodes)
+	copy(cursor, succOff)
+	copy(linkCursor, outOff)
+	s.edges(included, func(from, to xmlgraph.NodeID, inside bool) {
+		p := pos(from)
+		if inside {
+			succ[cursor[p]] = s.LocalOf[to]
+			cursor[p]++
+		} else {
+			linkTo[linkCursor[p]] = to
+			linkCursor[p]++
+		}
+	})
+
+	// Local graphs.  A meta document numbers its tags in order of first
+	// appearance; localTag translates the collection's tag IDs, stamped with
+	// the meta document it is valid for.
+	tags := make([]lgraph.Tag, nNodes)
+	type slot struct {
+		meta int
+		tag  lgraph.Tag
+	}
+	localTag := make([]slot, len(c.TagNames()))
+	var dict []int32 // every meta document's tags, as collection tag IDs
+	dictStart := make([]int32, nMetas+1)
+	for mi, md := range s.Metas {
+		local := tags[base[mi]:base[mi+1]]
+		for i, n := range md.toGlobal {
+			id := c.TagID(n)
+			sl := &localTag[id]
+			if sl.meta != mi+1 {
+				*sl = slot{meta: mi + 1, tag: lgraph.Tag(len(dict)) - dictStart[mi]}
+				dict = append(dict, id)
+			}
+			local[i] = sl.tag
+		}
+		dictStart[mi+1] = int32(len(dict))
+	}
+	tagNames := make([]string, len(dict))
+	for i, id := range dict {
+		tagNames[i] = c.TagNames()[id]
+	}
+	predOff := make([]int32, nNodes+1)
+	pred := make([]int32, len(succ))
+	for mi := range s.Metas {
+		lo, hi := base[mi], base[mi+1]
+		names := tagNames[dictStart[mi]:dictStart[mi+1]:dictStart[mi+1]]
+		tagIDs := make(map[string]lgraph.Tag, len(names))
+		for id, name := range names {
+			tagIDs[name] = lgraph.Tag(id)
+		}
+		s.Metas[mi].Graph = lgraph.FromAdjacency(tags[lo:hi:hi], names, tagIDs,
+			succOff[lo:hi+1], succ, predOff[lo:hi+1], pred, cursor[lo:hi])
+	}
+
+	// Runtime link tables.  Visiting sources in global order fills every
+	// target's bucket in ascending source order, which is InLinks sorted by
+	// (ToLocal, From); visiting targets in global order then fills every
+	// source's bucket in ascending target order, which is OutLinks sorted by
+	// (FromLocal, To).
+	inLinks := make([]InLink, len(linkTo))
+	copy(cursor, inOff)
+	for n := xmlgraph.NodeID(0); int(n) < nNodes; n++ {
+		p := pos(n)
+		for _, to := range linkTo[outOff[p]:outOff[p+1]] {
+			q := pos(to)
+			inLinks[cursor[q]] = InLink{From: n, ToLocal: s.LocalOf[to]}
+			cursor[q]++
+		}
+	}
+	outLinks := make([]CrossLink, len(linkTo))
+	copy(cursor, outOff)
+	for n := xmlgraph.NodeID(0); int(n) < nNodes; n++ {
+		p := pos(n)
+		for _, il := range inLinks[inOff[p]:inOff[p+1]] {
+			q := pos(il.From)
+			outLinks[cursor[q]] = CrossLink{FromLocal: s.LocalOf[il.From], To: n}
+			cursor[q]++
+		}
+	}
+	nSources := 0
+	for i := 0; i < nNodes; i++ {
+		if outOff[i+1] > outOff[i] {
+			nSources++
+		}
+	}
+	sources := make([]int32, 0, nSources)
+	starts := make([]int32, 0, nSources+nMetas)
+	for mi, md := range s.Metas {
+		lo, hi := base[mi], base[mi+1]
+		md.OutLinks = outLinks[outOff[lo]:outOff[hi]:outOff[hi]]
+		md.InLinks = inLinks[inOff[lo]:inOff[hi]:inOff[hi]]
+		src, st := len(sources), len(starts)
+		for i := lo; i < hi; i++ {
+			if outOff[i+1] > outOff[i] {
+				sources = append(sources, i-lo)
+				starts = append(starts, outOff[i]-outOff[lo])
+			}
+		}
+		starts = append(starts, outOff[hi]-outOff[lo])
+		md.LinkSources = sources[src:len(sources):len(sources)]
+		md.linkStart = starts[st:len(starts):len(starts)]
 	}
 }
 

@@ -57,7 +57,7 @@ func TestBuildSingleton(t *testing.T) {
 	if len(s.Metas[1].InLinks) != 1 {
 		t.Errorf("meta 1 in links = %d", len(s.Metas[1].InLinks))
 	}
-	if len(m0.LinkSources) != 1 || len(m0.LinksFrom(m0.LinkSources[0])) != 1 {
+	if len(m0.LinkSources) != 1 || len(m0.LinksFrom(0)) != 1 {
 		t.Error("LinkSources wrong")
 	}
 }

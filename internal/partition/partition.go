@@ -12,12 +12,7 @@
 //     grown greedily by link affinity.
 package partition
 
-import (
-	"sort"
-	"time"
-
-	"repro/internal/xmlgraph"
-)
+import "repro/internal/xmlgraph"
 
 // Result is a partitioning of a collection's documents.  Every document is
 // in exactly one part.
@@ -32,16 +27,6 @@ type Result struct {
 	// excluded; TreePartitions additionally excludes intra-part links
 	// that would break the forest property.
 	IncludedLinks []bool
-	// Elapsed is the wall time the partitioning took; every public entry
-	// point stamps it for the build-phase statistics
-	// (flix.Index.BuildStats).
-	Elapsed time.Duration
-}
-
-// track stamps r.Elapsed with the time since t0 and returns r.
-func track(r *Result, t0 time.Time) *Result {
-	r.Elapsed = time.Since(t0)
-	return r
 }
 
 // newResult allocates a Result for a collection.
@@ -63,6 +48,33 @@ func (r *Result) CrossLinks() int {
 	return n
 }
 
+// group fills Parts from PartOf (part indexes 0..nParts-1; negative entries
+// are skipped).  Documents are visited in ascending order, so every part
+// comes out ascending, and all parts share one backing array.
+func (r *Result) group(nParts int) {
+	start := make([]int32, nParts+1)
+	n := 0
+	for _, p := range r.PartOf {
+		if p >= 0 {
+			start[p+1]++
+			n++
+		}
+	}
+	for p := 0; p < nParts; p++ {
+		start[p+1] += start[p]
+	}
+	docs := make([]xmlgraph.DocID, n)
+	r.Parts = make([][]xmlgraph.DocID, nParts)
+	for p := range r.Parts {
+		r.Parts[p] = docs[start[p]:start[p]:start[p+1]]
+	}
+	for d, p := range r.PartOf {
+		if p >= 0 {
+			r.Parts[p] = append(r.Parts[p], xmlgraph.DocID(d))
+		}
+	}
+}
+
 // finishIncluded marks every link whose endpoints share a part as included.
 // Used by partitionings that keep all intra-part links.
 func (r *Result) finishIncluded(c *xmlgraph.Collection) {
@@ -74,22 +86,19 @@ func (r *Result) finishIncluded(c *xmlgraph.Collection) {
 // Singleton puts every document into its own part, keeping intra-document
 // links — the "Naive" configuration.
 func Singleton(c *xmlgraph.Collection) *Result {
-	t0 := time.Now()
 	r := newResult(c)
-	r.Parts = make([][]xmlgraph.DocID, c.NumDocs())
-	for d := 0; d < c.NumDocs(); d++ {
-		r.Parts[d] = []xmlgraph.DocID{xmlgraph.DocID(d)}
+	for d := range r.PartOf {
 		r.PartOf[d] = int32(d)
 	}
+	r.group(c.NumDocs())
 	r.finishIncluded(c)
-	return track(r, t0)
+	return r
 }
 
 // Whole puts the entire collection into a single part with all links
 // included — used to run a monolithic index (full HOPI, full APEX) through
 // the same machinery as the FliX configurations.
 func Whole(c *xmlgraph.Collection) *Result {
-	t0 := time.Now()
 	r := newResult(c)
 	docs := make([]xmlgraph.DocID, c.NumDocs())
 	for d := range docs {
@@ -99,7 +108,7 @@ func Whole(c *xmlgraph.Collection) *Result {
 	for i := range r.IncludedLinks {
 		r.IncludedLinks[i] = true
 	}
-	return track(r, t0)
+	return r
 }
 
 // TreePartitions computes the Maximal PPO partitioning (§4.3, option 2):
@@ -116,7 +125,6 @@ func Whole(c *xmlgraph.Collection) *Result {
 // form singleton parts whose intra-document links stay included only if the
 // caller indexes them with a graph-capable strategy.
 func TreePartitions(c *xmlgraph.Collection) *Result {
-	t0 := time.Now()
 	r := newResult(c)
 	nDocs := c.NumDocs()
 	treeCapable := make([]bool, nDocs)
@@ -166,29 +174,25 @@ func TreePartitions(c *xmlgraph.Collection) *Result {
 		r.IncludedLinks[i] = true
 	}
 
-	// Group documents: tree-capable ones by union-find root; the rest as
+	// Number the parts: the union-find groups in ascending order of their
+	// representative, then the documents that are not tree-capable as
 	// singletons.
-	group := make(map[int32][]xmlgraph.DocID)
-	var order []int32
+	nParts := int32(0)
 	for d := 0; d < nDocs; d++ {
-		var key int32
+		if treeCapable[d] && find(int32(d)) == int32(d) {
+			r.PartOf[d] = nParts
+			nParts++
+		}
+	}
+	for d := 0; d < nDocs; d++ {
 		if treeCapable[d] {
-			key = find(int32(d))
+			r.PartOf[d] = r.PartOf[find(int32(d))]
 		} else {
-			key = int32(nDocs + d) // unique singleton key
-		}
-		if _, ok := group[key]; !ok {
-			order = append(order, key)
-		}
-		group[key] = append(group[key], xmlgraph.DocID(d))
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for pi, key := range order {
-		r.Parts = append(r.Parts, group[key])
-		for _, d := range group[key] {
-			r.PartOf[d] = int32(pi)
+			r.PartOf[d] = nParts
+			nParts++
 		}
 	}
+	r.group(int(nParts))
 	// Intra-document links of non-tree-capable singleton parts stay
 	// included (their part is indexed with a graph strategy).
 	for i, l := range c.Links() {
@@ -196,7 +200,7 @@ func TreePartitions(c *xmlgraph.Collection) *Result {
 			r.IncludedLinks[i] = true
 		}
 	}
-	return track(r, t0)
+	return r
 }
 
 // SizeBounded computes the Unconnected HOPI partitioning (§4.3): document
@@ -205,98 +209,150 @@ func TreePartitions(c *xmlgraph.Collection) *Result {
 // first step of HOPI's divide-and-conquer build, stopped before the
 // sub-index join.
 //
-// Documents larger than maxNodes form their own part.
+// A part is seeded with the lowest unassigned document and then repeatedly
+// takes the unassigned document with the most links into the part that still
+// fits (ties to the lower document); when no linked document fits, it is
+// packed with the next unassigned document that does (HOPI's partitioner
+// fills partitions to the size bound; isolated documents carry no links, so
+// packing them together costs nothing in cut size).  Documents larger than
+// maxNodes form their own part.
+//
+// The run time is O(documents + links·log links).  Both searches rely on a
+// part only ever growing: a candidate that does not fit now cannot fit the
+// same part later, so the heap drops it for good and the packing cursor
+// never looks back.
 func SizeBounded(c *xmlgraph.Collection, maxNodes int) *Result {
-	t0 := time.Now()
 	if maxNodes <= 0 {
 		maxNodes = 1 << 30
 	}
 	r := newResult(c)
 	nDocs := c.NumDocs()
+	links := c.Links()
 
-	// Document-level link multigraph (undirected affinity counts).
-	aff := make([]map[xmlgraph.DocID]int, nDocs)
-	addAff := func(a, b xmlgraph.DocID) {
-		if aff[a] == nil {
-			aff[a] = make(map[xmlgraph.DocID]int)
+	// Document-level link multigraph in CSR form: adj[off[d]:off[d+1]] names
+	// the other document of every inter-document link touching d, once per
+	// link, so a document's affinity to a part is the number of its entries
+	// inside the part.
+	off := make([]int32, nDocs+1)
+	for _, l := range links {
+		if fd, td := c.DocOf(l.From), c.DocOf(l.To); fd != td {
+			off[fd+1]++
+			off[td+1]++
 		}
-		aff[a][b]++
 	}
-	for _, l := range c.Links() {
-		fd, td := c.DocOf(l.From), c.DocOf(l.To)
-		if fd == td {
+	for d := 0; d < nDocs; d++ {
+		off[d+1] += off[d]
+	}
+	adj := make([]xmlgraph.DocID, off[nDocs])
+	cursor := make([]int32, nDocs)
+	copy(cursor, off)
+	for _, l := range links {
+		if fd, td := c.DocOf(l.From), c.DocOf(l.To); fd != td {
+			adj[cursor[fd]] = td
+			cursor[fd]++
+			adj[cursor[td]] = fd
+			cursor[td]++
+		}
+	}
+
+	minSize := maxNodes
+	for d := range r.PartOf {
+		r.PartOf[d] = -1 // unassigned
+		minSize = min(minSize, c.Doc(xmlgraph.DocID(d)).Size())
+	}
+	// aff[d] is d's affinity to the part under construction, valid while
+	// affPart[d] names that part (which saves clearing aff per part).
+	aff, affPart := make([]int32, nDocs), make([]int32, nDocs)
+	var cands candHeap
+	nParts := int32(0)
+	for seed := 0; seed < nDocs; seed++ {
+		if r.PartOf[seed] >= 0 {
 			continue
 		}
-		addAff(fd, td)
-		addAff(td, fd)
-	}
-
-	assigned := make([]bool, nDocs)
-	var partIdx int32
-	fill := 0 // monotone cursor over seed documents
-	for fill < nDocs {
-		if assigned[fill] {
-			fill++
-			continue
-		}
-		var part []xmlgraph.DocID
-		size := 0
-		take := func(d xmlgraph.DocID) {
-			assigned[d] = true
-			part = append(part, d)
-			size += c.Doc(d).Size()
-			r.PartOf[d] = partIdx
-		}
-		// Greedy growth: repeatedly add the unassigned neighbour with
-		// the highest affinity to the current part that still fits;
-		// when no linked neighbour is left, pack the partition with the
-		// next unassigned documents (HOPI's partitioner fills partitions
-		// to the size bound; isolated documents carry no links, so
-		// packing them together costs nothing in cut size).
-		cand := make(map[xmlgraph.DocID]int)
-		mergeNeighbours := func(d xmlgraph.DocID) {
-			for n, cnt := range aff[d] {
-				if !assigned[n] {
-					cand[n] += cnt
-				}
-			}
-		}
-		take(xmlgraph.DocID(fill))
-		mergeNeighbours(xmlgraph.DocID(fill))
-		for {
-			best := xmlgraph.InvalidDoc
-			bestCnt := 0
-			for d, cnt := range cand {
-				if assigned[d] || c.Doc(d).Size()+size > maxNodes {
+		nParts++
+		cands = cands[:0]
+		room := maxNodes
+		pack := seed + 1
+		for next := xmlgraph.DocID(seed); next != xmlgraph.InvalidDoc; {
+			r.PartOf[next] = nParts - 1
+			room -= c.Doc(next).Size()
+			for _, n := range adj[off[next]:off[next+1]] {
+				if r.PartOf[n] >= 0 {
 					continue
 				}
-				if cnt > bestCnt || (cnt == bestCnt && (best == xmlgraph.InvalidDoc || d < best)) {
-					best, bestCnt = d, cnt
+				if affPart[n] != nParts {
+					affPart[n], aff[n] = nParts, 0
+				}
+				aff[n]++
+				cands.push(aff[n], n)
+			}
+			next = xmlgraph.InvalidDoc
+			for len(cands) > 0 && next == xmlgraph.InvalidDoc {
+				// An entry is stale once its document was taken or pushed
+				// again with a higher count.
+				cnt, d := cands.pop()
+				if r.PartOf[d] < 0 && aff[d] == cnt && c.Doc(d).Size() <= room {
+					next = d
 				}
 			}
-			if best == xmlgraph.InvalidDoc {
-				// No linked candidate fits: pack with the next
-				// unassigned document that does.
-				for d := fill; d < nDocs; d++ {
-					if !assigned[d] && c.Doc(xmlgraph.DocID(d)).Size()+size <= maxNodes {
-						best = xmlgraph.DocID(d)
+			if next == xmlgraph.InvalidDoc && room >= minSize {
+				for ; pack < nDocs; pack++ {
+					if r.PartOf[pack] < 0 && c.Doc(xmlgraph.DocID(pack)).Size() <= room {
+						next = xmlgraph.DocID(pack)
 						break
 					}
 				}
-				if best == xmlgraph.InvalidDoc {
-					break // partition is full
-				}
 			}
-			delete(cand, best)
-			take(best)
-			mergeNeighbours(best)
 		}
-		sort.Slice(part, func(i, j int) bool { return part[i] < part[j] })
-		r.Parts = append(r.Parts, part)
-		partIdx++
 	}
+	r.group(int(nParts))
 	r.finishIncluded(c)
-	return track(r, t0)
+	return r
+}
+
+// candHeap is a binary max-heap of (affinity, document) candidates ordered by
+// affinity descending, then document ascending.  Entries are never updated in
+// place: a document whose affinity rises is pushed again and the consumer
+// skips the superseded entries (lazy deletion).
+type candHeap []uint64
+
+// Both halves are non-negative int32s, so plain integer order on the packed
+// key is (affinity desc, document asc) order.
+func (h *candHeap) push(aff int32, d xmlgraph.DocID) {
+	*h = append(*h, uint64(aff)<<32|uint64(^uint32(d)))
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent] >= s[i] {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+}
+
+func (h *candHeap) pop() (aff int32, d xmlgraph.DocID) {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
+	for i := 0; ; {
+		big := i
+		if l := 2*i + 1; l < last && s[l] > s[big] {
+			big = l
+		}
+		if r := 2*i + 2; r < last && s[r] > s[big] {
+			big = r
+		}
+		if big == i {
+			break
+		}
+		s[i], s[big] = s[big], s[i]
+		i = big
+	}
+	return int32(top >> 32), xmlgraph.DocID(^uint32(top))
 }
 
 // Hybrid combines Maximal PPO with Unconnected HOPI (§4.3): tree-capable
@@ -304,81 +360,60 @@ func SizeBounded(c *xmlgraph.Collection, maxNodes int) *Result {
 // size-bounded for HOPI.  A tree partition is kept only when it has at least
 // minTreeDocs documents or is a genuinely isolated tree — tiny fragments of
 // linked regions are better served by HOPI.  The returned Result contains
-// the tree parts first, then the size-bounded parts.
+// the tree parts first, then the size-bounded parts, each side in ascending
+// order of its parts' lowest documents.
 func Hybrid(c *xmlgraph.Collection, maxNodes, minTreeDocs int) *Result {
-	t0 := time.Now()
-	trees, rest := hybridSplit(c, maxNodes, minTreeDocs)
-	return track(merge(c, trees, rest), t0)
-}
-
-func hybridSplit(c *xmlgraph.Collection, maxNodes, minTreeDocs int) (trees, rest *Result) {
-	full := TreePartitions(c)
-	// Split documents: those in multi-document tree parts (or isolated
-	// tree-capable singletons) stay PPO; the rest go to the HOPI side.
-	isTreeDoc := make([]bool, c.NumDocs())
-	for _, part := range full.Parts {
-		if len(part) >= minTreeDocs {
+	nDocs := c.NumDocs()
+	links := c.Links()
+	trees := TreePartitions(c)
+	// Documents in multi-document tree parts, and tree-capable singletons
+	// that no link touches, stay on the PPO side; the rest go to HOPI.
+	linked := make([]bool, nDocs)
+	for _, l := range links {
+		linked[c.DocOf(l.From)] = true
+		linked[c.DocOf(l.To)] = true
+	}
+	isTree := make([]bool, nDocs)
+	for _, part := range trees.Parts {
+		if len(part) >= minTreeDocs || (len(part) == 1 && !linked[part[0]]) {
 			for _, d := range part {
-				isTreeDoc[d] = true
+				isTree[d] = true
 			}
-			continue
-		}
-		// Singleton: keep with PPO when it has no links at all.
-		if len(part) == 1 && docIsolated(c, part[0]) {
-			isTreeDoc[part[0]] = true
 		}
 	}
-	treeColl := make([]xmlgraph.DocID, 0)
-	restColl := make([]xmlgraph.DocID, 0)
-	for d := 0; d < c.NumDocs(); d++ {
-		if isTreeDoc[d] {
-			treeColl = append(treeColl, xmlgraph.DocID(d))
-		} else {
-			restColl = append(restColl, xmlgraph.DocID(d))
-		}
-	}
-	return restrict(c, full, treeColl), restrict(c, SizeBounded(c, maxNodes), restColl)
-}
+	// The HOPI side is the size-bounded partitioning of the whole
+	// collection with the tree documents taken out of its parts.
+	bounded := SizeBounded(c, maxNodes)
 
-// docIsolated reports whether no link touches the document.
-func docIsolated(c *xmlgraph.Collection, d xmlgraph.DocID) bool {
-	for _, l := range c.Links() {
-		if c.DocOf(l.From) == d || c.DocOf(l.To) == d {
-			return false
+	r := newResult(c)
+	nParts := int32(0)
+	for _, side := range []struct {
+		from *Result
+		tree bool
+	}{{trees, true}, {bounded, false}} {
+		renumber := make([]int32, len(side.from.Parts))
+		for d := 0; d < nDocs; d++ {
+			if isTree[d] != side.tree {
+				continue
+			}
+			old := side.from.PartOf[d]
+			if renumber[old] == 0 {
+				nParts++
+				renumber[old] = nParts
+			}
+			r.PartOf[d] = renumber[old] - 1
 		}
 	}
-	return true
-}
-
-// restrict filters a partitioning down to a subset of documents, dropping
-// empty parts and renumbering.  Links with an endpoint outside the subset
-// become excluded.
-func restrict(c *xmlgraph.Collection, r *Result, docs []xmlgraph.DocID) *Result {
-	inSet := make([]bool, c.NumDocs())
-	for _, d := range docs {
-		inSet[d] = true
-	}
-	out := newResult(c)
-	for i := range out.PartOf {
-		out.PartOf[i] = -1
-	}
-	remap := make(map[int32]int32)
-	for _, d := range docs {
-		old := r.PartOf[d]
-		ni, ok := remap[old]
-		if !ok {
-			ni = int32(len(out.Parts))
-			remap[old] = ni
-			out.Parts = append(out.Parts, nil)
+	r.group(int(nParts))
+	for i, l := range links {
+		switch fd, td := isTree[c.DocOf(l.From)], isTree[c.DocOf(l.To)]; {
+		case fd && td:
+			r.IncludedLinks[i] = trees.IncludedLinks[i]
+		case !fd && !td:
+			r.IncludedLinks[i] = bounded.IncludedLinks[i]
 		}
-		out.Parts[ni] = append(out.Parts[ni], d)
-		out.PartOf[d] = ni
 	}
-	for i, l := range c.Links() {
-		out.IncludedLinks[i] = r.IncludedLinks[i] &&
-			inSet[c.DocOf(l.From)] && inSet[c.DocOf(l.To)]
-	}
-	return out
+	return r
 }
 
 // ElementLevel assigns every element of the collection to a partition of at
@@ -406,6 +441,11 @@ func ElementLevel(c *xmlgraph.Collection, maxNodes int) (assign []int32, parts i
 		size++
 		queue = append(queue, v)
 	}
+	visit := func(w xmlgraph.NodeID) {
+		if assign[w] == -1 && size < maxNodes {
+			take(w)
+		}
+	}
 	for seed := xmlgraph.NodeID(0); int(seed) < n; seed++ {
 		if assign[seed] != -1 {
 			continue
@@ -419,37 +459,9 @@ func ElementLevel(c *xmlgraph.Collection, maxNodes int) (assign []int32, parts i
 		for len(queue) > 0 && size < maxNodes {
 			v := queue[0]
 			queue = queue[1:]
-			visit := func(w xmlgraph.NodeID) {
-				if assign[w] == -1 && size < maxNodes {
-					take(w)
-				}
-			}
 			c.EachSuccessor(v, visit)
 			c.EachPredecessor(v, visit)
 		}
 	}
 	return assign, int(cur) + 1
-}
-
-// merge concatenates two disjoint restricted partitionings into one Result.
-// Every document must belong to exactly one of the two.
-func merge(c *xmlgraph.Collection, a, b *Result) *Result {
-	out := newResult(c)
-	out.Parts = append(out.Parts, a.Parts...)
-	out.Parts = append(out.Parts, b.Parts...)
-	off := int32(len(a.Parts))
-	for d := 0; d < c.NumDocs(); d++ {
-		switch {
-		case a.PartOf[d] >= 0:
-			out.PartOf[d] = a.PartOf[d]
-		case b.PartOf[d] >= 0:
-			out.PartOf[d] = b.PartOf[d] + off
-		default:
-			panic("partition: document in neither side of a merge")
-		}
-	}
-	for i := range out.IncludedLinks {
-		out.IncludedLinks[i] = a.IncludedLinks[i] || b.IncludedLinks[i]
-	}
-	return out
 }

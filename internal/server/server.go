@@ -619,6 +619,7 @@ func buildJSON(ix *flix.Index) map[string]any {
 	}
 	out := map[string]any{
 		"partition":   bs.Partition.Round(time.Microsecond).String(),
+		"metaBuild":   bs.MetaBuild.Round(time.Microsecond).String(),
 		"select":      bs.Select.Round(time.Microsecond).String(),
 		"indexBuild":  bs.IndexBuild.Round(time.Microsecond).String(),
 		"parallelism": bs.Parallelism,

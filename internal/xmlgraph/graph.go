@@ -121,6 +121,12 @@ type Collection struct {
 	// byTag caches NodesByTag per tag.  Built by Freeze so queries against
 	// a frozen collection answer tag lookups without scanning all nodes.
 	byTag map[string][]NodeID
+	// tagIDs[n] is the dictionary ID of node n's element name and
+	// tagNames[id] the name, IDs in order of first appearance.  Built by
+	// Freeze, so that consumers flattening the collection (meta.Build) work
+	// on small integers instead of hashing every element's name again.
+	tagIDs   []int32
+	tagNames []string
 }
 
 // NewCollection returns an empty collection.
@@ -173,6 +179,14 @@ func (c *Collection) Links() []Link { return c.links }
 
 // Tag returns the element name of node id.
 func (c *Collection) Tag(id NodeID) string { return c.nodes[id].Tag }
+
+// TagID returns the dictionary ID of node id's element name: an index into
+// TagNames.  Only a frozen collection has the dictionary.
+func (c *Collection) TagID(id NodeID) int32 { return c.tagIDs[id] }
+
+// TagNames returns the distinct element names of a frozen collection in
+// order of first appearance.  Callers must not mutate the returned slice.
+func (c *Collection) TagNames() []string { return c.tagNames }
 
 // Parent returns the parent of id, or InvalidNode for document roots.
 func (c *Collection) Parent(id NodeID) NodeID { return c.nodes[id].Parent }
@@ -279,9 +293,24 @@ func (c *Collection) Freeze() {
 		c.outLinks[l.From] = append(c.outLinks[l.From], int32(i))
 		c.inLinks[l.To] = append(c.inLinks[l.To], int32(i))
 	}
-	c.byTag = make(map[string][]NodeID)
+	ids := make(map[string]int32)
+	c.tagIDs = make([]int32, len(c.nodes))
+	var byID [][]NodeID
 	for i := range c.nodes {
-		c.byTag[c.nodes[i].Tag] = append(c.byTag[c.nodes[i].Tag], NodeID(i))
+		tag := c.nodes[i].Tag
+		id, ok := ids[tag]
+		if !ok {
+			id = int32(len(c.tagNames))
+			ids[tag] = id
+			c.tagNames = append(c.tagNames, tag)
+			byID = append(byID, nil)
+		}
+		c.tagIDs[i] = id
+		byID[id] = append(byID[id], NodeID(i))
+	}
+	c.byTag = make(map[string][]NodeID, len(byID))
+	for id, tag := range c.tagNames {
+		c.byTag[tag] = byID[id]
 	}
 	c.frozen = true
 }

@@ -390,9 +390,8 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 }
 
 // BenchmarkHotPathDescendants measures the steady-state serving hot path on
-// the recommended Hybrid configuration with allocation reporting; CI gates
-// on its allocs/op staying at zero (see the hotpath experiment in
-// cmd/flixbench).
+// the recommended Hybrid configuration with allocation reporting; the gate
+// on its allocs/op staying at zero is TestDescendantsAllocBudget.
 func BenchmarkHotPathDescendants(b *testing.B) {
 	e := experiment(b)
 	bu := built(b, bench.Entry{Label: "Hybrid",

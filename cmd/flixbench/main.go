@@ -6,21 +6,22 @@
 //
 // Usage:
 //
-//	flixbench [-docs 6210] [-seed 42] [-exp all|table1|figure5|errors|conn|scale|hetero|serving|build|swap|hotpath|shard|dtrace|topk|mmap|compress]
+//	flixbench [-docs 6210] [-seed 42] [-exp all|table1|figure5|errors|conn|scale|hetero]
 //
 // The scale and hetero experiments go beyond the paper's evaluation and
 // cover its §7 future work: scalability with growing collections and
 // adaptivity on a heterogeneous collection (deep trees + citations + a
-// densely linked Web-like region).  The swap experiment measures the live
-// reindexing hot-swap: client-observed latency while index generations are
-// replaced under load, every response checked against the BFS oracle.
+// densely linked Web-like region).  Performance of the serving stack is not
+// measured here: BENCHMARK.json and benchmark/ are the one place for that.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -29,77 +30,45 @@ import (
 	"repro/internal/xmlgraph"
 )
 
+// paperExperiments are what -exp all runs; extraExperiments (§7) build
+// their own collections and run only when named.
+var (
+	paperExperiments = []string{"table1", "figure5", "errors", "conn"}
+	extraExperiments = []string{"scale", "hetero"}
+)
+
+// selectExperiments resolves the -exp flag to the experiments to run.
+func selectExperiments(exp string) ([]string, error) {
+	if exp == "all" {
+		return paperExperiments, nil
+	}
+	if slices.Contains(paperExperiments, exp) || slices.Contains(extraExperiments, exp) {
+		return []string{exp}, nil
+	}
+	return nil, fmt.Errorf("unknown -exp %q; valid: all %s %s", exp,
+		strings.Join(paperExperiments, " "), strings.Join(extraExperiments, " "))
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("flixbench: ")
 	docs := flag.Int("docs", 6210, "number of publication documents (paper: 6210)")
 	seed := flag.Int64("seed", 42, "generator seed")
-	exp := flag.String("exp", "all", "experiment: all | table1 | figure5 | errors | conn | scale | hetero | serving | build | swap | hotpath | shard | dtrace | topk | mmap | compress")
+	exp := flag.String("exp", "all", "experiment: all | table1 | figure5 | errors | conn | scale | hetero")
 	pairs := flag.Int("pairs", 200, "connection-test pairs")
 	closure := flag.Bool("closure", false, "also build the full transitive closure as the Table 1 size reference (slow)")
-	servingOut := flag.String("serving-out", "BENCH_serving.json", "output file for the serving experiment's machine-readable results")
-	buildOut := flag.String("build-out", "BENCH_build.json", "output file for the build experiment's machine-readable results")
-	swapOut := flag.String("swap-out", "BENCH_swap.json", "output file for the swap experiment's machine-readable results")
-	swapN := flag.Int("swaps", 5, "hot-swaps to fire during the swap experiment")
-	swapWorkers := flag.Int("swap-workers", 0, "concurrent query workers in the swap experiment (0 = scale with CPUs)")
-	hotpathOut := flag.String("hotpath-out", "BENCH_hotpath.json", "output file for the hotpath experiment's machine-readable results")
-	hotpathSpeedup := flag.Float64("hotpath-speedup", 1.3, "minimum descendants speedup over the reference evaluator the hotpath experiment accepts (0 disables)")
-	shardOut := flag.String("shard-out", "BENCH_shard.json", "output file for the shard experiment's machine-readable results")
-	dtraceOut := flag.String("dtrace-out", "BENCH_dtrace.json", "output file for the dtrace experiment's machine-readable results")
-	topkOut := flag.String("topk-out", "BENCH_topk.json", "output file for the topk experiment's machine-readable results")
-	topkSpeedup := flag.Float64("topk-speedup", 10, "minimum top-k latency speedup over the frozen reference the topk experiment accepts (0 disables)")
-	topkAllocRatio := flag.Float64("topk-alloc-ratio", 10, "minimum top-k allocation reduction over the frozen reference the topk experiment accepts (0 disables)")
-	mmapOut := flag.String("mmap-out", "BENCH_mmap.json", "output file for the mmap experiment's machine-readable results")
-	mmapOverhead := flag.Float64("mmap-overhead", 25, "maximum time in microseconds per meta document the v2 open may spend outside the decomposition (0 disables; opening sections in place takes 10-16, the v1 parse 35-40)")
-	compressOut := flag.String("compress-out", "BENCH_compress.json", "output file for the compress experiment's machine-readable results")
-	compressRatio := flag.Float64("compress-ratio", 4, "minimum size reduction over the raw v2 container the compress experiment accepts (0 disables)")
-	compressLatency := flag.Float64("compress-latency", 1.3, "maximum mapped-probe latency ratio (compressed over raw) the compress experiment accepts (0 disables)")
 	flag.Parse()
 
-	run := map[string]bool{}
-	if *exp == "all" {
-		for _, x := range []string{"table1", "figure5", "errors", "conn"} {
-			run[x] = true
-		}
-	} else {
-		run[*exp] = true
+	names, err := selectExperiments(*exp)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	// The scale, hetero and serving experiments build their own collections.
-	if run["scale"] {
+	switch names[0] {
+	case "scale":
 		scaleExperiment(*seed)
-	}
-	if run["hetero"] {
+		return
+	case "hetero":
 		heteroExperiment(*seed)
-	}
-	if run["serving"] {
-		servingExperiment(*docs, *seed, *servingOut)
-	}
-	if run["build"] {
-		buildExperiment(*docs, *seed, *buildOut)
-	}
-	if run["swap"] {
-		swapExperiment(*docs, *seed, *swapOut, *swapN, *swapWorkers)
-	}
-	if run["hotpath"] {
-		hotpathExperiment(*docs, *seed, *hotpathOut, *hotpathSpeedup)
-	}
-	if run["shard"] {
-		shardExperiment(*docs, *seed, *shardOut)
-	}
-	if run["dtrace"] {
-		dtraceExperiment(*docs, *seed, *dtraceOut)
-	}
-	if run["topk"] {
-		topkExperiment(*docs, *seed, *topkOut, *topkSpeedup, *topkAllocRatio)
-	}
-	if run["mmap"] {
-		mmapExperiment(*docs, *seed, *mmapOut, *mmapOverhead)
-	}
-	if run["compress"] {
-		compressExperiment(*docs, *seed, *compressOut, *compressRatio, *compressLatency)
-	}
-	if !run["table1"] && !run["figure5"] && !run["errors"] && !run["conn"] {
 		return
 	}
 
@@ -118,17 +87,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if run["table1"] {
-		table1(e, built, *closure)
-	}
-	if run["figure5"] {
-		figure5(e, built)
-	}
-	if run["errors"] {
-		errorRates(e, built)
-	}
-	if run["conn"] {
-		connTest(e, built, *pairs)
+	for _, name := range names {
+		switch name {
+		case "table1":
+			table1(e, built, *closure)
+		case "figure5":
+			figure5(e, built)
+		case "errors":
+			errorRates(e, built)
+		case "conn":
+			connTest(e, built, *pairs)
+		}
 	}
 }
 

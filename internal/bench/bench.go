@@ -8,7 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/dblp"
@@ -254,10 +253,4 @@ func FormatFigure5(series []TimeSeries, counts []int) string {
 		s += fmt.Sprintf(" %9s %8d\n", ts.Total.Round(time.Microsecond), len(ts.Results))
 	}
 	return s
-}
-
-// SortRowsBySize orders Table 1 rows by descending size (for readability;
-// the paper lists a fixed order, which callers keep by not sorting).
-func SortRowsBySize(rows []SizeRow) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Bytes > rows[j].Bytes })
 }

@@ -182,9 +182,6 @@ func TestMixedCollection(t *testing.T) {
 			t.Fatalf("region %d empty", i)
 		}
 		covered += int(r.LastDoc - r.FirstDoc)
-		if m.RegionOf(r.FirstDoc) != i || m.RegionOf(r.LastDoc-1) != i {
-			t.Errorf("RegionOf inconsistent for region %d", i)
-		}
 		if c.DocOf(r.Start) < r.FirstDoc || c.DocOf(r.Start) >= r.LastDoc {
 			t.Errorf("region %d start element outside region", i)
 		}
@@ -195,16 +192,13 @@ func TestMixedCollection(t *testing.T) {
 	if covered != c.NumDocs() {
 		t.Errorf("regions cover %d of %d docs", covered, c.NumDocs())
 	}
-	if m.RegionOf(xmlgraph.DocID(c.NumDocs())) != -1 {
-		t.Error("RegionOf out of range should be -1")
-	}
 	// The tree region has no links touching it; the web region is dense.
 	st := xmlgraph.ComputeStats(c)
 	if !st.HasCycle {
 		t.Error("web region should create cycles")
 	}
 	for _, l := range c.Links() {
-		if m.RegionOf(c.DocOf(l.From)) == 0 || m.RegionOf(c.DocOf(l.To)) == 0 {
+		if tree := m.Regions[0].LastDoc; c.DocOf(l.From) < tree || c.DocOf(l.To) < tree {
 			t.Fatal("link touches the link-free tree region")
 		}
 	}
@@ -227,13 +221,5 @@ func TestMixedCollection(t *testing.T) {
 func TestFormatBytes(t *testing.T) {
 	if got := FormatBytes(27 << 20); got != "27.00 MB" {
 		t.Errorf("FormatBytes = %q", got)
-	}
-}
-
-func TestSortRowsBySize(t *testing.T) {
-	rows := []SizeRow{{Label: "a", Bytes: 1}, {Label: "b", Bytes: 5}, {Label: "c", Bytes: 3}}
-	SortRowsBySize(rows)
-	if rows[0].Label != "b" || rows[2].Label != "a" {
-		t.Errorf("sorted = %v", rows)
 	}
 }

@@ -148,13 +148,3 @@ func MixedCollection(seed int64, scale int) *Mixed {
 	coll.Freeze()
 	return m
 }
-
-// RegionOf returns the region containing a document, or -1.
-func (m *Mixed) RegionOf(d xmlgraph.DocID) int {
-	for i, r := range m.Regions {
-		if d >= r.FirstDoc && d < r.LastDoc {
-			return i
-		}
-	}
-	return -1
-}

@@ -23,8 +23,8 @@ type QueryCache struct {
 	cap int
 
 	// StoreBounded makes a miss with client-imposed bounds (MaxResults,
-	// MaxDist, IncludeSelf) evaluate the query *unbounded*, store the
-	// complete stream, and then replay it through the caller's Options.
+	// MaxDist) evaluate the query *unbounded*, store the complete stream,
+	// and then replay it through the caller's Options.
 	// Repeated top-k queries — the typical server workload — then hit the
 	// cache, at the cost of the first evaluation materializing the full
 	// result set.  Off by default to preserve the library's streaming
@@ -76,8 +76,10 @@ func (c *QueryCache) Descendants(start xmlgraph.NodeID, tag string, opts Options
 		opts.Tracer.CacheMiss()
 	}
 	// Cache only evaluations that run to completion without
-	// client-imposed truncation.
-	cacheable := opts.MaxResults == 0 && opts.MaxDist == 0 && !opts.IncludeSelf
+	// client-imposed truncation.  Every storing evaluation runs with
+	// IncludeSelf, so the stored stream serves either policy; replay and
+	// the pass-through emit below apply the caller's.
+	cacheable := opts.MaxResults == 0 && opts.MaxDist == 0
 	if !cacheable {
 		if !c.StoreBounded {
 			c.ix.Descendants(start, tag, opts, fn)
@@ -86,7 +88,7 @@ func (c *QueryCache) Descendants(start xmlgraph.NodeID, tag string, opts Options
 		// StoreBounded: evaluate unbounded (still honoring cancellation
 		// and tracing), store the complete stream, replay it under the
 		// caller's bounds.
-		full := Options{ExactOrder: opts.ExactOrder, Cancel: opts.Cancel, Tracer: opts.Tracer}
+		full := Options{IncludeSelf: true, ExactOrder: opts.ExactOrder, Cancel: opts.Cancel, Tracer: opts.Tracer}
 		var results []Result
 		c.ix.Descendants(start, tag, full, func(r Result) bool {
 			results = append(results, r)
@@ -100,9 +102,11 @@ func (c *QueryCache) Descendants(start xmlgraph.NodeID, tag string, opts Options
 	}
 	var results []Result
 	complete := true
+	self := opts.IncludeSelf
+	opts.IncludeSelf = true
 	c.ix.Descendants(start, tag, opts, func(r Result) bool {
 		results = append(results, r)
-		if !fn(r) {
+		if (r.Dist != 0 || self) && !fn(r) {
 			complete = false
 			return false
 		}
@@ -235,7 +239,7 @@ func (c *QueryCache) Warm(keys []HotKey, cancel <-chan struct{}) int {
 		}
 		key := keys[i]
 		var results []Result
-		c.ix.Descendants(key.Start, key.Tag, Options{Cancel: cancel}, func(r Result) bool {
+		c.ix.Descendants(key.Start, key.Tag, Options{IncludeSelf: true, Cancel: cancel}, func(r Result) bool {
 			results = append(results, r)
 			return true
 		})

@@ -2,6 +2,7 @@ package flix
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/xmlgraph"
@@ -157,5 +158,32 @@ func TestCacheStoreBounded(t *testing.T) {
 	}
 	if hits, misses := cache.Counts(); hits != 1 || misses != 1 {
 		t.Errorf("counts = (%d hits, %d misses), want (1, 1)", hits, misses)
+	}
+}
+
+// TestCacheIncludeSelf: one stored stream serves both include-self policies,
+// whichever policy or bound the miss that stored it — or Warm — ran under.
+func TestCacheIncludeSelf(t *testing.T) {
+	c, start := buildChain(t, 20)
+	ix, err := Build(c, Config{Kind: Naive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bounded := range []bool{false, true} {
+		for _, miss := range []Options{{IncludeSelf: true}, {}, {MaxResults: 5}, {MaxResults: 5, IncludeSelf: true}} {
+			cache, next := ix.NewQueryCache(4), ix.NewQueryCache(4)
+			cache.StoreBounded = bounded
+			for i, opts := range []Options{miss, {IncludeSelf: true}, {}, {IncludeSelf: true, MaxResults: 3}, {IncludeSelf: true}} {
+				if i == 4 { // the last call goes to a successor warmed from this cache
+					next.Warm(cache.HotKeys(0), nil)
+					cache = next
+				}
+				var got []Result
+				cache.Descendants(start, "doc", opts, func(r Result) bool { got = append(got, r); return true })
+				if want := collect(ix, start, "doc", opts); !reflect.DeepEqual(got, want) {
+					t.Errorf("StoreBounded=%v miss %+v, call %d %+v:\ngot  %v\nwant %v", bounded, miss, i, opts, got, want)
+				}
+			}
+		}
 	}
 }

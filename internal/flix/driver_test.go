@@ -177,7 +177,7 @@ func TestEnteredTable(t *testing.T) {
 // tens of kilobytes per probe here and hundreds of megabytes per ranked query
 // on a real collection.
 func TestOpenProbeMemory(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	c := testutil.Generate(testutil.Linked, 5, 1500, 4, 600)

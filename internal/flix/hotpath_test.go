@@ -1,7 +1,6 @@
 package flix
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -117,10 +116,9 @@ func TestEmitStopMatchesReference(t *testing.T) {
 }
 
 // checkAllocBudgets holds every driver of the evaluator core to its
-// allocation budget on a warm scratch pool: an untraced descendants query
-// must not allocate (the budget is 2 rather than 0 only to tolerate testing
-// instrumentation noise; the benchmark gate in CI holds the hard zero), a
-// probe pulled dry band by band must not allocate at all, and a partial
+// allocation budget on a warm scratch pool: an untraced descendants query,
+// a connection test and a probe pulled dry band by band must not allocate at
+// all (nothing else holds that zero), and a partial
 // evaluation may allocate only the two slices it returns.
 func checkAllocBudgets(t *testing.T, ix *Index, backend string) {
 	t.Helper()
@@ -138,14 +136,16 @@ func checkAllocBudgets(t *testing.T, ix *Index, backend string) {
 	entries := []FrontierEntry{{Node: 0}}
 	owned := func(mi int32) bool { return mi%2 == 0 }
 	partial := func() { mustPartial(ix, entries, "a", PartialOptions{Owned: owned}) }
+	connected := func() { ix.Connected(0, xmlgraph.NodeID(ix.coll.NumNodes()-1), 0) }
 	for _, c := range []struct {
 		name   string
 		run    func()
 		budget float64
 	}{
-		{"untraced descendants", descendants, 2},
+		{"untraced descendants", descendants, 0},
 		{"probe band cycle", probe, 0},
 		{"partial descendants", partial, 2},
+		{"connection test", connected, 0},
 	} {
 		for i := 0; i < 4; i++ { // warm the pool, tag caches and lazy structures
 			c.run()
@@ -159,7 +159,7 @@ func checkAllocBudgets(t *testing.T, ix *Index, backend string) {
 // TestDescendantsAllocBudget enforces the hot-path acceptance bar at test
 // granularity on the heap build.
 func TestDescendantsAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race detector makes sync.Pool drop cached items at random")
 	}
 	c := testutil.Generate(testutil.Linked, 3, 20, 25, 40)
@@ -171,11 +171,11 @@ func TestDescendantsAllocBudget(t *testing.T) {
 }
 
 // TestDescendantsAllocBudgetMmap holds the mmap-backed generation to the
-// same bar: serving from a v2 snapshot must not cost the hot path any
+// same bar, raw and compressed: a v2 snapshot must not cost the hot path any
 // allocations either — the varint posting cursors decode in place and the
 // merge scratch is pooled exactly like the heap build's.
 func TestDescendantsAllocBudgetMmap(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race detector makes sync.Pool drop cached items at random")
 	}
 	c := testutil.Generate(testutil.Linked, 3, 20, 25, 40)
@@ -183,16 +183,13 @@ func TestDescendantsAllocBudgetMmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := built.WriteSnapshotV2(&buf); err != nil {
-		t.Fatal(err)
+	backends := driverBackends(t, c, built)
+	if !backends["compressed"].StorageInfo().Compressed {
+		t.Fatal("no section of the compressed backend is compressed")
 	}
-	ix, err := OpenSnapshotBytes(c, buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"mapped", "compressed"} {
+		checkAllocBudgets(t, backends[name], name)
 	}
-	defer ix.Close()
-	checkAllocBudgets(t, ix, "mmap-backed")
 }
 
 // TestScratchPoolSwapRace hammers the pooled scratch state from concurrent

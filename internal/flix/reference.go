@@ -17,10 +17,10 @@ import (
 //     stream is byte-identical to this one on every generator family and
 //     option combination, and frontier_test.go pins frontier4's pop order
 //     to container/heap's;
-//   - benchmarking: `flixbench -exp hotpath` runs both evaluators on the
-//     same index in the same process, so BENCH_hotpath.json records the
-//     before/after numbers of the allocation-free rewrite without needing
-//     the old commit.
+//   - benchmarking: BenchmarkHotPathReference (root bench_test.go) runs
+//     it beside BenchmarkHotPathDescendants on the same index in the same
+//     process, so the before/after of the allocation-free rewrite needs no
+//     old commit.
 //
 // The only intentional difference is that the reference evaluator does not
 // update Index.Stats (keeping the serving counters clean makes the baseline

@@ -274,6 +274,7 @@ func TestContractSameAnswers(t *testing.T) {
 		{path: "/v1/descendants?start=" + hub + "&tag=title&k=7&order=exact"},
 		{path: "/v1/descendants?start=" + hub + "&tag=author&maxdist=3&order=exact"},
 		{path: "/v1/descendants?start=" + hub + "&k=12&order=exact"},
+		{path: "/v1/descendants?start=" + hub + "&k=12&order=exact&self=1"},
 		{path: "/v1/descendants?start=" + leaf + "&tag=cite"},
 		{path: "/v1/descendants?start=" + hub + "&tag=title&k=3&order=exact&trace=1"},
 		{path: "/v1/connected?from=" + hub + "&to=" + leaf},

@@ -9,8 +9,8 @@ package query
 //     equal ReferenceEvaluate(q)[:k] element for element.
 //   - ReferenceEvaluateTopK is the pre-optimization top-k evaluator (one
 //     fully materialized buffer per stream, full top-k heap rebuild per
-//     accepted candidate) — the performance baseline flixbench -exp topk
-//     measures speedups against.
+//     accepted candidate) — what TestTopKMatchesReferenceTopK holds the
+//     rewrite's ranking to.
 //
 // Do not "improve" this file: its value is staying put while topk.go moves.
 

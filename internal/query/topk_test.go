@@ -2,11 +2,14 @@ package query
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dblp"
 	"repro/internal/flix"
+	"repro/internal/testutil"
 	"repro/internal/xmlgraph"
 )
 
@@ -131,5 +134,36 @@ func TestPropertyTopKAgainstFull(t *testing.T) {
 	}, cfg)
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRankedOpenProbeMemory bounds what one cold ranked query (pools emptied,
+// collector off) allocates per concurrently open probe, on few large meta
+// documents and on one per publication: state sized to the collection, not to
+// the probe's own work (2–3 KB), is multiplied by thousands of open probes.
+func TestRankedOpenProbeMemory(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	coll := dblp.Generate(dblp.Scaled(500)).BuildGraph()
+	q := mustParse(t, "//inproceedings//article")
+	for _, cfg := range []flix.Config{{Kind: flix.Hybrid, PartitionSize: 5000}, {Kind: flix.Naive}} {
+		ix, err := flix.Build(coll, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &Evaluator{Index: ix}
+		runtime.GC() // two collections empty every sync.Pool (live, then victim cache)
+		runtime.GC()
+		old := debug.SetGCPercent(-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.EvaluateTopK(q, 10)
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(old)
+		open := uint64(e.Stats.PeakOpen)
+		if per := (after.TotalAlloc - before.TotalAlloc) / max(open, 1); open < 100 || per > 4096 {
+			t.Errorf("%s: %d probes open at once (want ≥ 100), %d B each (budget 4096)", ix.Describe(), open, per)
+		}
 	}
 }

@@ -242,9 +242,6 @@ func (s *Server) Generation() uint64 {
 	return 0
 }
 
-// Swaps returns how many hot-swaps have happened (installs past the first).
-func (s *Server) Swaps() int64 { return s.swaps.Load() }
-
 // StrategyLatency snapshots the current generation's per-strategy latency
 // histograms — the signal the re-optimizer uses to derive strategy
 // overrides.

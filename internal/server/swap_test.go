@@ -318,7 +318,7 @@ func TestSwapTorture(t *testing.T) {
 	if got := s.Generation(); got != wantGen {
 		t.Errorf("Generation() = %d, want %d", got, wantGen)
 	}
-	if got := s.Swaps(); got != liveSwaps+1 {
+	if got := s.swaps.Load(); got != liveSwaps+1 {
 		t.Errorf("Swaps() = %d, want %d", got, liveSwaps+1)
 	}
 
@@ -543,8 +543,8 @@ func TestAdminReindex(t *testing.T) {
 	if out["swapped"] != true || out["generation"].(float64) != 2 {
 		t.Errorf("forced response = %v, want swapped=true generation=2", out)
 	}
-	if s.Generation() != 2 || s.Swaps() != 1 {
-		t.Errorf("after force: generation %d swaps %d, want 2/1", s.Generation(), s.Swaps())
+	if s.Generation() != 2 || s.swaps.Load() != 1 {
+		t.Errorf("after force: generation %d swaps %d, want 2/1", s.Generation(), s.swaps.Load())
 	}
 	// The manager shows up in /statsz once wired.
 	stats := getJSON(t, ts.URL+"/statsz", 200)

@@ -1,8 +1,8 @@
 //go:build race
 
-package flix
+package testutil
 
-// raceEnabled reports whether the race detector is compiled in.  Under the
+// RaceEnabled reports whether the race detector is compiled in.  Under the
 // race detector sync.Pool deliberately drops cached items at random, so
 // allocation-count assertions are meaningless there.
-const raceEnabled = true
+const RaceEnabled = true

@@ -179,6 +179,20 @@ func (c *QueryCache) store(key cacheKey, results []Result) {
 	c.byK[key] = c.lru.PushFront(&cacheEntry{key: key, results: results})
 }
 
+// storeCold stores a warmed stream at the LRU tail, behind every entry live
+// traffic has stored, and only while there is room: a warmed entry never
+// evicts and never outranks a live one, and a key already cached keeps the
+// entry it has.  It reports whether it stored.
+func (c *QueryCache) storeCold(key cacheKey, results []Result) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.byK[key]; ok || c.lru.Len() >= c.cap {
+		return false
+	}
+	c.byK[key] = c.lru.PushBack(&cacheEntry{key: key, results: results})
+	return true
+}
+
 // sortedByDist reports whether results are already in ascending
 // (dist, node) order, the common case for single-meta-document streams.
 func sortedByDist(results []Result) bool {
@@ -208,8 +222,8 @@ type HotKey struct {
 }
 
 // HotKeys returns the keys of up to n cached queries (n <= 0 means all),
-// most recently used first — the working set a replacement cache should be
-// warmed with before it takes over.
+// most recently used first — the working set a replacement cache inherits,
+// in the order Warm takes it.
 func (c *QueryCache) HotKeys(n int) []HotKey {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -224,32 +238,38 @@ func (c *QueryCache) HotKeys(n int) []HotKey {
 	return keys
 }
 
-// Warm evaluates each key to completion on the wrapped index and stores the
-// complete streams, least recent first so the LRU ends up ordered like the
-// source cache.  A generation about to be hot-swapped live uses this to
-// take over its predecessor's working set: the warming evaluations run on
-// the installer's goroutine, so the first post-swap clients hit a warm
-// cache instead of re-evaluating the whole hot set.  Returns the number of
-// queries warmed; cancellation stops the sweep.
-func (c *QueryCache) Warm(keys []HotKey, cancel <-chan struct{}) int {
-	warmed := 0
-	for i := len(keys) - 1; i >= 0; i-- {
-		if canceled(cancel) {
-			return warmed
+// Warm takes over an inherited working set while the cache is already
+// serving: it walks keys in order — hottest first, so the head of the
+// distribution is cached within the first few evaluations — evaluates each
+// to completion on the wrapped index and stores the stream cold (storeCold).
+// Hottest first with tail insertion leaves a quiet cache ordered exactly
+// like the source of the keys.  A key live traffic has cached meanwhile is
+// skipped unevaluated.  each is called after every key dealt with, saying
+// whether its stream was stored.  The sweep ends when the keys run out, when
+// the cache is full (what is left is colder than everything in it; nil is
+// returned) or when cancel closes: the evaluation under way is cut short,
+// nothing is stored from then on, and the keys not dealt with are returned
+// for the caller to hand on.
+func (c *QueryCache) Warm(keys []HotKey, cancel <-chan struct{}, each func(stored bool)) []HotKey {
+	for i, key := range keys {
+		if c.Len() >= c.cap {
+			return nil
 		}
-		key := keys[i]
-		var results []Result
-		c.ix.Descendants(key.Start, key.Tag, Options{IncludeSelf: true, Cancel: cancel}, func(r Result) bool {
-			results = append(results, r)
-			return true
-		})
-		if canceled(cancel) {
-			return warmed
+		stored := false
+		if !c.Contains(key.Start, key.Tag) {
+			var results []Result
+			c.ix.Descendants(key.Start, key.Tag, Options{IncludeSelf: true, Cancel: cancel}, func(r Result) bool {
+				results = append(results, r)
+				return true
+			})
+			if canceled(cancel) {
+				return keys[i:]
+			}
+			stored = c.storeCold(cacheKey{start: key.Start, tag: key.Tag}, results)
 		}
-		c.store(cacheKey{start: key.Start, tag: key.Tag}, results)
-		warmed++
+		each(stored)
 	}
-	return warmed
+	return nil
 }
 
 // Contains reports whether a complete stream for (start, tag) is cached,

@@ -175,7 +175,7 @@ func TestCacheIncludeSelf(t *testing.T) {
 			cache.StoreBounded = bounded
 			for i, opts := range []Options{miss, {IncludeSelf: true}, {}, {IncludeSelf: true, MaxResults: 3}, {IncludeSelf: true}} {
 				if i == 4 { // the last call goes to a successor warmed from this cache
-					next.Warm(cache.HotKeys(0), nil)
+					next.Warm(cache.HotKeys(0), nil, func(bool) {})
 					cache = next
 				}
 				var got []Result

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"repro/internal/meta"
 	"repro/internal/storage"
@@ -89,6 +90,11 @@ const manifestTrailerV1 = 1
 
 // WriteSnapshotV2With is WriteSnapshotV2 with explicit options.
 func (ix *Index) WriteSnapshotV2With(w io.Writer, opts SnapshotV2Options) (int64, error) {
+	// Re-persisting an open snapshot encodes from the per-meta-document
+	// indexes, which alias the mapping without keeping it reachable; the
+	// loops below range over a copy of ix.pis and would otherwise let a
+	// caller's last reference die, and the finalizer unmap, mid-write.
+	defer runtime.KeepAlive(ix)
 	sw := storage.NewSnapshotWriter(w)
 	if !opts.Compress {
 		// The streaming raw path: byte-identical to earlier writers.
@@ -188,8 +194,9 @@ type OpenOptions struct {
 // OpenSnapshot opens a v2 snapshot file memory-mapped against the
 // collection it was written for.  The returned index serves queries
 // straight from the mapping; call Close when done (a finalizer releases
-// the mapping otherwise, so a hot-swapped-out generation pinned by
-// in-flight queries stays valid until the last reference drops).
+// the mapping otherwise, once the *Index is unreachable: every evaluation,
+// probe and stream holds the Index it runs on, so a hot-swapped-out
+// generation stays mapped until the last of them has finished).
 func OpenSnapshot(c *xmlgraph.Collection, path string) (*Index, error) {
 	return OpenSnapshotWith(c, path, OpenOptions{Mmap: true})
 }

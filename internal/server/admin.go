@@ -56,10 +56,14 @@ func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	swapped := plan.Rebuild || front.BoolParam(q.Get("force"))
+	// The swap is done when the new generation is live; its cache may still
+	// be warming behind it.
+	g := s.gen.Load()
 	front.OK(w, map[string]any{
 		"dryRun":     false,
 		"swapped":    swapped,
-		"generation": s.Generation(),
+		"generation": g.num,
+		"warming":    g.warming(),
 		"plan":       planJSON(plan),
 	})
 }

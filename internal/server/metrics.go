@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/front"
 	"repro/internal/obs"
@@ -22,6 +23,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	metric("flix_index_generation", "gauge", "Current index generation number.", s.Generation())
 	metric("flix_index_swaps_total", "counter", "Hot-swaps of the serving index (installs past the first).", s.swaps.Load())
+	metric("flix_install_duration_seconds", "gauge", "Duration of the last Install call: time to publish the generation, cache warming excluded.", time.Duration(s.installNs.Load()).Seconds())
 	metric("flix_slow_queries_total", "counter", "Requests slower than the slow-query threshold.", s.slowQueries.Load())
 	front.MetricHead(p, "flix_strategy_request_duration_seconds", "histogram",
 		"Query latency by the indexing strategy of the start node's meta document (current generation).")
@@ -47,6 +49,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metric("flix_cache_hits_total", "counter", "Query-cache hits.", hits)
 		metric("flix_cache_misses_total", "counter", "Query-cache misses.", misses)
 		metric("flix_cache_entries", "gauge", "Cached query streams.", g.cache.Len())
+		metric("flix_cache_warmed_queries", "gauge", "Streams the generation's warmer has stored from its predecessor's working set.", g.warmed.Load())
+		metric("flix_cache_warm_pending", "gauge", "Inherited keys the warmer has yet to deal with (0 once warm).", g.warmPending.Load())
 	}
 
 	metric("flix_index_meta_documents", "gauge", "Meta documents in the index.", g.ix.NumMetaDocuments())

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/flix"
 )
 
 // sampleLine matches one exposition sample: a metric name, an optional
@@ -129,7 +131,7 @@ func scrapeUntil(t *testing.T, url string, ok func(*exposition) bool) *expositio
 // the Prometheus text-format rules: HELP/TYPE pairing, label syntax, bucket
 // cumulativity, and counter monotonicity across scrapes.
 func TestMetricsExpositionFormat(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	hit := func(n int) {
 		for i := 0; i < n; i++ {
 			resp, err := http.Get(ts.URL + "/v1/descendants?start=movies.xml&tag=actor")
@@ -195,6 +197,26 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	}
 	if got := second.samples[fmt.Sprintf("flix_requests_total{endpoint=%q}", "descendants")]; got != 5 {
 		t.Errorf("flix_requests_total = %v, want 5", got)
+	}
+
+	// A swap shows as two events: the publish latency at once, the warm-up
+	// as gauges that settle once the one hot key has been taken over.
+	next, err := flix.Build(s.CurrentIndex().Collection(), flix.Config{Kind: flix.MaximalPPO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Install(next, "swap")
+	third := scrapeUntil(t, ts.URL, func(e *exposition) bool { return e.samples["flix_cache_warmed_queries"] == 1 })
+	for _, name := range []string{"flix_install_duration_seconds", "flix_cache_warmed_queries", "flix_cache_warm_pending"} {
+		if third.types[name] != "gauge" {
+			t.Errorf("%s declared %q, want gauge", name, third.types[name])
+		}
+	}
+	if d := third.samples["flix_install_duration_seconds"]; d <= 0 || d > 1 {
+		t.Errorf("flix_install_duration_seconds = %v, want the sub-second publish latency of the last Install", d)
+	}
+	if w, p := third.samples["flix_cache_warmed_queries"], third.samples["flix_cache_warm_pending"]; w != 1 || p != 0 {
+		t.Errorf("after the swap warmed/pending = %v/%v, want 1/0", w, p)
 	}
 }
 

@@ -103,10 +103,64 @@ type generation struct {
 	stratLatency map[string]*obs.Histogram
 	installed    time.Time
 	reason       string
-	warmed       int // queries pre-warmed from the previous generation's cache
 	// shard is the per-generation shard state (ownership mask,
 	// decomposition fingerprint); nil outside shard mode.
 	shard *shardGen
+
+	// retired is closed by the Install that supersedes this generation.
+	// The warmer evaluates under it (Options.Cancel), so it stops
+	// mid-evaluation and stores nothing into a retired cache.
+	retired chan struct{}
+	// warmDone is closed when the warmer has exited (by Install itself when
+	// there is nothing to inherit); warmRest, the inherited keys it did not
+	// get to, is final from then on and goes to the successor.
+	warmDone chan struct{}
+	warmRest []flix.HotKey
+	// warmed counts the streams the warmer has stored so far, warmPending
+	// the inherited keys it has yet to deal with.
+	warmed, warmPending atomic.Int64
+}
+
+// warming reports whether the generation's warmer is still running.
+func (g *generation) warming() bool {
+	select {
+	case <-g.warmDone:
+		return false
+	default:
+		return true
+	}
+}
+
+// warm is the generation's warmer, one finite goroutine: it takes over the
+// working set of old — its cache's keys, hottest first, then whatever old's
+// own warmer was stopped short of, so that swaps arriving faster than a
+// warmer finishes do not shrink the working set to what one warmer managed —
+// cut to the cache capacity, and evaluates it behind live traffic until done
+// or retired.  It waits for old's warmer first, so warmers evaluate one at a
+// time and old.warmRest is final.  The goroutine keeps g, and through it a
+// mapped index, reachable for as long as it reads it.
+func (g *generation) warm(old *generation, capacity int) {
+	defer close(g.warmDone)
+	<-old.warmDone
+	keys := old.cache.HotKeys(0)
+	seen := make(map[flix.HotKey]bool, len(keys))
+	for _, k := range keys {
+		seen[k] = true
+	}
+	for _, k := range old.warmRest {
+		if !seen[k] {
+			keys = append(keys, k)
+		}
+	}
+	keys = keys[:min(len(keys), capacity)]
+	g.warmPending.Store(int64(len(keys)))
+	g.warmRest = g.cache.Warm(keys, g.retired, func(stored bool) {
+		g.warmPending.Add(-1)
+		if stored {
+			g.warmed.Add(1)
+		}
+	})
+	g.warmPending.Store(int64(len(g.warmRest)))
 }
 
 // Server serves a FliX index that can be hot-swapped under live traffic.
@@ -120,6 +174,7 @@ type Server struct {
 	gen       atomic.Pointer[generation]
 	genSeq    atomic.Uint64
 	swaps     atomic.Int64
+	installNs atomic.Int64 // duration of the last Install call: publish latency, warming excluded
 	reindexer atomic.Pointer[reindexerBox]
 
 	// front is the server's HTTP handler: the public query API of
@@ -186,6 +241,19 @@ func NewPending(coll *xmlgraph.Collection, cfg Config) *Server {
 // number.  The index must be built over the server's collection.  In-flight
 // queries keep the generation they were admitted under; the new generation
 // starts with a fresh query cache and fresh per-strategy histograms.
+//
+// Install publishes first and warms behind: it evaluates no query on the
+// caller's goroutine.  The new generation is live when Install returns, and
+// its warmer (generation.warm) then takes over the outgoing cache's working
+// set in the background, so post-swap clients of the hot head find it cached
+// within milliseconds instead of every swap paying for the whole hot set
+// before going live.  /statsz and /metrics show both events.
+//
+// The server reads ix for as long as the generation serves, any request
+// admitted under it runs, or its warmer evaluates — past the next Install.
+// A snapshot-backed index is unmapped by its finalizer once all of those
+// have let go; a caller that Closes an index it has handed to Install is in
+// error.
 func (s *Server) Install(ix *flix.Index, reason string) uint64 {
 	if ix.Collection() != s.coll {
 		panic("server: Install with an index built over a different collection")
@@ -196,6 +264,8 @@ func (s *Server) Install(ix *flix.Index, reason string) uint64 {
 		stratLatency: make(map[string]*obs.Histogram),
 		installed:    time.Now(),
 		reason:       reason,
+		retired:      make(chan struct{}),
+		warmDone:     make(chan struct{}),
 	}
 	for name := range ix.StrategyCounts() {
 		g.stratLatency[name] = new(obs.Histogram)
@@ -204,19 +274,18 @@ func (s *Server) Install(ix *flix.Index, reason string) uint64 {
 	if s.cfg.CacheSize > 0 {
 		g.cache = ix.NewQueryCache(s.cfg.CacheSize)
 		g.cache.StoreBounded = true
-		// Take over the outgoing generation's working set before going
-		// live: the warming evaluations run here, on the installer's
-		// goroutine, so post-swap clients hit a warm cache instead of
-		// re-evaluating the whole hot set at once (the latency cliff a
-		// plain purge-on-swap would cause).
-		if old := s.gen.Load(); old != nil && old.cache != nil {
-			g.warmed = g.cache.Warm(old.cache.HotKeys(0), nil)
-		}
 	}
-	s.gen.Store(g)
-	if g.num > 1 {
+	old := s.gen.Swap(g)
+	if old != nil {
+		close(old.retired)
 		s.swaps.Add(1)
 	}
+	if old != nil && g.cache != nil {
+		go g.warm(old, s.cfg.CacheSize)
+	} else {
+		close(g.warmDone)
+	}
+	s.installNs.Store(int64(time.Since(g.installed)))
 	return g.num
 }
 
@@ -472,7 +541,9 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"installedAt":   g.installed.Format(time.RFC3339Nano),
 			"reason":        g.reason,
 			"swaps":         s.swaps.Load(),
-			"warmedQueries": g.warmed,
+			"warmedQueries": g.warmed.Load(),
+			"warming":       g.warming(),
+			"warmPending":   g.warmPending.Load(),
 		},
 		"index": map[string]any{
 			"config":        g.ix.Config().Kind.String(),

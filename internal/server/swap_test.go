@@ -45,8 +45,37 @@ func swapConfigs() []flix.Config {
 // index generation must return exactly this node set, with distances that
 // are valid path lengths (>= the true shortest).
 type descSpec struct {
-	url  string
-	want map[xmlgraph.NodeID]int32
+	url   string
+	start xmlgraph.NodeID
+	tag   string
+	want  map[xmlgraph.NodeID]int32
+}
+
+// wireResult is one result as the wire carries it.
+type wireResult struct {
+	Node xmlgraph.NodeID `json:"node"`
+	Dist int32           `json:"dist"`
+}
+
+// check holds one complete answer to the ground truth.
+func (spec descSpec) check(results []wireResult) error {
+	if len(results) != len(spec.want) {
+		return fmt.Errorf("%d results, want %d", len(results), len(spec.want))
+	}
+	seen := make(map[xmlgraph.NodeID]bool, len(results))
+	for _, r := range results {
+		td, ok := spec.want[r.Node]
+		switch {
+		case !ok:
+			return fmt.Errorf("unexpected node %d", r.Node)
+		case r.Dist < td:
+			return fmt.Errorf("node %d dist %d below true %d", r.Node, r.Dist, td)
+		case seen[r.Node]:
+			return fmt.Errorf("duplicate node %d", r.Node)
+		}
+		seen[r.Node] = true
+	}
+	return nil
 }
 
 // querySpec is one ranked-path request with the match set computed once on
@@ -75,8 +104,10 @@ func buildDescSpecs(t *testing.T, coll *xmlgraph.Collection, base string) []desc
 				continue
 			}
 			specs = append(specs, descSpec{
-				url:  fmt.Sprintf("%s/v1/descendants?start=%d&tag=%s&k=100000", base, root, tag),
-				want: want,
+				url:   fmt.Sprintf("%s/v1/descendants?start=%d&tag=%s&k=100000", base, root, tag),
+				start: root,
+				tag:   tag,
+				want:  want,
 			})
 		}
 	}
@@ -123,12 +154,57 @@ func buildQuerySpecs(t *testing.T, coll *xmlgraph.Collection, base string) []que
 // wireResponse is the part of a query/descendants response the torture
 // verifies.
 type wireResponse struct {
-	Results []struct {
-		Node xmlgraph.NodeID `json:"node"`
-		Dist int32           `json:"dist"`
-	} `json:"results"`
-	TimedOut   bool   `json:"timedOut"`
-	Generation uint64 `json:"generation"`
+	Results    []wireResult `json:"results"`
+	TimedOut   bool         `json:"timedOut"`
+	Generation uint64       `json:"generation"`
+}
+
+// getWire fetches one query response the torture way.
+func getWire(t *testing.T, url string) wireResponse {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out wireResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, decode error %v", url, resp.StatusCode, err)
+	}
+	return out
+}
+
+// holdWarmer makes the warmer of the next Install wait until release is
+// called.  A warmer starts by waiting for its predecessor's, so the serving
+// generation's closed warmDone is exchanged for an open one; that is only
+// sound on a quiet server (nothing else reads the field) whose own warmer
+// has exited.
+func holdWarmer(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	g := s.gen.Load()
+	if g.warming() {
+		t.Fatal("holdWarmer: the serving generation is still warming")
+	}
+	gate := make(chan struct{})
+	g.warmDone = gate
+	return sync.OnceFunc(func() { close(gate) })
+}
+
+// awaitWarm polls /statsz until the serving generation reports its cache
+// warm, and returns that document.
+func awaitWarm(t *testing.T, base string) map[string]any {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		stats := getJSON(t, base+"/statsz", 200)
+		if stats["generation"].(map[string]any)["warming"] == false {
+			return stats
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("generation still warming after 10s: %v", stats["generation"])
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestSwapTorture hammers /v1/descendants and /v1/query from N goroutines
@@ -240,29 +316,9 @@ func TestSwapTorture(t *testing.T) {
 						}
 					}
 				} else {
-					spec := descSpecs[(id+i)%len(descSpecs)]
-					if len(out.Results) != len(spec.want) {
-						report("worker %d: %s: %d results, want %d (gen %d)",
-							id, u, len(out.Results), len(spec.want), out.Generation)
+					if err := descSpecs[(id+i)%len(descSpecs)].check(out.Results); err != nil {
+						report("worker %d: %s: %v (gen %d)", id, u, err, out.Generation)
 						return
-					}
-					seen := make(map[xmlgraph.NodeID]bool, len(out.Results))
-					for _, r := range out.Results {
-						td, ok := spec.want[r.Node]
-						if !ok {
-							report("worker %d: %s: unexpected node %d (gen %d)", id, u, r.Node, out.Generation)
-							return
-						}
-						if r.Dist < td {
-							report("worker %d: %s: node %d dist %d below true %d (gen %d)",
-								id, u, r.Node, r.Dist, td, out.Generation)
-							return
-						}
-						if seen[r.Node] {
-							report("worker %d: %s: duplicate node %d (gen %d)", id, u, r.Node, out.Generation)
-							return
-						}
-						seen[r.Node] = true
 					}
 				}
 				reqs.Add(1)
@@ -302,18 +358,26 @@ func TestSwapTorture(t *testing.T) {
 	}
 	t.Logf("torture: %d verified responses, %d shed, %d live swaps", reqs.Load(), shed.Load(), liveSwaps)
 
-	// One more swap on a quiet server, then the counters must be exact.
-	// The incoming generation pre-warms its cache from the outgoing one's
-	// hot keys, so right after the swap: entries == warmedQueries ==
-	// engine queries (one evaluation per warmed key), and zero
-	// hits/misses (warming stores without lookups).  K probes with keys
-	// the torture never used then add exactly K misses and K entries,
-	// and one repeat is exactly one hit.
+	// One more swap on a quiet server, with its warmer held back: Install
+	// must return with the generation live and not one query evaluated, and
+	// an answer served before the cache is warm must be as correct as any.
+	awaitWarm(t, ts.URL)
+	release := holdWarmer(t, s)
+	defer release()
 	lastIx, err := flix.Build(coll, cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Install(lastIx, "post-torture swap")
+	installed := make(chan struct{})
+	go func() {
+		defer close(installed)
+		s.Install(lastIx, "post-torture swap")
+	}()
+	select {
+	case <-installed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Install waits for the cache to warm: it must publish first and warm behind")
+	}
 	wantGen := uint64(1 + liveSwaps + 1)
 	if got := s.Generation(); got != wantGen {
 		t.Errorf("Generation() = %d, want %d", got, wantGen)
@@ -321,21 +385,47 @@ func TestSwapTorture(t *testing.T) {
 	if got := s.swaps.Load(); got != liveSwaps+1 {
 		t.Errorf("Swaps() = %d, want %d", got, liveSwaps+1)
 	}
+	cold := getJSON(t, ts.URL+"/statsz", 200)
+	if gen := cold["generation"].(map[string]any); gen["warming"] != true || gen["warmedQueries"].(float64) != 0 {
+		t.Errorf("statsz generation right after Install = %v, want warming with nothing warmed yet", gen)
+	}
+	if got := cold["queryStats"].(map[string]any)["queries"].(float64); got != 0 {
+		t.Errorf("Install evaluated %v queries on the new generation before returning, want 0", got)
+	}
+	early := getWire(t, descSpecs[0].url)
+	if early.Generation != wantGen {
+		t.Errorf("response right after Install is from generation %d, want %d", early.Generation, wantGen)
+	}
+	if err := descSpecs[0].check(early.Results); err != nil {
+		t.Errorf("response served before the cache was warm: %v", err)
+	}
 
-	stats0 := getJSON(t, ts.URL+"/statsz", 200)
-	warmed := stats0["generation"].(map[string]any)["warmedQueries"].(float64)
+	// Warm, the counters must be exact.  The warmer evaluates every
+	// inherited key once, except the one the early request stored before it
+	// got there, and stores without lookups: entries == engine queries ==
+	// warmedQueries + 1, one miss, no hit.  K probes with keys the torture
+	// never used then add exactly K misses and K entries, and one repeat is
+	// exactly one hit.
+	release()
+	stats0 := awaitWarm(t, ts.URL)
+	gen0 := stats0["generation"].(map[string]any)
+	warmed := gen0["warmedQueries"].(float64)
 	if warmed <= 0 {
 		t.Errorf("warmedQueries = %v after a traffic-heavy generation, want > 0", warmed)
 	}
+	if got := gen0["warmPending"].(float64); got != 0 {
+		t.Errorf("warmPending = %v on a warm generation, want 0", got)
+	}
+	warmed++ // from here on: every inherited key, however it got in
 	cache0 := stats0["cache"].(map[string]any)
 	if got := cache0["entries"].(float64); got != warmed {
-		t.Errorf("post-swap cache entries = %v, want warmedQueries %v", got, warmed)
+		t.Errorf("post-swap cache entries = %v, want warmedQueries+1 = %v", got, warmed)
 	}
-	if h, m := cache0["hits"].(float64), cache0["misses"].(float64); h != 0 || m != 0 {
-		t.Errorf("post-swap cache hits/misses = %v/%v, want 0/0", h, m)
+	if h, m := cache0["hits"].(float64), cache0["misses"].(float64); h != 0 || m != 1 {
+		t.Errorf("post-swap cache hits/misses = %v/%v, want 0/1", h, m)
 	}
 	if got := stats0["queryStats"].(map[string]any)["queries"].(float64); got != warmed {
-		t.Errorf("post-swap queryStats.queries = %v, want warmedQueries %v", got, warmed)
+		t.Errorf("post-swap queryStats.queries = %v, want warmedQueries+1 = %v", got, warmed)
 	}
 
 	// The probes use a tag no torture spec ever queried, so their keys
@@ -362,8 +452,8 @@ func TestSwapTorture(t *testing.T) {
 	if got := cache["entries"].(float64); got != warmed+K {
 		t.Errorf("cache entries = %v, want exactly %v", got, warmed+K)
 	}
-	if got := cache["misses"].(float64); got != K {
-		t.Errorf("cache misses = %v, want exactly %d", got, K)
+	if got := cache["misses"].(float64); got != K+1 {
+		t.Errorf("cache misses = %v, want exactly %d", got, K+1)
 	}
 	if got := cache["hits"].(float64); got != 1 {
 		t.Errorf("cache hits = %v, want exactly 1", got)
@@ -542,6 +632,9 @@ func TestAdminReindex(t *testing.T) {
 	out = post(adminURL+"?force=1", 200)
 	if out["swapped"] != true || out["generation"].(float64) != 2 {
 		t.Errorf("forced response = %v, want swapped=true generation=2", out)
+	}
+	if _, ok := out["warming"].(bool); !ok {
+		t.Errorf("forced response = %v, want a boolean warming beside generation", out)
 	}
 	if s.Generation() != 2 || s.swaps.Load() != 1 {
 		t.Errorf("after force: generation %d swaps %d, want 2/1", s.Generation(), s.swaps.Load())

@@ -342,9 +342,14 @@ func OpenSnapshotBytes(b []byte) (*Snapshot, error) {
 // the file is mapped read-only and served zero-copy (falling back to a
 // plain read when the platform cannot map); otherwise it is read into
 // memory.  The returned snapshot owns the mapping; Close releases it, and
-// a finalizer releases it when the snapshot is garbage collected — a
-// retired generation still pinned by in-flight queries stays valid until
-// the last reference drops.
+// a finalizer releases it when the snapshot is garbage collected.  What
+// that guarantees is reachability and nothing more: the bytes stay mapped
+// while the *Snapshot (in practice the flix.Index holding it) is reachable.
+// A Section.Data view, or anything decoded to alias it, does not keep the
+// snapshot reachable — code reading through such a view must hold the
+// owner for as long as it reads (runtime.KeepAlive where the owner's last
+// use would otherwise come first).  A retired generation pinned by
+// in-flight queries stays valid because every query holds its Index.
 func OpenSnapshotFile(path string, useMmap bool) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -38,9 +38,11 @@
 //
 // With -shard-id/-shard-count the process runs as one shard of a
 // flixd-router cluster: it builds the same full index, additionally serves
-// POST /v1/shard/eval and GET /v1/shard/links, and answers partial-frontier
-// evaluations over the meta documents the consistent-hash ring assigns to
-// it.  The live-reindex loop is disabled in shard mode (the router
+// POST /v1/shard/eval (the router's binary frame, not JSON: a frontier
+// batch and the query's k in, the k nearest local results and the hops up to
+// the band they were found in out) and GET /v1/shard/links, and answers
+// partial-frontier evaluations over the meta documents the consistent-hash
+// ring assigns to it.  The live-reindex loop is disabled in shard mode (the router
 // fingerprints the decomposition).
 //
 // On SIGINT/SIGTERM the server stops accepting connections and drains

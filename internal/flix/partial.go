@@ -45,6 +45,13 @@ type PartialOptions struct {
 	// landing in un-owned meta documents are returned as hops instead of
 	// being expanded.  Nil means everything is owned (single-shard mode).
 	Owned func(meta int32) bool
+	// MaxResults, when positive, is the caller's top-k need: the result is
+	// the MaxResults-prefix of the unlimited call's Results, and the
+	// evaluation stops at the first distance band that holds that many —
+	// Hops then carries the unlimited call's hops up to that band only.
+	// What is left out lies strictly behind MaxResults returned results, so
+	// this is an exact stop, not a Truncated one.
+	MaxResults int
 	// Cancel aborts the evaluation when closed; the partial result is then
 	// marked Truncated because un-expanded frontier work was dropped.
 	Cancel <-chan struct{}
@@ -87,6 +94,7 @@ func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts Pa
 		Tracer:      opts.Tracer,
 	})
 	r.merge, r.owned = true, opts.Owned
+	first := int32(math.MaxInt32) // smallest seeded distance
 	for _, e := range entries {
 		if e.Node < 0 || int(e.Node) >= len(ix.set.MetaOf) {
 			ix.putScratch(s)
@@ -97,23 +105,61 @@ func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts Pa
 		}
 		if s.relax(e.Node, e.Dist) {
 			s.f.push(pqItem{dist: e.Dist, node: e.Node})
+			first = min(first, e.Dist)
 		}
 	}
 	// Past the validation every exit, a panicking index probe included,
 	// flushes the counters and returns the scratch clean.
 	defer ix.finish(s)
-	r.run(math.MaxInt32)
+
+	// band is the distance through which the merged results and the hops
+	// are final.  Without a limit that is everything: one run drains the
+	// frontier.  With one, the frontier advances in Probe's exponential
+	// bands from the batch's smallest distance, and the first band b that
+	// holds MaxResults results ends the evaluation: whatever is still
+	// queued, and every hop beyond b, can only produce results at a
+	// distance above b — behind MaxResults results that are already final,
+	// because an entry popped later than b never lowers a distance to b or
+	// below.  (Every frontier entry is within MaxDist, so the band clamped
+	// to MaxDist drains the frontier and the loop ends.)
+	band := int32(math.MaxInt32)
+	if opts.MaxResults <= 0 {
+		r.run(band)
+	} else {
+		for band = first; ; band = NextBand(band, opts.MaxDist) {
+			r.run(band)
+			if s.f.Len() == 0 {
+				band = math.MaxInt32 // drained (or cancelled): nothing was left out
+				break
+			}
+			if countWithin(s.rbuf.a, band) >= opts.MaxResults {
+				break
+			}
+		}
+	}
 
 	// A hop is final when no later relaxation of its node beat it.
 	hops := s.hops[:0]
 	for _, h := range s.hops {
-		if s.best[h.node] == h.dist {
+		if h.dist <= band && s.best[h.node] == h.dist {
 			hops = append(hops, h)
 		}
 	}
+	// Sort only what can be returned.  The compaction orphans resAt's
+	// positions, which nothing reads after the last run.  (A loop, not
+	// slices.DeleteFunc: its instantiation is laid out between this
+	// package's functions and the evaluator's visit/emit/linkVisit
+	// method-value wrappers and moved those, and every package linked
+	// after this one, by half a cache line — ROADMAP direction 1.)
+	results := s.rbuf.a[:0]
+	for _, it := range s.rbuf.a {
+		if it.dist <= band {
+			results = append(results, it)
+		}
+	}
 	out := PartialResult{
-		Results:   wireEntries(s.rbuf.a),
-		Hops:      wireEntries(hops),
+		Results:   wireEntries(results, opts.MaxResults),
+		Hops:      wireEntries(hops, 0),
 		Pops:      r.pops,
 		Entries:   r.entries,
 		LinkHops:  r.linkHops,
@@ -123,9 +169,20 @@ func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts Pa
 	return out, nil
 }
 
-// wireEntries sorts buf by (dist, node) in place and copies it out in the
-// wire type.
-func wireEntries(buf []pqItem) []FrontierEntry {
+// countWithin counts the entries of buf at distance band or below.
+func countWithin(buf []pqItem, band int32) int {
+	n := 0
+	for _, it := range buf {
+		if it.dist <= band {
+			n++
+		}
+	}
+	return n
+}
+
+// wireEntries sorts buf by (dist, node) in place and copies it — its first
+// limit entries when limit is positive — out in the wire type.
+func wireEntries(buf []pqItem, limit int) []FrontierEntry {
 	if len(buf) == 0 {
 		return nil
 	}
@@ -135,6 +192,9 @@ func wireEntries(buf []pqItem) []FrontierEntry {
 		}
 		return cmp.Compare(x.node, y.node)
 	})
+	if limit > 0 && len(buf) > limit {
+		buf = buf[:limit]
+	}
 	out := make([]FrontierEntry, len(buf))
 	for i, it := range buf {
 		out[i] = FrontierEntry{Node: it.node, Dist: it.dist}

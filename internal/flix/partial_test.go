@@ -2,6 +2,7 @@ package flix
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -64,7 +65,7 @@ func gatherLocal(ix *Index, start xmlgraph.NodeID, tag string, maxDist int32, nS
 	for n, d := range results {
 		merged = append(merged, pqItem{dist: d, node: n})
 	}
-	return wireEntries(merged)
+	return wireEntries(merged, 0)
 }
 
 // dropSelf removes the start element from a (dist, node)-sorted stream, the
@@ -192,6 +193,143 @@ func TestPartialDescendantsCancel(t *testing.T) {
 	pr := mustPartial(ix, []FrontierEntry{{Node: 0, Dist: 0}}, "", PartialOptions{Cancel: done})
 	if !pr.Truncated {
 		t.Fatal("cancelled evaluation not marked truncated")
+	}
+}
+
+// stoppingBand replays the limit driver's band schedule against the unlimited
+// results: the first band, counted from the batch's smallest distance, that
+// holds k of them (MaxInt32 when none does).
+func stoppingBand(full []FrontierEntry, first, maxDist int32, k int) int32 {
+	for band := first; ; band = NextBand(band, maxDist) {
+		n := 0
+		for _, e := range full {
+			if e.Dist <= band {
+				n++
+			}
+		}
+		if n >= k {
+			return band
+		}
+		if band == math.MaxInt32 || (maxDist > 0 && band == maxDist) {
+			return math.MaxInt32
+		}
+	}
+}
+
+// TestPartialMaxResultsIsExactPrefix checks the limit contract over graph
+// families × ownership masks × MaxDist × K × single-start and mixed-distance
+// batches: Results is exactly the K-prefix of the unlimited call's Results;
+// Hops is the unlimited call's hops up to the stopping band (or all of them,
+// when the frontier drained first) — never a hop the unlimited call does not
+// return, never one missing at or below the band; and the stop is exact, not
+// Truncated.  It also insists that the limit saved work somewhere, so the
+// early stop is not vacuously correct.
+func TestPartialMaxResultsIsExactPrefix(t *testing.T) {
+	masks := map[string]func(int32) bool{
+		"all":   nil,
+		"even":  func(mi int32) bool { return mi%2 == 0 },
+		"third": func(mi int32) bool { return mi%3 == 1 },
+	}
+	stoppedEarly, cutHops := 0, 0
+	for _, fam := range testutil.Families() {
+		coll := testutil.Generate(fam, 2, 14, 40, 50)
+		ix, err := Build(coll, Config{Kind: Hybrid, PartitionSize: 40})
+		if err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		rng := rand.New(rand.NewSource(41))
+		tags := append(coll.Tags()[:2:2], "")
+		for q := 0; q < 12; q++ {
+			// Even queries are a gather's first round (one start at 0), odd
+			// ones a later round (several hops at mixed distances).
+			entries := []FrontierEntry{{Node: xmlgraph.NodeID(rng.Intn(coll.NumNodes()))}}
+			if q%2 == 1 {
+				for i := 0; i < 3; i++ {
+					entries = append(entries, FrontierEntry{Node: xmlgraph.NodeID(rng.Intn(coll.NumNodes())), Dist: int32(1 + rng.Intn(5))})
+				}
+			}
+			tag := tags[q%len(tags)]
+			for name, owned := range masks {
+				for _, maxDist := range []int32{0, 4, 9} {
+					first := int32(math.MaxInt32)
+					for _, e := range entries {
+						if maxDist == 0 || e.Dist <= maxDist {
+							first = min(first, e.Dist)
+						}
+					}
+					full := mustPartial(ix, entries, tag, PartialOptions{MaxDist: maxDist, Owned: owned})
+					for _, k := range []int{1, 2, 5, 17, 100} {
+						id := fmt.Sprintf("%s q%d %v//%q mask=%s maxdist=%d k=%d", fam, q, entries, tag, name, maxDist, k)
+						got := mustPartial(ix, entries, tag, PartialOptions{MaxDist: maxDist, Owned: owned, MaxResults: k})
+						if got.Truncated {
+							t.Fatalf("%s: exact early stop flagged Truncated", id)
+						}
+						want := full.Results[:min(k, len(full.Results))]
+						if fmt.Sprint(got.Results) != fmt.Sprint(want) {
+							t.Fatalf("%s:\n results %v\n want the prefix %v", id, got.Results, want)
+						}
+						band := stoppingBand(full.Results, first, maxDist, k)
+						var upTo []FrontierEntry
+						for _, h := range full.Hops {
+							if h.Dist <= band {
+								upTo = append(upTo, h)
+							}
+						}
+						if hops := fmt.Sprint(got.Hops); hops != fmt.Sprint(upTo) && hops != fmt.Sprint(full.Hops) {
+							t.Fatalf("%s: stopping band %d\n hops %v\n want %v\n or all of %v", id, band, got.Hops, upTo, full.Hops)
+						}
+						if got.Pops > full.Pops {
+							t.Fatalf("%s: %d pops under the limit, %d without", id, got.Pops, full.Pops)
+						}
+						if got.Pops < full.Pops {
+							stoppedEarly++
+						}
+						if len(got.Hops) < len(full.Hops) {
+							cutHops++
+						}
+					}
+				}
+			}
+		}
+	}
+	if stoppedEarly == 0 || cutHops == 0 {
+		t.Fatalf("the limit never saved work (%d evaluations popped less, %d returned fewer hops): the early stop is untested", stoppedEarly, cutHops)
+	}
+}
+
+// TestPartialMaxResultsCancelMidBand checks that a cancellation landing
+// inside a band of a limited evaluation is still reported: the early stop
+// must not pass a cut-short evaluation off as an exact one.
+func TestPartialMaxResultsCancelMidBand(t *testing.T) {
+	coll := testutil.Generate(testutil.Linked, 4, 10, 40, 40)
+	ix, err := Build(coll, Config{Kind: Hybrid, PartitionSize: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []FrontierEntry{{Node: 0}}
+	full := mustPartial(ix, entries, "", PartialOptions{MaxResults: 1 << 20})
+	if full.Truncated || full.Pops < 4 {
+		t.Fatalf("uncancelled run: truncated=%v pops=%d, want a clean run of several pops", full.Truncated, full.Pops)
+	}
+	// Owned is consulted once per admitted pop, so closing the channel from
+	// inside it cancels between two pops of the same run.
+	done := make(chan struct{})
+	calls := 0
+	pr := mustPartial(ix, entries, "", PartialOptions{
+		MaxResults: 1 << 20,
+		Cancel:     done,
+		Owned: func(int32) bool {
+			if calls++; calls == 2 {
+				close(done)
+			}
+			return true
+		},
+	})
+	if !pr.Truncated {
+		t.Fatal("evaluation cancelled mid-band not marked truncated")
+	}
+	if pr.Pops >= full.Pops {
+		t.Fatalf("cancelled run popped %d entries, the full run %d", pr.Pops, full.Pops)
 	}
 }
 

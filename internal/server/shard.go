@@ -2,9 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/flix"
@@ -67,20 +68,25 @@ func (s *Server) shardGate() (int, string) {
 }
 
 // maxEvalBody bounds the /v1/shard/eval request body (64 MiB); a larger
-// frontier is refused whole, not truncated into a JSON syntax error.
+// frontier is refused whole, not cut off into a malformed frame.
 const maxEvalBody = 64 << 20
 
 // handleShardEval answers POST /v1/shard/eval: one frontier batch expanded
-// within this shard's owned meta documents (flix.PartialDescendants).  The
-// front admits it under the server-wide maximum deadline — the router owns
-// the query deadline; the shard only guards itself against a stuck peer.
+// within this shard's owned meta documents (flix.PartialDescendants), asked
+// and answered in the binary frame of shard/protocol.go; errors stay JSON.
+// The front admits it under the server-wide maximum deadline — the router
+// owns the query deadline; the shard only guards itself against a stuck peer.
 func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx context.Context) {
 	if r.Method != http.MethodPost {
 		s.front.FailMethod(w, "POST only")
 		return
 	}
 	var req shard.EvalRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEvalBody)).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEvalBody))
+	if err == nil {
+		err = req.DecodeFrame(body)
+	}
+	if err != nil {
 		s.front.Fail(w, http.StatusBadRequest, "bad eval request: "+err.Error())
 		return
 	}
@@ -96,7 +102,8 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx con
 		tr.SetGeneration(g.num)
 	}
 	pr, err := g.ix.PartialDescendants(req.Entries, req.Tag, flix.PartialOptions{
-		MaxDist: req.MaxDist,
+		MaxDist:    req.MaxDist,
+		MaxResults: req.K,
 		Owned: func(mi int32) bool {
 			return mi >= 0 && int(mi) < len(owned) && owned[mi]
 		},
@@ -120,7 +127,14 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx con
 	if tr != nil {
 		resp.Trace = obs.NewFragment(s.cfg.Shard.ID, tr.Summary(false))
 	}
-	front.OK(w, resp)
+	frame, err := resp.AppendFrame(nil)
+	if err != nil {
+		s.front.Fail(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", shard.FrameContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Write(frame) //nolint:errcheck // client gone; nothing to do
 }
 
 // handleShardLinks answers GET /v1/shard/links: the topology export the

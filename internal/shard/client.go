@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 )
 
@@ -54,7 +55,12 @@ type Client struct {
 	urls []string
 	hc   *http.Client
 	opts ClientOptions
+	// wire counts the eval frame bytes sent to and received from each
+	// shard, every attempt included.
+	wire []wireBytes
 }
+
+type wireBytes struct{ tx, rx atomic.Int64 }
 
 // NewClient builds a client over the given shard base URLs
 // (http://host:port, shard i = urls[i]).
@@ -70,6 +76,7 @@ func NewClient(urls []string, opts ClientOptions) *Client {
 			},
 		},
 		opts: opts,
+		wire: make([]wireBytes, len(urls)),
 	}
 }
 
@@ -79,28 +86,39 @@ func (c *Client) NumShards() int { return len(c.urls) }
 // URL returns shard i's base URL.
 func (c *Client) URL(i int) string { return c.urls[i] }
 
+// WireBytes returns the eval frame bytes sent to (tx) and received from
+// (rx) shard i so far.
+func (c *Client) WireBytes(i int) (tx, rx int64) {
+	return c.wire[i].tx.Load(), c.wire[i].rx.Load()
+}
+
 // Eval sends one frontier batch to a shard and decodes the partial result.
 // reqID, when non-empty, travels as the X-Flix-Request-Id header.
 func (c *Client) Eval(ctx context.Context, shard int, reqID string, req *EvalRequest) (*EvalResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
+	body := req.AppendFrame(nil)
 	var out EvalResponse
-	err = c.do(ctx, shard, func(ctx context.Context) (*http.Request, error) {
+	err := c.do(ctx, shard, func(ctx context.Context) (*http.Request, error) {
 		r, err := http.NewRequestWithContext(ctx, http.MethodPost, c.urls[shard]+"/v1/shard/eval", bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
-		r.Header.Set("Content-Type", "application/json")
+		r.Header.Set("Content-Type", FrameContentType)
 		if reqID != "" {
 			r.Header.Set(RequestIDHeader, reqID)
 		}
 		if req.Trace {
 			r.Header.Set(TraceHeader, "1")
 		}
+		c.wire[shard].tx.Add(int64(len(body)))
 		return r, nil
-	}, &out)
+	}, func(body io.Reader) error {
+		frame, err := io.ReadAll(body)
+		c.wire[shard].rx.Add(int64(len(frame)))
+		if err != nil {
+			return err
+		}
+		return out.DecodeFrame(frame)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +135,7 @@ func (c *Client) Links(ctx context.Context, shard int, summary bool) (*LinksResp
 	var out LinksResponse
 	err := c.do(ctx, shard, func(ctx context.Context) (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	}, &out)
+	}, func(body io.Reader) error { return json.NewDecoder(body).Decode(&out) })
 	if err != nil {
 		return nil, err
 	}
@@ -149,9 +167,9 @@ func (c *Client) Health(ctx context.Context, shard int) (*HealthResponse, error)
 	return &out, nil
 }
 
-// do runs one RPC with per-attempt timeouts and retry-with-backoff,
-// decoding a 200 JSON body into out.
-func (c *Client) do(ctx context.Context, shard int, build func(context.Context) (*http.Request, error), out any) error {
+// do runs one RPC with per-attempt timeouts and retry-with-backoff; decode
+// reads a 200 answer's body (at most 64 MiB of it).
+func (c *Client) do(ctx context.Context, shard int, build func(context.Context) (*http.Request, error), decode func(io.Reader) error) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
@@ -165,7 +183,7 @@ func (c *Client) do(ctx context.Context, shard int, build func(context.Context) 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lastErr = c.attempt(ctx, shard, build, out)
+		lastErr = c.attempt(ctx, shard, build, decode)
 		if lastErr == nil {
 			return nil
 		}
@@ -177,7 +195,7 @@ func (c *Client) do(ctx context.Context, shard int, build func(context.Context) 
 	return lastErr
 }
 
-func (c *Client) attempt(ctx context.Context, shard int, build func(context.Context) (*http.Request, error), out any) error {
+func (c *Client) attempt(ctx context.Context, shard int, build func(context.Context) (*http.Request, error), decode func(io.Reader) error) error {
 	ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 	defer cancel()
 	req, err := build(ctx)
@@ -197,7 +215,7 @@ func (c *Client) attempt(ctx context.Context, shard int, build func(context.Cont
 		}
 		return err
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(out); err != nil {
+	if err := decode(io.LimitReader(resp.Body, 64<<20)); err != nil {
 		return &retryableError{fmt.Errorf("shard %d: decode: %w", shard, err)}
 	}
 	return nil

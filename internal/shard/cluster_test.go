@@ -31,7 +31,7 @@ import (
 // cluster is one in-process scatter-gather deployment: n shard servers
 // sharing a single prebuilt index, fronted by a router.
 type cluster struct {
-	t      *testing.T
+	t      testing.TB
 	coll   *xmlgraph.Collection
 	shards []*httptest.Server
 	// kill[i], when set, makes shard i answer /v1/shard/eval with 500 —
@@ -39,6 +39,11 @@ type cluster struct {
 	// the failure is invisible to the prober and must be absorbed by the
 	// gather loop itself.
 	kill []atomic.Bool
+	// garble[i], when set, makes shard i answer /v1/shard/eval with 200 and
+	// a body that is not an eval frame; evals[i] counts the eval requests
+	// shard i received.
+	garble []atomic.Bool
+	evals  []atomic.Int64
 	// armKill, when set, triggers once on the next eval request any shard
 	// receives: that shard's ring successor is killed — guaranteed
 	// mid-query, after the query already fanned out.
@@ -48,9 +53,10 @@ type cluster struct {
 	stop    context.CancelFunc
 }
 
-func newCluster(t *testing.T, coll *xmlgraph.Collection, ix *flix.Index, n int, retries int) *cluster {
+func newCluster(t testing.TB, coll *xmlgraph.Collection, ix *flix.Index, n int, retries int) *cluster {
 	t.Helper()
-	c := &cluster{t: t, coll: coll, kill: make([]atomic.Bool, n), shards: make([]*httptest.Server, n)}
+	c := &cluster{t: t, coll: coll, kill: make([]atomic.Bool, n), garble: make([]atomic.Bool, n),
+		evals: make([]atomic.Int64, n), shards: make([]*httptest.Server, n)}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		s := server.New(ix, server.Config{
@@ -61,11 +67,17 @@ func newCluster(t *testing.T, coll *xmlgraph.Collection, ix *flix.Index, n int, 
 		i := i
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/shard/eval" {
+				c.evals[i].Add(1)
 				if c.armKill.CompareAndSwap(true, false) {
 					c.kill[(i+1)%n].Store(true)
 				}
 				if c.kill[i].Load() {
 					http.Error(w, "injected failure", http.StatusInternalServerError)
+					return
+				}
+				if c.garble[i].Load() {
+					w.Header().Set("Content-Type", shard.FrameContentType)
+					w.Write([]byte{1, 0, 1, 0, 0, 0, 0, 200}) //nolint:errcheck // a frame cut off inside its results
 					return
 				}
 			}
@@ -208,35 +220,69 @@ func TestClusterDescendantsMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestClusterTopKEarlyStop checks that the watermark early stop is exact:
-// a small-k answer equals the oracle's k-prefix, not just any k sound
-// results.
+// TestClusterTopKEarlyStop checks that a bounded k is exact end to end —
+// the router's watermark stop, the limit it sends the shards and their
+// banded early stop: for every graph family, at 1, 2 and 4 shards, for each
+// K, with and without the start element and a distance bound, the answer is
+// the oracle's K-prefix element for element and is not flagged partial.
 func TestClusterTopKEarlyStop(t *testing.T) {
-	coll := testutil.Generate(testutil.Linked, 7, 12, 40, 40)
-	ix := buildIndex(t, coll)
-	c := newCluster(t, coll, ix, 3, 0)
-	rng := rand.New(rand.NewSource(7))
-	tags := coll.Tags()
-	for q := 0; q < 10; q++ {
-		start := xmlgraph.NodeID(rng.Intn(coll.NumNodes()))
-		tag := tags[rng.Intn(len(tags))]
-		k := 1 + rng.Intn(4)
-		oracle := oracleFor(coll, start, tag)
-		if len(oracle) > k {
-			oracle = oracle[:k]
+	for _, fam := range testutil.Families() {
+		coll := testutil.Generate(fam, 7, 12, 40, 40)
+		// A fine partitioning: most gathers cross shards and take rounds.
+		ix, err := flix.Build(coll, flix.Config{Kind: flix.Hybrid, PartitionSize: 25})
+		if err != nil {
+			t.Fatal(err)
 		}
-		dr, _ := c.descendants(start, tag, k)
-		if dr.Partial {
-			t.Fatalf("%d//%s k=%d: early-stopped query flagged partial", start, tag, k)
-		}
-		if len(dr.Results) != len(oracle) {
-			t.Fatalf("%d//%s k=%d: %d results, oracle prefix %d", start, tag, k, len(dr.Results), len(oracle))
-		}
-		for i, r := range dr.Results {
-			if r.Node != oracle[i].Node || r.Dist != oracle[i].Dist {
-				t.Fatalf("%d//%s k=%d: result %d = (%d,%d), oracle (%d,%d)",
-					start, tag, k, i, r.Node, r.Dist, oracle[i].Node, oracle[i].Dist)
-			}
+		for _, n := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards%d", fam, n), func(t *testing.T) {
+				c := newCluster(t, coll, ix, n, 0)
+				rng := rand.New(rand.NewSource(7))
+				tags := append(coll.Tags(), "")
+				// Six random queries and a pinned one: on the linked family at
+				// two shards, 65//* with k=5 has a result of the prefix behind
+				// a hop at exactly the band a shard stops at.
+				for q := 0; q < 7; q++ {
+					start := xmlgraph.NodeID(rng.Intn(coll.NumNodes()))
+					tag := tags[rng.Intn(len(tags))]
+					if q == 6 {
+						start, tag = 65, ""
+					}
+					for _, self := range []bool{false, true} {
+						for _, maxDist := range []int32{0, 3} {
+							var oracle []xmlgraph.NodeDist
+							if self && (tag == "" || coll.Tag(start) == tag) {
+								oracle = append(oracle, xmlgraph.NodeDist{Node: start})
+							}
+							for _, nd := range oracleFor(coll, start, tag) {
+								if maxDist == 0 || nd.Dist <= maxDist {
+									oracle = append(oracle, nd)
+								}
+							}
+							for _, k := range []int{1, 2, 5, 17, 100} {
+								path := fmt.Sprintf("/v1/descendants?start=%d&tag=%s&k=%d&maxdist=%d&timeout=20s", start, tag, k, maxDist)
+								if self {
+									path += "&self=1"
+								}
+								var dr descendantsResp
+								c.getJSON(path, &dr)
+								if dr.Partial || dr.TimedOut {
+									t.Fatalf("%s: early-stopped query flagged partial=%v timedOut=%v", path, dr.Partial, dr.TimedOut)
+								}
+								want := oracle[:min(k, len(oracle))]
+								if len(dr.Results) != len(want) {
+									t.Fatalf("%s: %d results, oracle prefix %d", path, len(dr.Results), len(want))
+								}
+								for i, r := range dr.Results {
+									if r.Node != want[i].Node || r.Dist != want[i].Dist {
+										t.Fatalf("%s: result %d = (%d,%d), oracle (%d,%d)",
+											path, i, r.Node, r.Dist, want[i].Node, want[i].Dist)
+									}
+								}
+							}
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -398,6 +444,64 @@ func TestClusterShardKilledMidQuery(t *testing.T) {
 	dr, _ := c.descendants(start, tags[0], 1<<20)
 	if dr.Partial || len(dr.Results) != len(oracle) {
 		t.Fatalf("post-recovery query: partial=%v results=%d oracle=%d", dr.Partial, len(dr.Results), len(oracle))
+	}
+}
+
+// TestClusterMalformedShardFrame checks the router's side of the frame
+// contract: an eval answer that does not decode is a transient failure like
+// any other — re-attempted, then the shard's share of the query is dropped
+// and named in failedShards — and never half-merged into the answer.
+func TestClusterMalformedShardFrame(t *testing.T) {
+	coll := testutil.Generate(testutil.Linked, 11, 12, 40, 40)
+	ix, err := flix.Build(coll, flix.Config{Kind: flix.Hybrid, PartitionSize: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const retries = 1
+	c := newCluster(t, coll, ix, 2, retries)
+	// A start whose gather asks both shards.
+	var start xmlgraph.NodeID
+	var clean descendantsResp
+	for start = 0; ; start++ {
+		if int(start) == coll.NumNodes() {
+			t.Fatal("no start element whose gather crosses shards")
+		}
+		before0, before1 := c.evals[0].Load(), c.evals[1].Load()
+		clean, _ = c.descendants(start, "", 1<<20)
+		if c.evals[0].Load() > before0 && c.evals[1].Load() > before1 && len(clean.Results) > 0 {
+			break
+		}
+	}
+	if clean.Partial {
+		t.Fatalf("start %d: clean cluster answered partial", start)
+	}
+	oracle := make(map[xmlgraph.NodeID]int32)
+	for _, nd := range oracleFor(coll, start, "") {
+		oracle[nd.Node] = nd.Dist
+	}
+
+	c.garble[1].Store(true)
+	before := c.evals[1].Load()
+	dr, resp := c.descendants(start, "", 1<<20)
+	if !dr.Partial || fmt.Sprint(dr.FailedShards) != "[1]" || resp.Header.Get(shard.FailedShardsHeader) != "1" {
+		t.Fatalf("garbled shard 1: partial=%v failedShards=%v header=%q, want partial, [1] and the header",
+			dr.Partial, dr.FailedShards, resp.Header.Get(shard.FailedShardsHeader))
+	}
+	if got := c.evals[1].Load() - before; got != retries+1 {
+		t.Errorf("shard 1 was asked %d times, want %d (a malformed answer is retryable, and a failed shard is not asked again)", got, retries+1)
+	}
+	if len(dr.Results) >= len(clean.Results) {
+		t.Errorf("%d results with shard 1 garbled, %d without", len(dr.Results), len(clean.Results))
+	}
+	for _, r := range dr.Results {
+		if want, ok := oracle[r.Node]; !ok || r.Dist < want {
+			t.Fatalf("result (%d,%d) is not sound: oracle has %d, reachable=%v", r.Node, r.Dist, want, ok)
+		}
+	}
+
+	c.garble[1].Store(false)
+	if again, _ := c.descendants(start, "", 1<<20); again.Partial || len(again.Results) != len(clean.Results) {
+		t.Fatalf("after the shard recovered: partial=%v results=%d, want %d", again.Partial, len(again.Results), len(clean.Results))
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/http"
@@ -81,9 +82,13 @@ func (rt *Router) gatherDescendants(ctx context.Context, reqID string, start xml
 
 // gather runs the rounds loop.  needK > 0 enables the top-k early stop
 // (once needK results sit strictly below the pending-frontier watermark,
-// no later round can displace them); target != InvalidNode enables the
-// connectivity early stop (the target's distance is final once it is at or
-// below the watermark).  Early stops are exact, not partial.
+// no later round can displace them) and travels to the shards as
+// EvalRequest.K, so no shard computes, sorts or ships more than the gather
+// can use (DESIGN §3g item 3 has the proof that neither the answer nor the
+// round the stop fires in changes); results is then the needK-prefix.
+// target != InvalidNode enables the connectivity early stop (the target's
+// distance is final once it is at or below the watermark).  Early stops are
+// exact, not partial.
 //
 // tb, when non-nil, makes this a traced gather: every shard RPC carries
 // the trace flag, fragments come back in the responses, and the builder
@@ -123,7 +128,8 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 			return
 		}
 		best[e.Node] = e.Dist
-		batches[rt.ring.Owner(topo.metaOf[e.Node])] = append(batches[rt.ring.Owner(topo.metaOf[e.Node])], e)
+		ow := rt.ring.Owner(topo.metaOf[e.Node])
+		batches[ow] = append(batches[ow], e)
 	}
 	for _, e := range starts {
 		stage(e)
@@ -192,7 +198,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 			}
 			go func(sh int, entries []flix.FrontierEntry) {
 				t0 := time.Now()
-				resp, err := rt.client.Eval(ctx, sh, reqID, &EvalRequest{Entries: entries, Tag: tag, MaxDist: maxDist, Trace: tb != nil})
+				resp, err := rt.client.Eval(ctx, sh, reqID, &EvalRequest{Entries: entries, Tag: tag, MaxDist: maxDist, K: needK, Trace: tb != nil})
 				d := time.Since(t0)
 				rt.shardLatency[sh].Observe(d)
 				rt.shards[sh].rpcs.Add(1)
@@ -209,7 +215,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 		for i := 0; i < active; i++ {
 			o := <-outs
 			if tb != nil {
-				tb.dispatch(rspan, o, sent[o.sh])
+				tb.dispatch(rspan, o, sent[o.sh], needK)
 			}
 			if o.err != nil {
 				failed[o.sh] = true
@@ -220,6 +226,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 				}
 				continue
 			}
+			rt.shards[o.sh].results.Add(int64(len(o.resp.Results)))
 			if o.resp.Fingerprint != topo.fingerprint {
 				// The shard swapped to a different decomposition mid-query;
 				// its node IDs no longer map onto our topology.
@@ -283,7 +290,13 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 		}
 	}
 	out.hopsDispatched = dispatched
+	// Under needK a response adds at most needK entries to resultMin, so it
+	// stays within needK per RPC and is not pruned between rounds: that
+	// would cost a selection every round to shorten one small sort here.
 	out.results = sortEntries(resultMin)
+	if needK > 0 && len(out.results) > needK {
+		out.results = out.results[:needK]
+	}
 	out.failed = sortedShardIDs(failed)
 	rt.gathers.Add(1)
 	rt.rounds.Add(int64(out.rounds))
@@ -294,7 +307,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 	}
 	if gspan != nil {
 		gspan.SetAttr("rounds", int64(out.rounds))
-		gspan.SetAttr("results", int64(len(out.results)))
+		gspan.SetAttr("results", int64(len(resultMin)))
 	}
 	return out
 }
@@ -321,11 +334,11 @@ func sortEntries(m map[xmlgraph.NodeID]int32) []flix.FrontierEntry {
 	for n, d := range m {
 		out = append(out, flix.FrontierEntry{Node: n, Dist: d})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
+	slices.SortFunc(out, func(x, y flix.FrontierEntry) int {
+		if c := cmp.Compare(x.Dist, y.Dist); c != 0 {
+			return c
 		}
-		return out[i].Node < out[j].Node
+		return cmp.Compare(x.Node, y.Node)
 	})
 	return out
 }

@@ -177,10 +177,24 @@ func TestRouterMetricsExposition(t *testing.T) {
 	if hops != redis+dedup {
 		t.Errorf("hops_total %v != redispatched %v + deduped %v (no budget or maxdist in play)", hops, redis, dedup)
 	}
-	// Per-shard series: one rpcs/errors/ready sample per configured shard,
-	// and both shards did work on this corpus.
+	// Per-shard series: one rpcs/errors/results/ready sample and a tx and an
+	// rx wire-bytes sample per configured shard, and both shards did work on
+	// this corpus.
+	for _, fam := range []string{"flix_router_shard_results_total", "flix_router_shard_wire_bytes_total"} {
+		if first.types[fam] != "counter" {
+			t.Errorf("%s declared as %q, want counter", fam, first.types[fam])
+		}
+	}
 	var rpcTotal float64
 	for sh := 0; sh < 2; sh++ {
+		if v, ok := first.samples[fmt.Sprintf("flix_router_shard_results_total{shard=%q}", strconv.Itoa(sh))]; !ok || v <= 0 {
+			t.Errorf("shard %d results series missing or zero: %v", sh, v)
+		}
+		for _, dir := range []string{"tx", "rx"} {
+			if v, ok := first.samples[fmt.Sprintf("flix_router_shard_wire_bytes_total{shard=%q,dir=%q}", strconv.Itoa(sh), dir)]; !ok || v <= 0 {
+				t.Errorf("shard %d wire bytes %s series missing or zero: %v", sh, dir, v)
+			}
+		}
 		rpcs, ok := first.samples[fmt.Sprintf("flix_router_shard_rpcs_total{shard=%q}", strconv.Itoa(sh))]
 		if !ok || rpcs <= 0 {
 			t.Errorf("shard %d rpcs series missing or zero: %v", sh, rpcs)

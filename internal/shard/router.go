@@ -103,6 +103,7 @@ type shardState struct {
 	probeFails  atomic.Int64
 	rpcs        atomic.Int64
 	rpcErrors   atomic.Int64
+	results     atomic.Int64 // result entries the shard's eval answers carried
 	lastErr     atomic.Pointer[string]
 	fingerprint atomic.Pointer[string]
 }

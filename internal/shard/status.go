@@ -80,6 +80,7 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	shards := make([]map[string]any, len(rt.shards))
 	for i, st := range rt.shards {
 		sn := rt.shardLatency[i].Snapshot()
+		tx, rx := rt.client.WireBytes(i)
 		shards[i] = map[string]any{
 			"id":          i,
 			"url":         st.url,
@@ -93,6 +94,9 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"consecFails": st.consecFails.Load(),
 			"rpcs":        st.rpcs.Load(),
 			"rpcErrors":   st.rpcErrors.Load(),
+			"results":     st.results.Load(),
+			"wireTxBytes": tx,
+			"wireRxBytes": rx,
 			"rpcCount":    sn.Count,
 			"rpcP50":      durString(sn.Quantile(0.50)),
 			"rpcP99":      durString(sn.Quantile(0.99)),
@@ -184,6 +188,19 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	front.MetricHead(p, "flix_router_shard_rpc_errors_total", "counter", "Eval RPCs that failed after retries, by shard.")
 	for i, st := range rt.shards {
 		p("flix_router_shard_rpc_errors_total{shard=\"%d\"} %d\n", i, st.rpcErrors.Load())
+	}
+	// These two are what a result limit on the wire shrinks.  Their names
+	// must not start with flix_router_shard_rpcs_total, _rpc_errors_total or
+	// _rpc_duration_seconds_: the benchmark sums series by those prefixes.
+	front.MetricHead(p, "flix_router_shard_results_total", "counter", "Result entries carried by eval answers, by shard.")
+	for i, st := range rt.shards {
+		p("flix_router_shard_results_total{shard=\"%d\"} %d\n", i, st.results.Load())
+	}
+	front.MetricHead(p, "flix_router_shard_wire_bytes_total", "counter", "Eval frame bytes sent to (tx) and received from (rx) each shard, retries included.")
+	for i := range rt.shards {
+		tx, rx := rt.client.WireBytes(i)
+		p("flix_router_shard_wire_bytes_total{shard=\"%d\",dir=\"tx\"} %d\n", i, tx)
+		p("flix_router_shard_wire_bytes_total{shard=\"%d\",dir=\"rx\"} %d\n", i, rx)
 	}
 	front.MetricHead(p, "flix_router_shard_ready", "gauge", "Per-shard readiness.")
 	for i, st := range rt.shards {

@@ -71,10 +71,12 @@ func (tb *traceBuilder) beginGather(note string) *obs.Span {
 
 // dispatch records one shard RPC: the round span gets a dispatch child
 // covering the RPC's wall time with the shard's fragment attached, and the
-// per-shard rollup accumulates the evaluation counters.  rpcStart was
+// per-shard rollup accumulates the evaluation counters.  k is the limit the
+// batch travelled with (0 = none); results and hops count what the shard
+// returned under it, the same entries /metrics counts.  rpcStart was
 // captured by the dispatch goroutine; assembly runs on the receive
 // goroutine.
-func (tb *traceBuilder) dispatch(round *obs.Span, o shardOut, sent int) {
+func (tb *traceBuilder) dispatch(round *obs.Span, o shardOut, sent, k int) {
 	sp := &obs.Span{
 		Name:     "dispatch",
 		Start:    o.rpcStart.Sub(tb.start),
@@ -82,6 +84,7 @@ func (tb *traceBuilder) dispatch(round *obs.Span, o shardOut, sent int) {
 	}
 	sp.SetAttr("shard", int64(o.sh))
 	sp.SetAttr("entries", int64(sent))
+	sp.SetAttr("k", int64(k))
 	round.Children = append(round.Children, sp)
 
 	s := &tb.shards[o.sh]

@@ -222,6 +222,68 @@ func TestClusterTraceReconcilesWithMetrics(t *testing.T) {
 	}
 }
 
+// TestTracedDispatchCarriesLimit checks what a bounded k leaves in a trace:
+// every dispatch span names the limit its batch travelled with (k, plus one
+// while the start element may still have to be dropped), counts no more
+// results than that, and the per-shard sums of those counts equal the
+// flix_router_shard_results_total deltas exactly — span and counter both
+// count what the shard returned.  The eval frames moved bytes both ways.
+func TestTracedDispatchCarriesLimit(t *testing.T) {
+	coll := testutil.Generate(testutil.Linked, 9, 12, 40, 40)
+	ix := buildIndex(t, coll)
+	const nShards = 2
+	c := newCluster(t, coll, ix, nShards, 0)
+	series := func(e *promText, name string, sh int, dir string) float64 {
+		if dir != "" {
+			dir = fmt.Sprintf(",dir=%q", dir)
+		}
+		v, ok := e.samples[fmt.Sprintf("%s{shard=%q%s}", name, strconv.Itoa(sh), dir)]
+		if !ok {
+			t.Errorf("%s has no series for shard %d %s", name, sh, dir)
+		}
+		return v
+	}
+	for q, tc := range []struct {
+		self  string
+		k     int
+		wantK int64
+	}{{"", 5, 6}, {"&self=1", 5, 5}, {"", 1 << 20, 1<<20 + 1}} {
+		start := xmlgraph.NodeID((q * 37) % coll.NumNodes())
+		before := scrapeMetrics(t, c.router.URL)
+		var tr tracedResp
+		c.getJSON(fmt.Sprintf("/v1/descendants?start=%d&k=%d%s&trace=1&timeout=20s", start, tc.k, tc.self), &tr)
+		checkTraceShape(t, tr.Trace, len(tr.Results))
+		after := scrapeMetrics(t, c.router.URL)
+
+		returned := make([]int64, nShards)
+		for _, g := range tr.Trace.Root.Children {
+			for _, r := range g.Children {
+				for _, d := range r.Children {
+					if d.Attrs["k"] != tc.wantK {
+						t.Errorf("k=%d%s: dispatch span carries k=%d, want %d", tc.k, tc.self, d.Attrs["k"], tc.wantK)
+					}
+					if d.Attrs["results"] > tc.wantK {
+						t.Errorf("k=%d%s: shard %d returned %d results past the limit %d", tc.k, tc.self, d.Attrs["shard"], d.Attrs["results"], tc.wantK)
+					}
+					returned[d.Attrs["shard"]] += d.Attrs["results"]
+				}
+			}
+		}
+		for sh := 0; sh < nShards; sh++ {
+			const results, wire = "flix_router_shard_results_total", "flix_router_shard_wire_bytes_total"
+			if d := int64(series(after, results, sh, "") - series(before, results, sh, "")); d != returned[sh] {
+				t.Errorf("k=%d%s: shard %d results_total delta %d != dispatch spans %d", tc.k, tc.self, sh, d, returned[sh])
+			}
+			rpcs := series(after, "flix_router_shard_rpcs_total", sh, "") - series(before, "flix_router_shard_rpcs_total", sh, "")
+			for _, dir := range []string{"tx", "rx"} {
+				if d := series(after, wire, sh, dir) - series(before, wire, sh, dir); (d > 0) != (rpcs > 0) {
+					t.Errorf("k=%d%s: shard %d %s bytes delta %v over %v RPCs", tc.k, tc.self, sh, dir, d, rpcs)
+				}
+			}
+		}
+	}
+}
+
 // TestClusterQueryTrace checks /v1/query tracing: one gather per //-step
 // scan of the ranked evaluator, with the evaluator's work shape on the root
 // span.

@@ -106,10 +106,10 @@ func (ix *Index) ConnectedBidirectional(a, b xmlgraph.NodeID, maxDist int32) (in
 		// Stop when even the optimistic combination cannot improve.
 		lo := int32(0)
 		if fwd.f.Len() > 0 {
-			lo += fwd.f.a[0].dist
+			lo += fwd.f.minDist()
 		}
 		if bwd.f.Len() > 0 {
-			lo += bwd.f.a[0].dist
+			lo += bwd.f.minDist()
 		}
 		if best >= 0 && lo >= best {
 			break
@@ -119,7 +119,7 @@ func (ix *Index) ConnectedBidirectional(a, b xmlgraph.NodeID, maxDist int32) (in
 		}
 		side := fwd
 		other := bwd
-		if fwd.f.Len() == 0 || (bwd.f.Len() > 0 && bwd.f.a[0].dist < fwd.f.a[0].dist) {
+		if fwd.f.Len() == 0 || (bwd.f.Len() > 0 && bwd.f.minDist() < fwd.f.minDist()) {
 			side, other = bwd, fwd
 		}
 		if side.f.Len() == 0 {
@@ -141,7 +141,7 @@ func (ix *Index) ConnectedBidirectional(a, b xmlgraph.NodeID, maxDist int32) (in
 type halfSearch struct {
 	ix      *Index
 	forward bool
-	f       frontier4
+	f       frontier
 	// entered records visited entry points per meta document along with
 	// their distances from this side's origin.
 	entered map[int32][]int32

@@ -87,8 +87,6 @@ type pqItem struct {
 // order (§5.1, Figure 4).  An empty tag means the wildcard start//*.
 func (ix *Index) Descendants(start xmlgraph.NodeID, tag string, opts Options, fn Emit) {
 	s := ix.getScratch()
-	// Single-start construction is a plain append into the empty pooled
-	// heap — O(1), no heap.Init pass over a one-element slice.
 	s.f.push(pqItem{dist: 0, node: start})
 	ix.evaluate(s, tag, opts, fn)
 }
@@ -99,12 +97,9 @@ func (ix *Index) Descendants(start xmlgraph.NodeID, tag string, opts Options, fn
 // elements; each is reported once with the smallest distance found.
 func (ix *Index) TypeDescendants(tagA, tagB string, opts Options, fn Emit) {
 	s := ix.getScratch()
-	nodes := ix.coll.NodesByTag(tagA)
-	s.f.grow(len(nodes))
-	for _, n := range nodes {
-		s.f.a = append(s.f.a, pqItem{dist: 0, node: n})
+	for _, n := range ix.coll.NodesByTag(tagA) {
+		s.f.push(pqItem{dist: 0, node: n})
 	}
-	s.f.heapify()
 	ix.evaluate(s, tagB, opts, fn)
 }
 
@@ -135,7 +130,7 @@ func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
 //   - the band run is given: Descendants, TypeDescendants and
 //     PartialDescendants run the frontier dry, Probe.Next pauses it at a
 //     distance band and resumes later on the same scratch;
-//   - the result sink: streamed to fn, buffered in the (dist, node) heap
+//   - the result sink: streamed to fn, buffered in the (dist, node) queue
 //     rbuf (ExactOrder and Probe), or min-merged per node (merge);
 //   - the duplicate-elimination rule.  The default is the paper's §5.1
 //     entry-point coverage: a popped element is dropped, and a probed result
@@ -219,7 +214,8 @@ func (ix *Index) finish(s *evalScratch) {
 func (r *evalRun) run(band int32) {
 	s, ix := r.s, r.ix
 	wildcard := r.tag == ""
-	for s.f.Len() > 0 && s.f.a[0].dist <= band && !r.stopped {
+	last := pqItem{dist: -1} // the previous pop of this call; no entry equals it yet
+	for s.f.Len() > 0 && s.f.minDist() <= band && !r.stopped {
 		if canceled(r.opts.Cancel) {
 			r.stopped, r.truncated = true, true
 			s.f.reset()
@@ -230,6 +226,15 @@ func (r *evalRun) run(band int32) {
 		if r.tr != nil {
 			r.tr.Pop(int64(it.node), it.dist)
 		}
+		if it == last && !r.opts.DupSeenSet {
+			// A certain drop under the coverage rule (frontier.go): not re-tested.
+			r.dupDropped++
+			if r.tr != nil {
+				r.tr.DupDrop(ix.set.MetaOf[it.node], int64(it.node), it.dist)
+			}
+			continue
+		}
+		last = it
 		if r.opts.ExactOrder {
 			// Anything buffered below the new frontier minimum can
 			// never be beaten; flush it in exact order.
@@ -341,10 +346,10 @@ func (r *evalRun) visit(n, ld int32) bool {
 		// Local distances are exact, so the minimum per node over all
 		// expanded entries is the exact shortest distance.
 		if i, seen := s.resAt[g]; !seen {
-			s.resAt[g] = int32(s.rbuf.Len())
-			s.rbuf.a = append(s.rbuf.a, pqItem{dist: gd, node: g})
-		} else if gd < s.rbuf.a[i].dist {
-			s.rbuf.a[i].dist = gd
+			s.resAt[g] = int32(len(s.merged))
+			s.merged = append(s.merged, pqItem{dist: gd, node: g})
+		} else if gd < s.merged[i].dist {
+			s.merged[i].dist = gd
 		} else {
 			return true
 		}

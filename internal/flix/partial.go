@@ -83,7 +83,8 @@ type PartialResult struct {
 // collecting boundary crossings as hops.  Entries already landing in foreign
 // meta documents are returned as hops unexpanded, so a caller with a stale
 // ownership view degrades gracefully instead of computing wrong answers.
-// An entry naming a node outside the collection is an error.
+// An entry naming a node outside the collection is an error, and so is one
+// farther than its element count: no path is, and it would size the frontier.
 func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts PartialOptions) (PartialResult, error) {
 	s := ix.getScratch()
 	r := ix.arm(s, tag, Options{
@@ -95,10 +96,11 @@ func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts Pa
 	})
 	r.merge, r.owned = true, opts.Owned
 	first := int32(math.MaxInt32) // smallest seeded distance
+	elements := len(ix.set.MetaOf)
 	for _, e := range entries {
-		if e.Node < 0 || int(e.Node) >= len(ix.set.MetaOf) {
+		if e.Node < 0 || int(e.Node) >= elements || int(e.Dist) > elements {
 			ix.putScratch(s)
-			return PartialResult{}, fmt.Errorf("flix: frontier entry node %d outside [0, %d)", e.Node, len(ix.set.MetaOf))
+			return PartialResult{}, fmt.Errorf("flix: frontier entry (node %d, distance %d) outside a collection of %d elements", e.Node, e.Dist, elements)
 		}
 		if e.Dist < 0 || (opts.MaxDist > 0 && e.Dist > opts.MaxDist) {
 			continue
@@ -132,7 +134,7 @@ func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts Pa
 				band = math.MaxInt32 // drained (or cancelled): nothing was left out
 				break
 			}
-			if countWithin(s.rbuf.a, band) >= opts.MaxResults {
+			if countWithin(s.merged, band) >= opts.MaxResults {
 				break
 			}
 		}
@@ -146,17 +148,8 @@ func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts Pa
 		}
 	}
 	// Sort only what can be returned.  The compaction orphans resAt's
-	// positions, which nothing reads after the last run.  (A loop, not
-	// slices.DeleteFunc: its instantiation is laid out between this
-	// package's functions and the evaluator's visit/emit/linkVisit
-	// method-value wrappers and moved those, and every package linked
-	// after this one, by half a cache line — ROADMAP direction 1.)
-	results := s.rbuf.a[:0]
-	for _, it := range s.rbuf.a {
-		if it.dist <= band {
-			results = append(results, it)
-		}
-	}
+	// positions, which nothing reads after the last run.
+	results := slices.DeleteFunc(s.merged, func(it pqItem) bool { return it.dist > band })
 	out := PartialResult{
 		Results:   wireEntries(results, opts.MaxResults),
 		Hops:      wireEntries(hops, 0),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/testutil"
@@ -347,6 +348,53 @@ func TestPartialDescendantsRejectsBadNodes(t *testing.T) {
 		entries := []FrontierEntry{{Node: 0}, {Node: bad}}
 		if pr, err := ix.PartialDescendants(entries, "", PartialOptions{}); err == nil {
 			t.Errorf("node %d accepted: %d results, %d hops", bad, len(pr.Results), len(pr.Hops))
+		}
+	}
+	// A rejected call returns its half-seeded scratch to the pool clean.
+	got := mustPartial(ix, []FrontierEntry{{Node: 0}}, "", PartialOptions{})
+	if len(want.Results) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("evaluation after rejected ones:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestPartialSeedDistanceBounded checks that a seed distance off the wire
+// cannot size the frontier's per-distance buckets: beyond the collection's
+// element count it is an error like an out-of-range node, and the rejected
+// call allocates next to nothing (a bucket list out to distance 1<<30 would
+// be 24 GiB of slice headers).
+func TestPartialSeedDistanceBounded(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	coll := testutil.Generate(testutil.Linked, 4, 10, 40, 40)
+	ix, err := Build(coll, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int32(coll.NumNodes())
+	want := mustPartial(ix, []FrontierEntry{{Node: 0}}, "", PartialOptions{})
+	// The longest distance that is not refused is served.
+	far := mustPartial(ix, []FrontierEntry{{Node: 0, Dist: n}}, "", PartialOptions{})
+	if len(far.Results) != len(want.Results) || far.Results[0].Dist != want.Results[0].Dist+n {
+		t.Fatalf("seed at distance %d: %d results from %+v, want %d from distance %d",
+			n, len(far.Results), far.Results[:1], len(want.Results), want.Results[0].Dist+n)
+	}
+	const budget = 4096 // bytes per rejected call: the error and its message
+	var before, after runtime.MemStats
+	for _, bad := range []int32{n + 1, 1 << 30, math.MaxInt32} {
+		entries := []FrontierEntry{{Node: 0}, {Node: 1, Dist: bad}}
+		runtime.ReadMemStats(&before)
+		pr, err := ix.PartialDescendants(entries, "", PartialOptions{})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("distance %d accepted: %d results, %d hops", bad, len(pr.Results), len(pr.Hops))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("distance %d: the rejected call allocated %d B, budget %d", bad, got, budget)
+		}
+		// MaxDist does not excuse it: the entry is malformed, not far.
+		if _, err := ix.PartialDescendants(entries, "", PartialOptions{MaxDist: 5}); err == nil {
+			t.Errorf("distance %d accepted under MaxDist", bad)
 		}
 	}
 	// A rejected call returns its half-seeded scratch to the pool clean.

@@ -15,8 +15,8 @@ import (
 //
 //   - correctness: hotpath_test.go proves the optimized evaluator's result
 //     stream is byte-identical to this one on every generator family and
-//     option combination, and frontier_test.go pins frontier4's pop order
-//     to container/heap's;
+//     option combination, and frontier_reference_test.go pins the frozen
+//     4-ary heap the bucket queue is held to to container/heap's pop order;
 //   - benchmarking: BenchmarkHotPathReference (root bench_test.go) runs
 //     it beside BenchmarkHotPathDescendants on the same index in the same
 //     process, so the before/after of the allocation-free rewrite needs no

@@ -5,15 +5,15 @@ import (
 )
 
 // evalScratch is the working state of one evaluation, pooled on the Index so
-// that a warm query performs no allocation: the evaluator core, the frontier
-// backing array, the duplicate-elimination tables, the result and hop
-// buffers, and the bound visit/emit/link callbacks are all checked out
+// that a warm query performs no allocation: the evaluator core, the frontier's
+// buckets, the duplicate-elimination tables, the result and hop buffers,
+// and the bound visit/emit/link callbacks are all checked out
 // together and returned — reset — on every exit path, including cancellation
 // and emit-stop.  Descendants, TypeDescendants and PartialDescendants hold a
 // scratch for one call; a Probe holds one from StartProbe to Close.
 type evalScratch struct {
 	run evalRun
-	f   frontier4
+	f   frontier
 
 	// entered lists the visited entry points per meta document (the coverage
 	// rule).
@@ -23,13 +23,14 @@ type evalScratch struct {
 	// them and then cleared — not reallocated — between uses.  best maps a
 	// node to the smallest distance queued for it, or to expanded once its
 	// entry was admitted.  resAt marks reported result nodes; the merge
-	// sink stores each node's position in rbuf there.
+	// sink stores each node's position in merged there.
 	best  map[xmlgraph.NodeID]int32
 	resAt map[xmlgraph.NodeID]int32
 
-	// rbuf is the (dist, node) result heap of the buffered sinks; the merge
-	// sink uses its array as a plain append buffer, sorted once at the end.
-	rbuf frontier4
+	// rbuf is the (dist, node) result queue of the buffered sinks; merged is
+	// the merge sink's append buffer, sorted once at the end.
+	rbuf   frontier
+	merged []pqItem
 	// hops collects the frontier entries PartialDescendants found in foreign
 	// meta documents; superseded ones are filtered against best at the end.
 	hops []pqItem
@@ -142,6 +143,7 @@ func (ix *Index) putScratch(s *evalScratch) {
 	s.f.reset()
 	s.entered.reset()
 	s.rbuf.reset()
+	s.merged = s.merged[:0]
 	s.hops = s.hops[:0]
 	if s.run.opts.DupSeenSet {
 		clear(s.best)

@@ -45,14 +45,23 @@ func postEvalBody(t *testing.T, url string, body []byte) (*http.Response, []byte
 }
 
 // TestShardEvalRejectsOutOfRangeNodes checks that wire entries naming nodes
-// outside the collection are answered 400 instead of indexing past the
-// node→meta table, and that the shard keeps serving afterwards.
+// outside the collection, or distances beyond its element count, are
+// answered 400 instead of indexing past the node→meta table or sizing the
+// frontier's buckets, and that the shard keeps serving afterwards.
 func TestShardEvalRejectsOutOfRangeNodes(t *testing.T) {
 	s, ts := newTestServer(t, Config{Shard: &ShardConfig{ID: 0, Count: 1}, CacheSize: -1})
 	for _, bad := range []xmlgraph.NodeID{-1, xmlgraph.NodeID(s.coll.NumNodes()), 1 << 30} {
 		req := shard.EvalRequest{Entries: []flix.FrontierEntry{{Node: 0}, {Node: bad}}}
 		if resp, _ := postEval(t, ts.URL, req); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("node %d: status %d, want 400", bad, resp.StatusCode)
+		}
+	}
+	// A distance no path in the collection can have would size the
+	// evaluator's per-distance buckets: the same 400.
+	for _, bad := range []int32{int32(s.coll.NumNodes()) + 1, 1 << 30} {
+		req := shard.EvalRequest{Entries: []flix.FrontierEntry{{Node: 0}, {Node: 1, Dist: bad}}}
+		if resp, _ := postEval(t, ts.URL, req); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("distance %d: status %d, want 400", bad, resp.StatusCode)
 		}
 	}
 	resp, out := postEval(t, ts.URL, shard.EvalRequest{Entries: []flix.FrontierEntry{{Node: 0}}})

@@ -12,6 +12,7 @@
 package front
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -404,12 +406,33 @@ func snippet(t string) string {
 	return t
 }
 
-// OK writes a 200 JSON response.
+// okBuf is the pair of buffers one OK renders through.
+type okBuf struct{ compact, indented bytes.Buffer }
+
+var okBufs = sync.Pool{New: func() any { return new(okBuf) }}
+
+// maxPooledOK is the largest buffer OK keeps for the next response; a rare
+// huge answer must not pin its megabytes in the pool.
+const maxPooledOK = 1 << 20
+
+// OK writes a 200 JSON response, indented by two spaces.  A json.Encoder
+// with SetIndent keeps its indent buffer only as long as it lives — one
+// response, so the buffer is regrown from nothing each time and outweighs
+// everything else a request allocates.  OK makes the encoder's two passes
+// itself — encode compact with the closing newline, indent — through pooled
+// buffers: the same bytes in the same single Write.
 func OK(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	b := okBufs.Get().(*okBuf)
+	b.compact.Reset()
+	b.indented.Reset()
+	if json.NewEncoder(&b.compact).Encode(v) == nil &&
+		json.Indent(&b.indented, b.compact.Bytes(), "", "  ") == nil {
+		w.Write(b.indented.Bytes()) //nolint:errcheck // client gone; nothing to do
+	}
+	if b.compact.Cap() <= maxPooledOK && b.indented.Cap() <= maxPooledOK {
+		okBufs.Put(b)
+	}
 }
 
 // Fail writes an error JSON response and counts client errors.

@@ -1,8 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/flix"
@@ -159,20 +160,54 @@ func (e *Evaluator) expansions(s Step) []ontology.WeightedTag {
 	return e.Ontology.Similar(s.Tag, e.minTagScore())
 }
 
-// matchesPred checks a step's content predicate against an element.
-func (e *Evaluator) matchesPred(s Step, n xmlgraph.NodeID) bool {
-	switch s.Op {
+// pred is a step's content predicate readied for a run of elements: the
+// needle is lowered once per step, not once per element.
+type pred struct {
+	op      PredOp
+	value   string
+	lowered string
+}
+
+func newPred(s Step) pred {
+	p := pred{op: s.Op, value: s.Value}
+	if s.Op != PredNone {
+		p.lowered = strings.ToLower(s.Value)
+	}
+	return p
+}
+
+// matches checks the predicate against an element's text.
+func (p pred) matches(text string) bool {
+	switch p.op {
 	case PredNone:
 		return true
 	case PredEq:
-		return e.Index.Collection().Node(n).Text == s.Value
+		return text == p.value
 	case PredContains:
-		return strings.Contains(
-			strings.ToLower(e.Index.Collection().Node(n).Text),
-			strings.ToLower(s.Value))
+		return strings.Contains(strings.ToLower(text), p.lowered)
 	default:
 		return false
 	}
+}
+
+// narrow returns the elements named tag that can satisfy the predicate, and
+// the test they still have to pass.  A needle the collection's text
+// dictionary can look up is answered there: the postings of the tokens
+// containing it are exactly the elements a scan would accept, so [text~]
+// leaves nothing to test, and [text=] leaves the exact compare to the few
+// elements holding the value as a token.  Everything else — no predicate, an
+// empty needle or one with whitespace, an unfrozen collection — is every
+// element named tag with the predicate untouched.
+func (p pred) narrow(coll *xmlgraph.Collection, tag string) ([]xmlgraph.NodeID, pred) {
+	if p.op != PredNone && xmlgraph.IsTextToken(p.lowered) {
+		if d := coll.TextDict(tag); d != nil {
+			if p.op == PredContains {
+				return d.Containing(p.lowered), pred{}
+			}
+			return d.Exact(p.lowered), p
+		}
+	}
+	return coll.NodesByTag(tag), p
 }
 
 // Evaluate runs the query and returns results ranked by descending
@@ -203,27 +238,38 @@ func (e *Evaluator) Evaluate(q *Query) []Match {
 
 // sortMatches ranks by descending score, ties by shorter path then node ID.
 func sortMatches(out []Match) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b Match) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		if out[i].PathLen != out[j].PathLen {
-			return out[i].PathLen < out[j].PathLen
+		if c := cmp.Compare(a.PathLen, b.PathLen); c != 0 {
+			return c
 		}
-		return out[i].Node < out[j].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 }
 
 // anchor produces the initial frontier for the first step.
 func (e *Evaluator) anchor(s Step) map[xmlgraph.NodeID]Match {
-	coll := e.Index.Collection()
 	frontier := make(map[xmlgraph.NodeID]Match)
-	add := func(n xmlgraph.NodeID, score float64) {
-		if !e.matchesPred(s, n) {
-			return
-		}
+	e.anchorEach(s, func(n xmlgraph.NodeID, score float64) {
 		if old, ok := frontier[n]; !ok || score > old.Score {
 			frontier[n] = Match{Node: n, Score: score}
+		}
+	})
+	e.Stats.Anchored = len(frontier)
+	return frontier
+}
+
+// anchorEach calls fn for every element the first step matches, once per
+// tag expansion that matches it.
+func (e *Evaluator) anchorEach(s Step, fn func(n xmlgraph.NodeID, score float64)) {
+	coll := e.Index.Collection()
+	p := newPred(s)
+	add := func(n xmlgraph.NodeID, score float64, test pred) {
+		// Without a test left, the element's text is not even loaded.
+		if test.op == PredNone || test.matches(coll.Node(n).Text) {
+			fn(n, score)
 		}
 	}
 	for _, wt := range e.expansions(s) {
@@ -231,38 +277,38 @@ func (e *Evaluator) anchor(s Step) map[xmlgraph.NodeID]Match {
 		case s.Axis == Child && wt.Tag == "":
 			// /*: all document roots.
 			for d := 0; d < coll.NumDocs(); d++ {
-				add(coll.Doc(xmlgraph.DocID(d)).Root, wt.Score)
+				add(coll.Doc(xmlgraph.DocID(d)).Root, wt.Score, p)
 			}
 		case s.Axis == Child:
 			// /tag: document roots with the tag.
 			for d := 0; d < coll.NumDocs(); d++ {
 				r := coll.Doc(xmlgraph.DocID(d)).Root
 				if coll.Tag(r) == wt.Tag {
-					add(r, wt.Score)
+					add(r, wt.Score, p)
 				}
 			}
 		case wt.Tag == "":
 			// //*: every element.
 			for n := 0; n < coll.NumNodes(); n++ {
-				add(xmlgraph.NodeID(n), wt.Score)
+				add(xmlgraph.NodeID(n), wt.Score, p)
 			}
 		default:
-			for _, n := range coll.NodesByTag(wt.Tag) {
-				add(n, wt.Score)
+			nodes, rest := p.narrow(coll, wt.Tag)
+			for _, n := range nodes {
+				add(n, wt.Score, rest)
 			}
 		}
 	}
-	e.Stats.Anchored = len(frontier)
-	return frontier
 }
 
 // advance moves the frontier across one step.
 func (e *Evaluator) advance(frontier map[xmlgraph.NodeID]Match, s Step) map[xmlgraph.NodeID]Match {
 	e.Stats.Steps++
 	coll := e.Index.Collection()
+	p := newPred(s)
 	next := make(map[xmlgraph.NodeID]Match)
 	add := func(n xmlgraph.NodeID, score float64, pathLen int32) {
-		if score < e.minScore() || !e.matchesPred(s, n) {
+		if score < e.minScore() || !p.matches(coll.Node(n).Text) {
 			return
 		}
 		// Per node, the winner is the maximum score with ties broken by the

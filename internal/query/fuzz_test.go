@@ -14,6 +14,12 @@ func FuzzEvaluate(f *testing.F) {
 		"/movie/cast/actor",
 		"//*", "//x//y//z", "a",
 		`//title[text="Matrix 3"]`,
+		// Anchor predicates the text dictionary answers, and ones it leaves
+		// to the scan (empty, whitespace, wildcard tag, child axis).
+		`//title[text~"matrix"]`, `//title[text~"TRI"]`, `//~movie[text~""]`,
+		`//title[text~"Matrix 3"]`, `//actor[text="Carrie-Anne Moss"]`,
+		`//title[text="3"]`, `//*[text~"ee"]`, `/movie[text~"x"]`,
+		"//name[text~\"\xff\"]", `//title[text~"Ma	t"]`,
 	} {
 		f.Add(seed)
 	}
@@ -56,6 +62,10 @@ func FuzzEvaluateTopK(f *testing.F) {
 		"/movie/cast/actor",
 		"//*", "//x//y//z", "a",
 		"//movie", "//cast//*",
+		`//title[text~"matrix"]`, `//title[text~"TRI"]`, `//~movie[text~""]`,
+		`//title[text~"Matrix 3"]`, `//actor[text="Carrie-Anne Moss"]`,
+		`//title[text="3"]`, `//*[text~"ee"]`, `/movie[text~"x"]`,
+		"//name[text~\"\xff\"]", `//title[text~"s"]//actor`,
 	} {
 		f.Add(seed, 1)
 		f.Add(seed, 10)

@@ -18,6 +18,7 @@ import (
 	"container/heap"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/flix"
 	"repro/internal/xmlgraph"
@@ -44,8 +45,40 @@ func (e *Evaluator) ReferenceEvaluate(q *Query) []Match {
 	for _, m := range frontier {
 		out = append(out, m)
 	}
-	sortMatches(out)
+	refSortMatches(out)
 	return out
+}
+
+// refSortMatches is the frozen copy of sortMatches: descending score, ties
+// by shorter path then node ID.
+func refSortMatches(out []Match) {
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		if out[i].PathLen != out[j].PathLen {
+			return out[i].PathLen < out[j].PathLen
+		}
+		return out[i].Node < out[j].Node
+	})
+}
+
+// referenceMatchesPred is the frozen copy of the predicate test: the oracle
+// must not follow edits to the code it checks, so it scans and lower-cases
+// per element however the live evaluator answers predicates.
+func (e *Evaluator) referenceMatchesPred(s Step, n xmlgraph.NodeID) bool {
+	switch s.Op {
+	case PredNone:
+		return true
+	case PredEq:
+		return e.Index.Collection().Node(n).Text == s.Value
+	case PredContains:
+		return strings.Contains(
+			strings.ToLower(e.Index.Collection().Node(n).Text),
+			strings.ToLower(s.Value))
+	default:
+		return false
+	}
 }
 
 // refAnchor is the frozen copy of anchor.
@@ -53,7 +86,7 @@ func (e *Evaluator) refAnchor(s Step) map[xmlgraph.NodeID]Match {
 	coll := e.Index.Collection()
 	frontier := make(map[xmlgraph.NodeID]Match)
 	add := func(n xmlgraph.NodeID, score float64) {
-		if !e.matchesPred(s, n) {
+		if !e.referenceMatchesPred(s, n) {
 			return
 		}
 		if old, ok := frontier[n]; !ok || score > old.Score {
@@ -95,7 +128,7 @@ func (e *Evaluator) refAdvance(frontier map[xmlgraph.NodeID]Match, s Step) map[x
 	coll := e.Index.Collection()
 	next := make(map[xmlgraph.NodeID]Match)
 	add := func(n xmlgraph.NodeID, score float64, pathLen int32) {
-		if score < e.minScore() || !e.matchesPred(s, n) {
+		if score < e.minScore() || !e.referenceMatchesPred(s, n) {
 			return
 		}
 		if old, ok := next[n]; !ok || score > old.Score ||
@@ -224,7 +257,7 @@ func (e *Evaluator) ReferenceEvaluateTopK(q *Query, k int) []Match {
 		} else {
 			heap.Pop(&h)
 		}
-		if !e.matchesPred(last, cand.Node) {
+		if !e.referenceMatchesPred(last, cand.Node) {
 			continue
 		}
 		if old, ok := best[cand.Node]; ok && old.Score >= cand.Score {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/flix"
+	"repro/internal/ontology"
 	"repro/internal/xmlgraph"
 )
 
@@ -355,6 +356,14 @@ func (h *topkHeap) consider(cand Match, k int) {
 	h.down(0)
 }
 
+// ranked returns a copy of the kept matches in sortMatches order.
+func (h *topkHeap) ranked() []Match {
+	out := make([]Match, len(h.a))
+	copy(out, h.a)
+	sortMatches(out)
+	return out
+}
+
 func (h *topkHeap) swap(i, j int32) {
 	h.a[i], h.a[j] = h.a[j], h.a[i]
 	h.pos[h.a[i].Node] = i
@@ -412,22 +421,23 @@ func (e *Evaluator) EvaluateTopK(q *Query, k int) []Match {
 	if k <= 0 {
 		return nil
 	}
-	if len(q.Steps) == 1 {
-		// The fast path delegates to Evaluate (which resets e.Stats like
-		// the streamed path does) with MaxResults bypassed, so a
-		// MaxResults below k cannot silently shrink the answer; out is in
-		// sortMatches order, so out[:k] is exactly the top-k prefix.
-		saved := e.MaxResults
-		e.MaxResults = 0
-		out := e.Evaluate(q)
-		e.MaxResults = saved
-		if len(out) > k {
-			out = out[:k]
-		}
-		return out
-	}
 	e.Stats = EvalStats{}
+	if len(q.Steps) == 1 && !overlapping(e.expansions(q.Steps[0])) {
+		// Nothing to advance: the anchored elements are the answer, and the
+		// heap keeps k of them instead of a map of all and their full sort.
+		ts := topkPool.Get().(*topkScratch)
+		defer ts.release()
+		ts.topk.reset()
+		e.anchorEach(q.Steps[0], func(n xmlgraph.NodeID, score float64) {
+			e.Stats.Anchored++ // expansions are disjoint: every call is a new element
+			ts.topk.consider(Match{Node: n, Score: score}, k)
+		})
+		return ts.topk.ranked()
+	}
 	frontier := e.anchor(q.Steps[0])
+	if len(q.Steps) == 1 {
+		return topOf(frontier, k)
+	}
 	for _, s := range q.Steps[1 : len(q.Steps)-1] {
 		frontier = e.advance(frontier, s)
 		if len(frontier) == 0 {
@@ -449,6 +459,7 @@ func (e *Evaluator) EvaluateTopK(q *Query, k int) []Match {
 	ts.ensureDecay(e.decay())
 
 	minScore := e.minScore()
+	coll, lastPred := e.Index.Collection(), newPred(last)
 	inverse := e.InverseScore > 0 && e.InverseScore < 1
 	for _, wt := range e.expansions(last) {
 		for _, m := range frontier {
@@ -502,16 +513,26 @@ func (e *Evaluator) EvaluateTopK(q *Query, k int) []Match {
 		// The minScore filter mirrors advance's: maxDistFor truncates to
 		// whole edges, so a candidate at the boundary distance can still
 		// decay just below MinScore.
-		if cand.Score < minScore || !e.matchesPred(last, cand.Node) {
+		if cand.Score < minScore || !lastPred.matches(coll.Node(cand.Node).Text) {
 			continue
 		}
 		ts.topk.consider(cand, k)
 	}
+	return ts.topk.ranked()
+}
 
-	out := make([]Match, len(ts.topk.a))
-	copy(out, ts.topk.a)
-	sortMatches(out)
-	return out
+// overlapping reports whether two of a step's tag expansions can match the
+// same element.  Named tags never do; the wildcard beside them does, which
+// takes an ontology that relates a name to "".
+func overlapping(exps []ontology.WeightedTag) bool {
+	if len(exps) > 1 {
+		for _, wt := range exps {
+			if wt.Tag == "" {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func topOf(m map[xmlgraph.NodeID]Match, k int) []Match {

@@ -563,8 +563,9 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"linkHopsPerQuery": snap.LinkHopsPerQuery(),
 			"dupDropRatio":     snap.DupDropRatio(),
 		},
-		"latency": s.latencyJSON(g),
-		"build":   buildJSON(g.ix),
+		"textDicts": textDictsJSON(s.coll),
+		"latency":   s.latencyJSON(g),
+		"build":     buildJSON(g.ix),
 		"advice": map[string]any{
 			"rebuild": advice.Rebuild,
 			"reason":  advice.Reason,
@@ -636,6 +637,23 @@ func storageJSON(si flix.StorageInfo) map[string]any {
 			secs = append(secs, sec)
 		}
 		out["sections"] = secs
+	}
+	return out
+}
+
+// textDictsJSON lists the text dictionaries predicate queries have built on
+// the collection so far — they are lazy, one per element name, and outlive
+// index generations — with what each holds and what its first use cost.
+func textDictsJSON(coll *xmlgraph.Collection) []map[string]any {
+	out := []map[string]any{}
+	for _, st := range coll.TextDictStats() {
+		out = append(out, map[string]any{
+			"tag":      st.Tag,
+			"tokens":   st.Tokens,
+			"postings": st.Postings,
+			"bytes":    st.Bytes,
+			"buildMs":  math.Round(st.Build.Seconds()*1e5) / 100,
+		})
 	}
 	return out
 }

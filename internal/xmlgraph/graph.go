@@ -15,6 +15,7 @@ package xmlgraph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies an element in a Collection.  IDs are dense: a collection
@@ -71,8 +72,8 @@ type Node struct {
 	// Tag is the element name (e.g. "article", "author").
 	Tag string
 	// Text is the concatenated character data directly below the element.
-	// It is kept for examples and content predicates; the index structures
-	// ignore it.
+	// The path indexes ignore it; content predicates read it, through the
+	// collection's per-tag text dictionary (TextDict) where they can.
 	Text string
 	// Doc is the document the element belongs to.
 	Doc DocID
@@ -127,6 +128,11 @@ type Collection struct {
 	// on small integers instead of hashing every element's name again.
 	tagIDs   []int32
 	tagNames []string
+
+	// textDicts holds the text dictionaries built so far (tag → *TextDict);
+	// textBuild serialises building them.  See TextDict.
+	textDicts sync.Map
+	textBuild sync.Mutex
 }
 
 // NewCollection returns an empty collection.

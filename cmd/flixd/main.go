@@ -9,7 +9,7 @@
 //	      [-timeout 2s] [-cache 1024] [-slow-query 100ms]
 //	      [-slow-query-sample 10] [-debug-addr :6060]
 //	      [-reindex-interval 0] [-snapshot-dir gens/] [-snapshot-retain 3]
-//	      [-snapshot-format v1|v2] [-snapshot-compress] [-mmap]
+//	      [-snapshot-compress] [-mmap]
 //	      [-shard-id 0 -shard-count 3 [-shard-vnodes 64]]
 //
 // Endpoints (see internal/server):
@@ -27,14 +27,13 @@
 // against the live query load and hot-swaps improved generations in without
 // dropping a query; -snapshot-dir persists each generation (pruned to
 // -snapshot-retain) and warm-starts from the newest one on restart.
-// -snapshot-format selects the persisted layout: "v1" is the portable
-// stream, "v2" the offset-based container that warm start serves straight
-// from a read-only memory mapping (-mmap, default on) with no parse step.
-// -snapshot-compress writes v2 sections in their compressed encodings
-// (bit-packed PPO intervals, delta-packed HOPI labels), falling back to
-// raw per section when compression would not pay; compressed snapshots are
-// served zero-copy just like raw ones.  Warm start and -load sniff the
-// format per file, so either binary setting reads both.
+// Generations are persisted as v2 snapshots — the offset-based container
+// that warm start and -load serve straight from a read-only memory mapping
+// (-mmap, default on) with no parse step.  -snapshot-compress writes the
+// sections in their compressed encodings (bit-packed PPO intervals,
+// delta-packed HOPI labels), falling back to raw per section when
+// compression would not pay; compressed snapshots are served zero-copy just
+// like raw ones.
 //
 // With -shard-id/-shard-count the process runs as one shard of a
 // flixd-router cluster: it builds the same full index, additionally serves
@@ -90,9 +89,8 @@ func main() {
 		minQ     = flag.Int64("reindex-min-queries", 50, "queries a generation must serve before its statistics are trusted")
 		snapDir  = flag.String("snapshot-dir", "", "persist each index generation here and warm-start from the newest (empty disables)")
 		snapKeep = flag.Int("snapshot-retain", 3, "generation snapshots to keep in -snapshot-dir")
-		snapFmt  = flag.String("snapshot-format", "v1", "persisted snapshot layout: v1 (portable stream) | v2 (mmap-able container)")
-		snapZip  = flag.Bool("snapshot-compress", false, "persist v2 snapshots with compressed section encodings (requires -snapshot-format v2)")
-		useMmap  = flag.Bool("mmap", true, "serve v2 snapshots from a read-only memory mapping instead of reading them into the heap")
+		snapZip  = flag.Bool("snapshot-compress", false, "persist snapshots with compressed section encodings")
+		useMmap  = flag.Bool("mmap", true, "serve snapshots from a read-only memory mapping instead of reading them into the heap")
 		shardID  = flag.Int("shard-id", -1, "run as shard N of a flixd-router cluster (-1 disables shard mode)")
 		shardN   = flag.Int("shard-count", 0, "total shards in the cluster (required with -shard-id)")
 		shardVN  = flag.Int("shard-vnodes", 0, "ring virtual nodes per shard (0 = default; must match the router)")
@@ -104,12 +102,6 @@ func main() {
 	}
 	if *shardID >= 0 && (*shardN < 1 || *shardID >= *shardN) {
 		log.Fatalf("-shard-id %d needs -shard-count > %d", *shardID, *shardID)
-	}
-	if *snapFmt != "v1" && *snapFmt != "v2" {
-		log.Fatalf("-snapshot-format %q: want v1 or v2", *snapFmt)
-	}
-	if *snapZip && *snapFmt != "v2" {
-		log.Fatalf("-snapshot-compress requires -snapshot-format v2")
 	}
 
 	coll, onto, err := daemon.Corpus(*dir, *ontoFile)
@@ -182,7 +174,6 @@ func main() {
 			Parallelism:      *buildPar,
 			SnapshotDir:      *snapDir,
 			Retain:           *snapKeep,
-			SnapshotFormat:   *snapFmt,
 			SnapshotCompress: *snapZip,
 			Logger:           log.Default(),
 		})
@@ -206,14 +197,12 @@ func main() {
 
 // initialIndex produces generation 1: an explicitly named snapshot (-load),
 // else the newest generation snapshot in -snapshot-dir (warm start — a
-// stale or incompatible one falls back to building), else a fresh build.
-// Snapshot files of either format are accepted: the loader sniffs the
-// magic, parsing v1 streams and serving v2 containers in place (mapped
-// when useMmap).
+// stale, foreign or incompatible one falls back to building), else a fresh
+// build.  Snapshots are served in place, mapped when useMmap.
 func initialIndex(coll *flix.Collection, cfg flix.Config, loadIx, snapDir string, parallelism int, useMmap bool) *flix.Index {
 	t0 := time.Now()
 	if loadIx != "" {
-		ix, err := flix.LoadSnapshotFile(coll, loadIx, useMmap)
+		ix, err := flix.OpenSnapshotWith(coll, loadIx, flix.OpenOptions{Mmap: useMmap})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -223,7 +212,7 @@ func initialIndex(coll *flix.Collection, cfg flix.Config, loadIx, snapDir string
 	}
 	if snapDir != "" {
 		if path, err := rebuild.LatestSnapshot(snapDir); err == nil && path != "" {
-			ix, err := flix.LoadSnapshotFile(coll, path, useMmap)
+			ix, err := flix.OpenSnapshotWith(coll, path, flix.OpenOptions{Mmap: useMmap})
 			if err == nil {
 				log.Printf("index warm-started from %s (%s) in %s",
 					path, ix.StorageInfo().Format, time.Since(t0).Round(time.Millisecond))

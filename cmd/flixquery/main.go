@@ -77,7 +77,7 @@ func main() {
 
 	var ix *flix.Index
 	if *loadIx != "" {
-		ix, err = flix.LoadSnapshotFile(coll, *loadIx, true)
+		ix, err = flix.OpenSnapshot(coll, *loadIx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := ix.WriteTo(f); err != nil {
+		if _, err := ix.WriteSnapshotV2(f); err != nil {
 			f.Close()
 			log.Fatal(err)
 		}

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	flix "repro"
+	"repro/internal/dblp"
 )
 
 func TestParseConfig(t *testing.T) {
@@ -42,5 +48,56 @@ func TestSnippet(t *testing.T) {
 		if got := snippet(c.in); got != c.want {
 			t.Errorf("snippet(%q) = %s, want %s", c.in, got, c.want)
 		}
+	}
+}
+
+// TestSaveLoadRoundTrip builds and runs the command: what -save writes,
+// -load serves with the answers of the fresh build, for a raw and a ranked
+// query.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	binary := filepath.Join(dir, "flixquery")
+	if out, err := exec.Command("go", "build", "-o", binary, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	flixquery := func(args ...string) string {
+		t.Helper()
+		var stderr bytes.Buffer
+		cmd := exec.Command(binary, args...)
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("flixquery %v: %v\n%s", args, err, &stderr)
+		}
+		return string(out)
+	}
+	corpus := dblp.Generate(dblp.Scaled(40))
+	docs := filepath.Join(dir, "docs")
+	if err := os.MkdirAll(docs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := corpus.WriteXML(docs); err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(dir, "index.flix")
+	queries := [][]string{
+		{"-start", corpus.DocName(corpus.HubIndex), "-tag", "title"},
+		{"-query", "//inproceedings//author", "-k", "5"},
+	}
+	for i, q := range queries {
+		built := []string{"-dir", docs}
+		if i == 0 {
+			built = append(built, "-save", saved)
+		}
+		want := flixquery(append(built, q...)...)
+		if !strings.Contains(want, "1. ") {
+			t.Fatalf("flixquery %v found nothing:\n%s", q, want)
+		}
+		if got := flixquery(append([]string{"-dir", docs, "-load", saved}, q...)...); got != want {
+			t.Errorf("flixquery %v: -load answers\n%s\nfresh build answers\n%s", q, got, want)
+		}
+	}
+	if stats := flixquery("-dir", docs, "-load", saved, "-stats"); !strings.Contains(stats, "index size:") {
+		t.Errorf("-load -stats:\n%s", stats)
 	}
 }

@@ -439,10 +439,12 @@ func (idx *Index) PathExtent(path []string) []int32 {
 	return out
 }
 
-// WriteTo serializes the summary: class membership, extents (implicitly, via
-// the class array), summary edges, and the data-graph adjacency the
-// traversal needs at query time (APEX keeps the edge relation in the
-// database; it is part of the index size).
+// WriteTo emits the canonical compact stream — class membership, extents
+// (implicitly, via the class array), summary edges, and the data-graph
+// adjacency the traversal needs at query time (APEX keeps the edge relation
+// in the database; it is part of the index size).  It is Table 1's size
+// measure and the byte-identity form the determinism tests compare; nothing
+// reads it back.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	sw := storage.NewWriter(w)
 	sw.Header("apex")
@@ -459,81 +461,6 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 		sw.Int32Slice(g.Succs(u))
 	}
 	return sw.Flush()
-}
-
-// ReadBody deserializes an index written by WriteTo whose header has
-// already been consumed.  The stored data adjacency is checked against g as
-// an integrity test.
-func ReadBody(g *lgraph.LGraph, r *storage.Reader) (pathindex.Index, error) {
-	n := int(r.Uvarint())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n != g.NumNodes() {
-		return nil, fmt.Errorf("apex: stream has %d nodes, graph %d", n, g.NumNodes())
-	}
-	idx := &Index{g: g, class: r.Int32Slice()}
-	if len(idx.class) != n {
-		return nil, fmt.Errorf("apex: truncated class array")
-	}
-	numClasses := int(r.Uvarint())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if numClasses > n {
-		return nil, fmt.Errorf("apex: %d classes for %d nodes", numClasses, n)
-	}
-	idx.extents = make([][]int32, numClasses)
-	idx.classTag = make([]lgraph.Tag, numClasses)
-	idx.classSucc = make([][]int32, numClasses)
-	idx.classPred = make([][]int32, numClasses)
-	for c := 0; c < numClasses; c++ {
-		idx.classTag[c] = lgraph.Tag(r.Int32())
-		idx.classSucc[c] = r.Int32Slice()
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	for v := 0; v < n; v++ {
-		c := idx.class[v]
-		if c < 0 || int(c) >= numClasses {
-			return nil, fmt.Errorf("apex: node %d has class %d of %d", v, c, numClasses)
-		}
-		idx.extents[c] = append(idx.extents[c], int32(v))
-	}
-	predSets := make([]map[int32]struct{}, numClasses)
-	for c := range predSets {
-		predSets[c] = make(map[int32]struct{})
-	}
-	for c := 0; c < numClasses; c++ {
-		for _, s := range idx.classSucc[c] {
-			if s < 0 || int(s) >= numClasses {
-				return nil, fmt.Errorf("apex: summary edge to unknown class %d", s)
-			}
-			predSets[s][int32(c)] = struct{}{}
-		}
-	}
-	for c := 0; c < numClasses; c++ {
-		idx.classPred[c] = setToSorted(predSets[c])
-	}
-	// Verify the stored adjacency matches the supplied graph.
-	for u := int32(0); u < int32(n); u++ {
-		stored := r.Int32Slice()
-		succs := g.Succs(u)
-		if len(stored) != len(succs) {
-			return nil, fmt.Errorf("apex: node %d adjacency mismatch", u)
-		}
-		for i := range stored {
-			if stored[i] != succs[i] {
-				return nil, fmt.Errorf("apex: node %d adjacency mismatch", u)
-			}
-		}
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	idx.buildTagReach()
-	return idx, nil
 }
 
 // bitset is a fixed-size bit vector.

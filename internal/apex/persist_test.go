@@ -1,30 +1,36 @@
 package apex
 
 import (
-	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/lgraph"
 	"repro/internal/storage"
+	"repro/internal/testutil"
 )
+
+// reopen persists idx the way a snapshot does — EncodeSection — and opens
+// the bytes back over g.
+func reopen(g *lgraph.LGraph, idx *Index) (*Index, error) {
+	body, err := storage.EncodeSectionBody(idx.EncodeSection)
+	if err != nil {
+		return nil, err
+	}
+	pi, err := OpenSection(g, body)
+	if err != nil {
+		return nil, err
+	}
+	return pi.(*Index), nil
+}
 
 func TestReadBodyRoundTrip(t *testing.T) {
 	g, idx := buildGraph(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r := storage.NewReader(&buf)
-	if err := r.Header("apex"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBody(g, r)
+	loaded, err := reopen(g, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := got.(*Index)
 	if loaded.NumClasses() != idx.NumClasses() {
 		t.Fatalf("classes: %d vs %d", loaded.NumClasses(), idx.NumClasses())
 	}
@@ -34,57 +40,36 @@ func TestReadBodyRoundTrip(t *testing.T) {
 		}
 	}
 	for _, path := range [][]string{{"a", "b", "c"}, {"b", "c"}, {"b"}} {
-		a := idx.PathExtent(path)
-		b := loaded.PathExtent(path)
-		if len(a) != len(b) {
+		if a, b := idx.PathExtent(path), loaded.PathExtent(path); !slices.Equal(a, b) {
 			t.Fatalf("PathExtent(%v): %v vs %v", path, a, b)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("PathExtent(%v): %v vs %v", path, a, b)
-			}
-		}
+	}
+	if err := testutil.SameProbes(idx, loaded, g.NumTags()); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestReadBodyWrongGraph(t *testing.T) {
 	_, idx := buildGraph(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
 	b := lgraph.NewBuilder()
 	b.AddNode("a")
-	small := b.Finish()
-	r := storage.NewReader(&buf)
-	if err := r.Header("apex"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBody(small, r); err == nil {
-		t.Error("ReadBody accepted a mismatched graph")
+	if _, err := reopen(b.Finish(), idx); err == nil {
+		t.Error("OpenSection accepted a mismatched graph")
 	}
 }
 
-func TestReadBodyAdjacencyMismatch(t *testing.T) {
-	g, idx := buildGraph(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+// TestOpenSectionCorrupt truncates a raw section everywhere and flips every byte: a
+// truncation must be rejected, and a flip must be rejected or yield an index
+// whose probes stay in bounds — never a panic.
+func TestOpenSectionCorrupt(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(4)), 30, 50)
+	body, err := storage.EncodeSectionBody(Build(g).EncodeSection)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Same node count and tags, different edges.
-	b := lgraph.NewBuilder()
-	for _, tag := range []string{"a", "b", "d", "c", "b", "c"} {
-		b.AddNode(tag)
-	}
-	b.AddEdge(0, 5) // edge structure differs from buildGraph's
-	other := b.Finish()
-	_ = g
-	r := storage.NewReader(&buf)
-	if err := r.Header("apex"); err != nil {
+	err = testutil.DamageSection(body, func(b []byte) (storage.Probe, error) { return OpenSection(g, b) })
+	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ReadBody(other, r); err == nil {
-		t.Error("ReadBody accepted a graph with different edges")
 	}
 }
 
@@ -95,31 +80,13 @@ func TestPropertyPersistRoundTrip(t *testing.T) {
 		n := 2 + rng.Intn(25)
 		g := randomGraph(rng, n, rng.Intn(2*n))
 		idx := Build(g)
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			return false
-		}
-		r := storage.NewReader(&buf)
-		if err := r.Header("apex"); err != nil {
-			return false
-		}
-		got, err := ReadBody(g, r)
+		loaded, err := reopen(g, idx)
 		if err != nil {
 			return false
 		}
-		loaded := got.(*Index)
-		x := int32(rng.Intn(n))
-		tag := g.Tag(int32(rng.Intn(n)))
-		var a, b [][2]int32
-		idx.EachReachableByTag(x, tag, func(u, d int32) bool { a = append(a, [2]int32{u, d}); return true })
-		loaded.EachReachableByTag(x, tag, func(u, d int32) bool { b = append(b, [2]int32{u, d}); return true })
-		if len(a) != len(b) {
+		if err := testutil.SameProbes(idx, loaded, g.NumTags()); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
 		}
 		return true
 	}, cfg)

@@ -1,12 +1,11 @@
 package apex
 
-// v2 snapshot section codec.  The v1 stream stores the class array and the
-// summary edges and recomputes extents, predecessor lists and the tag
-// reachability bitsets at load time (plus a full copy of the data
-// adjacency as an integrity check).  The v2 section stores every structure
-// the probes touch — including both bitset families as raw u64 words — so
-// OpenSection only lays zero-copy views and subslice headers over the
-// snapshot bytes; the summary is never re-derived.
+// v2 snapshot section codec.  The canonical stream (WriteTo) holds the class
+// array, the summary edges and a copy of the data adjacency.  The v2 section
+// stores every structure the probes touch — extents, predecessor lists and
+// both tag-reachability bitset families as raw u64 words — so OpenSection
+// only lays zero-copy views and subslice headers over the snapshot bytes;
+// the summary is never re-derived.
 //
 //	u32 n, numClasses, numTags, words, totalSucc, totalPred
 //	class    []int32 n

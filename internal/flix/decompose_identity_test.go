@@ -23,9 +23,10 @@ func sha(b []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
-// TestDecompositionIdentityRecorded pins the persisted forms of the
-// 6210-document Hybrid indexes to the values recorded at the commit before
-// the decomposition pipeline was rewritten (6c3dce6).  The v2 container
+// TestDecompositionIdentityRecorded pins the 6210-document Hybrid indexes —
+// the canonical stream that Table 1 measures (v1) and both persisted
+// containers — to the values recorded at the commit before the
+// decomposition pipeline was rewritten (6c3dce6).  The v2 container
 // stores only the per-meta-document indexes and recomputes the meta
 // documents at open, so any change to a partitioner or to meta.Build that
 // moves a single element orphans every deployed snapshot; it shows up here

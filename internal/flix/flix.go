@@ -138,10 +138,13 @@ type Index struct {
 
 	// snap is non-nil when the index is served from an open v2 snapshot
 	// (OpenSnapshot*): the pis alias its bytes, so it must stay open for
-	// the index's lifetime.  Close releases it.  format records the
-	// provenance ("" = heap build, "v1", "v2") for StorageInfo.
-	snap   *storage.Snapshot
-	format string
+	// the index's lifetime.  Close releases it.
+	snap *storage.Snapshot
+
+	// size memoizes SizeBytes for a heap-built index.
+	sizeOnce sync.Once
+	size     int64
+	sizeErr  error
 
 	// linkTabs[mi] is the per-meta-document link-distance table (nil when
 	// the meta document has no runtime-link sources or its index has no
@@ -213,8 +216,8 @@ func BuildWithOptions(c *xmlgraph.Collection, cfg Config, opts BuildOptions) (*I
 }
 
 // buildLinkTables precomputes the per-meta-document link-distance tables.
-// Every constructor (heap build, v1 stream, v2 snapshot) calls it once the
-// pis are in place.
+// Both constructors (heap build, snapshot open) call it once the pis are in
+// place.
 func (ix *Index) buildLinkTables() {
 	ix.linkTabs = make([]pathindex.LinkTable, len(ix.pis))
 	for i, md := range ix.set.Metas {

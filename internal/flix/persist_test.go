@@ -2,50 +2,77 @@ package flix
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/xmlgraph"
 )
 
+// reopen persists ix as a v2 snapshot and opens the bytes back over c.
+func reopen(c *xmlgraph.Collection, ix *Index, compress bool) (*Index, error) {
+	var buf bytes.Buffer
+	if _, err := ix.WriteSnapshotV2With(&buf, SnapshotV2Options{Compress: compress}); err != nil {
+		return nil, err
+	}
+	return OpenSnapshotBytes(c, buf.Bytes())
+}
+
+// sameAnswers compares two indexes over c exhaustively: the descendants and
+// ancestors streams from every element, untyped and for every tag, and the
+// connection test for every element pair.
+func sameAnswers(c *xmlgraph.Collection, a, b *Index) error {
+	tags := []string{""}
+	for id := xmlgraph.NodeID(0); int(id) < c.NumNodes(); id++ {
+		if t := c.Tag(id); !slices.Contains(tags, t) {
+			tags = append(tags, t)
+		}
+	}
+	for x := xmlgraph.NodeID(0); int(x) < c.NumNodes(); x++ {
+		for _, tag := range tags {
+			if ra, rb := collect(a, x, tag, Options{}), collect(b, x, tag, Options{}); !slices.Equal(ra, rb) {
+				return fmt.Errorf("Descendants(%d, %q): %v vs %v", x, tag, ra, rb)
+			}
+			var ra, rb []Result
+			a.Ancestors(x, tag, Options{}, func(r Result) bool { ra = append(ra, r); return true })
+			b.Ancestors(x, tag, Options{}, func(r Result) bool { rb = append(rb, r); return true })
+			if !slices.Equal(ra, rb) {
+				return fmt.Errorf("Ancestors(%d, %q): %v vs %v", x, tag, ra, rb)
+			}
+		}
+		for y := xmlgraph.NodeID(0); int(y) < c.NumNodes(); y++ {
+			d1, ok1 := a.Connected(x, y, 0)
+			d2, ok2 := b.Connected(x, y, 0)
+			if ok1 != ok2 || (ok1 && d1 != d2) {
+				return fmt.Errorf("Connected(%d, %d): %d,%t vs %d,%t", x, y, d1, ok1, d2, ok2)
+			}
+		}
+	}
+	return nil
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
-	c, ids := buildSample(t)
+	c, _ := buildSample(t)
 	for _, cfg := range allConfigs() {
 		orig, err := Build(c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := orig.WriteTo(&buf); err != nil {
-			t.Fatalf("%v: WriteTo: %v", cfg, err)
-		}
-		loaded, err := Load(c, &buf)
-		if err != nil {
-			t.Fatalf("%v: Load: %v", cfg, err)
-		}
-		// The loaded index must answer queries identically.
-		for _, tag := range []string{"title", "article", ""} {
-			want := collect(orig, ids["bib"], tag, Options{})
-			got := collect(loaded, ids["bib"], tag, Options{})
-			if len(want) != len(got) {
-				t.Fatalf("%v: %q: %d vs %d results", cfg, tag, len(want), len(got))
+		for _, compress := range []bool{false, true} {
+			loaded, err := reopen(c, orig, compress)
+			if err != nil {
+				t.Fatalf("%v compress=%t: %v", cfg, compress, err)
 			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("%v: %q: result %d: %v vs %v", cfg, tag, i, want[i], got[i])
-				}
+			if err := sameAnswers(c, orig, loaded); err != nil {
+				t.Fatalf("%v compress=%t: %v", cfg, compress, err)
 			}
-		}
-		if orig.NumMetaDocuments() != loaded.NumMetaDocuments() {
-			t.Errorf("%v: meta counts differ", cfg)
-		}
-		// Ancestors exercise the reverse structures rebuilt on load.
-		var a1, a2 []Result
-		orig.Ancestors(ids["title2"], "", Options{}, func(r Result) bool { a1 = append(a1, r); return true })
-		loaded.Ancestors(ids["title2"], "", Options{}, func(r Result) bool { a2 = append(a2, r); return true })
-		if len(a1) != len(a2) {
-			t.Errorf("%v: ancestors differ: %v vs %v", cfg, a1, a2)
+			if orig.NumMetaDocuments() != loaded.NumMetaDocuments() || orig.Describe() != loaded.Describe() {
+				t.Errorf("%v compress=%t: %q reopened as %q", cfg, compress, orig.Describe(), loaded.Describe())
+			}
+			loaded.Close()
 		}
 	}
 }
@@ -56,10 +83,6 @@ func TestLoadWrongCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
 	// A different collection must be rejected.
 	other := xmlgraph.NewCollection()
 	b := other.NewDocument("x")
@@ -67,8 +90,8 @@ func TestLoadWrongCollection(t *testing.T) {
 	b.Leave()
 	b.Close()
 	other.Freeze()
-	if _, err := Load(other, &buf); err == nil {
-		t.Error("Load accepted a mismatched collection")
+	if _, err := reopen(other, ix, false); err == nil {
+		t.Error("OpenSnapshotBytes accepted a mismatched collection")
 	}
 }
 
@@ -79,23 +102,22 @@ func TestLoadTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.WriteSnapshotV2(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{1, len(full) / 2, len(full) - 1} {
-		if _, err := Load(c, bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("Load accepted stream truncated at %d bytes", cut)
+		if _, err := OpenSnapshotBytes(c, full[:cut]); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("snapshot truncated at %d bytes: err = %v, want ErrSnapshotCorrupt", cut, err)
 		}
 	}
 	// Garbage magic.
-	if _, err := Load(c, bytes.NewReader([]byte("XXXXgarbage"))); err == nil {
-		t.Error("Load accepted garbage")
+	if _, err := OpenSnapshotBytes(c, []byte("XXXXgarbage")); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Errorf("garbage: err = %v, want ErrSnapshotCorrupt", err)
 	}
 	// Unfrozen collection.
-	fresh := xmlgraph.NewCollection()
-	if _, err := Load(fresh, bytes.NewReader(full)); err == nil {
-		t.Error("Load accepted unfrozen collection")
+	if _, err := OpenSnapshotBytes(xmlgraph.NewCollection(), full); err == nil {
+		t.Error("OpenSnapshotBytes accepted an unfrozen collection")
 	}
 }
 
@@ -110,33 +132,14 @@ func TestPropertySaveLoadEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var buf bytes.Buffer
-		if _, err := orig.WriteTo(&buf); err != nil {
-			return false
-		}
-		loaded, err := Load(c, &buf)
+		loaded, err := reopen(c, orig, rng.Intn(2) == 0)
 		if err != nil {
 			return false
 		}
-		for trial := 0; trial < 4; trial++ {
-			start := xmlgraph.NodeID(rng.Intn(c.NumNodes()))
-			a := collect(orig, start, "", Options{})
-			b := collect(loaded, start, "", Options{})
-			if len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					return false
-				}
-			}
-			x := xmlgraph.NodeID(rng.Intn(c.NumNodes()))
-			y := xmlgraph.NodeID(rng.Intn(c.NumNodes()))
-			d1, ok1 := orig.Connected(x, y, 0)
-			d2, ok2 := loaded.Connected(x, y, 0)
-			if ok1 != ok2 || (ok1 && d1 != d2) {
-				return false
-			}
+		defer loaded.Close()
+		if err := sameAnswers(c, orig, loaded); err != nil {
+			t.Logf("seed %d, %v: %v", seed, conf, err)
+			return false
 		}
 		return true
 	}, cfg)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/storage"
@@ -27,27 +29,26 @@ func goldenConfig() Config {
 
 const goldenPath = "testdata/golden-v1.flix"
 
-// TestSnapshotGoldenFixture loads the version-1 snapshot committed under
-// testdata/ and checks it answers queries exactly like a fresh build of the
-// same configuration.  The fixture pins the on-disk format: any
-// serialization change that cannot read existing files breaks this test
-// and must bump SnapshotVersion instead.
+// TestSnapshotGoldenFixture pins the canonical compact stream: a fresh build
+// of the golden configuration must write exactly the bytes committed under
+// testdata/, and SizeBytes — Table 1's measure — must be their length.
+// Nothing reads the stream back; TestSnapshotCorrupt holds every open entry
+// point to rejecting it.
 //
-// Regenerate (after an intentional, version-bumped format change) with:
+// Regenerate (after an intentional change to what Table 1 counts) with:
 //
 //	UPDATE_GOLDEN=1 go test -run TestSnapshotGoldenFixture ./internal/flix
 func TestSnapshotGoldenFixture(t *testing.T) {
-	coll := goldenCollection()
-	fresh, err := Build(coll, goldenConfig())
+	fresh, err := Build(goldenCollection(), goldenConfig())
 	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := fresh.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := fresh.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
@@ -59,91 +60,86 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden fixture (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
-	ix, err := Load(coll, bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("loading golden fixture: %v", err)
+	if !bytes.Equal(buf.Bytes(), raw) {
+		t.Fatalf("fresh WriteTo (%d bytes) differs from the committed stream (%d bytes)", buf.Len(), len(raw))
 	}
-	if ix.Config() != fresh.Config() {
-		t.Errorf("fixture config = %+v, want %+v", ix.Config(), fresh.Config())
-	}
-	if ix.Describe() != fresh.Describe() {
-		t.Errorf("fixture Describe = %q, fresh build = %q", ix.Describe(), fresh.Describe())
-	}
-	// Byte-identical behavior: every sampled query streams the same
-	// (node, dist) sequence from the restored index and the fresh build.
-	for start := 0; start < coll.NumNodes(); start += 7 {
-		for _, tag := range []string{"a", "b", "c", "d", "e", ""} {
-			want := streamBytes(fresh, xmlgraph.NodeID(start), tag)
-			got := streamBytes(ix, xmlgraph.NodeID(start), tag)
-			if !bytes.Equal(want, got) {
-				t.Fatalf("start %d tag %q: fixture stream %s != fresh %s", start, tag, got, want)
-			}
-		}
+	if sz, err := fresh.SizeBytes(); err != nil || sz != int64(len(raw)) {
+		t.Errorf("SizeBytes = %d, %v; want %d", sz, err, len(raw))
 	}
 }
 
-// TestSnapshotFutureVersion checks a snapshot from a newer format version
-// is refused with the typed sentinel — the downgrade path a mixed-version
-// deployment hits when an old binary warm-starts from a new generation
-// snapshot.
-func TestSnapshotFutureVersion(t *testing.T) {
-	var buf bytes.Buffer
-	sw := storage.NewWriter(&buf)
-	sw.Header("flix")
-	sw.Uvarint(SnapshotVersion + 1)
-	if _, err := sw.Flush(); err != nil {
+// TestSizeBytesEncodesOnce: /statsz asks the serving generation for its size
+// on every scrape, so a heap-built index must encode the canonical stream
+// once — concurrent first callers included — and answer from memory after.
+func TestSizeBytesEncodesOnce(t *testing.T) {
+	ix, err := Build(goldenCollection(), goldenConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(goldenCollection(), bytes.NewReader(buf.Bytes()))
-	if !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("Load(v%d stream) = %v, want ErrSnapshotVersion", SnapshotVersion+1, err)
+	want, err := ix.WriteTo(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if sz, err := ix.SizeBytes(); err != nil || sz != want {
+				t.Errorf("SizeBytes = %d, %v; want %d", sz, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+	// Encoding allocates (every storage.Writer carries a bufio buffer).
+	if allocs := testing.AllocsPerRun(10, func() { ix.SizeBytes() }); allocs != 0 {
+		t.Errorf("a repeated SizeBytes allocates %v times: it re-encodes", allocs)
 	}
 }
 
-// TestSnapshotCorrupt feeds damaged snapshots to Load: every truncation and
-// every corrupted prefix byte must produce an error (or, for flips beyond
-// the validated region, at worst a clean load) — never a panic and never an
-// index for a stream whose header or tables are broken.
+// TestSnapshotCorrupt feeds foreign files to every open entry point — the
+// committed canonical stream (what binaries before the single-format change
+// persisted by default), truncations and byte flips of it, and garbage.
+// Each must come back as an error wrapping ErrSnapshotCorrupt: never a
+// panic, never an index.
 func TestSnapshotCorrupt(t *testing.T) {
 	coll := goldenCollection()
-	ix, err := Build(coll, goldenConfig())
+	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "gen-000001.flix")
+	images := map[string][]byte{
+		"canonical stream": raw,
+		"empty":            nil,
+		"garbage":          []byte("XXXXgarbage"),
+		"v2 magic alone":   []byte(storage.SnapshotMagic),
 	}
-	raw := buf.Bytes()
-
-	for _, n := range []int{0, 1, 3, len(raw) / 4, len(raw) / 2, len(raw) - 1} {
-		if _, err := Load(coll, bytes.NewReader(raw[:n])); err == nil {
-			t.Errorf("Load of %d/%d-byte truncation succeeded", n, len(raw))
-		}
+	for _, n := range []int{1, 3, 8, len(raw) / 2, len(raw) - 1} {
+		images[fmt.Sprintf("stream truncated to %d", n)] = raw[:n]
 	}
-	// The magic header must be enforced byte for byte.
-	for i := 0; i < 4; i++ {
-		bad := bytes.Clone(raw)
-		bad[i] ^= 0xff
-		if _, err := Load(coll, bytes.NewReader(bad)); err == nil {
-			t.Errorf("Load with corrupted header byte %d succeeded", i)
-		}
-	}
-	// Arbitrary single-byte corruption anywhere in the stream: Load may
-	// reject it or (for don't-care bytes) still produce an index, but it
-	// must never panic.  The loop re-runs Load len(raw) times, so keep the
-	// fixture small.
-	for i := range raw {
+	for i := 0; i < len(raw); i += len(raw)/64 + 1 {
 		bad := bytes.Clone(raw)
 		bad[i] ^= 0x55
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("Load panicked on corrupted byte %d: %v", i, r)
-				}
-			}()
-			_, _ = Load(coll, bytes.NewReader(bad))
-		}()
+		images[fmt.Sprintf("stream with byte %d flipped", i)] = bad
+	}
+	for what, img := range images {
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, open := range map[string]func() (*Index, error){
+			"OpenSnapshotBytes":      func() (*Index, error) { return OpenSnapshotBytes(coll, img) },
+			"OpenSnapshot":           func() (*Index, error) { return OpenSnapshot(coll, path) },
+			"OpenSnapshotWith(heap)": func() (*Index, error) { return OpenSnapshotWith(coll, path, OpenOptions{Mmap: false}) },
+		} {
+			ix, err := open()
+			if ix != nil {
+				t.Fatalf("%s(%s) returned an index", name, what)
+			}
+			if !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Errorf("%s(%s) = %v, want ErrSnapshotCorrupt", name, what, err)
+			}
+		}
 	}
 }
 

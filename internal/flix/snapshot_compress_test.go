@@ -170,8 +170,8 @@ func TestSnapshotCompressedGoldenFixture(t *testing.T) {
 		t.Errorf("section payloads sum to %d, whole file is %d", total, len(raw))
 	}
 
-	// The compressed container still re-emits the exact committed v1
-	// stream: the probe views decode back to canonical form.
+	// The compressed container still re-emits the exact committed
+	// canonical stream: the probe views decode back to it.
 	rawV1, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestSnapshotCompressedGoldenFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back.Bytes(), rawV1) {
-		t.Fatal("WriteTo from the compressed snapshot does not reproduce the committed v1 bytes")
+		t.Fatal("WriteTo from the compressed snapshot does not reproduce the committed stream")
 	}
 }
 
@@ -340,35 +340,41 @@ func TestSnapshotCompressedDeclaredRatioMismatch(t *testing.T) {
 	open.Close()
 }
 
-// TestSnapshotCompressedFallback pins the per-section fallback: with a
-// keep threshold no real section can meet, every section stays raw and the
-// container opens as an uncompressed (but trailer-bearing) snapshot.
+// TestSnapshotCompressedFallback pins the per-section fallback: APEX and
+// transitive-closure sections have no compressed encoding, so under Compress
+// every section stays raw and the container opens as an uncompressed (but
+// trailer-bearing) snapshot.
 func TestSnapshotCompressedFallback(t *testing.T) {
 	coll := goldenCollection()
-	fresh, err := Build(coll, goldenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := fresh.WriteSnapshotV2With(&buf, SnapshotV2Options{Compress: true, CompressRatio: 0.0001}); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := OpenSnapshotBytes(coll, buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	si := ix.StorageInfo()
-	if si.Compressed {
-		t.Fatal("StorageInfo.Compressed = true under an unmeetable keep threshold")
-	}
-	for _, st := range si.Sections {
-		if storage.IsCompressedKind(sectionKindByName(t, st.Kind)) {
-			t.Fatalf("section kind %s present despite the fallback", st.Kind)
+	for _, strat := range []string{"apex", "tc"} {
+		fresh, err := Build(coll, Config{Kind: Monolithic, Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if want, got := streamBytes(fresh, 0, "a"), streamBytes(ix, 0, "a"); !bytes.Equal(want, got) {
-		t.Fatalf("fallback stream %s != fresh %s", got, want)
+		var buf bytes.Buffer
+		if _, err := fresh.WriteSnapshotV2With(&buf, SnapshotV2Options{Compress: true}); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := OpenSnapshotBytes(coll, buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		if ix.secRaw == nil {
+			t.Errorf("%s: no manifest trailer in a Compress container", strat)
+		}
+		si := ix.StorageInfo()
+		if si.Compressed {
+			t.Fatalf("%s: StorageInfo.Compressed = true", strat)
+		}
+		for _, st := range si.Sections {
+			if storage.IsCompressedKind(sectionKindByName(t, st.Kind)) {
+				t.Fatalf("%s: section kind %s present despite the fallback", strat, st.Kind)
+			}
+		}
+		if want, got := streamBytes(fresh, 0, "a"), streamBytes(ix, 0, "a"); !bytes.Equal(want, got) {
+			t.Fatalf("%s: fallback stream %s != fresh %s", strat, got, want)
+		}
 	}
 }
 

@@ -1,21 +1,18 @@
 package flix
 
-// The v2 snapshot path: WriteSnapshotV2 emits the offset-based mmap-able
-// container (storage.SnapshotWriter), OpenSnapshot serves an index
-// straight from the mapped bytes with no parse step.  The file carries a
-// manifest section (configuration + per-meta-document fingerprints)
-// followed by one section per meta document in decomposition order; the
-// decomposition itself is recomputed deterministically from the manifest
-// configuration, exactly as the v1 loader does, and the fingerprints
-// (node count, runtime-link count, link hash) detect a mismatched
-// collection before any query runs.
+// The persisted form of an index — the only one: WriteSnapshotV2 emits the
+// offset-based mmap-able container (storage.SnapshotWriter), OpenSnapshot
+// serves an index straight from the mapped bytes with no parse step.  The
+// file carries a manifest section (configuration + per-meta-document
+// fingerprints) followed by one section per meta document in decomposition
+// order; the decomposition itself is recomputed deterministically from the
+// manifest configuration, and the fingerprints (node count, runtime-link
+// count, link hash) detect a mismatched collection before any query runs.
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 
 	"repro/internal/meta"
@@ -29,11 +26,9 @@ import (
 // errors wrapping it — never a panic, never silently wrong results.
 var ErrSnapshotCorrupt = storage.ErrCorrupt
 
-// WriteSnapshotV2 serializes the index in the v2 snapshot container.
-// Unlike WriteTo (the v1 stream, which remains the default persisted
-// format), the result can be served by OpenSnapshot directly from a
-// memory-mapped file: fixed-width arrays are used in place and varint runs
-// are decoded lazily per probe.
+// WriteSnapshotV2 serializes the index in the v2 snapshot container, which
+// OpenSnapshot serves directly from a memory-mapped file: fixed-width arrays
+// are used in place and varint runs are decoded lazily per probe.
 func (ix *Index) WriteSnapshotV2(w io.Writer) (int64, error) {
 	return ix.WriteSnapshotV2With(w, SnapshotV2Options{})
 }
@@ -43,13 +38,11 @@ type SnapshotV2Options struct {
 	// Compress emits compressed section encodings (succinct bit-packed PPO
 	// intervals, delta-packed HOPI labels) for every per-meta index that
 	// supports one.  Each section is encoded both ways and the compressed
-	// form is kept only when it is at most CompressRatio of the raw size —
-	// so incompressible sections (APEX, transitive closure) fall back to
-	// their raw encoding per section, recorded in the manifest.
+	// form is kept only when it is at most defaultCompressRatio of the raw
+	// size — so sections with no compressed encoding (APEX, transitive
+	// closure) or one that does not pay stay raw, per section, recorded in
+	// the manifest.
 	Compress bool
-	// CompressRatio is the keep threshold (compressed ≤ ratio·raw);
-	// 0 means the default of 0.9.
-	CompressRatio float64
 }
 
 // defaultCompressRatio rejects compressed encodings that shave off less
@@ -111,10 +104,6 @@ func (ix *Index) WriteSnapshotV2With(w io.Writer, opts SnapshotV2Options) (int64
 		return sw.Finish()
 	}
 
-	ratio := opts.CompressRatio
-	if ratio == 0 {
-		ratio = defaultCompressRatio
-	}
 	// Compressed sections are chosen per section by measured ratio, and the
 	// manifest (which precedes them in the file) records the raw sizes — so
 	// encode every body up front, then stream the container.
@@ -147,7 +136,7 @@ func (ix *Index) WriteSnapshotV2With(w io.Writer, opts SnapshotV2Options) (int64
 		if err != nil {
 			return 0, fmt.Errorf("flix: meta %d: %w", i, err)
 		}
-		if float64(len(comp)) <= ratio*float64(len(body)) {
+		if float64(len(comp)) <= defaultCompressRatio*float64(len(body)) {
 			rawLens[i] = int64(len(body))
 			secs[i] = section{kind: cenc.CompressedSectionKind(), body: comp}
 		}
@@ -163,8 +152,7 @@ func (ix *Index) WriteSnapshotV2With(w io.Writer, opts SnapshotV2Options) (int64
 
 // linkHash fingerprints a meta document's runtime link table (FNV-64a over
 // the (FromLocal, To) pairs).  OpenSnapshot compares it against the
-// recomputed decomposition, replacing the v1 loader's full link-table
-// comparison at a fraction of the stored bytes.
+// recomputed decomposition, so the file need not store the link table.
 func linkHash(md *meta.MetaDocument) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -230,8 +218,7 @@ func OpenSnapshotBytes(c *xmlgraph.Collection, data []byte) (*Index, error) {
 }
 
 // wrapSnapshotErr lifts the storage-level version error into this
-// package's ErrSnapshotVersion (keeping the original chained), so callers
-// match one sentinel for both the v1 stream and the v2 container.
+// package's ErrSnapshotVersion (keeping the original chained).
 func wrapSnapshotErr(err error) error {
 	if errors.Is(err, storage.ErrVersion) && !errors.Is(err, ErrSnapshotVersion) {
 		return fmt.Errorf("%w (%w)", ErrSnapshotVersion, err)
@@ -302,7 +289,7 @@ func openSnapshot(c *xmlgraph.Collection, snap *storage.Snapshot) (*Index, error
 			nMetas, len(set.Metas))
 	}
 	ix := newIndex(c, cfg, set, bs)
-	ix.snap, ix.format, ix.secRaw = snap, "v2", secRaw
+	ix.snap, ix.secRaw = snap, secRaw
 	for i, md := range set.Metas {
 		fp := fps[i]
 		if fp.nodes != md.Graph.NumNodes() || fp.links != len(md.OutLinks) || fp.hash != linkHash(md) {
@@ -330,29 +317,6 @@ func openSnapshot(c *xmlgraph.Collection, snap *storage.Snapshot) (*Index, error
 	return ix, nil
 }
 
-// LoadSnapshotFile restores an index from a snapshot file of either
-// format, sniffing the magic: v2 containers are opened in place (mapped
-// when useMmap), v1 streams are parsed with Load.  Both formats share the
-// generation store's gen-NNNNNN.flix naming, so warm start needs no
-// format bookkeeping.
-func LoadSnapshotFile(c *xmlgraph.Collection, path string, useMmap bool) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var magic [8]byte
-	n, _ := io.ReadFull(f, magic[:])
-	if storage.SniffSnapshot(magic[:n]) {
-		f.Close()
-		return OpenSnapshotWith(c, path, OpenOptions{Mmap: useMmap})
-	}
-	defer f.Close()
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return Load(c, bufio.NewReaderSize(f, 1<<20))
-}
-
 // Close releases the snapshot backing this index, if any.  It must only
 // be called once no query is active; indexes built in memory need no
 // Close.
@@ -365,8 +329,8 @@ func (ix *Index) Close() error {
 
 // StorageInfo describes how an index is backed.
 type StorageInfo struct {
-	// Format is "heap" for a built index, "v1" for one parsed from the
-	// legacy stream, "v2" for one served from an open snapshot container.
+	// Format is "heap" for a built index, "v2" for one served from an open
+	// snapshot container.
 	Format string
 	// Mapped reports whether the backing snapshot is memory-mapped.
 	Mapped bool
@@ -398,13 +362,10 @@ type SectionStat struct {
 
 // StorageInfo reports how the index is backed; /statsz surfaces it.
 func (ix *Index) StorageInfo() StorageInfo {
-	si := StorageInfo{Format: ix.format}
-	if si.Format == "" {
-		si.Format = "heap"
-	}
 	if ix.snap == nil {
-		return si
+		return StorageInfo{Format: "heap"}
 	}
+	si := StorageInfo{Format: "v2"}
 	if ix.snap.Mapped() {
 		si.Mapped = true
 		si.MappedBytes = ix.snap.Size()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -130,17 +131,24 @@ func TestOKAllocBudget(t *testing.T) {
 	}
 	v := descendantsAnswer(100)
 	w := discardWriter{h: make(http.Header)}
-	OK(w, v) // size the pooled buffers
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const rounds = 50
-	for i := 0; i < rounds; i++ {
-		OK(w, v)
+	// TotalAlloc is process-wide, and a collection empties the pool: servers
+	// that earlier tests are still shutting down, or a GC cycle mid-loop, can
+	// only add to a reading.  So the budget is held by the best of a few.
+	const rounds, attempts = 50, 5
+	best := uint64(math.MaxUint64)
+	for a := 0; a < attempts && best > 1024; a++ {
+		OK(w, v) // size the pooled buffers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			OK(w, v)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/rounds)
 	}
-	runtime.ReadMemStats(&after)
 	// What remains (about 300 B) is encoding/json's own: the Encoder, and
 	// the sorted keys of the map[string]any.
-	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > 1024 {
-		t.Errorf("OK allocates %d B per 100-result response, budget 1024", per)
+	if best > 1024 {
+		t.Errorf("OK allocates %d B per 100-result response, budget 1024", best)
 	}
 }

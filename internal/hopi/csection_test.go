@@ -109,7 +109,7 @@ func TestCompressedSectionParity(t *testing.T) {
 	}
 }
 
-// TestCompressedWriteTo checks that the tight view re-emits the exact v1
+// TestCompressedWriteTo checks that the tight view re-emits the exact canonical
 // stream the heap index writes.
 func TestCompressedWriteTo(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {

@@ -23,7 +23,6 @@
 package hopi
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -629,8 +628,9 @@ func heapFix(h mergeHeap, i int) {
 	}
 }
 
-// WriteTo serializes both label sets.  The per-hub postings are derived data
-// and are not stored; ReadBody rebuilds them.
+// WriteTo emits the canonical compact stream — both label sets, without the
+// derived per-hub postings.  It is Table 1's size measure and the
+// byte-identity form the determinism tests compare; nothing reads it back.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	sw := storage.NewWriter(w)
 	sw.Header("hopi")
@@ -649,47 +649,4 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	writeLabels(idx.in)
 	writeLabels(idx.out)
 	return sw.Flush()
-}
-
-// ReadBody deserializes an index written by WriteTo whose header has
-// already been consumed.
-func ReadBody(g *lgraph.LGraph, r *storage.Reader) (pathindex.Index, error) {
-	n := int(r.Uvarint())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n != g.NumNodes() {
-		return nil, fmt.Errorf("hopi: stream has %d nodes, graph %d", n, g.NumNodes())
-	}
-	idx := newIndex(g)
-	readLabels := func(labels [][]entry) error {
-		for v := range labels {
-			k := int(r.Uvarint())
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if k > 1<<28 {
-				return fmt.Errorf("hopi: unreasonable label size %d", k)
-			}
-			l := make([]entry, k)
-			prev := int32(0)
-			for i := range l {
-				prev += int32(r.Varint())
-				l[i] = entry{hub: prev, dist: int32(r.Varint())}
-				if prev < 0 || int(prev) >= n || l[i].dist < 0 {
-					return fmt.Errorf("hopi: corrupt label entry (hub %d, dist %d)", prev, l[i].dist)
-				}
-			}
-			labels[v] = l
-		}
-		return r.Err()
-	}
-	if err := readLabels(idx.in); err != nil {
-		return nil, err
-	}
-	if err := readLabels(idx.out); err != nil {
-		return nil, err
-	}
-	idx.finish()
-	return idx, nil
 }

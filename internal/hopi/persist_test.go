@@ -1,82 +1,58 @@
 package hopi
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/lgraph"
+	"repro/internal/pathindex"
 	"repro/internal/storage"
+	"repro/internal/testutil"
 )
 
-func roundTrip(t testing.TB, g *lgraph.LGraph, idx *Index) *Index {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r := storage.NewReader(&buf)
-	if err := r.Header("hopi"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBody(g, r)
+// reopen persists idx the way a snapshot does — EncodeSection — and opens
+// the bytes back over g.
+func reopen(g *lgraph.LGraph, idx *Index) (pathindex.Index, error) {
+	body, err := storage.EncodeSectionBody(idx.EncodeSection)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return got.(*Index)
+	return OpenSection(g, body)
 }
 
 func TestReadBodyRoundTrip(t *testing.T) {
 	g, idx := buildGraph(t)
-	loaded := roundTrip(t, g, idx)
-	if loaded.LabelEntries() != idx.LabelEntries() {
-		t.Fatalf("label entries: %d vs %d", loaded.LabelEntries(), idx.LabelEntries())
+	loaded, err := reopen(g, idx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for x := int32(0); x < int32(g.NumNodes()); x++ {
-		for y := int32(0); y < int32(g.NumNodes()); y++ {
-			d1, ok1 := idx.Distance(x, y)
-			d2, ok2 := loaded.Distance(x, y)
-			if ok1 != ok2 || (ok1 && d1 != d2) {
-				t.Fatalf("Distance(%d,%d): %d,%t vs %d,%t", x, y, d1, ok1, d2, ok2)
-			}
-		}
+	if err := testutil.SameProbes(idx, loaded, g.NumTags()); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestReadBodyWrongGraph(t *testing.T) {
-	g, idx := buildGraph(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	_ = g
+	_, idx := buildGraph(t)
 	b := lgraph.NewBuilder()
 	b.AddNode("a")
-	small := b.Finish()
-	r := storage.NewReader(&buf)
-	if err := r.Header("hopi"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBody(small, r); err == nil {
-		t.Error("ReadBody accepted a mismatched graph")
+	if _, err := reopen(b.Finish(), idx); err == nil {
+		t.Error("OpenSection accepted a mismatched graph")
 	}
 }
 
+// TestReadBodyCorrupt truncates a raw section everywhere and flips every byte: a
+// truncation must be rejected, and a flip must be rejected or yield an index
+// whose probes stay in bounds — never a panic.
 func TestReadBodyCorrupt(t *testing.T) {
-	g, idx := buildGraph(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	g := randomGraph(rand.New(rand.NewSource(5)), 40, 90)
+	body, err := storage.EncodeSectionBody(Build(g).EncodeSection)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	trunc := data[:len(data)/2]
-	r := storage.NewReader(bytes.NewReader(trunc))
-	if err := r.Header("hopi"); err != nil {
+	err = testutil.DamageSection(body, func(b []byte) (storage.Probe, error) { return OpenSection(g, b) })
+	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ReadBody(g, r); err == nil {
-		t.Error("ReadBody accepted a truncated stream")
 	}
 }
 
@@ -87,19 +63,13 @@ func TestPropertyPersistRoundTrip(t *testing.T) {
 		n := 2 + rng.Intn(30)
 		g := randomGraph(rng, n, rng.Intn(3*n))
 		idx := Build(g)
-		loaded := roundTrip(t, g, idx)
-		x := int32(rng.Intn(n))
-		// Enumeration including the rebuilt postings must agree.
-		var a, b [][2]int32
-		idx.EachReachable(x, func(u, d int32) bool { a = append(a, [2]int32{u, d}); return true })
-		loaded.EachReachable(x, func(u, d int32) bool { b = append(b, [2]int32{u, d}); return true })
-		if len(a) != len(b) {
+		loaded, err := reopen(g, idx)
+		if err != nil {
 			return false
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
+		if err := testutil.SameProbes(idx, loaded, g.NumTags()); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
 		}
 		return true
 	}, cfg)

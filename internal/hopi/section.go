@@ -525,9 +525,9 @@ func decodeLabels(offs *offTab, blob []byte, n int32, tight bool) [][]entry {
 	return labels
 }
 
-// WriteTo implements pathindex.Index by re-emitting the exact v1 stream a
-// heap-built index would write: an mmap-backed generation can still be
-// persisted in the legacy format.
+// WriteTo implements pathindex.Index by re-emitting the exact canonical
+// stream a heap-built index would write: an mmap-backed generation measures
+// and hashes the same as the build it was persisted from.
 func (v *View) WriteTo(w io.Writer) (int64, error) {
 	sw := storage.NewWriter(w)
 	sw.Header("hopi")

@@ -54,18 +54,8 @@ var Registry = map[string]pathindex.Strategy{
 	"tc":      tc.Strategy,
 }
 
-// Readers maps a serialized index kind to its deserializer; used when
-// loading a persisted FliX index.
-var Readers = map[string]pathindex.BodyReader{
-	"ppo":  ppo.ReadBody,
-	"hopi": hopi.ReadBody,
-	"apex": apex.ReadBody,
-	"tc":   tc.ReadBody,
-}
-
 // SectionOpeners maps a v2 snapshot section kind to the strategy-specific
-// opener that lays a zero-copy index view over the section bytes — the
-// mmap-era counterpart of Readers.
+// opener that lays a zero-copy index view over the section bytes.
 var SectionOpeners = map[uint32]func(*lgraph.LGraph, []byte) (pathindex.Index, error){
 	storage.SectionPPO:   ppo.OpenSection,
 	storage.SectionHOPI:  hopi.OpenSection,

@@ -7,6 +7,10 @@
 // enumeration methods stream results through callbacks in ascending distance
 // order (ties broken by node ID) — the order the Path Expression Evaluator
 // relies on to produce approximately distance-ordered global results.
+//
+// Every Index also writes the canonical compact stream (io.WriterTo) that
+// Table 1 measures; it is write-only.  What is persisted and reopened is the
+// snapshot section a strategy encodes through storage.SectionEncoder.
 package pathindex
 
 import (
@@ -29,15 +33,17 @@ type Visit = storage.Visit
 // heap-built indexes and mmap-backed snapshot views; see that interface
 // for the semantics (descendants-or-self axis, ascending (dist, node)
 // emission order, allocation-free steady state).  Index adds the strategy
-// name and v1 serialization on top.
+// name and the canonical size stream on top.
 type Index interface {
 	// Name identifies the strategy (e.g. "ppo", "hopi", "apex").
 	Name() string
 
 	storage.Probe
 
-	// WriteTo serializes the index in the v1 stream format; the byte
-	// count is the "index size" reported in the experiments.
+	// WriteTo emits the canonical compact stream: its byte count is the
+	// "index size" the experiments report (Table 1) and its bytes are
+	// what the determinism tests compare.  Nothing reads it back —
+	// persistence is storage.SectionEncoder's job.
 	io.WriterTo
 }
 
@@ -105,11 +111,6 @@ func NewLinkTable(idx Index, sources []int32) LinkTable {
 // Builder constructs an Index for a local graph.  Builders may fail, e.g.
 // PPO refuses non-forest graphs.
 type Builder func(g *lgraph.LGraph) (Index, error)
-
-// BodyReader deserializes an index from a stream whose header (magic +
-// kind) has already been consumed — the caller dispatches on the kind.
-// The local graph must be the one the index was built over.
-type BodyReader func(g *lgraph.LGraph, r *storage.Reader) (Index, error)
 
 // ParallelBuilder constructs an Index using up to parallelism concurrent
 // workers.  parallelism <= 0 means "use all CPUs"; 1 must build serially.

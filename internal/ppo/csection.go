@@ -432,8 +432,8 @@ func (v *CIndex) EachReachingByTag(x int32, tag lgraph.Tag, fn pathindex.Visit) 
 	}
 }
 
-// WriteTo implements pathindex.Index by re-emitting the exact v1 stream a
-// heap-built index would write; postorder ranks are recomputed from the
+// WriteTo implements pathindex.Index by re-emitting the exact canonical
+// stream a heap-built index would write; postorder ranks are recomputed from the
 // forest identity post = pre + size - 1 - depth, and tagPre — when not
 // stored — is merged back out of the (depth, pre)-sorted tag runs.
 func (v *CIndex) WriteTo(w io.Writer) (int64, error) {

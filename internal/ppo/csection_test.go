@@ -113,7 +113,7 @@ func TestCompressedSectionParity(t *testing.T) {
 }
 
 // TestCompressedWriteTo checks that the compressed view re-emits the exact
-// v1 stream the heap index writes.
+// canonical stream the heap index writes.
 func TestCompressedWriteTo(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -1,35 +1,39 @@
 package ppo
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/lgraph"
 	"repro/internal/storage"
+	"repro/internal/testutil"
 )
+
+// reopen persists idx the way a snapshot does — EncodeSection — and opens
+// the bytes back over g.
+func reopen(g *lgraph.LGraph, idx *Index) (*Index, error) {
+	body, err := storage.EncodeSectionBody(idx.EncodeSection)
+	if err != nil {
+		return nil, err
+	}
+	pi, err := OpenSection(g, body)
+	if err != nil {
+		return nil, err
+	}
+	return pi.(*Index), nil
+}
 
 func TestReadBodyRoundTrip(t *testing.T) {
 	g, idx := buildTree(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r := storage.NewReader(&buf)
-	if err := r.Header("ppo"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBody(g, r)
+	loaded, err := reopen(g, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := got.(*Index)
+	if err := testutil.SameProbes(idx, loaded, g.NumTags()); err != nil {
+		t.Fatal(err)
+	}
 	for x := int32(0); x < int32(g.NumNodes()); x++ {
-		for y := int32(0); y < int32(g.NumNodes()); y++ {
-			if idx.Reachable(x, y) != loaded.Reachable(x, y) {
-				t.Fatalf("Reachable(%d,%d) differs", x, y)
-			}
-		}
 		if idx.SubtreeSize(x) != loaded.SubtreeSize(x) {
 			t.Errorf("SubtreeSize(%d): %d vs %d", x, idx.SubtreeSize(x), loaded.SubtreeSize(x))
 		}
@@ -37,19 +41,10 @@ func TestReadBodyRoundTrip(t *testing.T) {
 }
 
 func TestReadBodyWrongGraph(t *testing.T) {
-	g, idx := buildTree(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	_ = g
+	_, idx := buildTree(t)
 	small := randomForest(rand.New(rand.NewSource(1)), 3)
-	r := storage.NewReader(&buf)
-	if err := r.Header("ppo"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBody(small, r); err == nil {
-		t.Error("ReadBody accepted a mismatched graph")
+	if _, err := reopen(small, idx); err == nil {
+		t.Error("OpenSection accepted a mismatched graph")
 	}
 }
 
@@ -62,46 +57,17 @@ func TestPropertyPersistRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			return false
-		}
-		r := storage.NewReader(&buf)
-		if err := r.Header("ppo"); err != nil {
-			return false
-		}
-		gotIdx, err := ReadBody(g, r)
+		loaded, err := reopen(g, idx)
 		if err != nil {
 			return false
 		}
-		loaded := gotIdx.(*Index)
-		x := int32(rng.Intn(g.NumNodes()))
-		a := gatherAll(idx, x)
-		b := gatherAll(loaded, x)
-		if len(a) != len(b) {
+		if err := testutil.SameProbes(idx, loaded, g.NumTags()); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
 		}
 		return true
 	}, cfg)
 	if err != nil {
 		t.Error(err)
 	}
-}
-
-func gatherAll(idx *Index, x int32) [][2]int32 {
-	var out [][2]int32
-	idx.EachReachable(x, func(n, d int32) bool {
-		out = append(out, [2]int32{n, d})
-		return true
-	})
-	idx.EachReaching(x, func(n, d int32) bool {
-		out = append(out, [2]int32{n, d})
-		return true
-	})
-	return out
 }

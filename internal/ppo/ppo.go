@@ -12,7 +12,6 @@ package ppo
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"slices"
 	"sort"
@@ -151,8 +150,7 @@ func Build(g *lgraph.LGraph) (*Index, error) {
 }
 
 // finishDerived builds the enumeration acceleration structures from the
-// serialized core (pre/depth/byPre/tagPre).  Called by both Build and
-// ReadBody; the structures are never written out.
+// core arrays (pre/depth/byPre/tagPre).
 func (idx *Index) finishDerived() {
 	n := len(idx.byPre)
 	maxDepth := int32(-1)
@@ -510,8 +508,10 @@ func (idx *Index) EachPreceding(x int32, fn pathindex.Visit) {
 	}
 }
 
-// WriteTo serializes the index: pre, post, depth and parent per node, plus
-// the per-tag preorder lists.  ReadBody restores it.
+// WriteTo emits the canonical compact stream — pre, post, depth and parent
+// per node, plus the per-tag preorder lists.  It is Table 1's size measure
+// and the byte-identity form the determinism tests compare; nothing reads it
+// back.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	sw := storage.NewWriter(w)
 	sw.Header("ppo")
@@ -525,66 +525,4 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 		sw.Int32Slice(ranks)
 	}
 	return sw.Flush()
-}
-
-// ReadBody deserializes an index written by WriteTo whose header has
-// already been consumed.  g must be the graph the index was built over.
-func ReadBody(g *lgraph.LGraph, r *storage.Reader) (pathindex.Index, error) {
-	n := int(r.Uvarint())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n != g.NumNodes() {
-		return nil, fmt.Errorf("ppo: stream has %d nodes, graph %d", n, g.NumNodes())
-	}
-	idx := &Index{
-		g:      g,
-		pre:    r.Int32Slice(),
-		post:   r.Int32Slice(),
-		depth:  r.Int32Slice(),
-		parent: r.Int32Slice(),
-	}
-	nTags := int(r.Uvarint())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nTags != g.NumTags() {
-		return nil, fmt.Errorf("ppo: stream has %d tags, graph %d", nTags, g.NumTags())
-	}
-	idx.tagPre = make([][]int32, nTags)
-	for t := range idx.tagPre {
-		idx.tagPre[t] = r.Int32Slice()
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if len(idx.pre) != n || len(idx.post) != n || len(idx.depth) != n || len(idx.parent) != n {
-		return nil, fmt.Errorf("ppo: truncated arrays")
-	}
-	// Rebuild the derived structures: the preorder permutation and the
-	// subtree sizes (children have larger preorder ranks than their
-	// parent, so a descending-rank sweep accumulates sizes bottom-up).
-	idx.byPre = make([]int32, n)
-	for v := 0; v < n; v++ {
-		p := idx.pre[v]
-		if p < 0 || int(p) >= n {
-			return nil, fmt.Errorf("ppo: preorder rank %d out of range", p)
-		}
-		idx.byPre[p] = int32(v)
-	}
-	idx.size = make([]int32, n)
-	for i := range idx.size {
-		idx.size[i] = 1
-	}
-	for rank := n - 1; rank >= 0; rank-- {
-		v := idx.byPre[rank]
-		if p := idx.parent[v]; p != -1 {
-			if p < 0 || int(p) >= n {
-				return nil, fmt.Errorf("ppo: parent %d out of range", p)
-			}
-			idx.size[p] += idx.size[v]
-		}
-	}
-	idx.finishDerived()
-	return idx, nil
 }

@@ -1,10 +1,9 @@
 package ppo
 
-// v2 snapshot section codec.  Unlike the v1 stream (WriteTo/ReadBody),
-// which stores only the core arrays and rebuilds byPre, size and the
-// enumeration acceleration structures at load time, the v2 section stores
-// everything the probes touch as fixed-width little-endian arrays plus
-// prefix-offset tables.  OpenSection therefore performs no reconstruction:
+// v2 snapshot section codec.  Unlike the canonical stream (WriteTo), which
+// holds only the core arrays, the v2 section stores everything the probes
+// touch — byPre, size and the enumeration acceleration structures included —
+// as fixed-width little-endian arrays plus prefix-offset tables.  OpenSection therefore performs no reconstruction:
 // every array is a zero-copy view into the snapshot bytes, and the
 // resulting *Index is the same type — and runs the same probe code — as a
 // heap-built one.
@@ -177,8 +176,8 @@ func OpenSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
 		}
 	}
 	if flags&secFlagDerived == 0 {
-		// A snapshot written from a derived-less index (corrupt v1
-		// lineage); the sort fallback serves every probe.
+		// A snapshot written from a derived-less index; the sort fallback
+		// serves every probe.
 		idx.runsSorted = false
 		return idx, nil
 	}

@@ -15,10 +15,10 @@ const snapshotPattern = "gen-*.flix"
 // SnapshotName returns the file name a generation is persisted under.
 func SnapshotName(gen uint64) string { return fmt.Sprintf("gen-%06d.flix", gen) }
 
-// persist writes the freshly installed generation in the configured
-// snapshot format ("v1" = flix.WriteTo stream, "v2" = the mmap-able
-// container) and prunes old generations beyond cfg.Retain.  The write goes
-// through a temp file + rename so a crash mid-write never leaves a half
+// persist writes the freshly installed generation as a v2 snapshot and
+// prunes old generations beyond cfg.Retain.  The write goes through a temp
+// file that is synced before it is renamed into place, and the directory is
+// synced after, so neither a crash nor a power loss mid-write leaves a half
 // snapshot under a valid name.
 func (m *Manager) persist(ix *flix.Index, gen uint64) error {
 	if err := os.MkdirAll(m.cfg.SnapshotDir, 0o755); err != nil {
@@ -30,13 +30,9 @@ func (m *Manager) persist(ix *flix.Index, gen uint64) error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) //nolint:errcheck // no-op after the rename
-	switch m.cfg.SnapshotFormat {
-	case "v2":
-		_, err = ix.WriteSnapshotV2With(tmp, flix.SnapshotV2Options{Compress: m.cfg.SnapshotCompress})
-	case "", "v1":
-		_, err = ix.WriteTo(tmp)
-	default:
-		err = fmt.Errorf("rebuild: unknown snapshot format %q", m.cfg.SnapshotFormat)
+	_, err = ix.WriteSnapshotV2With(tmp, flix.SnapshotV2Options{Compress: m.cfg.SnapshotCompress})
+	if err == nil {
+		err = tmp.Sync()
 	}
 	if err != nil {
 		tmp.Close()
@@ -48,7 +44,20 @@ func (m *Manager) persist(ix *flix.Index, gen uint64) error {
 	if err := os.Rename(tmp.Name(), final); err != nil {
 		return err
 	}
+	if err := syncDir(m.cfg.SnapshotDir); err != nil {
+		return err
+	}
 	return m.prune()
+}
+
+// syncDir makes a rename inside dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // prune removes generation snapshots beyond the newest cfg.Retain.  File

@@ -18,8 +18,8 @@
 // A Manager never builds concurrently with itself, never touches the
 // serving index, and installs a finished index with one Target.Install
 // call; in-flight queries finish on the generation they started on.
-// Finished generations are optionally persisted with the regular snapshot
-// format under a retention bound.
+// Finished generations are optionally persisted as v2 snapshots under a
+// retention bound.
 package rebuild
 
 import (
@@ -90,15 +90,9 @@ type Config struct {
 	// SnapshotDir, when non-empty, persists every installed generation as
 	// gen-<number>.flix.
 	SnapshotDir string
-	// SnapshotFormat selects the persisted format: "v1" (default, the
-	// portable stream Index.WriteTo emits) or "v2" (the mmap-able
-	// container Index.WriteSnapshotV2 emits, which warm start serves with
-	// no parse step).  Warm start sniffs the format per file, so the two
-	// can coexist in one SnapshotDir across a flag change.
-	SnapshotFormat string
-	// SnapshotCompress persists v2 snapshots with compressed section
+	// SnapshotCompress persists snapshots with compressed section
 	// encodings (per-section, with raw fallback when compression does not
-	// pay).  Only meaningful with SnapshotFormat "v2".
+	// pay).
 	SnapshotCompress bool
 	// Retain bounds how many generation snapshots are kept on disk.
 	// Default 3.
@@ -113,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retain <= 0 {
 		c.Retain = 3
-	}
-	if c.SnapshotFormat == "" {
-		c.SnapshotFormat = "v1"
 	}
 	return c
 }

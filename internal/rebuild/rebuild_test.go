@@ -3,7 +3,7 @@ package rebuild
 import (
 	"context"
 	"errors"
-	"os"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -307,18 +307,35 @@ func TestPersistRetentionAndLatest(t *testing.T) {
 	if filepath.Base(latest) != SnapshotName(5) {
 		t.Errorf("LatestSnapshot = %s, want %s", latest, SnapshotName(5))
 	}
-	// The retained snapshot must round-trip through the regular loader.
-	f, err := os.Open(latest)
-	if err != nil {
-		t.Fatal(err)
+	// The retained snapshot must warm-start, mapped and unmapped, into an
+	// index that answers exactly like the live one.
+	answers := func(ix *flix.Index) string {
+		var b strings.Builder
+		for x := xmlgraph.NodeID(0); int(x) < coll.NumNodes(); x++ {
+			ix.Descendants(x, "", flix.Options{ExactOrder: true}, func(r flix.Result) bool {
+				fmt.Fprintf(&b, "%d:%d;", r.Node, r.Dist)
+				return true
+			})
+			d, ok := ix.Connected(0, x, 0)
+			fmt.Fprintf(&b, "|%d,%t\n", d, ok)
+		}
+		return b.String()
 	}
-	defer f.Close()
-	ix2, err := flix.Load(coll, f)
-	if err != nil {
-		t.Fatalf("loading persisted generation: %v", err)
-	}
-	if ix2.Config() != ix.Config() {
-		t.Errorf("restored config = %+v, want %+v", ix2.Config(), ix.Config())
+	want := answers(ix)
+	for _, mmap := range []bool{true, false} {
+		ix2, err := flix.OpenSnapshotWith(coll, latest, flix.OpenOptions{Mmap: mmap})
+		if err != nil {
+			t.Fatalf("opening persisted generation (mmap=%t): %v", mmap, err)
+		}
+		if ix2.Config() != ix.Config() {
+			t.Errorf("restored config = %+v, want %+v", ix2.Config(), ix.Config())
+		}
+		if got := answers(ix2); got != want {
+			t.Errorf("mmap=%t: the persisted generation answers differently from the live index", mmap)
+		}
+		if err := ix2.Close(); err != nil {
+			t.Error(err)
+		}
 	}
 	// No temp files left behind.
 	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmp) != 0 {

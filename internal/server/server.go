@@ -610,8 +610,8 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 }
 
 // storageJSON renders how the serving index is backed — "heap" for a
-// built generation, "v1"/"v2" for restored ones, with the mapping size
-// when the v2 container is served via mmap and a per-section-kind byte
+// built generation, "v2" for one opened from a snapshot, with the mapping
+// size when the container is served via mmap and a per-section-kind byte
 // breakdown (with compression ratios) for snapshot-backed generations.
 func storageJSON(si flix.StorageInfo) map[string]any {
 	out := map[string]any{"format": si.Format, "mapped": si.Mapped}

@@ -9,7 +9,7 @@ type Visit func(node, dist int32) bool
 // Probe is the storage-agnostic query surface of one meta document's
 // connection index: the exact set of operations the Path Expression
 // Evaluator issues per frontier pop.  Both backends implement it —
-// heap-built indexes (flix.Build, flix.Load) and mmap-backed v2 snapshot
+// heap-built indexes (flix.Build) and mmap-backed v2 snapshot
 // views (flix.OpenSnapshot) — which is what makes generations
 // interchangeable at query time: the evaluator, the streaming/partial
 // paths and the sharded tier never learn where the bytes live.

@@ -1,9 +1,9 @@
 package storage
 
 // The v2 snapshot container: an offset-based, checksummed, mmap-able file
-// format.  Unlike the v1 tagged varint stream (Writer/Reader above), a v2
-// snapshot is designed to be served without a parse step: the file is a
-// header, a sequence of 8-byte-aligned payload sections, a section table of
+// format — the only one FliX persists or opens.  Unlike the canonical varint
+// stream (Writer, which is only measured), a v2 snapshot is designed to be
+// served without a parse step: the file is a header, a sequence of 8-byte-aligned payload sections, a section table of
 // (kind, offset, length) entries, and a footer carrying a whole-file CRC-64.
 // Opening a snapshot validates the envelope and the checksum — one
 // sequential pass that decodes nothing and allocates only the section
@@ -40,9 +40,9 @@ import (
 )
 
 // SnapshotMagic opens every v2 snapshot file.  It shares the "FLIX" prefix
-// with the v1 stream format but differs from byte 4 on (v1 continues with
-// the uvarint-length-prefixed kind string), so a reader can sniff the
-// format from the first 8 bytes.
+// with the canonical stream but differs from byte 4 on (the stream continues
+// with the uvarint-length-prefixed kind string), so a stream handed to Open
+// fails the magic check with ErrCorrupt.
 const SnapshotMagic = "FLIXSNP2"
 
 // snapshotEndMagic closes the file; a cheap truncation tripwire that fails
@@ -82,10 +82,8 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// SniffSnapshot reports whether b begins like a v2 snapshot.  Callers use
-// it to dispatch between the v1 stream loader and OpenSnapshot on the
-// shared gen-NNNNNN.flix filename.
-func SniffSnapshot(b []byte) bool {
+// hasSnapshotMagic reports whether b begins like a v2 snapshot.
+func hasSnapshotMagic(b []byte) bool {
 	return len(b) >= len(SnapshotMagic) && string(b[:len(SnapshotMagic)]) == SnapshotMagic
 }
 
@@ -391,7 +389,7 @@ func (s *Snapshot) validate() error {
 	if len(b) < snapshotHeaderSize+snapshotFooterSize {
 		return fmt.Errorf("%w: %d bytes is shorter than header+footer", ErrCorrupt, len(b))
 	}
-	if !SniffSnapshot(b) {
+	if !hasSnapshotMagic(b) {
 		return fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(b[8:12]); v != SnapshotVersion {
@@ -473,7 +471,7 @@ func (s *Snapshot) Close() error {
 // (e.g. stamping a future version) and want only the edited field — not
 // the checksum — to trip validation.
 func Reseal(b []byte) error {
-	if len(b) < snapshotHeaderSize+snapshotFooterSize || !SniffSnapshot(b) {
+	if len(b) < snapshotHeaderSize+snapshotFooterSize || !hasSnapshotMagic(b) {
 		return fmt.Errorf("%w: not a v2 snapshot image", ErrCorrupt)
 	}
 	binary.LittleEndian.PutUint64(b[len(b)-16:], crc64.Checksum(b[:len(b)-16], crcTable))

@@ -41,8 +41,8 @@ func buildTestSnapshot(t *testing.T) []byte {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	raw := buildTestSnapshot(t)
-	if !SniffSnapshot(raw) {
-		t.Fatal("SniffSnapshot rejects a valid snapshot")
+	if !hasSnapshotMagic(raw) {
+		t.Fatal("hasSnapshotMagic rejects a valid snapshot")
 	}
 	s, err := OpenSnapshotBytes(raw)
 	if err != nil {

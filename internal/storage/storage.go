@@ -1,31 +1,28 @@
 // Package storage provides the binary serialization substrate for the index
-// structures.
+// structures: the snapshot container FliX persists and opens (snapshot.go —
+// offset-based, checksummed, servable from a read-only memory mapping) and
+// the canonical compact stream it only measures (this file).
 //
 // The paper stores all indexes in database tables and reports their sizes
-// (Table 1).  This reproduction serializes each index into a compact binary
-// format instead; the reported "index size" is the number of bytes written.
-// The format is a simple tagged stream of varints and strings with a header
-// and no backward-compatibility machinery — it exists to persist and to
-// measure, not to migrate.
+// (Table 1).  This reproduction serializes each index into a tagged stream
+// of varints and strings instead; the reported "index size" is the number of
+// bytes Writer emits, and the determinism tests compare those bytes.  The
+// stream is write-only: nothing reads it back, so it has no reader, no
+// version negotiation and no corruption handling.
 package storage
 
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"io"
 	"math"
 )
 
-// Magic identifies FliX index files.
+// Magic opens every canonical stream.
 const Magic = "FLIX"
 
-// ErrBadMagic is returned when a stream does not start with Magic.
-var ErrBadMagic = errors.New("storage: bad magic")
-
 // Writer encodes varints, strings and slices onto an io.Writer and counts
-// the bytes written.
+// the bytes written — the canonical compact stream.
 type Writer struct {
 	w   *bufio.Writer
 	n   int64
@@ -113,122 +110,6 @@ func (w *Writer) Flush() (int64, error) {
 
 // Err returns the first error encountered.
 func (w *Writer) Err() error { return w.err }
-
-// Reader decodes streams produced by Writer.
-type Reader struct {
-	r   *bufio.Reader
-	err error
-}
-
-// NewReader returns a Reader on r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
-}
-
-// Header checks the magic and the expected kind.
-func (r *Reader) Header(kind string) error {
-	got, err := r.ReadHeader()
-	if err != nil {
-		return err
-	}
-	if got != kind {
-		return fmt.Errorf("storage: index kind %q, want %q", got, kind)
-	}
-	return nil
-}
-
-// ReadHeader checks the magic and returns the stream's kind, for callers
-// that dispatch on it.
-func (r *Reader) ReadHeader() (string, error) {
-	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(r.r, magic[:]); err != nil {
-		return "", fmt.Errorf("storage: reading magic: %w", err)
-	}
-	if string(magic[:]) != Magic {
-		return "", ErrBadMagic
-	}
-	got := r.String()
-	if r.err != nil {
-		return "", r.err
-	}
-	return got, nil
-}
-
-// Uvarint reads an unsigned varint.
-func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(r.r)
-	r.err = err
-	return v
-}
-
-// Varint reads a signed varint.
-func (r *Reader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(r.r)
-	r.err = err
-	return v
-}
-
-// Int32 reads a signed 32-bit varint.
-func (r *Reader) Int32() int32 { return int32(r.Varint()) }
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > 1<<26 {
-		r.err = fmt.Errorf("storage: unreasonable string length %d", n)
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = err
-		return ""
-	}
-	return string(b)
-}
-
-// Float64 reads an IEEE-754 double.
-func (r *Reader) Float64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	var b [8]byte
-	if _, err := io.ReadFull(r.r, b[:]); err != nil {
-		r.err = err
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-}
-
-// Int32Slice reads a slice written by Writer.Int32Slice.
-func (r *Reader) Int32Slice() []int32 {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > 1<<28 {
-		r.err = fmt.Errorf("storage: unreasonable slice length %d", n)
-		return nil
-	}
-	s := make([]int32, n)
-	prev := int32(0)
-	for i := range s {
-		prev += int32(r.Varint())
-		s[i] = prev
-	}
-	return s
-}
-
-// Err returns the first error encountered.
-func (r *Reader) Err() error { return r.err }
 
 // SizeOf measures the serialized size of anything implementing io.WriterTo
 // by writing it to a discarding counter.

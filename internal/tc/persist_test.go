@@ -1,59 +1,49 @@
 package tc
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/lgraph"
 	"repro/internal/storage"
+	"repro/internal/testutil"
 )
+
+// reopen persists idx the way a snapshot does — EncodeSection — and opens
+// the bytes back over g.
+func reopen(g *lgraph.LGraph, idx *Index) (*Index, error) {
+	body, err := storage.EncodeSectionBody(idx.EncodeSection)
+	if err != nil {
+		return nil, err
+	}
+	pi, err := OpenSection(g, body)
+	if err != nil {
+		return nil, err
+	}
+	return pi.(*Index), nil
+}
 
 func TestReadBodyRoundTrip(t *testing.T) {
 	g, idx := buildDiamond(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r := storage.NewReader(&buf)
-	if err := r.Header("tc"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBody(g, r)
+	loaded, err := reopen(g, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := got.(*Index)
 	if loaded.Pairs() != idx.Pairs() {
 		t.Fatalf("pairs: %d vs %d", loaded.Pairs(), idx.Pairs())
 	}
-	for x := int32(0); x < int32(g.NumNodes()); x++ {
-		for y := int32(0); y < int32(g.NumNodes()); y++ {
-			d1, ok1 := idx.Distance(x, y)
-			d2, ok2 := loaded.Distance(x, y)
-			if ok1 != ok2 || (ok1 && d1 != d2) {
-				t.Fatalf("Distance(%d,%d) differs", x, y)
-			}
-		}
+	if err := testutil.SameProbes(idx, loaded, g.NumTags()); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestReadBodyWrongGraph(t *testing.T) {
 	_, idx := buildDiamond(t)
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
 	b := lgraph.NewBuilder()
 	b.AddNode("a")
-	small := b.Finish()
-	r := storage.NewReader(&buf)
-	if err := r.Header("tc"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBody(small, r); err == nil {
-		t.Error("ReadBody accepted a mismatched graph")
+	if _, err := reopen(b.Finish(), idx); err == nil {
+		t.Error("OpenSection accepted a mismatched graph")
 	}
 }
 
@@ -71,30 +61,13 @@ func TestPropertyPersistRoundTrip(t *testing.T) {
 		}
 		g := b.Finish()
 		idx := Build(g)
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			return false
-		}
-		r := storage.NewReader(&buf)
-		if err := r.Header("tc"); err != nil {
-			return false
-		}
-		got, err := ReadBody(g, r)
+		loaded, err := reopen(g, idx)
 		if err != nil {
 			return false
 		}
-		loaded := got.(*Index)
-		x := int32(rng.Intn(n))
-		var a, c [][2]int32
-		idx.EachReachable(x, func(u, d int32) bool { a = append(a, [2]int32{u, d}); return true })
-		loaded.EachReachable(x, func(u, d int32) bool { c = append(c, [2]int32{u, d}); return true })
-		if len(a) != len(c) {
+		if err := testutil.SameProbes(idx, loaded, g.NumTags()); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
-		}
-		for i := range a {
-			if a[i] != c[i] {
-				return false
-			}
 		}
 		return true
 	}, cfg)

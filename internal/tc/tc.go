@@ -8,7 +8,6 @@
 package tc
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -155,7 +154,9 @@ func emit(row []posting, g *lgraph.LGraph, tag lgraph.Tag, wildcard bool, fn pat
 	}
 }
 
-// WriteTo serializes the forward postings.
+// WriteTo emits the canonical compact stream — the forward postings.  It is
+// Table 1's size measure and the byte-identity form the determinism tests
+// compare; nothing reads it back.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	sw := storage.NewWriter(w)
 	sw.Header("tc")
@@ -170,34 +171,4 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return sw.Flush()
-}
-
-// ReadBody deserializes an index written by WriteTo whose header has
-// already been consumed.
-func ReadBody(g *lgraph.LGraph, r *storage.Reader) (pathindex.Index, error) {
-	n := int(r.Uvarint())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n != g.NumNodes() {
-		return nil, fmt.Errorf("tc: stream has %d nodes, graph %d", n, g.NumNodes())
-	}
-	idx := &Index{g: g, fwd: make([][]posting, n)}
-	for u := 0; u < n; u++ {
-		k := int(r.Uvarint())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if k > n {
-			return nil, fmt.Errorf("tc: row %d has %d postings for %d nodes", u, k, n)
-		}
-		row := make([]posting, k)
-		prev := int32(0)
-		for i := range row {
-			prev += int32(r.Varint())
-			row[i] = posting{node: prev, dist: int32(r.Varint())}
-		}
-		idx.fwd[u] = row
-	}
-	return idx, r.Err()
 }

@@ -189,8 +189,11 @@ func (f *Front) batch(w http.ResponseWriter, r *http.Request, ctx context.Contex
 		Partial:   executed < len(plan),
 		TimedOut:  f.timedOut(ctx),
 	}
-	be.FinishBatch(w, &resp)
-	OK(w, &resp)
+	b := okBufs.Get().(*okBuf)
+	be.FinishBatch(w, &b.reply)
+	resp.Generation, resp.FailedShards = b.reply.Generation, b.reply.FailedShards
+	b.writeBatch(w, &resp)
+	b.release()
 }
 
 // planItem parses and resolves one batch entry, computing its result bound

@@ -131,9 +131,9 @@ type Backend interface {
 	// partial, failedShards, rounds, the X-Flix-Shards-Failed header and
 	// the cluster trace on the router.  ev is the evaluator of a ranked
 	// query, nil otherwise.
-	Finish(w http.ResponseWriter, resp map[string]any, results int, ev *query.Evaluator)
+	Finish(w http.ResponseWriter, reply *Reply, results int, ev *query.Evaluator)
 	// FinishBatch is Finish for a batch response.
-	FinishBatch(w http.ResponseWriter, resp *BatchResponse)
+	FinishBatch(w http.ResponseWriter, reply *Reply)
 	// Done runs after the response is written, with the handling time.
 	Done(elapsed time.Duration)
 }
@@ -406,8 +406,13 @@ func snippet(t string) string {
 	return t
 }
 
-// okBuf is the pair of buffers one OK renders through.
-type okBuf struct{ compact, indented bytes.Buffer }
+// okBuf is what one response renders through: the buffer it is written
+// from, a second one for what encoding/json encodes on the way, and the
+// tier's part of the answer.
+type okBuf struct {
+	compact, indented bytes.Buffer
+	reply             Reply
+}
 
 var okBufs = sync.Pool{New: func() any { return new(okBuf) }}
 
@@ -415,8 +420,18 @@ var okBufs = sync.Pool{New: func() any { return new(okBuf) }}
 // huge answer must not pin its megabytes in the pool.
 const maxPooledOK = 1 << 20
 
-// OK writes a 200 JSON response, indented by two spaces.  A json.Encoder
-// with SetIndent keeps its indent buffer only as long as it lives — one
+// release returns b to the pool for the next response.
+func (b *okBuf) release() {
+	b.reply = Reply{}
+	if b.compact.Cap() <= maxPooledOK && b.indented.Cap() <= maxPooledOK {
+		okBufs.Put(b)
+	}
+}
+
+// OK writes a 200 JSON response, indented by two spaces, for any value:
+// status bodies, admin answers, what a shard tells its router.  (The four
+// public endpoints write theirs by hand, render.go.)  A json.Encoder with
+// SetIndent keeps its indent buffer only as long as it lives — one
 // response, so the buffer is regrown from nothing each time and outweighs
 // everything else a request allocates.  OK makes the encoder's two passes
 // itself — encode compact with the closing newline, indent — through pooled
@@ -430,9 +445,7 @@ func OK(w http.ResponseWriter, v any) {
 		json.Indent(&b.indented, b.compact.Bytes(), "", "  ") == nil {
 		w.Write(b.indented.Bytes()) //nolint:errcheck // client gone; nothing to do
 	}
-	if b.compact.Cap() <= maxPooledOK && b.indented.Cap() <= maxPooledOK {
-		okBufs.Put(b)
-	}
+	b.release()
 }
 
 // Fail writes an error JSON response and counts client errors.
@@ -509,9 +522,13 @@ func (f *Front) descendants(w http.ResponseWriter, r *http.Request, ctx context.
 		results = append(results, f.element(res.Node, res.Dist))
 		return true
 	})
-	resp := map[string]any{"results": results, "count": len(results), "timedOut": f.timedOut(ctx)}
-	be.Finish(w, resp, len(results), nil)
-	OK(w, resp)
+	timedOut := f.timedOut(ctx)
+	b := okBufs.Get().(*okBuf)
+	be.Finish(w, &b.reply, len(results), nil)
+	b.writeList(w, &b.reply, timedOut, len(results), func(e *encoder, i int) {
+		e.element(&queryKeys, &results[i], 0, 0, plainElems)
+	})
+	b.release()
 }
 
 // connected answers GET /v1/connected?from=<doc|node>&to=<doc|node>
@@ -533,14 +550,15 @@ func (f *Front) connected(w http.ResponseWriter, r *http.Request, ctx context.Co
 		return
 	}
 	dist, ok := be.Connected(from, to, flix.Options{MaxDist: int32(maxDist), Cancel: ctx.Done()})
-	resp := map[string]any{"connected": ok, "timedOut": f.timedOut(ctx)}
+	timedOut := f.timedOut(ctx)
 	results := 0
 	if ok {
-		resp["dist"] = dist
 		results = 1
 	}
-	be.Finish(w, resp, results, nil)
-	OK(w, resp)
+	b := okBufs.Get().(*okBuf)
+	be.Finish(w, &b.reply, results, nil)
+	b.writeConnected(w, &b.reply, timedOut, ok, dist)
+	b.release()
 }
 
 // match is the wire form of one ranked result.
@@ -577,7 +595,10 @@ func (f *Front) query(w http.ResponseWriter, r *http.Request, ctx context.Contex
 	for _, m := range matches {
 		out = append(out, match{Element: f.element(m.Node, m.PathLen), Score: m.Score, PathLen: m.PathLen})
 	}
-	resp := map[string]any{"results": out, "count": len(out), "timedOut": timedOut}
-	be.Finish(w, resp, len(out), ev)
-	OK(w, resp)
+	b := okBufs.Get().(*okBuf)
+	be.Finish(w, &b.reply, len(out), ev)
+	b.writeList(w, &b.reply, timedOut, len(out), func(e *encoder, i int) {
+		e.element(&queryKeys, &out[i].Element, out[i].Score, out[i].PathLen, rankedElems)
+	})
+	b.release()
 }

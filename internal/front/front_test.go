@@ -32,13 +32,12 @@ type stubTier struct {
 	lost    bool
 }
 
-func (s *stubTier) Gate() (int, string)                             { return 0, "" }
-func (s *stubTier) Open(context.Context, Request) Backend           { return s }
-func (s *stubTier) Collection() *xmlgraph.Collection                { return s.coll }
-func (s *stubTier) Done(time.Duration)                              {}
-func (s *stubTier) FinishBatch(http.ResponseWriter, *BatchResponse) {}
-func (s *stubTier) Finish(http.ResponseWriter, map[string]any, int, *query.Evaluator) {
-}
+func (s *stubTier) Gate() (int, string)                                       { return 0, "" }
+func (s *stubTier) Open(context.Context, Request) Backend                     { return s }
+func (s *stubTier) Collection() *xmlgraph.Collection                          { return s.coll }
+func (s *stubTier) Done(time.Duration)                                        {}
+func (s *stubTier) FinishBatch(http.ResponseWriter, *Reply)                   {}
+func (s *stubTier) Finish(http.ResponseWriter, *Reply, int, *query.Evaluator) {}
 func (s *stubTier) Connected(from, to xmlgraph.NodeID, opts flix.Options) (int32, bool) {
 	return 0, false
 }

@@ -433,19 +433,20 @@ func (b *session) TakePartial() bool {
 	return cut
 }
 
-func (b *session) Finish(w http.ResponseWriter, resp map[string]any, results int, ev *query.Evaluator) {
-	resp["generation"] = b.g.num
+func (b *session) Finish(w http.ResponseWriter, reply *front.Reply, results int, ev *query.Evaluator) {
+	reply.Generation, reply.Has = b.g.num, front.HasGeneration
 	if ev != nil {
-		resp["truncated"] = ev.Stats.Truncated
+		reply.Truncated = ev.Stats.Truncated
+		reply.Has |= front.HasTruncated
 	}
 	// /v1/connected evaluates under the trace but has never returned it.
 	if b.req.Trace && b.req.Endpoint != "connected" {
-		resp["trace"] = b.trace.Summary(true)
+		reply.Trace = b.trace.Summary(true)
 	}
 }
 
-func (b *session) FinishBatch(w http.ResponseWriter, resp *front.BatchResponse) {
-	resp.Generation = b.g.num
+func (b *session) FinishBatch(w http.ResponseWriter, reply *front.Reply) {
+	reply.Generation = b.g.num
 }
 
 // Done records the finished request into the generation's per-strategy

@@ -448,12 +448,12 @@ func (b *routerBackend) merge(g gatherOut) {
 // Finish adds the partial-results contract — "partial" and "failedShards"
 // in the body, X-Flix-Shards-Failed on the response — the rounds of a
 // descendants gather, and the cluster trace.
-func (b *routerBackend) Finish(w http.ResponseWriter, resp map[string]any, results int, ev *query.Evaluator) {
+func (b *routerBackend) Finish(w http.ResponseWriter, reply *front.Reply, results int, ev *query.Evaluator) {
 	b.setFailedHeader(w)
-	resp["partial"] = b.partial
-	resp["failedShards"] = b.failed
+	reply.Partial, reply.FailedShards, reply.Has = b.partial, b.failed, front.HasPartial
 	if b.req.Endpoint == "descendants" {
-		resp["rounds"] = b.rounds
+		reply.Rounds = b.rounds
+		reply.Has |= front.HasRounds
 	}
 	if b.tb == nil {
 		return
@@ -465,12 +465,12 @@ func (b *routerBackend) Finish(w http.ResponseWriter, resp map[string]any, resul
 		b.tb.root.SetAttr("scans", int64(ev.Stats.Scans))
 		b.tb.root.SetAttr("anchored", int64(ev.Stats.Anchored))
 	}
-	resp["trace"] = b.tb.finish(int64(results), b.partial, b.failed)
+	reply.Trace = b.tb.finish(int64(results), b.partial, b.failed)
 }
 
-func (b *routerBackend) FinishBatch(w http.ResponseWriter, resp *front.BatchResponse) {
+func (b *routerBackend) FinishBatch(w http.ResponseWriter, reply *front.Reply) {
 	b.setFailedHeader(w)
-	resp.FailedShards = b.failed
+	reply.FailedShards = b.failed
 }
 
 func (b *routerBackend) Done(time.Duration) {}

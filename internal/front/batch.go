@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 
 	"repro/internal/flix"
@@ -152,12 +153,17 @@ func (f *Front) batch(w http.ResponseWriter, r *http.Request, ctx context.Contex
 		return
 	}
 
-	items := make([]BatchItem, len(req.Queries))
+	// Items execute out of request order and are written in it: every item's
+	// hits go to the one pooled list as it runs, and the item keeps where.
+	b := okBufs.Get().(*okBuf)
+	defer b.release()
+	b.items = slices.Grow(b.items, len(req.Queries))[:len(req.Queries)]
+	items := b.items
 	plan := make([]planItem, 0, len(req.Queries))
 	for i, bq := range req.Queries {
 		it, err := f.planItem(be, i, bq, req.K)
 		if err != nil {
-			items[i] = BatchItem{Status: BatchError, Error: err.Error()}
+			items[i] = batchItem{status: BatchError, err: err.Error()}
 			continue
 		}
 		plan = append(plan, it)
@@ -176,24 +182,16 @@ func (f *Front) batch(w http.ResponseWriter, r *http.Request, ctx context.Contex
 		if it.ranked && ev == nil {
 			ev = be.Evaluator()
 		}
-		items[it.idx] = f.runItem(ctx, be, ev, it)
+		items[it.idx] = f.runItem(ctx, be, ev, it, b)
 		executed++
 	}
 	for _, it := range plan[executed:] {
-		items[it.idx] = BatchItem{Status: BatchSkipped, Error: "batch deadline expired"}
+		items[it.idx] = batchItem{status: BatchSkipped, err: "batch deadline expired"}
 	}
 
-	resp := BatchResponse{
-		Results:   items,
-		Completed: len(items) - (len(plan) - executed),
-		Partial:   executed < len(plan),
-		TimedOut:  f.timedOut(ctx),
-	}
-	b := okBufs.Get().(*okBuf)
+	timedOut := f.timedOut(ctx)
 	be.FinishBatch(w, &b.reply)
-	resp.Generation, resp.FailedShards = b.reply.Generation, b.reply.FailedShards
-	b.writeBatch(w, &resp)
-	b.release()
+	f.writeBatch(w, b, len(items)-(len(plan)-executed), executed < len(plan), timedOut)
 }
 
 // planItem parses and resolves one batch entry, computing its result bound
@@ -261,30 +259,27 @@ func orderPlan(plan []planItem) {
 	})
 }
 
-// runItem evaluates one planned item.
-func (f *Front) runItem(ctx context.Context, be Backend, ev *query.Evaluator, it planItem) BatchItem {
-	item := BatchItem{Status: BatchOK, CacheHit: it.hit}
+// runItem evaluates one planned item, appending its hits to b's.
+func (f *Front) runItem(ctx context.Context, be Backend, ev *query.Evaluator, it planItem, b *okBuf) batchItem {
+	item := batchItem{status: BatchOK, off: len(b.hits), ranked: it.ranked, cacheHit: it.hit}
 	if it.ranked {
-		matches := ev.EvaluateTopK(it.q, it.k)
-		item.Results = make([]BatchResult, 0, len(matches))
-		for _, m := range matches {
-			item.Results = append(item.Results, BatchResult{Element: f.element(m.Node, m.PathLen), Score: m.Score, PathLen: m.PathLen})
+		for _, m := range ev.EvaluateTopK(it.q, it.k) {
+			b.hits = append(b.hits, hit{node: m.Node, dist: m.PathLen, score: m.Score})
 		}
 		// TakePartial first: it must run (and reset) for every item.
-		item.Truncated = be.TakePartial() || ev.Stats.Truncated
+		item.truncated = be.TakePartial() || ev.Stats.Truncated
 	} else {
-		item.Results = make([]BatchResult, 0, 8)
 		be.Descendants(it.start, it.tag, flix.Options{
 			MaxResults:  it.k,
 			MaxDist:     it.maxDist,
 			IncludeSelf: it.self,
 			Cancel:      ctx.Done(),
 		}, func(r flix.Result) bool {
-			item.Results = append(item.Results, BatchResult{Element: f.element(r.Node, r.Dist)})
+			b.hits = append(b.hits, hit{node: r.Node, dist: r.Dist})
 			return true
 		})
-		item.Truncated = be.TakePartial()
+		item.truncated = be.TakePartial()
 	}
-	item.Count = len(item.Results)
+	item.n = len(b.hits) - item.off
 	return item
 }

@@ -53,6 +53,9 @@ func TestContractErrors(t *testing.T) {
 		{"GET batch", call{path: "/v1/batch"}, 405, "POST a JSON batch body to /v1/batch"},
 		{"empty batch", call{path: "/v1/batch", body: `{"queries":[]}`}, 400, `empty batch: want {"queries": [...]}`},
 		{"batch not JSON", call{path: "/v1/batch", body: `{"queries":`}, 400, "bad batch body: *"},
+		// A batch item's maxDist is an int32 in the body: JSON rejects what a
+		// query-string maxdist clamps (TestContractMaxDistClamped).
+		{"batch maxDist past int32", call{path: "/v1/batch", body: `{"queries":[{"start":"` + hub + `","maxDist":4294967297}]}`}, 400, "bad batch body: json: cannot unmarshal number 4294967297 into *"},
 		{"batch over the item limit", call{path: "/v1/batch", body: `{"queries":[{"q":"//a"},{"q":"//b"},{"q":"//c"},{"q":"//d"}]}`}, 400, "batch of 4 queries exceeds the limit of 3"},
 		{"batch over the body limit", call{path: "/v1/batch", body: expand(oversize)}, 400, "bad batch body: http: request body too large"},
 	}
@@ -299,6 +302,37 @@ func TestContractSameAnswers(t *testing.T) {
 		}
 		if _, traced := node["trace"]; traced != strings.Contains(cl.path, "trace=1") {
 			t.Errorf("%s: trace present = %v on the node", cl.path, traced)
+		}
+	}
+}
+
+// TestContractMaxDistClamped: a maxdist past the int32 range of a distance
+// is the largest bound, on both tiers — not the small or negative one a cast
+// would wrap it into (4294967297 wraps to 1, 2147483648 goes negative and,
+// on the router, into a shard frame).
+func TestContractMaxDistClamped(t *testing.T) {
+	c := newCorpus(t, exactIndex)
+	for _, tr := range bothTiers(t, c, limits{}) {
+		for _, path := range []string{
+			"/v1/descendants?start=" + c.hub + "&tag=title&k=50&order=exact",
+			"/v1/connected?from=" + c.hub + "&to=" + c.leaf,
+		} {
+			answer := func(maxdist string) string {
+				resp, body := tr.do(t, call{path: path + "&maxdist=" + maxdist})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s %s maxdist=%s: status %d (body %s)", tr.name, path, maxdist, resp.StatusCode, body)
+				}
+				return body
+			}
+			want := answer("2147483647")
+			if want == answer("1") {
+				t.Fatalf("%s %s: maxdist=1 answers as the largest bound does; the rows below would prove nothing", tr.name, path)
+			}
+			for _, past := range []string{"2147483648", "4294967297", "99999999999999999999"} {
+				if got := answer(past); got != want {
+					t.Errorf("%s %s: maxdist=%s differs from maxdist=2147483647\n got %s\nwant %s", tr.name, path, past, got, want)
+				}
+			}
 		}
 	}
 }

@@ -15,12 +15,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,7 +212,7 @@ func (f *Front) Latency() map[string]*obs.Histogram { return f.latency }
 func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	id := SanitizeRequestID(r.Header.Get(RequestIDHeader))
 	if id == "" {
-		id = fmt.Sprintf("%08x", f.reqSeq.Add(1))
+		id = requestID(f.reqSeq.Add(1))
 	}
 	w.Header().Set(RequestIDHeader, id)
 	if f.cfg.Logger == nil {
@@ -223,6 +224,14 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.mux.ServeHTTP(sw, r)
 	f.cfg.Logger.Printf("id=%s %s %s %d %s", id,
 		r.Method, r.URL.RequestURI(), sw.status, time.Since(t0).Round(time.Microsecond))
+}
+
+// requestID formats a request's sequence number as fmt's %08x does — at
+// least eight hex digits, zero-padded — through a buffer on the stack.
+func requestID(seq uint64) string {
+	var buf [8 + 16]byte
+	b := strconv.AppendUint(append(buf[:0], "00000000"...), seq, 16)
+	return string(b[min(len(b)-8, 8):])
 }
 
 // statusWriter captures the response code for the access log.
@@ -255,8 +264,9 @@ func SanitizeRequestID(raw string) string {
 }
 
 // Handler is the body of an admitted request: it runs holding an admission
-// slot, and ctx ends at the request deadline.
-type Handler func(w http.ResponseWriter, r *http.Request, ctx context.Context)
+// slot, and ctx ends at the request deadline.  q is the request's query
+// string, parsed once, on an endpoint that takes ?timeout=; nil otherwise.
+type Handler func(w http.ResponseWriter, r *http.Request, ctx context.Context, q url.Values)
 
 // Admit mounts h at pattern behind the admission pipeline — the gate, the
 // semaphore, the deadline — and registers the endpoint's request counter
@@ -283,9 +293,11 @@ func (f *Front) Admit(pattern, endpoint, who string, gate Gate, clientTimeout bo
 			return
 		}
 		timeout := f.cfg.MaxTimeout
+		var q url.Values
 		if clientTimeout {
+			q = r.URL.Query()
 			var err error
-			if timeout, err = f.timeoutFor(r.URL.Query().Get("timeout")); err != nil {
+			if timeout, err = f.timeoutFor(q.Get("timeout")); err != nil {
 				f.Fail(w, http.StatusBadRequest, err.Error())
 				return
 			}
@@ -293,7 +305,7 @@ func (f *Front) Admit(pattern, endpoint, who string, gate Gate, clientTimeout bo
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 		t0 := time.Now()
-		h(w, r, ctx)
+		h(w, r, ctx, q)
 		latency.Observe(time.Since(t0))
 	})
 }
@@ -344,15 +356,22 @@ func (f *Front) limitFor(raw string) (int, error) {
 	return min(k, f.cfg.MaxLimit), nil
 }
 
-func intParam(raw string) (int, error) {
+// distParam reads ?maxdist=: a non-negative integer, 0 or absent for no
+// bound.  A value past the int32 range of a distance becomes
+// math.MaxInt32 — any bound past the element count is no bound — where a
+// cast would wrap it into a small or negative one.
+func distParam(raw string) (int32, error) {
 	if raw == "" {
 		return 0, nil
 	}
-	n, err := strconv.Atoi(raw)
+	n, err := strconv.ParseInt(raw, 10, 32)
+	if errors.Is(err, strconv.ErrRange) && n > 0 {
+		return math.MaxInt32, nil // ParseInt returns the nearest int32 with ErrRange
+	}
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("%q is not a non-negative integer", raw)
 	}
-	return n, nil
+	return int32(n), nil
 }
 
 // BoolParam reads a flag-style query parameter.
@@ -376,41 +395,28 @@ func (f *Front) resolveNode(raw string) (xmlgraph.NodeID, error) {
 	return xmlgraph.NodeID(n), nil
 }
 
-// Element is the wire form of one result element.
+// Element is the wire form of one result element: what a client decodes a
+// member of "results" into.  (The server writes it from a hit, render.go.)
 type Element struct {
 	Node xmlgraph.NodeID `json:"node"`
 	Tag  string          `json:"tag"`
 	Doc  string          `json:"doc"`
-	Text string          `json:"text,omitempty"`
+	// Text is a snippet of the element's text: whitespace collapsed, cut on
+	// a rune boundary to 77 bytes and "..." past 80.
+	Text string `json:"text,omitempty"`
 	// Dist is the connection distance, or the matched path length of a
 	// ranked result.
 	Dist int32 `json:"dist"`
 }
 
-func (f *Front) element(n xmlgraph.NodeID, dist int32) Element {
-	return Element{
-		Node: n,
-		Tag:  f.coll.Tag(n),
-		Doc:  f.coll.Doc(f.coll.DocOf(n)).Name,
-		Text: snippet(f.coll.Node(n).Text),
-		Dist: dist,
-	}
-}
-
-// snippet compresses element text for the wire.
-func snippet(t string) string {
-	t = strings.Join(strings.Fields(t), " ")
-	if len(t) > 80 {
-		t = t[:77] + "..."
-	}
-	return t
-}
-
-// okBuf is what one response renders through: the buffer it is written
-// from, a second one for what encoding/json encodes on the way, and the
-// tier's part of the answer.
+// okBuf is what one response is collected in and rendered through: the
+// buffer it is written from, a second one for what encoding/json encodes on
+// the way, and — on the public endpoints — the hits, a batch's items and
+// the tier's part of the answer.
 type okBuf struct {
 	compact, indented bytes.Buffer
+	hits              []hit
+	items             []batchItem
 	reply             Reply
 }
 
@@ -420,10 +426,11 @@ var okBufs = sync.Pool{New: func() any { return new(okBuf) }}
 // huge answer must not pin its megabytes in the pool.
 const maxPooledOK = 1 << 20
 
-// release returns b to the pool for the next response.
+// release returns b to the pool for the next response, unless a part of it
+// grew past what the pool keeps.
 func (b *okBuf) release() {
-	b.reply = Reply{}
-	if b.compact.Cap() <= maxPooledOK && b.indented.Cap() <= maxPooledOK {
+	b.hits, b.items, b.reply = b.hits[:0], b.items[:0], Reply{}
+	if b.compact.Cap() <= maxPooledOK && b.indented.Cap() <= maxPooledOK && cap(b.hits) <= maxPooledHits {
 		okBufs.Put(b)
 	}
 }
@@ -479,8 +486,7 @@ func (f *Front) FailMethod(w http.ResponseWriter, msg string) {
 // public admits a query endpoint through the tier's gate and runs serve
 // against the backend the tier opens for the request.
 func (f *Front) public(pattern, endpoint string, serve func(http.ResponseWriter, *http.Request, context.Context, url.Values, Backend)) {
-	f.Admit(pattern, endpoint, f.cfg.Who, f.tier.Gate, true, func(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-		q := r.URL.Query()
+	f.Admit(pattern, endpoint, f.cfg.Who, f.tier.Gate, true, func(w http.ResponseWriter, r *http.Request, ctx context.Context, q url.Values) {
 		be := f.tier.Open(ctx, Request{
 			ID:       w.Header().Get(RequestIDHeader),
 			Endpoint: endpoint,
@@ -506,29 +512,26 @@ func (f *Front) descendants(w http.ResponseWriter, r *http.Request, ctx context.
 		f.Fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	maxDist, err := intParam(q.Get("maxdist"))
+	maxDist, err := distParam(q.Get("maxdist"))
 	if err != nil {
 		f.Fail(w, http.StatusBadRequest, "bad maxdist: "+err.Error())
 		return
 	}
-	results := make([]Element, 0, 16)
+	b := okBufs.Get().(*okBuf)
+	defer b.release()
 	be.Descendants(start, q.Get("tag"), flix.Options{
 		MaxResults:  k,
-		MaxDist:     int32(maxDist),
+		MaxDist:     maxDist,
 		IncludeSelf: BoolParam(q.Get("self")),
 		ExactOrder:  q.Get("order") == "exact",
 		Cancel:      ctx.Done(),
 	}, func(res flix.Result) bool {
-		results = append(results, f.element(res.Node, res.Dist))
+		b.hits = append(b.hits, hit{node: res.Node, dist: res.Dist})
 		return true
 	})
 	timedOut := f.timedOut(ctx)
-	b := okBufs.Get().(*okBuf)
-	be.Finish(w, &b.reply, len(results), nil)
-	b.writeList(w, &b.reply, timedOut, len(results), func(e *encoder, i int) {
-		e.element(&queryKeys, &results[i], 0, 0, plainElems)
-	})
-	b.release()
+	be.Finish(w, &b.reply, len(b.hits), nil)
+	f.writeList(w, b, false, timedOut)
 }
 
 // connected answers GET /v1/connected?from=<doc|node>&to=<doc|node>
@@ -544,33 +547,27 @@ func (f *Front) connected(w http.ResponseWriter, r *http.Request, ctx context.Co
 		f.Fail(w, http.StatusNotFound, "to: "+err.Error())
 		return
 	}
-	maxDist, err := intParam(q.Get("maxdist"))
+	maxDist, err := distParam(q.Get("maxdist"))
 	if err != nil {
 		f.Fail(w, http.StatusBadRequest, "bad maxdist: "+err.Error())
 		return
 	}
-	dist, ok := be.Connected(from, to, flix.Options{MaxDist: int32(maxDist), Cancel: ctx.Done()})
+	dist, ok := be.Connected(from, to, flix.Options{MaxDist: maxDist, Cancel: ctx.Done()})
 	timedOut := f.timedOut(ctx)
 	results := 0
 	if ok {
 		results = 1
 	}
 	b := okBufs.Get().(*okBuf)
+	defer b.release()
 	be.Finish(w, &b.reply, results, nil)
-	b.writeConnected(w, &b.reply, timedOut, ok, dist)
-	b.release()
-}
-
-// match is the wire form of one ranked result.
-type match struct {
-	Element
-	Score   float64 `json:"score"`
-	PathLen int32   `json:"pathLen"`
+	f.writeConnected(w, b, ok, dist, timedOut)
 }
 
 // query answers GET /v1/query?q=<expr>[&k=][&timeout=][&trace=1]: ranked
 // path expressions with structural and (when the tier has an ontology)
-// semantic vagueness.
+// semantic vagueness.  A result is an Element whose dist is the matched path
+// length, plus "score" and "pathLen".
 func (f *Front) query(w http.ResponseWriter, r *http.Request, ctx context.Context, q url.Values, be Backend) {
 	expr := q.Get("q")
 	if expr == "" {
@@ -591,14 +588,11 @@ func (f *Front) query(w http.ResponseWriter, r *http.Request, ctx context.Contex
 	ev.MaxResults = k
 	matches := ev.EvaluateTopK(pq, k)
 	timedOut := f.timedOut(ctx)
-	out := make([]match, 0, len(matches))
-	for _, m := range matches {
-		out = append(out, match{Element: f.element(m.Node, m.PathLen), Score: m.Score, PathLen: m.PathLen})
-	}
 	b := okBufs.Get().(*okBuf)
-	be.Finish(w, &b.reply, len(out), ev)
-	b.writeList(w, &b.reply, timedOut, len(out), func(e *encoder, i int) {
-		e.element(&queryKeys, &out[i].Element, out[i].Score, out[i].PathLen, rankedElems)
-	})
-	b.release()
+	defer b.release()
+	for _, m := range matches {
+		b.hits = append(b.hits, hit{node: m.Node, dist: m.PathLen, score: m.Score})
+	}
+	be.Finish(w, &b.reply, len(b.hits), ev)
+	f.writeList(w, b, true, timedOut)
 }

@@ -7,6 +7,8 @@ package front
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -152,6 +154,15 @@ func TestSanitizeRequestID(t *testing.T) {
 	for _, id := range []string{"", strings.Repeat("z", 65), "has space", "semi;colon", "new\nline", "quote\"", "ünï"} {
 		if got := SanitizeRequestID(id); got != "" {
 			t.Errorf("SanitizeRequestID(%q) = %q, want rejection", id, got)
+		}
+	}
+}
+
+// TestRequestIDFormat: assigned IDs keep the shape fmt's %08x gave them.
+func TestRequestIDFormat(t *testing.T) {
+	for _, seq := range []uint64{0, 1, 0x2a, 0xfffffff, 0x10000000, 0xffffffff, 0x100000000, math.MaxUint64} {
+		if got, want := requestID(seq), fmt.Sprintf("%08x", seq); got != want {
+			t.Errorf("requestID(%#x) = %q, want %q", seq, got, want)
 		}
 	}
 }

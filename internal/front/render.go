@@ -16,7 +16,10 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/xmlgraph"
 )
 
 // Reply is what only the serving tier reports in a response: Backend.Finish
@@ -47,12 +50,14 @@ const (
 	HasRounds
 )
 
-// encoder appends one indented JSON document to buf.  out is the pooled
-// buffer the document ends up in: buf starts as its spare capacity, so
-// flushing copies nothing unless the document outgrew it.
+// encoder appends one indented JSON document to buf, from the hits, items
+// and reply of b.  The document ends up in b.indented: buf starts as that
+// buffer's spare capacity, so flushing copies nothing unless the document
+// outgrew it.
 type encoder struct {
-	out *bytes.Buffer
-	buf []byte
+	coll *xmlgraph.Collection
+	b    *okBuf
+	buf  []byte
 	// comma is pending before the next key of the top-level object.
 	comma bool
 	err   error
@@ -79,9 +84,9 @@ func (e *encoder) bool(v bool)   { e.buf = strconv.AppendBool(e.buf, v) }
 func (e *encoder) int(v int64)   { e.buf = strconv.AppendInt(e.buf, v, 10) }
 func (e *encoder) uint(v uint64) { e.buf = strconv.AppendUint(e.buf, v, 10) }
 
-// ints writes a list of integers at the given depth: null when nil, []
-// when empty, else one element a line.
-func (e *encoder) ints(v []int, depth int) {
+// ints writes a top-level member's list of integers: null when nil, [] when
+// empty, else one element a line.
+func (e *encoder) ints(v []int) {
 	switch {
 	case v == nil:
 		e.buf = append(e.buf, "null"...)
@@ -93,10 +98,10 @@ func (e *encoder) ints(v []int, depth int) {
 			if i > 0 {
 				e.buf = append(e.buf, ',')
 			}
-			e.nl(depth + 1)
+			e.nl(2)
 			e.int(int64(n))
 		}
-		e.nl(depth)
+		e.nl(1)
 		e.buf = append(e.buf, ']')
 	}
 }
@@ -117,7 +122,7 @@ const hexDigits = "0123456789abcdef"
 // encoding/json escapes with EscapeHTML on: \" and \\, the short forms of
 // \b \f \n \r \t, \u00XX for the other controls and for <, >, &,
 // \u2028 and \u2029, and \ufffd for each byte of invalid UTF-8.
-func appendEscaped(dst []byte, s string) []byte {
+func appendEscaped[S []byte | string](dst []byte, s S) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
@@ -146,7 +151,8 @@ func appendEscaped(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		// A string of at most one rune stays on the stack when s is bytes.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		switch {
 		case r == utf8.RuneError && size == 1:
 			dst = append(dst, s[start:i]...)
@@ -192,22 +198,27 @@ func (e *encoder) float(f float64) {
 	}
 }
 
-// elemStyle says which fields a result element carries.
-type elemStyle uint8
-
-const (
-	plainElems  elemStyle = iota // node, tag, doc, text, dist
-	rankedElems                  // and score and pathLen, always (/v1/query)
-	batchElems                   // and score and pathLen unless zero (a batch item)
-)
-
-// elemKeys are the lines of a result element up to each value, for
-// elements of one depth.
-type elemKeys struct {
-	open, node, tag, doc, text, dist, score, pathLen, close string
+// hit is one result on its way to the wire.  What the element looks like —
+// tag, document, text — is read from the collection when it is written.
+type hit struct {
+	node  xmlgraph.NodeID
+	dist  int32   // connection distance; the matched path length of a ranked result
+	score float64 // ranked results only
 }
 
-func newElemKeys(depth int) elemKeys {
+// maxPooledHits is the longest hit list kept for the next response (1 MiB
+// of hits), as maxPooledOK is for the buffers.
+const maxPooledHits = 1 << 16
+
+// elemKeys are the lines of a result element up to each value, and the one
+// that ends the list, for elements of one depth.
+type elemKeys struct {
+	open, node, tag, doc, text, dist, score, pathLen, close, endList string
+	// omitZero leaves a ranked element's score and pathLen out when zero.
+	omitZero bool
+}
+
+func newElemKeys(depth int, omitZero bool) elemKeys {
 	in := newline[:1+2*(depth+1)]
 	line := func(name string) string { return "," + in + `"` + name + `": ` }
 	return elemKeys{
@@ -220,67 +231,136 @@ func newElemKeys(depth int) elemKeys {
 		score:   line("score"),
 		pathLen: line("pathLen"),
 		close:   newline[:1+2*depth] + "}",
+		endList: newline[:1+2*(depth-1)] + "]",
+
+		omitZero: omitZero,
 	}
 }
 
 // Result elements sit at depth 2 in a single-query response and at depth 4
-// in a batch.
-var queryKeys, batchKeys = newElemKeys(2), newElemKeys(4)
+// in a batch, where BatchResult declares score and pathLen omitempty.
+var queryKeys, batchKeys = newElemKeys(2, false), newElemKeys(4, true)
 
-// element writes one result element.
-func (e *encoder) element(k *elemKeys, el *Element, score float64, pathLen int32, style elemStyle) {
+// An element's text goes on the wire as a snippet: its whitespace-separated
+// fields joined by one space, and past snippetMax bytes the first
+// snippetCut — less a rune the cut would split — and "...".
+const (
+	snippetMax = 80
+	snippetCut = 77
+)
+
+// snippetBuf holds a snippet up to the point where it is known to be too
+// long: one separator and one rune past snippetMax.
+type snippetBuf [snippetMax + 1 + utf8.UTFMax]byte
+
+// makeSnippet writes the snippet of t into buf and returns it; empty when t
+// has no field.
+func makeSnippet(buf *snippetBuf, t string) []byte {
+	n, sep := 0, false
+	for i := 0; i < len(t) && n <= snippetMax; {
+		c, size, space := t[i], 1, false
+		if c < utf8.RuneSelf {
+			space = c == ' ' || c-'\t' < 5 // \t \n \v \f \r
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(t[i:])
+			space = unicode.IsSpace(r)
+		}
+		i += size
+		if space {
+			sep = n > 0
+			continue
+		}
+		if sep {
+			buf[n] = ' '
+			n++
+			sep = false
+		}
+		if size == 1 {
+			buf[n] = c
+			n++
+		} else {
+			n += copy(buf[n:], t[i-size:i])
+		}
+	}
+	if n <= snippetMax {
+		return buf[:n]
+	}
+	cut := snippetCut
+	if !utf8.RuneStart(buf[cut]) {
+		// The cut falls inside a rune: drop the bytes of it before the cut,
+		// unless they are no rune's beginning anyway (invalid UTF-8 goes out
+		// as \ufffd wherever it is cut).
+		p := cut - 1
+		for p > cut-utf8.UTFMax+1 && !utf8.RuneStart(buf[p]) {
+			p--
+		}
+		if !utf8.FullRune(buf[p:cut]) {
+			cut = p
+		}
+	}
+	return buf[:cut+copy(buf[cut:], "...")]
+}
+
+// element writes one result element; a ranked one carries score and
+// pathLen.
+func (e *encoder) element(k *elemKeys, h hit, ranked bool) {
+	nd := e.coll.Node(h.node)
 	e.buf = append(e.buf, k.open...)
 	e.buf = append(e.buf, k.node...)
-	e.int(int64(el.Node))
+	e.int(int64(h.node))
 	e.buf = append(e.buf, k.tag...)
-	e.string(el.Tag)
+	e.string(nd.Tag)
 	e.buf = append(e.buf, k.doc...)
-	e.string(el.Doc)
-	if el.Text != "" {
+	e.string(e.coll.Doc(nd.Doc).Name)
+	var sb snippetBuf
+	if text := makeSnippet(&sb, nd.Text); len(text) > 0 {
 		e.buf = append(e.buf, k.text...)
-		e.string(el.Text)
+		e.buf = append(e.buf, '"')
+		e.buf = appendEscaped(e.buf, text)
+		e.buf = append(e.buf, '"')
 	}
 	e.buf = append(e.buf, k.dist...)
-	e.int(int64(el.Dist))
-	if style == rankedElems || style == batchElems && score != 0 {
+	e.int(int64(h.dist))
+	if ranked && !(k.omitZero && h.score == 0) {
 		e.buf = append(e.buf, k.score...)
-		e.float(score)
+		e.float(h.score)
 	}
-	if style == rankedElems || style == batchElems && pathLen != 0 {
+	if ranked && !(k.omitZero && h.dist == 0) {
 		e.buf = append(e.buf, k.pathLen...)
-		e.int(int64(pathLen))
+		e.int(int64(h.dist))
 	}
 	e.buf = append(e.buf, k.close...)
 }
 
-// elements writes a result list whose bracket sits at depth; n is its
-// length and each(i) writes element i.
-func (e *encoder) elements(n, depth int, each func(i int)) {
-	if n == 0 {
+// elements writes a result list.
+func (e *encoder) elements(k *elemKeys, hits []hit, ranked bool) {
+	if len(hits) == 0 {
 		e.buf = append(e.buf, "[]"...)
 		return
 	}
 	e.buf = append(e.buf, '[')
-	for i := 0; i < n; i++ {
+	for i, h := range hits {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
-		each(i)
+		e.element(k, h, ranked)
 	}
-	e.nl(depth)
-	e.buf = append(e.buf, ']')
+	e.buf = append(e.buf, k.endList...)
 }
 
-// flush moves what buf holds into out and points buf at the capacity left.
+// flush moves what buf holds into the pooled buffer and points buf at the
+// capacity left.
 func (e *encoder) flush() {
-	e.out.Write(e.buf)
-	e.buf = e.out.AvailableBuffer()
+	e.b.indented.Write(e.buf)
+	e.buf = e.b.indented.AvailableBuffer()
 }
 
 // trace writes the evaluation trace through encoding/json: compact, then
 // indented with the prefix of the depth it sits at — the bytes the old
 // encoder produced for it one level down in the response.
-func (e *encoder) trace(v any, compact *bytes.Buffer) {
+func (e *encoder) trace(v any) {
+	compact := &e.b.compact
 	compact.Reset()
 	if err := json.NewEncoder(compact).Encode(v); err != nil {
 		e.err = err
@@ -288,10 +368,10 @@ func (e *encoder) trace(v any, compact *bytes.Buffer) {
 	}
 	e.flush()
 	doc := bytes.TrimSuffix(compact.Bytes(), []byte("\n"))
-	if err := json.Indent(e.out, doc, "  ", "  "); err != nil {
+	if err := json.Indent(&e.b.indented, doc, "  ", "  "); err != nil {
 		e.err = err
 	}
-	e.buf = e.out.AvailableBuffer()
+	e.buf = e.b.indented.AvailableBuffer()
 }
 
 // A single-query response is one object whose keys stand in alphabetical
@@ -300,10 +380,11 @@ func (e *encoder) trace(v any, compact *bytes.Buffer) {
 // partial, results, rounds, timedOut, trace, truncated.  replyHead writes
 // the tier's keys that sort before "results", replyTail the rest.
 
-func (e *encoder) replyHead(r *Reply) {
+func (e *encoder) replyHead() {
+	r := &e.b.reply
 	if r.Has&HasPartial != 0 {
 		e.key("failedShards")
-		e.ints(r.FailedShards, 1)
+		e.ints(r.FailedShards)
 	}
 	if r.Has&HasGeneration != 0 {
 		e.key("generation")
@@ -315,7 +396,8 @@ func (e *encoder) replyHead(r *Reply) {
 	}
 }
 
-func (e *encoder) replyTail(b *okBuf, r *Reply, timedOut bool) {
+func (e *encoder) replyTail(timedOut bool) {
+	r := &e.b.reply
 	if r.Has&HasRounds != 0 {
 		e.key("rounds")
 		e.int(int64(r.Rounds))
@@ -324,7 +406,7 @@ func (e *encoder) replyTail(b *okBuf, r *Reply, timedOut bool) {
 	e.bool(timedOut)
 	if r.Trace != nil {
 		e.key("trace")
-		e.trace(r.Trace, &b.compact)
+		e.trace(r.Trace)
 	}
 	if r.Has&HasTruncated != 0 {
 		e.key("truncated")
@@ -333,9 +415,9 @@ func (e *encoder) replyTail(b *okBuf, r *Reply, timedOut bool) {
 }
 
 // begin starts a response in b's pooled buffer.
-func (b *okBuf) begin() encoder {
+func (f *Front) begin(b *okBuf) encoder {
 	b.indented.Reset()
-	return encoder{out: &b.indented, buf: append(b.indented.AvailableBuffer(), '{')}
+	return encoder{coll: f.coll, b: b, buf: append(b.indented.AvailableBuffer(), '{')}
 }
 
 // send closes the top-level object and writes the response in one Write —
@@ -348,84 +430,90 @@ func (e *encoder) send(w http.ResponseWriter) {
 	}
 	e.buf = append(e.buf, "\n}\n"...)
 	e.flush()
-	w.Write(e.out.Bytes()) //nolint:errcheck // client gone; nothing to do
+	w.Write(e.b.indented.Bytes()) //nolint:errcheck // client gone; nothing to do
 }
 
-// writeList renders a /v1/descendants or /v1/query answer of n result
-// elements.
-func (b *okBuf) writeList(w http.ResponseWriter, r *Reply, timedOut bool, n int, each func(e *encoder, i int)) {
-	e := b.begin()
+// writeList renders a /v1/descendants or (ranked) /v1/query answer: b's
+// hits and what the tier put in b's reply.
+func (f *Front) writeList(w http.ResponseWriter, b *okBuf, ranked, timedOut bool) {
+	e := f.begin(b)
 	e.key("count")
-	e.int(int64(n))
-	e.replyHead(r)
+	e.int(int64(len(b.hits)))
+	e.replyHead()
 	e.key("results")
-	e.elements(n, 1, func(i int) { each(&e, i) })
-	e.replyTail(b, r, timedOut)
+	e.elements(&queryKeys, b.hits, ranked)
+	e.replyTail(timedOut)
 	e.send(w)
 }
 
 // writeConnected renders a /v1/connected answer.
-func (b *okBuf) writeConnected(w http.ResponseWriter, r *Reply, timedOut, connected bool, dist int32) {
-	e := b.begin()
+func (f *Front) writeConnected(w http.ResponseWriter, b *okBuf, connected bool, dist int32, timedOut bool) {
+	e := f.begin(b)
 	e.key("connected")
 	e.bool(connected)
 	if connected {
 		e.key("dist")
 		e.int(int64(dist))
 	}
-	e.replyHead(r)
-	e.replyTail(b, r, timedOut)
+	e.replyHead()
+	e.replyTail(timedOut)
 	e.send(w)
 }
 
-// writeBatch renders a /v1/batch answer: the members of BatchResponse and
-// BatchItem in declaration order, omitempty as declared.
-func (b *okBuf) writeBatch(w http.ResponseWriter, resp *BatchResponse) {
-	e := b.begin()
+// batchItem is one item's answer before it is written; its results are
+// b.hits[off : off+n].
+type batchItem struct {
+	status, err                 string
+	off, n                      int
+	ranked, truncated, cacheHit bool
+}
+
+// writeBatch renders a /v1/batch answer — b's items, in request order — with
+// the members of BatchResponse and BatchItem in declaration order and
+// omitempty as declared there.
+func (f *Front) writeBatch(w http.ResponseWriter, b *okBuf, completed int, partial, timedOut bool) {
+	e := f.begin(b)
 	e.key("results")
 	e.buf = append(e.buf, '[')
-	for i := range resp.Results {
-		it := &resp.Results[i]
+	for i := range b.items {
+		it := &b.items[i]
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
 		e.buf = append(e.buf, "\n    {\n      \"status\": "...)
-		e.string(it.Status)
-		if it.Error != "" {
+		e.string(it.status)
+		if it.err != "" {
 			e.buf = append(e.buf, ",\n      \"error\": "...)
-			e.string(it.Error)
+			e.string(it.err)
 		}
-		if len(it.Results) > 0 {
+		if it.n > 0 {
 			e.buf = append(e.buf, ",\n      \"results\": "...)
-			e.elements(len(it.Results), 3, func(j int) {
-				r := &it.Results[j]
-				e.element(&batchKeys, &r.Element, r.Score, r.PathLen, batchElems)
-			})
+			e.elements(&batchKeys, b.hits[it.off:it.off+it.n], it.ranked)
 		}
 		e.buf = append(e.buf, ",\n      \"count\": "...)
-		e.int(int64(it.Count))
-		if it.Truncated {
+		e.int(int64(it.n))
+		if it.truncated {
 			e.buf = append(e.buf, ",\n      \"truncated\": true"...)
 		}
-		if it.CacheHit {
+		if it.cacheHit {
 			e.buf = append(e.buf, ",\n      \"cacheHit\": true"...)
 		}
 		e.buf = append(e.buf, "\n    }"...)
 	}
 	e.buf = append(e.buf, "\n  ]"...)
 	e.key("completed")
-	e.int(int64(resp.Completed))
-	if resp.Partial {
+	e.int(int64(completed))
+	if partial {
 		e.key("partial")
 		e.bool(true)
 	}
 	e.key("timedOut")
-	e.bool(resp.TimedOut)
+	e.bool(timedOut)
 	e.key("generation")
-	e.uint(resp.Generation)
-	if len(resp.FailedShards) > 0 {
+	e.uint(b.reply.Generation)
+	if len(b.reply.FailedShards) > 0 {
 		e.key("failedShards")
-		e.ints(resp.FailedShards, 1)
+		e.ints(b.reply.FailedShards)
 	}
 	e.send(w)
 }

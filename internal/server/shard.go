@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -76,7 +77,7 @@ const maxEvalBody = 64 << 20
 // and answered in the binary frame of shard/protocol.go; errors stay JSON.
 // The front admits it under the server-wide maximum deadline — the router
 // owns the query deadline; the shard only guards itself against a stuck peer.
-func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx context.Context) {
+func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx context.Context, _ url.Values) {
 	if r.Method != http.MethodPost {
 		s.front.FailMethod(w, "POST only")
 		return

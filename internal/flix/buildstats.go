@@ -14,14 +14,17 @@ import (
 // selecting a strategy for each, and constructing the per-meta-document
 // indexes.  flixd surfaces it
 // via /statsz so operators can see where a rebuild spends its time.
+//
+// Partition and MetaBuild together are the decomposition, which generations
+// over one collection and configuration share (Decompose): they report what
+// this build or open spent on it — the full cost for the generation that
+// computed it, zero for every one that found it.
 type BuildStats struct {
 	// Partition is the time the Meta Document Builder's partitioning
 	// took.
 	Partition time.Duration
 	// MetaBuild is the time it took to flatten the partitioning into meta
 	// documents: local numbering, local graphs and runtime link tables.
-	// Partition and MetaBuild together are the decomposition, which an index
-	// restored from disk pays too, so it reports both.
 	MetaBuild time.Duration
 	// Select is the summed time the Indexing Strategy Selector spent
 	// across all meta documents.
@@ -81,8 +84,8 @@ func (b BuildStats) String() string {
 }
 
 // BuildStats returns the build-phase timings recorded when the index was
-// constructed.  An index restored from disk reports only the decomposition
-// it recomputed (Partition, MetaBuild).
+// constructed.  An index restored from disk reports only what it spent on
+// the decomposition (Partition, MetaBuild; zero when it found it).
 func (ix *Index) BuildStats() BuildStats { return ix.bstats }
 
 // StrategyAt returns the name of the indexing strategy serving the meta

@@ -242,6 +242,7 @@ func (ix *Index) Ancestors(start xmlgraph.NodeID, tag string, opts Options, fn E
 	defer ix.putScratch(s)
 	s.f.push(pqItem{dist: 0, node: start})
 	emitted := 0
+	tagID := ix.coll.TagIDOf(tag)
 
 	for s.f.Len() > 0 {
 		if canceled(opts.Cancel) {
@@ -297,7 +298,7 @@ func (ix *Index) Ancestors(start xmlgraph.NodeID, tag string, opts Options, fn E
 		}
 		if tag == "" {
 			idx.EachReaching(le, visit)
-		} else if lt := md.Graph.TagOf(tag); lt >= 0 {
+		} else if lt := md.LocalTag(tagID); lt >= 0 {
 			idx.EachReachingByTag(le, lt, visit)
 		}
 		if stop {

@@ -142,12 +142,13 @@ func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
 //     PartialDescendants needs: split across shards and RPC rounds, coverage
 //     would suppress shorter rediscoveries.
 type evalRun struct {
-	ix   *Index
-	s    *evalScratch
-	tag  string
-	opts Options
-	fn   Emit
-	tr   *obs.Trace
+	ix    *Index
+	s     *evalScratch
+	tag   string
+	tagID int32 // tag as the collection numbers it, -1 when no element carries it
+	opts  Options
+	fn    Emit
+	tr    *obs.Trace
 
 	// buffer sends results to s.rbuf instead of fn.  merge selects the
 	// PartialDescendants sink and frontier discipline: results keep their
@@ -184,6 +185,7 @@ const expanded = -1
 func (ix *Index) arm(s *evalScratch, tag string, opts Options) *evalRun {
 	r := &s.run
 	r.ix, r.tag, r.opts = ix, tag, opts
+	r.tagID = ix.coll.TagIDOf(tag)
 	r.tr = opts.Tracer // nil in the common case; every use is nil-checked
 	if opts.DupSeenSet && s.best == nil {
 		s.best = make(map[xmlgraph.NodeID]int32)
@@ -284,7 +286,7 @@ func (r *evalRun) run(band int32) {
 		localTag := lgraph.NoTag
 		probe := true
 		if !wildcard {
-			localTag = md.Graph.TagOf(r.tag)
+			localTag = md.LocalTag(r.tagID)
 			// Tag absent from this meta document: skip the probe but
 			// still follow links below.
 			probe = localTag != lgraph.NoTag

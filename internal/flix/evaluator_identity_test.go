@@ -179,8 +179,14 @@ func TestEvaluatorIdentityRecorded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", corpus.name, cfg.Kind, err)
 			}
+			// Every generation over the collection reads this Set: no
+			// driver, traced or not, may leave a mark on it.
+			before := setHash(ix.set)
 			fmt.Fprintln(results, hashDrivers(corpus.c, ix, corpus.tags, false))
 			fmt.Fprintln(events, hashDrivers(corpus.c, ix, corpus.tags, true))
+			if setHash(ix.set) != before {
+				t.Errorf("%s %v: the evaluator drivers wrote to the decomposition", corpus.name, cfg.Kind)
+			}
 		}
 		got := [2]string{hex.EncodeToString(results.Sum(nil)), hex.EncodeToString(events.Sum(nil))}
 		if got != recorded[corpus.name] {

@@ -79,6 +79,9 @@ func (k ConfigKind) String() string {
 	}
 }
 
+// valid reports whether k is one of the configurations above.
+func (k ConfigKind) valid() bool { return k >= Naive && k <= ElementLevel }
+
 // Config tunes the build phase.  The zero value is a usable Hybrid-less
 // Naive configuration; DefaultConfig returns the recommended Hybrid setup.
 type Config struct {
@@ -212,6 +215,7 @@ func BuildWithOptions(c *xmlgraph.Collection, cfg Config, opts BuildOptions) (*I
 		return nil, err
 	}
 	ix.buildLinkTables()
+	keepDecomposition(c, cfg, set)
 	return ix, nil
 }
 

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // gcWriter gives the snapshot finalizer its chance on every Write: a
@@ -55,5 +57,69 @@ func TestMappedLifetimeSnapshotWrite(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("snapshot re-persisted from the mapping differs from the one it was opened from")
+	}
+}
+
+// TestMappedLifetimeSharedDecomposition: the collection keeps the
+// decomposition of its generations alive, so the decomposition must not keep
+// a generation's mapping alive, nor read from it.  Every index over a mapped
+// snapshot is dropped while the collection — and with it the Set they shared
+// — stays; the finalizer must still unmap the file, and the Set must hash and
+// serve a later generation as before.  A Set aliasing mapped bytes would read
+// unmapped memory there: a SIGSEGV, a failed test binary.
+func TestMappedLifetimeSharedDecomposition(t *testing.T) {
+	coll := goldenCollection()
+	built, err := Build(coll, goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gen-000001.flix")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := built.WriteSnapshotV2With(f, SnapshotV2Options{Compress: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if testutil.Mappings(path) < 0 {
+		t.Skip("no /proc/self/maps to count mappings in")
+	}
+	set, before := built.set, setHash(built.set)
+	for i := 0; i < 2; i++ {
+		ix, err := OpenSnapshot(coll, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ix.StorageInfo().Mapped {
+			t.Skip("platform cannot map snapshots")
+		}
+		if ix.set != set {
+			t.Fatal("the mapped generation has a decomposition of its own")
+		}
+		if err := sameAnswers(coll, built, ix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both generations are unreachable now; the collection and its Set are not.
+	for deadline := time.Now().Add(10 * time.Second); testutil.Mappings(path) > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d mappings of the snapshot survive their indexes: the kept decomposition holds them", testutil.Mappings(path))
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if keptSet(coll) != set || setHash(set) != before {
+		t.Fatal("the kept decomposition changed when its mapped generations were released")
+	}
+	ix, err := OpenSnapshot(coll, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if err := sameAnswers(coll, built, ix); err != nil {
+		t.Errorf("generation opened after the release: %v", err)
 	}
 }

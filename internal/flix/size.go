@@ -79,14 +79,81 @@ func (ix *Index) SizeBytes() (int64, error) {
 	return ix.size, ix.sizeErr
 }
 
-// Decompose computes the meta-document decomposition a configuration
-// describes — the Meta Document Builder of §4.1 — and stamps the two phases
-// it times, Partition and MetaBuild, into the returned statistics.  It is the
-// only place a ConfigKind turns into meta documents: the build phase and
-// OpenSnapshot call it, and opening relies on it being deterministic — the
-// collection plus the stored Config fully determine the meta documents, so
-// only the per-meta-document indexes are persisted.
+// decomposition is what Decompose keeps in the collection's derived slot: a
+// Set under the configuration it was computed for, reduced to the fields that
+// determine it (decompositionKey).
+type decomposition struct {
+	key Config
+	set *meta.Set
+}
+
+// decompositionKey reduces cfg to the fields decompose reads.  Strategy and
+// Load choose indexes, not partitions, and are not part of it.
+func decompositionKey(cfg Config) Config {
+	return Config{Kind: cfg.Kind, PartitionSize: cfg.PartitionSize, MinTreeDocs: cfg.MinTreeDocs}
+}
+
+// Decompose returns the meta-document decomposition a configuration
+// describes — the Meta Document Builder of §4.1.  It is the only place a
+// ConfigKind turns into meta documents: the build phase and OpenSnapshot call
+// it, and opening relies on it being deterministic — the collection plus
+// Kind, PartitionSize and MinTreeDocs fully determine the meta documents
+// (Strategy and Load choose indexes, not partitions), so only the
+// per-meta-document indexes are persisted.
+//
+// Because it is a pure function of a frozen collection, its value is kept
+// with the collection (Collection.UpdateDerived) and every generation built
+// or opened over that collection under the same three fields shares one
+// immutable *meta.Set: the first call computes it, callers arriving
+// meanwhile wait and share it, later ones find it.  One decomposition is
+// kept per collection and it goes when the collection goes.  A configuration
+// other than the kept one is computed for the caller alone; it replaces the
+// kept one only once a build or open has succeeded with it (keepDecomposition),
+// so a failing build or open never displaces what the serving generation was
+// made from.
+//
+// The returned statistics carry the two phases timed, Partition and
+// MetaBuild, as spent by this call: zero when the Set was found.
 func Decompose(c *xmlgraph.Collection, cfg Config) (*meta.Set, BuildStats, error) {
+	var bs BuildStats
+	if !cfg.Kind.valid() {
+		return nil, bs, fmt.Errorf("flix: unknown configuration kind %v", cfg.Kind)
+	}
+	key := decompositionKey(cfg)
+	var set *meta.Set
+	c.UpdateDerived(func(cur any) any {
+		if d, ok := cur.(*decomposition); ok {
+			if d.key == key {
+				set = d.set
+			}
+			return cur
+		}
+		set, bs = decompose(c, cfg)
+		return &decomposition{key, set}
+	})
+	if set == nil {
+		// Another configuration is kept: compute beside it, outside the
+		// lock, so that opens of the kept one do not wait for this.
+		set, bs = decompose(c, cfg)
+	}
+	return set, bs, nil
+}
+
+// keepDecomposition makes set, which Decompose returned for cfg, the
+// decomposition kept with the collection.  A build or open calls it once it
+// has succeeded.
+func keepDecomposition(c *xmlgraph.Collection, cfg Config, set *meta.Set) {
+	key := decompositionKey(cfg)
+	c.UpdateDerived(func(cur any) any {
+		if d, ok := cur.(*decomposition); ok && d.key == key {
+			return cur
+		}
+		return &decomposition{key, set}
+	})
+}
+
+// decompose computes what Decompose returns; cfg.Kind is valid.
+func decompose(c *xmlgraph.Collection, cfg Config) (*meta.Set, BuildStats) {
 	var (
 		bs     BuildStats
 		r      *partition.Result // document-level kinds
@@ -107,8 +174,6 @@ func Decompose(c *xmlgraph.Collection, cfg Config) (*meta.Set, BuildStats, error
 		r = partition.Whole(c)
 	case ElementLevel:
 		assign, parts = partition.ElementLevel(c, cfg.PartitionSize)
-	default:
-		return nil, bs, fmt.Errorf("flix: unknown configuration kind %v", cfg.Kind)
 	}
 	bs.Partition = time.Since(t0)
 	var set *meta.Set
@@ -118,5 +183,5 @@ func Decompose(c *xmlgraph.Collection, cfg Config) (*meta.Set, BuildStats, error
 		set = meta.BuildElements(c, assign, parts)
 	}
 	bs.MetaBuild = time.Since(t0) - bs.Partition
-	return set, bs, nil
+	return set, bs
 }

@@ -99,7 +99,8 @@ func TestSizeBytesEncodesOnce(t *testing.T) {
 
 // TestSnapshotCorrupt feeds foreign files to every open entry point — the
 // committed canonical stream (what binaries before the single-format change
-// persisted by default), truncations and byte flips of it, and garbage.
+// persisted by default), truncations and byte flips of it, garbage, and a
+// well-formed container whose manifest names no known configuration.
 // Each must come back as an error wrapping ErrSnapshotCorrupt: never a
 // panic, never an index.
 func TestSnapshotCorrupt(t *testing.T) {
@@ -108,12 +109,17 @@ func TestSnapshotCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v2, err := os.ReadFile(goldenV2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "gen-000001.flix")
 	images := map[string][]byte{
 		"canonical stream": raw,
-		"empty":            nil,
-		"garbage":          []byte("XXXXgarbage"),
-		"v2 magic alone":   []byte(storage.SnapshotMagic),
+		"v2 container naming an unknown configuration kind": forgedKind(t, v2),
+		"empty":          nil,
+		"garbage":        []byte("XXXXgarbage"),
+		"v2 magic alone": []byte(storage.SnapshotMagic),
 	}
 	for _, n := range []int{1, 3, 8, len(raw) / 2, len(raw) - 1} {
 		images[fmt.Sprintf("stream truncated to %d", n)] = raw[:n]

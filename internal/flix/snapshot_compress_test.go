@@ -220,6 +220,8 @@ func TestSnapshotCompressedCorruptionMatrix(t *testing.T) {
 		}
 	}
 
+	mustReject("forged configuration kind", forgedKind(t, raw))
+
 	// Truncations: envelope edges, every section boundary, and mid-block
 	// inside every compressed payload.
 	cuts := []int{0, 8, 31, 32}

@@ -5,9 +5,10 @@ package flix
 // serves an index straight from the mapped bytes with no parse step.  The
 // file carries a manifest section (configuration + per-meta-document
 // fingerprints) followed by one section per meta document in decomposition
-// order; the decomposition itself is recomputed deterministically from the
-// manifest configuration, and the fingerprints (node count, runtime-link
-// count, link hash) detect a mismatched collection before any query runs.
+// order; the decomposition itself is not stored — Decompose derives it from
+// the collection and the manifest configuration, once per collection — and
+// the fingerprints (node count, runtime-link count, link hash) detect a
+// mismatched collection before any query runs.
 
 import (
 	"errors"
@@ -152,7 +153,7 @@ func (ix *Index) WriteSnapshotV2With(w io.Writer, opts SnapshotV2Options) (int64
 
 // linkHash fingerprints a meta document's runtime link table (FNV-64a over
 // the (FromLocal, To) pairs).  OpenSnapshot compares it against the
-// recomputed decomposition, so the file need not store the link table.
+// collection's decomposition, so the file need not store the link table.
 func linkHash(md *meta.MetaDocument) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -245,6 +246,9 @@ func openSnapshot(c *xmlgraph.Collection, snap *storage.Snapshot) (*Index, error
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	if !cfg.Kind.valid() {
+		return nil, fmt.Errorf("%w: unknown configuration kind %d", ErrSnapshotCorrupt, int(cfg.Kind))
+	}
 	// Each manifest entry takes at least 10 bytes, so this bound rejects a
 	// forged count before the arrays below are allocated.
 	if nMetas < 0 || nMetas > maxSnapshotMetas || nMetas > d.Remaining()/10+1 {
@@ -314,6 +318,7 @@ func openSnapshot(c *xmlgraph.Collection, snap *storage.Snapshot) (*Index, error
 		ix.pis[i] = idx
 	}
 	ix.buildLinkTables()
+	keepDecomposition(c, cfg, set)
 	return ix, nil
 }
 

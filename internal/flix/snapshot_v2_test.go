@@ -196,6 +196,12 @@ func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A generation is serving while the damaged files arrive: none of them
+	// may touch the decomposition it was made from.
+	serving, err := OpenSnapshotBytes(coll, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mustReject := func(name string, img []byte) {
 		t.Helper()
 		defer func() {
@@ -212,6 +218,9 @@ func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 		}
 		if !errors.Is(err, ErrSnapshotCorrupt) && !errors.Is(err, ErrSnapshotVersion) {
 			t.Fatalf("%s: untyped error %v", name, err)
+		}
+		if keptSet(coll) != serving.set {
+			t.Fatalf("%s: the failed open replaced the collection's kept decomposition", name)
 		}
 	}
 
@@ -251,6 +260,10 @@ func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 		bad[i] ^= 0x55
 		mustReject(fmt.Sprintf("byte flip at %d", i), bad)
 	}
+
+	// A manifest naming no known configuration, checksum valid: structurally
+	// invalid, refused before anything is decomposed.
+	mustReject("forged configuration kind", forgedKind(t, raw))
 
 	// A v3 container (resealed so only the version trips) must read as a
 	// version problem, not corruption.
@@ -378,6 +391,10 @@ func FuzzOpenSnapshot(f *testing.F) {
 			if storage.Reseal(mut) == nil {
 				f.Add(mut)
 			}
+			// Manifests with a valid checksum naming an unknown Kind and
+			// another PartitionSize: past the envelope, into Decompose.
+			f.Add(forgedKind(f, raw))
+			f.Add(forgedPartitionSize(f, raw))
 		}
 	}
 	// The compressed fixture seeds the packed-directory and manifest-trailer

@@ -108,6 +108,19 @@ func TestBuildStats(t *testing.T) {
 	if bs.IndexBuild <= 0 {
 		t.Errorf("IndexBuild = %v, want > 0", bs.IndexBuild)
 	}
+	if bs.Partition <= 0 || bs.MetaBuild <= 0 {
+		t.Errorf("the build that decomposed reports Partition = %v, MetaBuild = %v, want > 0", bs.Partition, bs.MetaBuild)
+	}
+	// Partition and MetaBuild are what the call spent: a second generation
+	// over the collection finds the decomposition and spends nothing.
+	shared, err := Build(c, Config{Kind: Hybrid, PartitionSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb := shared.BuildStats(); sb.Partition != 0 || sb.MetaBuild != 0 || sb.IndexBuild <= 0 {
+		t.Errorf("build over a shared decomposition: Partition = %v, MetaBuild = %v, IndexBuild = %v, want 0, 0, > 0",
+			sb.Partition, sb.MetaBuild, sb.IndexBuild)
+	}
 	if len(bs.Strategies) == 0 {
 		t.Fatal("no per-strategy build stats")
 	}

@@ -67,6 +67,15 @@ func sameSet(got *Set, want *referenceSet) error {
 		if err := sameGraph(g.Graph, w.Graph); err != nil {
 			return fail("graph: %v", err)
 		}
+		// The dense tag table answers what the graph's name map answers.
+		for id, name := range got.Coll.TagNames() {
+			if lt := g.LocalTag(int32(id)); lt != w.Graph.TagOf(name) {
+				return fail("LocalTag(%d) = %d, reference TagOf(%q) = %d", id, lt, name, w.Graph.TagOf(name))
+			}
+		}
+		if g.LocalTag(-1) != lgraph.NoTag {
+			return fail("LocalTag(-1) is a tag")
+		}
 		if !slices.Equal(g.OutLinks, w.OutLinks) {
 			return fail("OutLinks %v, reference %v", g.OutLinks, w.OutLinks)
 		}
@@ -131,6 +140,33 @@ func TestBuildMatchesReference(t *testing.T) {
 			if err := sameSet(BuildElements(co.c, assign, parts), referenceBuildElements(co.c, assign, parts)); err != nil {
 				t.Errorf("%s: BuildElements(%d): %v", co.name, maxNodes, err)
 			}
+		}
+	}
+}
+
+// TestSetNotWrittenAfterBuild: a Set is shared by every index generation over
+// its collection, so what consumes it must leave it as Build returned it.
+// Every registered strategy selects and builds over every meta document,
+// Validate runs, and the Set must still equal the frozen reference.
+func TestSetNotWrittenAfterBuild(t *testing.T) {
+	for _, f := range testutil.Families() {
+		c := testutil.Generate(f, 5, 30, 20, 60)
+		r := partition.Hybrid(c, 50, 2)
+		s, want := Build(c, r), referenceBuild(c, r)
+		if err := sameSet(s, want); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		for name := range Registry {
+			for _, load := range []QueryLoad{LoadDescendants, LoadShortPaths} {
+				for _, md := range s.Metas {
+					if _, _, err := BuildIndexParallel(md, load, name, 2); err != nil {
+						t.Fatalf("%s: %s: %v", f, name, err)
+					}
+				}
+			}
+		}
+		if err := sameSet(s, want); err != nil {
+			t.Errorf("%s: the Set changed under the index builders: %v", f, err)
 		}
 	}
 }

@@ -55,11 +55,25 @@ type MetaDocument struct {
 
 	// toGlobal maps local node IDs to collection node IDs.
 	toGlobal []xmlgraph.NodeID
+	// localTag maps collection tag IDs (Collection.TagID) to Graph's tags,
+	// lgraph.NoTag for names no member element carries.
+	localTag []lgraph.Tag
 }
 
 // ToGlobal converts a local node ID to the collection node ID.
 func (m *MetaDocument) ToGlobal(local int32) xmlgraph.NodeID {
 	return m.toGlobal[local]
+}
+
+// LocalTag translates a collection tag ID (Collection.TagIDOf) into Graph's
+// tag for the same element name: what Graph.TagOf answers from the name, as
+// an array load.  It returns lgraph.NoTag for a negative ID and for a name no
+// element of the meta document carries.
+func (m *MetaDocument) LocalTag(id int32) lgraph.Tag {
+	if id < 0 {
+		return lgraph.NoTag
+	}
+	return m.localTag[id]
 }
 
 // LinksFrom returns the runtime links leaving the local node LinkSources[i].
@@ -68,6 +82,12 @@ func (m *MetaDocument) LinksFrom(i int) []CrossLink {
 }
 
 // Set is a complete meta-document decomposition of a collection.
+//
+// A Set is immutable once Build or BuildElements has returned it: nothing in
+// this package writes to it, its meta documents, their graphs or their link
+// tables afterwards, and nothing outside may.  flix.Decompose relies on
+// that — it hands one Set to every index generation built or opened over the
+// collection, and they read it concurrently without a lock.
 type Set struct {
 	Coll  *xmlgraph.Collection
 	Metas []*MetaDocument
@@ -260,6 +280,20 @@ func (s *Set) wire(included []bool) {
 	tagNames := make([]string, len(dict))
 	for i, id := range dict {
 		tagNames[i] = c.TagNames()[id]
+	}
+	// The same translation kept per meta document, dense over the
+	// collection's tags (4 bytes × meta documents × distinct names), for
+	// MetaDocument.LocalTag.
+	nTags := len(c.TagNames())
+	localTags := make([]lgraph.Tag, nMetas*nTags)
+	for i := range localTags {
+		localTags[i] = lgraph.NoTag
+	}
+	for mi, md := range s.Metas {
+		md.localTag = localTags[mi*nTags : (mi+1)*nTags : (mi+1)*nTags]
+		for t, id := range dict[dictStart[mi]:dictStart[mi+1]] {
+			md.localTag[id] = lgraph.Tag(t)
+		}
 	}
 	predOff := make([]int32, nNodes+1)
 	pred := make([]int32, len(succ))

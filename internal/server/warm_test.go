@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -117,22 +116,6 @@ func TestInstallBackToBack(t *testing.T) {
 	}
 }
 
-// mappings counts the mappings of path in this process, or -1 where
-// /proc/self/maps cannot tell.
-func mappings(path string) int {
-	maps, err := os.ReadFile("/proc/self/maps")
-	if err != nil {
-		return -1
-	}
-	n := 0
-	for _, line := range strings.Split(string(maps), "\n") {
-		if strings.HasSuffix(line, path) {
-			n++
-		}
-	}
-	return n
-}
-
 // collectUntil forces collections, yielding to the finalizer goroutine in
 // between, until the file is mapped at most want times.  It reports the
 // count it stopped at; without /proc it collects a fixed number of times.
@@ -141,7 +124,7 @@ func collectUntil(path string, want int) int {
 	for i := 0; ; i++ {
 		runtime.GC()
 		runtime.Gosched()
-		n := mappings(path)
+		n := testutil.Mappings(path)
 		if (n < 0 && i >= 5) || (n >= 0 && n <= want && i >= 2) || time.Now().After(deadline) {
 			return n
 		}

@@ -116,3 +116,60 @@ func TestRandomTreeCollectionIsTree(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestTagIDOf(t *testing.T) {
+	c := RandomCollection(rand.New(rand.NewSource(3)), 8, 12, 10)
+	for n := NodeID(0); int(n) < c.NumNodes(); n++ {
+		if got := c.TagIDOf(c.Tag(n)); got != c.TagID(n) {
+			t.Fatalf("TagIDOf(%q) = %d, node %d carries tag ID %d", c.Tag(n), got, n, c.TagID(n))
+		}
+	}
+	for _, name := range []string{"", "no-such-element"} {
+		if got := c.TagIDOf(name); got != -1 {
+			t.Errorf("TagIDOf(%q) = %d, want -1", name, got)
+		}
+	}
+}
+
+// TestUpdateDerived: the slot starts empty, holds what fn returns, and runs
+// one fn at a time — a value computed inside is seen by everyone who waited.
+// Run under -race.
+func TestUpdateDerived(t *testing.T) {
+	c := RandomCollection(rand.New(rand.NewSource(3)), 4, 6, 2)
+	c.UpdateDerived(func(cur any) any {
+		if cur != nil {
+			t.Errorf("a fresh collection holds %v", cur)
+		}
+		return cur
+	})
+	type counter struct{ computed, seen int }
+	const callers = 8
+	done := make(chan struct{})
+	for i := 0; i < callers; i++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			c.UpdateDerived(func(cur any) any {
+				if cur == nil {
+					cur = &counter{computed: 1}
+				}
+				cur.(*counter).seen++
+				return cur
+			})
+		}()
+	}
+	for i := 0; i < callers; i++ {
+		<-done
+	}
+	c.UpdateDerived(func(cur any) any {
+		if got := *cur.(*counter); got != (counter{computed: 1, seen: callers}) {
+			t.Errorf("after %d callers the slot holds %+v", callers, got)
+		}
+		return nil
+	})
+	c.UpdateDerived(func(cur any) any {
+		if cur != nil {
+			t.Errorf("the slot holds %v after a caller emptied it", cur)
+		}
+		return cur
+	})
+}

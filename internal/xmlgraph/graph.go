@@ -133,6 +133,10 @@ type Collection struct {
 	// textBuild serialises building them.  See TextDict.
 	textDicts sync.Map
 	textBuild sync.Mutex
+
+	// derived is the value UpdateDerived keeps, guarded by derivedMu.
+	derivedMu sync.Mutex
+	derived   any
 }
 
 // NewCollection returns an empty collection.
@@ -319,6 +323,30 @@ func (c *Collection) Freeze() {
 		c.byTag[tag] = byID[id]
 	}
 	c.frozen = true
+}
+
+// UpdateDerived gives a consumer of a frozen collection one place to keep a
+// value it derived from the collection and wants to live exactly as long:
+// fn runs with the slot locked, receives what the slot holds (nil at first)
+// and returns what it shall hold from now on.  Callers arriving while fn
+// runs wait for it, so a value computed inside fn is computed once and shared
+// by those that wait.  The collection neither reads nor interprets the value
+// — flix.Decompose keeps the meta-document decomposition here — and there is
+// one slot, not a table: a consumer that stores replaces what was there.
+func (c *Collection) UpdateDerived(fn func(cur any) any) {
+	c.derivedMu.Lock()
+	defer c.derivedMu.Unlock()
+	c.derived = fn(c.derived)
+}
+
+// TagIDOf returns the dictionary ID of an element name — the value TagID
+// reports for the elements carrying it — or -1 when no element of the frozen
+// collection does.
+func (c *Collection) TagIDOf(tag string) int32 {
+	if nodes := c.byTag[tag]; len(nodes) > 0 {
+		return c.tagIDs[nodes[0]]
+	}
+	return -1
 }
 
 // Frozen reports whether Freeze has been called.

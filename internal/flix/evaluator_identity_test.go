@@ -71,10 +71,10 @@ var identityOptions = []struct {
 	{"self", Options{IncludeSelf: true}},
 }
 
-// hashDrivers drives every evaluator entry point over ix — with a tracer
-// when traced — and returns the hash of results and counters, or of the
-// traced event sequences (kind, meta, strategy, node, dist; not the clock
-// readings).
+// hashDrivers drives every forward-axis entry point over ix (descendants,
+// probe, partial, type) — with a tracer when traced — and returns the hash of
+// results and counters, or of the traced event sequences (kind, meta,
+// strategy, node, dist; not the clock readings).
 func hashDrivers(c *xmlgraph.Collection, ix *Index, tags []string, traced bool) string {
 	w := identityHash{sha256.New()}
 	var tr *obs.Trace
@@ -117,9 +117,6 @@ func hashDrivers(c *xmlgraph.Collection, ix *Index, tags []string, traced bool) 
 					p.Close()
 				})
 				events()
-
-				opts = arm(o.opts)
-				w.call(ix, "ancestors "+label, func(emit Emit) { ix.Ancestors(start, tag, opts, emit) })
 			}
 			for _, maxDist := range []int32{0, 3} {
 				for _, k := range []int{0, 3, 100} {
@@ -140,11 +137,6 @@ func hashDrivers(c *xmlgraph.Collection, ix *Index, tags []string, traced bool) 
 				}
 			}
 		}
-		for _, maxDist := range []int32{0, 3} {
-			d, ok := ix.ConnectedOpts(start, target, Options{MaxDist: maxDist})
-			bd, bok := ix.ConnectedBidirectional(start, target, maxDist)
-			w.line("connected %d->%d maxdist=%d: %d %v, bidirectional %d %v", start, target, maxDist, d, ok, bd, bok)
-		}
 	}
 	for _, pair := range [][2]string{{tags[1], tags[2]}, {tags[2], ""}} {
 		for _, o := range identityOptions {
@@ -158,22 +150,70 @@ func hashDrivers(c *xmlgraph.Collection, ix *Index, tags []string, traced bool) 
 	return w.sum()
 }
 
+// hashReverse drives the reverse axis and the connection tests over ix and
+// returns the hash of their results alone — no counters, no events: what
+// they answer is pinned, the work they report is not.
+func hashReverse(c *xmlgraph.Collection, ix *Index, tags []string) string {
+	w := identityHash{sha256.New()}
+	emit := func(r Result) bool {
+		w.line("%d@%d", r.Node, r.Dist)
+		return true
+	}
+	cancelled := make(chan struct{})
+	close(cancelled)
+	n := c.NumNodes()
+	step := n/7 + 1
+	for s := 0; s < n; s += step {
+		start := xmlgraph.NodeID(s)
+		for _, tag := range tags {
+			for _, o := range identityOptions {
+				if o.opts.ExactOrder || o.opts.DupSeenSet {
+					continue // held by property: TestPropertyAncestorsMatchOracle
+				}
+				w.line("ancestors %d//%s %s", start, tag, o.name)
+				ix.Ancestors(start, tag, o.opts, emit)
+			}
+			w.line("ancestors %d//%s cancelled", start, tag)
+			ix.Ancestors(start, tag, Options{Cancel: cancelled}, emit)
+		}
+		// Targets: an arbitrary node (mostly unconnected), both ways round,
+		// and two of start's descendants, a near one and the farthest.
+		target := xmlgraph.NodeID((s*31 + 17) % n)
+		pairs := [][2]xmlgraph.NodeID{{start, target}, {target, start}}
+		if desc := collectRun(func(fn Emit) { ix.Descendants(start, "", Options{}, fn) }); len(desc) > 0 {
+			pairs = append(pairs, [2]xmlgraph.NodeID{start, desc[len(desc)/3].Node}, [2]xmlgraph.NodeID{start, desc[len(desc)-1].Node})
+		}
+		for _, pair := range pairs {
+			for _, maxDist := range []int32{0, 3} {
+				d, ok := ix.ConnectedOpts(pair[0], pair[1], Options{MaxDist: maxDist})
+				bd, bok := ix.ConnectedBidirectional(pair[0], pair[1], maxDist)
+				w.line("connected %d->%d maxdist=%d: %d %v, bidirectional %d %v", pair[0], pair[1], maxDist, d, ok, bd, bok)
+			}
+			d, ok := ix.ConnectedOpts(pair[0], pair[1], Options{Cancel: cancelled})
+			w.line("connected %d->%d cancelled: %d %v", pair[0], pair[1], d, ok)
+		}
+	}
+	return w.sum()
+}
+
 // TestEvaluatorIdentityRecorded holds every driver of the evaluator core to
-// what it produced at the commit before the frontier became a bucket queue
-// (2da5dbc, a 4-ary heap): the same results in the same order, the same
-// QueryStats counters, and — traced — the same event sequence, over the
-// collection families, the framework configurations and the option sets.  A
-// diff means the queue changed what the evaluator pops, or in which order;
-// do not re-record to make the test pass.
+// what it produced at the commit before connect.go's loops were folded onto
+// the core (ac959fd), over the collection families, the framework
+// configurations and the option sets.  The forward drivers — descendants,
+// probe, partial, type — are held to the same results in the same order, the
+// same QueryStats counters, and — traced — the same event sequence; the
+// reverse axis and the connection tests, whose work went uncounted then, to
+// their results alone.  A diff means the evaluator pops something else, or
+// in another order; do not re-record to make the test pass.
 func TestEvaluatorIdentityRecorded(t *testing.T) {
-	recorded := map[string][2]string{ // corpus -> {results and counters, traced events}
-		"trees":  {"2034efc2be76e65c63f4a785c196e036b911092e59eab79edd6bdaeacf866527", "3a7568ad5e9cb14bf3d43ac13880b8fc5313a36e34c019da9f6cc1b52eefcbbb"},
-		"dags":   {"5b05f6a3df3ca09ed65d849635f248b012d53474472fd32dff613dd191a84bfd", "b1962cb0773b6dae0578b440f0772e75214e3acec1847f215baa11bfb30c6803"},
-		"linked": {"1248d344f533367d22aa63330962536fcfb5c712d30f3fb5a100a33474428e13", "e0322863f9898a9fc0e49e495edce611cd966db962657df24c64ab45573c55ea"},
-		"dblp":   {"3fbfe324f67865f348de6dadfea9f7f90ef6474b6edf05fd5bf33a17c7cb5dcb", "88cc8cc6c58831ceb3b2b6a3a67d2be10dbd807883e2fc3694f4b593f87d24c4"},
+	recorded := map[string][3]string{ // corpus -> {forward results and counters, forward traced events, reverse and connection results}
+		"trees":  {"5a4e791cd0546b0871fc8ab2ea0c5a2e6e02cbca392941408a953b1e6382c637", "24d67f94f744b5545b763d1d3999f1c68d885581c99a1a0154063b016bad70b8", "e4871da747f96a2afbd36b0a66a67fa4a8f02136d6afcf748c512d17069ebf23"},
+		"dags":   {"8bb6a1946194346305844aecc8002125d57481a9967a9a6fa3aa6b97258161d1", "73b8ceac822bc172c03347a11ed5c0678697498bc0d19396a930a4e6bd5aaecf", "b7b08cbc2e4200cafa5c0ff97ee4c4d8b5d5d5aa2ae4440f7d60a17d8d5771b5"},
+		"linked": {"0f6d38555b1ea9f6b28ed38b1390968d068fa90c2931013a4f7f846ec51d6dee", "2f25b1b955d4949738808d113ce3db485839eb6f18d3007175272e3621738dd0", "ce9db97210059ec76819f907b9de03a02abca033bd11956d8b55713ee950786b"},
+		"dblp":   {"4e476a048b2386cccc5bd25fd27120433d07e30a198c7ace84301c9ce4308a62", "a0567ea74c85ec68655181dd49e7ea589686b3ebe68c1109a97270838d3bf1dd", "02278ba7addd9478706bcfaf098ed7846d6c105f8c540c8af1b8bea336fe85a7"},
 	}
 	for _, corpus := range identityCorpora() {
-		results, events := sha256.New(), sha256.New()
+		results, events, reverse := sha256.New(), sha256.New(), sha256.New()
 		for _, cfg := range hotpathConfigs() {
 			ix, err := Build(corpus.c, cfg)
 			if err != nil {
@@ -184,13 +224,14 @@ func TestEvaluatorIdentityRecorded(t *testing.T) {
 			before := setHash(ix.set)
 			fmt.Fprintln(results, hashDrivers(corpus.c, ix, corpus.tags, false))
 			fmt.Fprintln(events, hashDrivers(corpus.c, ix, corpus.tags, true))
+			fmt.Fprintln(reverse, hashReverse(corpus.c, ix, corpus.tags))
 			if setHash(ix.set) != before {
 				t.Errorf("%s %v: the evaluator drivers wrote to the decomposition", corpus.name, cfg.Kind)
 			}
 		}
-		got := [2]string{hex.EncodeToString(results.Sum(nil)), hex.EncodeToString(events.Sum(nil))}
+		got := [3]string{hex.EncodeToString(results.Sum(nil)), hex.EncodeToString(events.Sum(nil)), hex.EncodeToString(reverse.Sum(nil))}
 		if got != recorded[corpus.name] {
-			t.Errorf("%s: {results+counters, traced events} = %q, recorded %q", corpus.name, got, recorded[corpus.name])
+			t.Errorf("%s: {forward results+counters, forward traced events, reverse results} =\n%q, recorded\n%q", corpus.name, got, recorded[corpus.name])
 		}
 	}
 }

@@ -23,9 +23,14 @@ import (
 	iflix "repro/internal/flix"
 	"repro/internal/hopi"
 	"repro/internal/lgraph"
+	"repro/internal/meta"
 	"repro/internal/query"
 	"repro/internal/xmlgraph"
 )
+
+// The divide-and-conquer HOPI build is an ablation (DESIGN.md §4.1), not a
+// strategy meta.Registry serves.
+func init() { meta.Registry["hopi-dc"] = hopi.DCStrategy(20000) }
 
 var (
 	expOnce sync.Once
@@ -462,25 +467,6 @@ func BenchmarkHotPathTopK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.EvaluateTopK(q, 10)
-	}
-}
-
-// BenchmarkHotPathReference runs the frozen pre-optimization evaluator on
-// the same workload as BenchmarkHotPathDescendants: the ns/op and allocs/op
-// gap is the effect of the pooled scratch + 4-ary frontier rewrite.
-func BenchmarkHotPathReference(b *testing.B) {
-	e := experiment(b)
-	bu := built(b, bench.Entry{Label: "Hybrid",
-		Config: flix.Config{Kind: flix.Hybrid, PartitionSize: 5000}})
-	drop := func(flix.Result) bool { return true }
-	opts := flix.Options{MaxResults: 100}
-	for i := 0; i < 3; i++ {
-		bu.Index.ReferenceDescendants(e.Start, "article", opts, drop)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bu.Index.ReferenceDescendants(e.Start, "article", opts, drop)
 	}
 }
 

@@ -229,6 +229,7 @@ func table1(e *bench.Experiment, built []bench.Built, closure bool) {
 	// more than an order of magnitude below the closure.
 	fmt.Println("building transitive closure for reference (this is the expensive baseline)...")
 	t0 := time.Now()
+	// internal/bench registers "tc"; it is not a strategy flixd can be given.
 	tcIx, err := flix.Build(e.Coll, flix.Config{Kind: flix.Monolithic, Strategy: "tc"})
 	if err != nil {
 		log.Fatal(err)

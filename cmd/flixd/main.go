@@ -70,7 +70,7 @@ func main() {
 		loadIx   = flag.String("load", "", "restore a persisted index from this file instead of building")
 		config   = flag.String("config", "hybrid", "configuration: naive | maximal-ppo | unconnected-hopi | hybrid | monolithic")
 		partSize = flag.Int("partition", 5000, "partition size bound for unconnected-hopi / hybrid")
-		strategy = flag.String("strategy", "", "force a per-meta-document strategy: ppo | hopi | apex | tc")
+		strategy = flag.String("strategy", "", "force a per-meta-document strategy: ppo | hopi | apex")
 		buildPar = flag.Int("build-parallelism", 0, "index-build worker pool width (0 = all CPUs, 1 = serial)")
 		ontoFile = flag.String("ontology", "", "ontology file with 'tagA tagB score' lines for ~ expansion")
 		inflight = flag.Int("inflight", 64, "admission limit: concurrent queries before 429 shedding")

@@ -39,7 +39,7 @@ func main() {
 		dir      = flag.String("dir", "", "directory of *.xml documents (required)")
 		config   = flag.String("config", "hybrid", "configuration: naive | maximal-ppo | unconnected-hopi | hybrid | monolithic")
 		partSize = flag.Int("partition", 5000, "partition size bound for unconnected-hopi / hybrid")
-		strategy = flag.String("strategy", "", "force a per-meta-document strategy: ppo | hopi | apex | tc")
+		strategy = flag.String("strategy", "", "force a per-meta-document strategy: ppo | hopi | apex")
 		queryStr = flag.String("query", "", "ranked path expression, e.g. //~movie//actor")
 		ontoFile = flag.String("ontology", "", "ontology file with 'tagA tagB score' lines for ~ expansion")
 		startDoc = flag.String("start", "", "document name whose root anchors a raw a//b query")

@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	flix "repro"
 	"repro/internal/dblp"
+	"repro/internal/meta"
 )
 
 func TestParseConfig(t *testing.T) {
@@ -99,5 +102,38 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if stats := flixquery("-dir", docs, "-load", saved, "-stats"); !strings.Contains(stats, "index size:") {
 		t.Errorf("-load -stats:\n%s", stats)
+	}
+}
+
+// TestAblationStrategiesNotServed: a plain build registers the three
+// strategies the paper deploys.  The ablation and oracle names are treated
+// like any name that is not registered — the selector's heuristic decides,
+// exactly as with no -strategy at all.
+func TestAblationStrategiesNotServed(t *testing.T) {
+	if len(meta.Registry) != 3 {
+		t.Fatalf("meta.Registry holds %d strategies in a plain build, want ppo, hopi, apex: %v", len(meta.Registry), meta.Registry)
+	}
+	coll := dblp.Generate(dblp.Scaled(40)).BuildGraph()
+	strategies := func(name string) string {
+		cfg, err := parseConfig("hybrid", 200, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := flix.Build(coll, cfg)
+		if err != nil {
+			t.Fatalf("-strategy %q: %v", name, err)
+		}
+		var per []string
+		for s, sb := range ix.BuildStats().Strategies {
+			per = append(per, fmt.Sprintf("%s=%d", s, sb.Metas))
+		}
+		sort.Strings(per)
+		return strings.Join(per, " ")
+	}
+	want := strategies("")
+	for _, name := range []string{"tc", "hopi-dc", "a1", "a2", "no-such-strategy"} {
+		if got := strategies(name); got != want {
+			t.Errorf("-strategy %q built {%s}, the selector alone builds {%s}", name, got, want)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package flix_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -74,6 +77,81 @@ func TestDocsCiteExistingArtefacts(t *testing.T) {
 					t.Errorf("%s cites %q, which does not exist", doc, c)
 				}
 			}
+		}
+	}
+}
+
+// unreferencedExports lists, by reason, the exported functions and methods
+// under internal/ that no non-test file names.
+var unreferencedExports = map[string][]string{
+	"satisfies an interface the standard library calls (sort, encoding/json, errors)": {
+		"Less", "MarshalJSON", "UnmarshalJSON", "Unwrap"},
+	"a capability the paper gives the strategy: PPO answers all XPath axes (PAPER.md §1), APEX label paths on the summary alone (§2.2)": {
+		"EachFollowing", "EachPreceding", "PathExtent"},
+	"ablation builders (DESIGN.md §4): bench_test.go compares them, tests register them in meta.Registry": {
+		"DCStrategy", "StrategyK", "BuildNaive", "LabelEntries"},
+	"library API: a method of a type the root package re-exports (Stream, Collection, DocumentBuilder)": {
+		"StreamType", "Drain", "TreeDescendants", "Current", "Path", "NumEdges"},
+	"test support for other packages' tests, which an export_test.go cannot serve": {
+		"NewBuilder", "AddNode", "AddEdge", "Reseal", "SizeOf", "Validate", "Pre"},
+}
+
+// TestNoUnreferencedExports: every exported function or method declared in a
+// non-test file under internal/ is named by some non-test Go file of this
+// module or of benchmark/ (beyond its own declaration), or is listed above
+// with its reason; internal/testutil, whose callers are tests by design, is
+// not held to it.  Matching is by name alone, so it errs towards silence;
+// what it catches is the export whose last caller was deleted or moved into
+// a test.  An export only its own package's tests call belongs in that
+// package's export_test.go.
+func TestNoUnreferencedExports(t *testing.T) {
+	type decl struct{ name, pos string }
+	var decls []decl
+	declared, named := map[string]int{}, map[string]int{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir // .bench_build, .git
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				named[n.Name]++
+			case *ast.FuncDecl:
+				declared[n.Name.Name]++
+				if p := filepath.ToSlash(path); n.Name.IsExported() && strings.HasPrefix(p, "internal/") && !strings.HasPrefix(p, "internal/testutil/") {
+					decls = append(decls, decl{n.Name.Name, fset.Position(n.Pos()).String()})
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, names := range unreferencedExports {
+		for _, name := range names {
+			listed[name] = true
+			if named[name] > declared[name] || declared[name] == 0 {
+				t.Errorf("%s is listed as unreferenced, but it is referenced or gone: drop it from the list", name)
+			}
+		}
+	}
+	for _, d := range decls {
+		if !listed[d.name] && named[d.name] == declared[d.name] {
+			t.Errorf("%s: %s is exported, but no non-test file names it: delete it, unexport it, move it to a _test.go file, or list it with its reason", d.pos, d.name)
 		}
 	}
 }

@@ -244,15 +244,6 @@ func (idx *Index) Name() string { return "apex" }
 // NumNodes implements pathindex.Index.
 func (idx *Index) NumNodes() int { return idx.g.NumNodes() }
 
-// NumClasses returns the number of summary classes.
-func (idx *Index) NumClasses() int { return len(idx.extents) }
-
-// Class returns the summary class of data node v.
-func (idx *Index) Class(v int32) int32 { return idx.class[v] }
-
-// Extent returns the data nodes of summary class c.
-func (idx *Index) Extent(c int32) []int32 { return idx.extents[c] }
-
 // Reachable implements pathindex.Index via summary-pruned BFS: a branch is
 // abandoned as soon as its class can no longer reach y's tag; candidate hits
 // are then confirmed by identity.

@@ -12,8 +12,15 @@ import (
 
 	"repro/internal/dblp"
 	"repro/internal/flix"
+	"repro/internal/meta"
+	"repro/internal/tc"
 	"repro/internal/xmlgraph"
 )
+
+// The transitive closure is Table 1's size reference (flixbench -closure)
+// and far too large to serve, so meta.Registry does not list it: the harness
+// registers it for Config{Strategy: "tc"}.
+func init() { meta.Registry["tc"] = tc.Strategy }
 
 // Entry pairs a display label with a framework configuration.
 type Entry struct {

@@ -1,9 +1,24 @@
 package flix
 
 import (
-	"repro/internal/pathindex"
 	"repro/internal/xmlgraph"
 )
+
+// This file holds the drivers of the evaluator core (evaluate.go) that are not
+// descendant queries: the reverse axis, and the connection tests of §5.2.
+// They seed a scratch and take the core's steps; what is theirs is the rule
+// by which they stop.
+
+// Ancestors evaluates the reverse axis start//ancestor::tag (§5.1 notes the
+// same algorithm applies to ancestors): all elements named tag from which
+// start is reachable, in approximately ascending distance order.  An empty
+// tag means any ancestor.
+func (ix *Index) Ancestors(start xmlgraph.NodeID, tag string, opts Options, fn Emit) {
+	s := ix.getScratch()
+	s.run.reverse = true
+	s.f.push(pqItem{dist: 0, node: start})
+	ix.evaluate(s, tag, opts, fn)
+}
 
 // Connected tests whether b is reachable from a (§5.2) and returns the
 // length of the discovered path.  maxDist bounds the search depth (0 =
@@ -18,71 +33,46 @@ func (ix *Index) Connected(a, b xmlgraph.NodeID, maxDist int32) (int32, bool) {
 }
 
 // ConnectedOpts is Connected with the full option set: opts.MaxDist bounds
-// the search depth and opts.Cancel aborts it (a canceled test reports "not
-// connected" for whatever it had not yet discovered).  The remaining Options
-// fields do not apply to connection tests and are ignored.
+// the search depth, opts.Cancel aborts it (a canceled test reports "not
+// connected" for whatever it had not yet discovered) and opts.Tracer sees
+// its pops, entries and link hops.  The remaining Options fields do not
+// apply to connection tests and are ignored.
 //
-// Like the descendants evaluator it runs on pooled scratch state — the
-// frontier and the entered table come from the index's pool and go back on
-// every exit path.
+// It is a wildcard evaluation from a whose probe is one distance test:
+// an entry admitted in b's meta document asks its index how far b is.  A
+// distance found bounds the rest of the search — only an entry strictly
+// nearer than it, and only links queued strictly below it, can improve on it.
 func (ix *Index) ConnectedOpts(a, b xmlgraph.NodeID, opts Options) (int32, bool) {
-	maxDist := opts.MaxDist
 	if a == b {
 		return 0, true
 	}
 	s := ix.getScratch()
-	defer ix.putScratch(s)
+	defer ix.finish(s)
+	r := ix.arm(s, "", Options{MaxDist: opts.MaxDist, Cancel: opts.Cancel, Tracer: opts.Tracer})
 	s.f.push(pqItem{dist: 0, node: a})
-	tmi := ix.set.MetaOf[b]
-	tlocal := ix.set.LocalOf[b]
+	tmi, tlocal := ix.set.MetaOf[b], ix.set.LocalOf[b]
 	best := int32(-1)
-
-	for s.f.Len() > 0 {
-		if canceled(opts.Cancel) {
-			break
-		}
-		it := s.f.pop()
-		if maxDist > 0 && it.dist > maxDist {
-			break
-		}
-		if best >= 0 && it.dist >= best {
-			break // no remaining path can improve on best
-		}
-		mi := ix.set.MetaOf[it.node]
-		le := ix.set.LocalOf[it.node]
-		md := ix.set.Metas[mi]
-		idx := ix.pis[mi]
-		ents := s.entered.at(mi)
-		if coveredBy(idx, *ents, le) {
+	for s.f.Len() > 0 && (best < 0 || s.f.minDist() < best) && !canceled(opts.Cancel) {
+		if !r.admit(s.f.pop()) {
 			continue
 		}
-		*ents = append(*ents, le)
-
-		if mi == tmi {
-			if d, ok := idx.Distance(le, tlocal); ok {
-				if total := it.dist + d; best < 0 || total < best {
+		if r.mi == tmi {
+			if d, ok := r.idx.Distance(r.le, tlocal); ok {
+				total := r.dist + d
+				if (best < 0 || total < best) && (opts.MaxDist <= 0 || total <= opts.MaxDist) {
 					best = total
 				}
 			}
 		}
-		for i, ls := range md.LinkSources {
-			d, ok := idx.Distance(le, ls)
-			if !ok {
-				continue
+		if best >= 0 {
+			if r.dist+1 >= best {
+				continue // whatever this entry's links lead to is no nearer
 			}
-			nd := it.dist + d + 1
-			if maxDist > 0 && nd > maxDist {
-				continue
-			}
-			if best >= 0 && nd >= best {
-				continue
-			}
-			for _, cl := range md.LinksFrom(i) {
-				s.f.push(pqItem{dist: nd, node: cl.To})
-			}
+			r.opts.MaxDist = best - 1
 		}
+		r.follow()
 	}
-	if best < 0 || (maxDist > 0 && best > maxDist) {
+	if best < 0 {
 		return 0, false
 	}
 	return best, true
@@ -92,14 +82,22 @@ func (ix *Index) ConnectedOpts(a, b xmlgraph.NodeID, opts Options) (int32, bool)
 // forward from a while a second walks backward from b; the searches meet in
 // the middle.  Depending on the document structure either direction may
 // dominate, so the two frontiers are expanded alternately, smaller first.
+// Each half is an armed evaluator core of its own — the index statistics
+// count two evaluations — and in place of a probe every admitted entry is
+// tested against the entries the other half admitted in the same meta
+// document: a path a -> e -> p -> b.
 func (ix *Index) ConnectedBidirectional(a, b xmlgraph.NodeID, maxDist int32) (int32, bool) {
 	if a == b {
 		return 0, true
 	}
-	fwd := &halfSearch{ix: ix, forward: true, entered: make(map[int32][]int32)}
-	bwd := &halfSearch{ix: ix, forward: false, entered: make(map[int32][]int32)}
+	fwd, bwd := ix.getScratch(), ix.getScratch()
+	defer ix.finish(fwd)
+	defer ix.finish(bwd)
+	ix.arm(fwd, "", Options{})
+	ix.arm(bwd, "", Options{}).reverse = true
 	fwd.f.push(pqItem{dist: 0, node: a})
 	bwd.f.push(pqItem{dist: 0, node: b})
+	var met [2][]entryDist // the entries admitted forward and backward
 
 	best := int32(-1)
 	for fwd.f.Len() > 0 || bwd.f.Len() > 0 {
@@ -111,25 +109,33 @@ func (ix *Index) ConnectedBidirectional(a, b xmlgraph.NodeID, maxDist int32) (in
 		if bwd.f.Len() > 0 {
 			lo += bwd.f.minDist()
 		}
-		if best >= 0 && lo >= best {
+		if (best >= 0 && lo >= best) || (maxDist > 0 && lo > maxDist) {
 			break
 		}
-		if maxDist > 0 && lo > maxDist {
-			break
-		}
-		side := fwd
-		other := bwd
+		side, mine, theirs := fwd, &met[0], met[1]
 		if fwd.f.Len() == 0 || (bwd.f.Len() > 0 && bwd.f.minDist() < fwd.f.minDist()) {
-			side, other = bwd, fwd
+			side, mine, theirs = bwd, &met[1], met[0]
 		}
-		if side.f.Len() == 0 {
-			break
+		r := &side.run
+		if !r.admit(side.f.pop()) {
+			continue
 		}
-		if d, ok := side.step(other); ok {
-			if best < 0 || d < best {
-				best = d
+		*mine = append(*mine, entryDist{meta: r.mi, local: r.le, dist: r.dist})
+		for _, ed := range theirs {
+			if ed.meta != r.mi {
+				continue
+			}
+			from, to := r.le, ed.local
+			if r.reverse {
+				from, to = to, from
+			}
+			if d, ok := r.idx.Distance(from, to); ok {
+				if total := r.dist + d + ed.dist; best < 0 || total < best {
+					best = total
+				}
 			}
 		}
+		r.follow()
 	}
 	if best < 0 || (maxDist > 0 && best > maxDist) {
 		return 0, false
@@ -137,186 +143,8 @@ func (ix *Index) ConnectedBidirectional(a, b xmlgraph.NodeID, maxDist int32) (in
 	return best, true
 }
 
-// halfSearch is one direction of the bidirectional connection test.
-type halfSearch struct {
-	ix      *Index
-	forward bool
-	f       frontier
-	// entered records visited entry points per meta document along with
-	// their distances from this side's origin.
-	entered map[int32][]int32
-	dists   []entryDist
-}
-
+// entryDist is an entry one half of the bidirectional test admitted, with its
+// distance from that half's origin.
 type entryDist struct {
-	meta  int32
-	local int32
-	dist  int32
-}
-
-// step pops one entry, records it, checks for a meeting with the other
-// side's recorded entries (a path origin -> e -> p -> other origin), and
-// expands the runtime links of this side.  It returns a candidate total
-// distance when the frontiers meet.
-func (h *halfSearch) step(other *halfSearch) (int32, bool) {
-	ix := h.ix
-	it := h.f.pop()
-	mi := ix.set.MetaOf[it.node]
-	le := ix.set.LocalOf[it.node]
-	md := ix.set.Metas[mi]
-	idx := ix.pis[mi]
-	prev := h.entered[mi]
-	if h.covered(idx, prev, le) {
-		return 0, false
-	}
-	h.entered[mi] = append(prev, le)
-	h.dists = append(h.dists, entryDist{meta: mi, local: le, dist: it.dist})
-
-	// Meeting check against every entry of the other side in this meta
-	// document.  For the forward side, a path runs le -> p; for the
-	// backward side, p -> le.
-	best := int32(-1)
-	for _, ed := range other.dists {
-		if ed.meta != mi {
-			continue
-		}
-		var d int32
-		var ok bool
-		if h.forward {
-			d, ok = idx.Distance(le, ed.local)
-		} else {
-			d, ok = idx.Distance(ed.local, le)
-		}
-		if ok {
-			if total := it.dist + d + ed.dist; best < 0 || total < best {
-				best = total
-			}
-		}
-	}
-
-	if h.forward {
-		for i, ls := range md.LinkSources {
-			d, ok := idx.Distance(le, ls)
-			if !ok {
-				continue
-			}
-			for _, cl := range md.LinksFrom(i) {
-				h.f.push(pqItem{dist: it.dist + d + 1, node: cl.To})
-			}
-		}
-	} else {
-		for _, il := range md.InLinks {
-			d, ok := idx.Distance(il.ToLocal, le)
-			if !ok {
-				continue
-			}
-			h.f.push(pqItem{dist: it.dist + d + 1, node: il.From})
-		}
-	}
-	return best, best >= 0
-}
-
-// covered is coveredBy with direction awareness: for the backward side, an
-// entry p covers e when e reaches p (everything above e was explored).
-func (h *halfSearch) covered(idx pathindex.Index, prev []int32, n int32) bool {
-	for _, p := range prev {
-		if h.forward {
-			if idx.Reachable(p, n) {
-				return true
-			}
-		} else if idx.Reachable(n, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// Ancestors evaluates the reverse axis start//ancestor::tag (§5.1 notes the
-// same algorithm applies to ancestors): all elements named tag from which
-// start is reachable, in approximately ascending distance order.  An empty
-// tag means any ancestor.  The frontier and entered table come from the
-// scratch pool; the reverse axis is rare enough that its visit callback
-// stays a plain closure.
-func (ix *Index) Ancestors(start xmlgraph.NodeID, tag string, opts Options, fn Emit) {
-	s := ix.getScratch()
-	defer ix.putScratch(s)
-	s.f.push(pqItem{dist: 0, node: start})
-	emitted := 0
-	tagID := ix.coll.TagIDOf(tag)
-
-	for s.f.Len() > 0 {
-		if canceled(opts.Cancel) {
-			return
-		}
-		it := s.f.pop()
-		if opts.MaxDist > 0 && it.dist > opts.MaxDist {
-			break
-		}
-		mi := ix.set.MetaOf[it.node]
-		le := ix.set.LocalOf[it.node]
-		md := ix.set.Metas[mi]
-		idx := ix.pis[mi]
-		ents := s.entered.at(mi)
-		prev := *ents
-		// Reverse coverage: p covers e when e reaches p.
-		skip := false
-		for _, p := range prev {
-			if idx.Reachable(le, p) {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			continue
-		}
-		*ents = append(prev, le)
-
-		stop := false
-		visit := func(n, ld int32) bool {
-			gd := it.dist + ld
-			if opts.MaxDist > 0 && gd > opts.MaxDist {
-				return false
-			}
-			if gd == 0 && !opts.IncludeSelf {
-				return true
-			}
-			for _, p := range prev {
-				if idx.Reachable(n, p) {
-					return true
-				}
-			}
-			if !fn(Result{Node: md.ToGlobal(n), Dist: gd}) {
-				stop = true
-				return false
-			}
-			emitted++
-			if opts.MaxResults > 0 && emitted >= opts.MaxResults {
-				stop = true
-				return false
-			}
-			return true
-		}
-		if tag == "" {
-			idx.EachReaching(le, visit)
-		} else if lt := md.LocalTag(tagID); lt >= 0 {
-			idx.EachReachingByTag(le, lt, visit)
-		}
-		if stop {
-			return
-		}
-
-		// Follow incoming runtime links: any in-link target that reaches
-		// e extends the ancestor path into another meta document.
-		for _, il := range md.InLinks {
-			d, ok := idx.Distance(il.ToLocal, le)
-			if !ok {
-				continue
-			}
-			nd := it.dist + d + 1
-			if opts.MaxDist > 0 && nd > opts.MaxDist {
-				continue
-			}
-			s.f.push(pqItem{dist: nd, node: il.From})
-		}
-	}
+	meta, local, dist int32
 }

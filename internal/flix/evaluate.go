@@ -119,28 +119,36 @@ func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
 }
 
 // evalRun is the Path Expression Evaluator of Figure 4: one resumable
-// priority-queue loop (run) that every forward-axis driver shares.  It is
-// embedded in the pooled evalScratch, so checking out a warm scratch re-arms
-// a complete evaluator with zero allocation, and its callbacks — visit,
-// linkVisit, emit — are methods bound once per scratch lifetime that read
-// the popped entry's context from the per-pop fields.
+// priority-queue loop (run) over the three steps the figure names — admit a
+// popped entry, probe its meta document's index, follow its runtime links —
+// that every driver shares, on either axis.  It is embedded in the pooled
+// evalScratch, so checking out a warm scratch re-arms a complete evaluator
+// with zero allocation, and its callbacks — visit, linkVisit, emit — are
+// methods bound once per scratch lifetime that read the popped entry's
+// context from the per-pop fields.
 //
-// The drivers differ in three settings only:
+// The drivers differ in four settings only:
 //
-//   - the band run is given: Descendants, TypeDescendants and
+//   - the axis: reverse (Ancestors, the backward half of
+//     ConnectedBidirectional) walks the same loop against the edges — "the
+//     same algorithm applies to ancestors" (§5.1);
+//   - the band run is given: Descendants, TypeDescendants, Ancestors and
 //     PartialDescendants run the frontier dry, Probe.Next pauses it at a
-//     distance band and resumes later on the same scratch;
+//     distance band and resumes later on the same scratch; the connection
+//     tests of connect.go take the steps one entry at a time under their own
+//     stop rule and put a distance test where the probe is;
 //   - the result sink: streamed to fn, buffered in the (dist, node) queue
 //     rbuf (ExactOrder and Probe), or min-merged per node (merge);
 //   - the duplicate-elimination rule.  The default is the paper's §5.1
 //     entry-point coverage: a popped element is dropped, and a probed result
 //     skipped, when an earlier entry point of the same meta document reaches
-//     it.  That is sound only when one evaluation sees every entry of a meta
-//     document.  Options.DupSeenSet selects the identity rule instead — the
-//     first pop of a node carries its minimum distance and is the only one
-//     expanded — which the ablation benchmark compares against and which
-//     PartialDescendants needs: split across shards and RPC rounds, coverage
-//     would suppress shorter rediscoveries.
+//     it (on the reverse axis: is reached by it).  That is sound only when
+//     one evaluation sees every entry of a meta document.  Options.DupSeenSet
+//     selects the identity rule instead — the first pop of a node carries its
+//     minimum distance and is the only one expanded — which the ablation
+//     benchmark compares against and which PartialDescendants needs: split
+//     across shards and RPC rounds, coverage would suppress shorter
+//     rediscoveries.
 type evalRun struct {
 	ix    *Index
 	s     *evalScratch
@@ -149,6 +157,11 @@ type evalRun struct {
 	opts  Options
 	fn    Emit
 	tr    *obs.Trace
+
+	// reverse evaluates the ancestors axis: coverage asks whether the node
+	// reaches the entry point, the probe streams what reaches the entry, and
+	// follow walks the runtime links entering the meta document.
+	reverse bool
 
 	// buffer sends results to s.rbuf instead of fn.  merge selects the
 	// PartialDescendants sink and frontier discipline: results keep their
@@ -159,12 +172,17 @@ type evalRun struct {
 	merge  bool
 	owned  func(meta int32) bool
 
-	// Per-pop context read by visit and linkVisit.
-	dist int32
-	mi   int32
-	prev []int32
-	md   *meta.MetaDocument
-	idx  pathindex.Index
+	// last is the previous pop; no entry equals it before the first.
+	last pqItem
+
+	// Per-pop context, set by admit and read by probe, follow, visit and
+	// linkVisit: the admitted entry's distance, meta document and local ID,
+	// and the entry points admitted before it.
+	dist   int32
+	mi, le int32
+	prev   []int32
+	md     *meta.MetaDocument
+	idx    pathindex.Index
 
 	probeResults int
 	emitted      int
@@ -187,6 +205,7 @@ func (ix *Index) arm(s *evalScratch, tag string, opts Options) *evalRun {
 	r.ix, r.tag, r.opts = ix, tag, opts
 	r.tagID = ix.coll.TagIDOf(tag)
 	r.tr = opts.Tracer // nil in the common case; every use is nil-checked
+	r.last = pqItem{dist: -1}
 	if opts.DupSeenSet && s.best == nil {
 		s.best = make(map[xmlgraph.NodeID]int32)
 		s.resAt = make(map[xmlgraph.NodeID]int32)
@@ -205,128 +224,153 @@ func (ix *Index) finish(s *evalScratch) {
 // priority queue IE holds intermediate elements ordered by the minimal
 // distance any of their descendants can have.  Popping an element e, run
 // (1) drops e when the duplicate-elimination rule says everything below it
-// was already reported; (2) streams e's matching descendants from the meta
-// document's index into the sink; (3) pushes the targets of e's reachable
-// runtime links at priority dist(e) + dist(e, l) + 1.
+// was already reported (admit); (2) streams e's matching descendants from the
+// meta document's index into the sink (probe); (3) pushes the targets of e's
+// reachable runtime links at priority dist(e) + dist(e, l) + 1 (follow).  On
+// the reverse axis read "above", "ancestors" and "sources".
 //
-// Seeding and linkVisit keep every frontier entry within MaxDist, so the
-// loop needs no distance check of its own.  run may be called again with a
-// larger band; the frontier, the entered table and the sink persist in the
-// scratch.
+// Seeding and follow keep every frontier entry within MaxDist, so the loop
+// needs no distance check of its own.  run may be called again with a larger
+// band; the frontier, the entered table and the sink persist in the scratch.
 func (r *evalRun) run(band int32) {
-	s, ix := r.s, r.ix
-	wildcard := r.tag == ""
-	last := pqItem{dist: -1} // the previous pop of this call; no entry equals it yet
+	s := r.s
 	for s.f.Len() > 0 && s.f.minDist() <= band && !r.stopped {
 		if canceled(r.opts.Cancel) {
 			r.stopped, r.truncated = true, true
 			s.f.reset()
 			break
 		}
-		it := s.f.pop()
-		r.pops++
-		if r.tr != nil {
-			r.tr.Pop(int64(it.node), it.dist)
-		}
-		if it == last && !r.opts.DupSeenSet {
-			// A certain drop under the coverage rule (frontier.go): not re-tested.
-			r.dupDropped++
-			if r.tr != nil {
-				r.tr.DupDrop(ix.set.MetaOf[it.node], int64(it.node), it.dist)
-			}
+		if !r.admit(s.f.pop()) {
 			continue
 		}
-		last = it
-		if r.opts.ExactOrder {
-			// Anything buffered below the new frontier minimum can
-			// never be beaten; flush it in exact order.
-			if !s.rbuf.flushThrough(it.dist-1, s.emitFn) {
-				r.stopped = true
-				break
-			}
+		if r.probe(); r.stopped {
+			break
 		}
-		mi := ix.set.MetaOf[it.node]
-		le := ix.set.LocalOf[it.node]
-		md := ix.set.Metas[mi]
-		idx := ix.pis[mi]
+		r.follow()
+	}
+}
 
-		var prev []int32
-		if r.opts.DupSeenSet {
-			// Identity rule: results are deduplicated in visit.
-			if d, seen := s.best[it.node]; seen && d < it.dist {
-				r.dupDropped++
-				if r.tr != nil {
-					r.tr.DupDrop(mi, int64(it.node), it.dist)
+// admit is step (1): it counts the pop and applies the duplicate-elimination
+// rule.  It reports whether it is an entry to expand, and then has set the
+// per-pop context.
+func (r *evalRun) admit(it pqItem) bool {
+	s, ix := r.s, r.ix
+	r.pops++
+	if r.tr != nil {
+		r.tr.Pop(int64(it.node), it.dist)
+	}
+	mi := ix.set.MetaOf[it.node]
+	if it == r.last && !r.opts.DupSeenSet {
+		// A certain drop under the coverage rule (frontier.go): not re-tested.
+		return r.drop(mi, it)
+	}
+	r.last = it
+	if r.opts.ExactOrder {
+		// Anything buffered below the new frontier minimum can
+		// never be beaten; flush it in exact order.
+		if !s.rbuf.flushThrough(it.dist-1, s.emitFn) {
+			r.stopped = true
+			return false
+		}
+	}
+	le := ix.set.LocalOf[it.node]
+	r.idx = ix.pis[mi]
+
+	// prev is the pre-append entry list: results below an *earlier* entry
+	// point were already reported, the current entry covers the probe itself.
+	var prev []int32
+	if r.opts.DupSeenSet {
+		// Identity rule: results are deduplicated in visit.
+		if d, seen := s.best[it.node]; seen && d < it.dist {
+			return r.drop(mi, it) // expanded before, or a shorter path is queued
+		}
+		if r.owned != nil && !r.owned(mi) {
+			s.hops = append(s.hops, it)
+			return false
+		}
+		s.best[it.node] = expanded
+	} else {
+		ents := s.entered.at(mi)
+		prev = *ents
+		if r.covered(prev, le) {
+			return r.drop(mi, it) // descendants of e were already reported
+		}
+		*ents = append(prev, le)
+	}
+	r.entries++
+	if r.tr != nil {
+		r.tr.Entry(mi, r.idx.Name(), int64(it.node), it.dist)
+	}
+	r.dist, r.mi, r.le, r.prev, r.md = it.dist, mi, le, prev, ix.set.Metas[mi]
+	return true
+}
+
+// drop counts a pop the duplicate-elimination rule discarded.
+func (r *evalRun) drop(mi int32, it pqItem) bool {
+	r.dupDropped++
+	if r.tr != nil {
+		r.tr.DupDrop(mi, int64(it.node), it.dist)
+	}
+	return false
+}
+
+// probe is step (2): it streams the admitted entry's matching descendants —
+// ancestors on the reverse axis — from its meta document's index into visit.
+func (r *evalRun) probe() {
+	wildcard := r.tag == ""
+	localTag := lgraph.NoTag
+	if !wildcard {
+		localTag = r.md.LocalTag(r.tagID)
+		if localTag == lgraph.NoTag {
+			return // tag absent from this meta document; its links are still followed
+		}
+	}
+	// Probe timing is only measured when a tracer is attached; the extra
+	// clock reads stay off the untraced hot path.
+	var probeStart time.Time
+	if r.tr != nil {
+		r.probeResults = 0
+		probeStart = time.Now()
+	}
+	switch visit := r.s.visitFn; {
+	case r.reverse && wildcard:
+		r.idx.EachReaching(r.le, visit)
+	case r.reverse:
+		r.idx.EachReachingByTag(r.le, localTag, visit)
+	case wildcard:
+		r.idx.EachReachable(r.le, visit)
+	default:
+		r.idx.EachReachableByTag(r.le, localTag, visit)
+	}
+	if r.tr != nil {
+		r.tr.Probe(r.mi, r.idx.Name(), r.probeResults, time.Since(probeStart))
+	}
+}
+
+// follow is step (3): it queues what the admitted entry's runtime links lead
+// to.  Forward, the link sources the entry reaches come from the precomputed
+// per-meta-document table when the index has one (source columns decoded once
+// at build/open), else from the batched distance sweep, and linkVisit queues
+// their targets; in reverse, every link entering the meta document at an
+// element that reaches the entry queues its source.
+func (r *evalRun) follow() {
+	if r.reverse {
+		for _, il := range r.md.InLinks {
+			if d, ok := r.idx.Distance(il.ToLocal, r.le); ok {
+				if nd := r.dist + d + 1; r.opts.MaxDist <= 0 || nd <= r.opts.MaxDist {
+					r.queue(il.From, nd)
 				}
-				continue // expanded before, or a shorter path is queued
-			}
-			if r.owned != nil && !r.owned(mi) {
-				s.hops = append(s.hops, it)
-				continue
-			}
-			s.best[it.node] = expanded
-		} else {
-			ents := s.entered.at(mi)
-			prev = *ents
-			if coveredBy(idx, prev, le) {
-				r.dupDropped++
-				if r.tr != nil {
-					r.tr.DupDrop(mi, int64(it.node), it.dist)
-				}
-				continue // descendants of e were already reported
-			}
-			*ents = append(prev, le)
-		}
-		r.entries++
-		if r.tr != nil {
-			r.tr.Entry(mi, idx.Name(), int64(it.node), it.dist)
-		}
-
-		// (2) stream matching descendants.
-		localTag := lgraph.NoTag
-		probe := true
-		if !wildcard {
-			localTag = md.LocalTag(r.tagID)
-			// Tag absent from this meta document: skip the probe but
-			// still follow links below.
-			probe = localTag != lgraph.NoTag
-		}
-		// Arm the per-pop context visit and linkVisit read.  prev is the
-		// pre-append entry list: results below an *earlier* entry point
-		// were already reported, the current entry covers the probe
-		// itself.
-		r.dist, r.mi, r.prev, r.md, r.idx = it.dist, mi, prev, md, idx
-		if probe {
-			// Probe timing is only measured when a tracer is attached;
-			// the extra clock reads stay off the untraced hot path.
-			var probeStart time.Time
-			if r.tr != nil {
-				r.probeResults = 0
-				probeStart = time.Now()
-			}
-			if wildcard {
-				idx.EachReachable(le, s.visitFn)
-			} else {
-				idx.EachReachableByTag(le, localTag, s.visitFn)
-			}
-			if r.tr != nil {
-				r.tr.Probe(mi, idx.Name(), r.probeResults, time.Since(probeStart))
-			}
-			if r.stopped {
-				break
 			}
 		}
-
-		// (3) follow reachable runtime links — via the precomputed
-		// per-meta-document table when the index has one (source columns
-		// decoded once at build/open), else the batched distance sweep.
-		if len(md.LinkSources) > 0 {
-			if lt := ix.linkTabs[mi]; lt != nil {
-				lt.LinkDistancesTo(le, s.linkFn)
-			} else {
-				pathindex.LinkDistances(idx, le, md.LinkSources, s.linkFn)
-			}
-		}
+		return
+	}
+	if len(r.md.LinkSources) == 0 {
+		return
+	}
+	if lt := r.ix.linkTabs[r.mi]; lt != nil {
+		lt.LinkDistancesTo(r.le, r.s.linkFn)
+	} else {
+		pathindex.LinkDistances(r.idx, r.le, r.md.LinkSources, r.s.linkFn)
 	}
 }
 
@@ -365,7 +409,7 @@ func (r *evalRun) visit(n, ld int32) bool {
 			return true
 		}
 		s.resAt[g] = 0
-	case coveredBy(r.idx, r.prev, n):
+	case len(r.prev) > 0 && r.covered(r.prev, n):
 		return true // reported below an earlier entry
 	}
 	if r.tr != nil {
@@ -393,24 +437,29 @@ func (r *evalRun) linkVisit(i int, d int32) bool {
 	if r.opts.MaxDist > 0 && nd > r.opts.MaxDist {
 		return true
 	}
-	s := r.s
 	for _, cl := range r.md.LinksFrom(i) {
-		r.linkHops++
-		if r.tr != nil {
-			r.tr.LinkHop(r.mi, int64(cl.To), nd)
-		}
-		if r.merge {
-			if !s.relax(cl.To, nd) {
-				continue
-			}
-			if r.owned != nil && !r.owned(r.ix.set.MetaOf[cl.To]) {
-				s.hops = append(s.hops, pqItem{dist: nd, node: cl.To})
-				continue
-			}
-		}
-		s.f.push(pqItem{dist: nd, node: cl.To})
+		r.queue(cl.To, nd)
 	}
 	return true
+}
+
+// queue puts the far end of one runtime link on the frontier at distance nd.
+func (r *evalRun) queue(to xmlgraph.NodeID, nd int32) {
+	r.linkHops++
+	if r.tr != nil {
+		r.tr.LinkHop(r.mi, int64(to), nd)
+	}
+	s := r.s
+	if r.merge {
+		if !s.relax(to, nd) {
+			return
+		}
+		if r.owned != nil && !r.owned(r.ix.set.MetaOf[to]) {
+			s.hops = append(s.hops, pqItem{dist: nd, node: to})
+			return
+		}
+	}
+	s.f.push(pqItem{dist: nd, node: to})
 }
 
 // emit forwards one result to the client callback and enforces MaxResults.
@@ -422,10 +471,15 @@ func (r *evalRun) emit(res Result) bool {
 	return r.opts.MaxResults <= 0 || r.emitted < r.opts.MaxResults
 }
 
-// coveredBy reports whether any entry point in prev reaches local node n.
-func coveredBy(idx pathindex.Index, prev []int32, n int32) bool {
+// covered reports whether any entry point in prev reaches local node n — on
+// the reverse axis, is reached by it.
+func (r *evalRun) covered(prev []int32, n int32) bool {
 	for _, p := range prev {
-		if idx.Reachable(p, n) {
+		from, to := p, n
+		if r.reverse {
+			from, to = n, p
+		}
+		if r.idx.Reachable(from, to) {
 			return true
 		}
 	}

@@ -96,8 +96,9 @@ type Config struct {
 	// Load hints the Indexing Strategy Selector about the query load.
 	Load meta.QueryLoad
 	// Strategy optionally forces a per-meta-document strategy by name
-	// ("ppo", "hopi", "apex", "tc"); infeasible choices fall back to the
-	// selector's heuristic.  Monolithic uses it as the single strategy.
+	// ("ppo", "hopi", "apex"); infeasible choices and names that are not
+	// registered fall back to the selector's heuristic.  Monolithic uses
+	// it as the single strategy.
 	Strategy string
 }
 
@@ -121,11 +122,9 @@ func (c Config) withDefaults() Config {
 // it builds (Config).  The zero value uses all CPUs.
 type BuildOptions struct {
 	// Parallelism bounds the number of concurrent per-meta-document index
-	// builds in the worker pool; spare budget (e.g. Monolithic's single
-	// meta document) flows into strategies with parallel builders such as
-	// hopi-dc's per-partition labeling.  0 means GOMAXPROCS; 1 builds
-	// serially.  The built index is identical — byte-for-byte under
-	// WriteTo — at every parallelism level.
+	// builds in the worker pool.  0 means GOMAXPROCS; 1 builds serially.
+	// The built index is identical — byte-for-byte under WriteTo — at
+	// every parallelism level.
 	Parallelism int
 }
 
@@ -258,8 +257,7 @@ func (ws *workerStats) record(name string, tm meta.Timing) {
 // the given width (<= 0 means all CPUs) — meta documents are independent,
 // so this is the natural parallelism of the build phase.  Output is
 // deterministic regardless of the pool width: pis[i] is keyed by the stable
-// meta-document ordering, every strategy builds identical indexes at every
-// parallelism level, and the per-worker statistics are merged in worker
+// meta-document ordering, and the per-worker statistics are merged in worker
 // order after the pool drains.
 func (ix *Index) buildIndexes(preferred string, parallelism int) error {
 	metas := ix.set.Metas
@@ -269,58 +267,39 @@ func (ix *Index) buildIndexes(preferred string, parallelism int) error {
 	ix.bstats.Parallelism = parallelism
 	t0 := time.Now()
 	defer func() { ix.bstats.IndexBuild = time.Since(t0) }()
-	workers := min(parallelism, len(metas))
-	if workers < 1 {
-		workers = 1
-	}
-	// Intra-build budget: when the pool has spare parallelism relative to
-	// the number of meta documents (the Monolithic extreme: one meta
-	// document on a many-core box), the remainder flows into strategies
-	// with parallel builders (hopi-dc's per-partition labeling).
-	inner := max(1, parallelism/workers)
+	workers := max(1, min(parallelism, len(metas)))
 	perWorker := make([]workerStats, workers)
-	if workers == 1 {
-		for i, md := range metas {
-			idx, tm, err := meta.BuildIndexParallel(md, ix.cfg.Load, preferred, inner)
-			if err != nil {
-				return err
-			}
-			ix.pis[i] = idx
-			perWorker[0].record(idx.Name(), tm)
-		}
-	} else {
-		var (
-			next    atomic.Int64
-			wg      sync.WaitGroup
-			errOnce sync.Once
-			firstE  error
-			failed  atomic.Bool
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ws := &perWorker[w]
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(metas) || failed.Load() {
-						return
-					}
-					idx, tm, err := meta.BuildIndexParallel(metas[i], ix.cfg.Load, preferred, inner)
-					if err != nil {
-						errOnce.Do(func() { firstE = err })
-						failed.Store(true)
-						return
-					}
-					ix.pis[i] = idx
-					ws.record(idx.Name(), tm)
+	var (
+		next    atomic.Int64
+		wg      sync.WaitGroup
+		errOnce sync.Once
+		firstE  error
+		failed  atomic.Bool
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ws := &perWorker[w]
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(metas) || failed.Load() {
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		if firstE != nil {
-			return firstE
-		}
+				idx, tm, err := meta.BuildIndexTimed(metas[i], ix.cfg.Load, preferred)
+				if err != nil {
+					errOnce.Do(func() { firstE = err })
+					failed.Store(true)
+					return
+				}
+				ix.pis[i] = idx
+				ws.record(idx.Name(), tm)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if firstE != nil {
+		return firstE
 	}
 	ix.bstats.Strategies = make(map[string]StrategyBuild)
 	ix.bstats.Workers = make([]WorkerBuild, 0, workers)

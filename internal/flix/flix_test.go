@@ -1,7 +1,9 @@
 package flix
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -501,6 +503,11 @@ func TestPropertyConnectedMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestPropertyAncestorsMatchOracle holds the reverse axis to the collection's
+// BFS under every duplicate rule and sink: the default stream and the seen-set
+// stream report exactly the oracle's nodes, each once (the seen set may add the
+// start itself when it lies on a cycle, as on the forward axis), and ExactOrder
+// is the default stream sorted by (dist, node).
 func TestPropertyAncestorsMatchOracle(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 12}
 	err := quick.Check(func(seed int64) bool {
@@ -517,23 +524,32 @@ func TestPropertyAncestorsMatchOracle(t *testing.T) {
 		for _, n := range c.Ancestors(start) {
 			want[n] = true
 		}
-		got := make(map[xmlgraph.NodeID]bool)
-		ix.Ancestors(start, "", Options{}, func(r Result) bool {
-			if got[r.Node] {
+		def := collectRun(func(fn Emit) { ix.Ancestors(start, "", Options{}, fn) })
+		for _, opts := range []Options{{}, {DupSeenSet: true}} {
+			got := make(map[xmlgraph.NodeID]bool)
+			for _, r := range collectRun(func(fn Emit) { ix.Ancestors(start, "", opts, fn) }) {
+				if got[r.Node] {
+					return false
+				}
+				got[r.Node] = true
+			}
+			if opts.DupSeenSet && !want[start] {
+				delete(got, start)
+			}
+			if len(got) != len(want) {
 				return false
 			}
-			got[r.Node] = true
-			return true
+			for n := range got {
+				if !want[n] {
+					return false
+				}
+			}
+		}
+		slices.SortFunc(def, func(x, y Result) int {
+			return cmp.Or(cmp.Compare(x.Dist, y.Dist), cmp.Compare(x.Node, y.Node))
 		})
-		if len(got) != len(want) {
-			return false
-		}
-		for n := range got {
-			if !want[n] {
-				return false
-			}
-		}
-		return true
+		exact := collectRun(func(fn Emit) { ix.Ancestors(start, "", Options{ExactOrder: true}, fn) })
+		return slices.Equal(exact, def)
 	}, cfg)
 	if err != nil {
 		t.Error(err)

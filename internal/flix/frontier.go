@@ -21,7 +21,7 @@ import (
 //     walks it.  The pop order is exactly (dist, node) ascending — the order
 //     a min-heap over the same entries pops, duplicates included — which
 //     frontier_test.go holds against the frozen 4-ary heap;
-//   - equal entries come out adjacent, which lets evalRun.run drop a run of
+//   - equal entries come out adjacent, which lets evalRun.admit drop a run of
 //     duplicates without testing each.  Under the coverage rule an entry
 //     equal to the one popped before it is a certain drop: that one was
 //     either admitted — it is an entry point of its meta document now, and
@@ -36,7 +36,7 @@ import (
 // before the first pop.
 //
 // The evaluator's (dist, node) result buffer (Options.ExactOrder and Probe)
-// is a second frontier, and the loops of connect.go pop a third.
+// is a second frontier.
 //
 // Memory: 4 bytes per queued entry plus one slice header per distance up to
 // the largest one pushed — distances seen, never the collection's size.

@@ -116,9 +116,9 @@ func TestEmitStopMatchesReference(t *testing.T) {
 }
 
 // checkAllocBudgets holds every driver of the evaluator core to its
-// allocation budget on a warm scratch pool: an untraced descendants query,
-// a connection test and a probe pulled dry band by band must not allocate at
-// all (nothing else holds that zero), and a partial
+// allocation budget on a warm scratch pool: an untraced descendants or
+// ancestors query, a connection test and a probe pulled dry band by band must
+// not allocate at all (nothing else holds that zero), and a partial
 // evaluation may allocate only the two slices it returns.
 func checkAllocBudgets(t *testing.T, ix *Index, backend string) {
 	t.Helper()
@@ -136,7 +136,9 @@ func checkAllocBudgets(t *testing.T, ix *Index, backend string) {
 	entries := []FrontierEntry{{Node: 0}}
 	owned := func(mi int32) bool { return mi%2 == 0 }
 	partial := func() { mustPartial(ix, entries, "a", PartialOptions{Owned: owned}) }
-	connected := func() { ix.Connected(0, xmlgraph.NodeID(ix.coll.NumNodes()-1), 0) }
+	last := xmlgraph.NodeID(ix.coll.NumNodes() - 1)
+	connected := func() { ix.ConnectedOpts(0, last, Options{}) }
+	ancestors := func() { ix.Ancestors(last, "a", Options{MaxResults: 50}, drop) }
 	for _, c := range []struct {
 		name   string
 		run    func()
@@ -146,6 +148,7 @@ func checkAllocBudgets(t *testing.T, ix *Index, backend string) {
 		{"probe band cycle", probe, 0},
 		{"partial descendants", partial, 2},
 		{"connection test", connected, 0},
+		{"ancestors", ancestors, 0},
 	} {
 		for i := 0; i < 4; i++ { // warm the pool, tag caches and lazy structures
 			c.run()

@@ -2,25 +2,27 @@ package flix
 
 import (
 	"container/heap"
+	"testing"
 	"time"
 
+	"repro/internal/dblp"
 	"repro/internal/lgraph"
+	"repro/internal/pathindex"
 	"repro/internal/xmlgraph"
 )
 
 // This file preserves the pre-optimization Path Expression Evaluator
 // verbatim: a container/heap binary frontier with boxed pqItems, per-query
 // map scratch tables, and a visit closure rebuilt on every frontier pop.
-// It is NOT used to serve queries.  It exists for two jobs:
+// It is test-only code.  It exists for two jobs:
 //
 //   - correctness: hotpath_test.go proves the optimized evaluator's result
 //     stream is byte-identical to this one on every generator family and
 //     option combination, and frontier_reference_test.go pins the frozen
 //     4-ary heap the bucket queue is held to to container/heap's pop order;
-//   - benchmarking: BenchmarkHotPathReference (root bench_test.go) runs
-//     it beside BenchmarkHotPathDescendants on the same index in the same
-//     process, so the before/after of the allocation-free rewrite needs no
-//     old commit.
+//   - benchmarking: BenchmarkHotPathReference (below) runs it beside the
+//     serving evaluator on the same index in the same process, so the
+//     before/after of the allocation-free rewrite needs no old commit.
 //
 // The only intentional difference is that the reference evaluator does not
 // update Index.Stats (keeping the serving counters clean makes the baseline
@@ -130,7 +132,7 @@ func (ix *Index) referenceEvaluate(starts []pqItem, tag string, opts Options, fn
 			seenEntries[it.node] = struct{}{}
 		} else {
 			prev = entered[mi]
-			if coveredBy(idx, prev, le) {
+			if refCoveredBy(idx, prev, le) {
 				if tr != nil {
 					tr.DupDrop(mi, int64(it.node), it.dist)
 				}
@@ -170,7 +172,7 @@ func (ix *Index) referenceEvaluate(starts []pqItem, tag string, opts Options, fn
 						return true
 					}
 					seenResults[g] = struct{}{}
-				} else if coveredBy(idx, prev, n) {
+				} else if refCoveredBy(idx, prev, n) {
 					return true
 				}
 				r := Result{Node: g, Dist: gd}
@@ -268,4 +270,48 @@ func (h *refResultHeap) Pop() any {
 	r := old[n-1]
 	*h = old[:n-1]
 	return r
+}
+
+// refCoveredBy reports whether any entry point in prev reaches local node n.
+func refCoveredBy(idx pathindex.Index, prev []int32, n int32) bool {
+	for _, p := range prev {
+		if idx.Reachable(p, n) {
+			return true
+		}
+	}
+	return false
+}
+
+// BenchmarkHotPathReference runs the frozen pre-optimization evaluator and
+// the serving one on the same query over a 1000-document DBLP extract: the
+// ns/op and allocs/op gap is the effect of the pooled scratch and the bucket
+// frontier.
+func BenchmarkHotPathReference(b *testing.B) {
+	corpus := dblp.Generate(dblp.Scaled(1000))
+	c := corpus.BuildGraph()
+	ix, err := Build(c, Config{Kind: Hybrid, PartitionSize: 5000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := corpus.Hub(c)
+	drop := func(Result) bool { return true }
+	opts := Options{MaxResults: 100}
+	for _, ev := range []struct {
+		name string
+		run  func()
+	}{
+		{"reference", func() { ix.ReferenceDescendants(start, "article", opts, drop) }},
+		{"serving", func() { ix.Descendants(start, "article", opts, drop) }},
+	} {
+		b.Run(ev.name, func(b *testing.B) {
+			for i := 0; i < 3; i++ { // warm the scratch pool and lazy index state
+				ev.run()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev.run()
+			}
+		})
+	}
 }

@@ -9,14 +9,15 @@ import (
 // buckets, the duplicate-elimination tables, the result and hop buffers,
 // and the bound visit/emit/link callbacks are all checked out
 // together and returned — reset — on every exit path, including cancellation
-// and emit-stop.  Descendants, TypeDescendants and PartialDescendants hold a
-// scratch for one call; a Probe holds one from StartProbe to Close.
+// and emit-stop.  A driver holds a scratch for one call (the bidirectional
+// connection test two, one per direction); a Probe holds one from StartProbe
+// to Close.
 type evalScratch struct {
 	run evalRun
 	f   frontier
 
 	// entered lists the visited entry points per meta document (the coverage
-	// rule).
+	// rule, on either axis).
 	entered enteredTable
 
 	// Identity-rule tables, allocated on the first evaluation that needs

@@ -23,6 +23,16 @@ type Stream struct {
 // Stream starts the evaluation of start//tag in the background and returns
 // the result stream.  tag == "" is the wildcard query start//*.
 func (ix *Index) Stream(start xmlgraph.NodeID, tag string, opts Options) *Stream {
+	return startStream(opts, func(opts Options, fn Emit) { ix.Descendants(start, tag, opts, fn) })
+}
+
+// StreamType starts a background A//B evaluation.
+func (ix *Index) StreamType(tagA, tagB string, opts Options) *Stream {
+	return startStream(opts, func(opts Options, fn Emit) { ix.TypeDescendants(tagA, tagB, opts, fn) })
+}
+
+// startStream runs eval in a goroutine of its own, feeding the stream.
+func startStream(opts Options, eval func(Options, Emit)) *Stream {
 	s := &Stream{
 		ch:     make(chan Result, 64),
 		cancel: make(chan struct{}),
@@ -34,30 +44,7 @@ func (ix *Index) Stream(start xmlgraph.NodeID, tag string, opts Options) *Stream
 	}
 	go func() {
 		defer close(s.ch)
-		ix.Descendants(start, tag, opts, func(r Result) bool {
-			select {
-			case s.ch <- r:
-				return true
-			case <-s.cancel:
-				return false
-			}
-		})
-	}()
-	return s
-}
-
-// StreamType starts a background A//B evaluation.
-func (ix *Index) StreamType(tagA, tagB string, opts Options) *Stream {
-	s := &Stream{
-		ch:     make(chan Result, 64),
-		cancel: make(chan struct{}),
-	}
-	if opts.Cancel == nil {
-		opts.Cancel = s.cancel
-	}
-	go func() {
-		defer close(s.ch)
-		ix.TypeDescendants(tagA, tagB, opts, func(r Result) bool {
+		eval(opts, func(r Result) bool {
 			select {
 			case s.ch <- r:
 				return true

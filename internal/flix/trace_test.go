@@ -170,3 +170,57 @@ func TestQueryCacheTraced(t *testing.T) {
 		t.Error("second lookup did not report a cache hit")
 	}
 }
+
+// TestConnectDriversCountedAndTraced holds the drivers of connect.go to what
+// every driver of the core owes the index: each evaluation leaves through
+// finish, so it moves the query statistics, and the ones that take Options
+// hand their pops, entries and link hops to Options.Tracer.  Naive indexing
+// puts a and b in meta documents of their own, so bib -> title2 and its
+// reverse both cross the art2 -> paper link.
+func TestConnectDriversCountedAndTraced(t *testing.T) {
+	c, ids := buildSample(t)
+	ix, err := Build(c, Config{Kind: Naive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop := func(Result) bool { return true }
+	for _, d := range []struct {
+		name    string
+		queries int64
+		run     func(tr *obs.Trace)
+	}{
+		{"ConnectedOpts", 1, func(tr *obs.Trace) {
+			if dist, ok := ix.ConnectedOpts(ids["bib"], ids["title2"], Options{Tracer: tr}); !ok || dist != 3 {
+				t.Errorf("ConnectedOpts(bib, title2) = %d %v, want 3 true", dist, ok)
+			}
+		}},
+		{"Ancestors", 1, func(tr *obs.Trace) { ix.Ancestors(ids["title2"], "", Options{Tracer: tr}, drop) }},
+		{"ConnectedBidirectional", 2, func(*obs.Trace) { // takes no Options: counted, not traced
+			if dist, ok := ix.ConnectedBidirectional(ids["bib"], ids["title2"], 0); !ok || dist != 3 {
+				t.Errorf("ConnectedBidirectional(bib, title2) = %d %v, want 3 true", dist, ok)
+			}
+		}},
+	} {
+		tr := obs.NewTrace(0)
+		work := statsDelta(ix, func() { d.run(tr) })
+		if work.Queries != d.queries || work.Pops < 2 || work.Entries < 2 || work.LinkHops < 1 {
+			t.Errorf("%s moved the statistics by %+v, want %d queries, pops and entries in both meta documents and a link hop", d.name, work, d.queries)
+		}
+		if d.name == "ConnectedBidirectional" {
+			continue
+		}
+		s := tr.Summary(true)
+		if s.Pops != work.Pops || s.Entries != work.Entries || s.LinkHops != work.LinkHops {
+			t.Errorf("%s traced %d pops, %d entries, %d link hops; the statistics moved by %+v", d.name, s.Pops, s.Entries, s.LinkHops, work)
+		}
+		kinds := map[string]bool{}
+		for _, e := range s.Events {
+			kinds[e.Kind.String()] = true
+		}
+		for _, k := range []string{"pop", "entry", "link-hop"} {
+			if !kinds[k] {
+				t.Errorf("%s emitted no %q event; kinds seen: %v", d.name, k, kinds)
+			}
+		}
+	}
+}

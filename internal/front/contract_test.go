@@ -283,6 +283,7 @@ func TestContractSameAnswers(t *testing.T) {
 		{path: "/v1/connected?from=" + hub + "&to=" + leaf},
 		{path: "/v1/connected?from=" + leaf + "&to=" + hub},
 		{path: "/v1/connected?from=" + hub + "&to=" + hub},
+		{path: "/v1/connected?from=" + hub + "&to=" + leaf + "&trace=1"},
 		{path: "/v1/query?q=%2F%2Finproceedings%2F%2Fauthor&k=6"},
 		{path: "/v1/query?q=%2F%2Farticle%2F%2Fcite%2F%2Ftitle&k=5&trace=1"},
 		{path: "/v1/batch", body: `{"k":3,"queries":[{"start":"` + leaf + `","tag":"title"},{"q":"//article//author"},{"q":"//["},{"start":"` + hub + `","tag":"title","k":1000}]}`},
@@ -300,8 +301,16 @@ func TestContractSameAnswers(t *testing.T) {
 				t.Errorf("%s: %q differs:\nnode   %v\nrouter %v", cl.path, k, node[k], router[k])
 			}
 		}
-		if _, traced := node["trace"]; traced != strings.Contains(cl.path, "trace=1") {
+		trace, traced := node["trace"].(map[string]any)
+		if traced != strings.Contains(cl.path, "trace=1") {
 			t.Errorf("%s: trace present = %v on the node", cl.path, traced)
+		}
+		// The connection test runs on the evaluator core: its trace shows the
+		// pops and the link hops that found the path.
+		if traced && strings.HasPrefix(cl.path, "/v1/connected") {
+			if events, _ := trace["events"].([]any); trace["pops"] == 0.0 || trace["linkHops"] == 0.0 || len(events) == 0 {
+				t.Errorf("%s: empty trace on the node: %v", cl.path, trace)
+			}
 		}
 	}
 }

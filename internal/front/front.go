@@ -535,7 +535,7 @@ func (f *Front) descendants(w http.ResponseWriter, r *http.Request, ctx context.
 }
 
 // connected answers GET /v1/connected?from=<doc|node>&to=<doc|node>
-// [&maxdist=][&timeout=].
+// [&maxdist=][&timeout=][&trace=1].
 func (f *Front) connected(w http.ResponseWriter, r *http.Request, ctx context.Context, q url.Values, be Backend) {
 	from, err := f.resolveNode(q.Get("from"))
 	if err != nil {

@@ -243,18 +243,16 @@ func AssignPartitions(g *lgraph.LGraph, maxNodes int) []int32 {
 	return assign
 }
 
-// DCStrategy returns a registry entry for the divide-and-conquer build with
-// the given partition cap, named "hopi-dc".  The resulting index answers
-// exactly like Build's, but construction confines most BFS runs to one
-// partition.
+// DCStrategy returns a strategy for the divide-and-conquer build with the
+// given partition cap, named "hopi-dc".  The resulting index answers exactly
+// like Build's, but construction confines most BFS runs to one partition.  It
+// is an ablation (DESIGN.md §4.1), not in meta.Registry: the tests and
+// benchmarks that compare it register it.
 func DCStrategy(maxNodes int) pathindex.Strategy {
 	return pathindex.Strategy{
 		Name: "hopi-dc",
 		Build: func(g *lgraph.LGraph) (pathindex.Index, error) {
 			return BuildPartitioned(g, AssignPartitions(g, maxNodes)), nil
-		},
-		BuildParallel: func(g *lgraph.LGraph, parallelism int) (pathindex.Index, error) {
-			return BuildPartitionedParallel(g, AssignPartitions(g, maxNodes), parallelism), nil
 		},
 	}
 }

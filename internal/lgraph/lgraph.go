@@ -295,12 +295,3 @@ func (g *LGraph) BFSDistances(start int32, reverse bool) []int32 {
 	}
 	return dist
 }
-
-// TagHistogram returns, for each tag, the number of nodes carrying it.
-func (g *LGraph) TagHistogram() []int {
-	h := make([]int, len(g.tagNames))
-	for _, t := range g.tags {
-		h[t]++
-	}
-	return h
-}

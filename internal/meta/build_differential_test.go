@@ -159,7 +159,7 @@ func TestSetNotWrittenAfterBuild(t *testing.T) {
 		for name := range Registry {
 			for _, load := range []QueryLoad{LoadDescendants, LoadShortPaths} {
 				for _, md := range s.Metas {
-					if _, _, err := BuildIndexParallel(md, load, name, 2); err != nil {
+					if _, _, err := BuildIndexTimed(md, load, name); err != nil {
 						t.Fatalf("%s: %s: %v", f, name, err)
 					}
 				}

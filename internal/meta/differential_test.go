@@ -16,8 +16,7 @@ import (
 // structural families (trees, DAGs with id/idref links, cross-document
 // XLinks): exact agreement on reachability, distances, and the ascending
 // (distance, node) result ordering, for forward and reverse enumeration,
-// wildcard and per-tag.  Strategies with a parallel builder are checked at
-// parallelism 1 and 4 — the parallel build must answer identically.
+// wildcard and per-tag.
 //
 // Every failure message carries the family and seed, so a red run
 // reproduces exactly with testutil.Generate(family, seed, 6, 30, 12).
@@ -44,13 +43,6 @@ func TestDifferentialRegistryVsTC(t *testing.T) {
 							t.Fatalf("%s: build: %v", ctx, err)
 						}
 						diffCheck(t, ctx, g, idx, oracle)
-						if strat.BuildParallel != nil {
-							pidx, err := strat.BuildParallel(g, 4)
-							if err != nil {
-								t.Fatalf("%s: parallel build: %v", ctx, err)
-							}
-							diffCheck(t, ctx+" (parallelism=4)", g, pidx, oracle)
-						}
 					})
 				}
 			})

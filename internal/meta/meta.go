@@ -358,8 +358,8 @@ func (s *Set) wire(included []bool) {
 	}
 }
 
-// Validate checks the internal consistency of the set; it is used by tests
-// and by flixquery's --check mode.
+// Validate checks the internal consistency of the set, for the tests of this
+// package and of the packages that build sets.
 func (s *Set) Validate() error {
 	seen := make([]bool, s.Coll.NumNodes())
 	for pi, md := range s.Metas {

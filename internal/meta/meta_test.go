@@ -133,7 +133,7 @@ func TestSelectorNonForest(t *testing.T) {
 		t.Error("ppo selected for non-forest graph")
 	}
 	// BuildIndex end to end.
-	idx, err := BuildIndex(s.Metas[0], LoadDescendants, "")
+	idx, _, err := BuildIndexTimed(s.Metas[0], LoadDescendants, "")
 	if err != nil {
 		t.Fatal(err)
 	}

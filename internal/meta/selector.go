@@ -40,18 +40,15 @@ func (l QueryLoad) String() string {
 	}
 }
 
-// Registry lists every available Path Indexing Strategy by name.  The
-// "a1"/"a2" entries are the A(k)-index variants of the Index Definition
-// Scheme (§2.2): coarser structural summaries that trade pruning power for
-// build time and size.
+// Registry lists the Path Indexing Strategies the selector chooses from and
+// Config.Strategy may name: the three the paper deploys.  The ablation and
+// oracle strategies (hopi.DCStrategy, apex.StrategyK, tc.Strategy) are added
+// by the tests and experiment harnesses that compare against them, at
+// start-up; a name that is not registered is no preference at all.
 var Registry = map[string]pathindex.Strategy{
-	"ppo":     ppo.Strategy,
-	"hopi":    hopi.Strategy,
-	"hopi-dc": hopi.DCStrategy(20000),
-	"apex":    apex.Strategy,
-	"a1":      apex.StrategyK(1),
-	"a2":      apex.StrategyK(2),
-	"tc":      tc.Strategy,
+	"ppo":  ppo.Strategy,
+	"hopi": hopi.Strategy,
+	"apex": apex.Strategy,
 }
 
 // SectionOpeners maps a v2 snapshot section kind to the strategy-specific
@@ -93,12 +90,6 @@ func Select(md *MetaDocument, load QueryLoad, preferred string) pathindex.Strate
 	return hopi.Strategy
 }
 
-// BuildIndex selects and builds the index for one meta document.
-func BuildIndex(md *MetaDocument, load QueryLoad, preferred string) (pathindex.Index, error) {
-	idx, _, err := BuildIndexTimed(md, load, preferred)
-	return idx, err
-}
-
 // Timing breaks one meta document's index construction into its phases —
 // the raw material of the build-phase statistics surfaced by /statsz.
 type Timing struct {
@@ -109,23 +100,15 @@ type Timing struct {
 	Build time.Duration
 }
 
-// BuildIndexTimed is BuildIndex reporting how long strategy selection and
-// index construction took.
+// BuildIndexTimed selects and builds the index for one meta document, and
+// reports how long strategy selection and index construction took.
 func BuildIndexTimed(md *MetaDocument, load QueryLoad, preferred string) (pathindex.Index, Timing, error) {
-	return BuildIndexParallel(md, load, preferred, 1)
-}
-
-// BuildIndexParallel is BuildIndexTimed with an intra-build parallelism
-// budget for strategies whose construction can use extra workers (e.g. the
-// per-partition labeling of hopi-dc).  parallelism <= 0 means all CPUs; the
-// resulting index is identical at every parallelism level.
-func BuildIndexParallel(md *MetaDocument, load QueryLoad, preferred string, parallelism int) (pathindex.Index, Timing, error) {
 	var tm Timing
 	t0 := time.Now()
 	s := Select(md, load, preferred)
 	tm.Select = time.Since(t0)
 	t0 = time.Now()
-	idx, err := s.BuildWith(md.Graph, parallelism)
+	idx, err := s.Build(md.Graph)
 	tm.Build = time.Since(t0)
 	if err != nil {
 		return nil, tm, fmt.Errorf("meta %d: building %s: %w", md.ID, s.Name, err)

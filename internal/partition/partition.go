@@ -37,17 +37,6 @@ func newResult(c *xmlgraph.Collection) *Result {
 	}
 }
 
-// CrossLinks counts the links not included in any part.
-func (r *Result) CrossLinks() int {
-	n := 0
-	for _, inc := range r.IncludedLinks {
-		if !inc {
-			n++
-		}
-	}
-	return n
-}
-
 // group fills Parts from PartOf (part indexes 0..nParts-1; negative entries
 // are skipped).  Documents are visited in ascending order, so every part
 // comes out ascending, and all parts share one backing array.

@@ -112,12 +112,6 @@ func NewLinkTable(idx Index, sources []int32) LinkTable {
 // PPO refuses non-forest graphs.
 type Builder func(g *lgraph.LGraph) (Index, error)
 
-// ParallelBuilder constructs an Index using up to parallelism concurrent
-// workers.  parallelism <= 0 means "use all CPUs"; 1 must build serially.
-// Implementations guarantee determinism: the resulting index is identical
-// (byte-for-byte under WriteTo) for every parallelism value.
-type ParallelBuilder func(g *lgraph.LGraph, parallelism int) (Index, error)
-
 // Strategy pairs a strategy name with its builder and the structural
 // constraints the Indexing Strategy Selector checks.
 type Strategy struct {
@@ -125,31 +119,7 @@ type Strategy struct {
 	Name string
 	// Build constructs the index.
 	Build Builder
-	// BuildParallel, when non-nil, is a parallelism-aware variant of
-	// Build used by the parallel build pipeline; when nil the strategy's
-	// construction is inherently sequential and Build is used at every
-	// parallelism level.
-	BuildParallel ParallelBuilder
 	// RequiresForest marks strategies (PPO) that only work when the local
 	// graph is a forest.
 	RequiresForest bool
-}
-
-// BuildWith dispatches to BuildParallel when available, Build otherwise.
-func (s Strategy) BuildWith(g *lgraph.LGraph, parallelism int) (Index, error) {
-	if s.BuildParallel != nil {
-		return s.BuildParallel(g, parallelism)
-	}
-	return s.Build(g)
-}
-
-// FilterByTag adapts a Visit that should only see nodes of one tag; it is a
-// helper for Index implementations whose natural enumeration is untyped.
-func FilterByTag(g *lgraph.LGraph, tag lgraph.Tag, fn Visit) Visit {
-	return func(node, dist int32) bool {
-		if g.Tag(node) != tag {
-			return true
-		}
-		return fn(node, dist)
-	}
 }

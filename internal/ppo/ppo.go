@@ -310,9 +310,6 @@ func (idx *Index) Pre(x int32) int32 { return idx.pre[x] }
 // Post returns the postorder rank of x.
 func (idx *Index) Post(x int32) int32 { return idx.post[x] }
 
-// SubtreeSize returns the number of nodes in x's subtree, including x.
-func (idx *Index) SubtreeSize(x int32) int32 { return idx.size[x] }
-
 // EachReachable implements pathindex.Index.  The subtree of x is the
 // preorder interval [pre(x), pre(x)+size(x)); walking the per-depth
 // preorder runs emits it level by level — ascending distance — with one

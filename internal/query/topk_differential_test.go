@@ -13,11 +13,22 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/apex"
 	"repro/internal/flix"
+	"repro/internal/hopi"
 	"repro/internal/meta"
+	"repro/internal/tc"
 	"repro/internal/testutil"
 	"repro/internal/xmlgraph"
 )
+
+// The differential suite runs over the ablation and oracle strategies too.
+func init() {
+	meta.Registry["hopi-dc"] = hopi.DCStrategy(20000)
+	meta.Registry["a1"] = apex.StrategyK(1)
+	meta.Registry["a2"] = apex.StrategyK(2)
+	meta.Registry["tc"] = tc.Strategy
+}
 
 // registryStrategies lists every Path Indexing Strategy name, in stable
 // order for reproducible subtest names.

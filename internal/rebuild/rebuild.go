@@ -165,8 +165,7 @@ func (m *Manager) Plan() Plan {
 // strategyOverride inspects the per-strategy latency histograms: when a
 // strategy carrying a meaningful share of requests has a p99 at least 4x
 // the fastest strategy's, it proposes forcing the fast strategy wherever
-// the selector finds it feasible.  "tc" (the full transitive closure) is
-// never proposed — its build cost and size are the reason FliX exists.
+// the selector finds it feasible.
 func (m *Manager) strategyOverride() (name, why string) {
 	lat := m.target.StrategyLatency()
 	var total uint64
@@ -187,7 +186,7 @@ func (m *Manager) strategyOverride() (name, why string) {
 			continue
 		}
 		p99 := sn.Quantile(0.99)
-		if (best == "" || p99 < bestP99) && n != "tc" {
+		if best == "" || p99 < bestP99 {
 			best, bestP99 = n, p99
 		}
 		if float64(sn.Count) >= minShare*float64(total) && (worst == "" || p99 > worstP99) {

@@ -159,15 +159,6 @@ func TestStrategyOverride(t *testing.T) {
 		t.Errorf("override for a <10%% share = %q, want none", name)
 	}
 
-	// "tc" must never be proposed even when it is the fastest.
-	ft.lat = map[string]obs.HistSnapshot{
-		"tc":   hist(60, time.Microsecond),
-		"hopi": hist(40, 50*time.Millisecond),
-	}
-	if name, _ := m.strategyOverride(); name == "tc" {
-		t.Error("override proposed tc")
-	}
-
 	// A full Plan with the skewed histograms flips Rebuild on and carries
 	// the override into the config.
 	ft.lat = map[string]obs.HistSnapshot{

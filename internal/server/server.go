@@ -439,8 +439,7 @@ func (b *session) Finish(w http.ResponseWriter, reply *front.Reply, results int,
 		reply.Truncated = ev.Stats.Truncated
 		reply.Has |= front.HasTruncated
 	}
-	// /v1/connected evaluates under the trace but has never returned it.
-	if b.req.Trace && b.req.Endpoint != "connected" {
+	if b.req.Trace {
 		reply.Trace = b.trace.Summary(true)
 	}
 }

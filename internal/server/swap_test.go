@@ -14,11 +14,17 @@ import (
 	"time"
 
 	"repro/internal/flix"
+	"repro/internal/meta"
 	"repro/internal/query"
 	"repro/internal/rebuild"
+	"repro/internal/tc"
 	"repro/internal/testutil"
 	"repro/internal/xmlgraph"
 )
+
+// buildQuerySpecs takes its expected answers from the transitive closure,
+// which is an oracle, not a strategy the server is deployed with.
+func init() { meta.Registry["tc"] = tc.Strategy }
 
 // tortureCollection is the linked (cyclic, cross-document) family: the
 // worst case for hot-swapping because every configuration partitions it

@@ -80,9 +80,6 @@ func NewClient(urls []string, opts ClientOptions) *Client {
 	}
 }
 
-// NumShards returns the number of configured shards.
-func (c *Client) NumShards() int { return len(c.urls) }
-
 // URL returns shard i's base URL.
 func (c *Client) URL(i int) string { return c.urls[i] }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"time"
 
 	"repro/internal/flix"
 	"repro/internal/xmlgraph"
@@ -13,4 +14,20 @@ import (
 func (rt *Router) Gather(ctx context.Context, start xmlgraph.NodeID, tag string, needK int) (results, rounds int) {
 	g := rt.gather(ctx, "", []flix.FrontierEntry{{Node: start}}, tag, 0, needK, xmlgraph.InvalidNode, nil)
 	return len(g.results), g.rounds
+}
+
+// WaitReady blocks until the router is ready or ctx expires.
+func (rt *Router) WaitReady(ctx context.Context) error {
+	t := time.NewTicker(10 * time.Millisecond)
+	defer t.Stop()
+	for {
+		if rt.Ready() {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-t.C:
+		}
+	}
 }

@@ -370,22 +370,6 @@ func (rt *Router) Ready() bool {
 	return rt.topo.Load() != nil && rt.readyShards() >= rt.cfg.Quorum
 }
 
-// WaitReady blocks until the router is ready or ctx expires.
-func (rt *Router) WaitReady(ctx context.Context) error {
-	t := time.NewTicker(10 * time.Millisecond)
-	defer t.Stop()
-	for {
-		if rt.Ready() {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
-}
-
 // saturatedCluster reports whether every ready shard is at its admission
 // limit — the backpressure signal: fanning out another query would only get
 // 429s from the shards, so the router sheds it at its own door.

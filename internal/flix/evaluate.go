@@ -356,10 +356,13 @@ func (r *evalRun) probe() {
 func (r *evalRun) follow() {
 	if r.reverse {
 		for _, il := range r.md.InLinks {
-			if d, ok := r.idx.Distance(il.ToLocal, r.le); ok {
-				if nd := r.dist + d + 1; r.opts.MaxDist <= 0 || nd <= r.opts.MaxDist {
-					r.queue(il.From, nd)
+			d, ok := r.idx.Distance(il.ToLocal, r.le)
+			if nd := r.dist + d + 1; ok && (r.opts.MaxDist <= 0 || nd <= r.opts.MaxDist) {
+				r.linkHops++
+				if r.tr != nil {
+					r.tr.LinkHop(r.mi, int64(il.From), nd)
 				}
+				r.s.f.push(pqItem{dist: nd, node: il.From})
 			}
 		}
 		return
@@ -437,29 +440,24 @@ func (r *evalRun) linkVisit(i int, d int32) bool {
 	if r.opts.MaxDist > 0 && nd > r.opts.MaxDist {
 		return true
 	}
+	s := r.s
 	for _, cl := range r.md.LinksFrom(i) {
-		r.queue(cl.To, nd)
+		r.linkHops++
+		if r.tr != nil {
+			r.tr.LinkHop(r.mi, int64(cl.To), nd)
+		}
+		if r.merge {
+			if !s.relax(cl.To, nd) {
+				continue
+			}
+			if r.owned != nil && !r.owned(r.ix.set.MetaOf[cl.To]) {
+				s.hops = append(s.hops, pqItem{dist: nd, node: cl.To})
+				continue
+			}
+		}
+		s.f.push(pqItem{dist: nd, node: cl.To})
 	}
 	return true
-}
-
-// queue puts the far end of one runtime link on the frontier at distance nd.
-func (r *evalRun) queue(to xmlgraph.NodeID, nd int32) {
-	r.linkHops++
-	if r.tr != nil {
-		r.tr.LinkHop(r.mi, int64(to), nd)
-	}
-	s := r.s
-	if r.merge {
-		if !s.relax(to, nd) {
-			return
-		}
-		if r.owned != nil && !r.owned(r.ix.set.MetaOf[to]) {
-			s.hops = append(s.hops, pqItem{dist: nd, node: to})
-			return
-		}
-	}
-	s.f.push(pqItem{dist: nd, node: to})
 }
 
 // emit forwards one result to the client callback and enforces MaxResults.

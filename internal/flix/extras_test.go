@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dblp"
 	"repro/internal/xmlgraph"
 )
 
@@ -271,4 +272,32 @@ func TestConcurrentQueries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAdviseDBLPDescendantsLoad pins the self-tuning verdict for the
+// benchmark's desc-cold shape — top-100 descendants of the rarest record type
+// and two absent ones, from the roots of the newer half of a DBLP extract —
+// on the default Hybrid/5000 configuration.  The verdict was recorded at
+// 97a867d, where nine pops in ten were duplicates; relaxing link targets at
+// push took most of those pops away, and the link hops and entries per query
+// still ask for partitions four times as large.
+func TestAdviseDBLPDescendantsLoad(t *testing.T) {
+	pubs := dblp.Generate(dblp.Scaled(1000))
+	c := pubs.BuildGraph()
+	ix, err := Build(c, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(pubs.Pubs)
+	for d := n / 2; d < n; d += 5 {
+		for _, tag := range []string{"article", "phdthesis", "book"} {
+			ix.Descendants(c.Doc(xmlgraph.DocID(d)).Root, tag, Options{MaxResults: 100}, func(Result) bool { return true })
+		}
+	}
+	a := ix.Advise()
+	t.Logf("%v: %s", ix.Stats().Snapshot(), a.Reason)
+	want := Config{Kind: Hybrid, PartitionSize: 20000, MinTreeDocs: 2}
+	if !a.Rebuild || a.Config != want {
+		t.Errorf("Advise = rebuild %v, %+v; recorded rebuild true, %+v", a.Rebuild, a.Config, want)
+	}
 }

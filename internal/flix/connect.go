@@ -16,7 +16,7 @@ import (
 func (ix *Index) Ancestors(start xmlgraph.NodeID, tag string, opts Options, fn Emit) {
 	s := ix.getScratch()
 	s.run.reverse = true
-	s.f.push(pqItem{dist: 0, node: start})
+	s.queue(start, 0)
 	ix.evaluate(s, tag, opts, fn)
 }
 
@@ -49,7 +49,7 @@ func (ix *Index) ConnectedOpts(a, b xmlgraph.NodeID, opts Options) (int32, bool)
 	s := ix.getScratch()
 	defer ix.finish(s)
 	r := ix.arm(s, "", Options{MaxDist: opts.MaxDist, Cancel: opts.Cancel, Tracer: opts.Tracer})
-	s.f.push(pqItem{dist: 0, node: a})
+	s.queue(a, 0)
 	tmi, tlocal := ix.set.MetaOf[b], ix.set.LocalOf[b]
 	best := int32(-1)
 	for s.f.Len() > 0 && (best < 0 || s.f.minDist() < best) && !canceled(opts.Cancel) {
@@ -95,8 +95,8 @@ func (ix *Index) ConnectedBidirectional(a, b xmlgraph.NodeID, maxDist int32) (in
 	defer ix.finish(bwd)
 	ix.arm(fwd, "", Options{})
 	ix.arm(bwd, "", Options{}).reverse = true
-	fwd.f.push(pqItem{dist: 0, node: a})
-	bwd.f.push(pqItem{dist: 0, node: b})
+	fwd.queue(a, 0)
+	bwd.queue(b, 0)
 	var met [2][]entryDist // the entries admitted forward and backward
 
 	best := int32(-1)

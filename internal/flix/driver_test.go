@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/testutil"
 	"repro/internal/xmlgraph"
 )
@@ -203,5 +204,111 @@ func TestOpenProbeMemory(t *testing.T) {
 	if per > budget {
 		t.Errorf("%d open probes over %d meta documents cost %d B each, budget %d",
 			len(probes), len(ix.set.Metas), per, budget)
+	}
+}
+
+// TestNodeTable checks the relax and result table against a plain map over
+// growth, reuse after reset and a floor that passes 1<<31.
+func TestNodeTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var tab nodeTable
+	for round := 0; round < 40; round++ {
+		if round == 20 {
+			tab.top = 1<<31 - 5 // the next reset clears the slots and starts over
+		}
+		want := map[xmlgraph.NodeID]int32{}
+		nodes := int32(1 + rng.Intn(3000))
+		for i := 0; i < rng.Intn(4000); i++ {
+			n, d := xmlgraph.NodeID(rng.Int31n(nodes)*7919), rng.Int31n(40)
+			if round%5 == 4 {
+				d = rng.Int31() // PartialDescendants seeds reach the element count
+			}
+			w, seen := want[n]
+			if got, ok := tab.get(n); ok != seen || got != w {
+				t.Fatalf("round %d: get(%d) = %d %v, want %d %v", round, n, got, ok, w, seen)
+			}
+			if relaxed := tab.relax(n, d); relaxed != (!seen || d < w) {
+				t.Fatalf("round %d: relax(%d, %d) = %v with %d %v stored", round, n, d, relaxed, w, seen)
+			} else if relaxed {
+				want[n] = d
+			}
+		}
+		if tab.n != len(want) || 4*tab.n > 3*len(tab.slots) {
+			t.Fatalf("round %d: %d nodes in %d slots, want %d", round, tab.n, len(tab.slots), len(want))
+		}
+		tab.reset()
+		for n := range want {
+			if _, ok := tab.get(n); ok {
+				t.Fatalf("round %d: %d still present after reset", round, n)
+			}
+		}
+	}
+}
+
+// TestNoDoublePop holds every traceable driver, under both duplicate rules,
+// to popping no (node, dist) pair twice: a node is queued only when it gets
+// closer, so an equal copy never reaches the frontier.
+func TestNoDoublePop(t *testing.T) {
+	for _, corpus := range identityCorpora() {
+		for _, cfg := range hotpathConfigs() {
+			ix, err := Build(corpus.c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(label string, run func(tr *obs.Trace)) {
+				tr := obs.NewTrace(1 << 20)
+				run(tr)
+				popped := map[[2]int64]bool{}
+				for _, e := range tr.Summary(true).Events {
+					if e.Kind != obs.EvPop {
+						continue
+					}
+					if key := [2]int64{e.Node, int64(e.Dist)}; popped[key] {
+						t.Fatalf("%s %v %s: node %d popped twice at distance %d", corpus.name, cfg.Kind, label, e.Node, e.Dist)
+					} else {
+						popped[key] = true
+					}
+				}
+			}
+			drop := func(Result) bool { return true }
+			n := corpus.c.NumNodes()
+			for s := 0; s < n; s += n/9 + 1 {
+				start, target := xmlgraph.NodeID(s), xmlgraph.NodeID((s*31+17)%n)
+				for _, tag := range corpus.tags {
+					for _, o := range identityOptions {
+						label := fmt.Sprintf("%d//%s %s", start, tag, o.name)
+						check("descendants "+label, func(tr *obs.Trace) {
+							opts := o.opts
+							opts.Tracer = tr
+							ix.Descendants(start, tag, opts, drop)
+						})
+						check("ancestors "+label, func(tr *obs.Trace) {
+							opts := o.opts
+							opts.Tracer = tr
+							ix.Ancestors(start, tag, opts, drop)
+						})
+					}
+					check(fmt.Sprintf("probe %d//%s", start, tag), func(tr *obs.Trace) {
+						var p Probe
+						ix.StartProbe(&p, start, tag, Options{Tracer: tr})
+						for band, more := int32(0), true; more; {
+							band = NextBand(band, 0)
+							more = p.Next(band, drop)
+						}
+						p.Close()
+					})
+					check(fmt.Sprintf("partial %d//%s", start, tag), func(tr *obs.Trace) {
+						entries := []FrontierEntry{{Node: start, Dist: 1}, {Node: target, Dist: 2}, {Node: start}}
+						mustPartial(ix, entries, tag, PartialOptions{Tracer: tr, Owned: func(mi int32) bool { return mi%2 == 0 }})
+					})
+				}
+				check(fmt.Sprintf("connected %d->%d", start, target), func(tr *obs.Trace) {
+					ix.ConnectedOpts(start, target, Options{Tracer: tr})
+				})
+			}
+			check("type", func(tr *obs.Trace) {
+				ix.TypeDescendants(corpus.tags[1], corpus.tags[2], Options{Tracer: tr}, drop)
+			})
+		}
 	}
 }

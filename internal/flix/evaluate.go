@@ -87,7 +87,7 @@ type pqItem struct {
 // order (§5.1, Figure 4).  An empty tag means the wildcard start//*.
 func (ix *Index) Descendants(start xmlgraph.NodeID, tag string, opts Options, fn Emit) {
 	s := ix.getScratch()
-	s.f.push(pqItem{dist: 0, node: start})
+	s.queue(start, 0)
 	ix.evaluate(s, tag, opts, fn)
 }
 
@@ -98,7 +98,7 @@ func (ix *Index) Descendants(start xmlgraph.NodeID, tag string, opts Options, fn
 func (ix *Index) TypeDescendants(tagA, tagB string, opts Options, fn Emit) {
 	s := ix.getScratch()
 	for _, n := range ix.coll.NodesByTag(tagA) {
-		s.f.push(pqItem{dist: 0, node: n})
+		s.queue(n, 0)
 	}
 	ix.evaluate(s, tagB, opts, fn)
 }
@@ -149,6 +149,15 @@ func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
 //     benchmark compares against and which PartialDescendants needs: split
 //     across shards and RPC rounds, coverage would suppress shorter
 //     rediscoveries.
+//
+// Under both rules a node is queued only when it gets closer (evalScratch.
+// queue): a copy at the distance of one already queued, or farther, would be
+// dropped when it popped — under the identity rule because the nearer copy
+// was expanded, under coverage because the nearer copy popped first and is
+// now an entry point (Reachable is reflexive) or was covered, and coverage
+// only grows.  So such copies are never pushed.  A node still pops twice when
+// it was queued again nearer before its farther copy popped; admit drops that
+// stale copy with one table lookup.
 type evalRun struct {
 	ix    *Index
 	s     *evalScratch
@@ -164,16 +173,12 @@ type evalRun struct {
 	reverse bool
 
 	// buffer sends results to s.rbuf instead of fn.  merge selects the
-	// PartialDescendants sink and frontier discipline: results keep their
-	// minimum distance per node, and frontier entries are queued only when
-	// they improve on the node's best known distance.  owned (merge only,
-	// nil = everything) diverts entries in foreign meta documents to s.hops.
+	// PartialDescendants sink: results keep their minimum distance per node.
+	// owned (merge only, nil = everything) diverts entries in foreign meta
+	// documents to s.hops.
 	buffer bool
 	merge  bool
 	owned  func(meta int32) bool
-
-	// last is the previous pop; no entry equals it before the first.
-	last pqItem
 
 	// Per-pop context, set by admit and read by probe, follow, visit and
 	// linkVisit: the admitted entry's distance, meta document and local ID,
@@ -194,22 +199,12 @@ type evalRun struct {
 	pops, entries, dupDropped, linkHops int64
 }
 
-// expanded marks a node in evalScratch.best whose entry was popped and
-// admitted under the identity rule; it is smaller than every distance, so
-// later pops and relaxations of the node lose against it.
-const expanded = -1
-
 // arm binds a checked-out scratch to one evaluation.
 func (ix *Index) arm(s *evalScratch, tag string, opts Options) *evalRun {
 	r := &s.run
 	r.ix, r.tag, r.opts = ix, tag, opts
 	r.tagID = ix.coll.TagIDOf(tag)
 	r.tr = opts.Tracer // nil in the common case; every use is nil-checked
-	r.last = pqItem{dist: -1}
-	if opts.DupSeenSet && s.best == nil {
-		s.best = make(map[xmlgraph.NodeID]int32)
-		s.resAt = make(map[xmlgraph.NodeID]int32)
-	}
 	return r
 }
 
@@ -260,11 +255,11 @@ func (r *evalRun) admit(it pqItem) bool {
 		r.tr.Pop(int64(it.node), it.dist)
 	}
 	mi := ix.set.MetaOf[it.node]
-	if it == r.last && !r.opts.DupSeenSet {
-		// A certain drop under the coverage rule (frontier.go): not re-tested.
+	if b, ok := s.best.get(it.node); ok && b < it.dist {
+		// A stale copy: the node was queued again nearer, and that copy
+		// popped first.  A certain drop under either rule, not re-tested.
 		return r.drop(mi, it)
 	}
-	r.last = it
 	if r.opts.ExactOrder {
 		// Anything buffered below the new frontier minimum can
 		// never be beaten; flush it in exact order.
@@ -280,15 +275,12 @@ func (r *evalRun) admit(it pqItem) bool {
 	// point were already reported, the current entry covers the probe itself.
 	var prev []int32
 	if r.opts.DupSeenSet {
-		// Identity rule: results are deduplicated in visit.
-		if d, seen := s.best[it.node]; seen && d < it.dist {
-			return r.drop(mi, it) // expanded before, or a shorter path is queued
-		}
+		// Identity rule: this is the node's first pop, at its minimum
+		// distance; results are deduplicated in visit.
 		if r.owned != nil && !r.owned(mi) {
 			s.hops = append(s.hops, it)
 			return false
 		}
-		s.best[it.node] = expanded
 	} else {
 		ents := s.entered.at(mi)
 		prev = *ents
@@ -350,7 +342,7 @@ func (r *evalRun) probe() {
 // follow is step (3): it queues what the admitted entry's runtime links lead
 // to.  Forward, the link sources the entry reaches come from the precomputed
 // per-meta-document table when the index has one (source columns decoded once
-// at build/open), else from the batched distance sweep, and linkVisit queues
+// at build/open), else from per-source distance tests, and linkVisit queues
 // their targets; in reverse, every link entering the meta document at an
 // element that reaches the entry queues its source.
 func (r *evalRun) follow() {
@@ -362,7 +354,7 @@ func (r *evalRun) follow() {
 				if r.tr != nil {
 					r.tr.LinkHop(r.mi, int64(il.From), nd)
 				}
-				r.s.f.push(pqItem{dist: nd, node: il.From})
+				r.s.queue(il.From, nd)
 			}
 		}
 		return
@@ -394,8 +386,8 @@ func (r *evalRun) visit(n, ld int32) bool {
 	case r.merge:
 		// Local distances are exact, so the minimum per node over all
 		// expanded entries is the exact shortest distance.
-		if i, seen := s.resAt[g]; !seen {
-			s.resAt[g] = int32(len(s.merged))
+		if sl, i, seen := s.res.at(g); !seen {
+			s.res.set(sl, int32(len(s.merged)))
 			s.merged = append(s.merged, pqItem{dist: gd, node: g})
 		} else if gd < s.merged[i].dist {
 			s.merged[i].dist = gd
@@ -408,10 +400,11 @@ func (r *evalRun) visit(n, ld int32) bool {
 		}
 		return true
 	case r.opts.DupSeenSet:
-		if _, dup := s.resAt[g]; dup {
+		sl, _, dup := s.res.at(g)
+		if dup {
 			return true
 		}
-		s.resAt[g] = 0
+		s.res.set(sl, 0)
 	case len(r.prev) > 0 && r.covered(r.prev, n):
 		return true // reported below an earlier entry
 	}
@@ -446,16 +439,13 @@ func (r *evalRun) linkVisit(i int, d int32) bool {
 		if r.tr != nil {
 			r.tr.LinkHop(r.mi, int64(cl.To), nd)
 		}
-		if r.merge {
-			if !s.relax(cl.To, nd) {
-				continue
-			}
-			if r.owned != nil && !r.owned(r.ix.set.MetaOf[cl.To]) {
+		if r.owned != nil && !r.owned(r.ix.set.MetaOf[cl.To]) {
+			if s.best.relax(cl.To, nd) {
 				s.hops = append(s.hops, pqItem{dist: nd, node: cl.To})
-				continue
 			}
+			continue
 		}
-		s.f.push(pqItem{dist: nd, node: cl.To})
+		s.queue(cl.To, nd)
 	}
 	return true
 }

@@ -20,15 +20,13 @@ import (
 //   - the first pop at a distance sorts that bucket by node, once, and pop
 //     walks it.  The pop order is exactly (dist, node) ascending — the order
 //     a min-heap over the same entries pops, duplicates included — which
-//     frontier_test.go holds against the frozen 4-ary heap;
-//   - equal entries come out adjacent, which lets evalRun.admit drop a run of
-//     duplicates without testing each.  Under the coverage rule an entry
-//     equal to the one popped before it is a certain drop: that one was
-//     either admitted — it is an entry point of its meta document now, and
-//     Reachable is reflexive — or covered by an earlier entry point, and
-//     coverage only grows.  (Under the identity rule an equal entry may be a
-//     foreign hop instead, and its test is one map lookup anyway.)  A run
-//     shares one distance, so a band pause never splits it.
+//     frontier_test.go holds against the frozen 4-ary heap.
+//
+// The evaluator never pushes an entry equal to one queued before: every push
+// goes through evalScratch.queue, which queues a node only when it gets
+// closer.  A node can still sit in the queue twice, at two distances, when a
+// nearer path to it turns up before its farther copy popped; admit drops the
+// farther one when it pops.
 //
 // The invariant — no push at or below the distance of the latest pop — is
 // checked on every push; breaking it is an evaluator bug and panics.  The

@@ -105,8 +105,7 @@ func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts Pa
 		if e.Dist < 0 || (opts.MaxDist > 0 && e.Dist > opts.MaxDist) {
 			continue
 		}
-		if s.relax(e.Node, e.Dist) {
-			s.f.push(pqItem{dist: e.Dist, node: e.Node})
+		if s.queue(e.Node, e.Dist) {
 			first = min(first, e.Dist)
 		}
 	}
@@ -143,12 +142,12 @@ func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts Pa
 	// A hop is final when no later relaxation of its node beat it.
 	hops := s.hops[:0]
 	for _, h := range s.hops {
-		if h.dist <= band && s.best[h.node] == h.dist {
+		if b, _ := s.best.get(h.node); h.dist <= band && b == h.dist {
 			hops = append(hops, h)
 		}
 	}
-	// Sort only what can be returned.  The compaction orphans resAt's
-	// positions, which nothing reads after the last run.
+	// Sort only what can be returned.  The compaction orphans the positions
+	// in res, which nothing reads after the last run.
 	results := slices.DeleteFunc(s.merged, func(it pqItem) bool { return it.dist > band })
 	out := PartialResult{
 		Results:   wireEntries(results, opts.MaxResults),

@@ -20,13 +20,12 @@ type evalScratch struct {
 	// rule, on either axis).
 	entered enteredTable
 
-	// Identity-rule tables, allocated on the first evaluation that needs
-	// them and then cleared — not reallocated — between uses.  best maps a
-	// node to the smallest distance queued for it, or to expanded once its
-	// entry was admitted.  resAt marks reported result nodes; the merge
-	// sink stores each node's position in merged there.
-	best  map[xmlgraph.NodeID]int32
-	resAt map[xmlgraph.NodeID]int32
+	// best maps every node ever queued to the smallest distance it was
+	// queued at: queue pushes a node only when it gets closer (relax at
+	// push), under either duplicate rule.  res is the identity rule's result
+	// table — a mark per reported node, or for the merge sink the node's
+	// position in merged.
+	best, res nodeTable
 
 	// rbuf is the (dist, node) result queue of the buffered sinks; merged is
 	// the merge sink's append buffer, sorted once at the end.
@@ -109,13 +108,119 @@ func (t *enteredTable) reset() {
 	}
 }
 
-// relax records d as the best known distance of n; it reports false when an
-// equal or shorter one is already queued or expanded.
-func (s *evalScratch) relax(n xmlgraph.NodeID, d int32) bool {
-	if b, seen := s.best[n]; seen && b <= d {
+// nodeTable maps node IDs to non-negative int32 values: the relax table's
+// distances, the result table's marks and positions.  Like enteredTable it is
+// sparse, sized to what the evaluation touched rather than to the collection,
+// and resets in O(1); a slot is 8 bytes, a node and its value, with the
+// generation folded into the value: a value v is stored as floor+v, a slot is
+// occupied iff what it holds is at least floor, and reset raises floor above
+// everything stored since the last one.  A paused probe holds a table of its
+// own, so its slots count against the memory of every open probe
+// (TestRankedOpenProbeMemory).
+type nodeTable struct {
+	slots []nodeSlot // linear probing; len is 0 or a power of two, at most three quarters full
+	floor uint32     // stored values below it are stale; at least 1 once slots exist, so zeroed slots read empty
+	top   uint32     // the largest value stored since the slots were last cleared
+	n     int        // occupied slots
+}
+
+type nodeSlot struct {
+	node xmlgraph.NodeID
+	val  uint32
+}
+
+// nodeTableMin is the slot count of a first table: 24 nodes before it grows,
+// what a median paused ranked probe queues (TestRankedOpenProbeMemory).
+const nodeTableMin = 32
+
+// find returns the position of n's slot, or of the empty one where it goes.
+func (t *nodeTable) find(n xmlgraph.NodeID) int {
+	mask := len(t.slots) - 1
+	h := uint32(n) * 0x9E3779B1
+	i := int(h^h>>16) & mask
+	for t.slots[i].val >= t.floor && t.slots[i].node != n {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns n's value; ok is false when n has none.
+func (t *nodeTable) get(n xmlgraph.NodeID) (v int32, ok bool) {
+	if t.n == 0 {
+		return 0, false
+	}
+	sl := &t.slots[t.find(n)]
+	if sl.val < t.floor {
+		return 0, false
+	}
+	return int32(sl.val - t.floor), true
+}
+
+// at returns n's slot, claiming an empty one when n has none (ok false), and
+// otherwise its value.  The slot is good until the next at; set gives it a
+// value.
+func (t *nodeTable) at(n xmlgraph.NodeID) (sl *nodeSlot, v int32, ok bool) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.grow()
+	}
+	sl = &t.slots[t.find(n)]
+	sl.node = n
+	return sl, int32(sl.val - t.floor), sl.val >= t.floor
+}
+
+// set stores v >= 0 in a slot at returned.
+func (t *nodeTable) set(sl *nodeSlot, v int32) {
+	if sl.val < t.floor {
+		t.n++
+	}
+	sl.val = t.floor + uint32(v)
+	t.top = max(t.top, sl.val)
+}
+
+// relax records d as n's value and reports true when n has none yet or a
+// larger one; an equal or smaller value stays and relax reports false.
+func (t *nodeTable) relax(n xmlgraph.NodeID, d int32) bool {
+	sl, b, ok := t.at(n)
+	if ok && b <= d {
 		return false
 	}
-	s.best[n] = d
+	t.set(sl, d)
+	return true
+}
+
+// grow doubles the slots (or makes the first ones) and rehashes the occupied
+// ones; fresh slots hold 0, below every floor.
+func (t *nodeTable) grow() {
+	old := t.slots
+	t.slots = make([]nodeSlot, max(nodeTableMin, 2*len(old)))
+	t.floor = max(t.floor, 1)
+	for _, sl := range old {
+		if sl.val >= t.floor {
+			t.slots[t.find(sl.node)] = sl
+		}
+	}
+}
+
+// reset empties the table, keeping the slots.  Values are below 1<<31, so
+// once floor passes 1<<31 the slots are cleared for real and floor starts
+// over; until then floor+v cannot wrap.
+func (t *nodeTable) reset() {
+	t.n = 0
+	if t.floor = t.top + 1; t.floor > 1<<31 {
+		clear(t.slots)
+		t.floor, t.top = 1, 0
+	}
+}
+
+// queue pushes n onto the frontier at distance d unless it is already queued
+// at d or nearer, and reports whether it did.  Every push of the evaluator
+// core goes through it — seeds and link targets, on both axes; the partial
+// driver relaxes the link targets it hands back as hops the same way.
+func (s *evalScratch) queue(n xmlgraph.NodeID, d int32) bool {
+	if !s.best.relax(n, d) {
+		return false
+	}
+	s.f.push(pqItem{dist: d, node: n})
 	return true
 }
 
@@ -144,12 +249,10 @@ func (ix *Index) putScratch(s *evalScratch) {
 	s.f.reset()
 	s.entered.reset()
 	s.rbuf.reset()
+	s.best.reset()
+	s.res.reset()
 	s.merged = s.merged[:0]
 	s.hops = s.hops[:0]
-	if s.run.opts.DupSeenSet {
-		clear(s.best)
-		clear(s.resAt)
-	}
 	s.run = evalRun{s: s}
 	ix.scratch.Put(s)
 }

@@ -113,7 +113,7 @@ func (ix *Index) StartProbe(p *Probe, start xmlgraph.NodeID, tag string, opts Op
 	opts.MaxResults, opts.ExactOrder, opts.DupSeenSet = 0, false, false
 	p.s = ix.getScratch()
 	ix.arm(p.s, tag, opts).buffer = true
-	p.s.f.push(pqItem{dist: 0, node: start})
+	p.s.queue(start, 0)
 }
 
 // Next resumes the evaluation until every result with Dist <= band has been

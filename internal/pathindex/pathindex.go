@@ -47,26 +47,12 @@ type Index interface {
 	io.WriterTo
 }
 
-// LinkDistancer is an optional batched variant of Probe.Distance for the
-// evaluator's link-follow loop, which probes one fixed source element
-// against every runtime-link source of a meta document.  An index that
-// implements it can hoist the x-side of the reachability test out of the
-// loop — for the compressed PPO view that turns five packed-array
-// extractions per link source into at most two.  fn receives the position
-// of each reachable source in sources together with its distance from x;
-// returning false stops the sweep.  Unreachable sources are skipped.
-type LinkDistancer interface {
-	LinkDistances(x int32, sources []int32, fn func(i int, d int32) bool)
-}
-
-// LinkDistances dispatches to the index's batched fast path when it has
-// one and otherwise falls back to per-source Distance calls with identical
-// semantics.
+// LinkDistances probes one fixed element x against every runtime-link source
+// of a meta document, in source order: fn receives the position of each
+// source x reaches in sources together with its distance from x; returning
+// false stops the sweep.  It is the evaluator's follow step for an index
+// without a LinkTable.
 func LinkDistances(idx Index, x int32, sources []int32, fn func(i int, d int32) bool) {
-	if ld, ok := idx.(LinkDistancer); ok {
-		ld.LinkDistances(x, sources, fn)
-		return
-	}
 	for i, y := range sources {
 		if d, ok := idx.Distance(x, y); ok {
 			if !fn(i, d) {
@@ -78,15 +64,15 @@ func LinkDistances(idx Index, x int32, sources []int32, fn func(i int, d int32) 
 
 // LinkTable accelerates LinkDistances for one FIXED source list.  A meta
 // document's runtime-link sources never change after the build, so an
-// index can decode the source-side columns of the distance test once —
-// at table construction — and serve every later sweep from dense plain
-// arrays.  For the compressed PPO view that removes the packed-array
-// extraction from the per-source inner loop entirely: the sweep costs the
-// same as over raw int32 slices, and only the probe-side constants are
-// extracted per call.
+// index can prepare the source side of the distance test once — at table
+// construction — and serve every later sweep from it.  PPO decodes the
+// sources' preorder ranks and depths into plain arrays sorted by rank, so a
+// sweep is a binary search for x's subtree interval instead of a test per
+// source.
 type LinkTable interface {
-	// LinkDistancesTo behaves like LinkDistances(idx, x, sources, fn)
-	// for the source list the table was built over.
+	// LinkDistancesTo behaves exactly like LinkDistances(idx, x, sources,
+	// fn) — the same (i, d) calls in the same order — for the source list
+	// the table was built over.
 	LinkDistancesTo(x int32, fn func(i int, d int32) bool)
 }
 

@@ -297,57 +297,25 @@ func (v *CIndex) Distance(x, y int32) (int32, bool) {
 	return v.depth.At(y) - v.depth.At(x), true
 }
 
-// LinkDistances implements pathindex.LinkDistancer.  The evaluator probes
-// one fixed x against every link source of a meta document; extracting
-// x's preorder rank, subtree size and depth once outside the loop cuts the
-// per-source cost from five packed extractions to one (plus a second for
-// the sources that are actually reachable).
-func (v *CIndex) LinkDistances(x int32, sources []int32, fn func(i int, d int32) bool) {
-	px := v.pre.At(x)
-	lim := v.size.At(x)
-	dx := v.depth.At(x)
-	for i, y := range sources {
-		py := v.pre.At(y)
-		if py < px || py-px >= lim {
-			continue
-		}
-		if !fn(i, v.depth.At(y)-dx) {
-			return
-		}
-	}
-}
-
 // clinkTable is the pathindex.LinkTable of a compressed PPO view: the
-// source-side preorder ranks and depths are extracted from the packed
-// arrays once at table build, so the per-pop sweep runs over dense plain
-// int32 slices — the same inner loop cost as the raw view — and only the
-// probe side pays packed extraction, three times per call.
+// source-side preorder ranks and depths are extracted from the packed arrays
+// once at table build, and only the probe side pays packed extraction, three
+// times per call.
 type clinkTable struct {
-	v        *CIndex
-	pre, dep []int32
+	v *CIndex
+	linkSweep
 }
 
 // LinkTable implements pathindex.LinkTabler.
 func (v *CIndex) LinkTable(sources []int32) pathindex.LinkTable {
-	t := &clinkTable{v: v, pre: make([]int32, len(sources)), dep: make([]int32, len(sources))}
-	for i, y := range sources {
-		t.pre[i], t.dep[i] = v.pre.At(y), v.depth.At(y)
-	}
+	t := &clinkTable{v: v}
+	t.build(sources, func(y int32) (int32, int32) { return v.pre.At(y), v.depth.At(y) })
 	return t
 }
 
 // LinkDistancesTo implements pathindex.LinkTable.
 func (t *clinkTable) LinkDistancesTo(x int32, fn func(i int, d int32) bool) {
-	px := t.v.pre.At(x)
-	lim := t.v.size.At(x)
-	dx := t.v.depth.At(x)
-	for i, py := range t.pre {
-		if py >= px && py-px < lim {
-			if !fn(i, t.dep[i]-dx) {
-				return
-			}
-		}
-	}
+	t.each(t.v.pre.At(x), t.v.size.At(x), t.v.depth.At(x), fn)
 }
 
 // EachReachable implements pathindex.Index.  The compressed section does

@@ -249,53 +249,23 @@ func (idx *Index) Distance(x, y int32) (int32, bool) {
 	return idx.depth[y] - idx.depth[x], true
 }
 
-// LinkDistances implements pathindex.LinkDistancer: one fixed x is probed
-// against every link source, so x's interval bounds and depth are loaded
-// once outside the sweep.
-func (idx *Index) LinkDistances(x int32, sources []int32, fn func(i int, d int32) bool) {
-	px, postx, dx := idx.pre[x], idx.post[x], idx.depth[x]
-	for i, y := range sources {
-		if px <= idx.pre[y] && postx >= idx.post[y] {
-			if !fn(i, idx.depth[y]-dx) {
-				return
-			}
-		}
-	}
-}
-
-// linkTable is the pathindex.LinkTable of a heap/raw-mapped PPO index:
-// the source columns gathered into dense arrays (the sources are scattered
-// across the node range; gathering buys locality for the per-pop sweep).
+// linkTable is the pathindex.LinkTable of a heap or raw-mapped PPO index.
 type linkTable struct {
-	idx            *Index
-	pre, post, dep []int32
+	idx *Index
+	linkSweep
 }
 
 // LinkTable implements pathindex.LinkTabler.
 func (idx *Index) LinkTable(sources []int32) pathindex.LinkTable {
-	t := &linkTable{
-		idx:  idx,
-		pre:  make([]int32, len(sources)),
-		post: make([]int32, len(sources)),
-		dep:  make([]int32, len(sources)),
-	}
-	for i, y := range sources {
-		t.pre[i], t.post[i], t.dep[i] = idx.pre[y], idx.post[y], idx.depth[y]
-	}
+	t := &linkTable{idx: idx}
+	t.build(sources, func(y int32) (int32, int32) { return idx.pre[y], idx.depth[y] })
 	return t
 }
 
 // LinkDistancesTo implements pathindex.LinkTable.
 func (t *linkTable) LinkDistancesTo(x int32, fn func(i int, d int32) bool) {
 	idx := t.idx
-	px, postx, dx := idx.pre[x], idx.post[x], idx.depth[x]
-	for i, py := range t.pre {
-		if px <= py && postx >= t.post[i] {
-			if !fn(i, t.dep[i]-dx) {
-				return
-			}
-		}
-	}
+	t.each(idx.pre[x], idx.size[x], idx.depth[x], fn)
 }
 
 // Depth returns the tree depth of x (roots have depth 0).

@@ -178,8 +178,9 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 
 		out.rounds++
 		var rspan *obs.Span
-		sent := make(map[int]int, active)
+		var sent map[int]int // per shard, the entries dispatched to it; traced only
 		if tb != nil {
+			sent = make(map[int]int, active)
 			tb.rounds++
 			rspan = tb.child(gspan, "round")
 			rspan.SetAttr("round", int64(out.rounds))

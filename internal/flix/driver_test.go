@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/pathindex"
 	"repro/internal/testutil"
 	"repro/internal/xmlgraph"
 )
@@ -138,10 +139,10 @@ func TestEnteredTable(t *testing.T) {
 		if round == 20 {
 			tab.gen = math.MaxUint32 // the next reset wraps the stamp
 		}
-		want := map[int32][]int32{}
+		want := map[int32][]pathindex.Span{}
 		metas := int32(1 + rng.Intn(600))
 		for i := 0; i < rng.Intn(2000); i++ {
-			mi, le := rng.Int31n(metas)*7919, rng.Int31()
+			mi, le := rng.Int31n(metas)*7919, pathindex.Span{Lo: rng.Int31()}
 			ents := tab.at(mi)
 			if !slices.Equal(*ents, want[mi]) {
 				t.Fatalf("round %d: at(%d) = %v, want %v", round, mi, *ents, want[mi])
@@ -150,7 +151,7 @@ func TestEnteredTable(t *testing.T) {
 				*ents = append(*ents, le)
 				want[mi] = append(want[mi], le)
 			} else if want[mi] == nil {
-				want[mi] = []int32{}
+				want[mi] = []pathindex.Span{}
 			}
 		}
 		for mi, w := range want {

@@ -2,6 +2,7 @@ package flix
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/lgraph"
@@ -142,9 +143,10 @@ func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
 //   - the duplicate-elimination rule.  The default is the paper's §5.1
 //     entry-point coverage: a popped element is dropped, and a probed result
 //     skipped, when an earlier entry point of the same meta document reaches
-//     it (on the reverse axis: is reached by it).  That is sound only when
-//     one evaluation sees every entry of a meta document.  Options.DupSeenSet
-//     selects the identity rule instead — the first pop of a node carries its
+//     it (on the reverse axis: is reached by it), and the forward follow step
+//     skips the link sources below an earlier entry point (enter).  That is
+//     sound only when one evaluation sees every entry of a meta document.
+//     Options.DupSeenSet selects the identity rule instead — the first pop of a node carries its
 //     minimum distance and is the only one expanded — which the ablation
 //     benchmark compares against and which PartialDescendants needs: split
 //     across shards and RPC rounds, coverage would suppress shorter
@@ -182,12 +184,16 @@ type evalRun struct {
 
 	// Per-pop context, set by admit and read by probe, follow, visit and
 	// linkVisit: the admitted entry's distance, meta document and local ID,
-	// and the entry points admitted before it.
+	// and the earlier entry points visit tests results against (enter).  rg
+	// is the meta document's region encoding when its index has one and the
+	// coverage rule is on, else nil; span is then the entry's region.
 	dist   int32
 	mi, le int32
-	prev   []int32
+	prev   []pathindex.Span
 	md     *meta.MetaDocument
 	idx    pathindex.Index
+	rg     pathindex.Regioner
+	span   pathindex.Span
 
 	probeResults int
 	emitted      int
@@ -269,11 +275,9 @@ func (r *evalRun) admit(it pqItem) bool {
 		}
 	}
 	le := ix.set.LocalOf[it.node]
-	r.idx = ix.pis[mi]
+	r.idx, r.rg = ix.pis[mi], nil
 
-	// prev is the pre-append entry list: results below an *earlier* entry
-	// point were already reported, the current entry covers the probe itself.
-	var prev []int32
+	var prev []pathindex.Span
 	if r.opts.DupSeenSet {
 		// Identity rule: this is the node's first pop, at its minimum
 		// distance; results are deduplicated in visit.
@@ -282,12 +286,10 @@ func (r *evalRun) admit(it pqItem) bool {
 			return false
 		}
 	} else {
-		ents := s.entered.at(mi)
-		prev = *ents
-		if r.covered(prev, le) {
+		var ok bool
+		if prev, ok = r.enter(mi, le); !ok {
 			return r.drop(mi, it) // descendants of e were already reported
 		}
-		*ents = append(prev, le)
 	}
 	r.entries++
 	if r.tr != nil {
@@ -345,6 +347,14 @@ func (r *evalRun) probe() {
 // at build/open), else from per-source distance tests, and linkVisit queues
 // their targets; in reverse, every link entering the meta document at an
 // element that reaches the entry queues its source.
+//
+// Under region encoding the forward sweep skips the sources below the earlier
+// entry points nested in this one (enter hands their regions over as prev).
+// That loses nothing: such an entry p popped no later, d(p) <= d(e), and lies
+// deeper, so every source l below it offered its targets at
+// d(p) + dist(p, l) + 1 < d(e) + dist(e, l) + 1 — which relax now refuses —
+// or was cut by a MaxDist no smaller than today's (ConnectedOpts only
+// tightens it).
 func (r *evalRun) follow() {
 	if r.reverse {
 		for _, il := range r.md.InLinks {
@@ -363,7 +373,11 @@ func (r *evalRun) follow() {
 		return
 	}
 	if lt := r.ix.linkTabs[r.mi]; lt != nil {
-		lt.LinkDistancesTo(r.le, r.s.linkFn)
+		var skip []pathindex.Span
+		if r.rg != nil {
+			skip = r.prev
+		}
+		lt.LinkDistancesTo(r.le, skip, r.s.linkFn)
 	} else {
 		pathindex.LinkDistances(r.idx, r.le, r.md.LinkSources, r.s.linkFn)
 	}
@@ -459,17 +473,93 @@ func (r *evalRun) emit(res Result) bool {
 	return r.opts.MaxResults <= 0 || r.emitted < r.opts.MaxResults
 }
 
-// covered reports whether any entry point in prev reaches local node n — on
-// the reverse axis, is reached by it.
-func (r *evalRun) covered(prev []int32, n int32) bool {
+// enter applies the coverage rule to local node le of meta document mi.  It
+// reports false when an earlier entry point covers le, and otherwise records
+// le as an entry point and returns the prev that visit tests the entry's
+// results against.
+//
+// Without region encoding mi's list holds one Span{Lo: le} per entry point,
+// coverage is a Reachable call per earlier one, and prev is the list before
+// le was appended.  With it the list is sorted and coverage one binary search:
+//
+//   - forward, the list holds the regions of the entry points no other entry
+//     point reaches — subtrees, so disjoint — and le is covered iff one holds
+//     pre(le).  le's region replaces the regions it holds, and those are prev:
+//     results below an earlier entry point lie in one of them, and follow
+//     skips their link sources;
+//   - reverse, the list holds the entry points' ranks, Span{Lo: pre}, and le
+//     is covered iff its region holds one.  le's rank is inserted, and prev is
+//     the whole list: covered passes over the entry's own rank.
+func (r *evalRun) enter(mi, le int32) ([]pathindex.Span, bool) {
+	ents := r.s.entered.at(mi)
+	list := *ents
+	if r.rg = r.ix.regions[mi]; r.rg == nil {
+		if r.covered(list, le) {
+			return nil, false
+		}
+		*ents = append(list, pathindex.Span{Lo: le})
+		return list, true
+	}
+	r.span = r.rg.Region(le)
+	if holds(list, r.span, r.reverse, -1) {
+		return nil, false
+	}
+	j := searchSpans(list, r.span.Lo)
+	if r.reverse {
+		*ents = slices.Insert(list, j, pathindex.Span{Lo: r.span.Lo})
+		return *ents, true
+	}
+	m := j + searchSpans(list[j:], r.span.Hi)
+	r.s.skip = append(r.s.skip[:0], list[j:m]...)
+	*ents = slices.Replace(list, j, m, r.span)
+	return r.s.skip, true
+}
+
+// covered reports whether an entry point in prev (see enter) reaches local
+// node n — on the reverse axis, is reached by it.
+func (r *evalRun) covered(prev []pathindex.Span, n int32) bool {
+	if r.rg != nil {
+		return holds(prev, r.rg.Region(n), r.reverse, r.span.Lo)
+	}
 	for _, p := range prev {
-		from, to := p, n
+		from, to := p.Lo, n
 		if r.reverse {
-			from, to = n, p
+			from, to = n, p.Lo
 		}
 		if r.idx.Reachable(from, to) {
 			return true
 		}
 	}
 	return false
+}
+
+// holds is the coverage test under region encoding, for the element whose
+// region is sp: forward, whether a region in prev holds its rank sp.Lo;
+// reverse, whether sp holds a rank in prev other than own, the current
+// entry's (-1 for none).
+func holds(prev []pathindex.Span, sp pathindex.Span, reverse bool, own int32) bool {
+	if !reverse {
+		k := searchSpans(prev, sp.Lo+1)
+		return k > 0 && prev[k-1].Hi > sp.Lo
+	}
+	k := searchSpans(prev, sp.Lo)
+	if k < len(prev) && prev[k].Lo == own {
+		k++
+	}
+	return k < len(prev) && prev[k].Lo < sp.Hi
+}
+
+// searchSpans returns the index of the first span of the Lo-ascending a whose
+// Lo is at least v.
+func searchSpans(a []pathindex.Span, v int32) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a[m].Lo < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }

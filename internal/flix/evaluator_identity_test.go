@@ -21,8 +21,8 @@ import (
 // there: Pops, DupDropped and LinkHops, the Pop, DupDrop and LinkHop events,
 // the partial driver's Pops and LinkHops, and Probe.Next's band schedule.
 type identityHash struct {
-	answers, work hash.Hash
-	pops, dropped int64 // totals of the calls, for the log
+	answers, work       hash.Hash
+	pops, dropped, hops int64 // totals of the calls, for the log
 }
 
 func (w *identityHash) line(format string, args ...any) {
@@ -48,6 +48,7 @@ func (w *identityHash) call(ix *Index, label string, run func(emit Emit)) {
 	w.workLine("pops=%d dup=%d hops=%d", work.Pops, work.DupDropped, work.LinkHops)
 	w.pops += work.Pops
 	w.dropped += work.DupDropped
+	w.hops += work.LinkHops
 }
 
 // identityCorpus is one collection of TestEvaluatorIdentityRecorded with
@@ -237,10 +238,10 @@ func hashReverse(c *xmlgraph.Collection, ix *Index, tags []string) string {
 // and the order of their events, never what it returns.
 func TestEvaluatorIdentityRecorded(t *testing.T) {
 	recorded := map[string][3]string{ // corpus -> {forward answers, forward work, reverse and connection results}
-		"trees":  {"68150ee5f05d0e3f0737116d78198b578f160112a875c2cd8a64f0a3cd94932c", "2e39f8fde82a676fc86d09906789310c0c6ba940bc89be19e43cd8930f2c6d45", "e4871da747f96a2afbd36b0a66a67fa4a8f02136d6afcf748c512d17069ebf23"},
-		"dags":   {"366d982bafebacb3292be78cf65c19a32709dca482c443b9a8a0521ce358b695", "bcb5e301561ce87f24addc82403b6311636d35ee05294efabf18862bcf1eddad", "b7b08cbc2e4200cafa5c0ff97ee4c4d8b5d5d5aa2ae4440f7d60a17d8d5771b5"},
-		"linked": {"00daa0fd97c478a9574363dd356c9b3a6f77d5d3052075a679151dc9c5d6e1d8", "83f64d6f53bf7aeab01d07caac15f0ca5017ee1d34be34f9b8f68507cb09fce3", "ce9db97210059ec76819f907b9de03a02abca033bd11956d8b55713ee950786b"},
-		"dblp":   {"a0e4548e29b80d76c2e8379a65b8191b46dd13aef5fcca11c898ad5d71ba1b41", "40ad87536dc86ada3598a2e4553b6e034cb660d7c4f7597a03530bd14af1f51b", "02278ba7addd9478706bcfaf098ed7846d6c105f8c540c8af1b8bea336fe85a7"},
+		"trees":  {"68150ee5f05d0e3f0737116d78198b578f160112a875c2cd8a64f0a3cd94932c", "84a08af1948de62b325dbfb4656288ee327bef35b5516592298ba6ade5ac29eb", "e4871da747f96a2afbd36b0a66a67fa4a8f02136d6afcf748c512d17069ebf23"},
+		"dags":   {"366d982bafebacb3292be78cf65c19a32709dca482c443b9a8a0521ce358b695", "2fbc328a4ee1b8baf71272481231475d145bc879139cdf0c7700ead2cdbb06db", "b7b08cbc2e4200cafa5c0ff97ee4c4d8b5d5d5aa2ae4440f7d60a17d8d5771b5"},
+		"linked": {"00daa0fd97c478a9574363dd356c9b3a6f77d5d3052075a679151dc9c5d6e1d8", "2f55ef17ead74284815e021a8e635c3ccb5e7a805126c858bb398c78a69407c4", "ce9db97210059ec76819f907b9de03a02abca033bd11956d8b55713ee950786b"},
+		"dblp":   {"a0e4548e29b80d76c2e8379a65b8191b46dd13aef5fcca11c898ad5d71ba1b41", "46443dd914492a2d2a53c7488cc9c51092a26a08753d794fdd70fca23d503b40", "02278ba7addd9478706bcfaf098ed7846d6c105f8c540c8af1b8bea336fe85a7"},
 	}
 	for _, corpus := range identityCorpora() {
 		w := &identityHash{answers: sha256.New(), work: sha256.New()}
@@ -260,7 +261,7 @@ func TestEvaluatorIdentityRecorded(t *testing.T) {
 				t.Errorf("%s %v: the evaluator drivers wrote to the decomposition", corpus.name, cfg.Kind)
 			}
 		}
-		t.Logf("%s: %d pops, %d dropped as duplicates", corpus.name, w.pops, w.dropped)
+		t.Logf("%s: %d pops, %d dropped as duplicates, %d link hops", corpus.name, w.pops, w.dropped, w.hops)
 		got := [3]string{hex.EncodeToString(w.answers.Sum(nil)), hex.EncodeToString(w.work.Sum(nil)), hex.EncodeToString(reverse.Sum(nil))}
 		if got != recorded[corpus.name] {
 			t.Errorf("%s: {forward answers, forward work, reverse results} =\n%q, recorded\n%q", corpus.name, got, recorded[corpus.name])

@@ -155,6 +155,9 @@ type Index struct {
 	// the hottest per-pop work after the probe itself — sweeps dense
 	// plain arrays instead of re-extracting packed values every pop.
 	linkTabs []pathindex.LinkTable
+	// regions[mi] is the meta document's index as a pathindex.Regioner, nil
+	// when it has no region encoding: resolved once, not asserted per pop.
+	regions []pathindex.Regioner
 
 	// secRaw holds the pre-compression byte size of each snapshot section
 	// (parallel to snap's meta sections; 0 = unknown), parsed from the
@@ -218,13 +221,15 @@ func BuildWithOptions(c *xmlgraph.Collection, cfg Config, opts BuildOptions) (*I
 	return ix, nil
 }
 
-// buildLinkTables precomputes the per-meta-document link-distance tables.
-// Both constructors (heap build, snapshot open) call it once the pis are in
-// place.
+// buildLinkTables precomputes the per-meta-document link-distance tables and
+// resolves the region encodings.  Both constructors (heap build, snapshot
+// open) call it once the pis are in place.
 func (ix *Index) buildLinkTables() {
 	ix.linkTabs = make([]pathindex.LinkTable, len(ix.pis))
+	ix.regions = make([]pathindex.Regioner, len(ix.pis))
 	for i, md := range ix.set.Metas {
 		ix.linkTabs[i] = pathindex.NewLinkTable(ix.pis[i], md.LinkSources)
+		ix.regions[i], _ = ix.pis[i].(pathindex.Regioner)
 	}
 }
 

@@ -1,6 +1,7 @@
 package flix
 
 import (
+	"repro/internal/pathindex"
 	"repro/internal/xmlgraph"
 )
 
@@ -17,8 +18,10 @@ type evalScratch struct {
 	f   frontier
 
 	// entered lists the visited entry points per meta document (the coverage
-	// rule, on either axis).
+	// rule, on either axis); skip holds the regions the latest entry point
+	// swallowed (evalRun.enter).
 	entered enteredTable
+	skip    []pathindex.Span
 
 	// best maps every node ever queued to the smallest distance it was
 	// queued at: queue pushes a node only when it gets closer (relax at
@@ -43,7 +46,8 @@ type evalScratch struct {
 	linkFn  func(i int, d int32) bool
 }
 
-// enteredTable maps a meta document to the entry points admitted in it.  It
+// enteredTable maps a meta document to the entry points admitted in it, in
+// the shape evalRun.enter keeps them (a local ID, a region or a rank).  It
 // is sparse — a small open-addressing hash over the meta documents actually
 // entered, each with a reusable list — so its size and the cost of resetting
 // it follow the work the evaluation did, never the number of meta documents
@@ -51,9 +55,9 @@ type evalScratch struct {
 // each with a scratch of its own, and most of them enter a handful of meta
 // documents.
 type enteredTable struct {
-	slots []enteredSlot // linear probing; len is 0 or a power of two, at most half full
-	gen   uint32        // a slot is occupied iff it carries this stamp, so reset is one increment
-	lists [][]int32     // lists[:n] are in use, one per meta document entered
+	slots []enteredSlot      // linear probing; len is 0 or a power of two, at most half full
+	gen   uint32             // a slot is occupied iff it carries this stamp, so reset is one increment
+	lists [][]pathindex.Span // lists[:n] are in use, one per meta document entered
 	n     int
 }
 
@@ -74,7 +78,7 @@ func (t *enteredTable) find(mi int32) int {
 
 // at returns the entry-point list of meta document mi, empty at its first
 // visit.  The pointer is good until the next call.
-func (t *enteredTable) at(mi int32) *[]int32 {
+func (t *enteredTable) at(mi int32) *[]pathindex.Span {
 	if 2*(t.n+1) > len(t.slots) {
 		old := t.slots
 		t.slots = make([]enteredSlot, max(8, 2*len(old)))
@@ -248,6 +252,7 @@ func (ix *Index) getScratch() *evalScratch {
 func (ix *Index) putScratch(s *evalScratch) {
 	s.f.reset()
 	s.entered.reset()
+	s.skip = s.skip[:0]
 	s.rbuf.reset()
 	s.best.reset()
 	s.res.reset()

@@ -20,14 +20,19 @@ const (
 	// EvEntry: a popped element was admitted as a new entry point of its
 	// meta document (Strategy names the local index).
 	EvEntry
-	// EvDupDrop: a popped element was discarded by the §5.1 duplicate
-	// elimination (an earlier entry point already covers it).
+	// EvDupDrop: a popped element was discarded by duplicate elimination:
+	// a stale copy (the node was queued again nearer, and that copy popped
+	// first), or, under the §5.1 coverage rule, an element an earlier entry
+	// point of its meta document already covers.
 	EvDupDrop
 	// EvProbe: one index probe of a meta document completed; Dist carries
 	// the number of results it streamed and Elapsed its duration.
 	EvProbe
-	// EvLinkHop: a runtime link target was pushed onto the frontier at
-	// priority Dist.
+	// EvLinkHop: the follow step walked a runtime link and offered its target
+	// (Node) at priority Dist.  The target is queued only when that is
+	// nearer than every earlier offer, so a hop need not push.  Under the
+	// coverage rule a region-encoded (PPO) meta document's links below an
+	// earlier entry point are not walked again.
 	EvLinkHop
 	// EvResult: a result was emitted at distance Dist.
 	EvResult

@@ -70,10 +70,14 @@ func LinkDistances(idx Index, x int32, sources []int32, fn func(i int, d int32) 
 // sweep is a binary search for x's subtree interval instead of a test per
 // source.
 type LinkTable interface {
-	// LinkDistancesTo behaves exactly like LinkDistances(idx, x, sources,
-	// fn) — the same (i, d) calls in the same order — for the source list
-	// the table was built over.
-	LinkDistancesTo(x int32, fn func(i int, d int32) bool)
+	// LinkDistancesTo calls fn(i, d) for every source i of the table's list
+	// that x reaches, d being its distance from x — the hits of
+	// LinkDistances(idx, x, sources, fn) — except the sources whose preorder
+	// rank lies in a span of skip.  skip is ascending and disjoint; the
+	// evaluator passes the regions of the earlier entry points nested in x's,
+	// whose sources were swept already.  Hits arrive each once, in ascending
+	// preorder rank, until fn returns false.
+	LinkDistancesTo(x int32, skip []Span, fn func(i int, d int32) bool)
 }
 
 // LinkTabler is implemented by indexes that can precompute a LinkTable.
@@ -92,6 +96,20 @@ func NewLinkTable(idx Index, sources []int32) LinkTable {
 		return lt.LinkTable(sources)
 	}
 	return nil
+}
+
+// Span is the half-open preorder interval [Lo, Hi).  Under region encoding
+// an element's subtree is one span — its preorder rank and subtree size — so
+// "x reaches y" is "x's span holds pre(y)".
+type Span struct{ Lo, Hi int32 }
+
+// Regioner is implemented by indexes that number their local graph by region
+// encoding (PPO): x reaches y iff Region(x) holds Region(y).Lo.  It lets the
+// evaluator keep a meta document's entry points as sorted spans and ranks,
+// and test coverage with one binary search instead of a Reachable call per
+// earlier entry point.
+type Regioner interface {
+	Region(x int32) Span
 }
 
 // Builder constructs an Index for a local graph.  Builders may fail, e.g.

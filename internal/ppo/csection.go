@@ -159,6 +159,7 @@ type CIndex struct {
 }
 
 var _ pathindex.Index = (*CIndex)(nil)
+var _ pathindex.Regioner = (*CIndex)(nil)
 var _ storage.SectionEncoder = (*CIndex)(nil)
 
 // OpenCompressedSection lays a CIndex over the section bytes.  Like the
@@ -314,8 +315,14 @@ func (v *CIndex) LinkTable(sources []int32) pathindex.LinkTable {
 }
 
 // LinkDistancesTo implements pathindex.LinkTable.
-func (t *clinkTable) LinkDistancesTo(x int32, fn func(i int, d int32) bool) {
-	t.each(t.v.pre.At(x), t.v.size.At(x), t.v.depth.At(x), fn)
+func (t *clinkTable) LinkDistancesTo(x int32, skip []pathindex.Span, fn func(i int, d int32) bool) {
+	t.each(t.v.Region(x), t.v.depth.At(x), skip, fn)
+}
+
+// Region implements pathindex.Regioner.
+func (v *CIndex) Region(x int32) pathindex.Span {
+	lo := v.pre.At(x)
+	return pathindex.Span{Lo: lo, Hi: lo + v.size.At(x)}
 }
 
 // EachReachable implements pathindex.Index.  The compressed section does

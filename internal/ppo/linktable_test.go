@@ -108,28 +108,68 @@ func sweep(run func(fn func(i int, d int32) bool), stop int) [][2]int32 {
 	return out
 }
 
+// skipSets returns skip-span sets for a sweep from x: none; the regions of a
+// few of x's descendants, each kept only when no region kept before overlaps
+// it — what the evaluator hands over; and ascending disjoint intervals cut
+// anywhere in the forest, inside x's region or not.
+func skipSets(rng *rand.Rand, rg pathindex.Regioner, x int32, n int) [][]pathindex.Span {
+	region := rg.Region(x)
+	var nested []pathindex.Span
+	for range rng.Intn(4) {
+		sp := rg.Region(region.Lo + rng.Int31n(region.Hi-region.Lo))
+		if !slices.ContainsFunc(nested, func(o pathindex.Span) bool { return o.Lo < sp.Hi && sp.Lo < o.Hi }) {
+			nested = append(nested, sp)
+		}
+	}
+	slices.SortFunc(nested, func(a, b pathindex.Span) int { return int(a.Lo - b.Lo) })
+	cuts := make([]int32, 2*rng.Intn(4))
+	for i := range cuts {
+		cuts[i] = rng.Int31n(int32(n) + 1)
+	}
+	slices.Sort(cuts)
+	var cut []pathindex.Span
+	for i := 0; i < len(cuts); i += 2 {
+		if cuts[i] < cuts[i+1] && (len(cut) == 0 || cut[len(cut)-1].Hi < cuts[i]) {
+			cut = append(cut, pathindex.Span{Lo: cuts[i], Hi: cuts[i+1]})
+		}
+	}
+	return [][]pathindex.Span{nil, nested, cut}
+}
+
 // checkLinkTable holds every view's LinkTable over lc to the per-source
-// Distance sweep: the same calls in the same order from every element, and
-// the same prefix when fn stops the sweep after one call or halfway.
-func checkLinkTable(tb testing.TB, lc linkCase) {
+// Distance sweep: from every element and under random skip-span sets, the
+// table emits exactly the sweep's hits whose preorder rank lies in no skipped
+// span, each once, in ascending rank — and the same prefix when fn stops the
+// sweep after one call or halfway.
+func checkLinkTable(tb testing.TB, lc linkCase, seed int64) {
 	if len(lc.sources) == 0 {
 		return // no table: the evaluator has nothing to follow
 	}
+	rng := rand.New(rand.NewSource(seed))
 	for view, idx := range linkViews(tb, lc.g) {
 		lt := pathindex.NewLinkTable(idx, lc.sources)
-		if lt == nil {
-			tb.Fatalf("%s %s: no link table", lc.name, view)
+		rg, ok := idx.(pathindex.Regioner)
+		if lt == nil || !ok {
+			tb.Fatalf("%s %s: no link table or no region encoding", lc.name, view)
 		}
+		rank := func(hit [2]int32) int32 { return rg.Region(lc.sources[hit[0]]).Lo }
 		for x := int32(0); int(x) < lc.g.NumNodes(); x++ {
-			want := sweep(func(fn func(int, int32) bool) { pathindex.LinkDistances(idx, x, lc.sources, fn) }, 0)
-			for _, stop := range []int{0, 1, (len(want) + 1) / 2} {
-				want := want
-				if stop > 0 && stop < len(want) {
-					want = want[:stop]
-				}
-				got := sweep(func(fn func(int, int32) bool) { lt.LinkDistancesTo(x, fn) }, stop)
-				if !slices.Equal(got, want) {
-					tb.Fatalf("%s %s: from %d stopping at call %d the table emits %v, the Distance sweep %v", lc.name, view, x, stop, got, want)
+			hits := sweep(func(fn func(int, int32) bool) { pathindex.LinkDistances(idx, x, lc.sources, fn) }, 0)
+			slices.SortFunc(hits, func(a, b [2]int32) int { return int(rank(a) - rank(b)) })
+			for _, skip := range skipSets(rng, rg, x, lc.g.NumNodes()) {
+				all := slices.DeleteFunc(slices.Clone(hits), func(hit [2]int32) bool {
+					return slices.ContainsFunc(skip, func(sp pathindex.Span) bool { return sp.Lo <= rank(hit) && rank(hit) < sp.Hi })
+				})
+				for _, stop := range []int{0, 1, (len(all) + 1) / 2} {
+					want := all
+					if stop > 0 && stop < len(want) {
+						want = want[:stop]
+					}
+					got := sweep(func(fn func(int, int32) bool) { lt.LinkDistancesTo(x, skip, fn) }, stop)
+					if !slices.Equal(got, want) {
+						tb.Fatalf("%s %s: from %d skipping %v stopping at call %d the table emits %v, the Distance sweep %v",
+							lc.name, view, x, skip, stop, got, want)
+					}
 				}
 			}
 		}
@@ -137,7 +177,8 @@ func checkLinkTable(tb testing.TB, lc linkCase) {
 }
 
 // TestLinkTableMatchesDistanceSweep is the differential proof of the
-// interval sweep over real meta documents and random forests.
+// interval sweep and its skip spans over real meta documents and random
+// forests.
 func TestLinkTableMatchesDistanceSweep(t *testing.T) {
 	cases := forestCases()
 	if len(cases) < 20 {
@@ -146,13 +187,13 @@ func TestLinkTableMatchesDistanceSweep(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		cases = append(cases, randomCase(seed, 60, 64), randomCase(seed, 1500, 128))
 	}
-	for _, lc := range cases {
-		checkLinkTable(t, lc)
+	for i, lc := range cases {
+		checkLinkTable(t, lc, int64(i))
 	}
 }
 
-// TestLinkTableAllocFree holds the sweep, scattered positions included, to
-// zero allocations per call on every view.
+// TestLinkTableAllocFree holds the sweep, skipped spans included, to zero
+// allocations per call on every view.
 func TestLinkTableAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -162,9 +203,12 @@ func TestLinkTableAllocFree(t *testing.T) {
 	fn := func(int, int32) bool { hits++; return true }
 	for view, idx := range linkViews(t, lc.g) {
 		lt := pathindex.NewLinkTable(idx, lc.sources)
+		rg := idx.(pathindex.Regioner)
+		skip := make([]pathindex.Span, 1)
 		x := int32(0)
 		if avg := testing.AllocsPerRun(200, func() {
-			lt.LinkDistancesTo(x, fn)
+			skip[0] = rg.Region((x + 1) % int32(lc.g.NumNodes()))
+			lt.LinkDistancesTo(x, skip, fn)
 			x = (x + 37) % int32(lc.g.NumNodes())
 		}); avg != 0 {
 			t.Errorf("%s: %.1f allocs per sweep", view, avg)
@@ -175,12 +219,13 @@ func TestLinkTableAllocFree(t *testing.T) {
 	}
 }
 
-// FuzzLinkTable checks the differential property on random forests.
+// FuzzLinkTable checks the differential property on random forests and skip
+// sets.
 func FuzzLinkTable(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(64))
 	f.Add(int64(2), uint16(700), uint8(255))
 	f.Add(int64(3), uint16(1200), uint8(20))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, density uint8) {
-		checkLinkTable(t, randomCase(seed, 1+int(n%1500), density))
+		checkLinkTable(t, randomCase(seed, 1+int(n%1500), density), seed)
 	})
 }

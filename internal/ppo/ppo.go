@@ -72,6 +72,7 @@ type depthRun struct {
 }
 
 var _ pathindex.Index = (*Index)(nil)
+var _ pathindex.Regioner = (*Index)(nil)
 
 // Strategy is the registry entry for PPO.
 var Strategy = pathindex.Strategy{
@@ -263,9 +264,15 @@ func (idx *Index) LinkTable(sources []int32) pathindex.LinkTable {
 }
 
 // LinkDistancesTo implements pathindex.LinkTable.
-func (t *linkTable) LinkDistancesTo(x int32, fn func(i int, d int32) bool) {
-	idx := t.idx
-	t.each(idx.pre[x], idx.size[x], idx.depth[x], fn)
+func (t *linkTable) LinkDistancesTo(x int32, skip []pathindex.Span, fn func(i int, d int32) bool) {
+	t.each(t.idx.Region(x), t.idx.depth[x], skip, fn)
+}
+
+// Region implements pathindex.Regioner: x's subtree is the preorder interval
+// [pre(x), pre(x)+size(x)).
+func (idx *Index) Region(x int32) pathindex.Span {
+	lo := idx.pre[x]
+	return pathindex.Span{Lo: lo, Hi: lo + idx.size[x]}
 }
 
 // Depth returns the tree depth of x (roots have depth 0).
@@ -273,9 +280,6 @@ func (idx *Index) Depth(x int32) int32 { return idx.depth[x] }
 
 // Parent returns the parent of x, or -1.
 func (idx *Index) Parent(x int32) int32 { return idx.parent[x] }
-
-// Pre returns the preorder rank of x.
-func (idx *Index) Pre(x int32) int32 { return idx.pre[x] }
 
 // Post returns the postorder rank of x.
 func (idx *Index) Post(x int32) int32 { return idx.post[x] }

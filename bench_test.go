@@ -369,32 +369,38 @@ func BenchmarkDecompose(b *testing.B) {
 // BenchmarkOpenSnapshot measures a v2 snapshot open from memory, raw and
 // compressed, the way a hot swap pays it: over the decomposition the build
 // kept on the collection (BenchmarkDecompose is the first open's extra), so
-// the checksum, opening every section in place and the link tables.
+// the checksum, opening every section and the link tables.  Hybrid's
+// sections are all PPO, opened in place; HOPI-5000's are decoded into heap
+// labels and postings.
 func BenchmarkOpenSnapshot(b *testing.B) {
 	e := experiment(b)
-	bu := built(b, bench.Entry{Label: "Hybrid",
-		Config: flix.Config{Kind: flix.Hybrid, PartitionSize: 5000}})
-	for _, c := range []struct {
-		name string
-		opts iflix.SnapshotV2Options
-	}{
-		{"raw", iflix.SnapshotV2Options{}},
-		{"compressed", iflix.SnapshotV2Options{Compress: true}},
+	for _, en := range []bench.Entry{
+		{Label: "Hybrid", Config: flix.Config{Kind: flix.Hybrid, PartitionSize: 5000}},
+		{Label: "HOPI-5000", Config: flix.Config{Kind: flix.UnconnectedHOPI, PartitionSize: 5000}},
 	} {
-		var buf bytes.Buffer
-		if _, err := bu.Index.WriteSnapshotV2With(&buf, c.opts); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ix, err := flix.OpenSnapshotBytes(e.Coll, buf.Bytes())
-				if err != nil {
-					b.Fatal(err)
-				}
-				ix.Close()
+		bu := built(b, en)
+		for _, c := range []struct {
+			name string
+			opts iflix.SnapshotV2Options
+		}{
+			{"raw", iflix.SnapshotV2Options{}},
+			{"compressed", iflix.SnapshotV2Options{Compress: true}},
+		} {
+			var buf bytes.Buffer
+			if _, err := bu.Index.WriteSnapshotV2With(&buf, c.opts); err != nil {
+				b.Fatal(err)
 			}
-		})
+			b.Run(en.Label+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ix, err := flix.OpenSnapshotBytes(e.Coll, buf.Bytes())
+					if err != nil {
+						b.Fatal(err)
+					}
+					ix.Close()
+				}
+			})
+		}
 	}
 }
 

@@ -64,8 +64,9 @@ func TestSnapshotCompressedParity(t *testing.T) {
 					t.Fatalf("EvalStats diverge: heap %+v, snapshot %+v", hs, ss)
 				}
 				// Reopening a compressed snapshot and re-persisting it
-				// compressed must reproduce the image byte for byte (the
-				// already-compressed sections pass through verbatim).
+				// compressed must serve the same answers (compressed PPO
+				// sections pass through verbatim; HOPI sections re-encode
+				// from their decoded index).
 				var again bytes.Buffer
 				if _, err := snap.WriteSnapshotV2With(&again, compressOpts); err != nil {
 					t.Fatal(err)
@@ -79,6 +80,50 @@ func TestSnapshotCompressedParity(t *testing.T) {
 					t.Fatal("re-persisted compressed snapshot diverges")
 				}
 			})
+		}
+	}
+}
+
+// TestHOPIReopenPersistsLikeBuild pins that an opened HOPI generation
+// persists exactly like the build it came from: write(open(write(build,
+// o1)), o2) equals write(build, o2) byte for byte for every raw/compressed
+// pair o1 × o2.  In particular an opened hopi-c section written without
+// Compress comes out raw, as the build's does.
+func TestHOPIReopenPersistsLikeBuild(t *testing.T) {
+	c := goldenCollection()
+	write := func(ix *Index, o SnapshotV2Options) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := ix.WriteSnapshotV2With(&buf, o); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	opts := []SnapshotV2Options{{}, compressOpts}
+	for _, cfg := range []Config{{Kind: Monolithic, Strategy: "hopi"}, {Kind: UnconnectedHOPI, PartitionSize: 40}} {
+		built, err := Build(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o1 := range opts {
+			opened, err := OpenSnapshotBytes(c, write(built, o1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			kinds := map[string]bool{}
+			for _, st := range opened.StorageInfo().Sections {
+				kinds[st.Kind] = true
+			}
+			if want := map[bool]string{false: "hopi", true: "hopi-c"}[o1.Compress]; !kinds[want] {
+				t.Fatalf("%v compress=%t: no %s section among %v", cfg, o1.Compress, want, kinds)
+			}
+			for _, o2 := range opts {
+				if !bytes.Equal(write(opened, o2), write(built, o2)) {
+					t.Errorf("%v: opened with compress=%t, rewritten with compress=%t: differs from the build's write",
+						cfg, o1.Compress, o2.Compress)
+				}
+			}
+			opened.Close()
 		}
 	}
 }

@@ -2,7 +2,8 @@ package flix
 
 // The persisted form of an index — the only one: WriteSnapshotV2 emits the
 // offset-based mmap-able container (storage.SnapshotWriter), OpenSnapshot
-// serves an index straight from the mapped bytes with no parse step.  The
+// serves PPO, APEX and tc sections straight from the mapped bytes with no
+// parse step and decodes HOPI sections into heap labels.  The
 // file carries a manifest section (configuration + per-meta-document
 // fingerprints) followed by one section per meta document in decomposition
 // order; the decomposition itself is not stored — Decompose derives it from
@@ -28,8 +29,8 @@ import (
 var ErrSnapshotCorrupt = storage.ErrCorrupt
 
 // WriteSnapshotV2 serializes the index in the v2 snapshot container, which
-// OpenSnapshot serves directly from a memory-mapped file: fixed-width arrays
-// are used in place and varint runs are decoded lazily per probe.
+// OpenSnapshot serves from a memory-mapped file: fixed-width arrays are used
+// in place, and HOPI's varint runs are decoded at open.
 func (ix *Index) WriteSnapshotV2(w io.Writer) (int64, error) {
 	return ix.WriteSnapshotV2With(w, SnapshotV2Options{})
 }
@@ -125,8 +126,8 @@ func (ix *Index) WriteSnapshotV2With(w io.Writer, opts SnapshotV2Options) (int64
 		}
 		secs[i] = section{kind: enc.SectionKind(), body: body}
 		if storage.IsCompressedKind(secs[i].kind) {
-			// Already compressed (re-persisting an open compressed
-			// snapshot); the original raw size is unknown.
+			// Already compressed (re-persisting a ppo-c section of an
+			// open snapshot); the original raw size is unknown.
 			continue
 		}
 		cenc, ok := p.(storage.CompressedSectionEncoder)
@@ -337,9 +338,12 @@ type StorageInfo struct {
 	// Format is "heap" for a built index, "v2" for one served from an open
 	// snapshot container.
 	Format string
-	// Mapped reports whether the backing snapshot is memory-mapped.
+	// Mapped reports whether the backing snapshot is memory-mapped.  The
+	// mapping backs the probes of PPO, APEX and tc sections; HOPI sections
+	// are decoded into the heap at open, and their probes do not read it.
 	Mapped bool
-	// MappedBytes is the size of the mapping (0 when not mapped).
+	// MappedBytes is the size of the mapping (0 when not mapped), HOPI
+	// sections included.
 	MappedBytes int64
 	// SizeBytes is the on-disk size of the backing snapshot container, or
 	// 0 when the index is not snapshot-backed.

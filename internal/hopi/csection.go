@@ -8,9 +8,8 @@ package hopi
 // to a few bits each) and switches the blobs to the prefix-truncated
 // codec: the tiny distance (or distance delta) rides in the low two bits
 // of the hub (or zig-zag node) varint, with tag 3 escaping to an explicit
-// extra uvarint.  The same View type serves both encodings — the codec is
-// a branch on View.tight, so the pooled-cursor k-way merge machinery and
-// the probe surface are shared verbatim.
+// extra uvarint.  Both encodings open through the same decoder into the
+// same Index; the codec is a branch on its tight flag.
 //
 //	u32 n
 //	u32 inLen, outLen, hubInLen, hubOutLen   (blob byte lengths)
@@ -25,7 +24,6 @@ package hopi
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/lgraph"
 	"repro/internal/pathindex"
@@ -37,40 +35,11 @@ func (idx *Index) CompressedSectionKind() uint32 { return storage.SectionHOPIC }
 
 // EncodeCompressedSection implements storage.CompressedSectionEncoder.
 func (idx *Index) EncodeCompressedSection(sw *storage.SnapshotWriter) {
-	encodeCompressed(sw, idx.in, idx.out, idx.hubIn, idx.hubOut)
-}
-
-// CompressedSectionKind implements storage.CompressedSectionEncoder.
-func (v *View) CompressedSectionKind() uint32 { return storage.SectionHOPIC }
-
-// EncodeCompressedSection re-encodes the view in the tight codec: verbatim
-// when the view is already tight, otherwise by materializing the runs once
-// (a cold, persistence-time path).
-func (v *View) EncodeCompressedSection(sw *storage.SnapshotWriter) {
-	if v.tight {
-		sw.Raw(v.raw)
-		return
-	}
-	decodeAllPostings := func(offs *offTab, blob []byte) [][]entry {
-		out := make([][]entry, v.n)
-		for h := int32(0); h < v.n; h++ {
-			out[h] = decodePostings(run(offs, blob, h), v.n, v.tight)
-		}
-		return out
-	}
-	encodeCompressed(sw,
-		decodeLabels(&v.inOff, v.inB, v.n, v.tight),
-		decodeLabels(&v.outOff, v.outB, v.n, v.tight),
-		decodeAllPostings(&v.hubInOff, v.hubInB),
-		decodeAllPostings(&v.hubOutOff, v.hubOutB))
-}
-
-func encodeCompressed(sw *storage.SnapshotWriter, in, out, hubIn, hubOut [][]entry) {
-	inOff, inB := encodeLabelRunsTight(in)
-	outOff, outB := encodeLabelRunsTight(out)
-	hubInOff, hubInB := encodePostingRunsTight(hubIn)
-	hubOutOff, hubOutB := encodePostingRunsTight(hubOut)
-	sw.U32(uint32(len(in)))
+	inOff, inB := encodeLabelRunsTight(idx.in)
+	outOff, outB := encodeLabelRunsTight(idx.out)
+	hubInOff, hubInB := encodePostingRunsTight(idx.hubIn)
+	hubOutOff, hubOutB := encodePostingRunsTight(idx.hubOut)
+	sw.U32(uint32(len(idx.in)))
 	sw.U32(uint32(len(inB)))
 	sw.U32(uint32(len(outB)))
 	sw.U32(uint32(len(hubInB)))
@@ -130,72 +99,8 @@ func encodePostingRunsTight(postings [][]entry) ([]int32, []byte) {
 	return offs, blob
 }
 
-// packedOffsets reads one bit-packed offset table and validates it the way
-// PrefixOffsets validates the raw form: monotonic, starting at 0, ending
-// at end — after which every run slice is in bounds by construction.
-func packedOffsets(d *storage.SectionData, n int, end uint32) (storage.PackedI32, error) {
-	p := d.PackedI32s()
-	if err := d.Err(); err != nil {
-		return storage.PackedI32{}, err
-	}
-	if p.Len() != n+1 {
-		return storage.PackedI32{}, fmt.Errorf("%w: hopi: offset table has %d entries, want %d",
-			storage.ErrCorrupt, p.Len(), n+1)
-	}
-	prev := uint32(p.At(0))
-	if prev != 0 {
-		return storage.PackedI32{}, fmt.Errorf("%w: hopi: offset table starts at %d", storage.ErrCorrupt, prev)
-	}
-	for i := int32(1); i <= int32(n); i++ {
-		cur := uint32(p.At(i))
-		if cur < prev {
-			return storage.PackedI32{}, fmt.Errorf("%w: hopi: offset table not monotonic at %d", storage.ErrCorrupt, i)
-		}
-		prev = cur
-	}
-	if prev != end {
-		return storage.PackedI32{}, fmt.Errorf("%w: hopi: offset table ends at %d, want %d", storage.ErrCorrupt, prev, end)
-	}
-	return p, nil
-}
-
-// OpenCompressedSection lays a View (in tight-codec mode) over the section
-// bytes.  As with the raw opener, only the offset tables are validated —
-// probes bounds-check every decoded hub and node, so a forged stream
-// degrades to a truncated enumeration rather than a panic.
+// OpenCompressedSection decodes a compressed section into an *Index over
+// g, validated exactly like OpenSection.
 func OpenCompressedSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
-	d := storage.NewSectionData(data)
-	n := int(d.U32())
-	inLen := int(d.U32())
-	outLen := int(d.U32())
-	hubInLen := int(d.U32())
-	hubOutLen := int(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n != g.NumNodes() {
-		return nil, fmt.Errorf("%w: hopi: section has %d nodes, graph %d", storage.ErrCorrupt, n, g.NumNodes())
-	}
-	v := &View{g: g, n: int32(n), raw: data, kind: storage.SectionHOPIC, tight: true}
-	var err error
-	if v.inOff.packed, err = packedOffsets(d, n, uint32(inLen)); err != nil {
-		return nil, err
-	}
-	if v.outOff.packed, err = packedOffsets(d, n, uint32(outLen)); err != nil {
-		return nil, err
-	}
-	if v.hubInOff.packed, err = packedOffsets(d, n, uint32(hubInLen)); err != nil {
-		return nil, err
-	}
-	if v.hubOutOff.packed, err = packedOffsets(d, n, uint32(hubOutLen)); err != nil {
-		return nil, err
-	}
-	v.inB = d.Bytes(inLen)
-	v.outB = d.Bytes(outLen)
-	v.hubInB = d.Bytes(hubInLen)
-	v.hubOutB = d.Bytes(hubOutLen)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return openSection(g, data, true)
 }

@@ -3,201 +3,171 @@ package hopi
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/lgraph"
 	"repro/internal/pathindex"
 	"repro/internal/storage"
+	"repro/internal/testutil"
+	"repro/internal/xmlgraph"
 )
 
-// tightView encodes idx's compressed section and opens a tight View over
-// the bytes.
-func tightView(t testing.TB, g *lgraph.LGraph, idx *Index) *View {
+// codecs lists both section encodings with their openers.
+var codecs = []struct {
+	name   string
+	encode func(*Index) func(*storage.SnapshotWriter)
+	open   func(*lgraph.LGraph, []byte) (pathindex.Index, error)
+}{
+	{"raw", func(idx *Index) func(*storage.SnapshotWriter) { return idx.EncodeSection }, OpenSection},
+	{"compressed", func(idx *Index) func(*storage.SnapshotWriter) { return idx.EncodeCompressedSection }, OpenCompressedSection},
+}
+
+// encodeOpen encodes idx's section in the codec and decodes it back over g.
+func encodeOpen(t testing.TB, g *lgraph.LGraph, idx *Index, codec int) *Index {
 	t.Helper()
-	body, err := storage.EncodeSectionBody(idx.EncodeCompressedSection)
+	body, err := storage.EncodeSectionBody(codecs[codec].encode(idx))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := OpenCompressedSection(g, body)
+	pi, err := codecs[codec].open(g, body)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", codecs[codec].name, err)
 	}
-	return pi.(*View)
+	return pi.(*Index)
 }
 
-// gather collects an enumeration into (node, dist) pairs.
-func gather(each func(pathindex.Visit)) [][2]int32 {
-	var out [][2]int32
-	each(func(n, d int32) bool {
-		out = append(out, [2]int32{n, d})
-		return true
-	})
-	return out
+// sameArrays reports whether two indexes hold equal labels and postings,
+// run by run (an empty run equals a nil one).
+func sameArrays(a, b *Index) bool {
+	eq := func(x, y [][]entry) bool { return slices.EqualFunc(x, y, slices.Equal) }
+	return eq(a.in, b.in) && eq(a.out, b.out) && eq(a.hubIn, b.hubIn) && eq(a.hubOut, b.hubOut)
 }
 
-func samePairs(a, b [][2]int32) bool {
-	if len(a) != len(b) {
-		return false
+// collectionGraph flattens a collection into one local graph: every element,
+// every parent-child edge and every link.
+func collectionGraph(c *xmlgraph.Collection) *lgraph.LGraph {
+	b := lgraph.NewBuilder()
+	for n := xmlgraph.NodeID(0); int(n) < c.NumNodes(); n++ {
+		b.AddNode(c.Tag(n))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	for n := xmlgraph.NodeID(0); int(n) < c.NumNodes(); n++ {
+		c.EachSuccessor(n, func(s xmlgraph.NodeID) { b.AddEdge(int32(n), int32(s)) })
 	}
-	return true
+	return b.Finish()
 }
 
-// TestCompressedSectionParity checks every probe of the tight view against
-// the heap index over random labeled graphs — identical results, identical
-// emission order.
+// TestCompressedSectionParity checks that a section opened raw and opened
+// compressed decodes into exactly the labels and postings Build produced,
+// over random graphs and the testutil families.  Every probe test of the
+// heap index therefore covers opened sections too.
 func TestCompressedSectionParity(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 40}
+	check := func(g *lgraph.LGraph) bool {
+		idx := Build(g)
+		for c := range codecs {
+			got := encodeOpen(t, g, idx, c)
+			if got.NumNodes() != g.NumNodes() || got.Name() != "hopi" || !sameArrays(idx, got) {
+				t.Logf("%s: decoded index differs from the build", codecs[c].name)
+				return false
+			}
+		}
+		return true
+	}
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
-		g := randomGraph(rng, n, rng.Intn(3*n))
-		idx := Build(g)
-		v := tightView(t, g, idx)
-		if v.NumNodes() != n || v.Name() != "hopi" {
-			return false
-		}
-		for x := int32(0); x < int32(n); x++ {
-			for y := int32(0); y < int32(n); y++ {
-				if idx.Reachable(x, y) != v.Reachable(x, y) {
-					t.Logf("Reachable(%d,%d) differs", x, y)
-					return false
-				}
-				d1, ok1 := idx.Distance(x, y)
-				d2, ok2 := v.Distance(x, y)
-				if ok1 != ok2 || d1 != d2 {
-					t.Logf("Distance(%d,%d) differs", x, y)
-					return false
-				}
-			}
-			if !samePairs(
-				gather(func(fn pathindex.Visit) { idx.EachReachable(x, fn) }),
-				gather(func(fn pathindex.Visit) { v.EachReachable(x, fn) })) {
-				t.Logf("EachReachable(%d) differs", x)
-				return false
-			}
-			if !samePairs(
-				gather(func(fn pathindex.Visit) { idx.EachReaching(x, fn) }),
-				gather(func(fn pathindex.Visit) { v.EachReaching(x, fn) })) {
-				t.Logf("EachReaching(%d) differs", x)
-				return false
-			}
-			for tag := lgraph.Tag(-1); int(tag) <= g.NumTags(); tag++ {
-				if !samePairs(
-					gather(func(fn pathindex.Visit) { idx.EachReachableByTag(x, tag, fn) }),
-					gather(func(fn pathindex.Visit) { v.EachReachableByTag(x, tag, fn) })) {
-					t.Logf("EachReachableByTag(%d, %d) differs", x, tag)
-					return false
-				}
-				if !samePairs(
-					gather(func(fn pathindex.Visit) { idx.EachReachingByTag(x, tag, fn) }),
-					gather(func(fn pathindex.Visit) { v.EachReachingByTag(x, tag, fn) })) {
-					t.Logf("EachReachingByTag(%d, %d) differs", x, tag)
-					return false
-				}
-			}
-		}
-		return true
-	}, cfg)
+		return check(randomGraph(rng, n, rng.Intn(3*n)))
+	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Error(err)
 	}
+	for _, fam := range testutil.Families() {
+		for seed := int64(1); seed <= 3; seed++ {
+			if !check(collectionGraph(testutil.Generate(fam, seed, 6, 12, 15))) {
+				t.Errorf("%s seed %d", fam, seed)
+			}
+		}
+	}
 }
 
-// TestCompressedWriteTo checks that the tight view re-emits the exact canonical
-// stream the heap index writes.
+// TestOpenAllocsFlat checks that an open allocates per blob, not per node:
+// every run is cut from its blob's one backing array, so a graph ten times
+// larger opens in as many allocations.
+func TestOpenAllocsFlat(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rng := rand.New(rand.NewSource(9))
+	small, large := randomGraph(rng, 40, 90), randomGraph(rng, 400, 900)
+	for _, c := range codecs {
+		allocs := func(g *lgraph.LGraph) float64 {
+			body, err := storage.EncodeSectionBody(c.encode(Build(g)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(20, func() {
+				if _, err := c.open(g, body); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := allocs(small), allocs(large); a != b {
+			t.Errorf("%s: opening 40 nodes allocates %v times, 400 nodes %v", c.name, a, b)
+		}
+	}
+}
+
+// TestCompressedWriteTo checks that an opened section writes the exact
+// canonical stream of the build it was encoded from, in both codecs.
 func TestCompressedWriteTo(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
 		g := randomGraph(rng, n, rng.Intn(3*n))
 		idx := Build(g)
-		v := tightView(t, g, idx)
-		var want, got bytes.Buffer
-		if _, err := idx.WriteTo(&want); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v.WriteTo(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("seed %d: compressed WriteTo differs from heap WriteTo", seed)
+		for c := range codecs {
+			if !bytes.Equal(serialize(t, idx), serialize(t, encodeOpen(t, g, idx, c))) {
+				t.Fatalf("seed %d: %s-opened WriteTo differs from the build's", seed, codecs[c].name)
+			}
 		}
 	}
 }
 
-// TestCompressedReencode checks the two re-encoding paths: a tight view
-// passes its section through verbatim, and a raw view's compressed
-// encoding matches the heap index's byte for byte.
+// TestCompressedReencode checks the round trip build → encode → open →
+// encode: byte-identical in every pair of codecs, so an opened generation
+// re-persists under any option exactly like the build.
 func TestCompressedReencode(t *testing.T) {
 	g, idx := buildGraph(t)
-	comp, err := storage.EncodeSectionBody(idx.EncodeCompressedSection)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	v := tightView(t, g, idx)
-	if v.SectionKind() != storage.SectionHOPIC {
-		t.Fatalf("SectionKind = %d", v.SectionKind())
-	}
-	if v.CompressedSectionKind() != storage.SectionHOPIC {
-		t.Fatalf("CompressedSectionKind = %d", v.CompressedSectionKind())
-	}
-	again, err := storage.EncodeSectionBody(v.EncodeSection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(comp, again) {
-		t.Fatal("tight EncodeSection is not a verbatim passthrough")
-	}
-	again, err = storage.EncodeSectionBody(v.EncodeCompressedSection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(comp, again) {
-		t.Fatal("tight EncodeCompressedSection is not a verbatim passthrough")
-	}
-
-	raw, err := storage.EncodeSectionBody(idx.EncodeSection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rv, err := OpenSection(g, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recomp, err := storage.EncodeSectionBody(rv.(*View).EncodeCompressedSection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(comp, recomp) {
-		t.Fatal("raw view's compressed encoding differs from heap index's")
-	}
-}
-
-// TestCompressedEarlyStop checks that a false-returning visitor stops the
-// enumeration.
-func TestCompressedEarlyStop(t *testing.T) {
-	g, idx := buildGraph(t)
-	v := tightView(t, g, idx)
-	count := 0
-	v.EachReachable(0, func(n, d int32) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Fatalf("visited %d nodes, want 2", count)
+	rng := rand.New(rand.NewSource(3))
+	big := randomGraph(rng, 120, 300)
+	for _, gi := range []struct {
+		g   *lgraph.LGraph
+		idx *Index
+	}{{g, idx}, {big, Build(big)}} {
+		for from := range codecs {
+			opened := encodeOpen(t, gi.g, gi.idx, from)
+			for to := range codecs {
+				want, err := storage.EncodeSectionBody(codecs[to].encode(gi.idx))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := storage.EncodeSectionBody(codecs[to].encode(opened))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, got) {
+					t.Fatalf("%s-opened section re-encoded %s differs from the build's", codecs[from].name, codecs[to].name)
+				}
+			}
+		}
 	}
 }
 
 // TestCompressedSectionCorrupt flips every byte of an encoded section and
-// requires OpenCompressedSection to either reject it or serve a view whose
-// probes stay in bounds — never a panic.
+// truncates it: OpenCompressedSection must either reject it or serve an
+// index whose probes stay in bounds — never a panic.  Forged runs behind a
+// consistent envelope must be rejected.
 func TestCompressedSectionCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 40, 90)
@@ -244,6 +214,9 @@ func TestCompressedSectionCorrupt(t *testing.T) {
 				probe(pi)
 			}
 		}()
+	}
+	if err := rejectForgedRuns(g, 1); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -45,7 +45,9 @@ type entry struct {
 	dist int32
 }
 
-// Index is a distance-aware 2-hop label index.
+// Index is a distance-aware 2-hop label index: built by Build and its
+// variants, or decoded from a snapshot section by OpenSection and
+// OpenCompressedSection into exactly the arrays the build held.
 type Index struct {
 	g *lgraph.LGraph
 
@@ -468,7 +470,7 @@ func (idx *Index) LabelEntries() int {
 // hub in Lout(x), keeping the minimum distance per node, then emits in
 // ascending (distance, node) order.
 func (idx *Index) EachReachable(x int32, fn pathindex.Visit) {
-	idx.eachVia(idx.out[x], idx.hubIn, lgraph.NoTag, false, fn)
+	idx.eachVia(idx.out[x], idx.hubIn, fn)
 }
 
 // EachReachableByTag implements pathindex.Index.
@@ -476,12 +478,12 @@ func (idx *Index) EachReachableByTag(x int32, tag lgraph.Tag, fn pathindex.Visit
 	if tag == lgraph.NoTag {
 		return
 	}
-	idx.eachVia(idx.out[x], idx.taggedPostings(tag, false), lgraph.NoTag, false, fn)
+	idx.eachVia(idx.out[x], idx.taggedPostings(tag, false), fn)
 }
 
 // EachReaching implements pathindex.Index.
 func (idx *Index) EachReaching(x int32, fn pathindex.Visit) {
-	idx.eachVia(idx.in[x], idx.hubOut, lgraph.NoTag, false, fn)
+	idx.eachVia(idx.in[x], idx.hubOut, fn)
 }
 
 // EachReachingByTag implements pathindex.Index.
@@ -489,7 +491,7 @@ func (idx *Index) EachReachingByTag(x int32, tag lgraph.Tag, fn pathindex.Visit)
 	if tag == lgraph.NoTag {
 		return
 	}
-	idx.eachVia(idx.in[x], idx.taggedPostings(tag, true), lgraph.NoTag, false, fn)
+	idx.eachVia(idx.in[x], idx.taggedPostings(tag, true), fn)
 }
 
 // taggedPostings returns the postings restricted to one tag, building and
@@ -530,7 +532,7 @@ func (idx *Index) taggedPostings(tag lgraph.Tag, reverse bool) [][]entry {
 // are skipped.  The merge makes enumeration incremental: delivering the
 // first k results costs O((|label| + k·dup) log |label|) rather than a full
 // materialization — the property behind FliX's streaming evaluation.
-func (idx *Index) eachVia(label []entry, postings [][]entry, tag lgraph.Tag, filter bool, fn pathindex.Visit) {
+func (idx *Index) eachVia(label []entry, postings [][]entry, fn pathindex.Visit) {
 	ms, _ := idx.merge.Get().(*mergeScratch)
 	if ms == nil {
 		ms = &mergeScratch{seen: make([]int64, idx.g.NumNodes())}
@@ -571,9 +573,6 @@ func (idx *Index) eachVia(label []entry, postings [][]entry, tag lgraph.Tag, fil
 			continue
 		}
 		ms.seen[node] = tick
-		if filter && idx.g.Tag(node) != tag {
-			continue
-		}
 		if !fn(node, dist) {
 			break
 		}

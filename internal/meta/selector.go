@@ -52,7 +52,8 @@ var Registry = map[string]pathindex.Strategy{
 }
 
 // SectionOpeners maps a v2 snapshot section kind to the strategy-specific
-// opener that lays a zero-copy index view over the section bytes.
+// opener: a zero-copy view over the section bytes for ppo, apex and tc, the
+// decoded heap index for hopi.
 var SectionOpeners = map[uint32]func(*lgraph.LGraph, []byte) (pathindex.Index, error){
 	storage.SectionPPO:   ppo.OpenSection,
 	storage.SectionHOPI:  hopi.OpenSection,

@@ -611,8 +611,10 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 
 // storageJSON renders how the serving index is backed — "heap" for a
 // built generation, "v2" for one opened from a snapshot, with the mapping
-// size when the container is served via mmap and a per-section-kind byte
-// breakdown (with compression ratios) for snapshot-backed generations.
+// size when the container is served via mmap (the whole file: its HOPI
+// sections were decoded into the heap at open and are not read through the
+// mapping) and a per-section-kind byte breakdown (with compression ratios)
+// for snapshot-backed generations.
 func storageJSON(si flix.StorageInfo) map[string]any {
 	out := map[string]any{"format": si.Format, "mapped": si.Mapped}
 	if si.Mapped {

@@ -8,7 +8,8 @@ package storage
 // Opening a snapshot validates the envelope and the checksum — one
 // sequential pass that decodes nothing and allocates only the section
 // descriptors — after which fixed-width arrays inside sections are used in
-// place via unsafe views and varint runs are decoded lazily per probe.
+// place via unsafe views.  The one exception is the hopi section, whose
+// varint runs its opener decodes into heap arrays.
 //
 //	offset 0          header (32 B): magic "FLIXSNP2", version u32,
 //	                  byte-order mark u32, 16 B reserved
@@ -652,9 +653,9 @@ func (d *SectionData) PrefixOffsets(n int, end uint32) []uint32 {
 	return offs
 }
 
-// Cursor decodes a varint run from a byte slice without allocating; it is
-// a value type embedded in probe scratch.  Decode failures (possible only
-// on forged input that also forged the file checksum) read as stream end.
+// Cursor decodes a varint run from a byte slice without allocating.  A
+// decode failure (possible only on forged input that also forged the file
+// checksum) reports !ok and moves the cursor to the end of the run.
 type Cursor struct {
 	B   []byte
 	Pos int

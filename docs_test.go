@@ -90,8 +90,8 @@ var unreferencedExports = map[string][]string{
 		"EachFollowing", "EachPreceding", "PathExtent"},
 	"ablation builders (DESIGN.md §4): bench_test.go compares them, tests register them in meta.Registry": {
 		"DCStrategy", "StrategyK", "BuildNaive", "LabelEntries"},
-	"library API: a method of a type the root package re-exports (Stream, Collection, DocumentBuilder)": {
-		"StreamType", "Drain", "TreeDescendants", "Current", "Path", "NumEdges"},
+	"library API: a method of a type the root package re-exports (Collection, DocumentBuilder)": {
+		"TreeDescendants", "Current", "Path", "NumEdges"},
 	"test support for other packages' tests, which an export_test.go cannot serve": {
 		"NewBuilder", "AddNode", "AddEdge", "Reseal", "SizeOf", "Validate"},
 }

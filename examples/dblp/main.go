@@ -3,7 +3,7 @@
 // per publication, citation links between documents), builds several
 // framework configurations, compares their footprints, and streams a top-k
 // "all article descendants of a highly-cited paper" query — the workload of
-// the paper's Figure 5.
+// the paper's Figure 5 — and the type query inproceedings//article.
 //
 // Usage:
 //
@@ -66,21 +66,26 @@ func main() {
 		corpus.Pubs[corpus.HubIndex].Key, len(corpus.Pubs[corpus.HubIndex].Cites))
 
 	// Stream the top-k article descendants from the hybrid index — the
-	// client reads at its own pace and closes early (§3.1).
+	// client consumes each result as it is found and paces the evaluation by
+	// returning from it (§3.1); MaxResults stops it at k.
 	ix := built[len(built)-1].ix
-	s := ix.Stream(start, "article", flix.Options{MaxResults: *k})
 	fmt.Printf("\ntop-%d article descendants (hybrid):\n", *k)
 	rank := 0
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
+	ix.Descendants(start, "article", flix.Options{MaxResults: *k}, func(r flix.Result) bool {
 		rank++
 		doc := coll.Doc(coll.DocOf(r.Node))
 		fmt.Printf("  %2d. dist=%-3d %s\n", rank, r.Dist, doc.Name)
-	}
-	s.Close()
+		return true
+	})
+
+	// The type query inproceedings//article (§5.2) starts from every
+	// inproceedings element at once.
+	var dists []int32
+	ix.TypeDescendants("inproceedings", "article", flix.Options{MaxResults: *k}, func(r flix.Result) bool {
+		dists = append(dists, r.Dist)
+		return true
+	})
+	fmt.Printf("\ninproceedings//article (hybrid): first %d distances %v\n", len(dists), dists)
 
 	// Compare time-to-k across the configurations.
 	fmt.Printf("\ntime to first %d results:\n", *k)

@@ -78,8 +78,6 @@ type (
 	Result = flix.Result
 	// Emit receives results; return false to cancel.
 	Emit = flix.Emit
-	// Stream is a background query with client-side pacing.
-	Stream = flix.Stream
 	// QueryLoad hints the Indexing Strategy Selector.
 	QueryLoad = meta.QueryLoad
 	// QueryStats aggregates query-load counters for self-tuning.

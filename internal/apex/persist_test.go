@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/lgraph"
+	"repro/internal/pathindex"
 	"repro/internal/storage"
 	"repro/internal/testutil"
 )
@@ -67,7 +68,7 @@ func TestOpenSectionCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = testutil.DamageSection(body, func(b []byte) (storage.Probe, error) { return OpenSection(g, b) })
+	err = testutil.DamageSection(body, func(b []byte) (pathindex.Index, error) { return OpenSection(g, b) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func TestRegionCoverageEarlierEntriesOnly(t *testing.T) {
 			all[i] = int32(i)
 		}
 		for view, idx := range regionViews(t, rg.g) {
-			lt := pathindex.NewLinkTable(idx, all)
+			lt := pathindex.NewLinkTable(idx.(pathindex.Regioner), all)
 			for _, reverse := range []bool{false, true} {
 				r := coverageRun(idx, true, reverse)
 				var earlier []int32
@@ -224,7 +224,7 @@ func TestRegionCoverageEarlierEntriesOnly(t *testing.T) {
 								want = append(want, m)
 							}
 						})
-						lt.LinkDistancesTo(x, prev, func(i int, _ int32) bool {
+						lt.Each(x, prev, func(i int, _ int32) bool {
 							got = append(got, all[i])
 							return true
 						})

@@ -342,11 +342,11 @@ func (r *evalRun) probe() {
 }
 
 // follow is step (3): it queues what the admitted entry's runtime links lead
-// to.  Forward, the link sources the entry reaches come from the precomputed
-// per-meta-document table when the index has one (source columns decoded once
-// at build/open), else from per-source distance tests, and linkVisit queues
-// their targets; in reverse, every link entering the meta document at an
-// element that reaches the entry queues its source.
+// to.  Forward, the link sources the entry reaches come from the meta
+// document's link table under region encoding (source ranks and depths read
+// once at build/open), else from per-source distance tests, and linkVisit
+// queues their targets; in reverse, every link entering the meta document at
+// an element that reaches the entry queues its source.
 //
 // Under region encoding the forward sweep skips the sources below the earlier
 // entry points nested in this one (enter hands their regions over as prev).
@@ -377,7 +377,7 @@ func (r *evalRun) follow() {
 		if r.rg != nil {
 			skip = r.prev
 		}
-		lt.LinkDistancesTo(r.le, skip, r.s.linkFn)
+		lt.Each(r.le, skip, r.s.linkFn)
 	} else {
 		pathindex.LinkDistances(r.idx, r.le, r.md.LinkSources, r.s.linkFn)
 	}

@@ -148,16 +148,15 @@ type Index struct {
 	size     int64
 	sizeErr  error
 
-	// linkTabs[mi] is the per-meta-document link-distance table (nil when
-	// the meta document has no runtime-link sources or its index has no
-	// accelerated form): the source-side columns of the distance test,
-	// decoded once at build/open so the evaluator's link-follow loop —
-	// the hottest per-pop work after the probe itself — sweeps dense
-	// plain arrays instead of re-extracting packed values every pop.
-	linkTabs []pathindex.LinkTable
 	// regions[mi] is the meta document's index as a pathindex.Regioner, nil
 	// when it has no region encoding: resolved once, not asserted per pop.
 	regions []pathindex.Regioner
+	// linkTabs[mi] is the link sweep over the meta document's runtime-link
+	// sources, nil when it has none or no region encoding: the sources'
+	// ranks and depths, read once at build/open so the evaluator's
+	// link-follow loop — the hottest per-pop work after the probe itself —
+	// sweeps dense plain arrays instead of testing every source per pop.
+	linkTabs []*pathindex.LinkTable
 
 	// secRaw holds the pre-compression byte size of each snapshot section
 	// (parallel to snap's meta sections; 0 = unknown), parsed from the
@@ -221,15 +220,17 @@ func BuildWithOptions(c *xmlgraph.Collection, cfg Config, opts BuildOptions) (*I
 	return ix, nil
 }
 
-// buildLinkTables precomputes the per-meta-document link-distance tables and
-// resolves the region encodings.  Both constructors (heap build, snapshot
+// buildLinkTables resolves the region encodings and builds the link tables of
+// the region-encoded meta documents.  Both constructors (heap build, snapshot
 // open) call it once the pis are in place.
 func (ix *Index) buildLinkTables() {
-	ix.linkTabs = make([]pathindex.LinkTable, len(ix.pis))
 	ix.regions = make([]pathindex.Regioner, len(ix.pis))
+	ix.linkTabs = make([]*pathindex.LinkTable, len(ix.pis))
 	for i, md := range ix.set.Metas {
-		ix.linkTabs[i] = pathindex.NewLinkTable(ix.pis[i], md.LinkSources)
-		ix.regions[i], _ = ix.pis[i].(pathindex.Regioner)
+		if rg, ok := ix.pis[i].(pathindex.Regioner); ok {
+			ix.regions[i] = rg
+			ix.linkTabs[i] = pathindex.NewLinkTable(rg, md.LinkSources)
+		}
 	}
 }
 

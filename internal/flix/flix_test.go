@@ -295,30 +295,6 @@ func TestAncestors(t *testing.T) {
 	}
 }
 
-func TestStream(t *testing.T) {
-	c, ids := buildSample(t)
-	ix, err := Build(c, Config{Kind: Hybrid, PartitionSize: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := ix.Stream(ids["bib"], "title", Options{})
-	rs := s.Drain()
-	if len(rs) != 2 {
-		t.Errorf("stream results = %v", rs)
-	}
-	// Early close must not deadlock.
-	s2 := ix.Stream(ids["bib"], "", Options{})
-	if _, ok := s2.Next(); !ok {
-		t.Error("no first result")
-	}
-	s2.Close()
-	// StreamType.
-	s3 := ix.StreamType("article", "title", Options{})
-	if got := s3.Drain(); len(got) != 2 {
-		t.Errorf("StreamType results = %v", got)
-	}
-}
-
 func TestDescribeAndCounts(t *testing.T) {
 	c, _ := buildSample(t)
 	ix, err := Build(c, Config{Kind: Naive})

@@ -2,88 +2,9 @@ package flix
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/xmlgraph"
 )
-
-// Stream decouples a client from the framework (§3.1): the evaluation runs
-// in its own goroutine and inserts results into the stream; the client
-// consumes them with Next at its own pace and may abandon the query at any
-// time with Close.  A Stream models the paper's "multithreaded architecture
-// where the client thread reads from a list in which FliX inserts the
-// results".
-type Stream struct {
-	ch       chan Result
-	cancel   chan struct{}
-	once     sync.Once
-	draining bool
-}
-
-// Stream starts the evaluation of start//tag in the background and returns
-// the result stream.  tag == "" is the wildcard query start//*.
-func (ix *Index) Stream(start xmlgraph.NodeID, tag string, opts Options) *Stream {
-	return startStream(opts, func(opts Options, fn Emit) { ix.Descendants(start, tag, opts, fn) })
-}
-
-// StreamType starts a background A//B evaluation.
-func (ix *Index) StreamType(tagA, tagB string, opts Options) *Stream {
-	return startStream(opts, func(opts Options, fn Emit) { ix.TypeDescendants(tagA, tagB, opts, fn) })
-}
-
-// startStream runs eval in a goroutine of its own, feeding the stream.
-func startStream(opts Options, eval func(Options, Emit)) *Stream {
-	s := &Stream{
-		ch:     make(chan Result, 64),
-		cancel: make(chan struct{}),
-	}
-	if opts.Cancel == nil {
-		// Close also stops the evaluation between emissions, not only at
-		// the next channel send.
-		opts.Cancel = s.cancel
-	}
-	go func() {
-		defer close(s.ch)
-		eval(opts, func(r Result) bool {
-			select {
-			case s.ch <- r:
-				return true
-			case <-s.cancel:
-				return false
-			}
-		})
-	}()
-	return s
-}
-
-// Next returns the next result; ok is false when the query has finished or
-// the stream was closed.
-func (s *Stream) Next() (r Result, ok bool) {
-	r, ok = <-s.ch
-	return r, ok
-}
-
-// Drain collects all remaining results.
-func (s *Stream) Drain() []Result {
-	var out []Result
-	for r := range s.ch {
-		out = append(out, r)
-	}
-	return out
-}
-
-// Close abandons the query.  Pending results are discarded; the evaluation
-// goroutine stops at its next emission.  Close is idempotent and safe to
-// call concurrently with Next.
-func (s *Stream) Close() {
-	s.once.Do(func() { close(s.cancel) })
-	// Drain so the producer is not blocked on a full channel between the
-	// cancel check points.
-	go func() {
-		for range s.ch {
-		}
-	}()
-}
 
 // Probe is the resumable, pull-based driver of the evaluator core for the
 // ranked top-k evaluator: a Descendants evaluation paused between distance

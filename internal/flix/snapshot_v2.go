@@ -90,31 +90,18 @@ func (ix *Index) WriteSnapshotV2With(w io.Writer, opts SnapshotV2Options) (int64
 	// loops below range over a copy of ix.pis and would otherwise let a
 	// caller's last reference die, and the finalizer unmap, mid-write.
 	defer runtime.KeepAlive(ix)
-	sw := storage.NewSnapshotWriter(w)
-	if !opts.Compress {
-		// The streaming raw path: byte-identical to earlier writers.
-		ix.writeManifest(sw, nil)
-		for i, p := range ix.pis {
-			enc, ok := p.(storage.SectionEncoder)
-			if !ok {
-				return sw.Offset(), fmt.Errorf("flix: meta %d: %s index cannot encode a v2 section", i, p.Name())
-			}
-			sw.Begin(enc.SectionKind())
-			enc.EncodeSection(sw)
-			sw.End()
-		}
-		return sw.Finish()
-	}
-
-	// Compressed sections are chosen per section by measured ratio, and the
-	// manifest (which precedes them in the file) records the raw sizes — so
-	// encode every body up front, then stream the container.
+	// Every body is encoded up front: a compressed snapshot chooses each
+	// section's encoding by measured ratio, and its manifest, which precedes
+	// the sections in the file, records the raw sizes of those it compresses.
 	type section struct {
 		kind uint32
 		body []byte
 	}
 	secs := make([]section, len(ix.pis))
-	rawLens := make([]int64, len(ix.pis))
+	var rawLens []int64
+	if opts.Compress {
+		rawLens = make([]int64, len(ix.pis))
+	}
 	for i, p := range ix.pis {
 		enc, ok := p.(storage.SectionEncoder)
 		if !ok {
@@ -125,13 +112,10 @@ func (ix *Index) WriteSnapshotV2With(w io.Writer, opts SnapshotV2Options) (int64
 			return 0, fmt.Errorf("flix: meta %d: %w", i, err)
 		}
 		secs[i] = section{kind: enc.SectionKind(), body: body}
-		if storage.IsCompressedKind(secs[i].kind) {
-			// Already compressed (re-persisting a ppo-c section of an
-			// open snapshot); the original raw size is unknown.
-			continue
-		}
 		cenc, ok := p.(storage.CompressedSectionEncoder)
-		if !ok {
+		if !opts.Compress || !ok || storage.IsCompressedKind(secs[i].kind) {
+			// Raw, or already compressed (re-persisting a ppo-c section of
+			// an open snapshot; the original raw size is unknown).
 			continue
 		}
 		comp, err := storage.EncodeSectionBody(cenc.EncodeCompressedSection)
@@ -143,6 +127,7 @@ func (ix *Index) WriteSnapshotV2With(w io.Writer, opts SnapshotV2Options) (int64
 			secs[i] = section{kind: cenc.CompressedSectionKind(), body: comp}
 		}
 	}
+	sw := storage.NewSnapshotWriter(w)
 	ix.writeManifest(sw, rawLens)
 	for _, sec := range secs {
 		sw.Begin(sec.kind)

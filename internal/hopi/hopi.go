@@ -159,37 +159,27 @@ func BuildPartitionedParallel(g *lgraph.LGraph, part []int32, parallelism int) *
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	workers := min(parallelism, len(groups))
-	runGroup := func(b *builder, hubs []int32) {
-		p := part[hubs[0]]
-		within := func(u int32) bool { return part[u] == p }
-		for _, v := range hubs {
-			b.label(v, within)
-		}
-	}
-	if workers <= 1 {
-		for _, hubs := range groups {
-			runGroup(b, hubs)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wb := newBuilder(idx)
-				for {
-					gi := int(next.Add(1)) - 1
-					if gi >= len(groups) {
-						return
-					}
-					runGroup(wb, groups[gi])
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(parallelism, len(groups)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wb := newBuilder(idx)
+			for {
+				gi := int(next.Add(1)) - 1
+				if gi >= len(groups) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				p := part[groups[gi][0]]
+				within := func(u int32) bool { return part[u] == p }
+				for _, v := range groups[gi] {
+					wb.label(v, within)
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	idx.finish()
 	return idx
 }

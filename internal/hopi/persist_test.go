@@ -54,7 +54,7 @@ func TestReadBodyCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = testutil.DamageSection(body, func(b []byte) (storage.Probe, error) { return OpenSection(g, b) })
+	err = testutil.DamageSection(body, func(b []byte) (pathindex.Index, error) { return OpenSection(g, b) })
 	if err != nil {
 		t.Fatal(err)
 	}

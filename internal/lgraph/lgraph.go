@@ -13,10 +13,8 @@ package lgraph
 import "fmt"
 
 // Tag is a dictionary-compressed element name.  It is an alias (not a
-// defined type) so the index packages' probe methods, which take tags,
-// satisfy the storage-agnostic probe interface (storage.Probe) that is
-// expressed in plain int32 — internal/storage sits below this package and
-// cannot import it.
+// defined type), so tag IDs pass between the collection's dictionary, the
+// meta documents and the index probes as plain int32s.
 type Tag = int32
 
 // NoTag is returned for unknown element names.
@@ -235,36 +233,6 @@ func (g *LGraph) IsForest() bool {
 		}
 	}
 	return covered == g.n
-}
-
-// HasCycle reports whether the graph contains a directed cycle, via Kahn's
-// algorithm.
-func (g *LGraph) HasCycle() bool {
-	indeg := make([]int32, g.n)
-	for u := int32(0); u < int32(g.n); u++ {
-		for _, v := range g.Succs(u) {
-			indeg[v]++
-		}
-	}
-	var queue []int32
-	for u := int32(0); u < int32(g.n); u++ {
-		if indeg[u] == 0 {
-			queue = append(queue, u)
-		}
-	}
-	removed := 0
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		removed++
-		for _, v := range g.Succs(u) {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	return removed != g.n
 }
 
 // BFSDistances returns the shortest-path distance from start to every node

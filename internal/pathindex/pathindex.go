@@ -14,31 +14,60 @@
 package pathindex
 
 import (
+	"cmp"
 	"io"
+	"slices"
 
 	"repro/internal/lgraph"
-	"repro/internal/storage"
 )
 
 // Visit receives one result node with its distance from the query node.
-// Returning false stops the enumeration.  It aliases storage.Visit so an
-// index implementation satisfies the storage-agnostic probe interface and
-// this package's Index with the same method set.
-type Visit = storage.Visit
+// Returning false stops the enumeration.
+type Visit func(node, dist int32) bool
 
-// Index is a connection index over one local graph.
+// Index is a connection index over one local graph: the exact set of
+// operations the Path Expression Evaluator issues per frontier pop.
+// Heap-built indexes (flix.Build) and the views over v2 snapshot sections
+// (flix.OpenSnapshot) implement it alike, which is what makes generations
+// interchangeable at query time: the evaluator, the partial driver and the
+// sharded tier never learn where the bytes live.
 //
-// The query surface — reachability, distance and the four enumeration
-// probes — is storage.Probe, the storage-agnostic contract shared by
-// heap-built indexes and mmap-backed snapshot views; see that interface
-// for the semantics (descendants-or-self axis, ascending (dist, node)
-// emission order, allocation-free steady state).  Index adds the strategy
-// name and the canonical size stream on top.
+//   - Reachability follows the descendants-or-self axis; every node
+//     reaches itself at distance 0.
+//   - Enumeration methods stream results in ascending (dist, node) order.
+//   - Tags are the local graph's dictionary-compressed element names; a
+//     negative tag matches nothing.
+//   - Implementations must be safe for concurrent probes and must not
+//     allocate on the steady-state enumeration path (pooled scratch only),
+//     so the evaluator hot path stays 0 allocs/op over this interface.
 type Index interface {
 	// Name identifies the strategy (e.g. "ppo", "hopi", "apex").
 	Name() string
 
-	storage.Probe
+	// NumNodes returns the number of nodes of the indexed graph.
+	NumNodes() int
+
+	// Reachable reports whether there is a (possibly empty) path x -> y.
+	Reachable(x, y int32) bool
+
+	// Distance returns the shortest-path distance from x to y, and false
+	// if y is not reachable from x.
+	Distance(x, y int32) (int32, bool)
+
+	// EachReachable enumerates every node reachable from x (including x,
+	// at distance 0) in ascending distance order.
+	EachReachable(x int32, fn Visit)
+
+	// EachReachableByTag enumerates the reachable nodes carrying tag, in
+	// ascending distance order, descendants-or-self semantics.
+	EachReachableByTag(x int32, tag lgraph.Tag, fn Visit)
+
+	// EachReaching enumerates every node that reaches x (the
+	// ancestors-or-self axis), in ascending distance order.
+	EachReaching(x int32, fn Visit)
+
+	// EachReachingByTag is EachReaching restricted to one tag.
+	EachReachingByTag(x int32, tag lgraph.Tag, fn Visit)
 
 	// WriteTo emits the canonical compact stream: its byte count is the
 	// "index size" the experiments report (Table 1) and its bytes are
@@ -51,7 +80,7 @@ type Index interface {
 // of a meta document, in source order: fn receives the position of each
 // source x reaches in sources together with its distance from x; returning
 // false stops the sweep.  It is the evaluator's follow step for an index
-// without a LinkTable.
+// without region encoding.
 func LinkDistances(idx Index, x int32, sources []int32, fn func(i int, d int32) bool) {
 	for i, y := range sources {
 		if d, ok := idx.Distance(x, y); ok {
@@ -62,54 +91,102 @@ func LinkDistances(idx Index, x int32, sources []int32, fn func(i int, d int32) 
 	}
 }
 
-// LinkTable accelerates LinkDistances for one FIXED source list.  A meta
-// document's runtime-link sources never change after the build, so an
-// index can prepare the source side of the distance test once — at table
-// construction — and serve every later sweep from it.  PPO decodes the
-// sources' preorder ranks and depths into plain arrays sorted by rank, so a
-// sweep is a binary search for x's subtree interval instead of a test per
-// source.
-type LinkTable interface {
-	// LinkDistancesTo calls fn(i, d) for every source i of the table's list
-	// that x reaches, d being its distance from x — the hits of
-	// LinkDistances(idx, x, sources, fn) — except the sources whose preorder
-	// rank lies in a span of skip.  skip is ascending and disjoint; the
-	// evaluator passes the regions of the earlier entry points nested in x's,
-	// whose sources were swept already.  Hits arrive each once, in ascending
-	// preorder rank, until fn returns false.
-	LinkDistancesTo(x int32, skip []Span, fn func(i int, d int32) bool)
-}
-
-// LinkTabler is implemented by indexes that can precompute a LinkTable.
-type LinkTabler interface {
-	LinkTable(sources []int32) LinkTable
-}
-
-// NewLinkTable returns idx's precomputed table over sources, or nil when
-// the list is empty or the index has no accelerated form — callers fall
-// back to LinkDistances.
-func NewLinkTable(idx Index, sources []int32) LinkTable {
-	if len(sources) == 0 {
-		return nil
-	}
-	if lt, ok := idx.(LinkTabler); ok {
-		return lt.LinkTable(sources)
-	}
-	return nil
-}
-
 // Span is the half-open preorder interval [Lo, Hi).  Under region encoding
 // an element's subtree is one span — its preorder rank and subtree size — so
 // "x reaches y" is "x's span holds pre(y)".
 type Span struct{ Lo, Hi int32 }
 
-// Regioner is implemented by indexes that number their local graph by region
-// encoding (PPO): x reaches y iff Region(x) holds Region(y).Lo.  It lets the
-// evaluator keep a meta document's entry points as sorted spans and ranks,
-// and test coverage with one binary search instead of a Reachable call per
-// earlier entry point.
+// Regioner is the contract of an index that numbers its local graph by
+// region encoding (PPO): x reaches y iff Region(x) holds Region(y).Lo, and
+// then dist(x, y) = Depth(y) - Depth(x).  The evaluator resolves it once per
+// meta document: coverage becomes one binary search over sorted spans and
+// ranks, and the link sweep a LinkTable.
 type Regioner interface {
 	Region(x int32) Span
+	Depth(x int32) int32
+}
+
+// LinkTable is the link sweep of one region-encoded meta document.  Its
+// runtime-link sources never change after the build, so their preorder ranks
+// and depths are read once, when the table is built, into plain arrays
+// sorted by rank.  Which sources x reaches is then an interval question —
+// the ranks Region(x) holds — answered by a binary search instead of a
+// Distance test per source: the evaluator's follow step costs what it hits,
+// not the meta document's link count.  A skipped span costs one binary
+// search, however many sources it holds.
+type LinkTable struct {
+	rg  Regioner
+	pre []int32 // the sources' preorder ranks, ascending
+	pos []int32 // pos[k]: the position in the source list of rank pre[k]
+	dep []int32 // dep[k]: the depth of the source of rank pre[k]
+}
+
+// NewLinkTable builds the link table over sources, or returns nil when there
+// are none.
+func NewLinkTable(rg Regioner, sources []int32) *LinkTable {
+	if len(sources) == 0 {
+		return nil
+	}
+	byPos := make([]int32, len(sources))
+	t := &LinkTable{rg: rg, pos: make([]int32, len(sources))}
+	for i, y := range sources {
+		byPos[i] = rg.Region(y).Lo
+		t.pos[i] = int32(i)
+	}
+	slices.SortFunc(t.pos, func(a, b int32) int { return cmp.Compare(byPos[a], byPos[b]) })
+	t.pre = make([]int32, len(sources))
+	t.dep = make([]int32, len(sources))
+	for k, i := range t.pos {
+		t.pre[k], t.dep[k] = byPos[i], rg.Depth(sources[i])
+	}
+	return t
+}
+
+// Each calls fn(i, d) for every source i of the table's list that x reaches,
+// d being its distance from x — the hits of LinkDistances over the same
+// sources — except the sources whose preorder rank lies in a span of skip.
+// skip is ascending and disjoint; the evaluator passes the regions of the
+// earlier entry points nested in x's, whose sources were swept already.  Hits
+// arrive each once, in ascending preorder rank, until fn returns false.
+func (t *LinkTable) Each(x int32, skip []Span, fn func(i int, d int32) bool) {
+	region, dx := t.rg.Region(x), t.rg.Depth(x)
+	k := SearchGE(t.pre, region.Lo)
+	ok := true
+	for _, sp := range skip {
+		if k, ok = t.emit(k, min(sp.Lo, region.Hi), dx, fn); !ok {
+			return
+		}
+		k += SearchGE(t.pre[k:], sp.Hi)
+	}
+	t.emit(k, region.Hi, dx, fn)
+}
+
+// emit calls fn for the sources from rank position k while their rank is
+// below end.  It returns the position it stopped at, and false when fn did.
+func (t *LinkTable) emit(k int, end, dx int32, fn func(i int, d int32) bool) (int, bool) {
+	for ; k < len(t.pre) && t.pre[k] < end; k++ {
+		if !fn(int(t.pos[k]), t.dep[k]-dx) {
+			return k, false
+		}
+	}
+	return k, true
+}
+
+// SearchGE returns the index of the first element >= v in the ascending
+// slice a: the binary search over preorder ranks that region-encoded probes
+// and the link sweep run.  Unlike slices.BinarySearch it is inlined at its
+// call sites, which the link sweep measurably needs.
+func SearchGE(a []int32, v int32) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Builder constructs an Index for a local graph.  Builders may fail, e.g.

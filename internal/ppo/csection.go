@@ -298,32 +298,14 @@ func (v *CIndex) Distance(x, y int32) (int32, bool) {
 	return v.depth.At(y) - v.depth.At(x), true
 }
 
-// clinkTable is the pathindex.LinkTable of a compressed PPO view: the
-// source-side preorder ranks and depths are extracted from the packed arrays
-// once at table build, and only the probe side pays packed extraction, three
-// times per call.
-type clinkTable struct {
-	v *CIndex
-	linkSweep
-}
-
-// LinkTable implements pathindex.LinkTabler.
-func (v *CIndex) LinkTable(sources []int32) pathindex.LinkTable {
-	t := &clinkTable{v: v}
-	t.build(sources, func(y int32) (int32, int32) { return v.pre.At(y), v.depth.At(y) })
-	return t
-}
-
-// LinkDistancesTo implements pathindex.LinkTable.
-func (t *clinkTable) LinkDistancesTo(x int32, skip []pathindex.Span, fn func(i int, d int32) bool) {
-	t.each(t.v.Region(x), t.v.depth.At(x), skip, fn)
-}
-
 // Region implements pathindex.Regioner.
 func (v *CIndex) Region(x int32) pathindex.Span {
 	lo := v.pre.At(x)
 	return pathindex.Span{Lo: lo, Hi: lo + v.size.At(x)}
 }
+
+// Depth implements pathindex.Regioner.
+func (v *CIndex) Depth(x int32) int32 { return v.depth.At(x) }
 
 // EachReachable implements pathindex.Index.  The compressed section does
 // not carry the per-depth wildcard runs (see the layout comment), so the

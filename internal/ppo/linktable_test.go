@@ -24,29 +24,38 @@ type linkCase struct {
 	sources []int32
 }
 
-// forestCases returns the PPO-indexable meta documents with link sources of
-// the testutil families and of a DBLP extract, under the decompositions that
-// produce them.
-func forestCases() []linkCase {
+// familyForests returns the forest meta documents of the testutil families,
+// with their runtime-link sources (possibly none), under the decompositions
+// that produce them.
+func familyForests() []linkCase {
 	var out []linkCase
-	add := func(name string, c *xmlgraph.Collection, parts ...*partition.Result) {
-		for pi, r := range parts {
-			for _, md := range meta.Build(c, r).Metas {
-				if len(md.LinkSources) > 0 && md.Graph.IsForest() {
-					out = append(out, linkCase{fmt.Sprintf("%s/%d/meta%d", name, pi, md.ID), md.Graph, md.LinkSources})
-				}
-			}
-		}
-	}
 	for _, fam := range testutil.Families() {
 		for seed := int64(1); seed <= 3; seed++ {
 			c := testutil.Generate(fam, seed, 12, 20, 25)
-			add(fmt.Sprintf("%s-%d", fam, seed), c, partition.Singleton(c), partition.TreePartitions(c), partition.Hybrid(c, 40, 2))
+			out = appendForests(out, fmt.Sprintf("%s-%d", fam, seed), c, partition.Singleton(c), partition.TreePartitions(c), partition.Hybrid(c, 40, 2))
 		}
 	}
-	c := dblp.Generate(dblp.Scaled(400)).BuildGraph()
-	add("dblp", c, partition.Singleton(c), partition.Hybrid(c, 5000, 2))
 	return out
+}
+
+// appendForests appends the forest meta documents of c under each of parts.
+func appendForests(out []linkCase, name string, c *xmlgraph.Collection, parts ...*partition.Result) []linkCase {
+	for pi, r := range parts {
+		for _, md := range meta.Build(c, r).Metas {
+			if md.Graph.IsForest() {
+				out = append(out, linkCase{fmt.Sprintf("%s/%d/meta%d", name, pi, md.ID), md.Graph, md.LinkSources})
+			}
+		}
+	}
+	return out
+}
+
+// forestCases returns the PPO-indexable meta documents with link sources of
+// the testutil families and of a DBLP extract.
+func forestCases() []linkCase {
+	c := dblp.Generate(dblp.Scaled(400)).BuildGraph()
+	all := appendForests(familyForests(), "dblp", c, partition.Singleton(c), partition.Hybrid(c, 5000, 2))
+	return slices.DeleteFunc(all, func(lc linkCase) bool { return len(lc.sources) == 0 })
 }
 
 // randomCase builds a random forest whose preorder is not its node order —
@@ -70,9 +79,15 @@ func randomCase(seed int64, n int, density uint8) linkCase {
 	return linkCase{fmt.Sprintf("random-%d-%d-%d", seed, n, density), b.Finish(), sources}
 }
 
+// regionIndex is a PPO view: its probes and its region encoding.
+type regionIndex interface {
+	pathindex.Index
+	pathindex.Regioner
+}
+
 // linkViews returns the heap index over g and its raw-mapped and compressed
 // snapshot views.
-func linkViews(tb testing.TB, g *lgraph.LGraph) map[string]pathindex.Index {
+func linkViews(tb testing.TB, g *lgraph.LGraph) map[string]regionIndex {
 	tb.Helper()
 	idx, err := ppo.Build(g)
 	if err != nil {
@@ -94,7 +109,7 @@ func linkViews(tb testing.TB, g *lgraph.LGraph) map[string]pathindex.Index {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return map[string]pathindex.Index{"heap": idx, "mapped": mapped, "compressed": compressed}
+	return map[string]regionIndex{"heap": idx, "mapped": mapped.(regionIndex), "compressed": compressed.(regionIndex)}
 }
 
 // sweep records the (i, d) calls of one link sweep, answering false to the
@@ -136,7 +151,7 @@ func skipSets(rng *rand.Rand, rg pathindex.Regioner, x int32, n int) [][]pathind
 	return [][]pathindex.Span{nil, nested, cut}
 }
 
-// checkLinkTable holds every view's LinkTable over lc to the per-source
+// checkLinkTable holds the LinkTable over every view of lc to the per-source
 // Distance sweep: from every element and under random skip-span sets, the
 // table emits exactly the sweep's hits whose preorder rank lies in no skipped
 // span, each once, in ascending rank — and the same prefix when fn stops the
@@ -148,15 +163,11 @@ func checkLinkTable(tb testing.TB, lc linkCase, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for view, idx := range linkViews(tb, lc.g) {
 		lt := pathindex.NewLinkTable(idx, lc.sources)
-		rg, ok := idx.(pathindex.Regioner)
-		if lt == nil || !ok {
-			tb.Fatalf("%s %s: no link table or no region encoding", lc.name, view)
-		}
-		rank := func(hit [2]int32) int32 { return rg.Region(lc.sources[hit[0]]).Lo }
+		rank := func(hit [2]int32) int32 { return idx.Region(lc.sources[hit[0]]).Lo }
 		for x := int32(0); int(x) < lc.g.NumNodes(); x++ {
 			hits := sweep(func(fn func(int, int32) bool) { pathindex.LinkDistances(idx, x, lc.sources, fn) }, 0)
 			slices.SortFunc(hits, func(a, b [2]int32) int { return int(rank(a) - rank(b)) })
-			for _, skip := range skipSets(rng, rg, x, lc.g.NumNodes()) {
+			for _, skip := range skipSets(rng, idx, x, lc.g.NumNodes()) {
 				all := slices.DeleteFunc(slices.Clone(hits), func(hit [2]int32) bool {
 					return slices.ContainsFunc(skip, func(sp pathindex.Span) bool { return sp.Lo <= rank(hit) && rank(hit) < sp.Hi })
 				})
@@ -165,7 +176,7 @@ func checkLinkTable(tb testing.TB, lc linkCase, seed int64) {
 					if stop > 0 && stop < len(want) {
 						want = want[:stop]
 					}
-					got := sweep(func(fn func(int, int32) bool) { lt.LinkDistancesTo(x, skip, fn) }, stop)
+					got := sweep(func(fn func(int, int32) bool) { lt.Each(x, skip, fn) }, stop)
 					if !slices.Equal(got, want) {
 						tb.Fatalf("%s %s: from %d skipping %v stopping at call %d the table emits %v, the Distance sweep %v",
 							lc.name, view, x, skip, stop, got, want)
@@ -203,12 +214,11 @@ func TestLinkTableAllocFree(t *testing.T) {
 	fn := func(int, int32) bool { hits++; return true }
 	for view, idx := range linkViews(t, lc.g) {
 		lt := pathindex.NewLinkTable(idx, lc.sources)
-		rg := idx.(pathindex.Regioner)
 		skip := make([]pathindex.Span, 1)
 		x := int32(0)
 		if avg := testing.AllocsPerRun(200, func() {
-			skip[0] = rg.Region((x + 1) % int32(lc.g.NumNodes()))
-			lt.LinkDistancesTo(x, skip, fn)
+			skip[0] = idx.Region((x + 1) % int32(lc.g.NumNodes()))
+			lt.Each(x, skip, fn)
 			x = (x + 37) % int32(lc.g.NumNodes())
 		}); avg != 0 {
 			t.Errorf("%s: %.1f allocs per sweep", view, avg)
@@ -228,4 +238,38 @@ func FuzzLinkTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, density uint8) {
 		checkLinkTable(t, randomCase(seed, 1+int(n%1500), density), seed)
 	})
+}
+
+// TestRegionerContract holds every PPO view to the rule the evaluator's
+// coverage test and link sweep rely on: x reaches y iff Region(x) holds
+// Region(y).Lo, and then Distance(x, y) = Depth(y) - Depth(x) — for every
+// pair of elements of the testutil forests and of random forests, over heap,
+// raw-mapped and compressed views.
+func TestRegionerContract(t *testing.T) {
+	cases := familyForests()
+	if len(cases) < 50 {
+		t.Fatalf("only %d forest meta documents", len(cases))
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		cases = append(cases, randomCase(seed, 60, 0), randomCase(seed, 300, 0))
+	}
+	for _, lc := range cases {
+		n := int32(lc.g.NumNodes())
+		for view, idx := range linkViews(t, lc.g) {
+			for x := int32(0); x < n; x++ {
+				region := idx.Region(x)
+				for y := int32(0); y < n; y++ {
+					lo := idx.Region(y).Lo
+					holds := region.Lo <= lo && lo < region.Hi
+					if reach := idx.Reachable(x, y); reach != holds {
+						t.Fatalf("%s %s: Reachable(%d, %d) = %v, but Region(%d) = %v holds rank %d: %v", lc.name, view, x, y, reach, x, region, lo, holds)
+					}
+					d, ok := idx.Distance(x, y)
+					if ok != holds || ok && d != idx.Depth(y)-idx.Depth(x) {
+						t.Fatalf("%s %s: Distance(%d, %d) = %d, %v; depths %d, %d", lc.name, view, x, y, d, ok, idx.Depth(x), idx.Depth(y))
+					}
+				}
+			}
+		}
+	}
 }

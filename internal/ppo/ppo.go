@@ -215,22 +215,6 @@ check:
 	}
 }
 
-// searchGE returns the index of the first element >= v in the ascending
-// slice a — sort.Search without the closure, so enumeration probes stay
-// allocation-free even if escape analysis changes.
-func searchGE(a []int32, v int32) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if a[m] < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
 // Name implements pathindex.Index.
 func (idx *Index) Name() string { return "ppo" }
 
@@ -250,24 +234,6 @@ func (idx *Index) Distance(x, y int32) (int32, bool) {
 	return idx.depth[y] - idx.depth[x], true
 }
 
-// linkTable is the pathindex.LinkTable of a heap or raw-mapped PPO index.
-type linkTable struct {
-	idx *Index
-	linkSweep
-}
-
-// LinkTable implements pathindex.LinkTabler.
-func (idx *Index) LinkTable(sources []int32) pathindex.LinkTable {
-	t := &linkTable{idx: idx}
-	t.build(sources, func(y int32) (int32, int32) { return idx.pre[y], idx.depth[y] })
-	return t
-}
-
-// LinkDistancesTo implements pathindex.LinkTable.
-func (t *linkTable) LinkDistancesTo(x int32, skip []pathindex.Span, fn func(i int, d int32) bool) {
-	t.each(t.idx.Region(x), t.idx.depth[x], skip, fn)
-}
-
 // Region implements pathindex.Regioner: x's subtree is the preorder interval
 // [pre(x), pre(x)+size(x)).
 func (idx *Index) Region(x int32) pathindex.Span {
@@ -275,7 +241,8 @@ func (idx *Index) Region(x int32) pathindex.Span {
 	return pathindex.Span{Lo: lo, Hi: lo + idx.size[x]}
 }
 
-// Depth returns the tree depth of x (roots have depth 0).
+// Depth implements pathindex.Regioner: the tree depth of x (roots have
+// depth 0).
 func (idx *Index) Depth(x int32) int32 { return idx.depth[x] }
 
 // Parent returns the parent of x, or -1.
@@ -299,7 +266,7 @@ func (idx *Index) EachReachable(x int32, fn pathindex.Visit) {
 	remaining := idx.size[x]
 	for d := base; remaining > 0 && int(d) < len(idx.depthRuns); d++ {
 		run := idx.depthRuns[d]
-		for _, p := range run[searchGE(run, lo):] {
+		for _, p := range run[pathindex.SearchGE(run, lo):] {
 			if p >= hi {
 				break
 			}
@@ -380,7 +347,7 @@ func (idx *Index) EachReachableByTag(x int32, tag lgraph.Tag, fn pathindex.Visit
 		ranks := idx.tagPre[tag]
 		base := idx.depth[x]
 		sc := idx.getInterval()
-		for _, p := range ranks[searchGE(ranks, lo):] {
+		for _, p := range ranks[pathindex.SearchGE(ranks, lo):] {
 			if p >= hi {
 				break
 			}
@@ -395,7 +362,7 @@ func (idx *Index) EachReachableByTag(x int32, tag lgraph.Tag, fn pathindex.Visit
 		if run.depth < base {
 			continue // a subtree node is at least as deep as its root
 		}
-		for _, p := range run.pres[searchGE(run.pres, lo):] {
+		for _, p := range run.pres[pathindex.SearchGE(run.pres, lo):] {
 			if p >= hi {
 				break
 			}

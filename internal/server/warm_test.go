@@ -134,9 +134,8 @@ func collectUntil(path string, want int) int {
 
 // TestMappedGenerationLifetime serves mmap-backed compressed generations and
 // holds late readers on a retired one: a request admitted before the swap
-// that is mid-evaluation while the swap happens, an open probe, a stream
-// with its producer parked mid-evaluation, and warmers — one left running
-// on a generation that is retired under it.  Every other reference is
+// that is mid-evaluation while the swap happens, an open probe, and warmers —
+// one left running on a generation that is retired under it.  Every other reference is
 // dropped and the collector and the snapshot finalizer are given their
 // chance — a canary mapping opened and dropped at the same moment must be
 // gone — before the readers go on.  The finalizer is the only unmap path,
@@ -144,7 +143,8 @@ func collectUntil(path string, want int) int {
 // a SIGSEGV, a failed test binary.  Every answer is held to the BFS oracle,
 // and in the end every retired mapping must have been released.
 func TestMappedGenerationLifetime(t *testing.T) {
-	// The torture family, larger: an answer has to outgrow a stream's buffer.
+	// The torture family, larger: the late answers are long, so the readers
+	// below are mid-evaluation at the swap.
 	coll := testutil.Generate(testutil.Linked, 11, 80, 30, 240)
 	built, err := flix.Build(coll, flix.Config{Kind: flix.Hybrid, PartitionSize: 60})
 	if err != nil {
@@ -185,9 +185,6 @@ func TestMappedGenerationLifetime(t *testing.T) {
 		}
 	}
 	late, hot := specs[big], append(specs[:big:big], specs[big+1:]...)
-	if len(late.want) <= 64 {
-		t.Fatalf("the largest answer has %d results: it fits the stream's buffer, so its producer would not be mid-evaluation", len(late.want))
-	}
 	s := New(ix, Config{CacheSize: 256})
 	for _, spec := range hot {
 		s.gen.Load().cache.Descendants(spec.start, spec.tag, flix.Options{}, func(flix.Result) bool { return true })
@@ -196,10 +193,9 @@ func TestMappedGenerationLifetime(t *testing.T) {
 	// The late readers, all on generation 1.
 	be := (*nodeTier)(s).Open(context.Background(), front.Request{Endpoint: "descendants"})
 	var probe flix.Probe
-	var probed, streamed, answered []wireResult
+	var probed, answered []wireResult
 	ix.StartProbe(&probe, late.start, late.tag, flix.Options{})
 	probe.Next(1, emitInto(&probed))
-	stream := ix.Stream(late.start, late.tag, flix.Options{})
 	ix = nil
 
 	// swap retires generation 1 from inside its in-flight request and lets
@@ -230,12 +226,6 @@ func TestMappedGenerationLifetime(t *testing.T) {
 	probe.Close()
 	if err := late.check(probed); err != nil {
 		t.Errorf("probe resumed on the retired generation: %v", err)
-	}
-	for _, r := range stream.Drain() {
-		emitInto(&streamed)(r)
-	}
-	if err := late.check(streamed); err != nil {
-		t.Errorf("stream drained from the retired generation: %v", err)
 	}
 	be = nil
 

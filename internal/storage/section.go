@@ -1,56 +1,5 @@
 package storage
 
-// Visit receives one enumerated (node, dist) pair.  Returning false stops
-// the enumeration.  It is the callback type of every probe method; the
-// pathindex package aliases it so strategy implementations written against
-// either package satisfy both.
-type Visit func(node, dist int32) bool
-
-// Probe is the storage-agnostic query surface of one meta document's
-// connection index: the exact set of operations the Path Expression
-// Evaluator issues per frontier pop.  Both backends implement it —
-// heap-built indexes (flix.Build) and mmap-backed v2 snapshot
-// views (flix.OpenSnapshot) — which is what makes generations
-// interchangeable at query time: the evaluator, the streaming/partial
-// paths and the sharded tier never learn where the bytes live.
-//
-// Contract (shared with pathindex.Index, which embeds this interface):
-//
-//   - Reachability follows the descendants-or-self axis; every node
-//     reaches itself at distance 0.
-//   - Enumeration methods stream results in ascending (dist, node) order.
-//   - Tags are the local graph's dictionary-compressed element names
-//     (lgraph.Tag, an int32); a negative tag matches nothing.
-//   - Implementations must be safe for concurrent probes and must not
-//     allocate on the steady-state enumeration path (pooled scratch only),
-//     so the evaluator hot path stays 0 allocs/op over this interface.
-type Probe interface {
-	// NumNodes returns the number of nodes of the indexed graph.
-	NumNodes() int
-
-	// Reachable reports whether there is a (possibly empty) path x -> y.
-	Reachable(x, y int32) bool
-
-	// Distance returns the shortest-path distance from x to y, and false
-	// if y is not reachable from x.
-	Distance(x, y int32) (int32, bool)
-
-	// EachReachable enumerates every node reachable from x (including x,
-	// at distance 0) in ascending distance order.
-	EachReachable(x int32, fn Visit)
-
-	// EachReachableByTag enumerates the reachable nodes carrying tag, in
-	// ascending distance order, descendants-or-self semantics.
-	EachReachableByTag(x int32, tag int32, fn Visit)
-
-	// EachReaching enumerates every node that reaches x (the
-	// ancestors-or-self axis), in ascending distance order.
-	EachReaching(x int32, fn Visit)
-
-	// EachReachingByTag is EachReaching restricted to one tag.
-	EachReachingByTag(x int32, tag int32, fn Visit)
-}
-
 // SectionEncoder is implemented by index backends that can serialize
 // themselves as one v2 snapshot section.  EncodeSection writes the section
 // body through the SnapshotWriter (between the caller's Begin/End);

@@ -264,9 +264,6 @@ func (sw *SnapshotWriter) U64s(s []uint64) {
 // Err returns the first error encountered.
 func (sw *SnapshotWriter) Err() error { return sw.err }
 
-// Offset returns the number of bytes written so far.
-func (sw *SnapshotWriter) Offset() int64 { return sw.off }
-
 // Finish writes the section table and footer and returns the total byte
 // count.
 func (sw *SnapshotWriter) Finish() (int64, error) {

@@ -5,6 +5,8 @@ package xmlgraph
 // package and by the transitive-closure baseline; they are deliberately
 // simple breadth-first searches.
 
+import "sort"
+
 // BFSDistances returns the shortest-path distance (number of edges, tree and
 // link edges alike) from start to every node, or -1 where unreachable.
 // start itself has distance 0.
@@ -100,7 +102,7 @@ func (c *Collection) DescendantsByTag(start NodeID, tag string) []NodeDist {
 			out = append(out, NodeDist{Node: NodeID(n), Dist: dist[n]})
 		}
 	}
-	sortNodeDists(out)
+	SortNodeDists(out)
 	return out
 }
 
@@ -110,18 +112,15 @@ type NodeDist struct {
 	Dist int32
 }
 
-func sortNodeDists(s []NodeDist) {
-	// insertion-friendly small-slice sort is unnecessary; use sort.Slice.
-	sortSlice(s, func(i, j int) bool {
+// SortNodeDists sorts s by ascending distance, ties by node ID.
+func SortNodeDists(s []NodeDist) {
+	sort.Slice(s, func(i, j int) bool {
 		if s[i].Dist != s[j].Dist {
 			return s[i].Dist < s[j].Dist
 		}
 		return s[i].Node < s[j].Node
 	})
 }
-
-// SortNodeDists sorts s by ascending distance, ties by node ID.
-func SortNodeDists(s []NodeDist) { sortNodeDists(s) }
 
 // Ancestors returns all nodes from which start is reachable, in reverse-BFS
 // order.

@@ -292,19 +292,6 @@ func TestStatsCycleDetection(t *testing.T) {
 	}
 }
 
-func TestComputeStatsForSubset(t *testing.T) {
-	c, _ := buildSmall(t)
-	a, _ := c.DocByName("a")
-	st := ComputeStatsFor(c, []DocID{a})
-	if st.Docs != 1 || st.Nodes != 6 {
-		t.Errorf("subset stats wrong: %+v", st)
-	}
-	// The inter-document link leaves the subset and must not be counted.
-	if st.Links != 1 || st.Intra != 1 || st.Inter != 0 {
-		t.Errorf("subset link counting wrong: %+v", st)
-	}
-}
-
 func TestFreezePanics(t *testing.T) {
 	c, _ := buildSmall(t)
 	mustPanic(t, "AddLink after Freeze", func() { c.AddLink(0, 1, EdgeChild) })

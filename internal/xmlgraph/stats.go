@@ -2,17 +2,10 @@ package xmlgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// sortSlice is a local alias so bfs.go stays free of a sort import cycle in
-// review diffs; it simply forwards to sort.Slice.
-func sortSlice(s []NodeDist, less func(i, j int) bool) {
-	sort.Slice(s, less)
-}
-
-// Stats summarizes the structural properties of a collection (or of a subset
-// of its documents).  The Indexing Strategy Selector (§4.1 of the paper)
+// Stats summarizes the structural properties of a collection.  The Indexing Strategy Selector (§4.1 of the paper)
 // bases its decisions on these numbers: number of documents, size
 // distribution, link structure, and link density.
 type Stats struct {
@@ -40,25 +33,10 @@ type Stats struct {
 
 // ComputeStats analyses the whole collection.
 func ComputeStats(c *Collection) Stats {
-	all := make([]DocID, c.NumDocs())
-	for i := range all {
-		all[i] = DocID(i)
-	}
-	return ComputeStatsFor(c, all)
-}
-
-// ComputeStatsFor analyses the sub-collection consisting of the given
-// documents.  Links with an endpoint outside the subset are not counted.
-func ComputeStatsFor(c *Collection, docs []DocID) Stats {
-	var st Stats
-	st.Docs = len(docs)
-	inSet := make(map[DocID]bool, len(docs))
-	for _, d := range docs {
-		inSet[d] = true
-	}
+	st := Stats{Docs: c.NumDocs(), Links: c.NumLinks()}
 	tags := make(map[string]struct{})
-	for _, d := range docs {
-		doc := c.Doc(d)
+	for d := range st.Docs {
+		doc := c.Doc(DocID(d))
 		sz := doc.Size()
 		st.Nodes += sz
 		if sz > st.MaxDoc {
@@ -73,10 +51,6 @@ func ComputeStatsFor(c *Collection, docs []DocID) Stats {
 		}
 	}
 	for _, l := range c.Links() {
-		if !inSet[c.DocOf(l.From)] || !inSet[c.DocOf(l.To)] {
-			continue
-		}
-		st.Links++
 		if c.DocOf(l.From) == c.DocOf(l.To) {
 			st.Intra++
 		} else {
@@ -91,118 +65,35 @@ func ComputeStatsFor(c *Collection, docs []DocID) Stats {
 	if st.Nodes > 0 {
 		st.LinkDensity = float64(st.Links) / float64(st.Nodes)
 	}
-	st.HasCycle = hasCycle(c, inSet)
-	st.IsTree = !st.HasCycle && singleParent(c, inSet)
-	return st
-}
-
-// hasCycle detects a directed cycle within the documents of inSet using an
-// iterative three-color DFS over G_X.
-func hasCycle(c *Collection, inSet map[DocID]bool) bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[NodeID]uint8)
-	type frame struct {
-		node NodeID
-		succ []NodeID
-		next int
-	}
-	succs := func(n NodeID) []NodeID {
-		var out []NodeID
-		c.EachSuccessor(n, func(s NodeID) {
-			if inSet[c.DocOf(s)] {
-				out = append(out, s)
-			}
-		})
-		return out
-	}
-	for d := range inSet {
-		root := c.Doc(d).Root
-		if color[root] != white {
-			continue
-		}
-		stack := []frame{{node: root, succ: succs(root)}}
-		color[root] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(f.succ) {
-				s := f.succ[f.next]
-				f.next++
-				switch color[s] {
-				case gray:
-					return true
-				case white:
-					color[s] = gray
-					stack = append(stack, frame{node: s, succ: succs(s)})
-				}
-				continue
-			}
-			color[f.node] = black
-			stack = stack[:len(stack)-1]
-		}
-	}
-	// Nodes not reachable from any root in the subset cannot start a cycle
-	// that a root-reachable walk would miss only if the cycle is entirely
-	// among non-root-reachable nodes; visit them too.
-	for d := range inSet {
-		first, last := c.Doc(d).Nodes()
-		for n := first; n < last; n++ {
-			if color[n] != white {
-				continue
-			}
-			stack := []frame{{node: n, succ: succs(n)}}
-			color[n] = gray
-			for len(stack) > 0 {
-				f := &stack[len(stack)-1]
-				if f.next < len(f.succ) {
-					s := f.succ[f.next]
-					f.next++
-					switch color[s] {
-					case gray:
-						return true
-					case white:
-						color[s] = gray
-						stack = append(stack, frame{node: s, succ: succs(s)})
-					}
-					continue
-				}
-				color[f.node] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return false
-}
-
-// singleParent reports whether every node of the subset has at most one
-// incoming edge (tree or link) from within the subset, and every link target
-// within the subset is a document root with no other incoming edge.  Under
-// this condition the subset's data graph is a forest and PPO applies.
-func singleParent(c *Collection, inSet map[DocID]bool) bool {
-	indeg := make(map[NodeID]int)
-	for d := range inSet {
-		first, last := c.Doc(d).Nodes()
-		for n := first; n < last; n++ {
-			if p := c.Parent(n); p != InvalidNode {
-				indeg[n]++
-			}
+	// One in-degree count over tree and link edges answers both shape
+	// questions: a node entered twice rules out a forest, and Kahn's pass
+	// removes every node unless a cycle holds some back.
+	indeg := make([]int32, c.NumNodes())
+	for n := range indeg {
+		if c.Parent(NodeID(n)) != InvalidNode {
+			indeg[n]++
 		}
 	}
 	for _, l := range c.Links() {
-		if !inSet[c.DocOf(l.From)] || !inSet[c.DocOf(l.To)] {
-			continue
-		}
 		indeg[l.To]++
 	}
-	for _, deg := range indeg {
-		if deg > 1 {
-			return false
+	single := !slices.ContainsFunc(indeg, func(d int32) bool { return d > 1 })
+	queue := make([]NodeID, 0, len(indeg))
+	for n, d := range indeg {
+		if d == 0 {
+			queue = append(queue, NodeID(n))
 		}
 	}
-	return true
+	for i := 0; i < len(queue); i++ {
+		c.EachSuccessor(queue[i], func(s NodeID) {
+			if indeg[s]--; indeg[s] == 0 {
+				queue = append(queue, s)
+			}
+		})
+	}
+	st.HasCycle = len(queue) < len(indeg)
+	st.IsTree = !st.HasCycle && single
+	return st
 }
 
 // String renders the stats for logs and the flixquery CLI.

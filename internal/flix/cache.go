@@ -2,33 +2,40 @@ package flix
 
 import (
 	"container/list"
+	"slices"
 	"sort"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/xmlgraph"
 )
 
 // QueryCache memoizes descendants queries — the "caching results of
 // frequent (sub-)queries" optimization of §7.  It wraps an Index with a
-// bounded LRU keyed by (start element, tag); hits replay the stored result
-// stream, misses evaluate and (when the evaluation ran to completion)
-// store it.
+// bounded LRU keyed by (start element, tag).  An entry holds a prefix of the
+// key's plain stream — every result, the start itself included, in the
+// (approximate) order an evaluation without bounds emits them — and whether
+// that prefix is the whole stream.  The evaluation is deterministic, so
+// replaying a prefix under a caller's Options gives what replaying the whole
+// stream would, as far as the prefix reaches: a request hits when the entry
+// is complete, or when its replay reaches its MaxResults inside the prefix.
+// An ExactOrder request hits complete entries only; replay sorts them.
 //
-// Only complete, untruncated evaluations are cached: a stream the client
-// cancelled or bounded with MaxResults/MaxDist is not a valid answer for
-// the next caller.  Replays honor the caller's Options by truncating the
-// stored stream.  A QueryCache is safe for concurrent use.
+// A miss evaluates the plain stream, passes it to the caller as it arrives
+// and stops as soon as the caller has its MaxResults — an ExactOrder miss
+// runs it to completion and replays it sorted — then stores what it
+// evaluated.  A store never shrinks an entry: complete beats a prefix, a
+// longer prefix a shorter one.  A canceled evaluation is not stored.  A
+// QueryCache is safe for concurrent use.
 type QueryCache struct {
 	ix  *Index
 	cap int
 
-	// StoreBounded makes a miss with client-imposed bounds (MaxResults,
-	// MaxDist) evaluate the query *unbounded*, store the complete stream,
-	// and then replay it through the caller's Options.
-	// Repeated top-k queries — the typical server workload — then hit the
-	// cache, at the cost of the first evaluation materializing the full
-	// result set.  Off by default to preserve the library's streaming
-	// early-termination behavior.
+	// StoreBounded caches the misses of requests with client-imposed bounds
+	// (MaxResults, MaxDist) too, each as the prefix it evaluated, so repeated
+	// top-k queries — the typical server workload — hit the cache.  Off by
+	// default: such a miss then evaluates under the caller's Options and
+	// stores nothing, the library's plain streaming behavior.
 	StoreBounded bool
 
 	mu  sync.Mutex
@@ -43,9 +50,45 @@ type cacheKey struct {
 	tag   string
 }
 
+// cacheEntry is immutable once stored; an upgrade replaces it.
 type cacheEntry struct {
-	key     cacheKey
-	results []Result
+	key      cacheKey
+	results  []Result
+	complete bool // results is the whole stream, not a prefix of it
+	self     bool // results holds the start itself, the one result at distance 0
+}
+
+func newEntry(key cacheKey, results []Result, complete bool) *cacheEntry {
+	return &cacheEntry{key: key, results: results, complete: complete,
+		self: slices.ContainsFunc(results, func(r Result) bool { return r.Dist == 0 })}
+}
+
+// covers reports whether replaying e under opts answers the request: always
+// when e is complete; for a prefix, when the replay reaches opts.MaxResults
+// inside it.  Only a MaxDist bound makes it scan the prefix.
+func (e *cacheEntry) covers(opts Options) bool {
+	if e.complete {
+		return true
+	}
+	if opts.MaxResults <= 0 || opts.ExactOrder {
+		return false
+	}
+	if opts.MaxDist <= 0 {
+		n := len(e.results)
+		if e.self && !opts.IncludeSelf {
+			n--
+		}
+		return n >= opts.MaxResults
+	}
+	n := 0
+	for _, r := range e.results {
+		if admits(opts, r) {
+			if n++; n == opts.MaxResults {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // NewQueryCache wraps the index with an LRU of the given capacity (number
@@ -65,7 +108,7 @@ func (ix *Index) NewQueryCache(capacity int) *QueryCache {
 // Descendants behaves like Index.Descendants but consults the cache.
 func (c *QueryCache) Descendants(start xmlgraph.NodeID, tag string, opts Options, fn Emit) {
 	key := cacheKey{start: start, tag: tag}
-	if results, ok := c.lookup(key); ok {
+	if results, ok := c.lookup(key, opts); ok {
 		if opts.Tracer != nil {
 			opts.Tracer.CacheHit()
 		}
@@ -75,51 +118,61 @@ func (c *QueryCache) Descendants(start xmlgraph.NodeID, tag string, opts Options
 	if opts.Tracer != nil {
 		opts.Tracer.CacheMiss()
 	}
-	// Cache only evaluations that run to completion without
-	// client-imposed truncation.  Every storing evaluation runs with
-	// IncludeSelf, so the stored stream serves either policy; replay and
-	// the pass-through emit below apply the caller's.
-	cacheable := opts.MaxResults == 0 && opts.MaxDist == 0
-	if !cacheable {
-		if !c.StoreBounded {
-			c.ix.Descendants(start, tag, opts, fn)
-			return
-		}
-		// StoreBounded: evaluate unbounded (still honoring cancellation
-		// and tracing), store the complete stream, replay it under the
-		// caller's bounds.
-		full := Options{IncludeSelf: true, ExactOrder: opts.ExactOrder, Cancel: opts.Cancel, Tracer: opts.Tracer}
-		var results []Result
-		c.ix.Descendants(start, tag, full, func(r Result) bool {
-			results = append(results, r)
-			return true
-		})
-		if !canceled(opts.Cancel) {
-			c.store(key, results)
-		}
-		replay(results, opts, fn)
+	if (opts.MaxResults != 0 || opts.MaxDist != 0) && !c.StoreBounded {
+		c.ix.Descendants(start, tag, opts, fn)
 		return
 	}
-	var results []Result
-	complete := true
-	self := opts.IncludeSelf
-	opts.IncludeSelf = true
-	c.ix.Descendants(start, tag, opts, func(r Result) bool {
-		results = append(results, r)
-		if (r.Dist != 0 || self) && !fn(r) {
-			complete = false
-			return false
-		}
-		return true
+	out := replayer{opts: opts, fn: fn}
+	results, complete := c.evaluate(key, opts.Cancel, opts.Tracer, func(r Result) bool {
+		return opts.ExactOrder || out.emit(r)
 	})
-	// A cancellation stops the priority-queue loop without fn ever
-	// returning false; such a truncated stream must not be stored.
-	if canceled(opts.Cancel) {
-		complete = false
+	// A cancellation stops the priority-queue loop without more ever
+	// returning false, so complete would claim a whole stream; a canceled
+	// evaluation is not stored at all.
+	if !canceled(opts.Cancel) {
+		c.store(newEntry(key, results, complete))
 	}
-	if complete {
-		c.store(key, results)
+	if opts.ExactOrder {
+		replay(results, opts, fn)
 	}
+}
+
+// evaluate runs the plain stream of key — IncludeSelf, no bounds, the
+// approximate order — collecting it until more returns false or the stream
+// ends; complete reports the latter.
+func (c *QueryCache) evaluate(key cacheKey, cancel <-chan struct{}, tr *obs.Trace, more func(Result) bool) (results []Result, complete bool) {
+	complete = true
+	c.ix.Descendants(key.start, key.tag, Options{IncludeSelf: true, Cancel: cancel, Tracer: tr}, func(r Result) bool {
+		results = append(results, r)
+		complete = more(r)
+		return complete
+	})
+	return results, complete
+}
+
+// admits reports whether the caller's self policy and MaxDist let r through.
+func admits(opts Options, r Result) bool {
+	return (r.Dist != 0 || opts.IncludeSelf) && (opts.MaxDist <= 0 || r.Dist <= opts.MaxDist)
+}
+
+// replayer passes a plain stream on to a caller under the caller's Options.
+type replayer struct {
+	opts    Options
+	fn      Emit
+	emitted int
+}
+
+// emit offers r to the caller and reports whether the caller wants more:
+// false once fn stops or the caller has its MaxResults.
+func (p *replayer) emit(r Result) bool {
+	if !admits(p.opts, r) {
+		return true
+	}
+	if !p.fn(r) {
+		return false
+	}
+	p.emitted++
+	return p.opts.MaxResults <= 0 || p.emitted < p.opts.MaxResults
 }
 
 // replay feeds stored results through the caller's options.  Stored streams
@@ -132,29 +185,20 @@ func replay(results []Result, opts Options, fn Emit) {
 		sortResults(sorted)
 		results = sorted
 	}
-	emitted := 0
+	out := replayer{opts: opts, fn: fn}
 	for _, r := range results {
-		if opts.MaxDist > 0 && r.Dist > opts.MaxDist {
-			continue
-		}
-		if r.Dist == 0 && !opts.IncludeSelf {
-			continue
-		}
-		if !fn(r) {
-			return
-		}
-		emitted++
-		if opts.MaxResults > 0 && emitted >= opts.MaxResults {
+		if !out.emit(r) {
 			return
 		}
 	}
 }
 
-func (c *QueryCache) lookup(key cacheKey) ([]Result, bool) {
+// lookup returns the stored results when they answer a request under opts.
+func (c *QueryCache) lookup(key cacheKey, opts Options) ([]Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byK[key]
-	if !ok {
+	if !ok || !el.Value.(*cacheEntry).covers(opts) {
 		c.misses++
 		return nil, false
 	}
@@ -163,11 +207,13 @@ func (c *QueryCache) lookup(key cacheKey) ([]Result, bool) {
 	return el.Value.(*cacheEntry).results, true
 }
 
-func (c *QueryCache) store(key cacheKey, results []Result) {
+func (c *QueryCache) store(e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byK[key]; ok {
-		el.Value.(*cacheEntry).results = results
+	if el, ok := c.byK[e.key]; ok {
+		if old := el.Value.(*cacheEntry); !old.complete && (e.complete || len(e.results) > len(old.results)) {
+			el.Value = e
+		}
 		c.lru.MoveToFront(el)
 		return
 	}
@@ -176,20 +222,20 @@ func (c *QueryCache) store(key cacheKey, results []Result) {
 		c.lru.Remove(last)
 		delete(c.byK, last.Value.(*cacheEntry).key)
 	}
-	c.byK[key] = c.lru.PushFront(&cacheEntry{key: key, results: results})
+	c.byK[e.key] = c.lru.PushFront(e)
 }
 
-// storeCold stores a warmed stream at the LRU tail, behind every entry live
+// storeCold stores a warmed entry at the LRU tail, behind every entry live
 // traffic has stored, and only while there is room: a warmed entry never
 // evicts and never outranks a live one, and a key already cached keeps the
 // entry it has.  It reports whether it stored.
-func (c *QueryCache) storeCold(key cacheKey, results []Result) bool {
+func (c *QueryCache) storeCold(e *cacheEntry) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.byK[key]; ok || c.lru.Len() >= c.cap {
+	if _, ok := c.byK[e.key]; ok || c.lru.Len() >= c.cap {
 		return false
 	}
-	c.byK[key] = c.lru.PushBack(&cacheEntry{key: key, results: results})
+	c.byK[e.key] = c.lru.PushBack(e)
 	return true
 }
 
@@ -215,10 +261,13 @@ func sortResults(results []Result) {
 	})
 }
 
-// HotKey identifies one cached query for cross-cache warming.
+// HotKey identifies one cached query for cross-cache warming, with how far
+// its entry reaches: Prefix is the length of the stored prefix, 0 when the
+// entry is the complete stream.
 type HotKey struct {
-	Start xmlgraph.NodeID
-	Tag   string
+	Start  xmlgraph.NodeID
+	Tag    string
+	Prefix int
 }
 
 // HotKeys returns the keys of up to n cached queries (n <= 0 means all),
@@ -232,8 +281,12 @@ func (c *QueryCache) HotKeys(n int) []HotKey {
 	}
 	keys := make([]HotKey, 0, n)
 	for el := c.lru.Front(); el != nil && len(keys) < n; el = el.Next() {
-		k := el.Value.(*cacheEntry).key
-		keys = append(keys, HotKey{Start: k.start, Tag: k.tag})
+		e := el.Value.(*cacheEntry)
+		k := HotKey{Start: e.key.start, Tag: e.key.tag}
+		if !e.complete {
+			k.Prefix = len(e.results)
+		}
+		keys = append(keys, k)
 	}
 	return keys
 }
@@ -241,47 +294,58 @@ func (c *QueryCache) HotKeys(n int) []HotKey {
 // Warm takes over an inherited working set while the cache is already
 // serving: it walks keys in order — hottest first, so the head of the
 // distribution is cached within the first few evaluations — evaluates each
-// to completion on the wrapped index and stores the stream cold (storeCold).
-// Hottest first with tail insertion leaves a quiet cache ordered exactly
-// like the source of the keys.  A key live traffic has cached meanwhile is
-// skipped unevaluated.  each is called after every key dealt with, saying
-// whether its stream was stored.  The sweep ends when the keys run out, when
-// the cache is full (what is left is colder than everything in it; nil is
-// returned) or when cancel closes: the evaluation under way is cut short,
-// nothing is stored from then on, and the keys not dealt with are returned
-// for the caller to hand on.
+// on the wrapped index exactly as far as its Prefix says (to completion when
+// 0), and stores the result cold (storeCold).  Hottest first with tail
+// insertion leaves a quiet cache ordered exactly like the source of the keys.
+// A key live traffic has cached meanwhile is skipped unevaluated.  each is
+// called after every key dealt with, saying whether its entry was stored.
+// The sweep ends when the keys run out, when the cache is full (what is left
+// is colder than everything in it; nil is returned) or when cancel closes:
+// the evaluation under way is cut short, nothing is stored from then on, and
+// the keys not dealt with are returned for the caller to hand on.
 func (c *QueryCache) Warm(keys []HotKey, cancel <-chan struct{}, each func(stored bool)) []HotKey {
-	for i, key := range keys {
+	for i, hk := range keys {
 		if c.Len() >= c.cap {
 			return nil
 		}
+		key := cacheKey{start: hk.Start, tag: hk.Tag}
 		stored := false
-		if !c.Contains(key.Start, key.Tag) {
-			var results []Result
-			c.ix.Descendants(key.Start, key.Tag, Options{IncludeSelf: true, Cancel: cancel}, func(r Result) bool {
-				results = append(results, r)
-				return true
+		if !c.has(key) {
+			n := 0
+			results, complete := c.evaluate(key, cancel, nil, func(Result) bool {
+				n++
+				return n != hk.Prefix
 			})
 			if canceled(cancel) {
 				return keys[i:]
 			}
-			stored = c.storeCold(cacheKey{start: key.Start, tag: key.Tag}, results)
+			stored = c.storeCold(newEntry(key, results, complete))
 		}
 		each(stored)
 	}
 	return nil
 }
 
-// Contains reports whether a complete stream for (start, tag) is cached,
-// without promoting the entry in the LRU or counting a hit or miss.  Batch
-// handlers use it to order work — answer cached queries first — before the
-// real lookups happen; a peek must therefore leave every counter and the
-// eviction order exactly as it found them.
-func (c *QueryCache) Contains(start xmlgraph.NodeID, tag string) bool {
+// has reports whether key has an entry, however far it reaches.
+func (c *QueryCache) has(key cacheKey) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.byK[cacheKey{start: start, tag: tag}]
+	_, ok := c.byK[key]
 	return ok
+}
+
+// Contains reports whether a request for start//tag under opts would be
+// answered from the cache — its entry is complete, or the request's replay
+// reaches its MaxResults inside the stored prefix — without promoting the
+// entry in the LRU or counting a hit or miss.  Batch handlers use it to order
+// work — answer cached queries first — before the real lookups happen; a
+// peek must therefore leave every counter and the eviction order exactly as
+// it found them.
+func (c *QueryCache) Contains(start xmlgraph.NodeID, tag string, opts Options) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byK[cacheKey{start: start, tag: tag}]
+	return ok && el.Value.(*cacheEntry).covers(opts)
 }
 
 // Counts returns the number of cache hits and misses so far.

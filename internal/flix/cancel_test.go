@@ -141,23 +141,40 @@ func TestCacheStoreBounded(t *testing.T) {
 	}
 	cache := ix.NewQueryCache(4)
 	cache.StoreBounded = true
-	n := 0
-	cache.Descendants(start, "item", Options{MaxResults: 3}, func(Result) bool { n++; return true })
+	count := func(opts Options) (n int, entries int64) {
+		before := ix.Stats().Snapshot().Entries
+		cache.Descendants(start, "item", opts, func(Result) bool { n++; return true })
+		return n, ix.Stats().Snapshot().Entries - before
+	}
+	// A bounded miss stops where its answer does and stores that prefix.
+	n, bounded := count(Options{MaxResults: 3})
 	if n != 3 {
 		t.Fatalf("bounded miss returned %d results, want 3", n)
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("StoreBounded miss did not populate the cache (%d entries)", cache.Len())
+	if got := cache.HotKeys(0); len(got) != 1 || got[0].Prefix != 3 {
+		t.Fatalf("StoreBounded miss stored %+v, want one prefix of 3", got)
 	}
-	// The stored stream is complete: an unbounded follow-up is a hit with
-	// the full result set.
-	n = 0
-	cache.Descendants(start, "item", Options{}, func(Result) bool { n++; return true })
-	if n != 20 {
-		t.Errorf("replay of stored stream returned %d results, want 20", n)
+	// A top-10 client that hangs up after one result misses and evaluates one
+	// result; the store keeps the longer prefix.
+	cache.Descendants(start, "item", Options{MaxResults: 10}, func(Result) bool { return false })
+	if got := cache.HotKeys(0); len(got) != 1 || got[0].Prefix != 3 {
+		t.Fatalf("a shorter miss left %+v, want the prefix of 3: a store never shrinks an entry", got)
 	}
-	if hits, misses := cache.Counts(); hits != 1 || misses != 1 {
-		t.Errorf("counts = (%d hits, %d misses), want (1, 1)", hits, misses)
+	// The prefix cannot answer an unbounded follow-up: it misses, evaluates
+	// the whole chain and upgrades the entry to complete.
+	n, full := count(Options{})
+	if n != 20 || full <= bounded {
+		t.Fatalf("unbounded follow-up returned %d results over %d entries, want 20 over more than the bounded miss's %d", n, full, bounded)
+	}
+	if got := cache.HotKeys(0); len(got) != 1 || got[0].Prefix != 0 {
+		t.Fatalf("after the unbounded miss the cache holds %+v, want one complete entry", got)
+	}
+	// A third call hits and evaluates nothing.
+	if n, entries := count(Options{}); n != 20 || entries != 0 {
+		t.Errorf("replay of the complete entry returned %d results over %d entries, want 20 over none", n, entries)
+	}
+	if hits, misses := cache.Counts(); hits != 1 || misses != 3 {
+		t.Errorf("counts = (%d hits, %d misses), want (1, 3)", hits, misses)
 	}
 }
 

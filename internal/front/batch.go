@@ -122,12 +122,11 @@ type planItem struct {
 	qTag   string // first step's tag: the anchor grouping key
 
 	// Descendants items.
-	start   xmlgraph.NodeID
-	tag     string
-	maxDist int32
-	self    bool
-	hit     bool  // answerable without evaluating (Backend.Locate)
-	meta    int32 // start's meta document: the grouping key
+	start xmlgraph.NodeID
+	tag   string
+	opts  flix.Options // the bounds: MaxResults (k), MaxDist, IncludeSelf
+	hit   bool         // answerable under its bounds without evaluating (Backend.Locate)
+	meta  int32        // start's meta document: the grouping key
 }
 
 // batch answers POST /v1/batch.  Per-item failures (parse errors, unknown
@@ -221,8 +220,9 @@ func (f *Front) planItem(be Backend, i int, bq BatchQuery, defK int) (planItem, 
 	if bq.MaxDist < 0 {
 		return it, fmt.Errorf("bad maxDist %d (want >= 0)", bq.MaxDist)
 	}
-	it.start, it.tag, it.maxDist, it.self = start, bq.Tag, bq.MaxDist, bq.IncludeSelf
-	it.meta, it.hit = be.Locate(start, bq.Tag)
+	it.start, it.tag = start, bq.Tag
+	it.opts = flix.Options{MaxResults: it.k, MaxDist: bq.MaxDist, IncludeSelf: bq.IncludeSelf}
+	it.meta, it.hit = be.Locate(start, bq.Tag, it.opts)
 	return it, nil
 }
 
@@ -269,12 +269,9 @@ func (f *Front) runItem(ctx context.Context, be Backend, ev *query.Evaluator, it
 		// TakePartial first: it must run (and reset) for every item.
 		item.truncated = be.TakePartial() || ev.Stats.Truncated
 	} else {
-		be.Descendants(it.start, it.tag, flix.Options{
-			MaxResults:  it.k,
-			MaxDist:     it.maxDist,
-			IncludeSelf: it.self,
-			Cancel:      ctx.Done(),
-		}, func(r flix.Result) bool {
+		opts := it.opts
+		opts.Cancel = ctx.Done()
+		be.Descendants(it.start, it.tag, opts, func(r flix.Result) bool {
 			b.hits = append(b.hits, hit{node: r.Node, dist: r.Dist})
 			return true
 		})

@@ -118,9 +118,10 @@ type Backend interface {
 	// Evaluator returns a ranked-query evaluator bound to this request.
 	Evaluator() *query.Evaluator
 	// Locate returns the keys batch execution is ordered by: the meta
-	// document of start, and whether the tier can answer start//tag
-	// without evaluating (a node's query cache; never on the router).
-	Locate(start xmlgraph.NodeID, tag string) (meta int32, hit bool)
+	// document of start, and whether the tier can answer start//tag under
+	// opts' bounds without evaluating (a node's query cache holds enough of
+	// the stream; never on the router, which ignores opts).
+	Locate(start xmlgraph.NodeID, tag string, opts flix.Options) (meta int32, hit bool)
 	// TakePartial reports, and forgets, whether the evaluations since the
 	// previous call were cut short other than by a ranked evaluator's own
 	// cancellation (which it reports itself): the deadline passing during

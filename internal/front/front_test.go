@@ -45,7 +45,7 @@ func (s *stubTier) Connected(from, to xmlgraph.NodeID, opts flix.Options) (int32
 }
 func (s *stubTier) Ancestors(xmlgraph.NodeID, string, flix.Options, flix.Emit) {}
 func (s *stubTier) Evaluator() *query.Evaluator                                { return &query.Evaluator{Index: s} }
-func (s *stubTier) Locate(start xmlgraph.NodeID, tag string) (int32, bool) {
+func (s *stubTier) Locate(start xmlgraph.NodeID, tag string, _ flix.Options) (int32, bool) {
 	return s.metas[start], s.hits[start]
 }
 func (s *stubTier) TakePartial() bool {

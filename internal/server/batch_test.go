@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -96,6 +97,29 @@ func TestBatchEndpoint(t *testing.T) {
 	reqs := stats["server"].(map[string]any)["requests"].(map[string]any)
 	if reqs["batch"].(float64) != 1 {
 		t.Errorf("requests.batch = %v, want 1", reqs["batch"])
+	}
+}
+
+// TestBatchCacheHitNeedsThePrefix: a batch item is flagged cacheHit only when
+// the cache holds enough of its stream.  After a top-1 request has stored a
+// one-result prefix, a top-1 item hits; a top-2 item misses, without the
+// flag, and answers what a server without a cache answers.
+func TestBatchCacheHitNeedsThePrefix(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	_, uncached := newTestServer(t, Config{CacheSize: -1})
+	getJSON(t, ts.URL+"/v1/descendants?start=movies.xml&tag=actor&k=1", 200)
+	req := shard.BatchRequest{Queries: []shard.BatchQuery{
+		{Start: "movies.xml", Tag: "actor", K: 1},
+		{Start: "movies.xml", Tag: "actor", K: 2},
+	}}
+	got, want := postBatch(t, ts.URL, "", req, 200), postBatch(t, uncached.URL, "", req, 200)
+	if !got.Results[0].CacheHit || got.Results[1].CacheHit {
+		t.Errorf("cacheHit = %v, %v; want true for the top-1 item and false for the top-2 one", got.Results[0].CacheHit, got.Results[1].CacheHit)
+	}
+	for i, w := range want.Results {
+		if g := got.Results[i]; g.Count != i+1 || !reflect.DeepEqual(g.Results, w.Results) {
+			t.Errorf("item %d: %d results %+v, want %d: %+v", i, g.Count, g.Results, i+1, w.Results)
+		}
 	}
 }
 

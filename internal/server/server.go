@@ -136,19 +136,25 @@ func (g *generation) warming() bool {
 // own warmer was stopped short of, so that swaps arriving faster than a
 // warmer finishes do not shrink the working set to what one warmer managed —
 // cut to the cache capacity, and evaluates it behind live traffic until done
-// or retired.  It waits for old's warmer first, so warmers evaluate one at a
-// time and old.warmRest is final.  The goroutine keeps g, and through it a
-// mapped index, reachable for as long as it reads it.
+// or retired, each key as far as its entry reached.  A query in both lists
+// is taken once, with the reach old's cache gives it.  It waits for old's
+// warmer first, so warmers evaluate one at a time and old.warmRest is final.
+// The goroutine keeps g, and through it a mapped index, reachable for as long
+// as it reads it.
 func (g *generation) warm(old *generation, capacity int) {
 	defer close(g.warmDone)
 	<-old.warmDone
+	type query struct {
+		start xmlgraph.NodeID
+		tag   string
+	}
 	keys := old.cache.HotKeys(0)
-	seen := make(map[flix.HotKey]bool, len(keys))
+	seen := make(map[query]bool, len(keys))
 	for _, k := range keys {
-		seen[k] = true
+		seen[query{k.Start, k.Tag}] = true
 	}
 	for _, k := range old.warmRest {
-		if !seen[k] {
+		if !seen[query{k.Start, k.Tag}] {
 			keys = append(keys, k)
 		}
 	}
@@ -423,8 +429,8 @@ func (b *session) Evaluator() *query.Evaluator {
 	return &query.Evaluator{Index: b.g.ix, Ontology: b.s.onto, Cancel: b.ctx.Done(), Tracer: b.trace}
 }
 
-func (b *session) Locate(start xmlgraph.NodeID, tag string) (int32, bool) {
-	return b.g.ix.MetaOf(start), b.g.cache != nil && b.g.cache.Contains(start, tag)
+func (b *session) Locate(start xmlgraph.NodeID, tag string, opts flix.Options) (int32, bool) {
+	return b.g.ix.MetaOf(start), b.g.cache != nil && b.g.cache.Contains(start, tag, opts)
 }
 
 func (b *session) TakePartial() bool {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,12 +38,17 @@ func midSweep(s *Server) <-chan struct{} {
 }
 
 // hotSet fills the serving generation's cache with every document root under
-// every tag (and the wildcard) and returns the keys, hottest first.
+// every tag (and the wildcard) and returns the keys, hottest first.  The
+// wildcard queries are top-3 requests, so their entries are prefixes.
 func hotSet(s *Server, coll *xmlgraph.Collection) []flix.HotKey {
 	cache := s.gen.Load().cache
 	for d := 0; d < coll.NumDocs(); d++ {
 		for _, tag := range []string{"a", "b", "c", "d", "e", ""} {
-			cache.Descendants(coll.Doc(xmlgraph.DocID(d)).Root, tag, flix.Options{}, func(flix.Result) bool { return true })
+			var opts flix.Options
+			if tag == "" {
+				opts.MaxResults = 3
+			}
+			cache.Descendants(coll.Doc(xmlgraph.DocID(d)).Root, tag, opts, func(flix.Result) bool { return true })
 		}
 	}
 	return cache.HotKeys(0)
@@ -50,7 +56,8 @@ func hotSet(s *Server, coll *xmlgraph.Collection) []flix.HotKey {
 
 // TestInstallBackToBack swaps twice in a row — G2, then G3 before G2's
 // warmer is through — and checks the hand-over: G3 ends up with every key
-// G1 had hot, in G1's order, whether G2's warmer never started evaluating
+// G1 had hot, in G1's order, each entry reaching as far as G1's (a prefix
+// stays a prefix of its length), whether G2's warmer never started evaluating
 // (held), was stopped wherever the second Install caught it (immediately),
 // or was stopped mid-sweep (midway).  The superseded warmer must exit,
 // account for every key as either stored or handed on, and store nothing
@@ -71,6 +78,9 @@ func TestInstallBackToBack(t *testing.T) {
 			hot := hotSet(s, coll)
 			if len(hot) < 100 {
 				t.Fatalf("hot set of %d keys, want >= 100", len(hot))
+			}
+			if !slices.ContainsFunc(hot, func(k flix.HotKey) bool { return k.Prefix > 0 }) {
+				t.Fatal("the hot set has no prefix entry")
 			}
 			release := func() {}
 			if mode == "held" {
@@ -99,12 +109,12 @@ func TestInstallBackToBack(t *testing.T) {
 
 			awaitDone(t, "G3's warmer", g3.warmDone)
 			for _, k := range hot {
-				if !g3.cache.Contains(k.Start, k.Tag) {
+				if !g3.cache.Contains(k.Start, k.Tag, flix.Options{IncludeSelf: true, MaxResults: k.Prefix}) {
 					t.Fatalf("G1's hot key %+v did not reach G3 (G2 stored %d, handed on %d)", k, stored2, len(g2.warmRest))
 				}
 			}
 			if got := g3.cache.HotKeys(0); !reflect.DeepEqual(got, hot) {
-				t.Errorf("G3's cache is not in G1's order after a quiet warm")
+				t.Errorf("G3's cache is not G1's, in G1's order with G1's prefix lengths, after a quiet warm")
 			}
 			if w, p := g3.warmed.Load(), g3.warmPending.Load(); int(w) != len(hot) || p != 0 || g3.warmRest != nil {
 				t.Errorf("G3 warmed %d, pending %d, left %d; want %d, 0, none", w, p, len(g3.warmRest), len(hot))

@@ -420,7 +420,7 @@ func (b *routerBackend) Evaluator() *query.Evaluator {
 
 // Locate has no cache to consult; the meta document groups consecutive
 // gathers onto the same owning shard.
-func (b *routerBackend) Locate(start xmlgraph.NodeID, tag string) (int32, bool) {
+func (b *routerBackend) Locate(start xmlgraph.NodeID, tag string, _ flix.Options) (int32, bool) {
 	if topo := b.rt.topo.Load(); topo != nil && int(start) < len(topo.metaOf) {
 		return topo.metaOf[start], false
 	}

@@ -179,9 +179,62 @@ type Index struct {
 func newIndex(c *xmlgraph.Collection, cfg Config, set *meta.Set, bs BuildStats) *Index {
 	return &Index{
 		coll: c, set: set, cfg: cfg, bstats: bs,
-		pis:     make([]pathindex.Index, len(set.Metas)),
-		scratch: new(sync.Pool),
+		pis:      make([]pathindex.Index, len(set.Metas)),
+		regions:  make([]pathindex.Regioner, len(set.Metas)),
+		linkTabs: make([]*pathindex.LinkTable, len(set.Metas)),
+		scratch:  new(sync.Pool),
 	}
+}
+
+// setIndex installs meta document i's index and, when it is region-encoded,
+// its region encoding and link table.  Both constructors (heap build,
+// snapshot open) call it from their worker pools, one meta document each.
+func (ix *Index) setIndex(i int, idx pathindex.Index) {
+	ix.pis[i] = idx
+	if rg, ok := idx.(pathindex.Regioner); ok {
+		ix.regions[i] = rg
+		ix.linkTabs[i] = pathindex.NewLinkTable(rg, ix.set.Metas[i].LinkSources)
+	}
+}
+
+// forEachMeta calls step(w, i) for every meta document i in [0, n) on a pool
+// of min(workers, n) goroutines, w being the calling worker's number, and
+// returns once all have finished.  Workers claim indexes in ascending order
+// and claim none after a step has failed, so every index below a failed one
+// has run: the error returned, that of the lowest failing index, is the one
+// a serial loop would return.
+func forEachMeta(n, workers int, step func(w, i int) error) error {
+	var (
+		next    atomic.Int64
+		failed  atomic.Bool
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		firstAt = n
+		firstE  error
+	)
+	for w := 0; w < max(1, min(workers, n)); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := step(w, i); err != nil {
+					mu.Lock()
+					if i < firstAt {
+						firstAt, firstE = i, err
+					}
+					mu.Unlock()
+					failed.Store(true)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return firstE
 }
 
 // Build runs the build phase on a frozen collection with default options
@@ -215,23 +268,8 @@ func BuildWithOptions(c *xmlgraph.Collection, cfg Config, opts BuildOptions) (*I
 	if err := ix.buildIndexes(preferred, opts.Parallelism); err != nil {
 		return nil, err
 	}
-	ix.buildLinkTables()
 	keepDecomposition(c, cfg, set)
 	return ix, nil
-}
-
-// buildLinkTables resolves the region encodings and builds the link tables of
-// the region-encoded meta documents.  Both constructors (heap build, snapshot
-// open) call it once the pis are in place.
-func (ix *Index) buildLinkTables() {
-	ix.regions = make([]pathindex.Regioner, len(ix.pis))
-	ix.linkTabs = make([]*pathindex.LinkTable, len(ix.pis))
-	for i, md := range ix.set.Metas {
-		if rg, ok := ix.pis[i].(pathindex.Regioner); ok {
-			ix.regions[i] = rg
-			ix.linkTabs[i] = pathindex.NewLinkTable(rg, md.LinkSources)
-		}
-	}
 }
 
 // workerStats is one build worker's private aggregate.  Workers never share
@@ -259,12 +297,12 @@ func (ws *workerStats) record(name string, tm meta.Timing) {
 	ws.wb.Busy += tm.Select + tm.Build
 }
 
-// buildIndexes constructs the per-meta-document indexes on a worker pool of
-// the given width (<= 0 means all CPUs) — meta documents are independent,
-// so this is the natural parallelism of the build phase.  Output is
-// deterministic regardless of the pool width: pis[i] is keyed by the stable
-// meta-document ordering, and the per-worker statistics are merged in worker
-// order after the pool drains.
+// buildIndexes constructs the per-meta-document indexes, with their link
+// tables, on a worker pool of the given width (<= 0 means all CPUs) — meta
+// documents are independent, so this is the natural parallelism of the build
+// phase.  Output is deterministic regardless of the pool width: pis[i] is
+// keyed by the stable meta-document ordering, and the per-worker statistics
+// are merged in worker order after the pool drains.
 func (ix *Index) buildIndexes(preferred string, parallelism int) error {
 	metas := ix.set.Metas
 	if parallelism <= 0 {
@@ -275,37 +313,17 @@ func (ix *Index) buildIndexes(preferred string, parallelism int) error {
 	defer func() { ix.bstats.IndexBuild = time.Since(t0) }()
 	workers := max(1, min(parallelism, len(metas)))
 	perWorker := make([]workerStats, workers)
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstE  error
-		failed  atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := &perWorker[w]
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(metas) || failed.Load() {
-					return
-				}
-				idx, tm, err := meta.BuildIndexTimed(metas[i], ix.cfg.Load, preferred)
-				if err != nil {
-					errOnce.Do(func() { firstE = err })
-					failed.Store(true)
-					return
-				}
-				ix.pis[i] = idx
-				ws.record(idx.Name(), tm)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstE != nil {
-		return firstE
+	err := forEachMeta(len(metas), workers, func(w, i int) error {
+		idx, tm, err := meta.BuildIndexTimed(metas[i], ix.cfg.Load, preferred)
+		if err != nil {
+			return err
+		}
+		ix.setIndex(i, idx)
+		perWorker[w].record(idx.Name(), tm)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	ix.bstats.Strategies = make(map[string]StrategyBuild)
 	ix.bstats.Workers = make([]WorkerBuild, 0, workers)

@@ -8,8 +8,8 @@ package flix
 // fingerprints) followed by one section per meta document in decomposition
 // order; the decomposition itself is not stored — Decompose derives it from
 // the collection and the manifest configuration, once per collection — and
-// the fingerprints (node count, runtime-link count, link hash) detect a
-// mismatched collection before any query runs.
+// the fingerprints (node count, runtime-link count, meta.MetaDocument's
+// LinkHash) detect a mismatched collection before any query runs.
 
 import (
 	"errors"
@@ -69,7 +69,7 @@ func (ix *Index) writeManifest(sw *storage.SnapshotWriter, rawLens []int64) {
 		md := ix.set.Metas[i]
 		sw.Uvarint(uint64(md.Graph.NumNodes()))
 		sw.Uvarint(uint64(len(md.OutLinks)))
-		sw.U64(linkHash(md))
+		sw.U64(md.LinkHash)
 	}
 	if rawLens != nil {
 		sw.Uvarint(manifestTrailerV1)
@@ -135,28 +135,6 @@ func (ix *Index) WriteSnapshotV2With(w io.Writer, opts SnapshotV2Options) (int64
 		sw.End()
 	}
 	return sw.Finish()
-}
-
-// linkHash fingerprints a meta document's runtime link table (FNV-64a over
-// the (FromLocal, To) pairs).  OpenSnapshot compares it against the
-// collection's decomposition, so the file need not store the link table.
-func linkHash(md *meta.MetaDocument) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint32) {
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64(v>>s) & 0xff
-			h *= prime64
-		}
-	}
-	for _, cl := range md.OutLinks {
-		mix(uint32(cl.FromLocal))
-		mix(uint32(cl.To))
-	}
-	return h
 }
 
 // OpenOptions tunes OpenSnapshotWith.
@@ -280,30 +258,36 @@ func openSnapshot(c *xmlgraph.Collection, snap *storage.Snapshot) (*Index, error
 	}
 	ix := newIndex(c, cfg, set, bs)
 	ix.snap, ix.secRaw = snap, secRaw
-	for i, md := range set.Metas {
-		fp := fps[i]
-		if fp.nodes != md.Graph.NumNodes() || fp.links != len(md.OutLinks) || fp.hash != linkHash(md) {
-			return nil, fmt.Errorf("flix: meta %d: snapshot fingerprint mismatch — wrong collection?", i)
+	// Meta documents open independently, so they open on every core, like a
+	// build; forEachMeta returns the error of the lowest failing one, which
+	// is the error of a serial open.
+	err = forEachMeta(nMetas, runtime.GOMAXPROCS(0), func(_, i int) error {
+		md, fp := set.Metas[i], fps[i]
+		if fp.nodes != md.Graph.NumNodes() || fp.links != len(md.OutLinks) || fp.hash != md.LinkHash {
+			return fmt.Errorf("flix: meta %d: snapshot fingerprint mismatch — wrong collection?", i)
 		}
 		sec := snap.Section(i + 1)
 		// A compressed section must be no larger than the raw size the
 		// manifest declares for it — a mismatch means one of the two was
 		// tampered with.
 		if secRaw != nil && storage.IsCompressedKind(sec.Kind) && secRaw[i] != 0 && secRaw[i] < int64(len(sec.Data)) {
-			return nil, fmt.Errorf("%w: meta %d: compressed section (%d bytes) exceeds declared raw size %d",
+			return fmt.Errorf("%w: meta %d: compressed section (%d bytes) exceeds declared raw size %d",
 				ErrSnapshotCorrupt, i, len(sec.Data), secRaw[i])
 		}
 		open, ok := meta.SectionOpeners[sec.Kind]
 		if !ok {
-			return nil, fmt.Errorf("%w: meta %d: unknown section kind %d", ErrSnapshotCorrupt, i, sec.Kind)
+			return fmt.Errorf("%w: meta %d: unknown section kind %d", ErrSnapshotCorrupt, i, sec.Kind)
 		}
 		idx, err := open(md.Graph, sec.Data)
 		if err != nil {
-			return nil, fmt.Errorf("flix: meta %d: %w", i, err)
+			return fmt.Errorf("flix: meta %d: %w", i, err)
 		}
-		ix.pis[i] = idx
+		ix.setIndex(i, idx)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	ix.buildLinkTables()
 	keepDecomposition(c, cfg, set)
 	return ix, nil
 }

@@ -52,6 +52,10 @@ type MetaDocument struct {
 	// linkStart[i] is where the links of LinkSources[i] begin in OutLinks;
 	// one more entry than LinkSources closes the last run.
 	linkStart []int32
+	// LinkHash fingerprints OutLinks: FNV-64a over the (FromLocal, To)
+	// pairs, each as 4 little-endian bytes.  A snapshot stores it in place
+	// of the link table, and opening one compares the two.
+	LinkHash uint64
 
 	// toGlobal maps local node IDs to collection node IDs.
 	toGlobal []xmlgraph.NodeID
@@ -355,7 +359,28 @@ func (s *Set) wire(included []bool) {
 		starts = append(starts, outOff[hi]-outOff[lo])
 		md.LinkSources = sources[src:len(sources):len(sources)]
 		md.linkStart = starts[st:len(starts):len(starts)]
+		md.LinkHash = linkHash(md.OutLinks)
 	}
+}
+
+// linkHash is FNV-64a over the links' (FromLocal, To) pairs.
+func linkHash(links []CrossLink) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	mix := func(v uint32) {
+		for s := 0; s < 32; s += 8 {
+			h ^= uint64(v>>s) & 0xff
+			h *= prime64
+		}
+	}
+	for _, cl := range links {
+		mix(uint32(cl.FromLocal))
+		mix(uint32(cl.To))
+	}
+	return h
 }
 
 // Validate checks the internal consistency of the set, for the tests of this

@@ -14,7 +14,6 @@
 package pathindex
 
 import (
-	"cmp"
 	"io"
 	"slices"
 
@@ -127,17 +126,18 @@ func NewLinkTable(rg Regioner, sources []int32) *LinkTable {
 	if len(sources) == 0 {
 		return nil
 	}
-	byPos := make([]int32, len(sources))
-	t := &LinkTable{rg: rg, pos: make([]int32, len(sources))}
+	// Each source is the key rank<<32 | position.  Ranks are distinct, so
+	// sorting the keys orders the sources by rank without a comparator.
+	keys := make([]uint64, len(sources))
 	for i, y := range sources {
-		byPos[i] = rg.Region(y).Lo
-		t.pos[i] = int32(i)
+		keys[i] = uint64(uint32(rg.Region(y).Lo))<<32 | uint64(i)
 	}
-	slices.SortFunc(t.pos, func(a, b int32) int { return cmp.Compare(byPos[a], byPos[b]) })
-	t.pre = make([]int32, len(sources))
-	t.dep = make([]int32, len(sources))
-	for k, i := range t.pos {
-		t.pre[k], t.dep[k] = byPos[i], rg.Depth(sources[i])
+	slices.Sort(keys)
+	n := len(sources)
+	t := &LinkTable{rg: rg, pre: make([]int32, n), pos: make([]int32, n), dep: make([]int32, n)}
+	for k, key := range keys {
+		i := int32(uint32(key))
+		t.pre[k], t.pos[k], t.dep[k] = int32(key>>32), i, rg.Depth(sources[i])
 	}
 	return t
 }

@@ -163,9 +163,10 @@ var _ pathindex.Regioner = (*CIndex)(nil)
 var _ storage.SectionEncoder = (*CIndex)(nil)
 
 // OpenCompressedSection lays a CIndex over the section bytes.  Like the
-// raw opener it validates every value range in one bounded scan — packed
-// directories were already bounds-proofed by the storage layer, so after
-// this no probe can read out of bounds even on adversarial input.
+// raw opener it validates every value range, in one pass over the arrays
+// that decodes them a packed block at a time — packed directories were
+// already bounds-proofed by the storage layer, so after this no probe can
+// read out of bounds even on adversarial input.
 func OpenCompressedSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
 	d := storage.NewSectionData(data)
 	n := int(d.U32())
@@ -205,26 +206,32 @@ func OpenCompressedSection(g *lgraph.LGraph, data []byte) (pathindex.Index, erro
 		v.size.Len() != n || v.byPre.Len() != n {
 		return nil, fmt.Errorf("ppo: truncated packed arrays")
 	}
-	for x := int32(0); x < int32(n); x++ {
-		p, q := v.pre.At(x), v.byPre.At(x)
-		if p < 0 || int(p) >= n || q < 0 || int(q) >= n {
-			return nil, fmt.Errorf("ppo: rank out of range at node %d", x)
-		}
-		if pa := v.parentOf(x); pa < -1 || int(pa) >= n {
-			return nil, fmt.Errorf("ppo: parent %d out of range", pa)
-		}
-		if dp := v.depth.At(x); dp < 0 || int(dp) >= n {
-			return nil, fmt.Errorf("ppo: depth %d out of range", dp)
-		}
-		if sz := v.size.At(x); sz < 1 || int(p)+int(sz) > n {
-			return nil, fmt.Errorf("ppo: subtree [%d+%d] out of range", p, sz)
+	// The five per-node arrays are decoded side by side, a block at a time,
+	// and each node gets the checks in the order a per-node scan makes them,
+	// so the first failing node fails with the same error.
+	var pre, byPre, rel, depth, size storage.PackedBlock
+	for b := 0; b < v.pre.NumBlocks(); b++ {
+		ps, qs, rs := v.pre.Block(b, &pre), v.byPre.Block(b, &byPre), v.parentRel.Block(b, &rel)
+		ds, ss := v.depth.Block(b, &depth), v.size.Block(b, &size)
+		for j, p := range ps {
+			x := int32(b*len(pre) + j)
+			if q := qs[j]; p < 0 || int(p) >= n || q < 0 || int(q) >= n {
+				return nil, fmt.Errorf("ppo: rank out of range at node %d", x)
+			}
+			if pa := parentAt(x, rs[j]); pa < -1 || int(pa) >= n {
+				return nil, fmt.Errorf("ppo: parent %d out of range", pa)
+			}
+			if dp := ds[j]; dp < 0 || int(dp) >= n {
+				return nil, fmt.Errorf("ppo: depth %d out of range", dp)
+			}
+			if sz := ss[j]; sz < 1 || int(p)+int(sz) > n {
+				return nil, fmt.Errorf("ppo: subtree [%d+%d] out of range", p, sz)
+			}
 		}
 	}
 	checkRanks := func(p storage.PackedI32, what string) error {
-		for i := int32(0); i < int32(p.Len()); i++ {
-			if r := p.At(i); r < 0 || int(r) >= n {
-				return fmt.Errorf("ppo: %s rank %d out of range", what, r)
-			}
+		if i, r := p.FirstOutside(0, int32(n)-1); i < p.Len() {
+			return fmt.Errorf("ppo: %s rank %d out of range", what, r)
 		}
 		return nil
 	}
@@ -267,9 +274,11 @@ func (v *CIndex) SectionKind() uint32 { return storage.SectionPPOC }
 // EncodeSection re-emits the section the view was opened from, verbatim.
 func (v *CIndex) EncodeSection(sw *storage.SnapshotWriter) { sw.Raw(v.raw) }
 
-// parentOf decodes the relative parent encoding: 0 is a root.
-func (v *CIndex) parentOf(x int32) int32 {
-	r := v.parentRel.At(x)
+// parentOf decodes the relative parent encoding.
+func (v *CIndex) parentOf(x int32) int32 { return parentAt(x, v.parentRel.At(x)) }
+
+// parentAt is the parent of x whose relative parent offset is r: 0 is a root.
+func parentAt(x, r int32) int32 {
 	if r == 0 {
 		return -1
 	}

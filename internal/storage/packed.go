@@ -11,7 +11,9 @@ package storage
 // one unaligned 8-byte load, a shift and a mask — O(1), no decode step, no
 // scratch.  The per-block (base, width) directory doubles as a block-skip
 // index: point probes and binary searches touch only the blocks they land
-// in, never the whole array.
+// in, never the whole array.  Whole-array passes — open-time validation —
+// decode a block at a time instead (Block): one directory read, then the
+// block's 8·w payload bytes in order.
 //
 // Wire layout (inside a section, read with SectionData):
 //
@@ -27,8 +29,8 @@ package storage
 // the widths in one open-time pass into a consolidated per-block directory
 // (the only allocation: base, byte offset and width side by side, so an At
 // touches one directory cache line plus the value's own 8 bytes),
-// validating that the offsets land exactly on dataLen-8 so no At call can
-// read out of bounds.
+// validating that the offsets land exactly on dataLen-8 so no At or Block
+// call can read out of bounds.
 
 import (
 	"encoding/binary"
@@ -71,6 +73,54 @@ func (p *PackedI32) At(i int32) int32 {
 	bit := (uint32(i) & (packedBlock - 1)) * w
 	word := binary.LittleEndian.Uint64(p.data[d.off+bit>>3:])
 	return int32(uint32(d.base) + uint32(word>>(bit&7)&(1<<w-1)))
+}
+
+// PackedBlock is the buffer Block decodes one block into.
+type PackedBlock = [packedBlock]int32
+
+// NumBlocks returns the number of blocks: block b holds the values from
+// index b·64 on, 64 of them except in the last block.
+func (p *PackedI32) NumBlocks() int { return len(p.dir) }
+
+// Block decodes block b into dst and returns the decoded values — At(b·64)
+// onwards, len(dst) of them except in the last block.  It reads the block's
+// directory entry once and its payload in order, which is what a pass over
+// the whole array wants; At looks the entry up again for every value.
+func (p *PackedI32) Block(b int, dst *PackedBlock) []int32 {
+	d := p.dir[b]
+	out := dst[:min(packedBlock, int(p.n)-b<<packedBlockShift)]
+	if d.width == 0 {
+		for i := range out {
+			out[i] = d.base
+		}
+		return out
+	}
+	w, base := d.width, uint32(d.base)
+	mask := uint64(1)<<w - 1
+	// The payload is 8·w bytes, and the next block's payload or the tail
+	// pad follows it, so the last value's 8-byte load stays inside.
+	data := p.data[d.off : d.off+8*w+8]
+	bit := uint32(0)
+	for i := range out {
+		word := binary.LittleEndian.Uint64(data[bit>>3:])
+		out[i] = int32(base + uint32(word>>(bit&7)&mask))
+		bit += w
+	}
+	return out
+}
+
+// FirstOutside returns the least index whose value lies outside [lo, hi],
+// with that value, or (Len(), 0) when every value lies inside.
+func (p *PackedI32) FirstOutside(lo, hi int32) (int, int32) {
+	var buf PackedBlock
+	for b := range p.dir {
+		for j, v := range p.Block(b, &buf) {
+			if v < lo || v > hi {
+				return b<<packedBlockShift + j, v
+			}
+		}
+	}
+	return p.Len(), 0
 }
 
 // SearchGE returns the least index in [lo, hi) whose value is >= v,
@@ -160,14 +210,16 @@ func (d *SectionData) PackedPrefixOffsets(n int, end uint32) PackedI32 {
 		d.fail("prefix table spans [%d, %d], want [0, %d]", first, last, end)
 		return PackedI32{}
 	}
-	prev := int32(0)
-	for i := int32(1); i <= int32(n); i++ {
-		v := offs.At(i)
-		if v < prev {
-			d.fail("prefix table not monotonic at %d", i-1)
-			return PackedI32{}
+	prev := int32(0) // offs.At(0), checked above
+	var buf PackedBlock
+	for b := 0; b < offs.NumBlocks(); b++ {
+		for j, v := range offs.Block(b, &buf) {
+			if v < prev {
+				d.fail("prefix table not monotonic at %d", b<<packedBlockShift+j-1)
+				return PackedI32{}
+			}
+			prev = v
 		}
-		prev = v
 	}
 	return offs
 }

@@ -1,7 +1,9 @@
 package flix
 
 import (
+	"bytes"
 	"container/list"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -25,8 +27,12 @@ import (
 // and stops as soon as the caller has its MaxResults — an ExactOrder miss
 // runs it to completion and replays it sorted — then stores what it
 // evaluated.  A store never shrinks an entry: complete beats a prefix, a
-// longer prefix a shorter one.  A canceled evaluation is not stored.  A
-// QueryCache is safe for concurrent use.
+// longer prefix a shorter one.  A canceled evaluation is not stored.
+//
+// A cache over a replacement index starts from its predecessor's working
+// set: Inherit carries over the entries whose answers the new index cannot
+// change, and Warm re-evaluates the keys of the rest.  A QueryCache is safe
+// for concurrent use.
 type QueryCache struct {
 	ix  *Index
 	cap int
@@ -50,17 +56,32 @@ type cacheKey struct {
 	tag   string
 }
 
-// cacheEntry is immutable once stored; an upgrade replaces it.
+// cacheEntry is immutable once stored; an upgrade replaces it, and a
+// successor cache may share it (Inherit).
 type cacheEntry struct {
 	key      cacheKey
 	results  []Result
 	complete bool // results is the whole stream, not a prefix of it
 	self     bool // results holds the start itself, the one result at distance 0
+	// metas lists, ascending, the meta documents the evaluation of results
+	// entered: beyond the decomposition it read nothing of the index but
+	// theirs (Index.evaluate), so an index that answers every probe of
+	// them alike evaluates the same results.
+	metas []int32
 }
 
-func newEntry(key cacheKey, results []Result, complete bool) *cacheEntry {
-	return &cacheEntry{key: key, results: results, complete: complete,
+func newEntry(key cacheKey, results []Result, complete bool, metas []int32) *cacheEntry {
+	return &cacheEntry{key: key, results: results, complete: complete, metas: metas,
 		self: slices.ContainsFunc(results, func(r Result) bool { return r.Dist == 0 })}
+}
+
+// hotKey returns e's key with how far e reaches.
+func (e *cacheEntry) hotKey() HotKey {
+	k := HotKey{Start: e.key.start, Tag: e.key.tag}
+	if !e.complete {
+		k.Prefix = len(e.results)
+	}
+	return k
 }
 
 // covers reports whether replaying e under opts answers the request: always
@@ -123,31 +144,33 @@ func (c *QueryCache) Descendants(start xmlgraph.NodeID, tag string, opts Options
 		return
 	}
 	out := replayer{opts: opts, fn: fn}
-	results, complete := c.evaluate(key, opts.Cancel, opts.Tracer, func(r Result) bool {
+	e := c.evaluate(key, opts.Cancel, opts.Tracer, func(r Result) bool {
 		return opts.ExactOrder || out.emit(r)
 	})
 	// A cancellation stops the priority-queue loop without more ever
 	// returning false, so complete would claim a whole stream; a canceled
 	// evaluation is not stored at all.
 	if !canceled(opts.Cancel) {
-		c.store(newEntry(key, results, complete))
+		c.store(e)
 	}
 	if opts.ExactOrder {
-		replay(results, opts, fn)
+		replay(e.results, opts, fn)
 	}
 }
 
 // evaluate runs the plain stream of key — IncludeSelf, no bounds, the
-// approximate order — collecting it until more returns false or the stream
-// ends; complete reports the latter.
-func (c *QueryCache) evaluate(key cacheKey, cancel <-chan struct{}, tr *obs.Trace, more func(Result) bool) (results []Result, complete bool) {
-	complete = true
-	c.ix.Descendants(key.start, key.tag, Options{IncludeSelf: true, Cancel: cancel, Tracer: tr}, func(r Result) bool {
+// approximate order — collecting it into an entry until more returns false
+// or the stream ends; the entry is complete in the latter case.
+func (c *QueryCache) evaluate(key cacheKey, cancel <-chan struct{}, tr *obs.Trace, more func(Result) bool) *cacheEntry {
+	var results []Result
+	var metas []int32
+	complete := true
+	c.ix.descendants(key.start, key.tag, Options{IncludeSelf: true, Cancel: cancel, Tracer: tr}, func(r Result) bool {
 		results = append(results, r)
 		complete = more(r)
 		return complete
-	})
-	return results, complete
+	}, &metas)
+	return newEntry(key, results, complete, metas)
 }
 
 // admits reports whether the caller's self policy and MaxDist let r through.
@@ -270,25 +293,60 @@ type HotKey struct {
 	Prefix int
 }
 
-// HotKeys returns the keys of up to n cached queries (n <= 0 means all),
-// most recently used first — the working set a replacement cache inherits,
-// in the order Warm takes it.
-func (c *QueryCache) HotKeys(n int) []HotKey {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n <= 0 || n > c.lru.Len() {
-		n = c.lru.Len()
+// Inherit takes over the working set of old, the cache of the index c's
+// replaces, while c is already serving.  Walking old's entries most recently
+// used first, it stores cold (storeCold) every entry the new index cannot
+// answer differently — every meta document its evaluation entered is
+// unchanged (unchangedSince) — sharing the immutable entry itself, and
+// returns the keys of the others, hottest first, for Warm; inherited counts
+// the entries it stored.  Nothing is evaluated.  An unchanged entry whose
+// key c already holds, or that finds c full, is returned with the others.
+// On a quiet cache, Inherit then Warm leave the inherited entries in old's
+// order followed by the warmed ones in old's order.
+func (c *QueryCache) Inherit(old *QueryCache) (rest []HotKey, inherited int) {
+	old.mu.Lock()
+	entries := make([]*cacheEntry, 0, old.lru.Len())
+	for el := old.lru.Front(); el != nil; el = el.Next() {
+		entries = append(entries, el.Value.(*cacheEntry))
 	}
-	keys := make([]HotKey, 0, n)
-	for el := c.lru.Front(); el != nil && len(keys) < n; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		k := HotKey{Start: e.key.start, Tag: e.key.tag}
-		if !e.complete {
-			k.Prefix = len(e.results)
+	old.mu.Unlock()
+	same := c.ix.unchangedSince(old.ix)
+	for _, e := range entries {
+		if same != nil && !slices.ContainsFunc(e.metas, func(mi int32) bool { return !same[mi] }) && c.storeCold(e) {
+			inherited++
+		} else {
+			rest = append(rest, e.hotKey())
 		}
-		keys = append(keys, k)
 	}
-	return keys
+	return rest, inherited
+}
+
+// unchangedSince reports, per meta document, whether ix answers every probe
+// of it exactly as old does, or nil when it cannot tell for any.  That needs
+// one decomposition — the shared Set of two generations over one collection
+// and configuration (keepDecomposition) — and then either one index, or two
+// snapshot-backed ones whose section for the meta document has the same
+// kind and the same bytes: a section opens deterministically into what its
+// probes and its link table read.  A heap build is never compared, so every
+// meta document of it counts as changed.
+func (ix *Index) unchangedSince(old *Index) []bool {
+	if old.set != ix.set || (old != ix && (old.snap == nil || ix.snap == nil)) {
+		return nil
+	}
+	// The sections alias the snapshots' bytes, which stay mapped only while
+	// the indexes holding them are reachable.
+	defer runtime.KeepAlive(old)
+	defer runtime.KeepAlive(ix)
+	same := make([]bool, len(ix.pis))
+	for i := range same {
+		if old == ix {
+			same[i] = true
+			continue
+		}
+		a, b := old.snap.Section(i+1), ix.snap.Section(i+1)
+		same[i] = a.Kind == b.Kind && bytes.Equal(a.Data, b.Data)
+	}
+	return same
 }
 
 // Warm takes over an inherited working set while the cache is already
@@ -297,8 +355,9 @@ func (c *QueryCache) HotKeys(n int) []HotKey {
 // on the wrapped index exactly as far as its Prefix says (to completion when
 // 0), and stores the result cold (storeCold).  Hottest first with tail
 // insertion leaves a quiet cache ordered exactly like the source of the keys.
-// A key live traffic has cached meanwhile is skipped unevaluated.  each is
-// called after every key dealt with, saying whether its entry was stored.
+// A key live traffic has cached or Inherit has stored meanwhile is skipped
+// unevaluated.  each is called after every key dealt with, saying whether
+// its entry was stored.
 // The sweep ends when the keys run out, when the cache is full (what is left
 // is colder than everything in it; nil is returned) or when cancel closes:
 // the evaluation under way is cut short, nothing is stored from then on, and
@@ -312,14 +371,14 @@ func (c *QueryCache) Warm(keys []HotKey, cancel <-chan struct{}, each func(store
 		stored := false
 		if !c.has(key) {
 			n := 0
-			results, complete := c.evaluate(key, cancel, nil, func(Result) bool {
+			e := c.evaluate(key, cancel, nil, func(Result) bool {
 				n++
 				return n != hk.Prefix
 			})
 			if canceled(cancel) {
 				return keys[i:]
 			}
-			stored = c.storeCold(newEntry(key, results, complete))
+			stored = c.storeCold(e)
 		}
 		each(stored)
 	}

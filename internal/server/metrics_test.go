@@ -207,7 +207,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	}
 	s.Install(next, "swap")
 	third := scrapeUntil(t, ts.URL, func(e *exposition) bool { return e.samples["flix_cache_warmed_queries"] == 1 })
-	for _, name := range []string{"flix_install_duration_seconds", "flix_cache_warmed_queries", "flix_cache_warm_pending"} {
+	for _, name := range []string{"flix_install_duration_seconds", "flix_cache_inherited_queries", "flix_cache_warmed_queries", "flix_cache_warm_pending"} {
 		if third.types[name] != "gauge" {
 			t.Errorf("%s declared %q, want gauge", name, third.types[name])
 		}
@@ -215,8 +215,10 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	if d := third.samples["flix_install_duration_seconds"]; d <= 0 || d > 1 {
 		t.Errorf("flix_install_duration_seconds = %v, want the sub-second publish latency of the last Install", d)
 	}
-	if w, p := third.samples["flix_cache_warmed_queries"], third.samples["flix_cache_warm_pending"]; w != 1 || p != 0 {
-		t.Errorf("after the swap warmed/pending = %v/%v, want 1/0", w, p)
+	// A heap build shares no bytes with its predecessor: nothing is
+	// inherited, and the hot key is evaluated.
+	if i, w, p := third.samples["flix_cache_inherited_queries"], third.samples["flix_cache_warmed_queries"], third.samples["flix_cache_warm_pending"]; i != 0 || w != 1 || p != 0 {
+		t.Errorf("after the swap inherited/warmed/pending = %v/%v/%v, want 0/1/0", i, w, p)
 	}
 }
 

@@ -94,8 +94,13 @@ func (c Config) withDefaults() Config {
 // with a single atomic pointer store; requests capture the pointer once at
 // admission, so an in-flight query finishes entirely on the generation it
 // started on while new arrivals already see the next one.  The cache is
-// part of the generation, which enforces the purge-on-swap invariant for
-// free: a new index never serves results memoized from an old one.
+// part of the generation, and a new index serves a result memoized on an
+// old one only when its evaluation entered nothing but meta documents
+// whose snapshot sections are byte-identical in both, over one shared
+// decomposition: the evaluation read nothing else, and equal bytes open
+// into an index that answers every probe alike, so the new index would
+// evaluate the same result (QueryCache.Inherit).  Everything else is
+// evaluated afresh.
 type generation struct {
 	num          uint64
 	ix           *flix.Index
@@ -116,9 +121,10 @@ type generation struct {
 	// get to, is final from then on and goes to the successor.
 	warmDone chan struct{}
 	warmRest []flix.HotKey
-	// warmed counts the streams the warmer has stored so far, warmPending
-	// the inherited keys it has yet to deal with.
-	warmed, warmPending atomic.Int64
+	// inherited counts the entries the warmer carried over from the
+	// predecessor's cache unevaluated, warmed the streams it has evaluated
+	// and stored so far, warmPending the keys it has yet to deal with.
+	inherited, warmed, warmPending atomic.Int64
 }
 
 // warming reports whether the generation's warmer is still running.
@@ -132,15 +138,18 @@ func (g *generation) warming() bool {
 }
 
 // warm is the generation's warmer, one finite goroutine: it takes over the
-// working set of old — its cache's keys, hottest first, then whatever old's
-// own warmer was stopped short of, so that swaps arriving faster than a
-// warmer finishes do not shrink the working set to what one warmer managed —
-// cut to the cache capacity, and evaluates it behind live traffic until done
-// or retired, each key as far as its entry reached.  A query in both lists
-// is taken once, with the reach old's cache gives it.  It waits for old's
-// warmer first, so warmers evaluate one at a time and old.warmRest is final.
-// The goroutine keeps g, and through it a mapped index, reachable for as long
-// as it reads it.
+// working set of old.  First it inherits the entries of old's cache that
+// g's index cannot answer differently (QueryCache.Inherit: their meta
+// documents' snapshot sections are byte-identical), evaluating nothing.
+// Then it evaluates the rest behind live traffic until done or retired,
+// each key as far as its entry reached: the keys of old's other entries,
+// hottest first, then whatever old's own warmer was stopped short of — so
+// that swaps arriving faster than a warmer finishes do not shrink the
+// working set to what one warmer managed — cut to the room left.  A query in
+// both lists is taken once, with the reach old's cache gives it.  It waits
+// for old's warmer first, so warmers evaluate one at a time and old.warmRest
+// is final.  The goroutine keeps g, and through it a mapped index, reachable
+// for as long as it reads it.
 func (g *generation) warm(old *generation, capacity int) {
 	defer close(g.warmDone)
 	<-old.warmDone
@@ -148,7 +157,8 @@ func (g *generation) warm(old *generation, capacity int) {
 		start xmlgraph.NodeID
 		tag   string
 	}
-	keys := old.cache.HotKeys(0)
+	keys, inherited := g.cache.Inherit(old.cache)
+	g.inherited.Store(int64(inherited))
 	seen := make(map[query]bool, len(keys))
 	for _, k := range keys {
 		seen[query{k.Start, k.Tag}] = true
@@ -158,7 +168,7 @@ func (g *generation) warm(old *generation, capacity int) {
 			keys = append(keys, k)
 		}
 	}
-	keys = keys[:min(len(keys), capacity)]
+	keys = keys[:min(len(keys), capacity-inherited)]
 	g.warmPending.Store(int64(len(keys)))
 	g.warmRest = g.cache.Warm(keys, g.retired, func(stored bool) {
 		g.warmPending.Add(-1)
@@ -543,13 +553,14 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	advice := g.ix.Advise()
 	resp := map[string]any{
 		"generation": map[string]any{
-			"current":       g.num,
-			"installedAt":   g.installed.Format(time.RFC3339Nano),
-			"reason":        g.reason,
-			"swaps":         s.swaps.Load(),
-			"warmedQueries": g.warmed.Load(),
-			"warming":       g.warming(),
-			"warmPending":   g.warmPending.Load(),
+			"current":          g.num,
+			"installedAt":      g.installed.Format(time.RFC3339Nano),
+			"reason":           g.reason,
+			"swaps":            s.swaps.Load(),
+			"inheritedQueries": g.inherited.Load(),
+			"warmedQueries":    g.warmed.Load(),
+			"warming":          g.warming(),
+			"warmPending":      g.warmPending.Load(),
 		},
 		"index": map[string]any{
 			"config":        g.ix.Config().Kind.String(),

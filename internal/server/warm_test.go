@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,8 +52,25 @@ func hotSet(s *Server, coll *xmlgraph.Collection) []flix.HotKey {
 			cache.Descendants(coll.Doc(xmlgraph.DocID(d)).Root, tag, opts, func(flix.Result) bool { return true })
 		}
 	}
-	return cache.HotKeys(0)
+	return hotKeys(cache)
 }
+
+// hotKeys lists the keys of c's entries, hottest first, each with how far
+// its entry reaches: all of what a cache over an index that shares no
+// decomposition with c's inherits nothing of and hands to its warmer.
+func hotKeys(c *flix.QueryCache) []flix.HotKey {
+	rest, _ := stranger().NewQueryCache(1).Inherit(c)
+	return rest
+}
+
+// stranger is an index over a collection of its own.
+var stranger = sync.OnceValue(func() *flix.Index {
+	ix, err := flix.Build(testutil.Generate(testutil.Trees, 1, 2, 5, 0), flix.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
+	return ix
+})
 
 // TestInstallBackToBack swaps twice in a row — G2, then G3 before G2's
 // warmer is through — and checks the hand-over: G3 ends up with every key
@@ -113,7 +131,7 @@ func TestInstallBackToBack(t *testing.T) {
 					t.Fatalf("G1's hot key %+v did not reach G3 (G2 stored %d, handed on %d)", k, stored2, len(g2.warmRest))
 				}
 			}
-			if got := g3.cache.HotKeys(0); !reflect.DeepEqual(got, hot) {
+			if got := hotKeys(g3.cache); !reflect.DeepEqual(got, hot) {
 				t.Errorf("G3's cache is not G1's, in G1's order with G1's prefix lengths, after a quiet warm")
 			}
 			if w, p := g3.warmed.Load(), g3.warmPending.Load(); int(w) != len(hot) || p != 0 || g3.warmRest != nil {
@@ -142,16 +160,20 @@ func collectUntil(path string, want int) int {
 	}
 }
 
-// TestMappedGenerationLifetime serves mmap-backed compressed generations and
-// holds late readers on a retired one: a request admitted before the swap
-// that is mid-evaluation while the swap happens, an open probe, and warmers —
-// one left running on a generation that is retired under it.  Every other reference is
-// dropped and the collector and the snapshot finalizer are given their
-// chance — a canary mapping opened and dropped at the same moment must be
-// gone — before the readers go on.  The finalizer is the only unmap path,
+// TestMappedGenerationLifetime serves mmap-backed generations and holds late
+// readers on a retired one: a request admitted before the swap that is
+// mid-evaluation while the swap happens, an open probe, and warmers — one
+// left running on a generation that is retired under it.  Every other
+// reference is dropped and the collector and the snapshot finalizer are given
+// their chance — a canary mapping opened and dropped at the same moment must
+// be gone — before the readers go on.  The finalizer is the only unmap path,
 // so a reader that does not keep its index reachable reads unmapped memory:
-// a SIGSEGV, a failed test binary.  Every answer is held to the BFS oracle,
-// and in the end every retired mapping must have been released.
+// a SIGSEGV, a failed test binary.  Generations alternate between a
+// compressed and a raw snapshot of one build, whose sections differ wherever
+// one is compressed, so each warmer evaluates on its mapping what its
+// predecessor's entries entered of those; a reopen of the same file inherits
+// every entry and evaluates nothing.  Every answer is held to the BFS
+// oracle, and in the end every retired mapping must have been released.
 func TestMappedGenerationLifetime(t *testing.T) {
 	// The torture family, larger: the late answers are long, so the readers
 	// below are mid-evaluation at the swap.
@@ -160,24 +182,29 @@ func TestMappedGenerationLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "gen-000001.flix")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	write := func(name string, compress bool) string {
+		path := filepath.Join(t.TempDir(), name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := built.WriteSnapshotV2With(f, flix.SnapshotV2Options{Compress: compress}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if _, err := built.WriteSnapshotV2With(f, flix.SnapshotV2Options{Compress: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	open := func() *flix.Index {
+	path, rawPath := write("gen-000001.flix", true), write("gen-000002.flix", false)
+	openFile := func(path string) *flix.Index {
 		ix, err := flix.OpenSnapshotWith(coll, path, flix.OpenOptions{Mmap: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ix
 	}
+	open, openRaw := func() *flix.Index { return openFile(path) }, func() *flix.Index { return openFile(rawPath) }
 	ix := open()
 	if si := ix.StorageInfo(); !si.Mapped {
 		t.Skip("platform cannot map snapshots")
@@ -211,10 +238,10 @@ func TestMappedGenerationLifetime(t *testing.T) {
 	// swap retires generation 1 from inside its in-flight request and lets
 	// the collector at it.
 	swap := func() {
-		s.Install(open(), "mapped G2")
+		s.Install(openRaw(), "mapped G2")
 		open() // the canary: unreachable at once
-		if n := collectUntil(path, 2); n >= 0 && n != 2 {
-			t.Errorf("%d mappings after the swap, want 2: the retired generation its readers hold and the serving one", n)
+		if n := collectUntil(path, 1); n >= 0 && n != 1 {
+			t.Errorf("%d mappings of the compressed snapshot after the swap, want 1: the retired generation its readers hold", n)
 		}
 	}
 	swapped := false
@@ -240,11 +267,16 @@ func TestMappedGenerationLifetime(t *testing.T) {
 	be = nil
 
 	// Generation 2's warmer has been evaluating on its mapping beside all
-	// that; what it stored must be right.
+	// that; what it inherited and what it stored must be right.
 	g := s.gen.Load()
 	awaitDone(t, "generation 2's warmer", g.warmDone)
-	if got := int(g.warmed.Load()); got != len(hot) {
-		t.Errorf("generation 2 warmed %d streams, want the %d hot keys", got, len(hot))
+	inherited, warmed := int(g.inherited.Load()), int(g.warmed.Load())
+	t.Logf("generation 2 inherited %d and warmed %d of %d hot keys", inherited, warmed, len(hot))
+	if inherited+warmed != len(hot) {
+		t.Errorf("generation 2 inherited %d and warmed %d streams, want the %d hot keys", inherited, warmed, len(hot))
+	}
+	if warmed == 0 {
+		t.Fatal("generation 2 warmed nothing: the hot set entered no section the two snapshots encode differently, and no warmer read a mapping")
 	}
 	for _, spec := range hot {
 		var got []wireResult
@@ -256,6 +288,16 @@ func TestMappedGenerationLifetime(t *testing.T) {
 	if hits, misses := g.cache.Counts(); int(hits) != len(hot) || misses != 0 {
 		t.Errorf("replaying the warmed keys: %d hits, %d misses; want %d, 0", hits, misses, len(hot))
 	}
+
+	// The same file again: every section is byte-identical, so every entry
+	// carries over and nothing is evaluated.
+	s.Install(openRaw(), "mapped G2 again")
+	g = s.gen.Load()
+	awaitDone(t, "the reopened generation's warmer", g.warmDone)
+	if i, w, q := g.inherited.Load(), g.warmed.Load(), g.ix.Stats().Snapshot().Queries; int(i) != len(hot) || w != 0 || q != 0 {
+		t.Errorf("a reopen of the same file inherited %d, warmed %d, evaluated %d; want %d, 0, 0", i, w, q, len(hot))
+	}
+	g = nil
 
 	// A mapped generation retired while its warmer is mid-sweep, reachable
 	// from then on only through that goroutine.
@@ -271,10 +313,12 @@ func TestMappedGenerationLifetime(t *testing.T) {
 		}
 	}
 
-	// Nothing serves from the file any more and no reader is left: the
+	// Nothing serves from either file any more and no reader is left: the
 	// finalizer must get every mapping back.
-	if n := collectUntil(path, 0); n > 0 {
-		t.Errorf("%d mappings of the snapshot left with every mapped generation retired and unread", n)
+	for _, p := range []string{path, rawPath} {
+		if n := collectUntil(p, 0); n > 0 {
+			t.Errorf("%d mappings of %s left with every mapped generation retired and unread", n, filepath.Base(p))
+		}
 	}
 }
 

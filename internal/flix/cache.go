@@ -1,9 +1,7 @@
 package flix
 
 import (
-	"bytes"
 	"container/list"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -30,9 +28,9 @@ import (
 // longer prefix a shorter one.  A canceled evaluation is not stored.
 //
 // A cache over a replacement index starts from its predecessor's working
-// set: Inherit carries over the entries whose answers the new index cannot
-// change, and Warm re-evaluates the keys of the rest.  A QueryCache is safe
-// for concurrent use.
+// set: Inherit carries every entry over when the new index answers every
+// query exactly as the old one, and Warm re-evaluates the keys otherwise.
+// A QueryCache is safe for concurrent use.
 type QueryCache struct {
 	ix  *Index
 	cap int
@@ -63,25 +61,11 @@ type cacheEntry struct {
 	results  []Result
 	complete bool // results is the whole stream, not a prefix of it
 	self     bool // results holds the start itself, the one result at distance 0
-	// metas lists, ascending, the meta documents the evaluation of results
-	// entered: beyond the decomposition it read nothing of the index but
-	// theirs (Index.evaluate), so an index that answers every probe of
-	// them alike evaluates the same results.
-	metas []int32
 }
 
-func newEntry(key cacheKey, results []Result, complete bool, metas []int32) *cacheEntry {
-	return &cacheEntry{key: key, results: results, complete: complete, metas: metas,
+func newEntry(key cacheKey, results []Result, complete bool) *cacheEntry {
+	return &cacheEntry{key: key, results: results, complete: complete,
 		self: slices.ContainsFunc(results, func(r Result) bool { return r.Dist == 0 })}
-}
-
-// hotKey returns e's key with how far e reaches.
-func (e *cacheEntry) hotKey() HotKey {
-	k := HotKey{Start: e.key.start, Tag: e.key.tag}
-	if !e.complete {
-		k.Prefix = len(e.results)
-	}
-	return k
 }
 
 // covers reports whether replaying e under opts answers the request: always
@@ -144,33 +128,31 @@ func (c *QueryCache) Descendants(start xmlgraph.NodeID, tag string, opts Options
 		return
 	}
 	out := replayer{opts: opts, fn: fn}
-	e := c.evaluate(key, opts.Cancel, opts.Tracer, func(r Result) bool {
+	results, complete := c.evaluate(key, opts.Cancel, opts.Tracer, func(r Result) bool {
 		return opts.ExactOrder || out.emit(r)
 	})
 	// A cancellation stops the priority-queue loop without more ever
 	// returning false, so complete would claim a whole stream; a canceled
 	// evaluation is not stored at all.
 	if !canceled(opts.Cancel) {
-		c.store(e)
+		c.store(newEntry(key, results, complete))
 	}
 	if opts.ExactOrder {
-		replay(e.results, opts, fn)
+		replay(results, opts, fn)
 	}
 }
 
 // evaluate runs the plain stream of key — IncludeSelf, no bounds, the
-// approximate order — collecting it into an entry until more returns false
-// or the stream ends; the entry is complete in the latter case.
-func (c *QueryCache) evaluate(key cacheKey, cancel <-chan struct{}, tr *obs.Trace, more func(Result) bool) *cacheEntry {
-	var results []Result
-	var metas []int32
-	complete := true
-	c.ix.descendants(key.start, key.tag, Options{IncludeSelf: true, Cancel: cancel, Tracer: tr}, func(r Result) bool {
+// approximate order — collecting it until more returns false or the stream
+// ends; complete reports the latter.
+func (c *QueryCache) evaluate(key cacheKey, cancel <-chan struct{}, tr *obs.Trace, more func(Result) bool) (results []Result, complete bool) {
+	complete = true
+	c.ix.Descendants(key.start, key.tag, Options{IncludeSelf: true, Cancel: cancel, Tracer: tr}, func(r Result) bool {
 		results = append(results, r)
 		complete = more(r)
 		return complete
-	}, &metas)
-	return newEntry(key, results, complete, metas)
+	})
+	return results, complete
 }
 
 // admits reports whether the caller's self policy and MaxDist let r through.
@@ -293,60 +275,62 @@ type HotKey struct {
 	Prefix int
 }
 
-// Inherit takes over the working set of old, the cache of the index c's
-// replaces, while c is already serving.  Walking old's entries most recently
-// used first, it stores cold (storeCold) every entry the new index cannot
-// answer differently — every meta document its evaluation entered is
-// unchanged (unchangedSince) — sharing the immutable entry itself, and
-// returns the keys of the others, hottest first, for Warm; inherited counts
-// the entries it stored.  Nothing is evaluated.  An unchanged entry whose
-// key c already holds, or that finds c full, is returned with the others.
-// On a quiet cache, Inherit then Warm leave the inherited entries in old's
-// order followed by the warmed ones in old's order.
-func (c *QueryCache) Inherit(old *QueryCache) (rest []HotKey, inherited int) {
+// HotKeys returns the keys of up to n cached queries (n <= 0 means all),
+// most recently used first — the working set a replacement cache inherits,
+// in the order Warm takes it.
+func (c *QueryCache) HotKeys(n int) []HotKey {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n <= 0 || n > c.lru.Len() {
+		n = c.lru.Len()
+	}
+	keys := make([]HotKey, 0, n)
+	for el := c.lru.Front(); el != nil && len(keys) < n; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		k := HotKey{Start: e.key.start, Tag: e.key.tag}
+		if !e.complete {
+			k.Prefix = len(e.results)
+		}
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// Inherit takes over the entries of old, the cache of the index c's
+// replaces, while c is already serving, when c's index answers every query
+// exactly as old's (Index.answersLike): it stores each entry cold
+// (storeCold), most recently used first, sharing the immutable entry itself,
+// and returns how many it stored.  Otherwise it stores nothing and returns
+// 0, and the keys are Warm's to evaluate.  Nothing is evaluated either way.
+func (c *QueryCache) Inherit(old *QueryCache) (inherited int) {
+	if !c.ix.answersLike(old.ix) {
+		return 0
+	}
 	old.mu.Lock()
 	entries := make([]*cacheEntry, 0, old.lru.Len())
 	for el := old.lru.Front(); el != nil; el = el.Next() {
 		entries = append(entries, el.Value.(*cacheEntry))
 	}
 	old.mu.Unlock()
-	same := c.ix.unchangedSince(old.ix)
 	for _, e := range entries {
-		if same != nil && !slices.ContainsFunc(e.metas, func(mi int32) bool { return !same[mi] }) && c.storeCold(e) {
+		if c.storeCold(e) {
 			inherited++
-		} else {
-			rest = append(rest, e.hotKey())
 		}
 	}
-	return rest, inherited
+	return inherited
 }
 
-// unchangedSince reports, per meta document, whether ix answers every probe
-// of it exactly as old does, or nil when it cannot tell for any.  That needs
-// one decomposition — the shared Set of two generations over one collection
-// and configuration (keepDecomposition) — and then either one index, or two
-// snapshot-backed ones whose section for the meta document has the same
-// kind and the same bytes: a section opens deterministically into what its
-// probes and its link table read.  A heap build is never compared, so every
-// meta document of it counts as changed.
-func (ix *Index) unchangedSince(old *Index) []bool {
-	if old.set != ix.set || (old != ix && (old.snap == nil || ix.snap == nil)) {
-		return nil
+// answersLike reports whether ix answers every query exactly as old does.
+// That needs one decomposition — the shared Set of two generations over one
+// collection and configuration (keepDecomposition) — and then either one
+// index, or two opened from byte-identical snapshot images: an index is a
+// deterministic function of its collection, its decomposition and the
+// snapshot it opens.  A heap build is never compared.
+func (ix *Index) answersLike(old *Index) bool {
+	if old.set != ix.set {
+		return false
 	}
-	// The sections alias the snapshots' bytes, which stay mapped only while
-	// the indexes holding them are reachable.
-	defer runtime.KeepAlive(old)
-	defer runtime.KeepAlive(ix)
-	same := make([]bool, len(ix.pis))
-	for i := range same {
-		if old == ix {
-			same[i] = true
-			continue
-		}
-		a, b := old.snap.Section(i+1), ix.snap.Section(i+1)
-		same[i] = a.Kind == b.Kind && bytes.Equal(a.Data, b.Data)
-	}
-	return same
+	return old == ix || (old.snap != nil && ix.snap != nil && old.snap.Equal(ix.snap))
 }
 
 // Warm takes over an inherited working set while the cache is already
@@ -355,9 +339,8 @@ func (ix *Index) unchangedSince(old *Index) []bool {
 // on the wrapped index exactly as far as its Prefix says (to completion when
 // 0), and stores the result cold (storeCold).  Hottest first with tail
 // insertion leaves a quiet cache ordered exactly like the source of the keys.
-// A key live traffic has cached or Inherit has stored meanwhile is skipped
-// unevaluated.  each is called after every key dealt with, saying whether
-// its entry was stored.
+// A key live traffic has cached meanwhile is skipped unevaluated.  each is
+// called after every key dealt with, saying whether its entry was stored.
 // The sweep ends when the keys run out, when the cache is full (what is left
 // is colder than everything in it; nil is returned) or when cancel closes:
 // the evaluation under way is cut short, nothing is stored from then on, and
@@ -371,14 +354,14 @@ func (c *QueryCache) Warm(keys []HotKey, cancel <-chan struct{}, each func(store
 		stored := false
 		if !c.has(key) {
 			n := 0
-			e := c.evaluate(key, cancel, nil, func(Result) bool {
+			results, complete := c.evaluate(key, cancel, nil, func(Result) bool {
 				n++
 				return n != hk.Prefix
 			})
 			if canceled(cancel) {
 				return keys[i:]
 			}
-			stored = c.storeCold(e)
+			stored = c.storeCold(newEntry(key, results, complete))
 		}
 		each(stored)
 	}

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/pathindex"
-	"repro/internal/storage"
 	"repro/internal/xmlgraph"
 )
 
@@ -112,11 +110,10 @@ func checkReplays(t *testing.T, label string, cache *QueryCache, ix *Index, keys
 	return hits
 }
 
-// TestInheritSameSnapshot reopens one snapshot: every section is
-// byte-identical, so the new generation's cache takes over every entry of the
-// old one, in the old one's order, and evaluates nothing — and every replay
-// of an inherited entry, under every request shape, is what a fresh
-// evaluation on the new index answers.
+// TestInheritSameSnapshot reopens one snapshot image: the new generation's
+// cache takes over every entry of the old one, in the old one's order, and
+// evaluates nothing — and every replay of an inherited entry, under every
+// request shape, is what a fresh evaluation on the new index answers.
 func TestInheritSameSnapshot(t *testing.T) {
 	for _, corpus := range identityCorpora() {
 		built, err := Build(corpus.c, Config{Kind: Hybrid, PartitionSize: 40})
@@ -131,9 +128,8 @@ func TestInheritSameSnapshot(t *testing.T) {
 			oc := filledCache(t, old, keys)
 			nc := next.NewQueryCache(len(keys))
 			nc.StoreBounded = true
-			rest, inherited := nc.Inherit(oc)
-			if len(rest) != 0 || inherited != len(keys) {
-				t.Fatalf("%s: inherited %d of %d entries, %d keys left to warm; want all, none", label, inherited, len(keys), len(rest))
+			if inherited := nc.Inherit(oc); inherited != len(keys) {
+				t.Fatalf("%s: inherited %d of %d entries, want all", label, inherited, len(keys))
 			}
 			if got, want := nc.HotKeys(0), oc.HotKeys(0); !slices.Equal(got, want) {
 				t.Fatalf("%s: the inherited cache is not the old one in its order:\ngot  %+v\nwant %+v", label, got, want)
@@ -148,151 +144,49 @@ func TestInheritSameSnapshot(t *testing.T) {
 	}
 }
 
-// TestInheritChangedSections swaps in a snapshot that differs from the old
-// one in a known set of sections — the compressed encoding of every third
-// meta document that has one, the raw encoding everywhere else, against the
-// all-raw image — and checks that exactly the entries whose evaluation
-// entered none of those meta documents are inherited, in the old order,
-// and that Warm then evaluates the others as far as they reached.  Every
-// replay afterwards is held to a fresh evaluation on the new index.
-func TestInheritChangedSections(t *testing.T) {
-	var carried, evaluated int
+// TestInheritChangedImage swaps in the compressed snapshot of the build whose
+// raw snapshot the old index was opened from: one decomposition, the same
+// answers, but other section bytes.  Nothing is inherited; Warm evaluates
+// every key as far as its entry reached, in the old order, and every replay
+// afterwards is held to a fresh evaluation on the new index.
+func TestInheritChangedImage(t *testing.T) {
 	for _, corpus := range identityCorpora() {
 		built, err := Build(corpus.c, Config{Kind: Hybrid, PartitionSize: 40})
 		if err != nil {
 			t.Fatal(err)
 		}
 		raw, comp := snapshotImage(t, built, false), snapshotImage(t, built, true)
-		rawSnap, err := storage.OpenSnapshotBytes(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compSnap, err := storage.OpenSnapshotBytes(comp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		changed := map[int32]bool{}
-		var buf bytes.Buffer
-		sw := storage.NewSnapshotWriter(&buf)
-		for i := 0; i < rawSnap.NumSections(); i++ {
-			sec := rawSnap.Section(i)
-			if c := compSnap.Section(i); i > 0 && storage.IsCompressedKind(c.Kind) && (i-1)%3 == 0 {
-				sec = c
-				changed[int32(i-1)] = true
-			}
-			sw.Begin(sec.Kind)
-			sw.Raw(sec.Data)
-			sw.End()
-		}
-		if _, err := sw.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		if len(changed) == 0 {
+		if bytes.Equal(raw, comp) {
 			continue // no meta document has a compressed section
 		}
-		old, next := openImage(t, corpus.c, raw), openImage(t, corpus.c, buf.Bytes())
-
+		old, next := openImage(t, corpus.c, raw), openImage(t, corpus.c, comp)
+		if SetOf(old) != SetOf(next) {
+			t.Fatalf("%s: two opens of one build must share the decomposition", corpus.name)
+		}
 		keys := inheritKeys(corpus.c, corpus.tags)
 		oc := filledCache(t, old, keys)
-		var want, wantRest []HotKey
-		oc.mu.Lock()
-		for el := oc.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*cacheEntry)
-			if slices.ContainsFunc(e.metas, func(mi int32) bool { return changed[mi] }) {
-				wantRest = append(wantRest, e.hotKey())
-			} else {
-				want = append(want, e.hotKey())
-			}
-		}
-		oc.mu.Unlock()
-
 		nc := next.NewQueryCache(len(keys))
 		nc.StoreBounded = true
-		rest, inherited := nc.Inherit(oc)
-		if got := nc.HotKeys(0); inherited != len(want) || !slices.Equal(got, want) || !slices.Equal(rest, wantRest) {
-			t.Fatalf("%s: inherited %d entries %+v and left %+v; want the %d entries avoiding meta documents %v, %+v, and the rest %+v",
-				corpus.name, inherited, got, rest, len(want), changed, want, wantRest)
+		if inherited := nc.Inherit(oc); inherited != 0 || nc.Len() != 0 {
+			t.Fatalf("%s: inherited %d entries (cache holds %d) across different images, want none", corpus.name, inherited, nc.Len())
 		}
-		if q := next.Stats().Snapshot().Queries; q != 0 {
-			t.Fatalf("%s: Inherit evaluated %d queries on the new index", corpus.name, q)
+		want := oc.HotKeys(0)
+		nc.Warm(want, nil, func(bool) {})
+		if got := nc.HotKeys(0); !slices.Equal(got, want) {
+			t.Fatalf("%s: after Warm the cache holds %+v, want the old entries in the old order: %+v", corpus.name, got, want)
 		}
-		nc.Warm(rest, nil, func(bool) {})
-		if got, all := nc.HotKeys(0), append(want, wantRest...); !slices.Equal(got, all) {
-			t.Fatalf("%s: after Warm the cache holds %+v, want the inherited entries then the warmed ones, each in the old order: %+v", corpus.name, got, all)
-		}
-		if q := next.Stats().Snapshot().Queries; int(q) != len(wantRest) {
-			t.Fatalf("%s: Warm evaluated %d queries, want the %d not inherited", corpus.name, q, len(wantRest))
+		if q := next.Stats().Snapshot().Queries; int(q) != len(keys) {
+			t.Fatalf("%s: Warm evaluated %d queries, want %d", corpus.name, q, len(keys))
 		}
 		checkReplays(t, corpus.name, nc, next, keys)
-		carried += inherited
-		evaluated += len(rest)
-	}
-	if carried == 0 || evaluated == 0 {
-		t.Fatalf("%d entries inherited and %d left to warm over all corpora: the test needs both", carried, evaluated)
-	}
-}
-
-// poisoned is a meta-document index every method of which panics.
-type poisoned struct{ pathindex.Index }
-
-// TestEnteredMetasCoverEvaluation is the reason an entry's list suffices:
-// re-evaluated on a copy of the index in which every meta document outside
-// the list has a poisoned index and no region encoding or link table, each
-// entry's evaluation reads nothing it lacks and yields the same results, as
-// far as the entry reaches.
-func TestEnteredMetasCoverEvaluation(t *testing.T) {
-	partial := 0
-	for _, corpus := range identityCorpora() {
-		ix, err := Build(corpus.c, Config{Kind: Hybrid, PartitionSize: 40})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cache := filledCache(t, ix, inheritKeys(corpus.c, corpus.tags))
-		var entries []*cacheEntry
-		for el := cache.lru.Front(); el != nil; el = el.Next() {
-			entries = append(entries, el.Value.(*cacheEntry))
-		}
-		for _, e := range entries {
-			if len(e.metas) == 0 || !slices.IsSorted(e.metas) {
-				t.Fatalf("%s: %d//%s entered %v: want a non-empty ascending list", corpus.name, e.key.start, e.key.tag, e.metas)
-			}
-			if len(e.metas) < len(ix.pis) {
-				partial++
-			}
-			cp := newIndex(ix.coll, ix.cfg, ix.set, ix.bstats)
-			for i := range cp.pis {
-				cp.pis[i] = poisoned{}
-			}
-			for _, mi := range e.metas {
-				cp.pis[mi], cp.regions[mi], cp.linkTabs[mi] = ix.pis[mi], ix.regions[mi], ix.linkTabs[mi]
-			}
-			var got []Result
-			func() {
-				defer func() {
-					if p := recover(); p != nil {
-						t.Fatalf("%s: %d//%s read a meta document outside its list %v: %v", corpus.name, e.key.start, e.key.tag, e.metas, p)
-					}
-				}()
-				cp.Descendants(e.key.start, e.key.tag, Options{IncludeSelf: true}, func(r Result) bool {
-					got = append(got, r)
-					return e.complete || len(got) < len(e.results)
-				})
-			}()
-			if !slices.Equal(got, e.results) {
-				t.Fatalf("%s: %d//%s on its entered meta documents alone:\ngot  %v\nwant %v", corpus.name, e.key.start, e.key.tag, got, e.results)
-			}
-		}
-	}
-	if partial == 0 {
-		t.Fatal("every entry entered every meta document: the poison proves nothing")
 	}
 }
 
 // TestInheritNothingComparable: a cache inherits nothing from one over
 // another decomposition, nor across a heap build and a snapshot of it in
-// either direction, which share the decomposition but are never compared —
-// every key goes to Warm, hottest first.  One index handed over to itself
-// inherits everything.
+// either direction, which share the decomposition but are never compared.
+// One index handed over to itself, and two mappings of one file, inherit
+// everything.
 func TestInheritNothingComparable(t *testing.T) {
 	corpora := identityCorpora()
 	corpus := corpora[len(corpora)-1]
@@ -304,16 +198,18 @@ func TestInheritNothingComparable(t *testing.T) {
 	if err := os.WriteFile(path, snapshotImage(t, built, true), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := OpenSnapshot(corpus.c, path)
-	if err != nil {
-		t.Fatal(err)
+	var mapped [2]*Index
+	for i := range mapped {
+		if mapped[i], err = OpenSnapshot(corpus.c, path); err != nil {
+			t.Fatal(err)
+		}
+		defer mapped[i].Close()
 	}
-	defer mapped.Close()
 	other, err := Build(corpus.c, Config{Kind: Hybrid, PartitionSize: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if SetOf(mapped) != SetOf(built) || SetOf(other) == SetOf(built) {
+	if SetOf(mapped[0]) != SetOf(built) || SetOf(other) == SetOf(built) {
 		t.Fatal("the build and its snapshot must share one decomposition, the other configuration another")
 	}
 	keys := inheritKeys(corpus.c, corpus.tags)
@@ -323,30 +219,30 @@ func TestInheritNothingComparable(t *testing.T) {
 		inheritAll bool
 	}{
 		{"another decomposition", other, built, false},
-		{"heap to mapped", built, mapped, false},
-		{"mapped to heap", mapped, built, false},
+		{"heap to mapped", built, mapped[0], false},
+		{"mapped to heap", mapped[0], built, false},
 		{"one heap index", built, built, true},
+		{"one file mapped twice", mapped[0], mapped[1], true},
 	} {
 		oc := filledCache(t, pair.from, keys)
 		nc := pair.to.NewQueryCache(len(keys))
-		rest, inherited := nc.Inherit(oc)
-		want := oc.HotKeys(0)
+		inherited := nc.Inherit(oc)
 		if pair.inheritAll {
-			if inherited != len(keys) || len(rest) != 0 || !slices.Equal(nc.HotKeys(0), want) {
-				t.Errorf("%s: inherited %d entries and left %d keys, want all and none", pair.name, inherited, len(rest))
+			if inherited != len(keys) || !slices.Equal(nc.HotKeys(0), oc.HotKeys(0)) {
+				t.Errorf("%s: inherited %d entries, want all %d in the old order", pair.name, inherited, len(keys))
 			}
 			continue
 		}
-		if inherited != 0 || nc.Len() != 0 || !slices.Equal(rest, want) {
-			t.Errorf("%s: inherited %d entries (cache holds %d) and left %d keys; want none, and every key hottest first", pair.name, inherited, nc.Len(), len(rest))
+		if inherited != 0 || nc.Len() != 0 {
+			t.Errorf("%s: inherited %d entries (cache holds %d), want none", pair.name, inherited, nc.Len())
 		}
 	}
 }
 
 // TestInheritConcurrentWithQueries hands a cache over, Inherit then Warm,
-// between two snapshots that differ in some sections while clients query
-// both caches; every answer must equal a fresh evaluation on the index the
-// answering cache wraps.
+// to an index opened from the same image and to one opened from another
+// image of the same build, while clients query both caches; every answer
+// must equal a fresh evaluation on the index the answering cache wraps.
 func TestInheritConcurrentWithQueries(t *testing.T) {
 	corpora := identityCorpora()
 	corpus := corpora[len(corpora)-1]
@@ -355,32 +251,36 @@ func TestInheritConcurrentWithQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := snapshotImage(t, built, true)
-	old, next := openImage(t, corpus.c, img), openImage(t, corpus.c, snapshotImage(t, built, false))
 	keys := inheritKeys(corpus.c, corpus.tags)
-	oc := filledCache(t, old, keys)
-	nc := next.NewQueryCache(len(keys))
-	nc.StoreBounded = true
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 60; i++ {
-				k, opts := keys[rng.Intn(len(keys))], inheritShapes[rng.Intn(len(inheritShapes))]
-				cache, ix := oc, old
-				if i%2 == 1 {
-					cache, ix = nc, next
+	for _, nextImg := range [][]byte{img, snapshotImage(t, built, false)} {
+		old, next := openImage(t, corpus.c, img), openImage(t, corpus.c, nextImg)
+		oc := filledCache(t, old, keys)
+		nc := next.NewQueryCache(len(keys))
+		nc.StoreBounded = true
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				for i := 0; i < 60; i++ {
+					k, opts := keys[rng.Intn(len(keys))], inheritShapes[rng.Intn(len(inheritShapes))]
+					cache, ix := oc, old
+					if i%2 == 1 {
+						cache, ix = nc, next
+					}
+					if got, want := ask(cache, k, opts, 0), collect(ix, k.start, k.tag, opts); !slices.Equal(got, want) {
+						t.Errorf("goroutine %d request %d %d//%s %+v:\ngot  %v\nwant %v", g, i, k.start, k.tag, opts, got, want)
+						return
+					}
 				}
-				if got, want := ask(cache, k, opts, 0), collect(ix, k.start, k.tag, opts); !slices.Equal(got, want) {
-					t.Errorf("goroutine %d request %d %d//%s %+v:\ngot  %v\nwant %v", g, i, k.start, k.tag, opts, got, want)
-					return
-				}
-			}
-		}(g)
+			}(g)
+		}
+		hot := oc.HotKeys(0)
+		if nc.Inherit(oc) == 0 {
+			nc.Warm(hot, nil, func(bool) {})
+		}
+		wg.Wait()
+		checkReplays(t, corpus.name, nc, next, keys)
 	}
-	rest, _ := nc.Inherit(oc)
-	nc.Warm(rest, nil, func(bool) {})
-	wg.Wait()
-	checkReplays(t, corpus.name, nc, next, keys)
 }

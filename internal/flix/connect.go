@@ -17,7 +17,7 @@ func (ix *Index) Ancestors(start xmlgraph.NodeID, tag string, opts Options, fn E
 	s := ix.getScratch()
 	s.run.reverse = true
 	s.queue(start, 0)
-	ix.evaluate(s, tag, opts, fn, nil)
+	ix.evaluate(s, tag, opts, fn)
 }
 
 // Connected tests whether b is reachable from a (§5.2) and returns the

@@ -87,15 +87,9 @@ type pqItem struct {
 // tag reachable from start, streamed in approximately ascending distance
 // order (§5.1, Figure 4).  An empty tag means the wildcard start//*.
 func (ix *Index) Descendants(start xmlgraph.NodeID, tag string, opts Options, fn Emit) {
-	ix.descendants(start, tag, opts, fn, nil)
-}
-
-// descendants is Descendants that, given a non-nil entered, also hands back
-// the meta documents the evaluation entered (QueryCache.evaluate).
-func (ix *Index) descendants(start xmlgraph.NodeID, tag string, opts Options, fn Emit, entered *[]int32) {
 	s := ix.getScratch()
 	s.queue(start, 0)
-	ix.evaluate(s, tag, opts, fn, entered)
+	ix.evaluate(s, tag, opts, fn)
 }
 
 // TypeDescendants evaluates A//B where only the element types are fixed
@@ -107,17 +101,14 @@ func (ix *Index) TypeDescendants(tagA, tagB string, opts Options, fn Emit) {
 	for _, n := range ix.coll.NodesByTag(tagA) {
 		s.queue(n, 0)
 	}
-	ix.evaluate(s, tagB, opts, fn, nil)
+	ix.evaluate(s, tagB, opts, fn)
 }
 
 // evaluate is the streaming driver of the evaluator core: the caller loads
 // the starts into s.f, the core runs the frontier dry, and results reach fn
 // as they are found (or, under ExactOrder, as soon as no shorter path can
-// still appear).  A non-nil entered receives, ascending, the meta documents
-// the coverage rule entered: every index, region encoding and link table
-// the evaluation read belongs to one of them, as every probe and follow step
-// runs on an admitted entry and admit enters its meta document first.
-func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit, entered *[]int32) {
+// still appear).
+func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit) {
 	defer ix.finish(s)
 	r := ix.arm(s, tag, opts)
 	r.fn = fn
@@ -125,9 +116,6 @@ func (ix *Index) evaluate(s *evalScratch, tag string, opts Options, fn Emit, ent
 	r.run(math.MaxInt32)
 	if opts.ExactOrder && !r.stopped {
 		s.rbuf.flushThrough(math.MaxInt32, s.emitFn)
-	}
-	if entered != nil {
-		*entered = s.entered.metas()
 	}
 }
 

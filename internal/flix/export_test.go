@@ -29,19 +29,3 @@ func KeptSet(c *xmlgraph.Collection) *meta.Set { return keptSet(c) }
 
 // SetHash hashes every field of a decomposition.
 func SetHash(s *meta.Set) string { return setHash(s) }
-
-// HotKeys returns the keys of up to n cached queries (n <= 0 means all),
-// most recently used first, each with how far its entry reaches: the order
-// Inherit and Warm take a working set in.
-func (c *QueryCache) HotKeys(n int) []HotKey {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n <= 0 || n > c.lru.Len() {
-		n = c.lru.Len()
-	}
-	keys := make([]HotKey, 0, n)
-	for el := c.lru.Front(); el != nil && len(keys) < n; el = el.Next() {
-		keys = append(keys, el.Value.(*cacheEntry).hotKey())
-	}
-	return keys
-}

@@ -282,7 +282,7 @@ func TestFrontierRetainedCapacity(t *testing.T) {
 	s := ix.getScratch()
 	s.f.push(pqItem{node: pubs.Hub(c)})
 	results := 0
-	ix.evaluate(s, "", Options{ExactOrder: true}, func(Result) bool { results++; return true }, nil)
+	ix.evaluate(s, "", Options{ExactOrder: true}, func(Result) bool { results++; return true })
 	if results != 16114 {
 		t.Fatalf("the hub's wildcard has %d results, want 16114", results)
 	}

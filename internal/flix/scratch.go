@@ -1,8 +1,6 @@
 package flix
 
 import (
-	"slices"
-
 	"repro/internal/pathindex"
 	"repro/internal/xmlgraph"
 )
@@ -100,18 +98,6 @@ func (t *enteredTable) at(mi int32) *[]pathindex.Span {
 		t.n++
 	}
 	return &t.lists[sl.list]
-}
-
-// metas returns the meta documents entered, ascending, in a new slice.
-func (t *enteredTable) metas() []int32 {
-	out := make([]int32, t.n)
-	for _, sl := range t.slots {
-		if sl.gen == t.gen {
-			out[sl.list] = sl.mi
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // reset empties the table, keeping the slots and the lists' capacity.

@@ -49,7 +49,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metric("flix_cache_hits_total", "counter", "Query-cache hits.", hits)
 		metric("flix_cache_misses_total", "counter", "Query-cache misses.", misses)
 		metric("flix_cache_entries", "gauge", "Cached query streams.", g.cache.Len())
-		metric("flix_cache_inherited_queries", "gauge", "Entries the generation's warmer carried over unevaluated from its predecessor's cache: every meta document they entered is byte-identical.", g.inherited.Load())
+		metric("flix_cache_inherited_queries", "gauge", "Entries the generation's warmer carried over unevaluated from its predecessor's cache: both generations were opened from byte-identical snapshots.", g.inherited.Load())
 		metric("flix_cache_warmed_queries", "gauge", "Streams the generation's warmer has evaluated and stored from its predecessor's working set.", g.warmed.Load())
 		metric("flix_cache_warm_pending", "gauge", "Keys the warmer has yet to deal with (0 once warm).", g.warmPending.Load())
 	}

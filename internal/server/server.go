@@ -94,13 +94,11 @@ func (c Config) withDefaults() Config {
 // with a single atomic pointer store; requests capture the pointer once at
 // admission, so an in-flight query finishes entirely on the generation it
 // started on while new arrivals already see the next one.  The cache is
-// part of the generation, and a new index serves a result memoized on an
-// old one only when its evaluation entered nothing but meta documents
-// whose snapshot sections are byte-identical in both, over one shared
-// decomposition: the evaluation read nothing else, and equal bytes open
-// into an index that answers every probe alike, so the new index would
-// evaluate the same result (QueryCache.Inherit).  Everything else is
-// evaluated afresh.
+// part of the generation, and a new index serves results memoized on an
+// old one only when both were opened from byte-identical snapshot images
+// over one shared decomposition: an index is a deterministic function of
+// those, so the new index would evaluate every result alike
+// (QueryCache.Inherit).  Otherwise every result is evaluated afresh.
 type generation struct {
 	num          uint64
 	ix           *flix.Index
@@ -138,18 +136,18 @@ func (g *generation) warming() bool {
 }
 
 // warm is the generation's warmer, one finite goroutine: it takes over the
-// working set of old.  First it inherits the entries of old's cache that
-// g's index cannot answer differently (QueryCache.Inherit: their meta
-// documents' snapshot sections are byte-identical), evaluating nothing.
-// Then it evaluates the rest behind live traffic until done or retired,
-// each key as far as its entry reached: the keys of old's other entries,
-// hottest first, then whatever old's own warmer was stopped short of — so
-// that swaps arriving faster than a warmer finishes do not shrink the
-// working set to what one warmer managed — cut to the room left.  A query in
-// both lists is taken once, with the reach old's cache gives it.  It waits
-// for old's warmer first, so warmers evaluate one at a time and old.warmRest
-// is final.  The goroutine keeps g, and through it a mapped index, reachable
-// for as long as it reads it.
+// working set of old.  When g's index answers every query exactly as old's
+// (QueryCache.Inherit: byte-identical snapshots), it carries old's entries
+// over, evaluating nothing.  Otherwise it evaluates old's cache keys,
+// hottest first.  Either way it then evaluates whatever old's own warmer was
+// stopped short of — so that swaps arriving faster than a warmer finishes do
+// not shrink the working set to what one warmer managed — all of it cut to
+// the room left, behind live traffic until done or retired, each key as far
+// as its entry reached.  A query in old's cache and in that rest is taken
+// once, with the reach old's cache gives it.  It waits for old's warmer
+// first, so warmers evaluate one at a time and old.warmRest is final.  The
+// goroutine keeps g, and through it a mapped index, reachable for as long as
+// it reads it.
 func (g *generation) warm(old *generation, capacity int) {
 	defer close(g.warmDone)
 	<-old.warmDone
@@ -157,10 +155,15 @@ func (g *generation) warm(old *generation, capacity int) {
 		start xmlgraph.NodeID
 		tag   string
 	}
-	keys, inherited := g.cache.Inherit(old.cache)
+	hot := old.cache.HotKeys(0)
+	inherited := g.cache.Inherit(old.cache)
 	g.inherited.Store(int64(inherited))
-	seen := make(map[query]bool, len(keys))
-	for _, k := range keys {
+	var keys []flix.HotKey
+	if inherited == 0 {
+		keys = hot
+	}
+	seen := make(map[query]bool, len(hot))
+	for _, k := range hot {
 		seen[query{k.Start, k.Tag}] = true
 	}
 	for _, k := range old.warmRest {

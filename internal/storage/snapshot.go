@@ -5,9 +5,9 @@ package storage
 // stream (Writer, which is only measured), a v2 snapshot is designed to be
 // served without a parse step: the file is a header, a sequence of 8-byte-aligned payload sections, a section table of
 // (kind, offset, length) entries, and a footer carrying a whole-file CRC-64.
-// Opening a snapshot validates the envelope and the checksum — one pass,
-// split across the cores (checksum), that decodes nothing and allocates
-// only the section descriptors — after which fixed-width arrays inside sections are used in
+// Opening a snapshot validates the envelope and the checksum — one
+// sequential pass that decodes nothing and allocates only the section
+// descriptors — after which fixed-width arrays inside sections are used in
 // place via unsafe views.  The one exception is the hopi section, whose
 // varint runs its opener decodes into heap arrays.
 //
@@ -407,7 +407,7 @@ func (s *Snapshot) validate() error {
 		return fmt.Errorf("%w: footer says %d bytes, file has %d", ErrCorrupt, fl, len(b))
 	}
 	want := binary.LittleEndian.Uint64(foot[24:32])
-	if got := checksum(b[:len(b)-16]); got != want {
+	if got := crc64.Checksum(b[:len(b)-16], crcTable); got != want {
 		return fmt.Errorf("%w: checksum mismatch (%#x != %#x)", ErrCorrupt, got, want)
 	}
 	tableOff := binary.LittleEndian.Uint64(foot[0:8])
@@ -448,6 +448,15 @@ func (s *Snapshot) Mapped() bool { return s.mapped }
 // Size returns the snapshot's total byte count.
 func (s *Snapshot) Size() int64 { return int64(len(s.data)) }
 
+// Equal reports whether s and o hold byte-identical images.
+func (s *Snapshot) Equal(o *Snapshot) bool {
+	// The comparison reads through slices of the mappings, which stay
+	// mapped only while their owners are reachable.
+	defer runtime.KeepAlive(o)
+	defer runtime.KeepAlive(s)
+	return bytes.Equal(s.data, o.data)
+}
+
 // Close releases the mapping.  It is idempotent; the caller must guarantee
 // no section view is dereferenced afterwards.
 func (s *Snapshot) Close() error {
@@ -472,7 +481,7 @@ func Reseal(b []byte) error {
 	if len(b) < snapshotHeaderSize+snapshotFooterSize || !hasSnapshotMagic(b) {
 		return fmt.Errorf("%w: not a v2 snapshot image", ErrCorrupt)
 	}
-	binary.LittleEndian.PutUint64(b[len(b)-16:], checksum(b[:len(b)-16]))
+	binary.LittleEndian.PutUint64(b[len(b)-16:], crc64.Checksum(b[:len(b)-16], crcTable))
 	return nil
 }
 

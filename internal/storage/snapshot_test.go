@@ -145,6 +145,52 @@ func TestSnapshotFileMmap(t *testing.T) {
 	}
 }
 
+// TestSnapshotEqual: a file and an in-memory copy of its image, mapped or
+// read, are equal; an image with one payload byte changed and resealed is
+// not, nor is a shorter one.
+func TestSnapshotEqual(t *testing.T) {
+	raw := buildTestSnapshot(t)
+	path := filepath.Join(t.TempDir(), "snap.flix")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenSnapshotFile(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	inMem, err := OpenSnapshotBytes(bytes.Clone(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Clone(raw)
+	edited[inMem.Section(1).Off] ^= 1
+	if err := Reseal(edited); err != nil {
+		t.Fatal(err)
+	}
+	other, err := OpenSnapshotBytes(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sw bytes.Buffer
+	w := NewSnapshotWriter(&sw)
+	w.Begin(SectionManifest)
+	w.End()
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	short, err := OpenSnapshotBytes(sw.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mapped.Equal(inMem) || !inMem.Equal(mapped) || !inMem.Equal(inMem) {
+		t.Error("one image, mapped and in memory, compares unequal")
+	}
+	if inMem.Equal(other) || other.Equal(mapped) || inMem.Equal(short) {
+		t.Error("images that differ compare equal")
+	}
+}
+
 func TestSnapshotTruncations(t *testing.T) {
 	raw := buildTestSnapshot(t)
 	for n := 0; n < len(raw); n++ {

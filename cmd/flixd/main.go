@@ -68,8 +68,8 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		dir      = flag.String("dir", "", "directory of *.xml documents (required)")
 		loadIx   = flag.String("load", "", "restore a persisted index from this file instead of building")
-		config   = flag.String("config", "hybrid", "configuration: naive | maximal-ppo | unconnected-hopi | hybrid | monolithic")
-		partSize = flag.Int("partition", 5000, "partition size bound for unconnected-hopi / hybrid")
+		config   = flag.String("config", "hybrid", "configuration: naive | maximal-ppo | unconnected-hopi | hybrid | monolithic | element-level")
+		partSize = flag.Int("partition", 5000, "partition size bound for unconnected-hopi / hybrid / element-level")
 		strategy = flag.String("strategy", "", "force a per-meta-document strategy: ppo | hopi | apex")
 		buildPar = flag.Int("build-parallelism", 0, "index-build worker pool width (0 = all CPUs, 1 = serial)")
 		ontoFile = flag.String("ontology", "", "ontology file with 'tagA tagB score' lines for ~ expansion")
@@ -109,21 +109,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := flix.Config{PartitionSize: *partSize, Strategy: *strategy}
-	switch *config {
-	case "naive":
-		cfg.Kind = flix.Naive
-	case "maximal-ppo":
-		cfg.Kind = flix.MaximalPPO
-	case "unconnected-hopi":
-		cfg.Kind = flix.UnconnectedHOPI
-	case "hybrid":
-		cfg.Kind = flix.Hybrid
-	case "monolithic":
-		cfg.Kind = flix.Monolithic
-	default:
-		log.Fatalf("unknown configuration %q", *config)
+	kind, err := flix.ParseConfigKind(*config)
+	if err != nil {
+		log.Fatal(err)
 	}
+	cfg := flix.Config{Kind: kind, PartitionSize: *partSize, Strategy: *strategy}
 
 	scfg := server.Config{
 		MaxInFlight:        *inflight,

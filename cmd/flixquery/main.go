@@ -37,8 +37,8 @@ func main() {
 	log.SetPrefix("flixquery: ")
 	var (
 		dir      = flag.String("dir", "", "directory of *.xml documents (required)")
-		config   = flag.String("config", "hybrid", "configuration: naive | maximal-ppo | unconnected-hopi | hybrid | monolithic")
-		partSize = flag.Int("partition", 5000, "partition size bound for unconnected-hopi / hybrid")
+		config   = flag.String("config", "hybrid", "configuration: naive | maximal-ppo | unconnected-hopi | hybrid | monolithic | element-level")
+		partSize = flag.Int("partition", 5000, "partition size bound for unconnected-hopi / hybrid / element-level")
 		strategy = flag.String("strategy", "", "force a per-meta-document strategy: ppo | hopi | apex")
 		queryStr = flag.String("query", "", "ranked path expression, e.g. //~movie//actor")
 		ontoFile = flag.String("ontology", "", "ontology file with 'tagA tagB score' lines for ~ expansion")
@@ -149,22 +149,8 @@ func main() {
 }
 
 func parseConfig(name string, partSize int, strategy string) (flix.Config, error) {
-	cfg := flix.Config{PartitionSize: partSize, Strategy: strategy}
-	switch name {
-	case "naive":
-		cfg.Kind = flix.Naive
-	case "maximal-ppo":
-		cfg.Kind = flix.MaximalPPO
-	case "unconnected-hopi":
-		cfg.Kind = flix.UnconnectedHOPI
-	case "hybrid":
-		cfg.Kind = flix.Hybrid
-	case "monolithic":
-		cfg.Kind = flix.Monolithic
-	default:
-		return cfg, fmt.Errorf("unknown configuration %q", name)
-	}
-	return cfg, nil
+	kind, err := flix.ParseConfigKind(name)
+	return flix.Config{Kind: kind, PartitionSize: partSize, Strategy: strategy}, err
 }
 
 func runRanked(ctx context.Context, ix *flix.Index, coll *flix.Collection, expr, ontoFile string, k int, tr *flix.Trace) {

@@ -25,6 +25,7 @@ func TestParseConfig(t *testing.T) {
 		{"unconnected-hopi", flix.UnconnectedHOPI},
 		{"hybrid", flix.Hybrid},
 		{"monolithic", flix.Monolithic},
+		{"element-level", flix.ElementLevel},
 	}
 	for _, c := range cases {
 		cfg, err := parseConfig(c.name, 1234, "apex")

@@ -13,12 +13,16 @@ import (
 )
 
 // TestDocsCiteExistingArtefacts: every result file, command, command-line
-// flag, flixbench experiment and test or benchmark function the living docs
-// name must exist.  Function names match as prefixes, as the -run/-bench
-// patterns quoting them do.  A flag written after flixd, flixd-router,
-// flixquery or flixbench must be one that command's main defines; a
-// backticked flag on its own must be one of theirs too, or one of the other
-// tools' flags listed below.
+// flag, flixbench experiment, test or benchmark function and Go symbol the
+// living docs name must exist.  Function names match as prefixes, as the
+// -run/-bench patterns quoting them do.  A flag written after flixd,
+// flixd-router, flixquery or flixbench must be one that command's main
+// defines; a backticked flag on its own must be one of theirs too, or one of
+// the other tools' flags listed below.  A backticked `pkg.Symbol` (a
+// top-level name or a method) or `pkg.Type.Member` (a method, a field or an
+// interface method), pkg being one of this module's packages and Symbol
+// exported, must be declared there; whatever follows the name — call
+// arguments, a composite literal — is not checked.
 func TestDocsCiteExistingArtefacts(t *testing.T) {
 	var tests strings.Builder // every _test.go of the repository
 	filepath.WalkDir(".", func(path string, _ fs.DirEntry, _ error) error {
@@ -55,6 +59,16 @@ func TestDocsCiteExistingArtefacts(t *testing.T) {
 		}
 		return true
 	}
+	symbols := declaredSymbols(t)
+	var pkgs []string
+	for pkg := range symbols {
+		pkgs = append(pkgs, pkg)
+	}
+	symbolCite := regexp.MustCompile("^`(" + strings.Join(pkgs, "|") + `)\.([A-Z]\w*)(?:\.(\w+))?`)
+	symbolDeclared := func(cite string) bool {
+		m := symbolCite.FindStringSubmatch(cite)
+		return symbols[m[1]][m[2]] && (m[3] == "" || symbols[m[1]][m[2]+"."+m[3]])
+	}
 	checks := map[string]func(cite string) bool{
 		`\bBENCH_\w+\.json|\bcmd/[\w-]+`: func(path string) bool { _, err := os.Stat(path); return err == nil },
 		`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`: func(name string) bool {
@@ -65,6 +79,7 @@ func TestDocsCiteExistingArtefacts(t *testing.T) {
 		},
 		`\b(?:` + commands + `)\b(?:[ \t]+[^\s|;&` + "`" + `]+)*`: flagsDefined, // a command and what follows it
 		"(?m)(?:^|[\\s(])`-[a-z][^`\n]*`":                         flagsDefined, // a backticked flag on its own
+		"`(?:" + strings.Join(pkgs, "|") + ")\\.[A-Z][^`]*`":      symbolDeclared,
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
@@ -81,6 +96,81 @@ func TestDocsCiteExistingArtefacts(t *testing.T) {
 	}
 }
 
+// declaredSymbols maps each package of this module (the benchmark module and
+// commands aside) to the names it declares, its tests included: top-level
+// names and method names as they are, and the methods, fields and interface
+// methods of its types as Type.Member.  The root package and internal/flix
+// are both flix.
+func declaredSymbols(t *testing.T) map[string]map[string]bool {
+	symbols := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil || file.Name.Name == "main" {
+			return err
+		}
+		pkg := strings.TrimSuffix(file.Name.Name, "_test")
+		if symbols[pkg] == nil {
+			symbols[pkg] = map[string]bool{}
+		}
+		names := symbols[pkg]
+		members := func(typ string, fields *ast.FieldList) {
+			for _, f := range fields.List {
+				for _, n := range f.Names {
+					names[typ+"."+n.Name] = true
+				}
+			}
+		}
+		for _, decl := range file.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				names[decl.Name.Name] = true
+				if decl.Recv == nil {
+					continue
+				}
+				recv := decl.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if typ, ok := recv.(*ast.Ident); ok { // no generic receivers here
+					names[typ.Name+"."+decl.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							members(spec.Name.Name, typ.Fields)
+						case *ast.InterfaceType:
+							members(spec.Name.Name, typ.Methods)
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return symbols
+}
+
 // unreferencedExports lists, by reason, the exported functions and methods
 // under internal/ that no non-test file names.
 var unreferencedExports = map[string][]string{
@@ -93,7 +183,7 @@ var unreferencedExports = map[string][]string{
 	"library API: a method of a type the root package re-exports (Collection, DocumentBuilder)": {
 		"TreeDescendants", "Current", "Path", "NumEdges"},
 	"test support for other packages' tests, which an export_test.go cannot serve": {
-		"NewBuilder", "AddNode", "AddEdge", "Reseal", "SizeOf", "Validate"},
+		"NewBuilder", "AddNode", "AddEdge", "Reseal", "Validate"},
 }
 
 // TestNoUnreferencedExports: every exported function or method declared in a

@@ -180,6 +180,10 @@ func NewLoader() *Loader { return xmlparse.NewLoader() }
 // ComputeStats analyses the structure of a collection.
 func ComputeStats(c *Collection) Stats { return xmlgraph.ComputeStats(c) }
 
+// ParseConfigKind returns the configuration kind ConfigKind.String names:
+// naive, maximal-ppo, unconnected-hopi, hybrid, monolithic or element-level.
+func ParseConfigKind(name string) (ConfigKind, error) { return flix.ParseConfigKind(name) }
+
 // DefaultConfig returns the recommended configuration: Hybrid partitions of
 // at most 5000 elements.
 func DefaultConfig() Config { return flix.DefaultConfig() }

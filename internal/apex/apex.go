@@ -20,7 +20,6 @@ package apex
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -430,28 +429,26 @@ func (idx *Index) PathExtent(path []string) []int32 {
 	return out
 }
 
-// WriteTo emits the canonical compact stream — class membership, extents
-// (implicitly, via the class array), summary edges, and the data-graph
-// adjacency the traversal needs at query time (APEX keeps the edge relation
-// in the database; it is part of the index size).  It is Table 1's size
-// measure and the byte-identity form the determinism tests compare; nothing
-// reads it back.
-func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	sw := storage.NewWriter(w)
-	sw.Header("apex")
+// EncodeStream writes the index's part of the canonical compact stream —
+// class membership, extents (implicitly, via the class array), summary
+// edges, and the data-graph adjacency the traversal needs at query time
+// (APEX keeps the edge relation in the database; it is part of the index
+// size).  It is Table 1's size measure and the byte-identity form the
+// determinism tests compare; nothing reads it back.
+func (idx *Index) EncodeStream(sw *storage.SnapshotWriter) {
+	sw.StreamHeader("apex")
 	sw.Uvarint(uint64(len(idx.class)))
-	sw.Int32Slice(idx.class)
+	sw.DeltaI32s(idx.class)
 	sw.Uvarint(uint64(len(idx.extents)))
 	for c := range idx.extents {
-		sw.Int32(int32(idx.classTag[c]))
-		sw.Int32Slice(idx.classSucc[c])
+		sw.Varint(int64(idx.classTag[c]))
+		sw.DeltaI32s(idx.classSucc[c])
 	}
 	// Data adjacency.
 	g := idx.g
 	for u := int32(0); u < int32(g.NumNodes()); u++ {
-		sw.Int32Slice(g.Succs(u))
+		sw.DeltaI32s(g.Succs(u))
 	}
-	return sw.Flush()
 }
 
 // bitset is a fixed-size bit vector.

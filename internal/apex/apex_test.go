@@ -133,14 +133,16 @@ func TestEachReaching(t *testing.T) {
 	}
 }
 
+// TestWriteTo: the index writes its part of the canonical stream, headed
+// by the magic and its kind.
 func TestWriteTo(t *testing.T) {
 	_, idx := buildGraph(t)
-	n, err := storage.SizeOf(idx)
+	body, err := storage.EncodeSectionBody(idx.EncodeStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n <= 0 {
-		t.Errorf("size = %d", n)
+	if head := storage.Magic + "\x04apex"; len(body) <= len(head) || string(body[:len(head)]) != head {
+		t.Errorf("stream = %q", body)
 	}
 }
 

@@ -82,6 +82,17 @@ func (k ConfigKind) String() string {
 // valid reports whether k is one of the configurations above.
 func (k ConfigKind) valid() bool { return k >= Naive && k <= ElementLevel }
 
+// ParseConfigKind returns the configuration String names: its inverse over
+// the valid kinds.
+func ParseConfigKind(name string) (ConfigKind, error) {
+	for k := Naive; k.valid(); k++ {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("flix: unknown configuration %q", name)
+}
+
 // Config tunes the build phase.  The zero value is a usable Hybrid-less
 // Naive configuration; DefaultConfig returns the recommended Hybrid setup.
 type Config struct {

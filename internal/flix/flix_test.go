@@ -11,6 +11,31 @@ import (
 	"repro/internal/xmlgraph"
 )
 
+// TestParseConfigKind: ParseConfigKind and ConfigKind.String are inverses
+// over the six valid kinds, and any other name is an error.
+func TestParseConfigKind(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		kind ConfigKind
+	}{
+		{"naive", Naive},
+		{"maximal-ppo", MaximalPPO},
+		{"unconnected-hopi", UnconnectedHOPI},
+		{"hybrid", Hybrid},
+		{"monolithic", Monolithic},
+		{"element-level", ElementLevel},
+	} {
+		if k, err := ParseConfigKind(c.name); err != nil || k != c.kind || k.String() != c.name {
+			t.Errorf("ParseConfigKind(%q) = %v, %v; want %v", c.name, k, err, c.kind)
+		}
+	}
+	for _, name := range []string{"", "bogus", "Hybrid", "element level", ConfigKind(6).String()} {
+		if k, err := ParseConfigKind(name); err == nil {
+			t.Errorf("ParseConfigKind(%q) = %v, want an error", name, k)
+		}
+	}
+}
+
 // allConfigs are the configurations exercised by the integration tests.
 func allConfigs() []Config {
 	return []Config{

@@ -23,48 +23,49 @@ var ErrSnapshotVersion = errors.New("flix: snapshot format version not supported
 // out-of-memory allocation.
 const maxSnapshotMetas = 1 << 26
 
+// streamEncoder is a meta-document index that writes its part of the
+// canonical stream: the heap index types, which the raw-opened views share.
+// The view over a compressed PPO section is the one index that does not.
+type streamEncoder interface {
+	EncodeStream(sw *storage.SnapshotWriter)
+}
+
 // WriteTo emits the canonical compact stream: every meta-document index
 // plus the runtime link tables (the data the paper keeps in database
 // tables).  Its byte count is the "index size" the experiments report
 // (Table 1) and its bytes are the byte-identity form the determinism tests
-// compare; nothing reads it back — persistence is WriteSnapshotV2With.
+// compare; nothing reads it back — persistence is WriteSnapshotV2With.  An
+// index served from compressed PPO sections cannot write it and returns an
+// error, having written nothing.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	sw := storage.NewWriter(w)
-	sw.Header("flix")
-	sw.Uvarint(1) // stream version, fixed: the stream is measured, never reopened
-	sw.Varint(int64(ix.cfg.Kind))
-	sw.Varint(int64(ix.cfg.PartitionSize))
-	sw.Varint(int64(ix.cfg.MinTreeDocs))
-	sw.Varint(int64(ix.cfg.Load))
-	sw.String(ix.cfg.Strategy)
-	sw.Uvarint(uint64(len(ix.pis)))
-	n, err := sw.Flush()
-	if err != nil {
-		return n, err
-	}
-	total += n
+	encs := make([]streamEncoder, len(ix.pis))
 	for i, p := range ix.pis {
-		n, err := p.WriteTo(w)
-		total += n
-		if err != nil {
-			return total, err
+		enc, ok := p.(streamEncoder)
+		if !ok {
+			return 0, fmt.Errorf("flix: meta document %d is served from a compressed %s section, which does not write the canonical stream", i, p.Name())
 		}
-		// Runtime link table of this meta document.
-		lw := storage.NewWriter(w)
-		md := ix.set.Metas[i]
-		lw.Uvarint(uint64(len(md.OutLinks)))
-		for _, cl := range md.OutLinks {
-			lw.Int32(cl.FromLocal)
-			lw.Int32(int32(cl.To))
-		}
-		n, err = lw.Flush()
-		total += n
-		if err != nil {
-			return total, err
-		}
+		encs[i] = enc
 	}
-	return total, nil
+	return storage.WriteStream(w, func(sw *storage.SnapshotWriter) {
+		sw.StreamHeader("flix")
+		sw.Uvarint(1) // stream version, fixed: the stream is measured, never reopened
+		sw.Varint(int64(ix.cfg.Kind))
+		sw.Varint(int64(ix.cfg.PartitionSize))
+		sw.Varint(int64(ix.cfg.MinTreeDocs))
+		sw.Varint(int64(ix.cfg.Load))
+		sw.String(ix.cfg.Strategy)
+		sw.Uvarint(uint64(len(encs)))
+		for i, enc := range encs {
+			enc.EncodeStream(sw)
+			// Runtime link table of this meta document.
+			md := ix.set.Metas[i]
+			sw.Uvarint(uint64(len(md.OutLinks)))
+			for _, cl := range md.OutLinks {
+				sw.Varint(int64(cl.FromLocal))
+				sw.Varint(int64(cl.To))
+			}
+		}
+	})
 }
 
 // SizeBytes measures the index: the container size for a snapshot-backed

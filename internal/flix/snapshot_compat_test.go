@@ -91,7 +91,7 @@ func TestSizeBytesEncodesOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Encoding allocates (every storage.Writer carries a bufio buffer).
+	// Encoding allocates (WriteStream buffers its writes).
 	if allocs := testing.AllocsPerRun(10, func() { ix.SizeBytes() }); allocs != 0 {
 		t.Errorf("a repeated SizeBytes allocates %v times: it re-encodes", allocs)
 	}

@@ -230,6 +230,43 @@ func TestSnapshotCompressedGoldenFixture(t *testing.T) {
 	}
 }
 
+// ppocImage returns a collection and a compressed snapshot of it that holds
+// a ppo-c section: one MaximalPPO meta document over a tree family, large
+// enough for the packed form to pay.
+func ppocImage(t testing.TB) (*xmlgraph.Collection, []byte) {
+	t.Helper()
+	c := testutil.Generate(testutil.Trees, 5, 10, 20, 30)
+	ix, err := Build(c, Config{Kind: MaximalPPO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteSnapshotV2With(&buf, compressOpts); err != nil {
+		t.Fatal(err)
+	}
+	return c, buf.Bytes()
+}
+
+// TestWriteToCompressedErrors: a meta document served from a ppo-c section
+// cannot write the canonical stream, so WriteTo on its index fails —
+// without a panic and having written nothing — while SizeBytes still
+// reports the container.
+func TestWriteToCompressedErrors(t *testing.T) {
+	c, raw := ppocImage(t)
+	ix, err := OpenSnapshotBytes(c, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	var buf bytes.Buffer
+	if n, err := ix.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
+		t.Fatalf("WriteTo = %d, %v with %d bytes written; want an error and nothing written", n, err, buf.Len())
+	}
+	if sz, err := ix.SizeBytes(); err != nil || sz != int64(len(raw)) {
+		t.Errorf("SizeBytes = %d, %v; want the container size %d", sz, err, len(raw))
+	}
+}
+
 // TestSnapshotCompressedCorruptionMatrix extends the corruption matrix to
 // the compressed fixture: every truncation and unresealed flip must be
 // rejected with a typed error, and resealed damage — flips that pass the

@@ -202,14 +202,14 @@ func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustReject := func(name string, img []byte) {
+	reject := func(name string, c *xmlgraph.Collection, img []byte) {
 		t.Helper()
 		defer func() {
 			if r := recover(); r != nil {
 				t.Fatalf("%s: OpenSnapshotBytes panicked: %v", name, r)
 			}
 		}()
-		ix, err := OpenSnapshotBytes(coll, img)
+		ix, err := OpenSnapshotBytes(c, img)
 		if err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
@@ -222,6 +222,10 @@ func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 		if keptSet(coll) != serving.set {
 			t.Fatalf("%s: the failed open replaced the collection's kept decomposition", name)
 		}
+	}
+	mustReject := func(name string, img []byte) {
+		t.Helper()
+		reject(name, coll, img)
 	}
 
 	// Truncation at (and within) every section boundary, plus the
@@ -265,6 +269,12 @@ func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 	// invalid, refused before anything is decomposed.
 	mustReject("forged configuration kind", forgedKind(t, raw))
 
+	// PPO sections of either codec without their derived runs, checksum
+	// valid: no writer makes one, so the opener refuses it as corrupt.
+	mustReject("ppo section without the derived flag", withoutDerived(t, raw, storage.SectionPPO))
+	ppocColl, ppocRaw := ppocImage(t)
+	reject("ppo-c section without the derived flag", ppocColl, withoutDerived(t, ppocRaw, storage.SectionPPOC))
+
 	// A v3 container (resealed so only the version trips) must read as a
 	// version problem, not corruption.
 	future := bytes.Clone(raw)
@@ -285,6 +295,29 @@ func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 	if _, err := OpenSnapshotBytes(other, raw); err == nil {
 		t.Fatal("snapshot accepted against the wrong collection")
 	}
+}
+
+// withoutDerived clears the derived flag of the first section of the given
+// PPO kind in a snapshot image — the flags are the fourth u32 of both
+// codecs' headers — and reseals the copy.
+func withoutDerived(t testing.TB, raw []byte, kind uint32) []byte {
+	t.Helper()
+	snap, err := storage.OpenSnapshotBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < snap.NumSections(); i++ {
+		if sec := snap.Section(i); sec.Kind == kind {
+			bad := bytes.Clone(raw)
+			bad[sec.Off+12] &^= 2
+			if err := storage.Reseal(bad); err != nil {
+				t.Fatal(err)
+			}
+			return bad
+		}
+	}
+	t.Fatalf("no %s section", storage.SectionKindName(kind))
+	return nil
 }
 
 // TestSnapshotV2CrossVersion proves the container and the canonical stream

@@ -119,7 +119,8 @@ func TestOpenAllocsFlat(t *testing.T) {
 }
 
 // TestCompressedWriteTo checks that an opened section writes the exact
-// canonical stream of the build it was encoded from, in both codecs.
+// canonical stream of the build it was encoded from, in both codecs: both
+// decode into the heap type.
 func TestCompressedWriteTo(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -128,7 +129,7 @@ func TestCompressedWriteTo(t *testing.T) {
 		idx := Build(g)
 		for c := range codecs {
 			if !bytes.Equal(serialize(t, idx), serialize(t, encodeOpen(t, g, idx, c))) {
-				t.Fatalf("seed %d: %s-opened WriteTo differs from the build's", seed, codecs[c].name)
+				t.Fatalf("seed %d: %s-opened stream differs from the build's", seed, codecs[c].name)
 			}
 		}
 	}

@@ -23,7 +23,6 @@
 package hopi
 
 import (
-	"io"
 	"math"
 	"runtime"
 	"sort"
@@ -615,12 +614,12 @@ func heapFix(h mergeHeap, i int) {
 	}
 }
 
-// WriteTo emits the canonical compact stream — both label sets, without the
-// derived per-hub postings.  It is Table 1's size measure and the
-// byte-identity form the determinism tests compare; nothing reads it back.
-func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	sw := storage.NewWriter(w)
-	sw.Header("hopi")
+// EncodeStream writes the index's part of the canonical compact stream —
+// both label sets, without the derived per-hub postings.  It is Table 1's
+// size measure and the byte-identity form the determinism tests compare;
+// nothing reads it back.
+func (idx *Index) EncodeStream(sw *storage.SnapshotWriter) {
+	sw.StreamHeader("hopi")
 	sw.Uvarint(uint64(len(idx.in)))
 	writeLabels := func(labels [][]entry) {
 		for _, l := range labels {
@@ -635,5 +634,4 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	}
 	writeLabels(idx.in)
 	writeLabels(idx.out)
-	return sw.Flush()
 }

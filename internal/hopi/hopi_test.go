@@ -124,14 +124,16 @@ func TestEarlyStop(t *testing.T) {
 	}
 }
 
+// TestWriteTo: the index writes its part of the canonical stream, headed
+// by the magic and its kind.
 func TestWriteTo(t *testing.T) {
 	_, idx := buildGraph(t)
-	n, err := storage.SizeOf(idx)
+	body, err := storage.EncodeSectionBody(idx.EncodeStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n <= 0 {
-		t.Errorf("size = %d", n)
+	if head := storage.Magic + "\x04hopi"; len(body) <= len(head) || string(body[:len(head)]) != head {
+		t.Errorf("stream = %q", body)
 	}
 }
 
@@ -271,7 +273,7 @@ func TestPropertyPartitionedEqualsWhole(t *testing.T) {
 // TestPropertyParallelBuildDeterministic verifies the parallel
 // divide-and-conquer build's central guarantee: at every parallelism level
 // the labels are identical to the serial build's — compared byte-for-byte
-// through WriteTo, which serializes Lin and Lout exactly.
+// through EncodeStream, which serializes Lin and Lout exactly.
 func TestPropertyParallelBuildDeterministic(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25}
 	err := quick.Check(func(seed int64) bool {
@@ -301,11 +303,11 @@ func TestPropertyParallelBuildDeterministic(t *testing.T) {
 
 func serialize(t *testing.T, idx *Index) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	body, err := storage.EncodeSectionBody(idx.EncodeStream)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return body
 }
 
 func TestPropertyNaiveAgainstBFS(t *testing.T) {

@@ -8,13 +8,13 @@
 // order (ties broken by node ID) — the order the Path Expression Evaluator
 // relies on to produce approximately distance-ordered global results.
 //
-// Every Index also writes the canonical compact stream (io.WriterTo) that
-// Table 1 measures; it is write-only.  What is persisted and reopened is the
-// snapshot section a strategy encodes through storage.SectionEncoder.
+// Index holds the evaluator's probes and nothing else.  What a strategy
+// persists and reopens is the snapshot section it encodes through
+// storage.SectionEncoder; the canonical stream Table 1 measures is written
+// by the flix package, from the index types that can write it.
 package pathindex
 
 import (
-	"io"
 	"slices"
 
 	"repro/internal/lgraph"
@@ -67,12 +67,6 @@ type Index interface {
 
 	// EachReachingByTag is EachReaching restricted to one tag.
 	EachReachingByTag(x int32, tag lgraph.Tag, fn Visit)
-
-	// WriteTo emits the canonical compact stream: its byte count is the
-	// "index size" the experiments report (Table 1) and its bytes are
-	// what the determinism tests compare.  Nothing reads it back —
-	// persistence is storage.SectionEncoder's job.
-	io.WriterTo
 }
 
 // LinkDistances probes one fixed element x against every runtime-link source

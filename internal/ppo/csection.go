@@ -13,8 +13,7 @@ package ppo
 //     turning a block that mixes roots and deep nodes — which would pin
 //     the frame width at the node-id range — into single-digit deltas;
 //   - tagPre (the per-tag ascending preorder ranks) is stored only when
-//     the sort fallback needs it (!runsSorted); otherwise it is merged
-//     back out of the per-(tag, depth) runs on the cold WriteTo path.
+//     the sort fallback needs it (!runsSorted).
 //
 // Probes run directly on the packed bytes through CIndex, a zero-copy
 // view: each access is one 8-byte load + shift + mask, binary searches
@@ -27,10 +26,12 @@ package ppo
 //	packed pre, depth, parentRel, size, byPre        each n values
 //	-- iff tagPre stored --
 //	packed tagPreOff (numTags+1)        packed tagPreData  (n)
-//	-- iff derived --
 //	packed tagRunIdx (numTags+1)        packed tagRunDepth (runs)
 //	packed tagRunStart (runs+1)         packed tagRunData  (n)
 //	                                    (per tag, (depth, pre)-sorted)
+//
+// The tag runs are mandatory, as the raw section's derived runs are: flag 2
+// says they are there, and a section without it is corrupt.
 //
 // The prefix-offset tables are packed too (PackedPrefixOffsets): a corpus
 // section carries tens of thousands of tag-run starts whose values span
@@ -46,8 +47,6 @@ package ppo
 
 import (
 	"fmt"
-	"io"
-	"sort"
 
 	"repro/internal/lgraph"
 	"repro/internal/pathindex"
@@ -63,16 +62,10 @@ func (idx *Index) CompressedSectionKind() uint32 { return storage.SectionPPOC }
 func (idx *Index) EncodeCompressedSection(sw *storage.SnapshotWriter) {
 	n := len(idx.pre)
 	numTags := len(idx.tagPre)
-	derived := idx.depthRuns != nil
-	hasTagPre := !(derived && idx.runsSorted)
-	flags := uint32(0)
+	flags := uint32(secFlagDerived)
 	if idx.runsSorted {
 		flags |= secFlagRunsSorted
-	}
-	if derived {
-		flags |= secFlagDerived
-	}
-	if hasTagPre {
+	} else {
 		flags |= secFlagTagPre
 	}
 	runs := 0
@@ -94,11 +87,8 @@ func (idx *Index) EncodeCompressedSection(sw *storage.SnapshotWriter) {
 	sw.PackedI32s(rel)
 	sw.PackedI32s(idx.size)
 	sw.PackedI32s(idx.byPre)
-	if hasTagPre {
+	if !idx.runsSorted {
 		writePackedNested(sw, idx.tagPre, n)
-	}
-	if !derived {
-		return
 	}
 	idxTab := make([]int32, numTags+1)
 	depthTab := make([]int32, 0, runs)
@@ -147,7 +137,6 @@ type CIndex struct {
 	tagPreOff  storage.PackedI32
 	tagPreData storage.PackedI32
 
-	derived     bool
 	runsSorted  bool
 	tagRunIdx   storage.PackedI32
 	tagRunDepth storage.PackedI32
@@ -180,15 +169,17 @@ func OpenCompressedSection(g *lgraph.LGraph, data []byte) (pathindex.Index, erro
 	if runs > n {
 		return nil, fmt.Errorf("ppo: %d tag runs for %d nodes", runs, n)
 	}
+	if flags&secFlagDerived == 0 {
+		return nil, fmt.Errorf("%w: ppo-c section without its tag runs", storage.ErrCorrupt)
+	}
 	v := &CIndex{
 		g:          g,
 		raw:        data,
 		n:          int32(n),
 		runsSorted: flags&secFlagRunsSorted != 0,
-		derived:    flags&secFlagDerived != 0,
 		hasTagPre:  flags&secFlagTagPre != 0,
 	}
-	if !v.hasTagPre && !(v.derived && v.runsSorted) {
+	if !v.hasTagPre && !v.runsSorted {
 		return nil, fmt.Errorf("ppo: section stores neither tagPre nor sorted tag runs")
 	}
 	// The header fixes every array's length (n and numTags match the graph,
@@ -199,11 +190,8 @@ func OpenCompressedSection(g *lgraph.LGraph, data []byte) (pathindex.Index, erro
 		counts[k], counts[k+1] = numTags+1, n
 		k += 2
 	}
-	if v.derived {
-		counts[k], counts[k+1], counts[k+2], counts[k+3] = numTags+1, runs, runs+1, n
-		k += 4
-	}
-	d.ReservePacked(counts[:k]...)
+	counts[k], counts[k+1], counts[k+2], counts[k+3] = numTags+1, runs, runs+1, n
+	d.ReservePacked(counts[:k+4]...)
 	v.pre = d.PackedI32s()
 	v.depth = d.PackedI32s()
 	v.parentRel = d.PackedI32s()
@@ -257,10 +245,6 @@ func OpenCompressedSection(g *lgraph.LGraph, data []byte) (pathindex.Index, erro
 		if err := checkRanks(v.tagPreData, "tag"); err != nil {
 			return nil, err
 		}
-	}
-	if !v.derived {
-		v.runsSorted = false
-		return v, nil
 	}
 	v.tagRunIdx = d.PackedPrefixOffsets(numTags, uint32(runs))
 	v.tagRunDepth = d.PackedI32s()
@@ -406,57 +390,4 @@ func (v *CIndex) EachReachingByTag(x int32, tag lgraph.Tag, fn pathindex.Visit) 
 		}
 		d++
 	}
-}
-
-// WriteTo implements pathindex.Index by re-emitting the exact canonical
-// stream a heap-built index would write; postorder ranks are recomputed from the
-// forest identity post = pre + size - 1 - depth, and tagPre — when not
-// stored — is merged back out of the (depth, pre)-sorted tag runs.
-func (v *CIndex) WriteTo(w io.Writer) (int64, error) {
-	n := int(v.n)
-	pre := make([]int32, n)
-	post := make([]int32, n)
-	depth := make([]int32, n)
-	parent := make([]int32, n)
-	for x := 0; x < n; x++ {
-		pre[x] = v.pre.At(int32(x))
-		depth[x] = v.depth.At(int32(x))
-		parent[x] = v.parentOf(int32(x))
-		post[x] = pre[x] + v.size.At(int32(x)) - 1 - depth[x]
-	}
-	numTags := v.g.NumTags()
-	tagPre := make([][]int32, numTags)
-	if v.hasTagPre {
-		for t := 0; t < numTags; t++ {
-			lo, hi := v.tagPreOff.At(int32(t)), v.tagPreOff.At(int32(t)+1)
-			row := make([]int32, 0, hi-lo)
-			for s := lo; s < hi; s++ {
-				row = append(row, v.tagPreData.At(s))
-			}
-			tagPre[t] = row
-		}
-	} else {
-		for t := 0; t < numTags; t++ {
-			var row []int32
-			for r, rend := v.tagRunIdx.At(int32(t)), v.tagRunIdx.At(int32(t)+1); r < rend; r++ {
-				for s, send := v.tagRunStart.At(r), v.tagRunStart.At(r+1); s < send; s++ {
-					row = append(row, v.tagRunData.At(s))
-				}
-			}
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-			tagPre[t] = row
-		}
-	}
-	sw := storage.NewWriter(w)
-	sw.Header("ppo")
-	sw.Uvarint(uint64(n))
-	sw.Int32Slice(pre)
-	sw.Int32Slice(post)
-	sw.Int32Slice(depth)
-	sw.Int32Slice(parent)
-	sw.Uvarint(uint64(numTags))
-	for _, ranks := range tagPre {
-		sw.Int32Slice(ranks)
-	}
-	return sw.Flush()
 }

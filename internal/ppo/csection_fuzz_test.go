@@ -42,6 +42,9 @@ func FuzzOpenCompressedSection(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(uint8(i), body)
+		if i == 0 {
+			f.Add(uint8(i), ppo.WithoutDerived(body))
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		g := graphs[int(which)%len(graphs)]

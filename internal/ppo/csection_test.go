@@ -2,6 +2,7 @@ package ppo
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -112,30 +113,6 @@ func TestCompressedSectionParity(t *testing.T) {
 	}
 }
 
-// TestCompressedWriteTo checks that the compressed view re-emits the exact
-// canonical stream the heap index writes.
-func TestCompressedWriteTo(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomForest(rng, 2+rng.Intn(60))
-		idx, err := Build(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cv := compressedView(t, g, idx)
-		var want, got bytes.Buffer
-		if _, err := idx.WriteTo(&want); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cv.WriteTo(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("seed %d: compressed WriteTo differs from heap WriteTo", seed)
-		}
-	}
-}
-
 // TestCompressedEncodePassthrough checks that a compressed view re-encodes
 // its own section verbatim.
 func TestCompressedEncodePassthrough(t *testing.T) {
@@ -172,9 +149,18 @@ func TestCompressedEarlyStop(t *testing.T) {
 	}
 }
 
+// withoutDerived returns a copy of a ppo or ppo-c section body with the
+// derived flag cleared: the header is four u32s, flags last.
+func withoutDerived(body []byte) []byte {
+	c := bytes.Clone(body)
+	c[12] &^= secFlagDerived
+	return c
+}
+
 // TestCompressedSectionCorrupt flips every byte of an encoded section and
 // requires OpenCompressedSection to either reject it or serve a view whose
-// probes stay in bounds — never a panic.
+// probes stay in bounds — never a panic.  A section of either codec without
+// its derived flag is refused as corrupt.
 func TestCompressedSectionCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomForest(rng, 50)
@@ -185,6 +171,19 @@ func TestCompressedSectionCorrupt(t *testing.T) {
 	body, err := storage.EncodeSectionBody(idx.EncodeCompressedSection)
 	if err != nil {
 		t.Fatal(err)
+	}
+	rawBody, err := storage.EncodeSectionBody(idx.EncodeSection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		open func(*lgraph.LGraph, []byte) (pathindex.Index, error)
+		body []byte
+	}{{"ppo-c", OpenCompressedSection, body}, {"ppo", OpenSection, rawBody}} {
+		if pi, err := c.open(g, withoutDerived(c.body)); !errors.Is(err, storage.ErrCorrupt) || pi != nil {
+			t.Errorf("%s without the derived flag: %v, %v; want ErrCorrupt and no index", c.name, pi, err)
+		}
 	}
 	probe := func(pi pathindex.Index) {
 		n := int32(g.NumNodes())

@@ -4,7 +4,10 @@
 // The index assigns every node of a forest its preorder and postorder rank
 // from one depth-first traversal.  A node x reaches y iff
 // pre(x) <= pre(y) and post(x) >= post(y); the distance between them is the
-// depth difference.  Building takes O(E) time and the index stores a
+// depth difference.  In a forest post = pre + size - 1 - depth, so the index
+// keeps the subtree size in place of the postorder rank and asks the same
+// question as an interval one: x reaches y iff pre(y) lies in
+// [pre(x), pre(x)+size(x)).  Building takes O(E) time and the index stores a
 // constant number of integers per node, which makes PPO the cheapest
 // strategy — but it is only applicable when the meta document's data graph
 // is a forest (no element with two incoming edges, no cycles).
@@ -12,7 +15,6 @@ package ppo
 
 import (
 	"errors"
-	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -31,7 +33,6 @@ type Index struct {
 	g *lgraph.LGraph
 
 	pre    []int32 // preorder rank per node
-	post   []int32 // postorder rank per node
 	depth  []int32 // tree depth per node (roots have 0)
 	parent []int32 // parent per node (-1 for roots)
 	size   []int32 // subtree size per node (including the node)
@@ -41,8 +42,8 @@ type Index struct {
 	// ascending; used for the a//b range scan.
 	tagPre [][]int32
 
-	// The fields below are derived by finishDerived at build/load time and
-	// are not serialized — WriteTo's byte format is unchanged.
+	// The fields below are derived by finishDerived at build time; the
+	// canonical stream leaves them out, the snapshot sections store them.
 	//
 	// depthRuns[d] lists the preorder ranks of the nodes at depth d,
 	// ascending.  A subtree is the preorder interval [pre(x), pre(x)+size),
@@ -87,7 +88,6 @@ func Build(g *lgraph.LGraph) (*Index, error) {
 	idx := &Index{
 		g:      g,
 		pre:    make([]int32, n),
-		post:   make([]int32, n),
 		depth:  make([]int32, n),
 		parent: make([]int32, n),
 		size:   make([]int32, n),
@@ -96,9 +96,9 @@ func Build(g *lgraph.LGraph) (*Index, error) {
 	for i := range idx.parent {
 		idx.parent[i] = -1
 	}
-	var preCtr, postCtr int32
+	var preCtr int32
 	// Iterative DFS with an explicit phase per node: first visit assigns
-	// pre, second assigns post and subtree size.
+	// pre, second assigns the subtree size.
 	type frame struct {
 		node int32
 		next int // index into Succs
@@ -122,8 +122,6 @@ func Build(g *lgraph.LGraph) (*Index, error) {
 				stack = append(stack, frame{node: ch})
 				continue
 			}
-			idx.post[f.node] = postCtr
-			postCtr++
 			sz := int32(1)
 			for _, ch := range succs {
 				sz += idx.size[ch]
@@ -147,27 +145,12 @@ func Build(g *lgraph.LGraph) (*Index, error) {
 }
 
 // finishDerived builds the enumeration acceleration structures from the
-// core arrays (pre/depth/byPre/tagPre).
+// core arrays (pre/depth/byPre/tagPre) of a forest Build numbered.
 func (idx *Index) finishDerived() {
 	n := len(idx.byPre)
 	maxDepth := int32(-1)
 	for _, d := range idx.depth {
-		if d < 0 || int(d) >= n {
-			// A depth outside [0, n) cannot come from a real forest — a
-			// corrupted snapshot reached us.  Leave the acceleration
-			// structures unbuilt; queries take the bucket-sort fallback.
-			return
-		}
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	for _, ranks := range idx.tagPre {
-		for _, p := range ranks {
-			if p < 0 || int(p) >= n {
-				return // corrupted snapshot; same fallback as above
-			}
-		}
+		maxDepth = max(maxDepth, d)
 	}
 	idx.depthRuns = make([][]int32, maxDepth+1)
 	for p := 0; p < n; p++ {
@@ -217,9 +200,11 @@ func (idx *Index) Name() string { return "ppo" }
 // NumNodes implements pathindex.Index.
 func (idx *Index) NumNodes() int { return len(idx.pre) }
 
-// Reachable reports whether x reaches y (descendants-or-self), in O(1).
+// Reachable reports whether x reaches y (descendants-or-self), in O(1):
+// pre(y) falls in x's region [pre(x), pre(x)+size(x)).
 func (idx *Index) Reachable(x, y int32) bool {
-	return idx.pre[x] <= idx.pre[y] && idx.post[x] >= idx.post[y]
+	px, py := idx.pre[x], idx.pre[y]
+	return px <= py && py-px < idx.size[x]
 }
 
 // Distance returns the tree distance from x to y.
@@ -240,12 +225,6 @@ func (idx *Index) Region(x int32) pathindex.Span {
 // Depth implements pathindex.Regioner: the tree depth of x (roots have
 // depth 0).
 func (idx *Index) Depth(x int32) int32 { return idx.depth[x] }
-
-// Parent returns the parent of x, or -1.
-func (idx *Index) Parent(x int32) int32 { return idx.parent[x] }
-
-// Post returns the postorder rank of x.
-func (idx *Index) Post(x int32) int32 { return idx.post[x] }
 
 // EachReachable implements pathindex.Index.  The subtree of x is the
 // preorder interval [pre(x), pre(x)+size(x)); walking the per-depth
@@ -442,21 +421,29 @@ func (idx *Index) EachPreceding(x int32, fn pathindex.Visit) {
 	}
 }
 
-// WriteTo emits the canonical compact stream — pre, post, depth and parent
-// per node, plus the per-tag preorder lists.  It is Table 1's size measure
-// and the byte-identity form the determinism tests compare; nothing reads it
-// back.
-func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	sw := storage.NewWriter(w)
-	sw.Header("ppo")
+// postorder returns every node's postorder rank, from the forest identity
+// post = pre + size - 1 - depth.
+func (idx *Index) postorder() []int32 {
+	post := make([]int32, len(idx.pre))
+	for x, p := range idx.pre {
+		post[x] = p + idx.size[x] - 1 - idx.depth[x]
+	}
+	return post
+}
+
+// EncodeStream writes the index's part of the canonical compact stream —
+// pre, post, depth and parent per node, plus the per-tag preorder lists.  It
+// is Table 1's size measure and the byte-identity form the determinism tests
+// compare; nothing reads it back.
+func (idx *Index) EncodeStream(sw *storage.SnapshotWriter) {
+	sw.StreamHeader("ppo")
 	sw.Uvarint(uint64(len(idx.pre)))
-	sw.Int32Slice(idx.pre)
-	sw.Int32Slice(idx.post)
-	sw.Int32Slice(idx.depth)
-	sw.Int32Slice(idx.parent)
+	sw.DeltaI32s(idx.pre)
+	sw.DeltaI32s(idx.postorder())
+	sw.DeltaI32s(idx.depth)
+	sw.DeltaI32s(idx.parent)
 	sw.Uvarint(uint64(len(idx.tagPre)))
 	for _, ranks := range idx.tagPre {
-		sw.Int32Slice(ranks)
+		sw.DeltaI32s(ranks)
 	}
-	return sw.Flush()
 }

@@ -1,17 +1,21 @@
 package ppo
 
-// v2 snapshot section codec.  Unlike the canonical stream (WriteTo), which
-// holds only the core arrays, the v2 section stores everything the probes
-// touch — byPre, size and the enumeration acceleration structures included —
-// as fixed-width little-endian arrays plus prefix-offset tables.  OpenSection therefore performs no reconstruction:
-// every array is a zero-copy view into the snapshot bytes, and the
-// resulting *Index is the same type — and runs the same probe code — as a
-// heap-built one.
+// v2 snapshot section codec.  Unlike the canonical stream (EncodeStream),
+// which holds only the core arrays, the v2 section stores everything the
+// probes touch — byPre, size and the enumeration acceleration structures
+// included — as fixed-width little-endian arrays plus prefix-offset tables.
+// OpenSection therefore performs no reconstruction: every array is a
+// zero-copy view into the snapshot bytes, and the resulting *Index is the
+// same type — and runs the same probe code — as a heap-built one.
+//
+// The section stores the postorder ranks, which no probe reads: the writer
+// computes them as pre + size - 1 - depth and the opener skips them.  The
+// derived runs are mandatory, and flag 2 says they are there: a section
+// without it is corrupt.
 //
 //	u32 n, numTags, numDepths, flags        (flags: 1 runsSorted, 2 derived)
 //	pre, post, depth, parent, size, byPre   []int32 × n
 //	tagPreOff  []u32 numTags+1              tagPreData []int32 n
-//	-- iff derived --
 //	depthRunOff []u32 numDepths+1           depthRunData []int32 n
 //	u32 runs                                tagRunIdx []u32 numTags+1
 //	tagRunDepth []int32 runs                tagRunStart []u32 runs+1
@@ -37,13 +41,9 @@ func (idx *Index) SectionKind() uint32 { return storage.SectionPPO }
 func (idx *Index) EncodeSection(sw *storage.SnapshotWriter) {
 	n := len(idx.pre)
 	numTags := len(idx.tagPre)
-	flags := uint32(0)
+	flags := uint32(secFlagDerived)
 	if idx.runsSorted {
 		flags |= secFlagRunsSorted
-	}
-	derived := idx.depthRuns != nil
-	if derived {
-		flags |= secFlagDerived
 	}
 	numDepths := len(idx.depthRuns)
 	sw.U32(uint32(n))
@@ -51,15 +51,12 @@ func (idx *Index) EncodeSection(sw *storage.SnapshotWriter) {
 	sw.U32(uint32(numDepths))
 	sw.U32(flags)
 	sw.I32s(idx.pre)
-	sw.I32s(idx.post)
+	sw.I32s(idx.postorder())
 	sw.I32s(idx.depth)
 	sw.I32s(idx.parent)
 	sw.I32s(idx.size)
 	sw.I32s(idx.byPre)
 	writeNested32(sw, idx.tagPre)
-	if !derived {
-		return
-	}
 	writeNested32(sw, idx.depthRuns)
 	// Flatten tagDepth: a run-count prefix per tag, then the per-run depth
 	// and data-offset tables, then the concatenated pre-rank runs.
@@ -139,10 +136,14 @@ func OpenSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
 	if numDepths > n {
 		return nil, fmt.Errorf("ppo: %d depth runs for %d nodes", numDepths, n)
 	}
+	if flags&secFlagDerived == 0 {
+		return nil, fmt.Errorf("%w: ppo section without its derived runs", storage.ErrCorrupt)
+	}
+	pre := d.I32s(n)
+	d.I32s(n) // post
 	idx := &Index{
 		g:          g,
-		pre:        d.I32s(n),
-		post:       d.I32s(n),
+		pre:        pre,
 		depth:      d.I32s(n),
 		parent:     d.I32s(n),
 		size:       d.I32s(n),
@@ -174,12 +175,6 @@ func OpenSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
 				return nil, fmt.Errorf("ppo: tag rank %d out of range", p)
 			}
 		}
-	}
-	if flags&secFlagDerived == 0 {
-		// A snapshot written from a derived-less index; the sort fallback
-		// serves every probe.
-		idx.runsSorted = false
-		return idx, nil
 	}
 	idx.depthRuns = readNested32(d, numDepths, n)
 	runs := int(d.U32())

@@ -2,7 +2,7 @@ package storage
 
 // The v2 snapshot container: an offset-based, checksummed, mmap-able file
 // format — the only one FliX persists or opens.  Unlike the canonical varint
-// stream (Writer, which is only measured), a v2 snapshot is designed to be
+// stream (WriteStream, which is only measured), a v2 snapshot is designed to be
 // served without a parse step: the file is a header, a sequence of 8-byte-aligned payload sections, a section table of
 // (kind, offset, length) entries, and a footer carrying a whole-file CRC-64.
 // Opening a snapshot validates the envelope and the checksum — one
@@ -91,9 +91,11 @@ func hasSnapshotMagic(b []byte) bool {
 // SnapshotWriter streams a v2 snapshot onto an io.Writer: header first,
 // then Begin/End-bracketed sections, then Finish emits the section table
 // and checksummed footer.  All errors accumulate; check Finish's return.
+// A detached writer (EncodeSectionBody, WriteStream) writes bare bytes: no
+// header, no checksum.
 type SnapshotWriter struct {
 	w        io.Writer
-	crc      hash.Hash64
+	crc      hash.Hash64 // nil when detached
 	off      int64
 	err      error
 	sections []sectionEntry
@@ -126,7 +128,7 @@ func NewSnapshotWriter(w io.Writer) *SnapshotWriter {
 // whichever pays.
 func EncodeSectionBody(enc func(*SnapshotWriter)) ([]byte, error) {
 	var buf bytes.Buffer
-	sw := &SnapshotWriter{w: &buf, crc: crc64.New(crcTable)}
+	sw := &SnapshotWriter{w: &buf}
 	enc(sw)
 	return buf.Bytes(), sw.err
 }
@@ -136,7 +138,9 @@ func (sw *SnapshotWriter) write(b []byte) {
 	if sw.err != nil {
 		return
 	}
-	sw.crc.Write(b)
+	if sw.crc != nil {
+		sw.crc.Write(b)
+	}
 	if _, err := sw.w.Write(b); err != nil {
 		sw.err = err
 		return

@@ -8,7 +8,6 @@
 package tc
 
 import (
-	"io"
 	"sort"
 	"sync"
 
@@ -154,12 +153,11 @@ func emit(row []posting, g *lgraph.LGraph, tag lgraph.Tag, wildcard bool, fn pat
 	}
 }
 
-// WriteTo emits the canonical compact stream — the forward postings.  It is
-// Table 1's size measure and the byte-identity form the determinism tests
-// compare; nothing reads it back.
-func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	sw := storage.NewWriter(w)
-	sw.Header("tc")
+// EncodeStream writes the index's part of the canonical compact stream —
+// the forward postings.  It is Table 1's size measure and the byte-identity
+// form the determinism tests compare; nothing reads it back.
+func (idx *Index) EncodeStream(sw *storage.SnapshotWriter) {
+	sw.StreamHeader("tc")
 	sw.Uvarint(uint64(len(idx.fwd)))
 	for _, row := range idx.fwd {
 		sw.Uvarint(uint64(len(row)))
@@ -170,5 +168,4 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 			sw.Varint(int64(p.dist))
 		}
 	}
-	return sw.Flush()
 }

@@ -84,11 +84,16 @@ func TestEnumeration(t *testing.T) {
 	}
 }
 
+// TestWriteTo: the index writes its part of the canonical stream, headed
+// by the magic and its kind.
 func TestWriteTo(t *testing.T) {
 	_, idx := buildDiamond(t)
-	n, err := storage.SizeOf(idx)
-	if err != nil || n <= 0 {
-		t.Errorf("SizeOf = %d, %v", n, err)
+	body, err := storage.EncodeSectionBody(idx.EncodeStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head := storage.Magic + "\x02tc"; len(body) <= len(head) || string(body[:len(head)]) != head {
+		t.Errorf("stream = %q", body)
 	}
 }
 

@@ -62,7 +62,7 @@ func main() {
 		maxLimit  = flag.Int("max-limit", 10000, "upper clamp on client-requested result limits")
 		maxBatch  = flag.Int("batch-max", 256, "queries allowed in one POST /v1/batch request")
 		shardTO   = flag.Duration("shard-timeout", 10*time.Second, "per-attempt deadline for shard RPCs")
-		retries   = flag.Int("retries", 2, "shard RPC re-attempts after a transient failure")
+		retries   = flag.Int("retries", 2, "shard RPC re-attempts after a transient failure (0 disables)")
 		probe     = flag.Duration("probe-interval", time.Second, "shard health-probe cadence")
 		ontoFile  = flag.String("ontology", "", "ontology file with 'tagA tagB score' lines for ~ expansion")
 		drain     = flag.Duration("drain", 15*time.Second, "shutdown grace period for in-flight queries")
@@ -99,7 +99,7 @@ func main() {
 		MaxLimit:       *maxLimit,
 		MaxBatch:       *maxBatch,
 		ShardTimeout:   *shardTO,
-		Retries:        *retries,
+		Retries:        clientRetries(*retries),
 		ProbeInterval:  *probe,
 	}
 	if !*quiet {
@@ -120,4 +120,13 @@ func main() {
 	if err := daemon.Run(*addr, *dbgAddr, rt.Handler(), *drain); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// clientRetries maps -retries onto RouterConfig.Retries, whose 0 takes the
+// default: the flag's 0 means one attempt per RPC.
+func clientRetries(flag int) int {
+	if flag <= 0 {
+		return -1
+	}
+	return flag
 }

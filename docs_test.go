@@ -1,6 +1,7 @@
 package flix_test
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -22,7 +23,10 @@ import (
 // top-level name or a method) or `pkg.Type.Member` (a method, a field or an
 // interface method), pkg being one of this module's packages and Symbol
 // exported, must be declared there; whatever follows the name — call
-// arguments, a composite literal — is not checked.
+// arguments, a composite literal — is not checked.  A backticked metric name
+// — a lower-case name with a '_' or '-' after a prefix BENCHMARK.json's
+// per_layer metrics use, as in `flix.open_ms` — must be one of those
+// metrics.
 func TestDocsCiteExistingArtefacts(t *testing.T) {
 	var tests strings.Builder // every _test.go of the repository
 	filepath.WalkDir(".", func(path string, _ fs.DirEntry, _ error) error {
@@ -69,7 +73,25 @@ func TestDocsCiteExistingArtefacts(t *testing.T) {
 		m := symbolCite.FindStringSubmatch(cite)
 		return symbols[m[1]][m[2]] && (m[3] == "" || symbols[m[1]][m[2]+"."+m[3]])
 	}
+	benchmark, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(benchmark, &declared); err != nil {
+		t.Fatal(err)
+	}
+	metrics := map[string]bool{}
+	var prefixes []string
+	for _, m := range declared.PerLayer {
+		metrics[m.Name] = true
+		prefixes = append(prefixes, regexp.QuoteMeta(strings.Split(m.Name, ".")[0]))
+	}
+	metricCite := "`(?:" + strings.Join(prefixes, "|") + ")\\.[a-z][a-z0-9]*[_-][a-z0-9_-]*`"
 	checks := map[string]func(cite string) bool{
+		metricCite:                       func(cite string) bool { return metrics[strings.Trim(cite, "`")] },
 		`\bBENCH_\w+\.json|\bcmd/[\w-]+`: func(path string) bool { _, err := os.Stat(path); return err == nil },
 		`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`: func(name string) bool {
 			return strings.Contains(tests.String(), "\nfunc "+name)
@@ -141,7 +163,13 @@ func declaredSymbols(t *testing.T) map[string]map[string]bool {
 				if star, ok := recv.(*ast.StarExpr); ok {
 					recv = star.X
 				}
-				if typ, ok := recv.(*ast.Ident); ok { // no generic receivers here
+				switch generic := recv.(type) { // Rows[T], Map[K, V]
+				case *ast.IndexExpr:
+					recv = generic.X
+				case *ast.IndexListExpr:
+					recv = generic.X
+				}
+				if typ, ok := recv.(*ast.Ident); ok {
 					names[typ.Name+"."+decl.Name.Name] = true
 				}
 			case *ast.GenDecl:

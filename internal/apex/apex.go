@@ -24,6 +24,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/csr"
 	"repro/internal/lgraph"
 	"repro/internal/pathindex"
 	"repro/internal/storage"
@@ -35,16 +36,17 @@ type Index struct {
 
 	// class[v] is the summary class of data node v.
 	class []int32
-	// extents[c] lists the data nodes of class c, ascending.
-	extents [][]int32
+	// Row c of extents lists the data nodes of class c, ascending.
+	extents csr.Rows[int32]
 	// classTag[c] is the common tag of class c.
 	classTag []lgraph.Tag
-	// classSucc[c] lists the successor classes of c in the summary graph.
-	classSucc [][]int32
-	classPred [][]int32
-	// reachTags[c] is a bitset over tags: which tags are reachable from
-	// class c (including c's own tag).  reachedTags is the reverse.
-	reachTags, reachedTags []bitset
+	// Row c of classSucc lists the successor classes of c in the summary
+	// graph, ascending; classPred the predecessor classes.
+	classSucc, classPred csr.Rows[int32]
+	// reachTags holds a bitset over tags per class: which tags are
+	// reachable from the class (including its own tag).  reachedTags is
+	// the reverse.
+	reachTags, reachedTags bitsets
 
 	// bfs pools bfsScratch values so steady-state traversal probes
 	// allocate nothing.
@@ -153,19 +155,21 @@ func (idx *Index) partition(maxRounds int) {
 		class = newClass
 	}
 	idx.class = class
-	idx.extents = make([][]int32, numClasses)
+	idx.extents = csr.Group(numClasses, func(add func(int32, int32)) {
+		for v := int32(0); v < int32(n); v++ {
+			add(class[v], v)
+		}
+	})
 	idx.classTag = make([]lgraph.Tag, numClasses)
 	for v := 0; v < n; v++ {
-		c := class[v]
-		idx.extents[c] = append(idx.extents[c], int32(v))
-		idx.classTag[c] = g.Tag(int32(v))
+		idx.classTag[class[v]] = g.Tag(int32(v))
 	}
 }
 
 // buildSummary derives the summary graph edges from the data edges.
 func (idx *Index) buildSummary() {
 	g := idx.g
-	numClasses := len(idx.extents)
+	numClasses := idx.extents.Len()
 	succSets := make([]map[int32]struct{}, numClasses)
 	predSets := make([]map[int32]struct{}, numClasses)
 	for i := range succSets {
@@ -180,11 +184,11 @@ func (idx *Index) buildSummary() {
 			predSets[cv][cu] = struct{}{}
 		}
 	}
-	idx.classSucc = make([][]int32, numClasses)
-	idx.classPred = make([][]int32, numClasses)
+	idx.classSucc = csr.Rows[int32]{Off: make([]uint32, 1, numClasses+1)}
+	idx.classPred = csr.Rows[int32]{Off: make([]uint32, 1, numClasses+1)}
 	for c := 0; c < numClasses; c++ {
-		idx.classSucc[c] = setToSorted(succSets[c])
-		idx.classPred[c] = setToSorted(predSets[c])
+		idx.classSucc.Append(setToSorted(succSets[c])...)
+		idx.classPred.Append(setToSorted(predSets[c])...)
 	}
 }
 
@@ -201,15 +205,12 @@ func setToSorted(s map[int32]struct{}) []int32 {
 // summary graph (forward and backward), by fixpoint propagation — the
 // summary can be cyclic.
 func (idx *Index) buildTagReach() {
-	numClasses := len(idx.extents)
-	numTags := idx.g.NumTags()
-	idx.reachTags = make([]bitset, numClasses)
-	idx.reachedTags = make([]bitset, numClasses)
-	for c := 0; c < numClasses; c++ {
-		idx.reachTags[c] = newBitset(numTags)
-		idx.reachTags[c].set(int(idx.classTag[c]))
-		idx.reachedTags[c] = newBitset(numTags)
-		idx.reachedTags[c].set(int(idx.classTag[c]))
+	numClasses := idx.extents.Len()
+	idx.reachTags = newBitsets(numClasses, idx.g.NumTags())
+	idx.reachedTags = newBitsets(numClasses, idx.g.NumTags())
+	for c, t := range idx.classTag {
+		idx.reachTags.set(int32(c), t)
+		idx.reachedTags.set(int32(c), t)
 	}
 	propagate(idx.reachTags, idx.classPred)
 	propagate(idx.reachedTags, idx.classSucc)
@@ -217,19 +218,20 @@ func (idx *Index) buildTagReach() {
 
 // propagate unions each class's bits into its "upstream" neighbours until a
 // fixpoint is reached, using a worklist.
-func propagate(bits []bitset, upstream [][]int32) {
-	work := make([]int32, 0, len(bits))
-	inWork := make([]bool, len(bits))
-	for c := range bits {
-		work = append(work, int32(c))
+func propagate(bits bitsets, upstream csr.Rows[int32]) {
+	n := int32(upstream.Len())
+	work := make([]int32, 0, n)
+	inWork := make([]bool, n)
+	for c := range n {
+		work = append(work, c)
 		inWork[c] = true
 	}
 	for len(work) > 0 {
 		c := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[c] = false
-		for _, up := range upstream[c] {
-			if bits[up].union(bits[c]) && !inWork[up] {
+		for _, up := range upstream.Row(c) {
+			if bits.union(up, c) && !inWork[up] {
 				work = append(work, up)
 				inWork[up] = true
 			}
@@ -289,7 +291,7 @@ func (idx *Index) prunedBFS(x int32, wantTag lgraph.Tag, fn pathindex.Visit) {
 			if _, seen := dist[v]; seen {
 				continue
 			}
-			if !idx.reachTags[idx.class[v]].get(int(wantTag)) {
+			if !idx.reachTags.get(idx.class[v], wantTag) {
 				continue // summary prunes this branch
 			}
 			dist[v] = d + 1
@@ -370,7 +372,7 @@ func (idx *Index) levelBFS(x int32, reverse bool, tag lgraph.Tag, wildcard bool,
 				if bs.seen[v] == tick {
 					continue
 				}
-				if !wildcard && !reach[idx.class[v]].get(int(tag)) {
+				if !wildcard && !reach.get(idx.class[v], tag) {
 					continue
 				}
 				bs.seen[v] = tick
@@ -398,7 +400,7 @@ func (idx *Index) PathExtent(path []string) []int32 {
 	}
 	// current = summary classes matching the prefix so far.
 	current := make(map[int32]struct{})
-	for c := range idx.extents {
+	for c := range idx.classTag {
 		if idx.classTag[c] == t0 {
 			current[int32(c)] = struct{}{}
 		}
@@ -410,7 +412,7 @@ func (idx *Index) PathExtent(path []string) []int32 {
 		}
 		next := make(map[int32]struct{})
 		for c := range current {
-			for _, s := range idx.classSucc[c] {
+			for _, s := range idx.classSucc.Row(c) {
 				if idx.classTag[s] == t {
 					next[s] = struct{}{}
 				}
@@ -423,7 +425,7 @@ func (idx *Index) PathExtent(path []string) []int32 {
 	}
 	var out []int32
 	for c := range current {
-		out = append(out, idx.extents[c]...)
+		out = append(out, idx.extents.Row(c)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -439,10 +441,10 @@ func (idx *Index) EncodeStream(sw *storage.SnapshotWriter) {
 	sw.StreamHeader("apex")
 	sw.Uvarint(uint64(len(idx.class)))
 	sw.DeltaI32s(idx.class)
-	sw.Uvarint(uint64(len(idx.extents)))
-	for c := range idx.extents {
-		sw.Varint(int64(idx.classTag[c]))
-		sw.DeltaI32s(idx.classSucc[c])
+	sw.Uvarint(uint64(len(idx.classTag)))
+	for c, t := range idx.classTag {
+		sw.Varint(int64(t))
+		sw.DeltaI32s(idx.classSucc.Row(int32(c)))
 	}
 	// Data adjacency.
 	g := idx.g
@@ -451,21 +453,31 @@ func (idx *Index) EncodeStream(sw *storage.SnapshotWriter) {
 	}
 }
 
-// bitset is a fixed-size bit vector.
-type bitset []uint64
+// bitsets is one fixed-size bit vector per class, words uint64s each,
+// strided through one array.
+type bitsets struct {
+	words int
+	bits  []uint64
+}
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+func newBitsets(classes, size int) bitsets {
+	words := (size + 63) / 64
+	return bitsets{words: words, bits: make([]uint64, classes*words)}
+}
 
-func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) get(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
+func (b bitsets) set(c, i int32) { b.bits[int(c)*b.words+int(i/64)] |= 1 << (uint(i) % 64) }
 
-// union ORs o into b and reports whether b changed.
-func (b bitset) union(o bitset) bool {
+func (b bitsets) get(c, i int32) bool {
+	return b.bits[int(c)*b.words+int(i/64)]&(1<<(uint(i)%64)) != 0
+}
+
+// union ORs class o's bits into class c's and reports whether c's changed.
+func (b bitsets) union(c, o int32) bool {
+	dst := b.bits[int(c)*b.words : int(c+1)*b.words]
 	changed := false
-	for i := range b {
-		n := b[i] | o[i]
-		if n != b[i] {
-			b[i] = n
+	for i, w := range b.bits[int(o)*b.words : int(o+1)*b.words] {
+		if dst[i]|w != dst[i] {
+			dst[i] |= w
 			changed = true
 		}
 	}

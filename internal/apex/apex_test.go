@@ -308,22 +308,26 @@ func TestPropertyBuildKStillExact(t *testing.T) {
 }
 
 func TestBitset(t *testing.T) {
-	b := newBitset(130)
-	b.set(0)
-	b.set(64)
-	b.set(129)
-	if !b.get(0) || !b.get(64) || !b.get(129) || b.get(1) || b.get(128) {
+	// Class 0 and class 1 of one strided array: the words of one class
+	// must not leak into the other's.
+	bs := newBitsets(2, 130)
+	bs.set(0, 0)
+	bs.set(0, 64)
+	bs.set(0, 129)
+	if !bs.get(0, 0) || !bs.get(0, 64) || !bs.get(0, 129) || bs.get(0, 1) || bs.get(0, 128) {
 		t.Error("bitset get/set wrong")
 	}
-	o := newBitset(130)
-	o.set(5)
-	if !o.union(b) {
+	if bs.get(1, 0) || bs.get(1, 64) || bs.get(1, 129) {
+		t.Error("set leaked into the next class")
+	}
+	bs.set(1, 5)
+	if !bs.union(1, 0) {
 		t.Error("union should change")
 	}
-	if !o.get(0) || !o.get(129) || !o.get(5) {
+	if !bs.get(1, 0) || !bs.get(1, 129) || !bs.get(1, 5) || bs.get(0, 5) {
 		t.Error("union result wrong")
 	}
-	if o.union(b) {
+	if bs.union(1, 0) {
 		t.Error("second union should not change")
 	}
 }

@@ -201,17 +201,6 @@ func (ix *Index) MetaOf(n xmlgraph.NodeID) int32 { return ix.set.MetaOf[n] }
 // index's own; callers must treat it as read-only.
 func (ix *Index) MetaAssignment() []int32 { return ix.set.MetaOf }
 
-// MetaOutLinkCounts returns, per meta document, the number of runtime links
-// leaving it — the router surfaces these in the topology endpoint so
-// operators can see how link-heavy each ring segment is.
-func (ix *Index) MetaOutLinkCounts() []int32 {
-	out := make([]int32, len(ix.set.Metas))
-	for i, md := range ix.set.Metas {
-		out[i] = int32(len(md.OutLinks))
-	}
-	return out
-}
-
 // MetaFingerprint hashes the meta-document decomposition (count and the full
 // node→meta assignment).  Every shard of a cluster must agree on it: the
 // consistent-hash ring routes meta IDs, so two shards with different

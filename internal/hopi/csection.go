@@ -25,6 +25,7 @@ package hopi
 import (
 	"encoding/binary"
 
+	"repro/internal/csr"
 	"repro/internal/lgraph"
 	"repro/internal/pathindex"
 	"repro/internal/storage"
@@ -39,7 +40,7 @@ func (idx *Index) EncodeCompressedSection(sw *storage.SnapshotWriter) {
 	outOff, outB := encodeLabelRunsTight(idx.out)
 	hubInOff, hubInB := encodePostingRunsTight(idx.hubIn)
 	hubOutOff, hubOutB := encodePostingRunsTight(idx.hubOut)
-	sw.U32(uint32(len(idx.in)))
+	sw.U32(uint32(idx.in.Len()))
 	sw.U32(uint32(len(inB)))
 	sw.U32(uint32(len(outB)))
 	sw.U32(uint32(len(hubInB)))
@@ -62,10 +63,11 @@ func truncTag(v int32) uint64 {
 	return uint64(v)
 }
 
-func encodeLabelRunsTight(labels [][]entry) ([]int32, []byte) {
-	offs := make([]int32, len(labels)+1)
+func encodeLabelRunsTight(labels csr.Rows[entry]) ([]int32, []byte) {
+	offs := make([]int32, labels.Len()+1)
 	var blob []byte
-	for i, l := range labels {
+	for i := range int32(labels.Len()) {
+		l := labels.Row(i)
 		prev := int32(0)
 		for _, e := range l {
 			blob = binary.AppendUvarint(blob, uint64(e.hub-prev)<<2|truncTag(e.dist))
@@ -79,10 +81,11 @@ func encodeLabelRunsTight(labels [][]entry) ([]int32, []byte) {
 	return offs, blob
 }
 
-func encodePostingRunsTight(postings [][]entry) ([]int32, []byte) {
-	offs := make([]int32, len(postings)+1)
+func encodePostingRunsTight(postings csr.Rows[entry]) ([]int32, []byte) {
+	offs := make([]int32, postings.Len()+1)
 	var blob []byte
-	for i, p := range postings {
+	for i := range int32(postings.Len()) {
+		p := postings.Row(i)
 		prevD, prevN := int32(0), int32(0)
 		for _, e := range p {
 			nd := int64(e.hub - prevN)

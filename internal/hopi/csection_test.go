@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/csr"
 	"repro/internal/lgraph"
 	"repro/internal/pathindex"
 	"repro/internal/storage"
@@ -38,10 +39,10 @@ func encodeOpen(t testing.TB, g *lgraph.LGraph, idx *Index, codec int) *Index {
 	return pi.(*Index)
 }
 
-// sameArrays reports whether two indexes hold equal labels and postings,
-// run by run (an empty run equals a nil one).
+// sameArrays reports whether two indexes hold equal labels and postings:
+// the same offsets and the same entries.
 func sameArrays(a, b *Index) bool {
-	eq := func(x, y [][]entry) bool { return slices.EqualFunc(x, y, slices.Equal) }
+	eq := func(x, y csr.Rows[entry]) bool { return slices.Equal(x.Off, y.Off) && slices.Equal(x.Data, y.Data) }
 	return eq(a.in, b.in) && eq(a.out, b.out) && eq(a.hubIn, b.hubIn) && eq(a.hubOut, b.hubOut)
 }
 

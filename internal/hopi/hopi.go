@@ -23,12 +23,15 @@
 package hopi
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/csr"
 	"repro/internal/lgraph"
 	"repro/internal/pathindex"
 	"repro/internal/storage"
@@ -50,21 +53,21 @@ type entry struct {
 type Index struct {
 	g *lgraph.LGraph
 
-	// in[v] and out[v] are sorted by hub ID.
-	in, out [][]entry
+	// Rows v of in and out are Lin(v) and Lout(v), sorted by hub ID.
+	in, out csr.Rows[entry]
 
-	// postings for enumeration queries, built by finish: hubIn[h] lists
-	// (node, dist) pairs with h in Lin(node) — the nodes a query can
-	// reach *through* h; hubOut[h] symmetrically for Lout.  Sorted by
+	// postings for enumeration queries, built by finish: row h of hubIn
+	// lists the (node, dist) pairs with h in Lin(node) — the nodes a query
+	// can reach *through* h; hubOut symmetrically for Lout.  Sorted by
 	// (dist, node) for the k-way streaming merge.
-	hubIn, hubOut [][]entry
+	hubIn, hubOut csr.Rows[entry]
 
 	// tagIn/tagOut cache tag-filtered copies of the postings, built
 	// lazily per queried tag: enumerating a//b then only touches
 	// b-postings instead of filtering the full stream per query.
 	mu     sync.Mutex
-	tagIn  map[lgraph.Tag][][]entry
-	tagOut map[lgraph.Tag][][]entry
+	tagIn  map[lgraph.Tag]csr.Rows[entry]
+	tagOut map[lgraph.Tag]csr.Rows[entry]
 
 	// merge pools mergeScratch values so steady-state enumeration probes
 	// allocate nothing — the heap backing array and the epoch-stamped seen
@@ -91,14 +94,12 @@ var Strategy = pathindex.Strategy{
 
 // Build constructs the index over the whole graph.
 func Build(g *lgraph.LGraph) *Index {
-	idx := newIndex(g)
-	order := hubOrder(g)
-	b := newBuilder(idx)
-	for _, v := range order {
+	l := newLabels(g)
+	b := newBuilder(l)
+	for _, v := range hubOrder(g) {
 		b.label(v, nil)
 	}
-	idx.finish()
-	return idx
+	return l.finish()
 }
 
 // BuildPartitioned constructs the index with the divide-and-conquer scheme:
@@ -121,8 +122,8 @@ func BuildPartitioned(g *lgraph.LGraph, part []int32) *Index {
 // hubs in global hub order makes the result identical to the serial build
 // at every parallelism level.
 func BuildPartitionedParallel(g *lgraph.LGraph, part []int32, parallelism int) *Index {
-	idx := newIndex(g)
-	b := newBuilder(idx)
+	l := newLabels(g)
+	b := newBuilder(l)
 	border := make([]bool, g.NumNodes())
 	for u := int32(0); u < int32(g.NumNodes()); u++ {
 		for _, v := range g.Succs(u) {
@@ -164,7 +165,7 @@ func BuildPartitionedParallel(g *lgraph.LGraph, part []int32, parallelism int) *
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wb := newBuilder(idx)
+			wb := newBuilder(l)
 			for {
 				gi := int(next.Add(1)) - 1
 				if gi >= len(groups) {
@@ -179,8 +180,7 @@ func BuildPartitionedParallel(g *lgraph.LGraph, part []int32, parallelism int) *
 		}()
 	}
 	wg.Wait()
-	idx.finish()
-	return idx
+	return l.finish()
 }
 
 // AssignPartitions computes a node-level partitioning for BuildPartitioned:
@@ -253,30 +253,32 @@ func DCStrategy(maxNodes int) pathindex.Strategy {
 // their distances, Lin(v) = {(v, 0)}.  It exists as the ablation baseline
 // for the greedy cover (DESIGN.md §4.1) and as a correctness cross-check.
 func BuildNaive(g *lgraph.LGraph) *Index {
-	idx := newIndex(g)
+	l := newLabels(g)
 	n := int32(g.NumNodes())
 	for v := int32(0); v < n; v++ {
-		idx.in[v] = []entry{{hub: v, dist: 0}}
+		l.in[v] = []entry{{hub: v, dist: 0}}
 	}
 	for u := int32(0); u < n; u++ {
 		dist := g.BFSDistances(u, false)
 		for v := int32(0); v < n; v++ {
 			if dist[v] >= 0 {
-				idx.out[u] = append(idx.out[u], entry{hub: v, dist: dist[v]})
+				l.out[u] = append(l.out[u], entry{hub: v, dist: dist[v]})
 			}
 		}
 	}
-	idx.finish()
-	return idx
+	return l.finish()
 }
 
-func newIndex(g *lgraph.LGraph) *Index {
+// labels are the labels of a build while it grows them: the pruned BFS
+// runs insert into them, and finish turns them into an Index.
+type labels struct {
+	g       *lgraph.LGraph
+	in, out [][]entry
+}
+
+func newLabels(g *lgraph.LGraph) *labels {
 	n := g.NumNodes()
-	return &Index{
-		g:   g,
-		in:  make([][]entry, n),
-		out: make([][]entry, n),
-	}
+	return &labels{g: g, in: make([][]entry, n), out: make([][]entry, n)}
 }
 
 // hubOrder returns the nodes in descending (in+1)*(out+1) order, ties by ID.
@@ -299,17 +301,17 @@ func hubOrder(g *lgraph.LGraph) []int32 {
 
 // builder holds the scratch state for pruned BFS runs.
 type builder struct {
-	idx   *Index
+	l     *labels
 	dist  []int32 // BFS distances, reset between runs via touched
 	queue []int32
 }
 
-func newBuilder(idx *Index) *builder {
-	d := make([]int32, idx.g.NumNodes())
+func newBuilder(l *labels) *builder {
+	d := make([]int32, l.g.NumNodes())
 	for i := range d {
 		d[i] = -1
 	}
-	return &builder{idx: idx, dist: d}
+	return &builder{l: l, dist: d}
 }
 
 // label runs the pruned forward and backward BFS for hub v.  When within is
@@ -320,7 +322,7 @@ func (b *builder) label(v int32, within func(int32) bool) {
 }
 
 func (b *builder) prunedBFS(v int32, reverse bool, within func(int32) bool) {
-	g := b.idx.g
+	g := b.l.g
 	b.queue = b.queue[:0]
 	b.queue = append(b.queue, v)
 	b.dist[v] = 0
@@ -331,17 +333,17 @@ func (b *builder) prunedBFS(v int32, reverse bool, within func(int32) bool) {
 		// Prune when the existing labels already certify dist <= d.
 		var covered int32
 		if reverse {
-			covered = b.idx.labelDist(u, v)
+			covered = labelDist(b.l.out[u], b.l.in[v])
 		} else {
-			covered = b.idx.labelDist(v, u)
+			covered = labelDist(b.l.out[v], b.l.in[u])
 		}
 		if covered <= d {
 			continue
 		}
 		if reverse {
-			b.idx.out[u] = insertEntry(b.idx.out[u], entry{hub: v, dist: d})
+			b.l.out[u] = insertEntry(b.l.out[u], entry{hub: v, dist: d})
 		} else {
-			b.idx.in[u] = insertEntry(b.idx.in[u], entry{hub: v, dist: d})
+			b.l.in[u] = insertEntry(b.l.in[u], entry{hub: v, dist: d})
 		}
 		next := g.Succs(u)
 		if reverse {
@@ -373,10 +375,10 @@ func insertEntry(label []entry, e entry) []entry {
 	return label
 }
 
-// labelDist returns the distance certified by the current labels, or
-// infinity.  Both label slices are sorted by hub, so a merge suffices.
-func (idx *Index) labelDist(x, y int32) int32 {
-	lo, li := idx.out[x], idx.in[y]
+// labelDist returns the distance the labels Lout(x) = lo and Lin(y) = li
+// certify from x to y, or infinity.  Both are sorted by hub, so a merge
+// suffices.
+func labelDist(lo, li []entry) int32 {
 	best := infinity
 	i, j := 0, 0
 	for i < len(lo) && j < len(li) {
@@ -396,33 +398,43 @@ func (idx *Index) labelDist(x, y int32) int32 {
 	return best
 }
 
-// finish builds the per-hub postings used by the enumeration queries.
-// Postings are sorted by (dist, node) so that enumeration can stream them
-// through a k-way merge in globally ascending distance order.
-func (idx *Index) finish() {
-	n := idx.g.NumNodes()
-	idx.hubIn = make([][]entry, n)
-	idx.hubOut = make([][]entry, n)
-	for v := int32(0); v < int32(n); v++ {
-		for _, e := range idx.in[v] {
-			idx.hubIn[e.hub] = append(idx.hubIn[e.hub], entry{hub: v, dist: e.dist})
-		}
-		for _, e := range idx.out[v] {
-			idx.hubOut[e.hub] = append(idx.hubOut[e.hub], entry{hub: v, dist: e.dist})
-		}
-	}
-	byDist := func(p []entry) {
-		sort.Slice(p, func(i, j int) bool {
-			if p[i].dist != p[j].dist {
-				return p[i].dist < p[j].dist
+// finish lays the labels out as an Index's rows and builds the per-hub
+// postings used by the enumeration queries.  Postings are sorted by (dist,
+// node) so that enumeration can stream them through a k-way merge in
+// globally ascending distance order.
+func (l *labels) finish() *Index {
+	n := int32(len(l.in))
+	idx := &Index{g: l.g, in: flatten(l.in), out: flatten(l.out)}
+	postings := func(labels csr.Rows[entry]) csr.Rows[entry] {
+		p := csr.Group(int(n), func(add func(int32, entry)) {
+			for v := int32(0); v < n; v++ {
+				for _, e := range labels.Row(v) {
+					add(e.hub, entry{hub: v, dist: e.dist})
+				}
 			}
-			return p[i].hub < p[j].hub
 		})
+		for h := int32(0); h < n; h++ {
+			slices.SortFunc(p.Row(h), func(a, b entry) int {
+				return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.hub, b.hub))
+			})
+		}
+		return p
 	}
-	for h := range idx.hubIn {
-		byDist(idx.hubIn[h])
-		byDist(idx.hubOut[h])
+	idx.hubIn, idx.hubOut = postings(idx.in), postings(idx.out)
+	return idx
+}
+
+// flatten copies growable rows into one table.
+func flatten(rows [][]entry) csr.Rows[entry] {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
 	}
+	out := csr.Rows[entry]{Off: make([]uint32, 1, len(rows)+1), Data: make([]entry, 0, total)}
+	for _, r := range rows {
+		out.Append(r...)
+	}
+	return out
 }
 
 // Name implements pathindex.Index.
@@ -433,12 +445,12 @@ func (idx *Index) NumNodes() int { return idx.g.NumNodes() }
 
 // Reachable implements pathindex.Index.
 func (idx *Index) Reachable(x, y int32) bool {
-	return idx.labelDist(x, y) < infinity
+	return labelDist(idx.out.Row(x), idx.in.Row(y)) < infinity
 }
 
 // Distance implements pathindex.Index.
 func (idx *Index) Distance(x, y int32) (int32, bool) {
-	d := idx.labelDist(x, y)
+	d := labelDist(idx.out.Row(x), idx.in.Row(y))
 	if d == infinity {
 		return 0, false
 	}
@@ -447,19 +459,13 @@ func (idx *Index) Distance(x, y int32) (int32, bool) {
 
 // LabelEntries returns the total number of label entries (the paper's
 // measure of HOPI index size).
-func (idx *Index) LabelEntries() int {
-	total := 0
-	for v := range idx.in {
-		total += len(idx.in[v]) + len(idx.out[v])
-	}
-	return total
-}
+func (idx *Index) LabelEntries() int { return len(idx.in.Data) + len(idx.out.Data) }
 
 // EachReachable implements pathindex.Index: it merges the postings of every
 // hub in Lout(x), keeping the minimum distance per node, then emits in
 // ascending (distance, node) order.
 func (idx *Index) EachReachable(x int32, fn pathindex.Visit) {
-	idx.eachVia(idx.out[x], idx.hubIn, fn)
+	idx.eachVia(idx.out.Row(x), idx.hubIn, fn)
 }
 
 // EachReachableByTag implements pathindex.Index.
@@ -467,12 +473,12 @@ func (idx *Index) EachReachableByTag(x int32, tag lgraph.Tag, fn pathindex.Visit
 	if tag == lgraph.NoTag {
 		return
 	}
-	idx.eachVia(idx.out[x], idx.taggedPostings(tag, false), fn)
+	idx.eachVia(idx.out.Row(x), idx.taggedPostings(tag, false), fn)
 }
 
 // EachReaching implements pathindex.Index.
 func (idx *Index) EachReaching(x int32, fn pathindex.Visit) {
-	idx.eachVia(idx.in[x], idx.hubOut, fn)
+	idx.eachVia(idx.in.Row(x), idx.hubOut, fn)
 }
 
 // EachReachingByTag implements pathindex.Index.
@@ -480,12 +486,12 @@ func (idx *Index) EachReachingByTag(x int32, tag lgraph.Tag, fn pathindex.Visit)
 	if tag == lgraph.NoTag {
 		return
 	}
-	idx.eachVia(idx.in[x], idx.taggedPostings(tag, true), fn)
+	idx.eachVia(idx.in.Row(x), idx.taggedPostings(tag, true), fn)
 }
 
 // taggedPostings returns the postings restricted to one tag, building and
 // caching them on first use.  Safe for concurrent queries.
-func (idx *Index) taggedPostings(tag lgraph.Tag, reverse bool) [][]entry {
+func (idx *Index) taggedPostings(tag lgraph.Tag, reverse bool) csr.Rows[entry] {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	cache := &idx.tagIn
@@ -495,21 +501,20 @@ func (idx *Index) taggedPostings(tag lgraph.Tag, reverse bool) [][]entry {
 		src = idx.hubOut
 	}
 	if *cache == nil {
-		*cache = make(map[lgraph.Tag][][]entry)
+		*cache = make(map[lgraph.Tag]csr.Rows[entry])
 	}
 	if p, ok := (*cache)[tag]; ok {
 		return p
 	}
-	filtered := make([][]entry, len(src))
-	for h := range src {
-		var run []entry
-		for _, e := range src[h] {
-			if idx.g.Tag(e.hub) == tag {
-				run = append(run, e)
+	filtered := csr.Group(src.Len(), func(add func(int32, entry)) {
+		for h := int32(0); h < int32(src.Len()); h++ {
+			for _, e := range src.Row(h) {
+				if idx.g.Tag(e.hub) == tag {
+					add(h, e)
+				}
 			}
 		}
-		filtered[h] = run
-	}
+	})
 	(*cache)[tag] = filtered
 	return filtered
 }
@@ -521,7 +526,7 @@ func (idx *Index) taggedPostings(tag lgraph.Tag, reverse bool) [][]entry {
 // are skipped.  The merge makes enumeration incremental: delivering the
 // first k results costs O((|label| + k·dup) log |label|) rather than a full
 // materialization — the property behind FliX's streaming evaluation.
-func (idx *Index) eachVia(label []entry, postings [][]entry, fn pathindex.Visit) {
+func (idx *Index) eachVia(label []entry, postings csr.Rows[entry], fn pathindex.Visit) {
 	ms, _ := idx.merge.Get().(*mergeScratch)
 	if ms == nil {
 		ms = &mergeScratch{seen: make([]int64, idx.g.NumNodes())}
@@ -530,7 +535,7 @@ func (idx *Index) eachVia(label []entry, postings [][]entry, fn pathindex.Visit)
 	tick := ms.tick
 	h := ms.h[:0]
 	for _, l := range label {
-		p := postings[l.hub]
+		p := postings.Row(l.hub)
 		if len(p) == 0 {
 			continue
 		}
@@ -620,9 +625,10 @@ func heapFix(h mergeHeap, i int) {
 // nothing reads it back.
 func (idx *Index) EncodeStream(sw *storage.SnapshotWriter) {
 	sw.StreamHeader("hopi")
-	sw.Uvarint(uint64(len(idx.in)))
-	writeLabels := func(labels [][]entry) {
-		for _, l := range labels {
+	sw.Uvarint(uint64(idx.in.Len()))
+	writeLabels := func(labels csr.Rows[entry]) {
+		for v := range int32(labels.Len()) {
+			l := labels.Row(v)
 			sw.Uvarint(uint64(len(l)))
 			prev := int32(0)
 			for _, e := range l {

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/csr"
 	"repro/internal/lgraph"
 	"repro/internal/pathindex"
 	"repro/internal/storage"
@@ -73,39 +75,52 @@ func longRun(runs [][]entry) int {
 	panic("no run holds two entries")
 }
 
+// forged holds an index's label and posting rows as slices a forgery can
+// grow.
+type forged struct{ in, out, hubIn, hubOut [][]entry }
+
+// rowsOf copies rows into growable slices.
+func rowsOf(r csr.Rows[entry]) [][]entry {
+	rows := make([][]entry, r.Len())
+	for i := range rows {
+		rows[i] = slices.Clone(r.Row(int32(i)))
+	}
+	return rows
+}
+
 // forgeries are runs no build emits.  Each is applied to a fresh build and
 // encoded through the ordinary encoder, so the offset tables and lengths
 // are consistent and only the decoded values are wrong.
 var forgeries = []struct {
 	name  string
-	forge func(idx *Index, n int32)
+	forge func(idx *forged, n int32)
 }{
-	{"label hub n", func(idx *Index, n int32) { idx.in[0] = append(idx.in[0], entry{hub: n, dist: 1}) }},
-	{"negative label hub", func(idx *Index, n int32) { idx.out[0] = append([]entry{{hub: -1, dist: 1}}, idx.out[0]...) }},
-	{"repeated label hub", func(idx *Index, n int32) {
+	{"label hub n", func(idx *forged, n int32) { idx.in[0] = append(idx.in[0], entry{hub: n, dist: 1}) }},
+	{"negative label hub", func(idx *forged, n int32) { idx.out[0] = append([]entry{{hub: -1, dist: 1}}, idx.out[0]...) }},
+	{"repeated label hub", func(idx *forged, n int32) {
 		h := longRun(idx.in)
 		idx.in[h] = append(idx.in[h], idx.in[h][len(idx.in[h])-1])
 	}},
-	{"descending label hubs", func(idx *Index, n int32) {
+	{"descending label hubs", func(idx *forged, n int32) {
 		l := idx.out[longRun(idx.out)]
 		l[0], l[1] = l[1], l[0]
 	}},
-	{"label distance n", func(idx *Index, n int32) { idx.out[0][0].dist = n }},
-	{"label distance MaxInt32", func(idx *Index, n int32) { idx.in[0][0].dist = math.MaxInt32 }},
-	{"negative label distance", func(idx *Index, n int32) { idx.in[0][0].dist = -1 }},
-	{"posting node n", func(idx *Index, n int32) {
+	{"label distance n", func(idx *forged, n int32) { idx.out[0][0].dist = n }},
+	{"label distance MaxInt32", func(idx *forged, n int32) { idx.in[0][0].dist = math.MaxInt32 }},
+	{"negative label distance", func(idx *forged, n int32) { idx.in[0][0].dist = -1 }},
+	{"posting node n", func(idx *forged, n int32) {
 		p := idx.hubIn[0]
 		idx.hubIn[0] = append(p, entry{hub: n, dist: p[len(p)-1].dist + 1})
 	}},
-	{"posting distance MaxInt32", func(idx *Index, n int32) {
+	{"posting distance MaxInt32", func(idx *forged, n int32) {
 		p := idx.hubOut[0]
 		idx.hubOut[0] = append(p, entry{hub: 0, dist: math.MaxInt32})
 	}},
-	{"repeated posting", func(idx *Index, n int32) {
+	{"repeated posting", func(idx *forged, n int32) {
 		h := longRun(idx.hubIn)
 		idx.hubIn[h] = append(idx.hubIn[h], idx.hubIn[h][len(idx.hubIn[h])-1])
 	}},
-	{"postings out of order", func(idx *Index, n int32) {
+	{"postings out of order", func(idx *forged, n int32) {
 		// Run h opens with (h, 0); (h-1, 0) after it regresses the node.
 		p := idx.hubOut[longRun(idx.hubOut)]
 		p[1] = entry{hub: p[0].hub - 1, dist: p[0].dist}
@@ -128,7 +143,9 @@ func rejectForgedRuns(g *lgraph.LGraph, codec int) error {
 	}
 	for _, f := range forgeries {
 		idx := Build(g)
-		f.forge(idx, int32(g.NumNodes()))
+		fg := &forged{rowsOf(idx.in), rowsOf(idx.out), rowsOf(idx.hubIn), rowsOf(idx.hubOut)}
+		f.forge(fg, int32(g.NumNodes()))
+		idx.in, idx.out, idx.hubIn, idx.hubOut = flatten(fg.in), flatten(fg.out), flatten(fg.hubIn), flatten(fg.hubOut)
 		if err := reject(f.name, idx); err != nil {
 			return err
 		}

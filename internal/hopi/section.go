@@ -4,9 +4,9 @@ package hopi
 // size, so unlike ppo/apex/tc — whose sections are fixed-width arrays their
 // index types alias in place — the hopi section keeps them as delta-encoded
 // varint runs.  Opening a section decodes and validates every run into the
-// heap Index a build produces (one backing array per blob, each node's slice
-// cut from it), so an opened generation probes through the same code, at
-// the same speed, as a built one, and re-persists by re-encoding like one.
+// heap Index a build produces (one offset table and one array per blob), so
+// an opened generation probes through the same code, at the same speed, as
+// a built one, and re-persists by re-encoding like one.
 //
 //	u32 n
 //	u32 inLen, outLen, hubInLen, hubOutLen   (blob byte lengths)
@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/csr"
 	"repro/internal/lgraph"
 	"repro/internal/pathindex"
 	"repro/internal/storage"
@@ -36,7 +37,7 @@ func (idx *Index) EncodeSection(sw *storage.SnapshotWriter) {
 	outOff, outB := encodeLabelRuns(idx.out)
 	hubInOff, hubInB := encodePostingRuns(idx.hubIn)
 	hubOutOff, hubOutB := encodePostingRuns(idx.hubOut)
-	sw.U32(uint32(len(idx.in)))
+	sw.U32(uint32(idx.in.Len()))
 	sw.U32(uint32(len(inB)))
 	sw.U32(uint32(len(outB)))
 	sw.U32(uint32(len(hubInB)))
@@ -53,10 +54,11 @@ func (idx *Index) EncodeSection(sw *storage.SnapshotWriter) {
 
 // encodeLabelRuns delta-encodes hub-sorted label slices: hub deltas are
 // non-negative, so both fields are plain uvarints.
-func encodeLabelRuns(labels [][]entry) ([]uint32, []byte) {
-	offs := make([]uint32, len(labels)+1)
+func encodeLabelRuns(labels csr.Rows[entry]) ([]uint32, []byte) {
+	offs := make([]uint32, labels.Len()+1)
 	var blob []byte
-	for i, l := range labels {
+	for i := range int32(labels.Len()) {
+		l := labels.Row(i)
 		prev := int32(0)
 		for _, e := range l {
 			blob = binary.AppendUvarint(blob, uint64(e.hub-prev))
@@ -71,10 +73,11 @@ func encodeLabelRuns(labels [][]entry) ([]uint32, []byte) {
 // encodePostingRuns delta-encodes (dist, node)-sorted postings: distance
 // deltas are non-negative uvarints, node deltas may regress and use
 // zig-zag varints.
-func encodePostingRuns(postings [][]entry) ([]uint32, []byte) {
-	offs := make([]uint32, len(postings)+1)
+func encodePostingRuns(postings csr.Rows[entry]) ([]uint32, []byte) {
+	offs := make([]uint32, postings.Len()+1)
 	var blob []byte
-	for i, p := range postings {
+	for i := range int32(postings.Len()) {
+		p := postings.Row(i)
 		prevD, prevN := int32(0), int32(0)
 		for _, e := range p {
 			blob = binary.AppendUvarint(blob, uint64(e.dist-prevD))
@@ -128,7 +131,7 @@ func openSection(g *lgraph.LGraph, data []byte, tight bool) (pathindex.Index, er
 		return nil, fmt.Errorf("%w: hopi: %d bytes after the last run", storage.ErrCorrupt, d.Remaining())
 	}
 	idx := &Index{g: g}
-	for i, dst := range [4]*[][]entry{&idx.in, &idx.out, &idx.hubIn, &idx.hubOut} {
+	for i, dst := range [4]*csr.Rows[entry]{&idx.in, &idx.out, &idx.hubIn, &idx.hubOut} {
 		runs, err := decodeRuns(offs[i], blobs[i], int32(n), tight, i >= 2)
 		if err != nil {
 			return nil, err
@@ -138,18 +141,17 @@ func openSection(g *lgraph.LGraph, data []byte, tight bool) (pathindex.Index, er
 	return idx, nil
 }
 
-// decodeRuns decodes one blob into n runs cut from one backing array,
-// sized by countEntries.  A label run holds (hub, dist) with hubs strictly
+// decodeRuns decodes one blob into n rows, whose array countEntries
+// sizes.  A label run holds (hub, dist) with hubs strictly
 // ascending; a posting run holds (node, dist) strictly ascending in (dist,
 // node).  Every id and distance must lie in [0, n) — a shortest path has
 // fewer than n edges — so the sum of two label distances cannot overflow at
 // probe time.
-func decodeRuns(off func(int32) uint32, blob []byte, n int32, tight, postings bool) ([][]entry, error) {
-	runs := make([][]entry, n)
-	all := make([]entry, 0, countEntries(blob, tight))
+func decodeRuns(off func(int32) uint32, blob []byte, n int32, tight, postings bool) (csr.Rows[entry], error) {
+	runs := csr.Rows[entry]{Off: make([]uint32, 1, n+1), Data: make([]entry, 0, countEntries(blob, tight))}
 	for x := int32(0); x < n; x++ {
 		c := storage.Cursor{B: blob[off(x):off(x+1)]}
-		start := len(all)
+		start := len(runs.Data)
 		var e, prev entry
 		for c.Pos < len(c.B) {
 			prev = e
@@ -161,16 +163,16 @@ func decodeRuns(off func(int32) uint32, blob []byte, n int32, tight, postings bo
 			}
 			switch {
 			case !ok:
-				return nil, fmt.Errorf("%w: hopi: bad varint in run %d", storage.ErrCorrupt, x)
+				return runs, fmt.Errorf("%w: hopi: bad varint in run %d", storage.ErrCorrupt, x)
 			case e.hub < 0 || e.hub >= n || e.dist < 0 || e.dist >= n:
-				return nil, fmt.Errorf("%w: hopi: run %d holds (%d, %d) outside [0, %d)", storage.ErrCorrupt, x, e.hub, e.dist, n)
-			case len(all) > start && !postings && e.hub <= prev.hub,
-				len(all) > start && postings && (e.dist < prev.dist || e.dist == prev.dist && e.hub <= prev.hub):
-				return nil, fmt.Errorf("%w: hopi: run %d is out of order", storage.ErrCorrupt, x)
+				return runs, fmt.Errorf("%w: hopi: run %d holds (%d, %d) outside [0, %d)", storage.ErrCorrupt, x, e.hub, e.dist, n)
+			case len(runs.Data) > start && !postings && e.hub <= prev.hub,
+				len(runs.Data) > start && postings && (e.dist < prev.dist || e.dist == prev.dist && e.hub <= prev.hub):
+				return runs, fmt.Errorf("%w: hopi: run %d is out of order", storage.ErrCorrupt, x)
 			}
-			all = append(all, e)
+			runs.Data = append(runs.Data, e)
 		}
-		runs[x] = all[start:len(all):len(all)]
+		runs.Off = append(runs.Off, uint32(len(runs.Data)))
 	}
 	return runs, nil
 }

@@ -60,25 +60,19 @@ func (idx *Index) CompressedSectionKind() uint32 { return storage.SectionPPOC }
 
 // EncodeCompressedSection implements storage.CompressedSectionEncoder.
 func (idx *Index) EncodeCompressedSection(sw *storage.SnapshotWriter) {
-	n := len(idx.pre)
-	numTags := len(idx.tagPre)
 	flags := uint32(secFlagDerived)
 	if idx.runsSorted {
 		flags |= secFlagRunsSorted
 	} else {
 		flags |= secFlagTagPre
 	}
-	runs := 0
-	for _, trs := range idx.tagDepth {
-		runs += len(trs)
-	}
-	sw.U32(uint32(n))
-	sw.U32(uint32(numTags))
-	sw.U32(uint32(runs))
+	sw.U32(uint32(len(idx.pre)))
+	sw.U32(uint32(idx.tagPre.Len()))
+	sw.U32(uint32(len(idx.tagRunDepth.Data)))
 	sw.U32(flags)
 	sw.PackedI32s(idx.pre)
 	sw.PackedI32s(idx.depth)
-	rel := make([]int32, n)
+	rel := make([]int32, len(idx.pre))
 	for v := range rel {
 		if p := idx.parent[v]; p >= 0 {
 			rel[v] = int32(v) - p
@@ -88,38 +82,10 @@ func (idx *Index) EncodeCompressedSection(sw *storage.SnapshotWriter) {
 	sw.PackedI32s(idx.size)
 	sw.PackedI32s(idx.byPre)
 	if !idx.runsSorted {
-		writePackedNested(sw, idx.tagPre, n)
+		sw.PackedRows32(idx.tagPre)
 	}
-	idxTab := make([]int32, numTags+1)
-	depthTab := make([]int32, 0, runs)
-	startTab := make([]int32, 0, runs+1)
-	runData := make([]int32, 0, n)
-	for t, trs := range idx.tagDepth {
-		idxTab[t+1] = idxTab[t] + int32(len(trs))
-		for _, r := range trs {
-			depthTab = append(depthTab, r.depth)
-			startTab = append(startTab, int32(len(runData)))
-			runData = append(runData, r.pres...)
-		}
-	}
-	startTab = append(startTab, int32(len(runData)))
-	sw.PackedI32s(idxTab)
-	sw.PackedI32s(depthTab)
-	sw.PackedI32s(startTab)
-	sw.PackedI32s(runData)
-}
-
-// writePackedNested writes a [][]int32 as a packed prefix-offset table plus
-// the bit-packed concatenation (total elements).
-func writePackedNested(sw *storage.SnapshotWriter, rows [][]int32, total int) {
-	offs := make([]int32, len(rows)+1)
-	flat := make([]int32, 0, total)
-	for i, r := range rows {
-		offs[i+1] = offs[i] + int32(len(r))
-		flat = append(flat, r...)
-	}
-	sw.PackedI32s(offs)
-	sw.PackedI32s(flat)
+	sw.PackedRows32(idx.tagRunDepth)
+	sw.PackedRows32(idx.tagRuns)
 }
 
 // CIndex is the zero-copy view over a compressed PPO section: the same

@@ -14,11 +14,12 @@
 package ppo
 
 import (
+	"cmp"
 	"errors"
 	"slices"
-	"sort"
 	"sync"
 
+	"repro/internal/csr"
 	"repro/internal/lgraph"
 	"repro/internal/pathindex"
 	"repro/internal/storage"
@@ -38,34 +39,30 @@ type Index struct {
 	size   []int32 // subtree size per node (including the node)
 	byPre  []int32 // node at each preorder rank (inverse of pre)
 
-	// tagPre[t] lists the preorder ranks of the nodes with tag t,
+	// Row t of tagPre lists the preorder ranks of the nodes with tag t,
 	// ascending; used for the a//b range scan.
-	tagPre [][]int32
+	tagPre csr.Rows[int32]
 
 	// The fields below are derived by finishDerived at build time; the
 	// canonical stream leaves them out, the snapshot sections store them.
 	//
-	// depthRuns[d] lists the preorder ranks of the nodes at depth d,
+	// Row d of depthRuns lists the preorder ranks of the nodes at depth d,
 	// ascending.  A subtree is the preorder interval [pre(x), pre(x)+size),
 	// so enumerating it in ascending distance order is one binary search
 	// per depth level instead of bucketing the whole interval into a
 	// per-query map — the enumeration probe allocates nothing.
-	depthRuns [][]int32
-	// tagDepth[t] groups tagPre[t] by depth: runs in ascending depth
-	// order, each run's pre-ranks ascending.
-	tagDepth [][]depthRun
+	depthRuns csr.Rows[int32]
+	// The tag runs group each tagPre row by depth.  Row t of tagRunDepth
+	// holds the depths of tag t's runs, ascending, and its offsets number
+	// the runs: run r has depth tagRunDepth.Data[r], and row r of tagRuns
+	// holds its pre-ranks, ascending.
+	tagRunDepth, tagRuns csr.Rows[int32]
 	// runsSorted reports that byPre is node-ascending within every depth
 	// run, which makes the run-scan emission order satisfy the
 	// interface's (dist, node) contract without a per-query sort.  It
 	// holds for most forests the meta-document builder produces; the
 	// sort fallback covers the general case.
 	runsSorted bool
-}
-
-// depthRun is the preorder ranks of one tag at one depth.
-type depthRun struct {
-	depth int32
-	pres  []int32
 }
 
 var _ pathindex.Index = (*Index)(nil)
@@ -135,11 +132,11 @@ func Build(g *lgraph.LGraph) (*Index, error) {
 		// against builder bugs.
 		return nil, ErrNotForest
 	}
-	idx.tagPre = make([][]int32, g.NumTags())
-	for p := int32(0); p < n; p++ {
-		t := g.Tag(idx.byPre[p])
-		idx.tagPre[t] = append(idx.tagPre[t], p)
-	}
+	idx.tagPre = csr.Group(g.NumTags(), func(add func(int32, int32)) {
+		for p := int32(0); p < n; p++ {
+			add(g.Tag(idx.byPre[p]), p)
+		}
+	})
 	idx.finishDerived()
 	return idx, nil
 }
@@ -147,19 +144,21 @@ func Build(g *lgraph.LGraph) (*Index, error) {
 // finishDerived builds the enumeration acceleration structures from the
 // core arrays (pre/depth/byPre/tagPre) of a forest Build numbered.
 func (idx *Index) finishDerived() {
-	n := len(idx.byPre)
-	maxDepth := int32(-1)
+	n := int32(len(idx.byPre))
+	depthOf := func(p int32) int32 { return idx.depth[idx.byPre[p]] }
+	numDepths := int32(0)
 	for _, d := range idx.depth {
-		maxDepth = max(maxDepth, d)
+		numDepths = max(numDepths, d+1)
 	}
-	idx.depthRuns = make([][]int32, maxDepth+1)
-	for p := 0; p < n; p++ {
-		d := idx.depth[idx.byPre[p]]
-		idx.depthRuns[d] = append(idx.depthRuns[d], int32(p))
-	}
+	idx.depthRuns = csr.Group(int(numDepths), func(add func(int32, int32)) {
+		for p := int32(0); p < n; p++ {
+			add(depthOf(p), p)
+		}
+	})
 	idx.runsSorted = true
 check:
-	for _, run := range idx.depthRuns {
+	for d := int32(0); d < numDepths; d++ {
+		run := idx.depthRuns.Row(d)
 		for i := 1; i < len(run); i++ {
 			if idx.byPre[run[i-1]] >= idx.byPre[run[i]] {
 				idx.runsSorted = false
@@ -167,31 +166,24 @@ check:
 			}
 		}
 	}
-	idx.tagDepth = make([][]depthRun, len(idx.tagPre))
-	for t, ranks := range idx.tagPre {
-		if len(ranks) == 0 {
-			continue
-		}
-		sorted := make([]int32, len(ranks))
-		copy(sorted, ranks)
-		depthOf := func(p int32) int32 { return idx.depth[idx.byPre[p]] }
-		sort.Slice(sorted, func(i, j int) bool {
-			di, dj := depthOf(sorted[i]), depthOf(sorted[j])
-			if di != dj {
-				return di < dj
-			}
-			return sorted[i] < sorted[j]
-		})
-		var runs []depthRun
-		start := 0
-		for i := 1; i <= len(sorted); i++ {
-			if i == len(sorted) || depthOf(sorted[i]) != depthOf(sorted[start]) {
-				runs = append(runs, depthRun{depth: depthOf(sorted[start]), pres: sorted[start:i]})
-				start = i
+	// A tagPre row sorted stably by depth is its runs back to back, since
+	// its ranks ascend; a run ends where the depth changes.
+	ranks := slices.Clone(idx.tagPre.Data)
+	runDepth := csr.Rows[int32]{Off: make([]uint32, 1, idx.tagPre.Len()+1)}
+	runStart := []uint32{0}
+	for t := 0; t < idx.tagPre.Len(); t++ {
+		lo, hi := idx.tagPre.Off[t], idx.tagPre.Off[t+1]
+		slices.SortStableFunc(ranks[lo:hi], func(a, b int32) int { return cmp.Compare(depthOf(a), depthOf(b)) })
+		for i := lo; i < hi; i++ {
+			if i+1 == hi || depthOf(ranks[i+1]) != depthOf(ranks[i]) {
+				runDepth.Data = append(runDepth.Data, depthOf(ranks[i]))
+				runStart = append(runStart, i+1)
 			}
 		}
-		idx.tagDepth[t] = runs
+		runDepth.Off = append(runDepth.Off, uint32(len(runDepth.Data)))
 	}
+	idx.tagRunDepth = runDepth
+	idx.tagRuns = csr.Rows[int32]{Off: runStart, Data: ranks}
 }
 
 // Name implements pathindex.Index.
@@ -239,8 +231,8 @@ func (idx *Index) EachReachable(x int32, fn pathindex.Visit) {
 	}
 	base := idx.depth[x]
 	remaining := idx.size[x]
-	for d := base; remaining > 0 && int(d) < len(idx.depthRuns); d++ {
-		run := idx.depthRuns[d]
+	for d := base; remaining > 0 && int(d) < idx.depthRuns.Len(); d++ {
+		run := idx.depthRuns.Row(d)
 		for _, p := range run[pathindex.SearchGE(run, lo):] {
 			if p >= hi {
 				break
@@ -313,13 +305,13 @@ func (idx *Index) emitInterval(x int32, nodes []int32, fn pathindex.Visit) {
 // binary search and streamed directly, already in ascending (distance,
 // node) order.
 func (idx *Index) EachReachableByTag(x int32, tag lgraph.Tag, fn pathindex.Visit) {
-	if tag < 0 || int(tag) >= len(idx.tagPre) {
+	if tag < 0 || int(tag) >= idx.tagPre.Len() {
 		return
 	}
 	lo := idx.pre[x]
 	hi := lo + idx.size[x]
 	if !idx.runsSorted {
-		ranks := idx.tagPre[tag]
+		ranks := idx.tagPre.Row(tag)
 		base := idx.depth[x]
 		sc := getInterval()
 		for _, p := range ranks[pathindex.SearchGE(ranks, lo):] {
@@ -333,15 +325,17 @@ func (idx *Index) EachReachableByTag(x int32, tag lgraph.Tag, fn pathindex.Visit
 		return
 	}
 	base := idx.depth[x]
-	for _, run := range idx.tagDepth[tag] {
-		if run.depth < base {
+	for r := int32(idx.tagRunDepth.Off[tag]); r < int32(idx.tagRunDepth.Off[tag+1]); r++ {
+		d := idx.tagRunDepth.Data[r]
+		if d < base {
 			continue // a subtree node is at least as deep as its root
 		}
-		for _, p := range run.pres[pathindex.SearchGE(run.pres, lo):] {
+		run := idx.tagRuns.Row(r)
+		for _, p := range run[pathindex.SearchGE(run, lo):] {
 			if p >= hi {
 				break
 			}
-			if !fn(idx.byPre[p], run.depth-base) {
+			if !fn(idx.byPre[p], d-base) {
 				return
 			}
 		}
@@ -442,8 +436,8 @@ func (idx *Index) EncodeStream(sw *storage.SnapshotWriter) {
 	sw.DeltaI32s(idx.postorder())
 	sw.DeltaI32s(idx.depth)
 	sw.DeltaI32s(idx.parent)
-	sw.Uvarint(uint64(len(idx.tagPre)))
-	for _, ranks := range idx.tagPre {
-		sw.DeltaI32s(ranks)
+	sw.Uvarint(uint64(idx.tagPre.Len()))
+	for t := range int32(idx.tagPre.Len()) {
+		sw.DeltaI32s(idx.tagPre.Row(t))
 	}
 }

@@ -39,16 +39,13 @@ func (idx *Index) SectionKind() uint32 { return storage.SectionPPO }
 
 // EncodeSection implements storage.SectionEncoder.
 func (idx *Index) EncodeSection(sw *storage.SnapshotWriter) {
-	n := len(idx.pre)
-	numTags := len(idx.tagPre)
 	flags := uint32(secFlagDerived)
 	if idx.runsSorted {
 		flags |= secFlagRunsSorted
 	}
-	numDepths := len(idx.depthRuns)
-	sw.U32(uint32(n))
-	sw.U32(uint32(numTags))
-	sw.U32(uint32(numDepths))
+	sw.U32(uint32(len(idx.pre)))
+	sw.U32(uint32(idx.tagPre.Len()))
+	sw.U32(uint32(idx.depthRuns.Len()))
 	sw.U32(flags)
 	sw.I32s(idx.pre)
 	sw.I32s(idx.postorder())
@@ -56,70 +53,17 @@ func (idx *Index) EncodeSection(sw *storage.SnapshotWriter) {
 	sw.I32s(idx.parent)
 	sw.I32s(idx.size)
 	sw.I32s(idx.byPre)
-	writeNested32(sw, idx.tagPre)
-	writeNested32(sw, idx.depthRuns)
-	// Flatten tagDepth: a run-count prefix per tag, then the per-run depth
-	// and data-offset tables, then the concatenated pre-rank runs.
-	runs := 0
-	for _, trs := range idx.tagDepth {
-		runs += len(trs)
-	}
-	idxTab := make([]uint32, numTags+1)
-	depthTab := make([]int32, 0, runs)
-	startTab := make([]uint32, 0, runs+1)
-	total := uint32(0)
-	for t, trs := range idx.tagDepth {
-		idxTab[t+1] = idxTab[t] + uint32(len(trs))
-		for _, r := range trs {
-			depthTab = append(depthTab, r.depth)
-			startTab = append(startTab, total)
-			total += uint32(len(r.pres))
-		}
-	}
-	startTab = append(startTab, total)
-	sw.U32(uint32(runs))
-	sw.U32s(idxTab)
-	sw.I32s(depthTab)
-	sw.U32s(startTab)
-	for _, trs := range idx.tagDepth {
-		for _, r := range trs {
-			sw.I32s(r.pres)
-		}
-	}
+	sw.Rows32(idx.tagPre)
+	sw.Rows32(idx.depthRuns)
+	sw.U32(uint32(len(idx.tagRunDepth.Data)))
+	sw.Rows32(idx.tagRunDepth)
+	sw.Rows32(idx.tagRuns)
 }
 
-// writeNested32 writes a [][]int32 as a prefix-offset table plus the
-// concatenated elements.
-func writeNested32(sw *storage.SnapshotWriter, rows [][]int32) {
-	offs := make([]uint32, len(rows)+1)
-	for i, r := range rows {
-		offs[i+1] = offs[i] + uint32(len(r))
-	}
-	sw.U32s(offs)
-	for _, r := range rows {
-		sw.I32s(r)
-	}
-}
-
-// readNested32 reconstructs a [][]int32 of subslice headers over a
-// zero-copy data view; total is the required concatenated length.
-func readNested32(d *storage.SectionData, count, total int) [][]int32 {
-	offs := d.PrefixOffsets(count, uint32(total))
-	data := d.I32s(total)
-	if d.Err() != nil {
-		return nil
-	}
-	rows := make([][]int32, count)
-	for i := range rows {
-		rows[i] = data[offs[i]:offs[i+1]:offs[i+1]]
-	}
-	return rows
-}
-
-// OpenSection reconstructs an Index whose arrays alias the section bytes.
-// Validation is one bounded scan over the fixed arrays (value ranges and
-// prefix-table monotonicity) so that no probe can index out of bounds even
-// on adversarial input; nothing is decoded or rebuilt.
+// OpenSection returns an Index whose arrays, rows included, are views of the
+// section bytes.  Validation is one bounded scan over the fixed arrays
+// (value ranges and prefix-table monotonicity) so that no probe can index
+// out of bounds even on adversarial input; nothing is decoded or rebuilt.
 func OpenSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
 	d := storage.NewSectionData(data)
 	n := int(d.U32())
@@ -150,7 +94,7 @@ func OpenSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
 		byPre:      d.I32s(n),
 		runsSorted: flags&secFlagRunsSorted != 0,
 	}
-	idx.tagPre = readNested32(d, numTags, n)
+	idx.tagPre = d.Rows32(numTags, n)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -169,14 +113,12 @@ func OpenSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
 			return nil, fmt.Errorf("ppo: subtree [%d+%d] out of range", p, sz)
 		}
 	}
-	for _, ranks := range idx.tagPre {
-		for _, p := range ranks {
-			if p < 0 || int(p) >= n {
-				return nil, fmt.Errorf("ppo: tag rank %d out of range", p)
-			}
+	for _, p := range idx.tagPre.Data {
+		if p < 0 || int(p) >= n {
+			return nil, fmt.Errorf("ppo: tag rank %d out of range", p)
 		}
 	}
-	idx.depthRuns = readNested32(d, numDepths, n)
+	idx.depthRuns = d.Rows32(numDepths, n)
 	runs := int(d.U32())
 	if d.Err() != nil {
 		return nil, d.Err()
@@ -184,39 +126,20 @@ func OpenSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
 	if runs > n {
 		return nil, fmt.Errorf("ppo: %d tag runs for %d nodes", runs, n)
 	}
-	runIdx := d.PrefixOffsets(numTags, uint32(runs))
-	depthTab := d.I32s(runs)
-	startTab := d.PrefixOffsets(runs, uint32(n))
-	runData := d.I32s(n)
+	idx.tagRunDepth = d.Rows32(numTags, runs)
+	idx.tagRuns = d.Rows32(runs, n)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	for _, p := range runData {
+	for _, p := range idx.tagRuns.Data {
 		if p < 0 || int(p) >= n {
 			return nil, fmt.Errorf("ppo: tag-run rank %d out of range", p)
 		}
 	}
-	for _, run := range idx.depthRuns {
-		for _, p := range run {
-			if p < 0 || int(p) >= n {
-				return nil, fmt.Errorf("ppo: depth-run rank %d out of range", p)
-			}
+	for _, p := range idx.depthRuns.Data {
+		if p < 0 || int(p) >= n {
+			return nil, fmt.Errorf("ppo: depth-run rank %d out of range", p)
 		}
-	}
-	idx.tagDepth = make([][]depthRun, numTags)
-	for t := 0; t < numTags; t++ {
-		lo, hi := runIdx[t], runIdx[t+1]
-		if lo == hi {
-			continue
-		}
-		trs := make([]depthRun, 0, hi-lo)
-		for r := lo; r < hi; r++ {
-			trs = append(trs, depthRun{
-				depth: depthTab[r],
-				pres:  runData[startTab[r]:startTab[r+1]:startTab[r+1]],
-			})
-		}
-		idx.tagDepth[t] = trs
 	}
 	return idx, nil
 }

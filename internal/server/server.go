@@ -65,9 +65,6 @@ type Config struct {
 	// tracing overhead off most requests while still catching recurring
 	// offenders.  Default 1.
 	SlowQuerySample int
-	// TraceEventLimit caps the raw event list of each request trace
-	// (?trace=1 and slow-query tracing).  Default obs.DefaultEventLimit.
-	TraceEventLimit int
 	// Shard, when non-nil, runs the server as one shard of a
 	// scatter-gather cluster: /v1/shard/eval and /v1/shard/links are
 	// registered, /healthz reports the shard's ring position and
@@ -391,7 +388,7 @@ func (t *nodeTier) Open(ctx context.Context, req front.Request) front.Backend {
 	s := (*Server)(t)
 	b := &session{s: s, g: s.gen.Load(), ctx: ctx, req: req}
 	if req.Trace || s.sampleSlow() {
-		b.trace = obs.NewTrace(s.cfg.TraceEventLimit)
+		b.trace = obs.NewTrace(obs.DefaultEventLimit)
 		b.trace.SetGeneration(b.g.num)
 	}
 	return b

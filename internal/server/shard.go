@@ -99,7 +99,7 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx con
 	var tr *obs.Trace
 	if req.Trace || r.Header.Get(shard.TraceHeader) == "1" {
 		s.tracedEvals.Add(1)
-		tr = obs.NewTrace(s.cfg.TraceEventLimit)
+		tr = obs.NewTrace(obs.DefaultEventLimit)
 		tr.SetGeneration(g.num)
 	}
 	pr, err := g.ix.PartialDescendants(req.Entries, req.Tag, flix.PartialOptions{
@@ -139,9 +139,8 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx con
 }
 
 // handleShardLinks answers GET /v1/shard/links: the topology export the
-// router bootstraps from — the node→meta assignment, the per-meta out-link
-// counts and the decomposition fingerprint.  ?summary=1 omits the bulky
-// per-node arrays.
+// router bootstraps from — the node→meta assignment and the decomposition
+// fingerprint.
 func (s *Server) handleShardLinks(w http.ResponseWriter, r *http.Request) {
 	if code, msg := s.shardGate(); code != 0 {
 		s.front.Refuse(w, code, msg)
@@ -157,10 +156,7 @@ func (s *Server) handleShardLinks(w http.ResponseWriter, r *http.Request) {
 		NumMetas:    g.ix.NumMetaDocuments(),
 		NumNodes:    s.coll.NumNodes(),
 		OwnedMetas:  g.shard.ownedCount,
-	}
-	if !front.BoolParam(r.URL.Query().Get("summary")) {
-		resp.MetaOf = g.ix.MetaAssignment()
-		resp.LinkCounts = g.ix.MetaOutLinkCounts()
+		MetaOf:      g.ix.MetaAssignment(),
 	}
 	front.OK(w, resp)
 }

@@ -19,16 +19,16 @@ type ClientOptions struct {
 	// deadline still applies on top.
 	Timeout time.Duration
 	// Retries is the number of re-attempts after a failed RPC (default 2,
-	// so 3 attempts total).  Network errors, 5xx and 429 retry; other 4xx
-	// fail fast.
+	// so 3 attempts total; negative means none).  Network errors, 5xx and
+	// 429 retry; other 4xx fail fast.
 	Retries int
 	// Backoff is the base delay before the first retry, doubled per
 	// attempt (default 25ms).
 	Backoff time.Duration
-	// MaxIdlePerShard bounds the pooled idle connections per shard
-	// (default 32).
-	MaxIdlePerShard int
 }
+
+// maxIdlePerShard bounds the pooled idle connections per shard.
+const maxIdlePerShard = 32
 
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Timeout <= 0 {
@@ -41,9 +41,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	}
 	if o.Backoff <= 0 {
 		o.Backoff = 25 * time.Millisecond
-	}
-	if o.MaxIdlePerShard <= 0 {
-		o.MaxIdlePerShard = 32
 	}
 	return o
 }
@@ -70,8 +67,8 @@ func NewClient(urls []string, opts ClientOptions) *Client {
 		urls: urls,
 		hc: &http.Client{
 			Transport: &http.Transport{
-				MaxIdleConns:        opts.MaxIdlePerShard * len(urls),
-				MaxIdleConnsPerHost: opts.MaxIdlePerShard,
+				MaxIdleConns:        maxIdlePerShard * len(urls),
+				MaxIdleConnsPerHost: maxIdlePerShard,
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
@@ -122,13 +119,9 @@ func (c *Client) Eval(ctx context.Context, shard int, reqID string, req *EvalReq
 	return &out, nil
 }
 
-// Links fetches a shard's topology view; summary omits the bulky per-node
-// assignment.
-func (c *Client) Links(ctx context.Context, shard int, summary bool) (*LinksResponse, error) {
+// Links fetches a shard's topology view.
+func (c *Client) Links(ctx context.Context, shard int) (*LinksResponse, error) {
 	url := c.urls[shard] + "/v1/shard/links"
-	if summary {
-		url += "?summary=1"
-	}
 	var out LinksResponse
 	err := c.do(ctx, shard, func(ctx context.Context) (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, url, nil)

@@ -317,11 +317,8 @@ type LinksResponse struct {
 	NumNodes int `json:"numNodes"`
 	// OwnedMetas counts the meta documents this shard owns.
 	OwnedMetas int `json:"ownedMetas"`
-	// MetaOf is the node→meta assignment (omitted with ?summary=1).
+	// MetaOf is the node→meta assignment.
 	MetaOf []int32 `json:"metaOf,omitempty"`
-	// LinkCounts is the per-meta runtime out-link count (omitted with
-	// ?summary=1).
-	LinkCounts []int32 `json:"linkCounts,omitempty"`
 }
 
 // The POST /v1/batch wire types belong to the public contract and live in

@@ -47,7 +47,8 @@ type RouterConfig struct {
 	MaxBatch int
 	// ShardTimeout bounds each shard RPC attempt.  Default 10s.
 	ShardTimeout time.Duration
-	// Retries / RetryBackoff tune the shard client.  Defaults 2 / 25ms.
+	// Retries / RetryBackoff tune the shard client.  Defaults 2 / 25ms;
+	// Retries -1 makes one attempt per RPC.
 	Retries      int
 	RetryBackoff time.Duration
 	// ProbeInterval is the health-probe cadence.  Default 1s.
@@ -84,7 +85,6 @@ type topology struct {
 	numMetas    int
 	numNodes    int
 	metaOf      []int32
-	linkCounts  []int32
 	fingerprint string
 	loadedFrom  int
 }
@@ -318,7 +318,7 @@ func (rt *Router) maybeLoadTopology(ctx context.Context) {
 	if from < 0 {
 		return
 	}
-	lr, err := rt.client.Links(ctx, from, false)
+	lr, err := rt.client.Links(ctx, from)
 	if err != nil {
 		if rt.cfg.Logger != nil {
 			rt.cfg.Logger.Printf("topology load from shard %d failed: %v", from, err)
@@ -343,7 +343,6 @@ func (rt *Router) maybeLoadTopology(ctx context.Context) {
 		numMetas:    lr.NumMetas,
 		numNodes:    lr.NumNodes,
 		metaOf:      lr.MetaOf,
-		linkCounts:  lr.LinkCounts,
 		fingerprint: lr.Fingerprint,
 		loadedFrom:  from,
 	})

@@ -37,6 +37,9 @@ package storage
 import (
 	"encoding/binary"
 	"math/bits"
+	"unsafe"
+
+	"repro/internal/csr"
 )
 
 // packedBlockShift sets the block size: 64 values per block makes a
@@ -226,6 +229,13 @@ func (sw *SnapshotWriter) PackedI32s(vals []int32) {
 		sw.Raw(buf[:8*w])
 	}
 	sw.Raw(zeroPad[:])
+}
+
+// PackedRows32 writes int32 rows packed: the offset table, then the values,
+// each with PackedI32s.
+func (sw *SnapshotWriter) PackedRows32(r csr.Rows[int32]) {
+	sw.PackedI32s(unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(r.Off))), len(r.Off)))
+	sw.PackedI32s(r.Data)
 }
 
 // PackedPrefixOffsets consumes a bit-packed prefix table of n+1 offsets —

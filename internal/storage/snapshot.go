@@ -38,6 +38,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/csr"
 )
 
 // SnapshotMagic opens every v2 snapshot file.  It shares the "FLIX" prefix
@@ -248,6 +250,13 @@ func (sw *SnapshotWriter) U32s(s []uint32) {
 		}
 	}
 	sw.write(b[:j])
+}
+
+// Rows32 writes int32 rows as their offset table and then their values, the
+// layout SectionData.Rows32 views.
+func (sw *SnapshotWriter) Rows32(r csr.Rows[int32]) {
+	sw.U32s(r.Off)
+	sw.I32s(r.Data)
 }
 
 // U64s writes a fixed-width little-endian uint64 array.
@@ -663,6 +672,18 @@ func (d *SectionData) PrefixOffsets(n int, end uint32) []uint32 {
 		}
 	}
 	return offs
+}
+
+// Rows32 consumes n int32 rows holding total values, as Rows32 writes them,
+// and returns a view of both arrays; the offset table is validated like
+// PrefixOffsets, so no Row of the view can slice out of bounds.
+func (d *SectionData) Rows32(n, total int) csr.Rows[int32] {
+	off := d.PrefixOffsets(n, uint32(total))
+	data := d.I32s(total)
+	if d.err != nil {
+		return csr.Rows[int32]{}
+	}
+	return csr.Rows[int32]{Off: off, Data: data}
 }
 
 // Cursor decodes a varint run from a byte slice without allocating.  A

@@ -1,9 +1,9 @@
 package tc
 
 // v2 snapshot section codec.  The forward postings are stored as
-// interleaved (node, dist) int32 pairs behind a prefix-offset table, so
-// OpenSection aliases the snapshot bytes directly as []posting rows — the
-// resulting *Index is the heap type and runs the unmodified probe code.
+// interleaved (node, dist) int32 pairs behind a prefix-offset table — the
+// index's own rows — so OpenSection views the snapshot bytes as they are:
+// the resulting *Index is the heap type and runs the unmodified probe code.
 // The reverse postings stay derived data, built lazily on first reverse
 // query exactly as after a heap build.
 //
@@ -26,30 +26,23 @@ func (idx *Index) SectionKind() uint32 { return storage.SectionTC }
 
 // EncodeSection implements storage.SectionEncoder.
 func (idx *Index) EncodeSection(sw *storage.SnapshotWriter) {
-	n := len(idx.fwd)
-	offs := make([]uint32, n+1)
-	for i, row := range idx.fwd {
-		offs[i+1] = offs[i] + uint32(len(row))
-	}
-	sw.U32(uint32(n))
-	sw.U32(offs[n])
-	sw.U32s(offs)
+	sw.U32(uint32(idx.fwd.Len()))
+	sw.U32(uint32(len(idx.fwd.Data)))
+	sw.U32s(idx.fwd.Off)
 	sw.Align(8)
-	for _, row := range idx.fwd {
-		sw.I32s(postingWords(row))
-	}
+	sw.I32s(postingWords(idx.fwd.Data))
 }
 
-// postingWords reinterprets a posting row as its int32 representation;
+// postingWords reinterprets postings as their int32 representation;
 // posting is exactly two int32 fields, so the layouts coincide.
-func postingWords(row []posting) []int32 {
-	if len(row) == 0 {
+func postingWords(ps []posting) []int32 {
+	if len(ps) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&row[0])), len(row)*2)
+	return unsafe.Slice((*int32)(unsafe.Pointer(&ps[0])), len(ps)*2)
 }
 
-// OpenSection reconstructs an Index whose rows alias the section bytes.
+// OpenSection returns an Index whose rows are a view of the section bytes.
 // One scan validates node ranges and per-row ordering (ascending node IDs,
 // the invariant the binary-search probes rely on); nothing is copied.
 func OpenSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
@@ -65,27 +58,24 @@ func OpenSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
 	if int64(total) > int64(n)*int64(n) {
 		return nil, fmt.Errorf("tc: %d postings for %d nodes", total, n)
 	}
-	offs := d.PrefixOffsets(n, uint32(total))
+	idx := &Index{g: g}
+	idx.fwd.Off = d.PrefixOffsets(n, uint32(total))
 	d.Align(8)
 	flat := d.I32s(2 * total)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	var pairs []posting
 	if total > 0 {
-		pairs = unsafe.Slice((*posting)(unsafe.Pointer(&flat[0])), total)
+		idx.fwd.Data = unsafe.Slice((*posting)(unsafe.Pointer(&flat[0])), total)
 	}
-	idx := &Index{g: g, fwd: make([][]posting, n)}
-	for u := 0; u < n; u++ {
-		row := pairs[offs[u]:offs[u+1]:offs[u+1]]
+	for u := int32(0); u < int32(n); u++ {
 		prev := int32(-1)
-		for _, p := range row {
+		for _, p := range idx.fwd.Row(u) {
 			if p.node <= prev || int(p.node) >= n || p.dist < 0 {
 				return nil, fmt.Errorf("tc: row %d corrupt at node %d", u, p.node)
 			}
 			prev = p.node
 		}
-		idx.fwd[u] = row
 	}
 	return idx, nil
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/csr"
 	"repro/internal/lgraph"
 	"repro/internal/pathindex"
 	"repro/internal/storage"
@@ -21,14 +22,14 @@ import (
 type Index struct {
 	g *lgraph.LGraph
 
-	// fwd[u] lists (node, dist) pairs reachable from u, sorted by node;
-	// every node reaches itself at distance 0.
-	fwd [][]posting
-	// rev[v] lists the nodes reaching v; built lazily on first reverse
-	// query and then cached (revOnce keeps that safe for concurrent
-	// queries).
+	// Row u of fwd lists the (node, dist) pairs reachable from u, sorted
+	// by node; every node reaches itself at distance 0.
+	fwd csr.Rows[posting]
+	// Row v of rev lists the nodes reaching v; built lazily on first
+	// reverse query and then cached (revOnce keeps that safe for
+	// concurrent queries).
 	revOnce sync.Once
-	rev     [][]posting
+	rev     csr.Rows[posting]
 }
 
 type posting struct {
@@ -47,30 +48,31 @@ var Strategy = pathindex.Strategy{
 // Build runs one BFS per node.  The cost is output-sensitive: proportional
 // to the number of reachable pairs.
 func Build(g *lgraph.LGraph) *Index {
-	n := g.NumNodes()
-	idx := &Index{g: g, fwd: make([][]posting, n)}
-	for u := int32(0); u < int32(n); u++ {
+	n := int32(g.NumNodes())
+	idx := &Index{g: g, fwd: csr.Rows[posting]{Off: make([]uint32, 1, n+1)}}
+	var row []posting
+	for u := int32(0); u < n; u++ {
 		dist := g.BFSDistances(u, false)
-		var row []posting
-		for v := int32(0); v < int32(n); v++ {
+		row = row[:0]
+		for v := int32(0); v < n; v++ {
 			if dist[v] >= 0 {
 				row = append(row, posting{node: v, dist: dist[v]})
 			}
 		}
-		idx.fwd[u] = row
+		idx.fwd.Append(row...)
 	}
 	return idx
 }
 
-func (idx *Index) reverse() [][]posting {
+func (idx *Index) reverse() csr.Rows[posting] {
 	idx.revOnce.Do(func() {
-		rev := make([][]posting, idx.g.NumNodes())
-		for u := range idx.fwd {
-			for _, p := range idx.fwd[u] {
-				rev[p.node] = append(rev[p.node], posting{node: int32(u), dist: p.dist})
+		idx.rev = csr.Group(idx.g.NumNodes(), func(add func(int32, posting)) {
+			for u := int32(0); u < int32(idx.fwd.Len()); u++ {
+				for _, p := range idx.fwd.Row(u) {
+					add(p.node, posting{node: u, dist: p.dist})
+				}
 			}
-		}
-		idx.rev = rev
+		})
 	})
 	return idx.rev
 }
@@ -82,13 +84,7 @@ func (idx *Index) Name() string { return "tc" }
 func (idx *Index) NumNodes() int { return idx.g.NumNodes() }
 
 // Pairs returns the number of stored (source, target) pairs.
-func (idx *Index) Pairs() int {
-	total := 0
-	for _, row := range idx.fwd {
-		total += len(row)
-	}
-	return total
-}
+func (idx *Index) Pairs() int { return len(idx.fwd.Data) }
 
 func find(row []posting, y int32) (int32, bool) {
 	i := sort.Search(len(row), func(i int) bool { return row[i].node >= y })
@@ -100,33 +96,33 @@ func find(row []posting, y int32) (int32, bool) {
 
 // Reachable implements pathindex.Index by binary search in u's postings.
 func (idx *Index) Reachable(x, y int32) bool {
-	_, ok := find(idx.fwd[x], y)
+	_, ok := find(idx.fwd.Row(x), y)
 	return ok
 }
 
 // Distance implements pathindex.Index.
 func (idx *Index) Distance(x, y int32) (int32, bool) {
-	return find(idx.fwd[x], y)
+	return find(idx.fwd.Row(x), y)
 }
 
 // EachReachable implements pathindex.Index.
 func (idx *Index) EachReachable(x int32, fn pathindex.Visit) {
-	emit(idx.fwd[x], idx.g, lgraph.NoTag, true, fn)
+	emit(idx.fwd.Row(x), idx.g, lgraph.NoTag, true, fn)
 }
 
 // EachReachableByTag implements pathindex.Index.
 func (idx *Index) EachReachableByTag(x int32, tag lgraph.Tag, fn pathindex.Visit) {
-	emit(idx.fwd[x], idx.g, tag, false, fn)
+	emit(idx.fwd.Row(x), idx.g, tag, false, fn)
 }
 
 // EachReaching implements pathindex.Index.
 func (idx *Index) EachReaching(x int32, fn pathindex.Visit) {
-	emit(idx.reverse()[x], idx.g, lgraph.NoTag, true, fn)
+	emit(idx.reverse().Row(x), idx.g, lgraph.NoTag, true, fn)
 }
 
 // EachReachingByTag implements pathindex.Index.
 func (idx *Index) EachReachingByTag(x int32, tag lgraph.Tag, fn pathindex.Visit) {
-	emit(idx.reverse()[x], idx.g, tag, false, fn)
+	emit(idx.reverse().Row(x), idx.g, tag, false, fn)
 }
 
 // emit sorts a postings row by (dist, node) and streams it.
@@ -158,8 +154,9 @@ func emit(row []posting, g *lgraph.LGraph, tag lgraph.Tag, wildcard bool, fn pat
 // form the determinism tests compare; nothing reads it back.
 func (idx *Index) EncodeStream(sw *storage.SnapshotWriter) {
 	sw.StreamHeader("tc")
-	sw.Uvarint(uint64(len(idx.fwd)))
-	for _, row := range idx.fwd {
+	sw.Uvarint(uint64(idx.fwd.Len()))
+	for u := range int32(idx.fwd.Len()) {
+		row := idx.fwd.Row(u)
 		sw.Uvarint(uint64(len(row)))
 		prev := int32(0)
 		for _, p := range row {

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/csr"
 )
 
 // NodeID identifies an element in a Collection.  IDs are dense: a collection
@@ -112,10 +114,10 @@ type Collection struct {
 	docs  []Document
 	links []Link
 
-	// outLinks[n] lists the links leaving node n (index into links).
-	// Built by Freeze.
-	outLinks  [][]int32
-	inLinks   [][]int32
+	// Row n of outLinks lists the links leaving node n (indexes into
+	// links), row n of inLinks those entering it.  Built by Freeze.
+	outLinks  csr.Rows[int32]
+	inLinks   csr.Rows[int32]
 	frozen    bool
 	docByName map[string]DocID
 
@@ -219,7 +221,7 @@ func (c *Collection) EachChild(id NodeID, fn func(NodeID)) {
 
 // OutLinks calls fn for every link edge leaving id.
 func (c *Collection) OutLinks(id NodeID, fn func(Link)) {
-	if c.outLinks == nil {
+	if !c.frozen {
 		for _, l := range c.links {
 			if l.From == id {
 				fn(l)
@@ -227,14 +229,14 @@ func (c *Collection) OutLinks(id NodeID, fn func(Link)) {
 		}
 		return
 	}
-	for _, li := range c.outLinks[id] {
+	for _, li := range c.outLinks.Row(int32(id)) {
 		fn(c.links[li])
 	}
 }
 
 // InLinks calls fn for every link edge entering id.
 func (c *Collection) InLinks(id NodeID, fn func(Link)) {
-	if c.inLinks == nil {
+	if !c.frozen {
 		for _, l := range c.links {
 			if l.To == id {
 				fn(l)
@@ -242,7 +244,7 @@ func (c *Collection) InLinks(id NodeID, fn func(Link)) {
 		}
 		return
 	}
-	for _, li := range c.inLinks[id] {
+	for _, li := range c.inLinks.Row(int32(id)) {
 		fn(c.links[li])
 	}
 }
@@ -281,28 +283,16 @@ func (c *Collection) Freeze() {
 	if c.frozen {
 		return
 	}
-	c.outLinks = make([][]int32, len(c.nodes))
-	c.inLinks = make([][]int32, len(c.nodes))
-	// Two-pass counting to avoid per-node slice growth.
-	outCnt := make([]int32, len(c.nodes))
-	inCnt := make([]int32, len(c.nodes))
-	for _, l := range c.links {
-		outCnt[l.From]++
-		inCnt[l.To]++
-	}
-	outBuf := make([]int32, len(c.links))
-	inBuf := make([]int32, len(c.links))
-	var oOff, iOff int32
-	for n := range c.nodes {
-		c.outLinks[n] = outBuf[oOff : oOff : oOff+outCnt[n]]
-		c.inLinks[n] = inBuf[iOff : iOff : iOff+inCnt[n]]
-		oOff += outCnt[n]
-		iOff += inCnt[n]
-	}
-	for i, l := range c.links {
-		c.outLinks[l.From] = append(c.outLinks[l.From], int32(i))
-		c.inLinks[l.To] = append(c.inLinks[l.To], int32(i))
-	}
+	c.outLinks = csr.Group(len(c.nodes), func(add func(int32, int32)) {
+		for i, l := range c.links {
+			add(int32(l.From), int32(i))
+		}
+	})
+	c.inLinks = csr.Group(len(c.nodes), func(add func(int32, int32)) {
+		for i, l := range c.links {
+			add(int32(l.To), int32(i))
+		}
+	})
 	ids := make(map[string]int32)
 	c.tagIDs = make([]int32, len(c.nodes))
 	var byID [][]NodeID

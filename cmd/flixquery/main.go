@@ -28,6 +28,7 @@ import (
 	"log"
 	"os"
 	"strings"
+	"unicode/utf8"
 
 	flix "repro"
 )
@@ -211,7 +212,15 @@ func runRaw(ctx context.Context, ix *flix.Index, coll *flix.Collection, startDoc
 func snippet(s string) string {
 	s = strings.Join(strings.Fields(s), " ")
 	if len(s) > 40 {
-		s = s[:37] + "..."
+		// A cut inside a rune backs off to the rune's first byte.
+		cut := 37
+		for p := cut; p > cut-utf8.UTFMax; p-- {
+			if utf8.RuneStart(s[p]) {
+				cut = p
+				break
+			}
+		}
+		s = s[:cut] + "..."
 	}
 	if s == "" {
 		return `""`

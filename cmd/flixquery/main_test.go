@@ -47,6 +47,7 @@ func TestSnippet(t *testing.T) {
 		{"hello", `"hello"`},
 		{"  spaced\n\tout  ", `"spaced out"`},
 		{"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", `"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa..."`},
+		{strings.Repeat("x", 36) + "\u00e9yyyy", `"` + strings.Repeat("x", 36) + `..."`},
 	}
 	for _, c := range cases {
 		if got := snippet(c.in); got != c.want {

@@ -143,9 +143,12 @@ type Backend interface {
 // Front is one tier's instance of the shared front.
 type Front struct {
 	coll *xmlgraph.Collection
-	cfg  Config
-	tier Tier
-	sem  chan struct{}
+	// verbatim marks the nodes whose element is written without escaping
+	// or snippet folding.
+	verbatim verbatimSet
+	cfg      Config
+	tier     Tier
+	sem      chan struct{}
 
 	reqSeq atomic.Uint64
 
@@ -168,20 +171,24 @@ type Front struct {
 // its own endpoints with Handle and Admit and then serves the Front itself.
 func New(coll *xmlgraph.Collection, cfg Config, tier Tier) *Front {
 	cfg = cfg.withDefaults()
-	f := &Front{
-		coll:     coll,
-		cfg:      cfg,
-		tier:     tier,
-		sem:      make(chan struct{}, cfg.MaxInFlight),
-		mux:      http.NewServeMux(),
-		requests: make(map[string]*atomic.Int64),
-		latency:  make(map[string]*obs.Histogram),
-	}
+	f := newFront(coll)
+	f.cfg = cfg
+	f.tier = tier
+	f.sem = make(chan struct{}, cfg.MaxInFlight)
+	f.mux = http.NewServeMux()
+	f.requests = make(map[string]*atomic.Int64)
+	f.latency = make(map[string]*obs.Histogram)
 	f.public("/v1/descendants", "descendants", f.descendants)
 	f.public("/v1/connected", "connected", f.connected)
 	f.public("/v1/query", "query", f.query)
 	f.public("/v1/batch", "batch", f.batch)
 	return f
+}
+
+// newFront returns a front that resolves and renders the nodes of coll and
+// serves nothing yet.
+func newFront(coll *xmlgraph.Collection) *Front {
+	return &Front{coll: coll, verbatim: newVerbatimSet(coll)}
 }
 
 // Handle mounts an endpoint that is not admitted: status, metrics, admin.

@@ -55,9 +55,10 @@ const (
 // buffer's spare capacity, so flushing copies nothing unless the document
 // outgrew it.
 type encoder struct {
-	coll *xmlgraph.Collection
-	b    *okBuf
-	buf  []byte
+	coll     *xmlgraph.Collection
+	verbatim verbatimSet
+	b        *okBuf
+	buf      []byte
 	// comma is pending before the next key of the top-level object.
 	comma bool
 	err   error
@@ -106,10 +107,11 @@ func (e *encoder) ints(v []int) {
 	}
 }
 
-// jsonSafe marks the ASCII bytes encoding/json copies into a string as they
-// are with EscapeHTML on (its htmlSafeSet): everything from the space up
-// except the quote, the backslash and <, >, &.
-var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+// jsonSafe marks the bytes encoding/json copies into a string as they are
+// with EscapeHTML on (its htmlSafeSet): the ASCII from the space up except
+// the quote, the backslash and <, >, &.  It spans every byte value so that
+// a test needs no bounds check.
+var jsonSafe = func() (safe [256]bool) {
 	for c := ' '; c < utf8.RuneSelf; c++ {
 		safe[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 	}
@@ -125,11 +127,12 @@ const hexDigits = "0123456789abcdef"
 func appendEscaped[S []byte | string](dst []byte, s S) []byte {
 	start := 0
 	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if jsonSafe[c] {
-				i++
-				continue
-			}
+		c := s[i]
+		if jsonSafe[c] {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
 			dst = append(dst, s[start:i]...)
 			switch c {
 			case '\\', '"':
@@ -173,6 +176,13 @@ func appendEscaped[S []byte | string](dst []byte, s S) []byte {
 func (e *encoder) string(s string) {
 	e.buf = append(e.buf, '"')
 	e.buf = appendEscaped(e.buf, s)
+	e.buf = append(e.buf, '"')
+}
+
+// raw writes s, which needs no escape, as a JSON string.
+func (e *encoder) raw(s string) {
+	e.buf = append(e.buf, '"')
+	e.buf = append(e.buf, s...)
 	e.buf = append(e.buf, '"')
 }
 
@@ -302,6 +312,66 @@ func makeSnippet(buf *snippetBuf, t string) []byte {
 	return buf[:cut+copy(buf[cut:], "...")]
 }
 
+// plainName reports whether s goes into a JSON string as it is: every byte
+// is one jsonSafe copies.
+func plainName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !jsonSafe[s[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// plainText reports whether s is a plain name that is also its own snippet:
+// at most snippetMax bytes, and no space but single ones between words
+// (the only whitespace a plain name can hold is the space).
+func plainText(s string) bool {
+	if len(s) > snippetMax {
+		return false
+	}
+	space := true // a leading space is not in the snippet either
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !jsonSafe[c] || c == ' ' && space {
+			return false
+		}
+		space = c == ' '
+	}
+	return !space || s == ""
+}
+
+// verbatimSet has one bit per node of a collection, set when the node's
+// tag, its document's name and its text go on the wire as they are: the
+// tag and the name are plain names and the text plain text.  Almost every
+// element of a real corpus is such a node, and writing one is three copies.
+type verbatimSet []uint64
+
+// newVerbatimSet evaluates the rule once per tag, once per document and
+// once per text of the frozen collection c.
+func newVerbatimSet(c *xmlgraph.Collection) verbatimSet {
+	tags := make([]bool, len(c.TagNames()))
+	for id, tag := range c.TagNames() {
+		tags[id] = plainName(tag)
+	}
+	v := make(verbatimSet, (c.NumNodes()+63)/64)
+	for d := 0; d < c.NumDocs(); d++ {
+		doc := c.Doc(xmlgraph.DocID(d))
+		if !plainName(doc.Name) {
+			continue
+		}
+		first, last := doc.Nodes()
+		for n := first; n < last; n++ {
+			if tags[c.TagID(n)] && plainText(c.Node(n).Text) {
+				v[n>>6] |= 1 << (n & 63)
+			}
+		}
+	}
+	return v
+}
+
+func (v verbatimSet) has(n xmlgraph.NodeID) bool { return v[n>>6]&(1<<(n&63)) != 0 }
+
 // element writes one result element; a ranked one carries score and
 // pathLen.
 func (e *encoder) element(k *elemKeys, h hit, ranked bool) {
@@ -309,16 +379,27 @@ func (e *encoder) element(k *elemKeys, h hit, ranked bool) {
 	e.buf = append(e.buf, k.open...)
 	e.buf = append(e.buf, k.node...)
 	e.int(int64(h.node))
-	e.buf = append(e.buf, k.tag...)
-	e.string(nd.Tag)
-	e.buf = append(e.buf, k.doc...)
-	e.string(e.coll.Doc(nd.Doc).Name)
-	var sb snippetBuf
-	if text := makeSnippet(&sb, nd.Text); len(text) > 0 {
-		e.buf = append(e.buf, k.text...)
-		e.buf = append(e.buf, '"')
-		e.buf = appendEscaped(e.buf, text)
-		e.buf = append(e.buf, '"')
+	if e.verbatim.has(h.node) {
+		e.buf = append(e.buf, k.tag...)
+		e.raw(nd.Tag)
+		e.buf = append(e.buf, k.doc...)
+		e.raw(e.coll.Doc(nd.Doc).Name)
+		if nd.Text != "" {
+			e.buf = append(e.buf, k.text...)
+			e.raw(nd.Text)
+		}
+	} else {
+		e.buf = append(e.buf, k.tag...)
+		e.string(nd.Tag)
+		e.buf = append(e.buf, k.doc...)
+		e.string(e.coll.Doc(nd.Doc).Name)
+		var sb snippetBuf
+		if text := makeSnippet(&sb, nd.Text); len(text) > 0 {
+			e.buf = append(e.buf, k.text...)
+			e.buf = append(e.buf, '"')
+			e.buf = appendEscaped(e.buf, text)
+			e.buf = append(e.buf, '"')
+		}
 	}
 	e.buf = append(e.buf, k.dist...)
 	e.int(int64(h.dist))
@@ -417,7 +498,7 @@ func (e *encoder) replyTail(timedOut bool) {
 // begin starts a response in b's pooled buffer.
 func (f *Front) begin(b *okBuf) encoder {
 	b.indented.Reset()
-	return encoder{coll: f.coll, b: b, buf: append(b.indented.AvailableBuffer(), '{')}
+	return encoder{coll: f.coll, verbatim: f.verbatim, b: b, buf: append(b.indented.AvailableBuffer(), '{')}
 }
 
 // send closes the top-level object and writes the response in one Write —

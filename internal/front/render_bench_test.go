@@ -27,25 +27,50 @@ func benchShapes(c *xmlgraph.Collection) []shape {
 	}
 }
 
-// BenchmarkRender times hits → wire bytes on the benchmark's corpus, and
+// BenchmarkRender times hits → wire bytes on the benchmark's corpus, and on
+// a hostile collection a hundred elements that all take the escaping path;
 // beside each shape what the frozen reference (wire structs, encoding/json,
 // json.Indent) takes for the same bytes.
 func BenchmarkRender(b *testing.B) {
-	c := renderCollections()["dblp"]
-	f := &Front{coll: c}
+	colls := renderCollections()
+	dblp, hostile := newFront(colls["dblp"]), newFront(colls["linked"])
+	var escaped []hit
+	for _, h := range sampleHits(hostile.coll, rand.New(rand.NewSource(1)), 1000, false) {
+		if !hostile.verbatim.has(h.node) && len(escaped) < 100 {
+			escaped = append(escaped, h)
+		}
+	}
 	w := discardWriter{h: make(http.Header)}
-	for _, s := range benchShapes(c) {
-		b.Run(s.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				renderTo(f, s, w)
-			}
-		})
-		b.Run(s.name+"/reference", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				referenceOK(w, s.reference(c))
-			}
-		})
+	for _, g := range []struct {
+		f      *Front
+		shapes []shape
+	}{
+		{dblp, benchShapes(dblp.coll)},
+		{hostile, []shape{listShape("hostile-100", escaped, false, false, Reply{Has: HasGeneration, Generation: 1})}},
+	} {
+		for _, s := range g.shapes {
+			b.Run(s.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					renderTo(g.f, s, w)
+				}
+			})
+			b.Run(s.name+"/reference", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					referenceOK(w, s.reference(g.f.coll))
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkVerbatimSet times what New spends on the verbatim bits of the
+// benchmark's corpus.
+func BenchmarkVerbatimSet(b *testing.B) {
+	c := renderCollections()["dblp"]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		newVerbatimSet(c)
 	}
 }

@@ -64,15 +64,34 @@ var hostileTexts = func() []string {
 	return texts
 }()
 
+// plainTexts are texts that go on the wire as they are, up to the edges of
+// that rule: none, single spaces, snippetMax bytes, the bytes jsonSafe lets
+// through.
+var plainTexts = []string{
+	"", "plain", "two words", strings.Repeat("word ", 15) + "wordz", strings.Repeat("a", snippetMax),
+	"!#$%'()*+,-./09:;=?@AZ[]^_`az{|}~\x7f",
+}
+
 // hostile rebuilds c tree for tree with every tag, text and document name
-// replaced by a hostile one.
+// replaced by a hostile one — except in every fourth document, which keeps
+// c's names (all plain) and takes plain texts, so that elements written as
+// they are sit among escaped ones.
 func hostile(c *xmlgraph.Collection, rng *rand.Rand) *xmlgraph.Collection {
 	out := xmlgraph.NewCollection()
 	for d := 0; d < c.NumDocs(); d++ {
-		b := out.NewDocument(fmt.Sprint(hostileNames[rng.Intn(len(hostileNames))], d))
+		plain := d%4 == 3
+		name := fmt.Sprint(hostileNames[rng.Intn(len(hostileNames))], d)
+		if plain {
+			name = c.Doc(xmlgraph.DocID(d)).Name
+		}
+		b := out.NewDocument(name)
 		var walk func(n xmlgraph.NodeID)
 		walk = func(n xmlgraph.NodeID) {
-			b.Enter(hostileNames[rng.Intn(len(hostileNames))], hostileTexts[rng.Intn(len(hostileTexts))])
+			if plain {
+				b.Enter(c.Tag(n), plainTexts[rng.Intn(len(plainTexts))])
+			} else {
+				b.Enter(hostileNames[rng.Intn(len(hostileNames))], hostileTexts[rng.Intn(len(hostileTexts))])
+			}
 			c.EachChild(n, walk)
 			b.Leave()
 		}
@@ -141,6 +160,7 @@ var replyShapes = map[string]Reply{
 // and as the value the frozen handlers gave encoding/json.
 type shape struct {
 	name      string
+	hits      []hit // the result elements it writes
 	render    func(f *Front, w http.ResponseWriter, b *okBuf)
 	reference func(c *xmlgraph.Collection) any
 }
@@ -149,6 +169,7 @@ type shape struct {
 func listShape(name string, hits []hit, ranked, timedOut bool, reply Reply) shape {
 	return shape{
 		name: name,
+		hits: hits,
 		render: func(f *Front, w http.ResponseWriter, b *okBuf) {
 			b.hits, b.reply = append(b.hits, hits...), reply
 			f.writeList(w, b, ranked, timedOut)
@@ -161,6 +182,7 @@ func listShape(name string, hits []hit, ranked, timedOut bool, reply Reply) shap
 func batchShape(name string, items []batchItem, hits []hit, completed int, partial, timedOut bool, reply Reply) shape {
 	return shape{
 		name: name,
+		hits: hits,
 		render: func(f *Front, w http.ResponseWriter, b *okBuf) {
 			b.hits, b.items, b.reply = append(b.hits, hits...), append(b.items, items...), reply
 			f.writeBatch(w, b, completed, partial, timedOut)
@@ -235,10 +257,22 @@ func referenceBody(c *xmlgraph.Collection, s shape) *httptest.ResponseRecorder {
 	return rec
 }
 
+// TestRenderMatchesEncodingJSON also counts the elements written as they
+// are and those escaped, so that both ways are held to the reference: the
+// hostile collections take both, the benchmark's corpus all but a few
+// elements verbatim.
 func TestRenderMatchesEncodingJSON(t *testing.T) {
 	for name, c := range renderCollections() {
-		f := &Front{coll: c}
+		f := newFront(c)
+		var verbatim, escaped int
 		for _, s := range renderShapes(c, 1) {
+			for _, h := range s.hits {
+				if f.verbatim.has(h.node) {
+					verbatim++
+				} else {
+					escaped++
+				}
+			}
 			// Twice: the second rendering reuses pooled memory that held
 			// another answer.
 			for round := 0; round < 2; round++ {
@@ -251,6 +285,14 @@ func TestRenderMatchesEncodingJSON(t *testing.T) {
 				}
 			}
 		}
+		t.Logf("%s: %d elements verbatim, %d escaped", name, verbatim, escaped)
+		if name == "dblp" {
+			if verbatim < 99*(verbatim+escaped)/100 {
+				t.Errorf("dblp: %d of %d elements verbatim, want at least 99 %%", verbatim, verbatim+escaped)
+			}
+		} else if verbatim == 0 || escaped == 0 {
+			t.Errorf("%s: %d elements verbatim and %d escaped, want both ways taken", name, verbatim, escaped)
+		}
 	}
 }
 
@@ -259,7 +301,7 @@ func TestRenderMatchesEncodingJSON(t *testing.T) {
 // the same way — headers, no body.
 func TestRenderScoreForms(t *testing.T) {
 	c := renderCollections()["trees"]
-	f := &Front{coll: c}
+	f := newFront(c)
 	for _, score := range append([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}, scoreTable...) {
 		hits := []hit{{node: 1, dist: 2, score: score}}
 		items := []batchItem{{status: BatchOK, n: 1, ranked: true}}
@@ -283,7 +325,7 @@ func TestRenderScoreForms(t *testing.T) {
 // in.
 func TestRenderDecodesIntoWireStructs(t *testing.T) {
 	for name, c := range renderCollections() {
-		f := &Front{coll: c}
+		f := newFront(c)
 		for _, s := range renderShapes(c, 2) {
 			body := renderBody(f, s).Body.Bytes()
 			switch want := s.reference(c).(type) {
@@ -368,7 +410,7 @@ func validElement(el *Element) {
 // shared pools each get the body of a single-threaded rendering.
 func TestRenderConcurrent(t *testing.T) {
 	c := renderCollections()["linked"]
-	f := &Front{coll: c}
+	f := newFront(c)
 	shapes := renderShapes(c, 3)
 	want := make([][]byte, len(shapes))
 	for i, s := range shapes {
@@ -494,6 +536,30 @@ func FuzzSnippet(f *testing.F) {
 		if got != old && !(strings.HasSuffix(got, "...") && len(old)-len(got) < utf8.UTFMax &&
 			strings.HasPrefix(old, strings.TrimSuffix(got, "..."))) {
 			t.Fatalf("text %q: snippet %q, frozen %q", s, got, old)
+		}
+	})
+}
+
+// FuzzVerbatim: what the verbatim bit lets through is left as it is by the
+// snippet and by the escaping it skips.
+func FuzzVerbatim(f *testing.F) {
+	// Beside the hostile strings, texts that miss the rule by one byte.
+	nearMisses := []string{" lead", "trail ", "two  spaces", "tab\tin", strings.Repeat("a", snippetMax+1)}
+	for _, seeds := range [][]string{hostileTexts, hostileNames, nearMisses} {
+		for _, s := range seeds {
+			f.Add(s)
+		}
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		escaped := string(appendEscaped(nil, s))
+		if plainName(s) && escaped != s {
+			t.Errorf("plain name %q: escaped %q", s, escaped)
+		}
+		if plainText(s) {
+			var buf snippetBuf
+			if snippet := string(makeSnippet(&buf, s)); snippet != s || escaped != s {
+				t.Errorf("plain text %q: snippet %q, escaped %q", s, snippet, escaped)
+			}
 		}
 	})
 }

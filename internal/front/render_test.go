@@ -135,7 +135,7 @@ func TestOKAllocBudget(t *testing.T) {
 	}
 	const budget = 16
 	c := renderCollections()["dblp"]
-	f := &Front{coll: c}
+	f := newFront(c)
 	w := discardWriter{h: make(http.Header)}
 	for _, s := range benchShapes(c) {
 		// TotalAlloc is process-wide, and a collection empties the pool:

@@ -184,7 +184,7 @@ func runRanked(ctx context.Context, ix *flix.Index, coll *flix.Collection, expr,
 	}
 	for i, m := range matches {
 		fmt.Printf("%3d. %.3f  <%s>  %s  (doc %s, path length %d)\n",
-			i+1, m.Score, coll.Tag(m.Node), snippet(coll.Node(m.Node).Text),
+			i+1, m.Score, coll.Tag(m.Node), snippet(coll.Text(m.Node)),
 			coll.Doc(coll.DocOf(m.Node)).Name, m.PathLen)
 	}
 }
@@ -200,7 +200,7 @@ func runRaw(ctx context.Context, ix *flix.Index, coll *flix.Collection, startDoc
 	ix.Descendants(start, tag, opts, func(r flix.Result) bool {
 		i++
 		fmt.Printf("%3d. dist=%-4d <%s>  %s  (doc %s)\n",
-			i, r.Dist, coll.Tag(r.Node), snippet(coll.Node(r.Node).Text),
+			i, r.Dist, coll.Tag(r.Node), snippet(coll.Text(r.Node)),
 			coll.Doc(coll.DocOf(r.Node)).Name)
 		return true
 	})

@@ -82,13 +82,12 @@ func main() {
 			return
 		}
 		for _, m := range matches {
-			n := coll.Node(m.Node)
-			text := n.Text
+			text := coll.Text(m.Node)
 			if text == "" {
 				// actor elements of matrix.xml keep the name in a child.
 				coll.EachChild(m.Node, func(c flix.NodeID) {
 					if text == "" {
-						text = coll.Node(c).Text
+						text = coll.Text(c)
 					}
 				})
 			}

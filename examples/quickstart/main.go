@@ -53,7 +53,7 @@ func main() {
 	// including the one in the linked document — in ascending distance.
 	fmt.Println("\nbib//title:")
 	ix.Descendants(bibRoot, "title", flix.Options{}, func(r flix.Result) bool {
-		fmt.Printf("  %-40q dist=%d\n", coll.Node(r.Node).Text, r.Dist)
+		fmt.Printf("  %-40q dist=%d\n", coll.Text(r.Node), r.Dist)
 		return true
 	})
 

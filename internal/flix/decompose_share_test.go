@@ -269,8 +269,9 @@ func TestDecompositionKeptAcrossFailure(t *testing.T) {
 // collection, a cycle the collector must be able to drop as a whole once
 // nothing else refers to either.  A finalizer on the collection itself would
 // never run — the runtime keeps what a finalizable object refers to alive,
-// and the cycle leads back to it — so the witness is the element array,
-// which only the collection refers to and which refers to nothing.
+// and the cycle leads back to it — so the witness is the tag dictionary's
+// array, which only the collection refers to and which refers to nothing
+// but strings.
 func TestCollectionCollectedWithDecomposition(t *testing.T) {
 	collected := make(chan struct{})
 	func() {
@@ -282,7 +283,7 @@ func TestCollectionCollectedWithDecomposition(t *testing.T) {
 		if keptSet(c) != ix.set || ix.set.Coll != c {
 			t.Fatal("no cycle to collect: the collection keeps no decomposition pointing back at it")
 		}
-		runtime.SetFinalizer(c.Node(0), func(*xmlgraph.Node) { close(collected) })
+		runtime.SetFinalizer(&c.TagNames()[0], func(*string) { close(collected) })
 	}()
 	deadline := time.After(10 * time.Second)
 	for {

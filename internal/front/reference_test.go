@@ -25,7 +25,7 @@ func referenceElement(c *xmlgraph.Collection, n xmlgraph.NodeID, dist int32) Ele
 		Node: n,
 		Tag:  c.Tag(n),
 		Doc:  c.Doc(c.DocOf(n)).Name,
-		Text: ruleSnippet(c.Node(n).Text),
+		Text: ruleSnippet(c.Text(n)),
 		Dist: dist,
 	}
 }

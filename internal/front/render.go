@@ -348,11 +348,15 @@ func plainText(s string) bool {
 type verbatimSet []uint64
 
 // newVerbatimSet evaluates the rule once per tag, once per document and
-// once per text of the frozen collection c.
+// once per distinct text of the frozen collection c.
 func newVerbatimSet(c *xmlgraph.Collection) verbatimSet {
 	tags := make([]bool, len(c.TagNames()))
 	for id, tag := range c.TagNames() {
 		tags[id] = plainName(tag)
+	}
+	texts := make([]bool, len(c.Texts()))
+	for id, text := range c.Texts() {
+		texts[id] = plainText(text)
 	}
 	v := make(verbatimSet, (c.NumNodes()+63)/64)
 	for d := 0; d < c.NumDocs(); d++ {
@@ -362,7 +366,7 @@ func newVerbatimSet(c *xmlgraph.Collection) verbatimSet {
 		}
 		first, last := doc.Nodes()
 		for n := first; n < last; n++ {
-			if tags[c.TagID(n)] && plainText(c.Node(n).Text) {
+			if tags[c.TagID(n)] && texts[c.TextID(n)] {
 				v[n>>6] |= 1 << (n & 63)
 			}
 		}
@@ -375,29 +379,30 @@ func (v verbatimSet) has(n xmlgraph.NodeID) bool { return v[n>>6]&(1<<(n&63)) !=
 // element writes one result element; a ranked one carries score and
 // pathLen.
 func (e *encoder) element(k *elemKeys, h hit, ranked bool) {
-	nd := e.coll.Node(h.node)
+	c := e.coll
+	tag, name, text := c.Tag(h.node), c.Doc(c.DocOf(h.node)).Name, c.Text(h.node)
 	e.buf = append(e.buf, k.open...)
 	e.buf = append(e.buf, k.node...)
 	e.int(int64(h.node))
 	if e.verbatim.has(h.node) {
 		e.buf = append(e.buf, k.tag...)
-		e.raw(nd.Tag)
+		e.raw(tag)
 		e.buf = append(e.buf, k.doc...)
-		e.raw(e.coll.Doc(nd.Doc).Name)
-		if nd.Text != "" {
+		e.raw(name)
+		if text != "" {
 			e.buf = append(e.buf, k.text...)
-			e.raw(nd.Text)
+			e.raw(text)
 		}
 	} else {
 		e.buf = append(e.buf, k.tag...)
-		e.string(nd.Tag)
+		e.string(tag)
 		e.buf = append(e.buf, k.doc...)
-		e.string(e.coll.Doc(nd.Doc).Name)
+		e.string(name)
 		var sb snippetBuf
-		if text := makeSnippet(&sb, nd.Text); len(text) > 0 {
+		if snip := makeSnippet(&sb, text); len(snip) > 0 {
 			e.buf = append(e.buf, k.text...)
 			e.buf = append(e.buf, '"')
-			e.buf = appendEscaped(e.buf, text)
+			e.buf = appendEscaped(e.buf, snip)
 			e.buf = append(e.buf, '"')
 		}
 	}

@@ -268,7 +268,7 @@ func (e *Evaluator) anchorEach(s Step, fn func(n xmlgraph.NodeID, score float64)
 	p := newPred(s)
 	add := func(n xmlgraph.NodeID, score float64, test pred) {
 		// Without a test left, the element's text is not even loaded.
-		if test.op == PredNone || test.matches(coll.Node(n).Text) {
+		if test.op == PredNone || test.matches(coll.Text(n)) {
 			fn(n, score)
 		}
 	}
@@ -308,7 +308,7 @@ func (e *Evaluator) advance(frontier map[xmlgraph.NodeID]Match, s Step) map[xmlg
 	p := newPred(s)
 	next := make(map[xmlgraph.NodeID]Match)
 	add := func(n xmlgraph.NodeID, score float64, pathLen int32) {
-		if score < e.minScore() || !p.matches(coll.Node(n).Text) {
+		if score < e.minScore() || !p.matches(coll.Text(n)) {
 			return
 		}
 		// Per node, the winner is the maximum score with ties broken by the

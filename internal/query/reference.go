@@ -66,10 +66,10 @@ func (e *Evaluator) referenceMatchesPred(s Step, n xmlgraph.NodeID) bool {
 	case PredNone:
 		return true
 	case PredEq:
-		return e.Index.Collection().Node(n).Text == s.Value
+		return e.Index.Collection().Text(n) == s.Value
 	case PredContains:
 		return strings.Contains(
-			strings.ToLower(e.Index.Collection().Node(n).Text),
+			strings.ToLower(e.Index.Collection().Text(n)),
 			strings.ToLower(s.Value))
 	default:
 		return false

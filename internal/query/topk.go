@@ -513,7 +513,7 @@ func (e *Evaluator) EvaluateTopK(q *Query, k int) []Match {
 		// The minScore filter mirrors advance's: maxDistFor truncates to
 		// whole edges, so a candidate at the boundary distance can still
 		// decay just below MinScore.
-		if cand.Score < minScore || !lastPred.matches(coll.Node(cand.Node).Text) {
+		if cand.Score < minScore || !lastPred.matches(coll.Text(cand.Node)) {
 			continue
 		}
 		ts.topk.consider(cand, k)

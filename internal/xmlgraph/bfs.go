@@ -11,7 +11,7 @@ import "sort"
 // link edges alike) from start to every node, or -1 where unreachable.
 // start itself has distance 0.
 func (c *Collection) BFSDistances(start NodeID) []int32 {
-	dist := make([]int32, len(c.nodes))
+	dist := make([]int32, c.NumNodes())
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -96,9 +96,10 @@ func (c *Collection) Descendants(start NodeID) []NodeID {
 // a//b evaluation.
 func (c *Collection) DescendantsByTag(start NodeID, tag string) []NodeDist {
 	dist := c.BFSDistances(start)
+	want := c.TagIDOf(tag)
 	var out []NodeDist
 	for n := range dist {
-		if dist[n] > 0 && c.nodes[n].Tag == tag {
+		if dist[n] > 0 && c.tagIDs[n] == want {
 			out = append(out, NodeDist{Node: NodeID(n), Dist: dist[n]})
 		}
 	}

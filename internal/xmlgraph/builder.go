@@ -15,8 +15,16 @@ import "fmt"
 type DocumentBuilder struct {
 	c     *Collection
 	doc   DocID
-	stack []NodeID
+	stack []open
 	done  bool
+}
+
+// open is an element between Enter and Leave: its last child so far
+// (InvalidNode for none), which only the builder needs, and its text so
+// far, interned when the element is left.
+type open struct {
+	id, lastChild NodeID
+	text          string
 }
 
 // NewDocument starts a new document with the given unique name.  Panics if
@@ -32,8 +40,8 @@ func (c *Collection) NewDocument(name string) *DocumentBuilder {
 	c.docs = append(c.docs, Document{
 		Name:  name,
 		Root:  InvalidNode,
-		first: NodeID(len(c.nodes)),
-		last:  NodeID(len(c.nodes)),
+		first: NodeID(c.NumNodes()),
+		last:  NodeID(c.NumNodes()),
 	})
 	c.docByName[name] = id
 	return &DocumentBuilder{c: c, doc: id}
@@ -45,35 +53,34 @@ func (b *DocumentBuilder) Enter(tag, text string) NodeID {
 	if b.done {
 		panic("xmlgraph: Enter after Close")
 	}
-	id := NodeID(len(b.c.nodes))
+	c := b.c
+	id := NodeID(c.NumNodes())
 	parent := InvalidNode
 	if len(b.stack) > 0 {
-		parent = b.stack[len(b.stack)-1]
-	} else if b.c.docs[b.doc].Root != InvalidNode {
-		panic("xmlgraph: second root element in document " + b.c.docs[b.doc].Name)
-	}
-	b.c.nodes = append(b.c.nodes, Node{
-		Tag:         tag,
-		Text:        text,
-		Doc:         b.doc,
-		Parent:      parent,
-		firstChild:  InvalidNode,
-		lastChild:   InvalidNode,
-		nextSibling: InvalidNode,
-	})
-	if parent == InvalidNode {
-		b.c.docs[b.doc].Root = id
-	} else {
-		p := &b.c.nodes[parent]
-		if p.firstChild == InvalidNode {
-			p.firstChild = id
-		} else {
-			b.c.nodes[p.lastChild].nextSibling = id
+		top := &b.stack[len(b.stack)-1]
+		parent = top.id
+		if top.lastChild != InvalidNode {
+			c.nextSibling[top.lastChild] = id
 		}
-		p.lastChild = id
+		top.lastChild = id
+	} else if c.docs[b.doc].Root != InvalidNode {
+		panic("xmlgraph: second root element in document " + c.docs[b.doc].Name)
+	} else {
+		c.docs[b.doc].Root = id
 	}
-	b.stack = append(b.stack, id)
-	b.c.docs[b.doc].last = NodeID(len(b.c.nodes))
+	tagID, ok := c.tagIndex[tag]
+	if !ok {
+		tagID = int32(len(c.tagNames))
+		c.tagIndex[tag] = tagID
+		c.tagNames = append(c.tagNames, tag)
+	}
+	c.tagIDs = append(c.tagIDs, tagID)
+	c.textIDs = append(c.textIDs, 0)
+	c.docOf = append(c.docOf, b.doc)
+	c.parent = append(c.parent, parent)
+	c.nextSibling = append(c.nextSibling, InvalidNode)
+	b.stack = append(b.stack, open{id: id, lastChild: InvalidNode, text: text})
+	c.docs[b.doc].last = id + 1
 	return id
 }
 
@@ -82,7 +89,10 @@ func (b *DocumentBuilder) SetXMLID(id string) {
 	if len(b.stack) == 0 {
 		panic("xmlgraph: SetXMLID outside element")
 	}
-	b.c.nodes[b.stack[len(b.stack)-1]].XMLID = id
+	if b.c.xmlIDs == nil {
+		b.c.xmlIDs = make(map[NodeID]string)
+	}
+	b.c.xmlIDs[b.stack[len(b.stack)-1].id] = id
 }
 
 // AppendText appends character data to the current element's text.
@@ -90,7 +100,7 @@ func (b *DocumentBuilder) AppendText(s string) {
 	if len(b.stack) == 0 {
 		panic("xmlgraph: AppendText outside element")
 	}
-	b.c.nodes[b.stack[len(b.stack)-1]].Text += s
+	b.stack[len(b.stack)-1].text += s
 }
 
 // Current returns the element currently open, or InvalidNode.
@@ -98,15 +108,24 @@ func (b *DocumentBuilder) Current() NodeID {
 	if len(b.stack) == 0 {
 		return InvalidNode
 	}
-	return b.stack[len(b.stack)-1]
+	return b.stack[len(b.stack)-1].id
 }
 
-// Leave closes the current element.
+// Leave closes the current element and interns its text.
 func (b *DocumentBuilder) Leave() {
 	if len(b.stack) == 0 {
 		panic("xmlgraph: Leave without matching Enter")
 	}
+	top := b.stack[len(b.stack)-1]
 	b.stack = b.stack[:len(b.stack)-1]
+	c := b.c
+	textID, ok := c.textIndex[top.text]
+	if !ok {
+		textID = int32(len(c.texts))
+		c.textIndex[top.text] = textID
+		c.texts = append(c.texts, top.text)
+	}
+	c.textIDs[top.id] = textID
 }
 
 // Close finishes the document.  Panics if elements are still open or the

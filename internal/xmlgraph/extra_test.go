@@ -56,8 +56,8 @@ func TestBuilderAccessors(t *testing.T) {
 	if !c.Frozen() {
 		t.Error("Frozen after Freeze")
 	}
-	if c.Node(root).Text != "hello world" {
-		t.Errorf("text = %q", c.Node(root).Text)
+	if c.Text(root) != "hello world" {
+		t.Errorf("text = %q", c.Text(root))
 	}
 	mustPanic(t, "SetXMLID outside element", func() {
 		c2 := NewCollection()

@@ -14,7 +14,7 @@ package xmlgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/csr"
@@ -68,27 +68,6 @@ type Link struct {
 	Kind EdgeKind
 }
 
-// Node is one XML element.  The zero value is not a valid node; nodes are
-// created through Collection.AddDocument / DocumentBuilder.
-type Node struct {
-	// Tag is the element name (e.g. "article", "author").
-	Tag string
-	// Text is the concatenated character data directly below the element.
-	// The path indexes ignore it; content predicates read it, through the
-	// collection's per-tag text dictionary (TextDict) where they can.
-	Text string
-	// Doc is the document the element belongs to.
-	Doc DocID
-	// Parent is the parent element, or InvalidNode for a document root.
-	Parent NodeID
-	// XMLID is the value of the element's xml:id (or DTD ID) attribute,
-	// empty if none.  Unique within a document.
-	XMLID string
-	// firstChild/lastChild/nextSibling encode the tree structure without
-	// per-node slices; children are iterated through Collection.Children.
-	firstChild, lastChild, nextSibling NodeID
-}
-
 // Document is one XML document of a collection.
 type Document struct {
 	// Name is the document identifier (usually its file name or a
@@ -110,7 +89,33 @@ func (d *Document) Nodes() (first, last NodeID) { return d.first, d.last }
 // Collection is a set of interlinked XML documents, i.e. the graph G_X.
 // A Collection is immutable after Freeze and safe for concurrent reads.
 type Collection struct {
-	nodes []Node
+	// The elements are columns with one entry per element, indexed by
+	// NodeID, and hold no pointer: tagIDs[n] indexes tagNames and
+	// textIDs[n] texts; parent and nextSibling encode the tree,
+	// InvalidNode where there is none.  Elements are numbered in
+	// depth-first order, so an element's first child, if it has one, is
+	// the element after it.
+	tagIDs      []int32
+	textIDs     []int32
+	docOf       []DocID
+	parent      []NodeID
+	nextSibling []NodeID
+
+	// tagNames holds each distinct element name once, IDs in order of first
+	// appearance, and tagIndex maps a name to its ID: Enter interns, so
+	// consumers flattening the collection (meta.Build) work on small
+	// integers and nothing hashes every element's name again.
+	tagNames []string
+	tagIndex map[string]int32
+	// texts holds each distinct element text once, texts[0] the empty one.
+	// textIndex maps a text to its ID while documents are built; Freeze
+	// drops it.
+	texts     []string
+	textIndex map[string]int32
+	// xmlIDs holds the xml:id of the elements that have one; nil while
+	// none does.
+	xmlIDs map[NodeID]string
+
 	docs  []Document
 	links []Link
 
@@ -121,15 +126,10 @@ type Collection struct {
 	frozen    bool
 	docByName map[string]DocID
 
-	// byTag caches NodesByTag per tag.  Built by Freeze so queries against
-	// a frozen collection answer tag lookups without scanning all nodes.
-	byTag map[string][]NodeID
-	// tagIDs[n] is the dictionary ID of node n's element name and
-	// tagNames[id] the name, IDs in order of first appearance.  Built by
-	// Freeze, so that consumers flattening the collection (meta.Build) work
-	// on small integers instead of hashing every element's name again.
-	tagIDs   []int32
-	tagNames []string
+	// Row id of byTag lists the elements named tagNames[id], ascending.
+	// Built by Freeze so queries against a frozen collection answer tag
+	// lookups without scanning all nodes.
+	byTag csr.Rows[NodeID]
 
 	// textDicts holds the text dictionaries built so far (tag → *TextDict);
 	// textBuild serialises building them.  See TextDict.
@@ -143,11 +143,16 @@ type Collection struct {
 
 // NewCollection returns an empty collection.
 func NewCollection() *Collection {
-	return &Collection{docByName: make(map[string]DocID)}
+	return &Collection{
+		docByName: make(map[string]DocID),
+		tagIndex:  make(map[string]int32),
+		texts:     []string{""},
+		textIndex: map[string]int32{"": 0},
+	}
 }
 
 // NumNodes returns the number of elements in the collection.
-func (c *Collection) NumNodes() int { return len(c.nodes) }
+func (c *Collection) NumNodes() int { return len(c.tagIDs) }
 
 // NumDocs returns the number of documents in the collection.
 func (c *Collection) NumDocs() int { return len(c.docs) }
@@ -159,19 +164,12 @@ func (c *Collection) NumLinks() int { return len(c.links) }
 func (c *Collection) NumEdges() int {
 	// Every node except each document root has exactly one incoming tree
 	// edge.
-	return len(c.nodes) - len(c.docs) + len(c.links)
-}
-
-// Node returns the element with the given ID.  The returned pointer stays
-// valid for the lifetime of the collection; callers must not mutate it after
-// Freeze.
-func (c *Collection) Node(id NodeID) *Node {
-	return &c.nodes[id]
+	return c.NumNodes() - len(c.docs) + len(c.links)
 }
 
 // Valid reports whether id is a node of this collection.
 func (c *Collection) Valid(id NodeID) bool {
-	return id >= 0 && int(id) < len(c.nodes)
+	return id >= 0 && int(id) < c.NumNodes()
 }
 
 // Doc returns the document with the given ID.
@@ -189,24 +187,46 @@ func (c *Collection) DocByName(name string) (DocID, bool) {
 // the returned slice.
 func (c *Collection) Links() []Link { return c.links }
 
-// Tag returns the element name of node id.
-func (c *Collection) Tag(id NodeID) string { return c.nodes[id].Tag }
+// Tag returns the element name of node id (e.g. "article", "author").
+func (c *Collection) Tag(id NodeID) string { return c.tagNames[c.tagIDs[id]] }
 
 // TagID returns the dictionary ID of node id's element name: an index into
-// TagNames.  Only a frozen collection has the dictionary.
+// TagNames.
 func (c *Collection) TagID(id NodeID) int32 { return c.tagIDs[id] }
 
-// TagNames returns the distinct element names of a frozen collection in
-// order of first appearance.  Callers must not mutate the returned slice.
+// TagNames returns the distinct element names in order of first appearance.
+// Callers must not mutate the returned slice.
 func (c *Collection) TagNames() []string { return c.tagNames }
 
+// Text returns the character data directly below node id, concatenated
+// around its children, once the element has been left.  The path indexes
+// ignore it; content predicates read it, through the collection's per-tag
+// text dictionary (TextDict) where they can.
+func (c *Collection) Text(id NodeID) string { return c.texts[c.textIDs[id]] }
+
+// TextID returns the dictionary ID of node id's text: an index into Texts.
+// Elements with equal texts share one ID, and ID 0 is the empty text.
+func (c *Collection) TextID(id NodeID) int32 { return c.textIDs[id] }
+
+// Texts returns the distinct element texts, the empty one first.  Callers
+// must not mutate the returned slice.
+func (c *Collection) Texts() []string { return c.texts }
+
 // Parent returns the parent of id, or InvalidNode for document roots.
-func (c *Collection) Parent(id NodeID) NodeID { return c.nodes[id].Parent }
+func (c *Collection) Parent(id NodeID) NodeID { return c.parent[id] }
+
+// firstChild returns the first child of id, or InvalidNode for a leaf.
+func (c *Collection) firstChild(id NodeID) NodeID {
+	if ch := id + 1; int(ch) < c.NumNodes() && c.parent[ch] == id {
+		return ch
+	}
+	return InvalidNode
+}
 
 // Children appends the children of id to dst and returns it, in document
 // order.
 func (c *Collection) Children(id NodeID, dst []NodeID) []NodeID {
-	for ch := c.nodes[id].firstChild; ch != InvalidNode; ch = c.nodes[ch].nextSibling {
+	for ch := c.firstChild(id); ch != InvalidNode; ch = c.nextSibling[ch] {
 		dst = append(dst, ch)
 	}
 	return dst
@@ -214,7 +234,7 @@ func (c *Collection) Children(id NodeID, dst []NodeID) []NodeID {
 
 // EachChild calls fn for every child of id in document order.
 func (c *Collection) EachChild(id NodeID, fn func(NodeID)) {
-	for ch := c.nodes[id].firstChild; ch != InvalidNode; ch = c.nodes[ch].nextSibling {
+	for ch := c.firstChild(id); ch != InvalidNode; ch = c.nextSibling[ch] {
 		fn(ch)
 	}
 }
@@ -259,7 +279,7 @@ func (c *Collection) EachSuccessor(id NodeID, fn func(NodeID)) {
 // EachPredecessor calls fn for every direct predecessor of id in G_X: the
 // element's parent (if any) followed by the sources of incoming links.
 func (c *Collection) EachPredecessor(id NodeID, fn func(NodeID)) {
-	if p := c.nodes[id].Parent; p != InvalidNode {
+	if p := c.parent[id]; p != InvalidNode {
 		fn(p)
 	}
 	c.InLinks(id, func(l Link) { fn(l.From) })
@@ -277,41 +297,30 @@ func (c *Collection) AddLink(from, to NodeID, kind EdgeKind) {
 	c.links = append(c.links, Link{From: from, To: to, Kind: kind})
 }
 
-// Freeze finalizes the collection: it builds the per-node link adjacency and
-// marks the collection immutable.  Freeze is idempotent.
+// Freeze finalizes the collection: it builds the per-node link adjacency
+// and the per-tag node lists, drops the build-time text index and marks the
+// collection immutable.  Freeze is idempotent.
 func (c *Collection) Freeze() {
 	if c.frozen {
 		return
 	}
-	c.outLinks = csr.Group(len(c.nodes), func(add func(int32, int32)) {
+	n := c.NumNodes()
+	c.outLinks = csr.Group(n, func(add func(int32, int32)) {
 		for i, l := range c.links {
 			add(int32(l.From), int32(i))
 		}
 	})
-	c.inLinks = csr.Group(len(c.nodes), func(add func(int32, int32)) {
+	c.inLinks = csr.Group(n, func(add func(int32, int32)) {
 		for i, l := range c.links {
 			add(int32(l.To), int32(i))
 		}
 	})
-	ids := make(map[string]int32)
-	c.tagIDs = make([]int32, len(c.nodes))
-	var byID [][]NodeID
-	for i := range c.nodes {
-		tag := c.nodes[i].Tag
-		id, ok := ids[tag]
-		if !ok {
-			id = int32(len(c.tagNames))
-			ids[tag] = id
-			c.tagNames = append(c.tagNames, tag)
-			byID = append(byID, nil)
+	c.byTag = csr.Group(len(c.tagNames), func(add func(int32, NodeID)) {
+		for i, id := range c.tagIDs {
+			add(id, NodeID(i))
 		}
-		c.tagIDs[i] = id
-		byID[id] = append(byID[id], NodeID(i))
-	}
-	c.byTag = make(map[string][]NodeID, len(byID))
-	for id, tag := range c.tagNames {
-		c.byTag[tag] = byID[id]
-	}
+	})
+	c.textIndex = nil
 	c.frozen = true
 }
 
@@ -330,11 +339,10 @@ func (c *Collection) UpdateDerived(fn func(cur any) any) {
 }
 
 // TagIDOf returns the dictionary ID of an element name — the value TagID
-// reports for the elements carrying it — or -1 when no element of the frozen
-// collection does.
+// reports for the elements carrying it — or -1 when no element does.
 func (c *Collection) TagIDOf(tag string) int32 {
-	if nodes := c.byTag[tag]; len(nodes) > 0 {
-		return c.tagIDs[nodes[0]]
+	if id, ok := c.tagIndex[tag]; ok {
+		return id
 	}
 	return -1
 }
@@ -343,19 +351,23 @@ func (c *Collection) TagIDOf(tag string) int32 {
 func (c *Collection) Frozen() bool { return c.frozen }
 
 // DocOf returns the document containing node id.
-func (c *Collection) DocOf(id NodeID) DocID { return c.nodes[id].Doc }
+func (c *Collection) DocOf(id NodeID) DocID { return c.docOf[id] }
 
 // NodesByTag returns all node IDs with the given tag, in ascending order.
 // On a frozen collection the result is the cached lookup slice — callers
 // must not modify it.
 func (c *Collection) NodesByTag(tag string) []NodeID {
+	id := c.TagIDOf(tag)
+	if id < 0 {
+		return nil
+	}
 	if c.frozen {
-		return c.byTag[tag]
+		return c.byTag.Row(id)
 	}
 	var out []NodeID
-	for i := range c.nodes {
-		if c.nodes[i].Tag == tag {
-			out = append(out, NodeID(i))
+	for n, t := range c.tagIDs {
+		if t == id {
+			out = append(out, NodeID(n))
 		}
 	}
 	return out
@@ -363,24 +375,21 @@ func (c *Collection) NodesByTag(tag string) []NodeID {
 
 // Tags returns the set of distinct element names in the collection, sorted.
 func (c *Collection) Tags() []string {
-	seen := make(map[string]struct{})
-	for i := range c.nodes {
-		seen[c.nodes[i].Tag] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
+	out := slices.Clone(c.tagNames)
+	slices.Sort(out)
 	return out
 }
 
-// FindByXMLID returns the node of document doc whose xml:id attribute equals
-// id, or InvalidNode.
+// FindByXMLID returns the first node of document doc in document order
+// whose xml:id attribute equals id, or InvalidNode.  An empty id names no
+// element.
 func (c *Collection) FindByXMLID(doc DocID, id string) NodeID {
+	if id == "" || c.xmlIDs == nil {
+		return InvalidNode
+	}
 	d := &c.docs[doc]
 	for n := d.first; n < d.last; n++ {
-		if c.nodes[n].XMLID == id {
+		if c.xmlIDs[n] == id {
 			return n
 		}
 	}
@@ -391,19 +400,17 @@ func (c *Collection) FindByXMLID(doc DocID, id string) NodeID {
 // ["dblp", "article", "author"].
 func (c *Collection) Path(id NodeID) []string {
 	var rev []string
-	for n := id; n != InvalidNode; n = c.nodes[n].Parent {
-		rev = append(rev, c.nodes[n].Tag)
+	for n := id; n != InvalidNode; n = c.parent[n] {
+		rev = append(rev, c.Tag(n))
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
+	slices.Reverse(rev)
 	return rev
 }
 
 // Depth returns the number of tree edges between id and its document root.
 func (c *Collection) Depth(id NodeID) int {
 	d := 0
-	for n := c.nodes[id].Parent; n != InvalidNode; n = c.nodes[n].Parent {
+	for n := c.parent[id]; n != InvalidNode; n = c.parent[n] {
 		d++
 	}
 	return d

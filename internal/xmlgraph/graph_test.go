@@ -78,7 +78,7 @@ func TestBuilderBasics(t *testing.T) {
 	if d, ok := c.DocByName("b"); !ok || c.Doc(d).Root != ids["paper"] {
 		t.Errorf("DocByName(b) wrong: %v %v", d, ok)
 	}
-	if c.Node(ids["title1"]).Text != "ARIES" {
+	if c.Text(ids["title1"]) != "ARIES" {
 		t.Errorf("text lost")
 	}
 }

@@ -33,8 +33,7 @@ type Stats struct {
 
 // ComputeStats analyses the whole collection.
 func ComputeStats(c *Collection) Stats {
-	st := Stats{Docs: c.NumDocs(), Links: c.NumLinks()}
-	tags := make(map[string]struct{})
+	st := Stats{Docs: c.NumDocs(), Links: c.NumLinks(), Tags: len(c.TagNames())}
 	for d := range st.Docs {
 		doc := c.Doc(DocID(d))
 		sz := doc.Size()
@@ -44,7 +43,6 @@ func ComputeStats(c *Collection) Stats {
 		}
 		first, last := doc.Nodes()
 		for n := first; n < last; n++ {
-			tags[c.Tag(n)] = struct{}{}
 			if dep := c.Depth(n); dep > st.MaxDepth {
 				st.MaxDepth = dep
 			}
@@ -57,7 +55,6 @@ func ComputeStats(c *Collection) Stats {
 			st.Inter++
 		}
 	}
-	st.Tags = len(tags)
 	st.Edges = st.Nodes - st.Docs + st.Links
 	if st.Docs > 0 {
 		st.AvgDoc = float64(st.Nodes) / float64(st.Docs)

@@ -54,8 +54,11 @@ func isASCIISpace(r rune) bool {
 // names leave nothing behind: the dictionaries of a collection are bounded by
 // its own text.
 func (c *Collection) TextDict(tag string) *TextDict {
-	nodes := c.byTag[tag]
-	if !c.frozen || len(nodes) == 0 {
+	if !c.frozen {
+		return nil
+	}
+	nodes := c.NodesByTag(tag)
+	if len(nodes) == 0 {
 		return nil
 	}
 	if d, ok := c.textDicts.Load(tag); ok {
@@ -75,7 +78,7 @@ func buildTextDict(c *Collection, tag string, nodes []NodeID) *TextDict {
 	t0 := time.Now()
 	byToken := make(map[string][]NodeID)
 	for _, n := range nodes {
-		for _, tok := range strings.FieldsFunc(strings.ToLower(c.nodes[n].Text), isASCIISpace) {
+		for _, tok := range strings.FieldsFunc(strings.ToLower(c.Text(n)), isASCIISpace) {
 			// nodes ascends, so a token repeated within one element shows as
 			// the tail of its list.
 			if l := byToken[tok]; len(l) == 0 || l[len(l)-1] != n {

@@ -30,7 +30,7 @@ func textCollection(freeze bool, elems ...[2]string) *Collection {
 func scanContaining(c *Collection, tag, needle string) []NodeID {
 	var out []NodeID
 	for _, n := range c.NodesByTag(tag) {
-		if strings.Contains(strings.ToLower(c.Node(n).Text), needle) {
+		if strings.Contains(strings.ToLower(c.Text(n)), needle) {
 			out = append(out, n)
 		}
 	}

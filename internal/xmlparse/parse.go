@@ -214,6 +214,11 @@ func (l *Loader) Finish() (*xmlgraph.Collection, error) {
 }
 
 func (l *Loader) resolve(p pendingRef) (xmlgraph.NodeID, error) {
+	if p.doc == "" && p.frag == "" {
+		// Only an empty idref names neither: href="" and href="#" add no
+		// reference, and idrefs splits at whitespace.
+		return xmlgraph.InvalidNode, fmt.Errorf("xmlparse: %s: empty idref", p.self)
+	}
 	docName := p.doc
 	if docName == "" {
 		docName = p.self

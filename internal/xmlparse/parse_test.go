@@ -51,8 +51,8 @@ func TestParseSingleDocument(t *testing.T) {
 	if c.Tag(l.From) != "actor" || c.Tag(l.To) != "actor" {
 		t.Errorf("link endpoints: %s -> %s", c.Tag(l.From), c.Tag(l.To))
 	}
-	if c.Node(l.To).XMLID != "a1" {
-		t.Errorf("link target xml id = %q", c.Node(l.To).XMLID)
+	if n := c.FindByXMLID(c.DocOf(l.To), "a1"); n != l.To {
+		t.Errorf("link target = %d, the element with xml id a1 = %d", l.To, n)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestParseInterDocumentLinks(t *testing.T) {
 func TestParseText(t *testing.T) {
 	c := load(t, map[string]string{"movies.xml": movieDoc})
 	titles := c.NodesByTag("title")
-	if len(titles) != 1 || c.Node(titles[0]).Text != "Matrix: Revolutions" {
+	if len(titles) != 1 || c.Text(titles[0]) != "Matrix: Revolutions" {
 		t.Errorf("title text = %v", titles)
 	}
 }
@@ -101,31 +101,46 @@ func TestParseIdrefs(t *testing.T) {
 	}
 }
 
+// unresolved holds documents with one reference each that names no element.
+var unresolved = []struct{ name, doc string }{
+	{"unknown-id", `<r><x idref="nope"/></r>`},
+	{"unknown-doc", `<r><x href="missing.xml"/></r>`},
+	{"empty-idref", `<r><a idref=""/></r>`},
+}
+
 func TestUnresolvedNonStrict(t *testing.T) {
-	l := NewLoader()
-	if err := l.LoadDocument("d.xml", strings.NewReader(`<r><x idref="nope"/></r>`)); err != nil {
-		t.Fatal(err)
-	}
-	c, err := l.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumLinks() != 0 {
-		t.Errorf("dangling ref created a link")
-	}
-	if len(l.Errs()) != 1 {
-		t.Errorf("Errs = %v, want 1 entry", l.Errs())
+	for _, tc := range unresolved {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewLoader()
+			if err := l.LoadDocument("d.xml", strings.NewReader(tc.doc)); err != nil {
+				t.Fatal(err)
+			}
+			c, err := l.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.NumLinks() != 0 {
+				t.Errorf("dangling ref created links %v", c.Links())
+			}
+			if len(l.Errs()) != 1 {
+				t.Errorf("Errs = %v, want 1 entry", l.Errs())
+			}
+		})
 	}
 }
 
 func TestUnresolvedStrict(t *testing.T) {
-	l := NewLoader()
-	l.Strict = true
-	if err := l.LoadDocument("d.xml", strings.NewReader(`<r><x href="missing.xml"/></r>`)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Finish(); err == nil {
-		t.Error("strict mode must report unresolved links")
+	for _, tc := range unresolved {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewLoader()
+			l.Strict = true
+			if err := l.LoadDocument("d.xml", strings.NewReader(tc.doc)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Finish(); err == nil {
+				t.Error("strict mode must report unresolved links")
+			}
+		})
 	}
 }
 
@@ -178,11 +193,11 @@ func TestSplitHref(t *testing.T) {
 func TestWhitespaceIgnored(t *testing.T) {
 	c := load(t, map[string]string{"d.xml": "<a>\n  <b>text</b>\n</a>"})
 	roots := c.NodesByTag("a")
-	if c.Node(roots[0]).Text != "" {
-		t.Errorf("whitespace kept: %q", c.Node(roots[0]).Text)
+	if c.Text(roots[0]) != "" {
+		t.Errorf("whitespace kept: %q", c.Text(roots[0]))
 	}
 	bs := c.NodesByTag("b")
-	if c.Node(bs[0]).Text != "text" {
-		t.Errorf("text lost: %q", c.Node(bs[0]).Text)
+	if c.Text(bs[0]) != "text" {
+		t.Errorf("text lost: %q", c.Text(bs[0]))
 	}
 }

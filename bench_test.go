@@ -423,6 +423,48 @@ func BenchmarkHotPathDescendants(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathDescendantsSpread measures the uncached descendants loop
+// over many starts, the shape of the benchmark's desc-cold workload: on
+// Hybrid/5000 the roots of every fourth publication of the newer half, each
+// with the tags article (the rarest record type), phdthesis and book (absent,
+// so the whole reach is searched), k=100.  Citations point back in time, so
+// these starts reach hundreds of documents and the link sweep is a large
+// share of each query; one op is one query, the starts and tags taken in
+// turn.  It reports the link hops and the stale and covered duplicate drops
+// per op beside the time.
+func BenchmarkHotPathDescendantsSpread(b *testing.B) {
+	e := experiment(b)
+	bu := built(b, bench.Entry{Label: "Hybrid",
+		Config: flix.Config{Kind: flix.Hybrid, PartitionSize: 5000}})
+	n := len(e.Corpus.Pubs)
+	var starts []xmlgraph.NodeID
+	for i := n / 2; i < n; i += 4 {
+		starts = append(starts, e.Coll.Doc(xmlgraph.DocID(i)).Root)
+	}
+	tags := []string{"article", "phdthesis", "book"}
+	drop := func(flix.Result) bool { return true }
+	opts := flix.Options{MaxResults: 100}
+	query := func(i int) {
+		bu.Index.Descendants(starts[i/len(tags)%len(starts)], tags[i%len(tags)], opts, drop)
+	}
+	for i := 0; i < 3*len(tags); i++ { // warm the scratch pool and lazy index state
+		query(i)
+	}
+	before := bu.Index.Stats().Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query(i)
+	}
+	b.StopTimer()
+	after := bu.Index.Stats().Snapshot()
+	stale := after.StaleDropped - before.StaleDropped
+	perOp := func(n int64) float64 { return float64(n) / float64(b.N) }
+	b.ReportMetric(perOp(after.LinkHops-before.LinkHops), "hops/op")
+	b.ReportMetric(perOp(stale), "stale/op")
+	b.ReportMetric(perOp(after.DupDropped-before.DupDropped-stale), "covered/op")
+}
+
 // BenchmarkHotPathDescendantsTraced is the same workload with a tracer
 // attached — the allocs/op difference is the cost of observability.
 func BenchmarkHotPathDescendantsTraced(b *testing.B) {

@@ -187,12 +187,12 @@ func TestRegionCoverageMatchesReachable(t *testing.T) {
 func TestRegionCoverageEarlierEntriesOnly(t *testing.T) {
 	for _, rg := range regionGraphs() {
 		n := rg.g.NumNodes()
-		all := make([]int32, n)
+		all, first := make([]int32, n), make([]int32, n+1)
 		for i := range all {
-			all[i] = int32(i)
+			all[i], first[i+1] = int32(i), int32(i+1)
 		}
 		for view, idx := range regionViews(t, rg.g) {
-			lt := pathindex.NewLinkTable(idx.(pathindex.Regioner), all)
+			lt := pathindex.NewLinkTable(idx.(pathindex.Regioner), all, first, func(k int) int32 { return all[k] })
 			for _, reverse := range []bool{false, true} {
 				r := coverageRun(idx, true, reverse)
 				var earlier []int32
@@ -224,10 +224,10 @@ func TestRegionCoverageEarlierEntriesOnly(t *testing.T) {
 								want = append(want, m)
 							}
 						})
-						lt.Each(x, prev, func(i int, _ int32) bool {
-							got = append(got, all[i])
-							return true
-						})
+						to, _ := lt.Links()
+						for _, run := range lt.Sweep(x, prev, nil) {
+							got = append(got, to[run.Lo:run.Hi]...)
+						}
 						slices.Sort(want)
 						slices.Sort(got)
 						if !slices.Contains(got, x) || !slices.Equal(got, want) {

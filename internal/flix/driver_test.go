@@ -43,7 +43,8 @@ func statsDelta(ix *Index, fn func()) Snapshot {
 	a := ix.Stats().Snapshot()
 	return Snapshot{
 		Queries: a.Queries - b.Queries, Pops: a.Pops - b.Pops, Entries: a.Entries - b.Entries,
-		DupDropped: a.DupDropped - b.DupDropped, LinkHops: a.LinkHops - b.LinkHops, Results: a.Results - b.Results,
+		DupDropped: a.DupDropped - b.DupDropped, StaleDropped: a.StaleDropped - b.StaleDropped,
+		LinkHops: a.LinkHops - b.LinkHops, Results: a.Results - b.Results,
 	}
 }
 
@@ -108,8 +109,10 @@ func TestDriverParity(t *testing.T) {
 							// and must pop as a counted, dropped stale entry.
 							pr = mustPartial(ix, []FrontierEntry{{Node: start, Dist: 1}, {Node: start}}, tag, PartialOptions{})
 						})
+						// The partial driver runs the identity rule, under which
+						// every drop is stale.
 						if work.Pops != pr.Pops || work.Entries != pr.Entries || work.LinkHops != pr.LinkHops ||
-							work.DupDropped == 0 || work.Pops != work.Entries+work.DupDropped {
+							work.DupDropped == 0 || work.Pops != work.Entries+work.DupDropped || work.StaleDropped != work.DupDropped {
 							t.Fatalf("%s start %d tag %q: partial counters %+v do not add up with result %d/%d/%d",
 								label, start, tag, work, pr.Pops, pr.Entries, pr.LinkHops)
 						}

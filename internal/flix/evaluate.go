@@ -183,7 +183,7 @@ type evalRun struct {
 	owned  func(meta int32) bool
 
 	// Per-pop context, set by admit and read by probe, follow, visit and
-	// linkVisit: the admitted entry's distance, meta document and local ID,
+	// hop: the admitted entry's distance, meta document and local ID,
 	// and the earlier entry points visit tests results against (enter).  rg
 	// is the meta document's region encoding when its index has one and the
 	// coverage rule is on, else nil; span is then the entry's region.
@@ -202,7 +202,7 @@ type evalRun struct {
 
 	// Per-query stats deltas, flushed to the shared atomic counters once
 	// at query end instead of contending on every pop.
-	pops, entries, dupDropped, linkHops int64
+	pops, entries, dupDropped, staleDropped, linkHops int64
 }
 
 // arm binds a checked-out scratch to one evaluation.
@@ -264,6 +264,7 @@ func (r *evalRun) admit(it pqItem) bool {
 	if b, ok := s.best.get(it.node); ok && b < it.dist {
 		// A stale copy: the node was queued again nearer, and that copy
 		// popped first.  A certain drop under either rule, not re-tested.
+		r.staleDropped++
 		return r.drop(mi, it)
 	}
 	if r.opts.ExactOrder {
@@ -342,11 +343,12 @@ func (r *evalRun) probe() {
 }
 
 // follow is step (3): it queues what the admitted entry's runtime links lead
-// to.  Forward, the link sources the entry reaches come from the meta
-// document's link table under region encoding (source ranks and depths read
-// once at build/open), else from per-source distance tests, and linkVisit
-// queues their targets; in reverse, every link entering the meta document at
-// an element that reaches the entry queues its source.
+// to.  Forward, the links the entry reaches come from the meta document's
+// link table under region encoding (links laid out by source rank at
+// build/open, hop distance dist(e) + 1 + depth(source) - depth(e)), else from
+// per-source distance tests through linkVisit; in reverse, every link
+// entering the meta document at an element that reaches the entry queues its
+// source.  Every link taken goes through hop.
 //
 // Under region encoding the forward sweep skips the sources below the earlier
 // entry points nested in this one (enter hands their regions over as prev).
@@ -358,13 +360,8 @@ func (r *evalRun) probe() {
 func (r *evalRun) follow() {
 	if r.reverse {
 		for _, il := range r.md.InLinks {
-			d, ok := r.idx.Distance(il.ToLocal, r.le)
-			if nd := r.dist + d + 1; ok && (r.opts.MaxDist <= 0 || nd <= r.opts.MaxDist) {
-				r.linkHops++
-				if r.tr != nil {
-					r.tr.LinkHop(r.mi, int64(il.From), nd)
-				}
-				r.s.queue(il.From, nd)
+			if d, ok := r.idx.Distance(il.ToLocal, r.le); ok {
+				r.hop(il.From, r.dist+d+1)
 			}
 		}
 		return
@@ -372,14 +369,22 @@ func (r *evalRun) follow() {
 	if len(r.md.LinkSources) == 0 {
 		return
 	}
-	if lt := r.ix.linkTabs[r.mi]; lt != nil {
-		var skip []pathindex.Span
-		if r.rg != nil {
-			skip = r.prev
-		}
-		lt.Each(r.le, skip, r.s.linkFn)
-	} else {
+	lt := r.ix.linkTabs[r.mi]
+	if lt == nil {
 		pathindex.LinkDistances(r.idx, r.le, r.md.LinkSources, r.s.linkFn)
+		return
+	}
+	var skip []pathindex.Span
+	if r.rg != nil {
+		skip = r.prev
+	}
+	r.s.runs = lt.Sweep(r.le, skip, r.s.runs[:0])
+	base := r.dist + 1 - lt.Depth(r.le)
+	to, dep := lt.Links()
+	for _, run := range r.s.runs {
+		for j := run.Lo; j < run.Hi; j++ {
+			r.hop(xmlgraph.NodeID(to[j]), base+dep[j])
+		}
 	}
 }
 
@@ -440,28 +445,36 @@ func (r *evalRun) visit(n, ld int32) bool {
 }
 
 // linkVisit handles one reachable runtime-link source streamed from the
-// link-distance sweep: it queues the link targets at priority
+// per-source distance sweep: it hops along the source's links at
 // dist(e) + dist(e, l) + 1.
 func (r *evalRun) linkVisit(i int, d int32) bool {
 	nd := r.dist + d + 1
-	if r.opts.MaxDist > 0 && nd > r.opts.MaxDist {
-		return true
-	}
-	s := r.s
 	for _, cl := range r.md.LinksFrom(i) {
-		r.linkHops++
-		if r.tr != nil {
-			r.tr.LinkHop(r.mi, int64(cl.To), nd)
-		}
-		if r.owned != nil && !r.owned(r.ix.set.MetaOf[cl.To]) {
-			if s.best.relax(cl.To, nd) {
-				s.hops = append(s.hops, pqItem{dist: nd, node: cl.To})
-			}
-			continue
-		}
-		s.queue(cl.To, nd)
+		r.hop(cl.To, nd)
 	}
 	return true
+}
+
+// hop takes one runtime link to node n at distance nd — the per-link body of
+// every sweep, on either axis: within MaxDist it counts the hop and queues n,
+// or, when n lies in a meta document the partial driver does not own, hands
+// it back as a hop.
+func (r *evalRun) hop(n xmlgraph.NodeID, nd int32) {
+	if r.opts.MaxDist > 0 && nd > r.opts.MaxDist {
+		return
+	}
+	r.linkHops++
+	if r.tr != nil {
+		r.tr.LinkHop(r.mi, int64(n), nd)
+	}
+	s := r.s
+	if r.owned != nil && !r.owned(r.ix.set.MetaOf[n]) {
+		if s.best.relax(n, nd) {
+			s.hops = append(s.hops, pqItem{dist: nd, node: n})
+		}
+		return
+	}
+	s.queue(n, nd)
 }
 
 // emit forwards one result to the client callback and enforces MaxResults.

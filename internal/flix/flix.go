@@ -162,11 +162,12 @@ type Index struct {
 	// regions[mi] is the meta document's index as a pathindex.Regioner, nil
 	// when it has no region encoding: resolved once, not asserted per pop.
 	regions []pathindex.Regioner
-	// linkTabs[mi] is the link sweep over the meta document's runtime-link
-	// sources, nil when it has none or no region encoding: the sources'
-	// ranks and depths, read once at build/open so the evaluator's
-	// link-follow loop — the hottest per-pop work after the probe itself —
-	// sweeps dense plain arrays instead of testing every source per pop.
+	// linkTabs[mi] is the link sweep over the meta document's runtime
+	// links, nil when it has none or no region encoding: the links in their
+	// sources' rank order, each with its global target and its source's
+	// depth, laid out once at build/open so the evaluator's link-follow
+	// loop — the hottest per-pop work after the probe itself — walks dense
+	// plain arrays instead of testing every source per pop.
 	linkTabs []*pathindex.LinkTable
 
 	// secRaw holds the pre-compression byte size of each snapshot section
@@ -204,7 +205,9 @@ func (ix *Index) setIndex(i int, idx pathindex.Index) {
 	ix.pis[i] = idx
 	if rg, ok := idx.(pathindex.Regioner); ok {
 		ix.regions[i] = rg
-		ix.linkTabs[i] = pathindex.NewLinkTable(rg, ix.set.Metas[i].LinkSources)
+		md := ix.set.Metas[i]
+		ix.linkTabs[i] = pathindex.NewLinkTable(rg, md.LinkSources, md.LinkStart,
+			func(k int) int32 { return int32(md.OutLinks[k].To) })
 	}
 }
 

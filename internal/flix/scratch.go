@@ -19,9 +19,11 @@ type evalScratch struct {
 
 	// entered lists the visited entry points per meta document (the coverage
 	// rule, on either axis); skip holds the regions the latest entry point
-	// swallowed (evalRun.enter).
+	// swallowed (evalRun.enter), and runs the ranges of link positions the
+	// forward sweep walks (evalRun.follow).
 	entered enteredTable
 	skip    []pathindex.Span
+	runs    []pathindex.Span
 
 	// best maps every node ever queued to the smallest distance it was
 	// queued at: queue pushes a node only when it gets closer (relax at
@@ -253,6 +255,7 @@ func (ix *Index) putScratch(s *evalScratch) {
 	s.f.reset()
 	s.entered.reset()
 	s.skip = s.skip[:0]
+	s.runs = s.runs[:0]
 	s.rbuf.reset()
 	s.best.reset()
 	s.res.reset()

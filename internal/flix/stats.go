@@ -30,6 +30,11 @@ type QueryStats struct {
 	// converge on the same regions of a meta document — frontier work that
 	// Entries alone under-reports on link-heavy loads.
 	DupDropped atomic.Int64
+	// StaleDropped counts the part of DupDropped that was stale: pops of a
+	// node queued again nearer after this copy, whose nearer copy popped
+	// first.  The rest were covered: under the §5.1 coverage rule, an
+	// earlier entry point of the same meta document reaches the element.
+	StaleDropped atomic.Int64
 	// LinkHops counts runtime link traversals: every link the follow step
 	// walks, whether or not it queued its target — a target already queued
 	// at that distance or nearer is not pushed again, so pushes are fewer.
@@ -60,6 +65,9 @@ func (s *QueryStats) flushQuery(r *evalRun) {
 	if r.dupDropped != 0 {
 		s.DupDropped.Add(r.dupDropped)
 	}
+	if r.staleDropped != 0 {
+		s.StaleDropped.Add(r.staleDropped)
+	}
 	if r.linkHops != 0 {
 		s.LinkHops.Add(r.linkHops)
 	}
@@ -69,7 +77,7 @@ func (s *QueryStats) flushQuery(r *evalRun) {
 
 // Snapshot is an immutable copy of the counters.
 type Snapshot struct {
-	Queries, Pops, Entries, DupDropped, LinkHops, Results int64
+	Queries, Pops, Entries, DupDropped, StaleDropped, LinkHops, Results int64
 }
 
 // Snapshot returns a consistent-enough copy for reporting (individual
@@ -77,12 +85,13 @@ type Snapshot struct {
 // acceptable for tuning purposes).
 func (s *QueryStats) Snapshot() Snapshot {
 	return Snapshot{
-		Queries:    s.Queries.Load(),
-		Pops:       s.Pops.Load(),
-		Entries:    s.Entries.Load(),
-		DupDropped: s.DupDropped.Load(),
-		LinkHops:   s.LinkHops.Load(),
-		Results:    s.Results.Load(),
+		Queries:      s.Queries.Load(),
+		Pops:         s.Pops.Load(),
+		Entries:      s.Entries.Load(),
+		DupDropped:   s.DupDropped.Load(),
+		StaleDropped: s.StaleDropped.Load(),
+		LinkHops:     s.LinkHops.Load(),
+		Results:      s.Results.Load(),
 	}
 }
 

@@ -3,6 +3,7 @@ package flix
 import (
 	"testing"
 
+	"repro/internal/dblp"
 	"repro/internal/obs"
 	"repro/internal/xmlgraph"
 )
@@ -94,6 +95,55 @@ func TestTracedStatsDupDrops(t *testing.T) {
 	}
 	if snap.Pops < snap.Entries+snap.DupDropped {
 		t.Errorf("pops (%d) < entries (%d) + dropped (%d)", snap.Pops, snap.Entries, snap.DupDropped)
+	}
+}
+
+// TestStaleDropsCounted splits DupDropped the way the trace sees it: a
+// dropped pop is stale when the same node popped earlier at a smaller
+// distance (it was queued again nearer, and the bucket queue pops in
+// distance order), and covered otherwise.  On DBLP extracts under the
+// coverage rule StaleDropped must equal the stale DupDrop events, and both
+// kinds must occur.
+func TestStaleDropsCounted(t *testing.T) {
+	c := dblp.Generate(dblp.Scaled(250)).BuildGraph()
+	var stale, covered int64
+	for _, cfg := range []Config{{Kind: Hybrid, PartitionSize: 40}, {Kind: MaximalPPO}, {Kind: UnconnectedHOPI, PartitionSize: 40}} {
+		ix, err := Build(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < c.NumNodes(); n += 97 {
+			for _, tag := range []string{"article", "book"} {
+				tr := obs.NewTrace(1 << 20)
+				work := statsDelta(ix, func() {
+					ix.Descendants(xmlgraph.NodeID(n), tag, Options{Tracer: tr}, func(Result) bool { return true })
+				})
+				nearest := make(map[int64]int32)
+				want := int64(0)
+				for _, e := range tr.Summary(true).Events {
+					switch e.Kind {
+					case obs.EvPop:
+						if d, ok := nearest[e.Node]; !ok || e.Dist < d {
+							nearest[e.Node] = e.Dist
+						}
+					case obs.EvDupDrop:
+						if nearest[e.Node] < e.Dist {
+							want++
+						}
+					}
+				}
+				if work.StaleDropped != want || work.StaleDropped > work.DupDropped {
+					t.Fatalf("%v from %d tag %s: StaleDropped %d of DupDropped %d, the trace has %d stale drops",
+						cfg.Kind, n, tag, work.StaleDropped, work.DupDropped, want)
+				}
+				stale += work.StaleDropped
+				covered += work.DupDropped - work.StaleDropped
+			}
+		}
+	}
+	t.Logf("%d stale and %d covered drops", stale, covered)
+	if stale == 0 || covered == 0 {
+		t.Fatalf("%d stale and %d covered drops: both kinds must occur", stale, covered)
 	}
 }
 

@@ -49,9 +49,9 @@ type MetaDocument struct {
 	// LinkSources lists the distinct local nodes with at least one
 	// outgoing runtime link, ascending — the set L_i of §4.2.
 	LinkSources []int32
-	// linkStart[i] is where the links of LinkSources[i] begin in OutLinks;
+	// LinkStart[i] is where the links of LinkSources[i] begin in OutLinks;
 	// one more entry than LinkSources closes the last run.
-	linkStart []int32
+	LinkStart []int32
 	// LinkHash fingerprints OutLinks: FNV-64a over the (FromLocal, To)
 	// pairs, each as 4 little-endian bytes.  A snapshot stores it in place
 	// of the link table, and opening one compares the two.
@@ -82,7 +82,7 @@ func (m *MetaDocument) LocalTag(id int32) lgraph.Tag {
 
 // LinksFrom returns the runtime links leaving the local node LinkSources[i].
 func (m *MetaDocument) LinksFrom(i int) []CrossLink {
-	return m.OutLinks[m.linkStart[i]:m.linkStart[i+1]]
+	return m.OutLinks[m.LinkStart[i]:m.LinkStart[i+1]]
 }
 
 // Set is a complete meta-document decomposition of a collection.
@@ -358,7 +358,7 @@ func (s *Set) wire(included []bool) {
 		}
 		starts = append(starts, outOff[hi]-outOff[lo])
 		md.LinkSources = sources[src:len(sources):len(sources)]
-		md.linkStart = starts[st:len(starts):len(starts)]
+		md.LinkStart = starts[st:len(starts):len(starts)]
 		md.LinkHash = linkHash(md.OutLinks)
 	}
 }

@@ -15,7 +15,7 @@
 package pathindex
 
 import (
-	"slices"
+	"math/bits"
 
 	"repro/internal/lgraph"
 )
@@ -84,108 +84,180 @@ func LinkDistances(idx Index, x int32, sources []int32, fn func(i int, d int32) 
 	}
 }
 
-// Span is the half-open preorder interval [Lo, Hi).  Under region encoding
-// an element's subtree is one span — its preorder rank and subtree size — so
+// Span is the half-open interval [Lo, Hi) of preorder ranks — or, as
+// LinkTable.Sweep returns it, of link positions.  Under region encoding an
+// element's subtree is one span — its preorder rank and subtree size — so
 // "x reaches y" is "x's span holds pre(y)".
 type Span struct{ Lo, Hi int32 }
 
 // Regioner is the contract of an index that numbers its local graph by
 // region encoding (PPO): x reaches y iff Region(x) holds Region(y).Lo, and
-// then dist(x, y) = Depth(y) - Depth(x).  The evaluator resolves it once per
-// meta document: coverage becomes one binary search over sorted spans and
-// ranks, and the link sweep a LinkTable.
+// then dist(x, y) = Depth(y) - Depth(x).  The ranks are 0 to NumNodes()-1.
+// The evaluator resolves it once per meta document: coverage becomes one
+// binary search over sorted spans and ranks, and the link sweep a LinkTable.
 type Regioner interface {
+	NumNodes() int
 	Region(x int32) Span
 	Depth(x int32) int32
 }
 
 // LinkTable is the link sweep of one region-encoded meta document.  Its
-// runtime-link sources never change after the build, so their preorder ranks
-// and depths are read once, when the table is built, into plain arrays
-// sorted by rank.  Which sources x reaches is then an interval question —
-// the ranks Region(x) holds — answered by a binary search instead of a
-// Distance test per source: the evaluator's follow step costs what it hits,
-// not the meta document's link count.  A skipped span costs one binary
-// search, however many sources it holds.
+// runtime links never change after the build, so they are laid out once, when
+// the table is built, in the preorder-rank order of their sources — one
+// source's links in the order given — with a target and the source's depth per
+// link.  The links x reaches are then those of the sources whose ranks
+// Region(x) holds: one range of link positions, cut by each skipped span.
+//
+// A rank directory finds where a range starts without a search: one bit per
+// preorder rank marks the link sources, and every 64 ranks store how many
+// sources lie below them, so "the first link whose source's rank is at least
+// r" is one popcount, the directory word and the source's first-link offset.
 type LinkTable struct {
-	rg  Regioner
-	pre []int32 // the sources' preorder ranks, ascending
-	pos []int32 // pos[k]: the position in the source list of rank pre[k]
-	dep []int32 // dep[k]: the depth of the source of rank pre[k]
+	rg    Regioner
+	to    []int32 // to[j]: the target of link j, opaque to this package
+	dep   []int32 // dep[j]: the depth of link j's source
+	first []int32 // first[s]: the position of the first link of the s-th source by rank; first[sources] closes the last
+	// dir holds three words per 64 ranks: the number of sources of rank
+	// below 64w, then the low and high halves of the ranks' source bits.
+	dir []int32
 }
 
-// NewLinkTable builds the link table over sources, or returns nil when there
-// are none.  The three arrays share one allocation.
-func NewLinkTable(rg Regioner, sources []int32) *LinkTable {
+// NewLinkTable builds the link table of the runtime links of sources, or
+// returns nil when there are none.  The links of sources[i] are numbered
+// first[i] to first[i+1]-1 (first has one more entry than sources), and
+// target(k) is the target of link k, stored as given.  Every array shares one
+// allocation.
+func NewLinkTable(rg Regioner, sources, first []int32, target func(k int) int32) *LinkTable {
 	if len(sources) == 0 {
 		return nil
 	}
-	n := len(sources)
-	arrays := make([]int32, 3*n)
-	t := &LinkTable{rg: rg, pre: arrays[:n:n], pos: arrays[n : 2*n : 2*n], dep: arrays[2*n:]}
+	nl, ns, nd := int(first[len(sources)]-first[0]), len(sources), 3*(rg.NumNodes()>>6+1)
+	a := make([]int32, 2*nl+ns+1+nd)
+	t := &LinkTable{rg: rg, to: a[:nl:nl], dep: a[nl : 2*nl : 2*nl], first: a[2*nl : 2*nl+ns+1 : 2*nl+ns+1], dir: a[2*nl+ns+1:]}
 	// PPO numbers a forest in node order, so the ranks usually ascend in
 	// source order already and one pass fills the table.
+	j, last := int32(0), int32(-1)
 	for i, y := range sources {
 		pre := rg.Region(y).Lo
-		if i > 0 && pre <= t.pre[i-1] {
-			t.fillSorted(sources)
+		if pre <= last {
+			t.fillByRank(sources, first, target)
 			return t
 		}
-		t.pre[i], t.pos[i], t.dep[i] = pre, int32(i), rg.Depth(y)
+		last = pre
+		t.mark(pre)
+		t.first[i] = j
+		j = t.fill(j, rg.Depth(y), first[i], first[i+1], target)
 	}
+	t.first[ns] = int32(nl)
+	t.count()
 	return t
 }
 
-// fillSorted fills the table from sources whose ranks do not ascend in
-// source order.  Each source is the key rank<<32 | position; ranks are
-// distinct, so sorting the keys orders the sources by rank without a
-// comparator.
-func (t *LinkTable) fillSorted(sources []int32) {
-	keys := make([]uint64, len(sources))
+// mark sets the source bit of rank pre.
+func (t *LinkTable) mark(pre int32) {
+	t.dir[3*(pre>>6)+1+(pre>>5&1)] |= int32(uint32(1) << (pre & 31))
+}
+
+// count writes the directory's source counts once every bit is set.
+func (t *LinkTable) count() {
+	n := int32(0)
+	for w := 0; w < len(t.dir); w += 3 {
+		t.dir[w] = n
+		n += int32(bits.OnesCount32(uint32(t.dir[w+1])) + bits.OnesCount32(uint32(t.dir[w+2])))
+	}
+}
+
+// below returns the number of sources ranked below r.
+func (t *LinkTable) below(r int32) int32 {
+	w := 3 * (r >> 6)
+	set := uint64(uint32(t.dir[w+1])) | uint64(uint32(t.dir[w+2]))<<32
+	return t.dir[w] + int32(bits.OnesCount64(set&(1<<(r&63)-1)))
+}
+
+// fill lays out the links k0 to k1-1 of one source of depth d from link
+// position j on, and returns the position after them.
+func (t *LinkTable) fill(j, d, k0, k1 int32, target func(k int) int32) int32 {
+	for k := k0; k < k1; k++ {
+		t.to[j], t.dep[j] = target(int(k)), d
+		j++
+	}
+	return j
+}
+
+// fillByRank fills the table from sources whose ranks do not ascend in
+// source order, without sorting them: once every source's bit is set, the
+// directory gives each source its position by rank, the link counts summed
+// in that order give the first-link offsets, and each source's links go to
+// its offset.
+func (t *LinkTable) fillByRank(sources, first []int32, target func(k int) int32) {
+	at := make([]int32, len(sources)) // the rank of sources[i], then its position by rank
 	for i, y := range sources {
-		keys[i] = uint64(uint32(t.rg.Region(y).Lo))<<32 | uint64(i)
+		at[i] = t.rg.Region(y).Lo
+		t.mark(at[i])
 	}
-	slices.Sort(keys)
-	for k, key := range keys {
-		i := int32(uint32(key))
-		t.pre[k], t.pos[k], t.dep[k] = int32(key>>32), i, t.rg.Depth(sources[i])
+	t.count()
+	t.first[0] = 0
+	for i, pre := range at {
+		at[i] = t.below(pre)
+		t.first[at[i]+1] = first[i+1] - first[i]
+	}
+	for s := range len(sources) {
+		t.first[s+1] += t.first[s]
+	}
+	for i, y := range sources {
+		t.fill(t.first[at[i]], t.rg.Depth(y), first[i], first[i+1], target)
 	}
 }
 
-// Each calls fn(i, d) for every source i of the table's list that x reaches,
-// d being its distance from x — the hits of LinkDistances over the same
-// sources — except the sources whose preorder rank lies in a span of skip.
-// skip is ascending and disjoint; the evaluator passes the regions of the
-// earlier entry points nested in x's, whose sources were swept already.  Hits
-// arrive each once, in ascending preorder rank, until fn returns false.
-func (t *LinkTable) Each(x int32, skip []Span, fn func(i int, d int32) bool) {
-	region, dx := t.rg.Region(x), t.rg.Depth(x)
-	k := SearchGE(t.pre, region.Lo)
-	ok := true
+// First returns the position of the first link whose source's preorder rank
+// is at least r, for 0 <= r <= NumNodes(): the number of links of the sources
+// ranked below r.
+func (t *LinkTable) First(r int32) int32 { return t.first[t.below(r)] }
+
+// Links returns the per-link arrays: the target of every link and the depth
+// of its source, by link position.
+func (t *LinkTable) Links() (to, dep []int32) { return t.to, t.dep }
+
+// Depth returns the depth of element x: a link j that x reaches is
+// dep[j] - Depth(x) away from it.
+func (t *LinkTable) Depth(x int32) int32 { return t.rg.Depth(x) }
+
+// Sweep appends to out the ranges of link positions whose sources x reaches,
+// except those whose preorder rank lies in a span of skip, and returns out:
+// ascending, at most len(skip)+1 ranges, none empty.  skip is ascending and
+// disjoint, its spans within [0, NumNodes()]; the evaluator passes the
+// regions of the earlier entry points nested in x's, whose links were swept
+// already.
+func (t *LinkTable) Sweep(x int32, skip []Span, out []Span) []Span {
+	region := t.rg.Region(x)
+	lo := region.Lo
 	for _, sp := range skip {
-		if k, ok = t.emit(k, min(sp.Lo, region.Hi), dx, fn); !ok {
-			return
+		if sp.Lo >= region.Hi {
+			break
 		}
-		k += SearchGE(t.pre[k:], sp.Hi)
+		if sp.Lo > lo {
+			out = t.appendRange(out, lo, sp.Lo)
+		}
+		lo = max(lo, sp.Hi)
 	}
-	t.emit(k, region.Hi, dx, fn)
+	if lo < region.Hi {
+		out = t.appendRange(out, lo, region.Hi)
+	}
+	return out
 }
 
-// emit calls fn for the sources from rank position k while their rank is
-// below end.  It returns the position it stopped at, and false when fn did.
-func (t *LinkTable) emit(k int, end, dx int32, fn func(i int, d int32) bool) (int, bool) {
-	for ; k < len(t.pre) && t.pre[k] < end; k++ {
-		if !fn(int(t.pos[k]), t.dep[k]-dx) {
-			return k, false
-		}
+// appendRange appends the link positions of the sources ranked in [lo, hi)
+// to out unless there are none.
+func (t *LinkTable) appendRange(out []Span, lo, hi int32) []Span {
+	if a, b := t.First(lo), t.First(hi); a < b {
+		out = append(out, Span{a, b})
 	}
-	return k, true
+	return out
 }
 
 // SearchGE returns the index of the first element >= v in the ascending
 // slice a: the binary search over preorder ranks that region-encoded probes
-// and the link sweep run.  Unlike slices.BinarySearch it is inlined at its
-// call sites, which the link sweep measurably needs.
+// run.  Unlike slices.BinarySearch it is inlined at its call sites.
 func SearchGE(a []int32, v int32) int {
 	lo, hi := 0, len(a)
 	for lo < hi {

@@ -40,7 +40,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric("flix_engine_queries_total", "counter", "Completed index evaluations.", snap.Queries)
 	metric("flix_engine_pops_total", "counter", "Priority-queue pops in the evaluator.", snap.Pops)
 	metric("flix_engine_entries_total", "counter", "Meta-document entry points processed.", snap.Entries)
-	metric("flix_engine_dup_dropped_total", "counter", "Frontier entries dropped as already covered.", snap.DupDropped)
+	metric("flix_engine_dup_dropped_total", "counter", "Frontier entries dropped as duplicates: stale or already covered.", snap.DupDropped)
+	metric("flix_engine_dup_stale_total", "counter", "Duplicate drops that were stale: the node was queued again nearer and that copy popped first.", snap.StaleDropped)
 	metric("flix_engine_link_hops_total", "counter", "Runtime link traversals.", snap.LinkHops)
 	metric("flix_engine_results_total", "counter", "Results emitted by the evaluator.", snap.Results)
 

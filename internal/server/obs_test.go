@@ -135,8 +135,10 @@ func TestStatszLatencyAndBuild(t *testing.T) {
 			if _, ok := qs["pops"]; !ok {
 				t.Error("queryStats missing pops")
 			}
-			if _, ok := qs["dupDropRatio"]; !ok {
-				t.Error("queryStats missing dupDropRatio")
+			for _, key := range []string{"dupDropRatio", "staleDropped"} {
+				if _, ok := qs[key]; !ok {
+					t.Errorf("queryStats missing %s", key)
+				}
 			}
 			return
 		}

@@ -574,6 +574,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"pops":             snap.Pops,
 			"entries":          snap.Entries,
 			"dupDropped":       snap.DupDropped,
+			"staleDropped":     snap.StaleDropped,
 			"linkHops":         snap.LinkHops,
 			"results":          snap.Results,
 			"entriesPerQuery":  snap.EntriesPerQuery(),

@@ -226,6 +226,7 @@ func TestHealthzStatszMetrics(t *testing.T) {
 	for _, want := range []string{
 		`flix_requests_total{endpoint="descendants"} 1`,
 		"flix_engine_queries_total",
+		"flix_engine_dup_stale_total",
 		"flix_inflight_requests 0",
 		"flix_cache_misses_total",
 		"flix_index_meta_documents",

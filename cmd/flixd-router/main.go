@@ -48,29 +48,18 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("flixd-router: ")
+	df := daemon.DeclareFlags(flag.CommandLine, ":8090")
 	var (
-		addr      = flag.String("addr", ":8090", "listen address")
-		dir       = flag.String("dir", "", "directory of *.xml documents (required; same corpus as the shards)")
 		shards    = flag.String("shards", "", "comma-separated shard base URLs in ring order (required)")
 		vnodes    = flag.Int("vnodes", 0, "ring virtual nodes per shard (0 = default; must match the shards)")
 		quorum    = flag.Int("quorum", 0, "ready shards required before serving (0 = all)")
 		hopBudget = flag.Int("hop-budget", 0, "cross-shard hop entries dispatched per query before returning partial (0 = default)")
-		inflight  = flag.Int("inflight", 64, "admission limit: concurrent queries before 429 shedding")
-		timeout   = flag.Duration("timeout", 2*time.Second, "default per-request deadline")
-		maxTO     = flag.Duration("max-timeout", 30*time.Second, "upper clamp on client-requested deadlines")
-		limit     = flag.Int("limit", 100, "default result limit per request")
-		maxLimit  = flag.Int("max-limit", 10000, "upper clamp on client-requested result limits")
-		maxBatch  = flag.Int("batch-max", 256, "queries allowed in one POST /v1/batch request")
 		shardTO   = flag.Duration("shard-timeout", 10*time.Second, "per-attempt deadline for shard RPCs")
 		retries   = flag.Int("retries", 2, "shard RPC re-attempts after a transient failure (0 disables)")
 		probe     = flag.Duration("probe-interval", time.Second, "shard health-probe cadence")
-		ontoFile  = flag.String("ontology", "", "ontology file with 'tagA tagB score' lines for ~ expansion")
-		drain     = flag.Duration("drain", 15*time.Second, "shutdown grace period for in-flight queries")
-		quiet     = flag.Bool("quiet", false, "disable per-request access logging")
-		dbgAddr   = flag.String("debug-addr", "", "separate listen address for /debug/pprof (empty = disabled)")
 	)
 	flag.Parse()
-	if *dir == "" || *shards == "" {
+	if df.Dir == "" || *shards == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -82,7 +71,7 @@ func main() {
 		}
 	}
 
-	coll, onto, err := daemon.Corpus(*dir, *ontoFile)
+	coll, onto, err := daemon.Corpus(df.Dir, df.Ontology)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,17 +81,17 @@ func main() {
 		VNodes:         *vnodes,
 		Quorum:         *quorum,
 		HopBudget:      *hopBudget,
-		MaxInFlight:    *inflight,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTO,
-		DefaultLimit:   *limit,
-		MaxLimit:       *maxLimit,
-		MaxBatch:       *maxBatch,
+		MaxInFlight:    df.InFlight,
+		DefaultTimeout: df.Timeout,
+		MaxTimeout:     df.MaxTimeout,
+		DefaultLimit:   df.Limit,
+		MaxLimit:       df.MaxLimit,
+		MaxBatch:       df.BatchMax,
 		ShardTimeout:   *shardTO,
 		Retries:        clientRetries(*retries),
 		ProbeInterval:  *probe,
 	}
-	if !*quiet {
+	if !df.Quiet {
 		cfg.Logger = log.New(os.Stderr, "flixd-router: ", 0)
 	}
 	rt, err := shard.NewRouter(coll, cfg)
@@ -116,8 +105,8 @@ func main() {
 	rt.Start(probeCtx)
 
 	log.Printf("routing %d documents / %d elements across %d shards on %s",
-		coll.NumDocs(), coll.NumNodes(), len(urls), *addr)
-	if err := daemon.Run(*addr, *dbgAddr, rt.Handler(), *drain); err != nil {
+		coll.NumDocs(), coll.NumNodes(), len(urls), df.Addr)
+	if err := daemon.Run(df.Addr, df.DebugAddr, rt.Handler(), df.Drain); err != nil {
 		log.Fatal(err)
 	}
 }

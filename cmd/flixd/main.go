@@ -64,27 +64,16 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("flixd: ")
+	df := daemon.DeclareFlags(flag.CommandLine, ":8080")
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		dir      = flag.String("dir", "", "directory of *.xml documents (required)")
 		loadIx   = flag.String("load", "", "restore a persisted index from this file instead of building")
 		config   = flag.String("config", "hybrid", "configuration: naive | maximal-ppo | unconnected-hopi | hybrid | monolithic | element-level")
 		partSize = flag.Int("partition", 5000, "partition size bound for unconnected-hopi / hybrid / element-level")
 		strategy = flag.String("strategy", "", "force a per-meta-document strategy: ppo | hopi | apex")
 		buildPar = flag.Int("build-parallelism", 0, "index-build worker pool width (0 = all CPUs, 1 = serial)")
-		ontoFile = flag.String("ontology", "", "ontology file with 'tagA tagB score' lines for ~ expansion")
-		inflight = flag.Int("inflight", 64, "admission limit: concurrent queries before 429 shedding")
-		timeout  = flag.Duration("timeout", 2*time.Second, "default per-request deadline")
-		maxTO    = flag.Duration("max-timeout", 30*time.Second, "upper clamp on client-requested deadlines")
-		limit    = flag.Int("limit", 100, "default result limit per request")
-		maxLimit = flag.Int("max-limit", 10000, "upper clamp on client-requested result limits")
-		maxBatch = flag.Int("batch-max", 256, "queries allowed in one POST /v1/batch request")
 		cacheSz  = flag.Int("cache", 1024, "query-cache capacity (0 disables)")
-		drain    = flag.Duration("drain", 15*time.Second, "shutdown grace period for in-flight queries")
-		quiet    = flag.Bool("quiet", false, "disable per-request access logging")
 		slowQ    = flag.Duration("slow-query", 0, "log sampled queries slower than this with their full trace (0 disables)")
 		slowN    = flag.Int("slow-query-sample", 1, "trace 1 in N queries for the slow-query log")
-		dbgAddr  = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty disables)")
 		reindex  = flag.Duration("reindex-interval", 0, "re-plan the index against the live load this often and hot-swap improvements (0 disables the loop; POST /v1/admin/reindex still works)")
 		minQ     = flag.Int64("reindex-min-queries", 50, "queries a generation must serve before its statistics are trusted")
 		snapDir  = flag.String("snapshot-dir", "", "persist each index generation here and warm-start from the newest (empty disables)")
@@ -96,7 +85,7 @@ func main() {
 		shardVN  = flag.Int("shard-vnodes", 0, "ring virtual nodes per shard (0 = default; must match the router)")
 	)
 	flag.Parse()
-	if *dir == "" {
+	if df.Dir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -104,7 +93,7 @@ func main() {
 		log.Fatalf("-shard-id %d needs -shard-count > %d", *shardID, *shardID)
 	}
 
-	coll, onto, err := daemon.Corpus(*dir, *ontoFile)
+	coll, onto, err := daemon.Corpus(df.Dir, df.Ontology)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -116,12 +105,12 @@ func main() {
 	cfg := flix.Config{Kind: kind, PartitionSize: *partSize, Strategy: *strategy}
 
 	scfg := server.Config{
-		MaxInFlight:        *inflight,
-		DefaultTimeout:     *timeout,
-		MaxTimeout:         *maxTO,
-		DefaultLimit:       *limit,
-		MaxLimit:           *maxLimit,
-		MaxBatch:           *maxBatch,
+		MaxInFlight:        df.InFlight,
+		DefaultTimeout:     df.Timeout,
+		MaxTimeout:         df.MaxTimeout,
+		DefaultLimit:       df.Limit,
+		MaxLimit:           df.MaxLimit,
+		MaxBatch:           df.BatchMax,
 		CacheSize:          *cacheSz, // 0 from the flag means disabled
 		SlowQueryThreshold: *slowQ,
 		SlowQuerySample:    *slowN,
@@ -140,7 +129,7 @@ func main() {
 			*reindex = 0
 		}
 	}
-	if !*quiet {
+	if !df.Quiet {
 		scfg.Logger = log.New(os.Stderr, "flixd: ", 0)
 	}
 	// The server starts pending: the port binds and /healthz answers (503)
@@ -176,11 +165,11 @@ func main() {
 
 	if *shardID >= 0 {
 		log.Printf("serving %d documents / %d elements on %s as shard %d/%d",
-			coll.NumDocs(), coll.NumNodes(), *addr, *shardID, *shardN)
+			coll.NumDocs(), coll.NumNodes(), df.Addr, *shardID, *shardN)
 	} else {
-		log.Printf("serving %d documents / %d elements on %s", coll.NumDocs(), coll.NumNodes(), *addr)
+		log.Printf("serving %d documents / %d elements on %s", coll.NumDocs(), coll.NumNodes(), df.Addr)
 	}
-	if err := daemon.Run(*addr, *dbgAddr, s.Handler(), *drain); err != nil {
+	if err := daemon.Run(df.Addr, df.DebugAddr, s.Handler(), df.Drain); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // living docs name must exist.  Function names match as prefixes, as the
 // -run/-bench patterns quoting them do.  A flag written after flixd,
 // flixd-router, flixquery or flixbench must be one that command's main
-// defines; a backticked flag on its own must be one of theirs too, or one of
+// defines, itself or through daemon.DeclareFlags; a backticked flag on its own must be one of theirs too, or one of
 // the other tools' flags listed below.  A backticked `pkg.Symbol` (a
 // top-level name or a method) or `pkg.Type.Member` (a method, a field or an
 // interface method), pkg being one of this module's packages and Symbol
@@ -46,10 +46,16 @@ func TestDocsCiteExistingArtefacts(t *testing.T) {
 		"smoke": true, "trace": true, // benchmark/run.sh
 		"update": true, // go test ./internal/front/
 	}}
+	daemon, _ := os.ReadFile("internal/front/daemon/daemon.go")
+	shared := regexp.MustCompile(`fs\.\w+\(&f\.\w+, "([\w-]+)"`).FindAllStringSubmatch(string(daemon), -1)
 	for _, cmd := range strings.Split(commands, "|") {
 		main, _ := os.ReadFile("cmd/" + cmd + "/main.go")
 		defined[cmd] = map[string]bool{}
-		for _, m := range regexp.MustCompile(`flag\.\w+\("([\w-]+)"`).FindAllStringSubmatch(string(main), -1) {
+		declared := regexp.MustCompile(`flag\.\w+\("([\w-]+)"`).FindAllStringSubmatch(string(main), -1)
+		if strings.Contains(string(main), "daemon.DeclareFlags(") {
+			declared = append(declared, shared...)
+		}
+		for _, m := range declared {
 			defined[cmd][m[1]], defined[""][m[1]] = true, true
 		}
 	}

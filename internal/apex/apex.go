@@ -389,27 +389,20 @@ func (idx *Index) levelBFS(x int32, reverse bool, tag lgraph.Tag, wildcard bool,
 // PathExtent answers a pure label-path query //t1/t2/.../tk on the summary
 // alone: it returns the data nodes reachable from any node tagged t1 through
 // a child chain tagged t2...tk.  This is the query class APEX is built for;
-// it never touches the data edges.
-func (idx *Index) PathExtent(path []string) []int32 {
+// it never touches the data edges.  A tag no node carries (lgraph.NoTag)
+// matches nothing.
+func (idx *Index) PathExtent(path []lgraph.Tag) []int32 {
 	if len(path) == 0 {
-		return nil
-	}
-	t0 := idx.g.TagOf(path[0])
-	if t0 == lgraph.NoTag {
 		return nil
 	}
 	// current = summary classes matching the prefix so far.
 	current := make(map[int32]struct{})
 	for c := range idx.classTag {
-		if idx.classTag[c] == t0 {
+		if idx.classTag[c] == path[0] {
 			current[int32(c)] = struct{}{}
 		}
 	}
-	for _, step := range path[1:] {
-		t := idx.g.TagOf(step)
-		if t == lgraph.NoTag {
-			return nil
-		}
+	for _, t := range path[1:] {
 		next := make(map[int32]struct{})
 		for c := range current {
 			for _, s := range idx.classSucc.Row(c) {

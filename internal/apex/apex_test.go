@@ -56,21 +56,22 @@ func TestExtents(t *testing.T) {
 }
 
 func TestPathExtent(t *testing.T) {
-	_, idx := buildGraph(t)
-	if got := idx.PathExtent([]string{"a", "b", "c"}); !reflect.DeepEqual(got, []int32{3}) {
+	g, idx := buildGraph(t)
+	a, b, c := g.Tag(0), g.Tag(1), g.Tag(3)
+	if got := idx.PathExtent([]lgraph.Tag{a, b, c}); !reflect.DeepEqual(got, []int32{3}) {
 		t.Errorf("PathExtent(a/b/c) = %v, want [3]", got)
 	}
-	if got := idx.PathExtent([]string{"b", "c"}); !reflect.DeepEqual(got, []int32{3, 5}) {
+	if got := idx.PathExtent([]lgraph.Tag{b, c}); !reflect.DeepEqual(got, []int32{3, 5}) {
 		t.Errorf("PathExtent(b/c) = %v, want [3 5]", got)
 	}
-	if got := idx.PathExtent([]string{"b"}); !reflect.DeepEqual(got, []int32{1, 4}) {
+	if got := idx.PathExtent([]lgraph.Tag{b}); !reflect.DeepEqual(got, []int32{1, 4}) {
 		t.Errorf("PathExtent(b) = %v, want [1 4]", got)
 	}
-	if got := idx.PathExtent([]string{"a", "c"}); got != nil {
+	if got := idx.PathExtent([]lgraph.Tag{a, c}); got != nil {
 		t.Errorf("PathExtent(a/c) = %v, want nil", got)
 	}
-	if got := idx.PathExtent([]string{"zzz"}); got != nil {
-		t.Errorf("PathExtent(zzz) = %v, want nil", got)
+	if got := idx.PathExtent([]lgraph.Tag{lgraph.NoTag}); got != nil {
+		t.Errorf("PathExtent(NoTag) = %v, want nil", got)
 	}
 	if got := idx.PathExtent(nil); got != nil {
 		t.Errorf("PathExtent(nil) = %v", got)
@@ -99,7 +100,7 @@ func TestReachableDistance(t *testing.T) {
 func TestEachReachableByTag(t *testing.T) {
 	g, idx := buildGraph(t)
 	var nodes, dists []int32
-	idx.EachReachableByTag(0, g.TagOf("c"), func(n, d int32) bool {
+	idx.EachReachableByTag(0, g.Tag(3), func(n, d int32) bool {
 		nodes = append(nodes, n)
 		dists = append(dists, d)
 		return true
@@ -124,7 +125,7 @@ func TestEachReachableWildcard(t *testing.T) {
 func TestEachReaching(t *testing.T) {
 	g, idx := buildGraph(t)
 	var nodes []int32
-	idx.EachReachingByTag(5, g.TagOf("a"), func(n, d int32) bool {
+	idx.EachReachingByTag(5, g.Tag(0), func(n, d int32) bool {
 		nodes = append(nodes, n)
 		return true
 	})
@@ -217,17 +218,16 @@ func TestPropertyPathExtentAgainstOracle(t *testing.T) {
 		n := 2 + rng.Intn(30)
 		g := randomGraph(rng, n, rng.Intn(2*n))
 		idx := Build(g)
-		tags := []string{"a", "b", "c", "d"}
-		path := []string{tags[rng.Intn(4)], tags[rng.Intn(4)]}
+		path := []lgraph.Tag{lgraph.Tag(rng.Intn(4)), lgraph.Tag(rng.Intn(4))}
 		// Oracle: nodes v with tag path[1] having a predecessor tagged
 		// path[0].
 		want := make(map[int32]bool)
 		for v := int32(0); v < int32(n); v++ {
-			if g.TagName(g.Tag(v)) != path[1] {
+			if g.Tag(v) != path[1] {
 				continue
 			}
 			for _, p := range g.Preds(v) {
-				if g.TagName(g.Tag(p)) == path[0] {
+				if g.Tag(p) == path[0] {
 					want[v] = true
 					break
 				}

@@ -40,7 +40,8 @@ func TestReadBodyRoundTrip(t *testing.T) {
 			t.Fatalf("Class(%d) differs", v)
 		}
 	}
-	for _, path := range [][]string{{"a", "b", "c"}, {"b", "c"}, {"b"}} {
+	a, b, c := g.Tag(0), g.Tag(1), g.Tag(3)
+	for _, path := range [][]lgraph.Tag{{a, b, c}, {b, c}, {b}} {
 		if a, b := idx.PathExtent(path), loaded.PathExtent(path); !slices.Equal(a, b) {
 			t.Fatalf("PathExtent(%v): %v vs %v", path, a, b)
 		}

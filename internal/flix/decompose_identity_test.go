@@ -151,8 +151,8 @@ func TestDecomposeAllocBudget(t *testing.T) {
 		small.NumNodes(), smallMetas, smallFirst.TotalAlloc, smallFirst.Mallocs)
 	t.Logf("6210 docs: %d elements, %d metas, first open %d B in %d mallocs, repeated open %d B in %d mallocs",
 		full.NumNodes(), fullMetas, fullFirst.TotalAlloc, fullFirst.Mallocs, fullRepeated.TotalAlloc, fullRepeated.Mallocs)
-	if fullFirst.TotalAlloc > 16<<20 || fullFirst.Mallocs > 50000 {
-		t.Errorf("first 6210-document open allocated %d B in %d mallocs, budget 16 MiB in 50000", fullFirst.TotalAlloc, fullFirst.Mallocs)
+	if fullFirst.TotalAlloc > 16<<20 {
+		t.Errorf("first 6210-document open allocated %d B, budget 16 MiB", fullFirst.TotalAlloc)
 	}
 	if fullRepeated.TotalAlloc > repeatedOpenBytes || fullRepeated.Mallocs > repeatedOpenMallocs {
 		t.Errorf("repeated 6210-document open allocated %d B in %d mallocs, budget %d B in %d",
@@ -160,8 +160,10 @@ func TestDecomposeAllocBudget(t *testing.T) {
 	}
 	// Mallocs follow meta documents, not elements: a per-meta allowance
 	// plus a constant covers both corpus sizes, while the element count
-	// grows ~5x between them.
-	const perMeta, fixed = 40, 2000
+	// grows ~5x between them.  Measured: 1 137 at 176 meta documents and
+	// 5 735 at 965 once the local graphs stopped carrying a name map each
+	// (9 619 before), so a map per meta document does not fit.
+	const perMeta, fixed = 6, 1000
 	for _, c := range []struct {
 		docs           int
 		mallocs, metas uint64

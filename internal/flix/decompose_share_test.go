@@ -32,9 +32,9 @@ func keptSet(c *xmlgraph.Collection) *meta.Set {
 }
 
 // setHash hashes everything a decomposition holds: the node→meta and
-// node→local maps and, per meta document, its members, local graph (tags,
-// names, both adjacency directions, the name→tag map), link tables with their
-// per-source runs, and the local→global and collection-tag→local-tag tables.
+// node→local maps and, per meta document, its members, local graph (tag
+// count, tags, both adjacency directions), link tables with their per-source
+// runs, and the local→global and collection-tag→local-tag tables.
 // The unexported fields are read through the accessors the evaluator uses.
 func setHash(s *meta.Set) string {
 	h := sha256.New()
@@ -46,9 +46,6 @@ func setHash(s *meta.Set) string {
 	for i, md := range s.Metas {
 		g := md.Graph
 		put("meta %d id %d docs %v nodes %d tags %d", i, md.ID, md.Docs, g.NumNodes(), g.NumTags())
-		for t := int32(0); int(t) < g.NumTags(); t++ {
-			put("tag %d %q %d", t, g.TagName(t), g.TagOf(g.TagName(t)))
-		}
 		for u := int32(0); int(u) < g.NumNodes(); u++ {
 			put("%d t%d g%d s%v p%v", u, g.Tag(u), md.ToGlobal(u), g.Succs(u), g.Preds(u))
 		}

@@ -147,7 +147,7 @@ func (ix *Index) referenceEvaluate(starts []pqItem, tag string, opts Options, fn
 		localTag := lgraph.Tag(-1)
 		wildcard := tag == ""
 		if !wildcard {
-			localTag = md.Graph.TagOf(tag)
+			localTag = md.LocalTag(ix.coll.TagIDOf(tag))
 			if localTag == lgraph.NoTag {
 				goto links
 			}

@@ -1,12 +1,13 @@
 // Package daemon is what the flixd and flixd-router processes share around
-// their handlers: loading the corpus, then listen, the optional pprof side
-// listener and the SIGINT/SIGTERM drain.  It is apart from package front so
+// their handlers: the flags both declare, loading the corpus, then listen,
+// the optional pprof side listener and the SIGINT/SIGTERM drain.  It is apart from package front so
 // that only the two commands link net/http/pprof.
 package daemon
 
 import (
 	"context"
 	"errors"
+	"flag"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -19,6 +20,33 @@ import (
 	"repro/internal/xmlgraph"
 	"repro/internal/xmlparse"
 )
+
+// Flags holds the flags every daemon declares, once the FlagSet is parsed.
+type Flags struct {
+	Addr, Dir, Ontology, DebugAddr      string
+	InFlight, Limit, MaxLimit, BatchMax int
+	Timeout, MaxTimeout, Drain          time.Duration
+	Quiet                               bool
+}
+
+// DeclareFlags declares the shared flags on fs, with addr as -addr's
+// default, and returns the Flags that fs.Parse fills.
+func DeclareFlags(fs *flag.FlagSet, addr string) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.Addr, "addr", addr, "listen address")
+	fs.StringVar(&f.Dir, "dir", "", "directory of *.xml documents (required; a router loads the same one as its shards)")
+	fs.StringVar(&f.Ontology, "ontology", "", "ontology file with 'tagA tagB score' lines for ~ expansion")
+	fs.IntVar(&f.InFlight, "inflight", 64, "admission limit: concurrent queries before 429 shedding")
+	fs.DurationVar(&f.Timeout, "timeout", 2*time.Second, "default per-request deadline")
+	fs.DurationVar(&f.MaxTimeout, "max-timeout", 30*time.Second, "upper clamp on client-requested deadlines")
+	fs.IntVar(&f.Limit, "limit", 100, "default result limit per request")
+	fs.IntVar(&f.MaxLimit, "max-limit", 10000, "upper clamp on client-requested result limits")
+	fs.IntVar(&f.BatchMax, "batch-max", 256, "queries allowed in one POST /v1/batch request")
+	fs.DurationVar(&f.Drain, "drain", 15*time.Second, "shutdown grace period for in-flight queries")
+	fs.BoolVar(&f.Quiet, "quiet", false, "disable per-request access logging")
+	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve net/http/pprof on this address (empty disables)")
+	return f
+}
 
 // Corpus loads the *.xml documents under dir — the collection a daemon
 // resolves and renders nodes from — and, when ontoFile is set, the tag

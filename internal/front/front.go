@@ -593,7 +593,6 @@ func (f *Front) query(w http.ResponseWriter, r *http.Request, ctx context.Contex
 		return
 	}
 	ev := be.Evaluator()
-	ev.MaxResults = k
 	matches := ev.EvaluateTopK(pq, k)
 	timedOut := f.timedOut(ctx)
 	b := okBufs.Get().(*okBuf)

@@ -82,7 +82,7 @@ func TestEachReachableOrder(t *testing.T) {
 func TestEachReachableByTag(t *testing.T) {
 	g, idx := buildGraph(t)
 	var nodes []int32
-	idx.EachReachableByTag(0, g.TagOf("b"), func(n, d int32) bool {
+	idx.EachReachableByTag(0, g.Tag(1), func(n, d int32) bool {
 		nodes = append(nodes, n)
 		return true
 	})

@@ -3,21 +3,24 @@
 //
 // A meta document (FliX §4.1) is a subset of a collection's documents plus a
 // subset of its link edges.  Before an index is built, the meta document is
-// flattened into an LGraph: nodes are renumbered densely 0..N-1, element
-// names are dictionary-compressed into tag IDs, and the edges are stored in
-// compressed sparse row (CSR) form.  Keeping the index packages on this
-// minimal representation decouples them from the XML data model and makes
-// them reusable for any directed labeled graph.
+// flattened into an LGraph: nodes are renumbered densely 0..N-1, each node
+// carries a small tag number, and the edges are stored in compressed sparse
+// row (CSR) form.  The graph keeps no element names: the index packages only
+// compare labels, and the names live once, in the collection's dictionary
+// (meta.MetaDocument.LocalTag translates its tag IDs into a graph's tags).
+// Keeping the index packages on this minimal representation decouples them
+// from the XML data model and makes them reusable for any directed labeled
+// graph.
 package lgraph
 
 import "fmt"
 
-// Tag is a dictionary-compressed element name.  It is an alias (not a
-// defined type), so tag IDs pass between the collection's dictionary, the
-// meta documents and the index probes as plain int32s.
+// Tag is a node label, numbered densely from 0 within one graph.  It is an
+// alias (not a defined type), so tag IDs pass between the collection's
+// dictionary, the meta documents and the index probes as plain int32s.
 type Tag = int32
 
-// NoTag is returned for unknown element names.
+// NoTag stands for a label no node of the graph carries.
 const NoTag Tag = -1
 
 // LGraph is an immutable directed graph with dense node IDs 0..N-1 and a tag
@@ -35,15 +38,14 @@ type LGraph struct {
 	radjOff     []int32
 	radjTargets []int32
 
-	tags     []Tag
-	tagNames []string
-	tagIDs   map[string]Tag
+	tags    []Tag
+	numTags int
 }
 
-// Builder accumulates nodes and edges for an LGraph.
+// Builder accumulates nodes and edges for an LGraph.  It numbers element
+// names in order of first appearance; the graph keeps only the numbers.
 type Builder struct {
 	tags     []Tag
-	tagNames []string
 	tagIDs   map[string]Tag
 	from, to []int32
 }
@@ -58,8 +60,7 @@ func NewBuilder() *Builder {
 func (b *Builder) AddNode(tag string) int32 {
 	id, ok := b.tagIDs[tag]
 	if !ok {
-		id = Tag(len(b.tagNames))
-		b.tagNames = append(b.tagNames, tag)
+		id = Tag(len(b.tagIDs))
 		b.tagIDs[tag] = id
 	}
 	b.tags = append(b.tags, id)
@@ -97,22 +98,20 @@ func (b *Builder) Finish() *LGraph {
 		succ[cursor[u]] = b.to[i]
 		cursor[u]++
 	}
-	return FromAdjacency(b.tags, b.tagNames, b.tagIDs,
+	return FromAdjacency(b.tags, len(b.tagIDs),
 		succOff, succ, make([]int32, n+1), make([]int32, len(succ)), cursor)
 }
 
 // FromAdjacency assembles a graph over storage the caller provides, so that
 // a bulk producer (meta.Build) can carve many graphs out of a few exact-size
-// arrays.  tags holds one tag per node and tagNames/tagIDs the dictionary
-// behind them.  succOff/succ is the forward adjacency in CSR form with runs
-// in any order; the offsets are positions in succ and need not start at 0, so
-// consecutive graphs can share one offsets array and one succ.  predOff
-// (len(succOff)) and pred (len(succ)) receive the reverse adjacency over the
-// same range of positions, and scratch needs one element per node.  The graph
-// keeps every argument but scratch, and both adjacencies come out with
-// ascending runs.
-func FromAdjacency(tags []Tag, tagNames []string, tagIDs map[string]Tag,
-	succOff, succ, predOff, pred, scratch []int32) *LGraph {
+// arrays.  tags holds one tag per node, each below numTags.  succOff/succ is
+// the forward adjacency in CSR form with runs in any order; the offsets are
+// positions in succ and need not start at 0, so consecutive graphs can share
+// one offsets array and one succ.  predOff (len(succOff)) and pred (len(succ))
+// receive the reverse adjacency over the same range of positions, and scratch
+// needs one element per node.  The graph keeps every argument but scratch,
+// and both adjacencies come out with ascending runs.
+func FromAdjacency(tags []Tag, numTags int, succOff, succ, predOff, pred, scratch []int32) *LGraph {
 	n := len(tags)
 	clear(predOff)
 	for _, v := range succ[succOff[0]:succOff[n]] {
@@ -131,7 +130,7 @@ func FromAdjacency(tags []Tag, tagNames []string, tagIDs map[string]Tag,
 		n:      n,
 		adjOff: succOff, adjTargets: succ,
 		radjOff: predOff, radjTargets: pred,
-		tags: tags, tagNames: tagNames, tagIDs: tagIDs,
+		tags: tags, numTags: numTags,
 	}
 }
 
@@ -161,19 +160,9 @@ func (g *LGraph) NumEdges() int {
 // Tag returns the tag of node u.
 func (g *LGraph) Tag(u int32) Tag { return g.tags[u] }
 
-// TagName returns the element name of tag t.
-func (g *LGraph) TagName(t Tag) string { return g.tagNames[t] }
-
-// TagOf returns the tag ID for an element name, or NoTag.
-func (g *LGraph) TagOf(name string) Tag {
-	if id, ok := g.tagIDs[name]; ok {
-		return id
-	}
-	return NoTag
-}
-
-// NumTags returns the number of distinct element names.
-func (g *LGraph) NumTags() int { return len(g.tagNames) }
+// NumTags returns the number of distinct tags; every node's tag lies below
+// it.
+func (g *LGraph) NumTags() int { return g.numTags }
 
 // Succs returns the successors of u.  Callers must not mutate the slice.
 func (g *LGraph) Succs(u int32) []int32 {

@@ -59,14 +59,11 @@ func TestTags(t *testing.T) {
 	if g.NumTags() != 3 {
 		t.Fatalf("NumTags = %d", g.NumTags())
 	}
-	if g.TagName(g.Tag(3)) != "b" {
-		t.Errorf("Tag(3) = %q", g.TagName(g.Tag(3)))
-	}
-	if g.TagOf("c") != g.Tag(2) {
-		t.Error("TagOf(c) mismatch")
-	}
-	if g.TagOf("zzz") != NoTag {
-		t.Error("unknown tag should be NoTag")
+	// Names are numbered in order of first appearance: a b c b.
+	for u, want := range []Tag{0, 1, 2, 1} {
+		if g.Tag(int32(u)) != want {
+			t.Errorf("Tag(%d) = %d, want %d", u, g.Tag(int32(u)), want)
+		}
 	}
 	if !reflect.DeepEqual(g.TagHistogram(), []int{1, 2, 1}) {
 		t.Errorf("TagHistogram = %v", g.TagHistogram())

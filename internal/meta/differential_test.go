@@ -91,10 +91,10 @@ func diffCheck(t *testing.T, ctx string, g *lgraph.LGraph, idx pathindex.Index, 
 			collect(func(fn pathindex.Visit) { oracle.EachReaching(u, fn) }))
 		for ti := 0; ti < g.NumTags(); ti++ {
 			tag := lgraph.Tag(ti)
-			checkSeq(t, ctx, fmt.Sprintf("EachReachableByTag(%d,%q)", u, g.TagName(tag)),
+			checkSeq(t, ctx, fmt.Sprintf("EachReachableByTag(%d,%d)", u, tag),
 				collect(func(fn pathindex.Visit) { idx.EachReachableByTag(u, tag, fn) }),
 				collect(func(fn pathindex.Visit) { oracle.EachReachableByTag(u, tag, fn) }))
-			checkSeq(t, ctx, fmt.Sprintf("EachReachingByTag(%d,%q)", u, g.TagName(tag)),
+			checkSeq(t, ctx, fmt.Sprintf("EachReachingByTag(%d,%d)", u, tag),
 				collect(func(fn pathindex.Visit) { idx.EachReachingByTag(u, tag, fn) }),
 				collect(func(fn pathindex.Visit) { oracle.EachReachingByTag(u, tag, fn) }))
 		}

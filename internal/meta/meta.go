@@ -70,9 +70,10 @@ func (m *MetaDocument) ToGlobal(local int32) xmlgraph.NodeID {
 }
 
 // LocalTag translates a collection tag ID (Collection.TagIDOf) into Graph's
-// tag for the same element name: what Graph.TagOf answers from the name, as
-// an array load.  It returns lgraph.NoTag for a negative ID and for a name no
-// element of the meta document carries.
+// tag for the same element name, as an array load: Collection.TagIDOf and
+// then LocalTag are the only way from a name to a local tag.  It returns
+// lgraph.NoTag for a negative ID and for a name no element of the meta
+// document carries.
 func (m *MetaDocument) LocalTag(id int32) lgraph.Tag {
 	if id < 0 {
 		return lgraph.NoTag
@@ -258,57 +259,32 @@ func (s *Set) wire(included []bool) {
 	})
 
 	// Local graphs.  A meta document numbers its tags in order of first
-	// appearance; localTag translates the collection's tag IDs, stamped with
-	// the meta document it is valid for.
-	tags := make([]lgraph.Tag, nNodes)
-	type slot struct {
-		meta int
-		tag  lgraph.Tag
-	}
-	localTag := make([]slot, len(c.TagNames()))
-	var dict []int32 // every meta document's tags, as collection tag IDs
-	dictStart := make([]int32, nMetas+1)
-	for mi, md := range s.Metas {
-		local := tags[base[mi]:base[mi+1]]
-		for i, n := range md.toGlobal {
-			id := c.TagID(n)
-			sl := &localTag[id]
-			if sl.meta != mi+1 {
-				*sl = slot{meta: mi + 1, tag: lgraph.Tag(len(dict)) - dictStart[mi]}
-				dict = append(dict, id)
-			}
-			local[i] = sl.tag
-		}
-		dictStart[mi+1] = int32(len(dict))
-	}
-	tagNames := make([]string, len(dict))
-	for i, id := range dict {
-		tagNames[i] = c.TagNames()[id]
-	}
-	// The same translation kept per meta document, dense over the
-	// collection's tags (4 bytes × meta documents × distinct names), for
-	// MetaDocument.LocalTag.
+	// appearance, straight into its row of the translation table behind
+	// MetaDocument.LocalTag: dense over the collection's tags, 4 bytes ×
+	// meta documents × distinct names.
 	nTags := len(c.TagNames())
+	tags := make([]lgraph.Tag, nNodes)
 	localTags := make([]lgraph.Tag, nMetas*nTags)
 	for i := range localTags {
 		localTags[i] = lgraph.NoTag
 	}
-	for mi, md := range s.Metas {
-		md.localTag = localTags[mi*nTags : (mi+1)*nTags : (mi+1)*nTags]
-		for t, id := range dict[dictStart[mi]:dictStart[mi+1]] {
-			md.localTag[id] = lgraph.Tag(t)
-		}
-	}
 	predOff := make([]int32, nNodes+1)
 	pred := make([]int32, len(succ))
-	for mi := range s.Metas {
+	for mi, md := range s.Metas {
 		lo, hi := base[mi], base[mi+1]
-		names := tagNames[dictStart[mi]:dictStart[mi+1]:dictStart[mi+1]]
-		tagIDs := make(map[string]lgraph.Tag, len(names))
-		for id, name := range names {
-			tagIDs[name] = lgraph.Tag(id)
+		row := localTags[mi*nTags : (mi+1)*nTags : (mi+1)*nTags]
+		local := tags[lo:hi:hi]
+		numTags := 0
+		for i, n := range md.toGlobal {
+			id := c.TagID(n)
+			if row[id] == lgraph.NoTag {
+				row[id] = lgraph.Tag(numTags)
+				numTags++
+			}
+			local[i] = row[id]
 		}
-		s.Metas[mi].Graph = lgraph.FromAdjacency(tags[lo:hi:hi], names, tagIDs,
+		md.localTag = row
+		md.Graph = lgraph.FromAdjacency(local, numTags,
 			succOff[lo:hi+1], succ, predOff[lo:hi+1], pred, cursor[lo:hi])
 	}
 
@@ -399,7 +375,7 @@ func (s *Set) Validate() error {
 			if s.MetaOf[g] != int32(pi) || s.LocalOf[g] != int32(local) {
 				return fmt.Errorf("node %d: inconsistent mapping", g)
 			}
-			if md.Graph.TagName(md.Graph.Tag(int32(local))) != s.Coll.Tag(g) {
+			if md.Graph.Tag(int32(local)) != md.LocalTag(s.Coll.TagID(g)) {
 				return fmt.Errorf("node %d: tag mismatch", g)
 			}
 		}

@@ -100,8 +100,10 @@ func TestSelector(t *testing.T) {
 		t.Errorf("forest meta selected %s", got.Name)
 	}
 	// Preference respected when applicable.
-	if got := Select(s.Metas[0], LoadDescendants, "hopi"); got.Name != "hopi" {
-		t.Errorf("preference ignored: %s", got.Name)
+	for _, name := range []string{"hopi", "apex", "ppo"} {
+		if got := Select(s.Metas[0], LoadShortPaths, name); got.Name != name {
+			t.Errorf("preference %s ignored: %s", name, got.Name)
+		}
 	}
 	// Unknown preference falls back.
 	if got := Select(s.Metas[0], LoadDescendants, "nope"); got.Name != "ppo" {
@@ -131,6 +133,9 @@ func TestSelectorNonForest(t *testing.T) {
 		t.Errorf("unexpected fallback %s", got.Name)
 	} else if got.Name == "ppo" {
 		t.Error("ppo selected for non-forest graph")
+	}
+	if got := Select(s.Metas[0], LoadShortPaths, "ppo"); got.Name != "apex" {
+		t.Errorf("infeasible ppo preference under a short-path load selected %s, want apex", got.Name)
 	}
 	// BuildIndex end to end.
 	idx, _, err := BuildIndexTimed(s.Metas[0], LoadDescendants, "")

@@ -73,16 +73,16 @@ var SectionOpeners = map[uint32]func(*lgraph.LGraph, []byte) (pathindex.Index, e
 //
 // The preferred name, when non-empty, overrides the heuristic if the
 // strategy is applicable (a PPO preference on a non-forest graph falls back
-// to the heuristic).
+// to the heuristic).  The forest check runs at most once.
 func Select(md *MetaDocument, load QueryLoad, preferred string) pathindex.Strategy {
-	if preferred != "" {
-		if s, ok := Registry[preferred]; ok {
-			if !s.RequiresForest || md.Graph.IsForest() {
-				return s
-			}
-		}
+	s, ok := Registry[preferred]
+	if ok && !s.RequiresForest {
+		return s
 	}
 	if md.Graph.IsForest() {
+		if ok {
+			return s
+		}
 		return ppo.Strategy
 	}
 	if load == LoadShortPaths {

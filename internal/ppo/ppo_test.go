@@ -99,7 +99,7 @@ func TestEachReachableEarlyStop(t *testing.T) {
 func TestEachReachableByTag(t *testing.T) {
 	g, idx := buildTree(t)
 	var got []int32
-	idx.EachReachableByTag(0, g.TagOf("b"), func(n, d int32) bool {
+	idx.EachReachableByTag(0, g.Tag(1), func(n, d int32) bool {
 		got = append(got, n)
 		return true
 	})
@@ -108,7 +108,7 @@ func TestEachReachableByTag(t *testing.T) {
 	}
 	// Self inclusion: a at node 0.
 	got = nil
-	idx.EachReachableByTag(0, g.TagOf("a"), func(n, d int32) bool {
+	idx.EachReachableByTag(0, g.Tag(0), func(n, d int32) bool {
 		got = append(got, n)
 		return true
 	})
@@ -138,7 +138,7 @@ func TestEachReaching(t *testing.T) {
 func TestEachReachingByTag(t *testing.T) {
 	g, idx := buildTree(t)
 	var nodes []int32
-	idx.EachReachingByTag(3, g.TagOf("a"), func(n, d int32) bool {
+	idx.EachReachingByTag(3, g.Tag(0), func(n, d int32) bool {
 		nodes = append(nodes, n)
 		return true
 	})

@@ -56,7 +56,8 @@ type Evaluator struct {
 	// MinScore drops results whose accumulated relevance falls below it.
 	// Defaults to 0.01, bounding //-step expansion depth.
 	MinScore float64
-	// MaxResults truncates the ranked result list (0 = all).
+	// MaxResults truncates Evaluate's ranked result list (0 = all).  Only
+	// Evaluate reads it: EvaluateTopK takes its k as an argument.
 	MaxResults int
 	// InverseScore enables the inverted-direction vagueness of §1.1
 	// ("one could also consider inverting the direction, i.e., consider

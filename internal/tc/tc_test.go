@@ -59,7 +59,7 @@ func TestEnumeration(t *testing.T) {
 		t.Errorf("EachReachable = %v %v", nodes, dists)
 	}
 	nodes = nil
-	idx.EachReachableByTag(0, g.TagOf("b"), func(n, d int32) bool {
+	idx.EachReachableByTag(0, g.Tag(1), func(n, d int32) bool {
 		nodes = append(nodes, n)
 		return true
 	})
@@ -75,7 +75,7 @@ func TestEnumeration(t *testing.T) {
 		t.Errorf("EachReaching(3) = %v", nodes)
 	}
 	nodes = nil
-	idx.EachReachingByTag(3, g.TagOf("a"), func(n, d int32) bool {
+	idx.EachReachingByTag(3, g.Tag(0), func(n, d int32) bool {
 		nodes = append(nodes, n)
 		return true
 	})

@@ -12,6 +12,7 @@ package flix_test
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"strconv"
 	"sync"
@@ -369,23 +370,39 @@ func BenchmarkDecompose(b *testing.B) {
 // BenchmarkOpenSnapshot measures a v2 snapshot open from memory, raw and
 // compressed, the way a hot swap pays it: over the decomposition the build
 // kept on the collection (BenchmarkDecompose is the first open's extra), so
-// the checksum, opening every section and the link tables.  Hybrid's
-// sections are all PPO, opened in place; HOPI-5000's are decoded into heap
-// labels and postings.
+// the checksum and opening every section.  Hybrid's sections are all PPO,
+// opened in place; HOPI-5000's are decoded into heap labels and postings.
+// An open builds no link table, the first query that follows a meta
+// document's links does, so Hybrid/compressed+queries adds 50 uncached
+// descendants queries on the fresh generation (random roots, the five tags
+// of the benchmark's descendants classes in turn, k=100): an open made
+// cheaper by pushing its work into the queries shows up there.
 func BenchmarkOpenSnapshot(b *testing.B) {
 	e := experiment(b)
+	rng := rand.New(rand.NewSource(1))
+	tags := []string{"article", "author", "title", "cite", ""}
+	starts := make([]xmlgraph.NodeID, 50)
+	for i := range starts {
+		starts[i] = e.Coll.Doc(xmlgraph.DocID(rng.Intn(e.Coll.NumDocs()))).Root
+	}
+	drop := func(flix.Result) bool { return true }
 	for _, en := range []bench.Entry{
 		{Label: "Hybrid", Config: flix.Config{Kind: flix.Hybrid, PartitionSize: 5000}},
 		{Label: "HOPI-5000", Config: flix.Config{Kind: flix.UnconnectedHOPI, PartitionSize: 5000}},
 	} {
 		bu := built(b, en)
 		for _, c := range []struct {
-			name string
-			opts iflix.SnapshotV2Options
+			name    string
+			opts    iflix.SnapshotV2Options
+			queries bool
 		}{
-			{"raw", iflix.SnapshotV2Options{}},
-			{"compressed", iflix.SnapshotV2Options{Compress: true}},
+			{"raw", iflix.SnapshotV2Options{}, false},
+			{"compressed", iflix.SnapshotV2Options{Compress: true}, false},
+			{"compressed+queries", iflix.SnapshotV2Options{Compress: true}, true},
 		} {
+			if c.queries && en.Label != "Hybrid" {
+				continue
+			}
 			var buf bytes.Buffer
 			if _, err := bu.Index.WriteSnapshotV2With(&buf, c.opts); err != nil {
 				b.Fatal(err)
@@ -396,6 +413,9 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 					ix, err := flix.OpenSnapshotBytes(e.Coll, buf.Bytes())
 					if err != nil {
 						b.Fatal(err)
+					}
+					for q := 0; c.queries && q < len(starts); q++ {
+						ix.Descendants(starts[q], tags[q%len(tags)], flix.Options{MaxResults: 100}, drop)
 					}
 					ix.Close()
 				}

@@ -132,14 +132,15 @@ func openCost(t *testing.T, c *xmlgraph.Collection) (first, repeated runtime.Mem
 // mallocs on the 6210-document corpus before the pipeline was rewritten);
 // every later generation finds it, and under hot swap garbage per open is
 // resident memory per second, so the repeated open — per meta document the
-// section view, one block-directory reservation and the link table, nothing
-// per element — has a budget of its own: it is what keeps rss_mb on the
-// benchmark's reopen-mapped workload where it is.
+// section view and one block-directory reservation, nothing per element and
+// no link table (the first query that follows a meta document's links builds
+// it) — has a budget of its own: it is what keeps rss_mb on the benchmark's
+// reopen-mapped workload where it is.
 func TestDecomposeAllocBudget(t *testing.T) {
-	// About 1.3 times the 1 587 504 B in 4 697 mallocs measured once a
-	// compressed section reserved its packed directories in one allocation
-	// (14 525 mallocs before): 1.5 times would loosen the byte budget.
-	const repeatedOpenBytes, repeatedOpenMallocs = 2 << 20, 6000
+	// About 1.2 and 1.3 times the 1 086 032 B in 1 952 mallocs measured once
+	// the link tables moved to first use; an open that builds all 937 again
+	// (1 575 768 B in 4 699 mallocs) fails both.
+	const repeatedOpenBytes, repeatedOpenMallocs = 1280 << 10, 2500
 	if testing.Short() {
 		t.Skip("builds the 6210-document corpus")
 	}
@@ -160,10 +161,12 @@ func TestDecomposeAllocBudget(t *testing.T) {
 	}
 	// Mallocs follow meta documents, not elements: a per-meta allowance
 	// plus a constant covers both corpus sizes, while the element count
-	// grows ~5x between them.  Measured: 1 137 at 176 meta documents and
-	// 5 735 at 965 once the local graphs stopped carrying a name map each
-	// (9 619 before), so a map per meta document does not fit.
-	const perMeta, fixed = 6, 1000
+	// grows ~5x between them.  Measured: 621 at 176 meta documents and
+	// 2 991 at 965 once the link tables moved to first use (1 137 and 5 737
+	// when the open built them, 9 619 at 965 when every local graph carried
+	// a name map), so neither eager link tables nor a map per meta document
+	// fit.
+	const perMeta, fixed = 4, 500
 	for _, c := range []struct {
 		docs           int
 		mallocs, metas uint64

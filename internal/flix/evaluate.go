@@ -344,11 +344,11 @@ func (r *evalRun) probe() {
 
 // follow is step (3): it queues what the admitted entry's runtime links lead
 // to.  Forward, the links the entry reaches come from the meta document's
-// link table under region encoding (links laid out by source rank at
-// build/open, hop distance dist(e) + 1 + depth(source) - depth(e)), else from
-// per-source distance tests through linkVisit; in reverse, every link
-// entering the meta document at an element that reaches the entry queues its
-// source.  Every link taken goes through hop.
+// link table under region encoding (links laid out by source rank when a
+// query first follows them, hop distance dist(e) + 1 + depth(source) -
+// depth(e)), else from per-source distance tests through linkVisit; in
+// reverse, every link entering the meta document at an element that reaches
+// the entry queues its source.  Every link taken goes through hop.
 //
 // Under region encoding the forward sweep skips the sources below the earlier
 // entry points nested in this one (enter hands their regions over as prev).
@@ -369,7 +369,7 @@ func (r *evalRun) follow() {
 	if len(r.md.LinkSources) == 0 {
 		return
 	}
-	lt := r.ix.linkTabs[r.mi]
+	lt := r.ix.linkTable(int(r.mi))
 	if lt == nil {
 		pathindex.LinkDistances(r.idx, r.le, r.md.LinkSources, r.s.linkFn)
 		return

@@ -163,12 +163,13 @@ type Index struct {
 	// when it has no region encoding: resolved once, not asserted per pop.
 	regions []pathindex.Regioner
 	// linkTabs[mi] is the link sweep over the meta document's runtime
-	// links, nil when it has none or no region encoding: the links in their
-	// sources' rank order, each with its global target and its source's
-	// depth, laid out once at build/open so the evaluator's link-follow
-	// loop — the hottest per-pop work after the probe itself — walks dense
-	// plain arrays instead of testing every source per pop.
-	linkTabs []*pathindex.LinkTable
+	// links: the links in their sources' rank order, each with its global
+	// target and its source's depth, so the evaluator's link-follow loop —
+	// the hottest per-pop work after the probe itself — walks dense plain
+	// arrays instead of testing every source per pop.  A build or open
+	// leaves every slot nil; linkTable fills a region-encoded meta
+	// document's slot when a query first follows its links.
+	linkTabs []atomic.Pointer[pathindex.LinkTable]
 
 	// secRaw holds the pre-compression byte size of each snapshot section
 	// (parallel to snap's meta sections; 0 = unknown), parsed from the
@@ -193,22 +194,40 @@ func newIndex(c *xmlgraph.Collection, cfg Config, set *meta.Set, bs BuildStats) 
 		coll: c, set: set, cfg: cfg, bstats: bs,
 		pis:      make([]pathindex.Index, len(set.Metas)),
 		regions:  make([]pathindex.Regioner, len(set.Metas)),
-		linkTabs: make([]*pathindex.LinkTable, len(set.Metas)),
+		linkTabs: make([]atomic.Pointer[pathindex.LinkTable], len(set.Metas)),
 		scratch:  new(sync.Pool),
 	}
 }
 
 // setIndex installs meta document i's index and, when it is region-encoded,
-// its region encoding and link table.  Both constructors (heap build,
-// snapshot open) call it from their worker pools, one meta document each.
+// its region encoding.  Both constructors (heap build, snapshot open) call it
+// from their worker pools, one meta document each.
 func (ix *Index) setIndex(i int, idx pathindex.Index) {
 	ix.pis[i] = idx
 	if rg, ok := idx.(pathindex.Regioner); ok {
 		ix.regions[i] = rg
-		md := ix.set.Metas[i]
-		ix.linkTabs[i] = pathindex.NewLinkTable(rg, md.LinkSources, md.LinkStart,
-			func(k int) int32 { return int32(md.OutLinks[k].To) })
 	}
+}
+
+// linkTable returns meta document mi's link table, nil when it has no region
+// encoding or no runtime links.  The first call builds the table; a table is
+// a pure function of the meta document and its index, so when two queries
+// race to build one, the loser drops its copy and uses the winner's.
+func (ix *Index) linkTable(mi int) *pathindex.LinkTable {
+	if lt := ix.linkTabs[mi].Load(); lt != nil {
+		return lt
+	}
+	rg := ix.regions[mi]
+	if rg == nil {
+		return nil
+	}
+	md := ix.set.Metas[mi]
+	lt := pathindex.NewLinkTable(rg, md.LinkSources, md.LinkStart,
+		func(k int) int32 { return int32(md.OutLinks[k].To) })
+	if ix.linkTabs[mi].CompareAndSwap(nil, lt) {
+		return lt
+	}
+	return ix.linkTabs[mi].Load()
 }
 
 // forEachMeta calls step(w, i) for every meta document i in [0, n) on a pool

@@ -31,3 +31,13 @@ func (rt *Router) WaitReady(ctx context.Context) error {
 		}
 	}
 }
+
+// TopologyOwners returns the loaded topology's per-meta-document owner table,
+// or nil and false while no topology is loaded.
+func (rt *Router) TopologyOwners() ([]int32, bool) {
+	topo := rt.topo.Load()
+	if topo == nil {
+		return nil, false
+	}
+	return topo.owner, true
+}

@@ -128,7 +128,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 			return
 		}
 		best[e.Node] = e.Dist
-		ow := rt.ring.Owner(topo.metaOf[e.Node])
+		ow := topo.owner[topo.metaOf[e.Node]]
 		batches[ow] = append(batches[ow], e)
 	}
 	for _, e := range starts {
@@ -268,7 +268,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 				best[hp.Node] = hp.Dist
 				dispatched++
 				redispatched++
-				ow := rt.ring.Owner(topo.metaOf[hp.Node])
+				ow := topo.owner[topo.metaOf[hp.Node]]
 				batches[ow] = append(batches[ow], hp)
 			}
 		}

@@ -82,9 +82,12 @@ func (c RouterConfig) withDefaults() RouterConfig {
 // decomposition, bootstrapped from a shard's /v1/shard/links and swapped
 // atomically.
 type topology struct {
-	numMetas    int
-	numNodes    int
-	metaOf      []int32
+	numMetas int
+	numNodes int
+	metaOf   []int32
+	// owner[mi] is the shard owning meta document mi on the router's ring,
+	// filled once per load so the gather loop stages a hop without hashing.
+	owner       []int32
 	fingerprint string
 	loadedFrom  int
 }
@@ -339,10 +342,34 @@ func (rt *Router) maybeLoadTopology(ctx context.Context) {
 		}
 		return
 	}
+	// Every meta document holds an element, so a count above the nodes is
+	// forged; checked before it sizes the owner table.  A node's meta
+	// document indexes that table, so it must be in range too.
+	if lr.NumMetas < 0 || lr.NumMetas > lr.NumNodes {
+		if rt.cfg.Logger != nil {
+			rt.cfg.Logger.Printf("topology from shard %d rejected: %d meta documents over %d nodes",
+				from, lr.NumMetas, lr.NumNodes)
+		}
+		return
+	}
+	for n, mi := range lr.MetaOf {
+		if mi < 0 || int(mi) >= lr.NumMetas {
+			if rt.cfg.Logger != nil {
+				rt.cfg.Logger.Printf("topology from shard %d rejected: node %d in meta document %d of %d",
+					from, n, mi, lr.NumMetas)
+			}
+			return
+		}
+	}
+	owner := make([]int32, lr.NumMetas)
+	for mi := range owner {
+		owner[mi] = int32(rt.ring.Owner(int32(mi)))
+	}
 	rt.topo.Store(&topology{
 		numMetas:    lr.NumMetas,
 		numNodes:    lr.NumNodes,
 		metaOf:      lr.MetaOf,
+		owner:       owner,
 		fingerprint: lr.Fingerprint,
 		loadedFrom:  from,
 	})

@@ -15,27 +15,21 @@ import (
 
 // TestDocsCiteExistingArtefacts: every result file, command, command-line
 // flag, flixbench experiment, test or benchmark function and Go symbol the
-// living docs name must exist.  Function names match as prefixes, as the
-// -run/-bench patterns quoting them do.  A flag written after flixd,
-// flixd-router, flixquery or flixbench must be one that command's main
-// defines, itself or through daemon.DeclareFlags; a backticked flag on its own must be one of theirs too, or one of
-// the other tools' flags listed below.  A backticked `pkg.Symbol` (a
-// top-level name or a method) or `pkg.Type.Member` (a method, a field or an
-// interface method), pkg being one of this module's packages and Symbol
-// exported, must be declared there; whatever follows the name — call
-// arguments, a composite literal — is not checked.  A backticked metric name
-// — a lower-case name with a '_' or '-' after a prefix BENCHMARK.json's
-// per_layer metrics use, as in `flix.open_ms` — must be one of those
-// metrics.
+// living docs name must exist; the living docs are the markdown files below
+// and every package doc comment under internal/ and cmd/.  Function names
+// match as prefixes, as the -run/-bench patterns quoting them do.  A flag
+// written after flixd, flixd-router, flixquery or flixbench must be one
+// that command's main defines, itself or through daemon.DeclareFlags; a
+// backticked flag on its own must be one of theirs too, or one of the other
+// tools' flags listed below.  A backticked `pkg.Symbol` (a top-level name or
+// a method) or `pkg.Type.Member` (a method, a field or an interface method),
+// pkg being one of this module's packages and Symbol exported, must be
+// declared there; whatever follows the name — call arguments, a composite
+// literal — is not checked.  A backticked metric name — a lower-case name
+// with a '_' or '-' after a prefix BENCHMARK.json's per_layer metrics use, as
+// in `flix.open_ms` — must be one of those metrics.
 func TestDocsCiteExistingArtefacts(t *testing.T) {
-	var tests strings.Builder // every _test.go of the repository
-	filepath.WalkDir(".", func(path string, _ fs.DirEntry, _ error) error {
-		if strings.HasSuffix(path, "_test.go") {
-			src, _ := os.ReadFile(path)
-			tests.Write(src)
-		}
-		return nil
-	})
+	tests := testSources()
 	flixbench, _ := os.ReadFile("cmd/flixbench/main.go")
 	commands := `flixd-router|flixd|flixquery|flixbench`
 	// command -> its flags; "" holds every command's, plus those of other
@@ -100,7 +94,7 @@ func TestDocsCiteExistingArtefacts(t *testing.T) {
 		metricCite:                       func(cite string) bool { return metrics[strings.Trim(cite, "`")] },
 		`\bBENCH_\w+\.json|\bcmd/[\w-]+`: func(path string) bool { _, err := os.Stat(path); return err == nil },
 		`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`: func(name string) bool {
-			return strings.Contains(tests.String(), "\nfunc "+name)
+			return strings.Contains(tests, "\nfunc "+name)
 		},
 		`flixbench -exp \w+`: func(cite string) bool {
 			return strings.Contains(string(flixbench), `"`+strings.TrimPrefix(cite, "flixbench -exp ")+`"`)
@@ -109,17 +103,109 @@ func TestDocsCiteExistingArtefacts(t *testing.T) {
 		"(?m)(?:^|[\\s(])`-[a-z][^`\n]*`":                         flagsDefined, // a backticked flag on its own
 		"`(?:" + strings.Join(pkgs, "|") + ")\\.[A-Z][^`]*`":      symbolDeclared,
 	}
+	docs := packageDocs(t)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		docs[doc] = string(text)
+	}
+	for doc, text := range docs {
 		for cite, ok := range checks {
-			for _, c := range regexp.MustCompile(cite).FindAllString(string(text), -1) {
+			for _, c := range regexp.MustCompile(cite).FindAllString(text, -1) {
 				if !ok(c) {
 					t.Errorf("%s cites %q, which does not exist", doc, c)
 				}
 			}
+		}
+	}
+}
+
+// testSources returns every _test.go file of the repository, concatenated.
+func testSources() string {
+	var tests strings.Builder
+	filepath.WalkDir(".", func(path string, _ fs.DirEntry, _ error) error {
+		if strings.HasSuffix(path, "_test.go") {
+			src, _ := os.ReadFile(path)
+			tests.Write(src)
+		}
+		return nil
+	})
+	return tests.String()
+}
+
+// packageDocs maps each non-test Go file under internal/ and cmd/ that
+// carries a package doc comment to that comment's text.
+func packageDocs(t *testing.T) map[string]string {
+	docs := map[string]string{}
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.PackageClauseOnly|parser.ParseComments)
+			if err == nil && file.Doc != nil {
+				docs[path] = file.Doc.Text()
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(docs) == 0 {
+		t.Fatal("no package doc comment found under internal/ or cmd/")
+	}
+	return docs
+}
+
+// TestDesignInvariantsNameTests: every row of DESIGN.md's invariant table
+// (§6) names at least one Test or Fuzz function, and each one it names
+// exists; DESIGN.md and README.md describe the system as it is, so neither
+// refers to a change by its PR number.
+func TestDesignInvariantsNameTests(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, found := strings.Cut(string(design), "\n## 6. Invariants\n")
+	if !found {
+		t.Fatal("DESIGN.md has no section \"## 6. Invariants\"")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	tests, name := testSources(), regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
+	rows, header := 0, true
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "|---") {
+			header = false
+		}
+		if header || !strings.HasPrefix(line, "| ") {
+			continue
+		}
+		rows++
+		names := name.FindAllString(line, -1)
+		if len(names) == 0 {
+			t.Errorf("DESIGN.md §6 row names no test: %s", line)
+		}
+		for _, n := range names {
+			if !strings.Contains(tests, "\nfunc "+n+"(") {
+				t.Errorf("DESIGN.md §6 row names %s, which is not a test function: %s", n, line)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Error("DESIGN.md §6 has no invariant table rows")
+	}
+	pr := regexp.MustCompile(`\bPRs? #?\d+`)
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range pr.FindAllString(string(text), -1) {
+			t.Errorf("%s refers to %q: describe the system as it is, and leave the history to CHANGES.md", doc, m)
 		}
 	}
 }

@@ -3,7 +3,8 @@
 // plus one flat array.  It is the in-memory form of the v2 snapshot
 // sections' offset-table-plus-array relations, so an encoder writes the two
 // arrays it holds and a raw opener views them in the section bytes without
-// building a header per row.
+// building a header per row.  Row i is `csr.Rows.Row`(i), a sub-slice of
+// the flat array.
 package csr
 
 // Rows is a table of variable-length rows: row i is Data[Off[i]:Off[i+1]].

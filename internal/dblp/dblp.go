@@ -11,6 +11,11 @@
 // (≈4.1 links per document with preferential attachment, so that a few
 // heavily cited "hub" papers exist — the role Mohan's VLDB'99 ARIES paper
 // plays in the paper's query experiment).
+//
+// `dblp.Generate` over `dblp.Scaled`(6210) is that paper-scale corpus —
+// 171 001 elements, 25 373 links — which the paper-scale tests, the
+// experiments and the benchmark build; smaller scales keep the same
+// distributions.
 package dblp
 
 import (

@@ -1,14 +1,3 @@
-// Package flix implements the FliX framework for indexing large,
-// heterogeneous collections of interlinked XML documents (Schenkel, EDBT
-// 2004 workshops).
-//
-// The build phase (§4) partitions the collection into meta documents
-// (Meta Document Builder), picks the best path-indexing strategy for each
-// (Indexing Strategy Selector) and builds the per-meta-document indexes
-// (Index Builder).  The query phase (§5) evaluates descendants-or-self path
-// expressions with a priority-queue algorithm that consults the local
-// indexes and follows the remaining links at run time, streaming results in
-// approximately ascending distance order.
 package flix
 
 import (

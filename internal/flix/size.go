@@ -68,10 +68,12 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	})
 }
 
-// SizeBytes measures the index: the container size for a snapshot-backed
-// index (compressed or not), or the length of the canonical compact stream
-// for a heap-built one — Table 1's measure.  An Index is immutable, so the
-// stream is encoded once and the length kept.
+// SizeBytes measures the index, and which number a caller gets depends on
+// how the index was made.  A heap-built index reports the length of the
+// canonical compact stream — Table 1's measure; an Index is immutable, so
+// the stream is encoded once and the length kept.  A snapshot-backed index,
+// compressed or not, reports the size of the container that backs it, the
+// number StorageInfo.SizeBytes holds; the two are not comparable.
 func (ix *Index) SizeBytes() (int64, error) {
 	if ix.snap != nil {
 		return ix.snap.Size(), nil

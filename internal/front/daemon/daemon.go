@@ -1,7 +1,9 @@
 // Package daemon is what the flixd and flixd-router processes share around
 // their handlers: the flags both declare, loading the corpus, then listen,
 // the optional pprof side listener and the SIGINT/SIGTERM drain.  It is apart from package front so
-// that only the two commands link net/http/pprof.
+// that only the two commands link net/http/pprof.  `daemon.Run` closes the
+// listener on a signal and lets in-flight queries finish, bounded by -drain
+// (`TestGracefulDrain`).
 package daemon
 
 import (

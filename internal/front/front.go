@@ -1,14 +1,3 @@
-// Package front is the HTTP front that flixd (internal/server) and
-// flixd-router (internal/shard) both serve the public query API through.
-// It owns the wire contract — request IDs, the access log, admission
-// (readiness → cluster saturation → semaphore → deadline), parameter
-// parsing, node resolution and rendering, the /v1/descendants,
-// /v1/connected, /v1/query and /v1/batch handlers, the JSON success and
-// error shapes, and the per-endpoint request counters and latency
-// histograms with their /metrics exposition — and evaluates nothing itself:
-// every admitted request runs against a Backend the serving Tier opens for
-// it.  The paper's client is decoupled from the framework (§3.1); this
-// package is where that decoupling lives, once, for both tiers.
 package front
 
 import (

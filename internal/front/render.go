@@ -1,13 +1,15 @@
 package front
 
 // Rendering: the public endpoints' 200 bodies are written here, by hand, in
-// one pass into the pooled buffer OK owns — the bytes encoding/json's
-// Encoder with SetIndent("", "  ") produced for the map and the wire
-// structs these responses used to be, without the reflective walk, the
-// compact intermediate or the second pass of json.Indent.  Every rule an
-// encoder of this kind has to copy is a short function below: key order,
-// string escapes, float formatting, omitempty, null against [].
-// TestRenderMatchesEncodingJSON holds each to encoding/json.
+// one pass into the pooled buffer OK owns.  The guarantee is the output:
+// byte for byte what encoding/json's Encoder with SetIndent("", "  ")
+// writes for the same response — a map[string]any for a single query, the
+// exported wire structs (Element, BatchResponse, ...) that clients decode
+// into for a batch — without the reflective walk, the compact intermediate
+// or the second pass of json.Indent.  Every rule an encoder of this kind has
+// to copy is a short function below: key order, string escapes, float
+// formatting, omitempty, null against [].  TestRenderMatchesEncodingJSON
+// holds each to encoding/json.
 
 import (
 	"bytes"

@@ -20,6 +20,22 @@
 // graph, and the remaining nodes are labeled with BFS runs confined to their
 // own partition.  Every cross-partition path passes through a border hub, so
 // the cover stays exact while the per-node work shrinks to partition size.
+// It is an ablation: `hopi.DCStrategy` registers it as "hopi-dc" for the
+// tests and benchmarks, and it is not in meta.Registry.
+// `hopi.BuildPartitionedParallel` labels the border hubs serially, since
+// pruning depends on the global hub order, and the interior of each
+// partition in parallel; the labels equal the serial build's
+// (`TestPropertyParallelBuildDeterministic`).
+//
+// HOPI has one probe surface, the heap `hopi.Index`.  Its raw `hopi` sections store
+// labels and postings as varint-delta runs, and its `hopi-c` sections pack
+// the hub delta with a 2-bit saturating distance and bit-pack the offset
+// tables; both decode at open into the Index a build produces, validating
+// every element (IDs and distances in range, hubs and postings strictly
+// ascending, no trailing byte) so no forged distance can overflow a probe's
+// sum (`TestReadBodyCorrupt`, `TestCompressedSectionCorrupt`,
+// `FuzzOpenSection`).  An opened Index re-encodes like a build
+// (`TestHOPIReopenPersistsLikeBuild`).
 package hopi
 
 import (

@@ -7,6 +7,22 @@
 // dense node numbering, and records the remaining links — the ones the Path
 // Expression Evaluator follows at query run time — as cross links attached
 // to their source meta documents.
+//
+// Build lays the meta documents' local numberings end to end — position
+// base[MetaOf[n]] + LocalOf[n] — and fills every per-position array in two
+// passes over the edges: one counts, one fills exact-size arrays that all
+// meta documents share as sub-slices, so allocations follow the number of
+// meta documents, not of elements.  Sorted order comes from visiting order,
+// never from comparing: local adjacency runs are sorted by transposing
+// twice (`lgraph.FromAdjacency`), InLinks by (ToLocal, From) and OutLinks by
+// (FromLocal, To) by visiting sources and targets in global order.  One pass
+// per meta document numbers its tags by first appearance into its LocalTag
+// row, the only way from a collection tag ID to a local tag.
+//
+// A Set is never written after Build returns (`TestSetNotWrittenAfterBuild`),
+// which is what lets every index generation over one collection share it;
+// `TestBuildMatchesReference` holds Build to a frozen copy of its
+// predecessor, graphs, numbering, tags and link tables alike.
 package meta
 
 import (

@@ -3,6 +3,20 @@
 // latency histograms (this file).  It depends only on the standard library
 // so every other package — the evaluator, the server, the CLIs — can use it
 // without cycles or external modules.
+//
+// An `obs.Histogram` buckets durations by bits.Len64 of their nanoseconds, 40
+// finite buckets and an overflow, each an atomic counter, so Observe is
+// three atomic adds from any goroutine and a snapshot derives its count
+// from the bucket sum, keeping the exposed +Inf count consistent under
+// racing writers (`TestHistogramConcurrent`).  An `obs.Trace` records events
+// behind one nil check per event site in the evaluator — the untraced path
+// pays that check and nothing else, which the benchmark's
+// `obs.trace_overhead_ratio` watches — and caps its event list while its
+// aggregates and per-meta-document visits stay exact past the cap; its
+// `obs.Summary` is the EXPLAIN a node returns.  A TraceFragment is a trace
+// reduced to bounded aggregates for a shard's answer, and an
+// `obs.ClusterTrace` is the router's merged span tree; all are plain data
+// that `flixquery -explain` decodes as the HTTP API returns them.
 package obs
 
 import (

@@ -8,10 +8,29 @@
 // order (ties broken by node ID) — the order the Path Expression Evaluator
 // relies on to produce approximately distance-ordered global results.
 //
-// Index holds the evaluator's probes and nothing else.  What a strategy
-// persists and reopens is the snapshot section it encodes through
+// `pathindex.Index` holds the evaluator's probes and nothing else.  What a
+// strategy persists and reopens is the snapshot section it encodes through
 // storage.SectionEncoder; the canonical stream Table 1 measures is written
-// by the flix package, from the index types that can write it.
+// by the flix package, from the index types that can write it —
+// `ppo.Index`, `hopi.Index`, `apex.Index` and `tc.Index`, each through its
+// EncodeStream.  A probe's entry-point bookkeeping is a `pathindex.Span`: a
+// local ID, a region or a rank.
+//
+// An index that numbers its forest by region encoding also implements
+// Regioner (NumNodes, Region, Depth): y lies in x's subtree iff Region(x)
+// holds Region(y).Lo, at distance Depth(y) − Depth(x).  That contract is all
+// a LinkTable needs.  `pathindex.NewLinkTable` lays a meta document's runtime
+// links out once, in the preorder-rank order of their sources — per link its
+// target and its source's depth, per source its first link, and a rank
+// directory (one bit per rank, a count per 64 ranks) that answers "first
+// link whose source's rank is at least r" with one popcount.  Sweep turns
+// Region(x) minus the caller's skip spans into at most len(skip)+1 ranges
+// of link positions, so the evaluator's follow step walks links with no
+// search and no callback.  The table is ≈ 8 B per link, 4 B per source and
+// 12 B per 64 ranks; `TestLinkTableMatchesDistanceSweep` and `FuzzLinkTable`
+// hold it to the per-source Distance sweep over every PPO view, and
+// `TestLinkTableAllocFree` to 0 allocs/op.  Indexes without region encoding
+// take `pathindex.LinkDistances`, one Distance per link source.
 package pathindex
 
 import (

@@ -11,6 +11,27 @@
 // constant number of integers per node, which makes PPO the cheapest
 // strategy — but it is only applicable when the meta document's data graph
 // is a forest (no element with two incoming edges, no cycles).
+//
+// Build also derives acceleration runs — per depth and per (tag, depth), the
+// preorder ranks in order — so that a subtree is enumerated level by level
+// with one binary search per level; forests whose preorder is not
+// node-ascending per depth take a pooled collect-and-sort fallback.  Every
+// probe streams in (dist, node) order and allocates nothing.
+//
+// There are two views.  Index serves heap builds and raw `ppo` sections,
+// which store its arrays (csr.Rows included) as they are and open as views
+// of the mapping; the raw section also stores the postorder ranks, which no
+// probe reads.  CIndex serves `ppo-c` sections (csection.go): every array
+// frame-of-reference bit-packed (storage.PackedI32), post derived, parent
+// stored as the offset x − parent(x), and the per-depth runs dropped, so the
+// untagged probe takes the sort fallback.  CIndex probes the packed bytes in
+// place with the same emission order; it cannot write the canonical stream.
+// Both views offer pathindex.Regioner, on which the evaluator's one link
+// table is built (`TestRegionerContract`).  Both section codecs store the
+// derived runs and set flag 2; an opener refuses a section without it
+// before reading its arrays, and checks every range an opened section's
+// probes will trust (`TestSnapshotV2CorruptionMatrix`,
+// `FuzzOpenCompressedSection`).
 package ppo
 
 import (

@@ -16,6 +16,26 @@
 // Evaluation follows the XXL scoring model: results carry a relevance score
 // that decays with path length (structural vagueness) and with ontology
 // similarity (semantic vagueness).
+//
+// A `query.Evaluator` ranks matches by that score.
+// `query.Evaluator.EvaluateTopK` is the threshold algorithm of §3.1 over
+// sorted distance access (topk.go): each step streams its candidates in
+// growing distance bands through a resumable flix.Probe where the backend
+// has one, and the scan stops only when the k-th score strictly exceeds
+// every stream's bound, so its answer is exactly the first k of
+// `query.Evaluator.ReferenceEvaluate`'s full ranking
+// (`TestTopKMatchesReferenceTopK`, `FuzzEvaluateTopK`); the benchmark times
+// it as `query.topk_inproc_us`.  `query.Evaluator.InverseScore` lets
+// //-steps also match ancestors at a penalty (§1.1).
+//
+// The first step of a predicate query asks the collection's text
+// dictionary for the elements whose text holds the word
+// (xmlgraph.Collection.TextDict) instead of lowering every element's text:
+// a needle that is non-empty after lowering and holds no ASCII whitespace
+// cannot straddle two tokens, so the union of the postings of the tokens
+// containing it is exactly the scan's match set.  An empty needle, one with
+// whitespace, the wildcard tag, child-axis anchors, an unfrozen collection
+// and every later step keep the scan (`TestAnchorDictMatchesScan`).
 package query
 
 import (

@@ -13,23 +13,23 @@ import (
 // This file is the allocation-disciplined ranked top-k evaluator: the
 // threshold algorithm of §3.1 ("stop the execution when it can determine
 // that it has produced the top k results ... similar to Fagin's threshold
-// algorithm with only sequential reads") rebuilt in the style of the PR 5
-// hot path.  Relative to the frozen ReferenceEvaluateTopK it changes four
-// things:
+// algorithm with only sequential reads").  It returns the full ranking's
+// first k elements while touching only what the threshold needs, and in
+// steady state it allocates only the returned slice and the sort.  Four
+// mechanisms give that; the frozen ReferenceEvaluateTopK, which has none of
+// them, is what the differential suite holds the answers to:
 //
 //   - Streams pull candidates in bounded distance bands through the
-//     resumable flix.Probe instead of materializing each stream's complete
+//     resumable flix.Probe rather than materializing each stream's complete
 //     result set: a stream touched once near the threshold fetches only its
 //     nearest band, and the expensive far links are never followed for
 //     streams the threshold retires early.
-//   - The per-candidate full top-k heap rebuild (quadratic in candidates)
-//     is an incremental indexed heap: O(log k) per accepted candidate.
-//   - The per-candidate math.Pow decay is a table lookup (the table entries
-//     themselves are math.Pow values, so scores stay bit-identical to the
-//     full evaluator's).
+//   - Accepted candidates go into an incremental indexed heap, O(log k)
+//     each; re-sorting every candidate per stream advance is quadratic.
+//   - The decay is a table lookup whose entries are math.Pow values, so
+//     scores are bit-identical to the full evaluator's.
 //   - All per-query state — streams, their buffers, both heaps, the decay
-//     table — lives in a pooled topkScratch; steady state allocates only
-//     the returned slice and the sort.
+//     table — lives in a pooled topkScratch.
 //
 // Exactness contract (locked down by the differential suite): for every
 // query and k, EvaluateTopK(q, k) equals the first min(k, n) elements of

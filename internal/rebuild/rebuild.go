@@ -4,7 +4,7 @@
 // workload, rebuilds off the serving path with the parallel build pipeline,
 // and hot-swaps the result in atomically.
 //
-// The decision combines two signals:
+// The decision, `rebuild.Manager.Plan`, combines two signals:
 //
 //   - Index.Advise, the engine's own analysis of QueryStats (link hops,
 //     entry points, duplicate-drop ratio per query) — it proposes a new
@@ -15,11 +15,15 @@
 //     the Indexing Strategy Selector applies wherever feasible and ignores
 //     where not).
 //
-// A Manager never builds concurrently with itself, never touches the
-// serving index, and installs a finished index with one Target.Install
-// call; in-flight queries finish on the generation they started on.
-// Finished generations are optionally persisted as v2 snapshots under a
-// retention bound.
+// A generation must serve a minimum number of queries before its
+// statistics are trusted; below it the plan is a no-op
+// (`TestPlanMinQueriesGate`).  A Manager never builds concurrently with
+// itself — a second trigger gets `rebuild.ErrBusy`, HTTP 409, not a queue
+// (`TestReindexBusy`) — never touches the serving index, and installs a
+// finished index with one Target.Install call; in-flight queries finish on
+// the generation they started on.  Finished generations are optionally
+// persisted as v2 snapshots under a retention bound
+// (`TestPersistRetentionAndLatest`).
 package rebuild
 
 import (

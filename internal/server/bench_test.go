@@ -180,8 +180,8 @@ func BenchmarkInstall(b *testing.B) {
 // hot set, through one swap per iteration and reports what they saw: p50 and
 // p99 in the steady 200 ms before the swap, the same of the requests issued
 // between the Install call and the moment the new generation's cache is
-// warm, how long that window was, and how long Install itself took.  Recorded in DESIGN
-// §3e, not gated.
+// warm, how long that window was, and how long Install itself took.  Not
+// gated.
 func BenchmarkSwapWindow(b *testing.B) {
 	const clients, keys = 8, 512
 	sb := newSwapBench(b, keys)

@@ -5,11 +5,14 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/flix"
 )
 
 // syncBuffer is a goroutine-safe log sink.
@@ -107,6 +110,48 @@ func TestSlowQueryLog(t *testing.T) {
 	stats := getJSON(t, ts.URL+"/statsz", 200)
 	if got := stats["server"].(map[string]any)["slowQueries"].(float64); got < 1 {
 		t.Errorf("statsz slowQueries = %v, want >= 1", got)
+	}
+}
+
+// TestStatszReportsEachSizeOnce: a heap-built generation reports the
+// canonical stream's length as build.sizeBytes and no storage size; a
+// snapshot-backed one reports its container's size as
+// index.storage.sizeBytes and no build size, since Index.SizeBytes would
+// return that same container size.
+func TestStatszReportsEachSizeOnce(t *testing.T) {
+	built := testIndex(t)
+	var img bytes.Buffer
+	if _, err := built.WriteSnapshotV2(&img); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := flix.OpenSnapshotBytes(built.Collection(), img.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name              string
+		ix                *flix.Index
+		buildSize, stored bool
+	}{{"heap", built, true, false}, {"v2", opened, false, true}} {
+		ts := httptest.NewServer(New(tc.ix, Config{}).Handler())
+		stats := getJSON(t, ts.URL+"/statsz", 200)
+		ts.Close()
+		want, err := tc.ix.SizeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, inBuild := stats["build"].(map[string]any)["sizeBytes"]
+		storage := stats["index"].(map[string]any)["storage"].(map[string]any)
+		stored, inStorage := storage["sizeBytes"]
+		if storage["format"] != tc.name || inBuild != tc.buildSize || inStorage != tc.stored {
+			t.Errorf("%s generation: storage format %v, build.sizeBytes present %t, index.storage.sizeBytes present %t; want %s, %t, %t",
+				tc.name, storage["format"], inBuild, inStorage, tc.name, tc.buildSize, tc.stored)
+		}
+		for _, got := range []any{size, stored} {
+			if got != nil && got != float64(want) {
+				t.Errorf("%s generation: statsz reports size %v, Index.SizeBytes is %d", tc.name, got, want)
+			}
+		}
 	}
 }
 

@@ -1,14 +1,3 @@
-// Package server turns a built flix.Index into a long-lived, shared HTTP
-// endpoint — the serving layer the paper's framework implies but leaves to
-// the host system.  One process loads (or builds) an index once and answers
-// concurrent queries over the public API of internal/front (/v1/descendants,
-// /v1/connected, /v1/query, /v1/batch: admission, deadlines, limits and the
-// wire shapes are the front's).  What is here is what only a node has: the
-// index generations and their hot swap under live traffic, the QueryCache
-// fronting the descendants path, slow-query tracing, /healthz, /statsz
-// (with the §7 self-tuning advice, so operators can see when the
-// meta-document layout has gone stale for the live query load), /metrics,
-// the reindex admin endpoint and, in shard mode, the shard RPCs.
 package server
 
 import (
@@ -551,6 +540,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := g.ix.Stats().Snapshot()
 	advice := g.ix.Advise()
+	si := g.ix.StorageInfo()
 	resp := map[string]any{
 		"generation": map[string]any{
 			"current":          g.num,
@@ -567,7 +557,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"metaDocuments": g.ix.NumMetaDocuments(),
 			"runtimeLinks":  g.ix.RuntimeLinks(),
 			"strategies":    g.ix.StrategyCounts(),
-			"storage":       storageJSON(g.ix.StorageInfo()),
+			"storage":       storageJSON(si),
 		},
 		"queryStats": map[string]any{
 			"queries":          snap.Queries,
@@ -583,7 +573,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		},
 		"textDicts": textDictsJSON(s.coll),
 		"latency":   s.latencyJSON(g),
-		"build":     buildJSON(g.ix),
+		"build":     buildJSON(g.ix, si),
 		"advice": map[string]any{
 			"rebuild": advice.Rebuild,
 			"reason":  advice.Reason,
@@ -704,9 +694,11 @@ func (s *Server) latencyJSON(g *generation) map[string]any {
 	}
 }
 
-// buildJSON renders the build-phase timings for /statsz, plus the on-disk
-// size of the generation in its persisted form.
-func buildJSON(ix *flix.Index) map[string]any {
+// buildJSON renders the build-phase timings for /statsz and, for a
+// heap-built generation, the canonical stream's length (Table 1's size
+// measure).  A snapshot-backed generation's size is its container's, which
+// storageJSON already reports, so its build block carries no size.
+func buildJSON(ix *flix.Index, si flix.StorageInfo) map[string]any {
 	bs := ix.BuildStats()
 	strategies := make(map[string]any, len(bs.Strategies))
 	for name, sb := range bs.Strategies {
@@ -732,8 +724,10 @@ func buildJSON(ix *flix.Index) map[string]any {
 		"workers":     workers,
 		"strategies":  strategies,
 	}
-	if sz, err := ix.SizeBytes(); err == nil {
-		out["sizeBytes"] = sz
+	if si.Format == "heap" {
+		if sz, err := ix.SizeBytes(); err == nil {
+			out["sizeBytes"] = sz
+		}
 	}
 	return out
 }

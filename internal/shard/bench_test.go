@@ -2,8 +2,7 @@ package shard_test
 
 // In-package benchmarks for the two sides of the shard RPC the end-to-end
 // `sharded` workload does not show on their own: the eval codec, and a
-// gather with and without a limit.  DESIGN §3g records their numbers; they
-// gate nothing.
+// gather with and without a limit.  They gate nothing.
 
 import (
 	"bytes"

@@ -84,8 +84,8 @@ func (rt *Router) gatherDescendants(ctx context.Context, reqID string, start xml
 // (once needK results sit strictly below the pending-frontier watermark,
 // no later round can displace them) and travels to the shards as
 // EvalRequest.K, so no shard computes, sorts or ships more than the gather
-// can use (DESIGN §3g item 3 has the proof that neither the answer nor the
-// round the stop fires in changes); results is then the needK-prefix.
+// can use (the package doc has the argument that neither the answer nor
+// the round the stop fires in changes); results is then the needK-prefix.
 // target != InvalidNode enables the connectivity early stop (the target's
 // distance is final once it is at or below the watermark).  Early stops are
 // exact, not partial.

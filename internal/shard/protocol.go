@@ -81,7 +81,7 @@ type EvalResponse struct {
 
 // The eval RPC is the one hot exchange between the tiers — every round of
 // every gather — so both directions speak a hand-written binary frame
-// instead of JSON (DESIGN §3g has the layout as a table).  Every number is
+// instead of JSON (the package doc has the layout as a table).  Every number is
 // a uvarint; an int32 travels as its uint32 bit pattern, so any value
 // round-trips; a string or blob is its length, then its bytes; a slice of
 // entries is its count, then (node, dist) pairs.  The trace fragment is

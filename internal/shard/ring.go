@@ -1,15 +1,3 @@
-// Package shard is the scatter-gather serving tier over FliX's meta
-// documents: a consistent-hash ring assigns meta-document IDs to shards,
-// each shard (a flixd process in shard mode) answers partial-frontier
-// evaluations over the meta documents it owns, and the router replays the
-// paper's priority-queue evaluation one level up — re-dispatching
-// cross-shard link hops to their owning shards and merging the per-shard
-// streams into one distance-ordered result stream.
-//
-// Meta documents are the natural distribution unit: the framework already
-// localizes all index structure per meta document and resolves everything
-// that crosses them through runtime links, so a shard can answer its share
-// of the frontier exactly, and only the hops travel.
 package shard
 
 import (

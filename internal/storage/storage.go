@@ -1,15 +1,3 @@
-// Package storage provides the binary serialization substrate for the index
-// structures: the snapshot container FliX persists and opens (snapshot.go —
-// offset-based, checksummed, servable from a read-only memory mapping) and
-// the canonical compact stream it only measures (this file).  One writer,
-// SnapshotWriter, writes both.
-//
-// The paper stores all indexes in database tables and reports their sizes
-// (Table 1).  This reproduction serializes each index into a tagged stream
-// of varints and strings instead; the reported "index size" is the number of
-// bytes WriteStream emits, and the determinism tests compare those bytes.
-// The stream is write-only: nothing reads it back, so it has no reader, no
-// version negotiation and no corruption handling.
 package storage
 
 import (

@@ -159,7 +159,7 @@ func runRanked(ctx context.Context, ix *flix.Index, coll *flix.Collection, expr,
 	if err != nil {
 		log.Fatal(err)
 	}
-	eval := &flix.Evaluator{Index: ix, MaxResults: k, Cancel: ctx.Done(), Tracer: tr}
+	eval := &flix.Evaluator{Index: ix, Cancel: ctx.Done(), Tracer: tr}
 	if ontoFile != "" {
 		text, err := os.ReadFile(ontoFile)
 		if err != nil {

@@ -56,9 +56,6 @@ type Evaluator struct {
 	// MinScore drops results whose accumulated relevance falls below it.
 	// Defaults to 0.01, bounding //-step expansion depth.
 	MinScore float64
-	// MaxResults truncates Evaluate's ranked result list (0 = all).  Only
-	// Evaluate reads it: EvaluateTopK takes its k as an argument.
-	MaxResults int
 	// InverseScore enables the inverted-direction vagueness of §1.1
 	// ("one could also consider inverting the direction, i.e., consider
 	// also actor/acts_in/movie relevant, with a lower similarity"): each
@@ -231,9 +228,6 @@ func (e *Evaluator) Evaluate(q *Query) []Match {
 		out = append(out, m)
 	}
 	sortMatches(out)
-	if e.MaxResults > 0 && len(out) > e.MaxResults {
-		out = out[:e.MaxResults]
-	}
 	return out
 }
 

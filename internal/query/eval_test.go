@@ -167,15 +167,6 @@ func TestEvaluateWildcardStep(t *testing.T) {
 	}
 }
 
-func TestEvaluateMaxResults(t *testing.T) {
-	e, _ := buildEval(t)
-	e.MaxResults = 1
-	got := e.Evaluate(mustParse(t, "//~movie//*"))
-	if len(got) != 1 {
-		t.Errorf("MaxResults ignored: %v", got)
-	}
-}
-
 func TestEvaluateNoMatch(t *testing.T) {
 	e, _ := buildEval(t)
 	if got := e.Evaluate(mustParse(t, "//nonexistent//actor")); got != nil {

@@ -21,8 +21,7 @@ import (
 
 // ReferenceEvaluate runs the query with the frozen full evaluator and
 // returns all results ranked by descending relevance (ties: shorter path,
-// then node ID).  Unlike Evaluate it never truncates to MaxResults — the
-// differential suite needs the complete ranking.
+// then node ID).
 func (e *Evaluator) ReferenceEvaluate(q *Query) []Match {
 	e.Stats = EvalStats{}
 	frontier := e.refAnchor(q.Steps[0])

@@ -403,7 +403,7 @@ func (h *topkHeap) down(i int32) {
 // EvaluateTopK evaluates the query and returns exactly the first
 // min(k, n) elements of the full evaluator's ranking, stopping the
 // underlying index scans early in the style of Fagin's threshold algorithm
-// with sorted access only.  MaxResults is ignored — k is the truncation.
+// with sorted access only.
 // A cancellation mid-scan returns the matches ranked so far and sets
 // Stats.Truncated.
 //

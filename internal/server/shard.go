@@ -93,11 +93,10 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx con
 	}
 	g := s.gen.Load()
 	owned := g.shard.owned
-	// A distributed trace is requested in-body (authoritative) or via the
-	// X-Flix-Trace header; the untraced default keeps the nil-tracer
-	// allocation-free fast path.
+	// The frame's trace flag asks for a distributed trace; the untraced
+	// default keeps the nil-tracer allocation-free fast path.
 	var tr *obs.Trace
-	if req.Trace || r.Header.Get(shard.TraceHeader) == "1" {
+	if req.Trace {
 		s.tracedEvals.Add(1)
 		tr = obs.NewTrace(obs.DefaultEventLimit)
 		tr.SetGeneration(g.num)

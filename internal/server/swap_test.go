@@ -138,7 +138,7 @@ func buildQuerySpecs(t *testing.T, coll *xmlgraph.Collection, base string) []que
 		if err != nil {
 			t.Fatal(err)
 		}
-		eval := &query.Evaluator{Index: tcIx, MaxResults: 100000}
+		eval := &query.Evaluator{Index: tcIx}
 		want := make(map[xmlgraph.NodeID]bool)
 		for _, m := range eval.EvaluateTopK(pq, 100000) {
 			want[m.Node] = true

@@ -100,9 +100,6 @@ func (c *Client) Eval(ctx context.Context, shard int, reqID string, req *EvalReq
 		if reqID != "" {
 			r.Header.Set(RequestIDHeader, reqID)
 		}
-		if req.Trace {
-			r.Header.Set(TraceHeader, "1")
-		}
 		c.wire[shard].tx.Add(int64(len(body)))
 		return r, nil
 	}, func(body io.Reader) error {

@@ -356,7 +356,7 @@ func TestClusterQueryMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			const k = 25
-			want := (&query.Evaluator{Index: oracleBackend{coll}, MaxResults: k}).EvaluateTopK(pq, k)
+			want := (&query.Evaluator{Index: oracleBackend{coll}}).EvaluateTopK(pq, k)
 			var qr struct {
 				Results []struct {
 					Node    xmlgraph.NodeID `json:"node"`

@@ -80,15 +80,16 @@
 //
 // # Tracing
 //
-// Under ?trace=1 every shard RPC carries the trace flag and the shard
+// Under ?trace=1 every eval frame carries the trace flag and the shard
 // answers with an `obs.TraceFragment`: aggregates only, its per-meta rows
 // capped, totals computed before the cap, so its size is bounded whatever
-// the query.  The router's trace builder is touched only by the gather's
-// receive goroutine, so assembly needs no lock
-// (`TestClusterTraceConcurrent`).  It counts gathers, rounds, dispatches
-// and hops at the same program points as the router's /metrics counters,
-// and a trace equals their deltas to the integer
-// (`TestClusterTraceReconcilesWithMetrics`).  Span offsets are durations on
-// the router's clock; a shard contributes only its self-measured times, so
-// no clocks are compared.  An untraced gather pays one nil check per hook.
+// the query.  The router's trace builder, touched only by the gather's
+// receive goroutine, assembles spans and per-shard rollups without a lock
+// (`TestClusterTraceConcurrent`) and counts nothing: a gather tallies its
+// rounds, fanouts and hops once, /metrics and /statsz add up the tallies,
+// and a trace's scalars are the sum of its request's, so they equal the
+// counter deltas to the integer (`TestClusterTraceReconcilesWithMetrics`).
+// Span offsets are durations on the router's clock; a shard contributes
+// only its self-measured times, so no clocks are compared.  An untraced
+// gather pays one nil check per hook.
 package shard

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/flix"
@@ -32,11 +33,12 @@ import (
 // oracle.
 
 // shardOut carries one shard RPC's outcome from its dispatch goroutine to
-// the gather loop's receive goroutine.  The RPC timings ride along so the
-// trace builder (single-goroutine, on the receive side) can build dispatch
-// spans without any locking.
+// the gather loop's receive goroutine.  The batch size and RPC timings ride
+// along so the trace builder (single-goroutine, on the receive side) can
+// build dispatch spans without any locking.
 type shardOut struct {
 	sh       int
+	sent     int
 	resp     *EvalResponse
 	err      error
 	rpcStart time.Time
@@ -47,15 +49,58 @@ type shardOut struct {
 type gatherOut struct {
 	// results is min-distance-per-node, sorted by (dist, node).
 	results []flix.FrontierEntry
-	// partial reports dropped work: failed shards, a truncated shard
-	// evaluation, an exhausted hop budget or an expired deadline.
-	partial bool
 	// failed lists shard IDs whose batches were dropped (sorted).
 	failed []int
-	// rounds / fanouts / hopsDispatched describe the fan-out shape.
-	rounds         int
-	fanouts        int
-	hopsDispatched int
+	gatherTally
+}
+
+// gatherTally is the one count of what a gather did: Router.gather folds
+// it into the router's counters once, and a request's summed tallies give
+// its response's rounds and partial flag and its cluster trace's scalars.
+// earlyStops, budgetStops and partials (dropped work: failed shards, a
+// truncated shard evaluation, an exhausted hop budget or an expired
+// deadline) are 0 or 1 per gather.
+type gatherTally struct {
+	gathers, rounds, fanouts                int
+	hopsSeen, hopsDeduped, hopsRedispatched int
+	earlyStops, budgetStops, partials       int
+	shardFailures                           int
+}
+
+func (t *gatherTally) add(u gatherTally) {
+	t.gathers += u.gathers
+	t.rounds += u.rounds
+	t.fanouts += u.fanouts
+	t.hopsSeen += u.hopsSeen
+	t.hopsDeduped += u.hopsDeduped
+	t.hopsRedispatched += u.hopsRedispatched
+	t.earlyStops += u.earlyStops
+	t.budgetStops += u.budgetStops
+	t.partials += u.partials
+	t.shardFailures += u.shardFailures
+}
+
+// scatterCounters is the router's running sum of every gather's tally, the
+// counters /metrics and /statsz read (scatterStats).
+type scatterCounters struct {
+	gathers, rounds, fanouts                atomic.Int64
+	hopsSeen, hopsDeduped, hopsRedispatched atomic.Int64
+	earlyStops, budgetStops, partials       atomic.Int64
+	shardFailures                           atomic.Int64
+}
+
+// add folds one gather's tally in: one Add per counter per gather.
+func (c *scatterCounters) add(t gatherTally) {
+	c.gathers.Add(int64(t.gathers))
+	c.rounds.Add(int64(t.rounds))
+	c.fanouts.Add(int64(t.fanouts))
+	c.hopsSeen.Add(int64(t.hopsSeen))
+	c.hopsDeduped.Add(int64(t.hopsDeduped))
+	c.hopsRedispatched.Add(int64(t.hopsRedispatched))
+	c.earlyStops.Add(int64(t.earlyStops))
+	c.budgetStops.Add(int64(t.budgetStops))
+	c.partials.Add(int64(t.partials))
+	c.shardFailures.Add(int64(t.shardFailures))
 }
 
 // gatherDescendants runs start//tag across the cluster and applies the
@@ -98,7 +143,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 	topo := rt.topo.Load()
 	var out gatherOut
 	if topo == nil {
-		out.partial = true
+		out.partials = 1
 		return out
 	}
 	var gspan *obs.Span
@@ -112,8 +157,6 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 	best := make(map[xmlgraph.NodeID]int32, len(starts))
 	resultMin := make(map[xmlgraph.NodeID]int32)
 	failed := make(map[int]bool)
-	dispatched := 0
-	budgetHit := false
 
 	batches := make([][]flix.FrontierEntry, nShards)
 	stage := func(e flix.FrontierEntry) {
@@ -121,10 +164,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 			return
 		}
 		if d, ok := best[e.Node]; ok && d <= e.Dist {
-			rt.hopsDeduped.Add(1)
-			if tb != nil {
-				tb.hopsDeduped++
-			}
+			out.hopsDeduped++
 			return
 		}
 		best[e.Node] = e.Dist
@@ -137,7 +177,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 
 	for {
 		if ctx.Err() != nil {
-			out.partial = true
+			out.partials = 1
 			break
 		}
 		// The watermark is the smallest pending frontier distance: every
@@ -151,7 +191,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 			if failed[sh] {
 				// The shard already failed this query; its share of the
 				// frontier is lost — sound subset, flagged partial.
-				out.partial = true
+				out.partials = 1
 				batches[sh] = nil
 				continue
 			}
@@ -165,23 +205,15 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 		if active == 0 {
 			break
 		}
-		if needK > 0 && countBelow(resultMin, watermark) >= needK {
-			rt.earlyStops.Add(1)
+		d, reached := resultMin[target] // never reached without a target
+		if (needK > 0 && countBelow(resultMin, watermark) >= needK) || (reached && d <= watermark) {
+			out.earlyStops = 1
 			break
-		}
-		if target != xmlgraph.InvalidNode {
-			if d, ok := resultMin[target]; ok && d <= watermark {
-				rt.earlyStops.Add(1)
-				break
-			}
 		}
 
 		out.rounds++
 		var rspan *obs.Span
-		var sent map[int]int // per shard, the entries dispatched to it; traced only
 		if tb != nil {
-			sent = make(map[int]int, active)
-			tb.rounds++
 			rspan = tb.child(gspan, "round")
 			rspan.SetAttr("round", int64(out.rounds))
 			rspan.SetAttr("shards", int64(active))
@@ -193,10 +225,6 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 				continue
 			}
 			out.fanouts++
-			if tb != nil {
-				tb.fanouts++
-				sent[sh] = len(b)
-			}
 			go func(sh int, entries []flix.FrontierEntry) {
 				t0 := time.Now()
 				resp, err := rt.client.Eval(ctx, sh, reqID, &EvalRequest{Entries: entries, Tag: tag, MaxDist: maxDist, K: needK, Trace: tb != nil})
@@ -206,22 +234,22 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 				if err != nil {
 					rt.shards[sh].rpcErrors.Add(1)
 				}
-				outs <- shardOut{sh: sh, resp: resp, err: err, rpcStart: t0, rpcDur: d}
+				outs <- shardOut{sh: sh, sent: len(entries), resp: resp, err: err, rpcStart: t0, rpcDur: d}
 			}(sh, b)
 		}
 		// The dispatch goroutines hold the old batch slices; from here on
 		// batches accumulates the next round's frontier.
 		batches = make([][]flix.FrontierEntry, nShards)
-		var redispatched, deduped int64
+		before := out.gatherTally // the round's counts are the growth past it
 		for i := 0; i < active; i++ {
 			o := <-outs
 			if tb != nil {
-				tb.dispatch(rspan, o, sent[o.sh], needK)
+				tb.dispatch(rspan, o, needK)
 			}
 			if o.err != nil {
 				failed[o.sh] = true
-				out.partial = true
-				rt.shardFailures.Add(1)
+				out.partials = 1
+				out.shardFailures++
 				if rt.cfg.Logger != nil {
 					rt.cfg.Logger.Printf("id=%s shard %d dropped from query: %v", reqID, o.sh, o.err)
 				}
@@ -232,8 +260,8 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 				// The shard swapped to a different decomposition mid-query;
 				// its node IDs no longer map onto our topology.
 				failed[o.sh] = true
-				out.partial = true
-				rt.shardFailures.Add(1)
+				out.partials = 1
+				out.shardFailures++
 				if rt.cfg.Logger != nil {
 					rt.cfg.Logger.Printf("id=%s shard %d dropped: fingerprint %s != topology %s",
 						reqID, o.sh, o.resp.Fingerprint, topo.fingerprint)
@@ -241,33 +269,28 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 				continue
 			}
 			if o.resp.Truncated {
-				out.partial = true
+				out.partials = 1
 			}
 			for _, r := range o.resp.Results {
 				if d, ok := resultMin[r.Node]; !ok || r.Dist < d {
 					resultMin[r.Node] = r.Dist
 				}
 			}
+			out.hopsSeen += len(o.resp.Hops)
 			for _, hp := range o.resp.Hops {
-				rt.hops.Add(1)
-				if tb != nil {
-					tb.hopsSeen++
-				}
 				if hp.Dist < 0 || (maxDist > 0 && hp.Dist > maxDist) {
 					continue
 				}
 				if d, ok := best[hp.Node]; ok && d <= hp.Dist {
-					rt.hopsDeduped.Add(1)
-					deduped++
+					out.hopsDeduped++
 					continue
 				}
-				if rt.cfg.HopBudget > 0 && dispatched >= rt.cfg.HopBudget {
-					budgetHit = true
+				if rt.cfg.HopBudget > 0 && out.hopsRedispatched >= rt.cfg.HopBudget {
+					out.budgetStops, out.partials = 1, 1
 					continue
 				}
 				best[hp.Node] = hp.Dist
-				dispatched++
-				redispatched++
+				out.hopsRedispatched++
 				ow := topo.owner[topo.metaOf[hp.Node]]
 				batches[ow] = append(batches[ow], hp)
 			}
@@ -275,22 +298,11 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 		if tb != nil {
 			// The re-dispatch decision summary for this round: how many
 			// returned hops advanced the frontier vs. fell to dedup.
-			tb.hopsRedispatched += redispatched
-			tb.hopsDeduped += deduped
-			rspan.SetAttr("redispatched", redispatched)
-			rspan.SetAttr("deduped", deduped)
+			rspan.SetAttr("redispatched", int64(out.hopsRedispatched-before.hopsRedispatched))
+			rspan.SetAttr("deduped", int64(out.hopsDeduped-before.hopsDeduped))
 			tb.end(rspan)
 		}
 	}
-
-	if budgetHit {
-		out.partial = true
-		rt.budgetStops.Add(1)
-		if tb != nil {
-			tb.budgetExhausted = true
-		}
-	}
-	out.hopsDispatched = dispatched
 	// Under needK a response adds at most needK entries to resultMin, so it
 	// stays within needK per RPC and is not pruned between rounds: that
 	// would cost a selection every round to shorten one small sort here.
@@ -299,13 +311,8 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 		out.results = out.results[:needK]
 	}
 	out.failed = sortedShardIDs(failed)
-	rt.gathers.Add(1)
-	rt.rounds.Add(int64(out.rounds))
-	rt.fanouts.Add(int64(out.fanouts))
-	rt.hopsRedispatched.Add(int64(dispatched))
-	if out.partial {
-		rt.partials.Add(1)
-	}
+	out.gathers = 1
+	rt.scatter.add(out.gatherTally)
 	if gspan != nil {
 		gspan.SetAttr("rounds", int64(out.rounds))
 		gspan.SetAttr("results", int64(len(resultMin)))
@@ -359,17 +366,17 @@ func sortedShardIDs(failed map[int]bool) []int {
 // routerBackend is one admitted request's front.Backend: every scan is a
 // scatter-gather.  It is also the query.Backend the ranked evaluator runs
 // its //-step scans against, unchanged, across the cluster.  What the
-// gathers lost accumulates here for the response: partial, the failed
-// shards, the rounds.  It is used by one request goroutine at a time.
+// gathers did and lost accumulates here for the response: their summed
+// tally (rounds, partial, the trace's counts) and the failed shards.  It is
+// used by one request goroutine at a time.
 type routerBackend struct {
 	rt  *Router
 	ctx context.Context
 	req front.Request
 	tb  *traceBuilder // non-nil for ?trace=1
 
-	partial bool
-	failed  []int // sorted shard IDs; nil while none failed
-	rounds  int
+	tally  gatherTally
+	failed []int // sorted shard IDs; nil while none failed
 	// lost is partial since the last TakePartial: a batch flags items, the
 	// other endpoints the response.
 	lost bool
@@ -434,9 +441,9 @@ func (b *routerBackend) TakePartial() bool {
 }
 
 func (b *routerBackend) merge(g gatherOut) {
-	b.rounds += g.rounds
-	if g.partial {
-		b.partial, b.lost = true, true
+	b.tally.add(g.gatherTally)
+	if g.partials > 0 {
+		b.lost = true
 	}
 	for _, sh := range g.failed {
 		if !slices.Contains(b.failed, sh) {
@@ -451,9 +458,9 @@ func (b *routerBackend) merge(g gatherOut) {
 // descendants gather, and the cluster trace.
 func (b *routerBackend) Finish(w http.ResponseWriter, reply *front.Reply, results int, ev *query.Evaluator) {
 	b.setFailedHeader(w)
-	reply.Partial, reply.FailedShards, reply.Has = b.partial, b.failed, front.HasPartial
+	reply.Partial, reply.FailedShards, reply.Has = b.tally.partials > 0, b.failed, front.HasPartial
 	if b.req.Endpoint == "descendants" {
-		reply.Rounds = b.rounds
+		reply.Rounds = b.tally.rounds
 		reply.Has |= front.HasRounds
 	}
 	if b.tb == nil {
@@ -466,7 +473,7 @@ func (b *routerBackend) Finish(w http.ResponseWriter, reply *front.Reply, result
 		b.tb.root.SetAttr("scans", int64(ev.Stats.Scans))
 		b.tb.root.SetAttr("anchored", int64(ev.Stats.Anchored))
 	}
-	reply.Trace = b.tb.finish(int64(results), b.partial, b.failed)
+	reply.Trace = b.tb.finish(int64(results), b.tally, b.failed)
 }
 
 func (b *routerBackend) FinishBatch(w http.ResponseWriter, reply *front.Reply) {

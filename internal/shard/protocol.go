@@ -25,12 +25,6 @@ const RequestIDHeader = front.RequestIDHeader
 // batches were dropped after retries; it accompanies a partial response.
 const FailedShardsHeader = "X-Flix-Shards-Failed"
 
-// TraceHeader ("1" when set) asks a shard to evaluate under a bounded
-// obs.Trace and return a TraceFragment in the response.  It travels beside
-// RequestIDHeader so intermediaries can sample traces without parsing
-// bodies; EvalRequest.Trace is the authoritative in-body copy.
-const TraceHeader = "X-Flix-Trace"
-
 // EvalRequest is the body of POST /v1/shard/eval: one batch of frontier
 // entries to expand within the shard's owned meta documents.
 type EvalRequest struct {
@@ -75,7 +69,7 @@ type EvalResponse struct {
 	Entries  int64
 	LinkHops int64
 	// Trace is the shard's distributed-trace fragment, present only when
-	// EvalRequest.Trace (or the X-Flix-Trace header) asked for one.
+	// EvalRequest.Trace asked for one.
 	Trace *obs.TraceFragment
 }
 

@@ -143,17 +143,8 @@ type Router struct {
 
 	shardLatency []*obs.Histogram
 
-	fanouts          atomic.Int64
-	gathers          atomic.Int64
-	rounds           atomic.Int64
-	hops             atomic.Int64
-	hopsDeduped      atomic.Int64
-	hopsRedispatched atomic.Int64
-	budgetStops      atomic.Int64
-	earlyStops       atomic.Int64
-	partials         atomic.Int64
-	shardFailures    atomic.Int64
-	tracedQueries    atomic.Int64
+	scatter       scatterCounters
+	tracedQueries atomic.Int64
 }
 
 // NewRouter builds a router over the collection the shards serve.  Call

@@ -77,6 +77,10 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"p99":   durString(sn.Quantile(0.99)),
 		}
 	}
+	scatter := map[string]any{"hopBudget": rt.cfg.HopBudget}
+	for _, st := range rt.scatterStats() {
+		scatter[st.key] = st.value
+	}
 	shards := make([]map[string]any, len(rt.shards))
 	for i, st := range rt.shards {
 		sn := rt.shardLatency[i].Snapshot()
@@ -121,24 +125,38 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"inFlight":     rt.front.InFlight(),
 			"maxInFlight":  rt.front.MaxInFlight(),
 		},
-		"scatter": map[string]any{
-			"fanouts":          rt.fanouts.Load(),
-			"gathers":          rt.gathers.Load(),
-			"rounds":           rt.rounds.Load(),
-			"roundsPerGather":  ratio(rt.rounds.Load(), rt.gathers.Load()),
-			"hops":             rt.hops.Load(),
-			"hopsDeduped":      rt.hopsDeduped.Load(),
-			"hopsRedispatched": rt.hopsRedispatched.Load(),
-			"earlyStops":       rt.earlyStops.Load(),
-			"budgetStops":      rt.budgetStops.Load(),
-			"partials":         rt.partials.Load(),
-			"shardFailures":    rt.shardFailures.Load(),
-			"hopBudget":        rt.cfg.HopBudget,
-			"tracedQueries":    rt.tracedQueries.Load(),
-		},
+		"scatter":     scatter,
 		"latency":     latency,
 		"shardStates": shards,
 	})
+}
+
+// scatterStat is one row of the router's scatter section: /metrics
+// renders it as the flix_router_<metric> family, /statsz as key in the
+// "scatter" object.
+type scatterStat struct {
+	metric, kind, key, help string
+	value                   any
+}
+
+// scatterStats lists the scatter section in /metrics order.
+func (rt *Router) scatterStats() []scatterStat {
+	c := &rt.scatter
+	gathers, rounds := c.gathers.Load(), c.rounds.Load()
+	return []scatterStat{
+		{"fanouts_total", "counter", "fanouts", "Shard RPC batches dispatched.", c.fanouts.Load()},
+		{"gathers_total", "counter", "gathers", "Scatter-gather evaluations executed.", gathers},
+		{"rounds_total", "counter", "rounds", "Scatter-gather rounds executed.", rounds},
+		{"rounds_per_gather", "gauge", "roundsPerGather", "Mean re-dispatch rounds per gather since start.", ratio(rounds, gathers)},
+		{"hops_total", "counter", "hops", "Cross-shard hop entries returned by shards.", c.hopsSeen.Load()},
+		{"hops_deduped_total", "counter", "hopsDeduped", "Hop entries dropped by the best-distance map.", c.hopsDeduped.Load()},
+		{"hops_redispatched_total", "counter", "hopsRedispatched", "Hop entries re-dispatched to their owning shard.", c.hopsRedispatched.Load()},
+		{"early_stops_total", "counter", "earlyStops", "Gathers ended by the top-k or connectivity watermark.", c.earlyStops.Load()},
+		{"budget_stops_total", "counter", "budgetStops", "Gathers that exhausted the hop budget.", c.budgetStops.Load()},
+		{"partial_results_total", "counter", "partials", "Queries answered with a partial result.", c.partials.Load()},
+		{"shard_failures_total", "counter", "shardFailures", "Shard batches dropped after retries.", c.shardFailures.Load()},
+		{"traced_queries_total", "counter", "tracedQueries", "Queries evaluated with ?trace=1 distributed tracing.", rt.tracedQueries.Load()},
+	}
 }
 
 func durString(d time.Duration) string {
@@ -164,18 +182,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	metric("shards_ready", "gauge", "Shards currently probing ready.", rt.readyShards())
 	metric("shards", "gauge", "Configured shards.", len(rt.shards))
-	metric("fanouts_total", "counter", "Shard RPC batches dispatched.", rt.fanouts.Load())
-	metric("gathers_total", "counter", "Scatter-gather evaluations executed.", rt.gathers.Load())
-	metric("rounds_total", "counter", "Scatter-gather rounds executed.", rt.rounds.Load())
-	metric("rounds_per_gather", "gauge", "Mean re-dispatch rounds per gather since start.", ratio(rt.rounds.Load(), rt.gathers.Load()))
-	metric("hops_total", "counter", "Cross-shard hop entries returned by shards.", rt.hops.Load())
-	metric("hops_deduped_total", "counter", "Hop entries dropped by the best-distance map.", rt.hopsDeduped.Load())
-	metric("hops_redispatched_total", "counter", "Hop entries re-dispatched to their owning shard.", rt.hopsRedispatched.Load())
-	metric("early_stops_total", "counter", "Gathers ended by the top-k or connectivity watermark.", rt.earlyStops.Load())
-	metric("budget_stops_total", "counter", "Gathers that exhausted the hop budget.", rt.budgetStops.Load())
-	metric("partial_results_total", "counter", "Queries answered with a partial result.", rt.partials.Load())
-	metric("shard_failures_total", "counter", "Shard batches dropped after retries.", rt.shardFailures.Load())
-	metric("traced_queries_total", "counter", "Queries evaluated with ?trace=1 distributed tracing.", rt.tracedQueries.Load())
+	for _, st := range rt.scatterStats() {
+		metric(st.metric, st.kind, st.help, st.value)
+	}
 
 	front.MetricHead(p, "flix_router_shard_rpc_duration_seconds", "histogram", "Shard RPC latency by shard.")
 	for i := range rt.shards {

@@ -14,7 +14,8 @@ import (
 // A builder belongs to exactly one request.  The gather loop's dispatch
 // goroutines never touch it: they capture RPC timings into their shardOut
 // and the single receive goroutine does all the assembly, so the builder
-// needs no locking even though shard RPCs run concurrently.
+// needs no locking even though shard RPCs run concurrently.  It counts
+// nothing itself: the trace's scalars are the request's summed gatherTally.
 type traceBuilder struct {
 	start time.Time
 	reqID string
@@ -22,15 +23,6 @@ type traceBuilder struct {
 
 	shards     []obs.ShardTraceSummary
 	strategies map[string]obs.StrategyStats
-
-	gathers          int
-	rounds           int
-	fanouts          int
-	hopsSeen         int64
-	hopsRedispatched int64
-	hopsDeduped      int64
-	budgetExhausted  bool
-	eventsDropped    int64
 }
 
 // newTraceBuilder starts a request trace.  name labels the root span after
@@ -61,9 +53,8 @@ func (tb *traceBuilder) child(parent *obs.Span, name string) *obs.Span {
 func (tb *traceBuilder) end(sp *obs.Span) { sp.Duration = tb.now() - sp.Start }
 
 // beginGather opens one gather's span (a /v1/query evaluation runs several,
-// one per //-step scan) and counts it.
+// one per //-step scan).
 func (tb *traceBuilder) beginGather(note string) *obs.Span {
-	tb.gathers++
 	sp := tb.child(tb.root, "gather")
 	sp.Note = note
 	return sp
@@ -76,14 +67,14 @@ func (tb *traceBuilder) beginGather(note string) *obs.Span {
 // returned under it, the same entries /metrics counts.  rpcStart was
 // captured by the dispatch goroutine; assembly runs on the receive
 // goroutine.
-func (tb *traceBuilder) dispatch(round *obs.Span, o shardOut, sent, k int) {
+func (tb *traceBuilder) dispatch(round *obs.Span, o shardOut, k int) {
 	sp := &obs.Span{
 		Name:     "dispatch",
 		Start:    o.rpcStart.Sub(tb.start),
 		Duration: o.rpcDur,
 	}
 	sp.SetAttr("shard", int64(o.sh))
-	sp.SetAttr("entries", int64(sent))
+	sp.SetAttr("entries", int64(o.sent))
 	sp.SetAttr("k", int64(k))
 	round.Children = append(round.Children, sp)
 
@@ -109,7 +100,6 @@ func (tb *traceBuilder) dispatch(round *obs.Span, o shardOut, sent, k int) {
 		s.Results += frag.Results
 		s.Probe += fragProbe(frag)
 		s.EventsDropped += frag.EventsDropped
-		tb.eventsDropped += frag.EventsDropped
 		tb.strategies = obs.MergeStrategyStats(tb.strategies, frag.Strategies)
 	} else {
 		// A shard that answered without a fragment (it was not asked to
@@ -130,29 +120,33 @@ func fragProbe(f *obs.TraceFragment) time.Duration {
 	return d
 }
 
-// finish closes the root span and folds everything into the ClusterTrace.
-func (tb *traceBuilder) finish(results int64, partial bool, failed []int) *obs.ClusterTrace {
+// finish closes the root span and folds everything into the ClusterTrace:
+// the scalars from the request's summed tally, the rest from the spans and
+// rollups the builder assembled.
+func (tb *traceBuilder) finish(results int64, t gatherTally, failed []int) *obs.ClusterTrace {
 	tb.root.Duration = tb.now()
 	shards := make([]obs.ShardTraceSummary, 0, len(tb.shards))
+	var eventsDropped int64
 	for i := range tb.shards {
 		if tb.shards[i].RPCs > 0 {
 			shards = append(shards, tb.shards[i])
+			eventsDropped += tb.shards[i].EventsDropped
 		}
 	}
 	return &obs.ClusterTrace{
 		RequestID:        tb.reqID,
 		Elapsed:          tb.root.Duration,
-		Gathers:          tb.gathers,
-		Rounds:           tb.rounds,
-		Fanouts:          tb.fanouts,
-		HopsSeen:         tb.hopsSeen,
-		HopsRedispatched: tb.hopsRedispatched,
-		HopsDeduped:      tb.hopsDeduped,
-		BudgetExhausted:  tb.budgetExhausted,
-		Partial:          partial,
+		Gathers:          t.gathers,
+		Rounds:           t.rounds,
+		Fanouts:          t.fanouts,
+		HopsSeen:         int64(t.hopsSeen),
+		HopsRedispatched: int64(t.hopsRedispatched),
+		HopsDeduped:      int64(t.hopsDeduped),
+		BudgetExhausted:  t.budgetStops > 0,
+		Partial:          t.partials > 0,
 		FailedShards:     failed,
 		Results:          results,
-		EventsDropped:    tb.eventsDropped,
+		EventsDropped:    eventsDropped,
 		Shards:           shards,
 		Strategies:       tb.strategies,
 		Root:             tb.root,

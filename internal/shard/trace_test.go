@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -153,10 +154,13 @@ func checkTraceShape(t *testing.T, ct *obs.ClusterTrace, results int) {
 	}
 }
 
-// TestClusterTraceReconcilesWithMetrics runs traced descendants queries at
-// 1, 2 and 4 shards and checks the acceptance contract: the merged trace's
+// TestClusterTraceReconcilesWithMetrics runs traced requests at 1, 2 and 4
+// shards and checks the acceptance contract: the merged trace's
 // gather/round/fanout/hop counts equal the /metrics counter deltas exactly,
-// and its per-shard RPC counts equal the per-shard rpcs series deltas.
+// and its per-shard RPC counts equal the per-shard rpcs series deltas.  The
+// requests are descendants queries (one gather each), a ranked /v1/query
+// (one gather per //-step scan) and a /v1/connected (the target early
+// stop).
 func TestClusterTraceReconcilesWithMetrics(t *testing.T) {
 	coll := testutil.Generate(testutil.Linked, 9, 12, 40, 40)
 	ix := buildIndex(t, coll)
@@ -164,6 +168,37 @@ func TestClusterTraceReconcilesWithMetrics(t *testing.T) {
 		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
 			c := newCluster(t, coll, ix, n, 0)
 			tags := coll.Tags()
+			reconcile := func(label string, before routerCounters, ct *obs.ClusterTrace) {
+				t.Helper()
+				after := counters(t, c, n)
+				for _, chk := range []struct {
+					name  string
+					delta float64
+					want  int64
+				}{
+					{"gathers", after.gathers - before.gathers, int64(ct.Gathers)},
+					{"rounds", after.rounds - before.rounds, int64(ct.Rounds)},
+					{"fanouts", after.fanouts - before.fanouts, int64(ct.Fanouts)},
+					{"hops", after.hops - before.hops, ct.HopsSeen},
+					{"hopsDeduped", after.deduped - before.deduped, ct.HopsDeduped},
+					{"hopsRedispatched", after.redispatched - before.redispatched, ct.HopsRedispatched},
+					{"tracedQueries", after.traced - before.traced, 1},
+				} {
+					if int64(chk.delta) != chk.want {
+						t.Errorf("%s: /metrics %s delta %v != trace %d", label, chk.name, chk.delta, chk.want)
+					}
+				}
+				shardDelta := make(map[int]int)
+				for _, s := range ct.Shards {
+					shardDelta[s.Shard] = s.RPCs
+				}
+				for sh := 0; sh < n; sh++ {
+					if d := int(after.shardRPCs[sh] - before.shardRPCs[sh]); d != shardDelta[sh] {
+						t.Errorf("%s: shard %d rpcs delta %d != trace %d", label, sh, d, shardDelta[sh])
+					}
+				}
+			}
+
 			for q := 0; q < 4; q++ {
 				start := xmlgraph.NodeID((q * 37) % coll.NumNodes())
 				tag := tags[q%len(tags)]
@@ -181,36 +216,44 @@ func TestClusterTraceReconcilesWithMetrics(t *testing.T) {
 				if tr.Trace.Rounds != tr.Rounds {
 					t.Errorf("trace rounds %d != response rounds %d", tr.Trace.Rounds, tr.Rounds)
 				}
+				reconcile(fmt.Sprintf("%d//%s", start, tag), before, tr.Trace)
+			}
 
-				after := counters(t, c, n)
-				ct := tr.Trace
-				for _, chk := range []struct {
-					name  string
-					delta float64
-					want  int64
-				}{
-					{"gathers", after.gathers - before.gathers, int64(ct.Gathers)},
-					{"rounds", after.rounds - before.rounds, int64(ct.Rounds)},
-					{"fanouts", after.fanouts - before.fanouts, int64(ct.Fanouts)},
-					{"hops", after.hops - before.hops, ct.HopsSeen},
-					{"hopsDeduped", after.deduped - before.deduped, ct.HopsDeduped},
-					{"hopsRedispatched", after.redispatched - before.redispatched, ct.HopsRedispatched},
-					{"tracedQueries", after.traced - before.traced, 1},
-				} {
-					if int64(chk.delta) != chk.want {
-						t.Errorf("%d//%s: /metrics %s delta %v != trace %d", start, tag, chk.name, chk.delta, chk.want)
-					}
-				}
-				shardDelta := make(map[int]int)
-				for _, s := range ct.Shards {
-					shardDelta[s.Shard] = s.RPCs
-				}
-				for sh := 0; sh < n; sh++ {
-					if d := int(after.shardRPCs[sh] - before.shardRPCs[sh]); d != shardDelta[sh] {
-						t.Errorf("%d//%s: shard %d rpcs delta %d != trace %d", start, tag, sh, d, shardDelta[sh])
-					}
+			expr := "//" + tags[0] + "//" + tags[1%len(tags)]
+			before := counters(t, c, n)
+			var qr struct {
+				Results []json.RawMessage `json:"results"`
+				Trace   *obs.ClusterTrace `json:"trace"`
+			}
+			c.getJSON("/v1/query?q="+strings.ReplaceAll(expr, "/", "%2F")+"&k=25&trace=1&timeout=20s", &qr)
+			checkTraceShape(t, qr.Trace, len(qr.Results))
+			if qr.Trace.Gathers < 2 {
+				t.Errorf("%s: %d gathers, want one per //-step scan and more than one", expr, qr.Trace.Gathers)
+			}
+			reconcile(expr, before, qr.Trace)
+
+			// The target is the element farthest from the start: at four
+			// shards its gather crosses shards for three rounds and ends on
+			// the target's early stop.
+			from, to := xmlgraph.NodeID(0), xmlgraph.NodeID(0)
+			dist := coll.BFSDistances(from)
+			for nd, d := range dist {
+				if d > dist[to] {
+					to = xmlgraph.NodeID(nd)
 				}
 			}
+			before = counters(t, c, n)
+			var cr struct {
+				Connected bool              `json:"connected"`
+				Dist      int32             `json:"dist"`
+				Trace     *obs.ClusterTrace `json:"trace"`
+			}
+			c.getJSON(fmt.Sprintf("/v1/connected?from=%d&to=%d&trace=1&timeout=20s", from, to), &cr)
+			if !cr.Connected || cr.Dist != dist[to] {
+				t.Fatalf("%d->%d traced: connected=%v dist %d, oracle %d", from, to, cr.Connected, cr.Dist, dist[to])
+			}
+			checkTraceShape(t, cr.Trace, 1)
+			reconcile(fmt.Sprintf("%d->%d", from, to), before, cr.Trace)
 
 			// An untraced query on the same cluster must carry no trace.
 			var plain tracedResp
@@ -318,8 +361,8 @@ func TestClusterQueryTrace(t *testing.T) {
 // TestClusterTraceConcurrent fires traced queries from many goroutines at a
 // 4-shard cluster (run under -race: the dispatch goroutines and the
 // builder's receive-side assembly race if anything shares state).  Every
-// trace must be internally consistent, and because tracing mirrors the
-// router's atomics at the same program points, the summed per-trace counts
+// trace must be internally consistent, and because a trace and the router's
+// counters read the same per-gather tallies, the summed per-trace counts
 // must equal the /metrics deltas exactly even under interleaving.
 func TestClusterTraceConcurrent(t *testing.T) {
 	coll := testutil.Generate(testutil.Linked, 13, 12, 40, 40)

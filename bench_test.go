@@ -370,8 +370,10 @@ func BenchmarkDecompose(b *testing.B) {
 // BenchmarkOpenSnapshot measures a v2 snapshot open from memory, raw and
 // compressed, the way a hot swap pays it: over the decomposition the build
 // kept on the collection (BenchmarkDecompose is the first open's extra), so
-// the checksum and opening every section.  Hybrid's sections are all PPO,
-// opened in place; HOPI-5000's are decoded into heap labels and postings.
+// the checksum — a hardware CRC pair, about 0.2 ms of the 1.5 MB compressed
+// Hybrid image — and opening every section.  Hybrid's sections are all PPO,
+// opened in place, a ppo-c section's packed blocks range-checked without a
+// branch per value; HOPI-5000's are decoded into heap labels and postings.
 // An open builds no link table, the first query that follows a meta
 // document's links does, so Hybrid/compressed+queries adds 50 uncached
 // descendants queries on the fresh generation (random roots, the five tags

@@ -31,7 +31,10 @@ func sha(b []byte) string {
 // stores only the per-meta-document indexes and recomputes the meta
 // documents at open, so any change to a partitioner or to meta.Build that
 // moves a single element orphans every deployed snapshot; it shows up here
-// as a hash diff.  Do not re-record these to make the test pass.
+// as a hash diff.  Do not re-record these to make the test pass.  The
+// containers were recorded as version 2 wrote them, so they are hashed
+// through asV2: what the hashes still pin is everything but the version
+// field and the footer checksum.
 func TestDecompositionIdentityRecorded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 6210-document corpus twice")
@@ -73,7 +76,7 @@ func TestDecompositionIdentityRecorded(t *testing.T) {
 		}
 		got := [4]string{
 			fmt.Sprintf("%016x", ix.MetaFingerprint()),
-			sha(v1.Bytes()), sha(raw.Bytes()), sha(packed.Bytes()),
+			sha(v1.Bytes()), sha(asV2(raw.Bytes())), sha(asV2(packed.Bytes())),
 		}
 		want := [4]string{tc.fingerprint, tc.v1, tc.v2raw, tc.v2packed}
 		if got != want {

@@ -129,7 +129,8 @@
 // checks the checksum and the manifest, then per meta document, on the
 // build's worker pool, its fingerprint against the kept Set and its section
 // opened in place.  An open validates and builds nothing else; what it
-// rejects fails with `flix.ErrSnapshotCorrupt` or, for a future version,
+// rejects fails with `flix.ErrSnapshotCorrupt` or, for a future version or
+// one written before container version 3 (`TestSnapshotV2FixturesRefused`),
 // `flix.ErrSnapshotVersion`, never a panic.  `BenchmarkOpenSnapshot` times
 // opens per configuration.  A mapped Index is unmapped by a finalizer, so
 // every evaluation, probe and writer keeps its Index reachable while it

@@ -109,14 +109,14 @@ func TestSnapshotCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := os.ReadFile(goldenV2Path)
+	v3, err := os.ReadFile(goldenV3Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "gen-000001.flix")
 	images := map[string][]byte{
 		"canonical stream": raw,
-		"v2 container naming an unknown configuration kind": forgedKind(t, v2),
+		"container naming an unknown configuration kind": forgedKind(t, v3),
 		"empty":          nil,
 		"garbage":        []byte("XXXXgarbage"),
 		"v2 magic alone": []byte(storage.SnapshotMagic),

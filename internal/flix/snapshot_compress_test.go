@@ -12,7 +12,11 @@ import (
 	"repro/internal/xmlgraph"
 )
 
-const goldenV2CPath = "testdata/golden-v2c.flix"
+// The compressed golden containers, as goldenV3Path and goldenV2Path.
+const (
+	goldenV3CPath = "testdata/golden-v3c.flix"
+	goldenV2CPath = "testdata/golden-v2c.flix"
+)
 
 // compressOpts is the configuration the compressed fixtures and the
 // -snapshot-compress flag use: defaults all the way down.
@@ -147,12 +151,12 @@ func TestSnapshotCompressedGoldenFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(goldenV2CPath, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(goldenV3CPath, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", goldenV2CPath, buf.Len())
+		t.Logf("rewrote %s (%d bytes)", goldenV3CPath, buf.Len())
 	}
-	raw, err := os.ReadFile(goldenV2CPath)
+	raw, err := os.ReadFile(goldenV3CPath)
 	if err != nil {
 		t.Fatalf("reading golden fixture (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
@@ -160,12 +164,12 @@ func TestSnapshotCompressedGoldenFixture(t *testing.T) {
 		t.Fatalf("fresh compressed write (%d bytes) differs from committed fixture (%d bytes); "+
 			"format changes must bump storage.SnapshotVersion", buf.Len(), len(raw))
 	}
-	rawV2, err := os.ReadFile(goldenV2Path)
+	rawV3, err := os.ReadFile(goldenV3Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) >= len(rawV2) {
-		t.Fatalf("compressed fixture (%d bytes) is no smaller than the raw v2 fixture (%d bytes)", len(raw), len(rawV2))
+	if len(raw) >= len(rawV3) {
+		t.Fatalf("compressed fixture (%d bytes) is no smaller than the raw fixture (%d bytes)", len(raw), len(rawV3))
 	}
 
 	ix, err := OpenSnapshotBytes(coll, raw)
@@ -275,7 +279,7 @@ func TestWriteToCompressedErrors(t *testing.T) {
 // index whose probes stay in bounds.  Never a panic, in either case.
 func TestSnapshotCompressedCorruptionMatrix(t *testing.T) {
 	coll := goldenCollection()
-	raw, err := os.ReadFile(goldenV2CPath)
+	raw, err := os.ReadFile(goldenV3CPath)
 	if err != nil {
 		t.Fatalf("reading golden fixture (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,7 +17,26 @@ import (
 	"repro/internal/xmlgraph"
 )
 
-const goldenV2Path = "testdata/golden-v2.flix"
+// The golden containers: goldenV3Path is what a fresh write of the golden
+// build must equal; goldenV2Path is the same build written by container
+// version 2 (a CRC-64/ECMA footer), kept byte for byte as the image every
+// open must refuse with ErrSnapshotVersion.
+const (
+	goldenV3Path = "testdata/golden-v3.flix"
+	goldenV2Path = "testdata/golden-v2.flix"
+)
+
+// asV2 returns a copy of a container image as version 2 wrote it: version
+// field 2 and a CRC-64/ECMA footer.  Hashes and fixtures recorded before
+// version 3 are compared through it, which proves that nothing but the
+// version and the checksum changed.
+func asV2(img []byte) []byte {
+	out := bytes.Clone(img)
+	binary.LittleEndian.PutUint32(out[8:12], 2)
+	sum := crc64.Checksum(out[:len(out)-16], crc64.MakeTable(crc64.ECMA))
+	binary.LittleEndian.PutUint64(out[len(out)-16:], sum)
+	return out
+}
 
 // registryStrategies returns every registered strategy name in stable
 // order; the parity suite forces each one in turn (infeasible choices fall
@@ -152,12 +172,12 @@ func TestSnapshotV2GoldenFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(goldenV2Path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(goldenV3Path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", goldenV2Path, buf.Len())
+		t.Logf("rewrote %s (%d bytes)", goldenV3Path, buf.Len())
 	}
-	raw, err := os.ReadFile(goldenV2Path)
+	raw, err := os.ReadFile(goldenV3Path)
 	if err != nil {
 		t.Fatalf("reading golden fixture (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
@@ -188,7 +208,7 @@ func TestSnapshotV2GoldenFixture(t *testing.T) {
 // ErrSnapshotVersion, never a panic, never an index.
 func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 	coll := goldenCollection()
-	raw, err := os.ReadFile(goldenV2Path)
+	raw, err := os.ReadFile(goldenV3Path)
 	if err != nil {
 		t.Fatalf("reading golden fixture (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
@@ -275,8 +295,8 @@ func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 	ppocColl, ppocRaw := ppocImage(t)
 	reject("ppo-c section without the derived flag", ppocColl, withoutDerived(t, ppocRaw, storage.SectionPPOC))
 
-	// A v3 container (resealed so only the version trips) must read as a
-	// version problem, not corruption.
+	// A future container (resealed so only the version trips) must read as
+	// a version problem, not corruption.
 	future := bytes.Clone(raw)
 	binary.LittleEndian.PutUint32(future[8:12], storage.SnapshotVersion+1)
 	if err := storage.Reseal(future); err != nil {
@@ -284,16 +304,47 @@ func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 	}
 	_, err = OpenSnapshotBytes(coll, future)
 	if !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("v3 stamp: err = %v, want ErrSnapshotVersion", err)
+		t.Fatalf("future version stamp: err = %v, want ErrSnapshotVersion", err)
 	}
 	if errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("v3 stamp misreported as corruption: %v", err)
+		t.Fatalf("future version stamp misreported as corruption: %v", err)
 	}
 
 	// Wrong collection: valid bytes, mismatched decomposition.
 	other := testutil.Generate(testutil.Linked, 12, 10, 10, 15)
 	if _, err := OpenSnapshotBytes(other, raw); err == nil {
 		t.Fatal("snapshot accepted against the wrong collection")
+	}
+}
+
+// TestSnapshotV2FixturesRefused: the images container version 2 wrote — the
+// committed golden-v2 fixtures, unedited — are refused with
+// ErrSnapshotVersion, never read as corrupt, from bytes and from a mapped
+// file alike; and each is its version-3 fixture with only the version field
+// and the checksum changed.
+func TestSnapshotV2FixturesRefused(t *testing.T) {
+	coll := goldenCollection()
+	for _, f := range []struct{ v2, v3 string }{{goldenV2Path, goldenV3Path}, {goldenV2CPath, goldenV3CPath}} {
+		old, err := os.ReadFile(f.v2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := os.ReadFile(f.v3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(asV2(cur), old) {
+			t.Errorf("%s is not %s with a version-2 header and footer", f.v2, f.v3)
+		}
+		for name, open := range map[string]func() (*Index, error){
+			"bytes":  func() (*Index, error) { return OpenSnapshotBytes(coll, old) },
+			"mapped": func() (*Index, error) { return OpenSnapshotWith(coll, f.v2, OpenOptions{Mmap: true}) },
+		} {
+			ix, err := open()
+			if ix != nil || !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {
+				t.Errorf("%s (%s): %v, %v; want ErrSnapshotVersion and no index", f.v2, name, ix, err)
+			}
+		}
 	}
 }
 
@@ -412,7 +463,7 @@ func TestSnapshotV2File(t *testing.T) {
 // index that serves queries without panicking — no input may crash the
 // process or index out of bounds.
 func FuzzOpenSnapshot(f *testing.F) {
-	if raw, err := os.ReadFile(goldenV2Path); err == nil {
+	if raw, err := os.ReadFile(goldenV3Path); err == nil {
 		f.Add(raw)
 		// A resealed truncation and a resealed section-table edit give the
 		// fuzzer valid-checksum starting points deep inside validation.
@@ -432,7 +483,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	}
 	// The compressed fixture seeds the packed-directory and manifest-trailer
 	// validation paths, with a resealed flip in its first compressed payload.
-	if raw, err := os.ReadFile(goldenV2CPath); err == nil {
+	if raw, err := os.ReadFile(goldenV3CPath); err == nil {
 		f.Add(raw)
 		if len(raw) > 200 {
 			mut := bytes.Clone(raw)

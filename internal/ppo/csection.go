@@ -115,10 +115,13 @@ var _ pathindex.Regioner = (*CIndex)(nil)
 var _ storage.SectionEncoder = (*CIndex)(nil)
 
 // OpenCompressedSection lays a CIndex over the section bytes.  Like the
-// raw opener it validates every value range, in one pass over the arrays
-// that decodes them a packed block at a time — packed directories were
+// raw opener it validates every value range, in one pass over the arrays a
+// packed block at a time, each block tested without a branch per value and
+// rescanned value by value only if it fails — packed directories were
 // already bounds-proofed by the storage layer, so after this no probe can
-// read out of bounds even on adversarial input.
+// read out of bounds even on adversarial input.  A failing section fails
+// with the error of its first failing value, in array order
+// (`TestCompressedSectionForgedErrors`).
 func OpenCompressedSection(g *lgraph.LGraph, data []byte) (pathindex.Index, error) {
 	d := storage.NewSectionData(data)
 	n := int(d.U32())
@@ -170,26 +173,22 @@ func OpenCompressedSection(g *lgraph.LGraph, data []byte) (pathindex.Index, erro
 		v.size.Len() != n || v.byPre.Len() != n {
 		return nil, fmt.Errorf("ppo: truncated packed arrays")
 	}
-	// The five per-node arrays are decoded side by side, a block at a time,
-	// and each node gets the checks in the order a per-node scan makes them,
-	// so the first failing node fails with the same error.
+	// The five per-node arrays are checked side by side, a block at a time,
+	// with no branch per node: pre, parentRel and size are decoded and
+	// tested by blockInRange, byPre and depth need only a range, which
+	// BlockWithin tests without storing them.  Only a block that fails is
+	// decoded whole and checked again node by node, with the checks in the
+	// order a per-node scan makes them, so the first failing node fails with
+	// the same error.
 	var pre, byPre, rel, depth, size storage.PackedBlock
 	for b := 0; b < v.pre.NumBlocks(); b++ {
-		ps, qs, rs := v.pre.Block(b, &pre), v.byPre.Block(b, &byPre), v.parentRel.Block(b, &rel)
-		ds, ss := v.depth.Block(b, &depth), v.size.Block(b, &size)
-		for j, p := range ps {
-			x := int32(b*len(pre) + j)
-			if q := qs[j]; p < 0 || int(p) >= n || q < 0 || int(q) >= n {
-				return nil, fmt.Errorf("ppo: rank out of range at node %d", x)
-			}
-			if pa := parentAt(x, rs[j]); pa < -1 || int(pa) >= n {
-				return nil, fmt.Errorf("ppo: parent %d out of range", pa)
-			}
-			if dp := ds[j]; dp < 0 || int(dp) >= n {
-				return nil, fmt.Errorf("ppo: depth %d out of range", dp)
-			}
-			if sz := ss[j]; sz < 1 || int(p)+int(sz) > n {
-				return nil, fmt.Errorf("ppo: subtree [%d+%d] out of range", p, sz)
+		ps, rs, ss := v.pre.Block(b, &pre), v.parentRel.Block(b, &rel), v.size.Block(b, &size)
+		x0 := int32(b * len(pre))
+		if !blockInRange(uint32(x0), uint32(n), ps, rs, ss) ||
+			!v.byPre.BlockWithin(b, 0, int32(n)-1) || !v.depth.BlockWithin(b, 0, int32(n)-1) {
+			qs, ds := v.byPre.Block(b, &byPre), v.depth.Block(b, &depth)
+			if err := checkNodes(x0, n, ps, qs, rs, ds, ss); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -226,6 +225,48 @@ func OpenCompressedSection(g *lgraph.LGraph, data []byte) (pathindex.Index, erro
 		return nil, err
 	}
 	return v, nil
+}
+
+// blockInRange reports whether the nodes of one decoded block, from node x0
+// on, have their preorder rank, parent and subtree in range as checkNodes
+// checks them.  Each bound is tested by a subtraction that turns negative
+// when it is broken, and the sign bits are ORed into one word, so the test
+// has no branch per node; every operand is below 2^33, so no subtraction
+// wraps back to positive.  Read as unsigned, a negative rank or size is at
+// least 2^31 > n, so pre+size <= n and size >= 1 hold exactly when rank and
+// subtree are in range.
+func blockInRange(x0, n uint32, ps, rs, ss []int32) bool {
+	rs, ss = rs[:len(ps)], ss[:len(ps)]
+	n64 := uint64(n)
+	over := uint64(0)
+	for j, p := range ps {
+		size := uint64(uint32(ss[j]))
+		// parentAt(x, r)+1, wrapped as the int32 sum wraps: 0 for a root.
+		parent1 := uint64(x0 + uint32(j) - uint32(rs[j]) + 1)
+		over |= (n64 - uint64(uint32(p)) - size) | (size - 1) | (n64 - parent1)
+	}
+	return over>>63 == 0
+}
+
+// checkNodes checks the nodes of one decoded block, from node x0 on, one at
+// a time and in order, and returns the first failing node's error.
+func checkNodes(x0 int32, n int, ps, qs, rs, ds, ss []int32) error {
+	for j, p := range ps {
+		x := x0 + int32(j)
+		if q := qs[j]; p < 0 || int(p) >= n || q < 0 || int(q) >= n {
+			return fmt.Errorf("ppo: rank out of range at node %d", x)
+		}
+		if pa := parentAt(x, rs[j]); pa < -1 || int(pa) >= n {
+			return fmt.Errorf("ppo: parent %d out of range", pa)
+		}
+		if dp := ds[j]; dp < 0 || int(dp) >= n {
+			return fmt.Errorf("ppo: depth %d out of range", dp)
+		}
+		if sz := ss[j]; sz < 1 || int(p)+int(sz) > n {
+			return fmt.Errorf("ppo: subtree [%d+%d] out of range", p, sz)
+		}
+	}
+	return nil
 }
 
 // SectionKind implements storage.SectionEncoder.

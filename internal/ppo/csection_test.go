@@ -3,6 +3,7 @@ package ppo
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -232,5 +233,124 @@ func TestCompressedSectionCorrupt(t *testing.T) {
 				probe(pi)
 			}
 		}()
+	}
+}
+
+// TestCompressedSectionForgedErrors forges one ppo-c section per open check —
+// rank, parent, depth, subtree, tag-run rank and tag rank — by editing a
+// built index before encoding it, and requires the error the opener gave
+// when it checked every node in order (recorded then), byte for byte: the
+// first failing node of a block, and the first failing check of a node,
+// still name the error.
+func TestCompressedSectionForgedErrors(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := randomForest(rng, 150) // two full blocks and a short one
+	n := int32(g.NumNodes())
+	for _, c := range []struct {
+		name  string
+		forge func(idx *Index)
+		want  string
+	}{
+		{"rank", func(idx *Index) { idx.pre[70] = n }, "ppo: rank out of range at node 70"},
+		{"negative rank", func(idx *Index) { idx.pre[3] = -1 }, "ppo: rank out of range at node 3"},
+		{"inverse rank", func(idx *Index) { idx.byPre[149] = n + 9 }, "ppo: rank out of range at node 149"},
+		{"parent", func(idx *Index) { idx.parent[90] = 200 }, "ppo: parent 200 out of range"},
+		{"depth", func(idx *Index) { idx.depth[128] = -4 }, "ppo: depth -4 out of range"},
+		{"depth past the end", func(idx *Index) { idx.depth[0] = n }, "ppo: depth 150 out of range"},
+		{"empty subtree", func(idx *Index) { idx.size[130] = 0 }, "ppo: subtree [143+0] out of range"},
+		{"subtree past the end", func(idx *Index) { idx.size[63] = n - idx.pre[63] + 1 }, "ppo: subtree [87+64] out of range"},
+		{"first failing node of a block", func(idx *Index) { idx.size[79] = 0; idx.depth[75] = n; idx.pre[80] = -1 },
+			"ppo: depth 150 out of range"},
+		{"first failing check of a node", func(idx *Index) { idx.size[100] = 0; idx.depth[100] = -1; idx.parent[100] = n },
+			"ppo: parent 150 out of range"},
+		{"tag-run rank", func(idx *Index) { idx.tagRuns.Data[40] = n }, "ppo: tag-run rank 150 out of range"},
+		{"first tag-run rank", func(idx *Index) { idx.tagRuns.Data[149] = -7; idx.tagRuns.Data[140] = n + 3 },
+			"ppo: tag-run rank 153 out of range"},
+		{"tag rank", func(idx *Index) { idx.runsSorted = false; idx.tagPre.Data[10] = -2 }, "ppo: tag rank -2 out of range"},
+		{"tag rank past the end", func(idx *Index) { idx.runsSorted = false; idx.tagPre.Data[120] = n + 1 },
+			"ppo: tag rank 151 out of range"},
+	} {
+		idx, err := Build(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.forge(idx)
+		body, err := storage.EncodeSectionBody(idx.EncodeCompressedSection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pi, err := OpenCompressedSection(g, body)
+		if err == nil || err.Error() != c.want || pi != nil {
+			t.Errorf("%s: OpenCompressedSection = %v, %v; want no index and %q", c.name, pi, err, c.want)
+		}
+	}
+}
+
+// TestBlockInRangeMatchesCheckNodes: on blocks of every length whose values
+// crowd the edges of the checked ranges — negative, 0, n-1, n, the int32
+// extremes — a block passes blockInRange with its inverse ranks and depths in
+// [0, n) exactly when checkNodes finds no failing node.
+func TestBlockInRangeMatchesCheckNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var passed, failed int
+	for iter := 0; iter < 20000; iter++ {
+		n := 1 + rng.Intn(300)
+		x0 := int32(rng.Intn(n))
+		m := 1 + rng.Intn(min(64, n-int(x0)))
+		edge := func(x int32) int32 {
+			switch rng.Intn(10) {
+			case 0:
+				return []int32{math.MinInt32, math.MaxInt32, -2, -1}[rng.Intn(4)]
+			case 1:
+				return int32(n) + int32(rng.Intn(3)) - 1
+			case 2:
+				return x + 1 - int32(n) + int32(rng.Intn(3)) - 1 // parent offsets at -1 and n
+			default:
+				return int32(rng.Intn(n))
+			}
+		}
+		// Each column is valid — what a writer stores — or, one time in
+		// five, drawn from the edges.
+		cols := make([][]int32, 5) // pre, byPre, parentRel, depth, size
+		for c := range cols {
+			cols[c] = make([]int32, m)
+			forged := rng.Intn(5) == 0
+			for j := range cols[c] {
+				x := x0 + int32(j)
+				switch {
+				case forged:
+					cols[c][j] = edge(x)
+				case c == 2:
+					cols[c][j] = int32(rng.Intn(int(x) + 1))
+				case c == 4:
+					cols[c][j] = 1 + int32(rng.Intn(max(1, n-int(cols[0][j]))))
+				default:
+					cols[c][j] = int32(rng.Intn(n))
+				}
+			}
+		}
+		ps, qs, rs, ds, ss := cols[0], cols[1], cols[2], cols[3], cols[4]
+		inRange := func(vs []int32) bool {
+			for _, v := range vs {
+				if v < 0 || int(v) >= n {
+					return false
+				}
+			}
+			return true
+		}
+		fast := blockInRange(uint32(x0), uint32(n), ps, rs, ss) && inRange(qs) && inRange(ds)
+		err := checkNodes(x0, n, ps, qs, rs, ds, ss)
+		if fast != (err == nil) {
+			t.Fatalf("n=%d x0=%d pre %v byPre %v rel %v depth %v size %v: fast test %t, checkNodes %v",
+				n, x0, ps, qs, rs, ds, ss, fast, err)
+		}
+		if fast {
+			passed++
+		} else {
+			failed++
+		}
+	}
+	if passed < 1000 || failed < 1000 {
+		t.Fatalf("%d blocks passed and %d failed: the generator no longer reaches both sides", passed, failed)
 	}
 }

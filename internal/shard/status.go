@@ -153,7 +153,7 @@ func (rt *Router) scatterStats() []scatterStat {
 		{"hops_redispatched_total", "counter", "hopsRedispatched", "Hop entries re-dispatched to their owning shard.", c.hopsRedispatched.Load()},
 		{"early_stops_total", "counter", "earlyStops", "Gathers ended by the top-k or connectivity watermark.", c.earlyStops.Load()},
 		{"budget_stops_total", "counter", "budgetStops", "Gathers that exhausted the hop budget.", c.budgetStops.Load()},
-		{"partial_results_total", "counter", "partials", "Queries answered with a partial result.", c.partials.Load()},
+		{"partial_results_total", "counter", "partials", "Gathers that lost work.", c.partials.Load()},
 		{"shard_failures_total", "counter", "shardFailures", "Shard batches dropped after retries.", c.shardFailures.Load()},
 		{"traced_queries_total", "counter", "tracedQueries", "Queries evaluated with ?trace=1 distributed tracing.", rt.tracedQueries.Load()},
 	}

@@ -160,14 +160,23 @@ func checkTraceShape(t *testing.T, ct *obs.ClusterTrace, results int) {
 // and its per-shard RPC counts equal the per-shard rpcs series deltas.  The
 // requests are descendants queries (one gather each), a ranked /v1/query
 // (one gather per //-step scan) and a /v1/connected (the target early
-// stop).
+// stop).  On this corpus the router hops at 2 shards and at 4 (on seed 9's
+// it hopped only at 4), and every row of more than one shard requires that
+// it did, so that no row reconciles nothing but zeros.
 func TestClusterTraceReconcilesWithMetrics(t *testing.T) {
-	coll := testutil.Generate(testutil.Linked, 9, 12, 40, 40)
+	coll := testutil.Generate(testutil.Linked, 7, 12, 40, 40)
 	ix := buildIndex(t, coll)
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
 			c := newCluster(t, coll, ix, n, 0)
 			tags := coll.Tags()
+			rowStart := counters(t, c, n)
+			defer func() {
+				// One shard owns every meta document, so it never hops.
+				if hops := counters(t, c, n).hops - rowStart.hops; (hops > 0) != (n > 1) {
+					t.Errorf("%d shards: flix_router_hops_total moved by %v over the row", n, hops)
+				}
+			}()
 			reconcile := func(label string, before routerCounters, ct *obs.ClusterTrace) {
 				t.Helper()
 				after := counters(t, c, n)
@@ -232,9 +241,8 @@ func TestClusterTraceReconcilesWithMetrics(t *testing.T) {
 			}
 			reconcile(expr, before, qr.Trace)
 
-			// The target is the element farthest from the start: at four
-			// shards its gather crosses shards for three rounds and ends on
-			// the target's early stop.
+			// The target is the element farthest from the start: at two and
+			// at four shards its gather crosses shards for three rounds.
 			from, to := xmlgraph.NodeID(0), xmlgraph.NodeID(0)
 			dist := coll.BFSDistances(from)
 			for nd, d := range dist {
@@ -271,8 +279,10 @@ func TestClusterTraceReconcilesWithMetrics(t *testing.T) {
 // results than that, and the per-shard sums of those counts equal the
 // flix_router_shard_results_total deltas exactly — span and counter both
 // count what the shard returned.  The eval frames moved bytes both ways.
+// Every row crosses shards (flix_router_hops_total moves), so the limit is
+// checked on re-dispatched batches too.
 func TestTracedDispatchCarriesLimit(t *testing.T) {
-	coll := testutil.Generate(testutil.Linked, 9, 12, 40, 40)
+	coll := testutil.Generate(testutil.Linked, 7, 12, 40, 40)
 	ix := buildIndex(t, coll)
 	const nShards = 2
 	c := newCluster(t, coll, ix, nShards, 0)
@@ -297,6 +307,9 @@ func TestTracedDispatchCarriesLimit(t *testing.T) {
 		c.getJSON(fmt.Sprintf("/v1/descendants?start=%d&k=%d%s&trace=1&timeout=20s", start, tc.k, tc.self), &tr)
 		checkTraceShape(t, tr.Trace, len(tr.Results))
 		after := scrapeMetrics(t, c.router.URL)
+		if hops := after.samples["flix_router_hops_total"] - before.samples["flix_router_hops_total"]; hops <= 0 {
+			t.Errorf("k=%d%s from %d: no hop crossed shards", tc.k, tc.self, start)
+		}
 
 		returned := make([]int64, nShards)
 		for _, g := range tr.Trace.Root.Children {
@@ -454,5 +467,46 @@ func TestClusterTraceConcurrent(t *testing.T) {
 		if d := int(after.shardRPCs[sh] - before.shardRPCs[sh]); d != shardRPCs[sh] {
 			t.Errorf("shard %d rpcs delta %d != summed trace %d", sh, d, shardRPCs[sh])
 		}
+	}
+}
+
+// TestPartialsCountGathers pins what flix_router_partial_results_total (and
+// /statsz scatter.partials) counts: gathers that lost work, not queries.  A
+// ranked /v1/query runs one gather per element its //-step starts from; the
+// query /r//* starts from the two document roots tagged r, and with shard 1
+// down each of its two gathers loses that shard, so the one query adds 2.
+func TestPartialsCountGathers(t *testing.T) {
+	coll := testutil.Generate(testutil.Linked, 1, 12, 40, 40)
+	c := newCluster(t, coll, buildIndex(t, coll), 2, -1) // -1: no retries
+	roots := make(map[string]int)
+	for d := 0; d < coll.NumDocs(); d++ {
+		roots[coll.Tag(coll.Doc(xmlgraph.DocID(d)).Root)]++
+	}
+	root := ""
+	for _, tag := range coll.Tags() {
+		if roots[tag] == 2 {
+			root = tag
+			break
+		}
+	}
+	if root == "" {
+		t.Fatalf("no tag names exactly two document roots: %v", roots)
+	}
+	c.kill[1].Store(true)
+	before := scrapeMetrics(t, c.router.URL)
+	var qr struct {
+		Partial      bool              `json:"partial"`
+		FailedShards []int             `json:"failedShards"`
+		Trace        *obs.ClusterTrace `json:"trace"`
+	}
+	c.getJSON("/v1/query?q=%2F"+root+"%2F%2F*&k=25&trace=1&timeout=20s", &qr)
+	after := scrapeMetrics(t, c.router.URL)
+	if !qr.Partial || len(qr.FailedShards) != 1 || qr.Trace == nil || qr.Trace.Gathers != 2 {
+		t.Fatalf("/%s//* with shard 1 down: partial=%v failedShards=%v, trace %+v; want a partial answer of two gathers",
+			root, qr.Partial, qr.FailedShards, qr.Trace)
+	}
+	const partials = "flix_router_partial_results_total"
+	if d := after.samples[partials] - before.samples[partials]; d != 2 {
+		t.Errorf("%s moved by %v for one query whose two gathers each lost shard 1, want 2", partials, d)
 	}
 }

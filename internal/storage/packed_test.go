@@ -197,7 +197,106 @@ func checkBlocksMatchAt(t *testing.T, rng *rand.Rand, w, last int) {
 			t.Fatalf("w=%d last=%d: FirstOutside(%d, %d) = (%d, %d), a per-value scan finds (%d, %d)",
 				w, last, r[0], r[1], i, v, wantI, wantV)
 		}
+		checkBlockWithin(t, p, r[0], r[1], true)
 	}
+}
+
+// checkBlockWithin holds BlockWithin to a per-value At scan of each block:
+// it may pass a block only when every value lies inside, and on blocks a
+// writer made (exact) it must pass every such block.
+func checkBlockWithin(t *testing.T, p PackedI32, lo, hi int32, exact bool) {
+	t.Helper()
+	for b := 0; b < p.NumBlocks(); b++ {
+		want := true
+		for i := b * packedBlock; i < min((b+1)*packedBlock, p.Len()); i++ {
+			if v := p.At(int32(i)); v < lo || v > hi {
+				want = false
+			}
+		}
+		if got := p.BlockWithin(b, lo, hi); got && !want || exact && got != want {
+			t.Fatalf("BlockWithin(%d, %d, %d) = %t, a per-value scan finds %t", b, lo, hi, got, want)
+		}
+	}
+}
+
+// TestPackedI32BlockWithinForged: blocks no writer makes — a base below every
+// value, deltas that wrap past MaxInt32 — pass BlockWithin only when every
+// value lies inside, and FirstOutside finds what a per-value scan finds.
+func TestPackedI32BlockWithinForged(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range []struct {
+		base     int32
+		w        int
+		minDelta uint32
+	}{
+		{-5, 4, 5},                   // base -5, no delta 0: values from 0 up
+		{0, 7, 3},                    // the frame starts below the least value
+		{math.MaxInt32 - 3, 4, 0},    // deltas above 3 wrap to negative values
+		{math.MinInt32, 32, 1 << 31}, // width 32, values from 0 up
+		{10, 9, 0},
+		{-1, 16, 1},
+	} {
+		for _, m := range []int{1, 7, 8, 9, 63, 64} {
+			span := uint64(1)<<c.w - 1
+			deltas := make([]uint32, m)
+			for i := range deltas {
+				deltas[i] = c.minDelta + uint32(rng.Int63n(int64(span-uint64(c.minDelta))+1))
+			}
+			p := forgedBlock(t, c.base, c.w, deltas)
+			var vals []int32
+			for i := range deltas {
+				vals = append(vals, p.At(int32(i)))
+			}
+			lo, hi := slices.Min(vals), slices.Max(vals)
+			for _, r := range [][2]int32{{lo, hi}, {lo + 1, hi}, {lo, hi - 1}, {0, math.MaxInt32},
+				{math.MinInt32, -1}, {c.base, math.MaxInt32}, {math.MinInt32, math.MaxInt32}} {
+				checkBlockWithin(t, p, r[0], r[1], false)
+				wantI, wantV := len(vals), int32(0)
+				for i, v := range vals {
+					if v < r[0] || v > r[1] {
+						wantI, wantV = i, v
+						break
+					}
+				}
+				if i, v := p.FirstOutside(r[0], r[1]); i != wantI || v != wantV {
+					t.Fatalf("base %d w=%d m=%d: FirstOutside(%d, %d) = (%d, %d), a per-value scan finds (%d, %d)",
+						c.base, c.w, m, r[0], r[1], i, v, wantI, wantV)
+				}
+			}
+		}
+	}
+}
+
+// forgedBlock lays out one packed block by hand — the given base, width and
+// deltas, whatever the values' least one is — and reads it back.
+func forgedBlock(t *testing.T, base int32, w int, deltas []uint32) PackedI32 {
+	t.Helper()
+	payload := make([]byte, 8*w+8)
+	for i, dl := range deltas {
+		for k := 0; k < w; k++ {
+			if dl>>k&1 != 0 {
+				bit := i*w + k
+				payload[bit/8] |= 1 << (bit % 8)
+			}
+		}
+	}
+	body, err := EncodeSectionBody(func(sw *SnapshotWriter) {
+		sw.U32(uint32(len(deltas)))
+		sw.U32(uint32(len(payload)))
+		sw.I32s([]int32{base})
+		sw.Raw([]byte{byte(w)})
+		sw.Align(8)
+		sw.Raw(payload)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewSectionData(body)
+	p := d.PackedI32s()
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // BenchmarkPackedBlock decodes a 4096-value array a block at a time at

@@ -4,7 +4,8 @@ package storage
 // format — the only one FliX persists or opens.  Unlike the canonical varint
 // stream (WriteStream, which is only measured), a v2 snapshot is designed to be
 // served without a parse step: the file is a header, a sequence of 8-byte-aligned payload sections, a section table of
-// (kind, offset, length) entries, and a footer carrying a whole-file CRC-64.
+// (kind, offset, length) entries, and a footer carrying a whole-file 64-bit
+// checksum.
 // Opening a snapshot validates the envelope and the checksum — one
 // sequential pass that decodes nothing and allocates only the section
 // descriptors — after which fixed-width arrays inside sections are used in
@@ -17,12 +18,22 @@ package storage
 //	tableOff          section table: count × 24 B {off u64, len u64,
 //	                  kind u32, pad u32}
 //	len(file)-40      footer: tableOff u64, count u64, fileLen u64,
-//	                  crc64 u64, end magic "2PNSXILF"
+//	                  checksum u64, end magic "2PNSXILF"
 //
-// The CRC-64 (ECMA) covers every byte before the crc field itself, so any
-// single-bit flip anywhere in the file — header, table, payload or footer —
-// fails Open with ErrCorrupt before a single probe can run.  All
-// multi-byte values are little-endian; the byte-order mark refuses the
+// The checksum covers every byte before its own field, so any single-bit
+// flip anywhere in the file — header, table, payload or footer — fails Open
+// with ErrCorrupt before a single probe can run.  It is a CRC pair:
+// CRC-32C (Castagnoli) in the high half, CRC-32/IEEE in the low half, both
+// computed by hash/crc32 with the hardware CRC instructions of amd64 and
+// arm64.  The pair is still a 64-bit check: the two generator polynomials
+// are coprime, so damage passes both CRCs only when it is a multiple of
+// their product, a degree-64 polynomial — the pair acts as one CRC-64 with
+// that generator, and every single-bit flip and every burst of up to 64
+// bits is caught.  Container version 2 had the same layout under a pure-Go
+// CRC-64/ECMA, about seven times the CPU; its images are refused with
+// ErrVersion.  ("v2" names the container — magic "FLIXSNP2" — not its
+// header version.)
+// All multi-byte values are little-endian; the byte-order mark refuses the
 // (theoretical) big-endian host rather than serving garbage through the
 // zero-copy views.
 
@@ -31,8 +42,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc64"
+	"hash/crc32"
 	"io"
 	"os"
 	"runtime"
@@ -53,8 +63,14 @@ const SnapshotMagic = "FLIXSNP2"
 const snapshotEndMagic = "2PNSXILF"
 
 // SnapshotVersion is the container format version stamped in the header.
-// Open refuses newer versions with ErrVersion.
-const SnapshotVersion = 2
+// Open refuses every other version: a newer one, or version 2 — the same
+// layout under a CRC-64/ECMA footer — with ErrVersion, and one below 2 as
+// corrupt.
+const SnapshotVersion = 3
+
+// snapshotCRC64Version is the last container version whose footer held a
+// CRC-64/ECMA.
+const snapshotCRC64Version = 2
 
 // snapshotBOM is the little-endian byte-order mark stored in the header.
 const snapshotBOM uint32 = 0x01020304
@@ -72,11 +88,31 @@ const (
 // never silently wrong results.
 var ErrCorrupt = errors.New("storage: snapshot corrupt")
 
-// ErrVersion reports a v2 snapshot written by a newer container version
-// than this binary understands.
+// ErrVersion reports a snapshot written by another container version than
+// this binary reads: a newer one, or version 2, whose CRC-64 footer it no
+// longer checks.
 var ErrVersion = errors.New("storage: snapshot format version not supported")
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// crcPair is the running footer checksum: CRC-32C and CRC-32/IEEE of the
+// same bytes.
+type crcPair struct{ c, ieee uint32 }
+
+func (p *crcPair) update(b []byte) {
+	p.c = crc32.Update(p.c, castagnoli, b)
+	p.ieee = crc32.Update(p.ieee, crc32.IEEETable, b)
+}
+
+// sum64 is the footer's checksum field: CRC-32C high, CRC-32/IEEE low.
+func (p crcPair) sum64() uint64 { return uint64(p.c)<<32 | uint64(p.ieee) }
+
+// snapshotChecksum is the footer checksum of the image bytes before it.
+func snapshotChecksum(b []byte) uint64 {
+	var p crcPair
+	p.update(b)
+	return p.sum64()
+}
 
 // hostLittleEndian is computed once; the zero-copy views reinterpret
 // little-endian file bytes in place, so a big-endian host must refuse.
@@ -97,7 +133,7 @@ func hasSnapshotMagic(b []byte) bool {
 // header, no checksum.
 type SnapshotWriter struct {
 	w        io.Writer
-	crc      hash.Hash64 // nil when detached
+	crc      *crcPair // nil when detached
 	off      int64
 	err      error
 	sections []sectionEntry
@@ -113,7 +149,7 @@ type sectionEntry struct {
 
 // NewSnapshotWriter starts a snapshot on w by writing the header.
 func NewSnapshotWriter(w io.Writer) *SnapshotWriter {
-	sw := &SnapshotWriter{w: w, crc: crc64.New(crcTable)}
+	sw := &SnapshotWriter{w: w, crc: &crcPair{}}
 	var hdr [snapshotHeaderSize]byte
 	copy(hdr[0:8], SnapshotMagic)
 	binary.LittleEndian.PutUint32(hdr[8:12], SnapshotVersion)
@@ -141,7 +177,7 @@ func (sw *SnapshotWriter) write(b []byte) {
 		return
 	}
 	if sw.crc != nil {
-		sw.crc.Write(b)
+		sw.crc.update(b)
 	}
 	if _, err := sw.w.Write(b); err != nil {
 		sw.err = err
@@ -300,7 +336,7 @@ func (sw *SnapshotWriter) Finish() (int64, error) {
 	}
 	// The crc field and end magic are outside the checksummed region.
 	var tail [16]byte
-	binary.LittleEndian.PutUint64(tail[0:8], sw.crc.Sum64())
+	binary.LittleEndian.PutUint64(tail[0:8], sw.crc.sum64())
 	copy(tail[8:16], snapshotEndMagic)
 	if _, err := sw.w.Write(tail[:]); err != nil {
 		sw.err = err
@@ -404,7 +440,7 @@ func (s *Snapshot) validate() error {
 		return fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(b[8:12]); v != SnapshotVersion {
-		if v > SnapshotVersion {
+		if v >= snapshotCRC64Version {
 			return fmt.Errorf("%w: snapshot is v%d, this binary reads v%d", ErrVersion, v, SnapshotVersion)
 		}
 		return fmt.Errorf("%w: impossible container version %d", ErrCorrupt, v)
@@ -420,7 +456,7 @@ func (s *Snapshot) validate() error {
 		return fmt.Errorf("%w: footer says %d bytes, file has %d", ErrCorrupt, fl, len(b))
 	}
 	want := binary.LittleEndian.Uint64(foot[24:32])
-	if got := crc64.Checksum(b[:len(b)-16], crcTable); got != want {
+	if got := snapshotChecksum(b[:len(b)-16]); got != want {
 		return fmt.Errorf("%w: checksum mismatch (%#x != %#x)", ErrCorrupt, got, want)
 	}
 	tableOff := binary.LittleEndian.Uint64(foot[0:8])
@@ -486,7 +522,7 @@ func (s *Snapshot) Close() error {
 	return nil
 }
 
-// Reseal recomputes the footer checksum of a v2 snapshot image in place.
+// Reseal recomputes the footer checksum of a snapshot image in place.
 // It exists for tests and tooling that deliberately edit snapshot bytes
 // (e.g. stamping a future version) and want only the edited field — not
 // the checksum — to trip validation.
@@ -494,7 +530,7 @@ func Reseal(b []byte) error {
 	if len(b) < snapshotHeaderSize+snapshotFooterSize || !hasSnapshotMagic(b) {
 		return fmt.Errorf("%w: not a v2 snapshot image", ErrCorrupt)
 	}
-	binary.LittleEndian.PutUint64(b[len(b)-16:], crc64.Checksum(b[:len(b)-16], crcTable))
+	binary.LittleEndian.PutUint64(b[len(b)-16:], snapshotChecksum(b[:len(b)-16]))
 	return nil
 }
 

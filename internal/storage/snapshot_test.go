@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -227,6 +228,51 @@ func TestSnapshotFutureVersionTyped(t *testing.T) {
 	}
 	if errors.Is(err, ErrCorrupt) {
 		t.Fatalf("version refusal should not read as corruption: %v", err)
+	}
+}
+
+// TestSnapshotChecksumKnownAnswer pins the footer checksum: CRC-32C in the
+// high half and CRC-32/IEEE in the low half, each the standard CRC (its check
+// value over "123456789" is the catalogued one), of every byte before the
+// checksum field; a writer's footer and Reseal's agree on it.
+func TestSnapshotChecksumKnownAnswer(t *testing.T) {
+	if got, want := snapshotChecksum([]byte("123456789")), uint64(0xe3069283_cbf43926); got != want {
+		t.Fatalf("checksum of the CRC check string = %#x, want %#x", got, want)
+	}
+	raw := buildTestSnapshot(t)
+	body := raw[:len(raw)-16]
+	want := uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))<<32 | uint64(crc32.ChecksumIEEE(body))
+	if got := binary.LittleEndian.Uint64(raw[len(raw)-16:]); got != want {
+		t.Fatalf("footer checksum = %#x, want crc32c<<32 | crc32ieee = %#x", got, want)
+	}
+	resealed := bytes.Clone(raw)
+	clear(resealed[len(raw)-16 : len(raw)-8])
+	if err := Reseal(resealed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resealed, raw) {
+		t.Fatalf("Reseal wrote %#x, the writer %#x",
+			binary.LittleEndian.Uint64(resealed[len(raw)-16:]), want)
+	}
+}
+
+// TestSnapshotOldVersions: a version 2 image — the same layout under a
+// CRC-64 footer — is refused as a version problem, a version below 2 as
+// corruption; either way whatever its checksum.
+func TestSnapshotOldVersions(t *testing.T) {
+	for v, want := range map[uint32]error{0: ErrCorrupt, 1: ErrCorrupt, 2: ErrVersion} {
+		raw := bytes.Clone(buildTestSnapshot(t))
+		binary.LittleEndian.PutUint32(raw[8:12], v)
+		if err := Reseal(raw); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenSnapshotBytes(raw)
+		if !errors.Is(err, want) {
+			t.Errorf("v%d snapshot: err = %v, want %v", v, err, want)
+		}
+		if want == ErrVersion && errors.Is(err, ErrCorrupt) {
+			t.Errorf("v%d snapshot: version refusal reads as corruption: %v", v, err)
+		}
 	}
 }
 

@@ -64,6 +64,12 @@
 // need no escaping and whose text is its own snippet goes out verbatim:
 // `front.New` marks those elements in one bit per node, once per front
 // (`FuzzVerbatim` holds the rule; `BenchmarkVerbatimSet` times the marking).
+// It also fuses an element's constant text, per depth, into one string
+// between each pair of values, and per plain tag one string from the node
+// value to the document name, so a verbatim element is nine copies; node
+// IDs and distances go through a digit-pair integer writer
+// (`TestRenderIntegerForms`).  Each response is one Write
+// (`TestRenderWritesOnce`).
 // Other texts are cut at 80 bytes on a rune boundary
 // (`TestSnippetCutsOnRuneBoundary`, `FuzzSnippet`).  Everything that is not a
 // query answer — /statsz, /healthz, the admin and shard endpoints — goes

@@ -138,6 +138,10 @@ type Front struct {
 	cfg      Config
 	tier     Tier
 	sem      chan struct{}
+	// queryKeys and batchKeys are the constant text of a result element:
+	// elements sit at depth 2 in a single-query response and at depth 4 in
+	// a batch, where BatchResult declares score and pathLen omitempty.
+	queryKeys, batchKeys elemKeys
 
 	reqSeq atomic.Uint64
 
@@ -177,7 +181,12 @@ func New(coll *xmlgraph.Collection, cfg Config, tier Tier) *Front {
 // newFront returns a front that resolves and renders the nodes of coll and
 // serves nothing yet.
 func newFront(coll *xmlgraph.Collection) *Front {
-	return &Front{coll: coll, verbatim: newVerbatimSet(coll)}
+	return &Front{
+		coll:      coll,
+		verbatim:  newVerbatimSet(coll),
+		queryKeys: newElemKeys(2, false, coll.TagNames()),
+		batchKeys: newElemKeys(4, true, coll.TagNames()),
+	}
 }
 
 // Handle mounts an endpoint that is not admitted: status, metrics, admin.

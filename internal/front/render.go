@@ -10,13 +10,22 @@ package front
 // to copy is a short function below: key order, string escapes, float
 // formatting, omitempty, null against [].  TestRenderMatchesEncodingJSON
 // holds each to encoding/json.
+//
+// A result element is most of every body, so its constant text is fused:
+// per depth, the text between two values is one string (elemKeys), and per
+// plain tag the tag's key, value and the doc key are one more, built once
+// per front.  Node IDs and distances go through a digit-pair writer
+// (appendInt) that equals strconv.AppendInt for every int32
+// (TestRenderIntegerForms).  A verbatim element is nine copies.
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
+	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -181,13 +190,6 @@ func (e *encoder) string(s string) {
 	e.buf = append(e.buf, '"')
 }
 
-// raw writes s, which needs no escape, as a JSON string.
-func (e *encoder) raw(s string) {
-	e.buf = append(e.buf, '"')
-	e.buf = append(e.buf, s...)
-	e.buf = append(e.buf, '"')
-}
-
 var errUnsupportedFloat = errors.New("front: NaN and the infinities have no JSON form")
 
 // float writes f as encoding/json's float64 encoder does: the shortest
@@ -222,36 +224,102 @@ type hit struct {
 // of hits), as maxPooledOK is for the buffers.
 const maxPooledHits = 1 << 16
 
-// elemKeys are the lines of a result element up to each value, and the one
-// that ends the list, for elements of one depth.
+// elemKeys is the constant text of a result element at one depth, fused
+// into as few strings as the values between them allow: a verbatim element
+// is open, node, tags[tag], name, text, text, dist, dist and close — nine
+// copies.
 type elemKeys struct {
-	open, node, tag, doc, text, dist, score, pathLen, close, endList string
+	// open is the line break, the brace and the "node" key.
+	open string
+	// tag and doc precede a tag and a document name ("doc" with the opening
+	// quote); text and dist start with the quote that ends the value
+	// before them.
+	tag, doc, text, dist           string
+	score, pathLen, close, endList string
+	// tags holds, per tag ID whose name is a plain name, tag, the quoted
+	// name and doc in one string; "" for any other tag.
+	tags []string
 	// omitZero leaves a ranked element's score and pathLen out when zero.
 	omitZero bool
 }
 
-func newElemKeys(depth int, omitZero bool) elemKeys {
+// newElemKeys returns the keys of elements at depth for a collection with
+// the given tag names.
+func newElemKeys(depth int, omitZero bool, tagNames []string) elemKeys {
 	in := newline[:1+2*(depth+1)]
 	line := func(name string) string { return "," + in + `"` + name + `": ` }
-	return elemKeys{
-		open:    newline[:1+2*depth] + "{",
-		node:    line("node")[1:], // the first member: no comma
+	k := elemKeys{
+		open:    newline[:1+2*depth] + "{" + line("node")[1:], // the first member: no comma
 		tag:     line("tag"),
-		doc:     line("doc"),
-		text:    line("text"),
-		dist:    line("dist"),
+		doc:     line("doc") + `"`,
+		text:    `"` + line("text") + `"`,
+		dist:    `"` + line("dist"),
 		score:   line("score"),
 		pathLen: line("pathLen"),
 		close:   newline[:1+2*depth] + "}",
 		endList: newline[:1+2*(depth-1)] + "]",
 
+		tags:     make([]string, len(tagNames)),
 		omitZero: omitZero,
 	}
+	for id, tag := range tagNames {
+		if plainName(tag) {
+			k.tags[id] = k.tag + `"` + tag + `"` + k.doc
+		}
+	}
+	return k
 }
 
-// Result elements sit at depth 2 in a single-query response and at depth 4
-// in a batch, where BatchResult declares score and pathLen omitempty.
-var queryKeys, batchKeys = newElemKeys(2, false), newElemKeys(4, true)
+// digitPairs is "00" through "99".
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// pow10 holds the powers of ten a uint32 spans.
+var pow10 = [...]uint32{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// appendInt appends v in decimal, as strconv.AppendInt(dst, int64(v), 10)
+// does: the digit count first, then two digits per division, written in
+// place from the last.
+func appendInt(dst []byte, v int32) []byte {
+	u := uint32(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		u = -u
+	}
+	if u < 10 {
+		return append(dst, '0'+byte(u))
+	}
+	// floor(log10 u) from the bit length (1233/4096 is just above log10 2),
+	// one short when u is below the power of ten it guessed.
+	t := bits.Len32(u) * 1233 >> 12
+	if u < pow10[t] {
+		t--
+	}
+	end := len(dst) + t + 1
+	dst = slices.Grow(dst, t+1)[:end]
+	i := end
+	for u >= 100 {
+		q := u / 100
+		r := 2 * (u - 100*q)
+		i -= 2
+		dst[i], dst[i+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		dst[i-2], dst[i-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		dst[i-1] = '0' + byte(u)
+	}
+	return dst
+}
 
 // An element's text goes on the wire as a snippet: its whitespace-separated
 // fields joined by one space, and past snippetMax bytes the first
@@ -378,47 +446,48 @@ func newVerbatimSet(c *xmlgraph.Collection) verbatimSet {
 
 func (v verbatimSet) has(n xmlgraph.NodeID) bool { return v[n>>6]&(1<<(n&63)) != 0 }
 
-// element writes one result element; a ranked one carries score and
-// pathLen.
-func (e *encoder) element(k *elemKeys, h hit, ranked bool) {
+// element appends one result element to buf; a ranked one carries score
+// and pathLen.
+func (e *encoder) element(buf []byte, k *elemKeys, h hit, ranked bool) []byte {
 	c := e.coll
-	tag, name, text := c.Tag(h.node), c.Doc(c.DocOf(h.node)).Name, c.Text(h.node)
-	e.buf = append(e.buf, k.open...)
-	e.buf = append(e.buf, k.node...)
-	e.int(int64(h.node))
+	name, text := c.Doc(c.DocOf(h.node)).Name, c.Text(h.node)
+	buf = append(buf, k.open...)
+	buf = appendInt(buf, int32(h.node))
+	if tags := k.tags[c.TagID(h.node)]; tags != "" {
+		buf = append(buf, tags...)
+	} else {
+		buf = append(buf, k.tag...)
+		buf = append(buf, '"')
+		buf = appendEscaped(buf, c.Tag(h.node))
+		buf = append(buf, '"')
+		buf = append(buf, k.doc...)
+	}
 	if e.verbatim.has(h.node) {
-		e.buf = append(e.buf, k.tag...)
-		e.raw(tag)
-		e.buf = append(e.buf, k.doc...)
-		e.raw(name)
+		buf = append(buf, name...)
 		if text != "" {
-			e.buf = append(e.buf, k.text...)
-			e.raw(text)
+			buf = append(buf, k.text...)
+			buf = append(buf, text...)
 		}
 	} else {
-		e.buf = append(e.buf, k.tag...)
-		e.string(tag)
-		e.buf = append(e.buf, k.doc...)
-		e.string(name)
+		buf = appendEscaped(buf, name)
 		var sb snippetBuf
 		if snip := makeSnippet(&sb, text); len(snip) > 0 {
-			e.buf = append(e.buf, k.text...)
-			e.buf = append(e.buf, '"')
-			e.buf = appendEscaped(e.buf, snip)
-			e.buf = append(e.buf, '"')
+			buf = append(buf, k.text...)
+			buf = appendEscaped(buf, snip)
 		}
 	}
-	e.buf = append(e.buf, k.dist...)
-	e.int(int64(h.dist))
+	buf = append(buf, k.dist...)
+	buf = appendInt(buf, h.dist)
 	if ranked && !(k.omitZero && h.score == 0) {
-		e.buf = append(e.buf, k.score...)
+		e.buf = append(buf, k.score...)
 		e.float(h.score)
+		buf = e.buf
 	}
 	if ranked && !(k.omitZero && h.dist == 0) {
-		e.buf = append(e.buf, k.pathLen...)
-		e.int(int64(h.dist))
+		buf = append(buf, k.pathLen...)
+		buf = appendInt(buf, h.dist)
 	}
-	e.buf = append(e.buf, k.close...)
+	return append(buf, k.close...)
 }
 
 // elements writes a result list.
@@ -427,14 +496,14 @@ func (e *encoder) elements(k *elemKeys, hits []hit, ranked bool) {
 		e.buf = append(e.buf, "[]"...)
 		return
 	}
-	e.buf = append(e.buf, '[')
+	buf := append(e.buf, '[')
 	for i, h := range hits {
 		if i > 0 {
-			e.buf = append(e.buf, ',')
+			buf = append(buf, ',')
 		}
-		e.element(k, h, ranked)
+		buf = e.element(buf, k, h, ranked)
 	}
-	e.buf = append(e.buf, k.endList...)
+	e.buf = append(buf, k.endList...)
 }
 
 // flush moves what buf holds into the pooled buffer and points buf at the
@@ -529,7 +598,7 @@ func (f *Front) writeList(w http.ResponseWriter, b *okBuf, ranked, timedOut bool
 	e.int(int64(len(b.hits)))
 	e.replyHead()
 	e.key("results")
-	e.elements(&queryKeys, b.hits, ranked)
+	e.elements(&f.queryKeys, b.hits, ranked)
 	e.replyTail(timedOut)
 	e.send(w)
 }
@@ -576,7 +645,7 @@ func (f *Front) writeBatch(w http.ResponseWriter, b *okBuf, completed int, parti
 		}
 		if it.n > 0 {
 			e.buf = append(e.buf, ",\n      \"results\": "...)
-			e.elements(&batchKeys, b.hits[it.off:it.off+it.n], it.ranked)
+			e.elements(&f.batchKeys, b.hits[it.off:it.off+it.n], it.ranked)
 		}
 		e.buf = append(e.buf, ",\n      \"count\": "...)
 		e.int(int64(it.n))

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -316,6 +317,69 @@ func TestRenderScoreForms(t *testing.T) {
 			if bad := math.IsNaN(score) || math.IsInf(score, 0); bad != (got.Body.Len() == 0) {
 				t.Errorf("score %v: %d body bytes", score, got.Body.Len())
 			}
+		}
+	}
+}
+
+// intForms are the int32 values on either side of every digit-count
+// boundary, both signs, and the two ends of the range.
+var intForms = func() []int32 {
+	v := []int32{math.MinInt32, math.MinInt32 + 1, math.MaxInt32 - 1, math.MaxInt32}
+	for p := int64(1); p <= 1e9; p *= 10 {
+		for _, n := range []int64{p - 1, p, p + 1} {
+			v = append(v, int32(n), int32(-n))
+		}
+	}
+	return v
+}()
+
+// TestRenderIntegerForms: appendInt writes what strconv.AppendInt writes,
+// on every digit-count boundary and over a seeded sweep, into a buffer with
+// room and into one without; and elements whose node IDs and distances sit
+// on those boundaries are written as encoding/json writes them, ranked and
+// unranked, in a single-query response and in a batch.
+func TestRenderIntegerForms(t *testing.T) {
+	check := func(v int32) {
+		want := strconv.AppendInt([]byte("x"), int64(v), 10)
+		for _, dst := range [][]byte{[]byte("x"), append(make([]byte, 0, 16), 'x')} {
+			if got := appendInt(dst, v); !bytes.Equal(got, want) {
+				t.Fatalf("appendInt(%d) = %q, want %q", v, got, want)
+			}
+		}
+	}
+	for _, v := range intForms {
+		check(v)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1<<18; i++ {
+		check(int32(rng.Uint32()))                 // mostly ten digits
+		check(int32(rng.Uint32() >> rng.Intn(32))) // every length
+	}
+
+	c := renderCollections()["dblp"]
+	f := newFront(c)
+	nodes := []xmlgraph.NodeID{xmlgraph.NodeID(c.NumNodes() - 1)}
+	for _, v := range intForms {
+		if v >= 0 && int(v) < c.NumNodes() {
+			nodes = append(nodes, xmlgraph.NodeID(v))
+		}
+	}
+	var hits []hit
+	for i, n := range nodes {
+		for j, d := range intForms {
+			hits = append(hits, hit{node: n, dist: d, score: scoreTable[(i+j)%len(scoreTable)]})
+		}
+	}
+	items := []batchItem{{status: BatchOK, n: len(hits)}, {status: BatchOK, off: len(hits), n: len(hits), ranked: true}}
+	both := append(append([]hit(nil), hits...), hits...)
+	for _, s := range []shape{
+		listShape("list", hits, false, false, Reply{}),
+		listShape("ranked list", hits, true, false, Reply{}),
+		batchShape("batch", items, both, len(items), false, false, Reply{}),
+	} {
+		got, want := renderBody(f, s), referenceBody(c, s)
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s: body differs\n got %q\nwant %q", s.name, got.Body.Bytes(), want.Body.Bytes())
 		}
 	}
 }

@@ -96,6 +96,26 @@ func TestOKWritesOnce(t *testing.T) {
 	}
 }
 
+// TestRenderWritesOnce: writeList, writeConnected and writeBatch each write
+// a response in one Write, traced or not, as OK does.
+func TestRenderWritesOnce(t *testing.T) {
+	for _, name := range []string{"dblp", "linked"} {
+		c := renderCollections()[name]
+		f := newFront(c)
+		shapes := renderShapes(c, 4)
+		if name == "dblp" {
+			shapes = append(shapes, benchShapes(c)...)
+		}
+		for _, s := range shapes {
+			cw := &countingWriter{ResponseWriter: httptest.NewRecorder()}
+			renderTo(f, s, cw)
+			if cw.writes != 1 {
+				t.Errorf("%s %s: %d writes, want 1", name, s.name, cw.writes)
+			}
+		}
+	}
+}
+
 // TestOKDropsHugeBuffers: an answer above maxPooledOK must not leave its
 // buffers in the pool.
 func TestOKDropsHugeBuffers(t *testing.T) {
@@ -123,8 +143,8 @@ func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d discardWriter) WriteHeader(int)             {}
 
 // TestOKAllocBudget holds the hand-written path to its allocation floor on
-// warm pooled memory: a 100-result response and a batch of 32 items of 100
-// results each allocate nothing but the Content-Type header value
+// warm pooled memory: a 100-result response, a ranked top ten and the two
+// batches of benchShapes allocate nothing but the Content-Type header value
 // (http.Header.Set makes a one-element slice).  The encoder this replaced
 // paid for an Encoder and the sorted keys of a map besides; referenceOK's
 // indent buffer, regrown from nothing on every response, cost about 60 KB

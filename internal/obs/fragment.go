@@ -165,6 +165,7 @@ type ClusterTrace struct {
 	HopsSeen         int64                    `json:"hopsSeen"`
 	HopsRedispatched int64                    `json:"hopsRedispatched"`
 	HopsDeduped      int64                    `json:"hopsDeduped"`
+	HopsBounded      int64                    `json:"hopsBounded"`
 	BudgetExhausted  bool                     `json:"budgetExhausted,omitempty"`
 	Partial          bool                     `json:"partial,omitempty"`
 	FailedShards     []int                    `json:"failedShards,omitempty"`
@@ -180,8 +181,8 @@ type ClusterTrace struct {
 // against a router.
 func (c ClusterTrace) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cluster trace: %d gathers, %d rounds, %d fanouts, %d hops seen (%d redispatched, %d deduped), %d results in %s",
-		c.Gathers, c.Rounds, c.Fanouts, c.HopsSeen, c.HopsRedispatched, c.HopsDeduped,
+	fmt.Fprintf(&b, "cluster trace: %d gathers, %d rounds, %d fanouts, %d hops seen (%d redispatched, %d deduped), %d bounded, %d results in %s",
+		c.Gathers, c.Rounds, c.Fanouts, c.HopsSeen, c.HopsRedispatched, c.HopsDeduped, c.HopsBounded,
 		c.Results, c.Elapsed.Round(time.Microsecond))
 	if c.RequestID != "" {
 		fmt.Fprintf(&b, " [id %s]", c.RequestID)

@@ -163,6 +163,7 @@ func TestClusterTraceRender(t *testing.T) {
 		HopsSeen:         40,
 		HopsRedispatched: 25,
 		HopsDeduped:      15,
+		HopsBounded:      6,
 		BudgetExhausted:  true,
 		Partial:          true,
 		FailedShards:     []int{2},
@@ -178,7 +179,7 @@ func TestClusterTraceRender(t *testing.T) {
 	out := ct.Render()
 	for _, want := range []string{
 		"1 gathers, 2 rounds, 3 fanouts",
-		"40 hops seen (25 redispatched, 15 deduped)",
+		"40 hops seen (25 redispatched, 15 deduped), 6 bounded",
 		"[id req-9]",
 		"hop budget exhausted",
 		"PARTIAL results: shards [2] failed",
@@ -207,11 +208,12 @@ func TestClusterTraceRender(t *testing.T) {
 // losslessly — flixquery consumes exactly this.
 func TestClusterTraceJSONRoundTrip(t *testing.T) {
 	ct := ClusterTrace{
-		RequestID: "abc",
-		Gathers:   2,
-		Rounds:    3,
-		HopsSeen:  9,
-		Shards:    []ShardTraceSummary{{Shard: 0, RPCs: 1, Pops: 5}},
+		RequestID:   "abc",
+		Gathers:     2,
+		Rounds:      3,
+		HopsSeen:    9,
+		HopsBounded: 4,
+		Shards:      []ShardTraceSummary{{Shard: 0, RPCs: 1, Pops: 5}},
 		Root: &Span{Name: "query", Children: []*Span{
 			{Name: "gather", Attrs: map[string]int64{"rounds": 3}},
 		}},

@@ -79,8 +79,10 @@ func BenchmarkEvalFrame(b *testing.B) {
 // BenchmarkGather runs the router's rounds loop over a 2-shard cluster on
 // loopback HTTP from the corpus's twenty latest publications (citations
 // point back in time, so they reach furthest).  k=100 is what the limit
-// buys a bounded request; k=0 — /v1/connected, ranked scans, unlimited k —
-// gets the frame and nothing else.
+// and the top-k distance bound buy a bounded request; k=0 — /v1/connected,
+// ranked scans, unlimited k — gets the frame and nothing else.  hops/op
+// counts the hops the shards returned, bounded/op the staged entries the
+// bound kept from a dispatch.
 func BenchmarkGather(b *testing.B) {
 	gen := dblp.Generate(dblp.Scaled(1500))
 	coll := gen.BuildGraph()
@@ -95,14 +97,18 @@ func BenchmarkGather(b *testing.B) {
 	}{{"k=0", 0}, {"k=100", 100}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var results, rounds int
+			var results int
+			var sum shard.GatherTally
 			for i := 0; i < b.N; i++ {
 				start := coll.Doc(xmlgraph.DocID(len(gen.Pubs) - 1 - i%20)).Root
-				r, n := c.rt.Gather(context.Background(), start, "author", bc.k)
-				results, rounds = results+r, rounds+n
+				r, t := c.rt.Gather(context.Background(), start, "author", bc.k)
+				results += r
+				sum.Rounds, sum.Hops, sum.Bounded = sum.Rounds+t.Rounds, sum.Hops+t.Hops, sum.Bounded+t.Bounded
 			}
 			b.ReportMetric(float64(results)/float64(b.N), "results/op")
-			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+			b.ReportMetric(float64(sum.Rounds)/float64(b.N), "rounds/op")
+			b.ReportMetric(float64(sum.Hops)/float64(b.N), "hops/op")
+			b.ReportMetric(float64(sum.Bounded)/float64(b.N), "bounded/op")
 		})
 	}
 }

@@ -49,9 +49,30 @@
 // hops against a best-distance map and min-merges the sorted per-shard runs.
 // Both sides relax with exact local distances, so the merged stream carries
 // exact global shortest distances, checked against the BFS oracle at 1, 2
-// and 4 shards (`TestClusterDescendantsMatchesOracle`).  Top-k and
-// connection queries stop once the answer is final below the pending
-// frontier's watermark (the smallest staged distance); both stops are exact.
+// and 4 shards (`TestClusterDescendantsMatchesOracle`).  A connection query
+// stops once the target's distance is at or below the pending frontier's
+// watermark (the smallest staged distance).
+//
+// A top-k gather bounds its rounds by the answer it already holds.  Once it
+// holds needK results, let D be the needK-th smallest held distance (a
+// selection over a reused buffer, once per round).  First, needK distinct
+// nodes lie at D or nearer, and min-merging only lowers distances, so the
+// answer lies at or below D.  Second, every distance grows along a path,
+// so a staged entry beyond D leads only beyond D: a round dispatches none
+// of them (`hopsBounded` counts what it drops) and sends D as its maxdist,
+// which the shard honours for seeds, bands, results and hops.  Third,
+// entries and results at exactly D are kept, because the node order breaks
+// ties there.  Fourth, D below the watermark is exactly the old stop — at
+// least needK results strictly below the watermark — so the gather stops
+// in the same round as before, and the answers are unchanged
+// (`TestRouterBodiesRecorded`, `TestClusterTopKEarlyStop`).  The watermark's
+// own entry is at or below D, so a bounded round is never empty; and D = 0
+// always stops, since every staged hop is a link away, so maxdist 0 keeps
+// meaning "no bound" on the wire.  `TestTracedDispatchCarriesBound` checks
+// the bound each dispatch carries.  Since the shards return no hop beyond
+// D, a gather that would have stopped with such hops staged now ends with
+// its frontier empty, so `flix_router_early_stops_total` counts fewer stops
+// for the same rounds.
 //
 // The request's k travels to the shards (EvalRequest.K), and a shard stops
 // after the first distance band that holds k results: it returns those k
@@ -66,9 +87,10 @@
 // against hashes recorded before the shards cut, and
 // `TestClusterTopKEarlyStop` checks k, self and maxdist against the oracle
 // prefix.  `BenchmarkGather` times a gather over loopback with and without
-// k.  The `sharded` workload reports the tier's shape: rounds per gather
-// (`shard.rounds_per_gather`), RPCs (`shard.rpcs_per_op`), re-dispatched
-// hops (`shard.hops_redispatched_per_op`), the RPC time
+// k and reports its rounds, the hops the shards returned and the entries
+// the bound dropped.  The `sharded` workload reports the tier's shape:
+// rounds per gather (`shard.rounds_per_gather`), RPCs (`shard.rpcs_per_op`),
+// re-dispatched hops (`shard.hops_redispatched_per_op`), the RPC time
 // (`shard.rpc_ms_mean`) and the router's own (`shard.router_self_ms`).
 //
 // A shard that fails mid-query, after per-attempt timeouts, retries with

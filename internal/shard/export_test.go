@@ -8,12 +8,16 @@ import (
 	"repro/internal/xmlgraph"
 )
 
+// GatherTally is what one gather did: its rounds, the hops the shards
+// returned, and the staged entries the top-k bound removed.
+type GatherTally struct{ Rounds, Hops, Bounded int }
+
 // Gather runs one rounds loop from start — needK = 0 is the unbounded gather
 // /v1/connected and the ranked scans run — for the external test package's
 // benchmarks, which the public endpoints cannot ask for k = 0.
-func (rt *Router) Gather(ctx context.Context, start xmlgraph.NodeID, tag string, needK int) (results, rounds int) {
+func (rt *Router) Gather(ctx context.Context, start xmlgraph.NodeID, tag string, needK int) (results int, t GatherTally) {
 	g := rt.gather(ctx, "", []flix.FrontierEntry{{Node: start}}, tag, 0, needK, xmlgraph.InvalidNode, nil)
-	return len(g.results), g.rounds
+	return len(g.results), GatherTally{Rounds: g.rounds, Hops: g.hopsSeen, Bounded: g.hopsBounded}
 }
 
 // WaitReady blocks until the router is ready or ctx expires.

@@ -33,12 +33,12 @@ import (
 // oracle.
 
 // shardOut carries one shard RPC's outcome from its dispatch goroutine to
-// the gather loop's receive goroutine.  The batch size and RPC timings ride
+// the gather loop's receive goroutine.  The request and RPC timings ride
 // along so the trace builder (single-goroutine, on the receive side) can
 // build dispatch spans without any locking.
 type shardOut struct {
 	sh       int
-	sent     int
+	req      *EvalRequest
 	resp     *EvalResponse
 	err      error
 	rpcStart time.Time
@@ -59,10 +59,13 @@ type gatherOut struct {
 // its response's rounds and partial flag and its cluster trace's scalars.
 // earlyStops, budgetStops and partials (dropped work: failed shards, a
 // truncated shard evaluation, an exhausted hop budget or an expired
-// deadline) are 0 or 1 per gather.
+// deadline) are 0 or 1 per gather.  hopsBounded counts staged entries the
+// top-k bound removed before a dispatch; each was counted re-dispatched
+// when it was staged.
 type gatherTally struct {
 	gathers, rounds, fanouts                int
 	hopsSeen, hopsDeduped, hopsRedispatched int
+	hopsBounded                             int
 	earlyStops, budgetStops, partials       int
 	shardFailures                           int
 }
@@ -74,6 +77,7 @@ func (t *gatherTally) add(u gatherTally) {
 	t.hopsSeen += u.hopsSeen
 	t.hopsDeduped += u.hopsDeduped
 	t.hopsRedispatched += u.hopsRedispatched
+	t.hopsBounded += u.hopsBounded
 	t.earlyStops += u.earlyStops
 	t.budgetStops += u.budgetStops
 	t.partials += u.partials
@@ -85,6 +89,7 @@ func (t *gatherTally) add(u gatherTally) {
 type scatterCounters struct {
 	gathers, rounds, fanouts                atomic.Int64
 	hopsSeen, hopsDeduped, hopsRedispatched atomic.Int64
+	hopsBounded                             atomic.Int64
 	earlyStops, budgetStops, partials       atomic.Int64
 	shardFailures                           atomic.Int64
 }
@@ -97,6 +102,7 @@ func (c *scatterCounters) add(t gatherTally) {
 	c.hopsSeen.Add(int64(t.hopsSeen))
 	c.hopsDeduped.Add(int64(t.hopsDeduped))
 	c.hopsRedispatched.Add(int64(t.hopsRedispatched))
+	c.hopsBounded.Add(int64(t.hopsBounded))
 	c.earlyStops.Add(int64(t.earlyStops))
 	c.budgetStops.Add(int64(t.budgetStops))
 	c.partials.Add(int64(t.partials))
@@ -125,11 +131,13 @@ func (rt *Router) gatherDescendants(ctx context.Context, reqID string, start xml
 	return g
 }
 
-// gather runs the rounds loop.  needK > 0 enables the top-k early stop
-// (once needK results sit strictly below the pending-frontier watermark,
-// no later round can displace them) and travels to the shards as
+// gather runs the rounds loop.  needK > 0 travels to the shards as
 // EvalRequest.K, so no shard computes, sorts or ships more than the gather
-// can use (the package doc has the argument that neither the answer nor
+// can use, and enables the top-k bound: once the gather holds needK
+// results, the needK-th smallest held distance D bounds the answer, so a
+// round dispatches no staged entry beyond D and sends D as its maxdist,
+// and the gather stops early when D lies below the pending-frontier
+// watermark (the package doc has the argument that neither the answer nor
 // the round the stop fires in changes); results is then the needK-prefix.
 // target != InvalidNode enables the connectivity early stop (the target's
 // distance is final once it is at or below the watermark).  Early stops are
@@ -157,6 +165,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 	best := make(map[xmlgraph.NodeID]int32, len(starts))
 	resultMin := make(map[xmlgraph.NodeID]int32)
 	failed := make(map[int]bool)
+	var held []int32 // the held result distances the bound selects from
 
 	batches := make([][]flix.FrontierEntry, nShards)
 	stage := func(e flix.FrontierEntry) {
@@ -183,7 +192,6 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 		// The watermark is the smallest pending frontier distance: every
 		// result a future round can produce sits at or above it.
 		watermark := int32(-1)
-		active := 0
 		for sh, b := range batches {
 			if len(b) == 0 {
 				continue
@@ -195,20 +203,56 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 				batches[sh] = nil
 				continue
 			}
-			active++
 			for _, e := range b {
 				if watermark < 0 || e.Dist < watermark {
 					watermark = e.Dist
 				}
 			}
 		}
-		if active == 0 {
+		if watermark < 0 {
 			break
 		}
-		d, reached := resultMin[target] // never reached without a target
-		if (needK > 0 && countBelow(resultMin, watermark) >= needK) || (reached && d <= watermark) {
+		// bound is D, the needK-th smallest held distance, once needK
+		// results are held: the answer lies at or below it.  D below the
+		// watermark is the top-k stop; D = 0 always stops, since every
+		// staged hop is a link away, so 0 is free to mean "none yet".
+		var bound int32
+		if needK > 0 && len(resultMin) >= needK {
+			held = held[:0]
+			for _, d := range resultMin {
+				held = append(held, d)
+			}
+			bound = kthSmallest(held, needK-1)
+			if bound < watermark {
+				out.earlyStops = 1
+				break
+			}
+		}
+		if d, reached := resultMin[target]; reached && d <= watermark { // never reached without a target
 			out.earlyStops = 1
 			break
+		}
+		// An entry beyond the bound leads only beyond it: drop it.  The
+		// watermark's entry is kept, so no round goes out empty.
+		roundMax := maxDist
+		if bound > 0 && (maxDist == 0 || bound < maxDist) {
+			roundMax = bound
+		}
+		active := 0
+		for sh, b := range batches {
+			if bound > 0 {
+				kept := b[:0]
+				for _, e := range b {
+					if e.Dist <= bound {
+						kept = append(kept, e)
+					}
+				}
+				out.hopsBounded += len(b) - len(kept)
+				b, batches[sh] = kept, kept
+			}
+			if len(b) > 0 {
+				active++
+			}
 		}
 
 		out.rounds++
@@ -218,6 +262,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 			rspan.SetAttr("round", int64(out.rounds))
 			rspan.SetAttr("shards", int64(active))
 			rspan.SetAttr("watermark", int64(watermark))
+			rspan.SetAttr("bound", int64(bound))
 		}
 		outs := make(chan shardOut, active)
 		for sh, b := range batches {
@@ -225,17 +270,17 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 				continue
 			}
 			out.fanouts++
-			go func(sh int, entries []flix.FrontierEntry) {
+			go func(sh int, req *EvalRequest) {
 				t0 := time.Now()
-				resp, err := rt.client.Eval(ctx, sh, reqID, &EvalRequest{Entries: entries, Tag: tag, MaxDist: maxDist, K: needK, Trace: tb != nil})
+				resp, err := rt.client.Eval(ctx, sh, reqID, req)
 				d := time.Since(t0)
 				rt.shardLatency[sh].Observe(d)
 				rt.shards[sh].rpcs.Add(1)
 				if err != nil {
 					rt.shards[sh].rpcErrors.Add(1)
 				}
-				outs <- shardOut{sh: sh, sent: len(entries), resp: resp, err: err, rpcStart: t0, rpcDur: d}
-			}(sh, b)
+				outs <- shardOut{sh: sh, req: req, resp: resp, err: err, rpcStart: t0, rpcDur: d}
+			}(sh, &EvalRequest{Entries: b, Tag: tag, MaxDist: roundMax, K: needK, Trace: tb != nil})
 		}
 		// The dispatch goroutines hold the old batch slices; from here on
 		// batches accumulates the next round's frontier.
@@ -244,7 +289,7 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 		for i := 0; i < active; i++ {
 			o := <-outs
 			if tb != nil {
-				tb.dispatch(rspan, o, needK)
+				tb.dispatch(rspan, o)
 			}
 			if o.err != nil {
 				failed[o.sh] = true
@@ -320,19 +365,37 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 	return out
 }
 
-// countBelow counts results strictly below the watermark — the immutable
-// prefix of the merged stream.
-func countBelow(m map[xmlgraph.NodeID]int32, watermark int32) int {
-	if watermark < 0 {
-		return 0
-	}
-	n := 0
-	for _, d := range m {
-		if d < watermark {
-			n++
+// kthSmallest returns the k-th smallest (0-based) of a, reordering a: a
+// quickselect whose Hoare partition keeps runs of equal distances balanced.
+func kthSmallest(a []int32, k int) int32 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		p := a[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for a[j] > p {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo..j] <= p <= a[i..hi], and a[j+1..i-1] all equal p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
 		}
 	}
-	return n
+	return a[k]
 }
 
 // sortEntries flattens a min-distance map into the (dist, node) order the

@@ -177,6 +177,10 @@ func TestRouterMetricsExposition(t *testing.T) {
 	if hops != redis+dedup {
 		t.Errorf("hops_total %v != redispatched %v + deduped %v (no budget or maxdist in play)", hops, redis, dedup)
 	}
+	// A bounded entry was staged first, so it is counted re-dispatched too.
+	if bounded, ok := first.samples["flix_router_hops_bounded_total"]; !ok || bounded > redis {
+		t.Errorf("hops_bounded_total %v (present=%v) exceeds redispatched %v", bounded, ok, redis)
+	}
 	// Per-shard series: one rpcs/errors/results/ready sample and a tx and an
 	// rx wire-bytes sample per configured shard, and both shards did work on
 	// this corpus.

@@ -151,6 +151,7 @@ func (rt *Router) scatterStats() []scatterStat {
 		{"hops_total", "counter", "hops", "Cross-shard hop entries returned by shards.", c.hopsSeen.Load()},
 		{"hops_deduped_total", "counter", "hopsDeduped", "Hop entries dropped by the best-distance map.", c.hopsDeduped.Load()},
 		{"hops_redispatched_total", "counter", "hopsRedispatched", "Hop entries re-dispatched to their owning shard.", c.hopsRedispatched.Load()},
+		{"hops_bounded_total", "counter", "hopsBounded", "Staged hop entries the top-k distance bound removed before a dispatch.", c.hopsBounded.Load()},
 		{"early_stops_total", "counter", "earlyStops", "Gathers ended by the top-k or connectivity watermark.", c.earlyStops.Load()},
 		{"budget_stops_total", "counter", "budgetStops", "Gathers that exhausted the hop budget.", c.budgetStops.Load()},
 		{"partial_results_total", "counter", "partials", "Gathers that lost work.", c.partials.Load()},

@@ -62,20 +62,21 @@ func (tb *traceBuilder) beginGather(note string) *obs.Span {
 
 // dispatch records one shard RPC: the round span gets a dispatch child
 // covering the RPC's wall time with the shard's fragment attached, and the
-// per-shard rollup accumulates the evaluation counters.  k is the limit the
-// batch travelled with (0 = none); results and hops count what the shard
-// returned under it, the same entries /metrics counts.  rpcStart was
-// captured by the dispatch goroutine; assembly runs on the receive
-// goroutine.
-func (tb *traceBuilder) dispatch(round *obs.Span, o shardOut, k int) {
+// per-shard rollup accumulates the evaluation counters.  k and maxdist are
+// the limit and the distance bound the batch travelled with (0 = none);
+// results and hops count what the shard returned under them, the same
+// entries /metrics counts.  rpcStart was captured by the dispatch
+// goroutine; assembly runs on the receive goroutine.
+func (tb *traceBuilder) dispatch(round *obs.Span, o shardOut) {
 	sp := &obs.Span{
 		Name:     "dispatch",
 		Start:    o.rpcStart.Sub(tb.start),
 		Duration: o.rpcDur,
 	}
 	sp.SetAttr("shard", int64(o.sh))
-	sp.SetAttr("entries", int64(o.sent))
-	sp.SetAttr("k", int64(k))
+	sp.SetAttr("entries", int64(len(o.req.Entries)))
+	sp.SetAttr("k", int64(o.req.K))
+	sp.SetAttr("maxdist", int64(o.req.MaxDist))
 	round.Children = append(round.Children, sp)
 
 	s := &tb.shards[o.sh]
@@ -142,6 +143,7 @@ func (tb *traceBuilder) finish(results int64, t gatherTally, failed []int) *obs.
 		HopsSeen:         int64(t.hopsSeen),
 		HopsRedispatched: int64(t.hopsRedispatched),
 		HopsDeduped:      int64(t.hopsDeduped),
+		HopsBounded:      int64(t.hopsBounded),
 		BudgetExhausted:  t.budgetStops > 0,
 		Partial:          t.partials > 0,
 		FailedShards:     failed,

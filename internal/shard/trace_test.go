@@ -9,12 +9,14 @@ package shard_test
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/flix"
 	"repro/internal/obs"
 	"repro/internal/testutil"
 	"repro/internal/xmlgraph"
@@ -32,7 +34,7 @@ type tracedResp struct {
 type routerCounters struct {
 	gathers, rounds, fanouts    float64
 	hops, deduped, redispatched float64
-	traced                      float64
+	bounded, traced             float64
 	shardRPCs                   map[int]float64
 }
 
@@ -46,6 +48,7 @@ func counters(t *testing.T, c *cluster, nShards int) routerCounters {
 		hops:         e.samples["flix_router_hops_total"],
 		deduped:      e.samples["flix_router_hops_deduped_total"],
 		redispatched: e.samples["flix_router_hops_redispatched_total"],
+		bounded:      e.samples["flix_router_hops_bounded_total"],
 		traced:       e.samples["flix_router_traced_queries_total"],
 		shardRPCs:    make(map[int]float64, nShards),
 	}
@@ -158,9 +161,9 @@ func checkTraceShape(t *testing.T, ct *obs.ClusterTrace, results int) {
 // shards and checks the acceptance contract: the merged trace's
 // gather/round/fanout/hop counts equal the /metrics counter deltas exactly,
 // and its per-shard RPC counts equal the per-shard rpcs series deltas.  The
-// requests are descendants queries (one gather each), a ranked /v1/query
-// (one gather per //-step scan) and a /v1/connected (the target early
-// stop).  On this corpus the router hops at 2 shards and at 4 (on seed 9's
+// requests are descendants queries (one gather each; one with k=5, whose
+// bound removes staged hops), a ranked /v1/query (one gather per //-step
+// scan) and a /v1/connected (the target early stop).  On this corpus the router hops at 2 shards and at 4 (on seed 9's
 // it hopped only at 4), and every row of more than one shard requires that
 // it did, so that no row reconciles nothing but zeros.
 func TestClusterTraceReconcilesWithMetrics(t *testing.T) {
@@ -191,6 +194,7 @@ func TestClusterTraceReconcilesWithMetrics(t *testing.T) {
 					{"hops", after.hops - before.hops, ct.HopsSeen},
 					{"hopsDeduped", after.deduped - before.deduped, ct.HopsDeduped},
 					{"hopsRedispatched", after.redispatched - before.redispatched, ct.HopsRedispatched},
+					{"hopsBounded", after.bounded - before.bounded, ct.HopsBounded},
 					{"tracedQueries", after.traced - before.traced, 1},
 				} {
 					if int64(chk.delta) != chk.want {
@@ -228,8 +232,20 @@ func TestClusterTraceReconcilesWithMetrics(t *testing.T) {
 				reconcile(fmt.Sprintf("%d//%s", start, tag), before, tr.Trace)
 			}
 
-			expr := "//" + tags[0] + "//" + tags[1%len(tags)]
+			// k=5 from the first element: past one shard the router holds
+			// five results after the first round, and the bound keeps staged
+			// hops from the second.
 			before := counters(t, c, n)
+			var bt tracedResp
+			c.getJSON("/v1/descendants?start=0&k=5&trace=1&timeout=20s", &bt)
+			checkTraceShape(t, bt.Trace, len(bt.Results))
+			if (bt.Trace.HopsBounded > 0) != (n > 1) {
+				t.Errorf("0//* k=5: the bound removed %d staged hops at %d shards", bt.Trace.HopsBounded, n)
+			}
+			reconcile("0//* k=5", before, bt.Trace)
+
+			expr := "//" + tags[0] + "//" + tags[1%len(tags)]
+			before = counters(t, c, n)
 			var qr struct {
 				Results []json.RawMessage `json:"results"`
 				Trace   *obs.ClusterTrace `json:"trace"`
@@ -340,6 +356,70 @@ func TestTracedDispatchCarriesLimit(t *testing.T) {
 	}
 }
 
+// TestTracedDispatchCarriesBound checks that a bounded k sends the router's
+// distance bound to the shards.  With k=5 at two shards, on a corpus where
+// every row hops, the first dispatch carries the query's own maxdist; from
+// the round the router holds needK results on (the round's bound attribute
+// names D, the needK-th smallest held distance), every dispatch carries D,
+// which is positive, never grows from round to round and is at least the
+// answer's last distance.  The dispatch spans record the
+// request as it was sent, so a router that computes the bound but does not
+// send it fails here.
+func TestTracedDispatchCarriesBound(t *testing.T) {
+	coll := testutil.Generate(testutil.Linked, 7, 12, 40, 40)
+	// The fine partitioning of TestClusterTopKEarlyStop: gathers take
+	// rounds, and from 47 the bound falls from 4 to 3 between two of them.
+	ix, err := flix.Build(coll, flix.Config{Kind: flix.Hybrid, PartitionSize: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(t, coll, ix, 2, 0)
+	for _, start := range []xmlgraph.NodeID{0, 6, 7, 41, 47} {
+		for _, maxDist := range []int64{0, 3} {
+			label := fmt.Sprintf("%d//* k=5 maxdist=%d", start, maxDist)
+			before := scrapeMetrics(t, c.router.URL)
+			var tr tracedResp
+			c.getJSON(fmt.Sprintf("/v1/descendants?start=%d&k=5&maxdist=%d&trace=1&timeout=20s", start, maxDist), &tr)
+			checkTraceShape(t, tr.Trace, len(tr.Results))
+			after := scrapeMetrics(t, c.router.URL)
+			if hops := after.samples["flix_router_hops_total"] - before.samples["flix_router_hops_total"]; hops <= 0 {
+				t.Errorf("%s: no hop crossed shards", label)
+			}
+			if len(tr.Results) == 0 {
+				t.Fatalf("%s: no results", label)
+			}
+			last := int64(tr.Results[len(tr.Results)-1].Dist)
+			bounded, prev := 0, int64(math.MaxInt64)
+			for _, g := range tr.Trace.Root.Children {
+				for i, r := range g.Children {
+					want := maxDist
+					bound := r.Attrs["bound"]
+					if i > 0 && bound > 0 {
+						bounded++
+						want = bound // held results lie within maxdist, so D does too
+					}
+					for _, d := range r.Children {
+						md := d.Attrs["maxdist"]
+						if md != want {
+							t.Errorf("%s: round %d (bound %d) dispatch carries maxdist=%d, want %d", label, i+1, bound, md, want)
+						}
+						if i > 0 && bound > 0 && (md <= 0 || md > prev || md < last) {
+							t.Errorf("%s: round %d dispatch carries maxdist=%d; earlier %d, answer's last distance %d",
+								label, i+1, md, prev, last)
+						}
+					}
+					if bound > 0 {
+						prev = want
+					}
+				}
+			}
+			if bounded == 0 {
+				t.Errorf("%s: no round dispatched under the bound", label)
+			}
+		}
+	}
+}
+
 // TestClusterQueryTrace checks /v1/query tracing: one gather per //-step
 // scan of the ranked evaluator, with the evaluator's work shape on the root
 // span.
@@ -426,7 +506,7 @@ func TestClusterTraceConcurrent(t *testing.T) {
 
 	var n int
 	var gathers, rounds, fanouts int
-	var hops, deduped, redispatched int64
+	var hops, deduped, redispatched, bounded int64
 	shardRPCs := make(map[int]int)
 	for ct := range traces {
 		checkTraceShape(t, ct, int(ct.Results))
@@ -437,6 +517,7 @@ func TestClusterTraceConcurrent(t *testing.T) {
 		hops += ct.HopsSeen
 		deduped += ct.HopsDeduped
 		redispatched += ct.HopsRedispatched
+		bounded += ct.HopsBounded
 		for _, s := range ct.Shards {
 			shardRPCs[s.Shard] += s.RPCs
 		}
@@ -457,6 +538,7 @@ func TestClusterTraceConcurrent(t *testing.T) {
 		{"hops", after.hops - before.hops, hops},
 		{"hopsDeduped", after.deduped - before.deduped, deduped},
 		{"hopsRedispatched", after.redispatched - before.redispatched, redispatched},
+		{"hopsBounded", after.bounded - before.bounded, bounded},
 		{"tracedQueries", after.traced - before.traced, int64(n)},
 	} {
 		if int64(chk.delta) != chk.want {

@@ -1,14 +1,16 @@
 // Command flixd-router fronts a cluster of flixd shards with one
 // scatter-gather query endpoint.  It loads the same document directory the
 // shards serve (for node resolution and result rendering — it builds no
-// index), probes the shards' health, bootstraps the cluster topology from a
-// shard's /v1/shard/links, and answers the single-node query API by fanning
-// frontier batches out to the owning shards and merging the streams back.
+// index), probes the shards' health, derives the cluster topology from the
+// decomposition settings a shard announces on /healthz (partitioning its own
+// copy of the collection, checked against the shard's fingerprint), and
+// answers the single-node query API by fanning frontier batches out to the
+// owning shards and merging the streams back.
 //
 // Usage:
 //
 //	flixd-router -dir ./docs -shards http://h1:8080,http://h2:8080,http://h3:8080
-//	             [-addr :8090] [-vnodes 64] [-quorum 0] [-hop-budget 100000]
+//	             [-addr :8090] [-quorum 0] [-hop-budget 100000]
 //	             [-inflight 64] [-timeout 2s] [-shard-timeout 10s]
 //	             [-retries 2] [-probe-interval 1s] [-ontology tags.txt]
 //	             [-debug-addr :6061]
@@ -51,7 +53,6 @@ func main() {
 	df := daemon.DeclareFlags(flag.CommandLine, ":8090")
 	var (
 		shards    = flag.String("shards", "", "comma-separated shard base URLs in ring order (required)")
-		vnodes    = flag.Int("vnodes", 0, "ring virtual nodes per shard (0 = default; must match the shards)")
 		quorum    = flag.Int("quorum", 0, "ready shards required before serving (0 = all)")
 		hopBudget = flag.Int("hop-budget", 0, "cross-shard hop entries dispatched per query before returning partial (0 = default)")
 		shardTO   = flag.Duration("shard-timeout", 10*time.Second, "per-attempt deadline for shard RPCs")
@@ -78,7 +79,6 @@ func main() {
 
 	cfg := shard.RouterConfig{
 		Shards:         urls,
-		VNodes:         *vnodes,
 		Quorum:         *quorum,
 		HopBudget:      *hopBudget,
 		MaxInFlight:    df.InFlight,

@@ -23,7 +23,7 @@ func TestRetriesFlag(t *testing.T) {
 	for _, c := range []struct{ flag, attempts int }{{0, 1}, {2, 3}} {
 		asked.Store(0)
 		cl := shard.NewClient([]string{srv.URL}, shard.ClientOptions{Retries: clientRetries(c.flag), Backoff: time.Millisecond})
-		if _, err := cl.Links(context.Background(), 0); err == nil {
+		if _, err := cl.Eval(context.Background(), 0, "", &shard.EvalRequest{}); err == nil {
 			t.Fatalf("-retries %d: a shard answering 503 gave no error", c.flag)
 		}
 		if got := asked.Load(); got != int64(c.attempts) {

@@ -10,7 +10,7 @@
 //	      [-slow-query-sample 10] [-debug-addr :6060]
 //	      [-reindex-interval 0] [-snapshot-dir gens/] [-snapshot-retain 3]
 //	      [-snapshot-compress] [-mmap]
-//	      [-shard-id 0 -shard-count 3 [-shard-vnodes 64]]
+//	      [-shard-id 0 -shard-count 3]
 //
 // Endpoints (see internal/server):
 //
@@ -39,10 +39,14 @@
 // flixd-router cluster: it builds the same full index, additionally serves
 // POST /v1/shard/eval (the router's binary frame, not JSON: a frontier
 // batch and the query's k in, the k nearest local results and the hops up to
-// the band they were found in out) and GET /v1/shard/links, and answers
-// partial-frontier evaluations over the meta documents the consistent-hash
-// ring assigns to it.  The live-reindex loop is disabled in shard mode (the router
-// fingerprints the decomposition).
+// the band they were found in out), and answers partial-frontier evaluations
+// over the meta documents the consistent-hash ring assigns to it.  Its
+// /healthz carries a shard block: the ring position, the decomposition's
+// fingerprint and the three settings it is derived from (kind,
+// partitionSize, minTreeDocs), from which the router computes the
+// node→meta-document assignment over its own copy of the collection.  The
+// live-reindex loop is disabled in shard mode (the router fingerprints the
+// decomposition).
 //
 // On SIGINT/SIGTERM the server stops accepting connections and drains
 // in-flight queries before exiting (bounded by -drain).
@@ -82,7 +86,6 @@ func main() {
 		useMmap  = flag.Bool("mmap", true, "serve snapshots from a read-only memory mapping instead of reading them into the heap")
 		shardID  = flag.Int("shard-id", -1, "run as shard N of a flixd-router cluster (-1 disables shard mode)")
 		shardN   = flag.Int("shard-count", 0, "total shards in the cluster (required with -shard-id)")
-		shardVN  = flag.Int("shard-vnodes", 0, "ring virtual nodes per shard (0 = default; must match the router)")
 	)
 	flag.Parse()
 	if df.Dir == "" {
@@ -119,7 +122,7 @@ func main() {
 		scfg.CacheSize = -1
 	}
 	if *shardID >= 0 {
-		scfg.Shard = &server.ShardConfig{ID: *shardID, Count: *shardN, VNodes: *shardVN}
+		scfg.Shard = &server.ShardConfig{ID: *shardID, Count: *shardN}
 		// A shard's meta-document decomposition is fingerprinted into the
 		// router's topology; swapping to a re-partitioned index mid-flight
 		// would silently remap node ownership, so the reindex loop stays

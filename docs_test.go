@@ -163,8 +163,8 @@ func packageDocs(t *testing.T) map[string]string {
 
 // TestDesignInvariantsNameTests: every row of DESIGN.md's invariant table
 // (§6) names at least one Test or Fuzz function, and each one it names
-// exists; DESIGN.md and README.md describe the system as it is, so neither
-// refers to a change by its PR number.
+// exists; DESIGN.md, README.md and EXPERIMENTS.md describe the system as it
+// is, so none refers to a change by its PR number.
 func TestDesignInvariantsNameTests(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -199,7 +199,7 @@ func TestDesignInvariantsNameTests(t *testing.T) {
 		t.Error("DESIGN.md §6 has no invariant table rows")
 	}
 	pr := regexp.MustCompile(`\bPRs? #?\d+`)
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,8 @@
 package flix
 
 import (
+	"strconv"
+
 	"repro/internal/apex"
 	"repro/internal/hopi"
 	"repro/internal/meta"
@@ -29,3 +31,13 @@ func KeptSet(c *xmlgraph.Collection) *meta.Set { return keptSet(c) }
 
 // SetHash hashes every field of a decomposition.
 func SetHash(s *meta.Set) string { return setHash(s) }
+
+// MetaFingerprint is the hash Index.Fingerprint formats, the form the
+// recorded decomposition fingerprints were taken in.
+func (ix *Index) MetaFingerprint() uint64 {
+	h, err := strconv.ParseUint(ix.Fingerprint(), 16, 64)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}

@@ -197,16 +197,17 @@ func wireEntries(buf []pqItem, limit int) []FrontierEntry {
 // MetaOf returns the meta document owning node n.
 func (ix *Index) MetaOf(n xmlgraph.NodeID) int32 { return ix.set.MetaOf[n] }
 
-// MetaAssignment returns the node→meta-document mapping.  The slice is the
-// index's own; callers must treat it as read-only.
-func (ix *Index) MetaAssignment() []int32 { return ix.set.MetaOf }
+// Fingerprint is the index's decomposition as Fingerprint formats it.
+func (ix *Index) Fingerprint() string { return Fingerprint(ix.set.MetaOf, len(ix.set.Metas)) }
 
-// MetaFingerprint hashes the meta-document decomposition (count and the full
-// node→meta assignment).  Every shard of a cluster must agree on it: the
-// consistent-hash ring routes meta IDs, so two shards with different
-// partitionings would silently mis-route hops.  The router refuses shards
-// whose fingerprint disagrees.
-func (ix *Index) MetaFingerprint() uint64 {
+// Fingerprint identifies a meta-document decomposition by its assignment
+// metaOf over metas meta documents: the 16 hex digits of an FNV-64a hash of
+// the count and then every node's meta document, each as 4 little-endian
+// bytes.  Every shard of a cluster must agree on it: the consistent-hash
+// ring routes meta IDs, so two shards with different partitionings would
+// silently mis-route hops.  Shards announce it and the router, which derives
+// its own assignment with Assign, refuses what does not match.
+func Fingerprint(metaOf []int32, metas int) string {
 	h := fnv.New64a()
 	var buf [4]byte
 	put := func(v int32) {
@@ -216,9 +217,9 @@ func (ix *Index) MetaFingerprint() uint64 {
 		buf[3] = byte(v >> 24)
 		h.Write(buf[:])
 	}
-	put(int32(len(ix.set.Metas)))
-	for _, mi := range ix.set.MetaOf {
+	put(int32(metas))
+	for _, mi := range metaOf {
 		put(mi)
 	}
-	return h.Sum64()
+	return fmt.Sprintf("%016x", h.Sum64())
 }

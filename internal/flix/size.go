@@ -158,13 +158,24 @@ func keepDecomposition(c *xmlgraph.Collection, cfg Config, set *meta.Set) {
 
 // decompose computes what Decompose returns; cfg.Kind is valid.
 func decompose(c *xmlgraph.Collection, cfg Config) (*meta.Set, BuildStats) {
-	var (
-		bs     BuildStats
-		r      *partition.Result // document-level kinds
-		assign []int32           // ElementLevel
-		parts  int
-	)
+	var bs BuildStats
 	t0 := time.Now()
+	r, assign, parts := partitionFor(c, cfg)
+	bs.Partition = time.Since(t0)
+	var set *meta.Set
+	if r != nil {
+		set = meta.Build(c, r)
+	} else {
+		set = meta.BuildElements(c, assign, parts)
+	}
+	bs.MetaBuild = time.Since(t0) - bs.Partition
+	return set, bs
+}
+
+// partitionFor runs the partitioner cfg.Kind names (valid): a document-level
+// partitioning r, or for ElementLevel the node assignment over parts
+// partitions.
+func partitionFor(c *xmlgraph.Collection, cfg Config) (r *partition.Result, assign []int32, parts int) {
 	switch cfg.Kind {
 	case Naive:
 		r = partition.Singleton(c)
@@ -179,13 +190,22 @@ func decompose(c *xmlgraph.Collection, cfg Config) (*meta.Set, BuildStats) {
 	case ElementLevel:
 		assign, parts = partition.ElementLevel(c, cfg.PartitionSize)
 	}
-	bs.Partition = time.Since(t0)
-	var set *meta.Set
-	if r != nil {
-		set = meta.Build(c, r)
-	} else {
-		set = meta.BuildElements(c, assign, parts)
+	return r, assign, parts
+}
+
+// Assign returns the node→meta-document assignment Decompose's meta
+// documents have under cfg, and their count, computing only the partitioning
+// and its flattening: no meta document, local graph or link table is built,
+// and nothing is kept with the collection.  A router uses it to derive the
+// topology a shard announces by its three decomposition fields, and checks
+// the result against the shard's Fingerprint.
+func Assign(c *xmlgraph.Collection, cfg Config) (metaOf []int32, metas int, err error) {
+	if !cfg.Kind.valid() {
+		return nil, 0, fmt.Errorf("flix: unknown configuration kind %v", cfg.Kind)
 	}
-	bs.MetaBuild = time.Since(t0) - bs.Partition
-	return set, bs
+	r, assign, parts := partitionFor(c, cfg)
+	if r == nil {
+		return assign, parts, nil
+	}
+	return meta.Assignment(c, r), len(r.Parts), nil
 }

@@ -27,6 +27,7 @@ package meta
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lgraph"
 	"repro/internal/partition"
@@ -127,7 +128,7 @@ func Build(c *xmlgraph.Collection, r *partition.Result) *Set {
 			sizes[pi] += int32(c.Doc(d).Size())
 		}
 	}
-	s := newSet(c, sizes)
+	s := newSet(c, sizes, Assignment(c, r))
 	for pi, docs := range r.Parts {
 		md := s.Metas[pi]
 		md.Docs = docs
@@ -135,7 +136,6 @@ func Build(c *xmlgraph.Collection, r *partition.Result) *Set {
 		for _, d := range docs {
 			first, last := c.Doc(d).Nodes()
 			for n := first; n < last; n++ {
-				s.MetaOf[n] = int32(pi)
 				s.LocalOf[n] = local
 				md.toGlobal[local] = n
 				local++
@@ -146,6 +146,23 @@ func Build(c *xmlgraph.Collection, r *partition.Result) *Set {
 	// atomic at this level); links follow IncludedLinks.
 	s.wire(r.IncludedLinks)
 	return s
+}
+
+// Assignment flattens a document-level partitioning into the node→meta
+// document assignment Build lays its Set out by: every element of part pi's
+// documents is in meta document pi.  It is the whole of what Build derives
+// from r about where an element lives, without the graphs and link tables.
+func Assignment(c *xmlgraph.Collection, r *partition.Result) []int32 {
+	metaOf := make([]int32, c.NumNodes())
+	for pi, docs := range r.Parts {
+		for _, d := range docs {
+			first, last := c.Doc(d).Nodes()
+			for n := first; n < last; n++ {
+				metaOf[n] = int32(pi)
+			}
+		}
+	}
+	return metaOf
 }
 
 // BuildElements flattens a node-level assignment into meta documents — the
@@ -161,8 +178,7 @@ func BuildElements(c *xmlgraph.Collection, assign []int32, parts int) *Set {
 	for _, pi := range assign {
 		sizes[pi]++
 	}
-	s := newSet(c, sizes)
-	copy(s.MetaOf, assign)
+	s := newSet(c, sizes, slices.Clone(assign))
 	clear(sizes)
 	for n, pi := range assign {
 		s.LocalOf[n] = sizes[pi]
@@ -177,15 +193,15 @@ func BuildElements(c *xmlgraph.Collection, assign []int32, parts int) *Set {
 	return s
 }
 
-// newSet allocates a Set whose meta document pi has sizes[pi] nodes.  The
-// meta documents and their local-to-global tables are carved out of one array
-// each, so the allocation count follows the number of meta documents, not
-// the number of elements.
-func newSet(c *xmlgraph.Collection, sizes []int32) *Set {
+// newSet allocates a Set whose meta document pi has sizes[pi] nodes, over
+// the assignment metaOf.  The meta documents and their local-to-global tables
+// are carved out of one array each, so the allocation count follows the
+// number of meta documents, not the number of elements.
+func newSet(c *xmlgraph.Collection, sizes, metaOf []int32) *Set {
 	s := &Set{
 		Coll:    c,
 		Metas:   make([]*MetaDocument, len(sizes)),
-		MetaOf:  make([]int32, c.NumNodes()),
+		MetaOf:  metaOf,
 		LocalOf: make([]int32, c.NumNodes()),
 	}
 	metas := make([]MetaDocument, len(sizes))

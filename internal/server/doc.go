@@ -72,7 +72,9 @@
 // frontier batch in the binary frame of package shard, evaluated by
 // flix.PartialDescendants over the meta documents this shard owns, a node
 // outside the collection or a seed distance past the element count answered
-// 400 (`TestShardEvalRejectsOutOfRangeNodes`) — and GET /v1/shard/links for
-// the router's topology.  The reindex loop is off in shard mode, since the
-// router fingerprints the decomposition.
+// 400 (`TestShardEvalRejectsOutOfRangeNodes`).  Its /healthz carries a
+// shard block — ring position, the decomposition's fingerprint and the
+// three Config fields it follows from — out of which the router derives
+// the node→meta-document assignment itself.  The reindex loop is off in
+// shard mode, since the router fingerprints the decomposition.
 package server

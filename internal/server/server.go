@@ -55,10 +55,10 @@ type Config struct {
 	// offenders.  Default 1.
 	SlowQuerySample int
 	// Shard, when non-nil, runs the server as one shard of a
-	// scatter-gather cluster: /v1/shard/eval and /v1/shard/links are
-	// registered, /healthz reports the shard's ring position and
-	// decomposition fingerprint, and each generation carries the
-	// ownership mask the ring assigns to this shard.
+	// scatter-gather cluster: /v1/shard/eval is registered, /healthz
+	// reports the shard's ring position and decomposition (fingerprint
+	// and settings), and each generation carries the ownership mask the
+	// ring assigns to this shard.
 	Shard *ShardConfig
 }
 
@@ -232,12 +232,11 @@ func NewPending(coll *xmlgraph.Collection, cfg Config) *Server {
 		if cfg.Shard.Count < 1 || cfg.Shard.ID < 0 || cfg.Shard.ID >= cfg.Shard.Count {
 			panic(fmt.Sprintf("server: shard %d of %d is not a valid ring position", cfg.Shard.ID, cfg.Shard.Count))
 		}
-		s.ring = shard.NewRing(cfg.Shard.Count, cfg.Shard.VNodes)
+		s.ring = shard.NewRing(cfg.Shard.Count, shard.DefaultVNodes)
 		// /v1/shard/eval goes through the same semaphore as the public
 		// endpoints, so a saturated shard sheds router batches with 429 —
 		// the router's retry/backpressure signal.
 		s.front.Admit("/v1/shard/eval", "shard_eval", "shard", s.shardGate, false, s.handleShardEval)
-		s.front.Handle("/v1/shard/links", s.handleShardLinks)
 	}
 	return s
 }
@@ -512,12 +511,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptime":      time.Since(s.started).Round(time.Millisecond).String(),
 	}
 	// In shard mode the router's prober reads the ring position and the
-	// decomposition fingerprint from here on every probe.
+	// decomposition from here on every probe.
 	if s.cfg.Shard != nil && g.shard != nil {
-		body["shard"] = map[string]any{
-			"id":          s.cfg.Shard.ID,
-			"count":       s.cfg.Shard.Count,
-			"fingerprint": g.shard.fingerprint,
+		body["shard"] = &shard.ShardHealth{
+			ID:            s.cfg.Shard.ID,
+			Count:         s.cfg.Shard.Count,
+			Fingerprint:   g.shard.fingerprint,
+			Decomposition: shard.DecompositionOf(g.ix.Config()),
 		}
 	}
 	front.OK(w, body)

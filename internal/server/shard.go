@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -26,9 +25,6 @@ type ShardConfig struct {
 	ID int
 	// Count is the cluster's shard count.
 	Count int
-	// VNodes is the ring's virtual nodes per shard (0 = DefaultVNodes).
-	// Router and shards must agree.
-	VNodes int
 }
 
 // shardGen is the per-generation shard state: the ownership mask and the
@@ -56,7 +52,7 @@ func (s *Server) initShard(g *generation) {
 	g.shard = &shardGen{
 		owned:       mask,
 		ownedCount:  owned,
-		fingerprint: fmt.Sprintf("%016x", ix.MetaFingerprint()),
+		fingerprint: ix.Fingerprint(),
 	}
 }
 
@@ -135,29 +131,6 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx con
 	w.Header().Set("Content-Type", shard.FrameContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	w.Write(frame) //nolint:errcheck // client gone; nothing to do
-}
-
-// handleShardLinks answers GET /v1/shard/links: the topology export the
-// router bootstraps from — the node→meta assignment and the decomposition
-// fingerprint.
-func (s *Server) handleShardLinks(w http.ResponseWriter, r *http.Request) {
-	if code, msg := s.shardGate(); code != 0 {
-		s.front.Refuse(w, code, msg)
-		return
-	}
-	g := s.gen.Load()
-	resp := &shard.LinksResponse{
-		Generation:  g.num,
-		Fingerprint: g.shard.fingerprint,
-		Shard:       s.cfg.Shard.ID,
-		Shards:      s.cfg.Shard.Count,
-		VNodes:      s.ring.VNodes(),
-		NumMetas:    g.ix.NumMetaDocuments(),
-		NumNodes:    s.coll.NumNodes(),
-		OwnedMetas:  g.shard.ownedCount,
-		MetaOf:      g.ix.MetaAssignment(),
-	}
-	front.OK(w, resp)
 }
 
 // shardStatsz is the /statsz "shard" section.

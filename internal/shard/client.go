@@ -116,19 +116,6 @@ func (c *Client) Eval(ctx context.Context, shard int, reqID string, req *EvalReq
 	return &out, nil
 }
 
-// Links fetches a shard's topology view.
-func (c *Client) Links(ctx context.Context, shard int) (*LinksResponse, error) {
-	url := c.urls[shard] + "/v1/shard/links"
-	var out LinksResponse
-	err := c.do(ctx, shard, func(ctx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	}, func(body io.Reader) error { return json.NewDecoder(body).Decode(&out) })
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Health probes a shard's /healthz once, without retries (the prober has
 // its own cadence).  A 503 decodes like a 200: "alive but not ready" is a
 // valid answer, not an RPC failure.

@@ -13,13 +13,25 @@
 //
 // # Ownership
 //
-// The ring (ring.go) places shards × vnodes points by FNV-64a through a
-// splitmix64 finalizer — raw FNV has no avalanche, and sequential meta keys
-// would cluster on one arc.  It is pure computation from (shards, vnodes),
-// so the router and every shard derive the same owners with no coordination;
-// identical decompositions are enforced by a fingerprint on every RPC.
+// The ring (ring.go) places shards × DefaultVNodes points by FNV-64a through
+// a splitmix64 finalizer — raw FNV has no avalanche, and sequential meta keys
+// would cluster on one arc.  It is pure computation from the shard count, so
+// the router and every shard derive the same owners with no coordination.
 // Every shard builds the full index but evaluates only inside the meta
 // documents it owns.
+//
+// The router needs the node→meta-document assignment to route a hop, and
+// derives it: the assignment is a pure function of the collection and three
+// Config fields, the router loads the same collection, and each shard's
+// /healthz announces the three fields (`decomposition`: kind, partitionSize,
+// minTreeDocs) beside their fingerprint.  A topology load runs flix.Assign — the partitioner and the
+// flatten, no local graphs — and refuses the result unless it hashes to the
+// announced fingerprint, so a shard built over another collection or
+// announcing settings it was not built with never routes a hop
+// (`TestRouterRefusesForeignDecomposition`).  Every eval answer carries the
+// fingerprint again.  A shard whose probe fails announces nothing, so the
+// live shards can move the router to a new decomposition while one is down
+// (`TestRouterReloadsPastDeadShard`).
 //
 // # The eval frame
 //

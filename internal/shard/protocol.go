@@ -296,25 +296,6 @@ func (c *frameCursor) end() error {
 	return c.err
 }
 
-// LinksResponse is the body of GET /v1/shard/links: the shard's view of the
-// cluster topology — the link-export endpoint the router bootstraps from.
-type LinksResponse struct {
-	Generation  uint64 `json:"generation"`
-	Fingerprint string `json:"fingerprint"`
-	// Shard, Shards and VNodes echo the shard's ring parameters; the router
-	// refuses shards whose ring disagrees with its own.
-	Shard  int `json:"shard"`
-	Shards int `json:"shards"`
-	VNodes int `json:"vnodes"`
-	// NumMetas and NumNodes describe the decomposition.
-	NumMetas int `json:"numMetas"`
-	NumNodes int `json:"numNodes"`
-	// OwnedMetas counts the meta documents this shard owns.
-	OwnedMetas int `json:"ownedMetas"`
-	// MetaOf is the node→meta assignment.
-	MetaOf []int32 `json:"metaOf,omitempty"`
-}
-
 // The POST /v1/batch wire types belong to the public contract and live in
 // internal/front; these aliases keep the names callers of this package use.
 const (
@@ -332,15 +313,38 @@ type (
 )
 
 // HealthResponse is the subset of a shard's /healthz the router's prober
-// consumes: readiness plus the backpressure signal (inFlight/maxInFlight).
+// consumes: readiness plus the backpressure signal (inFlight/maxInFlight),
+// and in shard mode the shard block.
 type HealthResponse struct {
-	Ready       bool   `json:"ready"`
-	Generation  uint64 `json:"generation"`
-	InFlight    int    `json:"inFlight"`
-	MaxInFlight int    `json:"maxInFlight"`
-	Shard       *struct {
-		ID          int    `json:"id"`
-		Count       int    `json:"count"`
-		Fingerprint string `json:"fingerprint"`
-	} `json:"shard"`
+	Ready       bool         `json:"ready"`
+	Generation  uint64       `json:"generation"`
+	InFlight    int          `json:"inFlight"`
+	MaxInFlight int          `json:"maxInFlight"`
+	Shard       *ShardHealth `json:"shard"`
+}
+
+// ShardHealth is the shard block of a shard's /healthz: its ring position
+// and the decomposition its generation was built or opened over, both as
+// the settings that determine it and as their Fingerprint.
+type ShardHealth struct {
+	ID            int           `json:"id"`
+	Count         int           `json:"count"`
+	Fingerprint   string        `json:"fingerprint"`
+	Decomposition Decomposition `json:"decomposition"`
+}
+
+// Decomposition is the part of a flix.Config that fixes the meta documents:
+// the node→meta-document assignment is a pure function of the collection
+// and these three fields, so a router that holds the collection derives the
+// assignment from them (flix.Assign).
+type Decomposition struct {
+	Kind          string `json:"kind"`
+	PartitionSize int    `json:"partitionSize"`
+	MinTreeDocs   int    `json:"minTreeDocs"`
+}
+
+// DecompositionOf is the Decomposition of an index built or opened under
+// cfg (flix.Index.Config).
+func DecompositionOf(cfg flix.Config) Decomposition {
+	return Decomposition{Kind: cfg.Kind.String(), PartitionSize: cfg.PartitionSize, MinTreeDocs: cfg.MinTreeDocs}
 }

@@ -13,8 +13,8 @@ const DefaultVNodes = 64
 
 // Ring is a consistent-hash ring assigning meta-document IDs to shards.
 // It is immutable after New and safe for concurrent use.  Every member of a
-// cluster — the router and each shard — builds the ring from the same
-// (shards, vnodes) pair and must agree on the assignment; the topology
+// cluster — the router and each shard — builds the ring from the shard
+// count and DefaultVNodes and so agrees on the assignment; the topology
 // fingerprint check enforces the remaining ingredient (identical
 // meta-document decompositions).
 type Ring struct {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/flix"
 	"repro/internal/front"
 	"repro/internal/obs"
 	"repro/internal/ontology"
@@ -20,9 +21,6 @@ import (
 type RouterConfig struct {
 	// Shards lists the shard base URLs; shard i of the ring is Shards[i].
 	Shards []string
-	// VNodes is the ring's virtual-node count per shard; it must match the
-	// shards' -shard-vnodes.  Default DefaultVNodes.
-	VNodes int
 	// Quorum is the number of ready shards required before the router
 	// reports ready (0 = all shards).  Queries may still touch a non-ready
 	// shard and come back partial; the quorum gates admission, not
@@ -60,9 +58,6 @@ type RouterConfig struct {
 // withDefaults fills in what the router itself reads; the request limits
 // take their defaults in front.New.
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.Quorum <= 0 || c.Quorum > len(c.Shards) {
 		c.Quorum = len(c.Shards)
 	}
@@ -79,12 +74,11 @@ func (c RouterConfig) withDefaults() RouterConfig {
 }
 
 // topology is the router's immutable view of the cluster's meta-document
-// decomposition, bootstrapped from a shard's /v1/shard/links and swapped
-// atomically.
+// decomposition, derived from the settings a shard announces on /healthz
+// and swapped atomically.
 type topology struct {
-	numMetas int
-	numNodes int
-	metaOf   []int32
+	// metaOf is the node→meta-document assignment flix.Assign derived.
+	metaOf []int32
 	// owner[mi] is the shard owning meta document mi on the router's ring,
 	// filled once per load so the gather loop stages a hop without hashing.
 	owner       []int32
@@ -108,11 +102,21 @@ type shardState struct {
 	rpcErrors   atomic.Int64
 	results     atomic.Int64 // result entries the shard's eval answers carried
 	lastErr     atomic.Pointer[string]
-	fingerprint atomic.Pointer[string]
+	// announced is the shard block of the shard's last good probe, nil
+	// while the shard is down or not serving as this ring position.
+	announced atomic.Pointer[ShardHealth]
 }
 
 func (st *shardState) setErr(msg string) {
 	st.lastErr.Store(&msg)
+}
+
+// down marks the shard not ready and forgets its announcement: a shard that
+// stops answering must not hold the topology at its last decomposition.
+func (st *shardState) down(msg string) {
+	st.ready.Store(false)
+	st.announced.Store(nil)
+	st.setErr(msg)
 }
 
 func (st *shardState) errString() string {
@@ -163,7 +167,7 @@ func NewRouter(coll *xmlgraph.Collection, cfg RouterConfig) (*Router, error) {
 			Retries: cfg.Retries,
 			Backoff: cfg.RetryBackoff,
 		}),
-		ring:    NewRing(len(cfg.Shards), cfg.VNodes),
+		ring:    NewRing(len(cfg.Shards), DefaultVNodes),
 		started: time.Now(),
 	}
 	rt.front = front.New(coll, front.Config{
@@ -223,7 +227,7 @@ func (rt *Router) probeOnce(ctx context.Context) {
 		}(i)
 	}
 	wg.Wait()
-	rt.maybeLoadTopology(ctx)
+	rt.maybeLoadTopology()
 }
 
 func (rt *Router) probeShard(ctx context.Context, i int) {
@@ -233,8 +237,7 @@ func (rt *Router) probeShard(ctx context.Context, i int) {
 	if err != nil {
 		st.probeFails.Add(1)
 		st.consecFails.Add(1)
-		st.ready.Store(false)
-		st.setErr(err.Error())
+		st.down(err.Error())
 		return
 	}
 	st.generation.Store(h.Generation)
@@ -242,22 +245,19 @@ func (rt *Router) probeShard(ctx context.Context, i int) {
 	st.maxInFlight.Store(int64(h.MaxInFlight))
 	st.saturated.Store(h.MaxInFlight > 0 && h.InFlight >= h.MaxInFlight)
 	if !h.Ready {
-		st.ready.Store(false)
-		st.setErr("shard not ready")
+		st.down("shard not ready")
 		return
 	}
 	if h.Shard == nil {
-		st.ready.Store(false)
-		st.setErr("shard is not running in shard mode")
+		st.down("shard is not running in shard mode")
 		return
 	}
 	if h.Shard.ID != i || h.Shard.Count != len(rt.shards) {
-		st.ready.Store(false)
-		st.setErr(fmt.Sprintf("ring mismatch: shard reports %d/%d, router expects %d/%d",
+		st.down(fmt.Sprintf("ring mismatch: shard reports %d/%d, router expects %d/%d",
 			h.Shard.ID, h.Shard.Count, i, len(rt.shards)))
 		return
 	}
-	st.fingerprint.Store(&h.Shard.Fingerprint)
+	st.announced.Store(h.Shard)
 	if topo := rt.topo.Load(); topo != nil && h.Shard.Fingerprint != topo.fingerprint {
 		st.ready.Store(false)
 		st.setErr("meta-document fingerprint disagrees with the loaded topology")
@@ -269,105 +269,72 @@ func (rt *Router) probeShard(ctx context.Context, i int) {
 }
 
 // maybeLoadTopology bootstraps the topology from the first ready shard, or
-// reloads it when every reporting shard has moved to a new (agreeing)
-// fingerprint — the whole cluster was reindexed in lockstep.
-func (rt *Router) maybeLoadTopology(ctx context.Context) {
+// reloads it when every shard announcing one has moved to a new (agreeing)
+// fingerprint — the whole cluster was reindexed in lockstep.  The router
+// derives the topology: it runs flix.Assign over its own collection under
+// the decomposition the shard announces, and loads the result only when it
+// hashes to the shard's fingerprint.
+func (rt *Router) maybeLoadTopology() {
 	topo := rt.topo.Load()
+	var sh *ShardHealth
 	from := -1
-	if topo == nil {
-		for i, st := range rt.shards {
-			if st.ready.Load() {
-				from = i
-				break
-			}
-		}
-	} else {
-		// Reload only when no shard matches the loaded topology anymore
-		// and all reporting shards agree with each other.
-		agreed := ""
-		for _, st := range rt.shards {
-			fp := st.fingerprint.Load()
-			if fp == nil {
-				continue
-			}
-			if *fp == topo.fingerprint {
-				return
-			}
-			if agreed == "" {
-				agreed = *fp
-			} else if *fp != agreed {
-				return
-			}
-		}
-		if agreed == "" {
-			return
-		}
-		for i, st := range rt.shards {
-			if fp := st.fingerprint.Load(); fp != nil && *fp == agreed {
-				from = i
-				break
-			}
+	for i, st := range rt.shards {
+		a := st.announced.Load()
+		switch {
+		case a == nil:
+		case topo != nil && a.Fingerprint == topo.fingerprint:
+			return // a shard still serves the loaded topology
+		case sh == nil:
+			sh, from = a, i
+		case topo != nil && a.Fingerprint != sh.Fingerprint:
+			return // the shards have not agreed on a new one yet
 		}
 	}
-	if from < 0 {
+	if sh == nil {
 		return
 	}
-	lr, err := rt.client.Links(ctx, from)
+	metaOf, metas, err := deriveAssignment(rt.coll, sh)
 	if err != nil {
 		if rt.cfg.Logger != nil {
-			rt.cfg.Logger.Printf("topology load from shard %d failed: %v", from, err)
+			rt.cfg.Logger.Printf("topology from shard %d refused: %v", from, err)
 		}
 		return
 	}
-	if lr.Shards != len(rt.shards) || lr.VNodes != rt.cfg.VNodes {
-		if rt.cfg.Logger != nil {
-			rt.cfg.Logger.Printf("topology from shard %d rejected: ring %d/%d, router %d/%d",
-				from, lr.Shards, lr.VNodes, len(rt.shards), rt.cfg.VNodes)
-		}
-		return
-	}
-	if lr.NumNodes != rt.coll.NumNodes() || len(lr.MetaOf) != rt.coll.NumNodes() {
-		if rt.cfg.Logger != nil {
-			rt.cfg.Logger.Printf("topology from shard %d rejected: %d nodes, collection has %d",
-				from, lr.NumNodes, rt.coll.NumNodes())
-		}
-		return
-	}
-	// Every meta document holds an element, so a count above the nodes is
-	// forged; checked before it sizes the owner table.  A node's meta
-	// document indexes that table, so it must be in range too.
-	if lr.NumMetas < 0 || lr.NumMetas > lr.NumNodes {
-		if rt.cfg.Logger != nil {
-			rt.cfg.Logger.Printf("topology from shard %d rejected: %d meta documents over %d nodes",
-				from, lr.NumMetas, lr.NumNodes)
-		}
-		return
-	}
-	for n, mi := range lr.MetaOf {
-		if mi < 0 || int(mi) >= lr.NumMetas {
-			if rt.cfg.Logger != nil {
-				rt.cfg.Logger.Printf("topology from shard %d rejected: node %d in meta document %d of %d",
-					from, n, mi, lr.NumMetas)
-			}
-			return
-		}
-	}
-	owner := make([]int32, lr.NumMetas)
+	owner := make([]int32, metas)
 	for mi := range owner {
 		owner[mi] = int32(rt.ring.Owner(int32(mi)))
 	}
 	rt.topo.Store(&topology{
-		numMetas:    lr.NumMetas,
-		numNodes:    lr.NumNodes,
-		metaOf:      lr.MetaOf,
+		metaOf:      metaOf,
 		owner:       owner,
-		fingerprint: lr.Fingerprint,
+		fingerprint: sh.Fingerprint,
 		loadedFrom:  from,
 	})
 	if rt.cfg.Logger != nil {
 		rt.cfg.Logger.Printf("topology loaded from shard %d: %d meta documents, fingerprint %s",
-			from, lr.NumMetas, lr.Fingerprint)
+			from, metas, sh.Fingerprint)
 	}
+}
+
+// deriveAssignment derives the assignment sh.Decomposition makes of coll and
+// checks it against sh.Fingerprint: a kind flix does not know, or a fingerprint the
+// settings do not produce on this collection — another collection, or
+// settings that are not the shard's — is an error.
+func deriveAssignment(coll *xmlgraph.Collection, sh *ShardHealth) (metaOf []int32, metas int, err error) {
+	d := sh.Decomposition
+	kind, err := flix.ParseConfigKind(d.Kind)
+	if err != nil {
+		return nil, 0, err
+	}
+	metaOf, metas, err = flix.Assign(coll, flix.Config{Kind: kind, PartitionSize: d.PartitionSize, MinTreeDocs: d.MinTreeDocs})
+	if err != nil {
+		return nil, 0, err
+	}
+	if fp := flix.Fingerprint(metaOf, metas); fp != sh.Fingerprint {
+		return nil, 0, fmt.Errorf("%s/%d/%d assigns this collection fingerprint %s, not the announced %s",
+			d.Kind, d.PartitionSize, d.MinTreeDocs, fp, sh.Fingerprint)
+	}
+	return metaOf, metas, nil
 }
 
 // readyShards counts shards currently probing ready.

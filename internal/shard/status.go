@@ -62,8 +62,8 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	if topo := rt.topo.Load(); topo != nil {
 		topoSection = map[string]any{
 			"loaded":      true,
-			"metas":       topo.numMetas,
-			"nodes":       topo.numNodes,
+			"metas":       len(topo.owner),
+			"nodes":       len(topo.metaOf),
 			"fingerprint": topo.fingerprint,
 			"loadedFrom":  topo.loadedFrom,
 		}

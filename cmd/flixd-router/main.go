@@ -38,6 +38,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"strings"
@@ -64,12 +65,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	urls := strings.Split(*shards, ",")
-	for i, u := range urls {
-		urls[i] = strings.TrimRight(strings.TrimSpace(u), "/")
-		if urls[i] == "" {
-			log.Fatalf("-shards entry %d is empty", i)
-		}
+	urls, err := shardURLs(*shards)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	coll, onto, err := daemon.Corpus(df.Dir, df.Ontology)
@@ -109,6 +107,22 @@ func main() {
 	if err := daemon.Run(df.Addr, df.DebugAddr, rt.Handler(), df.Drain); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// shardURLs splits the -shards list and checks each entry is a shard base
+// URL, http://host[:port][/prefix].
+func shardURLs(list string) ([]string, error) {
+	urls := strings.Split(list, ",")
+	for i, u := range urls {
+		urls[i] = strings.TrimRight(strings.TrimSpace(u), "/")
+		if urls[i] == "" {
+			return nil, fmt.Errorf("-shards entry %d is empty", i)
+		}
+		if err := shard.CheckURL(urls[i]); err != nil {
+			return nil, fmt.Errorf("-shards entry %d: %w", i, err)
+		}
+	}
+	return urls, nil
 }
 
 // clientRetries maps -retries onto RouterConfig.Retries, whose 0 takes the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,6 +29,26 @@ func TestRetriesFlag(t *testing.T) {
 		}
 		if got := asked.Load(); got != int64(c.attempts) {
 			t.Errorf("-retries %d: the shard was asked %d times, want %d", c.flag, got, c.attempts)
+		}
+	}
+}
+
+// TestShardURLs: every -shards entry must be http://host[:port][/prefix];
+// the first that is not stops the router before it loads anything, with an
+// error naming the entry.
+func TestShardURLs(t *testing.T) {
+	got, err := shardURLs(" http://h1:8080/ ,http://h2/flix/")
+	if err != nil || strings.Join(got, " ") != "http://h1:8080 http://h2/flix" {
+		t.Fatalf("valid list: %q, %v", got, err)
+	}
+	for _, c := range []struct{ list, names string }{
+		{"h1:8080", `-shards entry 0: "h1:8080"`},
+		{"http://h1:8080,h2:8080", `-shards entry 1: "h2:8080"`},
+		{"http://h1:8080,,http://h2", "-shards entry 1 is empty"},
+		{"https://h1", `-shards entry 0: "https://h1"`},
+	} {
+		if _, err := shardURLs(c.list); err == nil || !strings.Contains(err.Error(), c.names) {
+			t.Errorf("-shards %q: error %v, want one naming %s", c.list, err, c.names)
 		}
 	}
 }

@@ -1,15 +1,23 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/front"
 )
 
 // ClientOptions tunes the shard client.  The zero value takes the defaults
@@ -27,8 +35,12 @@ type ClientOptions struct {
 	Backoff time.Duration
 }
 
-// maxIdlePerShard bounds the pooled idle connections per shard.
-const maxIdlePerShard = 32
+const (
+	// maxIdlePerShard bounds the pooled idle connections per shard.
+	maxIdlePerShard = 32
+	// maxAnswer bounds the answer body read from a shard.
+	maxAnswer = 64 << 20
+)
 
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Timeout <= 0 {
@@ -45,70 +57,83 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// Client talks to a fixed set of shards over HTTP with pooled connections,
-// per-attempt timeouts and retry-with-backoff.  It is safe for concurrent
-// use.
+// Client talks HTTP/1.1 to a fixed set of shards over keep-alive
+// connections it owns, with per-attempt timeouts and retry-with-backoff.
+// An RPC runs on the calling goroutine: one write of the request, one read
+// of the answer (the package doc's "The transport").  It is safe for
+// concurrent use.
 type Client struct {
-	urls []string
-	hc   *http.Client
-	opts ClientOptions
-	// wire counts the eval frame bytes sent to and received from each
-	// shard, every attempt included.
-	wire []wireBytes
+	pools []*pool
+	opts  ClientOptions
 }
-
-type wireBytes struct{ tx, rx atomic.Int64 }
 
 // NewClient builds a client over the given shard base URLs
-// (http://host:port, shard i = urls[i]).
+// (http://host[:port][/prefix], shard i = urls[i]).  An RPC to a shard
+// whose URL is not of that form fails with CheckURL's error.
 func NewClient(urls []string, opts ClientOptions) *Client {
-	opts = opts.withDefaults()
-	return &Client{
-		urls: urls,
-		hc: &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        maxIdlePerShard * len(urls),
-				MaxIdleConnsPerHost: maxIdlePerShard,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		},
-		opts: opts,
-		wire: make([]wireBytes, len(urls)),
+	c := &Client{
+		pools: make([]*pool, len(urls)),
+		opts:  opts.withDefaults(),
 	}
+	for i, u := range urls {
+		c.pools[i] = newPool(u)
+	}
+	return c
 }
 
-// URL returns shard i's base URL.
-func (c *Client) URL(i int) string { return c.urls[i] }
+// CheckURL reports whether raw is a shard base URL the client can talk to:
+// http://host[:port][/prefix], with no user, query or fragment.
+func CheckURL(raw string) error { return newPool(raw).err }
 
 // WireBytes returns the eval frame bytes sent to (tx) and received from
 // (rx) shard i so far.
 func (c *Client) WireBytes(i int) (tx, rx int64) {
-	return c.wire[i].tx.Load(), c.wire[i].rx.Load()
+	return c.pools[i].tx.Load(), c.pools[i].rx.Load()
+}
+
+// Close closes the idle connections and stops pooling: an RPC after Close
+// still runs, on a connection of its own.
+func (c *Client) Close() {
+	for _, p := range c.pools {
+		p.close()
+	}
 }
 
 // Eval sends one frontier batch to a shard and decodes the partial result.
-// reqID, when non-empty, travels as the X-Flix-Request-Id header.
+// reqID, when front.SanitizeRequestID accepts it, travels as the
+// X-Flix-Request-Id header.
 func (c *Client) Eval(ctx context.Context, shard int, reqID string, req *EvalRequest) (*EvalResponse, error) {
 	body := req.AppendFrame(nil)
+	if front.SanitizeRequestID(reqID) != reqID {
+		reqID = ""
+	}
+	p := c.pools[shard]
 	var out EvalResponse
-	err := c.do(ctx, shard, func(ctx context.Context) (*http.Request, error) {
-		r, err := http.NewRequestWithContext(ctx, http.MethodPost, c.urls[shard]+"/v1/shard/eval", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		r.Header.Set("Content-Type", FrameContentType)
-		if reqID != "" {
-			r.Header.Set(RequestIDHeader, reqID)
-		}
-		c.wire[shard].tx.Add(int64(len(body)))
-		return r, nil
-	}, func(body io.Reader) error {
-		frame, err := io.ReadAll(body)
-		c.wire[shard].rx.Add(int64(len(frame)))
-		if err != nil {
+	err := c.do(ctx, func() error {
+		p.tx.Add(int64(len(body)))
+		status, frame, err := c.exchange(ctx, p, p.evalHead, body, reqID)
+		switch {
+		case err != nil && err == ctx.Err():
+			return err
+		case errors.Is(err, errBadURL):
+			return fmt.Errorf("shard %d: %w", shard, err)
+		case err != nil:
+			return &retryableError{fmt.Errorf("shard %d: %w", shard, err)}
+		case status != http.StatusOK:
+			if len(frame) > 256 {
+				frame = frame[:256]
+			}
+			err := fmt.Errorf("shard %d: status %d: %s", shard, status, bytes.TrimSpace(frame))
+			if status >= 500 || status == http.StatusTooManyRequests {
+				return &retryableError{err}
+			}
 			return err
 		}
-		return out.DecodeFrame(frame)
+		p.rx.Add(int64(len(frame)))
+		if err := out.DecodeFrame(frame); err != nil {
+			return &retryableError{fmt.Errorf("shard %d: decode: %w", shard, err)}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -120,34 +145,28 @@ func (c *Client) Eval(ctx context.Context, shard int, reqID string, req *EvalReq
 // its own cadence).  A 503 decodes like a 200: "alive but not ready" is a
 // valid answer, not an RPC failure.
 func (c *Client) Health(ctx context.Context, shard int) (*HealthResponse, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.urls[shard]+"/healthz", nil)
+	p := c.pools[shard]
+	status, body, err := c.exchange(ctx, p, p.healthHead, nil, "")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard %d: %w", shard, err)
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return nil, fmt.Errorf("shard %d: healthz status %d", shard, resp.StatusCode)
+	if status != http.StatusOK && status != http.StatusServiceUnavailable {
+		return nil, fmt.Errorf("shard %d: healthz status %d", shard, status)
 	}
 	var out HealthResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out); err != nil {
+	if err := json.Unmarshal(body, &out); err != nil {
 		return nil, fmt.Errorf("shard %d: healthz decode: %w", shard, err)
 	}
 	return &out, nil
 }
 
-// do runs one RPC with per-attempt timeouts and retry-with-backoff; decode
-// reads a 200 answer's body (at most 64 MiB of it).
-func (c *Client) do(ctx context.Context, shard int, build func(context.Context) (*http.Request, error), decode func(io.Reader) error) error {
+// do runs one RPC attempt after another, with backoff between them, until
+// one succeeds, fails for good or the retries run out.
+func (c *Client) do(ctx context.Context, attempt func() error) error {
 	var lastErr error
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			delay := c.opts.Backoff << uint(attempt-1)
+	for n := 0; n <= c.opts.Retries; n++ {
+		if n > 0 {
+			delay := c.opts.Backoff << uint(n-1)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -157,7 +176,7 @@ func (c *Client) do(ctx context.Context, shard int, build func(context.Context) 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lastErr = c.attempt(ctx, shard, build, decode)
+		lastErr = attempt()
 		if lastErr == nil {
 			return nil
 		}
@@ -169,32 +188,6 @@ func (c *Client) do(ctx context.Context, shard int, build func(context.Context) 
 	return lastErr
 }
 
-func (c *Client) attempt(ctx context.Context, shard int, build func(context.Context) (*http.Request, error), decode func(io.Reader) error) error {
-	ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
-	defer cancel()
-	req, err := build(ctx)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return &retryableError{fmt.Errorf("shard %d: %w", shard, err)}
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		err := fmt.Errorf("shard %d: status %d: %s", shard, resp.StatusCode, bytes.TrimSpace(body))
-		if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-			return &retryableError{err}
-		}
-		return err
-	}
-	if err := decode(io.LimitReader(resp.Body, 64<<20)); err != nil {
-		return &retryableError{fmt.Errorf("shard %d: decode: %w", shard, err)}
-	}
-	return nil
-}
-
 // retryableError marks transient failures (network errors, 5xx, 429) that
 // the backoff loop may re-attempt.
 type retryableError struct{ err error }
@@ -202,9 +195,201 @@ type retryableError struct{ err error }
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
 
-// drainClose drains and closes a response body so the pooled connection is
-// reusable.
-func drainClose(body io.ReadCloser) {
-	io.Copy(io.Discard, io.LimitReader(body, 1<<20)) //nolint:errcheck
-	body.Close()
+var (
+	errBadURL   = errors.New("not a shard URL of the form http://host[:port][/prefix]")
+	errTooLarge = fmt.Errorf("answer exceeds %d bytes", maxAnswer)
+	// aLongTimeAgo is the deadline that interrupts a connection's I/O.
+	aLongTimeAgo = time.Unix(1, 0)
+)
+
+// pool is one shard's address, its two request heads and its idle
+// keep-alive connections, the most recently used last.
+type pool struct {
+	addr       string // host:port to dial
+	evalHead   string // request line and fixed headers of an eval RPC
+	healthHead string // ... of a health probe
+	err        error  // the URL is not a shard URL
+	// tx and rx count the eval frame bytes sent to and received from the
+	// shard, every attempt included.
+	tx, rx atomic.Int64
+
+	mu     sync.Mutex
+	idle   []*conn
+	closed bool
+}
+
+func newPool(raw string) *pool {
+	u, err := url.Parse(raw)
+	if err != nil || u.Scheme != "http" || u.Hostname() == "" || u.User != nil ||
+		u.Opaque != "" || u.RawQuery != "" || u.ForceQuery || u.Fragment != "" {
+		return &pool{err: fmt.Errorf("%q: %w", raw, errBadURL)}
+	}
+	addr := u.Host
+	if u.Port() == "" {
+		addr = net.JoinHostPort(u.Hostname(), "80")
+	}
+	prefix := strings.TrimRight(u.EscapedPath(), "/")
+	host := "\r\nHost: " + u.Host + "\r\n"
+	return &pool{
+		addr:       addr,
+		evalHead:   "POST " + prefix + "/v1/shard/eval HTTP/1.1" + host + "Content-Type: " + FrameContentType + "\r\n",
+		healthHead: "GET " + prefix + "/healthz HTTP/1.1" + host,
+	}
+}
+
+// conn is one keep-alive connection to a shard.
+type conn struct {
+	nc     net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	reused bool // it served an exchange before this one
+}
+
+// take pops the most recently used idle connection, or nil.
+func (p *pool) take() *conn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.idle)
+	if n == 0 {
+		return nil
+	}
+	cn := p.idle[n-1]
+	p.idle[n-1] = nil
+	p.idle = p.idle[:n-1]
+	return cn
+}
+
+// put pools a connection whose last answer was read in full, or closes it
+// when the pool is full or closed.
+func (p *pool) put(cn *conn) {
+	cn.reused = true
+	p.mu.Lock()
+	if !p.closed && len(p.idle) < maxIdlePerShard {
+		p.idle = append(p.idle, cn)
+		p.mu.Unlock()
+		return
+	}
+	p.mu.Unlock()
+	cn.nc.Close()
+}
+
+func (p *pool) close() {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle, p.closed = nil, true
+	p.mu.Unlock()
+	for _, cn := range idle {
+		cn.nc.Close()
+	}
+}
+
+// exchange sends one request — head, the optional Content-Length and
+// request-ID headers, body — and reads the answer in full.  The attempt's
+// deadline, min(ctx deadline, now+Timeout), is the connection's; a ctx
+// that ends interrupts the I/O and the exchange returns ctx.Err().  A
+// request that fails on a reused connection before any answer byte arrives
+// met a connection the shard had closed while it sat idle: it is sent once
+// more, on a fresh connection, within the same attempt.  An answer of any
+// status is a nil error.
+func (c *Client) exchange(ctx context.Context, p *pool, head string, body []byte, reqID string) (status int, answer []byte, err error) {
+	if p.err != nil {
+		return 0, nil, p.err
+	}
+	deadline := time.Now().Add(c.opts.Timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	cn := p.take()
+	for {
+		if cn == nil {
+			d := net.Dialer{Deadline: deadline}
+			nc, err := d.DialContext(ctx, "tcp", p.addr)
+			if err != nil {
+				if ctx.Err() != nil {
+					return 0, nil, ctx.Err()
+				}
+				return 0, nil, err
+			}
+			cn = &conn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
+		}
+		nc := cn.nc
+		nc.SetDeadline(deadline)                                                //nolint:errcheck // a closed conn fails the write below
+		stop := context.AfterFunc(ctx, func() { nc.SetDeadline(aLongTimeAgo) }) //nolint:errcheck
+		var keep, unanswered bool
+		status, answer, keep, unanswered, err = cn.roundTrip(head, body, reqID)
+		if !stop() {
+			keep = false // the ctx clobbered the deadline
+		}
+		if err == nil {
+			if keep {
+				p.put(cn)
+			} else {
+				nc.Close()
+			}
+			return status, answer, nil
+		}
+		nc.Close()
+		if ctx.Err() != nil {
+			return 0, nil, ctx.Err()
+		}
+		if !cn.reused || !unanswered {
+			return 0, nil, err
+		}
+		cn = nil
+	}
+}
+
+// roundTrip writes one request on cn and reads its answer.  keep reports
+// that the answer was read in full and the shard keeps the connection
+// open; unanswered, that the request failed before any answer byte
+// arrived, not for a timeout.
+func (cn *conn) roundTrip(head string, body []byte, reqID string) (status int, answer []byte, keep, unanswered bool, err error) {
+	bw := cn.bw
+	bw.WriteString(head) //nolint:errcheck // bufio.Writer keeps the first error for Flush
+	if body != nil {
+		bw.WriteString("Content-Length: ")                                      //nolint:errcheck
+		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(len(body)), 10)) //nolint:errcheck
+		bw.WriteString("\r\n")                                                  //nolint:errcheck
+	}
+	if reqID != "" {
+		bw.WriteString(RequestIDHeader + ": ") //nolint:errcheck
+		bw.WriteString(reqID)                  //nolint:errcheck
+		bw.WriteString("\r\n")                 //nolint:errcheck
+	}
+	bw.WriteString("\r\n") //nolint:errcheck
+	bw.Write(body)         //nolint:errcheck
+	if err := bw.Flush(); err != nil {
+		return 0, nil, false, !isTimeout(err), err
+	}
+	if _, err := cn.br.Peek(1); err != nil {
+		return 0, nil, false, !isTimeout(err), err
+	}
+	resp, err := http.ReadResponse(cn.br, nil)
+	if err != nil {
+		return 0, nil, false, false, err
+	}
+	if answer, err = readBody(resp); err != nil {
+		return 0, nil, false, false, err
+	}
+	return resp.StatusCode, answer, !resp.Close, false, nil
+}
+
+// readBody reads an answer's body in full, at most maxAnswer bytes of it:
+// a Content-Length body into one buffer of its size, any other until EOF.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxAnswer {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswer+1))
+	if err == nil && len(b) > maxAnswer {
+		err = errTooLarge
+	}
+	return b, err
+}
+
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }

@@ -112,13 +112,51 @@
 // answers 503 until a quorum of shards probes ready and 429 while every
 // ready shard is saturated.
 //
+// # The transport
+//
+// The router's shard client (client.go) speaks HTTP/1.1 on connections it
+// owns; net/http's client is not used.  Each shard has a pool of up to 32
+// idle keep-alive connections, each with a bufio reader and writer.  An RPC
+// runs on the calling goroutine.  It takes the most recently used idle
+// connection or dials one, and writes a fixed request head and the frame in
+// one flush.  The head holds the request line, Host, Content-Type,
+// Content-Length and the request ID, which is left out unless
+// front.SanitizeRequestID accepts it.  http.ReadResponse parses the answer,
+// so the HTTP codec stays the standard library's, and the body is read in
+// full, at most 64 MiB of it, before the connection goes back to the pool.
+// A gather round with one active shard (every round of `sharded`) calls
+// the client on the gather's own goroutine: no goroutine starts and no
+// channel carries the answer.  Rounds with more active shards fan out.
+//
+// The rules of net/http's Transport that the router relied on are kept,
+// each pinned by a `TestClient*` row:
+//   - an attempt's deadline, min(ctx deadline, now+Timeout), is the
+//     connection's deadline (`TestClientAttemptTimeout`);
+//   - a ctx that ends interrupts the I/O through context.AfterFunc; the RPC
+//     returns ctx.Err() and the connection is closed, never pooled
+//     (`TestClientCancelMidRPC`);
+//   - a request that fails on a reused connection before any answer byte
+//     met a connection the shard closed while it sat idle, and is sent once
+//     more on a fresh connection without spending an attempt; an eval is
+//     read-only, so that is safe (`TestClientStaleIdleConn`);
+//   - 5xx, 429 and network errors are retried with backoff, other 4xx fail
+//     at once (`TestClientStatusHandling`);
+//   - a `Connection: close` answer is read and its connection dropped, and
+//     a chunked body is read to its end (`TestClientResponseFraming`);
+//   - the router's Start context ending closes the idle connections
+//     (`TestClientClosesIdleAtShutdown`).
+//
+// NewRouter refuses a shard URL that is not http://host[:port][/prefix],
+// naming it; a path prefix is kept in both request targets
+// (`TestClientURLs`).
+//
 // # Tracing
 //
 // Under ?trace=1 every eval frame carries the trace flag and the shard
 // answers with an `obs.TraceFragment`: aggregates only, its per-meta rows
 // capped, totals computed before the cap, so its size is bounded whatever
 // the query.  The router's trace builder, touched only by the gather's
-// receive goroutine, assembles spans and per-shard rollups without a lock
+// own goroutine, assembles spans and per-shard rollups without a lock
 // (`TestClusterTraceConcurrent`) and counts nothing: a gather tallies its
 // rounds, fanouts and hops once, /metrics and /statsz add up the tallies,
 // and a trace's scalars are the sum of its request's, so they equal the

@@ -45,3 +45,11 @@ func (rt *Router) TopologyOwners() ([]int32, bool) {
 	}
 	return topo.owner, true
 }
+
+// IdleConns returns the number of pooled idle connections to shard i.
+func (c *Client) IdleConns(i int) int {
+	p := c.pools[i]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle)
+}

@@ -32,10 +32,10 @@ import (
 // differential harness checks it element-for-element against the BFS
 // oracle.
 
-// shardOut carries one shard RPC's outcome from its dispatch goroutine to
-// the gather loop's receive goroutine.  The request and RPC timings ride
-// along so the trace builder (single-goroutine, on the receive side) can
-// build dispatch spans without any locking.
+// shardOut carries one shard RPC's outcome to the gather loop, from a
+// dispatch goroutine when the round fans out.  The request and RPC timings
+// ride along so the trace builder (single-goroutine, on the gather's side)
+// can build dispatch spans without any locking.
 type shardOut struct {
 	sh       int
 	req      *EvalRequest
@@ -264,30 +264,34 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 			rspan.SetAttr("watermark", int64(watermark))
 			rspan.SetAttr("bound", int64(bound))
 		}
-		outs := make(chan shardOut, active)
+		// A round with one active shard calls it on this goroutine; more
+		// fan out, one dispatch goroutine each.
+		var one shardOut
+		var outs chan shardOut
+		if active > 1 {
+			outs = make(chan shardOut, active)
+		}
 		for sh, b := range batches {
 			if len(b) == 0 {
 				continue
 			}
 			out.fanouts++
-			go func(sh int, req *EvalRequest) {
-				t0 := time.Now()
-				resp, err := rt.client.Eval(ctx, sh, reqID, req)
-				d := time.Since(t0)
-				rt.shardLatency[sh].Observe(d)
-				rt.shards[sh].rpcs.Add(1)
-				if err != nil {
-					rt.shards[sh].rpcErrors.Add(1)
-				}
-				outs <- shardOut{sh: sh, req: req, resp: resp, err: err, rpcStart: t0, rpcDur: d}
-			}(sh, &EvalRequest{Entries: b, Tag: tag, MaxDist: roundMax, K: needK, Trace: tb != nil})
+			req := &EvalRequest{Entries: b, Tag: tag, MaxDist: roundMax, K: needK, Trace: tb != nil}
+			if outs == nil {
+				one = rt.dispatch(ctx, reqID, sh, req)
+				continue
+			}
+			go func() { outs <- rt.dispatch(ctx, reqID, sh, req) }()
 		}
-		// The dispatch goroutines hold the old batch slices; from here on
-		// batches accumulates the next round's frontier.
+		// The requests hold the old batch slices; from here on batches
+		// accumulates the next round's frontier.
 		batches = make([][]flix.FrontierEntry, nShards)
 		before := out.gatherTally // the round's counts are the growth past it
 		for i := 0; i < active; i++ {
-			o := <-outs
+			o := one
+			if outs != nil {
+				o = <-outs
+			}
 			if tb != nil {
 				tb.dispatch(rspan, o)
 			}
@@ -363,6 +367,19 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 		gspan.SetAttr("results", int64(len(resultMin)))
 	}
 	return out
+}
+
+// dispatch runs one shard RPC of a round and counts it.
+func (rt *Router) dispatch(ctx context.Context, reqID string, sh int, req *EvalRequest) shardOut {
+	t0 := time.Now()
+	resp, err := rt.client.Eval(ctx, sh, reqID, req)
+	d := time.Since(t0)
+	rt.shardLatency[sh].Observe(d)
+	rt.shards[sh].rpcs.Add(1)
+	if err != nil {
+		rt.shards[sh].rpcErrors.Add(1)
+	}
+	return shardOut{sh: sh, req: req, resp: resp, err: err, rpcStart: t0, rpcDur: d}
 }
 
 // kthSmallest returns the k-th smallest (0-based) of a, reordering a: a

@@ -1,11 +1,15 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -189,5 +193,82 @@ func TestRouterReloadsPastDeadShard(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("10 s after the reindex: ready=%v on fingerprint %s, want %s", rt.Ready(), fp, next.Fingerprint())
 		}
+	}
+}
+
+// lockedBuffer is a log destination the test reads while the prober writes.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestRouterRefusesOnce: a router over a foreign collection derives and
+// logs a shard's refused announcement once, not on every probe tick; an
+// announcement that changes is derived again.
+func TestRouterRefusesOnce(t *testing.T) {
+	coll := testutil.Generate(testutil.Linked, 7, 12, 40, 40)
+	relinked := testutil.Generate(testutil.Linked, 7, 12, 40, 20) // the router's: other links
+	ix, err := flix.Build(coll, flix.Config{Kind: flix.Hybrid, PartitionSize: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := flix.Build(coll, flix.Config{Kind: flix.Hybrid, PartitionSize: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(ix, server.Config{Shard: &server.ShardConfig{ID: 0, Count: 1}, CacheSize: -1})
+	h := s.Handler()
+	var probes atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			probes.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	var logged lockedBuffer
+	rt, err := shard.NewRouter(relinked, shard.RouterConfig{
+		Shards: []string{ts.URL}, ProbeInterval: 10 * time.Millisecond, Logger: log.New(&logged, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rt.Start(ctx)
+	// waitProbes waits for n more probes: n-1 whole probe intervals.
+	waitProbes := func(n int64) {
+		t.Helper()
+		want := probes.Load() + n
+		for deadline := time.Now().Add(10 * time.Second); probes.Load() < want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d probes in 10 s, want %d", probes.Load(), want)
+			}
+		}
+	}
+	const line = "topology from shard 0 refused"
+	waitProbes(6)
+	if n := strings.Count(logged.String(), line); n != 1 {
+		t.Fatalf("%d refusals logged over 6 probes of one announcement, want 1:\n%s", n, &logged)
+	}
+	s.Install(next, "repartitioned")
+	waitProbes(6)
+	if n := strings.Count(logged.String(), line); n != 2 {
+		t.Fatalf("%d refusals logged after the announcement changed, want 2:\n%s", n, &logged)
+	}
+	if rt.Ready() {
+		t.Fatal("a foreign topology loaded")
 	}
 }

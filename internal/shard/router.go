@@ -19,7 +19,8 @@ import (
 // RouterConfig tunes the scatter-gather router.  Shards is required; zero
 // values elsewhere take the documented defaults.
 type RouterConfig struct {
-	// Shards lists the shard base URLs; shard i of the ring is Shards[i].
+	// Shards lists the shard base URLs, each http://host[:port][/prefix];
+	// shard i of the ring is Shards[i].
 	Shards []string
 	// Quorum is the number of ready shards required before the router
 	// reports ready (0 = all shards).  Queries may still touch a non-ready
@@ -149,6 +150,17 @@ type Router struct {
 
 	scatter       scatterCounters
 	tracedQueries atomic.Int64
+
+	// refused is the last announcement a topology load refused; the prober
+	// alone touches it, and skips that announcement until it changes.
+	refused announcement
+}
+
+// announcement is what a topology load derives from: a shard's announced
+// fingerprint and decomposition.
+type announcement struct {
+	fingerprint   string
+	decomposition Decomposition
 }
 
 // NewRouter builds a router over the collection the shards serve.  Call
@@ -157,6 +169,11 @@ type Router struct {
 func NewRouter(coll *xmlgraph.Collection, cfg RouterConfig) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one shard URL")
+	}
+	for i, u := range cfg.Shards {
+		if err := CheckURL(u); err != nil {
+			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
+		}
 	}
 	cfg = cfg.withDefaults()
 	rt := &Router{
@@ -198,7 +215,8 @@ func NewRouter(coll *xmlgraph.Collection, cfg RouterConfig) (*Router, error) {
 func (rt *Router) SetOntology(o *ontology.Ontology) { rt.onto = o }
 
 // Start launches the health prober; it probes immediately, then every
-// ProbeInterval until ctx is cancelled.
+// ProbeInterval until ctx is cancelled, and then closes the shard client's
+// idle connections.
 func (rt *Router) Start(ctx context.Context) {
 	go func() {
 		rt.probeOnce(ctx)
@@ -207,6 +225,7 @@ func (rt *Router) Start(ctx context.Context) {
 		for {
 			select {
 			case <-ctx.Done():
+				rt.client.Close()
 				return
 			case <-t.C:
 				rt.probeOnce(ctx)
@@ -273,7 +292,8 @@ func (rt *Router) probeShard(ctx context.Context, i int) {
 // fingerprint — the whole cluster was reindexed in lockstep.  The router
 // derives the topology: it runs flix.Assign over its own collection under
 // the decomposition the shard announces, and loads the result only when it
-// hashes to the shard's fingerprint.
+// hashes to the shard's fingerprint.  A refused announcement is derived and
+// logged once, not on every probe tick.
 func (rt *Router) maybeLoadTopology() {
 	topo := rt.topo.Load()
 	var sh *ShardHealth
@@ -293,13 +313,19 @@ func (rt *Router) maybeLoadTopology() {
 	if sh == nil {
 		return
 	}
+	ann := announcement{sh.Fingerprint, sh.Decomposition}
+	if ann == rt.refused {
+		return
+	}
 	metaOf, metas, err := deriveAssignment(rt.coll, sh)
 	if err != nil {
+		rt.refused = ann
 		if rt.cfg.Logger != nil {
 			rt.cfg.Logger.Printf("topology from shard %d refused: %v", from, err)
 		}
 		return
 	}
+	rt.refused = announcement{}
 	owner := make([]int32, metas)
 	for mi := range owner {
 		owner[mi] = int32(rt.ring.Owner(int32(mi)))

@@ -11,10 +11,10 @@ import (
 // re-dispatch decisions) plus the TraceFragments the shards return, folded
 // into one obs.ClusterTrace — the `?trace=1` EXPLAIN payload.
 //
-// A builder belongs to exactly one request.  The gather loop's dispatch
-// goroutines never touch it: they capture RPC timings into their shardOut
-// and the single receive goroutine does all the assembly, so the builder
-// needs no locking even though shard RPCs run concurrently.  It counts
+// A builder belongs to exactly one request.  The gather loop's dispatches
+// never touch it: they capture RPC timings into their shardOut and the
+// gather's own goroutine does all the assembly, so the builder needs no
+// locking even though a round's shard RPCs may run concurrently.  It counts
 // nothing itself: the trace's scalars are the request's summed gatherTally.
 type traceBuilder struct {
 	start time.Time
@@ -65,8 +65,8 @@ func (tb *traceBuilder) beginGather(note string) *obs.Span {
 // per-shard rollup accumulates the evaluation counters.  k and maxdist are
 // the limit and the distance bound the batch travelled with (0 = none);
 // results and hops count what the shard returned under them, the same
-// entries /metrics counts.  rpcStart was captured by the dispatch
-// goroutine; assembly runs on the receive goroutine.
+// entries /metrics counts.  rpcStart was captured by the dispatch;
+// assembly runs on the gather's goroutine.
 func (tb *traceBuilder) dispatch(round *obs.Span, o shardOut) {
 	sp := &obs.Span{
 		Name:     "dispatch",

@@ -411,6 +411,7 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 			}
 			b.Run(en.Label+"/"+c.name, func(b *testing.B) {
 				b.ReportAllocs()
+				b.ReportMetric(float64(buf.Len()), "image-B")
 				for i := 0; i < b.N; i++ {
 					ix, err := flix.OpenSnapshotBytes(e.Coll, buf.Bytes())
 					if err != nil {

@@ -29,11 +29,10 @@
 // -snapshot-retain) and warm-starts from the newest one on restart.
 // Generations are persisted as v2 snapshots — the offset-based container
 // that warm start and -load serve straight from a read-only memory mapping
-// (-mmap, default on) with no parse step.  -snapshot-compress writes the
-// sections in their compressed encodings (bit-packed PPO intervals,
-// delta-packed HOPI labels), falling back to raw per section when
-// compression would not pay; compressed snapshots are served zero-copy just
-// like raw ones.
+// (-mmap, default on) with no parse step.  -snapshot-compress writes PPO
+// sections in their bit-packed encoding (ppo-c), falling back to raw per
+// section when it would not pay, and served zero-copy just like raw ones;
+// HOPI sections have one codec (hopi-c) whatever the flag.
 //
 // With -shard-id/-shard-count the process runs as one shard of a
 // flixd-router cluster: it builds the same full index, additionally serves
@@ -82,7 +81,7 @@ func main() {
 		minQ     = flag.Int64("reindex-min-queries", 50, "queries a generation must serve before its statistics are trusted")
 		snapDir  = flag.String("snapshot-dir", "", "persist each index generation here and warm-start from the newest (empty disables)")
 		snapKeep = flag.Int("snapshot-retain", 3, "generation snapshots to keep in -snapshot-dir")
-		snapZip  = flag.Bool("snapshot-compress", false, "persist snapshots with compressed section encodings")
+		snapZip  = flag.Bool("snapshot-compress", false, "persist PPO sections bit-packed (ppo-c) where that pays; HOPI sections are hopi-c either way")
 		useMmap  = flag.Bool("mmap", true, "serve snapshots from a read-only memory mapping instead of reading them into the heap")
 		shardID  = flag.Int("shard-id", -1, "run as shard N of a flixd-router cluster (-1 disables shard mode)")
 		shardN   = flag.Int("shard-count", 0, "total shards in the cluster (required with -shard-id)")

@@ -142,12 +142,17 @@ func main() {
 	}
 	if tr != nil {
 		fmt.Println()
-		fmt.Print(tr.Summary(false).Render())
+		fmt.Print(localPlan(tr))
 	}
 	if ctx.Err() != nil {
 		log.Printf("query aborted after %v; results above are partial", *timeout)
 	}
 }
+
+// localPlan renders a local evaluation's query plan from its summary with
+// the events kept — the summary flixd answers ?trace=1 with — so a local
+// plan carries the frontier-pops line a remote one does.
+func localPlan(tr *flix.Trace) string { return tr.Summary(true).Render() }
 
 func parseConfig(name string, partSize int, strategy string) (flix.Config, error) {
 	kind, err := flix.ParseConfigKind(name)

@@ -139,3 +139,25 @@ func TestAblationStrategiesNotServed(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalPlanHasFrontierPops: a local -explain plan of a query that pops
+// the frontier more than once lists the pops' distance bounds, as the plan
+// a flixd answers ?trace=1 with does.
+func TestLocalPlanHasFrontierPops(t *testing.T) {
+	corpus := dblp.Generate(dblp.Scaled(60))
+	coll := corpus.BuildGraph()
+	ix, err := flix.Build(coll, flix.Config{Kind: flix.Hybrid, PartitionSize: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := coll.DocByName(corpus.DocName(corpus.HubIndex))
+	if !ok {
+		t.Fatal("hub document missing")
+	}
+	tr := flix.NewTrace(0)
+	ix.Descendants(coll.Doc(d).Root, "title", flix.Options{Tracer: tr}, func(flix.Result) bool { return true })
+	plan := localPlan(tr)
+	if !strings.Contains(plan, "frontier pops (distance bounds): ") || !strings.Contains(plan, " -> ") {
+		t.Fatalf("a multi-pop local plan lacks the frontier pops line:\n%s", plan)
+	}
+}

@@ -225,9 +225,10 @@ func OpenSnapshotBytes(c *Collection, data []byte) (*Index, error) {
 }
 
 // ErrSnapshotVersion reports a persisted index written by a newer snapshot
-// format version than this binary understands, or by version 2, whose
-// CRC-64 footer it no longer checks; OpenSnapshot fails with it instead of
-// misreading the bytes.
+// format version than this binary understands, or by version 2 or 3 (a
+// CRC-64 footer it no longer checks, or HOPI sections in a raw codec it no
+// longer reads); OpenSnapshot fails with it instead of misreading the
+// bytes.
 var ErrSnapshotVersion = flix.ErrSnapshotVersion
 
 // ErrSnapshotCorrupt reports a v2 snapshot that failed structural

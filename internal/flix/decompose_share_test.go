@@ -235,7 +235,7 @@ func forgedPartitionSize(t testing.TB, raw []byte) []byte {
 // which fails before any decomposition, is a row of the corruption matrices.)
 func TestDecompositionKeptAcrossFailure(t *testing.T) {
 	c := goldenCollection()
-	raw, err := os.ReadFile(goldenV3Path)
+	raw, err := os.ReadFile(goldenV4Path)
 	if err != nil {
 		t.Fatal(err)
 	}

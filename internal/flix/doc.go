@@ -130,7 +130,7 @@
 // build's worker pool, its fingerprint against the kept Set and its section
 // opened in place.  An open validates and builds nothing else; what it
 // rejects fails with `flix.ErrSnapshotCorrupt` or, for a future version or
-// one written before container version 3 (`TestSnapshotV2FixturesRefused`),
+// one written before container version 4 (`TestSnapshotV2FixturesRefused`),
 // `flix.ErrSnapshotVersion`, never a panic.  `BenchmarkOpenSnapshot` times
 // opens per configuration.  A mapped Index is unmapped by a finalizer, so
 // every evaluation, probe and writer keeps its Index reachable while it

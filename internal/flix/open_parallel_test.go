@@ -86,8 +86,10 @@ func parallelOpenConfig() Config { return Config{Kind: UnconnectedHOPI, Partitio
 // worker pool, and must still fail exactly as a serial open does — with the
 // lowest failing meta document's error, whichever worker reaches a failure
 // first.  Two sections k1 < k2 = k1+1 are damaged, in a raw and in a
-// compressed container: k1's last run, so that it fails only once the whole
-// section is decoded, and k2 emptied, so that it fails at once.  Separately,
+// compressed container (the same hopi-c sections; only the compressed
+// manifest has the raw-size trailer): k1's last run, so that it fails only
+// once the whole section is decoded, and k2 emptied, so that it fails at
+// once.  Separately,
 // a fingerprint is forged before or after the damaged k1.  The error text
 // must name the earlier failure and be the same at GOMAXPROCS 1, 2 and 4, on
 // every try.
@@ -112,7 +114,7 @@ func TestOpenErrorIsLowestMeta(t *testing.T) {
 		}
 		nMetas := snap.NumSections() - 1
 		k1 := nMetas / 2
-		if nMetas < 8 || storage.IsCompressedKind(snap.Section(k1+1).Kind) != c.opts.Compress {
+		if nMetas < 8 || snap.Section(k1+1).Kind != storage.SectionHOPIC {
 			t.Fatalf("%s: %d sections, section %d of kind %s", c.name, nMetas, k1, storage.SectionKindName(snap.Section(k1+1).Kind))
 		}
 		k2 := k1 + 1

@@ -14,7 +14,8 @@ import (
 
 // ErrSnapshotVersion reports a snapshot written by a newer container
 // version than this binary understands, or by container version 2 (a
-// CRC-64 footer this binary no longer checks).  The live-reindexing generation
+// CRC-64 footer this binary no longer checks) or 3 (HOPI sections in a raw
+// codec it no longer reads).  The live-reindexing generation
 // store depends on the check to skip (not crash on) snapshots a newer binary
 // left behind.
 var ErrSnapshotVersion = errors.New("flix: snapshot format version not supported")

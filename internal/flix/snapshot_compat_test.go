@@ -109,14 +109,14 @@ func TestSnapshotCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, err := os.ReadFile(goldenV3Path)
+	v4, err := os.ReadFile(goldenV4Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "gen-000001.flix")
 	images := map[string][]byte{
 		"canonical stream": raw,
-		"container naming an unknown configuration kind": forgedKind(t, v3),
+		"container naming an unknown configuration kind": forgedKind(t, v4),
 		"empty":          nil,
 		"garbage":        []byte("XXXXgarbage"),
 		"v2 magic alone": []byte(storage.SnapshotMagic),

@@ -2,6 +2,7 @@ package flix
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -12,8 +13,10 @@ import (
 	"repro/internal/xmlgraph"
 )
 
-// The compressed golden containers, as goldenV3Path and goldenV2Path.
+// The compressed golden containers, as goldenV4Path, goldenV3Path and
+// goldenV2Path.
 const (
+	goldenV4CPath = "testdata/golden-v4c.flix"
 	goldenV3CPath = "testdata/golden-v3c.flix"
 	goldenV2CPath = "testdata/golden-v2c.flix"
 )
@@ -91,8 +94,7 @@ func TestSnapshotCompressedParity(t *testing.T) {
 // TestHOPIReopenPersistsLikeBuild pins that an opened HOPI generation
 // persists exactly like the build it came from: write(open(write(build,
 // o1)), o2) equals write(build, o2) byte for byte for every raw/compressed
-// pair o1 × o2.  In particular an opened hopi-c section written without
-// Compress comes out raw, as the build's does.
+// pair o1 × o2.  A HOPI section is hopi-c under either option.
 func TestHOPIReopenPersistsLikeBuild(t *testing.T) {
 	c := goldenCollection()
 	write := func(ix *Index, o SnapshotV2Options) []byte {
@@ -118,8 +120,8 @@ func TestHOPIReopenPersistsLikeBuild(t *testing.T) {
 			for _, st := range opened.StorageInfo().Sections {
 				kinds[st.Kind] = true
 			}
-			if want := map[bool]string{false: "hopi", true: "hopi-c"}[o1.Compress]; !kinds[want] {
-				t.Fatalf("%v compress=%t: no %s section among %v", cfg, o1.Compress, want, kinds)
+			if !kinds["hopi-c"] {
+				t.Fatalf("%v compress=%t: no hopi-c section among %v", cfg, o1.Compress, kinds)
 			}
 			for _, o2 := range opts {
 				if !bytes.Equal(write(opened, o2), write(built, o2)) {
@@ -132,10 +134,76 @@ func TestHOPIReopenPersistsLikeBuild(t *testing.T) {
 	}
 }
 
+// TestHOPISectionOneCodec: HOPI has one section codec, so Compress leaves
+// every HOPI section's bytes alone — byte-identical sections of kind
+// hopi-c with and without it, on a monolithic HOPI index and on
+// UnconnectedHOPI — and a section of the retired raw kind 3 is refused as
+// corrupt: the version-3 fixture relabelled version 4 and resealed, so only
+// its kind-3 section can fail it.
+func TestHOPISectionOneCodec(t *testing.T) {
+	for _, tc := range []struct {
+		c   *xmlgraph.Collection
+		cfg Config
+	}{
+		{goldenCollection(), Config{Kind: Monolithic, Strategy: "hopi"}},
+		{testutil.Generate(testutil.Linked, 21, 40, 20, 80), Config{Kind: UnconnectedHOPI, PartitionSize: 60}},
+	} {
+		built, err := Build(tc.c, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plain, packed bytes.Buffer
+		if _, err := built.WriteSnapshotV2(&plain); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := built.WriteSnapshotV2With(&packed, compressOpts); err != nil {
+			t.Fatal(err)
+		}
+		a, err := storage.OpenSnapshotBytes(plain.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := storage.OpenSnapshotBytes(packed.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hopi := 0
+		for i := 1; i < a.NumSections(); i++ {
+			sa, sb := a.Section(i), b.Section(i)
+			if sa.Kind == storage.SectionHOPIC {
+				hopi++
+			}
+			if sa.Kind != sb.Kind || !bytes.Equal(sa.Data, sb.Data) {
+				t.Errorf("%v: meta %d: %s without Compress, %s with it, or different bytes",
+					tc.cfg, i-1, storage.SectionKindName(sa.Kind), storage.SectionKindName(sb.Kind))
+			}
+		}
+		if hopi == 0 {
+			t.Errorf("%v: no hopi-c section", tc.cfg)
+		}
+	}
+
+	v3, err := os.ReadFile(goldenV3Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabelled := bytes.Clone(v3)
+	binary.LittleEndian.PutUint32(relabelled[8:12], storage.SnapshotVersion)
+	if err := storage.Reseal(relabelled); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenSnapshotBytes(goldenCollection(), relabelled)
+	if ix != nil || !errors.Is(err, ErrSnapshotCorrupt) || errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("v4 image with a kind-3 section: %v, %v; want ErrSnapshotCorrupt and no index", ix, err)
+	}
+}
+
 // TestSnapshotCompressedGoldenFixture pins the compressed container layout
-// byte for byte, checks the compressed fixture actually beats the raw v2
-// fixture on size, and verifies the storage accounting that rides in the
-// manifest trailer.
+// byte for byte and verifies the storage accounting that rides in the
+// manifest trailer.  (The golden build's PPO sections are too small for
+// ppo-c to pay, and its HOPI section is hopi-c under either option, so the
+// fixture differs from golden-v4.flix only in that trailer, the manifest
+// length the section table records and the checksum.)
 //
 // Regenerate (after an intentional, version-bumped format change) with:
 //
@@ -151,25 +219,18 @@ func TestSnapshotCompressedGoldenFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(goldenV3CPath, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(goldenV4CPath, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", goldenV3CPath, buf.Len())
+		t.Logf("rewrote %s (%d bytes)", goldenV4CPath, buf.Len())
 	}
-	raw, err := os.ReadFile(goldenV3CPath)
+	raw, err := os.ReadFile(goldenV4CPath)
 	if err != nil {
 		t.Fatalf("reading golden fixture (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
 	if !bytes.Equal(raw, buf.Bytes()) {
 		t.Fatalf("fresh compressed write (%d bytes) differs from committed fixture (%d bytes); "+
 			"format changes must bump storage.SnapshotVersion", buf.Len(), len(raw))
-	}
-	rawV3, err := os.ReadFile(goldenV3Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) >= len(rawV3) {
-		t.Fatalf("compressed fixture (%d bytes) is no smaller than the raw fixture (%d bytes)", len(raw), len(rawV3))
 	}
 
 	ix, err := OpenSnapshotBytes(coll, raw)
@@ -202,13 +263,19 @@ func TestSnapshotCompressedGoldenFixture(t *testing.T) {
 	for _, st := range si.Sections {
 		total += st.Bytes
 		switch st.Kind {
-		case "ppo-c", "hopi-c":
+		case "ppo-c":
 			sawCompressed = true
 			if st.RawBytes <= st.Bytes {
 				t.Errorf("section kind %s: RawBytes %d not larger than Bytes %d", st.Kind, st.RawBytes, st.Bytes)
 			}
 			if st.Ratio <= 1 {
 				t.Errorf("section kind %s: Ratio = %v", st.Kind, st.Ratio)
+			}
+		case "hopi-c":
+			// Compressed at build: the manifest records no raw size.
+			sawCompressed = true
+			if st.RawBytes != 0 || st.Ratio != 0 {
+				t.Errorf("section kind %s: RawBytes %d, Ratio %v; want 0 and 0", st.Kind, st.RawBytes, st.Ratio)
 			}
 		}
 	}
@@ -279,7 +346,7 @@ func TestWriteToCompressedErrors(t *testing.T) {
 // index whose probes stay in bounds.  Never a panic, in either case.
 func TestSnapshotCompressedCorruptionMatrix(t *testing.T) {
 	coll := goldenCollection()
-	raw, err := os.ReadFile(goldenV3CPath)
+	raw, err := os.ReadFile(goldenV4CPath)
 	if err != nil {
 		t.Fatalf("reading golden fixture (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
@@ -387,11 +454,12 @@ func TestSnapshotCompressedCorruptionMatrix(t *testing.T) {
 // TestSnapshotCompressedDeclaredRatioMismatch forges a snapshot whose
 // manifest declares raw sizes smaller than the compressed sections it
 // carries — a "compression" that expanded is a tampered manifest or a
-// tampered section, and Open must refuse it up front.
+// tampered section, and Open must refuse it up front.  The PPO meta
+// documents carry forged ppo-c sections, the HOPI one its hopi-c section.
 func TestSnapshotCompressedDeclaredRatioMismatch(t *testing.T) {
 	coll := goldenCollection()
 	cfg := goldenConfig()
-	cfg.Strategy = "ppo" // every section gets a compressed encoder
+	cfg.Strategy = "ppo" // every forest meta document gets a ppo-c section
 	ix, err := Build(coll, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -405,9 +473,14 @@ func TestSnapshotCompressedDeclaredRatioMismatch(t *testing.T) {
 		}
 		ix.writeManifest(sw, rawLens)
 		for _, p := range ix.pis {
-			cenc := p.(storage.CompressedSectionEncoder)
-			sw.Begin(cenc.CompressedSectionKind())
-			cenc.EncodeCompressedSection(sw)
+			if cenc, ok := p.(storage.CompressedSectionEncoder); ok {
+				sw.Begin(cenc.CompressedSectionKind())
+				cenc.EncodeCompressedSection(sw)
+			} else {
+				enc := p.(storage.SectionEncoder)
+				sw.Begin(enc.SectionKind())
+				enc.EncodeSection(sw)
+			}
 			sw.End()
 		}
 		if _, err := sw.Finish(); err != nil {

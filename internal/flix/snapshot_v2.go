@@ -37,13 +37,12 @@ func (ix *Index) WriteSnapshotV2(w io.Writer) (int64, error) {
 
 // SnapshotV2Options tunes WriteSnapshotV2With.
 type SnapshotV2Options struct {
-	// Compress emits compressed section encodings (succinct bit-packed PPO
-	// intervals, delta-packed HOPI labels) for every per-meta index that
-	// supports one.  Each section is encoded both ways and the compressed
-	// form is kept only when it is at most defaultCompressRatio of the raw
-	// size — so sections with no compressed encoding (APEX, transitive
-	// closure) or one that does not pay stay raw, per section, recorded in
-	// the manifest.
+	// Compress chooses between PPO's two section views: a PPO section is
+	// encoded both ways and the succinct bit-packed form (ppo-c) is kept
+	// only when it is at most defaultCompressRatio of the raw size, per
+	// section, recorded in the manifest.  It changes no other section:
+	// HOPI has one codec, already compressed (hopi-c, raw size recorded
+	// as 0), and APEX and transitive closure one raw codec each.
 	Compress bool
 }
 
@@ -114,8 +113,9 @@ func (ix *Index) WriteSnapshotV2With(w io.Writer, opts SnapshotV2Options) (int64
 		secs[i] = section{kind: enc.SectionKind(), body: body}
 		cenc, ok := p.(storage.CompressedSectionEncoder)
 		if !opts.Compress || !ok || storage.IsCompressedKind(secs[i].kind) {
-			// Raw, or already compressed (re-persisting a ppo-c section of
-			// an open snapshot; the original raw size is unknown).
+			// Raw, or already compressed: a hopi-c section, or a ppo-c
+			// section of an open snapshot re-persisted (the original raw
+			// size is unknown).
 			continue
 		}
 		comp, err := storage.EncodeSectionBody(cenc.EncodeCompressedSection)

@@ -17,11 +17,13 @@ import (
 	"repro/internal/xmlgraph"
 )
 
-// The golden containers: goldenV3Path is what a fresh write of the golden
-// build must equal; goldenV2Path is the same build written by container
-// version 2 (a CRC-64/ECMA footer), kept byte for byte as the image every
-// open must refuse with ErrSnapshotVersion.
+// The golden containers: goldenV4Path is what a fresh write of the golden
+// build must equal; goldenV3Path and goldenV2Path are the same build
+// written by container versions 3 (its HOPI section raw, kind 3) and 2
+// (that image under a CRC-64/ECMA footer), kept byte for byte as images
+// every open must refuse with ErrSnapshotVersion.
 const (
+	goldenV4Path = "testdata/golden-v4.flix"
 	goldenV3Path = "testdata/golden-v3.flix"
 	goldenV2Path = "testdata/golden-v2.flix"
 )
@@ -172,12 +174,12 @@ func TestSnapshotV2GoldenFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(goldenV3Path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(goldenV4Path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", goldenV3Path, buf.Len())
+		t.Logf("rewrote %s (%d bytes)", goldenV4Path, buf.Len())
 	}
-	raw, err := os.ReadFile(goldenV3Path)
+	raw, err := os.ReadFile(goldenV4Path)
 	if err != nil {
 		t.Fatalf("reading golden fixture (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
@@ -208,7 +210,7 @@ func TestSnapshotV2GoldenFixture(t *testing.T) {
 // ErrSnapshotVersion, never a panic, never an index.
 func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 	coll := goldenCollection()
-	raw, err := os.ReadFile(goldenV3Path)
+	raw, err := os.ReadFile(goldenV4Path)
 	if err != nil {
 		t.Fatalf("reading golden fixture (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
@@ -317,11 +319,11 @@ func TestSnapshotV2CorruptionMatrix(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2FixturesRefused: the images container version 2 wrote — the
-// committed golden-v2 fixtures, unedited — are refused with
-// ErrSnapshotVersion, never read as corrupt, from bytes and from a mapped
-// file alike; and each is its version-3 fixture with only the version field
-// and the checksum changed.
+// TestSnapshotV2FixturesRefused: the images container versions 2 and 3
+// wrote — the committed golden-v2 and golden-v3 fixtures, unedited — are
+// refused with ErrSnapshotVersion, never read as corrupt, from bytes and
+// from a mapped file alike; and each version-2 fixture is its version-3
+// fixture with only the version field and the checksum changed.
 func TestSnapshotV2FixturesRefused(t *testing.T) {
 	coll := goldenCollection()
 	for _, f := range []struct{ v2, v3 string }{{goldenV2Path, goldenV3Path}, {goldenV2CPath, goldenV3CPath}} {
@@ -336,13 +338,19 @@ func TestSnapshotV2FixturesRefused(t *testing.T) {
 		if !bytes.Equal(asV2(cur), old) {
 			t.Errorf("%s is not %s with a version-2 header and footer", f.v2, f.v3)
 		}
+	}
+	for _, path := range []string{goldenV2Path, goldenV2CPath, goldenV3Path, goldenV3CPath} {
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for name, open := range map[string]func() (*Index, error){
-			"bytes":  func() (*Index, error) { return OpenSnapshotBytes(coll, old) },
-			"mapped": func() (*Index, error) { return OpenSnapshotWith(coll, f.v2, OpenOptions{Mmap: true}) },
+			"bytes":  func() (*Index, error) { return OpenSnapshotBytes(coll, img) },
+			"mapped": func() (*Index, error) { return OpenSnapshotWith(coll, path, OpenOptions{Mmap: true}) },
 		} {
 			ix, err := open()
 			if ix != nil || !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {
-				t.Errorf("%s (%s): %v, %v; want ErrSnapshotVersion and no index", f.v2, name, ix, err)
+				t.Errorf("%s (%s): %v, %v; want ErrSnapshotVersion and no index", path, name, ix, err)
 			}
 		}
 	}
@@ -463,7 +471,7 @@ func TestSnapshotV2File(t *testing.T) {
 // index that serves queries without panicking — no input may crash the
 // process or index out of bounds.
 func FuzzOpenSnapshot(f *testing.F) {
-	if raw, err := os.ReadFile(goldenV3Path); err == nil {
+	if raw, err := os.ReadFile(goldenV4Path); err == nil {
 		f.Add(raw)
 		// A resealed truncation and a resealed section-table edit give the
 		// fuzzer valid-checksum starting points deep inside validation.
@@ -483,7 +491,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	}
 	// The compressed fixture seeds the packed-directory and manifest-trailer
 	// validation paths, with a resealed flip in its first compressed payload.
-	if raw, err := os.ReadFile(goldenV3CPath); err == nil {
+	if raw, err := os.ReadFile(goldenV4CPath); err == nil {
 		f.Add(raw)
 		if len(raw) > 200 {
 			mut := bytes.Clone(raw)

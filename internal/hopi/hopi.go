@@ -27,13 +27,13 @@
 // partition in parallel; the labels equal the serial build's
 // (`TestPropertyParallelBuildDeterministic`).
 //
-// HOPI has one probe surface, the heap `hopi.Index`.  Its raw `hopi` sections store
-// labels and postings as varint-delta runs, and its `hopi-c` sections pack
-// the hub delta with a 2-bit saturating distance and bit-pack the offset
-// tables; both decode at open into the Index a build produces, validating
-// every element (IDs and distances in range, hubs and postings strictly
-// ascending, no trailing byte) so no forged distance can overflow a probe's
-// sum (`TestReadBodyCorrupt`, `TestCompressedSectionCorrupt`,
+// HOPI has one probe surface, the heap `hopi.Index`, and one section codec,
+// `hopi-c`: varint-delta runs of labels and postings, each hub (or node)
+// delta carrying a 2-bit saturating distance, behind bit-packed offset
+// tables.  A section decodes at open into the Index a build produces,
+// validating every element (IDs and distances in range, hubs and postings
+// strictly ascending, no trailing byte) so no forged distance can overflow
+// a probe's sum (`TestReadBodyCorrupt`, `TestCompressedSectionCorrupt`,
 // `FuzzOpenSection`).  An opened Index re-encodes like a build
 // (`TestHOPIReopenPersistsLikeBuild`).
 package hopi
@@ -64,8 +64,8 @@ type entry struct {
 }
 
 // Index is a distance-aware 2-hop label index: built by Build and its
-// variants, or decoded from a snapshot section by OpenSection and
-// OpenCompressedSection into exactly the arrays the build held.
+// variants, or decoded from a snapshot section by OpenSection into exactly
+// the arrays the build held.
 type Index struct {
 	g *lgraph.LGraph
 

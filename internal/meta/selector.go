@@ -53,14 +53,13 @@ var Registry = map[string]pathindex.Strategy{
 
 // SectionOpeners maps a v2 snapshot section kind to the strategy-specific
 // opener: a zero-copy view over the section bytes for ppo, apex and tc, the
-// decoded heap index for hopi.
+// decoded heap index for hopi (one codec, kind hopi-c).
 var SectionOpeners = map[uint32]func(*lgraph.LGraph, []byte) (pathindex.Index, error){
 	storage.SectionPPO:   ppo.OpenSection,
-	storage.SectionHOPI:  hopi.OpenSection,
 	storage.SectionAPEX:  apex.OpenSection,
 	storage.SectionTC:    tc.OpenSection,
 	storage.SectionPPOC:  ppo.OpenCompressedSection,
-	storage.SectionHOPIC: hopi.OpenCompressedSection,
+	storage.SectionHOPIC: hopi.OpenSection,
 }
 
 // Select implements the Indexing Strategy Selector: it picks the optimal

@@ -94,9 +94,9 @@ type Config struct {
 	// SnapshotDir, when non-empty, persists every installed generation as
 	// gen-<number>.flix.
 	SnapshotDir string
-	// SnapshotCompress persists snapshots with compressed section
-	// encodings (per-section, with raw fallback when compression does not
-	// pay).
+	// SnapshotCompress persists PPO sections in their bit-packed view
+	// (per section, with raw fallback when it does not pay); it chooses
+	// between PPO's two views only (flix.SnapshotV2Options.Compress).
 	SnapshotCompress bool
 	// Retain bounds how many generation snapshots are kept on disk.
 	// Default 3.

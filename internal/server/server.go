@@ -492,7 +492,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
+		front.OK(w, map[string]any{
 			"status":      "starting",
 			"ready":       false,
 			"inFlight":    s.InFlight(),

@@ -116,9 +116,6 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx con
 		Generation:  g.num,
 		Fingerprint: g.shard.fingerprint,
 		Truncated:   pr.Truncated || front.Expired(ctx),
-		Pops:        pr.Pops,
-		Entries:     pr.Entries,
-		LinkHops:    pr.LinkHops,
 	}
 	if tr != nil {
 		resp.Trace = obs.NewFragment(s.cfg.Shard.ID, tr.Summary(false))

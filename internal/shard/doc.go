@@ -40,13 +40,18 @@
 // cursor: no reflection, one allocation per slice, never more than the bytes
 // left could hold.
 //
-//	field     request        response                            encoding
-//	version   1              1                                   one byte; JSON is told it is JSON
-//	flags     bit 0 Trace    bit 0 Truncated, bit 1 trace        one byte; unknown bits are an error
-//	scalars   K, MaxDist     Generation, Pops, Entries, LinkHops uvarint; an int32 as its uint32 bits
-//	string    Tag            Fingerprint                         uvarint length, bytes
-//	entries   Entries        Results, then Hops                  uvarint count, then (node, dist) pairs
-//	trace     —              obs.TraceFragment as JSON           uvarint length, bytes
+//	field     request        response                      encoding
+//	version   2              2                             one byte; JSON is told it is JSON
+//	flags     bit 0 Trace    bit 0 Truncated, bit 1 trace  one byte; unknown bits are an error
+//	scalars   K, MaxDist     Generation                    uvarint; an int32 as its uint32 bits
+//	string    Tag            Fingerprint                   uvarint length, bytes
+//	entries   Entries        Results, then Hops            uvarint count, then (node, dist) pairs
+//	trace     —              obs.TraceFragment as JSON     uvarint length, bytes
+//
+// The shard's evaluation effort (pops, entries, link hops) travels only in
+// the trace fragment: a traced gather sets the flag on every RPC and is the
+// only reader.  Version 1 also sent the three counters as response scalars;
+// a version-1 peer fails the header check.
 //
 // Trailing bytes are an error, a count is refused when it exceeds half the
 // bytes left, and a frame that does not decode is a retryable shard failure

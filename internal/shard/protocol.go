@@ -64,12 +64,9 @@ type EvalResponse struct {
 	// Truncated reports that the shard's evaluation was cut short (RPC
 	// deadline); the router marks the query partial.
 	Truncated bool
-	// Pops, Entries and LinkHops are the shard-side evaluation effort.
-	Pops     int64
-	Entries  int64
-	LinkHops int64
 	// Trace is the shard's distributed-trace fragment, present only when
-	// EvalRequest.Trace asked for one.
+	// EvalRequest.Trace asked for one; it carries the shard-side
+	// evaluation effort (pops, entries, link hops).
 	Trace *obs.TraceFragment
 }
 
@@ -86,8 +83,10 @@ type EvalResponse struct {
 // FrameContentType is the Content-Type of both eval frames.
 const FrameContentType = "application/x-flix-frame"
 
-// frameVersion is the first byte of both frames.
-const frameVersion = 1
+// frameVersion is the first byte of both frames.  Version 2 dropped the
+// response's three effort counters (a traced gather, their only reader,
+// takes them from the fragment), so a version-1 peer fails the header.
+const frameVersion = 2
 
 // Flag bits of the byte after the version.
 const (
@@ -155,9 +154,6 @@ func (r *EvalResponse) AppendFrame(buf []byte) ([]byte, error) {
 	}
 	buf = append(buf, frameVersion, flags)
 	buf = binary.AppendUvarint(buf, r.Generation)
-	buf = binary.AppendUvarint(buf, uint64(r.Pops))
-	buf = binary.AppendUvarint(buf, uint64(r.Entries))
-	buf = binary.AppendUvarint(buf, uint64(r.LinkHops))
 	buf = appendString(buf, r.Fingerprint)
 	buf = appendEntries(buf, r.Results)
 	buf = appendEntries(buf, r.Hops)
@@ -178,9 +174,6 @@ func (r *EvalResponse) DecodeFrame(b []byte) error {
 	*r = EvalResponse{
 		Truncated:   flags&respFlagTruncated != 0,
 		Generation:  c.uvarint(),
-		Pops:        int64(c.uvarint()),
-		Entries:     int64(c.uvarint()),
-		LinkHops:    int64(c.uvarint()),
 		Fingerprint: string(c.blob()),
 		Results:     c.entries(),
 		Hops:        c.entries(),

@@ -30,9 +30,9 @@ var frameResponses = []EvalResponse{
 	{},
 	{Results: []flix.FrontierEntry{}, Hops: []flix.FrontierEntry{}},
 	{Results: []flix.FrontierEntry{{Node: 1, Dist: 1}, {Node: 2, Dist: 1}}, Hops: []flix.FrontierEntry{{Node: 90, Dist: 4}},
-		Generation: 3, Fingerprint: "ddd8754edde35b76", Pops: 12, Entries: 9, LinkHops: 40},
+		Generation: 3, Fingerprint: "ddd8754edde35b76"},
 	{Results: []flix.FrontierEntry{{Node: math.MaxInt32, Dist: math.MaxInt32}}, Hops: []flix.FrontierEntry{{Node: -1, Dist: math.MinInt32}},
-		Generation: math.MaxUint64, Truncated: true, Pops: math.MaxInt64, Entries: -1, LinkHops: math.MinInt64},
+		Generation: math.MaxUint64, Truncated: true},
 	{Hops: []flix.FrontierEntry{{Node: 5, Dist: 2}}, Fingerprint: "f", Truncated: true,
 		Trace: &obs.TraceFragment{Shard: 1, Generation: 2, Elapsed: 1500 * time.Microsecond, Pops: 4, Results: 2,
 			Metas:      []obs.MetaVisit{{Meta: 3, Strategy: "ppo", Entries: 1, Results: 2, Probe: time.Microsecond}},
@@ -47,7 +47,6 @@ func sameRequest(a, b EvalRequest) bool {
 
 func sameResponse(a, b EvalResponse) bool {
 	return a.Generation == b.Generation && a.Fingerprint == b.Fingerprint && a.Truncated == b.Truncated &&
-		a.Pops == b.Pops && a.Entries == b.Entries && a.LinkHops == b.LinkHops &&
 		sameEntries(a.Results, b.Results) && sameEntries(a.Hops, b.Hops) && reflect.DeepEqual(a.Trace, b.Trace)
 }
 
@@ -121,7 +120,7 @@ func TestEvalFrameMalformed(t *testing.T) {
 	frame := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	head := []byte{frameVersion, 0}
 	// respHead is a response up to and including an empty fingerprint.
-	respHead := frame(head, uv(1, 0, 0, 0, 0))
+	respHead := frame(head, uv(1, 0))
 
 	for side, decode := range decoders {
 		for i, f := range valid[side] {
@@ -163,13 +162,13 @@ func TestEvalFrameMalformed(t *testing.T) {
 		"request node over 32 bits":       {"request", "overflows 32", frame(head, uv(0, 0, 0, 1, 1<<32, 0))},
 		"request over-long node":          {"request", "overflows 64", frame(head, uv(0, 0, 0, 6), overlong, []byte{1})},
 		"response generation over-long":   {"response", "overflows 64", frame(head, overlong)},
-		"response fingerprint too long":   {"response", "exceeds", frame(head, uv(1, 0, 0, 0, 9), []byte("short"))},
+		"response fingerprint too long":   {"response", "exceeds", frame(head, uv(1, 9), []byte("short"))},
 		"response results beyond body":    {"response", "count", frame(respHead, uv(math.MaxUint64))},
 		"response hops beyond body":       {"response", "count", frame(respHead, uv(0, 1<<62), []byte{1, 1, 1, 1})},
 		"response dist over 32 bits":      {"response", "overflows 32", frame(respHead, uv(1, 5, 1<<33, 0))},
-		"response trace longer than body": {"response", "exceeds", frame([]byte{frameVersion, respFlagTrace}, uv(1, 0, 0, 0, 0, 0, 0, 1<<30), []byte("{}"))},
-		"response trace not JSON":         {"response", "trace fragment", frame([]byte{frameVersion, respFlagTrace}, uv(1, 0, 0, 0, 0, 0, 0, 2), []byte("{]"))},
-		"response flagged trace missing":  {"response", "truncated", frame([]byte{frameVersion, respFlagTrace}, uv(1, 0, 0, 0, 0, 0, 0))},
+		"response trace longer than body": {"response", "exceeds", frame([]byte{frameVersion, respFlagTrace}, uv(1, 0, 0, 0, 1<<30), []byte("{}"))},
+		"response trace not JSON":         {"response", "trace fragment", frame([]byte{frameVersion, respFlagTrace}, uv(1, 0, 0, 0, 2), []byte("{]"))},
+		"response flagged trace missing":  {"response", "truncated", frame([]byte{frameVersion, respFlagTrace}, uv(1, 0, 0, 0))},
 	} {
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)

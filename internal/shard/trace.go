@@ -62,11 +62,11 @@ func (tb *traceBuilder) beginGather(note string) *obs.Span {
 
 // dispatch records one shard RPC: the round span gets a dispatch child
 // covering the RPC's wall time with the shard's fragment attached, and the
-// per-shard rollup accumulates the evaluation counters.  k and maxdist are
-// the limit and the distance bound the batch travelled with (0 = none);
-// results and hops count what the shard returned under them, the same
-// entries /metrics counts.  rpcStart was captured by the dispatch;
-// assembly runs on the gather's goroutine.
+// per-shard rollup accumulates the fragment's evaluation counters.  k and
+// maxdist are the limit and the distance bound the batch travelled with
+// (0 = none); results and hops count what the shard returned under them,
+// the same entries /metrics counts.  rpcStart was captured by the
+// dispatch; assembly runs on the gather's goroutine.
 func (tb *traceBuilder) dispatch(round *obs.Span, o shardOut) {
 	sp := &obs.Span{
 		Name:     "dispatch",
@@ -102,12 +102,6 @@ func (tb *traceBuilder) dispatch(round *obs.Span, o shardOut) {
 		s.Probe += fragProbe(frag)
 		s.EventsDropped += frag.EventsDropped
 		tb.strategies = obs.MergeStrategyStats(tb.strategies, frag.Strategies)
-	} else {
-		// A shard that answered without a fragment (it was not asked to
-		// trace) still reports its aggregate effort in the response body.
-		s.Pops += resp.Pops
-		s.Entries += resp.Entries
-		s.LinkHops += resp.LinkHops
 	}
 }
 

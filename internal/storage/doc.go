@@ -24,7 +24,7 @@
 // All fixed-width values are little-endian and every section starts 8-byte
 // aligned:
 //
-//	header (32 B)       magic "FLIXSNP2", version u32 (3), BOM u32, 16 B reserved
+//	header (32 B)       magic "FLIXSNP2", version u32 (4), BOM u32, 16 B reserved
 //	section 0           the manifest (written by package flix)
 //	sections 1..n       one payload per meta document, of any section kind
 //	section table       n+1 entries of {off u64, len u64, kind u32, pad u32}
@@ -38,7 +38,8 @@
 // where the pure-Go CRC-64/ECMA of container version 2 took 1.27 ms, and
 // still a 64-bit check: the two generators are coprime, so the
 // pair acts as one CRC with their degree-64 product as generator.  A
-// version 2 image — the same layout under a CRC-64 footer — fails with
+// version 2 image — the same layout under a CRC-64 footer — and a version 3
+// one — whose HOPI sections could be of the retired raw kind 3 — fail with
 // ErrSnapshotVersion (`TestSnapshotOldVersions`).
 // `storage.OpenSnapshotFile` maps the file read-only where the platform
 // can; Close or, once the Snapshot is unreachable, a finalizer releases the

@@ -1,7 +1,8 @@
 package storage
 
 // Frame-of-Reference bit-packed int32 arrays — the succinct building block
-// of the compressed v2 section encodings (SectionPPOC / SectionHOPIC).
+// of the compressed v2 section encodings (SectionPPOC, and SectionHOPIC's
+// offset tables).
 //
 // Values are split into blocks of 64.  Each block stores its minimum (the
 // frame base, a plain int32) plus the per-value deltas bit-packed at the

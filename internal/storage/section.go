@@ -12,11 +12,13 @@ type SectionEncoder interface {
 }
 
 // CompressedSectionEncoder is implemented by index backends that can also
-// serialize themselves in a compressed section encoding.  The snapshot
-// writer encodes both forms and keeps the compressed one only when it pays
-// (per-section ratio threshold); backends without this interface — APEX
-// and tc, whose sections are small fixed arrays and bitsets — always stay
-// raw.
+// serialize themselves in a compressed section encoding: PPO alone, whose
+// raw and compressed sections are two views that trade size for probe
+// speed.  The snapshot writer encodes both forms and keeps the compressed
+// one only when it pays (per-section ratio threshold).  HOPI has one
+// codec, already compressed (its SectionKind is SectionHOPIC), and APEX
+// and tc, whose sections are small fixed arrays and bitsets, have one raw
+// codec each.
 type CompressedSectionEncoder interface {
 	SectionEncoder
 	// CompressedSectionKind returns the section kind tag of the
@@ -27,15 +29,15 @@ type CompressedSectionEncoder interface {
 }
 
 // Section kinds of the v2 snapshot format.  The kind is stored per section
-// in the section table; flix.OpenSnapshot dispatches on it.
+// in the section table; flix.OpenSnapshot dispatches on it.  Kind 3 was the
+// raw 2-hop-cover section up to container version 3: no opener reads it,
+// so a section of that kind is refused as corrupt.
 const (
 	// SectionManifest is the flix-level manifest (configuration, meta
 	// document count, per-meta link-table fingerprints).
 	SectionManifest uint32 = 1
 	// SectionPPO is a pre/postorder index section (internal/ppo).
 	SectionPPO uint32 = 2
-	// SectionHOPI is a 2-hop-cover index section (internal/hopi).
-	SectionHOPI uint32 = 3
 	// SectionAPEX is a structural-summary index section (internal/apex).
 	SectionAPEX uint32 = 4
 	// SectionTC is a transitive-closure index section (internal/tc).
@@ -43,8 +45,8 @@ const (
 	// SectionPPOC is the compressed (frame-of-reference bit-packed)
 	// pre/postorder section (internal/ppo).
 	SectionPPOC uint32 = 6
-	// SectionHOPIC is the compressed (packed offsets, prefix-truncated
-	// varint) 2-hop-cover section (internal/hopi).
+	// SectionHOPIC is the 2-hop-cover section (internal/hopi), HOPI's only
+	// codec: packed offsets and prefix-truncated varint runs.
 	SectionHOPIC uint32 = 7
 )
 
@@ -60,8 +62,6 @@ func SectionKindName(kind uint32) string {
 		return "manifest"
 	case SectionPPO:
 		return "ppo"
-	case SectionHOPI:
-		return "hopi"
 	case SectionAPEX:
 		return "apex"
 	case SectionTC:

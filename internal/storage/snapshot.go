@@ -63,10 +63,10 @@ const SnapshotMagic = "FLIXSNP2"
 const snapshotEndMagic = "2PNSXILF"
 
 // SnapshotVersion is the container format version stamped in the header.
-// Open refuses every other version: a newer one, or version 2 — the same
-// layout under a CRC-64/ECMA footer — with ErrVersion, and one below 2 as
-// corrupt.
-const SnapshotVersion = 3
+// Open refuses every other version: a newer one, version 3 — whose HOPI
+// sections could be raw (kind 3) — or version 2 — the same layout under a
+// CRC-64/ECMA footer — with ErrVersion, and one below 2 as corrupt.
+const SnapshotVersion = 4
 
 // snapshotCRC64Version is the last container version whose footer held a
 // CRC-64/ECMA.
@@ -89,8 +89,8 @@ const (
 var ErrCorrupt = errors.New("storage: snapshot corrupt")
 
 // ErrVersion reports a snapshot written by another container version than
-// this binary reads: a newer one, or version 2, whose CRC-64 footer it no
-// longer checks.
+// this binary reads: a newer one, version 3, whose HOPI sections could be
+// raw, or version 2, whose CRC-64 footer it no longer checks.
 var ErrVersion = errors.New("storage: snapshot format version not supported")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -733,17 +733,6 @@ type Cursor struct {
 // Uvarint decodes the next unsigned varint; ok is false at stream end.
 func (c *Cursor) Uvarint() (uint64, bool) {
 	v, n := binary.Uvarint(c.B[c.Pos:])
-	if n <= 0 {
-		c.Pos = len(c.B)
-		return 0, false
-	}
-	c.Pos += n
-	return v, true
-}
-
-// Varint decodes the next signed varint; ok is false at stream end.
-func (c *Cursor) Varint() (int64, bool) {
-	v, n := binary.Varint(c.B[c.Pos:])
 	if n <= 0 {
 		c.Pos = len(c.B)
 		return 0, false

@@ -257,10 +257,10 @@ func TestSnapshotChecksumKnownAnswer(t *testing.T) {
 }
 
 // TestSnapshotOldVersions: a version 2 image — the same layout under a
-// CRC-64 footer — is refused as a version problem, a version below 2 as
-// corruption; either way whatever its checksum.
+// CRC-64 footer — and a version 3 one are refused as a version problem, a
+// version below 2 as corruption; either way whatever its checksum.
 func TestSnapshotOldVersions(t *testing.T) {
-	for v, want := range map[uint32]error{0: ErrCorrupt, 1: ErrCorrupt, 2: ErrVersion} {
+	for v, want := range map[uint32]error{0: ErrCorrupt, 1: ErrCorrupt, 2: ErrVersion, 3: ErrVersion} {
 		raw := bytes.Clone(buildTestSnapshot(t))
 		binary.LittleEndian.PutUint32(raw[8:12], v)
 		if err := Reseal(raw); err != nil {
@@ -309,13 +309,12 @@ func TestSnapshotForgedSectionBounds(t *testing.T) {
 func TestCursorDecodesAndTerminates(t *testing.T) {
 	var blob []byte
 	blob = binary.AppendUvarint(blob, 300)
-	blob = binary.AppendVarint(blob, -5)
+	blob = binary.AppendUvarint(blob, 5)
 	c := Cursor{B: blob}
-	if v, ok := c.Uvarint(); !ok || v != 300 {
-		t.Fatalf("Uvarint = %d, %v", v, ok)
-	}
-	if v, ok := c.Varint(); !ok || v != -5 {
-		t.Fatalf("Varint = %d, %v", v, ok)
+	for _, want := range []uint64{300, 5} {
+		if v, ok := c.Uvarint(); !ok || v != want {
+			t.Fatalf("Uvarint = %d, %v; want %d", v, ok, want)
+		}
 	}
 	if _, ok := c.Uvarint(); ok {
 		t.Fatal("Uvarint past end reported ok")

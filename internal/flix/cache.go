@@ -3,10 +3,10 @@ package flix
 import (
 	"container/list"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/pathindex"
 	"repro/internal/xmlgraph"
 )
 
@@ -117,7 +117,7 @@ func (c *QueryCache) Descendants(start xmlgraph.NodeID, tag string, opts Options
 		if opts.Tracer != nil {
 			opts.Tracer.CacheHit()
 		}
-		replay(results, opts, fn)
+		c.replay(results, opts, fn)
 		return
 	}
 	if opts.Tracer != nil {
@@ -138,7 +138,7 @@ func (c *QueryCache) Descendants(start xmlgraph.NodeID, tag string, opts Options
 		c.store(newEntry(key, results, complete))
 	}
 	if opts.ExactOrder {
-		replay(results, opts, fn)
+		c.replay(results, opts, fn)
 	}
 }
 
@@ -182,15 +182,24 @@ func (p *replayer) emit(r Result) bool {
 
 // replay feeds stored results through the caller's options.  Stored streams
 // are in the (approximate) order their evaluation produced; ExactOrder
-// callers get a sorted copy, which is exact because the stream is complete.
-func replay(results []Result, opts Options, fn Emit) {
-	if opts.ExactOrder && !sortedByDist(results) {
-		sorted := make([]Result, len(results))
-		copy(sorted, results)
-		sortResults(sorted)
-		results = sorted
-	}
+// callers get them sorted, which is exact because the stream is complete:
+// packed into a pooled scratch's key buffer and emitted from there.
+func (c *QueryCache) replay(results []Result, opts Options, fn Emit) {
 	out := replayer{opts: opts, fn: fn}
+	if opts.ExactOrder && !sortedByDist(results) {
+		s := c.ix.getScratch()
+		defer c.ix.putScratch(s)
+		for _, r := range results {
+			s.keys = append(s.keys, pathindex.PackDistNode(r.Dist, int32(r.Node)))
+		}
+		pathindex.SortDistNode(s.keys, &s.ktmp)
+		for _, k := range s.keys {
+			if !out.emit(Result{Node: xmlgraph.NodeID(k.Node()), Dist: k.Dist()}) {
+				return
+			}
+		}
+		return
+	}
 	for _, r := range results {
 		if !out.emit(r) {
 			return
@@ -254,16 +263,6 @@ func sortedByDist(results []Result) bool {
 		}
 	}
 	return true
-}
-
-// sortResults orders results by ascending (dist, node).
-func sortResults(results []Result) {
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Dist != results[j].Dist {
-			return results[i].Dist < results[j].Dist
-		}
-		return results[i].Node < results[j].Node
-	})
 }
 
 // HotKey identifies one cached query for cross-cache warming, with how far

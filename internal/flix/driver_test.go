@@ -212,10 +212,11 @@ func TestOpenProbeMemory(t *testing.T) {
 }
 
 // TestNodeTable checks the relax and result table against a plain map over
-// growth, reuse after reset and a floor that passes 1<<31.
+// growth, reuse after reset and a floor that passes 1<<31; every third round
+// stores through LoadOrStore, the result tables' first-report rule.
 func TestNodeTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var tab nodeTable
+	var tab NodeTable
 	for round := 0; round < 40; round++ {
 		if round == 20 {
 			tab.top = 1<<31 - 5 // the next reset clears the slots and starts over
@@ -228,10 +229,16 @@ func TestNodeTable(t *testing.T) {
 				d = rng.Int31() // PartialDescendants seeds reach the element count
 			}
 			w, seen := want[n]
-			if got, ok := tab.get(n); ok != seen || got != w {
+			if got, ok := tab.Get(n); ok != seen || got != w {
 				t.Fatalf("round %d: get(%d) = %d %v, want %d %v", round, n, got, ok, w, seen)
 			}
-			if relaxed := tab.relax(n, d); relaxed != (!seen || d < w) {
+			if round%3 == 2 {
+				if got, loaded := tab.LoadOrStore(n, d); loaded != seen || (seen && got != w) || (!seen && got != d) {
+					t.Fatalf("round %d: LoadOrStore(%d, %d) = %d %v with %d %v stored", round, n, d, got, loaded, w, seen)
+				} else if !loaded {
+					want[n] = d
+				}
+			} else if relaxed := tab.Relax(n, d); relaxed != (!seen || d < w) {
 				t.Fatalf("round %d: relax(%d, %d) = %v with %d %v stored", round, n, d, relaxed, w, seen)
 			} else if relaxed {
 				want[n] = d
@@ -240,9 +247,9 @@ func TestNodeTable(t *testing.T) {
 		if tab.n != len(want) || 4*tab.n > 3*len(tab.slots) {
 			t.Fatalf("round %d: %d nodes in %d slots, want %d", round, tab.n, len(tab.slots), len(want))
 		}
-		tab.reset()
+		tab.Reset()
 		for n := range want {
-			if _, ok := tab.get(n); ok {
+			if _, ok := tab.Get(n); ok {
 				t.Fatalf("round %d: %d still present after reset", round, n)
 			}
 		}

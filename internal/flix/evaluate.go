@@ -261,7 +261,7 @@ func (r *evalRun) admit(it pqItem) bool {
 		r.tr.Pop(int64(it.node), it.dist)
 	}
 	mi := ix.set.MetaOf[it.node]
-	if b, ok := s.best.get(it.node); ok && b < it.dist {
+	if b, ok := s.best.Get(it.node); ok && b < it.dist {
 		// A stale copy: the node was queued again nearer, and that copy
 		// popped first.  A certain drop under either rule, not re-tested.
 		r.staleDropped++
@@ -405,8 +405,7 @@ func (r *evalRun) visit(n, ld int32) bool {
 	case r.merge:
 		// Local distances are exact, so the minimum per node over all
 		// expanded entries is the exact shortest distance.
-		if sl, i, seen := s.res.at(g); !seen {
-			s.res.set(sl, int32(len(s.merged)))
+		if i, seen := s.res.LoadOrStore(g, int32(len(s.merged))); !seen {
 			s.merged = append(s.merged, pqItem{dist: gd, node: g})
 		} else if gd < s.merged[i].dist {
 			s.merged[i].dist = gd
@@ -419,11 +418,9 @@ func (r *evalRun) visit(n, ld int32) bool {
 		}
 		return true
 	case r.opts.DupSeenSet:
-		sl, _, dup := s.res.at(g)
-		if dup {
+		if _, dup := s.res.LoadOrStore(g, 0); dup {
 			return true
 		}
-		s.res.set(sl, 0)
 	case len(r.prev) > 0 && r.covered(r.prev, n):
 		return true // reported below an earlier entry
 	}
@@ -469,7 +466,7 @@ func (r *evalRun) hop(n xmlgraph.NodeID, nd int32) {
 	}
 	s := r.s
 	if r.owned != nil && !r.owned(r.ix.set.MetaOf[n]) {
-		if s.best.relax(n, nd) {
+		if s.best.Relax(n, nd) {
 			s.hops = append(s.hops, pqItem{dist: nd, node: n})
 		}
 		return

@@ -6,6 +6,7 @@ import (
 	"repro/internal/apex"
 	"repro/internal/hopi"
 	"repro/internal/meta"
+	"repro/internal/pathindex"
 	"repro/internal/tc"
 	"repro/internal/xmlgraph"
 )
@@ -41,3 +42,7 @@ func (ix *Index) MetaFingerprint() uint64 {
 	}
 	return h
 }
+
+// radixCutoff is where the frontier's bucket sort switches from insertion to
+// radix passes; the bucket-sort test straddles it.
+const radixCutoff = pathindex.RadixCutoff

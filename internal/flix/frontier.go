@@ -2,8 +2,8 @@ package flix
 
 import (
 	"fmt"
-	"slices"
 
+	"repro/internal/pathindex"
 	"repro/internal/xmlgraph"
 )
 
@@ -110,59 +110,14 @@ func (f *frontier) pop() pqItem {
 	return it
 }
 
-// radixCutoff is the bucket length up to which insertion sort beats the
-// counting passes of the radix sort, each of which costs the bucket plus 256
-// counters.
-const radixCutoff = 48
-
-// sortBucket sorts b ascending: by insertion up to radixCutoff, beyond it by
-// an LSD radix sort on bytes that skips every byte all of b agrees on — node
-// IDs of one collection share their high bytes, so two or three passes do.
-// The choice looks at the length only.  (The generic slices.Sort was a
-// quarter of evalRun.run here: bucket after bucket of a few dozen to a few
-// hundred IDs, half of them duplicates.)
-func (f *frontier) sortBucket(b []xmlgraph.NodeID) {
-	if len(b) <= radixCutoff {
-		for i := 1; i < len(b); i++ {
-			x, j := b[i], i
-			for ; j > 0 && b[j-1] > x; j-- {
-				b[j] = b[j-1]
-			}
-			b[j] = x
-		}
-		return
-	}
-	var differ uint32
-	for _, x := range b {
-		differ |= uint32(x ^ b[0])
-	}
-	f.tmp = slices.Grow(f.tmp[:0], len(b))
-	src, dst := b, f.tmp[:len(b)]
-	for shift := 0; shift < 32; shift += 8 {
-		if differ>>shift&0xff == 0 {
-			continue
-		}
-		// Flipping the sign bit makes the top byte order negative IDs
-		// first, as the signed comparison does.
-		var at [256]int32
-		for _, x := range src {
-			at[(uint32(x)^1<<31)>>shift&0xff]++
-		}
-		sum := int32(0)
-		for i, n := range at {
-			at[i], sum = sum, sum+n
-		}
-		for _, x := range src {
-			k := (uint32(x) ^ 1<<31) >> shift & 0xff
-			dst[at[k]] = x
-			at[k]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &b[0] {
-		copy(b, src)
-	}
-}
+// sortBucket sorts a bucket by node with the serving path's one (dist,
+// node) sort: a bucket is one distance, so its node IDs are the keys.
+// Insertion below pathindex.RadixCutoff, an LSD radix sort above it that
+// passes only over the bytes the IDs differ in — two or three for one
+// collection.  (The generic slices.Sort was a quarter of evalRun.run here:
+// bucket after bucket of a few dozen to a few hundred IDs, half of them
+// duplicates.)
+func (f *frontier) sortBucket(b []xmlgraph.NodeID) { pathindex.SortDistNode(b, &f.tmp) }
 
 // flushThrough pops every buffered result with distance <= bound into emit, in
 // (dist, node) order.  It reports false when the emit callback cancels; the

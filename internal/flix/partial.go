@@ -1,13 +1,12 @@
 package flix
 
 import (
-	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"slices"
 
 	"repro/internal/obs"
+	"repro/internal/pathindex"
 	"repro/internal/xmlgraph"
 )
 
@@ -139,19 +138,25 @@ func (ix *Index) PartialDescendants(entries []FrontierEntry, tag string, opts Pa
 		}
 	}
 
-	// A hop is final when no later relaxation of its node beat it.
-	hops := s.hops[:0]
-	for _, h := range s.hops {
-		if b, _ := s.best.get(h.node); h.dist <= band && b == h.dist {
-			hops = append(hops, h)
+	// Only what can be returned is packed and sorted: the results within
+	// the band, and the hops within it that no later relaxation of their
+	// node beat.
+	keys := s.keys[:0]
+	for _, it := range s.merged {
+		if it.dist <= band {
+			keys = append(keys, pathindex.PackDistNode(it.dist, int32(it.node)))
 		}
 	}
-	// Sort only what can be returned.  The compaction orphans the positions
-	// in res, which nothing reads after the last run.
-	results := slices.DeleteFunc(s.merged, func(it pqItem) bool { return it.dist > band })
+	results := s.wireEntries(keys, opts.MaxResults)
+	keys = keys[:0]
+	for _, h := range s.hops {
+		if b, _ := s.best.Get(h.node); h.dist <= band && b == h.dist {
+			keys = append(keys, pathindex.PackDistNode(h.dist, int32(h.node)))
+		}
+	}
 	out := PartialResult{
-		Results:   wireEntries(results, opts.MaxResults),
-		Hops:      wireEntries(hops, 0),
+		Results:   results,
+		Hops:      s.wireEntries(keys, 0),
 		Pops:      r.pops,
 		Entries:   r.entries,
 		LinkHops:  r.linkHops,
@@ -172,24 +177,21 @@ func countWithin(buf []pqItem, band int32) int {
 	return n
 }
 
-// wireEntries sorts buf by (dist, node) in place and copies it — its first
-// limit entries when limit is positive — out in the wire type.
-func wireEntries(buf []pqItem, limit int) []FrontierEntry {
-	if len(buf) == 0 {
+// wireEntries sorts keys, which it keeps as the scratch's key buffer, and
+// copies them — the first limit when limit is positive — out in the wire
+// type.
+func (s *evalScratch) wireEntries(keys []pathindex.DistNode, limit int) []FrontierEntry {
+	s.keys = keys
+	if len(keys) == 0 {
 		return nil
 	}
-	slices.SortFunc(buf, func(x, y pqItem) int {
-		if c := cmp.Compare(x.dist, y.dist); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.node, y.node)
-	})
-	if limit > 0 && len(buf) > limit {
-		buf = buf[:limit]
+	pathindex.SortDistNode(keys, &s.ktmp)
+	if limit > 0 && len(keys) > limit {
+		keys = keys[:limit]
 	}
-	out := make([]FrontierEntry, len(buf))
-	for i, it := range buf {
-		out[i] = FrontierEntry{Node: it.node, Dist: it.dist}
+	out := make([]FrontierEntry, len(keys))
+	for i, k := range keys {
+		out[i] = FrontierEntry{Node: xmlgraph.NodeID(k.Node()), Dist: k.Dist()}
 	}
 	return out
 }

@@ -1,10 +1,12 @@
 package flix
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/testutil"
@@ -62,11 +64,14 @@ func gatherLocal(ix *Index, start xmlgraph.NodeID, tag string, maxDist int32, nS
 		}
 		batches = next
 	}
-	merged := make([]pqItem, 0, len(results))
+	merged := make([]FrontierEntry, 0, len(results))
 	for n, d := range results {
-		merged = append(merged, pqItem{dist: d, node: n})
+		merged = append(merged, FrontierEntry{Node: n, Dist: d})
 	}
-	return wireEntries(merged, 0)
+	slices.SortFunc(merged, func(x, y FrontierEntry) int {
+		return cmp.Or(cmp.Compare(x.Dist, y.Dist), cmp.Compare(x.Node, y.Node))
+	})
+	return merged
 }
 
 // dropSelf removes the start element from a (dist, node)-sorted stream, the

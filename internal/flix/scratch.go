@@ -30,7 +30,7 @@ type evalScratch struct {
 	// push), under either duplicate rule.  res is the identity rule's result
 	// table — a mark per reported node, or for the merge sink the node's
 	// position in merged.
-	best, res nodeTable
+	best, res NodeTable
 
 	// rbuf is the (dist, node) result queue of the buffered sinks; merged is
 	// the merge sink's append buffer, sorted once at the end.
@@ -39,6 +39,9 @@ type evalScratch struct {
 	// hops collects the frontier entries PartialDescendants found in foreign
 	// meta documents; superseded ones are filtered against best at the end.
 	hops []pqItem
+	// keys and ktmp are the buffers of the (dist, node) sort: the partial
+	// driver's wire entries and the cache's ExactOrder replay.
+	keys, ktmp []pathindex.DistNode
 
 	// visitFn, emitFn and linkFn are method values bound once to &run, so
 	// every index probe and link sweep gets the same func value with no
@@ -114,16 +117,17 @@ func (t *enteredTable) reset() {
 	}
 }
 
-// nodeTable maps node IDs to non-negative int32 values: the relax table's
-// distances, the result table's marks and positions.  Like enteredTable it is
-// sparse, sized to what the evaluation touched rather than to the collection,
-// and resets in O(1); a slot is 8 bytes, a node and its value, with the
+// NodeTable maps node IDs to non-negative int32 values: the relax table's
+// distances and the result table's marks and positions, here and in the
+// router's gather (package shard).  Like enteredTable it is sparse, sized to
+// what the evaluation touched rather than to the collection, and resets in
+// O(1); a slot is 8 bytes, a node and its value, with the
 // generation folded into the value: a value v is stored as floor+v, a slot is
 // occupied iff what it holds is at least floor, and reset raises floor above
 // everything stored since the last one.  A paused probe holds a table of its
 // own, so its slots count against the memory of every open probe
 // (TestRankedOpenProbeMemory).
-type nodeTable struct {
+type NodeTable struct {
 	slots []nodeSlot // linear probing; len is 0 or a power of two, at most three quarters full
 	floor uint32     // stored values below it are stale; at least 1 once slots exist, so zeroed slots read empty
 	top   uint32     // the largest value stored since the slots were last cleared
@@ -140,7 +144,7 @@ type nodeSlot struct {
 const nodeTableMin = 32
 
 // find returns the position of n's slot, or of the empty one where it goes.
-func (t *nodeTable) find(n xmlgraph.NodeID) int {
+func (t *NodeTable) find(n xmlgraph.NodeID) int {
 	mask := len(t.slots) - 1
 	h := uint32(n) * 0x9E3779B1
 	i := int(h^h>>16) & mask
@@ -150,8 +154,8 @@ func (t *nodeTable) find(n xmlgraph.NodeID) int {
 	return i
 }
 
-// get returns n's value; ok is false when n has none.
-func (t *nodeTable) get(n xmlgraph.NodeID) (v int32, ok bool) {
+// Get returns n's value; ok is false when n has none.
+func (t *NodeTable) Get(n xmlgraph.NodeID) (v int32, ok bool) {
 	if t.n == 0 {
 		return 0, false
 	}
@@ -165,7 +169,7 @@ func (t *nodeTable) get(n xmlgraph.NodeID) (v int32, ok bool) {
 // at returns n's slot, claiming an empty one when n has none (ok false), and
 // otherwise its value.  The slot is good until the next at; set gives it a
 // value.
-func (t *nodeTable) at(n xmlgraph.NodeID) (sl *nodeSlot, v int32, ok bool) {
+func (t *NodeTable) at(n xmlgraph.NodeID) (sl *nodeSlot, v int32, ok bool) {
 	if 4*(t.n+1) > 3*len(t.slots) {
 		t.grow()
 	}
@@ -175,7 +179,7 @@ func (t *nodeTable) at(n xmlgraph.NodeID) (sl *nodeSlot, v int32, ok bool) {
 }
 
 // set stores v >= 0 in a slot at returned.
-func (t *nodeTable) set(sl *nodeSlot, v int32) {
+func (t *NodeTable) set(sl *nodeSlot, v int32) {
 	if sl.val < t.floor {
 		t.n++
 	}
@@ -183,9 +187,9 @@ func (t *nodeTable) set(sl *nodeSlot, v int32) {
 	t.top = max(t.top, sl.val)
 }
 
-// relax records d as n's value and reports true when n has none yet or a
-// larger one; an equal or smaller value stays and relax reports false.
-func (t *nodeTable) relax(n xmlgraph.NodeID, d int32) bool {
+// Relax records d >= 0 as n's value and reports true when n has none yet or
+// a larger one; an equal or smaller value stays and Relax reports false.
+func (t *NodeTable) Relax(n xmlgraph.NodeID, d int32) bool {
 	sl, b, ok := t.at(n)
 	if ok && b <= d {
 		return false
@@ -196,7 +200,7 @@ func (t *nodeTable) relax(n xmlgraph.NodeID, d int32) bool {
 
 // grow doubles the slots (or makes the first ones) and rehashes the occupied
 // ones; fresh slots hold 0, below every floor.
-func (t *nodeTable) grow() {
+func (t *NodeTable) grow() {
 	old := t.slots
 	t.slots = make([]nodeSlot, max(nodeTableMin, 2*len(old)))
 	t.floor = max(t.floor, 1)
@@ -207,10 +211,21 @@ func (t *nodeTable) grow() {
 	}
 }
 
-// reset empties the table, keeping the slots.  Values are below 1<<31, so
+// LoadOrStore returns n's value and true when n has one; otherwise it
+// stores v >= 0 as n's value and returns v and false.
+func (t *NodeTable) LoadOrStore(n xmlgraph.NodeID, v int32) (actual int32, loaded bool) {
+	sl, old, ok := t.at(n)
+	if ok {
+		return old, true
+	}
+	t.set(sl, v)
+	return v, false
+}
+
+// Reset empties the table, keeping the slots.  Values are below 1<<31, so
 // once floor passes 1<<31 the slots are cleared for real and floor starts
 // over; until then floor+v cannot wrap.
-func (t *nodeTable) reset() {
+func (t *NodeTable) Reset() {
 	t.n = 0
 	if t.floor = t.top + 1; t.floor > 1<<31 {
 		clear(t.slots)
@@ -223,7 +238,7 @@ func (t *nodeTable) reset() {
 // core goes through it — seeds and link targets, on both axes; the partial
 // driver relaxes the link targets it hands back as hops the same way.
 func (s *evalScratch) queue(n xmlgraph.NodeID, d int32) bool {
-	if !s.best.relax(n, d) {
+	if !s.best.Relax(n, d) {
 		return false
 	}
 	s.f.push(pqItem{dist: d, node: n})
@@ -257,10 +272,11 @@ func (ix *Index) putScratch(s *evalScratch) {
 	s.skip = s.skip[:0]
 	s.runs = s.runs[:0]
 	s.rbuf.reset()
-	s.best.reset()
-	s.res.reset()
+	s.best.Reset()
+	s.res.Reset()
 	s.merged = s.merged[:0]
 	s.hops = s.hops[:0]
+	s.keys = s.keys[:0]
 	s.run = evalRun{s: s}
 	ix.scratch.Put(s)
 }

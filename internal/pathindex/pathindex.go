@@ -7,6 +7,15 @@
 // enumeration methods stream results through callbacks in ascending distance
 // order (ties broken by node ID) — the order the Path Expression Evaluator
 // relies on to produce approximately distance-ordered global results.
+// The order lives in this package twice over: as the contract, and as its
+// one sort (order.go).  A DistNode packs a pair into an int64 whose integer
+// order is the (dist, node) order, and SortDistNode sorts such keys — or the
+// bare node IDs of one distance — by insertion when short and by a radix
+// sort that passes only over the bytes the keys differ in when long.  Every
+// place the serving path orders pairs calls it: the evaluator's frontier
+// buckets, PPO's sort fallback, a shard's wire entries, the router's gather
+// and the query cache's ExactOrder replay (`TestSortDistNode`,
+// `FuzzSortDistNode`).
 //
 // `pathindex.Index` holds the evaluator's probes and nothing else.  What a
 // strategy persists and reopens is the snapshot section it encodes through

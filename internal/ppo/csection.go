@@ -329,7 +329,7 @@ func (v *CIndex) EachReachable(x int32, fn pathindex.Visit) {
 	sc := getInterval()
 	for p := lo; p < hi; p++ {
 		n := v.byPre.At(p)
-		sc.pairs = append(sc.pairs, distNode{d: v.depth.At(n) - base, n: n})
+		sc.keys = append(sc.keys, pathindex.PackDistNode(v.depth.At(n)-base, n))
 	}
 	emitPairs(sc, fn)
 }
@@ -352,7 +352,7 @@ func (v *CIndex) EachReachableByTag(x int32, tag lgraph.Tag, fn pathindex.Visit)
 				break
 			}
 			n := v.byPre.At(p)
-			sc.pairs = append(sc.pairs, distNode{d: v.depth.At(n) - base, n: n})
+			sc.keys = append(sc.keys, pathindex.PackDistNode(v.depth.At(n)-base, n))
 		}
 		emitPairs(sc, fn)
 		return

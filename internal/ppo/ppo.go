@@ -15,8 +15,10 @@
 // Build also derives acceleration runs — per depth and per (tag, depth), the
 // preorder ranks in order — so that a subtree is enumerated level by level
 // with one binary search per level; forests whose preorder is not
-// node-ascending per depth take a pooled collect-and-sort fallback.  Every
-// probe streams in (dist, node) order and allocates nothing.
+// node-ascending per depth take the sort fallback: it packs each node of the
+// interval into a pathindex.DistNode key in a pooled buffer and sorts the
+// keys with pathindex.SortDistNode, the serving path's one (dist, node)
+// sort.  Every probe streams in (dist, node) order and allocates nothing.
 //
 // There are two views.  Index serves heap builds and raw `ppo` sections,
 // which store its arrays (csr.Rows included) as they are and open as views
@@ -266,15 +268,13 @@ func (idx *Index) EachReachable(x int32, fn pathindex.Visit) {
 	}
 }
 
-// distNode is one (distance, node) pair of the sort fallback.
-type distNode struct{ d, n int32 }
-
-// intervalScratch is the pooled buffer of the sort fallback; its capacity is
-// retained across probes so the steady state allocates nothing.
-type intervalScratch struct{ pairs []distNode }
+// intervalScratch is the pooled state of the sort fallback: the packed
+// (distance, node) keys a probe collects and the sort's second buffer, whose
+// capacity is retained across probes so the steady state allocates nothing.
+type intervalScratch struct{ keys, tmp []pathindex.DistNode }
 
 // intervalPool holds the sort fallback's scratch for every index of the
-// package, heap and compressed alike: a scratch holds (distance, node) pairs
+// package, heap and compressed alike: a scratch holds (distance, node) keys
 // and nothing of the index that filled it, so one pool serves them all, and
 // an index costs no pool of its own.
 var intervalPool sync.Pool
@@ -287,22 +287,18 @@ func getInterval() *intervalScratch {
 	return sc
 }
 
-// emitPairs sorts the collected pairs into ascending (distance, node) order,
-// streams them, and returns the scratch to the pool.  Shared by the heap
-// index and the compressed section view (csection.go).
+// emitPairs sorts the collected keys into ascending (distance, node) order
+// with pathindex.SortDistNode, streams them, and returns the scratch to the
+// pool.  Shared by the heap index and the compressed section view
+// (csection.go).
 func emitPairs(sc *intervalScratch, fn pathindex.Visit) {
-	slices.SortFunc(sc.pairs, func(a, b distNode) int {
-		if a.d != b.d {
-			return int(a.d) - int(b.d)
-		}
-		return int(a.n) - int(b.n)
-	})
-	for _, p := range sc.pairs {
-		if !fn(p.n, p.d) {
+	pathindex.SortDistNode(sc.keys, &sc.tmp)
+	for _, k := range sc.keys {
+		if !fn(k.Node(), k.Dist()) {
 			break
 		}
 	}
-	sc.pairs = sc.pairs[:0]
+	sc.keys = sc.keys[:0]
 	intervalPool.Put(sc)
 }
 
@@ -316,7 +312,7 @@ func (idx *Index) emitInterval(x int32, nodes []int32, fn pathindex.Visit) {
 	base := idx.depth[x]
 	sc := getInterval()
 	for _, n := range nodes {
-		sc.pairs = append(sc.pairs, distNode{d: idx.depth[n] - base, n: n})
+		sc.keys = append(sc.keys, pathindex.PackDistNode(idx.depth[n]-base, n))
 	}
 	emitPairs(sc, fn)
 }
@@ -340,7 +336,7 @@ func (idx *Index) EachReachableByTag(x int32, tag lgraph.Tag, fn pathindex.Visit
 				break
 			}
 			n := idx.byPre[p]
-			sc.pairs = append(sc.pairs, distNode{d: idx.depth[n] - base, n: n})
+			sc.keys = append(sc.keys, pathindex.PackDistNode(idx.depth[n]-base, n))
 		}
 		emitPairs(sc, fn)
 		return

@@ -11,6 +11,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"math"
 	"math/rand"
 	"net/http"
@@ -44,6 +46,12 @@ type cluster struct {
 	// shard i received.
 	garble []atomic.Bool
 	evals  []atomic.Int64
+	// forge[i], when set, rewrites shard i's decoded eval answer before it
+	// is sent: a well-formed frame with the shard's own fingerprint.
+	forge []atomic.Pointer[func(*shard.EvalResponse)]
+	// logged collects the router's log lines.
+	logged lockedBuffer
+	urls   []string
 	// armKill, when set, triggers once on the next eval request any shard
 	// receives: that shard's ring successor is killed — guaranteed
 	// mid-query, after the query already fanned out.
@@ -56,8 +64,8 @@ type cluster struct {
 func newCluster(t testing.TB, coll *xmlgraph.Collection, ix *flix.Index, n int, retries int) *cluster {
 	t.Helper()
 	c := &cluster{t: t, coll: coll, kill: make([]atomic.Bool, n), garble: make([]atomic.Bool, n),
-		evals: make([]atomic.Int64, n), shards: make([]*httptest.Server, n)}
-	urls := make([]string, n)
+		evals: make([]atomic.Int64, n), forge: make([]atomic.Pointer[func(*shard.EvalResponse)], n),
+		shards: make([]*httptest.Server, n), urls: make([]string, n)}
 	for i := 0; i < n; i++ {
 		s := server.New(ix, server.Config{
 			Shard:     &server.ShardConfig{ID: i, Count: n},
@@ -80,37 +88,64 @@ func newCluster(t testing.TB, coll *xmlgraph.Collection, ix *flix.Index, n int, 
 					w.Write([]byte{1, 0, 1, 0, 0, 0, 0, 200}) //nolint:errcheck // a frame cut off inside its results
 					return
 				}
+				if forge := c.forge[i].Load(); forge != nil {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, r)
+					var resp shard.EvalResponse
+					if err := resp.DecodeFrame(rec.Body.Bytes()); err != nil {
+						http.Error(w, err.Error(), http.StatusInternalServerError)
+						return
+					}
+					(*forge)(&resp)
+					frame, err := resp.AppendFrame(nil)
+					if err != nil {
+						http.Error(w, err.Error(), http.StatusInternalServerError)
+						return
+					}
+					w.Header().Set("Content-Type", shard.FrameContentType)
+					w.Write(frame) //nolint:errcheck // the router sees a short body
+					return
+				}
 			}
 			h.ServeHTTP(w, r)
 		}))
 		t.Cleanup(ts.Close)
 		c.shards[i] = ts
-		urls[i] = ts.URL
+		c.urls[i] = ts.URL
 	}
-	rt, err := shard.NewRouter(coll, shard.RouterConfig{
-		Shards:        urls,
+	ctx, cancel := context.WithCancel(context.Background())
+	c.stop = cancel
+	t.Cleanup(cancel)
+	c.rt, c.router = c.newRouter(ctx, retries, 0)
+	return c
+}
+
+// newRouter starts one more ready router over the cluster's shards, with
+// its own handler; hopBudget 0 is the default budget.
+func (c *cluster) newRouter(ctx context.Context, retries, hopBudget int) (*shard.Router, *httptest.Server) {
+	c.t.Helper()
+	rt, err := shard.NewRouter(c.coll, shard.RouterConfig{
+		Shards:        c.urls,
 		ProbeInterval: 20 * time.Millisecond,
 		ShardTimeout:  5 * time.Second,
 		Retries:       retries,
 		RetryBackoff:  time.Millisecond,
 		MaxLimit:      1 << 20,
+		HopBudget:     hopBudget,
+		Logger:        log.New(&c.logged, "", 0),
 	})
 	if err != nil {
-		t.Fatal(err)
+		c.t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c.stop = cancel
-	t.Cleanup(cancel)
 	rt.Start(ctx)
 	wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
 	defer wcancel()
 	if err := rt.WaitReady(wctx); err != nil {
-		t.Fatalf("router never became ready: %v", err)
+		c.t.Fatalf("router never became ready: %v", err)
 	}
-	c.rt = rt
-	c.router = httptest.NewServer(rt.Handler())
-	t.Cleanup(c.router.Close)
-	return c
+	ts := httptest.NewServer(rt.Handler())
+	c.t.Cleanup(ts.Close)
+	return rt, ts
 }
 
 func (c *cluster) clearKills() {
@@ -134,7 +169,13 @@ type descendantsResp struct {
 
 func (c *cluster) getJSON(path string, out any) *http.Response {
 	c.t.Helper()
-	resp, err := http.Get(c.router.URL + path)
+	return c.getJSONFrom(c.router.URL, path, out)
+}
+
+// getJSONFrom is getJSON against the router served at base.
+func (c *cluster) getJSONFrom(base, path string, out any) *http.Response {
+	c.t.Helper()
+	resp, err := http.Get(base + path)
 	if err != nil {
 		c.t.Fatalf("GET %s: %v", path, err)
 	}
@@ -459,26 +500,7 @@ func TestClusterMalformedShardFrame(t *testing.T) {
 	}
 	const retries = 1
 	c := newCluster(t, coll, ix, 2, retries)
-	// A start whose gather asks both shards.
-	var start xmlgraph.NodeID
-	var clean descendantsResp
-	for start = 0; ; start++ {
-		if int(start) == coll.NumNodes() {
-			t.Fatal("no start element whose gather crosses shards")
-		}
-		before0, before1 := c.evals[0].Load(), c.evals[1].Load()
-		clean, _ = c.descendants(start, "", 1<<20)
-		if c.evals[0].Load() > before0 && c.evals[1].Load() > before1 && len(clean.Results) > 0 {
-			break
-		}
-	}
-	if clean.Partial {
-		t.Fatalf("start %d: clean cluster answered partial", start)
-	}
-	oracle := make(map[xmlgraph.NodeID]int32)
-	for _, nd := range oracleFor(coll, start, "") {
-		oracle[nd.Node] = nd.Dist
-	}
+	start, clean, oracle := c.crossingStart()
 
 	c.garble[1].Store(true)
 	before := c.evals[1].Load()
@@ -503,6 +525,219 @@ func TestClusterMalformedShardFrame(t *testing.T) {
 	if again, _ := c.descendants(start, "", 1<<20); again.Partial || len(again.Results) != len(clean.Results) {
 		t.Fatalf("after the shard recovered: partial=%v results=%d, want %d", again.Partial, len(again.Results), len(clean.Results))
 	}
+}
+
+// crossingStart finds the first start element whose wildcard gather asks
+// both shards of a 2-shard cluster and has results, and returns it with the
+// clean answer and the oracle's distance per reachable node.
+func (c *cluster) crossingStart() (xmlgraph.NodeID, descendantsResp, map[xmlgraph.NodeID]int32) {
+	c.t.Helper()
+	var start xmlgraph.NodeID
+	var clean descendantsResp
+	for start = 0; ; start++ {
+		if int(start) == c.coll.NumNodes() {
+			c.t.Fatal("no start element whose gather crosses shards")
+		}
+		before0, before1 := c.evals[0].Load(), c.evals[1].Load()
+		clean, _ = c.descendants(start, "", 1<<20)
+		if c.evals[0].Load() > before0 && c.evals[1].Load() > before1 && len(clean.Results) > 0 {
+			break
+		}
+	}
+	if clean.Partial {
+		c.t.Fatalf("start %d: clean cluster answered partial", start)
+	}
+	oracle := make(map[xmlgraph.NodeID]int32)
+	for _, nd := range oracleFor(c.coll, start, "") {
+		oracle[nd.Node] = nd.Dist
+	}
+	return start, clean, oracle
+}
+
+// TestClusterForgedShardEntries checks the router's side of the entries in
+// an eval frame: a well-formed answer with the right fingerprint whose hop
+// or result names a node outside the collection, or whose result carries a
+// negative distance, drops its shard from the query as a fingerprint
+// mismatch does — partial, the shard in failedShards and in the header, a
+// log line — and the shard is not asked again, nor is the answer retried.
+// Nothing of the forged answer reaches the response.
+func TestClusterForgedShardEntries(t *testing.T) {
+	coll := testutil.Generate(testutil.Linked, 11, 12, 40, 40)
+	ix, err := flix.Build(coll, flix.Config{Kind: flix.Hybrid, PartitionSize: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(t, coll, ix, 2, 1) // one retry, which a forged answer must not spend
+	start, clean, oracle := c.crossingStart()
+	n := xmlgraph.NodeID(coll.NumNodes())
+	for _, row := range []struct {
+		name  string
+		forge func(*shard.EvalResponse)
+	}{
+		{"hop node out of range", func(r *shard.EvalResponse) {
+			r.Hops = append(r.Hops, flix.FrontierEntry{Node: n + 7, Dist: 1})
+		}},
+		{"result node out of range", func(r *shard.EvalResponse) {
+			r.Results = append(r.Results, flix.FrontierEntry{Node: n + 9, Dist: 1})
+		}},
+		{"negative result distance", func(r *shard.EvalResponse) {
+			r.Results = append(r.Results, flix.FrontierEntry{Node: start, Dist: -1})
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			defer func(parent testing.TB) { c.t = parent }(c.t)
+			c.t = t
+			c.forge[1].Store(&row.forge)
+			before, logged := c.evals[1].Load(), len(c.logged.String())
+			dr, resp := c.descendants(start, "", 1<<20)
+			c.forge[1].Store(nil)
+			if !dr.Partial || fmt.Sprint(dr.FailedShards) != "[1]" || resp.Header.Get(shard.FailedShardsHeader) != "1" {
+				t.Fatalf("partial=%v failedShards=%v header=%q, want partial, [1] and the header",
+					dr.Partial, dr.FailedShards, resp.Header.Get(shard.FailedShardsHeader))
+			}
+			if got := c.evals[1].Load() - before; got != 1 {
+				t.Errorf("shard 1 was asked %d times, want 1 (a forged answer is not retried, and a dropped shard is not asked again)", got)
+			}
+			if line := c.logged.String()[logged:]; !strings.Contains(line, "shard 1 dropped from query: entry") {
+				t.Errorf("no drop logged for shard 1; the router logged:\n%s", line)
+			}
+			for _, r := range dr.Results {
+				if want, ok := oracle[r.Node]; !ok || r.Dist < want {
+					t.Fatalf("result (%d,%d) is not sound: oracle has %d, reachable=%v", r.Node, r.Dist, want, ok)
+				}
+			}
+			if again, _ := c.descendants(start, "", 1<<20); again.Partial || len(again.Results) != len(clean.Results) {
+				t.Fatalf("after the forgery stopped: partial=%v results=%d, want %d", again.Partial, len(again.Results), len(clean.Results))
+			}
+		})
+	}
+}
+
+// TestGatherPooledStateReset runs gathers that leave the rounds loop by
+// every exit — the top-k early stop, the connection target's stop, the hop
+// budget, a killed shard and a cancelled context — on one router, and after
+// each a clean gather from the same start, which takes the per-gather state
+// the exit pooled.  The clean gather must tally like a fresh router's, and
+// its answer must be the BFS oracle's prefix, in a body byte-identical to a
+// fresh router's.
+func TestGatherPooledStateReset(t *testing.T) {
+	coll := testutil.Generate(testutil.Linked, 11, 12, 40, 40)
+	ix, err := flix.Build(coll, flix.Config{Kind: flix.Hybrid, PartitionSize: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(t, coll, ix, 2, -1) // -1: no retries, a killed shard fails at once
+	ctx := context.Background()
+	// A start and a k whose bounded gather stops early, having re-dispatched
+	// fewer hops than the unbounded gather: a hop budget of exactly its
+	// re-dispatches leaves it alone and stops the unbounded one.  The
+	// endpoint's k asks the gather for one result more, since the start
+	// is not reported.
+	var start xmlgraph.NodeID
+	k, budget := 0, 0
+search:
+	for s := xmlgraph.NodeID(0); int(s) < coll.NumNodes(); s++ {
+		_, full := c.rt.Gather(ctx, s, "", 0)
+		for _, kk := range []int{1, 2, 3, 5, 8} {
+			if _, g := c.rt.Gather(ctx, s, "", kk+1); g.EarlyStops == 1 && g.Redispatched > 0 && g.Redispatched < full.Redispatched {
+				start, k, budget = s, kk, g.Redispatched
+				break search
+			}
+		}
+	}
+	if k == 0 {
+		t.Fatal("no start whose bounded gather stops early with fewer re-dispatches than the unbounded one")
+	}
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	rt, ts := c.newRouter(rctx, -1, budget)
+	fresh, freshTS := c.newRouter(rctx, -1, budget)
+	path := fmt.Sprintf("/v1/descendants?start=%d&k=%d&timeout=20s", start, k)
+	get := func(base string) string {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	want := get(freshTS.URL)
+	wantN, wantTally := fresh.Gather(ctx, start, "", k+1)
+	oracle := oracleFor(coll, start, "")
+	oracle = oracle[:min(k, len(oracle))]
+	clean := func(after string) {
+		t.Helper()
+		if n, g := rt.Gather(ctx, start, "", k+1); n != wantN || g != wantTally {
+			t.Fatalf("after %s: clean gather has %d results, %+v; a fresh router's %d, %+v", after, n, g, wantN, wantTally)
+		}
+		body := get(ts.URL)
+		if body != want {
+			t.Fatalf("after %s: body\n%s\na fresh router's\n%s", after, body, want)
+		}
+		var dr descendantsResp
+		if err := json.Unmarshal([]byte(body), &dr); err != nil {
+			t.Fatal(err)
+		}
+		if dr.Partial || len(dr.Results) != len(oracle) {
+			t.Fatalf("after %s: partial=%v, %d results, oracle prefix %d", after, dr.Partial, len(dr.Results), len(oracle))
+		}
+		for i, r := range dr.Results {
+			if r.Node != oracle[i].Node || r.Dist != oracle[i].Dist {
+				t.Fatalf("after %s: result %d = (%d,%d), oracle (%d,%d)", after, i, r.Node, r.Dist, oracle[i].Node, oracle[i].Dist)
+			}
+		}
+	}
+	clean("nothing")
+
+	if _, g := rt.Gather(ctx, start, "", k+1); g.EarlyStops != 1 {
+		t.Fatalf("the bounded gather did not stop early: %+v", g)
+	}
+	clean("a top-k early stop")
+
+	stopped := false
+	for _, nd := range oracleFor(coll, start, "") {
+		before := scrapeMetrics(t, ts.URL).samples["flix_router_early_stops_total"]
+		var cr struct{ Connected bool }
+		c.getJSONFrom(ts.URL, fmt.Sprintf("/v1/connected?from=%d&to=%d&timeout=20s", start, nd.Node), &cr)
+		if !cr.Connected {
+			t.Fatalf("%d -> %d: not connected, the oracle reaches it", start, nd.Node)
+		}
+		if scrapeMetrics(t, ts.URL).samples["flix_router_early_stops_total"] > before {
+			stopped = true
+			break
+		}
+	}
+	if !stopped {
+		t.Fatal("no connection test from the start stopped at its target")
+	}
+	clean("a connection target's stop")
+
+	if _, g := rt.Gather(ctx, start, "", 0); g.BudgetStops != 1 {
+		t.Fatalf("the unbounded gather under a budget of %d did not stop on it: %+v", budget, g)
+	}
+	clean("the hop budget")
+
+	owners, _ := rt.TopologyOwners()
+	home := owners[ix.MetaOf(start)]
+	c.kill[home].Store(true)
+	_, g := rt.Gather(ctx, start, "", k+1)
+	c.clearKills()
+	if g.Partials != 1 || g.BudgetStops != 0 {
+		t.Fatalf("the gather with the start's shard %d killed is not partial: %+v", home, g)
+	}
+	clean("a killed shard")
+
+	cctx, ccancel := context.WithCancel(ctx)
+	ccancel()
+	if _, g := rt.Gather(cctx, start, "", k+1); g.Partials != 1 || g.Rounds != 0 {
+		t.Fatalf("the cancelled gather: %+v, want partial after no round", g)
+	}
+	clean("a cancelled context")
 }
 
 // TestRouterQuorumReadiness checks the aggregate readiness gate: with a

@@ -55,7 +55,12 @@
 //
 // Trailing bytes are an error, a count is refused when it exceeds half the
 // bytes left, and a frame that does not decode is a retryable shard failure
-// on the router (`TestClusterMalformedShardFrame`, `FuzzEvalFrame`).  There
+// on the router (`TestClusterMalformedShardFrame`, `FuzzEvalFrame`).  A
+// frame that decodes is still not trusted: before the gather merges an
+// answer, every result and hop must name a node of the topology at a
+// distance of at least 0, or the shard is dropped from the query as on a
+// fingerprint mismatch, without a retry (`TestClusterForgedShardEntries`).
+// There
 // is no JSON fallback: router and shards must agree on ring and fingerprint
 // anyway, so they are deployed together.
 //
@@ -63,7 +68,17 @@
 //
 // The router (gather.go) is the outer Dijkstra loop: it stages hops per
 // owning shard, dispatches a round to every shard with staged work, dedupes
-// hops against a best-distance map and min-merges the sorted per-shard runs.
+// hops against the best distance each node entered the frontier at and
+// min-merges the per-shard runs into the smallest distance per result.
+// Both per-node tables are the evaluator's flix.NodeTable, which resets in
+// O(1), used as the shard's partial driver uses them: one relaxes the
+// frontier, the other maps each result node to its place in a dense list of
+// packed (distance, node) keys.  The top-k bound selects from a copy of that
+// list, and the final (dist, node) order is pathindex.SortDistNode over it.
+// Tables, list and key buffers live in one per-gather state pooled on the
+// Router, so a warm gather allocates only its answer, its batches and its
+// RPCs, and every exit returns the state reset
+// (`TestGatherPooledStateReset`).
 // Both sides relax with exact local distances, so the merged stream carries
 // exact global shortest distances, checked against the BFS oracle at 1, 2
 // and 4 shards (`TestClusterDescendantsMatchesOracle`).  A connection query
@@ -72,7 +87,7 @@
 //
 // A top-k gather bounds its rounds by the answer it already holds.  Once it
 // holds needK results, let D be the needK-th smallest held distance (a
-// selection over a reused buffer, once per round).  First, needK distinct
+// selection over the pooled key buffer, once per round).  First, needK distinct
 // nodes lie at D or nearer, and min-merging only lowers distances, so the
 // answer lies at or below D.  Second, every distance grows along a path,
 // so a staged entry beyond D leads only beyond D: a round dispatches none

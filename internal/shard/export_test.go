@@ -9,15 +9,20 @@ import (
 )
 
 // GatherTally is what one gather did: its rounds, the hops the shards
-// returned, and the staged entries the top-k bound removed.
-type GatherTally struct{ Rounds, Hops, Bounded int }
+// returned, the staged entries the top-k bound removed, the hops it
+// re-dispatched, and how it ended (each 0 or 1).
+type GatherTally struct {
+	Rounds, Hops, Bounded, Redispatched int
+	EarlyStops, BudgetStops, Partials   int
+}
 
 // Gather runs one rounds loop from start — needK = 0 is the unbounded gather
 // /v1/connected and the ranked scans run — for the external test package's
 // benchmarks, which the public endpoints cannot ask for k = 0.
 func (rt *Router) Gather(ctx context.Context, start xmlgraph.NodeID, tag string, needK int) (results int, t GatherTally) {
 	g := rt.gather(ctx, "", []flix.FrontierEntry{{Node: start}}, tag, 0, needK, xmlgraph.InvalidNode, nil)
-	return len(g.results), GatherTally{Rounds: g.rounds, Hops: g.hopsSeen, Bounded: g.hopsBounded}
+	return len(g.results), GatherTally{Rounds: g.rounds, Hops: g.hopsSeen, Bounded: g.hopsBounded, Redispatched: g.hopsRedispatched,
+		EarlyStops: g.earlyStops, BudgetStops: g.budgetStops, Partials: g.partials}
 }
 
 // WaitReady blocks until the router is ready or ctx expires.

@@ -15,6 +15,7 @@ import (
 	"repro/internal/flix"
 	"repro/internal/front"
 	"repro/internal/obs"
+	"repro/internal/pathindex"
 	"repro/internal/query"
 	"repro/internal/xmlgraph"
 )
@@ -31,6 +32,41 @@ import (
 // minima, the merged stream carries exact global shortest distances — the
 // differential harness checks it element-for-element against the BFS
 // oracle.
+
+// gatherState is the working memory of one gather, pooled on the Router so
+// that a warm gather allocates only what it hands back and sends.  Its two
+// per-node tables are the evaluator's flix.NodeTable, which resets in O(1),
+// used as the shard's partial driver uses them: one relaxes, the other
+// indexes a dense list of results.
+type gatherState struct {
+	// best is the lazy-deletion Dijkstra table: the smallest distance at
+	// which each node has entered the cross-shard frontier.
+	best flix.NodeTable
+	// held is every result node once, packed with the smallest distance it
+	// was reported at, in the order of first report; results maps a node
+	// to its position in held.
+	held    []pathindex.DistNode
+	results flix.NodeTable
+	// keys is the copy of held the top-k bound selects from; tmp is the
+	// second buffer of the final sort.
+	keys, tmp []pathindex.DistNode
+}
+
+func (rt *Router) getGather() *gatherState {
+	st, _ := rt.gathers.Get().(*gatherState)
+	if st == nil {
+		st = new(gatherState)
+	}
+	return st
+}
+
+// putGather empties st, keeping its capacity, and pools it.
+func (rt *Router) putGather(st *gatherState) {
+	st.best.Reset()
+	st.results.Reset()
+	st.held = st.held[:0]
+	rt.gathers.Put(st)
+}
 
 // shardOut carries one shard RPC's outcome to the gather loop, from a
 // dispatch goroutine when the round fans out.  The request and RPC timings
@@ -160,28 +196,21 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 		defer func() { tb.end(gspan) }()
 	}
 	nShards := len(rt.shards)
-	// best is the lazy-deletion Dijkstra map: smallest distance at which
-	// each node has entered the cross-shard frontier.
-	best := make(map[xmlgraph.NodeID]int32, len(starts))
-	resultMin := make(map[xmlgraph.NodeID]int32)
+	st := rt.getGather()
+	defer rt.putGather(st)
 	failed := make(map[int]bool)
-	var held []int32 // the held result distances the bound selects from
 
 	batches := make([][]flix.FrontierEntry, nShards)
-	stage := func(e flix.FrontierEntry) {
+	for _, e := range starts {
 		if e.Dist < 0 || (maxDist > 0 && e.Dist > maxDist) {
-			return
+			continue
 		}
-		if d, ok := best[e.Node]; ok && d <= e.Dist {
+		if !st.best.Relax(e.Node, e.Dist) {
 			out.hopsDeduped++
-			return
+			continue
 		}
-		best[e.Node] = e.Dist
 		ow := topo.owner[topo.metaOf[e.Node]]
 		batches[ow] = append(batches[ow], e)
-	}
-	for _, e := range starts {
-		stage(e)
 	}
 
 	for {
@@ -217,18 +246,15 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 		// watermark is the top-k stop; D = 0 always stops, since every
 		// staged hop is a link away, so 0 is free to mean "none yet".
 		var bound int32
-		if needK > 0 && len(resultMin) >= needK {
-			held = held[:0]
-			for _, d := range resultMin {
-				held = append(held, d)
-			}
-			bound = kthSmallest(held, needK-1)
+		if needK > 0 && len(st.held) >= needK {
+			st.keys = append(st.keys[:0], st.held...)
+			bound = kthSmallest(st.keys, needK-1).Dist()
 			if bound < watermark {
 				out.earlyStops = 1
 				break
 			}
 		}
-		if d, reached := resultMin[target]; reached && d <= watermark { // never reached without a target
+		if i, reached := st.results.Get(target); reached && st.held[i].Dist() <= watermark { // never reached without a target
 			out.earlyStops = 1
 			break
 		}
@@ -295,25 +321,17 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 			if tb != nil {
 				tb.dispatch(rspan, o)
 			}
-			if o.err != nil {
-				failed[o.sh] = true
-				out.partials = 1
-				out.shardFailures++
-				if rt.cfg.Logger != nil {
-					rt.cfg.Logger.Printf("id=%s shard %d dropped from query: %v", reqID, o.sh, o.err)
-				}
-				continue
+			err := o.err
+			if err == nil {
+				rt.shards[o.sh].results.Add(int64(len(o.resp.Results)))
+				err = topo.check(o.resp)
 			}
-			rt.shards[o.sh].results.Add(int64(len(o.resp.Results)))
-			if o.resp.Fingerprint != topo.fingerprint {
-				// The shard swapped to a different decomposition mid-query;
-				// its node IDs no longer map onto our topology.
+			if err != nil {
 				failed[o.sh] = true
 				out.partials = 1
 				out.shardFailures++
 				if rt.cfg.Logger != nil {
-					rt.cfg.Logger.Printf("id=%s shard %d dropped: fingerprint %s != topology %s",
-						reqID, o.sh, o.resp.Fingerprint, topo.fingerprint)
+					rt.cfg.Logger.Printf("id=%s shard %d dropped from query: %v", reqID, o.sh, err)
 				}
 				continue
 			}
@@ -321,24 +339,30 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 				out.partials = 1
 			}
 			for _, r := range o.resp.Results {
-				if d, ok := resultMin[r.Node]; !ok || r.Dist < d {
-					resultMin[r.Node] = r.Dist
+				k := pathindex.PackDistNode(r.Dist, int32(r.Node))
+				if i, seen := st.results.LoadOrStore(r.Node, int32(len(st.held))); !seen {
+					st.held = append(st.held, k)
+				} else if k < st.held[i] {
+					st.held[i] = k
 				}
 			}
 			out.hopsSeen += len(o.resp.Hops)
 			for _, hp := range o.resp.Hops {
-				if hp.Dist < 0 || (maxDist > 0 && hp.Dist > maxDist) {
-					continue
-				}
-				if d, ok := best[hp.Node]; ok && d <= hp.Dist {
-					out.hopsDeduped++
+				if maxDist > 0 && hp.Dist > maxDist {
 					continue
 				}
 				if rt.cfg.HopBudget > 0 && out.hopsRedispatched >= rt.cfg.HopBudget {
-					out.budgetStops, out.partials = 1, 1
+					if d, ok := st.best.Get(hp.Node); ok && d <= hp.Dist {
+						out.hopsDeduped++
+					} else {
+						out.budgetStops, out.partials = 1, 1
+					}
 					continue
 				}
-				best[hp.Node] = hp.Dist
+				if !st.best.Relax(hp.Node, hp.Dist) {
+					out.hopsDeduped++
+					continue
+				}
 				out.hopsRedispatched++
 				ow := topo.owner[topo.metaOf[hp.Node]]
 				batches[ow] = append(batches[ow], hp)
@@ -352,21 +376,47 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 			tb.end(rspan)
 		}
 	}
-	// Under needK a response adds at most needK entries to resultMin, so it
-	// stays within needK per RPC and is not pruned between rounds: that
-	// would cost a selection every round to shorten one small sort here.
-	out.results = sortEntries(resultMin)
-	if needK > 0 && len(out.results) > needK {
-		out.results = out.results[:needK]
+	// Under needK a response adds at most needK entries to the results
+	// table, so it stays within needK per RPC and is not pruned between
+	// rounds: that would cost a selection every round to shorten one small
+	// sort here.
+	pathindex.SortDistNode(st.held, &st.tmp)
+	keys := st.held
+	if needK > 0 && len(keys) > needK {
+		keys = keys[:needK]
+	}
+	if len(keys) > 0 {
+		out.results = make([]flix.FrontierEntry, len(keys))
+		for i, k := range keys {
+			out.results[i] = flix.FrontierEntry{Node: xmlgraph.NodeID(k.Node()), Dist: k.Dist()}
+		}
 	}
 	out.failed = sortedShardIDs(failed)
 	out.gathers = 1
 	rt.scatter.add(out.gatherTally)
 	if gspan != nil {
 		gspan.SetAttr("rounds", int64(out.rounds))
-		gspan.SetAttr("results", int64(len(resultMin)))
+		gspan.SetAttr("results", int64(len(st.held)))
 	}
 	return out
+}
+
+// check reports why resp cannot be merged into a gather over t: the shard
+// swapped to another decomposition mid-query, so its node IDs no longer map
+// onto t; or a result or hop names no node of t, which would index past the
+// gather's tables, or carries a negative distance, which they do not hold.
+func (t *topology) check(resp *EvalResponse) error {
+	if resp.Fingerprint != t.fingerprint {
+		return fmt.Errorf("fingerprint %s != topology %s", resp.Fingerprint, t.fingerprint)
+	}
+	for _, es := range [...][]flix.FrontierEntry{resp.Results, resp.Hops} {
+		for _, e := range es {
+			if e.Node < 0 || int(e.Node) >= len(t.metaOf) || e.Dist < 0 {
+				return fmt.Errorf("entry (node %d, distance %d) is not a node of the topology's %d at a distance of at least 0", e.Node, e.Dist, len(t.metaOf))
+			}
+		}
+	}
+	return nil
 }
 
 // dispatch runs one shard RPC of a round and counts it.
@@ -383,8 +433,8 @@ func (rt *Router) dispatch(ctx context.Context, reqID string, sh int, req *EvalR
 }
 
 // kthSmallest returns the k-th smallest (0-based) of a, reordering a: a
-// quickselect whose Hoare partition keeps runs of equal distances balanced.
-func kthSmallest(a []int32, k int) int32 {
+// quickselect whose Hoare partition keeps runs of equal values balanced.
+func kthSmallest[T cmp.Ordered](a []T, k int) T {
 	lo, hi := 0, len(a)-1
 	for lo < hi {
 		p := a[lo+(hi-lo)/2]
@@ -413,22 +463,6 @@ func kthSmallest(a []int32, k int) int32 {
 		}
 	}
 	return a[k]
-}
-
-// sortEntries flattens a min-distance map into the (dist, node) order the
-// wire protocol promises.
-func sortEntries(m map[xmlgraph.NodeID]int32) []flix.FrontierEntry {
-	out := make([]flix.FrontierEntry, 0, len(m))
-	for n, d := range m {
-		out = append(out, flix.FrontierEntry{Node: n, Dist: d})
-	}
-	slices.SortFunc(out, func(x, y flix.FrontierEntry) int {
-		if c := cmp.Compare(x.Dist, y.Dist); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Node, y.Node)
-	})
-	return out
 }
 
 func sortedShardIDs(failed map[int]bool) []int {

@@ -150,6 +150,8 @@ type Router struct {
 
 	scatter       scatterCounters
 	tracedQueries atomic.Int64
+	// gathers pools the gathers' working state (*gatherState, gather.go).
+	gathers sync.Pool
 
 	// refused is the last announcement a topology load refused; the prober
 	// alone touches it, and skips that announcement until it changes.

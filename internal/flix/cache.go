@@ -19,7 +19,10 @@ import (
 // replaying a prefix under a caller's Options gives what replaying the whole
 // stream would, as far as the prefix reaches: a request hits when the entry
 // is complete, or when its replay reaches its MaxResults inside the prefix.
-// An ExactOrder request hits complete entries only; replay sorts them.
+// An ExactOrder request hits complete entries only; replay sorts them.  A
+// DupSeenSet request is evaluated on the index and neither looked up nor
+// stored: an entry records the coverage rule's stream, and the seen-set
+// rule answers differently from a start that lies on a cycle.
 //
 // A miss evaluates the plain stream, passes it to the caller as it arrives
 // and stops as soon as the caller has its MaxResults — an ExactOrder miss
@@ -70,8 +73,12 @@ func newEntry(key cacheKey, results []Result, complete bool) *cacheEntry {
 
 // covers reports whether replaying e under opts answers the request: always
 // when e is complete; for a prefix, when the replay reaches opts.MaxResults
-// inside it.  Only a MaxDist bound makes it scan the prefix.
+// inside it; never under DupSeenSet, whose stream no entry holds.  Only a
+// MaxDist bound makes it scan the prefix.
 func (e *cacheEntry) covers(opts Options) bool {
+	if opts.DupSeenSet {
+		return false
+	}
 	if e.complete {
 		return true
 	}
@@ -112,6 +119,10 @@ func (ix *Index) NewQueryCache(capacity int) *QueryCache {
 
 // Descendants behaves like Index.Descendants but consults the cache.
 func (c *QueryCache) Descendants(start xmlgraph.NodeID, tag string, opts Options, fn Emit) {
+	if opts.DupSeenSet {
+		c.ix.Descendants(start, tag, opts, fn)
+		return
+	}
 	key := cacheKey{start: start, tag: tag}
 	if results, ok := c.lookup(key, opts); ok {
 		if opts.Tracer != nil {

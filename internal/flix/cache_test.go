@@ -229,6 +229,45 @@ func TestCacheTransparentConcurrent(t *testing.T) {
 	}
 }
 
+// TestCacheTransparentSeenSet holds the cache to the index under the
+// seen-set duplicate rule (Options.DupSeenSet).  A cached entry records the
+// coverage rule's stream, and the two rules answer differently from a start
+// that lies on a cycle, so such a request must be evaluated on the index —
+// never replayed, never stored — and Contains must not claim it.  Each
+// sequence starts with a plain request, which stores the key's entry, and
+// asks for the same seen-set request twice.
+func TestCacheTransparentSeenSet(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := xmlgraph.RandomCollection(rng, 2+rng.Intn(8), 12, rng.Intn(18))
+		ix, err := Build(c, Config{Kind: UnconnectedHOPI, PartitionSize: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := xmlgraph.NodeID(rng.Intn(c.NumNodes()))
+		k := cacheKey{start: start}
+		for _, bounded := range []bool{false, true} {
+			cache := ix.NewQueryCache(4)
+			cache.StoreBounded = bounded
+			for i, opts := range []Options{
+				{},
+				{DupSeenSet: true},
+				{DupSeenSet: true, IncludeSelf: true},
+				{DupSeenSet: true, MaxResults: 3},
+				{DupSeenSet: true},
+			} {
+				label := fmt.Sprintf("seed %d StoreBounded=%v request %d %+v", seed, bounded, i, opts)
+				if opts.DupSeenSet && cache.Contains(start, "", opts) {
+					t.Fatalf("%s: Contains claims a seen-set request", label)
+				}
+				if got, want := ask(cache, k, opts, 0), collect(ix, start, "", opts); !slices.Equal(got, want) {
+					t.Fatalf("%s:\ngot  %v\nwant %v", label, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCacheExactMissStoresApproximateStream is the regression test of an
 // ExactOrder miss that stored its exactly ordered stream, so approximate
 // requests for the key replayed that order afterwards.  An ExactOrder miss

@@ -40,7 +40,7 @@ func regionGraphs() []regionGraph {
 		out = append(out, regionGraph{fmt.Sprintf("random-%d", seed), b.Finish()})
 	}
 	add := func(name string, c *xmlgraph.Collection, r *partition.Result) {
-		for _, md := range meta.Build(c, r).Metas {
+		for _, md := range meta.Build(c, r.Assignment(c)).Metas {
 			if md.Graph.NumNodes() > 1 && md.Graph.IsForest() {
 				out = append(out, regionGraph{fmt.Sprintf("%s/meta%d", name, md.ID), md.Graph})
 			}

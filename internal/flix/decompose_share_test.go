@@ -32,7 +32,7 @@ func keptSet(c *xmlgraph.Collection) *meta.Set {
 }
 
 // setHash hashes everything a decomposition holds: the node→meta and
-// node→local maps and, per meta document, its members, local graph (tag
+// node→local maps and, per meta document, its local graph (tag
 // count, tags, both adjacency directions), link tables with their per-source
 // runs, and the local→global and collection-tag→local-tag tables.
 // The unexported fields are read through the accessors the evaluator uses.
@@ -45,7 +45,7 @@ func setHash(s *meta.Set) string {
 	nTags := int32(len(s.Coll.TagNames()))
 	for i, md := range s.Metas {
 		g := md.Graph
-		put("meta %d id %d docs %v nodes %d tags %d", i, md.ID, md.Docs, g.NumNodes(), g.NumTags())
+		put("meta %d id %d nodes %d tags %d", i, md.ID, g.NumNodes(), g.NumTags())
 		for u := int32(0); int(u) < g.NumNodes(); u++ {
 			put("%d t%d g%d s%v p%v", u, g.Tag(u), md.ToGlobal(u), g.Succs(u), g.Preds(u))
 		}

@@ -149,7 +149,10 @@
 // evaluating once the caller has its k and stores that prefix; an
 // order=exact miss stores the complete plain stream and replays it sorted.
 // A store never shrinks an entry, and every answer equals the replay of the
-// complete stream (`TestCacheTransparent`).  On a generation swap Inherit
+// complete stream (`TestCacheTransparent`).  The plain stream follows the
+// coverage rule, so a DupSeenSet request is evaluated on the index and
+// neither looked up nor stored (`TestCacheTransparentSeenSet`).  On a
+// generation swap Inherit
 // carries the old entries over unevaluated when the new index answers every
 // query as the old one (one decomposition and one index, or byte-identical
 // snapshot images); Warm re-evaluates the rest hottest first and stores

@@ -161,37 +161,31 @@ func keepDecomposition(c *xmlgraph.Collection, cfg Config, set *meta.Set) {
 func decompose(c *xmlgraph.Collection, cfg Config) (*meta.Set, BuildStats) {
 	var bs BuildStats
 	t0 := time.Now()
-	r, assign, parts := partitionFor(c, cfg)
+	a := partitionFor(c, cfg)
 	bs.Partition = time.Since(t0)
-	var set *meta.Set
-	if r != nil {
-		set = meta.Build(c, r)
-	} else {
-		set = meta.BuildElements(c, assign, parts)
-	}
+	set := meta.Build(c, a)
 	bs.MetaBuild = time.Since(t0) - bs.Partition
 	return set, bs
 }
 
-// partitionFor runs the partitioner cfg.Kind names (valid): a document-level
-// partitioning r, or for ElementLevel the node assignment over parts
-// partitions.
-func partitionFor(c *xmlgraph.Collection, cfg Config) (r *partition.Result, assign []int32, parts int) {
+// partitionFor runs the partitioner cfg.Kind names (valid) and returns the
+// element assignment it ends in.
+func partitionFor(c *xmlgraph.Collection, cfg Config) partition.Assignment {
 	switch cfg.Kind {
 	case Naive:
-		r = partition.Singleton(c)
+		return partition.Singleton(c).Assignment(c)
 	case MaximalPPO:
-		r = partition.TreePartitions(c)
+		return partition.TreePartitions(c).Assignment(c)
 	case UnconnectedHOPI:
-		r = partition.SizeBounded(c, cfg.PartitionSize)
+		return partition.SizeBounded(c, cfg.PartitionSize).Assignment(c)
 	case Hybrid:
-		r = partition.Hybrid(c, cfg.PartitionSize, cfg.MinTreeDocs)
+		return partition.Hybrid(c, cfg.PartitionSize, cfg.MinTreeDocs).Assignment(c)
 	case Monolithic:
-		r = partition.Whole(c)
+		return partition.Whole(c).Assignment(c)
 	case ElementLevel:
-		assign, parts = partition.ElementLevel(c, cfg.PartitionSize)
+		return partition.ElementLevel(c, cfg.PartitionSize)
 	}
-	return r, assign, parts
+	panic(fmt.Sprintf("flix: unknown configuration kind %v", cfg.Kind))
 }
 
 // Assign returns the node→meta-document assignment Decompose's meta
@@ -204,9 +198,6 @@ func Assign(c *xmlgraph.Collection, cfg Config) (metaOf []int32, metas int, err 
 	if !cfg.Kind.valid() {
 		return nil, 0, fmt.Errorf("flix: unknown configuration kind %v", cfg.Kind)
 	}
-	r, assign, parts := partitionFor(c, cfg)
-	if r == nil {
-		return assign, parts, nil
-	}
-	return meta.Assignment(c, r), len(r.Parts), nil
+	a := partitionFor(c, cfg)
+	return a.MetaOf, a.Parts, nil
 }

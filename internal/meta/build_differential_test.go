@@ -50,8 +50,8 @@ func sameSet(got *Set, want *referenceSet) error {
 		fail := func(format string, args ...any) error {
 			return fmt.Errorf("meta %d: %s", mi, fmt.Sprintf(format, args...))
 		}
-		if g.ID != w.ID || !slices.Equal(g.Docs, w.Docs) {
-			return fail("ID/Docs differ")
+		if g.ID != w.ID {
+			return fail("ID differs")
 		}
 		if !slices.Equal(g.toGlobal, w.toGlobal) {
 			return fail("ToGlobal differs")
@@ -95,8 +95,8 @@ func sameSet(got *Set, want *referenceSet) error {
 	return nil
 }
 
-// TestBuildMatchesReference compares Build and BuildElements with the frozen
-// builder (reference_test.go) over every partitioner, every collection
+// TestBuildMatchesReference compares Build with the frozen document-level
+// and element-level builders (reference_test.go) over every partitioner, every collection
 // family and the synthetic DBLP corpus at three scales.
 func TestBuildMatchesReference(t *testing.T) {
 	type corpus struct {
@@ -130,16 +130,16 @@ func TestBuildMatchesReference(t *testing.T) {
 			{"hybrid-50", partition.Hybrid(co.c, 50, 2)},
 			{"hybrid-5000", partition.Hybrid(co.c, 5000, 2)},
 		} {
-			if err := sameSet(Build(co.c, p.r), referenceBuild(co.c, p.r)); err != nil {
+			if err := sameSet(Build(co.c, p.r.Assignment(co.c)), referenceBuild(co.c, p.r)); err != nil {
 				t.Errorf("%s: Build(%s): %v", co.name, p.name, err)
 			}
 		}
 		// Element-level sets cut tree edges, the only source of runtime
 		// links that are not data links; 7 splits nearly every document.
 		for _, maxNodes := range []int{7, 60, 5000} {
-			assign, parts := partition.ElementLevel(co.c, maxNodes)
-			if err := sameSet(BuildElements(co.c, assign, parts), referenceBuildElements(co.c, assign, parts)); err != nil {
-				t.Errorf("%s: BuildElements(%d): %v", co.name, maxNodes, err)
+			a := partition.ElementLevel(co.c, maxNodes)
+			if err := sameSet(Build(co.c, a), referenceBuildElements(co.c, a.MetaOf, a.Parts)); err != nil {
+				t.Errorf("%s: Build(ElementLevel(%d)): %v", co.name, maxNodes, err)
 			}
 		}
 	}
@@ -153,7 +153,7 @@ func TestSetNotWrittenAfterBuild(t *testing.T) {
 	for _, f := range testutil.Families() {
 		c := testutil.Generate(f, 5, 30, 20, 60)
 		r := partition.Hybrid(c, 50, 2)
-		s, want := Build(c, r), referenceBuild(c, r)
+		s, want := Build(c, r.Assignment(c)), referenceBuild(c, r)
 		if err := sameSet(s, want); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}

@@ -25,7 +25,7 @@ func TestDifferentialRegistryVsTC(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", family, seed), func(t *testing.T) {
 				c := testutil.Generate(family, seed, 6, 30, 12)
-				set := Build(c, partition.Whole(c))
+				set := Build(c, partition.Whole(c).Assignment(c))
 				if err := set.Validate(); err != nil {
 					t.Fatalf("family=%s seed=%d: invalid meta set: %v", family, seed, err)
 				}

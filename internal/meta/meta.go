@@ -1,12 +1,15 @@
 // Package meta implements FliX's Meta Document Builder and Indexing
 // Strategy Selector (§3.2, §4.1).
 //
-// A meta document is a subset of the collection's documents together with
-// the link edges represented inside it.  The builder flattens each part of
-// a document partitioning into a local labeled graph (lgraph.LGraph) with a
-// dense node numbering, and records the remaining links — the ones the Path
-// Expression Evaluator follows at query run time — as cross links attached
-// to their source meta documents.
+// A meta document is a part of a partition.Assignment — whole documents for
+// the document-level configurations, any set of elements for the
+// element-level one (§7) — together with the edges represented inside it.
+// Build, the one builder, flattens each part into a local labeled graph
+// (lgraph.LGraph) with a dense node numbering, and records the remaining
+// edges — the links the Assignment leaves out and, at element level, the
+// tree edges that cross parts, all of which the Path Expression Evaluator
+// follows at query run time — as cross links attached to their source meta
+// documents.
 //
 // Build lays the meta documents' local numberings end to end — position
 // base[MetaOf[n]] + LocalOf[n] — and fills every per-position array in two
@@ -21,13 +24,13 @@
 //
 // A Set is never written after Build returns (`TestSetNotWrittenAfterBuild`),
 // which is what lets every index generation over one collection share it;
-// `TestBuildMatchesReference` holds Build to a frozen copy of its
-// predecessor, graphs, numbering, tags and link tables alike.
+// `TestBuildMatchesReference` holds Build to frozen copies of its two
+// predecessors, the document-level and the element-level builder, graphs,
+// numbering, tags and link tables alike.
 package meta
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/lgraph"
 	"repro/internal/partition"
@@ -52,9 +55,6 @@ type InLink struct {
 type MetaDocument struct {
 	// ID is the meta document's index in its Set.
 	ID int
-	// Docs lists the member documents, ascending.  Element-level meta
-	// documents (BuildElements) cut across documents and leave Docs nil.
-	Docs []xmlgraph.DocID
 	// Graph is the local data graph: tree edges plus included links.
 	Graph *lgraph.LGraph
 	// OutLinks lists the runtime links leaving elements of this meta
@@ -105,7 +105,7 @@ func (m *MetaDocument) LinksFrom(i int) []CrossLink {
 
 // Set is a complete meta-document decomposition of a collection.
 //
-// A Set is immutable once Build or BuildElements has returned it: nothing in
+// A Set is immutable once Build has returned it: nothing in
 // this package writes to it, its meta documents, their graphs or their link
 // tables afterwards, and nothing outside may.  flix.Decompose relies on
 // that — it hands one Set to every index generation built or opened over the
@@ -119,77 +119,27 @@ type Set struct {
 	LocalOf []int32
 }
 
-// Build flattens a document-level partitioning of a frozen collection into
-// meta documents.
-func Build(c *xmlgraph.Collection, r *partition.Result) *Set {
-	sizes := make([]int32, len(r.Parts))
-	for pi, docs := range r.Parts {
-		for _, d := range docs {
-			sizes[pi] += int32(c.Doc(d).Size())
-		}
-	}
-	s := newSet(c, sizes, Assignment(c, r))
-	for pi, docs := range r.Parts {
-		md := s.Metas[pi]
-		md.Docs = docs
-		local := int32(0)
-		for _, d := range docs {
-			first, last := c.Doc(d).Nodes()
-			for n := first; n < last; n++ {
-				s.LocalOf[n] = local
-				md.toGlobal[local] = n
-				local++
-			}
-		}
-	}
-	// Tree edges always stay inside one meta document (documents are
-	// atomic at this level); links follow IncludedLinks.
-	s.wire(r.IncludedLinks)
-	return s
-}
-
-// Assignment flattens a document-level partitioning into the node→meta
-// document assignment Build lays its Set out by: every element of part pi's
-// documents is in meta document pi.  It is the whole of what Build derives
-// from r about where an element lives, without the graphs and link tables.
-func Assignment(c *xmlgraph.Collection, r *partition.Result) []int32 {
-	metaOf := make([]int32, c.NumNodes())
-	for pi, docs := range r.Parts {
-		for _, d := range docs {
-			first, last := c.Doc(d).Nodes()
-			for n := first; n < last; n++ {
-				metaOf[n] = int32(pi)
-			}
-		}
-	}
-	return metaOf
-}
-
-// BuildElements flattens a node-level assignment into meta documents — the
-// element-level meta documents sketched in §7 ("ignore the artificial
-// boundary of documents and combine semantically related, connected
-// elements into a single meta document").  assign[n] gives the partition of
-// node n (0 <= assign[n] < parts).  Any edge crossing the assignment —
-// including a parent-child tree edge — becomes a runtime link; the Path
-// Expression Evaluator handles those uniformly.  The collection must be
-// frozen.
-func BuildElements(c *xmlgraph.Collection, assign []int32, parts int) *Set {
-	sizes := make([]int32, parts)
-	for _, pi := range assign {
+// Build flattens an assignment of a frozen collection's elements into meta
+// documents, one per part, and takes ownership of a.MetaOf.  Local IDs
+// follow global order within a part; a document-level part lists its
+// documents ascending and each document's elements form one ascending ID
+// range, so its elements are numbered document by document.  Any edge
+// crossing the assignment — a link a.Included leaves out, or at element
+// level a parent-child tree edge — becomes a runtime link, which the Path
+// Expression Evaluator handles uniformly.
+func Build(c *xmlgraph.Collection, a partition.Assignment) *Set {
+	sizes := make([]int32, a.Parts)
+	for _, pi := range a.MetaOf {
 		sizes[pi]++
 	}
-	s := newSet(c, sizes, slices.Clone(assign))
+	s := newSet(c, sizes, a.MetaOf)
 	clear(sizes)
-	for n, pi := range assign {
+	for n, pi := range a.MetaOf {
 		s.LocalOf[n] = sizes[pi]
 		s.Metas[pi].toGlobal[sizes[pi]] = xmlgraph.NodeID(n)
 		sizes[pi]++
 	}
-	included := make([]bool, c.NumLinks())
-	for i, l := range c.Links() {
-		included[i] = assign[l.From] == assign[l.To]
-	}
-	s.wire(included)
+	s.wire(a.Included)
 	return s
 }
 
@@ -232,7 +182,7 @@ func (s *Set) edges(included []bool, fn func(from, to xmlgraph.NodeID, inside bo
 }
 
 // wire builds each meta document's local graph and the runtime link tables
-// from the numbering Build/BuildElements laid down, in time linear in
+// from the numbering Build laid down, in time linear in
 // elements + links: one pass over the edges counts, a second fills arrays of
 // exactly the counted size, and sortedness comes from visiting order
 // (lgraph.FromAdjacency for the local graphs, the two bucket passes below for

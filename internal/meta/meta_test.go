@@ -32,7 +32,7 @@ func buildLinked(t testing.TB) *xmlgraph.Collection {
 
 func TestBuildSingleton(t *testing.T) {
 	c := buildLinked(t)
-	s := Build(c, partition.Singleton(c))
+	s := Build(c, partition.Singleton(c).Assignment(c))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestBuildSingleton(t *testing.T) {
 
 func TestBuildWhole(t *testing.T) {
 	c := buildLinked(t)
-	s := Build(c, partition.Whole(c))
+	s := Build(c, partition.Whole(c).Assignment(c))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestBuildWhole(t *testing.T) {
 
 func TestLocalGlobalMapping(t *testing.T) {
 	c := buildLinked(t)
-	s := Build(c, partition.Singleton(c))
+	s := Build(c, partition.Singleton(c).Assignment(c))
 	for n := xmlgraph.NodeID(0); int(n) < c.NumNodes(); n++ {
 		md := s.Metas[s.MetaOf[n]]
 		if md.ToGlobal(s.LocalOf[n]) != n {
@@ -94,7 +94,7 @@ func TestLocalGlobalMapping(t *testing.T) {
 
 func TestSelector(t *testing.T) {
 	c := buildLinked(t)
-	s := Build(c, partition.Singleton(c))
+	s := Build(c, partition.Singleton(c).Assignment(c))
 	// Both singleton docs are trees: auto picks PPO.
 	if got := Select(s.Metas[0], LoadDescendants, ""); got.Name != "ppo" {
 		t.Errorf("forest meta selected %s", got.Name)
@@ -121,7 +121,7 @@ func TestSelectorNonForest(t *testing.T) {
 	b.Close()
 	c.AddLink(x, y, xmlgraph.EdgeIntraLink) // y gets two parents
 	c.Freeze()
-	s := Build(c, partition.Singleton(c))
+	s := Build(c, partition.Singleton(c).Assignment(c))
 	if got := Select(s.Metas[0], LoadDescendants, ""); got.Name != "hopi" {
 		t.Errorf("graph meta selected %s, want hopi", got.Name)
 	}
@@ -151,7 +151,7 @@ func TestLocalGraphSemantics(t *testing.T) {
 	// Included links become edges: distances inside a meta document must
 	// equal the collection BFS distances when everything is one meta doc.
 	c := buildLinked(t)
-	s := Build(c, partition.Whole(c))
+	s := Build(c, partition.Whole(c).Assignment(c))
 	m := s.Metas[0]
 	for n := xmlgraph.NodeID(0); int(n) < c.NumNodes(); n++ {
 		want := c.BFSDistances(n)
@@ -170,7 +170,7 @@ func TestBuildElements(t *testing.T) {
 	// article subtree goes with doc b (cross-document grouping), the
 	// rest stays.  Node order: bib=0 art=1 author=2 paper=3 title=4.
 	assign := []int32{0, 1, 1, 1, 1}
-	s := BuildElements(c, assign, 2)
+	s := Build(c, partition.ByElement(c, assign, 2))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +207,7 @@ func TestPropertyBuildElementsConsistent(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := xmlgraph.RandomCollection(rng, 1+rng.Intn(8), 10, rng.Intn(12))
-		assign, parts := partition.ElementLevel(c, 1+rng.Intn(15))
-		s := BuildElements(c, assign, parts)
+		s := Build(c, partition.ElementLevel(c, 1+rng.Intn(15)))
 		if s.Validate() != nil {
 			return false
 		}
@@ -236,7 +235,7 @@ func TestPropertyBuildConsistent(t *testing.T) {
 			partition.SizeBounded(c, 20),
 			partition.Hybrid(c, 20, 2),
 		} {
-			s := Build(c, r)
+			s := Build(c, r.Assignment(c))
 			if s.Validate() != nil {
 				return false
 			}

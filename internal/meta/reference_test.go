@@ -32,7 +32,7 @@ func referenceBuild(c *xmlgraph.Collection, r *partition.Result) *referenceSet {
 	}
 	s.Metas = make([]*MetaDocument, len(r.Parts))
 	for pi, docs := range r.Parts {
-		md := &MetaDocument{ID: pi, Docs: docs}
+		md := &MetaDocument{ID: pi}
 		for _, d := range docs {
 			first, last := c.Doc(d).Nodes()
 			for n := first; n < last; n++ {

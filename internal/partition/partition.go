@@ -31,6 +31,11 @@
 // cursor restarts per part, so a bound tiny against the collection (50
 // elements: 4391 parts) scans more, still faster than the frozen reference.
 //
+// Every configuration ends in one Assignment — an element→part map and the
+// mask of links represented inside the parts — which is all meta.Build reads:
+// a document-level Result flattens into one (Result.Assignment), and
+// ElementLevel returns one (ByElement).
+//
 // Every partitioner's output is part of the snapshot format (package flix
 // derives meta documents from it at open), so `TestPartitionersMatchReference`
 // holds each to a frozen copy of its predecessor, Parts, PartOf and
@@ -38,6 +43,27 @@
 package partition
 
 import "repro/internal/xmlgraph"
+
+// Assignment is the one shape every configuration reaches meta.Build in: a
+// map of the collection's elements onto Parts parts, and a link mask.
+type Assignment struct {
+	MetaOf []int32 // element → part, 0 <= MetaOf[n] < Parts
+	Parts  int
+	// Included marks, per link index of the collection, whether the link is
+	// represented inside its part (true) or followed at query run time
+	// (false); a link between parts never is.
+	Included []bool
+}
+
+// ByElement completes an element→part map with the mask that includes
+// exactly the links whose ends share a part.  It takes ownership of metaOf.
+func ByElement(c *xmlgraph.Collection, metaOf []int32, parts int) Assignment {
+	included := make([]bool, c.NumLinks())
+	for i, l := range c.Links() {
+		included[i] = metaOf[l.From] == metaOf[l.To]
+	}
+	return Assignment{MetaOf: metaOf, Parts: parts, Included: included}
+}
 
 // Result is a partitioning of a collection's documents.  Every document is
 // in exactly one part.
@@ -52,6 +78,22 @@ type Result struct {
 	// excluded; TreePartitions additionally excludes intra-part links
 	// that would break the forest property.
 	IncludedLinks []bool
+}
+
+// Assignment flattens the document partitioning: every element of part pi's
+// documents is in part pi, and the link mask is IncludedLinks, which the
+// Assignment shares.
+func (r *Result) Assignment(c *xmlgraph.Collection) Assignment {
+	metaOf := make([]int32, c.NumNodes())
+	for pi, docs := range r.Parts {
+		for _, d := range docs {
+			first, last := c.Doc(d).Nodes()
+			for n := first; n < last; n++ {
+				metaOf[n] = int32(pi)
+			}
+		}
+	}
+	return Assignment{MetaOf: metaOf, Parts: len(r.Parts), Included: r.IncludedLinks}
 }
 
 // newResult allocates a Result for a collection.
@@ -438,12 +480,12 @@ func Hybrid(c *xmlgraph.Collection, maxNodes, minTreeDocs int) *Result {
 // and links in both directions), so tightly linked elements of different
 // documents land in one partition while an oversized document is split into
 // several.  The returned assignment is deterministic.
-func ElementLevel(c *xmlgraph.Collection, maxNodes int) (assign []int32, parts int) {
+func ElementLevel(c *xmlgraph.Collection, maxNodes int) Assignment {
 	if maxNodes <= 0 {
 		maxNodes = 1 << 30
 	}
 	n := c.NumNodes()
-	assign = make([]int32, n)
+	assign := make([]int32, n)
 	for i := range assign {
 		assign[i] = -1
 	}
@@ -477,5 +519,5 @@ func ElementLevel(c *xmlgraph.Collection, maxNodes int) (assign []int32, parts i
 			c.EachPredecessor(v, visit)
 		}
 	}
-	return assign, int(cur) + 1
+	return ByElement(c, assign, int(cur)+1)
 }

@@ -307,7 +307,8 @@ func TestHybridFigure1(t *testing.T) {
 
 func TestElementLevel(t *testing.T) {
 	c := figure1(t)
-	assign, parts := ElementLevel(c, 7)
+	a := ElementLevel(c, 7)
+	assign, parts := a.MetaOf, a.Parts
 	if parts < 2 {
 		t.Fatalf("parts = %d", parts)
 	}
@@ -338,7 +339,7 @@ func TestElementLevelSplitsOversizedDoc(t *testing.T) {
 	b.Leave()
 	b.Close()
 	c.Freeze()
-	_, parts := ElementLevel(c, 10)
+	parts := ElementLevel(c, 10).Parts
 	if parts < 3 {
 		t.Errorf("31-element doc with cap 10 gave %d parts, want >= 3", parts)
 	}
@@ -346,7 +347,8 @@ func TestElementLevelSplitsOversizedDoc(t *testing.T) {
 
 func TestElementLevelUnbounded(t *testing.T) {
 	c := figure1(t)
-	assign, parts := ElementLevel(c, 0)
+	a := ElementLevel(c, 0)
+	assign, parts := a.MetaOf, a.Parts
 	if parts != 1 {
 		t.Errorf("unbounded: %d parts", parts)
 	}
@@ -363,7 +365,8 @@ func TestPropertyElementLevelInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := xmlgraph.RandomCollection(rng, 1+rng.Intn(10), 12, rng.Intn(15))
 		cap := 1 + rng.Intn(20)
-		assign, parts := ElementLevel(c, cap)
+		a := ElementLevel(c, cap)
+		assign, parts := a.MetaOf, a.Parts
 		if len(assign) != c.NumNodes() {
 			return false
 		}

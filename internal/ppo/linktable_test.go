@@ -44,7 +44,7 @@ func familyForests() []linkCase {
 // appendForests appends the forest meta documents of c under each of parts.
 func appendForests(out []linkCase, name string, c *xmlgraph.Collection, parts ...*partition.Result) []linkCase {
 	for pi, r := range parts {
-		for _, md := range meta.Build(c, r).Metas {
+		for _, md := range meta.Build(c, r.Assignment(c)).Metas {
 			if md.Graph.IsForest() {
 				to := make([]int32, len(md.OutLinks))
 				for k, l := range md.OutLinks {

@@ -32,9 +32,11 @@ type Backend interface {
 	// content predicates, document roots).
 	Collection() *xmlgraph.Collection
 	// Descendants streams the elements named tag reachable from start in
-	// approximately ascending distance order (flix.Index semantics).
+	// approximately ascending distance order, or under opts.ExactOrder in
+	// ascending (dist, node) order (flix.Index semantics).
 	Descendants(start xmlgraph.NodeID, tag string, opts flix.Options, fn flix.Emit)
-	// Ancestors is the inverse-direction scan used by InverseScore.
+	// Ancestors is the inverse-direction scan used by InverseScore, with the
+	// same order contract.
 	Ancestors(start xmlgraph.NodeID, tag string, opts flix.Options, fn flix.Emit)
 }
 

@@ -2,7 +2,6 @@ package query
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/flix"
@@ -15,7 +14,7 @@ import (
 // that it has produced the top k results ... similar to Fagin's threshold
 // algorithm with only sequential reads").  It returns the full ranking's
 // first k elements while touching only what the threshold needs, and in
-// steady state it allocates only the returned slice and the sort.  Four
+// steady state it allocates only the returned slice.  Four
 // mechanisms give that; the frozen ReferenceEvaluateTopK, which has none of
 // them, is what the differential suite holds the answers to:
 //
@@ -202,7 +201,9 @@ func (e *Evaluator) fetchStream(ts *topkScratch, s *resultStream, bb bandedBacke
 	}
 	if !s.banded {
 		s.opened, s.done = true, true
-		opts := flix.Options{MaxDist: s.maxDist, Cancel: e.Cancel, Tracer: e.Tracer}
+		// Per-stream score monotonicity needs ascending (dist, node) order,
+		// which a stream across meta documents has only when asked for.
+		opts := flix.Options{MaxDist: s.maxDist, ExactOrder: true, Cancel: e.Cancel, Tracer: e.Tracer}
 		if s.inverse {
 			e.Stats.InverseScans++
 			e.Index.Ancestors(s.from.Node, s.tag, opts, s.emitFn)
@@ -210,14 +211,6 @@ func (e *Evaluator) fetchStream(ts *topkScratch, s *resultStream, bb bandedBacke
 			e.Stats.Scans++
 			e.Index.Descendants(s.from.Node, s.tag, opts, s.emitFn)
 		}
-		// FliX streams only approximately distance-ordered across meta
-		// documents; per-stream score monotonicity needs ascending dist.
-		sort.Slice(s.buf, func(i, j int) bool {
-			if s.buf[i].Dist != s.buf[j].Dist {
-				return s.buf[i].Dist < s.buf[j].Dist
-			}
-			return s.buf[i].Node < s.buf[j].Node
-		})
 		ts.cursor(s)
 		return
 	}

@@ -42,7 +42,7 @@ func TestFamilyShapes(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := func(f Family) *meta.MetaDocument {
 			c := Generate(f, seed, 8, 40, 15)
-			s := meta.Build(c, partition.Whole(c))
+			s := meta.Build(c, partition.Whole(c).Assignment(c))
 			if err := s.Validate(); err != nil {
 				t.Fatalf("%s seed %d: invalid meta set: %v", f, seed, err)
 			}

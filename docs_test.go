@@ -3,10 +3,14 @@ package flix_test
 import (
 	"encoding/json"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -292,76 +296,238 @@ func declaredSymbols(t *testing.T) map[string]map[string]bool {
 }
 
 // unreferencedExports lists, by reason, the exported functions and methods
-// under internal/ that no non-test file names.
+// under internal/ that no non-test file uses, each as pkg.Name or
+// pkg.Type.Name.
 var unreferencedExports = map[string][]string{
-	"satisfies an interface the standard library calls (sort, encoding/json, errors)": {
-		"Less", "MarshalJSON", "UnmarshalJSON", "Unwrap"},
-	"a capability the paper gives the strategy: PPO answers all XPath axes (PAPER.md §1), APEX label paths on the summary alone (§2.2)": {
-		"EachFollowing", "EachPreceding", "PathExtent"},
+	"errors.Is and errors.As call it": {
+		"shard.retryableError.Unwrap"},
+	"a capability the paper gives the strategy: APEX label paths on the summary alone (§2.2)": {
+		"apex.Index.PathExtent"},
 	"ablation builders (DESIGN.md §4): bench_test.go compares them, tests register them in meta.Registry": {
-		"DCStrategy", "StrategyK", "BuildNaive", "LabelEntries"},
-	"library API: a method of a type the root package re-exports (Collection, DocumentBuilder)": {
-		"TreeDescendants", "Current", "Path", "NumEdges"},
+		"hopi.DCStrategy", "apex.StrategyK", "hopi.BuildNaive", "hopi.Index.LabelEntries"},
+	"library API: a method of a type the root package re-exports (Collection, DocumentBuilder, Ontology)": {
+		"xmlgraph.Collection.Reachable", "xmlgraph.Collection.Ancestors", "xmlgraph.Collection.Children",
+		"xmlgraph.Collection.Tags", "xmlgraph.Collection.TreeDescendants", "xmlgraph.Collection.Path",
+		"xmlgraph.Collection.NumEdges", "xmlgraph.DocumentBuilder.Current", "xmlgraph.DocumentBuilder.DocID",
+		"ontology.Ontology.Score", "ontology.Ontology.Tags"},
 	"test support for other packages' tests, which an export_test.go cannot serve": {
-		"NewBuilder", "AddNode", "AddEdge", "Reseal", "Validate"},
+		"lgraph.NewBuilder", "lgraph.Builder.AddNode", "lgraph.Builder.AddEdge", "lgraph.Builder.Finish",
+		"lgraph.LGraph.NumEdges", "meta.Set.Validate", "storage.Reseal", "xmlparse.Parse"},
+}
+
+// stdlibDispatch are the interfaces of the standard library whose methods
+// it calls on the module's values (fmt's verbs, encoding/json, net/http,
+// container/heap): a method that implements one of them is used.
+var stdlibDispatch = [][2]string{
+	{"fmt", "Stringer"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+	{"net/http", "Handler"},
+	{"container/heap", "Interface"},
 }
 
 // TestNoUnreferencedExports: every exported function or method declared in a
-// non-test file under internal/ is named by some non-test Go file of this
-// module or of benchmark/ (beyond its own declaration), or is listed above
-// with its reason; internal/testutil, whose callers are tests by design, is
-// not held to it.  Matching is by name alone, so it errs towards silence;
-// what it catches is the export whose last caller was deleted or moved into
-// a test.  An export only its own package's tests call belongs in that
-// package's export_test.go.
+// non-test file under internal/ is used by some non-test Go file of this
+// module or of benchmark/, or is listed above with its reason;
+// internal/testutil, whose callers are tests by design, is not held to it.
+// Uses are resolved by type (go/types over the files go/build selects, so
+// build tags hold): a method is used when that method is named, or when a
+// method of an interface its type implements is, since a call through the
+// interface may reach it.  What it catches is the export whose last caller
+// was deleted or moved into a test, even when another type keeps a method
+// of the same name.  An export only its own package's tests call belongs in
+// that package's export_test.go.
 func TestNoUnreferencedExports(t *testing.T) {
-	type decl struct{ name, pos string }
-	var decls []decl
-	declared, named := map[string]int{}, map[string]int{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	m := typeCheckModule(t)
+	used := map[*types.Func]bool{}
+	var ifaceMethods []*types.Func
+	for _, obj := range m.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		if !used[fn] && isInterfaceMethod(fn) {
+			ifaceMethods = append(ifaceMethods, fn)
+		}
+		used[fn] = true
+	}
+	for _, ref := range stdlibDispatch {
+		pkg, err := m.std.Import(ref[0])
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
-			return filepath.SkipDir // .bench_build, .git
+		iface := pkg.Scope().Lookup(ref[1]).Type().Underlying().(*types.Interface)
+		for i := range iface.NumMethods() {
+			ifaceMethods = append(ifaceMethods, iface.Method(i))
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				named[n.Name]++
-			case *ast.FuncDecl:
-				declared[n.Name.Name]++
-				if p := filepath.ToSlash(path); n.Name.IsExported() && strings.HasPrefix(p, "internal/") && !strings.HasPrefix(p, "internal/testutil/") {
-					decls = append(decls, decl{n.Name.Name, fset.Position(n.Pos()).String()})
-				}
-			}
+	}
+	reached := func(fn *types.Func) bool {
+		if used[fn] {
 			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		}
+		n := receiver(fn)
+		if n == nil || n.TypeParams().Len() > 0 {
+			return false
+		}
+		ptr := types.NewPointer(n)
+		for _, im := range ifaceMethods {
+			if im.Name() == fn.Name() && types.Implements(ptr, im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)) {
+				return true
+			}
+		}
+		return false
 	}
 	listed := map[string]bool{}
 	for _, names := range unreferencedExports {
 		for _, name := range names {
 			listed[name] = true
-			if named[name] > declared[name] || declared[name] == 0 {
-				t.Errorf("%s is listed as unreferenced, but it is referenced or gone: drop it from the list", name)
+		}
+	}
+	seen := map[string]bool{}
+	for _, fn := range m.exported {
+		key := exportKey(fn)
+		seen[key] = true
+		switch ref := reached(fn); {
+		case listed[key] && ref:
+			t.Errorf("%s is listed as unreferenced, but a non-test file uses it: drop it from the list", key)
+		case !listed[key] && !ref:
+			t.Errorf("%s: %s is exported, but no non-test file uses it: delete it, unexport it, move it to a _test.go file, or list it with its reason",
+				m.fset.Position(fn.Pos()), key)
+		}
+	}
+	for name := range listed {
+		if !seen[name] {
+			t.Errorf("%s is listed as unreferenced, but it is gone: drop it from the list", name)
+		}
+	}
+}
+
+// isInterfaceMethod reports whether fn is declared by an interface type.
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// receiver returns the named type fn is a method of, nil for a function.
+func receiver(fn *types.Func) *types.Named {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	typ := recv.Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	n, _ := typ.(*types.Named)
+	return n
+}
+
+// exportKey names fn as the allowlist does: pkg.Name, or pkg.Type.Name for a
+// method.
+func exportKey(fn *types.Func) string {
+	key := fn.Pkg().Name() + "."
+	if n := receiver(fn); n != nil {
+		key += n.Obj().Name() + "."
+	}
+	return key + fn.Name()
+}
+
+// checkedModule is this module and the benchmark module type-checked
+// together, test files left out: one Uses map over every package, and the
+// exported functions and methods declared under internal/.
+type checkedModule struct {
+	fset     *token.FileSet
+	info     *types.Info
+	exported []*types.Func
+	files    map[string][]string // import path -> the non-test files go/build selects
+	pkgs     map[string]*types.Package
+	std      types.ImporterFrom
+}
+
+// typeCheckModule type-checks every package of the module (import path
+// "repro") and of benchmark/ ("repro/benchmark") from source; standard
+// library packages come from the source importer.
+func typeCheckModule(t *testing.T) *checkedModule {
+	t.Helper()
+	fset := token.NewFileSet()
+	m := &checkedModule{
+		fset:  fset,
+		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
+		files: map[string][]string{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+	}
+	var paths []string
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir // .bench_build, .git
+		}
+		bp, err := build.Default.ImportDir(dir, 0)
+		if _, none := err.(*build.NoGoError); none {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		path := pathpkg.Join("repro", filepath.ToSlash(dir))
+		for _, name := range bp.GoFiles {
+			m.files[path] = append(m.files[path], filepath.Join(dir, name))
+		}
+		paths = append(paths, path)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		if _, err := m.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// Import implements types.Importer.
+func (m *checkedModule) Import(path string) (*types.Package, error) {
+	return m.ImportFrom(path, ".", 0)
+}
+
+// ImportFrom implements types.ImporterFrom: a package of the module is
+// checked once, recording its uses; any other comes from the source importer.
+func (m *checkedModule) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg, ok := m.pkgs[path]; ok {
+		return pkg, nil
+	}
+	names, ok := m.files[path]
+	if !ok {
+		return m.std.ImportFrom(path, dir, mode)
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(m.fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = pkg
+	if strings.HasPrefix(path, "repro/internal/") && !strings.HasPrefix(path, "repro/internal/testutil") {
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+					m.exported = append(m.exported, m.info.Defs[fd.Name].(*types.Func))
+				}
 			}
 		}
 	}
-	for _, d := range decls {
-		if !listed[d.name] && named[d.name] == declared[d.name] {
-			t.Errorf("%s: %s is exported, but no non-test file names it: delete it, unexport it, move it to a _test.go file, or list it with its reason", d.pos, d.name)
-		}
-	}
+	return pkg, nil
 }

@@ -21,6 +21,18 @@ func reopen(c *xmlgraph.Collection, ix *Index, compress bool) (*Index, error) {
 	return OpenSnapshotBytes(c, buf.Bytes())
 }
 
+// persistedConfigs are allConfigs but the transitive closure's, which has no
+// section to persist (TestSnapshotTCSectionRefused).
+func persistedConfigs() []Config {
+	var confs []Config
+	for _, cfg := range allConfigs() {
+		if cfg.Strategy != "tc" {
+			confs = append(confs, cfg)
+		}
+	}
+	return confs
+}
+
 // sameAnswers compares two indexes over c exhaustively: the descendants and
 // ancestors streams from every element, untyped and for every tag, and the
 // connection test for every element pair.
@@ -56,7 +68,7 @@ func sameAnswers(c *xmlgraph.Collection, a, b *Index) error {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	c, _ := buildSample(t)
-	for _, cfg := range allConfigs() {
+	for _, cfg := range persistedConfigs() {
 		orig, err := Build(c, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +138,7 @@ func TestPropertySaveLoadEquivalence(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := xmlgraph.RandomCollection(rng, 2+rng.Intn(6), 10, rng.Intn(12))
-		confs := allConfigs()
+		confs := persistedConfigs()
 		conf := confs[rng.Intn(len(confs))]
 		orig, err := Build(c, conf)
 		if err != nil {

@@ -11,11 +11,10 @@ import (
 	"repro/internal/pathindex"
 	"repro/internal/ppo"
 	"repro/internal/storage"
-	"repro/internal/tc"
 	"repro/internal/testutil"
 )
 
-// TestRawOpenBytesFlat: a raw ppo, apex or tc section opens as views of its
+// TestRawOpenBytesFlat: a raw ppo or apex section opens as views of its
 // bytes, rows included, so opening the section of a graph ten times larger
 // allocates the same bytes — the index value — give or take a size class.
 // One slice header per row, as the openers once built, grows with the graph.
@@ -50,7 +49,6 @@ func TestRawOpenBytesFlat(t *testing.T) {
 			return idx
 		}, ppo.OpenSection},
 		{"apex", func(g *lgraph.LGraph) storage.SectionEncoder { return apex.Build(g) }, apex.OpenSection},
-		{"tc", func(g *lgraph.LGraph) storage.SectionEncoder { return tc.Build(g) }, tc.OpenSection},
 	} {
 		bytesPerOpen := func(n int) uint64 {
 			g := forest(n)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -30,6 +32,7 @@ var compressOpts = SnapshotV2Options{Compress: true}
 // strategy, the heap index and the compressed snapshot reopened from its
 // bytes must serve identical result streams and cost identical evaluator
 // work — whether a given section actually compressed or fell back to raw.
+// The transitive closure has no section: its build must write nothing.
 func TestSnapshotCompressedParity(t *testing.T) {
 	for _, fam := range testutil.Families() {
 		for _, strat := range registryStrategies() {
@@ -39,6 +42,10 @@ func TestSnapshotCompressedParity(t *testing.T) {
 				heap, err := BuildWithOptions(c, cfg, BuildOptions{Parallelism: 1})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if strat == "tc" {
+					wantNoSection(t, heap, compressOpts)
+					return
 				}
 				var serial, parallel bytes.Buffer
 				if _, err := heap.WriteSnapshotV2With(&serial, compressOpts); err != nil {
@@ -196,6 +203,72 @@ func TestHOPISectionOneCodec(t *testing.T) {
 	if ix != nil || !errors.Is(err, ErrSnapshotCorrupt) || errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("v4 image with a kind-3 section: %v, %v; want ErrSnapshotCorrupt and no index", ix, err)
 	}
+}
+
+// wantNoSection checks that ix, which uses the transitive closure, cannot be
+// written: the closure has no section, so the write fails before a byte.
+func wantNoSection(t *testing.T, ix *Index, opts SnapshotV2Options) {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := ix.WriteSnapshotV2With(&buf, opts)
+	if err == nil || !strings.Contains(err.Error(), "tc index cannot encode a v2 section") || n != 0 || buf.Len() != 0 {
+		t.Fatalf("%+v: WriteSnapshotV2 of a tc index: %d bytes (%d buffered), %v; want 0 and the cannot-encode error",
+			opts, n, buf.Len(), err)
+	}
+}
+
+// TestSnapshotTCSectionRefused pins the container's narrowing to the
+// strategies the selector serves: the transitive closure has no section, so
+// writing an index that uses it fails before a byte is written, and a v4
+// image carrying a section of kind 5 — what the closure's section was — is
+// corrupt (not a version problem) from bytes and from a mapped file alike.
+func TestSnapshotTCSectionRefused(t *testing.T) {
+	coll := goldenCollection()
+	tcIx, err := Build(coll, Config{Kind: Monolithic, Strategy: "tc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []SnapshotV2Options{{}, compressOpts} {
+		wantNoSection(t, tcIx, opts)
+	}
+
+	// The image of a raw APEX build, its meta document's section relabelled
+	// kind 5 and resealed, so only the kind is wrong.
+	apexIx, err := Build(coll, Config{Kind: Monolithic, Strategy: "apex"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := apexIx.WriteSnapshotV2(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	tableOff := binary.LittleEndian.Uint64(img[len(img)-40:])
+	kindAt := tableOff + 1*24 + 16 // section 1, after {off u64, len u64}
+	if got := binary.LittleEndian.Uint32(img[kindAt:]); got != storage.SectionAPEX {
+		t.Fatalf("section 1 has kind %d, want apex", got)
+	}
+	binary.LittleEndian.PutUint32(img[kindAt:], 5)
+	if err := storage.Reseal(img); err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(img[8:12]); v != storage.SnapshotVersion {
+		t.Fatalf("image version %d, want %d", v, storage.SnapshotVersion)
+	}
+	refused := func(from string, ix *Index, err error) {
+		t.Helper()
+		if ix != nil || !errors.Is(err, ErrSnapshotCorrupt) || errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("v4 image with a kind-5 section, from %s: %v, %v; want ErrSnapshotCorrupt and no index", from, ix, err)
+		}
+	}
+	ix, err := OpenSnapshotBytes(coll, img)
+	refused("bytes", ix, err)
+	path := filepath.Join(t.TempDir(), "kind5.flix")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix, err = OpenSnapshotWith(coll, path, OpenOptions{Mmap: true})
+	refused("a mapped file", ix, err)
 }
 
 // TestSnapshotCompressedGoldenFixture pins the compressed container layout
@@ -501,41 +574,39 @@ func TestSnapshotCompressedDeclaredRatioMismatch(t *testing.T) {
 	open.Close()
 }
 
-// TestSnapshotCompressedFallback pins the per-section fallback: APEX and
-// transitive-closure sections have no compressed encoding, so under Compress
-// every section stays raw and the container opens as an uncompressed (but
-// trailer-bearing) snapshot.
+// TestSnapshotCompressedFallback pins the per-section fallback: APEX
+// sections have no compressed encoding, so under Compress every section
+// stays raw and the container opens as an uncompressed (but trailer-bearing)
+// snapshot.
 func TestSnapshotCompressedFallback(t *testing.T) {
 	coll := goldenCollection()
-	for _, strat := range []string{"apex", "tc"} {
-		fresh, err := Build(coll, Config{Kind: Monolithic, Strategy: strat})
-		if err != nil {
-			t.Fatal(err)
+	fresh, err := Build(coll, Config{Kind: Monolithic, Strategy: "apex"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := fresh.WriteSnapshotV2With(&buf, SnapshotV2Options{Compress: true}); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenSnapshotBytes(coll, buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if ix.secRaw == nil {
+		t.Error("no manifest trailer in a Compress container")
+	}
+	si := ix.StorageInfo()
+	if si.Compressed {
+		t.Fatal("StorageInfo.Compressed = true")
+	}
+	for _, st := range si.Sections {
+		if storage.IsCompressedKind(sectionKindByName(t, st.Kind)) {
+			t.Fatalf("section kind %s present despite the fallback", st.Kind)
 		}
-		var buf bytes.Buffer
-		if _, err := fresh.WriteSnapshotV2With(&buf, SnapshotV2Options{Compress: true}); err != nil {
-			t.Fatal(err)
-		}
-		ix, err := OpenSnapshotBytes(coll, buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		if ix.secRaw == nil {
-			t.Errorf("%s: no manifest trailer in a Compress container", strat)
-		}
-		si := ix.StorageInfo()
-		if si.Compressed {
-			t.Fatalf("%s: StorageInfo.Compressed = true", strat)
-		}
-		for _, st := range si.Sections {
-			if storage.IsCompressedKind(sectionKindByName(t, st.Kind)) {
-				t.Fatalf("%s: section kind %s present despite the fallback", strat, st.Kind)
-			}
-		}
-		if want, got := streamBytes(fresh, 0, "a"), streamBytes(ix, 0, "a"); !bytes.Equal(want, got) {
-			t.Fatalf("%s: fallback stream %s != fresh %s", strat, got, want)
-		}
+	}
+	if want, got := streamBytes(fresh, 0, "a"), streamBytes(ix, 0, "a"); !bytes.Equal(want, got) {
+		t.Fatalf("fallback stream %s != fresh %s", got, want)
 	}
 }
 

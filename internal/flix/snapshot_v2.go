@@ -2,7 +2,7 @@ package flix
 
 // The persisted form of an index — the only one: WriteSnapshotV2 emits the
 // offset-based mmap-able container (storage.SnapshotWriter), OpenSnapshot
-// serves PPO, APEX and tc sections straight from the mapped bytes with no
+// serves PPO and APEX sections straight from the mapped bytes with no
 // parse step and decodes HOPI sections into heap labels.  The
 // file carries a manifest section (configuration + per-meta-document
 // fingerprints) followed by one section per meta document in decomposition
@@ -308,7 +308,7 @@ type StorageInfo struct {
 	// snapshot container.
 	Format string
 	// Mapped reports whether the backing snapshot is memory-mapped.  The
-	// mapping backs the probes of PPO, APEX and tc sections; HOPI sections
+	// mapping backs the probes of PPO and APEX sections; HOPI sections
 	// are decoded into the heap at open, and their probes do not read it.
 	Mapped bool
 	// MappedBytes is the size of the mapping (0 when not mapped), HOPI

@@ -5,11 +5,14 @@ package front_test
 
 import (
 	"bufio"
+	"net/http"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
 )
 
 var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)$`)
@@ -142,6 +145,60 @@ func TestMetricsParity(t *testing.T) {
 		}
 		if e.value("ready") != 1 {
 			t.Errorf("%sready = %v, want 1", e.prefix, e.value("ready"))
+		}
+	}
+}
+
+// TestStatszCountersMatchMetrics: on both tiers, /statsz reports the front's
+// refusal counters — shed, notReady, timeouts and clientErrors — with the
+// values of the /metrics counters front.WriteMetrics writes, once each has
+// counted.  The node keeps them in its "server" block, the router in its
+// "requests" block.
+func TestStatszCountersMatchMetrics(t *testing.T) {
+	c := newCorpus(t, hybridIndex)
+	l := limits{maxInFlight: 1}
+	pending := server.NewPending(c.coll, server.Config{MaxInFlight: l.maxInFlight})
+	node := tier{name: "node", url: serve(t, pending.Handler())}
+	router, startRouter := newUnstartedRouter(t, c, l)
+	desc := call{path: "/v1/descendants?start=" + c.hub + "&tag=title"}
+	for _, tr := range []tier{node, router} {
+		if resp, _ := tr.do(t, desc); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s before ready: status %d, want 503", tr.name, resp.StatusCode)
+		}
+	}
+	pending.Install(c.ix, "test")
+	startRouter()
+	for _, tc := range []struct {
+		tr    tier
+		block string
+	}{{node, "server"}, {router, "requests"}} {
+		tr := tc.tr
+		if resp, _ := tr.do(t, call{path: "/v1/descendants?start=nosuch.xml"}); resp.StatusCode/100 != 4 {
+			t.Fatalf("%s: unknown start answered %d, want a 4xx", tr.name, resp.StatusCode)
+		}
+		tr.do(t, call{path: desc.path + "&timeout=1ns"})
+		release := holdSlot(t, tr)
+		if resp, _ := tr.do(t, desc); resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s at the in-flight limit: status %d, want 429", tr.name, resp.StatusCode)
+		}
+		release()
+
+		m := scrape(t, tr)
+		block, ok := decode(t, tr, call{path: "/statsz"})[tc.block].(map[string]any)
+		if !ok {
+			t.Fatalf("%s: /statsz has no %q block", tr.name, tc.block)
+		}
+		for key, family := range map[string]string{
+			"shed":         "requests_shed_total",
+			"notReady":     "requests_not_ready_total",
+			"timeouts":     "request_timeouts_total",
+			"clientErrors": "client_errors_total",
+		} {
+			got, ok := block[key].(float64)
+			if want := m.value(family); !ok || got != want || want < 1 {
+				t.Errorf("%s: /statsz %s.%s = %v, /metrics %s%s = %v; want equal and at least 1",
+					tr.name, tc.block, key, block[key], m.prefix, family, want)
+			}
 		}
 	}
 }

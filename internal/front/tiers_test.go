@@ -95,6 +95,15 @@ func shardNodeURL(t testing.TB, c *corpus) string {
 // newRouter serves the corpus from a router over two in-process shards.
 func newRouter(t testing.TB, c *corpus, l limits) tier {
 	t.Helper()
+	tr, start := newUnstartedRouter(t, c, l)
+	start()
+	return tr
+}
+
+// newUnstartedRouter is newRouter before it probes its shards: it answers
+// 503 until start, which returns once the router is ready.
+func newUnstartedRouter(t testing.TB, c *corpus, l limits) (tier, func()) {
+	t.Helper()
 	const n = 2
 	urls := make([]string, n)
 	for i := range urls {
@@ -112,15 +121,17 @@ func newRouter(t testing.TB, c *corpus, l limits) tier {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	rt.Start(ctx)
-	for deadline := time.Now().Add(10 * time.Second); !rt.Ready(); time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("router never became ready")
+	start := func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		rt.Start(ctx)
+		for deadline := time.Now().Add(10 * time.Second); !rt.Ready(); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("router never became ready")
+			}
 		}
 	}
-	return tier{name: "router", url: serve(t, rt.Handler())}
+	return tier{name: "router", url: serve(t, rt.Handler())}, start
 }
 
 // newPendingTiers returns both tiers before they can serve: a node without

@@ -21,11 +21,8 @@
 // own partition.  Every cross-partition path passes through a border hub, so
 // the cover stays exact while the per-node work shrinks to partition size.
 // It is an ablation: `hopi.DCStrategy` registers it as "hopi-dc" for the
-// tests and benchmarks, and it is not in meta.Registry.
-// `hopi.BuildPartitionedParallel` labels the border hubs serially, since
-// pruning depends on the global hub order, and the interior of each
-// partition in parallel; the labels equal the serial build's
-// (`TestPropertyParallelBuildDeterministic`).
+// tests and benchmarks, and it is not in meta.Registry.  It runs on one
+// goroutine; the flix build already labels meta documents in parallel.
 //
 // HOPI has one probe surface, the heap `hopi.Index`, and one section codec,
 // `hopi-c`: varint-delta runs of labels and postings, each hub (or node)
@@ -41,11 +38,9 @@ package hopi
 import (
 	"cmp"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/csr"
 	"repro/internal/lgraph"
@@ -121,23 +116,13 @@ func Build(g *lgraph.LGraph) *Index {
 // BuildPartitioned constructs the index with the divide-and-conquer scheme:
 // part[v] gives the partition of node v.  Border nodes (endpoints of
 // partition-crossing edges) are labeled over the whole graph first; all other
-// nodes are labeled within their partition only.
-func BuildPartitioned(g *lgraph.LGraph, part []int32) *Index {
-	return BuildPartitionedParallel(g, part, 1)
-}
-
-// BuildPartitionedParallel is BuildPartitioned with the per-partition
-// labeling step running on up to parallelism workers (<= 0 means all CPUs).
+// nodes are labeled within their partition only, in hub order.
 //
-// Phase 1 (border hubs) stays sequential: each border BFS prunes against
-// the labels of every earlier hub over the whole graph, so its outcome
-// depends on the processing order.  Phase 2 is parallel across partitions:
-// a partition-confined BFS reads and writes only labels of its own
-// partition's nodes — border labels are complete and read-only by then —
-// so partitions are independent, and processing each partition's interior
-// hubs in global hub order makes the result identical to the serial build
-// at every parallelism level.
-func BuildPartitionedParallel(g *lgraph.LGraph, part []int32, parallelism int) *Index {
+// Border hubs go first because each border BFS prunes against the labels of
+// every earlier hub over the whole graph.  A partition-confined BFS then
+// reads and writes only the labels of its own partition's nodes, so the
+// interior of one partition never sees another's hubs.
+func BuildPartitioned(g *lgraph.LGraph, part []int32) *Index {
 	l := newLabels(g)
 	b := newBuilder(l)
 	border := make([]bool, g.NumNodes())
@@ -150,52 +135,19 @@ func BuildPartitionedParallel(g *lgraph.LGraph, part []int32, parallelism int) *
 		}
 	}
 	order := hubOrder(g)
-	// Phase 1: border hubs, unrestricted BFS.
 	for _, v := range order {
 		if border[v] {
 			b.label(v, nil)
 		}
 	}
-	// Phase 2: interior hubs, BFS confined to the hub's partition.
-	// Group them by partition, preserving hub order within each group.
-	groupOf := make(map[int32]int)
-	var groups [][]int32
+	var p int32
+	within := func(u int32) bool { return part[u] == p }
 	for _, v := range order {
-		if border[v] {
-			continue
+		if !border[v] {
+			p = part[v]
+			b.label(v, within)
 		}
-		gi, ok := groupOf[part[v]]
-		if !ok {
-			gi = len(groups)
-			groupOf[part[v]] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], v)
 	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(parallelism, len(groups)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wb := newBuilder(l)
-			for {
-				gi := int(next.Add(1)) - 1
-				if gi >= len(groups) {
-					return
-				}
-				p := part[groups[gi][0]]
-				within := func(u int32) bool { return part[u] == p }
-				for _, v := range groups[gi] {
-					wb.label(v, within)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	return l.finish()
 }
 

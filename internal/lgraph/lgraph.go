@@ -77,9 +77,6 @@ func (b *Builder) AddEdge(u, v int32) {
 	b.to = append(b.to, v)
 }
 
-// NumNodes returns the number of nodes added so far.
-func (b *Builder) NumNodes() int { return len(b.tags) }
-
 // Finish builds the immutable graph.  Parallel edges are kept (they are
 // harmless for reachability and distance).
 func (b *Builder) Finish() *LGraph {

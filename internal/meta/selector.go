@@ -10,7 +10,6 @@ import (
 	"repro/internal/pathindex"
 	"repro/internal/ppo"
 	"repro/internal/storage"
-	"repro/internal/tc"
 )
 
 // QueryLoad describes the dominant query pattern, one of the inputs of the
@@ -52,12 +51,13 @@ var Registry = map[string]pathindex.Strategy{
 }
 
 // SectionOpeners maps a v2 snapshot section kind to the strategy-specific
-// opener: a zero-copy view over the section bytes for ppo, apex and tc, the
-// decoded heap index for hopi (one codec, kind hopi-c).
+// opener: a zero-copy view over the section bytes for ppo and apex, the
+// decoded heap index for hopi (one codec, kind hopi-c).  The transitive
+// closure (tc.Strategy, Table 1's baseline and the tests' oracle) has no
+// section: a snapshot of an index that uses it cannot be written.
 var SectionOpeners = map[uint32]func(*lgraph.LGraph, []byte) (pathindex.Index, error){
 	storage.SectionPPO:   ppo.OpenSection,
 	storage.SectionAPEX:  apex.OpenSection,
-	storage.SectionTC:    tc.OpenSection,
 	storage.SectionPPOC:  ppo.OpenCompressedSection,
 	storage.SectionHOPIC: hopi.OpenSection,
 }

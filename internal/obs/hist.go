@@ -33,12 +33,10 @@ import (
 const NumBuckets = 40
 
 // Histogram is a log2-bucketed latency histogram safe for concurrent use
-// without locks: Observe is one atomic add on a bucket plus two on the
-// count/sum, so it can sit on a request hot path.  The zero value is ready
-// to use.
+// without locks: Observe is one atomic add on a bucket plus one on the sum,
+// so it can sit on a request hot path.  The zero value is ready to use.
 type Histogram struct {
 	buckets  [NumBuckets + 1]atomic.Uint64 // [NumBuckets] = overflow
-	count    atomic.Uint64
 	sumNanos atomic.Int64
 }
 
@@ -57,12 +55,8 @@ func (h *Histogram) Observe(d time.Duration) {
 		d = 0
 	}
 	h.buckets[bucketOf(d)].Add(1)
-	h.count.Add(1)
 	h.sumNanos.Add(int64(d))
 }
-
-// Count returns the number of samples recorded so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Snapshot copies the counters.  Individual buckets are read atomically;
 // samples landing mid-snapshot may be partially visible, which is
@@ -70,9 +64,8 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // snapshots because buckets only grow).
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
-	// Count is derived from the buckets rather than read from h.count so
-	// the exposed +Inf cumulative always equals the bucket sum, even when
-	// an Observe lands between the two loads.
+	// Count is the bucket sum, so the exposed +Inf cumulative always equals
+	// it.
 	s.SumNanos = h.sumNanos.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()

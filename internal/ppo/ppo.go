@@ -10,7 +10,10 @@
 // [pre(x), pre(x)+size(x)).  Building takes O(E) time and the index stores a
 // constant number of integers per node, which makes PPO the cheapest
 // strategy — but it is only applicable when the meta document's data graph
-// is a forest (no element with two incoming edges, no cycles).
+// is a forest (no element with two incoming edges, no cycles).  It answers
+// what the evaluator asks of a path index (pathindex.Index,
+// pathindex.Regioner): descendants, ancestors, distances and subtree
+// regions; the other XPath axes have no caller here.
 //
 // Build also derives acceleration runs — per depth and per (tag, depth), the
 // preorder ranks in order — so that a subtree is enumerated level by level
@@ -381,54 +384,6 @@ func (idx *Index) EachReachingByTag(x int32, tag lgraph.Tag, fn pathindex.Visit)
 			}
 		}
 		d++
-	}
-}
-
-// EachChild enumerates the children of x in preorder (all at distance 1).
-func (idx *Index) EachChild(x int32, fn pathindex.Visit) {
-	lo := idx.pre[x] + 1
-	hi := idx.pre[x] + idx.size[x]
-	for p := lo; p < hi; {
-		ch := idx.byPre[p]
-		if !fn(ch, 1) {
-			return
-		}
-		p += idx.size[ch]
-	}
-}
-
-// root returns the root of x's tree.
-func (idx *Index) root(x int32) int32 {
-	for idx.parent[x] != -1 {
-		x = idx.parent[x]
-	}
-	return x
-}
-
-// EachFollowing enumerates the nodes after x in document order that are not
-// descendants of x (the XPath following axis), restricted to x's own tree;
-// distances are not defined for this axis and are reported as -1.
-func (idx *Index) EachFollowing(x int32, fn pathindex.Visit) {
-	r := idx.root(x)
-	end := idx.pre[r] + idx.size[r]
-	for p := idx.pre[x] + idx.size[x]; p < end; p++ {
-		if !fn(idx.byPre[p], -1) {
-			return
-		}
-	}
-}
-
-// EachPreceding enumerates the nodes before x in document order that are not
-// ancestors of x (the XPath preceding axis), restricted to x's own tree.
-func (idx *Index) EachPreceding(x int32, fn pathindex.Visit) {
-	for p := idx.pre[idx.root(x)]; p < idx.pre[x]; p++ {
-		n := idx.byPre[p]
-		if idx.Reachable(n, x) {
-			continue // ancestor, not preceding
-		}
-		if !fn(n, -1) {
-			return
-		}
 	}
 }
 

@@ -147,37 +147,6 @@ func TestEachReachingByTag(t *testing.T) {
 	}
 }
 
-func TestEachChild(t *testing.T) {
-	_, idx := buildTree(t)
-	var kids []int32
-	idx.EachChild(0, func(n, d int32) bool {
-		kids = append(kids, n)
-		return true
-	})
-	if !reflect.DeepEqual(kids, []int32{1, 2}) {
-		t.Errorf("children of 0 = %v, want [1 2]", kids)
-	}
-	kids = nil
-	idx.EachChild(3, func(n, d int32) bool { kids = append(kids, n); return true })
-	if len(kids) != 0 {
-		t.Errorf("leaf has children: %v", kids)
-	}
-}
-
-func TestFollowingPreceding(t *testing.T) {
-	_, idx := buildTree(t)
-	var fol []int32
-	idx.EachFollowing(1, func(n, d int32) bool { fol = append(fol, n); return true })
-	if !reflect.DeepEqual(fol, []int32{2}) {
-		t.Errorf("following(1) = %v, want [2] (stay within tree)", fol)
-	}
-	var prec []int32
-	idx.EachPreceding(2, func(n, d int32) bool { prec = append(prec, n); return true })
-	if !reflect.DeepEqual(prec, []int32{1, 3, 4}) {
-		t.Errorf("preceding(2) = %v, want [1 3 4]", prec)
-	}
-}
-
 func TestNotForest(t *testing.T) {
 	b := lgraph.NewBuilder()
 	b.AddNode("a")

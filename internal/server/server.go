@@ -293,9 +293,6 @@ func (s *Server) Install(ix *flix.Index, reason string) uint64 {
 	return g.num
 }
 
-// Ready reports whether a generation is live.
-func (s *Server) Ready() bool { return s.gen.Load() != nil }
-
 // CurrentIndex returns the serving index, or nil before the first Install.
 // Together with Generation, StrategyLatency and Install it forms the
 // rebuild.Target surface the background re-optimizer works against.
@@ -579,12 +576,13 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"reason":  advice.Reason,
 		},
 		"server": map[string]any{
-			"inFlight":    s.InFlight(),
-			"maxInFlight": s.front.MaxInFlight(),
-			"shed":        s.front.Shed.Load(),
-			"notReady":    s.front.NotReady.Load(),
-			"timeouts":    s.front.Timeouts.Load(),
-			"slowQueries": s.slowQueries.Load(),
+			"inFlight":     s.InFlight(),
+			"maxInFlight":  s.front.MaxInFlight(),
+			"shed":         s.front.Shed.Load(),
+			"notReady":     s.front.NotReady.Load(),
+			"timeouts":     s.front.Timeouts.Load(),
+			"clientErrors": s.front.ClientErrors.Load(),
+			"slowQueries":  s.slowQueries.Load(),
 			"requests": map[string]int64{
 				"descendants": s.front.Requests("descendants"),
 				"connected":   s.front.Requests("connected"),

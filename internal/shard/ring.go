@@ -18,7 +18,6 @@ const DefaultVNodes = 64
 // fingerprint check enforces the remaining ingredient (identical
 // meta-document decompositions).
 type Ring struct {
-	shards int
 	vnodes int
 	points []ringPoint // sorted by hash
 }
@@ -37,7 +36,7 @@ func NewRing(shards, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{shards: shards, vnodes: vnodes, points: make([]ringPoint, 0, shards*vnodes)}
+	r := &Ring{vnodes: vnodes, points: make([]ringPoint, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hashString(fmt.Sprintf("shard-%d/vnode-%d", s, v)), shard: int32(s)})
@@ -51,9 +50,6 @@ func NewRing(shards, vnodes int) *Ring {
 	})
 	return r
 }
-
-// Shards returns the number of shards on the ring.
-func (r *Ring) Shards() int { return r.shards }
 
 // VNodes returns the number of virtual nodes per shard.
 func (r *Ring) VNodes() int { return r.vnodes }

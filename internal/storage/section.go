@@ -16,9 +16,8 @@ type SectionEncoder interface {
 // raw and compressed sections are two views that trade size for probe
 // speed.  The snapshot writer encodes both forms and keeps the compressed
 // one only when it pays (per-section ratio threshold).  HOPI has one
-// codec, already compressed (its SectionKind is SectionHOPIC), and APEX
-// and tc, whose sections are small fixed arrays and bitsets, have one raw
-// codec each.
+// codec, already compressed (its SectionKind is SectionHOPIC), and APEX,
+// whose sections are small fixed arrays and bitsets, has one raw codec.
 type CompressedSectionEncoder interface {
 	SectionEncoder
 	// CompressedSectionKind returns the section kind tag of the
@@ -30,8 +29,9 @@ type CompressedSectionEncoder interface {
 
 // Section kinds of the v2 snapshot format.  The kind is stored per section
 // in the section table; flix.OpenSnapshot dispatches on it.  Kind 3 was the
-// raw 2-hop-cover section up to container version 3: no opener reads it,
-// so a section of that kind is refused as corrupt.
+// raw 2-hop-cover section up to container version 3, and kind 5 the
+// transitive closure's, which no serving configuration builds: no opener
+// reads either, so a section of such a kind is refused as corrupt.
 const (
 	// SectionManifest is the flix-level manifest (configuration, meta
 	// document count, per-meta link-table fingerprints).
@@ -40,8 +40,6 @@ const (
 	SectionPPO uint32 = 2
 	// SectionAPEX is a structural-summary index section (internal/apex).
 	SectionAPEX uint32 = 4
-	// SectionTC is a transitive-closure index section (internal/tc).
-	SectionTC uint32 = 5
 	// SectionPPOC is the compressed (frame-of-reference bit-packed)
 	// pre/postorder section (internal/ppo).
 	SectionPPOC uint32 = 6
@@ -64,8 +62,6 @@ func SectionKindName(kind uint32) string {
 		return "ppo"
 	case SectionAPEX:
 		return "apex"
-	case SectionTC:
-		return "tc"
 	case SectionPPOC:
 		return "ppo-c"
 	case SectionHOPIC:

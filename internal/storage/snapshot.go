@@ -310,9 +310,6 @@ func (sw *SnapshotWriter) U64s(s []uint64) {
 	sw.write(b[:j])
 }
 
-// Err returns the first error encountered.
-func (sw *SnapshotWriter) Err() error { return sw.err }
-
 // Finish writes the section table and footer and returns the total byte
 // count.
 func (sw *SnapshotWriter) Finish() (int64, error) {
@@ -642,19 +639,6 @@ func (d *SectionData) String() string {
 		return ""
 	}
 	return string(d.Bytes(int(n)))
-}
-
-// Count reads a fixed u32 array length and range-checks it against limit.
-func (d *SectionData) Count(limit int) int {
-	n := d.U32()
-	if d.err != nil {
-		return 0
-	}
-	if int64(n) > int64(limit) {
-		d.fail("count %d exceeds limit %d", n, limit)
-		return 0
-	}
-	return int(n)
 }
 
 // I32s consumes an n-element fixed-width int32 array and returns a

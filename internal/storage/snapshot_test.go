@@ -349,7 +349,7 @@ func TestSectionDataPoisoning(t *testing.T) {
 func TestPrefixOffsetsRejectsNonMonotonic(t *testing.T) {
 	var buf bytes.Buffer
 	sw := NewSnapshotWriter(&buf)
-	sw.Begin(SectionTC)
+	sw.Begin(SectionPPO)
 	sw.U32s([]uint32{0, 5, 3, 9})
 	sw.End()
 	if _, err := sw.Finish(); err != nil {

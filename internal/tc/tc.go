@@ -83,9 +83,6 @@ func (idx *Index) Name() string { return "tc" }
 // NumNodes implements pathindex.Index.
 func (idx *Index) NumNodes() int { return idx.g.NumNodes() }
 
-// Pairs returns the number of stored (source, target) pairs.
-func (idx *Index) Pairs() int { return len(idx.fwd.Data) }
-
 func find(row []posting, y int32) (int32, bool) {
 	i := sort.Search(len(row), func(i int) bool { return row[i].node >= y })
 	if i < len(row) && row[i].node == y {

@@ -305,14 +305,98 @@ var unreferencedExports = map[string][]string{
 		"apex.Index.PathExtent"},
 	"ablation builders (DESIGN.md §4): bench_test.go compares them, tests register them in meta.Registry": {
 		"hopi.DCStrategy", "apex.StrategyK", "hopi.BuildNaive", "hopi.Index.LabelEntries"},
-	"library API: a method of a type the root package re-exports (Collection, DocumentBuilder, Ontology)": {
-		"xmlgraph.Collection.Reachable", "xmlgraph.Collection.Ancestors", "xmlgraph.Collection.Children",
-		"xmlgraph.Collection.Tags", "xmlgraph.Collection.TreeDescendants", "xmlgraph.Collection.Path",
-		"xmlgraph.Collection.NumEdges", "xmlgraph.DocumentBuilder.Current", "xmlgraph.DocumentBuilder.DocID",
-		"ontology.Ontology.Score", "ontology.Ontology.Tags"},
 	"test support for other packages' tests, which an export_test.go cannot serve": {
 		"lgraph.NewBuilder", "lgraph.Builder.AddNode", "lgraph.Builder.AddEdge", "lgraph.Builder.Finish",
-		"lgraph.LGraph.NumEdges", "meta.Set.Validate", "storage.Reseal", "xmlparse.Parse"},
+		"lgraph.LGraph.NumEdges", "meta.Set.Validate", "storage.Reseal", "xmlparse.Parse",
+		"xmlgraph.Collection.Tags", "xmlgraph.Collection.NumEdges", "xmlgraph.Collection.Ancestors",
+		"xmlgraph.Collection.BFSDistance"},
+}
+
+// unsetOptions lists, each with its reason, the option fields no non-test
+// file writes, as pkg.Type.Field.
+var unsetOptions = map[string]string{
+	"query.Evaluator.InverseScore":    "the inverted-direction vagueness of §1.1, a library option only tests set",
+	"shard.RouterConfig.RetryBackoff": "tests shorten the retry sleep; every binary keeps the default",
+}
+
+// TestEveryOptionIsSet: every exported field of an exported struct under
+// internal/ whose name ends in Config or Options, and of query.Evaluator, is
+// written by some non-test Go file of this module or of benchmark/ — as a
+// composite-literal key, the target of an assignment or ++/--, or through
+// &x.F — or is listed above with its reason.  An option nothing sets is a
+// default wearing a knob: make it a constant.
+func TestEveryOptionIsSet(t *testing.T) {
+	m := typeCheckModule(t)
+	written := map[*types.Var]bool{}
+	write := func(x ast.Expr) {
+		if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+			if v, ok := m.info.Uses[sel.Sel].(*types.Var); ok {
+				written[v] = true
+			}
+		}
+	}
+	for _, f := range m.syntax {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok {
+					if v, ok := m.info.Uses[key].(*types.Var); ok && v.IsField() {
+						written[v] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X)
+				}
+			}
+			return true
+		})
+	}
+	seen := map[string]bool{}
+	for path, pkg := range m.pkgs {
+		if !strings.HasPrefix(path, "repro/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			obj, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			option := strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") ||
+				path == "repro/internal/query" && name == "Evaluator"
+			if !ok || !obj.Exported() || !option {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				field := st.Field(i)
+				if !field.Exported() {
+					continue
+				}
+				key := pkg.Name() + "." + name + "." + field.Name()
+				seen[key] = true
+				_, listed := unsetOptions[key]
+				switch {
+				case listed && written[field]:
+					t.Errorf("%s is listed as unset, but a non-test file sets it: drop it from the list", key)
+				case !listed && !written[field]:
+					t.Errorf("%s: option %s is set by no non-test file: make it a constant, or list it with its reason",
+						m.fset.Position(field.Pos()), key)
+				}
+			}
+		}
+	}
+	for key := range unsetOptions {
+		if !seen[key] {
+			t.Errorf("%s is listed as unset, but it is gone: drop it from the list", key)
+		}
+	}
 }
 
 // stdlibDispatch are the interfaces of the standard library whose methods
@@ -439,6 +523,7 @@ func exportKey(fn *types.Func) string {
 type checkedModule struct {
 	fset     *token.FileSet
 	info     *types.Info
+	syntax   []*ast.File
 	exported []*types.Func
 	files    map[string][]string // import path -> the non-test files go/build selects
 	pkgs     map[string]*types.Package
@@ -520,6 +605,7 @@ func (m *checkedModule) ImportFrom(path, dir string, mode types.ImportMode) (*ty
 		return nil, err
 	}
 	m.pkgs[path] = pkg
+	m.syntax = append(m.syntax, files...)
 	if strings.HasPrefix(path, "repro/internal/") && !strings.HasPrefix(path, "repro/internal/testutil") {
 		for _, f := range files {
 			for _, decl := range f.Decls {

@@ -32,7 +32,7 @@ func New() *Ontology {
 // given score in (0, 1).  Scores are symmetric.  Adding the same pair again
 // keeps the higher score.
 func (o *Ontology) AddSimilarity(a, b string, score float64) error {
-	if score <= 0 || score >= 1 {
+	if !(score > 0 && score < 1) { // NaN fails both comparisons
 		return fmt.Errorf("ontology: score %g out of (0, 1)", score)
 	}
 	if a == b {
@@ -96,20 +96,6 @@ func (o *Ontology) Similar(tag string, minScore float64) []WeightedTag {
 	return out
 }
 
-// Score returns the best-path similarity between two tags (1 when equal, 0
-// when unrelated).
-func (o *Ontology) Score(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	for _, wt := range o.Similar(a, 1e-9) {
-		if wt.Tag == b {
-			return wt.Score
-		}
-	}
-	return 0
-}
-
 // Parse loads an ontology from a simple line format: "tagA tagB score",
 // one edge per line; empty lines and #-comments are skipped.
 func Parse(text string) (*Ontology, error) {
@@ -132,16 +118,6 @@ func Parse(text string) (*Ontology, error) {
 		}
 	}
 	return o, nil
-}
-
-// Tags returns every tag mentioned in the ontology, sorted.
-func (o *Ontology) Tags() []string {
-	out := make([]string, 0, len(o.adj))
-	for t := range o.adj {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // wtHeap is a max-heap over similarity scores (Dijkstra on products).

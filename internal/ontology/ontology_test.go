@@ -2,6 +2,7 @@ package ontology
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -134,4 +135,39 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
 	}
+}
+
+func TestParseRefusesNaN(t *testing.T) {
+	for _, line := range []string{"movie film NaN", "movie film nan"} {
+		if _, err := Parse(line); err == nil || !strings.Contains(err.Error(), "out of (0, 1)") {
+			t.Errorf("Parse(%q) = %v, want the out-of-range error", line, err)
+		}
+	}
+}
+
+// FuzzParseOntology: Parse either refuses its input, or every tag the
+// ontology mentions is similar to some other tag, and every score Similar
+// yields lies in (0, 1].  A score Parse accepts but AddSimilarity cannot
+// record, such as NaN, would leave a tag with no neighbour.
+func FuzzParseOntology(f *testing.F) {
+	f.Add("a b NaN")
+	f.Add("# movies\nmovie film 0.9\nfilm movie 0.8\n\nfilm cinema 1e-300\n")
+	f.Add("a b 0.5 extra")
+	f.Fuzz(func(t *testing.T, text string) {
+		o, err := Parse(text)
+		if err != nil {
+			return
+		}
+		for _, tag := range o.Tags() {
+			sims := o.Similar(tag, math.SmallestNonzeroFloat64)
+			if len(sims) < 2 || sims[0] != (WeightedTag{Tag: tag, Score: 1}) {
+				t.Fatalf("Parse(%q): Similar(%q) = %v, want %q at 1 and a neighbour", text, tag, sims, tag)
+			}
+			for _, wt := range sims {
+				if !(wt.Score > 0 && wt.Score <= 1) {
+					t.Fatalf("Parse(%q): Similar(%q) yields %q at %g", text, tag, wt.Tag, wt.Score)
+				}
+			}
+		}
+	})
 }

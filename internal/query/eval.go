@@ -48,16 +48,6 @@ type Evaluator struct {
 	Index Backend
 	// Ontology expands ~tag steps; nil disables semantic vagueness.
 	Ontology *ontology.Ontology
-	// Decay scales relevance per path edge beyond the first on //-steps:
-	// a result at distance d contributes Decay^(d-1).  Defaults to 0.8,
-	// matching the paper's movie/cast/actor ≈ 0.8 example.
-	Decay float64
-	// MinTagScore prunes ontology expansions below this similarity.
-	// Defaults to 0.5.
-	MinTagScore float64
-	// MinScore drops results whose accumulated relevance falls below it.
-	// Defaults to 0.01, bounding //-step expansion depth.
-	MinScore float64
 	// InverseScore enables the inverted-direction vagueness of §1.1
 	// ("one could also consider inverting the direction, i.e., consider
 	// also actor/acts_in/movie relevant, with a lower similarity"): each
@@ -115,36 +105,52 @@ func (e *Evaluator) canceled() bool {
 	}
 }
 
-func (e *Evaluator) decay() float64 {
-	if e.Decay <= 0 || e.Decay >= 1 {
-		return 0.8
-	}
-	return e.Decay
-}
+// The scoring model (XXL, §1.1) is fixed: a result's relevance is the
+// product of the tag similarity of every matched step and decay per path
+// edge beyond the first on //-steps.
+const (
+	// decay is the paper's movie/cast/actor ≈ 0.8 example: a result at
+	// distance d contributes decay^(d-1).
+	decay = 0.8
+	// minTagScore prunes ontology expansions below this similarity.
+	minTagScore = 0.5
+	// minScore drops results whose relevance falls below it (maxDistFor).
+	minScore = 0.01
+	// maxDecayTab bounds decayTab, well past maxDistFor(1) = 21.
+	maxDecayTab = 64
+)
 
-func (e *Evaluator) minTagScore() float64 {
-	if e.MinTagScore <= 0 {
-		return 0.5
+// decayTab[d] = decay^(d-1).  Entries are math.Pow values, not iterated
+// products, so score equals the frozen reference evaluator's per-candidate
+// math.Pow bit for bit.
+var decayTab = func() (t [maxDecayTab + 1]float64) {
+	for d := range t {
+		t[d] = math.Pow(decay, float64(d-1))
 	}
-	return e.MinTagScore
-}
+	return t
+}()
 
-func (e *Evaluator) minScore() float64 {
-	if e.MinScore <= 0 {
-		return 0.01
+// score is the relevance of a result at distance dist below a step whose
+// base score is base.
+func score(base float64, dist int32) float64 {
+	if dist <= 1 {
+		return base
 	}
-	return e.MinScore
+	if dist <= maxDecayTab {
+		return base * decayTab[dist]
+	}
+	// A router's answer comes off the network, and nothing bounds its
+	// distances by the MaxDist it was asked for.
+	return base * math.Pow(decay, float64(dist-1))
 }
 
 // maxDistFor bounds a //-step's search depth: beyond it the decay pushes
-// every result below MinScore anyway.
-func (e *Evaluator) maxDistFor(score float64) int32 {
-	d := math.Log(e.minScore()/score)/math.Log(e.decay()) + 1
+// every result below minScore anyway.  Callers pass a base in
+// [minScore, 1], so the bound lies in [1, 21].
+func maxDistFor(base float64) int32 {
+	d := math.Log(minScore/base)/math.Log(decay) + 1
 	if d < 1 {
 		return 1
-	}
-	if d > 1<<20 {
-		return 0 // effectively unlimited
 	}
 	return int32(d)
 }
@@ -157,7 +163,7 @@ func (e *Evaluator) expansions(s Step) []ontology.WeightedTag {
 	if !s.Similar || e.Ontology == nil {
 		return []ontology.WeightedTag{{Tag: s.Tag, Score: 1}}
 	}
-	return e.Ontology.Similar(s.Tag, e.minTagScore())
+	return e.Ontology.Similar(s.Tag, minTagScore)
 }
 
 // pred is a step's content predicate readied for a run of elements: the
@@ -305,7 +311,7 @@ func (e *Evaluator) advance(frontier map[xmlgraph.NodeID]Match, s Step) map[xmlg
 	p := newPred(s)
 	next := make(map[xmlgraph.NodeID]Match)
 	add := func(n xmlgraph.NodeID, score float64, pathLen int32) {
-		if score < e.minScore() || !p.matches(coll.Text(n)) {
+		if score < minScore || !p.matches(coll.Text(n)) {
 			return
 		}
 		// Per node, the winner is the maximum score with ties broken by the
@@ -324,7 +330,7 @@ func (e *Evaluator) advance(frontier map[xmlgraph.NodeID]Match, s Step) map[xmlg
 				return next
 			}
 			base := m.Score * wt.Score
-			if base < e.minScore() {
+			if base < minScore {
 				continue
 			}
 			if s.Axis == Child {
@@ -336,28 +342,20 @@ func (e *Evaluator) advance(frontier map[xmlgraph.NodeID]Match, s Step) map[xmlg
 				continue
 			}
 			e.Stats.Scans++
-			opts := flix.Options{MaxDist: e.maxDistFor(base), Cancel: e.Cancel, Tracer: e.Tracer}
+			opts := flix.Options{MaxDist: maxDistFor(base), Cancel: e.Cancel, Tracer: e.Tracer}
 			e.Index.Descendants(m.Node, wt.Tag, opts, func(r flix.Result) bool {
-				score := base
-				if r.Dist > 1 {
-					score *= math.Pow(e.decay(), float64(r.Dist-1))
-				}
-				add(r.Node, score, m.PathLen+r.Dist)
+				add(r.Node, score(base, r.Dist), m.PathLen+r.Dist)
 				return true
 			})
 			if e.InverseScore > 0 && e.InverseScore < 1 {
 				invBase := base * e.InverseScore
-				if invBase < e.minScore() {
+				if invBase < minScore {
 					continue
 				}
 				e.Stats.InverseScans++
-				invOpts := flix.Options{MaxDist: e.maxDistFor(invBase), Cancel: e.Cancel, Tracer: e.Tracer}
+				invOpts := flix.Options{MaxDist: maxDistFor(invBase), Cancel: e.Cancel, Tracer: e.Tracer}
 				e.Index.Ancestors(m.Node, wt.Tag, invOpts, func(r flix.Result) bool {
-					score := invBase
-					if r.Dist > 1 {
-						score *= math.Pow(e.decay(), float64(r.Dist-1))
-					}
-					add(r.Node, score, m.PathLen+r.Dist)
+					add(r.Node, score(invBase, r.Dist), m.PathLen+r.Dist)
 					return true
 				})
 			}

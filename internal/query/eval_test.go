@@ -175,13 +175,12 @@ func TestEvaluateNoMatch(t *testing.T) {
 }
 
 func TestMaxDistForBoundsSearch(t *testing.T) {
-	e := &Evaluator{}
-	d := e.maxDistFor(1.0)
+	d := maxDistFor(1.0)
 	// decay 0.8, minScore 0.01: 0.8^(d-1) >= 0.01 => d-1 <= 20.6.
 	if d < 20 || d > 23 {
 		t.Errorf("maxDistFor(1) = %d", d)
 	}
-	if e.maxDistFor(0.02) >= d {
+	if maxDistFor(0.02) >= d {
 		t.Error("lower score must shrink the bound")
 	}
 }

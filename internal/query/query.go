@@ -15,7 +15,8 @@
 //
 // Evaluation follows the XXL scoring model: results carry a relevance score
 // that decays with path length (structural vagueness) and with ontology
-// similarity (semantic vagueness).
+// similarity (semantic vagueness).  The model is fixed: three constants
+// and one score function in eval.go (`TestRankedScoringRecorded`).
 //
 // A `query.Evaluator` ranks matches by that score.
 // `query.Evaluator.EvaluateTopK` is the threshold algorithm of §3.1 over

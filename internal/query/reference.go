@@ -122,7 +122,7 @@ func (e *Evaluator) refAdvance(frontier map[xmlgraph.NodeID]Match, s Step) map[x
 	coll := e.Index.Collection()
 	next := make(map[xmlgraph.NodeID]Match)
 	add := func(n xmlgraph.NodeID, score float64, pathLen int32) {
-		if score < e.minScore() || !e.referenceMatchesPred(s, n) {
+		if score < minScore || !e.referenceMatchesPred(s, n) {
 			return
 		}
 		if old, ok := next[n]; !ok || score > old.Score ||
@@ -137,7 +137,7 @@ func (e *Evaluator) refAdvance(frontier map[xmlgraph.NodeID]Match, s Step) map[x
 				return next
 			}
 			base := m.Score * wt.Score
-			if base < e.minScore() {
+			if base < minScore {
 				continue
 			}
 			if s.Axis == Child {
@@ -149,26 +149,26 @@ func (e *Evaluator) refAdvance(frontier map[xmlgraph.NodeID]Match, s Step) map[x
 				continue
 			}
 			e.Stats.Scans++
-			opts := flix.Options{MaxDist: e.maxDistFor(base), Cancel: e.Cancel, Tracer: e.Tracer}
+			opts := flix.Options{MaxDist: maxDistFor(base), Cancel: e.Cancel, Tracer: e.Tracer}
 			e.Index.Descendants(m.Node, wt.Tag, opts, func(r flix.Result) bool {
 				score := base
 				if r.Dist > 1 {
-					score *= math.Pow(e.decay(), float64(r.Dist-1))
+					score *= math.Pow(decay, float64(r.Dist-1))
 				}
 				add(r.Node, score, m.PathLen+r.Dist)
 				return true
 			})
 			if e.InverseScore > 0 && e.InverseScore < 1 {
 				invBase := base * e.InverseScore
-				if invBase < e.minScore() {
+				if invBase < minScore {
 					continue
 				}
 				e.Stats.InverseScans++
-				invOpts := flix.Options{MaxDist: e.maxDistFor(invBase), Cancel: e.Cancel, Tracer: e.Tracer}
+				invOpts := flix.Options{MaxDist: maxDistFor(invBase), Cancel: e.Cancel, Tracer: e.Tracer}
 				e.Index.Ancestors(m.Node, wt.Tag, invOpts, func(r flix.Result) bool {
 					score := invBase
 					if r.Dist > 1 {
-						score *= math.Pow(e.decay(), float64(r.Dist-1))
+						score *= math.Pow(decay, float64(r.Dist-1))
 					}
 					add(r.Node, score, m.PathLen+r.Dist)
 					return true

@@ -51,11 +51,11 @@ func (e *Evaluator) ReferenceEvaluateTopK(q *Query, k int) []Match {
 	for _, wt := range e.expansions(last) {
 		for _, m := range frontier {
 			base := m.Score * wt.Score
-			if base < e.minScore() {
+			if base < minScore {
 				continue
 			}
 			streams = append(streams, &refResultStream{
-				e: e, from: m, tag: wt.Tag, base: base, maxDist: e.maxDistFor(base),
+				e: e, from: m, tag: wt.Tag, base: base, maxDist: maxDistFor(base),
 			})
 		}
 	}
@@ -145,7 +145,7 @@ func (s *refResultStream) next() bool {
 	s.curNode = r.Node
 	s.curScore = s.base
 	if r.Dist > 1 {
-		s.curScore *= math.Pow(s.e.decay(), float64(r.Dist-1))
+		s.curScore *= math.Pow(decay, float64(r.Dist-1))
 	}
 	s.curPathLen = s.from.PathLen + r.Dist
 	return true

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/flix"
@@ -25,10 +24,10 @@ import (
 //     streams the threshold retires early.
 //   - Accepted candidates go into an incremental indexed heap, O(log k)
 //     each; re-sorting every candidate per stream advance is quadratic.
-//   - The decay is a table lookup whose entries are math.Pow values, so
+//   - The decay is a lookup in a table of math.Pow values (score), so
 //     scores are bit-identical to the full evaluator's.
-//   - All per-query state — streams, their buffers, both heaps, the decay
-//     table — lives in a pooled topkScratch.
+//   - All per-query state — streams, their buffers, both heaps — lives in a
+//     pooled topkScratch.
 //
 // Exactness contract (locked down by the differential suite): for every
 // query and k, EvaluateTopK(q, k) equals the first min(k, n) elements of
@@ -45,17 +44,12 @@ import (
 // prefer: a resumable probe pulling descendants in bounded distance bands.
 // *flix.Index implements it; backends without it — the scatter-gather
 // router evaluates each scan across the cluster — fall back to buffered
-// full-fetch streams, which keep the pooling, the decay table and the
-// incremental heap but not the banded early exit.
+// full-fetch streams, which keep the pooling and the incremental heap but not the banded early exit.
 type bandedBackend interface {
 	StartProbe(p *flix.Probe, start xmlgraph.NodeID, tag string, opts flix.Options)
 }
 
 var _ bandedBackend = (*flix.Index)(nil)
-
-// maxDecayTab bounds the precomputed decay table; distances beyond it fall
-// back to math.Pow (only reachable with a decay very close to 1).
-const maxDecayTab = 64
 
 // topkScratch pools the per-query state of EvaluateTopK.  The pool is
 // package-level rather than per-Evaluator because server handlers build a
@@ -65,38 +59,9 @@ type topkScratch struct {
 	heap    []int32 // stream indices, max-heap by curScore
 	topk    topkHeap
 	open    int // banded streams whose probe is paused mid-evaluation
-
-	// decayTab[d] = decay^(d-1) for the decay it was built for.  Entries
-	// are computed with math.Pow, not iterated multiplication: candidate
-	// scores must equal the full evaluator's per-candidate math.Pow bit
-	// for bit or the differential equality fails on ULPs.
-	decay    float64
-	decayTab []float64
 }
 
 var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
-
-func (ts *topkScratch) ensureDecay(decay float64) {
-	if ts.decay != decay {
-		ts.decayTab = ts.decayTab[:0]
-		ts.decay = decay
-	}
-	for d := len(ts.decayTab); d <= maxDecayTab; d++ {
-		ts.decayTab = append(ts.decayTab, math.Pow(decay, float64(d-1)))
-	}
-}
-
-// score is the relevance of a candidate at distance dist on a stream with
-// the given base score.
-func (ts *topkScratch) score(base float64, dist int32) float64 {
-	if dist <= 1 {
-		return base
-	}
-	if int(dist) <= maxDecayTab {
-		return base * ts.decayTab[dist]
-	}
-	return base * math.Pow(ts.decay, float64(dist-1))
-}
 
 // addStream appends a stream, reusing the pooled element (probe frontier,
 // band buffer) when the backing array still has capacity.
@@ -176,19 +141,19 @@ func (s *resultStream) appendResult(r flix.Result) bool {
 
 // cursor advances the stream to its next candidate, or to the bound state
 // for the unfetched remainder.
-func (ts *topkScratch) cursor(s *resultStream) {
+func (s *resultStream) cursor() {
 	if s.pos < len(s.buf) {
 		r := s.buf[s.pos]
 		s.pos++
 		s.curNode, s.curDist = r.Node, r.Dist
-		s.curScore = ts.score(s.base, r.Dist)
+		s.curScore = score(s.base, r.Dist)
 		s.hasCand = true
 		return
 	}
 	s.hasCand = false
 	if !s.done {
 		// Everything not yet fetched is beyond the drained band.
-		s.curScore = ts.score(s.base, s.band+1)
+		s.curScore = score(s.base, s.band+1)
 	}
 }
 
@@ -211,7 +176,7 @@ func (e *Evaluator) fetchStream(ts *topkScratch, s *resultStream, bb bandedBacke
 			e.Stats.Scans++
 			e.Index.Descendants(s.from.Node, s.tag, opts, s.emitFn)
 		}
-		ts.cursor(s)
+		s.cursor()
 		return
 	}
 	if !s.opened {
@@ -232,7 +197,7 @@ func (e *Evaluator) fetchStream(ts *topkScratch, s *resultStream, bb bandedBacke
 		s.probe.Close()
 		ts.open--
 	}
-	ts.cursor(s)
+	s.cursor()
 }
 
 // Stream-index heap: a hand-rolled binary max-heap over curScore, ties to
@@ -449,9 +414,7 @@ func (e *Evaluator) EvaluateTopK(q *Query, k int) []Match {
 	bb, _ := e.Index.(bandedBackend)
 	ts := topkPool.Get().(*topkScratch)
 	defer ts.release()
-	ts.ensureDecay(e.decay())
 
-	minScore := e.minScore()
 	coll, lastPred := e.Index.Collection(), newPred(last)
 	inverse := e.InverseScore > 0 && e.InverseScore < 1
 	for _, wt := range e.expansions(last) {
@@ -460,10 +423,10 @@ func (e *Evaluator) EvaluateTopK(q *Query, k int) []Match {
 			if base < minScore {
 				continue
 			}
-			ts.addStream(m, wt.Tag, base, e.maxDistFor(base), bb != nil, false)
+			ts.addStream(m, wt.Tag, base, maxDistFor(base), bb != nil, false)
 			if inverse {
 				if invBase := base * e.InverseScore; invBase >= minScore {
-					ts.addStream(m, wt.Tag, invBase, e.maxDistFor(invBase), false, true)
+					ts.addStream(m, wt.Tag, invBase, maxDistFor(invBase), false, true)
 				}
 			}
 		}
@@ -497,7 +460,7 @@ func (e *Evaluator) EvaluateTopK(q *Query, k int) []Match {
 			continue
 		}
 		cand := Match{Node: s.curNode, Score: s.curScore, PathLen: s.from.PathLen + s.curDist}
-		ts.cursor(s)
+		s.cursor()
 		if s.done && !s.hasCand {
 			ts.hpop()
 		} else {
@@ -505,7 +468,7 @@ func (e *Evaluator) EvaluateTopK(q *Query, k int) []Match {
 		}
 		// The minScore filter mirrors advance's: maxDistFor truncates to
 		// whole edges, so a candidate at the boundary distance can still
-		// decay just below MinScore.
+		// decay just below minScore.
 		if cand.Score < minScore || !lastPred.matches(coll.Text(cand.Node)) {
 			continue
 		}

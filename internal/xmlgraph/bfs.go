@@ -61,15 +61,6 @@ func (c *Collection) BFSDistance(x, y NodeID) int32 {
 	return -1
 }
 
-// Reachable reports whether y is reachable from x in G_X (the
-// descendants-or-self relation of the linked collection).
-func (c *Collection) Reachable(x, y NodeID) bool {
-	if x == y {
-		return true
-	}
-	return c.BFSDistance(x, y) >= 0
-}
-
 // Descendants returns all nodes reachable from start (excluding start itself
 // unless it lies on a cycle through start), in BFS order.
 func (c *Collection) Descendants(start NodeID) []NodeID {
@@ -141,32 +132,4 @@ func (c *Collection) Ancestors(start NodeID) []NodeID {
 		})
 	}
 	return out
-}
-
-// TreeDescendants returns the descendants of start following only tree
-// (parent-child) edges, in depth-first order.  Used by the per-document
-// indexes and as their oracle.
-func (c *Collection) TreeDescendants(start NodeID) []NodeID {
-	var out []NodeID
-	var stack []NodeID
-	c.EachChild(start, func(ch NodeID) { stack = append(stack, ch) })
-	// Children were appended in order; pop from the end for DFS, so reverse
-	// first to keep document order.
-	reverseNodes(stack)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, n)
-		var kids []NodeID
-		c.EachChild(n, func(ch NodeID) { kids = append(kids, ch) })
-		reverseNodes(kids)
-		stack = append(stack, kids...)
-	}
-	return out
-}
-
-func reverseNodes(s []NodeID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }

@@ -103,14 +103,6 @@ func (b *DocumentBuilder) AppendText(s string) {
 	b.stack[len(b.stack)-1].text += s
 }
 
-// Current returns the element currently open, or InvalidNode.
-func (b *DocumentBuilder) Current() NodeID {
-	if len(b.stack) == 0 {
-		return InvalidNode
-	}
-	return b.stack[len(b.stack)-1].id
-}
-
 // Leave closes the current element and interns its text.
 func (b *DocumentBuilder) Leave() {
 	if len(b.stack) == 0 {
@@ -142,9 +134,6 @@ func (b *DocumentBuilder) Close() {
 	}
 	b.done = true
 }
-
-// DocID returns the ID of the document being built.
-func (b *DocumentBuilder) DocID() DocID { return b.doc }
 
 // AddLeaf is a convenience for Enter(tag, text) immediately followed by
 // Leave; it returns the new element's ID.

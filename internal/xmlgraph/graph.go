@@ -247,15 +247,6 @@ func (c *Collection) firstChild(id NodeID) NodeID {
 	return InvalidNode
 }
 
-// Children appends the children of id to dst and returns it, in document
-// order.
-func (c *Collection) Children(id NodeID, dst []NodeID) []NodeID {
-	for ch := c.firstChild(id); ch != InvalidNode; ch = c.nextSibling[ch] {
-		dst = append(dst, ch)
-	}
-	return dst
-}
-
 // EachChild calls fn for every child of id in document order.
 func (c *Collection) EachChild(id NodeID, fn func(NodeID)) {
 	for ch := c.firstChild(id); ch != InvalidNode; ch = c.nextSibling[ch] {
@@ -418,17 +409,6 @@ func (c *Collection) FindByXMLID(doc DocID, id string) NodeID {
 		}
 	}
 	return InvalidNode
-}
-
-// Path returns the tag path from the document root to id, e.g.
-// ["dblp", "article", "author"].
-func (c *Collection) Path(id NodeID) []string {
-	var rev []string
-	for n := id; n != InvalidNode; n = c.parent[n] {
-		rev = append(rev, c.Tag(n))
-	}
-	slices.Reverse(rev)
-	return rev
 }
 
 // Depth returns the number of tree edges between id and its document root.

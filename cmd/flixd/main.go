@@ -36,9 +36,11 @@
 //
 // With -shard-id/-shard-count the process runs as one shard of a
 // flixd-router cluster: it builds the same full index, additionally serves
-// POST /v1/shard/eval (the router's binary frame, not JSON: a frontier
-// batch and the query's k in, the k nearest local results and the hops up to
-// the band they were found in out), and answers partial-frontier evaluations
+// eval streams on /v1/shard/eval (a connection upgraded to flix-eval/2,
+// then one length-prefixed record each way per RPC carrying the router's
+// binary frame, not JSON: a frontier batch and the query's k in, the k
+// nearest local results and the hops up to the band they were found in
+// out), and answers partial-frontier evaluations
 // over the meta documents the consistent-hash ring assigns to it.  Its
 // /healthz carries a shard block: the ring position, the decomposition's
 // fingerprint and the three settings it is derived from (kind,

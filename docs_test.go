@@ -301,6 +301,8 @@ func declaredSymbols(t *testing.T) map[string]map[string]bool {
 var unreferencedExports = map[string][]string{
 	"errors.Is and errors.As call it": {
 		"shard.retryableError.Unwrap"},
+	"http.ResponseController calls it when front.Upgrade takes a connection": {
+		"front.statusWriter.Hijack"},
 	"a capability the paper gives the strategy: APEX label paths on the summary alone (§2.2)": {
 		"apex.Index.PathExtent"},
 	"ablation builders (DESIGN.md §4): bench_test.go compares them, tests register them in meta.Registry": {

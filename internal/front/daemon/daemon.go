@@ -79,9 +79,12 @@ func Corpus(dir, ontoFile string) (*xmlgraph.Collection, *ontology.Ontology, err
 
 // Run serves h on addr until SIGINT or SIGTERM, then stops accepting
 // connections and lets in-flight requests finish for at most drain.  A
-// non-empty debugAddr serves /debug/pprof/ on its own listener, so
-// profiling access can be firewalled separately from the query API.  Run
-// returns a listen or shutdown failure, nil after a drain.
+// handler that serves upgraded streams net/http's Shutdown does not reach
+// (front.Front: a shard's eval streams) drains them alongside, each
+// answering the record in hand.  A non-empty debugAddr serves
+// /debug/pprof/ on its own listener, so profiling access can be firewalled
+// separately from the query API.  Run returns a listen or shutdown
+// failure, nil after a drain.
 func Run(addr, debugAddr string, h http.Handler, drain time.Duration) error {
 	if debugAddr != "" {
 		dbg := http.NewServeMux()
@@ -111,7 +114,19 @@ func Run(addr, debugAddr string, h http.Handler, drain time.Duration) error {
 		log.Printf("%v: draining in-flight queries (max %s)", got, drain)
 		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		streams := make(chan error, 1)
+		go func() {
+			if d, ok := h.(interface{ DrainStreams(context.Context) error }); ok {
+				streams <- d.DrainStreams(ctx)
+				return
+			}
+			streams <- nil
+		}()
+		err := srv.Shutdown(ctx)
+		if serr := <-streams; err == nil {
+			err = serr
+		}
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
 		log.Print("bye")

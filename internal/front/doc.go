@@ -15,13 +15,16 @@
 // Front.ServeHTTP gives every response an X-Flix-Request-Id (a valid
 // incoming one is reused, anything else replaced, so hostile values reach
 // neither a log line nor a shard RPC) and, with a logger, one access-log
-// line.  Front.Admit counts the request, asks the tier's gate (503 with
+// line.  Endpoint.Admit counts the request, asks the tier's gate (503 with
 // Retry-After before readiness; on the router also 429 while every ready
 // shard is saturated), takes an in-flight slot or sheds with 429 at once —
 // a queued request's deadline keeps running while it waits — and sets the
 // deadline (?timeout= clamped to the maximum, 400 when malformed).
-// /v1/shard/eval is admitted through the same function under the shard's
-// gate and the maximum deadline.  Parameters are parsed once: k is clamped
+// A shard's eval records are admitted through the same function under
+// the shard's gate and the maximum deadline, on an eval stream: a
+// connection the front upgrades with Front.Upgrade (a request without the
+// upgrade is answered 426), takes from net/http and tracks itself, since
+// http.Server's Shutdown does not reach it (Front.DrainStreams).  Parameters are parsed once: k is clamped
 // to the limit, a maxdist past the int32 range means no bound
 // (`TestContractMaxDistClamped`), and a start, from or to value is a
 // document name or a node ID.

@@ -1,6 +1,7 @@
 package front
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -147,11 +149,14 @@ type Front struct {
 
 	// mux routes the tier's endpoints; requests and latency hold one
 	// counter and one lock-free histogram per admitted endpoint.  New,
-	// Handle and Admit fill them while the tier is constructed; they are
-	// read-only once the front serves, so requests need no lock.
+	// Handle and Endpoint fill them while the tier is constructed; they
+	// are read-only once the front serves, so requests need no lock.
 	mux      *http.ServeMux
 	requests map[string]*atomic.Int64
 	latency  map[string]*obs.Histogram
+
+	// streams are the upgraded connections being served (stream.go).
+	streams streamSet
 
 	// Shed counts 429s, NotReady 503s before readiness, Timeouts requests
 	// whose deadline passed while they were handled, ClientErrors 4xx
@@ -161,7 +166,8 @@ type Front struct {
 
 // New returns a front over the collection both tiers resolve and render
 // nodes from, with the four public query endpoints mounted.  The tier adds
-// its own endpoints with Handle and Admit and then serves the Front itself.
+// its own endpoints with Handle and Endpoint and then serves the Front
+// itself.
 func New(coll *xmlgraph.Collection, cfg Config, tier Tier) *Front {
 	cfg = cfg.withDefaults()
 	f := newFront(coll)
@@ -228,8 +234,29 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	t0 := time.Now()
 	f.mux.ServeHTTP(sw, r)
-	f.cfg.Logger.Printf("id=%s %s %s %d %s", id,
-		r.Method, r.URL.RequestURI(), sw.status, time.Since(t0).Round(time.Microsecond))
+	f.logAccess(id, r.Method, r.URL.RequestURI(), sw.status, time.Since(t0))
+	if sw.ended != nil {
+		sw.ended()
+	}
+}
+
+// LogRecord writes the access-log line of one record served on an
+// upgraded stream, as ServeHTTP writes a request's, when the front has a
+// logger: under the record's request ID when SanitizeRequestID accepts it,
+// a fresh one otherwise.
+func (f *Front) LogRecord(rawID []byte, method, uri string, status int, elapsed time.Duration) {
+	if f.cfg.Logger == nil {
+		return
+	}
+	id := SanitizeRequestID(string(rawID))
+	if id == "" {
+		id = requestID(f.reqSeq.Add(1))
+	}
+	f.logAccess(id, method, uri, status, elapsed)
+}
+
+func (f *Front) logAccess(id, method, uri string, status int, elapsed time.Duration) {
+	f.cfg.Logger.Printf("id=%s %s %s %d %s", id, method, uri, status, elapsed.Round(time.Microsecond))
 }
 
 // requestID formats a request's sequence number as fmt's %08x does — at
@@ -240,15 +267,23 @@ func requestID(seq uint64) string {
 	return string(b[min(len(b)-8, 8):])
 }
 
-// statusWriter captures the response code for the access log.
+// statusWriter captures the response code for the access log.  A request
+// whose connection is hijacked for an upgraded stream logs 101 when the
+// stream ends, and then calls ended, which Upgrade sets.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	ended  func()
 }
 
 func (sw *statusWriter) WriteHeader(code int) {
 	sw.status = code
 	sw.ResponseWriter.WriteHeader(code)
+}
+
+func (sw *statusWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	sw.status = http.StatusSwitchingProtocols
+	return http.NewResponseController(sw.ResponseWriter).Hijack()
 }
 
 // SanitizeRequestID validates a client-supplied request ID: 1..64 chars of
@@ -269,51 +304,67 @@ func SanitizeRequestID(raw string) string {
 	return raw
 }
 
-// Handler is the body of an admitted request: it runs holding an admission
-// slot, and ctx ends at the request deadline.  q is the request's query
-// string, parsed once, on an endpoint that takes ?timeout=; nil otherwise.
-type Handler func(w http.ResponseWriter, r *http.Request, ctx context.Context, q url.Values)
+// Endpoint is one admitted endpoint: its gate, its request counter and
+// latency histogram, and the name the tier goes by in its 429 body.
+type Endpoint struct {
+	f        *Front
+	who      string
+	gate     Gate
+	requests atomic.Int64
+	latency  obs.Histogram
+}
 
-// Admit mounts h at pattern behind the admission pipeline — the gate, the
-// semaphore, the deadline — and registers the endpoint's request counter
-// and latency histogram.  At the in-flight limit a request is shed at once
-// with 429 ("<who> at capacity"): shedding beats queueing under overload,
-// because a queued query's deadline keeps ticking while it waits.
-// clientTimeout selects the deadline: ?timeout= clamped to MaxTimeout for
-// the public endpoints, MaxTimeout for a shard RPC, whose caller owns the
-// query deadline.
-func (f *Front) Admit(pattern, endpoint, who string, gate Gate, clientTimeout bool, h Handler) {
-	requests, latency := new(atomic.Int64), new(obs.Histogram)
-	f.requests[endpoint], f.latency[endpoint] = requests, latency
-	f.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		if code, msg := gate(); code != 0 {
-			f.Refuse(w, code, msg)
+// Endpoint registers an admitted endpoint and the request counter and
+// latency histogram /metrics and /statsz report under name.  Call it while
+// the tier is constructed, before the front serves.  The front admits its
+// public endpoints itself; a tier admits another, in whatever transport it
+// serves it, through Endpoint.Admit.
+func (f *Front) Endpoint(name, who string, gate Gate) *Endpoint {
+	e := &Endpoint{f: f, who: who, gate: gate}
+	f.requests[name], f.latency[name] = &e.requests, &e.latency
+	return e
+}
+
+// Admit is the admission pipeline of every admitted request, whatever
+// carries it: it counts the request, asks the gate, takes an in-flight
+// slot and sets the deadline, then runs h holding the slot and records how
+// long h took.  At the in-flight limit a request is shed at once with 429
+// ("<who> at capacity"): shedding beats queueing under overload, because a
+// queued request's deadline keeps ticking while it waits.  timeout derives
+// the deadline, a public endpoint's from ?timeout= (an error is a 400); nil
+// means MaxTimeout, the deadline of a shard RPC, whose caller owns the
+// query deadline.  A request turned away is counted (Count) and handed to
+// refuse, which answers it in the transport's own form.
+func (e *Endpoint) Admit(parent context.Context, timeout func() (time.Duration, error), refuse func(code int, msg string), h func(ctx context.Context)) {
+	f := e.f
+	e.requests.Add(1)
+	if code, msg := e.gate(); code != 0 {
+		f.Count(code)
+		refuse(code, msg)
+		return
+	}
+	select {
+	case f.sem <- struct{}{}:
+		defer func() { <-f.sem }()
+	default:
+		f.Count(http.StatusTooManyRequests)
+		refuse(http.StatusTooManyRequests, e.who+" at capacity, retry later")
+		return
+	}
+	d := f.cfg.MaxTimeout
+	if timeout != nil {
+		var err error
+		if d, err = timeout(); err != nil {
+			f.Count(http.StatusBadRequest)
+			refuse(http.StatusBadRequest, err.Error())
 			return
 		}
-		select {
-		case f.sem <- struct{}{}:
-			defer func() { <-f.sem }()
-		default:
-			f.Refuse(w, http.StatusTooManyRequests, who+" at capacity, retry later")
-			return
-		}
-		timeout := f.cfg.MaxTimeout
-		var q url.Values
-		if clientTimeout {
-			q = r.URL.Query()
-			var err error
-			if timeout, err = f.timeoutFor(q.Get("timeout")); err != nil {
-				f.Fail(w, http.StatusBadRequest, err.Error())
-				return
-			}
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		t0 := time.Now()
-		h(w, r, ctx, q)
-		latency.Observe(time.Since(t0))
-	})
+	}
+	ctx, cancel := context.WithTimeout(parent, d)
+	defer cancel()
+	t0 := time.Now()
+	h(ctx)
+	e.latency.Observe(time.Since(t0))
 }
 
 // Expired reports whether the request deadline passed during handling.  It
@@ -461,26 +512,34 @@ func OK(w http.ResponseWriter, v any) {
 	b.release()
 }
 
-// Fail writes an error JSON response and counts client errors.
-func (f *Front) Fail(w http.ResponseWriter, code int, msg string) {
-	if code >= 400 && code < 500 && code != http.StatusTooManyRequests {
+// Count counts an error answer: a 429 as shed, a 503 as not ready, any
+// other 4xx as a client error.
+func (f *Front) Count(code int) {
+	switch {
+	case code == http.StatusTooManyRequests:
+		f.Shed.Add(1)
+	case code == http.StatusServiceUnavailable:
+		f.NotReady.Add(1)
+	case code >= 400 && code < 500:
 		f.ClientErrors.Add(1)
+	}
+}
+
+// Fail writes an error JSON response and counts it.
+func (f *Front) Fail(w http.ResponseWriter, code int, msg string) {
+	f.Count(code)
+	writeError(w, code, msg)
+}
+
+// writeError writes an error JSON response.  A refusal for now, 503 or
+// 429, carries Retry-After.
+func writeError(w http.ResponseWriter, code int, msg string) {
+	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]any{"error": msg}) //nolint:errcheck
-}
-
-// Refuse turns a request away for now — 503 not ready, 429 at capacity —
-// with Retry-After, and counts it.
-func (f *Front) Refuse(w http.ResponseWriter, code int, msg string) {
-	if code == http.StatusTooManyRequests {
-		f.Shed.Add(1)
-	} else {
-		f.NotReady.Add(1)
-	}
-	w.Header().Set("Retry-After", "1")
-	f.Fail(w, code, msg)
 }
 
 // FailMethod answers a request whose method is not POST.
@@ -492,15 +551,24 @@ func (f *Front) FailMethod(w http.ResponseWriter, msg string) {
 // public admits a query endpoint through the tier's gate and runs serve
 // against the backend the tier opens for the request.
 func (f *Front) public(pattern, endpoint string, serve func(http.ResponseWriter, *http.Request, context.Context, url.Values, Backend)) {
-	f.Admit(pattern, endpoint, f.cfg.Who, f.tier.Gate, true, func(w http.ResponseWriter, r *http.Request, ctx context.Context, q url.Values) {
-		be := f.tier.Open(ctx, Request{
-			ID:       w.Header().Get(RequestIDHeader),
-			Endpoint: endpoint,
-			Trace:    endpoint != "batch" && BoolParam(q.Get("trace")),
+	e := f.Endpoint(endpoint, f.cfg.Who, f.tier.Gate)
+	f.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		var q url.Values
+		e.Admit(r.Context(), func() (time.Duration, error) {
+			q = r.URL.Query()
+			return f.timeoutFor(q.Get("timeout"))
+		}, func(code int, msg string) {
+			writeError(w, code, msg)
+		}, func(ctx context.Context) {
+			be := f.tier.Open(ctx, Request{
+				ID:       w.Header().Get(RequestIDHeader),
+				Endpoint: endpoint,
+				Trace:    endpoint != "batch" && BoolParam(q.Get("trace")),
+			})
+			t0 := time.Now()
+			serve(w, r, ctx, q, be)
+			be.Done(time.Since(t0))
 		})
-		t0 := time.Now()
-		serve(w, r, ctx, q, be)
-		be.Done(time.Since(t0))
 	})
 }
 

@@ -14,6 +14,7 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -109,8 +110,8 @@ func Parse(text string) (*Ontology, error) {
 		if len(fields) != 3 {
 			return nil, fmt.Errorf("ontology: line %d: want 'tagA tagB score', got %q", ln+1, line)
 		}
-		var score float64
-		if _, err := fmt.Sscanf(fields[2], "%g", &score); err != nil {
+		score, err := strconv.ParseFloat(fields[2], 64)
+		if err != nil {
 			return nil, fmt.Errorf("ontology: line %d: bad score %q", ln+1, fields[2])
 		}
 		if err := o.AddSimilarity(fields[0], fields[1], score); err != nil {

@@ -130,6 +130,7 @@ func TestParseErrors(t *testing.T) {
 		"movie film 2.0",  // out of range
 		"movie movie 0.5", // self edge
 		"a b 0.5 extra",   // too many fields
+		"a b 0.5abc",      // trailing garbage after the score
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
@@ -153,6 +154,7 @@ func FuzzParseOntology(f *testing.F) {
 	f.Add("a b NaN")
 	f.Add("# movies\nmovie film 0.9\nfilm movie 0.8\n\nfilm cinema 1e-300\n")
 	f.Add("a b 0.5 extra")
+	f.Add("a b 0.5abc")
 	f.Fuzz(func(t *testing.T, text string) {
 		o, err := Parse(text)
 		if err != nil {

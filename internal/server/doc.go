@@ -68,8 +68,10 @@
 //
 // # Shard mode
 //
-// With a shard identity the server also answers POST /v1/shard/eval — a
-// frontier batch in the binary frame of package shard, evaluated by
+// With a shard identity the server also serves eval streams on
+// /v1/shard/eval (the package shard doc's "The transport"): connections
+// upgraded to flix-eval/2 whose records each carry a frontier batch in the
+// binary frame of package shard, admitted like a request and evaluated by
 // flix.PartialDescendants over the meta documents this shard owns, a node
 // outside the collection or a seed distance past the element count answered
 // 400 (`TestShardEvalRejectsOutOfRangeNodes`).  Its /healthz carries a

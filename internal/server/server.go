@@ -55,7 +55,7 @@ type Config struct {
 	// offenders.  Default 1.
 	SlowQuerySample int
 	// Shard, when non-nil, runs the server as one shard of a
-	// scatter-gather cluster: /v1/shard/eval is registered, /healthz
+	// scatter-gather cluster: /v1/shard/eval serves eval streams, /healthz
 	// reports the shard's ring position and decomposition (fingerprint
 	// and settings), and each generation carries the ownership mask the
 	// ring assigns to this shard.
@@ -187,8 +187,10 @@ type Server struct {
 	front   *front.Front
 	started time.Time
 
-	// ring is the cluster's consistent-hash ring; nil outside shard mode.
-	ring *shard.Ring
+	// ring is the cluster's consistent-hash ring and evals the admission
+	// of the eval records; both nil outside shard mode.
+	ring  *shard.Ring
+	evals *front.Endpoint
 
 	// Serving counters the front does not keep (engine-level counters live
 	// in the generation's Index.Stats()).
@@ -233,10 +235,11 @@ func NewPending(coll *xmlgraph.Collection, cfg Config) *Server {
 			panic(fmt.Sprintf("server: shard %d of %d is not a valid ring position", cfg.Shard.ID, cfg.Shard.Count))
 		}
 		s.ring = shard.NewRing(cfg.Shard.Count, shard.DefaultVNodes)
-		// /v1/shard/eval goes through the same semaphore as the public
+		// Eval records go through the same semaphore as the public
 		// endpoints, so a saturated shard sheds router batches with 429 —
 		// the router's retry/backpressure signal.
-		s.front.Admit("/v1/shard/eval", "shard_eval", "shard", s.shardGate, false, s.handleShardEval)
+		s.evals = s.front.Endpoint("shard_eval", "shard", s.shardGate)
+		s.front.Handle(shard.EvalPath, s.handleEvalStream)
 	}
 	return s
 }

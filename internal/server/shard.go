@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
-	"io"
+	"errors"
 	"net/http"
-	"net/url"
-	"strconv"
 	"time"
 
 	"repro/internal/flix"
@@ -56,7 +54,7 @@ func (s *Server) initShard(g *generation) {
 	}
 }
 
-// shardGate is the readiness gate of the shard RPCs.
+// shardGate is the readiness gate of the eval records.
 func (s *Server) shardGate() (int, string) {
 	if g := s.gen.Load(); g == nil || g.shard == nil {
 		return http.StatusServiceUnavailable, "shard not ready: no index generation"
@@ -64,28 +62,67 @@ func (s *Server) shardGate() (int, string) {
 	return 0, ""
 }
 
-// maxEvalBody bounds the /v1/shard/eval request body (64 MiB); a larger
-// frontier is refused whole, not cut off into a malformed frame.
-const maxEvalBody = 64 << 20
+// handleEvalStream upgrades a router's connection to an eval stream and
+// serves its records; a request to the path without the upgrade is
+// answered 426 (front.Upgrade).
+func (s *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
+	s.front.Upgrade(w, r, shard.EvalProtocol, s.serveEvalStream)
+}
 
-// handleShardEval answers POST /v1/shard/eval: one frontier batch expanded
-// within this shard's owned meta documents (flix.PartialDescendants), asked
-// and answered in the binary frame of shard/protocol.go; errors stay JSON.
-// The front admits it under the server-wide maximum deadline — the router
-// owns the query deadline; the shard only guards itself against a stuck peer.
-func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx context.Context, _ url.Values) {
-	if r.Method != http.MethodPost {
-		s.front.FailMethod(w, "POST only")
-		return
+// keptAnswer is the largest answer buffer a stream keeps for its next
+// record.
+const keptAnswer = 1 << 20
+
+// serveEvalStream answers the records of one eval stream in order, on the
+// stream's goroutine.  Each record is admitted as an HTTP request is
+// (front.Endpoint.Admit: the gate, the in-flight semaphore, the MaxTimeout
+// deadline, the shard_eval counter and latency histogram) and written to
+// the access log as one.  A record that cannot be read — longer than
+// shard.MaxRecord, or malformed — is answered 400 and ends the stream,
+// whose framing is lost.
+func (s *Server) serveEvalStream(st *front.Stream) {
+	records := shard.NewRecordReader(st.R)
+	var payload, out []byte
+	for st.Next() {
+		t0 := time.Now()
+		reqID, frame, err := records.Request()
+		if err != nil && !errors.Is(err, shard.ErrBadRecord) {
+			return
+		}
+		status := http.StatusBadRequest
+		if err != nil {
+			s.front.Count(status)
+			payload = append(payload[:0], err.Error()...)
+		} else {
+			s.evals.Admit(st.Context(), nil, func(code int, msg string) {
+				status, payload = code, append(payload[:0], msg...)
+			}, func(ctx context.Context) {
+				if status, payload = s.eval(ctx, frame, payload[:0]); status != http.StatusOK {
+					s.front.Count(status)
+				}
+			})
+		}
+		out = shard.AppendAnswer(out[:0], status, payload)
+		werr := st.Write(out)
+		s.front.LogRecord(reqID, http.MethodPost, shard.EvalPath, status, time.Since(t0))
+		if werr != nil || err != nil {
+			return
+		}
+		if cap(out) > keptAnswer {
+			payload, out = nil, nil
+		}
 	}
+}
+
+// eval answers one eval frame: one frontier batch expanded within this
+// shard's owned meta documents (flix.PartialDescendants) under ctx, the
+// request deadline — the router owns the query deadline; the shard only
+// guards itself against a stuck peer.  It returns the status and, appended
+// to buf, the answer's frame on 200 or the error text otherwise.
+func (s *Server) eval(ctx context.Context, frame, buf []byte) (int, []byte) {
 	var req shard.EvalRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEvalBody))
-	if err == nil {
-		err = req.DecodeFrame(body)
-	}
-	if err != nil {
-		s.front.Fail(w, http.StatusBadRequest, "bad eval request: "+err.Error())
-		return
+	if err := req.DecodeFrame(frame); err != nil {
+		return http.StatusBadRequest, append(append(buf, "bad eval request: "...), err.Error()...)
 	}
 	g := s.gen.Load()
 	owned := g.shard.owned
@@ -107,8 +144,7 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx con
 		Tracer: tr,
 	})
 	if err != nil {
-		s.front.Fail(w, http.StatusBadRequest, "bad eval request: "+err.Error())
-		return
+		return http.StatusBadRequest, append(append(buf, "bad eval request: "...), err.Error()...)
 	}
 	resp := &shard.EvalResponse{
 		Results:     pr.Results,
@@ -120,14 +156,11 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request, ctx con
 	if tr != nil {
 		resp.Trace = obs.NewFragment(s.cfg.Shard.ID, tr.Summary(false))
 	}
-	frame, err := resp.AppendFrame(nil)
+	out, err := resp.AppendFrame(buf)
 	if err != nil {
-		s.front.Fail(w, http.StatusInternalServerError, err.Error())
-		return
+		return http.StatusInternalServerError, append(buf, err.Error()...)
 	}
-	w.Header().Set("Content-Type", shard.FrameContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.Write(frame) //nolint:errcheck // client gone; nothing to do
+	return http.StatusOK, out
 }
 
 // shardStatsz is the /statsz "shard" section.
@@ -143,6 +176,7 @@ func (s *Server) shardStatsz(g *generation) map[string]any {
 		"totalMetas":  g.ix.NumMetaDocuments(),
 		"fingerprint": g.shard.fingerprint,
 		"evals":       s.front.Requests("shard_eval"),
+		"streams":     s.front.Streams(),
 		"tracedEvals": s.tracedEvals.Load(),
 	}
 	if sn := s.front.Latency()["shard_eval"].Snapshot(); sn.Count > 0 {

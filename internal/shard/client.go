@@ -11,7 +11,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,10 +35,11 @@ type ClientOptions struct {
 }
 
 const (
-	// maxIdlePerShard bounds the pooled idle connections per shard.
+	// maxIdlePerShard bounds the pooled idle connections per shard, of
+	// each kind: eval streams and health-probe connections.
 	maxIdlePerShard = 32
 	// maxAnswer bounds the answer body read from a shard.
-	maxAnswer = 64 << 20
+	maxAnswer = MaxRecord
 )
 
 func (o ClientOptions) withDefaults() ClientOptions {
@@ -57,11 +57,12 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// Client talks HTTP/1.1 to a fixed set of shards over keep-alive
-// connections it owns, with per-attempt timeouts and retry-with-backoff.
-// An RPC runs on the calling goroutine: one write of the request, one read
-// of the answer (the package doc's "The transport").  It is safe for
-// concurrent use.
+// Client talks to a fixed set of shards over connections it owns, with
+// per-attempt timeouts and retry-with-backoff: eval RPCs as records on
+// upgraded eval streams, health probes as HTTP/1.1 on keep-alive
+// connections of their own.  An RPC runs on the calling goroutine: one
+// write of the request, one read of the answer (the package doc's "The
+// transport").  It is safe for concurrent use.
 type Client struct {
 	pools []*pool
 	opts  ClientOptions
@@ -91,27 +92,29 @@ func (c *Client) WireBytes(i int) (tx, rx int64) {
 	return c.pools[i].tx.Load(), c.pools[i].rx.Load()
 }
 
-// Close closes the idle connections and stops pooling: an RPC after Close
-// still runs, on a connection of its own.
+// Close closes the idle connections and streams and stops pooling: a
+// connection in use closes when its RPC ends, and an RPC after Close still
+// runs, on a connection of its own.
 func (c *Client) Close() {
 	for _, p := range c.pools {
 		p.close()
 	}
 }
 
-// Eval sends one frontier batch to a shard and decodes the partial result.
-// reqID, when front.SanitizeRequestID accepts it, travels as the
-// X-Flix-Request-Id header.
+// Eval sends one frontier batch to a shard as one record on an eval
+// stream and decodes the partial result.  reqID travels in the record
+// when front.SanitizeRequestID accepts it.
 func (c *Client) Eval(ctx context.Context, shard int, reqID string, req *EvalRequest) (*EvalResponse, error) {
-	body := req.AppendFrame(nil)
 	if front.SanitizeRequestID(reqID) != reqID {
 		reqID = ""
 	}
 	p := c.pools[shard]
 	var out EvalResponse
 	err := c.do(ctx, func() error {
-		p.tx.Add(int64(len(body)))
-		status, frame, err := c.exchange(ctx, p, p.evalHead, body, reqID)
+		var answerErr error
+		err := c.exchange(ctx, p, rpc{reqID: reqID, eval: req}, func(status int, answer []byte) {
+			answerErr = p.evalAnswer(shard, status, answer, &out)
+		})
 		switch {
 		case err != nil && err == ctx.Err():
 			return err
@@ -119,21 +122,8 @@ func (c *Client) Eval(ctx context.Context, shard int, reqID string, req *EvalReq
 			return fmt.Errorf("shard %d: %w", shard, err)
 		case err != nil:
 			return &retryableError{fmt.Errorf("shard %d: %w", shard, err)}
-		case status != http.StatusOK:
-			if len(frame) > 256 {
-				frame = frame[:256]
-			}
-			err := fmt.Errorf("shard %d: status %d: %s", shard, status, bytes.TrimSpace(frame))
-			if status >= 500 || status == http.StatusTooManyRequests {
-				return &retryableError{err}
-			}
-			return err
 		}
-		p.rx.Add(int64(len(frame)))
-		if err := out.DecodeFrame(frame); err != nil {
-			return &retryableError{fmt.Errorf("shard %d: decode: %w", shard, err)}
-		}
-		return nil
+		return answerErr
 	})
 	if err != nil {
 		return nil, err
@@ -141,21 +131,45 @@ func (c *Client) Eval(ctx context.Context, shard int, reqID string, req *EvalReq
 	return &out, nil
 }
 
+// evalAnswer decodes an eval answer of status into out, or turns it into
+// the RPC's error: retryable on 5xx, 429 and a frame that does not decode.
+func (p *pool) evalAnswer(shard, status int, answer []byte, out *EvalResponse) error {
+	if status != http.StatusOK {
+		if len(answer) > 256 {
+			answer = answer[:256]
+		}
+		err := fmt.Errorf("shard %d: status %d: %s", shard, status, bytes.TrimSpace(answer))
+		if status >= 500 || status == http.StatusTooManyRequests {
+			return &retryableError{err}
+		}
+		return err
+	}
+	p.rx.Add(int64(len(answer)))
+	if err := out.DecodeFrame(answer); err != nil {
+		return &retryableError{fmt.Errorf("shard %d: decode: %w", shard, err)}
+	}
+	return nil
+}
+
 // Health probes a shard's /healthz once, without retries (the prober has
 // its own cadence).  A 503 decodes like a 200: "alive but not ready" is a
 // valid answer, not an RPC failure.
 func (c *Client) Health(ctx context.Context, shard int) (*HealthResponse, error) {
 	p := c.pools[shard]
-	status, body, err := c.exchange(ctx, p, p.healthHead, nil, "")
+	var out HealthResponse
+	var answerErr error
+	err := c.exchange(ctx, p, rpc{}, func(status int, body []byte) {
+		if status != http.StatusOK && status != http.StatusServiceUnavailable {
+			answerErr = fmt.Errorf("shard %d: healthz status %d", shard, status)
+		} else if err := json.Unmarshal(body, &out); err != nil {
+			answerErr = fmt.Errorf("shard %d: healthz decode: %w", shard, err)
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", shard, err)
 	}
-	if status != http.StatusOK && status != http.StatusServiceUnavailable {
-		return nil, fmt.Errorf("shard %d: healthz status %d", shard, status)
-	}
-	var out HealthResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("shard %d: healthz decode: %w", shard, err)
+	if answerErr != nil {
+		return nil, answerErr
 	}
 	return &out, nil
 }
@@ -203,19 +217,21 @@ var (
 )
 
 // pool is one shard's address, its two request heads and its idle
-// keep-alive connections, the most recently used last.
+// connections, the most recently used last: eval streams and health-probe
+// connections apart.
 type pool struct {
-	addr       string // host:port to dial
-	evalHead   string // request line and fixed headers of an eval RPC
-	healthHead string // ... of a health probe
-	err        error  // the URL is not a shard URL
+	addr        string // host:port to dial
+	upgradeHead string // request line and fixed headers of an eval stream's upgrade
+	healthHead  string // ... of a health probe
+	err         error  // the URL is not a shard URL
 	// tx and rx count the eval frame bytes sent to and received from the
 	// shard, every attempt included.
 	tx, rx atomic.Int64
 
-	mu     sync.Mutex
-	idle   []*conn
-	closed bool
+	mu      sync.Mutex
+	streams []*conn
+	idle    []*conn
+	closed  bool
 }
 
 func newPool(raw string) *pool {
@@ -231,31 +247,52 @@ func newPool(raw string) *pool {
 	prefix := strings.TrimRight(u.EscapedPath(), "/")
 	host := "\r\nHost: " + u.Host + "\r\n"
 	return &pool{
-		addr:       addr,
-		evalHead:   "POST " + prefix + "/v1/shard/eval HTTP/1.1" + host + "Content-Type: " + FrameContentType + "\r\n",
-		healthHead: "GET " + prefix + "/healthz HTTP/1.1" + host,
+		addr:        addr,
+		upgradeHead: "GET " + prefix + EvalPath + " HTTP/1.1" + host + "Connection: Upgrade\r\nUpgrade: " + EvalProtocol + "\r\n",
+		healthHead:  "GET " + prefix + "/healthz HTTP/1.1" + host,
 	}
 }
 
-// conn is one keep-alive connection to a shard.
+// rpc is one request to a shard: an eval record when eval is set, a health
+// probe otherwise.
+type rpc struct {
+	reqID string
+	eval  *EvalRequest
+}
+
+// conn is one connection to a shard: a keep-alive HTTP/1.1 connection, or
+// an eval stream once upgraded.
 type conn struct {
 	nc     net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	reused bool // it served an exchange before this one
+	// records reads an eval stream's answers, and out is the buffer its
+	// request records are built in; both nil until the upgrade.
+	records *RecordReader
+	out     []byte
 }
 
-// take pops the most recently used idle connection, or nil.
-func (p *pool) take() *conn {
+// list returns the idle list of the kind of connection an RPC wants.
+func (p *pool) list(stream bool) *[]*conn {
+	if stream {
+		return &p.streams
+	}
+	return &p.idle
+}
+
+// take pops the most recently used idle connection of the kind, or nil.
+func (p *pool) take(stream bool) *conn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := len(p.idle)
+	l := p.list(stream)
+	n := len(*l)
 	if n == 0 {
 		return nil
 	}
-	cn := p.idle[n-1]
-	p.idle[n-1] = nil
-	p.idle = p.idle[:n-1]
+	cn := (*l)[n-1]
+	(*l)[n-1] = nil
+	*l = (*l)[:n-1]
 	return cn
 }
 
@@ -264,8 +301,8 @@ func (p *pool) take() *conn {
 func (p *pool) put(cn *conn) {
 	cn.reused = true
 	p.mu.Lock()
-	if !p.closed && len(p.idle) < maxIdlePerShard {
-		p.idle = append(p.idle, cn)
+	if l := p.list(cn.records != nil); !p.closed && len(*l) < maxIdlePerShard {
+		*l = append(*l, cn)
 		p.mu.Unlock()
 		return
 	}
@@ -275,90 +312,110 @@ func (p *pool) put(cn *conn) {
 
 func (p *pool) close() {
 	p.mu.Lock()
-	idle := p.idle
-	p.idle, p.closed = nil, true
+	idle := append(p.streams, p.idle...)
+	p.streams, p.idle, p.closed = nil, nil, true
 	p.mu.Unlock()
 	for _, cn := range idle {
 		cn.nc.Close()
 	}
 }
 
-// exchange sends one request — head, the optional Content-Length and
-// request-ID headers, body — and reads the answer in full.  The attempt's
-// deadline, min(ctx deadline, now+Timeout), is the connection's; a ctx
-// that ends interrupts the I/O and the exchange returns ctx.Err().  A
-// request that fails on a reused connection before any answer byte arrives
-// met a connection the shard had closed while it sat idle: it is sent once
-// more, on a fresh connection, within the same attempt.  An answer of any
-// status is a nil error.
-func (c *Client) exchange(ctx context.Context, p *pool, head string, body []byte, reqID string) (status int, answer []byte, err error) {
+// exchange sends one RPC and hands its answer to use while it still holds
+// the connection: the answer is valid only until use returns.  An eval
+// takes an idle eval stream or dials one, upgrading it first; a health
+// probe takes or dials a plain connection.  The attempt's deadline,
+// min(ctx deadline, now+Timeout), is the connection's; a ctx that ends
+// interrupts the I/O and the exchange returns ctx.Err().  A request that
+// fails on a reused connection before any answer byte arrives met a
+// connection the shard had closed while it sat idle: it is sent once more,
+// on a fresh connection, within the same attempt.  An answer of any status
+// is a nil error, and so is a refused upgrade, whose HTTP status and body
+// use is handed instead.
+func (c *Client) exchange(ctx context.Context, p *pool, req rpc, use func(status int, answer []byte)) error {
 	if p.err != nil {
-		return 0, nil, p.err
+		return p.err
 	}
 	deadline := time.Now().Add(c.opts.Timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	cn := p.take()
+	stream := req.eval != nil
+	cn := p.take(stream)
 	for {
 		if cn == nil {
 			d := net.Dialer{Deadline: deadline}
 			nc, err := d.DialContext(ctx, "tcp", p.addr)
 			if err != nil {
 				if ctx.Err() != nil {
-					return 0, nil, ctx.Err()
+					return ctx.Err()
 				}
-				return 0, nil, err
+				return err
 			}
 			cn = &conn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
 		}
 		nc := cn.nc
 		nc.SetDeadline(deadline)                                                //nolint:errcheck // a closed conn fails the write below
 		stop := context.AfterFunc(ctx, func() { nc.SetDeadline(aLongTimeAgo) }) //nolint:errcheck
-		var keep, unanswered bool
-		status, answer, keep, unanswered, err = cn.roundTrip(head, body, reqID)
+		status, answer, keep, unanswered, err := cn.roundTrip(p, req)
 		if !stop() {
 			keep = false // the ctx clobbered the deadline
 		}
 		if err == nil {
+			use(status, answer)
 			if keep {
 				p.put(cn)
 			} else {
 				nc.Close()
 			}
-			return status, answer, nil
+			return nil
 		}
 		nc.Close()
 		if ctx.Err() != nil {
-			return 0, nil, ctx.Err()
+			return ctx.Err()
 		}
 		if !cn.reused || !unanswered {
-			return 0, nil, err
+			return err
 		}
 		cn = nil
 	}
 }
 
-// roundTrip writes one request on cn and reads its answer.  keep reports
-// that the answer was read in full and the shard keeps the connection
-// open; unanswered, that the request failed before any answer byte
-// arrived, not for a timeout.
-func (cn *conn) roundTrip(head string, body []byte, reqID string) (status int, answer []byte, keep, unanswered bool, err error) {
-	bw := cn.bw
-	bw.WriteString(head) //nolint:errcheck // bufio.Writer keeps the first error for Flush
-	if body != nil {
-		bw.WriteString("Content-Length: ")                                      //nolint:errcheck
-		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(len(body)), 10)) //nolint:errcheck
-		bw.WriteString("\r\n")                                                  //nolint:errcheck
+// roundTrip sends req on cn and reads its answer, upgrading a fresh
+// connection to an eval stream first when req is an eval.  keep reports
+// that the answer was read in full and the connection can serve another
+// RPC; unanswered, that the request failed before any answer byte
+// arrived, not for a timeout.  A refused upgrade returns its HTTP answer.
+func (cn *conn) roundTrip(p *pool, req rpc) (status int, answer []byte, keep, unanswered bool, err error) {
+	if req.eval == nil {
+		return cn.httpTrip(p.healthHead)
 	}
-	if reqID != "" {
-		bw.WriteString(RequestIDHeader + ": ") //nolint:errcheck
-		bw.WriteString(reqID)                  //nolint:errcheck
-		bw.WriteString("\r\n")                 //nolint:errcheck
+	if cn.records == nil {
+		status, answer, _, unanswered, err = cn.httpTrip(p.upgradeHead)
+		if err != nil || status != http.StatusSwitchingProtocols {
+			return status, answer, false, unanswered, err
+		}
+		cn.records = NewRecordReader(cn.br)
 	}
-	bw.WriteString("\r\n") //nolint:errcheck
-	bw.Write(body)         //nolint:errcheck
-	if err := bw.Flush(); err != nil {
+	cn.out = AppendRequest(cn.out[:0], req.reqID, req.eval)
+	if _, err := cn.nc.Write(cn.out); err != nil {
+		return 0, nil, false, !isTimeout(err), err
+	}
+	p.tx.Add(int64(len(cn.out) - 5 - int(cn.out[4]))) // the frame: the record less its length and ID
+	if _, err := cn.br.Peek(1); err != nil {
+		return 0, nil, false, !isTimeout(err), err
+	}
+	if status, answer, err = cn.records.Answer(); err != nil {
+		return 0, nil, false, false, err
+	}
+	return status, answer, true, false, nil
+}
+
+// httpTrip writes one body-less HTTP request, head and a blank line, on cn
+// and reads its answer in full.
+func (cn *conn) httpTrip(head string) (status int, answer []byte, keep, unanswered bool, err error) {
+	cn.bw.WriteString(head)   //nolint:errcheck // bufio.Writer keeps the first error for Flush
+	cn.bw.WriteString("\r\n") //nolint:errcheck
+	if err := cn.bw.Flush(); err != nil {
 		return 0, nil, false, !isTimeout(err), err
 	}
 	if _, err := cn.br.Peek(1); err != nil {

@@ -36,14 +36,15 @@ type cluster struct {
 	t      testing.TB
 	coll   *xmlgraph.Collection
 	shards []*httptest.Server
-	// kill[i], when set, makes shard i answer /v1/shard/eval with 500 —
+	// kill[i], when set, makes shard i answer its eval records with 500 —
 	// the mid-query failure injection.  Health probes keep succeeding, so
 	// the failure is invisible to the prober and must be absorbed by the
-	// gather loop itself.
+	// gather loop itself.  These hooks sit in a record proxy in front of
+	// each shard (faults), which the router talks to.
 	kill []atomic.Bool
-	// garble[i], when set, makes shard i answer /v1/shard/eval with 200 and
-	// a body that is not an eval frame; evals[i] counts the eval requests
-	// shard i received.
+	// garble[i], when set, makes shard i answer its eval records with 200
+	// and a payload that is not an eval frame; evals[i] counts the eval
+	// records shard i received.
 	garble []atomic.Bool
 	evals  []atomic.Int64
 	// forge[i], when set, rewrites shard i's decoded eval answer before it
@@ -52,7 +53,7 @@ type cluster struct {
 	// logged collects the router's log lines.
 	logged lockedBuffer
 	urls   []string
-	// armKill, when set, triggers once on the next eval request any shard
+	// armKill, when set, triggers once on the next eval record any shard
 	// receives: that shard's ring successor is killed — guaranteed
 	// mid-query, after the query already fanned out.
 	armKill atomic.Bool
@@ -71,53 +72,52 @@ func newCluster(t testing.TB, coll *xmlgraph.Collection, ix *flix.Index, n int, 
 			Shard:     &server.ShardConfig{ID: i, Count: n},
 			CacheSize: -1,
 		})
-		h := s.Handler()
-		i := i
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/shard/eval" {
-				c.evals[i].Add(1)
-				if c.armKill.CompareAndSwap(true, false) {
-					c.kill[(i+1)%n].Store(true)
-				}
-				if c.kill[i].Load() {
-					http.Error(w, "injected failure", http.StatusInternalServerError)
-					return
-				}
-				if c.garble[i].Load() {
-					w.Header().Set("Content-Type", shard.FrameContentType)
-					w.Write([]byte{1, 0, 1, 0, 0, 0, 0, 200}) //nolint:errcheck // a frame cut off inside its results
-					return
-				}
-				if forge := c.forge[i].Load(); forge != nil {
-					rec := httptest.NewRecorder()
-					h.ServeHTTP(rec, r)
-					var resp shard.EvalResponse
-					if err := resp.DecodeFrame(rec.Body.Bytes()); err != nil {
-						http.Error(w, err.Error(), http.StatusInternalServerError)
-						return
-					}
-					(*forge)(&resp)
-					frame, err := resp.AppendFrame(nil)
-					if err != nil {
-						http.Error(w, err.Error(), http.StatusInternalServerError)
-						return
-					}
-					w.Header().Set("Content-Type", shard.FrameContentType)
-					w.Write(frame) //nolint:errcheck // the router sees a short body
-					return
-				}
-			}
-			h.ServeHTTP(w, r)
-		}))
+		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		c.shards[i] = ts
-		c.urls[i] = ts.URL
+		c.urls[i] = c.faults(i, n, ts.URL).URL
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c.stop = cancel
 	t.Cleanup(cancel)
 	c.rt, c.router = c.newRouter(ctx, retries, 0)
 	return c
+}
+
+// faults puts the record proxy carrying the fault hooks in front of shard
+// i of n, served at url.
+func (c *cluster) faults(i, n int, url string) *recordProxy {
+	p := newRecordProxy(c.t, url)
+	p.onRecord = func(_, _ []byte) (int, []byte, bool) {
+		c.evals[i].Add(1)
+		if c.armKill.CompareAndSwap(true, false) {
+			c.kill[(i+1)%n].Store(true)
+		}
+		switch {
+		case c.kill[i].Load():
+			return http.StatusInternalServerError, []byte("injected failure"), true
+		case c.garble[i].Load():
+			return http.StatusOK, []byte{1, 0, 1, 0, 0, 0, 0, 200}, true // a frame cut off inside its results
+		}
+		return 0, nil, false
+	}
+	p.onAnswer = func(status int, payload []byte) (int, []byte) {
+		forge := c.forge[i].Load()
+		if forge == nil || status != http.StatusOK {
+			return status, payload
+		}
+		var resp shard.EvalResponse
+		if err := resp.DecodeFrame(payload); err != nil {
+			return http.StatusInternalServerError, []byte(err.Error())
+		}
+		(*forge)(&resp)
+		frame, err := resp.AppendFrame(nil)
+		if err != nil {
+			return http.StatusInternalServerError, []byte(err.Error())
+		}
+		return http.StatusOK, frame
+	}
+	return p
 }
 
 // newRouter starts one more ready router over the cluster's shards, with
@@ -831,18 +831,17 @@ func TestRequestIDPropagation(t *testing.T) {
 		Shard:     &server.ShardConfig{ID: 0, Count: 1},
 		CacheSize: -1,
 	})
-	h := s.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/shard/eval" {
-			id := r.Header.Get(shard.RequestIDHeader)
-			seen.Store(&id)
-		}
-		h.ServeHTTP(w, r)
-	}))
+	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	proxy := newRecordProxy(t, ts.URL)
+	proxy.onRecord = func(reqID, _ []byte) (int, []byte, bool) {
+		id := string(reqID)
+		seen.Store(&id)
+		return 0, nil, false
+	}
 
 	rt, err := shard.NewRouter(coll, shard.RouterConfig{
-		Shards:        []string{ts.URL},
+		Shards:        []string{proxy.URL},
 		ProbeInterval: 20 * time.Millisecond,
 	})
 	if err != nil {

@@ -35,10 +35,11 @@
 //
 // # The eval frame
 //
-// POST /v1/shard/eval is the one hot exchange between the tiers, so both
-// directions are one hand-written binary frame decoded by a bounds-checked
-// cursor: no reflection, one allocation per slice, never more than the bytes
-// left could hold.
+// An eval RPC is the one hot exchange between the tiers, so both directions
+// are one hand-written binary frame decoded by a bounds-checked cursor: no
+// reflection, one allocation per slice, never more than the bytes left
+// could hold.  Each frame travels in one record of an eval stream ("The
+// transport").
 //
 //	field     request        response                      encoding
 //	version   2              2                             one byte; JSON is told it is JSON
@@ -134,40 +135,68 @@
 //
 // # The transport
 //
-// The router's shard client (client.go) speaks HTTP/1.1 on connections it
-// owns; net/http's client is not used.  Each shard has a pool of up to 32
-// idle keep-alive connections, each with a bufio reader and writer.  An RPC
-// runs on the calling goroutine.  It takes the most recently used idle
-// connection or dials one, and writes a fixed request head and the frame in
-// one flush.  The head holds the request line, Host, Content-Type,
-// Content-Length and the request ID, which is left out unless
-// front.SanitizeRequestID accepts it.  http.ReadResponse parses the answer,
-// so the HTTP codec stays the standard library's, and the body is read in
-// full, at most 64 MiB of it, before the connection goes back to the pool.
-// A gather round with one active shard (every round of `sharded`) calls
-// the client on the gather's own goroutine: no goroutine starts and no
-// channel carries the answer.  Rounds with more active shards fan out.
+// The router's shard client (client.go) speaks to the shards on
+// connections it owns; net/http's client is not used.  Eval RPCs travel on
+// eval streams (stream.go): a connection opened with one
+// `GET /v1/shard/eval` carrying `Connection: Upgrade` and
+// `Upgrade: flix-eval/2`, which the shard answers 101 and takes from
+// net/http (front.Front.Upgrade).  From then on every RPC is one record
+// each way:
 //
-// The rules of net/http's Transport that the router relied on are kept,
-// each pinned by a `TestClient*` row:
+//	request  u32 length | u8 ID length, up to 64 ID bytes | eval frame
+//	answer   u32 length | u16 status | eval frame on 200, error text otherwise
+//
+// A length counts the bytes after it and is capped at 64 MiB (MaxRecord).
+// A RecordReader grows its buffer only as bytes arrive, so a forged length
+// sizes no allocation (`TestEvalRecords`, `FuzzEvalStream`).  The request
+// ID is left out unless front.SanitizeRequestID accepts it.  A request to
+// the path without the upgrade is answered 426; health probes, /metrics
+// and /statsz stay plain HTTP, and the client keeps its probe connections
+// apart from its eval streams.
+//
+// Each shard has a pool of up to 32 idle eval streams and as many idle
+// probe connections.  An RPC runs on the calling goroutine.  It takes the
+// most recently used idle stream or dials and upgrades one, writes the
+// record in one write and reads the answer record in full.  A gather
+// round with one active shard (every round of `sharded`) calls the client
+// on the gather's own goroutine: no goroutine starts and no channel
+// carries the answer.  Rounds with more active shards fan out.
+//
+// On the shard the stream's records are served in order on the upgraded
+// request's goroutine, each through the admission every public request
+// takes (front.Endpoint.Admit: the gate, the in-flight semaphore and its
+// 429, the MaxTimeout deadline, the shard_eval counter and latency
+// histogram) and written to the access log under the record's request ID.
+// A record that cannot be framed is answered 400 and ends the stream.
+// Hijacked connections are outside http.Server's Shutdown and Close, so
+// the front tracks its streams: on a drain a stream waiting for a record
+// closes at once and one holding a record's first byte answers it and
+// then closes (`TestStreamDrainMidRecord`, `TestShardStreamDrain`).
+//
+// The rules of net/http's Transport that the router relied on are kept on
+// the streams, each pinned by a `TestClient*` row:
 //   - an attempt's deadline, min(ctx deadline, now+Timeout), is the
 //     connection's deadline (`TestClientAttemptTimeout`);
 //   - a ctx that ends interrupts the I/O through context.AfterFunc; the RPC
-//     returns ctx.Err() and the connection is closed, never pooled
+//     returns ctx.Err() and the stream is closed, never pooled
 //     (`TestClientCancelMidRPC`);
-//   - a request that fails on a reused connection before any answer byte
-//     met a connection the shard closed while it sat idle, and is sent once
-//     more on a fresh connection without spending an attempt; an eval is
+//   - a record that fails on a reused stream before any answer byte met a
+//     stream the shard closed while it sat idle, and is sent once more on
+//     a fresh connection without spending an attempt; an eval is
 //     read-only, so that is safe (`TestClientStaleIdleConn`);
 //   - 5xx, 429 and network errors are retried with backoff, other 4xx fail
 //     at once (`TestClientStatusHandling`);
-//   - a `Connection: close` answer is read and its connection dropped, and
-//     a chunked body is read to its end (`TestClientResponseFraming`);
-//   - the router's Start context ending closes the idle connections
-//     (`TestClientClosesIdleAtShutdown`).
+//   - an answer to the upgrade other than 101 is an ordinary HTTP status,
+//     its body read in full and its connection dropped, and an answer
+//     record arriving in pieces is read whole (`TestClientResponseFraming`);
+//   - the router's Start context ending closes the pooled streams and
+//     probe connections, and the shard's stream loops end with them
+//     (`TestClientClosesIdleAtShutdown`); a stream a draining shard closed
+//     is never pooled again (`TestClientShardDrain`).
 //
 // NewRouter refuses a shard URL that is not http://host[:port][/prefix],
-// naming it; a path prefix is kept in both request targets
+// naming it; a path prefix is kept in the request targets of both the
+// upgrade and the probe
 // (`TestClientURLs`).
 //
 // # Tracing

@@ -51,10 +51,17 @@ func (rt *Router) TopologyOwners() ([]int32, bool) {
 	return topo.owner, true
 }
 
-// IdleConns returns the number of pooled idle connections to shard i.
+// IdleConns returns the number of pooled idle connections to shard i,
+// eval streams and health-probe connections together.
 func (c *Client) IdleConns(i int) int {
 	p := c.pools[i]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.idle)
+	return len(p.streams) + len(p.idle)
 }
+
+// IdleConns returns the number of pooled idle connections to shard i.
+func (rt *Router) IdleConns(i int) int { return rt.client.IdleConns(i) }
+
+// BufferCap returns the capacity of the buffer rr reads records into.
+func (rr *RecordReader) BufferCap() int { return cap(rr.buf) }

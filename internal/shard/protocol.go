@@ -17,15 +17,15 @@ import (
 // Both sides import it (internal/server implements the shard endpoints), so
 // the wire shapes have exactly one definition.
 
-// RequestIDHeader carries the router's request ID to every shard RPC a
-// query fans out into.
+// RequestIDHeader carries a query's request ID on the router's answers;
+// every eval record the query fans out into carries it too (stream.go).
 const RequestIDHeader = front.RequestIDHeader
 
 // FailedShardsHeader lists the shards (comma-separated IDs) whose frontier
 // batches were dropped after retries; it accompanies a partial response.
 const FailedShardsHeader = "X-Flix-Shards-Failed"
 
-// EvalRequest is the body of POST /v1/shard/eval: one batch of frontier
+// EvalRequest is what one eval record carries: one batch of frontier
 // entries to expand within the shard's owned meta documents.
 type EvalRequest struct {
 	// Entries is the frontier batch (query starts or re-dispatched hops).
@@ -80,10 +80,8 @@ type EvalResponse struct {
 // JSON fallback: router and shards already have to agree on ring and
 // fingerprint, so they are deployed together.
 
-// FrameContentType is the Content-Type of both eval frames.
-const FrameContentType = "application/x-flix-frame"
-
-// frameVersion is the first byte of both frames.  Version 2 dropped the
+// frameVersion is the first byte of both frames, and the version in the
+// eval stream's upgrade token (EvalProtocol).  Version 2 dropped the
 // response's three effort counters (a traced gather, their only reader,
 // takes them from the fragment), so a version-1 peer fails the header.
 const frameVersion = 2
@@ -211,7 +209,7 @@ func (c *frameCursor) header(known byte) byte {
 	case len(c.b) < 2:
 		c.fail("truncated header")
 	case c.b[0] == '{' || c.b[0] == '[':
-		c.fail("body is JSON; /v1/shard/eval speaks the version-%d binary frame only", frameVersion)
+		c.fail("body is JSON; the eval stream speaks the version-%d binary frame only", frameVersion)
 	case c.b[0] != frameVersion:
 		c.fail("unknown version %d (this side speaks %d)", c.b[0], frameVersion)
 	case c.b[1]&^known != 0:

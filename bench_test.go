@@ -554,7 +554,7 @@ func BenchmarkAblationTopK(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		n := 0
 		for i := 0; i < b.N; i++ {
-			n = len(ev.Evaluate(q))
+			n = len(ev.EvaluateTopK(q, 0))
 		}
 		b.ReportMetric(float64(n), "results")
 	})

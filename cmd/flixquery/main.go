@@ -9,8 +9,10 @@
 //	flixquery -server http://router:8090 -query '//movie//actor' -explain
 //
 // The -query form uses the ranked evaluator with structural and semantic
-// vagueness (an ontology can be supplied with -ontology file); the
-// -start/-tag form streams raw a//b results in approximate distance order.
+// vagueness (an ontology can be supplied with -ontology file): -k 0, the
+// default, ranks every match through the same evaluator that -k 20 stops
+// early after the first twenty.  The -start/-tag form streams raw a//b
+// results in approximate distance order.
 // With -explain either form additionally prints the query plan: per-meta-
 // document strategy, entry points, duplicate drops, runtime link hops, and
 // the frontier's distance progression.
@@ -176,13 +178,8 @@ func runRanked(ctx context.Context, ix *flix.Index, coll *flix.Collection, expr,
 		}
 		eval.Ontology = onto
 	}
-	var matches []flix.Match
-	if k > 0 {
-		// Top-k uses the threshold-algorithm early termination.
-		matches = eval.EvaluateTopK(q, k)
-	} else {
-		matches = eval.Evaluate(q)
-	}
+	// k > 0 stops early through the threshold algorithm; 0 ranks everything.
+	matches := eval.EvaluateTopK(q, k)
 	if len(matches) == 0 {
 		fmt.Println("no results")
 		return

@@ -76,7 +76,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%s\n", q)
-		matches := eval.Evaluate(q)
+		matches := eval.EvaluateTopK(q, 0)
 		if len(matches) == 0 {
 			fmt.Println("  (no results)")
 			return

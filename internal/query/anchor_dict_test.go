@@ -3,8 +3,8 @@ package query
 // The anchor dictionary's differential suite.  anchor answers [text~] and
 // [text=] on a named tag from the collection's lazy text dictionary instead
 // of scanning the tag's elements; ReferenceEvaluate keeps scanning on its own
-// frozen predicate.  Matches, scores, order and Stats.Anchored of Evaluate
-// and EvaluateTopK must equal the reference's for every needle shape the
+// frozen predicate.  Matches, scores, order and Stats.Anchored of
+// EvaluateTopK must equal the reference's for every needle shape the
 // dictionary answers and every one it must leave to the scan.
 
 import (
@@ -71,18 +71,18 @@ var dictNeedles = []string{
 	"İ", "i", "ß", "ss", "K", "k", "K", "\xe9", "\xff", "�", "4",
 }
 
-// checkAgainstReference holds Evaluate and EvaluateTopK (k = 1, 10, all) of
-// one expression to the frozen scanning reference.
+// checkAgainstReference holds EvaluateTopK (k = 0 for all, 1, 10, past the
+// end) of one expression to the frozen scanning reference.
 func checkAgainstReference(t *testing.T, label string, e *Evaluator, expr string) {
 	t.Helper()
 	q := mustParse(t, expr)
 	full := e.ReferenceEvaluate(q)
 	anchored := e.Stats.Anchored
 
-	got := e.Evaluate(q)
-	assertExactPrefix(t, label+" Evaluate "+expr, got, full, len(full))
+	got := e.EvaluateTopK(q, 0)
+	assertExactPrefix(t, label+" EvaluateTopK "+expr+" k=0", got, full, len(full))
 	if e.Stats.Anchored != anchored {
-		t.Fatalf("%s Evaluate %s: Anchored = %d, reference %d", label, expr, e.Stats.Anchored, anchored)
+		t.Fatalf("%s EvaluateTopK %s k=0: Anchored = %d, reference %d", label, expr, e.Stats.Anchored, anchored)
 	}
 	for _, k := range []int{1, 10, len(full) + 1} {
 		got := e.EvaluateTopK(q, k)

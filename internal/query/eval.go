@@ -1,7 +1,6 @@
 package query
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -56,17 +55,18 @@ type Evaluator struct {
 	InverseScore float64
 	// Cancel aborts the evaluation when closed (typically a context's
 	// Done channel): the hook is forwarded into every index scan and
-	// checked between frontier expansions, so Evaluate returns promptly
-	// with the matches ranked so far.
+	// checked between frontier expansions and stream pulls, so
+	// EvaluateTopK returns promptly with what it ranked so far and sets
+	// Stats.Truncated.
 	Cancel <-chan struct{}
 	// Tracer, when non-nil, records every underlying index scan of the
 	// evaluation into one trace (the //-step descendant scans and the
 	// InverseScore ancestor scans alike).  Nil costs nothing.
 	Tracer *obs.Trace
-	// Stats accumulates the index work of the most recent Evaluate or
-	// EvaluateTopK call.  On the sharded tier every Scan is one
-	// scatter-gather, so the router's cluster trace reconciles its gather
-	// count against these counters.
+	// Stats accumulates the index work of the most recent EvaluateTopK
+	// call.  On the sharded tier every Scan is one scatter-gather, so the
+	// router's cluster trace reconciles its gather count against these
+	// counters.
 	Stats EvalStats
 }
 
@@ -86,10 +86,12 @@ type EvalStats struct {
 	// scratch), so this is the multiplier on per-probe memory.
 	PeakOpen int
 	// Truncated reports that cancellation stopped the evaluation before it
-	// examined everything it needed: the returned matches are then a sound
-	// but possibly incomplete subset of the full answer, indistinguishable
-	// from a complete one by shape alone.  It may be conservatively set
-	// when the cancel races the completion of the final scan.
+	// examined everything it needed.  The returned matches are then sound
+	// but possibly incomplete: every node is in the full ranking, with a
+	// score no higher than its score there (a path not yet followed may
+	// have scored it higher), and nothing tells them apart from a complete
+	// answer by shape alone.  It may be conservatively set when the cancel
+	// races the completion of the final scan.
 	Truncated bool
 }
 
@@ -216,48 +218,46 @@ func (p pred) narrow(coll *xmlgraph.Collection, tag string) ([]xmlgraph.NodeID, 
 	return coll.NodesByTag(tag), p
 }
 
-// Evaluate runs the query and returns results ranked by descending
-// relevance (ties: shorter path, then node ID).
-func (e *Evaluator) Evaluate(q *Query) []Match {
-	e.Stats = EvalStats{}
-	frontier := e.anchor(q.Steps[0])
-	for _, s := range q.Steps[1:] {
-		if e.canceled() {
-			e.Stats.Truncated = true
-			break
-		}
-		frontier = e.advance(frontier, s)
-		if len(frontier) == 0 {
-			return nil
-		}
+// worseMatch reports whether a ranks strictly after b in the ranking: score
+// descending, then path length ascending, then node ascending.
+func worseMatch(a, b Match) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
 	}
-	out := make([]Match, 0, len(frontier))
-	for _, m := range frontier {
-		out = append(out, m)
+	if a.PathLen != b.PathLen {
+		return a.PathLen > b.PathLen
 	}
-	sortMatches(out)
-	return out
+	return a.Node > b.Node
 }
 
-// sortMatches ranks by descending score, ties by shorter path then node ID.
+// sortMatches orders matches by the ranking worseMatch defines.
 func sortMatches(out []Match) {
 	slices.SortFunc(out, func(a, b Match) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
+		switch {
+		case worseMatch(a, b):
+			return 1
+		case worseMatch(b, a):
+			return -1
 		}
-		if c := cmp.Compare(a.PathLen, b.PathLen); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Node, b.Node)
+		return 0
 	})
+}
+
+// replaces is the per-node winner rule: a candidate replaces a node's
+// current match when it scores higher, ties going to the shorter path.  The
+// tie-break makes the ranking deterministic, so EvaluateTopK's answer for
+// every k is an exact element-for-element prefix of it.
+func replaces(cand, old Match) bool {
+	return cand.Score > old.Score || (cand.Score == old.Score && cand.PathLen < old.PathLen)
 }
 
 // anchor produces the initial frontier for the first step.
 func (e *Evaluator) anchor(s Step) map[xmlgraph.NodeID]Match {
 	frontier := make(map[xmlgraph.NodeID]Match)
 	e.anchorEach(s, func(n xmlgraph.NodeID, score float64) {
-		if old, ok := frontier[n]; !ok || score > old.Score {
-			frontier[n] = Match{Node: n, Score: score}
+		m := Match{Node: n, Score: score}
+		if old, ok := frontier[n]; !ok || replaces(m, old) {
+			frontier[n] = m
 		}
 	})
 	e.Stats.Anchored = len(frontier)
@@ -314,13 +314,9 @@ func (e *Evaluator) advance(frontier map[xmlgraph.NodeID]Match, s Step) map[xmlg
 		if score < minScore || !p.matches(coll.Text(n)) {
 			return
 		}
-		// Per node, the winner is the maximum score with ties broken by the
-		// shorter path.  The tie-break makes the full ranking deterministic
-		// (sortMatches orders by score, path length, node), so EvaluateTopK
-		// can promise exact element-for-element prefixes of it.
-		if old, ok := next[n]; !ok || score > old.Score ||
-			(score == old.Score && pathLen < old.PathLen) {
-			next[n] = Match{Node: n, Score: score, PathLen: pathLen}
+		cand := Match{Node: n, Score: score, PathLen: pathLen}
+		if old, ok := next[n]; !ok || replaces(cand, old) {
+			next[n] = cand
 		}
 	}
 	for _, wt := range e.expansions(s) {

@@ -70,7 +70,7 @@ func mustParse(t testing.TB, s string) *Query {
 
 func TestEvaluateSimpleDescendant(t *testing.T) {
 	e, ids := buildEval(t)
-	got := e.Evaluate(mustParse(t, "//movie//actor"))
+	got := e.EvaluateTopK(mustParse(t, "//movie//actor"), 0)
 	// Only actor1 sits below a literal movie... except the link makes
 	// actor2 reachable from movie1 too.
 	found := map[xmlgraph.NodeID]float64{}
@@ -93,12 +93,12 @@ func TestEvaluateSimpleDescendant(t *testing.T) {
 func TestEvaluateSemanticVagueness(t *testing.T) {
 	e, ids := buildEval(t)
 	// Without ~: science-fiction roots are not movies.
-	got := e.Evaluate(mustParse(t, "//movie"))
+	got := e.EvaluateTopK(mustParse(t, "//movie"), 0)
 	if len(got) != 1 || got[0].Node != ids["movie1"] {
 		t.Fatalf("//movie = %v", got)
 	}
 	// With ~: the ontology admits science-fiction at 0.8.
-	got = e.Evaluate(mustParse(t, "//~movie"))
+	got = e.EvaluateTopK(mustParse(t, "//~movie"), 0)
 	if len(got) != 2 {
 		t.Fatalf("//~movie = %v", got)
 	}
@@ -112,15 +112,15 @@ func TestEvaluateSemanticVagueness(t *testing.T) {
 
 func TestEvaluatePredicate(t *testing.T) {
 	e, ids := buildEval(t)
-	got := e.Evaluate(mustParse(t, `//~movie//title[text~"matrix"]`))
+	got := e.EvaluateTopK(mustParse(t, `//~movie//title[text~"matrix"]`), 0)
 	if len(got) != 2 {
 		t.Fatalf("results = %v", got)
 	}
-	got = e.Evaluate(mustParse(t, `//title[text="Matrix 3"]`))
+	got = e.EvaluateTopK(mustParse(t, `//title[text="Matrix 3"]`), 0)
 	if len(got) != 1 || got[0].Node != ids["title2"] {
 		t.Errorf("exact predicate = %v", got)
 	}
-	got = e.Evaluate(mustParse(t, `//title[text="matrix 3"]`)) // exact is case-sensitive
+	got = e.EvaluateTopK(mustParse(t, `//title[text="matrix 3"]`), 0) // exact is case-sensitive
 	if len(got) != 0 {
 		t.Errorf("case-sensitive exact matched: %v", got)
 	}
@@ -128,12 +128,12 @@ func TestEvaluatePredicate(t *testing.T) {
 
 func TestEvaluateChildAxis(t *testing.T) {
 	e, ids := buildEval(t)
-	got := e.Evaluate(mustParse(t, "/movie/title"))
+	got := e.EvaluateTopK(mustParse(t, "/movie/title"), 0)
 	if len(got) != 1 || got[0].Node != ids["title1"] {
 		t.Errorf("/movie/title = %v", got)
 	}
 	// cast/actor requires two child steps; title is not below cast.
-	got = e.Evaluate(mustParse(t, "/movie/cast/actor"))
+	got = e.EvaluateTopK(mustParse(t, "/movie/cast/actor"), 0)
 	if len(got) != 1 || got[0].Node != ids["actor1"] {
 		t.Errorf("/movie/cast/actor = %v", got)
 	}
@@ -143,7 +143,7 @@ func TestEvaluateRelaxedFindsDeepActors(t *testing.T) {
 	e, ids := buildEval(t)
 	// The paper's full example: ~movie//actor//... here the relaxed query
 	// //~movie//actor must find the deep actor under science-fiction.
-	got := e.Evaluate(mustParse(t, "//~movie//actor"))
+	got := e.EvaluateTopK(mustParse(t, "//~movie//actor"), 0)
 	found := map[xmlgraph.NodeID]bool{}
 	for _, m := range got {
 		found[m.Node] = true
@@ -161,7 +161,7 @@ func TestEvaluateRelaxedFindsDeepActors(t *testing.T) {
 
 func TestEvaluateWildcardStep(t *testing.T) {
 	e, _ := buildEval(t)
-	got := e.Evaluate(mustParse(t, "//cast/*"))
+	got := e.EvaluateTopK(mustParse(t, "//cast/*"), 0)
 	if len(got) != 1 {
 		t.Errorf("//cast/* = %v", got)
 	}
@@ -169,7 +169,7 @@ func TestEvaluateWildcardStep(t *testing.T) {
 
 func TestEvaluateNoMatch(t *testing.T) {
 	e, _ := buildEval(t)
-	if got := e.Evaluate(mustParse(t, "//nonexistent//actor")); got != nil {
+	if got := e.EvaluateTopK(mustParse(t, "//nonexistent//actor"), 0); got != nil {
 		t.Errorf("expected nil, got %v", got)
 	}
 }

@@ -2,10 +2,11 @@ package query
 
 import "testing"
 
-// FuzzEvaluate drives every accepted query string through the full
-// evaluation pipeline against a small fixed collection: evaluation must
-// never panic, and the ranked matches must respect the evaluator's
-// contract — scores in (0, 1], non-increasing order, valid nodes.
+// FuzzEvaluate drives every accepted query string through the unbounded
+// ranking, EvaluateTopK(q, 0), against a small fixed collection: evaluation
+// must never panic, the ranked matches must respect the evaluator's
+// contract — scores in (0, 1], non-increasing order, valid nodes — and the
+// answer must equal the frozen ReferenceEvaluate's element for element.
 func FuzzEvaluate(f *testing.F) {
 	for _, seed := range []string{
 		"//movie//actor",
@@ -29,17 +30,29 @@ func FuzzEvaluate(f *testing.F) {
 		if err != nil {
 			return
 		}
-		matches := e.Evaluate(q)
+		matches := e.EvaluateTopK(q, 0)
+		if e.Stats.Truncated {
+			t.Fatalf("EvaluateTopK(%q, 0) reported truncation without a cancel", expr)
+		}
 		coll := e.Index.Collection()
 		for i, m := range matches {
 			if m.Score <= 0 || m.Score > 1 {
-				t.Fatalf("Evaluate(%q) match %d has score %v outside (0,1]", expr, i, m.Score)
+				t.Fatalf("EvaluateTopK(%q, 0) match %d has score %v outside (0,1]", expr, i, m.Score)
 			}
 			if i > 0 && matches[i-1].Score < m.Score {
-				t.Fatalf("Evaluate(%q) matches not sorted: score %v before %v", expr, matches[i-1].Score, m.Score)
+				t.Fatalf("EvaluateTopK(%q, 0) matches not sorted: score %v before %v", expr, matches[i-1].Score, m.Score)
 			}
 			if !coll.Valid(m.Node) {
-				t.Fatalf("Evaluate(%q) match %d names invalid node %d", expr, i, m.Node)
+				t.Fatalf("EvaluateTopK(%q, 0) match %d names invalid node %d", expr, i, m.Node)
+			}
+		}
+		want := e.ReferenceEvaluate(q)
+		if len(matches) != len(want) {
+			t.Fatalf("EvaluateTopK(%q, 0) returned %d matches, reference %d", expr, len(matches), len(want))
+		}
+		for i := range want {
+			if matches[i] != want[i] {
+				t.Fatalf("EvaluateTopK(%q, 0) result %d = %+v, reference %+v", expr, i, matches[i], want[i])
 			}
 		}
 	})
@@ -48,8 +61,8 @@ func FuzzEvaluate(f *testing.F) {
 // FuzzEvaluateTopK cross-checks the optimized top-k evaluator against the
 // frozen reference evaluator for every accepted query string and k: the
 // answer must be exactly the first min(k, n) elements of the reference's
-// full deterministic ranking, and an uncancelled run must never report
-// truncation.
+// full deterministic ranking (all of them for k = 0), and an uncancelled
+// run must never report truncation.
 func FuzzEvaluateTopK(f *testing.F) {
 	for _, seed := range []string{
 		"//movie//actor",
@@ -63,6 +76,7 @@ func FuzzEvaluateTopK(f *testing.F) {
 		`//title[text="3"]`, `//*[text~"ee"]`, `/movie[text~"x"]`,
 		"//name[text~\"\xff\"]", `//title[text~"s"]//actor`,
 	} {
+		f.Add(seed, 0)
 		f.Add(seed, 1)
 		f.Add(seed, 10)
 		f.Add(seed, 1000)
@@ -80,7 +94,7 @@ func FuzzEvaluateTopK(f *testing.F) {
 		got := e.EvaluateTopK(q, k)
 		full := e.ReferenceEvaluate(q)
 		want := full
-		if len(want) > k {
+		if k > 0 && len(want) > k {
 			want = want[:k]
 		}
 		if len(got) != len(want) {

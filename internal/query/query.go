@@ -18,15 +18,18 @@
 // similarity (semantic vagueness).  The model is fixed: three constants
 // and one score function in eval.go (`TestRankedScoringRecorded`).
 //
-// A `query.Evaluator` ranks matches by that score.
-// `query.Evaluator.EvaluateTopK` is the threshold algorithm of §3.1 over
-// sorted distance access (topk.go): each step streams its candidates in
-// growing distance bands through a resumable flix.Probe where the backend
-// has one, and the scan stops only when the k-th score strictly exceeds
-// every stream's bound, so its answer is exactly the first k of
+// A `query.Evaluator` ranks matches by that score through one entry point,
+// `query.Evaluator.EvaluateTopK`: with k <= 0 it returns the whole ranking,
+// with k > 0 it runs the threshold algorithm of §3.1 over sorted distance
+// access (topk.go).  The last step streams its candidates in growing
+// distance bands through a resumable flix.Probe where the backend has one,
+// and the scan stops only when the k-th score strictly exceeds every
+// stream's bound, so its answer is exactly the first k of
 // `query.Evaluator.ReferenceEvaluate`'s full ranking
-// (`TestTopKMatchesReferenceTopK`, `FuzzEvaluateTopK`); the benchmark times
-// it as `query.topk_inproc_us`.  `query.Evaluator.InverseScore` lets
+// (`TestTopKMatchesReferenceTopK`, `FuzzEvaluateTopK`, `FuzzEvaluate` for
+// k = 0); the benchmark times it as `query.topk_inproc_us`.  A cancelled
+// evaluation returns a sound subset of that ranking
+// (`TestCancelledRankingIsSound`).  `query.Evaluator.InverseScore` lets
 // //-steps also match ancestors at a penalty (§1.1).
 //
 // The first step of a predicate query asks the collection's text

@@ -65,8 +65,8 @@ func chainedOntology(t *testing.T, x, y, z string) *ontology.Ontology {
 	return o
 }
 
-// hashRanked writes every answer of Evaluate and of EvaluateTopK at k = 1,
-// 10 and 100 for each query: per match its node, the bits of its score and
+// hashRanked writes every answer of EvaluateTopK at k = 0 (all), 1, 10
+// and 100 for each query: per match its node, the bits of its score and
 // its path length.
 func hashRanked(t *testing.T, h hash.Hash, e *Evaluator, exprs []string) {
 	t.Helper()
@@ -78,7 +78,7 @@ func hashRanked(t *testing.T, h hash.Hash, e *Evaluator, exprs []string) {
 	}
 	for _, expr := range exprs {
 		q := mustParse(t, expr)
-		write(expr+" all", e.Evaluate(q))
+		write(expr+" all", e.EvaluateTopK(q, 0))
 		for _, k := range []int{1, 10, 100} {
 			write(fmt.Sprintf("%s k=%d", expr, k), e.EvaluateTopK(q, k))
 		}

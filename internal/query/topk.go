@@ -8,14 +8,17 @@ import (
 	"repro/internal/xmlgraph"
 )
 
-// This file is the allocation-disciplined ranked top-k evaluator: the
-// threshold algorithm of §3.1 ("stop the execution when it can determine
-// that it has produced the top k results ... similar to Fagin's threshold
-// algorithm with only sequential reads").  It returns the full ranking's
-// first k elements while touching only what the threshold needs, and in
-// steady state it allocates only the returned slice.  Four
-// mechanisms give that; the frozen ReferenceEvaluateTopK, which has none of
-// them, is what the differential suite holds the answers to:
+// This file is the ranked evaluator, EvaluateTopK.  With k <= 0 it returns
+// the whole ranking: every step, the last included, advances the frontier
+// map, since a full ranking has no threshold to stop on.  With k > 0 the
+// last step is the allocation-disciplined threshold algorithm of §3.1
+// ("stop the execution when it can determine that it has produced the top
+// k results ... similar to Fagin's threshold algorithm with only sequential
+// reads").  It returns the ranking's first k elements while touching only
+// what the threshold needs, and in steady state it allocates only the
+// returned slice.  Four mechanisms give that; the frozen
+// ReferenceEvaluateTopK, which has none of them, is what the differential
+// suite holds the answers to:
 //
 //   - Streams pull candidates in bounded distance bands through the
 //     resumable flix.Probe rather than materializing each stream's complete
@@ -25,19 +28,19 @@ import (
 //   - Accepted candidates go into an incremental indexed heap, O(log k)
 //     each; re-sorting every candidate per stream advance is quadratic.
 //   - The decay is a lookup in a table of math.Pow values (score), so
-//     scores are bit-identical to the full evaluator's.
+//     scores are bit-identical to advance's and the reference's.
 //   - All per-query state — streams, their buffers, both heaps — lives in a
 //     pooled topkScratch.
 //
 // Exactness contract (locked down by the differential suite): for every
 // query and k, EvaluateTopK(q, k) equals the first min(k, n) elements of
-// the full evaluator's deterministic ranking — same nodes, same scores,
-// same path lengths, same order.  Two design points make that exact rather
-// than merely "top-k up to ties": the per-node winner rule is shared with
-// advance (max score, ties to the shorter path), and the threshold stop is
-// strict — the scan only stops when the k-th collected score is strictly
-// above every stream's bound, so candidates tying the k-th score are still
-// examined and the tie is resolved by the same total order sortMatches
+// the deterministic ranking ReferenceEvaluate returns — same nodes, same
+// scores, same path lengths, same order.  Two design points make that exact
+// rather than merely "top-k up to ties": the per-node winner rule
+// (replaces) is shared with advance, and the threshold stop is strict — the
+// scan only stops when the k-th collected score is strictly above every
+// stream's bound, so candidates tying the k-th score are still examined and
+// the tie is resolved by the same total order (worseMatch) sortMatches
 // uses.
 
 // bandedBackend is the optional Backend capability the top-k streams
@@ -176,6 +179,11 @@ func (e *Evaluator) fetchStream(ts *topkScratch, s *resultStream, bb bandedBacke
 			e.Stats.Scans++
 			e.Index.Descendants(s.from.Node, s.tag, opts, s.emitFn)
 		}
+		if e.canceled() {
+			// As in advance: the cancel may have cut this scan short, and
+			// the stream may be the last one the loop pulls.
+			e.Stats.Truncated = true
+		}
 		s.cursor()
 		return
 	}
@@ -263,18 +271,6 @@ type topkHeap struct {
 	pos map[xmlgraph.NodeID]int32
 }
 
-// worseMatch reports whether a ranks strictly after b in the final output
-// order (sortMatches: score desc, path length asc, node asc).
-func worseMatch(a, b Match) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	if a.PathLen != b.PathLen {
-		return a.PathLen > b.PathLen
-	}
-	return a.Node > b.Node
-}
-
 func (h *topkHeap) reset() {
 	h.a = h.a[:0]
 	if h.pos == nil {
@@ -289,10 +285,7 @@ func (h *topkHeap) reset() {
 // worst when the candidate beats it.
 func (h *topkHeap) consider(cand Match, k int) {
 	if i, ok := h.pos[cand.Node]; ok {
-		old := h.a[i]
-		// Same per-node winner rule as advance: max score, then the
-		// shorter path.
-		if cand.Score > old.Score || (cand.Score == old.Score && cand.PathLen < old.PathLen) {
+		if replaces(cand, h.a[i]) {
 			h.a[i] = cand
 			h.down(i) // improving moves a slot away from the worst root
 		}
@@ -314,8 +307,12 @@ func (h *topkHeap) consider(cand Match, k int) {
 	h.down(0)
 }
 
-// ranked returns a copy of the kept matches in sortMatches order.
+// ranked returns a copy of the kept matches in sortMatches order, nil when
+// there are none.
 func (h *topkHeap) ranked() []Match {
+	if len(h.a) == 0 {
+		return nil
+	}
 	out := make([]Match, len(h.a))
 	copy(out, h.a)
 	sortMatches(out)
@@ -358,15 +355,16 @@ func (h *topkHeap) down(i int32) {
 	}
 }
 
-// EvaluateTopK evaluates the query and returns exactly the first
-// min(k, n) elements of the full evaluator's ranking, stopping the
-// underlying index scans early in the style of Fagin's threshold algorithm
-// with sorted access only.
-// A cancellation mid-scan returns the matches ranked so far and sets
-// Stats.Truncated.
+// EvaluateTopK evaluates the query and returns its ranking by descending
+// relevance (ties: shorter path, then node ID): all of it when k <= 0,
+// else exactly its first min(k, n) elements, stopping the underlying index
+// scans early in the style of Fagin's threshold algorithm with sorted
+// access only.  A cancellation returns a sound subset of the ranking (see
+// EvalStats.Truncated) and sets Stats.Truncated.  An answer without matches
+// is nil.
 //
-// For every step but the last, evaluation proceeds as in Evaluate.  The
-// last step opens one candidate stream per (frontier element, tag
+// Every step but the last advances the frontier map.  For k > 0 the last
+// //-step opens one candidate stream per (frontier element, tag
 // expansion) pair — plus one ancestor stream per pair when InverseScore is
 // set.  Each stream delivers candidates in descending score (FliX streams
 // descendants in ascending distance and the decay is monotone in
@@ -376,11 +374,8 @@ func (h *topkHeap) down(i int32) {
 // scan stops when the k-th best collected score strictly exceeds every
 // remaining bound.
 func (e *Evaluator) EvaluateTopK(q *Query, k int) []Match {
-	if k <= 0 {
-		return nil
-	}
 	e.Stats = EvalStats{}
-	if len(q.Steps) == 1 && !overlapping(e.expansions(q.Steps[0])) {
+	if k > 0 && len(q.Steps) == 1 && !overlapping(e.expansions(q.Steps[0])) {
 		// Nothing to advance: the anchored elements are the answer, and the
 		// heap keeps k of them instead of a map of all and their full sort.
 		ts := topkPool.Get().(*topkScratch)
@@ -403,11 +398,10 @@ func (e *Evaluator) EvaluateTopK(q *Query, k int) []Match {
 		}
 	}
 	last := q.Steps[len(q.Steps)-1]
-	if last.Axis == Child {
-		// The child axis has no distance decay to exploit; fall back to
-		// full evaluation of the final step.
-		final := e.advance(frontier, last)
-		return topOf(final, k)
+	if k <= 0 || last.Axis == Child {
+		// The whole ranking has no threshold to stop on, and the child axis
+		// has no distance decay to exploit: advance the final step too.
+		return topOf(e.advance(frontier, last), k)
 	}
 	e.Stats.Steps++ // the streamed last step (advance counts the others)
 
@@ -491,7 +485,12 @@ func overlapping(exps []ontology.WeightedTag) bool {
 	return false
 }
 
+// topOf ranks a frontier map and keeps its first k matches, all of them
+// when k <= 0; nil when the map is empty.
 func topOf(m map[xmlgraph.NodeID]Match, k int) []Match {
+	if len(m) == 0 {
+		return nil
+	}
 	out := make([]Match, 0, len(m))
 	for _, v := range m {
 		out = append(out, v)
@@ -499,9 +498,10 @@ func topOf(m map[xmlgraph.NodeID]Match, k int) []Match {
 	return topOf2(out, k)
 }
 
+// topOf2 sorts out and keeps its first k matches, all of them when k <= 0.
 func topOf2(out []Match, k int) []Match {
 	sortMatches(out)
-	if len(out) > k {
+	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
 	return out

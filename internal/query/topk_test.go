@@ -22,7 +22,7 @@ func TestEvaluateTopKMatchesFull(t *testing.T) {
 		"//movie",
 	} {
 		q := mustParse(t, expr)
-		full := e.Evaluate(q)
+		full := e.ReferenceEvaluate(q)
 		for _, k := range []int{1, 2, 5, 100} {
 			got := e.EvaluateTopK(q, k)
 			want := full
@@ -38,9 +38,8 @@ func TestEvaluateTopKMatchesFull(t *testing.T) {
 				}
 			}
 		}
-	}
-	if got := e.EvaluateTopK(mustParse(t, "//movie//actor"), 0); got != nil {
-		t.Errorf("k=0: %v", got)
+		// k = 0 is the whole ranking.
+		assertExactPrefix(t, expr+" k=0", e.EvaluateTopK(q, 0), full, len(full))
 	}
 }
 
@@ -55,14 +54,14 @@ func TestEvaluateTopKChildAxis(t *testing.T) {
 func TestInverseScore(t *testing.T) {
 	e, ids := buildEval(t)
 	// actor//movie: no movie is a descendant of an actor...
-	got := e.Evaluate(mustParse(t, "//actor//movie"))
+	got := e.EvaluateTopK(mustParse(t, "//actor//movie"), 0)
 	if len(got) != 0 {
 		t.Fatalf("forward-only: %v", got)
 	}
 	// ...but with inverse matching, the containing movie qualifies at a
 	// penalty.
 	e.InverseScore = 0.5
-	got = e.Evaluate(mustParse(t, "//actor//movie"))
+	got = e.EvaluateTopK(mustParse(t, "//actor//movie"), 0)
 	if len(got) != 1 || got[0].Node != ids["movie1"] {
 		t.Fatalf("inverse: %v", got)
 	}
@@ -70,7 +69,7 @@ func TestInverseScore(t *testing.T) {
 		t.Errorf("inverse score %g should be penalized below 0.5", got[0].Score)
 	}
 	// Forward matches are unaffected and rank above inverse ones.
-	fwd := e.Evaluate(mustParse(t, "//movie//actor"))
+	fwd := e.EvaluateTopK(mustParse(t, "//movie//actor"), 0)
 	if len(fwd) == 0 || fwd[0].Score != 0.8 {
 		t.Errorf("forward with inverse enabled: %v", fwd)
 	}
@@ -96,7 +95,7 @@ func TestPropertyTopKAgainstFull(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		q := mustParse(t, exprs[rng.Intn(len(exprs))])
 		k := 1 + rng.Intn(20)
-		full := e.Evaluate(q)
+		full := e.ReferenceEvaluate(q)
 		got := e.EvaluateTopK(q, k)
 		want := full
 		if len(want) > k {

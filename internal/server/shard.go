@@ -103,8 +103,11 @@ func (s *Server) serveEvalStream(st *front.Stream) {
 			})
 		}
 		out = shard.AppendAnswer(out[:0], status, payload)
-		werr := st.Write(out)
+		// Logged before the answer goes out, as a small HTTP answer's line
+		// is written before net/http flushes it: whoever holds the answer
+		// finds the record in the log.
 		s.front.LogRecord(reqID, http.MethodPost, shard.EvalPath, status, time.Since(t0))
+		werr := st.Write(out)
 		if werr != nil || err != nil {
 			return
 		}

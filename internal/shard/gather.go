@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/flix"
@@ -91,7 +90,8 @@ type gatherOut struct {
 }
 
 // gatherTally is the one count of what a gather did: Router.gather folds
-// it into the router's counters once, and a request's summed tallies give
+// it into the router's running tally once (Router.scatter, the counters
+// /metrics and /statsz read), and a request's summed tallies give
 // its response's rounds and partial flag and its cluster trace's scalars.
 // earlyStops, budgetStops and partials (dropped work: failed shards, a
 // truncated shard evaluation, an exhausted hop budget or an expired
@@ -118,31 +118,6 @@ func (t *gatherTally) add(u gatherTally) {
 	t.budgetStops += u.budgetStops
 	t.partials += u.partials
 	t.shardFailures += u.shardFailures
-}
-
-// scatterCounters is the router's running sum of every gather's tally, the
-// counters /metrics and /statsz read (scatterStats).
-type scatterCounters struct {
-	gathers, rounds, fanouts                atomic.Int64
-	hopsSeen, hopsDeduped, hopsRedispatched atomic.Int64
-	hopsBounded                             atomic.Int64
-	earlyStops, budgetStops, partials       atomic.Int64
-	shardFailures                           atomic.Int64
-}
-
-// add folds one gather's tally in: one Add per counter per gather.
-func (c *scatterCounters) add(t gatherTally) {
-	c.gathers.Add(int64(t.gathers))
-	c.rounds.Add(int64(t.rounds))
-	c.fanouts.Add(int64(t.fanouts))
-	c.hopsSeen.Add(int64(t.hopsSeen))
-	c.hopsDeduped.Add(int64(t.hopsDeduped))
-	c.hopsRedispatched.Add(int64(t.hopsRedispatched))
-	c.hopsBounded.Add(int64(t.hopsBounded))
-	c.earlyStops.Add(int64(t.earlyStops))
-	c.budgetStops.Add(int64(t.budgetStops))
-	c.partials.Add(int64(t.partials))
-	c.shardFailures.Add(int64(t.shardFailures))
 }
 
 // gatherDescendants runs start//tag across the cluster and applies the
@@ -393,7 +368,9 @@ func (rt *Router) gather(ctx context.Context, reqID string, starts []flix.Fronti
 	}
 	out.failed = sortedShardIDs(failed)
 	out.gathers = 1
+	rt.scatterMu.Lock()
 	rt.scatter.add(out.gatherTally)
+	rt.scatterMu.Unlock()
 	if gspan != nil {
 		gspan.SetAttr("rounds", int64(out.rounds))
 		gspan.SetAttr("results", int64(len(st.held)))

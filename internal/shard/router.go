@@ -148,7 +148,10 @@ type Router struct {
 
 	shardLatency []*obs.Histogram
 
-	scatter       scatterCounters
+	// scatter is the running sum of every gather's tally, folded in once
+	// per gather and read whole by scatterStats, both under scatterMu.
+	scatterMu     sync.Mutex
+	scatter       gatherTally
 	tracedQueries atomic.Int64
 	// gathers pools the gathers' working state (*gatherState, gather.go).
 	gathers sync.Pool

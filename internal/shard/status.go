@@ -141,21 +141,22 @@ type scatterStat struct {
 
 // scatterStats lists the scatter section in /metrics order.
 func (rt *Router) scatterStats() []scatterStat {
-	c := &rt.scatter
-	gathers, rounds := c.gathers.Load(), c.rounds.Load()
+	rt.scatterMu.Lock()
+	c := rt.scatter
+	rt.scatterMu.Unlock()
 	return []scatterStat{
-		{"fanouts_total", "counter", "fanouts", "Shard RPC batches dispatched.", c.fanouts.Load()},
-		{"gathers_total", "counter", "gathers", "Scatter-gather evaluations executed.", gathers},
-		{"rounds_total", "counter", "rounds", "Scatter-gather rounds executed.", rounds},
-		{"rounds_per_gather", "gauge", "roundsPerGather", "Mean re-dispatch rounds per gather since start.", ratio(rounds, gathers)},
-		{"hops_total", "counter", "hops", "Cross-shard hop entries returned by shards.", c.hopsSeen.Load()},
-		{"hops_deduped_total", "counter", "hopsDeduped", "Hop entries dropped by the best-distance map.", c.hopsDeduped.Load()},
-		{"hops_redispatched_total", "counter", "hopsRedispatched", "Hop entries re-dispatched to their owning shard.", c.hopsRedispatched.Load()},
-		{"hops_bounded_total", "counter", "hopsBounded", "Staged hop entries the top-k distance bound removed before a dispatch.", c.hopsBounded.Load()},
-		{"early_stops_total", "counter", "earlyStops", "Gathers ended by the top-k or connectivity watermark.", c.earlyStops.Load()},
-		{"budget_stops_total", "counter", "budgetStops", "Gathers that exhausted the hop budget.", c.budgetStops.Load()},
-		{"partial_results_total", "counter", "partials", "Gathers that lost work.", c.partials.Load()},
-		{"shard_failures_total", "counter", "shardFailures", "Shard batches dropped after retries.", c.shardFailures.Load()},
+		{"fanouts_total", "counter", "fanouts", "Shard RPC batches dispatched.", c.fanouts},
+		{"gathers_total", "counter", "gathers", "Scatter-gather evaluations executed.", c.gathers},
+		{"rounds_total", "counter", "rounds", "Scatter-gather rounds executed.", c.rounds},
+		{"rounds_per_gather", "gauge", "roundsPerGather", "Mean re-dispatch rounds per gather since start.", ratio(c.rounds, c.gathers)},
+		{"hops_total", "counter", "hops", "Cross-shard hop entries returned by shards.", c.hopsSeen},
+		{"hops_deduped_total", "counter", "hopsDeduped", "Hop entries dropped by the best-distance map.", c.hopsDeduped},
+		{"hops_redispatched_total", "counter", "hopsRedispatched", "Hop entries re-dispatched to their owning shard.", c.hopsRedispatched},
+		{"hops_bounded_total", "counter", "hopsBounded", "Staged hop entries the top-k distance bound removed before a dispatch.", c.hopsBounded},
+		{"early_stops_total", "counter", "earlyStops", "Gathers ended by the top-k or connectivity watermark.", c.earlyStops},
+		{"budget_stops_total", "counter", "budgetStops", "Gathers that exhausted the hop budget.", c.budgetStops},
+		{"partial_results_total", "counter", "partials", "Gathers that lost work.", c.partials},
+		{"shard_failures_total", "counter", "shardFailures", "Shard batches dropped after retries.", c.shardFailures},
 		{"traced_queries_total", "counter", "tracedQueries", "Queries evaluated with ?trace=1 distributed tracing.", rt.tracedQueries.Load()},
 	}
 }
@@ -165,7 +166,7 @@ func durString(d time.Duration) string {
 }
 
 // ratio guards the rounds-per-gather division against a fresh router.
-func ratio(num, den int64) float64 {
+func ratio(num, den int) float64 {
 	if den == 0 {
 		return 0
 	}
